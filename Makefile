@@ -2,10 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 test perfgate memcheck memcheck-lossy memcheck-onesided memcheck-onesided-lossy \
-        memcheck-srq memcheck-srq-lossy memcheck-ud memcheck-ud-lossy \
-        memcheck-wrreply memcheck-wrreply-lossy memcheck-fleet memcheck-fleet-lossy \
-        mutations fuzz-smoke
+.PHONY: tier1 tier2 test perfgate mutations list-mutations check-ci-modes fuzz-smoke
 
 tier1:
 	go build ./...
@@ -17,55 +14,24 @@ tier2:
 
 test: tier1 tier2
 
-# Model-checking sweeps (see EXPERIMENTS.md "Model checking the cache").
+# Model-checking sweeps (see EXPERIMENTS.md "Model checking the cache"):
+# `make memcheck-<mode>` sweeps one row of the mode table over a clean
+# fabric, `make memcheck-<mode>-lossy` over a lossy one. The table
+# (internal/memcheck.Modes; `go run ./cmd/mccheck -list-modes`) says what
+# each row arms, which transports it sweeps, and which counters prove
+# the sweep drove what it armed — a vacuous sweep fails.
 MEMCHECK_SEEDS ?= 50
 
-memcheck:
-	go run ./cmd/mccheck -transport both -seeds $(MEMCHECK_SEEDS)
-	go run ./cmd/mccheck -transport both -seeds $(MEMCHECK_SEEDS) -nobursts
-	go run ./cmd/mccheck -transport both -seeds $(MEMCHECK_SEEDS) -pressure
+memcheck-%:
+	go run ./cmd/mccheck -mode $(*:-lossy=) $(if $(filter %-lossy,$*),-faults) -seeds $(MEMCHECK_SEEDS)
 
-memcheck-lossy:
-	go run ./cmd/mccheck -transport both -seeds $(MEMCHECK_SEEDS) -faults
-
-# One-sided GET sweeps (UCR-IB only: the path rides RDMA reads).
-memcheck-onesided:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -onesided
-
-memcheck-onesided-lossy:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -onesided -faults
-
-# Connection-scalability sweeps (UCR-IB only): shared-SRQ serving and
-# the hybrid UD small-get mode. Each sweep fails if it never actually
-# drove the armed datapath (vacuity guard — see cmd/mccheck).
-memcheck-srq:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -srq
-
-memcheck-srq-lossy:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -srq -faults
-
-memcheck-ud:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -ud
-
-memcheck-ud-lossy:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -ud -faults
-
-# Write-based reply sweeps (UCR-IB only): RDMA-write replies into the
-# client's slot arena. Fails on vacuity if no reply rode the write path.
-memcheck-wrreply:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -wrreply
-
-memcheck-wrreply-lossy:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -wrreply -faults
-
-# Fleet sweeps (both transports): replicated churn-capable cluster
-# checked against the per-server ownership model. The vacuity guards
-# fail a sweep where read repair never ran or churn moved no keyspace.
-memcheck-fleet:
-	go run ./cmd/mccheck -fleet -transport both -seeds $(MEMCHECK_SEEDS)
-
-memcheck-fleet-lossy:
-	go run ./cmd/mccheck -fleet -transport both -seeds $(MEMCHECK_SEEDS) -faults
+# The CI memcheck matrix must list exactly the table's rows.
+check-ci-modes:
+	@want="$$(go run ./cmd/mccheck -list-modes | tr '\n' ' ' | sed 's/ $$//')"; \
+	have="$$(sed -n 's/^ *mode: \[\(.*\)\]$$/\1/p' .github/workflows/ci.yml | tr -d ',')"; \
+	if [ "$$want" != "$$have" ]; then \
+		echo "ci.yml memcheck matrix [$$have] != mode table [$$want]"; exit 1; \
+	fi
 
 # Checker validation: every seeded store mutation must be caught.
 MUTATIONS = mut_append_nocas mut_get_skip_expiry mut_cas_ignore_id \
@@ -76,8 +42,12 @@ MUTATIONS = mut_append_nocas mut_get_skip_expiry mut_cas_ignore_id \
 mutations:
 	@for m in $(MUTATIONS); do \
 		echo "== $$m"; \
-		go run -tags $$m ./cmd/mccheck -transport both -seeds 10 -expect-violation || exit 1; \
+		go run -tags $$m ./cmd/mccheck -seeds 10 -expect-violation || exit 1; \
 	done
+
+# The mutation list as a JSON array (the CI mutation matrix reads it).
+list-mutations:
+	@printf '["%s"]\n' "$$(echo $(MUTATIONS) | sed 's/ /","/g')"
 
 FUZZTIME ?= 30s
 

@@ -103,39 +103,34 @@ func mixTPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, mi
 		c.Clock.AdvanceTo(start)
 	}
 
-	type result struct {
-		end simnet.Time
-		err error
-	}
-	results := make(chan result, nClients)
+	// One goroutine drives every client round-robin (as connScaleTPS
+	// does): shard-lock queueing resolves in arrival order, so clients on
+	// goroutines of their own would let the Go scheduler pick the
+	// virtual-time service order and the sweep would differ run to run.
 	cycle := mix.ops()
 	opsPerClient := cfg.OpsPerPoint
-	for i, c := range clients {
-		go func(i int, c *cluster.Client) {
-			w := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-			w.nextKey = i
-			for n := 0; n < opsPerClient; n++ {
-				key := w.Key()
-				if cycle[n%len(cycle)] {
-					if err := c.MC.Set(key, w.Value(), 0, 0); err != nil {
-						results <- result{err: err}
-						return
-					}
-				} else if _, _, _, err := c.MC.Get(key); err != nil {
-					results <- result{err: err}
-					return
-				}
+	workloads := make([]*Workload, nClients)
+	for i := range workloads {
+		workloads[i] = NewWorkload(cfg.Seed, cfg.KeySpace, size)
+		workloads[i].nextKey = i
+	}
+	for n := 0; n < opsPerClient; n++ {
+		for i, c := range clients {
+			w := workloads[i]
+			key := w.Key()
+			if cycle[n%len(cycle)] {
+				err = c.MC.Set(key, w.Value(), 0, 0)
+			} else {
+				_, _, _, err = c.MC.Get(key)
 			}
-			results <- result{end: c.Clock.Now()}
-		}(i, c)
+			if err != nil {
+				return 0, fmt.Errorf("client %d op %d: %w", i, n, err)
+			}
+		}
 	}
 	var makespan simnet.Duration
-	for range clients {
-		r := <-results
-		if r.err != nil {
-			return 0, r.err
-		}
-		if d := r.end - start; d > makespan {
+	for _, c := range clients {
+		if d := c.Clock.Now() - start; d > makespan {
 			makespan = d
 		}
 	}

@@ -11,14 +11,6 @@ import (
 // (±10%) from 1 to 8 workers, and the striped engine (Stripes=8) beats
 // that plateau by ≥3× at 16 clients.
 func TestScalingSweepPlateauAndStriping(t *testing.T) {
-	if raceEnabled {
-		// Shard-lock queueing resolves in goroutine arrival order, and
-		// race instrumentation serializes the clients enough to distort
-		// the measured plateau/speedup. The thresholds are asserted in
-		// the uninstrumented tier-1 run; race coverage of the striped
-		// engine lives in TestStripedStoreConcurrentStress.
-		t.Skip("scaling thresholds are scheduling-sensitive under -race")
-	}
 	p := cluster.ClusterB()
 	pts, err := ScalingSweep(p, cluster.UCRIB, []int{1, 2, 4, 8}, []int{1, 8}, 16,
 		[]Mix{MixGet}, RunConfig{OpsPerPoint: 30})

@@ -8,57 +8,6 @@ import (
 	"repro/internal/mcclient"
 )
 
-// TestUDGetsHybrid: with Options.UDGets, small GETs ride the UD endpoint
-// (udGets counts them) and values beyond one datagram transparently punt
-// back to RC (udFallbacks), returning correct bytes either way.
-func TestUDGetsHybrid(t *testing.T) {
-	d := New(ClusterB(), Options{UDGets: true})
-	defer d.Close()
-
-	c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	defer c.Close()
-
-	small := []byte("small-value")
-	big := make([]byte, 64<<10) // far beyond one datagram
-	for i := range big {
-		big[i] = byte(i % 251)
-	}
-	if err := c.MC.Set("k-small", small, 0, 0); err != nil {
-		t.Fatalf("set small: %v", err)
-	}
-	if err := c.MC.Set("k-big", big, 0, 0); err != nil {
-		t.Fatalf("set big: %v", err)
-	}
-
-	v, _, _, err := c.MC.Get("k-small")
-	if err != nil || !bytes.Equal(v, small) {
-		t.Fatalf("get small = (%q, %v)", v, err)
-	}
-	v, _, _, err = c.MC.Get("k-big")
-	if err != nil || !bytes.Equal(v, big) {
-		t.Fatalf("get big = (%d bytes, %v)", len(v), err)
-	}
-
-	ut := clientUCRTransport(t, c)
-	if ut.UDEndpoint() == nil {
-		t.Fatal("UD endpoint not armed")
-	}
-	gets, _, fallbacks := ut.UDStats()
-	if gets < 2 {
-		t.Fatalf("udGets = %d, want >= 2 (UD path not exercised)", gets)
-	}
-	if fallbacks < 1 {
-		t.Fatalf("udFallbacks = %d, want >= 1 (AMTooBig punt not exercised)", fallbacks)
-	}
-	// A miss also rides UD (status-only reply fits a datagram).
-	if _, _, _, err := c.MC.Get("never-set"); err != mcclient.ErrCacheMiss {
-		t.Fatalf("miss err = %v", err)
-	}
-}
-
 // TestUDGetsMultiFallback: an mget whose aggregate reply exceeds one
 // datagram comes back as AMMGetRetry and re-issues over RC.
 func TestUDGetsMultiFallback(t *testing.T) {
@@ -88,74 +37,20 @@ func TestUDGetsMultiFallback(t *testing.T) {
 			t.Fatalf("GetMulti[%s] = %d bytes, want %d", k, len(got[k]), len(val))
 		}
 	}
-	ut := clientUCRTransport(t, c)
-	if _, _, fallbacks := ut.UDStats(); fallbacks < 1 {
-		t.Fatalf("udFallbacks = %d, want >= 1 (AMMGetRetry punt not exercised)", fallbacks)
+	ud := &clientUCRTransport(t, c).PathStats().By[mcclient.PathUD]
+	if ud.Fallbacks < 1 {
+		t.Fatalf("UD fallbacks = %d, want >= 1 (AMMGetRetry punt not exercised)", ud.Fallbacks)
 	}
 	// Small aggregate rides UD end to end: no further fallback.
 	if err := c.MC.Set("tiny", []byte("t"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	gets0, _, fb0 := ut.UDStats()
+	before := *ud
 	if small, err := c.MC.GetMulti([]string{"tiny"}); err != nil || string(small["tiny"]) != "t" {
 		t.Fatalf("small mget = (%v, %v)", small, err)
 	}
-	gets1, _, fb1 := ut.UDStats()
-	if gets1 <= gets0 || fb1 != fb0 {
-		t.Fatalf("small mget should ride UD without fallback (gets %d->%d, fallbacks %d->%d)",
-			gets0, gets1, fb0, fb1)
-	}
-}
-
-// TestSessionsPerQP: 2k session clients over SessionsPerQP=k share 2 RC
-// trunks, and every session's operations stay correct and isolated.
-func TestSessionsPerQP(t *testing.T) {
-	const k = 4
-	d := New(ClusterB(), Options{SessionsPerQP: k})
-	defer d.Close()
-
-	var clients []*Client
-	for i := 0; i < 2*k; i++ {
-		c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())
-		if err != nil {
-			t.Fatalf("NewClient %d: %v", i, err)
-		}
-		clients = append(clients, c)
-	}
-	if d.Trunks() != 2 {
-		t.Fatalf("Trunks() = %d, want 2 (%d sessions / k=%d)", d.Trunks(), 2*k, k)
-	}
-	for i, c := range clients {
-		key := fmt.Sprintf("sess%d", i)
-		want := fmt.Sprintf("value-of-%d", i)
-		if err := c.MC.Set(key, []byte(want), uint32(i), 0); err != nil {
-			t.Fatalf("session %d set: %v", i, err)
-		}
-	}
-	for i, c := range clients {
-		key := fmt.Sprintf("sess%d", i)
-		want := fmt.Sprintf("value-of-%d", i)
-		v, fl, _, err := c.MC.Get(key)
-		if err != nil || string(v) != want || fl != uint32(i) {
-			t.Fatalf("session %d get = (%q, %d, %v), want %q", i, v, fl, err, want)
-		}
-		if err := c.MC.Delete(key); err != nil {
-			t.Fatalf("session %d delete: %v", i, err)
-		}
-		if _, _, _, err := c.MC.Get(key); err != mcclient.ErrCacheMiss {
-			t.Fatalf("session %d post-delete get err = %v", i, err)
-		}
-	}
-	// Counters work through sessions too.
-	c := clients[0]
-	if err := c.MC.Set("ctr", []byte("10"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := c.MC.Incr("ctr", 5); err != nil || v != 15 {
-		t.Fatalf("session incr = (%d, %v)", v, err)
-	}
-	for _, c := range clients {
-		c.Close()
+	if ud.Hits <= before.Hits || ud.Fallbacks != before.Fallbacks {
+		t.Fatalf("small mget should ride UD without fallback (%+v -> %+v)", before, *ud)
 	}
 }
 

@@ -68,7 +68,7 @@ type Options struct {
 	// trunk endpoint (one QP, one progress context) with per-session
 	// request tags demultiplexing the replies. Values ≤ 1 keep one QP
 	// per client. Concentrated sessions use the plain two-sided RC path
-	// (no one-sided or UD fast paths).
+	// (no one-sided, UD or write-reply fast paths).
 	SessionsPerQP int
 	// OneSidedGet arms the one-sided GET data path: every server
 	// publishes its remotely-readable directory and every reliable UCR
@@ -83,7 +83,7 @@ type Options struct {
 	// from the pinned slab chunk into the slot, completing the future
 	// with a payload-free notify AM. Small values, oversize-vs-window,
 	// UD endpoints, and exhausted arenas all fall back to the ordinary
-	// eager/rendezvous ladder. Strictly opt-in so the depth-1 golden
+	// copy rungs of the reply ladder. Strictly opt-in so the depth-1 golden
 	// figure tables stay bit-identical. Concentrated (SessionsPerQP)
 	// clients skip it, like the other fast paths.
 	WriteReplies bool
@@ -352,30 +352,23 @@ func (d *Deployment) newClient(t Transport, behaviors mcclient.Behaviors, unreli
 		c.rt = ucr.New(hca, d.CM, d.clientUCRConfig())
 		c.ctx = c.rt.NewContext()
 		for i, srvNode := range d.ServerNodes {
-			var tr mcclient.Transport
-			var err error
+			dial := mcclient.DialUCR
 			if unreliable {
-				tr, err = mcclient.DialUCRUnreliable(c.rt, c.ctx, srvNode, ucrServiceFor(i), behaviors, clk)
-			} else {
-				tr, err = mcclient.DialUCR(c.rt, c.ctx, srvNode, ucrServiceFor(i), behaviors, clk)
+				dial = mcclient.DialUCRUnreliable
 			}
+			ut, err := dial(c.rt, c.ctx, srvNode, ucrServiceFor(i), behaviors, clk)
 			if err != nil {
 				return nil, err
 			}
-			if d.Opts.OneSidedGet && !unreliable {
-				if ost, ok := tr.(*mcclient.UCRTransport); ok {
-					ost.EnableOneSided()
+			if !unreliable {
+				// The opt-in read paths live on the reliable connection: one
+				// capability exchange arms one-sided GETs and write replies
+				// (nothing is sent when neither is on), and the UD small-get
+				// mode dials its datagram endpoint beside it.
+				if err := ut.Arm(clk, d.Opts.OneSidedGet, d.Opts.WriteReplies); err != nil {
+					return nil, err
 				}
-			}
-			if d.Opts.WriteReplies && !unreliable {
-				if wt, ok := tr.(*mcclient.UCRTransport); ok {
-					if err := wt.EnableWriteReplies(clk, 0, 0); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if d.Opts.UDGets && !unreliable {
-				if ut, ok := tr.(*mcclient.UCRTransport); ok {
+				if d.Opts.UDGets {
 					udep, err := c.rt.Dial(c.ctx, srvNode, ucrServiceFor(i), ucr.Unreliable, clk, 5*time.Second)
 					if err != nil {
 						return nil, err
@@ -383,7 +376,7 @@ func (d *Deployment) newClient(t Transport, behaviors mcclient.Behaviors, unreli
 					ut.EnableUD(udep)
 				}
 			}
-			trs = append(trs, tr)
+			trs = append(trs, ut)
 		}
 	} else {
 		prov := d.providers[t]

@@ -168,7 +168,8 @@ func TestUDPartitionRetransmission(t *testing.T) {
 		t.Fatalf("get through one drop = (%q, %v)", v, err)
 	}
 	ut := clientUCRTransport(t, c)
-	_, retx, _ := ut.UDStats()
+	ud := &ut.PathStats().By[mcclient.PathUD]
+	retx := ud.Retries
 	if retx == 0 {
 		t.Fatal("dropped UD request did not trigger a retransmission")
 	}
@@ -179,9 +180,8 @@ func TestUDPartitionRetransmission(t *testing.T) {
 	if _, _, _, err := c.MC.Get("k"); !errors.Is(err, mcclient.ErrServerDown) {
 		t.Fatalf("partitioned get err = %v, want ErrServerDown", err)
 	}
-	_, retx2, _ := ut.UDStats()
-	if retx2 <= retx {
-		t.Fatalf("no retransmissions attempted into the partition (%d -> %d)", retx, retx2)
+	if ud.Retries <= retx {
+		t.Fatalf("no retransmissions attempted into the partition (%d -> %d)", retx, ud.Retries)
 	}
 	fi.Heal(c.Node, d.ServerNode)
 

@@ -205,8 +205,8 @@ func (c *Client) Get(key string) (value []byte, flags uint32, cas uint64, err er
 	err = c.withTransport(key, func(t Transport) error {
 		var err error
 		value, flags, cas, ok, err = t.Get(c.clk, key)
-		if os, can := t.(interface{ TookOneSided() bool }); can {
-			oneSided = os.TookOneSided()
+		if ps, can := t.(interface{ PathStats() *PathStats }); can {
+			oneSided = ps.PathStats().Last == PathOneSided
 		}
 		return err
 	})

@@ -24,13 +24,11 @@ var (
 
 // StoreOp implements CondStorer over one AMStore round trip.
 func (t *UCRTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64) (memcached.StoreResult, error) {
-	o := t.newOp()
-	hdr := memcached.EncodeStoreReq(memcached.StoreReq{
+	o := t.newOp(clk)
+	o.msg, o.val = memcached.AMStore, value
+	o.hdr = memcached.AppendStoreReq(o.hdr, memcached.StoreReq{
 		ReplyCtr: o.tag, Op: op, Flags: flags, Exptime: exptime, CAS: casID, Key: key,
 	})
-	o.send = func() error {
-		return t.ep.Send(clk, memcached.AMStore, hdr, value, nil, 0, nil)
-	}
 	if err := t.do(clk, o); err != nil {
 		return 0, err
 	}

@@ -15,22 +15,22 @@ import (
 // falls back to the two-sided AM path, which is always correct.
 //
 // The fallback ladder, cheapest exit first:
-//  1. one-sided disabled or descriptor says no      → AM
-//  2. bucket read finds no entry for the key        → AM (miss or displaced)
-//  3. entry expired by the client's clock           → AM
-//  4. seqlock conflict after one bucket-refresh retry → AM
-//  5. validated                                     → serve locally, hit
+//  1. path not armed (or the server published nothing) → AM
+//  2. bucket read finds no entry for the key           → AM (miss or displaced)
+//  3. entry expired by the client's clock              → AM
+//  4. seqlock conflict after one bucket-refresh retry  → AM
+//  5. validated                                        → serve locally, hit
 
 // osConflictRetries is how many times a conflicting read refreshes the
 // bucket and tries again before giving up on the fast path.
 const osConflictRetries = 1
 
-// osState is the transport's one-sided view of one server.
+// osState is the transport's one-sided view of one server; the zero
+// value is the disarmed path. Outcomes are counted in PathStats:
+// validated Hits, Fallbacks to the AM path, seqlock conflicts as Retries.
 type osState struct {
-	want    bool // user asked for the fast path
-	checked bool // descriptor exchange done
-	enabled bool // server says the index is armed
-	desc    memcached.OSDescReply
+	enabled bool // the server published its directory (see UCRTransport.Arm)
+	desc    memcached.OSDesc
 
 	// cache maps key → (entry, slot) from earlier bucket reads; stale
 	// entries fail validation and are refreshed, so it is only a
@@ -39,8 +39,6 @@ type osState struct {
 
 	kvBuf     []byte // landing space for [key][value] reads
 	bucketBuf []byte // landing space for bucket/entry reads
-
-	hits, fallbacks, conflicts uint64
 }
 
 type osCached struct {
@@ -48,38 +46,14 @@ type osCached struct {
 	slot int
 }
 
-// EnableOneSided turns the one-sided GET fast path on for this
-// transport. The descriptor exchange happens lazily on the first Get.
-func (t *UCRTransport) EnableOneSided() { t.os.want = true }
-
-// TookOneSided reports whether the transport's most recent Get was
-// served by the one-sided path (observer tagging).
-func (t *UCRTransport) TookOneSided() bool { return t.lastOneSided }
-
-// OneSidedStats reports fast-path outcomes.
-func (t *UCRTransport) OneSidedStats() (hits, fallbacks, conflicts uint64) {
-	return t.os.hits, t.os.fallbacks, t.os.conflicts
-}
-
-// fetchOSDesc runs the AMOSDesc exchange once per transport.
-func (t *UCRTransport) fetchOSDesc(clk *simnet.VClock) {
-	t.os.checked = true
-	op := t.newOp()
-	hdr := memcached.EncodeKeyReq(memcached.KeyReq{ReplyCtr: op.tag})
-	op.send = func() error {
-		return t.ep.Send(clk, memcached.AMOSDesc, hdr, nil, nil, 0, nil)
+// arm adopts the directory descriptor the capability exchange returned.
+func (o *osState) arm(desc memcached.OSDesc) {
+	*o = osState{
+		enabled:   true,
+		desc:      desc,
+		cache:     make(map[string]osCached),
+		bucketBuf: make([]byte, desc.Slots*memcached.OSEntrySize),
 	}
-	if err := t.do(clk, op); err != nil {
-		return
-	}
-	defer t.finishOp(op)
-	if !op.osd.Enabled || op.osd.Buckets <= 0 || op.osd.Slots <= 0 {
-		return
-	}
-	t.os.desc = op.osd
-	t.os.enabled = true
-	t.os.cache = make(map[string]osCached)
-	t.os.bucketBuf = make([]byte, op.osd.Slots*memcached.OSEntrySize)
 }
 
 // readDir RDMA-reads n bytes of the directory window at off into buf.
@@ -110,15 +84,10 @@ func (t *UCRTransport) findEntry(clk *simnet.VClock, h uint64, bucket int, ctr *
 // served (value aliases a transport buffer only if copied — it is always
 // an owned copy here). ok=false means the caller must run the AM path.
 func (t *UCRTransport) oneSidedGet(clk *simnet.VClock, key string, lend []byte) (value []byte, flags uint32, cas uint64, ok bool) {
-	if !t.os.want {
-		return nil, 0, 0, false
-	}
-	if !t.os.checked {
-		t.fetchOSDesc(clk)
-	}
 	if !t.os.enabled || len(key) == 0 {
 		return nil, 0, 0, false
 	}
+	st := &t.paths.By[PathOneSided]
 
 	h := memcached.OSKeyHash(key)
 	bucket := memcached.OSBucketOf(h, t.os.desc.Buckets)
@@ -135,7 +104,7 @@ func (t *UCRTransport) oneSidedGet(clk *simnet.VClock, key string, lend []byte) 
 			ent, slot, have = t.findEntry(clk, h, bucket, ctr, &waited)
 			if !have {
 				delete(t.os.cache, key)
-				t.os.fallbacks++
+				st.Fallbacks++
 				return nil, 0, 0, false // miss or displaced: AM decides
 			}
 		}
@@ -145,7 +114,7 @@ func (t *UCRTransport) oneSidedGet(clk *simnet.VClock, key string, lend []byte) 
 			// Accepting only when now < ExpireAt keeps the read
 			// linearizable: the hit happened while the item was live.
 			delete(t.os.cache, key)
-			t.os.fallbacks++
+			st.Fallbacks++
 			return nil, 0, 0, false
 		}
 
@@ -159,7 +128,7 @@ func (t *UCRTransport) oneSidedGet(clk *simnet.VClock, key string, lend []byte) 
 		kv := t.os.kvBuf[:kvLen]
 		chunkDesc := ucr.WindowDesc{Addr: ent.Addr, RKey: ent.RKey, Len: kvLen}
 		if err := t.ep.Get(clk, kv, chunkDesc, 0, ctr); err != nil {
-			t.os.fallbacks++
+			st.Fallbacks++
 			return nil, 0, 0, false
 		}
 		waited++
@@ -167,7 +136,7 @@ func (t *UCRTransport) oneSidedGet(clk *simnet.VClock, key string, lend []byte) 
 		entBuf := t.os.bucketBuf[:memcached.OSEntrySize]
 		waited++
 		if !t.readDir(clk, entBuf, slotOff, ctr, waited) {
-			t.os.fallbacks++
+			st.Fallbacks++
 			return nil, 0, 0, false
 		}
 		reread := memcached.DecodeOSEntry(entBuf)
@@ -184,18 +153,17 @@ func (t *UCRTransport) oneSidedGet(clk *simnet.VClock, key string, lend []byte) 
 			copy(out, kv[ent.KeyLen:])
 			clk.Advance(simnet.BytesDuration(ent.ValLen, t.rt.Config().PackBytesPerSec))
 			t.os.cache[key] = osCached{ent: ent, slot: slot}
-			t.os.hits++
-			t.lastOneSided = true
+			st.Hits++
 			return out, ent.Flags, reread.CAS(), true
 		}
 		// Conflict: the entry moved under us (overwrite, delete,
 		// eviction, or a stale cache hit). Refresh the bucket and retry
 		// once; then let the AM path settle it.
-		t.os.conflicts++
+		st.Retries++
 		delete(t.os.cache, key)
 		have = false
 		if attempt >= osConflictRetries {
-			t.os.fallbacks++
+			st.Fallbacks++
 			return nil, 0, 0, false
 		}
 	}

@@ -110,11 +110,11 @@ type pipeOp struct {
 	done   bool
 	settle func(err error)
 	// land is non-nil while a write-reply landing is deferred: the value
-	// still sits in the op's reply slot and this materializes the
-	// copy-out into the future (then retires the op). The pipeline runs
-	// pending landings just before each blocking CQ wait, so the copy
-	// overlaps the wire instead of delaying the next request.
-	land func(clk *simnet.VClock)
+	// still sits in the op's reply slot and this reads it out into the
+	// future. The pipeline runs pending landings just before each
+	// blocking CQ wait, so the copy overlaps the wire instead of
+	// delaying the next request.
+	land func()
 }
 
 // Pipeline implements Pipeliner: the returned pipeline issues AM
@@ -205,24 +205,30 @@ func (p *ucrPipeline) fail(err error) {
 // drainLandings materializes every deferred write-reply copy-out. Run
 // just before a blocking CQ wait, the copies are charged while the
 // awaited reply is still on the wire; the forward-only sync to its
-// arrival then swallows them (see wrLand).
-func (p *ucrPipeline) drainLandings(clk *simnet.VClock) {
+// arrival then swallows them (see wrMaterialize).
+func (p *ucrPipeline) drainLandings() {
 	for i, e := range p.landq {
-		if e.land != nil {
-			e.land(clk)
-		}
+		p.landNow(e)
 		p.landq[i] = nil
 	}
 	p.landq = p.landq[:0]
+}
+
+// landNow runs e's deferred landing, if still pending, and retires the
+// op (which frees its reply slot).
+func (p *ucrPipeline) landNow(e *pipeOp) {
+	if e.land != nil {
+		e.land()
+		e.land = nil
+		p.t.finishOp(e.op)
+	}
 }
 
 // waitFor settles one outstanding entry (in any order — tagged slots
 // let replies land while a different tag is being waited on).
 func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *pipeOp) {
 	if e.done {
-		if e.land != nil {
-			e.land(clk)
-		}
+		p.landNow(e)
 		return
 	}
 	if !e.sent {
@@ -232,7 +238,7 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *pipeOp) {
 	if e.failed {
 		err = ErrServerDown
 	} else {
-		p.drainLandings(clk)
+		p.drainLandings()
 		err = p.t.waitDone(clk, e.op, p.window)
 	}
 	if err != nil {
@@ -266,7 +272,7 @@ func (p *ucrPipeline) Wait(clk *simnet.VClock) error {
 	for len(p.q) > 0 {
 		p.waitFor(clk, p.q[0])
 	}
-	p.drainLandings(clk)
+	p.drainLandings()
 	return p.err
 }
 
@@ -281,50 +287,24 @@ func (p *ucrPipeline) StartGetInto(clk *simnet.VClock, key string, buf []byte) *
 func (p *ucrPipeline) startGet(clk *simnet.VClock, key string, lend []byte) *GetFuture {
 	t := p.t
 	f := &GetFuture{}
-	op := t.newOp()
-	op.lend = lend
-	var hdr []byte
-	msg := memcached.AMGet
-	if i, ok := t.wrAcquire(); ok {
-		op.wrSlot = i + 1
-		hdr = memcached.EncodeGetWReq(memcached.GetWReq{ReplyCtr: op.tag, Slot: uint16(i), Key: key})
-		msg = memcached.AMGetW
-	} else {
-		hdr = memcached.EncodeKeyReq(memcached.KeyReq{ReplyCtr: op.tag, Key: key})
+	// No UD rung for a window: a punted reply would need a blocking
+	// re-issue in the middle of it.
+	e := &pipeOp{op: t.readOp(clk, key, nil, lend, false)}
+	read := func() {
+		f.value, f.flags, f.cas, f.hit = t.getResult(e.op, false)
+		f.done = true
 	}
-	op.send = func() error {
-		return t.ep.Send(clk, msg, hdr, nil, nil, 0, nil)
-	}
-	e := &pipeOp{op: op}
 	e.settle = func(err error) {
-		if err != nil {
-			f.done = true
-			f.err = err
-			return
-		}
-		if op.get.Status != memcached.AMOK {
-			f.done = true
-			return
-		}
-		f.hit = true
-		f.flags, f.cas = op.get.Flags, op.get.CAS
-		if op.wrPend {
+		switch {
+		case err != nil:
+			f.err, f.done = err, true
+		case e.op.wrPend:
 			// Value still sits in the reply slot: defer the copy-out so
 			// it lands under the next wait's wire time.
-			e.land = func(clk *simnet.VClock) {
-				f.value = t.wrTake(clk, op)
-				f.done = true
-				e.land = nil
-				t.finishOp(op)
-			}
-			return
+			e.land = read
+		default:
+			read()
 		}
-		f.done = true
-		v := op.data
-		if op.pooled {
-			v = append([]byte(nil), op.data...)
-		}
-		f.value = v
 	}
 	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
 	p.push(clk, e)
@@ -332,27 +312,12 @@ func (p *ucrPipeline) startGet(clk *simnet.VClock, key string, lend []byte) *Get
 }
 
 func (p *ucrPipeline) StartSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
-	t := p.t
 	f := &SetFuture{}
-	op := t.newOp()
-	hdr := memcached.EncodeSetReq(memcached.SetReq{
-		ReplyCtr: op.tag, Flags: flags, Exptime: exptime, Key: key,
-	})
-	op.send = func() error {
-		return t.ep.Send(clk, memcached.AMSet, hdr, value, nil, 0, nil)
-	}
-	e := &pipeOp{op: op}
+	e := &pipeOp{op: p.t.setOp(clk, key, flags, exptime, value)}
 	e.settle = func(err error) {
-		f.done = true
-		if err != nil {
-			f.err = err
-			return
+		if f.done, f.err = true, err; err == nil {
+			f.res = e.op.stored()
 		}
-		if op.status.Status != memcached.AMOK {
-			f.res = op.status.Result
-			return
-		}
-		f.res = memcached.Stored
 	}
 	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
 	p.push(clk, e)
@@ -360,21 +325,10 @@ func (p *ucrPipeline) StartSet(clk *simnet.VClock, key string, flags uint32, exp
 }
 
 func (p *ucrPipeline) StartDelete(clk *simnet.VClock, key string) *BoolFuture {
-	t := p.t
 	f := &BoolFuture{}
-	op := t.newOp()
-	hdr := memcached.EncodeKeyReq(memcached.KeyReq{ReplyCtr: op.tag, Key: key})
-	op.send = func() error {
-		return t.ep.Send(clk, memcached.AMDelete, hdr, nil, nil, 0, nil)
-	}
-	e := &pipeOp{op: op}
+	e := &pipeOp{op: p.t.deleteOp(clk, key)}
 	e.settle = func(err error) {
-		f.done = true
-		if err != nil {
-			f.err = err
-			return
-		}
-		f.ok = op.status.Status == memcached.AMOK
+		f.done, f.err, f.ok = true, err, err == nil && e.op.deleted()
 	}
 	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
 	p.push(clk, e)

@@ -76,204 +76,117 @@ func (s *Session) Name() string { return s.name }
 // QP stays up for its siblings; use SessionMux.Close to tear down.
 func (s *Session) Close() {}
 
-// doShared opens an op under the mux lock (build must create it via
-// t.newOp and set op.send), sends it, and waits for its counter with
-// the lock released between progress steps: whichever session holds the
-// lock drives the shared CQ, and a completion for any sibling lands in
-// that sibling's slot before the lock is handed on.
+// doShared is the sessions' op driver, the lock-stepped counterpart of
+// UCRTransport.do: it opens an op under the mux lock (build must create
+// it with one of t's request builders), sends it, and waits for its
+// counter with the lock released between progress steps — whichever
+// session holds the lock drives the shared CQ, and a completion for any
+// sibling lands in that sibling's slot before the lock is handed on. On
+// success it returns with the lock HELD, so the caller reads the result
+// undisturbed by late duplicates and then calls release; on failure the
+// op is already retired.
 func (m *SessionMux) doShared(clk *simnet.VClock, build func(t *UCRTransport) *amOp) (*amOp, error) {
 	t := m.t
 	m.mu.Lock()
 	op := build(t)
-	sendErr := op.sendAM()
-	m.mu.Unlock()
-	if sendErr != nil {
-		m.retire(op)
-		return nil, ErrServerDown
-	}
 	attempts := 1 + t.rt.Config().AMRetries
 	per := t.perAttempt(attempts)
 	for a := 0; a < attempts; a++ {
+		if op.sendAM() != nil {
+			return m.failed(op, false)
+		}
 		deadline := simnet.Time(1) << 50
 		if per > 0 {
 			deadline = clk.Now() + per
 		}
 		for {
-			m.mu.Lock()
 			if op.ctr.Value() >= 1 {
-				m.mu.Unlock()
 				return op, nil
 			}
 			if op.ep.Failed() {
-				m.mu.Unlock()
-				m.retire(op)
-				return nil, ErrServerDown
+				return m.failed(op, false)
 			}
 			ok, timedOut := t.ctx.ProgressDeadline(clk, deadline, t.rt.Config().RealSilenceCap)
 			m.mu.Unlock()
+			m.mu.Lock()
 			if timedOut {
 				break
 			}
 			if !ok {
-				m.retire(op)
-				return nil, ErrServerDown
-			}
-		}
-		if a+1 < attempts {
-			m.mu.Lock()
-			sendErr = op.sendAM()
-			m.mu.Unlock()
-			if sendErr != nil {
-				m.retire(op)
-				return nil, ErrServerDown
+				return m.failed(op, false)
 			}
 		}
 	}
-	m.mu.Lock()
-	ep := op.ep
-	m.mu.Unlock()
-	ep.MarkFailed()
-	m.retire(op)
+	return m.failed(op, true)
+}
+
+// failed retires op and drops the lock; exhausted (the retry budget ran
+// out) also isolates the endpoint, as do does.
+func (m *SessionMux) failed(op *amOp, exhausted bool) (*amOp, error) {
+	if exhausted {
+		op.ep.MarkFailed()
+	}
+	m.release(op)
 	return nil, ErrServerDown
 }
 
-// retire finishes an op under the lock.
-func (m *SessionMux) retire(op *amOp) {
-	m.mu.Lock()
+// release retires a settled op and drops the lock doShared returned with.
+func (m *SessionMux) release(op *amOp) {
 	m.t.finishOp(op)
 	m.mu.Unlock()
 }
 
+// The Transport methods pair the transport's request builders and
+// result readers with the doShared driver. Reads skip the UD rung: the
+// lock-stepped driver has no blocking re-issue for a punted reply.
+
 // Set implements Transport.
 func (s *Session) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	m := s.mux
-	op, err := m.doShared(clk, func(t *UCRTransport) *amOp {
-		op := t.newOp()
-		hdr := memcached.EncodeSetReq(memcached.SetReq{
-			ReplyCtr: op.tag, Flags: flags, Exptime: exptime, Key: key,
-		})
-		op.send = func() error {
-			return t.ep.Send(clk, memcached.AMSet, hdr, value, nil, 0, nil)
-		}
-		return op
-	})
+	op, err := s.mux.doShared(clk, func(t *UCRTransport) *amOp { return t.setOp(clk, key, flags, exptime, value) })
 	if err != nil {
 		return 0, err
 	}
-	defer m.retire(op)
-	if op.status.Status != memcached.AMOK {
-		return op.status.Result, nil
-	}
-	return memcached.Stored, nil
+	defer s.mux.release(op)
+	return op.stored(), nil
 }
 
 // Get implements Transport.
 func (s *Session) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
-	m := s.mux
-	op, err := m.doShared(clk, func(t *UCRTransport) *amOp {
-		op := t.newOp()
-		hdr := memcached.EncodeKeyReq(memcached.KeyReq{ReplyCtr: op.tag, Key: key})
-		op.send = func() error {
-			return t.ep.Send(clk, memcached.AMGet, hdr, nil, nil, 0, nil)
-		}
-		return op
-	})
+	op, err := s.mux.doShared(clk, func(t *UCRTransport) *amOp { return t.readOp(clk, key, nil, nil, false) })
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	defer m.retire(op)
-	if op.get.Status != memcached.AMOK {
-		return nil, 0, 0, false, nil
-	}
-	m.mu.Lock()
-	out := make([]byte, len(op.data))
-	copy(out, op.data)
-	fl, cas := op.get.Flags, op.get.CAS
-	m.mu.Unlock()
-	return out, fl, cas, true, nil
+	defer s.mux.release(op)
+	v, fl, cas, hit := s.mux.t.getResult(op, true)
+	return v, fl, cas, hit, nil
 }
 
 // GetMulti implements Transport.
 func (s *Session) GetMulti(clk *simnet.VClock, keys []string) (map[string][]byte, error) {
-	if len(keys) == 0 {
-		return map[string][]byte{}, nil
-	}
 	m := s.mux
-	op, err := m.doShared(clk, func(t *UCRTransport) *amOp {
-		op := t.newOp()
-		hdr := memcached.EncodeMGetReq(memcached.MGetReq{ReplyCtr: op.tag, Keys: keys})
-		op.send = func() error {
-			return t.ep.Send(clk, memcached.AMMGet, hdr, nil, nil, 0, nil)
-		}
-		return op
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer m.retire(op)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string][]byte, len(op.mget.Items))
-	off := 0
-	for _, it := range op.mget.Items {
-		if off+it.ValueLen > len(op.data) {
-			return nil, memcached.ErrShortAMHeader
-		}
-		v := make([]byte, it.ValueLen)
-		copy(v, op.data[off:off+it.ValueLen])
-		out[it.Key] = v
-		off += it.ValueLen
-	}
-	return out, nil
+	return m.t.mgetAll(keys, nil, func(keys []string, _ []byte) (*amOp, error) {
+		return m.doShared(clk, func(t *UCRTransport) *amOp { return t.readOp(clk, "", keys, nil, false) })
+	}, m.release)
 }
 
 // Delete implements Transport.
 func (s *Session) Delete(clk *simnet.VClock, key string) (bool, error) {
-	m := s.mux
-	op, err := m.doShared(clk, func(t *UCRTransport) *amOp {
-		op := t.newOp()
-		hdr := memcached.EncodeKeyReq(memcached.KeyReq{ReplyCtr: op.tag, Key: key})
-		op.send = func() error {
-			return t.ep.Send(clk, memcached.AMDelete, hdr, nil, nil, 0, nil)
-		}
-		return op
-	})
+	op, err := s.mux.doShared(clk, func(t *UCRTransport) *amOp { return t.deleteOp(clk, key) })
 	if err != nil {
 		return false, err
 	}
-	defer m.retire(op)
-	return op.status.Status == memcached.AMOK, nil
+	defer s.mux.release(op)
+	return op.deleted(), nil
 }
 
 // IncrDecr implements Transport.
 func (s *Session) IncrDecr(clk *simnet.VClock, key string, delta uint64, incr bool) (uint64, bool, bool, error) {
-	amID := memcached.AMIncr
-	if !incr {
-		amID = memcached.AMDecr
-	}
-	m := s.mux
-	op, err := m.doShared(clk, func(t *UCRTransport) *amOp {
-		op := t.newOp()
-		hdr := memcached.EncodeNumReq(memcached.NumReq{ReplyCtr: op.tag, Delta: delta, Key: key})
-		op.send = func() error {
-			return t.ep.Send(clk, amID, hdr, nil, nil, 0, nil)
-		}
-		return op
-	})
+	op, err := s.mux.doShared(clk, func(t *UCRTransport) *amOp { return t.numOp(clk, key, delta, incr) })
 	if err != nil {
 		return 0, false, false, err
 	}
-	defer m.retire(op)
-	switch op.num.Status {
-	case memcached.AMOK:
-		return op.num.Value, true, false, nil
-	case memcached.AMBadValue:
-		return 0, true, true, nil
-	case memcached.AMError:
-		return 0, true, false, ErrServerError
-	default:
-		return 0, false, false, nil
-	}
+	defer s.mux.release(op)
+	return op.number()
 }
 
 // interface conformance

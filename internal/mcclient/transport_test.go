@@ -176,14 +176,7 @@ func TestUCRTransportFullOps(t *testing.T) {
 		t.Fatalf("big Get corrupted (%d bytes, %v, %v)", len(bv), ok, err)
 	}
 
-	// Batched mget as one active message.
 	tr.Set(clk, "m1", 0, 0, []byte("one"))
-	tr.Set(clk, "m2", 0, 0, []byte("two"))
-	got, err := tr.GetMulti(clk, []string{"m1", "m2", "m3"})
-	if err != nil || len(got) != 2 || string(got["m1"]) != "one" {
-		t.Fatalf("GetMulti = (%v, %v)", got, err)
-	}
-
 	if ok, err := tr.Delete(clk, "m1"); err != nil || !ok {
 		t.Fatalf("Delete = (%v, %v)", ok, err)
 	}
@@ -200,6 +193,74 @@ func TestUCRTransportFullOps(t *testing.T) {
 	}
 	if tr.Endpoint() == nil {
 		t.Fatal("nil endpoint")
+	}
+}
+
+// TestUCRGetMultiCallers drives the one mget path through its three
+// callers — blocking, lent-buffer, and a concentrated session — with a
+// small batch (one active message) and one past every per-AM bound:
+// 70 000 keys overflow the header's uint16 key count AND the eager
+// header limit, so the batch must go out as many AMs and come back
+// whole.
+func TestUCRGetMultiCallers(t *testing.T) {
+	st := newStack(t)
+	tr, _ := st.ucrClient(t)
+	defer tr.Close()
+	trunk, _ := st.ucrClient(t)
+	mux := NewSessionMux(trunk, 2)
+	defer mux.Close()
+	clk := simnet.NewVClock(0)
+
+	keys := make([]string, 70_000)
+	want := make(map[string]string)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("mk%05d", i)
+		if i%997 == 0 {
+			want[keys[i]] = "value-of-" + keys[i]
+			if _, err := tr.Set(clk, keys[i], 0, 0, []byte(want[keys[i]])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inputs := []struct {
+		name string
+		keys []string
+	}{
+		{"one AM", []string{keys[0], keys[997], "absent"}},
+		{"70000 keys", keys},
+	}
+	callers := []struct {
+		name string
+		call func(keys []string) (map[string][]byte, error)
+	}{
+		{"GetMulti", func(keys []string) (map[string][]byte, error) { return tr.GetMulti(clk, keys) }},
+		{"GetMultiInto", func(keys []string) (map[string][]byte, error) {
+			return tr.GetMultiInto(clk, keys, make([]byte, 0, 4096))
+		}},
+		{"Session.GetMulti", func(keys []string) (map[string][]byte, error) { return mux.Session(1).GetMulti(clk, keys) }},
+	}
+	for _, in := range inputs {
+		for _, c := range callers {
+			got, err := c.call(in.keys)
+			if err != nil {
+				t.Fatalf("%s(%s): %v", c.name, in.name, err)
+			}
+			hits := 0
+			for _, k := range in.keys {
+				if string(got[k]) != want[k] {
+					t.Fatalf("%s(%s): %s = %q, want %q", c.name, in.name, k, got[k], want[k])
+				}
+				if _, ok := want[k]; ok {
+					hits++
+				}
+			}
+			if len(got) != hits {
+				t.Fatalf("%s(%s): %d entries, want %d", c.name, in.name, len(got), hits)
+			}
+		}
+	}
+	if empty, err := tr.GetMulti(clk, nil); err != nil || len(empty) != 0 {
+		t.Fatalf("empty GetMulti = (%v, %v)", empty, err)
 	}
 }
 
@@ -241,5 +302,32 @@ func TestUCRTransportTimeout(t *testing.T) {
 	st.srvNode.Fail()
 	if _, err := tr.Set(clk, "dead", 0, 0, []byte("v")); err != ErrServerDown {
 		t.Fatalf("err = %v, want ErrServerDown", err)
+	}
+}
+
+// TestArmFailureLeavesNothingArmed: a capability exchange that cannot
+// complete fails the arming call and leaves neither fast path armed (the
+// arena registered for it is dropped, not leaked into the transport).
+func TestArmFailureLeavesNothingArmed(t *testing.T) {
+	st := newStack(t)
+	b := DefaultBehaviors()
+	b.OpTimeout = 100 * simnet.Microsecond
+	node := st.nw.AddNode("arm-cli")
+	hca := verbs.NewHCA(node, st.fab, verbs.Config{PostOverhead: 50, SendProc: 300, RecvProc: 300, PollOverhead: 100})
+	rt := ucr.New(hca, st.cm, ucr.Config{})
+	ctx := rt.NewContext()
+	defer ctx.Destroy()
+	clk := simnet.NewVClock(0)
+	tr, err := DialUCR(rt, ctx, st.srvNode, "mc-ucr", b, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	st.srvNode.Fail()
+	if err := tr.Arm(clk, true, true); err != ErrServerDown {
+		t.Fatalf("Arm err = %v, want ErrServerDown", err)
+	}
+	if tr.wr.win != nil || tr.os.enabled {
+		t.Fatalf("failed Arm left a path armed: wr.win=%v os.enabled=%v", tr.wr.win, tr.os.enabled)
 	}
 }

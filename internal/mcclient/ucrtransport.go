@@ -22,6 +22,13 @@ import (
 // out of order, and a late duplicate from a timed-out attempt (its tag
 // no longer in the table) is dropped instead of clobbering the slot of
 // whatever request happens to be waiting.
+//
+// One op lifecycle serves every caller: a builder (setOp, readOp,
+// deleteOp, numOp) opens the tagged op and encodes its request, a
+// driver sends it and waits for the reply (do for blocking calls,
+// ucrPipeline for windows, SessionMux.doShared for concentrated
+// sessions), a result reader decodes what landed, and finishOp retires
+// it.
 type UCRTransport struct {
 	name    string
 	rt      *ucr.Runtime
@@ -31,16 +38,10 @@ type UCRTransport struct {
 	noReply bool
 
 	// UD small-get mode (§VII): an optional unreliable endpoint to the
-	// same server. GET/MGET requests whose request and reply both fit one
-	// datagram ride it; a lost datagram is recovered by the same AM-level
-	// retransmission budget the RC path uses for lossy fabrics, and a
-	// too-large reply comes back as a status-only AMTooBig/AMMGetRetry
-	// that re-issues the op over the RC endpoint. Mutating ops never use
-	// it.
-	udEP          *ucr.Endpoint
-	udGets        uint64 // requests issued on the UD endpoint
-	udRetransmits uint64 // AM-level re-sends on the UD endpoint
-	udFallbacks   uint64 // UD replies that punted the op back to RC
+	// same server; readOp says which reads ride it. A lost datagram is
+	// recovered by the same AM-level retransmission budget the RC path
+	// uses for lossy fabrics. Mutating ops never use it.
+	udEP *ucr.Endpoint
 
 	// Tagged reply slots, written by the AM handlers while this
 	// transport's owner drives progress.
@@ -49,54 +50,87 @@ type UCRTransport struct {
 	freeBufs [][]byte // pooled landing buffers for get/mget values
 	freeOps  []*amOp
 
-	// One-sided GET fast path (see onesided.go).
-	os           osState
-	lastOneSided bool // most recent Get was served one-sided
-
-	// Write-based reply arena (see wrreply.go).
-	wr wrState
+	os    osState // one-sided GET fast path (see onesided.go)
+	wr    wrState // write-based reply arena (see wrreply.go)
+	paths PathStats
 }
 
+// ReadPath names one way a read (GET/MGET) can be served.
+type ReadPath uint8
+
+const (
+	PathAM       ReadPath = iota // two-sided AM over RC: eager or rendezvous reply (§V-C)
+	PathWrite                    // reply RDMA-written into a client arena slot (wrreply.go)
+	PathUD                       // request and reply as unreliable datagrams
+	PathOneSided                 // client-issued RDMA reads, no server AM (onesided.go)
+	numReadPaths
+)
+
+// PathCounters is one read path's traffic.
+type PathCounters struct {
+	Hits      uint64 // reads the path answered (a miss it answered counts)
+	Fallbacks uint64 // reads that tried the path and were handed on to the next
+	Retries   uint64 // UD: AM-level retransmissions; one-sided: seqlock conflicts
+}
+
+// PathStats is the transport's read accounting, indexed by path. Tests
+// and the memcheck sweeps use the counters as vacuity guards: an armed
+// path with zero Hits validated nothing.
+type PathStats struct {
+	Last ReadPath // path that served the most recent read
+	By   [numReadPaths]PathCounters
+}
+
+// Add folds o's counters into s (summing over transports).
+func (s *PathStats) Add(o *PathStats) {
+	for p := range s.By {
+		s.By[p].Hits += o.By[p].Hits
+		s.By[p].Fallbacks += o.By[p].Fallbacks
+		s.By[p].Retries += o.By[p].Retries
+	}
+}
+
+// PathStats exposes the live counters (read them between operations).
+func (t *UCRTransport) PathStats() *PathStats { return &t.paths }
+
+// WriteReplyHits reports how many replies landed through the write-reply
+// arena.
+func (t *UCRTransport) WriteReplyHits() uint64 { return t.paths.By[PathWrite].Hits }
+
 // amOp is one in-flight request: its tag (= reply counter id), the
-// endpoint it rides, where the reply landed, and how to (re-)send it.
+// request as issued, and where the reply landed.
 type amOp struct {
-	tag    ucr.CounterID
-	ctr    *ucr.Counter
-	ep     *ucr.Endpoint // endpoint the request (and any re-send) uses
-	lend   []byte        // caller-lent value buffer (GetInto); nil = pool
-	pooled bool          // data came from the transport pool: recycle on finish
-	wrSlot int32         // write-reply slot index + 1; 0 = none
-	// Deferred write-reply landing: the notify recorded wrPendLen slot
-	// bytes pending copy-out (see wrMaterialize/wrTake). The slot stays
-	// busy until the landing materializes and the op is finished.
-	wrPend    bool
-	wrPendLen int
-	data   []byte        // landed value bytes
-	tooBig bool          // UD reply punted: value exceeds one datagram
+	tag ucr.CounterID
+	ctr *ucr.Counter
+	// The request is replayed from these fields on every (re-)send — a
+	// closure per op would allocate. hdr is the op's reusable encode
+	// buffer; it survives pool recycling.
+	ep  *ucr.Endpoint // endpoint the request (and any re-send) uses
+	clk *simnet.VClock
+	msg uint8
+	hdr []byte
+	val []byte // Set value; nil for every other request
+
+	lend   []byte // caller-lent value buffer (GetInto); nil = pool
+	pooled bool   // data came from the transport pool: recycle on finish
+	data   []byte // landed value bytes
+	wrSlot int32  // write-reply slot index + 1; 0 = none
+	// Deferred write-reply landing: the notify recorded wrLen slot bytes
+	// at wrOff pending copy-out (see wrMaterialize). The slot stays busy
+	// until the landing materializes and the op is finished.
+	wrPend       bool
+	wrOff, wrLen int
+	path         ReadPath // how a read's reply arrived
+
 	status memcached.StatusReply
 	get    memcached.GetReply
 	mget   memcached.MGetReply
 	num    memcached.NumReply
-	osd    memcached.OSDescReply
-	send   func() error // exotic issue paths; nil = field-driven sendAM
-	// Field-driven send for the hot GET/SET paths: a closure per op
-	// would allocate, so the blocking fast paths park the arguments on
-	// the (pooled) op instead and sendAM replays them. hdrBuf is the
-	// reusable header-encode buffer; it survives pool recycling.
-	sendMsg uint8
-	sendHdr []byte
-	sendVal []byte
-	sendClk *simnet.VClock
-	hdrBuf  []byte
+	arm    memcached.ArmReply
 }
 
-// sendAM issues the op: the closure when one was installed, otherwise
-// the field-driven form (endpoint, message id, header, value).
 func (op *amOp) sendAM() error {
-	if op.send != nil {
-		return op.send()
-	}
-	return op.ep.Send(op.sendClk, op.sendMsg, op.sendHdr, op.sendVal, nil, 0, nil)
+	return op.ep.Send(op.clk, op.msg, op.hdr, op.val, nil, 0, nil)
 }
 
 // DialUCR establishes a reliable UCR endpoint to a memcached server and
@@ -131,111 +165,76 @@ func dialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string,
 	return t, nil
 }
 
+// opFor is the reply handlers' one tag→slot lookup: the transport that
+// owns ep and the in-flight op tag names — nil for a retired tag (a
+// late duplicate) or an endpoint that is not a transport's.
+func opFor(ep *ucr.Endpoint, tag ucr.CounterID) (*UCRTransport, *amOp) {
+	t, ok := ep.UserData.(*UCRTransport)
+	if !ok {
+		return nil, nil
+	}
+	return t, t.slots[tag]
+}
+
 // RegisterClientHandlers installs the AM 2 reply handlers on a client
 // runtime. Safe to call repeatedly.
 func RegisterClientHandlers(rt *ucr.Runtime) {
-	nilHeader := func(*simnet.VClock, *ucr.Endpoint, []byte, int, ucr.CounterID) []byte { return nil }
-	statusCompletion := func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
+	// A reply either carries no data block or lands its value where
+	// landingBuf says — §V-C: the client learns the item size in the
+	// header handler and picks the destination there.
+	noData := func(*simnet.VClock, *ucr.Endpoint, []byte, int, ucr.CounterID) []byte { return nil }
+	landing := func(_ *simnet.VClock, ep *ucr.Endpoint, _ []byte, dataLen int, tag ucr.CounterID) []byte {
 		t, ok := ep.UserData.(*UCRTransport)
 		if !ok {
-			return
+			return nil
 		}
-		if op := t.slots[tag]; op != nil {
-			op.status, _ = memcached.DecodeStatusReply(hdr)
-		}
+		return t.landingBuf(tag, dataLen)
 	}
-	rt.RegisterHandler(memcached.AMSetReply, ucr.Handler{Header: nilHeader, Completion: statusCompletion})
-	rt.RegisterHandler(memcached.AMDeleteReply, ucr.Handler{Header: nilHeader, Completion: statusCompletion})
-	rt.RegisterHandler(memcached.AMGetReply, ucr.Handler{
-		Header: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, dataLen int, tag ucr.CounterID) []byte {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return nil
-			}
-			// §V-C: the client learns the item size here and picks the
-			// destination — the request's lent or pooled buffer.
-			return t.landingBuf(tag, dataLen)
-		},
-		Completion: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return
-			}
-			op := t.slots[tag]
-			if op == nil {
-				// Late duplicate: its tag was retired, suppress. The
-				// mutation build accepts it into a live slot instead —
-				// the bug class this scheme exists to prevent. Accepting
-				// means the whole completion event lands on the victim:
-				// payload AND counter fire, so the victim's waiter
-				// returns this stale reply as its own.
-				if v := t.dupVictim(ep); v != nil {
-					v.get, _ = memcached.DecodeGetReply(hdr)
-					v.data = data
-					v.ctr.MutBump()
+	// on registers a reply AM whose completion runs fn on the tagged op;
+	// a reply whose tag was retired is suppressed.
+	on := func(id uint8, header ucr.HeaderHandler, fn func(t *UCRTransport, op *amOp, hdr, data []byte)) {
+		rt.RegisterHandler(id, ucr.Handler{Header: header,
+			Completion: func(_ *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
+				t, op := opFor(ep, tag)
+				if op == nil && t != nil && id == memcached.AMGetReply {
+					// The mutation build accepts a late duplicate into a live
+					// slot instead — the bug class the tags exist to prevent.
+					// The whole completion event lands on the victim: payload
+					// AND counter fire, so the victim's waiter returns this
+					// stale reply as its own.
+					if op = t.dupVictim(ep); op != nil {
+						op.ctr.MutBump()
+					}
 				}
-				return
-			}
-			op.get, _ = memcached.DecodeGetReply(hdr)
-			op.data = data
-		},
+				if op != nil {
+					fn(t, op, hdr, data)
+				}
+			}})
+	}
+	status := func(_ *UCRTransport, op *amOp, hdr, _ []byte) {
+		op.status, _ = memcached.DecodeStatusReply(hdr)
+	}
+	on(memcached.AMSetReply, noData, status)
+	on(memcached.AMDeleteReply, noData, status)
+	on(memcached.AMNumReply, noData, func(_ *UCRTransport, op *amOp, hdr, _ []byte) {
+		op.num, _ = memcached.DecodeNumReply(hdr)
 	})
-	rt.RegisterHandler(memcached.AMMGetRetry, ucr.Handler{
-		Header: nilHeader,
-		Completion: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return
-			}
-			if op := t.slots[tag]; op != nil {
-				op.tooBig = true
-			}
-		},
+	on(memcached.AMArmReply, noData, func(_ *UCRTransport, op *amOp, hdr, _ []byte) {
+		op.arm, _ = memcached.DecodeArmReply(hdr)
 	})
-	rt.RegisterHandler(memcached.AMMGetReply, ucr.Handler{
-		Header: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, dataLen int, tag ucr.CounterID) []byte {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return nil
-			}
-			return t.landingBuf(tag, dataLen)
-		},
-		Completion: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return
-			}
-			if op := t.slots[tag]; op != nil {
-				op.mget, _ = memcached.DecodeMGetReply(hdr)
-				op.data = data
-			}
-		},
+	on(memcached.AMGetReply, landing, func(_ *UCRTransport, op *amOp, hdr, data []byte) {
+		op.get, _ = memcached.DecodeGetReply(hdr)
+		op.data = data
 	})
-	rt.RegisterHandler(memcached.AMOSDescReply, ucr.Handler{
-		Header: nilHeader,
-		Completion: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return
-			}
-			if op := t.slots[tag]; op != nil {
-				op.osd, _ = memcached.DecodeOSDescReply(hdr)
-			}
-		},
+	on(memcached.AMMGetReply, landing, func(_ *UCRTransport, op *amOp, hdr, data []byte) {
+		op.mget, _ = memcached.DecodeMGetReply(hdr)
+		op.data = data
 	})
-	rt.RegisterHandler(memcached.AMNumReply, ucr.Handler{
-		Header: nilHeader,
-		Completion: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return
-			}
-			if op := t.slots[tag]; op != nil {
-				op.num, _ = memcached.DecodeNumReply(hdr)
-			}
-		},
+	on(memcached.AMMGetRetry, noData, func(_ *UCRTransport, op *amOp, _, _ []byte) {
+		op.get.Status = memcached.AMTooBig // the batch outgrew the datagram
 	})
-	registerWrReplyHandlers(rt)
+	on(memcached.AMGetWNotify, noData, (*UCRTransport).onGetWNotify)
+	on(memcached.AMMGetWNotify, noData, (*UCRTransport).onMGetWNotify)
 }
 
 // landingBuf picks where a reply value lands: the tagged request's lent
@@ -249,20 +248,25 @@ func (t *UCRTransport) landingBuf(tag ucr.CounterID, dataLen int) []byte {
 	}
 	op := t.slots[tag]
 	if op == nil {
-		if v := t.dupVictim(t.udEP); v != nil {
-			op = v // mutation build: clobber a live slot (see dupVictim)
-		} else {
+		if op = t.dupVictim(t.udEP); op == nil { // non-nil: mutation build, clobber a live slot
 			return t.scratchFor(dataLen)
 		}
 	}
-	if op.lend != nil && cap(op.lend) >= dataLen {
+	t.land(op, dataLen)
+	return op.data
+}
+
+// land points op.data at n bytes of landing space under the op's
+// landing discipline: the lent buffer when it fits, a pooled one
+// otherwise.
+func (t *UCRTransport) land(op *amOp, n int) {
+	if op.lend != nil && cap(op.lend) >= n {
 		op.pooled = false
-		op.data = op.lend[:dataLen]
+		op.data = op.lend[:n]
 	} else {
 		op.pooled = true
-		op.data = t.takeBuf(dataLen)
+		op.data = t.takeBuf(n)
 	}
-	return op.data
 }
 
 // dupVictim is the mut_ud_dup_ack seeded bug: instead of suppressing a
@@ -315,23 +319,21 @@ func (t *UCRTransport) recycleBuf(b []byte) {
 	}
 }
 
-// newOp opens a tagged request slot around a fresh counter. Counter ids
-// are never reused by the runtime, so a tag uniquely names one request
-// for the transport's lifetime.
-func (t *UCRTransport) newOp() *amOp {
+// newOp opens a tagged request slot around a fresh counter, bound to
+// the RC endpoint. Counter ids are never reused by the runtime, so a
+// tag uniquely names one request for the transport's lifetime.
+func (t *UCRTransport) newOp(clk *simnet.VClock) *amOp {
 	var op *amOp
 	if k := len(t.freeOps); k > 0 {
 		op = t.freeOps[k-1]
 		t.freeOps = t.freeOps[:k-1]
-		hdr := op.hdrBuf
-		*op = amOp{}
-		op.hdrBuf = hdr[:0]
 	} else {
 		op = &amOp{}
 	}
 	op.ctr = t.rt.NewCounter()
 	op.tag = op.ctr.ID()
 	op.ep = t.ep
+	op.clk = clk
 	t.slots[op.tag] = op
 	return op
 }
@@ -351,9 +353,7 @@ func (t *UCRTransport) finishOp(op *amOp) {
 	if op.wrSlot != 0 {
 		t.wrRelease(op.wrSlot - 1)
 	}
-	hdr := op.hdrBuf
-	*op = amOp{}
-	op.hdrBuf = hdr[:0]
+	*op = amOp{hdr: op.hdr[:0]}
 	t.freeOps = append(t.freeOps, op)
 }
 
@@ -365,21 +365,68 @@ func (t *UCRTransport) Endpoint() *ucr.Endpoint { return t.ep }
 
 // EnableUD arms the UD small-get mode with an unreliable endpoint to the
 // same server, dialed in the same progress context (one CQ drives both).
-// GETs and MGETs whose request fits a datagram ride it from now on.
+// The server needs no arming for it: any endpoint may carry a GET.
 func (t *UCRTransport) EnableUD(ep *ucr.Endpoint) {
 	ep.UserData = t
 	t.udEP = ep
 }
 
-// UDEndpoint exposes the UD endpoint, nil unless EnableUD was called.
-func (t *UCRTransport) UDEndpoint() *ucr.Endpoint { return t.udEP }
+// Arm runs the capability exchange for the opt-in read paths that need
+// the server's cooperation, as ONE blocking AMArm round trip: it
+// registers a write-reply arena when writeReplies is set (see
+// wrreply.go) and adopts the server's one-sided directory when oneSided
+// is set and the server publishes one (see onesided.go). A transport
+// that arms neither sends nothing, so a default dial's traffic is
+// untouched. The ordinary op machinery carries the exchange, so lossy
+// fabrics retry it like any request; when it still fails the endpoint
+// is already isolated (see do), so there is no AM path left to degrade
+// to and the error fails the dial like an unreachable server does. The
+// arena's registration is dropped on every failure. RC endpoints only.
+func (t *UCRTransport) Arm(clk *simnet.VClock, oneSided, writeReplies bool) error {
+	if !oneSided && !writeReplies {
+		return nil
+	}
+	var req memcached.ArmReq
+	var win *ucr.Window
+	if writeReplies {
+		var err error
+		if win, err = t.rt.CreateWindow(make([]byte, wrSlots*wrSlotLen), nil); err != nil {
+			return err
+		}
+		d := win.Desc()
+		req = memcached.ArmReq{Addr: d.Addr, RKey: d.RKey, SlotLen: wrSlotLen, Slots: wrSlots}
+	}
+	rep, err := t.armExchange(clk, req)
+	if err != nil {
+		if win != nil {
+			win.Close()
+		}
+		return err
+	}
+	if win != nil {
+		t.wr.arm(win)
+	}
+	if oneSided && rep.OS.Enabled && rep.OS.Buckets > 0 && rep.OS.Slots > 0 {
+		t.os.arm(rep.OS)
+	}
+	return nil
+}
 
-// UDStats reports the UD small-get path's counters: requests issued on
-// the UD endpoint, AM-level retransmissions on it, and replies that
-// punted the op back to RC (AMTooBig / AMMGetRetry). Tests use gets and
-// retransmits as vacuity guards for the UD datapath.
-func (t *UCRTransport) UDStats() (gets, retransmits, fallbacks uint64) {
-	return t.udGets, t.udRetransmits, t.udFallbacks
+// armExchange is Arm's AMArm round trip.
+func (t *UCRTransport) armExchange(clk *simnet.VClock, req memcached.ArmReq) (memcached.ArmReply, error) {
+	op := t.newOp(clk)
+	req.ReplyCtr = op.tag
+	op.msg = memcached.AMArm
+	op.hdr = memcached.AppendArmReq(op.hdr, req)
+	if err := t.do(clk, op); err != nil {
+		return memcached.ArmReply{}, err
+	}
+	rep := op.arm
+	t.finishOp(op)
+	if rep.Status != memcached.AMOK {
+		return rep, ErrServerDown
+	}
+	return rep, nil
 }
 
 // do sends op and blocks on its counter (§V-B: "a blocking call with
@@ -398,7 +445,7 @@ func (t *UCRTransport) do(clk *simnet.VClock, op *amOp) error {
 			// Client-side UD retransmission: datagram loss is silent, so
 			// the timed-out request is simply re-offered (the tag routes
 			// the reply; a late duplicate lands in scratch).
-			t.udRetransmits++
+			t.paths.By[PathUD].Retries++
 		}
 		if err := op.sendAM(); err != nil {
 			t.finishOp(op)
@@ -452,18 +499,158 @@ func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 		if err != ucr.ErrTimeout {
 			return ErrServerDown
 		}
-		if a+1 < attempts {
-			if op.ep == t.udEP && t.udEP != nil {
-				t.udRetransmits++
-			}
-			if serr := op.sendAM(); serr != nil {
-				return ErrServerDown
-			}
+		if a+1 < attempts && op.sendAM() != nil {
+			return ErrServerDown
 		}
 	}
 	op.ep.MarkFailed()
 	return ErrServerDown
 }
+
+// ---- request builders -------------------------------------------------
+
+func (t *UCRTransport) setOp(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *amOp {
+	op := t.newOp(clk)
+	op.msg, op.val = memcached.AMSet, value
+	op.hdr = memcached.AppendSetReq(op.hdr, memcached.SetReq{
+		ReplyCtr: op.tag, Flags: flags, Exptime: exptime, Key: key,
+	})
+	return op
+}
+
+func (t *UCRTransport) deleteOp(clk *simnet.VClock, key string) *amOp {
+	op := t.newOp(clk)
+	op.msg = memcached.AMDelete
+	op.hdr = memcached.AppendKeyReq(op.hdr, memcached.KeyReq{ReplyCtr: op.tag, Key: key})
+	return op
+}
+
+func (t *UCRTransport) numOp(clk *simnet.VClock, key string, delta uint64, incr bool) *amOp {
+	op := t.newOp(clk)
+	op.msg = memcached.AMDecr
+	if incr {
+		op.msg = memcached.AMIncr
+	}
+	op.hdr = memcached.AppendNumReq(op.hdr, memcached.NumReq{ReplyCtr: op.tag, Delta: delta, Key: key})
+	return op
+}
+
+// readOp opens a GET (keys == nil) or MGET request and makes the
+// client's one read-path decision — which endpoint carries it, under
+// which AM id, advertising which reply slot — from what the transport
+// can observe, cheapest reply first (DESIGN.md "Read path selection"):
+//
+//  1. the UD endpoint is alive and the request fits one datagram → UD,
+//     plain id. Only for callers that can re-issue when the server
+//     punts an oversized reply back (ud = true: the blocking calls);
+//  2. the write-reply arena has a free slot → RC, slot-advertising id;
+//  3. otherwise → RC, plain id.
+//
+// The one-sided path is not a rung here: it involves no request at
+// all, so the blocking Get tries it before ever building an op.
+func (t *UCRTransport) readOp(clk *simnet.VClock, key string, keys []string, lend []byte, ud bool) *amOp {
+	op := t.newOp(clk)
+	op.lend = lend
+	if ud && t.udEP != nil && !t.udEP.Failed() {
+		if op.encodeRead(key, keys); len(op.hdr) <= t.udEP.MaxEager() {
+			op.ep, op.path = t.udEP, PathUD
+			return op
+		}
+	}
+	if i, ok := t.wrAcquire(); ok {
+		op.wrSlot = i + 1
+	}
+	op.encodeRead(key, keys)
+	return op
+}
+
+// encodeRead packs the read's header for the slot the op holds; the
+// slot (or none) selects the AM id.
+func (op *amOp) encodeRead(key string, keys []string) {
+	if keys == nil {
+		op.hdr, op.msg = memcached.AppendGetReq(op.hdr[:0], op.tag, op.wrSlot, key)
+	} else {
+		op.hdr, op.msg = memcached.AppendMGetReq(op.hdr[:0], op.tag, op.wrSlot, keys)
+	}
+}
+
+// ---- result readers ---------------------------------------------------
+
+func (op *amOp) stored() memcached.StoreResult {
+	if op.status.Status != memcached.AMOK {
+		return op.status.Result
+	}
+	return memcached.Stored
+}
+
+func (op *amOp) deleted() bool { return op.status.Status == memcached.AMOK }
+
+func (op *amOp) number() (val uint64, found, bad bool, err error) {
+	switch op.num.Status {
+	case memcached.AMOK:
+		return op.num.Value, true, false, nil
+	case memcached.AMBadValue:
+		return 0, true, true, nil
+	case memcached.AMError:
+		// Server-side failure (e.g. OOM growing the value): distinct
+		// from a miss and from a non-numeric value.
+		return 0, true, false, ErrServerError
+	default:
+		return 0, false, false, nil
+	}
+}
+
+// served accounts a settled read to the path its reply arrived by, and
+// completes a deferred write-reply landing so op.data reads the same on
+// every path.
+func (t *UCRTransport) served(op *amOp) {
+	t.wrMaterialize(op)
+	t.paths.Last = op.path
+	t.paths.By[op.path].Hits++
+	if op.wrSlot != 0 && op.path != PathWrite {
+		t.paths.By[PathWrite].Fallbacks++ // slot advertised, copy rung answered
+	}
+}
+
+// getResult reads a settled GET. own forces a private copy of the value;
+// otherwise it aliases the lent buffer when it landed there, and is
+// copied only out of a pooled landing.
+func (t *UCRTransport) getResult(op *amOp, own bool) (value []byte, flags uint32, cas uint64, hit bool) {
+	t.served(op)
+	if op.get.Status != memcached.AMOK {
+		return nil, 0, 0, false
+	}
+	value = op.data
+	if own || op.pooled {
+		value = make([]byte, len(op.data))
+		copy(value, op.data)
+	}
+	return value, op.get.Flags, op.get.CAS, true
+}
+
+// mgetResult adds a settled MGET's items to out as subslices of the
+// landing block — the lent buffer when the block landed there, one
+// private copy of a pooled landing otherwise (a call that lent nothing
+// always lands pooled).
+func (t *UCRTransport) mgetResult(op *amOp, out map[string][]byte) error {
+	t.served(op)
+	block := op.data
+	if op.pooled {
+		block = append([]byte(nil), op.data...)
+	}
+	off := 0
+	for _, it := range op.mget.Items {
+		end := off + it.ValueLen
+		if end > len(block) {
+			return memcached.ErrShortAMHeader
+		}
+		out[it.Key] = block[off:end:end]
+		off = end
+	}
+	return nil
+}
+
+// ---- blocking calls (Transport) ---------------------------------------
 
 // Set implements Transport. With the NoReply behaviour the request
 // carries no reply counter — the server stores the item and answers
@@ -485,97 +672,59 @@ func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime
 		}
 		return memcached.Stored, nil
 	}
-	op := t.newOp()
-	op.hdrBuf = memcached.AppendSetReq(op.hdrBuf[:0], memcached.SetReq{
-		ReplyCtr: op.tag, Flags: flags, Exptime: exptime, Key: key,
-	})
-	op.sendMsg = memcached.AMSet
-	op.sendHdr = op.hdrBuf
-	op.sendVal = value
-	op.sendClk = clk
+	op := t.setOp(clk, key, flags, exptime, value)
 	if err := t.do(clk, op); err != nil {
 		return 0, err
 	}
 	defer t.finishOp(op)
-	if op.status.Status != memcached.AMOK {
-		return op.status.Result, nil
-	}
-	return memcached.Stored, nil
+	return op.stored(), nil
 }
 
-// getOp issues one get request and blocks for its reply; the caller
-// reads the slot and retires it. With UD small-get mode armed, the
-// request rides the unreliable endpoint first and transparently
-// re-issues over RC when the server answers AMTooBig (value exceeds one
-// datagram) or the UD endpoint has been isolated.
-func (t *UCRTransport) getOp(clk *simnet.VClock, key string, lend []byte) (*amOp, error) {
-	if t.udEP != nil && !t.udEP.Failed() {
-		op := t.newOp()
-		op.lend = lend
-		op.ep = t.udEP
-		op.hdrBuf = memcached.AppendKeyReq(op.hdrBuf[:0], memcached.KeyReq{ReplyCtr: op.tag, Key: key})
-		if len(op.hdrBuf) <= t.udEP.MaxEager() {
-			op.sendMsg = memcached.AMGet
-			op.sendHdr = op.hdrBuf
-			op.sendClk = clk
-			t.udGets++
-			err := t.do(clk, op)
-			if err == nil && op.get.Status != memcached.AMTooBig {
-				return op, nil
-			}
-			if err == nil {
-				// Server punted: the value outgrew the datagram.
-				t.udFallbacks++
-				t.finishOp(op)
-			}
-			// A hard UD failure (retry budget exhausted) isolates only the
-			// UD endpoint; the RC path below still serves the op.
-		} else {
+// read issues one GET/MGET and blocks for its reply; the caller reads
+// the op and retires it. A request that rode the UD endpoint and was
+// punted (AMTooBig / AMMGetRetry: the reply outgrew the datagram) is
+// transparently re-issued over RC; so is one whose UD retry budget ran
+// out, which isolates only the UD endpoint.
+func (t *UCRTransport) read(clk *simnet.VClock, key string, keys []string, lend []byte) (*amOp, error) {
+	op := t.readOp(clk, key, keys, lend, true)
+	if op.path == PathUD {
+		err := t.do(clk, op)
+		if err == nil && op.get.Status != memcached.AMTooBig {
+			return op, nil
+		}
+		if err == nil {
+			t.paths.By[PathUD].Fallbacks++
 			t.finishOp(op)
 		}
+		op = t.readOp(clk, key, keys, lend, false)
 	}
-	op := t.newOp()
-	op.lend = lend
-	if i, ok := t.wrAcquire(); ok {
-		op.wrSlot = i + 1
-		op.hdrBuf = memcached.AppendGetWReq(op.hdrBuf[:0], memcached.GetWReq{
-			ReplyCtr: op.tag, Slot: uint16(i), Key: key,
-		})
-		op.sendMsg = memcached.AMGetW
-	} else {
-		op.hdrBuf = memcached.AppendKeyReq(op.hdrBuf[:0], memcached.KeyReq{ReplyCtr: op.tag, Key: key})
-		op.sendMsg = memcached.AMGet
-	}
-	op.sendHdr = op.hdrBuf
-	op.sendClk = clk
 	if err := t.do(clk, op); err != nil {
 		return nil, err
 	}
-	// A blocking caller reads op.data next: land any deferred write
-	// reply now (no later wait to hide the copy under).
-	t.wrMaterialize(clk, op)
 	return op, nil
 }
 
-// Get implements Transport. With the one-sided path enabled, a
-// validated RDMA read serves the hit without any server AM; everything
-// else falls through to the two-sided protocol.
-func (t *UCRTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
-	t.lastOneSided = false
-	if v, fl, cas, ok := t.oneSidedGet(clk, key, nil); ok {
+// get is Get/GetInto. With the one-sided path armed, a validated RDMA
+// read serves the hit without any server AM; everything else goes
+// through the two-sided protocol.
+func (t *UCRTransport) get(clk *simnet.VClock, key string, lend []byte, own bool) ([]byte, uint32, uint64, bool, error) {
+	t.paths.Last = PathAM
+	if v, fl, cas, ok := t.oneSidedGet(clk, key, lend); ok {
+		t.paths.Last = PathOneSided
 		return v, fl, cas, true, nil
 	}
-	op, err := t.getOp(clk, key, nil)
+	op, err := t.read(clk, key, nil, lend)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
 	defer t.finishOp(op)
-	if op.get.Status != memcached.AMOK {
-		return nil, 0, 0, false, nil
-	}
-	out := make([]byte, len(op.data))
-	copy(out, op.data)
-	return out, op.get.Flags, op.get.CAS, true, nil
+	v, fl, cas, hit := t.getResult(op, own)
+	return v, fl, cas, hit, nil
+}
+
+// Get implements Transport.
+func (t *UCRTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
+	return t.get(clk, key, nil, true)
 }
 
 // GetInto is Get with a caller-lent value buffer: when the value fits
@@ -583,113 +732,59 @@ func (t *UCRTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint
 // returned slice aliases buf — no allocation and no copy on the hot
 // path. A value too large for buf is returned in a fresh allocation.
 func (t *UCRTransport) GetInto(clk *simnet.VClock, key string, buf []byte) ([]byte, uint32, uint64, bool, error) {
-	t.lastOneSided = false
-	if v, fl, cas, ok := t.oneSidedGet(clk, key, buf); ok {
-		return v, fl, cas, true, nil
-	}
-	op, err := t.getOp(clk, key, buf)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	defer t.finishOp(op)
-	if op.get.Status != memcached.AMOK {
-		return nil, 0, 0, false, nil
-	}
-	v := op.data
-	if op.pooled {
-		v = append([]byte(nil), op.data...)
-	}
-	return v, op.get.Flags, op.get.CAS, true, nil
+	return t.get(clk, key, buf, false)
 }
 
 // maxMGetKeys bounds one mget AM's key batch, well under the header's
 // uint16 key-count field.
 const maxMGetKeys = 4096
 
-// mgetOp issues one multi-get AM and blocks for its reply. Under UD
-// small-get mode a batch whose request fits one datagram is tried there
-// first; an AMMGetRetry answer (aggregate reply too large) re-issues the
-// whole batch over RC.
-func (t *UCRTransport) mgetOp(clk *simnet.VClock, keys []string, lend []byte) (*amOp, error) {
-	hdr := memcached.EncodeMGetReq(memcached.MGetReq{ReplyCtr: 0, Keys: keys})
-	if t.udEP != nil && !t.udEP.Failed() && len(hdr) <= t.udEP.MaxEager() {
-		op := t.newOp()
-		op.lend = lend
-		op.ep = t.udEP
-		udHdr := memcached.EncodeMGetReq(memcached.MGetReq{ReplyCtr: op.tag, Keys: keys})
-		op.send = func() error {
-			return t.udEP.Send(clk, memcached.AMMGet, udHdr, nil, nil, 0, nil)
-		}
-		t.udGets++
-		err := t.do(clk, op)
-		if err == nil && !op.tooBig {
-			return op, nil
-		}
-		if err == nil {
-			t.udFallbacks++
-			t.finishOp(op)
+// mgetBatch is the one mget cap: how many leading keys one mget AM may
+// carry. The header counts keys in a uint16, so a larger batch would
+// silently truncate on the wire (found by FuzzAMCodecs), and UCR
+// carries AM headers eagerly only, so the encoded request must fit the
+// endpoint's eager limit or the send is refused outright.
+func (t *UCRTransport) mgetBatch(keys []string) int {
+	size := 8 + 2 + 2 // reply counter, slot, key count
+	for n, k := range keys {
+		if size += 2 + len(k); n == maxMGetKeys || (size > t.ep.MaxEager() && n > 0) {
+			return n
 		}
 	}
-	op := t.newOp()
-	op.lend = lend
-	if i, ok := t.wrAcquire(); ok {
-		op.wrSlot = i + 1
-		rcHdr := memcached.AppendMGetWReq(nil, op.tag, uint16(i), keys)
-		op.send = func() error {
-			return t.ep.Send(clk, memcached.AMMGetW, rcHdr, nil, nil, 0, nil)
-		}
-	} else {
-		rcHdr := memcached.EncodeMGetReq(memcached.MGetReq{ReplyCtr: op.tag, Keys: keys})
-		op.send = func() error {
-			return t.ep.Send(clk, memcached.AMMGet, rcHdr, nil, nil, 0, nil)
-		}
-	}
-	if err := t.do(clk, op); err != nil {
-		return nil, err
-	}
-	return op, nil
+	return len(keys)
 }
 
-// GetMulti implements Transport with a single mget active message: the
-// reply carries all metadata in its header and the values concatenated
-// as the AM data (one transaction if small, one RDMA read if large).
-func (t *UCRTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string][]byte, error) {
-	if len(keys) == 0 {
-		return map[string][]byte{}, nil
-	}
-	if len(keys) > maxMGetKeys {
-		// The mget header carries the key count as a uint16: batches past
-		// the cap would silently truncate on the wire (found by
-		// FuzzAMCodecs), so oversized batches go out as several AMs.
-		out := make(map[string][]byte, len(keys))
-		for start := 0; start < len(keys); start += maxMGetKeys {
-			part, err := t.GetMulti(clk, keys[start:min(start+maxMGetKeys, len(keys))])
-			if err != nil {
-				return nil, err
-			}
-			for k, v := range part {
-				out[k] = v
-			}
+// mgetAll is the one multi-get path under every caller: the keys go out
+// as mget AMs of mgetBatch keys each, issued through issue and retired
+// through retire once their items are read. A lent buffer is consumed
+// front to back across the AMs.
+func (t *UCRTransport) mgetAll(keys []string, lend []byte,
+	issue func(keys []string, lend []byte) (*amOp, error), retire func(*amOp)) (map[string][]byte, error) {
+	out := make(map[string][]byte, len(keys))
+	for len(keys) > 0 {
+		n := t.mgetBatch(keys)
+		op, err := issue(keys[:n], lend)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	op, err := t.mgetOp(clk, keys, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer t.finishOp(op)
-	out := make(map[string][]byte, len(op.mget.Items))
-	off := 0
-	for _, it := range op.mget.Items {
-		if off+it.ValueLen > len(op.data) {
-			return nil, memcached.ErrShortAMHeader
+		err = t.mgetResult(op, out)
+		if !op.pooled {
+			lend = lend[len(op.data):cap(lend)]
 		}
-		v := make([]byte, it.ValueLen)
-		copy(v, op.data[off:off+it.ValueLen])
-		out[it.Key] = v
-		off += it.ValueLen
+		retire(op)
+		if err != nil {
+			return nil, err
+		}
+		keys = keys[n:]
 	}
 	return out, nil
+}
+
+// GetMulti implements Transport with mget active messages: each reply
+// carries all metadata in its header and the values concatenated as the
+// AM data (one transaction if small, one RDMA read if large).
+func (t *UCRTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string][]byte, error) {
+	return t.GetMultiInto(clk, keys, nil)
 }
 
 // GetMultiInto is GetMulti with a caller-lent buffer for the
@@ -697,71 +792,29 @@ func (t *UCRTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string][
 // values are subslices of buf — zero copies. The caller must consume
 // them before reusing buf.
 func (t *UCRTransport) GetMultiInto(clk *simnet.VClock, keys []string, buf []byte) (map[string][]byte, error) {
-	if len(keys) == 0 {
-		return map[string][]byte{}, nil
-	}
-	op, err := t.mgetOp(clk, keys, buf)
-	if err != nil {
-		return nil, err
-	}
-	defer t.finishOp(op)
-	block := op.data
-	if op.pooled {
-		block = append([]byte(nil), op.data...)
-	}
-	out := make(map[string][]byte, len(op.mget.Items))
-	off := 0
-	for _, it := range op.mget.Items {
-		if off+it.ValueLen > len(block) {
-			return nil, memcached.ErrShortAMHeader
-		}
-		out[it.Key] = block[off : off+it.ValueLen : off+it.ValueLen]
-		off += it.ValueLen
-	}
-	return out, nil
+	return t.mgetAll(keys, buf, func(keys []string, lend []byte) (*amOp, error) {
+		return t.read(clk, "", keys, lend)
+	}, t.finishOp)
 }
 
 // Delete implements Transport.
 func (t *UCRTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	op := t.newOp()
-	hdr := memcached.EncodeKeyReq(memcached.KeyReq{ReplyCtr: op.tag, Key: key})
-	op.send = func() error {
-		return t.ep.Send(clk, memcached.AMDelete, hdr, nil, nil, 0, nil)
-	}
+	op := t.deleteOp(clk, key)
 	if err := t.do(clk, op); err != nil {
 		return false, err
 	}
 	defer t.finishOp(op)
-	return op.status.Status == memcached.AMOK, nil
+	return op.deleted(), nil
 }
 
 // IncrDecr implements Transport.
 func (t *UCRTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, incr bool) (uint64, bool, bool, error) {
-	amID := memcached.AMIncr
-	if !incr {
-		amID = memcached.AMDecr
-	}
-	op := t.newOp()
-	hdr := memcached.EncodeNumReq(memcached.NumReq{ReplyCtr: op.tag, Delta: delta, Key: key})
-	op.send = func() error {
-		return t.ep.Send(clk, amID, hdr, nil, nil, 0, nil)
-	}
+	op := t.numOp(clk, key, delta, incr)
 	if err := t.do(clk, op); err != nil {
 		return 0, false, false, err
 	}
 	defer t.finishOp(op)
-	switch op.num.Status {
-	case memcached.AMOK:
-		return op.num.Value, true, false, nil
-	case memcached.AMBadValue:
-		return 0, true, true, nil
-	case memcached.AMError:
-		// Server-side failure (e.g. OOM growing the value): distinct
-		// from a miss and from a non-numeric value.
-		return 0, true, false, ErrServerError
-	default:
-		return 0, false, false, nil
-	}
+	return op.number()
 }
 
 // Close implements Transport.
@@ -771,7 +824,7 @@ func (t *UCRTransport) Close() {
 		t.rt.FreeCounter(op.ctr)
 	}
 	if t.wr.win != nil {
-		t.wr.armed = false
+		t.wr.free = nil // no slot is advertised from here on
 		t.wr.win.Close()
 	}
 	t.ep.Close()

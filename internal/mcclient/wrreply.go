@@ -8,16 +8,15 @@ import (
 
 // Client half of the write-based reply path: the transport registers
 // one window arena carved into fixed-size reply slots and teaches the
-// server its geometry once (the AMWrArm slot-table exchange); a
-// GET/MGET that secures a slot then advertises just its 2-byte index
-// with the request (AMGetW/AMMGetW), keeping the armed request header
-// within a couple of bytes of the plain one. The server answers a
-// crossover-sized hit by gather-writing [reply header ‖ value] into the
-// slot and completing the future with a payload-free notify AM;
-// anything else comes back as an ordinary AMGetReply/AMMGetReply on the
-// same tag, which the existing handlers consume — the slot simply goes
-// unused. When no slot is free (window deeper than the arena, or leaked
-// to a failed endpoint) the request falls back to the plain AMs.
+// server its geometry once (the AMArm capability exchange, see
+// UCRTransport.Arm); a GET/MGET that secures a slot (readOp) then
+// advertises just its 2-byte index with the request (AMGetW/AMMGetW),
+// keeping the armed request header within a couple of bytes of the
+// plain one. The server answers a crossover-sized hit by gather-writing
+// [reply header ‖ value] into the slot and completing the future with a
+// payload-free notify AM; anything else comes back as an ordinary
+// AMGetReply/AMMGetReply on the same tag, which the existing handlers
+// consume — the slot simply goes unused.
 //
 // Slot recycling leans on RC FIFO ordering: all writes into this
 // transport's slots ride its one QP, so a late write from a timed-out
@@ -25,80 +24,37 @@ import (
 // and can never clobber fresher data; its notify lands on a retired tag
 // and is suppressed. finishOp therefore always releases the slot.
 
-// wrDefaultSlots and wrDefaultSlotLen size the arena when the caller
-// passes zeros: 64 slots of 64 KB + header — a full 32-deep pipeline
-// window in flight plus one deferred landing per window entry (a
-// pipelined GET's slot stays busy from the request until its copy-out
-// materializes, one wait later — see the deferred-landing notes below).
+// wrSlots and wrSlotLen size the arena: 64 slots of 64 KB + header — a
+// full 32-deep pipeline window in flight plus one deferred landing per
+// window entry (a pipelined GET's slot stays busy from the request
+// until its copy-out materializes, one wait later — see wrMaterialize).
 const (
-	wrDefaultSlots   = 64
-	wrDefaultSlotLen = 64<<10 + memcached.GetWSlotHdrLen
+	wrSlots   = 64
+	wrSlotLen = 64<<10 + memcached.GetWSlotHdrLen
 )
 
-// wrState is the transport's write-reply arena.
+// wrState is the transport's write-reply arena; the zero value is an
+// unarmed one, whose free list never yields a slot.
 type wrState struct {
-	armed   bool
-	win     *ucr.Window
-	slotLen int
-	free    []int32
-
-	hits uint64 // replies that landed via RDMA write
+	win  *ucr.Window
+	free []int32
 }
 
-// EnableWriteReplies arms the write-based reply path with an arena of
-// `slots` reply slots of `slotLen` bytes each (zeros pick the
-// defaults). The arena is registered locally and its slot table taught
-// to the server in one blocking AMWrArm exchange — the ordinary op
-// machinery carries it, so lossy fabrics retry it like any request.
-// RC endpoints only.
-func (t *UCRTransport) EnableWriteReplies(clk *simnet.VClock, slots, slotLen int) error {
-	if slots <= 0 {
-		slots = wrDefaultSlots
+// arm adopts win, registered and accepted by the server, as the arena.
+func (w *wrState) arm(win *ucr.Window) {
+	w.win = win
+	w.free = make([]int32, 0, wrSlots)
+	for i := int32(wrSlots - 1); i >= 0; i-- {
+		w.free = append(w.free, i)
 	}
-	if slotLen <= 0 {
-		slotLen = wrDefaultSlotLen
-	}
-	win, err := t.rt.CreateWindow(make([]byte, slots*slotLen), nil)
-	if err != nil {
-		return err
-	}
-	op := t.newOp()
-	op.hdrBuf = memcached.AppendWrArmReq(op.hdrBuf[:0], memcached.WrArmReq{
-		ReplyCtr: op.tag,
-		Addr:     win.Desc().Addr,
-		RKey:     win.Desc().RKey,
-		SlotLen:  uint32(slotLen),
-		Slots:    uint32(slots),
-	})
-	op.sendMsg = memcached.AMWrArm
-	op.sendHdr = op.hdrBuf
-	op.sendClk = clk
-	if err := t.do(clk, op); err != nil {
-		return err
-	}
-	status := op.status.Status
-	t.finishOp(op)
-	if status != memcached.AMOK {
-		return ErrServerDown
-	}
-	t.wr.win = win
-	t.wr.slotLen = slotLen
-	t.wr.free = make([]int32, 0, slots)
-	for i := slots - 1; i >= 0; i-- {
-		t.wr.free = append(t.wr.free, int32(i))
-	}
-	t.wr.armed = true
-	return nil
 }
 
-// WriteReplyHits reports how many replies landed through the window
-// (the client-side vacuity guard for the write path).
-func (t *UCRTransport) WriteReplyHits() uint64 { return t.wr.hits }
-
-// wrAcquire pops a free reply slot; ok=false falls back to plain AMs.
+// wrAcquire pops a free reply slot; ok=false (unarmed, window deeper
+// than the arena, or slots leaked to a failed endpoint) leaves the
+// request on the plain AMs.
 func (t *UCRTransport) wrAcquire() (int32, bool) {
 	k := len(t.wr.free)
-	if !t.wr.armed || k == 0 {
+	if k == 0 {
 		return 0, false
 	}
 	i := t.wr.free[k-1]
@@ -109,147 +65,63 @@ func (t *UCRTransport) wrAcquire() (int32, bool) {
 func (t *UCRTransport) wrRelease(i int32) { t.wr.free = append(t.wr.free, i) }
 
 func (t *UCRTransport) wrSlotBytes(i int32) []byte {
-	off := int(i) * t.wr.slotLen
-	return t.wr.win.Bytes()[off : off+t.wr.slotLen]
+	off := int(i) * wrSlotLen
+	return t.wr.win.Bytes()[off : off+wrSlotLen]
 }
 
-// wrLand copies n slot bytes into the op's landing discipline (lent
-// buffer when it fits, pooled otherwise) — the one client-side copy the
-// write path pays, charged like the one-sided path's validated copy.
-//
-// For single GETs the copy is DEFERRED: the notify completion only
-// records the landing (wrPend) and the copy-out is charged when the
-// consumer materializes it — immediately for the blocking paths, but
-// just before the next blocking CQ wait for pipelined ones. A pipelined
-// client therefore issues its next request first and copies while the
-// server turns the following reply around; whenever that reply is still
-// in flight the forward-only clock sync to its arrival swallows the
-// copy entirely (double-buffering the landing against the wire).
-func (t *UCRTransport) wrLand(clk *simnet.VClock, op *amOp, src []byte) {
-	n := len(src)
-	clk.Advance(simnet.BytesDuration(n, t.rt.Config().PackBytesPerSec))
-	if op.lend != nil && cap(op.lend) >= n {
-		op.pooled = false
-		op.data = op.lend[:n]
-	} else {
-		op.pooled = true
-		op.data = t.takeBuf(n)
-	}
-	copy(op.data, src)
-}
-
-// wrMaterialize completes a deferred landing through the op's normal
-// landing discipline (lend/pooled); the blocking paths call it right
-// after their wait so op.data reads exactly as it always did. A no-op
-// unless a notify recorded a pending slot landing.
-func (t *UCRTransport) wrMaterialize(clk *simnet.VClock, op *amOp) {
+// wrMaterialize completes a deferred write-reply landing: the notify
+// completion only records where in the slot the value bytes sit
+// (wrPend) and the copy-out — the one client-side copy the write path
+// pays, under the op's landing discipline, charged like the one-sided
+// path's validated copy — happens when the consumer reads the result:
+// immediately for the blocking paths, but just before the next blocking
+// CQ wait for pipelined ones. A pipelined client therefore issues its
+// next request first and copies while the server turns the following
+// reply around; whenever that reply is still in flight the forward-only
+// clock sync to its arrival swallows the copy entirely (double-buffering
+// the landing against the wire). A no-op unless a notify recorded a
+// pending slot landing.
+func (t *UCRTransport) wrMaterialize(op *amOp) {
 	if !op.wrPend {
 		return
 	}
-	n := op.wrPendLen
 	op.wrPend = false
-	slot := t.wrSlotBytes(op.wrSlot - 1)
-	t.wrLand(clk, op, slot[memcached.GetWSlotHdrLen:memcached.GetWSlotHdrLen+n])
+	src := t.wrSlotBytes(op.wrSlot - 1)[op.wrOff : op.wrOff+op.wrLen]
+	op.clk.Advance(simnet.BytesDuration(op.wrLen, t.rt.Config().PackBytesPerSec))
+	t.land(op, op.wrLen)
+	copy(op.data, src)
 }
 
-// wrTake completes a deferred landing straight into a caller-owned
-// buffer — the pipelined future path, which hands the bytes out rather
-// than reading them back through op.data. The value lands in the op's
-// lent buffer when it fits (aliasing it, like GetInto) or in a fresh
-// allocation, charged exactly like wrLand.
-func (t *UCRTransport) wrTake(clk *simnet.VClock, op *amOp) []byte {
-	n := op.wrPendLen
-	op.wrPend = false
-	slot := t.wrSlotBytes(op.wrSlot - 1)
-	src := slot[memcached.GetWSlotHdrLen : memcached.GetWSlotHdrLen+n]
-	clk.Advance(simnet.BytesDuration(n, t.rt.Config().PackBytesPerSec))
-	var dst []byte
-	if op.lend != nil && cap(op.lend) >= n {
-		dst = op.lend[:n]
-	} else {
-		dst = make([]byte, n)
+// onGetWNotify completes a GET whose value the server wrote into the
+// op's slot, behind the reply header.
+func (t *UCRTransport) onGetWNotify(op *amOp, hdr, _ []byte) {
+	n, err := memcached.DecodeGetWNotify(hdr)
+	if err != nil {
+		return
 	}
-	copy(dst, src)
-	return dst
+	op.get = memcached.GetReply{Status: n.Status, Flags: n.Flags, CAS: n.CAS}
+	if n.Status != memcached.AMOK || op.wrSlot == 0 {
+		return
+	}
+	if memcached.GetWSlotHdrLen+int(n.ValueLen) > wrSlotLen {
+		// A healthy server never writes past the window it was handed;
+		// refuse to read out of the arena's lane.
+		op.get.Status = memcached.AMError
+		return
+	}
+	op.wrPend, op.wrOff, op.wrLen, op.path = true, memcached.GetWSlotHdrLen, int(n.ValueLen), PathWrite
 }
 
-// registerWrReplyHandlers installs the notify handlers (called from
-// RegisterClientHandlers).
-func registerWrReplyHandlers(rt *ucr.Runtime) {
-	nh := func(*simnet.VClock, *ucr.Endpoint, []byte, int, ucr.CounterID) []byte { return nil }
-	rt.RegisterHandler(memcached.AMWrArmReply, ucr.Handler{
-		Header: nh,
-		Completion: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return
-			}
-			if op := t.slots[tag]; op != nil {
-				op.status, _ = memcached.DecodeStatusReply(hdr)
-			}
-		},
-	})
-	rt.RegisterHandler(memcached.AMGetWNotify, ucr.Handler{
-		Header: nh,
-		Completion: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return
-			}
-			op := t.slots[tag]
-			if op == nil {
-				return // late duplicate: tag retired, the slot write is inert
-			}
-			n, err := memcached.DecodeGetWNotify(hdr)
-			if err != nil {
-				return
-			}
-			op.get = memcached.GetReply{Status: n.Status, Flags: n.Flags, CAS: n.CAS}
-			if n.Status != memcached.AMOK || op.wrSlot == 0 {
-				return
-			}
-			vl := int(n.ValueLen)
-			slot := t.wrSlotBytes(op.wrSlot - 1)
-			if memcached.GetWSlotHdrLen+vl > len(slot) {
-				// A healthy server never writes past the window it was
-				// handed; refuse to read out of the arena's lane.
-				op.get.Status = memcached.AMError
-				return
-			}
-			// Record the landing; the consumer materializes the copy-out
-			// (wrMaterialize / wrTake) where it can overlap the wire.
-			op.wrPend = true
-			op.wrPendLen = vl
-			t.wr.hits++
-		},
-	})
-	rt.RegisterHandler(memcached.AMMGetWNotify, ucr.Handler{
-		Header: nh,
-		Completion: func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
-			t, ok := ep.UserData.(*UCRTransport)
-			if !ok {
-				return
-			}
-			op := t.slots[tag]
-			if op == nil {
-				return
-			}
-			n, err := memcached.DecodeMGetWNotify(hdr)
-			if err != nil || op.wrSlot == 0 {
-				return
-			}
-			hl, dl := int(n.HdrLen), int(n.DataLen)
-			slot := t.wrSlotBytes(op.wrSlot - 1)
-			if n.Status != memcached.AMOK || hl+dl > len(slot) {
-				return // settles as an empty reply
-			}
-			mr, err := memcached.DecodeMGetReply(slot[:hl])
-			if err != nil {
-				return
-			}
-			op.mget = mr
-			t.wrLand(clk, op, slot[hl:hl+dl])
-			t.wr.hits++
-		},
-	})
+// onMGetWNotify completes an MGET written into the op's slot: the mget
+// reply header occupies slot[:HdrLen], the value block follows. An
+// unusable notify settles as an empty reply.
+func (t *UCRTransport) onMGetWNotify(op *amOp, hdr, _ []byte) {
+	n, err := memcached.DecodeMGetWNotify(hdr)
+	hl, dl := int(n.HdrLen), int(n.DataLen)
+	if err != nil || op.wrSlot == 0 || n.Status != memcached.AMOK || hl+dl > wrSlotLen {
+		return
+	}
+	if op.mget, err = memcached.DecodeMGetReply(t.wrSlotBytes(op.wrSlot - 1)[:hl]); err == nil {
+		op.wrPend, op.wrOff, op.wrLen, op.path = true, hl, dl, PathWrite
+	}
 }

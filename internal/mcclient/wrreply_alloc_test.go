@@ -12,7 +12,7 @@ import (
 // lookup, gather write into the client's slot, notify, slot landing.
 func wrAllocStack(t testing.TB, valSize int) (*UCRTransport, *simnet.VClock, []byte) {
 	tr, clk := benchStack(t)
-	if err := tr.EnableWriteReplies(clk, 0, 0); err != nil {
+	if err := tr.Arm(clk, false, true); err != nil {
 		t.Fatal(err)
 	}
 	val := make([]byte, valSize)

@@ -72,16 +72,24 @@ func DecodeMGetReq(b []byte) (MGetReq, error) {
 	return r, nil
 }
 
-// AppendMGetReq packs the header onto dst.
-func AppendMGetReq(dst []byte, ctr ucr.CounterID, keys []string) []byte {
+// AppendMGetReq packs a multi-get onto dst and reports the AM id that
+// carries it: AMMGet is replyCtr(8) nkeys(2) {klen(2) key}*, and AMMGetW
+// inserts slot(2) after the counter. slot is index plus one, zero for
+// none.
+func AppendMGetReq(dst []byte, ctr ucr.CounterID, slot int32, keys []string) ([]byte, uint8) {
 	le := binary.LittleEndian
+	msg := AMMGet
 	dst = le.AppendUint64(dst, uint64(ctr))
+	if slot != 0 {
+		msg = AMMGetW
+		dst = le.AppendUint16(dst, uint16(slot-1))
+	}
 	dst = le.AppendUint16(dst, uint16(len(keys)))
 	for _, k := range keys {
 		dst = le.AppendUint16(dst, uint16(len(k)))
 		dst = append(dst, k...)
 	}
-	return dst
+	return dst, msg
 }
 
 // MGetKeyCursor walks an encoded multi-get batch in place: each key it
@@ -93,15 +101,23 @@ type MGetKeyCursor struct {
 	n, i int
 }
 
-// NewMGetKeyCursor opens a cursor over an encoded MGetReq.
-func NewMGetKeyCursor(b []byte) (ucr.CounterID, MGetKeyCursor, error) {
-	if len(b) < 10 {
-		return 0, MGetKeyCursor{}, ErrShortAMHeader
+// NewMGetKeyCursor opens an in-place key cursor over an encoded
+// multi-get request, returning the reply counter and the advertised
+// slot (index plus one; zero for a plain AMMGet).
+func NewMGetKeyCursor(b []byte, slotted bool) (ucr.CounterID, int32, MGetKeyCursor, error) {
+	off, slot := 8, int32(0)
+	if slotted {
+		off = 10
+	}
+	if len(b) < off+2 {
+		return 0, 0, MGetKeyCursor{}, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
-	return ucr.CounterID(le.Uint64(b)), MGetKeyCursor{
-		b: b, off: 10, n: int(le.Uint16(b[8:])),
-	}, nil
+	if slotted {
+		slot = int32(le.Uint16(b[8:])) + 1
+	}
+	cur := MGetKeyCursor{b: b, off: off + 2, n: int(le.Uint16(b[off:]))}
+	return ucr.CounterID(le.Uint64(b)), slot, cur, nil
 }
 
 // Len reports the batch's key count.

@@ -6,29 +6,32 @@ import (
 	"repro/internal/ucr"
 )
 
-// Write-based replies: the client registers a slot-carved reply arena
-// with the server once (AMWrArm — the one-time slot-table exchange),
-// and each GET/MGET request then advertises just a 2-byte slot index.
-// The server answers a validated hit by gather-writing [reply header ‖
-// value(s)] straight from the pinned slab chunk into that slot,
-// completing the client's future with a small payload-free notify AM.
-// Requests without a slot keep the plain AMGet/AMMGet ids, so golden
-// traffic is untouched unless the client opts in — and a slot-carrying
-// request whose connection never armed (the table exchange was lost, or
-// a foreign endpoint replays one) resolves to an empty window and falls
-// back to the copy ladder.
+// Fast-path arming and write-based replies. A client that armed any
+// opt-in read path runs ONE capability exchange per connection (AMArm):
+// it registers its slot-carved reply arena, if it has one, and learns
+// the server's one-sided directory, if the server publishes one. A
+// client with nothing armed never sends it, so default traffic is
+// untouched. Each GET/MGET that secured an arena slot then advertises
+// just the 2-byte slot index (AMGetW/AMMGetW); the server answers a
+// validated hit by gather-writing [reply header ‖ value(s)] straight
+// from the pinned slab chunk into that slot, completing the client's
+// future with a small payload-free notify AM. A slot-carrying request
+// whose connection never armed (the exchange was lost, or a foreign
+// endpoint replays one) resolves to an empty window and takes the copy
+// rungs of the reply ladder.
 const (
 	// AMGetW is AMGet plus a reply-slot index.
 	AMGetW uint8 = 0x18
 	// AMMGetW is AMMGet plus a reply-slot index.
 	AMMGetW uint8 = 0x19
-	// AMWrArm registers the client's reply arena for this connection:
-	// base address, rkey, slot length, slot count. Answered by
-	// AMWrArmReply (a StatusReply) so arming rides the ordinary
-	// request/retry machinery.
-	AMWrArm uint8 = 0x1a
-	// AMWrArmReply acknowledges AMWrArm.
-	AMWrArmReply uint8 = 0x29
+	// AMArm is the capability exchange: the client's reply arena (base
+	// address, rkey, slot length, slot count; zero slots = none).
+	// Answered by AMArmReply, so arming rides the ordinary request/retry
+	// machinery.
+	AMArm uint8 = 0x1a
+	// AMArmReply acknowledges AMArm and carries the one-sided directory
+	// descriptor.
+	AMArmReply uint8 = 0x29
 	// AMGetWNotify answers an AMGetW whose value was RDMA-written into
 	// the advertised window: the metadata the client needs (status,
 	// flags, CAS, value length), no payload. Ordinary AMGetReply answers
@@ -43,10 +46,11 @@ const (
 // offset 0 of the client's reply slot, ahead of the value bytes.
 const GetWSlotHdrLen = 13
 
-// WrArmReq is the AM 1 header for the slot-table exchange: the reply
-// arena's registered base descriptor plus its slot geometry. Wire
-// layout: replyCtr(8) addr(8) rkey(4) slotLen(4) slots(4).
-type WrArmReq struct {
+// ArmReq is the AM 1 header for the capability exchange: the reply
+// arena's registered base descriptor plus its slot geometry (Slots == 0
+// registers nothing). Wire layout: replyCtr(8) addr(8) rkey(4)
+// slotLen(4) slots(4).
+type ArmReq struct {
 	ReplyCtr ucr.CounterID
 	Addr     uint64
 	RKey     uint32
@@ -54,10 +58,10 @@ type WrArmReq struct {
 	Slots    uint32
 }
 
-const wrArmFixed = 8 + 8 + 4 + 4 + 4
+const armFixed = 8 + 8 + 4 + 4 + 4
 
-// AppendWrArmReq packs the header onto dst.
-func AppendWrArmReq(dst []byte, r WrArmReq) []byte {
+// AppendArmReq packs the header onto dst.
+func AppendArmReq(dst []byte, r ArmReq) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint64(dst, uint64(r.ReplyCtr))
 	dst = le.AppendUint64(dst, r.Addr)
@@ -66,14 +70,14 @@ func AppendWrArmReq(dst []byte, r WrArmReq) []byte {
 	return le.AppendUint32(dst, r.Slots)
 }
 
-// DecodeWrArmReq unpacks the header. A geometry whose slots would
-// exceed the one-sided window bound is rejected rather than truncated.
-func DecodeWrArmReq(b []byte) (WrArmReq, error) {
-	if len(b) < wrArmFixed {
-		return WrArmReq{}, ErrShortAMHeader
+// DecodeArmReq unpacks the header. A geometry whose slots would exceed
+// the one-sided window bound is rejected rather than truncated.
+func DecodeArmReq(b []byte) (ArmReq, error) {
+	if len(b) < armFixed {
+		return ArmReq{}, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
-	r := WrArmReq{
+	r := ArmReq{
 		ReplyCtr: ucr.CounterID(le.Uint64(b)),
 		Addr:     le.Uint64(b[8:]),
 		RKey:     le.Uint32(b[16:]),
@@ -81,59 +85,77 @@ func DecodeWrArmReq(b []byte) (WrArmReq, error) {
 		Slots:    le.Uint32(b[24:]),
 	}
 	if uint64(r.SlotLen) > ucr.MaxWindowLen {
-		return WrArmReq{}, ErrShortAMHeader
+		return ArmReq{}, ErrShortAMHeader
 	}
 	return r, nil
 }
 
-// GetWReq is the AM 1 header for a slot-advertising Get: the KeyReq
-// fields plus the arena slot index the reply may be written into. Wire
-// layout: replyCtr(8) slot(2) klen(2) key.
-type GetWReq struct {
-	ReplyCtr ucr.CounterID
-	Slot     uint16
-	Key      string
+// ArmReply answers AMArm: whether the reply arena was accepted (AMOK
+// also when none was offered), and the one-sided directory — Enabled
+// false unless the server publishes one. Wire layout: status(1) then
+// the OSDesc encoding.
+type ArmReply struct {
+	Status uint8
+	OS     OSDesc
 }
 
-// getWFixed is the fixed prefix of a GetWReq.
-const getWFixed = 8 + 2 + 2
+// EncodeArmReply packs the reply header.
+func EncodeArmReply(r ArmReply) []byte {
+	return append([]byte{r.Status}, EncodeOSDesc(r.OS)...)
+}
 
-// AppendGetWReq packs the header onto dst.
-func AppendGetWReq(dst []byte, r GetWReq) []byte {
+// DecodeArmReply unpacks the reply header.
+func DecodeArmReply(b []byte) (ArmReply, error) {
+	if len(b) < 1 {
+		return ArmReply{}, ErrShortAMHeader
+	}
+	os, err := DecodeOSDesc(b[1:])
+	return ArmReply{Status: b[0], OS: os}, err
+}
+
+// AppendGetReq packs a Get header onto dst and reports the AM id that
+// carries it: AMGet is the KeyReq layout, replyCtr(8) klen(2) key, and
+// AMGetW inserts the arena slot the reply may be written into,
+// replyCtr(8) slot(2) klen(2) key. slot is index plus one, zero for none.
+func AppendGetReq(dst []byte, ctr ucr.CounterID, slot int32, key string) ([]byte, uint8) {
+	if slot == 0 {
+		return AppendKeyReq(dst, KeyReq{ReplyCtr: ctr, Key: key}), AMGet
+	}
 	le := binary.LittleEndian
-	dst = le.AppendUint64(dst, uint64(r.ReplyCtr))
-	dst = le.AppendUint16(dst, r.Slot)
-	dst = le.AppendUint16(dst, uint16(len(r.Key)))
-	return append(dst, r.Key...)
+	dst = le.AppendUint64(dst, uint64(ctr))
+	dst = le.AppendUint16(dst, uint16(slot-1))
+	dst = le.AppendUint16(dst, uint16(len(key)))
+	return append(dst, key...), AMGetW
 }
 
-// EncodeGetWReq packs the header.
-func EncodeGetWReq(r GetWReq) []byte {
-	return AppendGetWReq(make([]byte, 0, getWFixed+len(r.Key)), r)
-}
-
-// GetWReqView is a GetW header decoded in place: Key aliases the wire
-// buffer.
-type GetWReqView struct {
+// GetReqView is a Get header decoded in place: Key aliases the wire
+// buffer. Slot is index plus one, zero for a plain AMGet.
+type GetReqView struct {
 	ReplyCtr ucr.CounterID
-	Slot     uint16
+	Slot     int32
 	Key      []byte
 }
 
-// DecodeGetWReqView unpacks the header without copying the key.
-func DecodeGetWReqView(b []byte) (GetWReqView, error) {
-	if len(b) < getWFixed {
-		return GetWReqView{}, ErrShortAMHeader
+// DecodeGetReqView unpacks a Get header without copying the key;
+// slotted says which layout the AM id implies.
+func DecodeGetReqView(b []byte, slotted bool) (GetReqView, error) {
+	if !slotted {
+		k, err := DecodeKeyReqView(b)
+		return GetReqView{ReplyCtr: k.ReplyCtr, Key: k.Key}, err
+	}
+	const fixed = 8 + 2 + 2
+	if len(b) < fixed {
+		return GetReqView{}, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
 	kl := int(le.Uint16(b[10:]))
-	if len(b) < getWFixed+kl {
-		return GetWReqView{}, ErrShortAMHeader
+	if len(b) < fixed+kl {
+		return GetReqView{}, ErrShortAMHeader
 	}
-	return GetWReqView{
+	return GetReqView{
 		ReplyCtr: ucr.CounterID(le.Uint64(b)),
-		Slot:     le.Uint16(b[8:]),
-		Key:      b[getWFixed : getWFixed+kl],
+		Slot:     int32(le.Uint16(b[8:])) + 1,
+		Key:      b[fixed : fixed+kl],
 	}, nil
 }
 
@@ -156,11 +178,6 @@ func AppendGetWNotify(dst []byte, r GetWNotify) []byte {
 	return le.AppendUint32(dst, r.ValueLen)
 }
 
-// EncodeGetWNotify packs the header.
-func EncodeGetWNotify(r GetWNotify) []byte {
-	return AppendGetWNotify(make([]byte, 0, 17), r)
-}
-
 // DecodeGetWNotify unpacks the header.
 func DecodeGetWNotify(b []byte) (GetWNotify, error) {
 	if len(b) < 17 {
@@ -173,36 +190,6 @@ func DecodeGetWNotify(b []byte) (GetWNotify, error) {
 		CAS:      le.Uint64(b[5:]),
 		ValueLen: le.Uint32(b[13:]),
 	}, nil
-}
-
-// mgetWFixed is the fixed prefix of an AMMGetW request: replyCtr(8)
-// slot(2), followed by the standard mget key block nkeys(2)
-// {klen(2) key}*.
-const mgetWFixed = 8 + 2
-
-// AppendMGetWReq packs a slot-advertising multi-get onto dst.
-func AppendMGetWReq(dst []byte, ctr ucr.CounterID, slot uint16, keys []string) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint64(dst, uint64(ctr))
-	dst = le.AppendUint16(dst, slot)
-	dst = le.AppendUint16(dst, uint16(len(keys)))
-	for _, k := range keys {
-		dst = le.AppendUint16(dst, uint16(len(k)))
-		dst = append(dst, k...)
-	}
-	return dst
-}
-
-// NewMGetWCursor opens an in-place key cursor over an encoded AMMGetW
-// request, returning the reply counter and the advertised slot index.
-func NewMGetWCursor(b []byte) (ucr.CounterID, uint16, MGetKeyCursor, error) {
-	if len(b) < mgetWFixed+2 {
-		return 0, 0, MGetKeyCursor{}, ErrShortAMHeader
-	}
-	le := binary.LittleEndian
-	slot := le.Uint16(b[8:])
-	cur := MGetKeyCursor{b: b, off: mgetWFixed + 2, n: int(le.Uint16(b[mgetWFixed:]))}
-	return ucr.CounterID(le.Uint64(b)), slot, cur, nil
 }
 
 // MGetWNotify is the AM 2 header completing a write-served multi-get:

@@ -104,23 +104,17 @@ func OSBucketOf(h uint64, buckets int) int {
 	return int((h * 0x9e3779b97f4a7c15) >> shift)
 }
 
-// AM ids for the descriptor exchange: a client asks once per endpoint
-// whether one-sided GET is on and where the directory lives.
-const (
-	AMOSDesc      uint8 = 0x17
-	AMOSDescReply uint8 = 0x25
-)
-
-// OSDescReply answers AMOSDesc: whether one-sided GET is enabled and,
-// if so, the directory geometry and window descriptor.
-type OSDescReply struct {
+// OSDesc describes the one-sided directory to a client (it rides the
+// AMArm capability exchange): whether one-sided GET is enabled and, if
+// so, the directory geometry and window descriptor.
+type OSDesc struct {
 	Enabled        bool
 	Buckets, Slots int
 	Dir            ucr.WindowDesc
 }
 
-// EncodeOSDescReply packs the reply header.
-func EncodeOSDescReply(r OSDescReply) []byte {
+// EncodeOSDesc packs the descriptor.
+func EncodeOSDesc(r OSDesc) []byte {
 	b := make([]byte, 9)
 	if r.Enabled {
 		b[0] = 1
@@ -131,13 +125,13 @@ func EncodeOSDescReply(r OSDescReply) []byte {
 	return append(b, r.Dir.Encode()...)
 }
 
-// DecodeOSDescReply unpacks the reply header.
-func DecodeOSDescReply(b []byte) (OSDescReply, error) {
+// DecodeOSDesc unpacks the descriptor.
+func DecodeOSDesc(b []byte) (OSDesc, error) {
 	if len(b) < 9 {
-		return OSDescReply{}, ErrShortAMHeader
+		return OSDesc{}, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
-	r := OSDescReply{
+	r := OSDesc{
 		Enabled: b[0] != 0,
 		Buckets: int(le.Uint32(b[1:])),
 		Slots:   int(le.Uint32(b[5:])),
@@ -145,7 +139,7 @@ func DecodeOSDescReply(b []byte) (OSDescReply, error) {
 	if r.Enabled {
 		d, ok := ucr.DecodeWindowDesc(b[9:])
 		if !ok {
-			return OSDescReply{}, ErrShortAMHeader
+			return OSDesc{}, ErrShortAMHeader
 		}
 		r.Dir = d
 	}

@@ -193,9 +193,9 @@ type worker struct {
 	// window per endpoint. Nil in a normal build.
 	staleWins map[*ucr.Endpoint]ucr.WindowDesc
 	// wrTabs holds each armed connection's reply-arena geometry from its
-	// one-time AMWrArm slot-table exchange; slot-advertising requests
+	// one-time AMArm capability exchange; slot-advertising requests
 	// resolve their write window here.
-	wrTabs map[*ucr.Endpoint]wrTable
+	wrTabs map[*ucr.Endpoint]ArmReq
 
 	// Per-worker arenas, reused across operations so the steady-state
 	// AM hot path allocates nothing. Ownership rules are strict (see

@@ -120,25 +120,19 @@ func (s *Server) registerAMHandlers(rt *ucr.Runtime) {
 		Header:     s.amSetHeader,
 		Completion: s.amSetComplete,
 	})
-	rt.RegisterHandler(AMGet, ucr.Handler{
+	// A plain AMGet/AMMGet is the slot-advertising form with no slot:
+	// one handler serves both ids, told only which header layout to parse.
+	for _, slotted := range []bool{false, true} {
+		get, mget := AMGet, AMMGet
+		if slotted {
+			get, mget = AMGetW, AMMGetW
+		}
+		rt.RegisterHandler(get, ucr.Handler{Header: nilHeader, Completion: s.amGetComplete(slotted)})
+		rt.RegisterHandler(mget, ucr.Handler{Header: nilHeader, Completion: s.amMGetComplete(slotted)})
+	}
+	rt.RegisterHandler(AMArm, ucr.Handler{
 		Header:     nilHeader,
-		Completion: s.amGetComplete,
-	})
-	rt.RegisterHandler(AMGetW, ucr.Handler{
-		Header:     nilHeader,
-		Completion: s.amGetWComplete,
-	})
-	rt.RegisterHandler(AMMGet, ucr.Handler{
-		Header:     nilHeader,
-		Completion: s.amMGetComplete,
-	})
-	rt.RegisterHandler(AMMGetW, ucr.Handler{
-		Header:     nilHeader,
-		Completion: s.amMGetWComplete,
-	})
-	rt.RegisterHandler(AMWrArm, ucr.Handler{
-		Header:     nilHeader,
-		Completion: s.amWrArmComplete,
+		Completion: s.amArmComplete,
 	})
 	rt.RegisterHandler(AMStore, ucr.Handler{
 		Header:     s.amStoreHeader,
@@ -147,10 +141,6 @@ func (s *Server) registerAMHandlers(rt *ucr.Runtime) {
 	rt.RegisterHandler(AMDelete, ucr.Handler{
 		Header:     nilHeader,
 		Completion: s.amDeleteComplete,
-	})
-	rt.RegisterHandler(AMOSDesc, ucr.Handler{
-		Header:     nilHeader,
-		Completion: s.amOSDescComplete,
 	})
 	rt.RegisterHandler(AMIncr, ucr.Handler{
 		Header:     nilHeader,
@@ -211,123 +201,210 @@ func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 }
 
 // amGetComplete looks the item up and answers with AM 2 carrying the
-// value (§V-C). Large values stay pinned in slab memory until the
-// client's RDMA read completes (tracked by the reply's origin counter).
-func (s *Server) amGetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
-	req, err := DecodeKeyReqView(hdr)
-	if err != nil {
-		return
-	}
-	s.opCharge(clk, ep)
-	s.OpsServed.Add(1)
-	// The reply is served from the pinned item's slab memory, so no
-	// copy extends the hold (§V-C).
-	s.chargeLockBytes(clk, req.Key, 0)
-	it, ok := s.store.GetPinnedBytes(req.Key, clk.Now())
-	if !ok {
-		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMMiss})
-		_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
-		return
-	}
-	w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMOK, Flags: it.Flags(), CAS: it.CAS()})
-	if len(w.reply)+len(it.Value()) <= ep.MaxEager() {
-		// Eager: the value is packed into the reply transaction; the
-		// send path copies it out of slab memory, so unpin immediately.
-		_ = ep.Send(clk, AMGetReply, w.reply, it.Value(), nil, req.ReplyCtr, nil)
-		s.store.Unpin(it)
-		return
-	}
-	if ep.Reliability() == ucr.Unreliable {
-		// UD small-get mode: a value that outgrows the datagram cannot
-		// ride this endpoint (no rendezvous on UD) — tell the client to
-		// re-issue over its RC endpoint rather than failing the op.
-		s.store.Unpin(it)
-		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMTooBig})
-		_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
-		return
-	}
-	// Rendezvous: the client will RDMA-read straight from the item's
-	// chunk. Keep it pinned until the transfer's origin counter fires
-	// (directly addressing the corruption hazard the paper raises for
-	// designs that let clients read server memory unsupervised, §III).
-	ctr := s.ucrRT.NewCounter()
-	if err := ep.Send(clk, AMGetReply, w.reply, it.Value(), ctr, req.ReplyCtr, nil); err != nil {
-		s.store.Unpin(it)
-		s.ucrRT.FreeCounter(ctr)
-		return
-	}
-	w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr, item: it})
-}
-
-// amMGetComplete serves a whole key batch with one reply AM: per-item
-// metadata in the header, the values concatenated as the data block
-// (eager in one transaction when small, one client RDMA read when
-// large). Keys are walked straight out of the receive buffer and the
-// reply header is built in the worker's arena in the same pass.
-func (s *Server) amMGetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
-	replyCtr, cur, err := NewMGetKeyCursor(hdr)
-	if err != nil {
-		return
-	}
-	items := w.mgetItems[:0]
-	w.reply = BeginMGetReply(w.reply[:0])
-	total, found := 0, 0
-	for {
-		key, ok := cur.Next()
-		if !ok {
-			break
+// value (§V-C); how the value travels is the reply ladder's decision
+// (replyBand). slotted selects the AMGetW header layout.
+func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
+	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
+		w := s.workerFor(ep)
+		req, err := DecodeGetReqView(hdr, slotted)
+		if err != nil {
+			return
 		}
 		s.opCharge(clk, ep)
 		s.OpsServed.Add(1)
-		s.chargeLockBytes(clk, key, 0)
-		it, hit := s.store.GetPinnedBytes(key, clk.Now())
-		if !hit {
-			continue
+		// The reply is served from the pinned item's slab memory, so no
+		// copy extends the hold (§V-C).
+		s.chargeLockBytes(clk, req.Key, 0)
+		it, ok := s.store.GetPinnedBytes(req.Key, clk.Now())
+		if !ok {
+			w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMMiss})
+			_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
+			return
 		}
-		w.reply = AppendMGetReplyItem(w.reply, key, it.Flags(), it.CAS(), len(it.Value()))
-		items = append(items, it)
-		total += len(it.Value())
-		found++
+		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMOK, Flags: it.Flags(), CAS: it.CAS()})
+		win := w.wrWin(ep, req.Slot)
+		band := s.replyBand(ep, win, len(w.reply)+len(it.Value()))
+		s.sendValue(clk, w, ep, band, valueReply{ctr: req.ReplyCtr, win: win, value: it.Value(), item: it})
 	}
-	FinishMGetReply(w.reply, 0, found)
-	release := func() {
+}
+
+// amMGetComplete serves a whole key batch with one reply AM: per-item
+// metadata in the header, the values concatenated as the data block.
+// Keys are walked straight out of the receive buffer and the reply
+// header is built in the worker's arena in the same pass. The gather
+// WQE of a write reply carries two segments (header + one value block)
+// and the copy rungs pack one block too, so the values are staged
+// contiguously first and the pins released — the reply ladder then
+// sends a block that owns no pin.
+func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
+	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
+		w := s.workerFor(ep)
+		replyCtr, slot, cur, err := NewMGetKeyCursor(hdr, slotted)
+		if err != nil {
+			return
+		}
+		items := w.mgetItems[:0]
+		w.reply = BeginMGetReply(w.reply[:0])
+		total, found := 0, 0
+		for {
+			key, ok := cur.Next()
+			if !ok {
+				break
+			}
+			s.opCharge(clk, ep)
+			s.OpsServed.Add(1)
+			s.chargeLockBytes(clk, key, 0)
+			it, hit := s.store.GetPinnedBytes(key, clk.Now())
+			if !hit {
+				continue
+			}
+			w.reply = AppendMGetReplyItem(w.reply, key, it.Flags(), it.CAS(), len(it.Value()))
+			items = append(items, it)
+			total += len(it.Value())
+			found++
+		}
+		FinishMGetReply(w.reply, 0, found)
+		win := w.wrWin(ep, slot)
+		band := s.replyBand(ep, win, len(w.reply)+total)
+		// Assemble the block in one pre-sized copy straight out of the
+		// pinned slab chunks; the pins also keep eviction from recycling a
+		// chunk between lookup and copy. An eager reply is packed into the
+		// send buffer synchronously, so the worker's value arena can stage
+		// it; a written or rendezvous block is read by the HCA or the
+		// client later and needs a buffer of its own. A punted batch
+		// (bandPunt) stages nothing.
+		var values []byte
+		switch band {
+		case bandPunt:
+		case bandEager:
+			if cap(w.vals) < total {
+				w.vals = make([]byte, 0, total)
+			}
+			values = w.vals[:0]
+		default:
+			values = make([]byte, 0, total)
+		}
 		for i, it := range items {
+			if band != bandPunt {
+				values = append(values, it.Value()...)
+			}
 			s.store.Unpin(it)
 			items[i] = nil
 		}
 		w.mgetItems = items[:0]
+		clk.Advance(simnet.BytesDuration(len(values), s.ucrRT.Config().PackBytesPerSec))
+		s.sendValue(clk, w, ep, band, valueReply{mget: true, ctr: replyCtr, win: win, value: values})
 	}
-	if ep.Reliability() == ucr.Unreliable && len(w.reply)+total > ep.MaxEager() {
-		// UD small-get mode: the batch outgrew the datagram. Release the
-		// pins and send the payload-free retry marker; the client
-		// re-issues the whole batch over RC.
-		release()
-		_ = ep.Send(clk, AMMGetRetry, nil, nil, nil, replyCtr, nil)
+}
+
+// replyBand names one rung of the reply ladder.
+type replyBand int
+
+const (
+	bandWrite      replyBand = iota // gather-write into the client's slot + notify
+	bandEager                       // packed into the reply transaction
+	bandPunt                        // UD only: status-only "re-issue over RC"
+	bandRendezvous                  // client RDMA-reads the block
+)
+
+// replyBand is the server's one reply-path decision for a found value:
+// the ordered ladder write-into-slot → eager → UD punt → rendezvous,
+// judged on the reply's total size (header included), the endpoint's
+// class and the window the request advertised (zero-length: none). The
+// write rung wants a reliable endpoint (write replies never target a
+// datagram peer), a total past the crossover — below it the eager copy
+// is cheaper than write + notify — and room in the slot.
+func (s *Server) replyBand(ep *ucr.Endpoint, win ucr.WindowDesc, total int) replyBand {
+	switch {
+	case ep.Reliability() == ucr.Reliable && total > s.cfg.WriteReplyEager && total <= win.Len:
+		return bandWrite
+	case total <= ep.MaxEager():
+		return bandEager
+	case ep.Reliability() == ucr.Unreliable:
+		// No rendezvous on UD: tell the client to re-issue over its RC
+		// endpoint rather than failing the op.
+		return bandPunt
+	default:
+		return bandRendezvous
+	}
+}
+
+// valueReply is a found GET/MGET value on its way out: w.reply holds
+// the encoded reply header, value the data block. item is the pinned
+// slab chunk value aliases (GET); an MGET block is a staged copy that
+// owns no pin.
+type valueReply struct {
+	mget  bool
+	ctr   ucr.CounterID
+	win   ucr.WindowDesc
+	value []byte
+	item  *Item
+}
+
+// sendValue executes one rung of the reply ladder and owns the pin
+// lifecycle: a reply the HCA or the client reads asynchronously (write,
+// rendezvous) keeps its item pinned in pendingPins until the transfer's
+// origin counter fires — directly addressing the corruption hazard the
+// paper raises for designs that let clients read server memory
+// unsupervised (§III) — and every other exit unpins at once. A refused
+// write post (a failing endpoint, or the stale-window mutation's bounds
+// rejection) re-enters the ladder without the window.
+func (s *Server) sendValue(clk *simnet.VClock, w *worker, ep *ucr.Endpoint, band replyBand, r valueReply) {
+	msg := AMGetReply
+	if r.mget {
+		msg = AMMGetReply
+	}
+	if band == bandWrite {
+		// The value segment references its source in place. WriteReply
+		// guarantees the counter fires on success AND failure, so the pin
+		// sweep always releases it.
+		ctr := s.ucrRT.NewCounter()
+		if err := ep.WriteReply(clk, w.reply, r.value, w.writeReplyWin(ep, r.win), 0, ctr); err == nil {
+			w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr, item: r.item})
+			if r.mget {
+				w.reply = AppendMGetWNotify(w.reply[:0], MGetWNotify{
+					Status: AMOK, HdrLen: uint32(len(w.reply)), DataLen: uint32(len(r.value)),
+				})
+				msg = AMMGetWNotify
+			} else {
+				w.reply = AppendGetWNotify(w.reply[:0], GetWNotify{
+					Status: AMOK, Flags: r.item.Flags(), CAS: r.item.CAS(), ValueLen: uint32(len(r.value)),
+				})
+				msg = AMGetWNotify
+			}
+			_ = ep.Send(clk, msg, w.reply, nil, nil, r.ctr, nil)
+			return
+		}
+		s.ucrRT.FreeCounter(ctr)
+		band = s.replyBand(ep, ucr.WindowDesc{}, len(w.reply)+len(r.value))
+	}
+	if band == bandRendezvous && r.item != nil {
+		// The client will RDMA-read straight from the item's chunk.
+		ctr := s.ucrRT.NewCounter()
+		if err := ep.Send(clk, msg, w.reply, r.value, ctr, r.ctr, nil); err != nil {
+			s.store.Unpin(r.item)
+			s.ucrRT.FreeCounter(ctr)
+			return
+		}
+		w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr, item: r.item})
 		return
 	}
-	// Assemble the concatenated block in one pre-sized copy straight out
-	// of the pinned slab chunks; the pins also keep eviction from
-	// recycling a chunk between lookup and copy. An eager reply is
-	// packed into the send buffer synchronously, so the worker's value
-	// arena can stage it; a rendezvous reply is RDMA-read by the client
-	// later and needs a buffer of its own.
-	var values []byte
-	if len(w.reply)+total <= ep.MaxEager() {
-		if cap(w.vals) < total {
-			w.vals = make([]byte, 0, total)
-		}
-		values = w.vals[:0]
-	} else {
-		values = make([]byte, 0, total)
+	switch {
+	case band != bandPunt: // eager, or an MGET block the client reads by rendezvous
+		_ = ep.Send(clk, msg, w.reply, r.value, nil, r.ctr, nil)
+	case r.mget:
+		// MGetReply has no status field and its wire format is frozen:
+		// the payload-free retry marker tells the client to re-issue.
+		_ = ep.Send(clk, AMMGetRetry, nil, nil, nil, r.ctr, nil)
+	default:
+		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMTooBig})
+		_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, r.ctr, nil)
 	}
-	for _, it := range items {
-		values = append(values, it.Value()...)
+	if r.item != nil {
+		// The eager send packed the value out of slab memory before
+		// returning, so the pin can go.
+		s.store.Unpin(r.item)
 	}
-	release()
-	clk.Advance(simnet.BytesDuration(len(values), s.ucrRT.Config().PackBytesPerSec))
-	_ = ep.Send(clk, AMMGetReply, w.reply, values, nil, replyCtr, nil)
 }
 
 // amStoreHeader stages the incoming value for a conditional store. The
@@ -383,18 +460,32 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 	_ = ep.Send(clk, AMSetReply, w.reply, nil, nil, req.ReplyCtr, nil)
 }
 
-// amOSDescComplete answers the one-sided descriptor query: whether the
-// index is armed and, if so, the directory's geometry and window.
-func (s *Server) amOSDescComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	req, err := DecodeKeyReq(hdr)
+// amArmComplete is the capability exchange: it installs the
+// connection's reply-arena slot table, if one was offered, and answers
+// with the one-sided directory descriptor, if the index is armed.
+// Reliable endpoints only — write replies never target a datagram peer.
+func (s *Server) amArmComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
+	w := s.workerFor(ep)
+	req, err := DecodeArmReq(hdr)
 	if err != nil {
 		return
 	}
-	var rep OSDescReply
-	if x := s.store.OneSidedIndex(); x != nil {
-		rep = OSDescReply{Enabled: true, Buckets: x.Buckets(), Slots: x.Slots(), Dir: x.DirDesc()}
+	s.opCharge(clk, ep)
+	rep := ArmReply{Status: AMOK}
+	switch {
+	case req.Slots == 0:
+	case req.SlotLen == 0 || ep.Reliability() != ucr.Reliable:
+		rep.Status = AMError
+	default:
+		if w.wrTabs == nil {
+			w.wrTabs = make(map[*ucr.Endpoint]ArmReq)
+		}
+		w.wrTabs[ep] = req
 	}
-	_ = ep.Send(clk, AMOSDescReply, EncodeOSDescReply(rep), nil, nil, req.ReplyCtr, nil)
+	if x := s.store.OneSidedIndex(); x != nil {
+		rep.OS = OSDesc{Enabled: true, Buckets: x.Buckets(), Slots: x.Slots(), Dir: x.DirDesc()}
+	}
+	_ = ep.Send(clk, AMArmReply, EncodeArmReply(rep), nil, nil, req.ReplyCtr, nil)
 }
 
 // amDeleteComplete serves delete.

@@ -1,72 +1,28 @@
 package memcached
 
-import (
-	"repro/internal/simnet"
-	"repro/internal/ucr"
-)
+import "repro/internal/ucr"
 
-// Server half of the write-based reply path: the client registers its
-// reply arena once per connection (AMWrArm carries base/rkey/slot
-// geometry), and AMGetW/AMMGetW are then AMGet/AMMGet with a 2-byte
-// arena slot index riding the request header. A validated hit whose
-// reply exceeds the crossover and fits the slot is answered by
-// gather-writing [reply header ‖ value] into it — the GET value sourced
-// directly from the pinned slab chunk, no pack copy — followed by a
-// payload-free notify AM on the same QP (RC FIFO guarantees the data
-// lands before the notify is delivered). Everything else — small
-// values, oversize-vs-window, unregistered slots, unreliable endpoints,
-// post failures — falls back to the ordinary eager/rendezvous reply
-// ladder, which the client accepts on the same tag.
+// Server state of the write-based reply path: the slot table a client
+// registered with its AMArm exchange, against which AMGetW/AMMGetW slot
+// indexes resolve to write windows. The write rung itself lives in the
+// reply ladder (replyBand/sendValue in ucrserver.go); RC FIFO guarantees
+// the written data lands before the notify AM that follows it on the
+// same QP is delivered.
 
-// wrTable is one connection's registered reply arena.
-type wrTable struct {
-	addr    uint64
-	rkey    uint32
-	slotLen int32
-	slots   int32
-}
-
-// wrWin resolves a request's slot index against the endpoint's
-// registered table. An unarmed connection or out-of-range index yields
-// a zero-length window, which every write-band size check rejects — the
-// reply then takes the copy ladder.
-func (w *worker) wrWin(ep *ucr.Endpoint, slot uint16) ucr.WindowDesc {
+// wrWin resolves a request's slot (index plus one; zero = none) against
+// the arena the endpoint registered with its AMArm. No slot, an unarmed
+// connection or an out-of-range index yields a zero-length window, which
+// the ladder's write rung rejects — the reply then takes the copy rungs.
+func (w *worker) wrWin(ep *ucr.Endpoint, slot int32) ucr.WindowDesc {
 	tab, ok := w.wrTabs[ep]
-	if !ok || int32(slot) >= tab.slots {
+	if slot == 0 || !ok || uint32(slot) > tab.Slots {
 		return ucr.WindowDesc{}
 	}
 	return ucr.WindowDesc{
-		Addr: tab.addr + uint64(slot)*uint64(tab.slotLen),
-		RKey: tab.rkey,
-		Len:  int(tab.slotLen),
+		Addr: tab.Addr + uint64(slot-1)*uint64(tab.SlotLen),
+		RKey: tab.RKey,
+		Len:  int(tab.SlotLen),
 	}
-}
-
-// amWrArmComplete installs a connection's slot table. Reliable
-// endpoints only — write replies never target a datagram peer.
-func (s *Server) amWrArmComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
-	req, err := DecodeWrArmReq(hdr)
-	if err != nil {
-		return
-	}
-	s.opCharge(clk, ep)
-	status := AMOK
-	if req.SlotLen == 0 || req.Slots == 0 || ep.Reliability() != ucr.Reliable {
-		status = AMError
-	} else {
-		if w.wrTabs == nil {
-			w.wrTabs = make(map[*ucr.Endpoint]wrTable)
-		}
-		w.wrTabs[ep] = wrTable{
-			addr:    req.Addr,
-			rkey:    req.RKey,
-			slotLen: int32(req.SlotLen),
-			slots:   int32(req.Slots),
-		}
-	}
-	w.reply = AppendStatusReply(w.reply[:0], StatusReply{Status: status})
-	_ = ep.Send(clk, AMWrArmReply, w.reply, nil, nil, req.ReplyCtr, nil)
 }
 
 // writeReplyWin resolves which window a write reply targets. The
@@ -86,157 +42,6 @@ func (w *worker) writeReplyWin(ep *ucr.Endpoint, cur ucr.WindowDesc) ucr.WindowD
 		return cur
 	}
 	return prev
-}
-
-// amGetWComplete serves a window-advertising Get. The lookup and pin
-// lifecycle mirror amGetComplete; only the reply transport differs.
-func (s *Server) amGetWComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
-	req, err := DecodeGetWReqView(hdr)
-	if err != nil {
-		return
-	}
-	s.opCharge(clk, ep)
-	s.OpsServed.Add(1)
-	s.chargeLockBytes(clk, req.Key, 0)
-	it, ok := s.store.GetPinnedBytes(req.Key, clk.Now())
-	if !ok {
-		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMMiss})
-		_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
-		return
-	}
-	w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMOK, Flags: it.Flags(), CAS: it.CAS()})
-	total := len(w.reply) + len(it.Value())
-	win := w.wrWin(ep, req.Slot)
-	if ep.Reliability() == ucr.Reliable && total > s.cfg.WriteReplyEager && total <= win.Len {
-		// Write path: gather-post header+value into the client's slot.
-		// The value segment references the slab chunk in place, so the
-		// item stays pinned until the write completion settles ctr —
-		// WriteReply guarantees the counter fires on success AND failure,
-		// so the pin sweep always releases it.
-		ctr := s.ucrRT.NewCounter()
-		if err := ep.WriteReply(clk, w.reply, it.Value(), w.writeReplyWin(ep, win), 0, ctr); err == nil {
-			w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr, item: it})
-			w.reply = AppendGetWNotify(w.reply[:0], GetWNotify{
-				Status: AMOK, Flags: it.Flags(), CAS: it.CAS(), ValueLen: uint32(len(it.Value())),
-			})
-			_ = ep.Send(clk, AMGetWNotify, w.reply, nil, nil, req.ReplyCtr, nil)
-			return
-		}
-		s.ucrRT.FreeCounter(ctr)
-		// Fall through to the copy ladder (bounds rejection with the
-		// stale-window mutation, or a failing endpoint — the sends below
-		// then fail too, and the client times out and retries).
-	}
-	if total <= ep.MaxEager() {
-		// Below the crossover (or the write post was refused): the plain
-		// eager reply — packed copy, unpin immediately.
-		_ = ep.Send(clk, AMGetReply, w.reply, it.Value(), nil, req.ReplyCtr, nil)
-		s.store.Unpin(it)
-		return
-	}
-	if ep.Reliability() == ucr.Unreliable {
-		s.store.Unpin(it)
-		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMTooBig})
-		_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
-		return
-	}
-	// Oversize-vs-window: rendezvous, the client RDMA-reads the chunk.
-	ctr := s.ucrRT.NewCounter()
-	if err := ep.Send(clk, AMGetReply, w.reply, it.Value(), ctr, req.ReplyCtr, nil); err != nil {
-		s.store.Unpin(it)
-		s.ucrRT.FreeCounter(ctr)
-		return
-	}
-	w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr, item: it})
-}
-
-// amMGetWComplete serves a window-advertising multi-get. The gather WQE
-// carries two segments (header + one value block), so the values are
-// staged into one contiguous block first — the same pre-sized copy the
-// eager path pays — and the write then skips the client-side receive
-// copy and the oversize rendezvous round trip.
-func (s *Server) amMGetWComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
-	replyCtr, slot, cur, err := NewMGetWCursor(hdr)
-	if err != nil {
-		return
-	}
-	win := w.wrWin(ep, slot)
-	items := w.mgetItems[:0]
-	w.reply = BeginMGetReply(w.reply[:0])
-	total, found := 0, 0
-	for {
-		key, ok := cur.Next()
-		if !ok {
-			break
-		}
-		s.opCharge(clk, ep)
-		s.OpsServed.Add(1)
-		s.chargeLockBytes(clk, key, 0)
-		it, hit := s.store.GetPinnedBytes(key, clk.Now())
-		if !hit {
-			continue
-		}
-		w.reply = AppendMGetReplyItem(w.reply, key, it.Flags(), it.CAS(), len(it.Value()))
-		items = append(items, it)
-		total += len(it.Value())
-		found++
-	}
-	FinishMGetReply(w.reply, 0, found)
-	release := func() {
-		for i, it := range items {
-			s.store.Unpin(it)
-			items[i] = nil
-		}
-		w.mgetItems = items[:0]
-	}
-	if ep.Reliability() == ucr.Reliable && len(w.reply)+total > s.cfg.WriteReplyEager && len(w.reply)+total <= win.Len {
-		// The staged block is written asynchronously, so it cannot live
-		// in the worker's arena; pins release as soon as the copy is made.
-		values := make([]byte, 0, total)
-		for _, it := range items {
-			values = append(values, it.Value()...)
-		}
-		release()
-		clk.Advance(simnet.BytesDuration(total, s.ucrRT.Config().PackBytesPerSec))
-		ctr := s.ucrRT.NewCounter()
-		if err := ep.WriteReply(clk, w.reply, values, w.writeReplyWin(ep, win), 0, ctr); err == nil {
-			hl := len(w.reply)
-			w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr})
-			w.reply = AppendMGetWNotify(w.reply[:0], MGetWNotify{
-				Status: AMOK, HdrLen: uint32(hl), DataLen: uint32(total),
-			})
-			_ = ep.Send(clk, AMMGetWNotify, w.reply, nil, nil, replyCtr, nil)
-			return
-		}
-		s.ucrRT.FreeCounter(ctr)
-		// Copy ladder below; the values were already released, so it
-		// re-reads nothing — the eager send packs the staged block.
-		clk.Advance(simnet.BytesDuration(len(values), s.ucrRT.Config().PackBytesPerSec))
-		_ = ep.Send(clk, AMMGetReply, w.reply, values, nil, replyCtr, nil)
-		return
-	}
-	if ep.Reliability() == ucr.Unreliable && len(w.reply)+total > ep.MaxEager() {
-		release()
-		_ = ep.Send(clk, AMMGetRetry, nil, nil, nil, replyCtr, nil)
-		return
-	}
-	var values []byte
-	if len(w.reply)+total <= ep.MaxEager() {
-		if cap(w.vals) < total {
-			w.vals = make([]byte, 0, total)
-		}
-		values = w.vals[:0]
-	} else {
-		values = make([]byte, 0, total)
-	}
-	for _, it := range items {
-		values = append(values, it.Value()...)
-	}
-	release()
-	clk.Advance(simnet.BytesDuration(len(values), s.ucrRT.Config().PackBytesPerSec))
-	_ = ep.Send(clk, AMMGetReply, w.reply, values, nil, replyCtr, nil)
 }
 
 // UCRWriteReplies totals the write-based replies posted across the

@@ -29,33 +29,11 @@ type Config struct {
 	// NoBursts generates a purely blocking workload with the TTL mix
 	// (see GenConfig.NoBursts).
 	NoBursts bool
-	// OneSided arms the one-sided GET path (UCR transport only): servers
-	// publish the RDMA-readable directory and clients serve validated GET
-	// hits without any server AM. Those hits leave no server record, so
-	// the cross-check validates them by item-version containment.
-	OneSided bool
-	// SRQ serves the deployment from shared receive queues (UCR
-	// transport only): one buffer pool per server worker instead of
-	// per-endpoint credit rings, with arrivals demultiplexed back to
-	// endpoints by QPN. Result.SRQDemux counts those demux decisions —
-	// a run that never demuxed validated nothing.
-	SRQ bool
-	// UD arms the hybrid UD small-get mode (UCR transport only):
-	// clients dial an unreliable datagram endpoint beside RC and serve
-	// datagram-sized GET/MGETs over it, with client-side retransmission
-	// recovering losses. Result.UDGets / UDRetransmits count the
-	// traffic for vacuity checks.
-	UD bool
-	// WriteReplies arms the write-based reply path (UCR transport
-	// only): clients advertise registered reply windows with each GET/
-	// MGET and servers answer crossover-sized hits by RDMA-writing the
-	// reply into the window, completing the op with a payload-free
-	// notify. The crossover is forced down to 64 bytes so the
-	// generator's ordinary values exercise the path; replies below it
-	// (and oversize-vs-window ones) still take the fallback ladder.
-	// Result.WriteReplies counts the server's posted writes — a sweep
-	// that never wrote validated nothing.
-	WriteReplies bool
+	// Mode names the row of the mode table (Modes) whose datapath the
+	// deployment arms; "" is the default row.
+	Mode string
+	// Servers is the fleet mode's initial member count (default 4).
+	Servers int
 }
 
 // Observation is one client-side outcome, tagged with which client saw it.
@@ -66,16 +44,12 @@ type Observation struct {
 
 // runOutcome is everything one execution produced: the server's
 // transition history (sorted by Seq — the linearization order), the
-// clients' observations, and the datapath counters the srq/ud vacuity
+// clients' observations, and the datapath counters the mode's vacuity
 // guards check.
 type runOutcome struct {
-	Records       []*memcached.OpRecord
-	Obs           []Observation
-	SRQDemux      uint64
-	UDGets        uint64
-	UDRetransmits uint64
-	BatchedDrains uint64
-	WriteReplies  uint64
+	Records []*memcached.OpRecord
+	Obs     []Observation
+	Counters
 }
 
 // execute runs a script against a fresh deployment and collects the
@@ -89,6 +63,10 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 		Stripes:       4,
 		MemoryLimit:   64 << 20,
 	}
+	mode, err := ModeByName(cfg.Mode)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Pressure {
 		// Two slab pages: one ends up with the small classes, one with
 		// the generator's 33–63 KB pressure values (≈16 chunks), so LRU
@@ -98,18 +76,8 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	if cfg.Faults {
 		opts.Faults = cluster.LossyFaults(1.0, cfg.Seed^0x5eed)
 	}
-	if cfg.OneSided {
-		opts.OneSidedGet = true
-	}
-	if cfg.SRQ {
-		opts.UseSRQ = true
-	}
-	if cfg.UD {
-		opts.UDGets = true
-	}
-	if cfg.WriteReplies {
-		opts.WriteReplies = true
-		opts.WriteReplyEager = 64
+	if mode.Options != nil {
+		mode.Options(&opts)
 	}
 	d := cluster.New(cluster.ClusterB(), opts)
 	defer d.Close()
@@ -162,33 +130,29 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	}
 	x.epilogue(sc)
 
-	// Snapshot the client-side UD counters before teardown, then close:
-	// lossy retries can leave duplicated requests still draining through
-	// the server; Close joins the workers, so afterwards the history is
-	// complete.
-	var udGets, udRetx uint64
-	for _, cl := range x.clients {
-		if ut, ok := cl.MC.Transport(0).(*mcclient.UCRTransport); ok {
-			g, r, _ := ut.UDStats()
-			udGets += g
-			udRetx += r
-		}
+	// Snapshot the client-side path counters before teardown, then
+	// close: lossy retries can leave duplicated requests still draining
+	// through the server; Close joins the workers, so afterwards the
+	// history is complete.
+	out := &runOutcome{Counters: Counters{Runs: 1}}
+	if cfg.Transport == cluster.UCRIB {
+		out.UCRRuns = 1
 	}
 	for _, cl := range x.clients {
+		if ut, ok := cl.MC.Transport(0).(*mcclient.UCRTransport); ok {
+			out.Paths.Add(ut.PathStats())
+		}
 		cl.Close()
 	}
 	x.clients = nil
 	d.Close()
 	x.store.SetRecorder(nil)
 
-	recs := x.records
-	sortRecords(recs)
-	return &runOutcome{
-		Records: recs, Obs: x.obs,
-		SRQDemux: d.Server.UCRSRQDemux(), UDGets: udGets, UDRetransmits: udRetx,
-		BatchedDrains: d.Server.UCRBatchedDrains(),
-		WriteReplies:  d.Server.UCRWriteReplies(),
-	}, nil
+	out.Records, out.Obs = x.records, x.obs
+	sortRecords(out.Records)
+	out.SRQDemux, out.BatchedDrains, out.WriteReplies =
+		d.Server.UCRSRQDemux(), d.Server.UCRBatchedDrains(), d.Server.UCRWriteReplies()
+	return out, nil
 }
 
 type executor struct {

@@ -98,7 +98,7 @@ type fleetModel struct {
 	lossy    bool
 	replicas int
 	ring     *ring.Ring
-	exact    map[string]map[string]fleetVal       // clean: server → key → value
+	exact    map[string]map[string]fleetVal          // clean: server → key → value
 	cand     map[string]map[string]map[fleetVal]bool // lossy: server → key → candidates
 }
 
@@ -483,7 +483,7 @@ func formatFleetReport(res *FleetResult) string {
 	fmt.Fprintf(&b, "  violation: %s\n", res.Violation.Error())
 	fmt.Fprintf(&b, "  churn: joins=%d leaves=%d crashes=%d moved=%.4f repairs=%d\n",
 		res.Joins, res.Leaves, res.Crashes, res.Moved, res.Stats.Repairs)
-	replay := fmt.Sprintf("go run ./cmd/mccheck -fleet -transport %s -seed %d", cfg.Transport, cfg.Seed)
+	replay := fmt.Sprintf("go run ./cmd/mccheck -mode fleet -transport %s -seed %d", cfg.Transport, cfg.Seed)
 	if cfg.Faults {
 		replay += " -faults"
 	}

@@ -106,7 +106,7 @@ func TestFleetCatchesMutRingStale(t *testing.T) {
 				t.Fatalf("shrink made no progress: %d -> %d ops",
 					len(res.Script.Ops), len(res.Shrunk.Ops))
 			}
-			if !strings.Contains(res.Report, "-fleet") {
+			if !strings.Contains(res.Report, "-mode fleet") {
 				t.Fatalf("report lacks fleet replay line:\n%s", res.Report)
 			}
 			// The shrunk script must still fail when replayed.

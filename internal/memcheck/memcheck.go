@@ -19,17 +19,8 @@ type Result struct {
 	Shrunk    *Script
 	Report    string
 
-	// Datapath counters for the srq/ud vacuity guards: SRQ demux
-	// decisions on the server, and requests/retransmissions on the
-	// clients' UD endpoints. BatchedDrains guards the batch-scheduled
-	// serving loop the same way: a UCR sweep with pipelined bursts
-	// where no worker ever harvested ≥2 completions in one drain was
-	// exercising the old request-at-a-time loop, not the batched one.
-	SRQDemux      uint64
-	UDGets        uint64
-	UDRetransmits uint64
-	BatchedDrains uint64
-	WriteReplies  uint64
+	// Counters feed the mode's vacuity guards (see Mode.Guards).
+	Counters
 }
 
 // Run generates the workload for cfg.Seed, executes it, and checks the
@@ -52,11 +43,7 @@ func RunScript(sc Script, cfg Config) *Result {
 	if out != nil {
 		res.History = out.Records
 		res.Obs = out.Obs
-		res.SRQDemux = out.SRQDemux
-		res.UDGets = out.UDGets
-		res.UDRetransmits = out.UDRetransmits
-		res.BatchedDrains = out.BatchedDrains
-		res.WriteReplies = out.WriteReplies
+		res.Counters = out.Counters
 	}
 	res.Violation = verdict(out, err, cfg)
 	if res.Violation == nil {
@@ -174,10 +161,14 @@ func formatReport(res *Result) string {
 	cfg := res.Config
 	var b strings.Builder
 	b.WriteString("memcheck: VIOLATION\n")
-	fmt.Fprintf(&b, "  seed=%d transport=%s faults=%v pressure=%v nobursts=%v onesided=%v srq=%v ud=%v wrreply=%v clients=%d ops=%d\n",
-		cfg.Seed, cfg.Transport, cfg.Faults, cfg.Pressure, cfg.NoBursts, cfg.OneSided, cfg.SRQ, cfg.UD, cfg.WriteReplies, res.Script.Clients, len(res.Script.Ops))
+	mode := cfg.Mode
+	if mode == "" {
+		mode = Modes[0].Name
+	}
+	fmt.Fprintf(&b, "  mode=%s seed=%d transport=%s faults=%v pressure=%v nobursts=%v clients=%d ops=%d\n",
+		mode, cfg.Seed, cfg.Transport, cfg.Faults, cfg.Pressure, cfg.NoBursts, res.Script.Clients, len(res.Script.Ops))
 	fmt.Fprintf(&b, "  violation: %s\n", res.Violation.Error())
-	replay := fmt.Sprintf("go run ./cmd/mccheck -transport %s -seed %d", cfg.Transport, cfg.Seed)
+	replay := fmt.Sprintf("go run ./cmd/mccheck -mode %s -transport %s -seed %d", mode, cfg.Transport, cfg.Seed)
 	if cfg.Faults {
 		replay += " -faults"
 	}
@@ -186,18 +177,6 @@ func formatReport(res *Result) string {
 	}
 	if cfg.NoBursts {
 		replay += " -nobursts"
-	}
-	if cfg.OneSided {
-		replay += " -onesided"
-	}
-	if cfg.SRQ {
-		replay += " -srq"
-	}
-	if cfg.UD {
-		replay += " -ud"
-	}
-	if cfg.WriteReplies {
-		replay += " -wrreply"
 	}
 	if cfg.Clients != 0 {
 		replay += fmt.Sprintf(" -clients %d", cfg.Clients)

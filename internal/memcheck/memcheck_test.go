@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/mcclient"
 	"repro/internal/memcached"
 )
 
@@ -72,7 +73,7 @@ func TestOneSidedSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		oneSided := 0
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, OneSided: true})
+			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "onesided"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
@@ -98,7 +99,7 @@ func TestSRQSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		var demux uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, SRQ: true})
+			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "srq"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
@@ -121,12 +122,12 @@ func TestUDSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		var gets, retx uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, UD: true})
+			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "ud"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
-			gets += res.UDGets
-			retx += res.UDRetransmits
+			gets += res.Paths.By[mcclient.PathUD].Hits
+			retx += res.Paths.By[mcclient.PathUD].Retries
 		}
 		if gets == 0 {
 			t.Errorf("faults=%v: no request rode the UD endpoint", faults)
@@ -244,41 +245,27 @@ func TestMutationsCaught(t *testing.T) {
 	if muts == nil {
 		t.Skip("no store mutations active; run with -tags mut_append_nocas (etc.)")
 	}
-	// Some mutations only fire on an opt-in datapath, so arm it (on the
-	// UCR transport, the only one that has them). mut_ud_dup_ack needs
-	// late duplicate replies to exist at all, which takes UD traffic
-	// plus the timeouts of a lossy fabric.
-	oneSided, srq, ud, udFaults := false, false, false, false
-	for _, m := range muts {
-		switch m {
-		case "mut_onesided_stale":
-			oneSided = true
-		case "mut_srq_misroute":
-			srq = true
-		case "mut_ud_dup_ack":
-			ud = true
-			udFaults = true
-		}
-	}
+	// Some mutations only fire on an opt-in datapath or the lossy
+	// fabric: the mode table says which (the UCR transport is the only
+	// one that has them).
+	mode, lossy := ModeFor(muts)
 	for seed := uint64(1); seed <= 10; seed++ {
-		for _, tr := range transports {
+		for _, tr := range mode.Transports(transports) {
 			for _, nb := range []bool{false, true} {
-				ucr := tr == cluster.UCRIB
-				res := Run(Config{Transport: tr, Seed: seed, Ops: 200, NoBursts: nb,
-					Faults:   udFaults && ucr,
-					OneSided: oneSided && ucr,
-					SRQ:      srq && ucr,
-					UD:       ud && ucr})
-				if res.Violation == nil {
+				if nb && mode.Fleet {
+					continue // the fleet workload has no blocking-only shape
+				}
+				out := mode.Run(Config{Transport: tr, Seed: seed, Ops: 200, NoBursts: nb, Faults: lossy}, nil)
+				if out.Violation == nil {
 					continue
 				}
-				if !strings.Contains(res.Report, "seed=") || !strings.Contains(res.Report, "replay:") {
-					t.Fatalf("report missing replay info:\n%s", res.Report)
+				if !strings.Contains(out.Report, "seed=") || !strings.Contains(out.Report, "replay:") {
+					t.Fatalf("report missing replay info:\n%s", out.Report)
 				}
-				if res.Shrunk == nil || len(res.Shrunk.Ops) == 0 || len(res.Shrunk.Ops) > len(res.Script.Ops) {
+				if out.Shrunk == nil || len(out.Shrunk.Ops) == 0 || len(out.Shrunk.Ops) > len(out.Script.Ops) {
 					t.Fatalf("bad shrunk script")
 				}
-				t.Logf("mutation %v caught: transport=%s seed=%d shrunk to %d ops", muts, tr, seed, len(res.Shrunk.Ops))
+				t.Logf("mutation %v caught: mode=%s transport=%s seed=%d shrunk to %d ops", muts, mode.Name, tr, seed, len(out.Shrunk.Ops))
 				return
 			}
 		}

@@ -35,9 +35,18 @@ type Resource struct {
 // gap is a half-open idle interval [from, to) below the frontier.
 type gap struct{ from, to Time }
 
-// maxGaps bounds the remembered idle intervals; when exceeded the oldest
-// (earliest) gap is forgotten — forfeiting capacity, never inventing it.
-const maxGaps = 64
+// maxGaps bounds the remembered idle intervals; when it is reached the
+// earliest gaps are forgotten — forfeiting capacity, never inventing it.
+// Forgetting is visible: an actor lagging further behind the frontier
+// than the list reaches queues at the frontier instead of running in the
+// capacity that was free at its time. The value is measured, not
+// derived (CHANGES.md PR 12 has the runs): the 16-goroutine
+// ClientScaling bench teleports late-scheduled clients and fails 28/40
+// runs at 64, 20/40 at 128, 8/40 at 256 and 0/40 from 512 up, while
+// every resource with idle time between bookings fills its list, so 4096
+// costs the benchmark's single-client workloads +22 % live heap and
+// +15 % bytes/op where 512 costs +2 % and +0.3 %.
+const maxGaps = 512
 
 // NewResource returns an idle resource with the given diagnostic name.
 func NewResource(name string) *Resource { return &Resource{name: name} }
@@ -60,7 +69,18 @@ func (r *Resource) Acquire(at Time, dur Duration) (start Time) {
 	// Backfill: a request whose virtual time lands below the frontier
 	// takes the earliest remembered idle interval that can hold it.
 	if at < r.nextFree && dur > 0 {
-		for i := range r.gaps {
+		// The gaps are sorted and disjoint, and one ending at or before
+		// `at` cannot hold the request: binary-search past those, then
+		// first-fit.
+		i, hi := 0, len(r.gaps)
+		for i < hi {
+			if mid := int(uint(i+hi) >> 1); r.gaps[mid].to <= at {
+				i = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for ; i < len(r.gaps); i++ {
 			g := r.gaps[i]
 			s := MaxTime(at, g.from)
 			if s+dur > g.to {
@@ -75,10 +95,7 @@ func (r *Resource) Acquire(at Time, dur Duration) (start Time) {
 				r.gaps[i].to = s
 			default: // booked inside: split
 				r.gaps[i].to = s
-				rest := gap{from: s + dur, to: g.to}
-				r.gaps = append(r.gaps, gap{})
-				copy(r.gaps[i+2:], r.gaps[i+1:])
-				r.gaps[i+1] = rest
+				r.insertGap(i+1, gap{from: s + dur, to: g.to})
 			}
 			return s
 		}
@@ -87,14 +104,26 @@ func (r *Resource) Acquire(at Time, dur Duration) (start Time) {
 	if start > r.nextFree {
 		// The stretch between the old frontier and this booking was idle:
 		// remember it for latecomers with earlier virtual times.
-		if len(r.gaps) == maxGaps {
-			copy(r.gaps, r.gaps[1:])
-			r.gaps = r.gaps[:maxGaps-1]
-		}
-		r.gaps = append(r.gaps, gap{from: r.nextFree, to: start})
+		r.insertGap(len(r.gaps), gap{from: r.nextFree, to: start})
 	}
 	r.nextFree = start + dur
 	return start
+}
+
+// insertGap puts g at index i — the one place gaps grow, so the bound
+// holds on every path. A full list forgets its earliest quarter in one
+// move: any actor with idle time between bookings fills the list, and
+// forgetting one gap at a time would then shift all of it on every
+// insert.
+func (r *Resource) insertGap(i int, g gap) {
+	if len(r.gaps) == maxGaps {
+		const drop = maxGaps / 4
+		r.gaps = r.gaps[:copy(r.gaps, r.gaps[drop:])]
+		i = max(i-drop, 0) // a split below the forgotten prefix keeps its upper half, at the head
+	}
+	r.gaps = append(r.gaps, gap{})
+	copy(r.gaps[i+1:], r.gaps[i:])
+	r.gaps[i] = g
 }
 
 // NextFree reports the earliest time new work could start.

@@ -120,3 +120,36 @@ func TestResourceReset(t *testing.T) {
 		t.Fatalf("post-reset acquire = %d, want 510", got)
 	}
 }
+
+// TestResourceGapListBounded interleaves two out-of-order actors — A
+// racing ahead and leaving an idle gap per op, B trailing and booking
+// into the middle of A's latest gap, which splits it — for 10⁵ acquires
+// each, with a far laggard C occasionally splitting the EARLIEST
+// remembered gap. Every path that grows the gap list must respect the
+// bound, or the list (and every later acquire's scan) grows with the ops
+// served; and forgetting must leave the list sorted and disjoint.
+func TestResourceGapListBounded(t *testing.T) {
+	r := NewResource("r")
+	for i := 1; i <= 100_000; i++ {
+		at := Time(i) * 1000
+		if got := r.Acquire(at, 100); got != at {
+			t.Fatalf("A acquire(%d) = %d", at, got)
+		}
+		if got := r.Acquire(at-500, 10); got != at-500 {
+			t.Fatalf("B acquire(%d) = %d, want a mid-gap backfill", at-500, got)
+		}
+		if g := r.gaps[0]; i%100 == 0 && g.to-g.from >= 3 {
+			if c := g.from + 1; r.Acquire(c, 1) != c {
+				t.Fatalf("C acquire(%d) did not land in the earliest gap %+v", c, g)
+			}
+		}
+		if n := len(r.gaps); n > maxGaps {
+			t.Fatalf("after %d rounds: %d gaps remembered, bound is %d", i, n, maxGaps)
+		}
+	}
+	for k := 1; k < len(r.gaps); k++ {
+		if r.gaps[k-1].from >= r.gaps[k-1].to || r.gaps[k-1].to > r.gaps[k].from {
+			t.Fatalf("gaps %d,%d out of order: %+v %+v", k-1, k, r.gaps[k-1], r.gaps[k])
+		}
+	}
+}
