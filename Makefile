@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 test perfgate mutations list-mutations check-ci-modes fuzz-smoke
+.PHONY: tier1 tier2 race-datapath test perfgate mutations list-mutations check-ci-modes fuzz-smoke
 
 tier1:
 	go build ./...
@@ -11,6 +11,15 @@ tier1:
 tier2:
 	go vet ./...
 	go test -race ./...
+
+# The race detector over the datapath packages alone. tier2 is red for
+# ROADMAP item 1's reason (scheduling-dependent virtual time in the
+# determinism tests of internal/bench and internal/cluster), which would
+# hide a new data race in the layers every op crosses; these four are
+# green, so this target gates them on their own.
+race-datapath:
+	go vet ./...
+	go test -race ./internal/simnet ./internal/sockstream ./internal/memcached ./internal/mcclient
 
 test: tier1 tier2
 
@@ -53,6 +62,7 @@ FUZZTIME ?= 30s
 
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTextProtocol$$' -fuzztime $(FUZZTIME) ./internal/memcached
+	go test -run '^$$' -fuzz '^FuzzTextCodec$$' -fuzztime $(FUZZTIME) ./internal/memcached
 	go test -run '^$$' -fuzz '^FuzzAMCodecs$$' -fuzztime $(FUZZTIME) ./internal/memcached
 
 # Perf-regression gate: a quick mcbench run (trimmed pipeline +

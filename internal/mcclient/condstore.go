@@ -36,34 +36,14 @@ func (t *UCRTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags u
 	return o.status.Result, nil
 }
 
-// storeOpVerbs maps memcached.StoreOp* codes to text-protocol verbs.
-var storeOpVerbs = map[uint8]string{
-	memcached.StoreOpAdd:     "add",
-	memcached.StoreOpReplace: "replace",
-	memcached.StoreOpAppend:  "append",
-	memcached.StoreOpPrepend: "prepend",
-	memcached.StoreOpCas:     "cas",
-}
-
 // StoreOp implements CondStorer with the matching text-protocol verb.
 func (t *SockTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64) (memcached.StoreResult, error) {
-	verb, ok := storeOpVerbs[op]
-	if !ok {
+	if memcached.StoreVerb(op) == "" {
 		return 0, fmt.Errorf("mcclient: unknown store op %d", op)
 	}
-	t.conn.SetClock(clk)
-	var req string
-	if op == memcached.StoreOpCas {
-		req = fmt.Sprintf("cas %s %d %d %d %d\r\n", key, flags, exptime, len(value), casID)
-	} else {
-		req = fmt.Sprintf("%s %s %d %d %d\r\n", verb, key, flags, exptime, len(value))
-	}
-	buf := make([]byte, 0, len(req)+len(value)+2)
-	buf = append(buf, req...)
-	buf = append(buf, value...)
-	buf = append(buf, '\r', '\n')
-	if _, err := t.conn.Write(buf); err != nil {
-		return 0, ErrServerDown
+	req := memcached.AppendTextStore(t.req[:0], op, key, flags, exptime, value, casID, false)
+	if err := t.send(clk, req); err != nil {
+		return 0, err
 	}
 	return t.readSetReply()
 }
@@ -113,7 +93,7 @@ func (c *Client) storeOp(op uint8, key string, value []byte, flags uint32, expti
 	default:
 		// TooLarge / OOM: server-side failure, same classification as
 		// Client.Set's.
-		return fmt.Errorf("%w: %s failed: %s", ErrServerError, storeOpVerbs[op], res)
+		return fmt.Errorf("%w: %s failed: %s", ErrServerError, memcached.StoreVerb(op), res)
 	}
 }
 

@@ -49,72 +49,108 @@ type Pipeline interface {
 	Window() int
 }
 
-// GetFuture is the pending result of StartGet.
-type GetFuture struct {
-	value []byte
+// future is the one allocation a pipelined request makes: the result
+// its caller waits on and the window entry its pipeline tracks, in one
+// struct. GetFuture, SetFuture and BoolFuture are views of it that
+// differ only in what Wait returns. Futures are not recycled, so Wait
+// may be called any number of times.
+type future struct {
+	pipe futureWaiter // the pipeline that issued it
+	kind futureKind
+
+	// Window entry.
+	sent    bool
+	failed  bool   // the send never reached the wire: settles ErrServerDown
+	landing bool   // UCR: settled, but the value still sits in the op's write-reply slot
+	op      *amOp  // UCR: the tagged request
+	key     string // sockets: the requested key, checked against the VALUE line
+	lend    []byte // sockets: the caller-lent value buffer
+
+	// Result; done says it is readable.
+	done  bool
+	err   error
+	value []byte // get
 	flags uint32
 	cas   uint64
 	hit   bool
-	err   error
-	done  bool
-	wait  func(clk *simnet.VClock)
+	res   memcached.StoreResult // set
+	ok    bool                  // delete
 }
+
+// futureKind says which reply settles a future.
+type futureKind uint8
+
+const (
+	futGet futureKind = iota
+	futSet
+	futDelete
+)
+
+// futureWaiter is the pipeline side of Wait: drive the connection until
+// f is done.
+type futureWaiter interface {
+	waitFor(clk *simnet.VClock, f *future)
+}
+
+func (f *future) wait(clk *simnet.VClock) {
+	if !f.done {
+		f.pipe.waitFor(clk, f)
+	}
+}
+
+// GetFuture is the pending result of StartGet.
+type GetFuture future
 
 // Wait settles the future (driving the pipeline as needed) and returns
 // the get outcome, mirroring Transport.Get.
 func (f *GetFuture) Wait(clk *simnet.VClock) ([]byte, uint32, uint64, bool, error) {
-	if !f.done {
-		f.wait(clk)
-	}
+	(*future)(f).wait(clk)
 	return f.value, f.flags, f.cas, f.hit, f.err
 }
 
 // SetFuture is the pending result of StartSet.
-type SetFuture struct {
-	res  memcached.StoreResult
-	err  error
-	done bool
-	wait func(clk *simnet.VClock)
-}
+type SetFuture future
 
 // Wait settles the future and returns the store outcome.
 func (f *SetFuture) Wait(clk *simnet.VClock) (memcached.StoreResult, error) {
-	if !f.done {
-		f.wait(clk)
-	}
+	(*future)(f).wait(clk)
 	return f.res, f.err
 }
 
 // BoolFuture is the pending result of StartDelete.
-type BoolFuture struct {
-	ok   bool
-	err  error
-	done bool
-	wait func(clk *simnet.VClock)
-}
+type BoolFuture future
 
 // Wait settles the future and returns the outcome.
 func (f *BoolFuture) Wait(clk *simnet.VClock) (bool, error) {
-	if !f.done {
-		f.wait(clk)
-	}
+	(*future)(f).wait(clk)
 	return f.ok, f.err
 }
 
-// pipeOp is one pipelined request: the tagged op, whether its send hit
-// the wire yet, and how to record its outcome into the future.
-type pipeOp struct {
-	op     *amOp
-	sent   bool
-	failed bool // send never reached the wire: settle ErrServerDown
-	done   bool
-	settle func(err error)
-	// land is non-nil while a write-reply landing is deferred: the value
-	// still sits in the op's reply slot and this reads it out into the
-	// future. The pipeline runs pending landings just before each
-	// blocking CQ wait, so the copy overlaps the wire instead of
-	// delaying the next request.
-	land func()
+// settleUCR records a settled UCR op's outcome in the future. A GET
+// whose value still sits in its write-reply slot is not read out yet:
+// deferred reports it, and the pipeline lands it just before its next
+// blocking CQ wait, so the copy overlaps the wire instead of delaying
+// the next request.
+func (f *future) settleUCR(t *UCRTransport, err error) (deferred bool) {
+	switch {
+	case err != nil:
+		f.err, f.done = err, true
+	case f.kind == futSet:
+		f.res, f.done = f.op.stored(), true
+	case f.kind == futDelete:
+		f.ok, f.done = f.op.deleted(), true
+	case f.op.wrPend:
+		f.landing = true
+	default:
+		f.landUCR(t)
+	}
+	return f.landing
+}
+
+// landUCR reads a settled GET out of its op.
+func (f *future) landUCR(t *UCRTransport) {
+	f.value, f.flags, f.cas, f.hit = t.getResult(f.op, false)
+	f.landing, f.done = false, true
 }
 
 // Pipeline implements Pipeliner: the returned pipeline issues AM
@@ -131,9 +167,9 @@ func (t *UCRTransport) Pipeline(window int) Pipeline {
 type ucrPipeline struct {
 	t      *UCRTransport
 	window int
-	q      []*pipeOp // outstanding, issue order
-	pend   []*pipeOp // trailing entries whose sends are still queued
-	landq  []*pipeOp // settled entries with a deferred write-reply landing
+	q      []*future // outstanding, issue order
+	pend   []*future // trailing entries whose sends are still queued
+	landq  []*future // settled entries with a deferred write-reply landing
 	err    error     // first transport-level error (sticky)
 }
 
@@ -149,7 +185,7 @@ func (p *ucrPipeline) Window() int { return p.window }
 // are additionally flushed before blocking for window room: holding
 // them through a wait would drain the wire exactly when it most needs
 // feeding and degrade serving to a per-window relay.
-func (p *ucrPipeline) push(clk *simnet.VClock, e *pipeOp) {
+func (p *ucrPipeline) push(clk *simnet.VClock, e *future) {
 	if len(p.q) >= p.window && len(p.pend) > 0 {
 		p.Flush(clk)
 	}
@@ -216,18 +252,17 @@ func (p *ucrPipeline) drainLandings() {
 
 // landNow runs e's deferred landing, if still pending, and retires the
 // op (which frees its reply slot).
-func (p *ucrPipeline) landNow(e *pipeOp) {
-	if e.land != nil {
-		e.land()
-		e.land = nil
+func (p *ucrPipeline) landNow(e *future) {
+	if e.landing {
+		e.landUCR(p.t)
 		p.t.finishOp(e.op)
 	}
 }
 
 // waitFor settles one outstanding entry (in any order — tagged slots
 // let replies land while a different tag is being waited on).
-func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *pipeOp) {
-	if e.done {
+func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
+	if e.landing { // settled already; only the copy-out is outstanding
 		p.landNow(e)
 		return
 	}
@@ -244,10 +279,8 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *pipeOp) {
 	if err != nil {
 		p.fail(err)
 	}
-	e.settle(err)
-	e.done = true
 	p.remove(e)
-	if e.land != nil {
+	if e.settleUCR(p.t, err) {
 		// Deferred write-reply landing: the op keeps its reply slot until
 		// the copy-out materializes at the next blocking wait (or on the
 		// future's own Wait, whichever comes first).
@@ -257,7 +290,7 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *pipeOp) {
 	}
 }
 
-func (p *ucrPipeline) remove(e *pipeOp) {
+func (p *ucrPipeline) remove(e *future) {
 	for i, x := range p.q {
 		if x == e {
 			p.q = append(p.q[:i], p.q[i+1:]...)
@@ -285,54 +318,23 @@ func (p *ucrPipeline) StartGetInto(clk *simnet.VClock, key string, buf []byte) *
 }
 
 func (p *ucrPipeline) startGet(clk *simnet.VClock, key string, lend []byte) *GetFuture {
-	t := p.t
-	f := &GetFuture{}
 	// No UD rung for a window: a punted reply would need a blocking
 	// re-issue in the middle of it.
-	e := &pipeOp{op: t.readOp(clk, key, nil, lend, false)}
-	read := func() {
-		f.value, f.flags, f.cas, f.hit = t.getResult(e.op, false)
-		f.done = true
-	}
-	e.settle = func(err error) {
-		switch {
-		case err != nil:
-			f.err, f.done = err, true
-		case e.op.wrPend:
-			// Value still sits in the reply slot: defer the copy-out so
-			// it lands under the next wait's wire time.
-			e.land = read
-		default:
-			read()
-		}
-	}
-	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
-	p.push(clk, e)
-	return f
+	f := &future{pipe: p, kind: futGet, op: p.t.readOp(clk, key, nil, lend, false)}
+	p.push(clk, f)
+	return (*GetFuture)(f)
 }
 
 func (p *ucrPipeline) StartSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
-	f := &SetFuture{}
-	e := &pipeOp{op: p.t.setOp(clk, key, flags, exptime, value)}
-	e.settle = func(err error) {
-		if f.done, f.err = true, err; err == nil {
-			f.res = e.op.stored()
-		}
-	}
-	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
-	p.push(clk, e)
-	return f
+	f := &future{pipe: p, kind: futSet, op: p.t.setOp(clk, key, flags, exptime, value)}
+	p.push(clk, f)
+	return (*SetFuture)(f)
 }
 
 func (p *ucrPipeline) StartDelete(clk *simnet.VClock, key string) *BoolFuture {
-	f := &BoolFuture{}
-	e := &pipeOp{op: p.t.deleteOp(clk, key)}
-	e.settle = func(err error) {
-		f.done, f.err, f.ok = true, err, err == nil && e.op.deleted()
-	}
-	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
-	p.push(clk, e)
-	return f
+	f := &future{pipe: p, kind: futDelete, op: p.t.deleteOp(clk, key)}
+	p.push(clk, f)
+	return (*BoolFuture)(f)
 }
 
 // interface conformance

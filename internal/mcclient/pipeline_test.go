@@ -158,3 +158,48 @@ func TestPipelineWaitOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPipelineOneAllocPerOp: a pipelined request allocates its future
+// and nothing else on either transport — the window entry is embedded
+// in the future, settle/wait/land are methods on it, and the sockets
+// queue lives in one backing array. Futures are not recycled, so a
+// settled one can be waited again.
+func TestPipelineOneAllocPerOp(t *testing.T) {
+	const window = 4
+	st := newStack(t)
+	utr, _ := st.ucrClient(t)
+	for name, tr := range map[string]Transport{"sockets": st.sockClient(t), "ucr": utr} {
+		t.Run(name, func(t *testing.T) {
+			defer tr.Close()
+			clk := simnet.NewVClock(0)
+			if _, err := tr.Set(clk, "piped", 0, 0, make([]byte, 512)); err != nil {
+				t.Fatal(err)
+			}
+			pipe := tr.(Pipeliner).Pipeline(window)
+			var bufs [window][]byte
+			var futs [window]*GetFuture
+			for i := range bufs {
+				bufs[i] = make([]byte, 0, 512)
+			}
+			round := func() {
+				for i := range futs {
+					futs[i] = pipe.StartGetInto(clk, "piped", bufs[i])
+				}
+				for _, f := range futs {
+					if v, _, _, hit, err := f.Wait(clk); err != nil || !hit || len(v) != 512 {
+						t.Fatalf("Wait = (%d, %v, %v)", len(v), hit, err)
+					}
+				}
+			}
+			for i := 0; i < 8; i++ { // warm op pools, segment lists, queues
+				round()
+			}
+			if allocs := testing.AllocsPerRun(100, round); allocs != window {
+				t.Fatalf("%v allocs per window of %d, want one future per op", allocs, window)
+			}
+			if v, _, _, hit, err := futs[0].Wait(clk); err != nil || !hit || len(v) != 512 {
+				t.Fatalf("second Wait = (%d, %v, %v)", len(v), hit, err)
+			}
+		})
+	}
+}

@@ -1,8 +1,7 @@
 package mcclient
 
 import (
-	"fmt"
-
+	"repro/internal/memcached"
 	"repro/internal/simnet"
 )
 
@@ -10,9 +9,9 @@ import (
 // are accumulated into one write buffer and hit the stream as a single
 // Write (the socket analog of a doorbell burst — one syscall/segment
 // charge instead of one per request), and replies are drained strictly
-// FIFO off the shared bufio.Reader. Pipelined sets never use "noreply":
-// every request has exactly one reply, keeping the stream in lockstep
-// with the op queue.
+// FIFO off the shared bufio.Reader with the blocking calls' own reply
+// readers. Pipelined sets never use "noreply": every request has
+// exactly one reply, keeping the stream in lockstep with the op queue.
 func (t *SockTransport) Pipeline(window int) Pipeline {
 	if window < 1 {
 		window = 1
@@ -20,34 +19,25 @@ func (t *SockTransport) Pipeline(window int) Pipeline {
 	return &sockPipeline{t: t, window: window}
 }
 
-// sockOp is one pipelined text request awaiting its reply.
-type sockOp struct {
-	read   func() error // parse this op's reply off the stream and settle
-	settle func(err error)
-	sent   bool
-	failed bool
-	done   bool
-}
-
 type sockPipeline struct {
 	t      *SockTransport
 	window int
 	wbuf   []byte    // request bytes queued since the last Flush
-	q      []*sockOp // outstanding, reply order == issue order
-	pend   []*sockOp // trailing entries whose bytes sit in wbuf
+	q      []*future // outstanding, reply order == issue order
+	pend   []*future // trailing entries whose bytes sit in wbuf
 	err    error     // first transport-level error (sticky)
 }
 
 func (p *sockPipeline) Window() int { return p.window }
 
-// push admits e, completing the oldest request when the window is full,
+// push admits f, completing the oldest request when the window is full,
 // and flushes once a full window of unwritten requests has accumulated.
-func (p *sockPipeline) push(clk *simnet.VClock, e *sockOp) {
+func (p *sockPipeline) push(clk *simnet.VClock, f *future) {
 	for len(p.q) >= p.window {
 		p.settleHead(clk)
 	}
-	p.q = append(p.q, e)
-	p.pend = append(p.pend, e)
+	p.q = append(p.q, f)
+	p.pend = append(p.pend, f)
 	if len(p.pend) >= p.window {
 		p.Flush(clk)
 	}
@@ -61,10 +51,10 @@ func (p *sockPipeline) Flush(clk *simnet.VClock) error {
 	p.t.conn.SetClock(clk)
 	_, werr := p.t.conn.Write(p.wbuf)
 	p.wbuf = p.wbuf[:0]
-	for _, e := range p.pend {
-		e.sent = true
+	for _, f := range p.pend {
+		f.sent = true
 		if werr != nil {
-			e.failed = true
+			f.failed = true
 		}
 	}
 	p.pend = p.pend[:0]
@@ -82,35 +72,49 @@ func (p *sockPipeline) fail(err error) {
 }
 
 // settleHead completes the oldest outstanding request: its reply is the
-// next one on the stream.
+// next one on the stream. The queue is shifted down rather than
+// re-sliced from the front, so it lives in one backing array.
 func (p *sockPipeline) settleHead(clk *simnet.VClock) {
-	e := p.q[0]
-	p.q = p.q[1:]
-	if !e.sent {
+	f := p.q[0]
+	last := len(p.q) - 1
+	copy(p.q, p.q[1:])
+	p.q[last] = nil
+	p.q = p.q[:last]
+	if !f.sent {
 		p.Flush(clk)
 	}
-	if e.failed || p.err != nil {
-		e.settle(ErrServerDown)
-		e.done = true
+	if f.failed || p.err != nil {
+		f.err, f.done = ErrServerDown, true
 		return
 	}
 	p.t.conn.SetClock(clk)
-	if err := e.read(); err != nil {
-		p.fail(err)
-		e.settle(err)
+	if f.err = f.readSock(p.t); f.err != nil {
+		p.fail(f.err)
 	}
-	e.done = true
+	f.done = true
 }
 
-// waitFor settles FIFO heads until e completes (stream replies cannot
+// readSock parses f's reply off the stream into its result fields.
+func (f *future) readSock(t *SockTransport) (err error) {
+	switch f.kind {
+	case futGet:
+		f.value, f.flags, f.cas, f.hit, err = t.readGetReply(f.key, f.lend)
+	case futSet:
+		f.res, err = t.readSetReply()
+	case futDelete:
+		f.ok, err = t.readDeleteReply()
+	}
+	return err
+}
+
+// waitFor settles FIFO heads until f completes (stream replies cannot
 // be reordered, so waiting on a later future drains the earlier ones).
-func (p *sockPipeline) waitFor(clk *simnet.VClock, e *sockOp) {
-	for !e.done && len(p.q) > 0 {
+func (p *sockPipeline) waitFor(clk *simnet.VClock, f *future) {
+	for !f.done && len(p.q) > 0 {
 		p.settleHead(clk)
 	}
-	if !e.done { // not in q: send never happened (flush marked it failed)
-		e.settle(ErrServerDown)
-		e.done = true
+	if !f.done { // not in q: send never happened (flush marked it failed)
+		f.err, f.done = ErrServerDown, true
 	}
 }
 
@@ -124,79 +128,28 @@ func (p *sockPipeline) Wait(clk *simnet.VClock) error {
 }
 
 func (p *sockPipeline) StartGet(clk *simnet.VClock, key string) *GetFuture {
-	return p.startGet(clk, key, nil)
+	return p.StartGetInto(clk, key, nil)
 }
 
 func (p *sockPipeline) StartGetInto(clk *simnet.VClock, key string, buf []byte) *GetFuture {
-	return p.startGet(clk, key, buf)
-}
-
-func (p *sockPipeline) startGet(clk *simnet.VClock, key string, lend []byte) *GetFuture {
-	f := &GetFuture{}
-	p.wbuf = append(p.wbuf, "gets "+key+"\r\n"...)
-	e := &sockOp{}
-	e.read = func() error {
-		value, flags, cas, hit, err := p.t.readGetReply(lend)
-		if err != nil {
-			return err
-		}
-		f.done = true
-		f.value, f.flags, f.cas, f.hit = value, flags, cas, hit
-		return nil
-	}
-	e.settle = func(err error) {
-		f.done = true
-		f.err = err
-	}
-	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
-	p.push(clk, e)
-	return f
+	p.wbuf = memcached.AppendTextGet(p.wbuf, true, key)
+	f := &future{pipe: p, kind: futGet, key: key, lend: buf}
+	p.push(clk, f)
+	return (*GetFuture)(f)
 }
 
 func (p *sockPipeline) StartSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
-	f := &SetFuture{}
-	p.wbuf = append(p.wbuf, fmt.Sprintf("set %s %d %d %d\r\n", key, flags, exptime, len(value))...)
-	p.wbuf = append(p.wbuf, value...)
-	p.wbuf = append(p.wbuf, '\r', '\n')
-	e := &sockOp{}
-	e.read = func() error {
-		res, err := p.t.readSetReply()
-		if err != nil {
-			return err
-		}
-		f.done = true
-		f.res = res
-		return nil
-	}
-	e.settle = func(err error) {
-		f.done = true
-		f.err = err
-	}
-	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
-	p.push(clk, e)
-	return f
+	p.wbuf = memcached.AppendTextStore(p.wbuf, memcached.StoreOpSet, key, flags, exptime, value, 0, false)
+	f := &future{pipe: p, kind: futSet}
+	p.push(clk, f)
+	return (*SetFuture)(f)
 }
 
 func (p *sockPipeline) StartDelete(clk *simnet.VClock, key string) *BoolFuture {
-	f := &BoolFuture{}
-	p.wbuf = append(p.wbuf, "delete "+key+"\r\n"...)
-	e := &sockOp{}
-	e.read = func() error {
-		ok, err := p.t.readDeleteReply()
-		if err != nil {
-			return err
-		}
-		f.done = true
-		f.ok = ok
-		return nil
-	}
-	e.settle = func(err error) {
-		f.done = true
-		f.err = err
-	}
-	f.wait = func(clk *simnet.VClock) { p.waitFor(clk, e) }
-	p.push(clk, e)
-	return f
+	p.wbuf = memcached.AppendTextDelete(p.wbuf, key)
+	f := &future{pipe: p, kind: futDelete}
+	p.push(clk, f)
+	return (*BoolFuture)(f)
 }
 
 // interface conformance

@@ -60,12 +60,17 @@ func newStack(t testing.TB) *stack {
 	return st
 }
 
-// sockClient dials a socket transport from a fresh node.
-func (st *stack) sockClient(t testing.TB) *SockTransport {
+// sockClient dials a socket transport to the memcached server from a
+// fresh node.
+func (st *stack) sockClient(t testing.TB) *SockTransport { return st.dialSock(t, "mc") }
+
+// dialSock dials a socket transport from a fresh node to a named service
+// on the server node.
+func (st *stack) dialSock(t testing.TB, service string) *SockTransport {
 	t.Helper()
 	node := st.nw.AddNode(fmt.Sprintf("sockcli%d", len(st.nw.Nodes())))
 	st.fab.Attach(node)
-	tr, err := DialSock(st.prov, node, st.srvNode, "mc", DefaultBehaviors(), simnet.NewVClock(0))
+	tr, err := DialSock(st.prov, node, st.srvNode, service, DefaultBehaviors(), simnet.NewVClock(0))
 	if err != nil {
 		t.Fatal(err)
 	}

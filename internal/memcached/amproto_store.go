@@ -16,13 +16,17 @@ import (
 // specialize.
 const AMStore uint8 = 0x16
 
-// Store op codes carried in StoreReq.Op.
+// Store op codes: the storage verbs, as carried in StoreReq.Op and as
+// Store.StoreBytes dispatches them. StoreOpSet is last so the wire codes
+// of the conditional stores stay put; the UCR client sends a plain set
+// as AMSet, never as AMStore.
 const (
 	StoreOpAdd uint8 = iota + 1
 	StoreOpReplace
 	StoreOpAppend
 	StoreOpPrepend
 	StoreOpCas
+	StoreOpSet
 )
 
 // StoreReq is the AM 1 header for a conditional store; the value

@@ -17,7 +17,9 @@ const Version = "1.4.5-ucr-go"
 // ProtoConn drives the memcached *text protocol* over any byte stream —
 // a simulated socket (internal/sockstream) or a real net.Conn. This is
 // the unmodified-memcached path the paper benchmarks over 1GigE,
-// 10GigE-TOE, IPoIB and SDP.
+// 10GigE-TOE, IPoIB and SDP. Commands are decoded with the byte-slice
+// codec in textproto.go and run through the store's []byte-keyed entry
+// points, so a steady-state get or same-size set allocates nothing.
 type ProtoConn struct {
 	r     *bufio.Reader
 	w     io.Writer
@@ -36,6 +38,13 @@ type ProtoConn struct {
 	// must not pin a large buffer for the connection's lifetime).
 	replyBuf []byte // reply line / multi-get response staging
 	valBuf   []byte // inbound store-value staging
+	lineBuf  []byte // a command line longer than the reader's buffer
+	// keyBuf holds a storage command's key while its data block is read:
+	// the parsed line aliases the reader's buffer, which that read reuses.
+	// crlf receives the block's terminator (a local would escape through
+	// io.ReadFull's interface argument).
+	keyBuf [250]byte
+	crlf   [2]byte
 }
 
 // NewProtoConn wraps a stream.
@@ -55,7 +64,7 @@ func (pc *ProtoConn) SetCostModel(opCost simnet.Duration, copyRate float64) {
 // chargeLock queues the just-executed command behind key's shard lock.
 // Only the wait advances the clock: the hold itself is covered by the
 // OpCost and stream copy charges the server already pays per op.
-func (pc *ProtoConn) chargeLock(clk *simnet.VClock, key string, copied int) {
+func (pc *ProtoConn) chargeLock(clk *simnet.VClock, key []byte, copied int) {
 	pc.chargeLockAt(clk, clk.Now(), key, copied)
 }
 
@@ -64,7 +73,7 @@ func (pc *ProtoConn) chargeLock(clk *simnet.VClock, key string, copied int) {
 // ended — so a burst of same-shard keys extends one backlog that other
 // workers queue behind, instead of queueing this worker behind its own
 // holds. Returns the cursor for the command's next key.
-func (pc *ProtoConn) chargeLockAt(clk *simnet.VClock, cursor simnet.Time, key string, copied int) simnet.Time {
+func (pc *ProtoConn) chargeLockAt(clk *simnet.VClock, cursor simnet.Time, key []byte, copied int) simnet.Time {
 	if pc.opCost <= 0 {
 		return cursor
 	}
@@ -72,7 +81,7 @@ func (pc *ProtoConn) chargeLockAt(clk *simnet.VClock, cursor simnet.Time, key st
 	if pc.copyRate > 0 {
 		hold += simnet.BytesDuration(copied, pc.copyRate)
 	}
-	if wait := pc.store.LockWait(key, cursor, hold); wait > 0 {
+	if wait := pc.store.LockWaitBytes(key, cursor, hold); wait > 0 {
 		clk.Advance(wait)
 		cursor += wait
 	}
@@ -95,88 +104,68 @@ func (pc *ProtoConn) Buffered() int { return pc.r.Buffered() }
 // server set it up), and command execution is timestamped after the
 // request has fully arrived.
 func (pc *ProtoConn) ServeOne(clk *simnet.VClock) (quit bool, err error) {
-	line, err := pc.readLine()
+	line, err := ReadTextLine(pc.r, &pc.lineBuf)
 	if err != nil {
 		return false, err
 	}
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return false, pc.reply("ERROR\r\n")
-	}
-	switch fields[0] {
+	verb, args := NextTextToken(line)
+	switch string(verb) {
 	case "get", "gets":
-		return false, pc.cmdGet(fields, clk)
-	case "set", "add", "replace", "append", "prepend", "cas":
-		return false, pc.cmdStore(fields, clk)
+		return false, pc.cmdGet(args, len(verb) == 4, clk)
 	case "delete":
-		return false, pc.cmdDelete(fields, clk)
+		return false, pc.cmdDelete(args, clk)
 	case "incr", "decr":
-		return false, pc.cmdIncrDecr(fields, clk)
+		return false, pc.cmdIncrDecr(args, verb[0] == 'i', clk)
 	case "touch":
-		return false, pc.cmdTouch(fields, clk)
+		return false, pc.cmdTouch(args, clk)
 	case "stats":
-		return false, pc.cmdStats(fields)
+		return false, pc.cmdStats(args)
 	case "flush_all":
 		pc.store.FlushAll(clk.Now())
-		return false, pc.reply("OK\r\n")
+		return false, pc.reply(textOK)
 	case "version":
-		return false, pc.reply("VERSION " + Version + "\r\n")
+		return false, pc.reply(textVersion)
 	case "verbosity":
-		return false, pc.reply("OK\r\n")
+		return false, pc.reply(textOK)
 	case "quit":
 		return true, nil
 	default:
-		return false, pc.reply("ERROR\r\n")
+		if op := storeOpOf(verb); op != 0 {
+			return false, pc.cmdStore(op, args, clk)
+		}
+		return false, pc.reply(textError)
 	}
 }
 
-func (pc *ProtoConn) readLine() (string, error) {
-	line, err := pc.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
-}
-
-func (pc *ProtoConn) reply(s string) error {
-	_, err := io.WriteString(pc.w, s)
+// reply writes one fixed reply line.
+func (pc *ProtoConn) reply(line []byte) error {
+	_, err := pc.w.Write(line)
 	return err
 }
 
-func (pc *ProtoConn) cmdGet(fields []string, clk *simnet.VClock) error {
-	withCAS := fields[0] == "gets"
-	if len(fields) < 2 {
-		return pc.reply("ERROR\r\n")
-	}
-	for _, key := range fields[1:] {
+func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error {
+	n := 0
+	for key, rest := NextTextToken(keys); key != nil; key, rest = NextTextToken(rest) {
 		if len(key) > 250 {
-			return pc.reply("CLIENT_ERROR bad command line format\r\n")
+			return pc.reply(textBadFormat)
 		}
+		n++
+	}
+	if n == 0 {
+		return pc.reply(textError)
 	}
 	sb := pc.replyBuf[:0]
 	cursor := clk.Now()
-	for _, key := range fields[1:] {
-		value, flags, cas, ok := pc.store.Get(key, clk.Now())
+	for key, rest := NextTextToken(keys); key != nil; key, rest = NextTextToken(rest) {
 		// The sockets engine copies the value out while holding the lock.
-		cursor = pc.chargeLockAt(clk, cursor, key, len(value))
-		if !ok {
-			continue
-		}
-		sb = append(sb, "VALUE "...)
-		sb = append(sb, key...)
-		sb = append(sb, ' ')
-		sb = strconv.AppendUint(sb, uint64(flags), 10)
-		sb = append(sb, ' ')
-		sb = strconv.AppendInt(sb, int64(len(value)), 10)
-		if withCAS {
-			sb = append(sb, ' ')
-			sb = strconv.AppendUint(sb, cas, 10)
-		}
-		sb = append(sb, '\r', '\n')
-		sb = append(sb, value...)
-		sb = append(sb, '\r', '\n')
+		copied := 0
+		pc.store.ViewBytes(key, clk.Now(), func(it *Item) {
+			sb = AppendTextValue(sb, it.key, it.flags, it.value, it.casID, withCAS)
+			copied = len(it.value)
+		})
+		cursor = pc.chargeLockAt(clk, cursor, key, copied)
 	}
-	sb = append(sb, "END\r\n"...)
+	sb = append(sb, textEnd...)
 	_, err := pc.w.Write(sb)
 	pc.retainReply(sb)
 	return err
@@ -193,88 +182,57 @@ func (pc *ProtoConn) retainReply(sb []byte) {
 	}
 }
 
-func (pc *ProtoConn) cmdStore(fields []string, clk *simnet.VClock) error {
-	op := fields[0]
-	want := 5
-	if op == "cas" {
-		want = 6
-	}
-	noreply := len(fields) == want+1 && fields[want] == "noreply"
-	if len(fields) < want || (len(fields) > want && !noreply) {
-		return pc.reply("ERROR\r\n")
-	}
-	key := fields[1]
-	flags64, err1 := strconv.ParseUint(fields[2], 10, 32)
-	exptime, err2 := strconv.ParseInt(fields[3], 10, 64)
-	nbytes, err3 := strconv.Atoi(fields[4])
-	var casID uint64
-	var err4 error
-	if op == "cas" {
-		casID, err4 = strconv.ParseUint(fields[5], 10, 64)
-	}
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || nbytes < 0 || len(key) > 250 {
+func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
+	c, verdict := parseTextStore(op, args)
+	switch verdict {
+	case textArity:
+		return pc.reply(textError)
+	case textBadFields:
 		// Protocol rule: the data block still follows; consume it to
 		// stay in sync, then report.
-		if err3 == nil && nbytes >= 0 {
-			pc.discard(int64(nbytes) + 2)
+		if c.nbytes >= 0 {
+			pc.discard(int64(c.nbytes) + 2)
 		}
-		return pc.reply("CLIENT_ERROR bad command line format\r\n")
+		return pc.reply(textBadFormat)
 	}
-	if nbytes > pc.store.MaxItemSize() {
+	key := pc.keyBuf[:copy(pc.keyBuf[:], c.key)]
+	if c.nbytes > pc.store.MaxItemSize() {
 		// Reject before allocating: a declared size in the gigabytes must
 		// not size a buffer (found by FuzzTextProtocol). The data block is
 		// drained to keep the stream in sync, like memcached's
 		// swallow-then-error path.
-		pc.discard(int64(nbytes) + 2)
+		pc.discard(int64(c.nbytes) + 2)
 		pc.chargeLock(clk, key, 0)
-		if noreply {
+		if c.noreply {
 			return nil
 		}
-		return pc.reply(TooLarge.String() + "\r\n")
+		return pc.reply(textStoreResult[TooLarge])
 	}
 	// Stage the inbound value in the connection's reusable buffer: the
 	// store copies it into slab memory before the next command runs. An
 	// oversized value gets a one-off buffer that is not retained.
-	value := pooledBuf(&pc.valBuf, nbytes)
+	value := pooledBuf(&pc.valBuf, c.nbytes)
 	if _, err := io.ReadFull(pc.r, value); err != nil {
 		return err
 	}
-	var crlf [2]byte
-	if _, err := io.ReadFull(pc.r, crlf[:]); err != nil {
+	if _, err := io.ReadFull(pc.r, pc.crlf[:]); err != nil {
 		return err
 	}
-	if crlf[0] != '\r' || crlf[1] != '\n' {
-		return pc.reply("CLIENT_ERROR bad data chunk\r\n")
+	if pc.crlf != [2]byte{'\r', '\n'} {
+		return pc.reply(textBadChunk)
 	}
-
-	var res StoreResult
-	flags := uint32(flags64)
 	if mutProtoDropFlags {
-		flags = 0
+		c.flags = 0
 	}
-	now := clk.Now()
-	switch op {
-	case "set":
-		res = pc.store.Set(key, flags, exptime, value, now)
-	case "add":
-		res = pc.store.Add(key, flags, exptime, value, now)
-	case "replace":
-		res = pc.store.Replace(key, flags, exptime, value, now)
-	case "append":
-		res = pc.store.Append(key, value, now)
-	case "prepend":
-		res = pc.store.Prepend(key, value, now)
-	case "cas":
-		res = pc.store.Cas(key, flags, exptime, value, casID, now)
-	}
+	res := pc.store.StoreBytes(op, key, c.flags, c.exptime, value, c.casID, clk.Now())
 	// The sockets engine copies the inbound value into slab memory while
 	// holding the lock (unlike the UCR path, where RDMA lands the value
 	// before the commit takes it).
-	pc.chargeLock(clk, key, nbytes)
-	if noreply {
+	pc.chargeLock(clk, key, c.nbytes)
+	if c.noreply {
 		return nil
 	}
-	return pc.reply(res.String() + "\r\n")
+	return pc.reply(textStoreResult[res])
 }
 
 func (pc *ProtoConn) discard(n int64) {
@@ -283,72 +241,79 @@ func (pc *ProtoConn) discard(n int64) {
 	}
 }
 
-func (pc *ProtoConn) cmdDelete(fields []string, clk *simnet.VClock) error {
-	if len(fields) < 2 {
-		return pc.reply("ERROR\r\n")
+func (pc *ProtoConn) cmdDelete(args []byte, clk *simnet.VClock) error {
+	var f [2][]byte
+	n := textTokens(args, f[:])
+	if n < 1 {
+		return pc.reply(textError)
 	}
-	noreply := len(fields) == 3 && fields[2] == "noreply"
-	ok := pc.store.Delete(fields[1], clk.Now())
-	pc.chargeLock(clk, fields[1], 0)
+	noreply := n == 2 && string(f[1]) == "noreply"
+	ok := pc.store.DeleteBytes(f[0], clk.Now())
+	pc.chargeLock(clk, f[0], 0)
 	if noreply {
 		return nil
 	}
 	if ok {
-		return pc.reply("DELETED\r\n")
+		return pc.reply(textDeleted)
 	}
-	return pc.reply("NOT_FOUND\r\n")
+	return pc.reply(textNotFound)
 }
 
-func (pc *ProtoConn) cmdIncrDecr(fields []string, clk *simnet.VClock) error {
-	if len(fields) < 3 {
-		return pc.reply("ERROR\r\n")
+func (pc *ProtoConn) cmdIncrDecr(args []byte, incr bool, clk *simnet.VClock) error {
+	var f [3][]byte
+	n := textTokens(args, f[:])
+	if n < 2 {
+		return pc.reply(textError)
 	}
-	noreply := len(fields) == 4 && fields[3] == "noreply"
-	delta, err := strconv.ParseUint(fields[2], 10, 64)
+	noreply := n == 3 && string(f[2]) == "noreply"
+	delta, err := strconv.ParseUint(string(f[1]), 10, 64)
 	if err != nil {
-		return pc.reply("CLIENT_ERROR invalid numeric delta argument\r\n")
+		return pc.reply(textBadDelta)
 	}
-	val, found, bad, oom := pc.store.IncrDecr(fields[1], delta, fields[0] == "incr", clk.Now())
-	pc.chargeLock(clk, fields[1], 0)
+	val, found, bad, oom := pc.store.IncrDecrBytes(f[0], delta, incr, clk.Now())
+	pc.chargeLock(clk, f[0], 0)
 	if noreply {
 		return nil
 	}
 	switch {
 	case !found:
-		return pc.reply("NOT_FOUND\r\n")
+		return pc.reply(textNotFound)
 	case bad:
-		return pc.reply("CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")
+		return pc.reply(textNonNumeric)
 	case oom:
-		return pc.reply("SERVER_ERROR out of memory storing object\r\n")
+		return pc.reply(textStoreResult[OOM])
 	default:
-		return pc.reply(strconv.FormatUint(val, 10) + "\r\n")
+		pc.replyBuf = append(strconv.AppendUint(pc.replyBuf[:0], val, 10), '\r', '\n')
+		return pc.reply(pc.replyBuf)
 	}
 }
 
-func (pc *ProtoConn) cmdTouch(fields []string, clk *simnet.VClock) error {
-	if len(fields) < 3 {
-		return pc.reply("ERROR\r\n")
+func (pc *ProtoConn) cmdTouch(args []byte, clk *simnet.VClock) error {
+	var f [3][]byte
+	n := textTokens(args, f[:])
+	if n < 2 {
+		return pc.reply(textError)
 	}
-	noreply := len(fields) == 4 && fields[3] == "noreply"
-	exptime, err := strconv.ParseInt(fields[2], 10, 64)
+	noreply := n == 3 && string(f[2]) == "noreply"
+	exptime, err := strconv.ParseInt(string(f[1]), 10, 64)
 	if err != nil {
-		return pc.reply("CLIENT_ERROR bad command line format\r\n")
+		return pc.reply(textBadFormat)
 	}
 	now := clk.Now()
-	pc.chargeLock(clk, fields[1], 0)
-	ok := pc.store.Touch(fields[1], exptime, now)
+	pc.chargeLock(clk, f[0], 0)
+	ok := pc.store.TouchBytes(f[0], exptime, now)
 	if noreply {
 		return nil
 	}
 	if ok {
-		return pc.reply("TOUCHED\r\n")
+		return pc.reply(textTouched)
 	}
-	return pc.reply("NOT_FOUND\r\n")
+	return pc.reply(textNotFound)
 }
 
-func (pc *ProtoConn) cmdStats(fields []string) error {
-	if len(fields) > 1 {
-		switch fields[1] {
+func (pc *ProtoConn) cmdStats(args []byte) error {
+	if sub, _ := NextTextToken(args); sub != nil {
+		switch string(sub) {
 		case "slabs":
 			return pc.cmdStatsSlabs()
 		case "items":
@@ -356,7 +321,7 @@ func (pc *ProtoConn) cmdStats(fields []string) error {
 		case "settings":
 			return pc.cmdStatsSettings()
 		default:
-			return pc.reply("ERROR\r\n")
+			return pc.reply(textError)
 		}
 	}
 	st := pc.store.Stats()
@@ -389,7 +354,7 @@ func (pc *ProtoConn) cmdStats(fields []string) error {
 		fmt.Fprintf(&sb, "STAT %s %d\r\n", l.name, l.val)
 	}
 	sb.WriteString("END\r\n")
-	return pc.reply(sb.String())
+	return pc.replyString(sb.String())
 }
 
 // cmdStatsSlabs reports per-class slab occupancy (memcached's
@@ -417,7 +382,7 @@ func (pc *ProtoConn) cmdStatsSlabs() error {
 	fmt.Fprintf(&sb, "STAT active_slabs %d\r\n", totalPages)
 	fmt.Fprintf(&sb, "STAT total_malloced %d\r\n", a.UsedBytes())
 	sb.WriteString("END\r\n")
-	return pc.reply(sb.String())
+	return pc.replyString(sb.String())
 }
 
 // cmdStatsItems reports per-class item counts (`stats items`).
@@ -430,7 +395,7 @@ func (pc *ProtoConn) cmdStatsItems() error {
 		fmt.Fprintf(&sb, "STAT items:%d:number %d\r\n", i+1, n)
 	}
 	sb.WriteString("END\r\n")
-	return pc.reply(sb.String())
+	return pc.replyString(sb.String())
 }
 
 // cmdStatsSettings reports the engine's effective limits.
@@ -440,7 +405,13 @@ func (pc *ProtoConn) cmdStatsSettings() error {
 	fmt.Fprintf(&sb, "STAT evictions %s\r\n", onOff(pc.store.evictions))
 	fmt.Fprintf(&sb, "STAT item_size_max %d\r\n", pc.store.Arena().ClassSize(pc.store.Arena().NumClasses()-1))
 	sb.WriteString("END\r\n")
-	return pc.reply(sb.String())
+	return pc.replyString(sb.String())
+}
+
+// replyString writes a reply built as a string (the stats blocks).
+func (pc *ProtoConn) replyString(s string) error {
+	_, err := io.WriteString(pc.w, s)
+	return err
 }
 
 func onOff(b bool) string {

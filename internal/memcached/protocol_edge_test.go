@@ -153,6 +153,18 @@ func TestProtocolEdges(t *testing.T) {
 			want: "ERROR\r\nERROR\r\nERROR\r\nERROR\r\nERROR\r\nERROR\r\nERROR\r\n",
 		},
 		{
+			// Only ASCII space separates tokens (memcached 1.4.5's
+			// tokenize_command): a key holding U+00A0 or U+0085 — which
+			// mcclient.checkKey admits and the AM path carries — is one key.
+			// strings.Fields split it in two: the set answered ERROR, its
+			// data block was parsed as a command, and the gets missed.
+			name: "non-ASCII space inside a key",
+			in: "set caf\u00a0e 1 0 1\r\nx\r\ngets caf\u00a0e\r\n" +
+				"set a\u0085b 0 0 1\r\ny\r\nget a\u0085b\r\ndelete caf\u00a0e\r\nversion\r\n",
+			want: "STORED\r\nVALUE caf\u00a0e 1 1 1\r\nx\r\nEND\r\n" +
+				"STORED\r\nVALUE a\u0085b 0 1\r\ny\r\nEND\r\nDELETED\r\nVERSION " + Version + "\r\n",
+		},
+		{
 			name: "trailing junk after noreply",
 			in:   "set a 0 0 1 noreply extra\r\nx\r\nversion\r\n",
 			want: "ERROR\r\nERROR\r\nVERSION " + Version + "\r\n",

@@ -443,59 +443,78 @@ func (s *Store) AbortItem(it *Item) {
 	}
 }
 
-// Set unconditionally stores key=value.
-func (s *Store) Set(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
+// storeOp runs one storage verb (a StoreOp* code) for a string key.
+func (s *Store) storeOp(op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.stats.cmdSet.Add(1)
-	it, res := s.newItemLocked(sh, key, flags, exptime, len(value), now)
-	if res != Stored {
-		s.recordStore(RecSet, key, nil, flags, exptime, 0, nil, res, now)
-		return res
+	return s.storeLocked(sh, op, key, flags, exptime, value, casID, now)
+}
+
+// StoreBytes is the storage verbs' entry for a wire-decoded []byte key —
+// the text protocol's, and AMStore's. The key is interned under the
+// shard lock, so overwriting a resident key allocates nothing; op is a
+// StoreOp* code (an unknown one stores nothing).
+func (s *Store) StoreBytes(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
+	sh := s.shardForBytes(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return s.storeLocked(sh, op, internKeyLocked(sh, key), flags, exptime, value, casID, now)
+}
+
+// storeLocked executes one storage verb. Caller holds sh.mu.
+func (s *Store) storeLocked(sh *shard, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
+	if op < StoreOpAdd || op > StoreOpSet {
+		return NotStored
 	}
-	s.memWr(func() { copy(it.value, value) })
-	s.linkLocked(sh, it, now)
-	s.recordStore(RecSet, key, value, flags, exptime, 0, it, Stored, now)
-	return Stored
+	sh.stats.cmdSet.Add(1)
+	// set / add / replace differ only in the presence test that gates
+	// the unconditional store.
+	kind, gate := RecSet, true
+	switch op {
+	case StoreOpAppend, StoreOpPrepend:
+		return s.concatLocked(sh, key, value, op == StoreOpPrepend, now)
+	case StoreOpCas:
+		return s.casLocked(sh, key, flags, exptime, value, casID, now)
+	case StoreOpAdd:
+		kind, gate = RecAdd, mutAddClobbers || s.lookupLocked(sh, key, now) == nil
+	case StoreOpReplace:
+		kind, gate = RecReplace, s.lookupLocked(sh, key, now) != nil
+	}
+	if !gate {
+		s.recordStore(kind, key, nil, flags, exptime, 0, nil, NotStored, now)
+		return NotStored
+	}
+	it, res := s.setLocked(sh, key, flags, exptime, value, now)
+	if res != Stored {
+		value = nil // a failed store records no value
+	}
+	s.recordStore(kind, key, value, flags, exptime, 0, it, res, now)
+	return res
+}
+
+// Set unconditionally stores key=value.
+func (s *Store) Set(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
+	return s.storeOp(StoreOpSet, key, flags, exptime, value, 0, now)
 }
 
 // Add stores only if the key is absent.
 func (s *Store) Add(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.cmdSet.Add(1)
-	if !mutAddClobbers && s.lookupLocked(sh, key, now) != nil {
-		s.recordStore(RecAdd, key, nil, flags, exptime, 0, nil, NotStored, now)
-		return NotStored
-	}
-	it, res := s.setLocked(sh, key, flags, exptime, value, now)
-	s.recordStore(RecAdd, key, value, flags, exptime, 0, it, res, now)
-	return res
+	return s.storeOp(StoreOpAdd, key, flags, exptime, value, 0, now)
 }
 
 // Replace stores only if the key is present.
 func (s *Store) Replace(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.cmdSet.Add(1)
-	if s.lookupLocked(sh, key, now) == nil {
-		s.recordStore(RecReplace, key, nil, flags, exptime, 0, nil, NotStored, now)
-		return NotStored
-	}
-	it, res := s.setLocked(sh, key, flags, exptime, value, now)
-	s.recordStore(RecReplace, key, value, flags, exptime, 0, it, res, now)
-	return res
+	return s.storeOp(StoreOpReplace, key, flags, exptime, value, 0, now)
 }
 
 // Cas stores only if the entry's CAS id still matches.
 func (s *Store) Cas(key string, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.cmdSet.Add(1)
+	return s.storeOp(StoreOpCas, key, flags, exptime, value, casID, now)
+}
+
+// casLocked is the cas verb's body. Caller holds sh.mu.
+func (s *Store) casLocked(sh *shard, key string, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
 	it := s.lookupLocked(sh, key, now)
 	if it == nil {
 		sh.stats.casMisses.Add(1)
@@ -601,20 +620,12 @@ func (s *Store) concatLocked(sh *shard, key string, add []byte, prepend bool, no
 
 // Append adds bytes after an existing value.
 func (s *Store) Append(key string, value []byte, now simnet.Time) StoreResult {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.cmdSet.Add(1)
-	return s.concatLocked(sh, key, value, false, now)
+	return s.storeOp(StoreOpAppend, key, 0, 0, value, 0, now)
 }
 
 // Prepend adds bytes before an existing value.
 func (s *Store) Prepend(key string, value []byte, now simnet.Time) StoreResult {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.cmdSet.Add(1)
-	return s.concatLocked(sh, key, value, true, now)
+	return s.storeOp(StoreOpPrepend, key, 0, 0, value, 0, now)
 }
 
 // Get copies out the value for key. ok=false is a miss.
@@ -667,12 +678,10 @@ func (s *Store) Unpin(it *Item) {
 	s.releasePin(sh, it)
 }
 
-// GetPinnedBytes is GetPinned for a wire-decoded []byte key — the UCR
-// hot path's entry, alloc-free end to end.
-func (s *Store) GetPinnedBytes(key []byte, now simnet.Time) (*Item, bool) {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// getLockedBytes is the GET lookup for a wire-decoded []byte key: hit and
+// miss counters, the LRU touch and the history record, alloc-free end
+// to end. Caller holds sh.mu; nil is a miss.
+func (s *Store) getLockedBytes(sh *shard, key []byte, now simnet.Time) *Item {
 	sh.stats.cmdGet.Add(1)
 	it := s.lookupLockedBytes(sh, key, now)
 	if it == nil {
@@ -680,13 +689,42 @@ func (s *Store) GetPinnedBytes(key []byte, now simnet.Time) (*Item, bool) {
 		if s.rec.Load() != nil {
 			s.recordGet(string(key), nil, now)
 		}
-		return nil, false
+		return nil
 	}
 	sh.stats.getHits.Add(1)
 	sh.lru.touch(it)
 	s.recordGet(it.key, it, now)
+	return it
+}
+
+// GetPinnedBytes is GetPinned for a wire-decoded []byte key — the UCR
+// hot path's entry.
+func (s *Store) GetPinnedBytes(key []byte, now simnet.Time) (*Item, bool) {
+	sh := s.shardForBytes(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	it := s.getLockedBytes(sh, key, now)
+	if it == nil {
+		return nil, false
+	}
 	it.refcount++
 	return it, true
+}
+
+// ViewBytes is the sockets engine's GET: instead of pinning the hit it
+// runs read on it while the shard lock is held, which is where that
+// engine copies the value out (and what its lock-hold charge models).
+// read must not call back into the Store or retain the item.
+func (s *Store) ViewBytes(key []byte, now simnet.Time, read func(*Item)) bool {
+	sh := s.shardForBytes(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	it := s.getLockedBytes(sh, key, now)
+	if it == nil {
+		return false
+	}
+	read(it)
+	return true
 }
 
 // Delete removes key. ok=false is a miss.
@@ -694,6 +732,18 @@ func (s *Store) Delete(key string, now simnet.Time) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return s.deleteLocked(sh, key, now)
+}
+
+// DeleteBytes is Delete for a wire-decoded []byte key.
+func (s *Store) DeleteBytes(key []byte, now simnet.Time) bool {
+	sh := s.shardForBytes(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return s.deleteLocked(sh, internKeyLocked(sh, key), now)
+}
+
+func (s *Store) deleteLocked(sh *shard, key string, now simnet.Time) bool {
 	it := s.lookupLocked(sh, key, now)
 	if it == nil {
 		sh.stats.deleteMisses.Add(1)
@@ -720,6 +770,18 @@ func (s *Store) IncrDecr(key string, delta uint64, incr bool, now simnet.Time) (
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return s.incrDecrLocked(sh, key, delta, incr, now)
+}
+
+// IncrDecrBytes is IncrDecr for a wire-decoded []byte key.
+func (s *Store) IncrDecrBytes(key []byte, delta uint64, incr bool, now simnet.Time) (newVal uint64, found, badValue, oom bool) {
+	sh := s.shardForBytes(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return s.incrDecrLocked(sh, internKeyLocked(sh, key), delta, incr, now)
+}
+
+func (s *Store) incrDecrLocked(sh *shard, key string, delta uint64, incr bool, now simnet.Time) (newVal uint64, found, badValue, oom bool) {
 	kind := RecIncr
 	if !incr {
 		kind = RecDecr
@@ -808,6 +870,18 @@ func (s *Store) Touch(key string, exptime int64, now simnet.Time) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return s.touchLocked(sh, key, exptime, now)
+}
+
+// TouchBytes is Touch for a wire-decoded []byte key.
+func (s *Store) TouchBytes(key []byte, exptime int64, now simnet.Time) bool {
+	sh := s.shardForBytes(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return s.touchLocked(sh, internKeyLocked(sh, key), exptime, now)
+}
+
+func (s *Store) touchLocked(sh *shard, key string, exptime int64, now simnet.Time) bool {
 	it := s.lookupLocked(sh, key, now)
 	if it == nil {
 		sh.stats.touchMisses.Add(1)

@@ -432,23 +432,7 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 	s.opCharge(clk, ep)
 	s.OpsServed.Add(1)
 	s.chargeLockBytes(clk, req.Key, len(data))
-	now := clk.Now()
-	key := string(req.Key)
-	var res StoreResult
-	switch req.Op {
-	case StoreOpAdd:
-		res = s.store.Add(key, req.Flags, req.Exptime, data, now)
-	case StoreOpReplace:
-		res = s.store.Replace(key, req.Flags, req.Exptime, data, now)
-	case StoreOpAppend:
-		res = s.store.Append(key, data, now)
-	case StoreOpPrepend:
-		res = s.store.Prepend(key, data, now)
-	case StoreOpCas:
-		res = s.store.Cas(key, req.Flags, req.Exptime, data, req.CAS, now)
-	default:
-		res = NotStored
-	}
+	res := s.store.StoreBytes(req.Op, req.Key, req.Flags, req.Exptime, data, req.CAS, clk.Now())
 	if req.ReplyCtr == 0 {
 		return
 	}
@@ -499,7 +483,7 @@ func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, dat
 	s.OpsServed.Add(1)
 	s.chargeLockBytes(clk, req.Key, 0)
 	status := AMMiss
-	if s.store.Delete(string(req.Key), clk.Now()) {
+	if s.store.DeleteBytes(req.Key, clk.Now()) {
 		status = AMOK
 	}
 	w.reply = AppendStatusReply(w.reply[:0], StatusReply{Status: status})

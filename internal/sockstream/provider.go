@@ -139,7 +139,9 @@ func (p *Provider) Clone(fab *simnet.Fabric) *Provider {
 	}
 }
 
-// segment is one unit in flight.
+// segment is one unit in flight. data is owned by whoever holds the
+// segment: the writer fills it, the mailbox carries it, and the reader
+// hands it back to its endpoint's spare list once the bytes are in rbuf.
 type segment struct {
 	data   []byte
 	arrive simnet.Time
@@ -264,6 +266,61 @@ type endpoint struct {
 	mu     sync.Mutex
 	peer   *endpoint
 	closed bool
+
+	// spare recycles the buffers of segments this end has consumed; the
+	// peer's Write draws its next segment buffers from it, so a
+	// steady-state request/response stream allocates none. Bounded in
+	// count (maxSpareSegs) and, since a buffer never outgrows the
+	// provider's SegmentSize, in bytes.
+	spareMu sync.Mutex
+	spare   [][]byte
+}
+
+// maxSpareSegs bounds an endpoint's spare list: a closed-loop stream has
+// a segment or two in flight per direction, and a burst's surplus goes
+// back to the collector.
+const maxSpareSegs = 4
+
+// takeSeg returns an n-byte segment buffer for a write towards ep: a
+// spare one that is large enough, else a new one with its capacity
+// rounded up to a power of two (at most SegmentSize, which bounds n) so
+// that the buffers of a stream whose message sizes vary converge on one
+// that fits them all.
+func (ep *endpoint) takeSeg(n int) []byte {
+	ep.spareMu.Lock()
+	for i := len(ep.spare) - 1; i >= 0; i-- {
+		if b := ep.spare[i]; cap(b) >= n {
+			last := len(ep.spare) - 1
+			ep.spare[i] = ep.spare[last]
+			ep.spare[last] = nil
+			ep.spare = ep.spare[:last]
+			ep.spareMu.Unlock()
+			return b[:n]
+		}
+	}
+	ep.spareMu.Unlock()
+	c := 64
+	for c < n {
+		c <<= 1
+	}
+	return make([]byte, n, min(c, ep.p.SegmentSize))
+}
+
+// putSeg hands a consumed segment's buffer back. A full list keeps its
+// larger buffers.
+func (ep *endpoint) putSeg(b []byte) {
+	ep.spareMu.Lock()
+	defer ep.spareMu.Unlock()
+	if len(ep.spare) < maxSpareSegs {
+		ep.spare = append(ep.spare, b)
+		return
+	}
+	for i, s := range ep.spare {
+		if cap(s) < cap(b) {
+			ep.spare[i] = b
+			return
+		}
+	}
 }
 
 var endpointSeed struct {
@@ -334,8 +391,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if n > p.SegmentSize {
 			n = p.SegmentSize
 		}
-		chunk := make([]byte, n)
-		copy(chunk, b[written:written+n])
 		c.clk.Advance(p.PerSegment)
 		sendAt := c.clk.Now()
 		if !c.NoDelay && n < p.SegmentSize && p.NagleDelay > 0 {
@@ -376,6 +431,8 @@ func (c *Conn) Write(b []byte) (int, error) {
 				return written, ErrUnreachable
 			}
 		}
+		chunk := peer.takeSeg(n)
+		copy(chunk, b[written:written+n])
 		peer.in.Put(segment{data: chunk, arrive: arrive + p.RecvDeferred})
 		written += n
 	}
@@ -428,8 +485,7 @@ func (c *Conn) arrived(seg segment) {
 	p := c.ep.p
 	c.clk.AdvanceTo(seg.arrive)
 	c.clk.Advance(p.RecvSyscall)
-	c.chargeRecvCopy(len(seg.data))
-	c.rbuf = append(c.rbuf, seg.data...)
+	c.buffer(seg)
 	for {
 		more, ok, _ := c.ep.in.TryRecv()
 		if !ok {
@@ -439,16 +495,18 @@ func (c *Conn) arrived(seg segment) {
 			c.ep.in.PutFront(more)
 			break
 		}
-		c.chargeRecvCopy(len(more.data))
-		c.rbuf = append(c.rbuf, more.data...)
+		c.buffer(more)
 	}
 }
 
-func (c *Conn) chargeRecvCopy(n int) {
-	p := c.ep.p
-	if p.RecvCopies > 0 {
-		c.clk.Advance(simnet.BytesDuration(n*p.RecvCopies, p.CopyBytesPerSec))
+// buffer charges the receive copies for one segment, appends its bytes
+// to the carry-over buffer and recycles the segment's own buffer.
+func (c *Conn) buffer(seg segment) {
+	if p := c.ep.p; p.RecvCopies > 0 {
+		c.clk.Advance(simnet.BytesDuration(len(seg.data)*p.RecvCopies, p.CopyBytesPerSec))
 	}
+	c.rbuf = append(c.rbuf, seg.data...)
+	c.ep.putSeg(seg.data)
 }
 
 func (c *Conn) consume(b []byte) int {
