@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath test perfgate mutations list-mutations check-ci-modes fuzz-smoke
+.PHONY: tier1 tier2 race-datapath determinism test perfgate mutations list-mutations check-ci-modes fuzz-smoke
 
 tier1:
 	go build ./...
@@ -12,14 +12,24 @@ tier2:
 	go vet ./...
 	go test -race ./...
 
-# The race detector over the datapath packages alone. tier2 is red for
-# ROADMAP item 1's reason (scheduling-dependent virtual time in the
-# determinism tests of internal/bench and internal/cluster), which would
-# hide a new data race in the layers every op crosses; these four are
-# green, so this target gates them on their own.
+# The quick subset of tier2 to run after touching the datapath: the race
+# detector over the layers every op crosses (20 s against two minutes).
+# CI runs tier2, which covers it.
 race-datapath:
 	go vet ./...
 	go test -race ./internal/simnet ./internal/sockstream ./internal/memcached ./internal/mcclient
+
+# Same seed, same bytes: the benchmark's own reproducibility check (the
+# virtual metrics of its single-client workloads must be bit-identical
+# across same-seed runs) and the three determinism tests, twenty times
+# each — under the race detector where a caller on another goroutine
+# could still be racing a server step. -selfcheck also compares host
+# time between its runs: a failure that names only a wall_ns_per_op cell
+# is a busy host (rerun it); "NOT REPRODUCIBLE" is a bug.
+determinism:
+	bash benchmark/run.sh -selfcheck
+	go test -race -count=20 -run 'TestHistoryDeterminism|TestSingleClientDeterminism' ./internal/memcheck ./internal/cluster
+	go test -count=20 -run TestFigureTablesBitIdentical ./internal/bench
 
 test: tier1 tier2
 

@@ -56,7 +56,7 @@ func main() {
 	hostClk := simnet.NewVClock(0)
 	go func() {
 		for {
-			if _, ok := lis.AcceptTimeout(hostCtx, hostClk, 100*time.Millisecond); !ok {
+			if _, ok := lis.Accept(hostCtx, hostClk); !ok {
 				return
 			}
 		}

@@ -155,29 +155,26 @@ func AblationCounterAcks(ops int) (nullUs, complUs float64, acksNull, acksCompl 
 	if lerr != nil {
 		return 0, 0, 0, 0, lerr
 	}
-	stop := make(chan struct{})
-	go func() {
+	// Single-threaded toy server, one actor: accept, then progress.
+	dispClk := simnet.NewVClock(0)
+	srv := fab.Executor().NewActor(func() {
 		for {
-			req, ok := lis.Next(simnet.NewVClock(0), 50*time.Millisecond)
+			req, ok := lis.TryNext(dispClk)
 			if !ok {
-				select {
-				case <-stop:
-					return
-				default:
-					continue
-				}
+				break
 			}
-			// Single-threaded toy server: accept then progress inline.
 			if _, err := srvCtx.Accept(req, srvClk); err != nil {
 				req.Reject(err)
 			}
-			for srvCtx.Progress(srvClk) {
-			}
 		}
-	}()
+		for srvCtx.TryProgress(srvClk) {
+		}
+	})
+	lis.SetOwner(srv)
+	srvCtx.SetOwner(srv)
 	defer func() {
-		close(stop)
 		lis.Close()
+		srv.Stop()
 		srvCtx.Destroy()
 	}()
 

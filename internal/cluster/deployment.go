@@ -268,7 +268,7 @@ func (d *Deployment) AddServer(name string) int {
 	if d.Eth1G != nil {
 		d.Eth1G.Attach(node)
 	}
-	srv := memcached.NewServer(memcached.ServerConfig{
+	srv := memcached.NewServer(d.Network.Executor(), memcached.ServerConfig{
 		Workers: d.Opts.ServerWorkers,
 		Store: memcached.StoreConfig{
 			MemoryLimit: d.Opts.MemoryLimit,

@@ -51,7 +51,10 @@ func TestWorkerPoolStressMidBurstClose(t *testing.T) {
 		}
 	}
 
-	closeNow := make(chan struct{})
+	// Client 0 waits for the close it triggers: with the server stepped
+	// inline the other bursts take microseconds of host time, and a close
+	// left to the scheduler could land after all of them.
+	closeNow, closed := make(chan struct{}), make(chan struct{})
 	var closeOnce sync.Once
 	var closerWG sync.WaitGroup
 	closerWG.Add(1)
@@ -59,6 +62,7 @@ func TestWorkerPoolStressMidBurstClose(t *testing.T) {
 		defer closerWG.Done()
 		<-closeNow
 		st.server.Close()
+		close(closed)
 	}()
 
 	type outcome struct {
@@ -89,6 +93,7 @@ func TestWorkerPoolStressMidBurstClose(t *testing.T) {
 					}
 					if ci == 0 && b == closeAt && i == burstOps/2 {
 						closeOnce.Do(func() { close(closeNow) })
+						<-closed
 					}
 				}
 				pl.Wait(clk)

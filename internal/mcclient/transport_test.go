@@ -43,7 +43,7 @@ func newStack(t testing.TB) *stack {
 		RecvSyscall: 3000,
 		SegmentSize: 8192,
 	}
-	st.server = memcached.NewServer(memcached.ServerConfig{Workers: 2})
+	st.server = memcached.NewServer(st.nw.Executor(), memcached.ServerConfig{Workers: 2})
 	lis, err := st.prov.Listen(st.srvNode, "mc")
 	if err != nil {
 		t.Fatal(err)

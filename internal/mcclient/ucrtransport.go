@@ -480,7 +480,7 @@ func (t *UCRTransport) perAttempt(attempts int) simnet.Duration {
 
 // waitDone is the pipelined-wait half of do: the op was already sent
 // when its window flushed, so this only drives progress — draining the
-// CQ in batches sized to the window — and re-sends after per-attempt
+// CQ in batches of at most batch — and re-sends after per-attempt
 // timeouts. The caller owns retiring the op.
 func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 	if op.ctr.Value() >= 1 {

@@ -201,45 +201,6 @@ func FinishMGetReply(b []byte, start, nitems int) {
 	binary.LittleEndian.PutUint16(b[start:], uint16(nitems))
 }
 
-// MGetReplyCursor walks an encoded multi-get reply header in place; the
-// keys it yields alias the wire buffer.
-type MGetReplyCursor struct {
-	b    []byte
-	off  int
-	n, i int
-}
-
-// NewMGetReplyCursor opens a cursor over an encoded MGetReply header.
-func NewMGetReplyCursor(b []byte) (MGetReplyCursor, error) {
-	if len(b) < 2 {
-		return MGetReplyCursor{}, ErrShortAMHeader
-	}
-	return MGetReplyCursor{b: b, off: 2, n: int(binary.LittleEndian.Uint16(b))}, nil
-}
-
-// Len reports the reply's item count.
-func (c *MGetReplyCursor) Len() int { return c.n }
-
-// Next yields the next item's metadata, or ok=false at the end.
-func (c *MGetReplyCursor) Next() (key []byte, flags uint32, cas uint64, valueLen int, ok bool) {
-	if c.i >= c.n || c.off+18 > len(c.b) {
-		return nil, 0, 0, 0, false
-	}
-	le := binary.LittleEndian
-	kl := int(le.Uint16(c.b[c.off:]))
-	flags = le.Uint32(c.b[c.off+2:])
-	cas = le.Uint64(c.b[c.off+6:])
-	valueLen = int(le.Uint32(c.b[c.off+14:]))
-	c.off += 18
-	if c.off+kl > len(c.b) {
-		return nil, 0, 0, 0, false
-	}
-	key = c.b[c.off : c.off+kl]
-	c.off += kl
-	c.i++
-	return key, flags, cas, valueLen, true
-}
-
 // DecodeMGetReply unpacks the header.
 func DecodeMGetReply(b []byte) (MGetReply, error) {
 	if len(b) < 2 {

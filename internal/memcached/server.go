@@ -1,9 +1,7 @@
 package memcached
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/simnet"
 	"repro/internal/sockstream"
@@ -66,16 +64,11 @@ type ServerConfig struct {
 	// visible at a time, so the batch never engages and per-op timing is
 	// unchanged; it pays off under pipelined windows.
 	UCRDrainBatch int
-	// AcceptRealCap bounds listener waits in real time (shutdown knob).
-	AcceptRealCap time.Duration
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.AcceptRealCap <= 0 {
-		c.AcceptRealCap = 100 * time.Millisecond
 	}
 	if c.UCRDrainBatch <= 0 {
 		c.UCRDrainBatch = 16
@@ -101,85 +94,58 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // of worker threads that serve both sockets and UCR clients (§V-A keeps
 // the server compatible with both kinds at once).
 //
-// Serving is batch-scheduled: each worker is a single event loop that
-// parks on three edge-triggered signals (its control mailbox, its UCR
-// CQ, its sockets ready list) and, once woken, drains each source to
-// empty before parking again. A request is carried end to end — parse,
-// striped-store operation, reply build, reply post — on the worker that
-// picked it up; there are no per-connection goroutines, no CQ-waker
-// goroutines, and no channel hand-offs on the hot path.
+// Serving is inline-stepped: the dispatcher and each worker are actors
+// on the deployment's executor, run on the goroutine of whichever caller
+// is waiting for a reply — the server owns no goroutine. A worker step
+// completes the endpoints assigned to it and drains its UCR CQ and its
+// ready sockets connections to empty; a request is carried end to end —
+// parse, striped-store operation, reply build, reply post — on the
+// worker that picked it up.
 type Server struct {
 	cfg   ServerConfig
 	store *Store
 
 	workers []*worker
-	nextW   atomic.Uint64
+	nextW   int
 
-	wg      sync.WaitGroup
-	stopped atomic.Bool
-	stopCh  chan struct{}
-
-	connMu sync.Mutex
-	conns  []*connState
-
-	sockLis []*sockstream.Listener
+	// disp is the accept dispatcher: it owns every listener, assigns
+	// connections round-robin (§V-A) and appends to conns.
+	disp    *simnet.Actor
+	sockLis []sockListener
 	ucrLis  *ucr.Listener
+	ucrClk  *simnet.VClock
 	ucrRT   *ucr.Runtime
-	// ctxs are the workers' progress contexts, in worker order
-	// (read-only after ServeUCR; accessors use this list so they never
-	// race the workers' own ctx hand-off events).
-	ctxs []*ucr.Context
-	// ctxOwner maps each worker's progress context back to its worker
-	// for AM handler dispatch (read-only after ServeUCR).
-	ctxOwner map[*ucr.Context]*worker
+	conns   []*connState
+	stopped atomic.Bool
 
 	// OpsServed counts completed requests across workers.
 	OpsServed atomic.Uint64
 }
 
-// event kinds delivered to workers. All of these are control-plane
-// only (accepts, frontend start, shutdown); data-plane readiness rides
-// the edge-triggered notification channels instead.
-type eventKind uint8
-
-const (
-	evSockAccept eventKind = iota
-	evUCRStart
-	evUCRAccept
-	evStop
-)
-
-type workEvent struct {
-	kind eventKind
-	cs   *connState
-	req  any // *verbs.ConnRequest for evUCRAccept, *ucr.Context for evUCRStart
+// sockListener is one sockets frontend with the dispatcher's clock for it.
+type sockListener struct {
+	lis *sockstream.Listener
+	clk *simnet.VClock
 }
 
-// connState is one sockets client connection. The worker owns conn and
-// proto exclusively; queued is the ready-list dedup flag, guarded by
-// the worker's sockMu (the ready hook runs on the sender's goroutine).
+// connState is one sockets client connection, owned by its worker.
 type connState struct {
 	conn   *sockstream.Conn
 	proto  *ProtoConn
-	worker *worker
-	closed bool // worker-private: set once the conn is torn down
-	queued bool // guarded by worker.sockMu
+	closed bool // set once the conn is torn down
 }
 
-// worker is one server thread: a single goroutine event loop.
+// worker is one server thread: an actor owning its UCR context's CQ, the
+// endpoint requests the dispatcher assigned it and its sockets
+// connections.
 type worker struct {
-	id    int
-	srv   *Server
-	clk   *simnet.VClock
-	queue *simnet.Mailbox[workEvent]
-	ctx   *ucr.Context // non-nil once evUCRStart delivered it
+	srv     *Server
+	actor   *simnet.Actor
+	clk     *simnet.VClock
+	accepts *simnet.Mailbox[*verbs.ConnRequest]
+	ctx     *ucr.Context // non-nil once ServeUCR ran
 
-	// Sockets readiness: connection ready hooks (running on the
-	// delivering client's goroutine) append here and poke the loop.
-	sockMu    sync.Mutex
-	sockReady []*connState
-	sockPoke  chan struct{} // cap 1, edge-triggered
-	sockRun   []*connState  // worker-private double buffer
+	sockRun []any // ready connections of one drainSock pass (reused)
 
 	// pendingSets maps an endpoint to its in-flight Set states
 	// (between the Set header handler and its completion handler).
@@ -241,25 +207,22 @@ func (q *setPendQ) pop() (setPending, bool) {
 	return p, true
 }
 
-// NewServer builds a server with a fresh store.
-func NewServer(cfg ServerConfig) *Server {
+// NewServer builds a server with a fresh store whose dispatcher and
+// workers are actors on ex, the executor of the network it will serve.
+func NewServer(ex *simnet.Executor, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, store: NewStore(cfg.Store), stopCh: make(chan struct{})}
+	s := &Server{cfg: cfg, store: NewStore(cfg.Store)}
+	s.disp = ex.NewActor(s.dispatch)
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
-			id:          i,
 			srv:         s,
 			clk:         simnet.NewVClock(0),
-			queue:       simnet.NewMailbox[workEvent](),
-			sockPoke:    make(chan struct{}, 1),
+			accepts:     simnet.NewMailboxOn[*verbs.ConnRequest](ex),
 			pendingSets: make(map[*ucr.Endpoint]*setPendQ),
 		}
+		w.actor = ex.NewActor(w.step)
+		w.accepts.SetOwner(w.actor, nil, nil)
 		s.workers = append(s.workers, w)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			w.run()
-		}()
 	}
 	return s
 }
@@ -272,255 +235,165 @@ func (s *Server) Workers() int { return len(s.workers) }
 
 // pickWorker assigns connections round-robin (§V-A).
 func (s *Server) pickWorker() *worker {
-	n := s.nextW.Add(1) - 1
-	return s.workers[int(n)%len(s.workers)]
+	w := s.workers[s.nextW%len(s.workers)]
+	s.nextW++
+	return w
+}
+
+// sumContexts totals fn over the workers' progress contexts, reading
+// each between that worker's steps: the counters belong to the worker,
+// and this is what makes them readable on a serving deployment.
+func (s *Server) sumContexts(fn func(*ucr.Context) uint64) (total uint64) {
+	for _, w := range s.workers {
+		w.actor.Do(func() {
+			if w.ctx != nil {
+				total += fn(w.ctx)
+			}
+		})
+	}
+	return total
 }
 
 // UCRRecvBufferBytes totals the UCR receive-buffer memory across the
 // workers' progress contexts (the §VII SRQ-vs-windows footprint).
 func (s *Server) UCRRecvBufferBytes() int64 {
-	var total int64
-	for _, ctx := range s.ctxs {
-		total += ctx.RecvBufferBytes()
-	}
-	return total
+	return int64(s.sumContexts(func(c *ucr.Context) uint64 { return uint64(c.RecvBufferBytes()) }))
 }
 
 // UCRSRQDemux totals how many arrivals the workers' progress contexts
 // demultiplexed off their shared receive queues — zero unless the
 // runtime was configured with UseSRQ. Tests use it as a vacuity guard
 // for the shared-SRQ serving path.
-func (s *Server) UCRSRQDemux() uint64 {
-	var total uint64
-	for _, ctx := range s.ctxs {
-		total += ctx.SRQDemux()
-	}
-	return total
-}
+func (s *Server) UCRSRQDemux() uint64 { return s.sumContexts((*ucr.Context).SRQDemux) }
 
 // UCRBatchedDrains totals how many batched CQ drains harvested more
 // than one completion across the workers' progress contexts. It is the
 // vacuity guard for the batch-scheduled path: a pipelined workload that
 // claims to exercise coalesced draining must observe this counter move.
-// Read it quiesced (after Close, or with clients drained) — workers
-// update it without synchronization.
-func (s *Server) UCRBatchedDrains() uint64 {
-	var total uint64
-	for _, ctx := range s.ctxs {
-		total += ctx.BatchedDrains()
-	}
-	return total
-}
+func (s *Server) UCRBatchedDrains() uint64 { return s.sumContexts((*ucr.Context).BatchedDrains) }
 
-// WorkerClocks reports each worker's current virtual time (benchmarks
-// use the max as the server-side makespan).
+// WorkerClocks reports each worker's virtual time between its steps
+// (benchmarks use the max as the server-side makespan).
 func (s *Server) WorkerClocks() []simnet.Time {
 	out := make([]simnet.Time, len(s.workers))
 	for i, w := range s.workers {
-		out[i] = w.clk.Now()
+		w.actor.Do(func() { out[i] = w.clk.Now() })
 	}
 	return out
 }
 
-// ServeSockets starts the sockets frontend on the given listener. The
-// dispatcher goroutine owns the accept loop; each accepted connection
-// is assigned round-robin and handed to its worker, which installs an
-// edge-triggered ready hook in place of the old per-connection waker
-// goroutine.
+// ServeSockets starts the sockets frontend on the given listener: the
+// dispatcher accepts its connections and hands each to a worker.
 func (s *Server) ServeSockets(lis *sockstream.Listener) {
-	s.sockLis = append(s.sockLis, lis)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		dispClk := simnet.NewVClock(0)
-		for !s.stopped.Load() {
-			conn, ok := lis.AcceptTimeout(dispClk, s.cfg.AcceptRealCap)
+	s.disp.Do(func() {
+		s.sockLis = append(s.sockLis, sockListener{lis, simnet.NewVClock(0)})
+	})
+	lis.SetOwner(s.disp)
+}
+
+// ServeUCR starts the UCR frontend: handlers are registered on rt, each
+// worker gets a progress context whose CQ it owns, and the dispatcher
+// assigns inbound endpoints round-robin.
+func (s *Server) ServeUCR(rt *ucr.Runtime, service string) error {
+	lis, err := rt.Listen(service)
+	if err != nil {
+		return err
+	}
+	s.ucrRT = rt
+	s.registerAMHandlers(rt)
+	for _, w := range s.workers {
+		ctx := rt.NewContext()
+		ctx.UseEvents(s.cfg.UCREvents)
+		ctx.SetOwner(w.actor)
+		w.actor.Do(func() { w.ctx = ctx })
+	}
+	s.disp.Do(func() { s.ucrLis, s.ucrClk = lis, simnet.NewVClock(0) })
+	lis.SetOwner(s.disp)
+	return nil
+}
+
+// dispatch is the dispatcher's step: accept everything pending on every
+// listener, seating each connection on its worker.
+func (s *Server) dispatch() {
+	for _, sl := range s.sockLis {
+		for {
+			conn, ok := sl.lis.TryAccept(sl.clk)
 			if !ok {
-				if s.stopped.Load() {
-					return
-				}
-				continue
+				break
 			}
 			w := s.pickWorker()
 			conn.NoDelay = true
 			conn.SetClock(w.clk)
 			proto := NewProtoConn(conn, s.store)
 			proto.SetCostModel(s.cfg.OpCost, s.cfg.CopyBytesPerSec)
-			cs := &connState{conn: conn, proto: proto, worker: w}
-			s.connMu.Lock()
-			if s.stopped.Load() {
-				// Close() has (or may have) already snapshotted s.conns;
-				// appending now would leak a live conn whose dialer blocks
-				// forever waiting for a reply. Close it here instead so the
-				// peer's pending reads wake with EOF. The stopped check must
-				// happen under connMu: Close() sets the flag before taking
-				// the lock, so a false reading guarantees our append lands
-				// in the snapshot.
-				s.connMu.Unlock()
-				conn.Close()
-				return
-			}
+			cs := &connState{conn: conn, proto: proto}
 			s.conns = append(s.conns, cs)
-			s.connMu.Unlock()
-			w.queue.Put(workEvent{kind: evSockAccept, cs: cs})
+			// Owning the connection lists it as ready at once if bytes (or
+			// a close) beat the accept, and on every later arrival.
+			conn.SetOwner(w.actor, cs)
 		}
-	}()
+	}
+	for s.ucrLis != nil {
+		req, ok := s.ucrLis.TryNext(s.ucrClk)
+		if !ok {
+			break
+		}
+		s.pickWorker().accepts.Put(req)
+	}
 }
 
-// ServeUCR starts the UCR frontend: handlers are registered on rt, each
-// worker is handed a progress context through its control mailbox, and
-// the dispatcher assigns inbound endpoints round-robin. Completion
-// readiness reaches the workers through their CQs' notification
-// channels — there are no CQ-waker goroutines.
-func (s *Server) ServeUCR(rt *ucr.Runtime, service string) error {
-	s.ucrRT = rt
-	s.registerAMHandlers(rt)
-	s.ctxOwner = make(map[*ucr.Context]*worker, len(s.workers))
-	for _, w := range s.workers {
-		ctx := rt.NewContext()
-		ctx.UseEvents(s.cfg.UCREvents)
-		s.ctxs = append(s.ctxs, ctx)
-		s.ctxOwner[ctx] = w
-		w.queue.Put(workEvent{kind: evUCRStart, req: ctx})
-	}
-	lis, err := rt.Listen(service)
-	if err != nil {
-		return err
-	}
-	s.ucrLis = lis
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		dispClk := simnet.NewVClock(0)
-		for !s.stopped.Load() {
-			req, ok := lis.Next(dispClk, s.cfg.AcceptRealCap)
-			if !ok {
-				if s.stopped.Load() {
-					return
-				}
-				continue
-			}
-			s.pickWorker().queue.Put(workEvent{kind: evUCRAccept, req: req})
-		}
-	}()
-	return nil
-}
-
-// Close shuts the server down: listeners stop, connections close, and
-// workers drain and exit (each destroying its own UCR context).
+// Close shuts the server down synchronously: the dispatcher retires (so
+// no connection is seated afterwards), listeners close, every connection
+// closes — waking its peer's reads with EOF — and each worker retires and
+// destroys its UCR context. No step runs after it returns.
 func (s *Server) Close() {
 	if s.stopped.Swap(true) {
 		return
 	}
-	close(s.stopCh)
-	for _, lis := range s.sockLis {
-		lis.Close()
+	s.disp.Stop()
+	for _, sl := range s.sockLis {
+		sl.lis.Close()
 	}
 	if s.ucrLis != nil {
 		s.ucrLis.Close()
 	}
-	s.connMu.Lock()
-	conns := s.conns
-	s.connMu.Unlock()
-	for _, cs := range conns {
+	for _, cs := range s.conns {
 		cs.conn.Close()
 	}
 	for _, w := range s.workers {
-		w.queue.Put(workEvent{kind: evStop})
-	}
-	s.wg.Wait()
-}
-
-// run is the worker event loop: drain the control mailbox, drain the
-// UCR CQ in coalesced batches, serve every ready sockets connection,
-// then park until any source signals again. Each drain runs to empty,
-// so a stale wakeup token costs one no-op pass, never a lost event.
-func (w *worker) run() {
-	defer func() {
+		w.actor.Stop()
 		if w.ctx != nil {
 			w.ctx.Destroy()
 		}
-	}()
-	var incoming <-chan struct{} // nil (blocks forever) until UCR starts
+	}
+}
+
+// step is the worker's turn: complete the endpoints the dispatcher
+// assigned, drain the UCR CQ in coalesced batches, serve every ready
+// sockets connection. Each drain runs to empty.
+func (w *worker) step() {
 	for {
-		for {
-			ev, ok, _ := w.queue.TryRecv()
-			if !ok {
-				break
-			}
-			switch ev.kind {
-			case evStop:
-				return
-			case evSockAccept:
-				w.acceptSock(ev.cs)
-			case evUCRStart:
-				w.ctx = ev.req.(*ucr.Context)
-				incoming = w.ctx.IncomingC()
-			case evUCRAccept:
-				w.handleUCRAccept(ev)
-			}
+		req, ok, _ := w.accepts.TryRecv()
+		if !ok {
+			break
 		}
-		w.drainUCR()
-		w.drainSock()
-		select {
-		case <-w.queue.NotifyC():
-		case <-incoming:
-		case <-w.sockPoke:
-		case <-w.srv.stopCh:
-			return
-		}
+		w.handleUCRAccept(req)
 	}
+	w.drainUCR()
+	w.drainSock()
 }
 
-// acceptSock seats a freshly accepted connection on this worker: the
-// ready hook marks the connection runnable from the delivering
-// goroutine and pokes the loop. Arrivals that landed before the hook
-// was installed fire no notification, so the worker self-queues the
-// connection if data (or a close) is already pending.
-func (w *worker) acceptSock(cs *connState) {
-	cs.conn.SetReadyHook(func() {
-		w.sockMu.Lock()
-		if !cs.queued {
-			cs.queued = true
-			w.sockReady = append(w.sockReady, cs)
-		}
-		w.sockMu.Unlock()
-		select {
-		case w.sockPoke <- struct{}{}:
-		default:
-		}
-	})
-	if cs.conn.Buffered() > 0 || cs.conn.StreamClosed() {
-		w.sockMu.Lock()
-		if !cs.queued {
-			cs.queued = true
-			w.sockReady = append(w.sockReady, cs)
-		}
-		w.sockMu.Unlock()
-	}
-}
-
-// drainSock serves every connection on the ready list. The list is
-// swapped against a worker-private double buffer so hooks can keep
-// queueing while the worker serves.
+// drainSock serves every connection that became ready, until none is.
 func (w *worker) drainSock() {
 	for {
-		w.sockMu.Lock()
-		if len(w.sockReady) == 0 {
-			w.sockMu.Unlock()
+		w.sockRun = w.actor.TakeReady(w.sockRun[:0])
+		if len(w.sockRun) == 0 {
 			return
 		}
-		run := w.sockReady
-		w.sockReady = w.sockRun[:0]
-		for _, cs := range run {
-			cs.queued = false
+		for i, cs := range w.sockRun {
+			w.serveConn(cs.(*connState))
+			w.sockRun[i] = nil
 		}
-		w.sockMu.Unlock()
-		for i, cs := range run {
-			w.serveConn(cs)
-			run[i] = nil
-		}
-		w.sockRun = run[:0]
 	}
 }
 
@@ -528,8 +401,7 @@ func (w *worker) drainSock() {
 // (one readiness edge can harvest a pipelined burst). DispatchCost is
 // charged only when there is data to serve: a readiness edge whose
 // bytes were already consumed by an earlier burst is a no-op with no
-// virtual-time footprint, which keeps depth-1 timing identical to the
-// old waker model.
+// virtual-time footprint.
 func (w *worker) serveConn(cs *connState) {
 	if cs.closed {
 		return
@@ -557,12 +429,15 @@ func (w *worker) serveConn(cs *connState) {
 	}
 }
 
-// handleUCRAccept completes an endpoint into this worker's context.
-func (w *worker) handleUCRAccept(ev workEvent) {
-	req := ev.req.(*verbs.ConnRequest)
-	if _, err := w.ctx.Accept(req, w.clk); err != nil {
+// handleUCRAccept completes an endpoint into this worker's context and
+// tags it with the worker for AM handler dispatch.
+func (w *worker) handleUCRAccept(req *verbs.ConnRequest) {
+	ep, err := w.ctx.Accept(req, w.clk)
+	if err != nil {
 		req.Reject(err)
+		return
 	}
+	ep.UserData = w
 }
 
 // drainUCR sweeps the context's pending completions in batched drains

@@ -40,7 +40,7 @@ func newEnv(t *testing.T, workers int) *env {
 	e.fab.Attach(e.srvNode)
 	e.cm = verbs.NewCM(e.fab)
 	e.prov = &sockstream.Provider{Name: "sock", Fabric: e.fab, SegmentSize: 8192}
-	e.server = memcached.NewServer(memcached.ServerConfig{Workers: workers})
+	e.server = memcached.NewServer(e.nw.Executor(), memcached.ServerConfig{Workers: workers})
 	lis, err := e.prov.Listen(e.srvNode, "mc")
 	if err != nil {
 		t.Fatal(err)

@@ -116,9 +116,6 @@ func (a *SlabArena) UsedBytes() int64 {
 	return a.usedBytes
 }
 
-// LimitBytes reports the configured cap.
-func (a *SlabArena) LimitBytes() int64 { return a.limitBytes }
-
 // Alloc takes a chunk that fits n bytes. It does not evict; the store
 // layer owns eviction policy. ErrNoMemory means "free a chunk first".
 func (a *SlabArena) Alloc(n int) (chunk, error) {
@@ -154,13 +151,6 @@ func (a *SlabArena) growClassLocked(ci int) error {
 		cl.free = append(cl.free, chunk{class: ci, buf: page[off : off+cl.size : off+cl.size], page: pi, off: off})
 	}
 	return nil
-}
-
-// NumPages reports how many pages the arena has grabbed.
-func (a *SlabArena) NumPages() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pages)
 }
 
 // PageBytes exposes page i's full backing slice (the one-sided index

@@ -987,61 +987,5 @@ func (s *Store) ItemsPerClass() []int {
 	return counts
 }
 
-// SlabClassStat is one size class's occupancy snapshot.
-type SlabClassStat struct {
-	ClassID       int
-	ChunkSize     int
-	ChunksPerPage int
-	TotalPages    int
-	TotalChunks   int
-	UsedChunks    int
-	FreeChunks    int
-	Items         int
-}
-
-// SlabStats snapshots per-class occupancy for classes holding pages
-// (the data behind `stats slabs` and `stats items`).
-func (s *Store) SlabStats() (classes []SlabClassStat, totalMalloced int64) {
-	a := s.arena
-	items := s.ItemsPerClass()
-	for i := 0; i < a.NumClasses(); i++ {
-		pages := a.ClassPages(i)
-		if pages == 0 {
-			continue
-		}
-		perPage := slabPageSize / a.ClassSize(i)
-		total := pages * perPage
-		free := a.FreeChunks(i)
-		classes = append(classes, SlabClassStat{
-			ClassID:       i + 1,
-			ChunkSize:     a.ClassSize(i),
-			ChunksPerPage: perPage,
-			TotalPages:    pages,
-			TotalChunks:   total,
-			UsedChunks:    total - free,
-			FreeChunks:    free,
-			Items:         items[i],
-		})
-	}
-	return classes, a.UsedBytes()
-}
-
-// EvictionsEnabled reports whether the store evicts under pressure.
-func (s *Store) EvictionsEnabled() bool { return s.evictions }
-
 // MaxItemSize reports the largest storable object.
 func (s *Store) MaxItemSize() int { return s.arena.ClassSize(s.arena.NumClasses() - 1) }
-
-// HashExpanding reports whether any shard's table is mid-expansion
-// (tests).
-func (s *Store) HashExpanding() bool {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		expanding := sh.table.Expanding()
-		sh.mu.Unlock()
-		if expanding {
-			return true
-		}
-	}
-	return false
-}

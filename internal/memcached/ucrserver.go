@@ -34,10 +34,8 @@ type setPending struct {
 	replyCtr ucr.CounterID
 }
 
-// workerFor resolves the worker owning an endpoint's progress context.
-func (s *Server) workerFor(ep *ucr.Endpoint) *worker {
-	return s.ctxOwner[ep.Context()]
-}
+// workerFor resolves the worker that accepted an endpoint.
+func (s *Server) workerFor(ep *ucr.Endpoint) *worker { return ep.UserData.(*worker) }
 
 // pendSet queues an in-flight Set state for ep on its worker.
 func (w *worker) pendSet(ep *ucr.Endpoint, p setPending) {

@@ -46,11 +46,5 @@ func (w *worker) writeReplyWin(ep *ucr.Endpoint, cur ucr.WindowDesc) ucr.WindowD
 
 // UCRWriteReplies totals the write-based replies posted across the
 // workers' progress contexts — the vacuity guard for the write-reply
-// datapath. Read it quiesced (after Close, or with clients drained).
-func (s *Server) UCRWriteReplies() uint64 {
-	var total uint64
-	for _, ctx := range s.ctxs {
-		total += ctx.WriteReplies()
-	}
-	return total
-}
+// datapath.
+func (s *Server) UCRWriteReplies() uint64 { return s.sumContexts((*ucr.Context).WriteReplies) }

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -20,53 +19,117 @@ import (
 // never reallocates: the hot serving paths (CQ drains, socket segments)
 // cycle through the same backing array instead of re-growing an
 // append-and-reslice queue.
+//
+// A mailbox has exactly one receiver. Its blocking receive is the one
+// place the simulation waits: the wait steps the ready actors of the
+// mailbox's executor on the calling goroutine, and a mailbox given to an
+// actor with SetOwner makes that actor ready on every Put.
 type Mailbox[T any] struct {
-	mu     sync.Mutex
-	buf    []T // ring storage; len(buf) is the capacity
-	head   int // index of the oldest queued message
-	n      int // queued message count
-	closed bool
-	notify chan struct{}          // capacity 1, poked on every state change
-	hook   atomic.Pointer[func()] // optional, invoked after every poke (see SetNotifyHook)
-	timer  *time.Timer            // pooled deadline timer for RecvTimeout (receiver-owned)
+	receiver
+	buf   []T // ring storage; len(buf) is the capacity
+	head  int // index of the oldest queued message
+	stamp func(T) Time
 }
 
-// NewMailbox returns an empty open mailbox.
-func NewMailbox[T any]() *Mailbox[T] {
-	return &Mailbox[T]{notify: make(chan struct{}, 1)}
+// receiver is the part of a mailbox that does not depend on the message
+// type: what the receiving side and the executor share.
+type receiver struct {
+	mu      sync.Mutex
+	n       int // queued message count
+	closed  bool
+	waiting bool          // the receiver is parked: the next change sends a wake token
+	wake    chan struct{} // capacity 1
+	timer   *time.Timer   // pooled deadline timer (receiver-owned)
+
+	ex     *Executor
+	owner  *Actor // nil: received by an ordinary goroutine
+	tag    any    // what Actor.TakeReady reports for this mailbox
+	listed bool   // in owner.news (guarded by ex.mu)
+	slot   int    // index in ex.parked while parked (guarded by ex.mu)
 }
 
-func (m *Mailbox[T]) poke() {
+// NewMailbox returns an empty open mailbox on an executor of its own:
+// with no actor to step, its blocking receives just park.
+func NewMailbox[T any]() *Mailbox[T] { return NewMailboxOn[T](newExecutor()) }
+
+// NewMailboxOn returns an empty open mailbox whose blocking receives step
+// ex's actors while they wait.
+func NewMailboxOn[T any](ex *Executor) *Mailbox[T] {
+	return &Mailbox[T]{receiver: receiver{wake: make(chan struct{}, 1), ex: ex}}
+}
+
+// SetOwner hands the mailbox to actor a, on whose executor it must have
+// been made: from now on a Put or Close makes a ready, ordered by
+// stamp(msg) (nil: stamp 0), and only a's step may receive from it. A
+// non-nil tag lists the mailbox in a.TakeReady whenever it changes.
+// Messages already queued count.
+func (m *Mailbox[T]) SetOwner(a *Actor, tag any, stamp func(T) Time) {
+	if m.ex != a.ex {
+		panic("simnet: mailbox and owner are on different executors")
+	}
+	m.mu.Lock()
+	m.owner, m.tag, m.stamp = a, tag, stamp
+	a.pending.Add(int64(m.n))
+	news := m.n > 0 || m.closed
+	m.mu.Unlock()
+	if news {
+		m.ex.link(&m.receiver, 0, true)
+	}
+}
+
+func (r *receiver) signal() {
 	select {
-	case m.notify <- struct{}{}:
+	case r.wake <- struct{}{}:
 	default:
 	}
-	if h := m.hook.Load(); h != nil {
-		(*h)()
+}
+
+// arrived reports whether a receive would not block.
+func (r *receiver) arrived() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n > 0 || r.closed
+}
+
+// arm marks the receiver parked unless a receive would not block.
+func (r *receiver) arm() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.waiting = r.n == 0 && !r.closed
+	return r.waiting
+}
+
+// armTimer readies the pooled receiver-side timer and returns its
+// channel, so steady-state timed waits do not allocate.
+func (r *receiver) armTimer(d time.Duration) <-chan time.Time {
+	if r.timer == nil {
+		r.timer = time.NewTimer(d)
+	} else {
+		r.timer.Reset(d)
+	}
+	return r.timer.C
+}
+
+// disarmTimer stops the pooled timer and drains a stale expiry so the
+// next arm starts clean.
+func (r *receiver) disarmTimer() {
+	if !r.timer.Stop() {
+		select {
+		case <-r.timer.C:
+		default:
+		}
 	}
 }
 
-// NotifyC exposes the mailbox's readiness channel so a receiver can park
-// on several event sources at once (select over many mailboxes). The
-// channel holds at most one token; a token means "state changed since you
-// last looked", so after receiving one the owner must drain with TryRecv
-// until empty. Spurious tokens are possible and harmless. Only the single
-// receiver may take from this channel.
-func (m *Mailbox[T]) NotifyC() <-chan struct{} { return m.notify }
-
-// SetNotifyHook installs fn to be called after every poke (Put, PutFront,
-// Close), from the goroutine that caused the state change and outside the
-// mailbox lock. Event-loop owners use it to enqueue "this source is ready"
-// onto their own run queue without dedicating a waker goroutine per
-// source. The installer must immediately re-check the mailbox itself:
-// pokes that happened before installation did not run the hook. fn must
-// be cheap and must not call back into the mailbox.
-func (m *Mailbox[T]) SetNotifyHook(fn func()) {
-	if fn == nil {
-		m.hook.Store(nil)
-		return
+// changed runs after a Put or Close, outside the mailbox lock: the owner
+// becomes ready and a parked receiver wakes.
+func (r *receiver) changed(owner *Actor, wake bool, at Time, closed bool) {
+	if owner != nil {
+		r.ex.link(r, at, closed)
 	}
-	m.hook.Store(&fn)
+	if wake {
+		r.signal()
+	}
 }
 
 // grow doubles the ring (called with mu held, when full).
@@ -96,8 +159,17 @@ func (m *Mailbox[T]) Put(msg T) {
 	}
 	m.buf[(m.head+m.n)%len(m.buf)] = msg
 	m.n++
+	owner, wake := m.owner, m.waiting
+	m.waiting = false
+	var at Time
+	if owner != nil {
+		owner.pending.Add(1)
+		if m.stamp != nil {
+			at = m.stamp(msg)
+		}
+	}
 	m.mu.Unlock()
-	m.poke()
+	m.changed(owner, wake, at, false)
 }
 
 // PutFront pushes a message back to the head of the queue. Receivers use
@@ -106,8 +178,8 @@ func (m *Mailbox[T]) Put(msg T) {
 // scrambling FIFO order. Putting to a closed mailbox is a no-op.
 func (m *Mailbox[T]) PutFront(msg T) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	if m.n == len(m.buf) {
@@ -119,8 +191,9 @@ func (m *Mailbox[T]) PutFront(msg T) {
 	}
 	m.buf[m.head] = msg
 	m.n++
-	m.mu.Unlock()
-	m.poke()
+	if m.owner != nil {
+		m.owner.pending.Add(1)
+	}
 }
 
 // TryRecv removes the head message if one is present.
@@ -135,6 +208,9 @@ func (m *Mailbox[T]) TryRecv() (msg T, ok, closed bool) {
 		m.buf[m.head] = zero
 		m.head = (m.head + 1) % len(m.buf)
 		m.n--
+		if m.owner != nil {
+			m.owner.pending.Add(-1)
+		}
 		return msg, true, m.closed
 	}
 	return msg, false, m.closed
@@ -143,71 +219,24 @@ func (m *Mailbox[T]) TryRecv() (msg T, ok, closed bool) {
 // Recv blocks until a message is available or the mailbox is closed and
 // drained. ok=false means closed-and-empty.
 func (m *Mailbox[T]) Recv() (msg T, ok bool) {
-	for {
-		msg, got, closed := m.TryRecv()
-		if got {
-			return msg, true
-		}
-		if closed {
-			return msg, false
-		}
-		<-m.notify
-	}
+	msg, ok, _ = m.RecvTimeout(0)
+	return msg, ok
 }
 
-// RecvTimeout is Recv with a real-time cap, used only on failure paths:
-// if the peer is dead nothing will ever arrive, and virtual time cannot
-// advance by itself. ok=false with timedOut=true reports the cap fired.
-// The deadline timer is pooled on the mailbox (there is exactly one
-// receiver), so steady-state timed waits do not allocate.
+// RecvTimeout is Recv with a real-time cap on the time spent parked
+// (d <= 0: none), used only on failure paths: if the peer is dead
+// nothing will ever arrive, and virtual time cannot advance by itself.
+// ok=false with timedOut=true reports the cap fired.
 func (m *Mailbox[T]) RecvTimeout(d time.Duration) (msg T, ok, timedOut bool) {
-	// Fast path: something is already queued (or the box is closed) — no
-	// timer needed at all.
-	msg, got, closed := m.TryRecv()
-	if got {
-		return msg, true, false
+	msg, ok, closed := m.TryRecv()
+	if ok || closed {
+		return msg, ok, false
 	}
-	if closed {
-		return msg, false, false
+	if m.ex.await(&m.receiver, d) {
+		return msg, false, true
 	}
-	deadline := m.armTimer(d)
-	defer m.disarmTimer()
-	for {
-		msg, got, closed = m.TryRecv()
-		if got {
-			return msg, true, false
-		}
-		if closed {
-			return msg, false, false
-		}
-		select {
-		case <-m.notify:
-		case <-deadline:
-			return msg, false, true
-		}
-	}
-}
-
-// armTimer readies the pooled receiver-side timer for one RecvTimeout
-// call and returns its channel.
-func (m *Mailbox[T]) armTimer(d time.Duration) <-chan time.Time {
-	if m.timer == nil {
-		m.timer = time.NewTimer(d)
-		return m.timer.C
-	}
-	m.timer.Reset(d)
-	return m.timer.C
-}
-
-// disarmTimer stops the pooled timer and drains a stale expiry so the
-// next arm starts clean.
-func (m *Mailbox[T]) disarmTimer() {
-	if !m.timer.Stop() {
-		select {
-		case <-m.timer.C:
-		default:
-		}
-	}
+	msg, ok, _ = m.TryRecv()
+	return msg, ok, false
 }
 
 // Len reports the number of queued messages.
@@ -217,7 +246,7 @@ func (m *Mailbox[T]) Len() int {
 	return m.n
 }
 
-// Close marks the mailbox closed and wakes all waiters. Queued messages
+// Close marks the mailbox closed and wakes its receiver. Queued messages
 // remain receivable.
 func (m *Mailbox[T]) Close() {
 	m.mu.Lock()
@@ -226,11 +255,10 @@ func (m *Mailbox[T]) Close() {
 		return
 	}
 	m.closed = true
+	owner, wake := m.owner, m.waiting
+	m.waiting = false
 	m.mu.Unlock()
-	// The notify channel is never closed (a racing Put's poke must stay
-	// safe); a single poke wakes the receiver, which observes the closed
-	// flag through TryRecv. Mailboxes have exactly one receiver.
-	m.poke()
+	m.changed(owner, wake, 0, true)
 }
 
 // Closed reports whether Close has been called.

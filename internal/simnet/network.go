@@ -34,17 +34,22 @@ func (n *Node) Recover() { n.failed.Store(false) }
 // Failed reports whether the node is marked dead.
 func (n *Node) Failed() bool { return n.failed.Load() }
 
-// Network is the cluster: a set of nodes and the fabrics joining them.
+// Network is the cluster: a set of nodes, the fabrics joining them and
+// the executor that steps the actors living on them.
 type Network struct {
 	mu      sync.Mutex
 	nodes   []*Node
 	fabrics map[string]*Fabric
+	exec    *Executor
 }
 
 // NewNetwork returns an empty cluster.
 func NewNetwork() *Network {
-	return &Network{fabrics: make(map[string]*Fabric)}
+	return &Network{fabrics: make(map[string]*Fabric), exec: newExecutor()}
 }
+
+// Executor reports the cluster's executor.
+func (nw *Network) Executor() *Executor { return nw.exec }
 
 // AddNode creates a node with the given name.
 func (nw *Network) AddNode(name string) *Node {
@@ -129,6 +134,10 @@ func (nw *Network) AddFabric(spec FabricSpec) *Fabric {
 
 // Spec returns the fabric's physical characteristics.
 func (f *Fabric) Spec() FabricSpec { return f.spec }
+
+// Executor reports the executor of the network the fabric belongs to;
+// everything cabled to the fabric makes its mailboxes on it.
+func (f *Fabric) Executor() *Executor { return f.net.exec }
 
 // Attach connects a node to the fabric (plugs in a NIC/HCA).
 func (f *Fabric) Attach(n *Node) {

@@ -79,8 +79,8 @@ func BytesDuration(n int, bytesPerSec float64) Duration {
 	return Duration(float64(n) / bytesPerSec * 1e9)
 }
 
-// VClock is a virtual clock owned by exactly one goroutine (an "actor"):
-// a benchmark client, a memcached worker thread, and so on. Only the
+// VClock is a virtual clock owned by exactly one actor: a benchmark
+// client's goroutine, a memcached worker's step, and so on. Only the
 // owner may advance it; cross-actor ordering happens through message
 // timestamps and Resource serialization, never by sharing a VClock.
 // Reads (Now) are safe from any goroutine, so a harness can observe

@@ -176,7 +176,7 @@ func (p *Provider) Listen(node *simnet.Node, service string) (*Listener, error) 
 	if _, dup := p.listeners[key]; dup {
 		return nil, fmt.Errorf("sockstream: %s already bound on %s", service, node.Name())
 	}
-	q := simnet.NewMailbox[*dialReq]()
+	q := simnet.NewMailboxOn[*dialReq](p.Fabric.Executor())
 	p.listeners[key] = q
 	return &Listener{p: p, node: node, service: service, queue: q}, nil
 }
@@ -191,13 +191,20 @@ func (l *Listener) Accept(clk *simnet.VClock) (*Conn, bool) {
 	return l.complete(req, clk), true
 }
 
-// AcceptTimeout is Accept with a real-time cap for shutdown paths.
-func (l *Listener) AcceptTimeout(clk *simnet.VClock, realCap time.Duration) (*Conn, bool) {
-	req, ok, _ := l.queue.RecvTimeout(realCap)
+// TryAccept is Accept for an accept loop that must not block: ok=false
+// means no connection is pending.
+func (l *Listener) TryAccept(clk *simnet.VClock) (*Conn, bool) {
+	req, ok, _ := l.queue.TryRecv()
 	if !ok {
 		return nil, false
 	}
 	return l.complete(req, clk), true
+}
+
+// SetOwner makes actor a the listener's acceptor: every SYN makes a
+// ready, ordered by its arrival.
+func (l *Listener) SetOwner(a *simnet.Actor) {
+	l.queue.SetOwner(a, nil, func(req *dialReq) simnet.Time { return req.arrive })
 }
 
 func (l *Listener) complete(req *dialReq, clk *simnet.VClock) *Conn {
@@ -235,7 +242,7 @@ func (p *Provider) Dial(from, to *simnet.Node, service string, clk *simnet.VCloc
 		return nil, ErrUnreachable
 	}
 	local := newEndpoint(p, from)
-	req := &dialReq{remote: local, arrive: arrive, reply: simnet.NewMailbox[dialReply]()}
+	req := &dialReq{remote: local, arrive: arrive, reply: simnet.NewMailboxOn[dialReply](p.Fabric.Executor())}
 	q.Put(req)
 	rep, ok, timedOut := req.reply.RecvTimeout(realCap)
 	if timedOut {
@@ -333,7 +340,7 @@ func newEndpoint(p *Provider, node *simnet.Node) *endpoint {
 	endpointSeed.n++
 	seed := endpointSeed.n
 	endpointSeed.Unlock()
-	return &endpoint{p: p, node: node, in: simnet.NewMailbox[segment](), rng: simnet.NewRand(seed)}
+	return &endpoint{p: p, node: node, in: simnet.NewMailboxOn[segment](p.Fabric.Executor()), rng: simnet.NewRand(seed)}
 }
 
 // Conn is the user-visible stream handle. It satisfies io.ReadWriteCloser
@@ -357,9 +364,6 @@ func (c *Conn) SetClock(clk *simnet.VClock) { c.clk = clk }
 
 // Clock reports the owning clock.
 func (c *Conn) Clock() *simnet.VClock { return c.clk }
-
-// LocalNode reports the node this end lives on.
-func (c *Conn) LocalNode() *simnet.Node { return c.ep.node }
 
 // Provider reports the socket stack.
 func (c *Conn) Provider() *Provider { return c.ep.p }
@@ -446,14 +450,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, nil
 	}
-	if len(c.rbuf) == 0 {
-		seg, ok := c.ep.in.Recv()
-		if !ok {
-			return 0, io.EOF
-		}
-		c.arrived(seg)
-	}
-	return c.consume(b), nil
+	return c.ReadDeadline(b, simnet.Time(1)<<62, 0)
 }
 
 // ReadDeadline is Read bounded by a virtual deadline (with a real-time
@@ -523,33 +520,12 @@ func (c *Conn) consume(b []byte) int {
 // Buffered reports bytes already delivered but not yet consumed.
 func (c *Conn) Buffered() int { return len(c.rbuf) + c.ep.in.Len() }
 
-// WaitReadable blocks until at least one byte is available to Read, or
-// the stream is closed (false). It consumes nothing and charges no
-// virtual time: it is the "libevent" half of a server's event loop —
-// a waker goroutine parks here, then hands the connection to the worker
-// thread that does the actual (cost-charged) Read. The waker and the
-// reader must be sequenced, never concurrent.
-func (c *Conn) WaitReadable() bool {
-	if len(c.rbuf) > 0 {
-		return true
-	}
-	seg, ok := c.ep.in.Recv()
-	if !ok {
-		return false
-	}
-	c.ep.in.PutFront(seg)
-	return true
+// SetOwner makes actor a the connection's reader: every arriving segment
+// (and the stream's close) makes a ready, ordered by arrival, and lists
+// tag in a.TakeReady.
+func (c *Conn) SetOwner(a *simnet.Actor, tag any) {
+	c.ep.in.SetOwner(a, tag, func(seg segment) simnet.Time { return seg.arrive })
 }
-
-// SetReadyHook installs fn to run — on the delivering goroutine —
-// whenever a segment lands on this end's incoming stream, and once when
-// the stream closes. It is the edge-triggered alternative to parking a
-// waker goroutine in WaitReadable: an event-loop worker registers a hook
-// that marks the connection runnable and pokes the loop. fn must not
-// block and must not touch the Conn itself (it runs concurrently with
-// the owner); after installing, re-check Buffered()/StreamClosed, since
-// arrivals that preceded the install fire no hook.
-func (c *Conn) SetReadyHook(fn func()) { c.ep.in.SetNotifyHook(fn) }
 
 // StreamClosed reports whether the incoming stream has been shut; with
 // Buffered()==0 it means reads would return io.EOF.

@@ -32,7 +32,7 @@ type postUndo struct {
 }
 
 func (u postUndo) run() {
-	delete(u.ep.ctx.pendingSends, u.id)
+	u.ep.ctx.pendingSends.take(u.id)
 	if st, ok := u.ep.ctx.pendingWrites[u.id]; ok {
 		// A write reply that never reached the wire still settles its
 		// counter: the caller's pin lifecycle keys off it.

@@ -19,8 +19,8 @@ type Context struct {
 	eps             map[uint32]*Endpoint // local QPN → endpoint
 	srq             *verbs.SRQ           // shared receive pool (Config.UseSRQ)
 	srqBytes        int64                // receive-buffer bytes posted (footprint stat)
-	pendingSends    map[uint64]pendingSend
-	pendingRecvs    map[uint64][]byte // posted receive buffers by WR id
+	pendingSends    slots[pendingSend]
+	pendingRecvs    slots[[]byte] // posted receive buffers
 	pendingReads    map[uint64]pendingRead
 	pendingOneSided map[uint64]oneSidedState
 	pendingWrites   map[uint64]writeReplyState
@@ -36,10 +36,9 @@ type Context struct {
 	coalesced bool
 	// drainEnd is the virtual time the last productive TryProgressN ran
 	// dry: the owner busy-polls for cfg.PollSpin past it, so a completion
-	// arriving inside that window is harvested at the coalesced cost even
-	// though the owner goroutine has physically parked by the time the
-	// completion is delivered. Initialized far in the past so the very
-	// first harvest of a context always pays the full cost.
+	// arriving inside that window is harvested at the coalesced cost
+	// whenever the owner is next stepped. Initialized far in the past so
+	// the very first harvest of a context always pays the full cost.
 	drainEnd simnet.Time
 
 	// stats
@@ -90,8 +89,6 @@ func (rt *Runtime) NewContext() *Context {
 		cq:              rt.hca.CreateCQ(),
 		drainEnd:        simnet.Time(-1) << 50,
 		eps:             make(map[uint32]*Endpoint),
-		pendingSends:    make(map[uint64]pendingSend),
-		pendingRecvs:    make(map[uint64][]byte),
 		pendingReads:    make(map[uint64]pendingRead),
 		pendingOneSided: make(map[uint64]oneSidedState),
 		pendingWrites:   make(map[uint64]writeReplyState),
@@ -125,12 +122,9 @@ func (c *Context) BatchedDrains() uint64 { return c.batchedDrains }
 // handler signature.
 func (c *Context) InCoalescedDrain() bool { return c.coalesced }
 
-// IncomingC exposes the context's completion-readiness channel: one
-// token means completions may be pending (or the context was destroyed)
-// since the owner last drained. Event-loop owners park on it in a select
-// instead of dedicating a WaitIncoming waker goroutine, then drain with
-// TryProgress/TryProgressN until empty. Spurious tokens are harmless.
-func (c *Context) IncomingC() <-chan struct{} { return c.cq.ReadyC() }
+// SetOwner makes actor a the context's owner: every completion makes a
+// ready, and a's step drives the context with TryProgress/TryProgressN.
+func (c *Context) SetOwner(a *simnet.Actor) { c.cq.SetOwner(a) }
 
 // UseEvents switches this context's completion detection from polling to
 // interrupt-driven events (ablation: §II-A1 notes polling is fastest).
@@ -164,11 +158,10 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 			c.srq = c.rt.hca.CreateSRQSized(c.rt.cfg.SRQBuffers)
 			bufSize := c.bufSize(Reliable)
 			for i := 0; i < c.rt.cfg.SRQBuffers; i++ {
-				id := c.wrID()
 				buf := make([]byte, bufSize)
-				c.pendingRecvs[id] = buf
+				id := c.pendingRecvs.put(buf)
 				if err := c.srq.Post(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-					delete(c.pendingRecvs, id)
+					c.pendingRecvs.take(id)
 					return nil, err
 				}
 				c.srqBytes += int64(bufSize)
@@ -191,11 +184,10 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 	}
 	if !useSRQ {
 		for i := 0; i < c.rt.cfg.Credits; i++ {
-			id := c.wrID()
 			buf := make([]byte, ep.bufSize)
-			c.pendingRecvs[id] = buf
+			id := c.pendingRecvs.put(buf)
 			if err := qp.PostRecv(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-				delete(c.pendingRecvs, id)
+				c.pendingRecvs.take(id)
 				return nil, err
 			}
 			c.srqBytes += int64(ep.bufSize)
@@ -256,20 +248,11 @@ func (c *Context) Accept(req *verbs.ConnRequest, clk *simnet.VClock) (*Endpoint,
 	return ep, nil
 }
 
-// Progress blocks until one completion is processed, running handlers
-// and bumping counters as the protocol dictates. ok=false means the
-// context was destroyed.
-func (c *Context) Progress(clk *simnet.VClock) bool {
-	wc, ok := c.cq.Wait(clk)
-	if !ok {
-		return false
-	}
-	c.dispatch(clk, wc)
-	return true
-}
-
-// ProgressDeadline is Progress bounded by a virtual deadline, with a
-// real-time cap that fires only when the peer is genuinely silent.
+// ProgressDeadline blocks until one completion is processed — running
+// handlers and bumping counters as the protocol dictates — or the
+// virtual deadline passes; the real-time cap fires only when the peer is
+// genuinely silent. ok=false without timedOut means the context was
+// destroyed.
 func (c *Context) ProgressDeadline(clk *simnet.VClock, deadline simnet.Time, realCap time.Duration) (ok, timedOut bool) {
 	wc, ok, timedOut := c.cq.WaitDeadline(clk, deadline, realCap)
 	if !ok {
@@ -278,12 +261,6 @@ func (c *Context) ProgressDeadline(clk *simnet.VClock, deadline simnet.Time, rea
 	c.dispatch(clk, wc)
 	return true, false
 }
-
-// WaitIncoming blocks (charging no time) until the context has at least
-// one completion pending, or the context is destroyed (false). It is the
-// waker half of a server event loop; the owning worker then drains with
-// TryProgress. Waker and owner must be sequenced, never concurrent.
-func (c *Context) WaitIncoming() bool { return c.cq.WaitAvailable() }
 
 // TryProgress processes one completion if immediately available,
 // charging the harvest cost (poll or interrupt per the context's mode).
@@ -300,21 +277,7 @@ func (c *Context) TryProgress(clk *simnet.VClock) bool {
 // virtual timeout expires (§IV-A: synchronization with timeouts so a
 // dead server is survivable). timeout <= 0 waits with a generous bound.
 func (c *Context) WaitCounter(clk *simnet.VClock, ctr *Counter, target uint64, timeout simnet.Duration) error {
-	realCap := c.rt.cfg.RealSilenceCap
-	if timeout <= 0 {
-		timeout = simnet.Time(1) << 50
-	}
-	deadline := clk.Now() + timeout
-	for ctr.Value() < target {
-		ok, timedOut := c.ProgressDeadline(clk, deadline, realCap)
-		if timedOut {
-			return ErrTimeout
-		}
-		if !ok {
-			return ErrClosed
-		}
-	}
-	return nil
+	return c.WaitCounterBatch(clk, ctr, target, timeout, 1)
 }
 
 // dispatch routes one work completion.
@@ -343,11 +306,10 @@ func (c *Context) dispatch(clk *simnet.VClock, wc verbs.WC) {
 // for eager sends (local completion means the application buffer is
 // reusable — §IV-C "Origin counter").
 func (c *Context) onSendComplete(wc verbs.WC) {
-	st, ok := c.pendingSends[wc.ID]
+	st, ok := c.pendingSends.take(wc.ID)
 	if !ok {
 		return
 	}
-	delete(c.pendingSends, wc.ID)
 	if st.buf != nil {
 		st.ep.releaseSendBuf(st.buf)
 	}
@@ -404,10 +366,7 @@ func (c *Context) neighborEndpoint(ep *Endpoint) *Endpoint {
 
 // onPacket handles an arrived UCR packet.
 func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC) {
-	buf, posted := c.pendingRecvs[wc.ID]
-	if posted {
-		delete(c.pendingRecvs, wc.ID)
-	}
+	buf, posted := c.pendingRecvs.take(wc.ID)
 	ep := c.demuxEndpoint(wc)
 	if ep == nil {
 		return

@@ -13,8 +13,7 @@ type Endpoint struct {
 	qp  *verbs.QP
 	rel Reliability
 
-	peerNode *simnet.Node
-	ah       *verbs.AddressHandle // UD addressing
+	ah *verbs.AddressHandle // UD addressing
 
 	bufSize       int
 	sendCredits   int
@@ -30,7 +29,6 @@ type Endpoint struct {
 
 // finishSetup records peer addressing after the CM exchange.
 func (ep *Endpoint) finishSetup(peer *verbs.QP) {
-	ep.peerNode = peer.HCA().Node()
 	if ep.rel == Unreliable {
 		ep.ah = &verbs.AddressHandle{Target: peer.HCA(), QPN: peer.QPN()}
 	}
@@ -38,9 +36,6 @@ func (ep *Endpoint) finishSetup(peer *verbs.QP) {
 
 // Reliability reports the endpoint class.
 func (ep *Endpoint) Reliability() Reliability { return ep.rel }
-
-// PeerNode reports the remote host.
-func (ep *Endpoint) PeerNode() *simnet.Node { return ep.peerNode }
 
 // Context reports the owning progress context.
 func (ep *Endpoint) Context() *Context { return ep.ctx }
@@ -82,10 +77,9 @@ func (ep *Endpoint) releaseSendBuf(buf []byte) {
 
 // repostRecv recycles a consumed receive buffer into the credit window.
 func (ep *Endpoint) repostRecv(buf []byte) {
-	id := ep.ctx.wrID()
-	ep.ctx.pendingRecvs[id] = buf
+	id := ep.ctx.pendingRecvs.put(buf)
 	if err := ep.qp.PostRecv(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-		delete(ep.ctx.pendingRecvs, id)
+		ep.ctx.pendingRecvs.take(id)
 		return
 	}
 	ep.returnCredits++
@@ -138,8 +132,7 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr *Count
 		clk.Advance(simnet.BytesDuration(packCost, ep.ctx.rt.cfg.PackBytesPerSec))
 	}
 	n := pkt.encode(buf)
-	id := ep.ctx.wrID()
-	ep.ctx.pendingSends[id] = pendingSend{ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()}
+	id := ep.ctx.pendingSends.put(pendingSend{ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
 	wr := verbs.SendWR{ID: id, Op: verbs.OpSend, Local: buf[:n], Dest: ep.ah}
 	if ep.ctx.queuePost(ep.qp, wr, postUndo{ep: ep, id: id, buf: buf}) {
 		if !ep.noCredits {
@@ -148,7 +141,7 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr *Count
 		return nil
 	}
 	if err := ep.qp.PostSend(clk, wr); err != nil {
-		delete(ep.ctx.pendingSends, id)
+		ep.ctx.pendingSends.take(id)
 		ep.releaseSendBuf(buf)
 		ep.markFailed()
 		return ErrEndpointDown

@@ -3,7 +3,6 @@ package ucr
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/simnet"
 	"repro/internal/verbs"
@@ -157,27 +156,16 @@ func (l *Listener) Accept(ctx *Context, clk *simnet.VClock) (*Endpoint, bool) {
 	return ep, true
 }
 
-// AcceptTimeout is Accept with a real-time cap for shutdown paths.
-func (l *Listener) AcceptTimeout(ctx *Context, clk *simnet.VClock, realCap time.Duration) (*Endpoint, bool) {
-	req, ok := l.lis.AcceptTimeout(clk, realCap)
-	if !ok {
-		return nil, false
-	}
-	ep, err := ctx.Accept(req, clk)
-	if err != nil {
-		req.Reject(err)
-		return nil, ok
-	}
-	return ep, true
+// TryNext returns a pending raw endpoint request without completing it,
+// so a dispatcher can hand it to a worker's context (the worker then
+// calls Context.Accept). ok=false means nothing is pending.
+func (l *Listener) TryNext(clk *simnet.VClock) (*verbs.ConnRequest, bool) {
+	return l.lis.TryAccept(clk)
 }
 
-// Next returns the next raw endpoint request without completing it, so
-// a dispatcher thread can hand it to a worker thread's context (the
-// worker then calls Context.Accept). ok=false means closed or the real-
-// time cap fired with nothing pending.
-func (l *Listener) Next(clk *simnet.VClock, realCap time.Duration) (*verbs.ConnRequest, bool) {
-	return l.lis.AcceptTimeout(clk, realCap)
-}
+// SetOwner makes actor a the listener's dispatcher: every request makes
+// a ready.
+func (l *Listener) SetOwner(a *simnet.Actor) { l.lis.SetOwner(a) }
 
 // Close stops accepting.
 func (l *Listener) Close() { l.lis.Close() }

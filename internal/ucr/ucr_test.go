@@ -47,8 +47,8 @@ const (
 	midReply   = 2
 )
 
-// newWorld builds client and server runtimes. The server goroutine
-// accepts endpoints forever and progresses its context; its handlers for
+// newWorld builds client and server runtimes. The server actor accepts
+// endpoints and progresses its context; its handlers for
 // midRequest echo the data back via midReply, reading the reply counter
 // id from the first 8 bytes of the request header.
 func newWorld(t *testing.T, cfg Config) *world {
@@ -101,87 +101,37 @@ func newWorld(t *testing.T, cfg Config) *world {
 // srvBufBytes reports the server context's receive-buffer footprint.
 func (w *world) srvBufBytes() int64 { return w.srvCtx.RecvBufferBytes() }
 
-// serveLoop runs a single-owner server actor for ctx: a listener waker
-// and a CQ waker feed one goroutine that alone touches ctx — the same
-// dispatcher/worker shape the Memcached server uses. It returns a stop
-// function.
+// serveLoop registers a single-owner server actor for ctx on the
+// fabric's executor: it accepts every endpoint request into ctx and
+// drains ctx's completions, stepped by whoever waits for its replies —
+// the dispatcher/worker shape the Memcached server uses, in one actor.
+// It returns a stop function.
 func serveLoop(t *testing.T, rt *Runtime, ctx *Context, clk *simnet.VClock, service string) (stop func()) {
 	t.Helper()
 	lis, err := rt.Listen(service)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type event struct {
-		req *verbs.ConnRequest
-		ack chan struct{}
-	}
-	events := simnet.NewMailbox[event]()
-	stopCh := make(chan struct{})
-
-	// Listener waker.
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		dispClk := simnet.NewVClock(0)
+	dispClk := simnet.NewVClock(0)
+	srv := rt.HCA().Fabric().Executor().NewActor(func() {
 		for {
-			req, ok := lis.Next(dispClk, 50*time.Millisecond)
+			req, ok := lis.TryNext(dispClk)
 			if !ok {
-				select {
-				case <-stopCh:
-					return
-				default:
-					continue
-				}
+				break
 			}
-			events.Put(event{req: req})
-		}
-	}()
-	// CQ waker.
-	cqDone := make(chan struct{})
-	go func() {
-		defer close(cqDone)
-		ack := make(chan struct{})
-		for ctx.WaitIncoming() {
-			events.Put(event{ack: ack})
-			select {
-			case <-ack:
-			case <-stopCh:
-				return
+			if _, err := ctx.Accept(req, clk); err != nil {
+				req.Reject(err)
 			}
 		}
-	}()
-	// The worker: sole owner of ctx.
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		for {
-			ev, ok := events.Recv()
-			if !ok {
-				return
-			}
-			if ev.req != nil {
-				if _, err := ctx.Accept(ev.req, clk); err != nil {
-					ev.req.Reject(err)
-				}
-				continue
-			}
-			for ctx.TryProgress(clk) {
-			}
-			select {
-			case ev.ack <- struct{}{}:
-			case <-stopCh:
-				return
-			}
+		for ctx.TryProgress(clk) {
 		}
-	}()
+	})
+	lis.SetOwner(srv)
+	ctx.SetOwner(srv)
 	return func() {
-		close(stopCh)
 		lis.Close()
-		<-acceptDone
-		events.Close()
-		<-workerDone
+		srv.Stop()
 		ctx.Destroy()
-		<-cqDone
 	}
 }
 

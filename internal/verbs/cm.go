@@ -43,7 +43,6 @@ type ConnRequest struct {
 	cm       *CM
 	fromQP   *QP
 	arriveAt simnet.Time
-	service  string
 	reply    *simnet.Mailbox[connReply]
 }
 
@@ -52,9 +51,6 @@ type connReply struct {
 	sentAt simnet.Time
 	err    error
 }
-
-// Service reports the service name the peer dialed.
-func (r *ConnRequest) Service() string { return r.service }
 
 // RemoteQP reports the dialer's queue pair.
 func (r *ConnRequest) RemoteQP() *QP { return r.fromQP }
@@ -103,7 +99,7 @@ type Listener struct {
 
 // Listen registers a service. Service names are fabric-wide unique.
 func (cm *CM) Listen(service string) (*Listener, error) {
-	l := &Listener{cm: cm, service: service, queue: simnet.NewMailbox[*ConnRequest]()}
+	l := &Listener{cm: cm, service: service, queue: simnet.NewMailboxOn[*ConnRequest](cm.fabric.Executor())}
 	if !cm.listeners.putIfAbsent(service, l) {
 		return nil, ErrDuplicateSvc
 	}
@@ -121,15 +117,20 @@ func (l *Listener) Accept(clk *simnet.VClock) (*ConnRequest, bool) {
 	return req, true
 }
 
-// AcceptTimeout is Accept with a real-time cap (for shutdown paths).
-func (l *Listener) AcceptTimeout(clk *simnet.VClock, realCap time.Duration) (*ConnRequest, bool) {
-	req, ok, _ := l.queue.RecvTimeout(realCap)
+// TryAccept is Accept for an accept loop that must not block: ok=false
+// means no request is pending.
+func (l *Listener) TryAccept(clk *simnet.VClock) (*ConnRequest, bool) {
+	req, ok, _ := l.queue.TryRecv()
 	if !ok {
 		return nil, false
 	}
 	clk.AdvanceTo(req.arriveAt)
 	return req, true
 }
+
+// SetOwner makes actor a the listener's acceptor: every request makes a
+// ready, ordered by its arrival.
+func (l *Listener) SetOwner(a *simnet.Actor) { l.queue.SetOwner(a, nil, (*ConnRequest).ArriveAt) }
 
 // Close unregisters the service and wakes pending Accepts.
 func (l *Listener) Close() {
@@ -162,8 +163,7 @@ func (cm *CM) Connect(qp *QP, remote *simnet.Node, service string, clk *simnet.V
 		cm:       cm,
 		fromQP:   qp,
 		arriveAt: arrive,
-		service:  service,
-		reply:    simnet.NewMailbox[connReply](),
+		reply:    simnet.NewMailboxOn[connReply](cm.fabric.Executor()),
 	}
 	l.queue.Put(req)
 

@@ -18,25 +18,30 @@ type CQ struct {
 	UseEvents bool
 }
 
-// CreateCQ allocates a completion queue on the adapter.
+// CreateCQ allocates a completion queue on the adapter. Waiting on it
+// steps the actors of the adapter's fabric.
 func (h *HCA) CreateCQ() *CQ {
-	return &CQ{hca: h, box: simnet.NewMailbox[WC]()}
+	return &CQ{hca: h, box: simnet.NewMailboxOn[WC](h.fabric.Executor())}
 }
+
+// SetOwner makes actor a the queue's only poller: every completion
+// makes a ready, ordered by the completion's time.
+func (c *CQ) SetOwner(a *simnet.Actor) { c.box.SetOwner(a, nil, wcTime) }
+
+func wcTime(wc WC) simnet.Time { return wc.Time }
 
 // post enqueues a completion (transport-internal).
 func (c *CQ) post(wc WC) { c.box.Put(wc) }
 
-// completionCost is the CPU time to harvest one completion.
-func (c *CQ) completionCost() simnet.Duration {
+// Cost is the full CPU time to harvest one completion (poll or
+// interrupt, per the CQ's mode); callers that drive TryPoll charge it
+// themselves.
+func (c *CQ) Cost() simnet.Duration {
 	if c.UseEvents {
 		return c.hca.cfg.InterruptOverhead
 	}
 	return c.hca.cfg.PollOverhead
 }
-
-// Cost exposes the full per-completion harvest cost (poll or interrupt,
-// per the CQ's mode) for callers that drive TryPoll themselves.
-func (c *CQ) Cost() simnet.Duration { return c.completionCost() }
 
 // CoalescedCost exposes the reduced harvest cost of the 2nd..Nth
 // completions of a batched drain (and of a spin-covered harvest).
@@ -59,7 +64,7 @@ func (c *CQ) TryPollWith(clk *simnet.VClock) (WC, bool) {
 		return wc, false
 	}
 	clk.AdvanceTo(wc.Time)
-	clk.Advance(c.completionCost())
+	clk.Advance(c.Cost())
 	return wc, true
 }
 
@@ -71,18 +76,7 @@ func (c *CQ) TryPollWith(clk *simnet.VClock) (WC, bool) {
 // cheaply. A completion that lands in the future is left in place for a
 // later full-cost harvest, so time never runs backwards and a lone
 // completion costs exactly what it always did.
-func (c *CQ) TryPollReady(clk *simnet.VClock) (WC, bool) {
-	wc, ok, _ := c.box.TryRecv()
-	if !ok {
-		return wc, false
-	}
-	if wc.Time > clk.Now() {
-		c.box.PutFront(wc)
-		return WC{}, false
-	}
-	clk.Advance(c.hca.cfg.CoalescedPollOverhead)
-	return wc, true
-}
+func (c *CQ) TryPollReady(clk *simnet.VClock) (WC, bool) { return c.TryPollSpin(clk, 0) }
 
 // TryPollSpin is TryPollReady for a drain that busy-polls briefly
 // instead of parking: it additionally harvests a completion landing
@@ -112,13 +106,8 @@ func (c *CQ) TryPollSpin(clk *simnet.VClock, spin simnet.Duration) (WC, bool) {
 // with the completion time and charges the harvest cost.
 // ok=false means the CQ was destroyed.
 func (c *CQ) Wait(clk *simnet.VClock) (WC, bool) {
-	wc, ok := c.box.Recv()
-	if !ok {
-		return wc, false
-	}
-	clk.AdvanceTo(wc.Time)
-	clk.Advance(c.completionCost())
-	return wc, true
+	wc, ok, _ := c.WaitDeadline(clk, simnet.Time(1)<<62, 0)
+	return wc, ok
 }
 
 // WaitDeadline is Wait with a virtual deadline and a real-time cap.
@@ -143,30 +132,8 @@ func (c *CQ) WaitDeadline(clk *simnet.VClock, deadline simnet.Time, realCap time
 		return WC{}, false, true
 	}
 	clk.AdvanceTo(wc.Time)
-	clk.Advance(c.completionCost())
+	clk.Advance(c.Cost())
 	return wc, true, false
-}
-
-// ReadyC exposes the completion queue's readiness channel: one token
-// means "completions may be pending (or the CQ was destroyed) since you
-// last looked". Event-loop owners park on it in a select instead of
-// dedicating a waker goroutine; after a token the owner drains with
-// TryPoll* until empty. Spurious tokens are possible and harmless. Only
-// the single CQ owner may take from this channel.
-func (c *CQ) ReadyC() <-chan struct{} { return c.box.NotifyC() }
-
-// WaitAvailable blocks until a completion is pending, or the CQ is
-// destroyed (false). It consumes nothing and charges no time — it is the
-// event-channel arm used by a waker goroutine in server event loops; the
-// owning worker then harvests with TryPoll/Wait. Waker and owner must be
-// sequenced, never concurrent.
-func (c *CQ) WaitAvailable() bool {
-	wc, ok := c.box.Recv()
-	if !ok {
-		return false
-	}
-	c.box.PutFront(wc)
-	return true
 }
 
 // Len reports the number of pending completions.

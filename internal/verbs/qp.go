@@ -108,16 +108,6 @@ func (q *QP) PostRecv(wr RecvWR) error {
 	return nil
 }
 
-// RecvQueueLen reports posted, unconsumed receive buffers.
-func (q *QP) RecvQueueLen() int {
-	if q.srq != nil {
-		return q.srq.Len()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.recvq)
-}
-
 // popRecv takes the oldest posted receive buffer.
 func (q *QP) popRecv() (RecvWR, bool) {
 	if q.srq != nil {
