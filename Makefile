@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath determinism test perfgate mutations list-mutations check-ci-modes fuzz-smoke
+.PHONY: tier1 tier2 race-datapath determinism golden test mutations list-mutations check-ci-modes fuzz-smoke
 
 tier1:
 	go build ./...
@@ -21,15 +21,27 @@ race-datapath:
 
 # Same seed, same bytes: the benchmark's own reproducibility check (the
 # virtual metrics of its single-client workloads must be bit-identical
-# across same-seed runs) and the three determinism tests, twenty times
-# each — under the race detector where a caller on another goroutine
-# could still be racing a server step. -selfcheck also compares host
-# time between its runs: a failure that names only a wall_ns_per_op cell
-# is a busy host (rerun it); "NOT REPRODUCIBLE" is a bug.
+# across same-seed runs); the two single-client determinism tests twenty
+# times under the race detector, where a caller on another goroutine
+# could still be racing a server step; the mcbench golden five times in
+# one process in shuffled order; and every study at GOMAXPROCS=1 against
+# the default, byte for byte. -selfcheck also compares host time between
+# its runs: a failure that names only a wall_ns_per_op cell is a busy
+# host (rerun it); "NOT REPRODUCIBLE" is a bug.
 determinism:
 	bash benchmark/run.sh -selfcheck
 	go test -race -count=20 -run 'TestHistoryDeterminism|TestSingleClientDeterminism' ./internal/memcheck ./internal/cluster
-	go test -count=20 -run TestFigureTablesBitIdentical ./internal/bench
+	go test -count=5 -shuffle=on ./cmd/mcbench
+	GOMAXPROCS=1 go run ./cmd/mcbench -study all -quick | cmp - cmd/mcbench/testdata/studies.golden
+	go run ./cmd/mcbench -study all -quick | cmp - cmd/mcbench/testdata/studies.golden
+
+# The regression gate is a byte comparison: cmd/mcbench's test runs every
+# row of the study table (`mcbench -list`) and compares its text with the
+# golden — every number EXPERIMENTS.md prints, at tolerance 0. Rewrite it
+# only when a modeled number is meant to move, and list the moved cells
+# in EXPERIMENTS.md.
+golden:
+	go run ./cmd/mcbench -study all -quick > cmd/mcbench/testdata/studies.golden
 
 test: tier1 tier2
 
@@ -74,25 +86,3 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTextProtocol$$' -fuzztime $(FUZZTIME) ./internal/memcached
 	go test -run '^$$' -fuzz '^FuzzTextCodec$$' -fuzztime $(FUZZTIME) ./internal/memcached
 	go test -run '^$$' -fuzz '^FuzzAMCodecs$$' -fuzztime $(FUZZTIME) ./internal/memcached
-
-# Perf-regression gate: a quick mcbench run (trimmed pipeline +
-# connection-scaling sweeps) compared against the checked-in BENCH_*
-# trajectory. Tolerances (see cmd/mcgate flags for the full semantics):
-#   throughput  -ktps-tol 0.10  — fail if fresh KTPS < baseline x 0.90
-#   allocations -alloc-tol 0.9  — fail if fresh allocs/op > baseline + 0.9
-#                                 (any ADDED per-op allocation is +1.0 and fails;
-#                                 amortized pool-growth noise stays under ~0.8)
-#   memory      -mem-tol  0.10  — fail if fresh bytes > baseline x 1.10
-# BENCH_4/BENCH_7 pin the pre-batching trajectory (so the gate also
-# proves the event-loop server never dips below the old serving path);
-# BENCH_8 pins the batched loop's own throughput AND its allocs/op, the
-# baseline that catches a quiet return of per-op allocation; BENCH_9
-# pins the write-based reply path (gated by the wrreply quick sweep);
-# BENCH_10 pins the fleet cell (the quick suite runs the N=10 fleet
-# sweep, so a regression in the replicated path fails here alongside
-# the BENCH_8/BENCH_9 single-server gates).
-perfgate:
-	go run ./cmd/mcbench -quick -json | \
-	go run ./cmd/mcgate -baseline BENCH_4.json -baseline BENCH_7.json -baseline BENCH_8.json -baseline BENCH_10.json
-	go run ./cmd/mcbench -wrreply -quick -ops 300 -json | \
-	go run ./cmd/mcgate -baseline BENCH_9.json

@@ -37,24 +37,14 @@ func latencyPanel(b *testing.B, clusterName string, mix bench.Mix, sizes []int) 
 				}
 				defer c.Close()
 				w := bench.NewWorkload(42, 8, size)
-				for _, k := range w.Keys() {
-					if err := c.MC.Set(k, w.Value(), 0, 0); err != nil {
-						b.Fatal(err)
-					}
+				if err := w.Populate(c.MC); err != nil {
+					b.Fatal(err)
 				}
-				cycle := mixOps(mix)
 				b.ResetTimer()
 				start := c.Clock.Now()
 				for i := 0; i < b.N; i++ {
-					key := w.Key()
-					if cycle[i%len(cycle)] {
-						if err := c.MC.Set(key, w.Value(), 0, 0); err != nil {
-							b.Fatal(err)
-						}
-					} else {
-						if _, _, _, err := c.MC.Get(key); err != nil {
-							b.Fatal(err)
-						}
+					if err := w.Op(c.MC, mix.IsSet(i)); err != nil {
+						b.Fatal(err)
 					}
 				}
 				elapsed := c.Clock.Now() - start
@@ -62,24 +52,6 @@ func latencyPanel(b *testing.B, clusterName string, mix bench.Mix, sizes []int) 
 				b.ReportMetric(float64(elapsed)/float64(b.N)/1e3, "vus/op")
 			})
 		}
-	}
-}
-
-// mixOps mirrors the bench package's instruction cycles.
-func mixOps(m bench.Mix) []bool {
-	switch m {
-	case bench.MixSet:
-		return []bool{true}
-	case bench.MixGet:
-		return []bool{false}
-	case bench.MixNonInterleaved:
-		cycle := make([]bool, 100)
-		for i := 0; i < 10; i++ {
-			cycle[i] = true
-		}
-		return cycle
-	default:
-		return []bool{true, false}
 	}
 }
 

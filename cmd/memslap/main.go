@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
@@ -45,7 +43,7 @@ func main() {
 	)
 	flag.Parse()
 
-	mix, ok := parseMix(*mixName)
+	mix, ok := bench.ParseMix(*mixName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "memslap: unknown mix %q\n", *mixName)
 		os.Exit(1)
@@ -63,136 +61,49 @@ func main() {
 		behaviors.Distribution = mcclient.DistKetama
 	}
 
+	// Every client works the same keyspace; with -zipf each draws from it
+	// by its own popularity stream, otherwise round-robin.
 	clients := make([]*cluster.Client, *concurrency)
+	clocks := make([]*simnet.VClock, *concurrency)
+	nextKey := make([]func() string, *concurrency)
 	for i := range clients {
 		c, err := d.NewClient(cluster.Transport(*transport), behaviors)
 		if err != nil {
 			log.Fatalf("memslap: %v", err)
 		}
 		defer c.Close()
-		clients[i] = c
+		clients[i], clocks[i] = c, c.Clock
+		if *zipf > 0 {
+			nextKey[i] = bench.NewZipfWorkload(42, uint64(i)+1, *keys, *size, *zipf).Key
+		} else {
+			nextKey[i] = bench.NewWorkload(42, *keys, *size).Key
+		}
 	}
 
 	// Populate once so gets hit.
-	w0 := bench.NewWorkload(42, *keys, *size)
-	for _, k := range w0.Keys() {
-		if err := clients[0].MC.Set(k, w0.Value(), 0, 0); err != nil {
-			log.Fatalf("memslap: populate: %v", err)
-		}
-	}
-	var start simnet.Time
-	for _, c := range clients {
-		if c.Clock.Now() > start {
-			start = c.Clock.Now()
-		}
-	}
-	for _, c := range clients {
-		c.Clock.AdvanceTo(start)
+	w := bench.NewWorkload(42, *keys, *size)
+	if err := w.Populate(clients[0].MC); err != nil {
+		log.Fatalf("memslap: populate: %v", err)
 	}
 
-	type result struct {
-		samples []simnet.Duration
-		end     simnet.Time
-		err     error
+	rec := &bench.LatencyRecorder{}
+	makespan, err := bench.ClosedLoop(clocks, *ops, rec, func(i, n int) error {
+		key := nextKey[i]()
+		if mix.IsSet(n) {
+			return clients[i].MC.Set(key, w.Value(), 0, 0)
+		}
+		_, _, _, err := clients[i].MC.Get(key)
+		return err
+	})
+	if err != nil {
+		log.Fatalf("memslap: %v", err)
 	}
-	results := make([]result, len(clients))
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		wg.Add(1)
-		go func(i int, c *cluster.Client) {
-			defer wg.Done()
-			var nextKey func() string
-			w := bench.NewWorkload(42, *keys, *size)
-			if *zipf > 0 {
-				zw := bench.NewZipfWorkload(42, uint64(i)+1, *keys, *size, *zipf)
-				nextKey = zw.Key
-			} else {
-				nextKey = w.Key
-			}
-			cycle := mixCycle(mix)
-			samples := make([]simnet.Duration, 0, *ops)
-			for n := 0; n < *ops; n++ {
-				key := nextKey()
-				opStart := c.Clock.Now()
-				var err error
-				if cycle[n%len(cycle)] {
-					err = c.MC.Set(key, w.Value(), 0, 0)
-				} else {
-					_, _, _, err = c.MC.Get(key)
-				}
-				if err != nil {
-					results[i] = result{err: err}
-					return
-				}
-				samples = append(samples, c.Clock.Now()-opStart)
-			}
-			results[i] = result{samples: samples, end: c.Clock.Now()}
-		}(i, c)
-	}
-	wg.Wait()
 
-	var all []simnet.Duration
-	var makespan simnet.Duration
-	for _, r := range results {
-		if r.err != nil {
-			log.Fatalf("memslap: %v", r.err)
-		}
-		all = append(all, r.samples...)
-		if d := r.end - start; d > makespan {
-			makespan = d
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) simnet.Duration {
-		idx := int(p / 100 * float64(len(all)))
-		if idx >= len(all) {
-			idx = len(all) - 1
-		}
-		return all[idx]
-	}
-	var sum simnet.Duration
-	for _, s := range all {
-		sum += s
-	}
-	totalOps := len(all)
 	fmt.Printf("memslap: cluster %s, %s, %d clients x %d ops, %d B values, mix %s, %d server(s), zipf=%.2f\n",
 		p.Name, *transport, *concurrency, *ops, *size, mix, *servers, *zipf)
 	fmt.Printf("  throughput  %12.0f TPS aggregate (virtual makespan %v)\n",
-		float64(totalOps)/makespan.Seconds(), makespan)
-	fmt.Printf("  latency     mean %8.2f us   min %8.2f us\n",
-		(sum / simnet.Duration(totalOps)).Micros(), all[0].Micros())
-	fmt.Printf("              p50  %8.2f us   p95 %8.2f us\n", pct(50).Micros(), pct(95).Micros())
-	fmt.Printf("              p99  %8.2f us   max %8.2f us\n", pct(99).Micros(), all[len(all)-1].Micros())
-}
-
-func parseMix(name string) (bench.Mix, bool) {
-	switch name {
-	case "set":
-		return bench.MixSet, true
-	case "get":
-		return bench.MixGet, true
-	case "set10-get90":
-		return bench.MixNonInterleaved, true
-	case "set50-get50":
-		return bench.MixInterleaved, true
-	default:
-		return 0, false
-	}
-}
-
-func mixCycle(m bench.Mix) []bool {
-	switch m {
-	case bench.MixSet:
-		return []bool{true}
-	case bench.MixGet:
-		return []bool{false}
-	case bench.MixNonInterleaved:
-		cycle := make([]bool, 100)
-		for i := 0; i < 10; i++ {
-			cycle[i] = true
-		}
-		return cycle
-	default:
-		return []bool{true, false}
-	}
+		float64(rec.Count())/makespan.Seconds(), makespan)
+	fmt.Printf("  latency     mean %8.2f us   min %8.2f us\n", rec.Mean(), rec.Min())
+	fmt.Printf("              p50  %8.2f us   p95 %8.2f us\n", rec.Percentile(50), rec.Percentile(95))
+	fmt.Printf("              p99  %8.2f us   max %8.2f us\n", rec.Percentile(99), rec.Max())
 }

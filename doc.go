@@ -6,7 +6,8 @@
 // client, and a benchmark suite regenerating every figure of the
 // paper's evaluation.
 //
-// Start with internal/core for the assembled system, DESIGN.md for the
+// Start with internal/cluster (New boots a testbed's server, NewClient
+// connects a client over any of its transports), DESIGN.md for the
 // architecture and the hardware-substitution rationale, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
 // bench_test.go regenerate each figure panel (see also cmd/mcbench).

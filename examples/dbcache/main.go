@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/mcclient"
 	"repro/internal/simnet"
 )
@@ -34,7 +34,7 @@ func (db *database) query(clk *simnet.VClock, key string) []byte {
 }
 
 func main() {
-	for _, transport := range []string{"UCR-IB", "IPoIB"} {
+	for _, transport := range []cluster.Transport{cluster.UCRIB, cluster.IPoIB} {
 		mean, hits, misses, dbQueries := runWorkload(transport)
 		fmt.Printf("%-8s mean request %8.2f us  (cache hits %d, misses %d, db queries %d)\n",
 			transport, mean.Micros(), hits, misses, dbQueries)
@@ -42,16 +42,14 @@ func main() {
 }
 
 // runWorkload serves 2000 proxy requests over a Zipf-ish keyspace.
-func runWorkload(transport string) (mean simnet.Duration, hits, misses, dbQueries int) {
-	sys, err := core.NewSystem(core.Config{Cluster: "A"})
+func runWorkload(transport cluster.Transport) (mean simnet.Duration, hits, misses, dbQueries int) {
+	d := cluster.New(cluster.ClusterA(), cluster.Options{})
+	defer d.Close()
+	proxy, err := d.NewClient(transport, mcclient.DefaultBehaviors())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Close()
-	proxy, err := sys.AddClient(transport)
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer proxy.Close()
 
 	db := &database{queryCost: 2 * simnet.Millisecond}
 	rng := simnet.NewRand(2026)

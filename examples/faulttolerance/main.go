@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/mcclient"
 	"repro/internal/simnet"
 )
@@ -23,20 +23,19 @@ func main() {
 	behaviors := mcclient.DefaultBehaviors()
 	behaviors.OpTimeout = 200 * simnet.Microsecond // §IV-A: waits carry deadlines
 
-	sys, err := core.NewSystem(core.Config{Cluster: "B", Behaviors: behaviors})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sys.Close()
+	d := cluster.New(cluster.ClusterB(), cluster.Options{})
+	defer d.Close()
 
-	alice, err := sys.AddClient("UCR-IB")
+	alice, err := d.NewClient(cluster.UCRIB, behaviors)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bob, err := sys.AddClient("UCR-IB")
+	defer alice.Close()
+	bob, err := d.NewClient(cluster.UCRIB, behaviors)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer bob.Close()
 
 	// Both clients converse with the shared server.
 	must(alice.MC.Set("owner:42", []byte("alice"), 0, 0))
@@ -61,7 +60,7 @@ func main() {
 	// Now the server itself goes down. Alice's next operation blocks on
 	// counter C, hits her configured timeout, and returns an error she
 	// can act on instead of hanging forever.
-	sys.Deployment.ServerNode.Fail()
+	d.ServerNode.Fail()
 	if _, _, _, err := alice.MC.Get("owner:42"); err != nil {
 		fmt.Printf("phase 4: server died; alice's op timed out: %v\n", err)
 		fmt.Println("phase 5: corrective action: alice marks the server dead and would re-hash to a surviving pool")
@@ -75,18 +74,16 @@ func main() {
 	lossyBehaviors := behaviors
 	lossyBehaviors.OpTimeout = 2 * simnet.Millisecond
 	lossyBehaviors.Retries = 3
-	lossy, err := core.NewSystem(core.Config{Cluster: "B", Behaviors: lossyBehaviors})
-	if err != nil {
-		log.Fatal(err)
-	}
+	lossy := cluster.New(cluster.ClusterB(), cluster.Options{})
 	defer lossy.Close()
 	faults := simnet.NewFaultInjector(simnet.FaultConfig{Seed: 7, DropRate: 0.2})
-	lossy.Deployment.IB.SetFaults(faults)
+	lossy.IB.SetFaults(faults)
 
-	carol, err := lossy.AddClient("UCR-IB")
+	carol, err := lossy.NewClient(cluster.UCRIB, lossyBehaviors)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer carol.Close()
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("lossy:%d", i)
 		must(carol.MC.Set(key, []byte("v"), 0, 0))
@@ -96,7 +93,7 @@ func main() {
 	}
 	delivered, dropped, _ := faults.Stats()
 	retrans := carol.Runtime().HCA().Retransmits()
-	for _, hca := range lossy.Deployment.ServerHCAs {
+	for _, hca := range lossy.ServerHCAs {
 		retrans += hca.Retransmits()
 	}
 	fmt.Printf("phase 6: 40 ops over a 20%%-loss fabric all completed: %d delivered, %d dropped, %d RC retransmissions\n",

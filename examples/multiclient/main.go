@@ -9,10 +9,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/mcclient"
 	"repro/internal/simnet"
 )
 
@@ -23,73 +23,49 @@ const (
 
 func main() {
 	fmt.Printf("%d clients x %d four-byte Gets against one server (cluster B)\n\n", clients, opsPerClient)
-	ucr := run("UCR-IB")
-	sdp := run("SDP")
+	ucr := run(cluster.UCRIB)
+	sdp := run(cluster.SDP)
 	fmt.Printf("\nUCR-IB delivers %.1fx the aggregate throughput of SDP (paper: ~6x on QDR)\n", ucr/sdp)
 }
 
-func run(transport string) (tps float64) {
-	sys, err := core.NewSystem(core.Config{Cluster: "B"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sys.Close()
+func run(transport cluster.Transport) (tps float64) {
+	d := cluster.New(cluster.ClusterB(), cluster.Options{})
+	defer d.Close()
 
 	// One client populates; all clients read the shared keyspace.
-	pool := make([]*clientHandle, clients)
+	pool := make([]*cluster.Client, clients)
+	clocks := make([]*simnet.VClock, clients)
 	for i := range pool {
-		c, err := sys.AddClient(transport)
+		c, err := d.NewClient(transport, mcclient.DefaultBehaviors())
 		if err != nil {
 			log.Fatal(err)
 		}
-		pool[i] = &clientHandle{c: c}
+		defer c.Close()
+		pool[i], clocks[i] = c, c.Clock
 	}
 	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%03d", i)
-		if err := pool[0].c.MC.Set(keys[i], []byte("abcd"), 0, 0); err != nil {
+		if err := pool[0].MC.Set(keys[i], []byte("abcd"), 0, 0); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	// Align every clock, then run all clients concurrently.
-	var start simnet.Time
-	for _, h := range pool {
-		if h.c.Clock.Now() > start {
-			start = h.c.Clock.Now()
-		}
-	}
-	var wg sync.WaitGroup
-	for i, h := range pool {
-		h.c.Clock.AdvanceTo(start)
-		wg.Add(1)
-		go func(i int, h *clientHandle) {
-			defer wg.Done()
-			for n := 0; n < opsPerClient; n++ {
-				if _, _, _, err := h.c.MC.Get(keys[(i+n)%len(keys)]); err != nil {
-					log.Fatal(err)
-				}
-			}
-			h.end = h.c.Clock.Now()
-		}(i, h)
-	}
-	wg.Wait()
-
-	var makespan simnet.Duration
-	for _, h := range pool {
-		if d := h.end - start; d > makespan {
-			makespan = d
-		}
+	// The closed-loop driver aligns every clock and steps the clients
+	// round-robin on this goroutine; each client's clock advances only by
+	// its own operations, so the makespan is what sixteen concurrent
+	// clients would see.
+	makespan, err := bench.ClosedLoop(clocks, opsPerClient, nil, func(i, n int) error {
+		_, _, _, err := pool[i].MC.Get(keys[(i+n)%len(keys)])
+		return err
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	tps = float64(clients*opsPerClient) / makespan.Seconds()
 	fmt.Printf("%-8s %10.0f TPS aggregate (makespan %v)\n", transport, tps, makespan)
 
-	stats := sys.ServerStats()
-	fmt.Printf("         server saw %d gets, %d hits\n", stats["cmd_get"], stats["get_hits"])
+	stats := d.Server.Store().Stats()
+	fmt.Printf("         server saw %d gets, %d hits\n", stats.CmdGet, stats.GetHits)
 	return tps
-}
-
-type clientHandle struct {
-	c   *cluster.Client
-	end simnet.Time
 }

@@ -8,20 +8,19 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
+	"repro/internal/mcclient"
 )
 
 func main() {
-	sys, err := core.NewSystem(core.Config{Cluster: "B"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sys.Close()
+	d := cluster.New(cluster.ClusterB(), cluster.Options{})
+	defer d.Close()
 
-	client, err := sys.AddClient("UCR-IB")
+	client, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer client.Close()
 
 	// Set, get, and verify a small item.
 	if err := client.MC.Set("greeting", []byte("hello, RDMA world"), 0, 0); err != nil {
@@ -66,5 +65,5 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("server stats: %v\n", sys.ServerStats())
+	fmt.Printf("server stats: %+v\n", d.Server.Store().Stats())
 }

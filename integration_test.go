@@ -1,8 +1,8 @@
 package repro
 
 // End-to-end integration tests across the whole stack, driving the same
-// flows the examples narrate: the assembled system (core), mixed
-// transports on one cache, the motivating cache-aside workload, pool
+// flows the examples narrate: one deployment, mixed transports on one
+// cache, the motivating cache-aside workload, pool
 // sharding with failover, and a smoke re-run of one evaluation panel.
 
 import (
@@ -12,26 +12,24 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/mcclient"
 	"repro/internal/simnet"
 )
 
 func TestEndToEndSystemLifecycle(t *testing.T) {
-	sys, err := core.NewSystem(core.Config{Cluster: "B", Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	d := cluster.New(cluster.ClusterB(), cluster.Options{ServerWorkers: 4})
+	defer d.Close()
 
-	ucrCli, err := sys.AddClient("UCR-IB")
+	ucrCli, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdpCli, err := sys.AddClient("SDP")
+	defer ucrCli.Close()
+	sdpCli, err := d.NewClient(cluster.SDP, mcclient.DefaultBehaviors())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sdpCli.Close()
 
 	// The full value-size spectrum through both frontends of one cache.
 	for _, size := range []int{1, 100, 8192, 262144} {
@@ -46,7 +44,7 @@ func TestEndToEndSystemLifecycle(t *testing.T) {
 		}
 	}
 
-	// The UCR path must be faster, end to end, through the facade.
+	// The UCR path must be faster, end to end.
 	probe := func(c *cluster.Client) simnet.Duration {
 		start := c.Clock.Now()
 		for i := 0; i < 20; i++ {
@@ -58,27 +56,24 @@ func TestEndToEndSystemLifecycle(t *testing.T) {
 	}
 	ucrLat, sdpLat := probe(ucrCli), probe(sdpCli)
 	if ucrLat >= sdpLat {
-		t.Fatalf("UCR (%v) not faster than SDP (%v) through the facade", ucrLat, sdpLat)
+		t.Fatalf("UCR (%v) not faster than SDP (%v)", ucrLat, sdpLat)
 	}
 
-	stats := sys.ServerStats()
-	if stats["get_hits"] == 0 || stats["cmd_set"] == 0 {
-		t.Fatalf("stats = %v", stats)
+	if stats := d.Server.Store().Stats(); stats.GetHits == 0 || stats.CmdSet == 0 {
+		t.Fatalf("stats = %+v", stats)
 	}
 }
 
 func TestEndToEndCacheAsideWorkload(t *testing.T) {
 	// The dbcache example's flow, asserted: a read-mostly workload with
 	// cache-aside fills ends up dominated by hits.
-	sys, err := core.NewSystem(core.Config{Cluster: "A"})
+	d := cluster.New(cluster.ClusterA(), cluster.Options{})
+	defer d.Close()
+	proxy, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
-	proxy, err := sys.AddClient("UCR-IB")
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer proxy.Close()
 	rng := simnet.NewRand(7)
 	hits, misses := 0, 0
 	for i := 0; i < 800; i++ {

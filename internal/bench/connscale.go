@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mcclient"
-	"repro/internal/simnet"
 )
 
 // This file is the §VII connection-scalability study: how much server
@@ -40,28 +39,28 @@ var connScaleExtrapCounts = []int{100, 1_000, 10_000, 100_000}
 // ConnScalePoint is the server receive-buffer footprint at one client
 // count. Measured=false rows come from the fixed+slope fit, not a run.
 type ConnScalePoint struct {
-	Mode            string  `json:"mode"`
-	Clients         int     `json:"clients"`
-	ServerRecvBytes float64 `json:"server_recv_bytes"`
-	PerClientBytes  float64 `json:"per_client_bytes"`
-	Measured        bool    `json:"measured"`
+	Mode            string
+	Clients         int
+	ServerRecvBytes float64
+	PerClientBytes  float64
+	Measured        bool
 }
 
 // ConnScaleModel is the per-mode linear memory model fitted from the
 // measured counts: ServerRecvBytes(n) ≈ Fixed + Slope·n.
 type ConnScaleModel struct {
-	Mode                string  `json:"mode"`
-	FixedBytes          float64 `json:"fixed_bytes"`
-	SlopeBytesPerClient float64 `json:"slope_bytes_per_client"`
+	Mode                string
+	FixedBytes          float64
+	SlopeBytesPerClient float64
 }
 
 // ConnScaleReport is the full sweep: memory models and points for every
 // mode, plus aggregate small-get TPS at TPSClients live clients.
 type ConnScaleReport struct {
-	Models     []ConnScaleModel   `json:"models"`
-	Points     []ConnScalePoint   `json:"points"`
-	TPSClients int                `json:"tps_clients"`
-	TPS        map[string]float64 `json:"tps"`
+	Models     []ConnScaleModel
+	Points     []ConnScalePoint
+	TPSClients int
+	TPS        map[string]float64
 }
 
 // connScaleDeploy maps a mode name onto deployment options.
@@ -98,64 +97,11 @@ func connScaleFootprint(p *cluster.Profile, mode string, nClients int, cfg RunCo
 }
 
 // connScaleTPS measures aggregate closed-loop small-get TPS with
-// nClients live clients, each running cfg.OpsPerPoint gets against the
-// shared keyspace. Unlike TPSPoint it drives every client from ONE
-// goroutine, round-robin: the srq/ud/mux datapaths funnel many clients
-// through shared server structures (one receive pool, one UD QP, one
-// trunk lock), so with concurrent drivers the real-time goroutine
-// interleaving would pick the virtual-time service order and the number
-// would change run to run. Round-robin fixes the event order while
-// keeping the closed-loop semantics — each client's virtual clock still
-// advances only by its own op latencies.
+// nClients live clients on the mode's datapath, each running
+// cfg.OpsPerPoint gets against the shared keyspace.
 func connScaleTPS(p *cluster.Profile, mode string, nClients int, cfg RunConfig) (float64, error) {
-	d := cluster.New(p, connScaleDeploy(mode, cfg.Deploy))
-	defer d.Close()
-
-	clients := make([]*cluster.Client, nClients)
-	for i := range clients {
-		c, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
-		if err != nil {
-			return 0, err
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	w0 := NewWorkload(cfg.Seed, cfg.KeySpace, scalingValueSize)
-	for _, k := range w0.Keys() {
-		if err := clients[0].MC.Set(k, w0.Value(), 0, 0); err != nil {
-			return 0, err
-		}
-	}
-	var start simnet.Time
-	for _, c := range clients {
-		if c.Clock.Now() > start {
-			start = c.Clock.Now()
-		}
-	}
-	for _, c := range clients {
-		c.Clock.AdvanceTo(start)
-	}
-
-	workloads := make([]*Workload, nClients)
-	for i := range workloads {
-		workloads[i] = NewWorkload(cfg.Seed, cfg.KeySpace, scalingValueSize)
-		workloads[i].nextKey = i
-	}
-	for n := 0; n < cfg.OpsPerPoint; n++ {
-		for i, c := range clients {
-			if _, _, _, err := c.MC.Get(workloads[i].Key()); err != nil {
-				return 0, fmt.Errorf("client %d op %d: %w", i, n, err)
-			}
-		}
-	}
-	var makespan simnet.Duration
-	for _, c := range clients {
-		if d := c.Clock.Now() - start; d > makespan {
-			makespan = d
-		}
-	}
-	totalOps := float64(nClients * cfg.OpsPerPoint)
-	return totalOps / makespan.Seconds(), nil
+	cfg.Deploy = connScaleDeploy(mode, cfg.Deploy)
+	return TPSPoint(p, cluster.UCRIB, nClients, scalingValueSize, cfg)
 }
 
 // ConnScaleSweep runs the connection-scalability study on profile p:

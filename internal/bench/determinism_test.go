@@ -1,132 +1,131 @@
 package bench
 
 import (
-	"fmt"
-	"os"
-	"os/exec"
-	"sort"
-	"strings"
+	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 )
 
-// Golden Workers=1 figure tables (ops=40), captured from the engine
-// before lock striping landed. Latency panels are single-client and
-// closed-loop, so the striped engine — whose lock model only ever
-// charges *queueing* — must reproduce them bit-for-bit at any stripe
-// count. Values are the %.2f renderings WriteTable emits, matching
-// EXPERIMENTS.md.
-var goldenFigures = map[string]map[string][]string{
-	"fig3a": {
-		"UCR-IB":     {"10.08", "10.08", "10.10", "10.17", "10.46", "11.61", "13.18", "16.28"},
-		"IPoIB":      {"87.43", "87.44", "87.52", "87.81", "88.97", "93.58", "99.73", "112.02"},
-		"SDP":        {"81.32", "81.34", "81.39", "81.60", "82.44", "85.77", "90.21", "99.08"},
-		"10GigE-TOE": {"55.10", "55.12", "55.19", "55.46", "56.54", "60.85", "66.58", "78.05"},
-		"1GigE":      {"86.03", "86.08", "86.31", "87.15", "90.55", "104.08", "111.96", "135.41"},
-	},
-	"fig4c": {
-		"UCR-IB": {"5.22", "5.22", "5.23", "5.28", "5.45", "6.14", "7.08", "8.94"},
-		"IPoIB":  {"54.97", "54.98", "55.01", "55.13", "55.62", "57.54", "60.10", "65.22"},
-		"SDP":    {"65.80", "69.18", "63.64", "62.31", "60.73", "65.91", "66.15", "76.07"},
-	},
-	"fig5b": {
-		"UCR-IB": {"5.22", "5.22", "5.23", "5.28", "5.45", "6.14", "7.08", "8.94"},
-		"IPoIB":  {"54.95", "54.96", "54.99", "55.11", "55.60", "57.52", "60.08", "65.20"},
-		"SDP":    {"66.42", "63.52", "62.14", "63.83", "61.12", "68.67", "69.68", "75.00"},
-	},
-}
-
-const goldenChildEnv = "BENCH_GOLDEN_CHILD"
-
-// goldenFigureIDs is the fixed figure order — Cluster B's SDP jitter
-// streams draw from per-endpoint RNGs seeded by a process-global
-// counter, so reproducing the goldens requires replaying the exact
-// endpoint-creation history they were captured with.
-func goldenFigureIDs() []string {
-	ids := make([]string, 0, len(goldenFigures))
-	for id := range goldenFigures {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// TestFigureTablesBitIdentical regenerates representative latency
-// panels (both clusters, set/get/mixed) with Workers=1 and asserts
-// every cell matches the pre-striping goldens exactly. The figures run
-// in a re-exec'd copy of the test binary: other tests in this package
-// also create endpoints, and the goldens are only reproducible from a
-// process with pristine endpoint-seed state.
-func TestFigureTablesBitIdentical(t *testing.T) {
-	out, err := exec.Command(os.Args[0],
-		"-test.run", "^TestFigureTablesBitIdentical$").CombinedOutput()
-	if err != nil {
-		t.Fatalf("golden child: %v\n%s", err, out)
-	}
-	got := make(map[string][]string)
-	for _, line := range strings.Split(string(out), "\n") {
-		cell, ok := strings.CutPrefix(line, "golden ")
-		if !ok {
-			continue
-		}
-		fields := strings.Fields(cell)
-		got[fields[0]] = fields[1:]
-	}
-	for _, id := range goldenFigureIDs() {
-		for series, cells := range goldenFigures[id] {
-			rendered := got[id+"/"+series]
-			if len(rendered) != len(cells) {
-				t.Errorf("%s/%s: %d cells, want %d", id, series, len(rendered), len(cells))
-				continue
-			}
-			for i, cell := range cells {
-				if rendered[i] != cell {
-					t.Errorf("%s/%s[%d] = %s, want %s (bit-identity broken)",
-						id, series, i, rendered[i], cell)
-				}
-			}
-		}
-	}
-}
-
-// runGoldenChild computes the figure tables from pristine process state
-// and prints one "golden <id>/<series> <cells...>" line per series.
-// Called from TestMain before any test (and any endpoint) exists.
-func runGoldenChild() {
-	for _, id := range goldenFigureIDs() {
-		spec, ok := FigureByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %s\n", id)
-			os.Exit(1)
-		}
-		fig, err := spec.Run(RunConfig{
-			OpsPerPoint: 40,
-			Deploy:      cluster.Options{ServerWorkers: 1},
-		})
+// TestClosedLoopPureFunction pins the paper's headline throughput cell
+// (§VI-D, Fig 6c: "around 1.8 Million operations/sec" for 4-byte Gets
+// from 16 clients on QDR) as a pure function of its inputs: the same
+// float bits twice in one process and at any GOMAXPROCS, and the same
+// rate however long the run (late clients once fell behind the server's
+// resource bookkeeping, so the rate sank as OpsPerPoint grew).
+func TestClosedLoopPureFunction(t *testing.T) {
+	point := func(ops int) float64 {
+		t.Helper()
+		tps, err := TPSPoint(cluster.ClusterB(), cluster.UCRIB, 16, 4, RunConfig{OpsPerPoint: ops})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			t.Fatal(err)
 		}
-		for series := range goldenFigures[id] {
-			cells := make([]string, len(fig.Series[series]))
-			for i, v := range fig.Series[series] {
-				cells[i] = fmt.Sprintf("%.2f", v)
-			}
-			fmt.Printf("golden %s/%s %s\n", id, series, strings.Join(cells, " "))
+		return tps
+	}
+	want := point(50)
+	for _, procs := range []int{1, 4, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := point(50)
+		runtime.GOMAXPROCS(prev)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("GOMAXPROCS=%d: %v TPS, first run %v: not a pure function", procs, got, want)
 		}
 	}
-	os.Exit(0)
+	if long := point(1000); math.Abs(long-want) > 0.02*want {
+		t.Errorf("TPS moves with run length: %.0f at 50 ops/client, %.0f at 1000", want, long)
+	}
+	if math.Abs(want-1.8e6) > 0.05*1.8e6 {
+		t.Errorf("16-client 4-byte Get TPS on QDR = %.0f, paper: around 1.8 million", want)
+	}
 }
 
-// isGoldenChild is read at package init, before TestMain marks the
-// environment for re-exec'd children.
-var isGoldenChild = os.Getenv(goldenChildEnv) == "1"
-
-func TestMain(m *testing.M) {
-	if isGoldenChild {
-		runGoldenChild()
+// TestFig6PaperOrderings asserts what the paper reads off Fig 6: UCR-IB
+// above every sockets transport on all four panels; on cluster A the
+// 10GigE TOE above IPoIB and SDP, and on cluster B SDP below IPoIB (the
+// SDP-on-QDR artifact), for 4-byte Gets.
+func TestFig6PaperOrderings(t *testing.T) {
+	above := func(fig *Figure, hi, lo string) {
+		t.Helper()
+		for i, tick := range fig.XTicks {
+			if fig.Series[hi][i] <= fig.Series[lo][i] {
+				t.Errorf("%s at %s clients: %s %.2f not above %s %.2f KTPS",
+					fig.ID, tick, hi, fig.Series[hi][i], lo, fig.Series[lo][i])
+			}
+		}
 	}
-	os.Setenv(goldenChildEnv, "1")
-	os.Exit(m.Run())
+	for _, id := range []string{"fig6a", "fig6b", "fig6c", "fig6d"} {
+		spec, _ := FigureByID(id)
+		fig, err := spec.Run(RunConfig{OpsPerPoint: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sockets := range fig.SeriesOrder[1:] {
+			above(fig, string(cluster.UCRIB), sockets)
+		}
+		switch id {
+		case "fig6a":
+			above(fig, string(cluster.TOE10G), string(cluster.IPoIB))
+			above(fig, string(cluster.TOE10G), string(cluster.SDP))
+		case "fig6c":
+			above(fig, string(cluster.IPoIB), string(cluster.SDP))
+		}
+	}
+}
+
+// TestFigureIndependentOfHistory: a panel's text does not depend on what
+// the process ran before it (SDP's jitter streams were once seeded from
+// a process-wide endpoint counter).
+func TestFigureIndependentOfHistory(t *testing.T) {
+	render := func(id string) []byte {
+		t.Helper()
+		spec, _ := FigureByID(id)
+		fig, err := spec.Run(RunConfig{OpsPerPoint: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTable(&buf, fig); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	alone := render("fig4c")
+	render("fig3a")
+	if after := render("fig4c"); !bytes.Equal(alone, after) {
+		t.Errorf("fig4c after fig3a differs from fig4c alone:\n%s\nvs\n%s", after, alone)
+	}
+}
+
+// TestBenchSpawnsNoGoroutines: a multi-client point runs on the calling
+// goroutine alone. A sampler watches the goroutine count while the point
+// runs; it is the one goroutine allowed above the baseline.
+func TestBenchSpawnsNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		max := 0
+		for {
+			select {
+			case <-stop:
+				peak <- max
+				return
+			default:
+				if n := runtime.NumGoroutine(); n > max {
+					max = n
+				}
+				runtime.Gosched()
+			}
+		}
+	}()
+	_, err := TPSPoint(cluster.ClusterB(), cluster.UCRIB, 16, 4, RunConfig{OpsPerPoint: 200})
+	close(stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-peak; got > base+1 {
+		t.Errorf("%d goroutines while TPSPoint ran, %d before it", got-1, base)
+	}
 }

@@ -9,17 +9,17 @@ import (
 // Figure is one reproduced panel: named series over an x-axis.
 type Figure struct {
 	// ID is the paper's panel id, e.g. "fig3a".
-	ID string `json:"id"`
+	ID string
 	// Title describes the panel.
-	Title string `json:"title"`
+	Title string
 	// XLabel and XTicks define the x-axis.
-	XLabel string   `json:"x_label"`
-	XTicks []string `json:"x_ticks"`
+	XLabel string
+	XTicks []string
 	// Unit is the y-axis unit.
-	Unit string `json:"unit"`
+	Unit string
 	// SeriesOrder fixes legend order; Series holds the values.
-	SeriesOrder []string             `json:"series_order"`
-	Series      map[string][]float64 `json:"series"`
+	SeriesOrder []string
+	Series      map[string][]float64
 }
 
 // FigureSpec describes how to regenerate one panel.

@@ -30,38 +30,38 @@ const fleetRounds = 2
 // storm (the storm ends the first sweep with zero primary misses).
 const fleetStormCap = 5
 
-// FleetCounts are the sweep's server counts; quick trims to the CI
-// smoke cell (which is also the cell the perf gate compares, so it must
-// stay a subset of the full axis).
+// FleetCounts are the sweep's server counts. quick stops short of the
+// 1000-server cell — six seconds and 10,000 live clients — and is the
+// axis the mcbench golden pins.
 func FleetCounts(quick bool) []int {
 	if quick {
-		return []int{10}
+		return []int{10, 100}
 	}
 	return []int{10, 100, 1000}
 }
 
 // FleetPoint is one fleet cell: N servers, 10·N clients.
 type FleetPoint struct {
-	Servers int `json:"servers"`
-	Clients int `json:"clients"`
+	Servers int
+	Clients int
 	// KTPS is aggregate fleet throughput over the measured rounds
 	// (pipelined replicated gets, closed loop, virtual time).
-	KTPS float64 `json:"ktps"`
+	KTPS float64
 	// Movement accounting for one join at size N: the exact ring-arc
 	// fraction, the fraction of live keys whose primary changed, and the
 	// theoretical share 1/(N+1).
-	MovedArc      float64 `json:"moved_arc"`
-	MovedMeasured float64 `json:"moved_measured"`
-	MovedTheory   float64 `json:"moved_theory"`
+	MovedArc      float64
+	MovedMeasured float64
+	MovedTheory   float64
 	// Miss storm after the join: primary misses in the first sweep
 	// (depth), sweeps until a clean one (duration in sweeps), and the
 	// virtual time the storm occupied.
-	MissStormDepth  int     `json:"miss_storm_depth"`
-	MissStormSweeps int     `json:"miss_storm_sweeps"`
-	MissStormUs     float64 `json:"miss_storm_us"`
+	MissStormDepth  int
+	MissStormSweeps int
+	MissStormUs     float64
 	// Repairs is the total read-repair count the storm triggered
 	// (vacuity: a storm that repaired nothing measured nothing).
-	Repairs uint64 `json:"repairs"`
+	Repairs uint64
 }
 
 // fleetCell measures one server count.
@@ -91,6 +91,7 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 	defer f.Close()
 
 	clients := make([]*cluster.FleetClient, pt.Clients)
+	clocks := make([]*simnet.VClock, pt.Clients)
 	keys := make([][]string, pt.Clients)
 	for i := range clients {
 		c, err := f.NewClient()
@@ -98,7 +99,7 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 			return pt, fmt.Errorf("client %d: %w", i, err)
 		}
 		defer c.Close()
-		clients[i] = c
+		clients[i], clocks[i] = c, c.Clock
 		ks := make([]string, fleetKeysPerClient)
 		for j := range ks {
 			ks[j] = fmt.Sprintf("fleet-%d-%d", i, j)
@@ -117,41 +118,20 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 		}
 	}
 
-	// Align every clock at a common virtual start, then drive the
-	// measured rounds from ONE goroutine, round-robin — the same
-	// determinism argument as the connection-scaling TPS driver: shared
-	// server structures would otherwise let the real-time goroutine
-	// interleaving pick the virtual service order.
-	sweep := func() error {
-		for i, c := range clients {
-			res := c.GetBurst(keys[i], fleetKeysPerClient)
-			for j, r := range res {
-				if r.Err != nil || !r.Hit {
-					return fmt.Errorf("client %d key %s: hit=%v err=%v", i, keys[i][j], r.Hit, r.Err)
-				}
+	// One client's turn: a pipelined burst over its working set, every
+	// key a hit.
+	burst := func(i, _ int) error {
+		for j, r := range clients[i].GetBurst(keys[i], fleetKeysPerClient) {
+			if r.Err != nil || !r.Hit {
+				return fmt.Errorf("key %s: hit=%v err=%v", keys[i][j], r.Hit, r.Err)
 			}
 		}
 		return nil
 	}
-	maxClock := func() simnet.Time {
-		var m simnet.Time
-		for _, c := range clients {
-			if t := c.Clock.Now(); t > m {
-				m = t
-			}
-		}
-		return m
+	makespan, err := ClosedLoop(clocks, fleetRounds, nil, burst)
+	if err != nil {
+		return pt, err
 	}
-	start := maxClock()
-	for _, c := range clients {
-		c.Clock.AdvanceTo(start)
-	}
-	for r := 0; r < fleetRounds; r++ {
-		if err := sweep(); err != nil {
-			return pt, err
-		}
-	}
-	makespan := maxClock() - start
 	totalOps := float64(pt.Clients * fleetKeysPerClient * fleetRounds)
 	pt.KTPS = totalOps / makespan.Seconds() / 1e3
 
@@ -191,12 +171,17 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 		}
 		return n
 	}
-	stormStart := maxClock()
+	// The storm's sweeps carry on from wherever the measured rounds left
+	// each client (a join does not pause the fleet to re-align it), one
+	// sweep at a time until one comes back clean.
+	stormStart := latest(clocks)
 	rp0 := repairs()
 	for s := 0; s < fleetStormCap; s++ {
 		before := fallthroughs()
-		if err := sweep(); err != nil {
-			return pt, fmt.Errorf("storm sweep %d: %w", s, err)
+		for i := range clients {
+			if err := burst(i, s); err != nil {
+				return pt, fmt.Errorf("storm sweep %d client %d: %w", s, i, err)
+			}
 		}
 		delta := fallthroughs() - before
 		pt.MissStormSweeps++
@@ -207,7 +192,7 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 			break
 		}
 	}
-	pt.MissStormUs = (maxClock() - stormStart).Seconds() * 1e6
+	pt.MissStormUs = (latest(clocks) - stormStart).Seconds() * 1e6
 	pt.Repairs = repairs() - rp0
 	return pt, nil
 }

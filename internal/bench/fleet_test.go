@@ -31,7 +31,7 @@ func checkFleetPoint(t *testing.T, pt FleetPoint) {
 	}
 }
 
-// The CI smoke cell (also the perf-gate cell).
+// The cells the mcbench golden pins.
 func TestFleetSweepQuick(t *testing.T) {
 	pts, err := FleetSweep(cluster.ClusterB(), FleetCounts(true), RunConfig{})
 	if err != nil {

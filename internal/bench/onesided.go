@@ -18,43 +18,37 @@ import (
 
 // OneSidedPoint is one value size measured both ways.
 type OneSidedPoint struct {
-	ValueSize  int     `json:"value_size"`
-	OneSidedUs float64 `json:"onesided_us"`
-	AMUs       float64 `json:"am_us"`
+	ValueSize  int
+	OneSidedUs float64
+	AMUs       float64
 	// Speedup is AM÷one-sided mean latency: >1 means one-sided wins.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 }
 
 // OneSidedTPSPoint compares aggregate closed-loop throughput at one
 // client count (TPSValueSize-byte gets).
 type OneSidedTPSPoint struct {
-	Clients     int     `json:"clients"`
-	OneSidedTPS float64 `json:"onesided_tps"`
-	AMTPS       float64 `json:"am_tps"`
+	Clients     int
+	OneSidedTPS float64
+	AMTPS       float64
 }
 
-// OneSidedReport is the sweep plus the aggregate numbers BENCH_6.json
-// records.
+// OneSidedReport is the latency sweep plus the aggregate-TPS
+// comparison.
 type OneSidedReport struct {
-	Points []OneSidedPoint `json:"points"`
+	Points []OneSidedPoint
 	// CrossoverBytes is the smallest swept size where the AM path is at
 	// least as fast (0: one-sided won at every swept size).
-	CrossoverBytes int `json:"crossover_bytes"`
+	CrossoverBytes int
 	// TPS sweeps client counts at TPSValueSize-byte gets. One-sided wins
-	// alone (no server CPU in the path) but does not scale with clients
-	// here: each get makes 2-3 dependent trips through the responder
-	// HCA's engine, and that engine is a forward-only busy-until
-	// Resource stamped directly from each client's clock — when one
-	// closed loop runs ahead in virtual time it ratchets the engine's
-	// free pointer and every other client's reads queue behind it, so
-	// cross-client one-sided gets serialize at whole-op granularity (a
-	// conservative property of the simulator's Resource model; the AM
-	// path is immune because reply timestamps come from the server
-	// goroutine's own monotone clock). CrossoverClients is the first
-	// count where AM wins (0: never).
-	TPSValueSize     int                `json:"tps_value_size"`
-	TPS              []OneSidedTPSPoint `json:"tps"`
-	CrossoverClients int                `json:"crossover_clients"`
+	// alone (no server CPU in the path) but stops scaling early: each get
+	// is 2-3 RDMA reads through the responder HCA's engine, which
+	// saturates at about four clients' worth, while the AM path batches
+	// on that engine and spreads over the server's workers.
+	// CrossoverClients is the first count where AM wins (0: never).
+	TPSValueSize     int
+	TPS              []OneSidedTPSPoint
+	CrossoverClients int
 }
 
 // OneSidedSizes is the default value-size axis.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -17,22 +16,18 @@ import (
 // and batch posts/polls at the coalesced rates.
 
 // PipelinePoint is one cell of the depth × transport × size sweep.
-// KTPS and NsPerOp are virtual-time measures (the modeled hardware);
-// AllocsPerOp is a real process-wide malloc count per operation over
-// the measured loop — the perf gate's handle on the serving loop's
-// allocation discipline (0 for the steady-state UCR GET path).
+// KTPS and NsPerOp are virtual-time measures (the modeled hardware).
 type PipelinePoint struct {
-	Transport   string  `json:"transport"`
-	Depth       int     `json:"depth"`
-	ValueSize   int     `json:"value_size"`
-	KTPS        float64 `json:"ktps"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Transport string
+	Depth     int
+	ValueSize int
+	KTPS      float64
+	NsPerOp   float64
 	// WriteReplies counts the replies that landed through the client's
 	// reply window over the whole connection (warmup included) — the
-	// write-reply sweep's vacuity evidence. Zero (and omitted) whenever
-	// the deployment doesn't arm the path.
-	WriteReplies uint64 `json:"write_replies,omitempty"`
+	// write-reply sweep's vacuity evidence. Zero whenever the deployment
+	// doesn't arm the path.
+	WriteReplies uint64
 }
 
 // pipelinePoint measures closed-loop Get throughput on one connection
@@ -49,10 +44,8 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 	}
 	defer c.Close()
 	w := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-	for _, k := range w.Keys() {
-		if err := c.MC.Set(k, w.Value(), 0, 0); err != nil {
-			return pt, err
-		}
+	if err := w.Populate(c.MC); err != nil {
+		return pt, err
 	}
 	pl, ok := c.MC.Transport(0).(mcclient.Pipeliner)
 	if !ok {
@@ -62,10 +55,7 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 	clk := c.Clock
 	// Steady-state warmup: two full windows prime the transport's op and
 	// buffer pools, the server's per-worker staging and the reply slabs,
-	// so the measured loop sees only the per-op costs. Without it the
-	// one-time pool growth lands inside the measurement and allocs/op
-	// depends on OpsPerPoint, which would make runs at different -ops
-	// incomparable under the perf gate.
+	// so the measured loop sees only the per-op costs.
 	warm := make([]*mcclient.GetFuture, 0, 2*depth)
 	for n := 0; n < 2*depth; n++ {
 		warm = append(warm, pipe.StartGet(clk, w.Key()))
@@ -80,8 +70,6 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 	}
 	futures := make([]*mcclient.GetFuture, 0, cfg.OpsPerPoint)
 	start := clk.Now()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	for n := 0; n < cfg.OpsPerPoint; n++ {
 		futures = append(futures, pipe.StartGet(clk, w.Key()))
 	}
@@ -95,18 +83,12 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 			return pt, fmt.Errorf("bench: pipeline get missed")
 		}
 	}
-	runtime.ReadMemStats(&ms1)
 	makespan := clk.Now() - start
 	pt.KTPS = float64(cfg.OpsPerPoint) / makespan.Seconds() / 1e3
 	pt.NsPerOp = float64(makespan) / float64(cfg.OpsPerPoint)
 	if ut, ok := c.MC.Transport(0).(*mcclient.UCRTransport); ok {
 		pt.WriteReplies = ut.WriteReplyHits()
 	}
-	// Mallocs is cumulative and process-wide, so this delta includes the
-	// in-process server's workers — exactly the surface the gate guards.
-	// The futures slice itself and its growth are the loop's own fixed
-	// bookkeeping; they amortize toward 0 with OpsPerPoint.
-	pt.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(cfg.OpsPerPoint)
 	return pt, nil
 }
 
@@ -176,21 +158,8 @@ func PipelineTable(points []PipelinePoint) string {
 	return sb.String()
 }
 
-// pipelineDepths is the default window-depth axis (BENCH_4 sweep).
-var pipelineDepths = []int{1, 2, 4, 8, 16, 32}
+// PipelineDepths is the sweep's window-depth axis.
+var PipelineDepths = []int{1, 2, 4, 8, 16, 32}
 
-// PipelineDepths returns the default depth axis for the sweep.
-func PipelineDepths(quick bool) []int {
-	if quick {
-		return []int{1, 8}
-	}
-	return append([]int(nil), pipelineDepths...)
-}
-
-// PipelineSizes returns the default value-size axis for the sweep.
-func PipelineSizes(quick bool) []int {
-	if quick {
-		return []int{64}
-	}
-	return []int{64, 4096}
-}
+// PipelineSizes is the sweep's value-size axis.
+var PipelineSizes = []int{64, 4096}

@@ -81,73 +81,87 @@ func JitterPoint(p *cluster.Profile, t cluster.Transport, size, samples int, cfg
 	return LatencyPoint(p, t, MixGet, size, cfg)
 }
 
+// ClosedLoop is the one closed-loop driver: every multi-client
+// measurement in this package, and cmd/memslap, runs through it. It
+// aligns the clients' clocks at the latest one, then runs laps on the
+// calling goroutine, each lap calling step(client, lap) once per client
+// in index order, and returns the virtual makespan from the common start
+// to the last client's finish. With rec non-nil it records every step's
+// latency on its client's clock.
+//
+// One goroutine and a fixed order make the result a pure function of
+// the inputs. Contention for shared structures (HCA engines, shard
+// locks, SRQ pools, concentrator trunks) resolves in issue order, so
+// clients on goroutines of their own would hand that order to the Go
+// scheduler. The loop stays closed: a client's clock advances only by
+// its own operations' latencies.
+func ClosedLoop(clocks []*simnet.VClock, laps int, rec *LatencyRecorder, step func(client, lap int) error) (simnet.Duration, error) {
+	start := latest(clocks)
+	for _, clk := range clocks {
+		clk.AdvanceTo(start)
+	}
+	for lap := 0; lap < laps; lap++ {
+		for i, clk := range clocks {
+			issued := clk.Now()
+			if err := step(i, lap); err != nil {
+				return 0, fmt.Errorf("client %d lap %d: %w", i, lap, err)
+			}
+			if rec != nil {
+				rec.Record(clk.Now() - issued)
+			}
+		}
+	}
+	return latest(clocks) - start, nil
+}
+
+// latest reports the furthest-advanced of the clocks.
+func latest(clocks []*simnet.VClock) simnet.Time {
+	var t simnet.Time
+	for _, clk := range clocks {
+		t = simnet.MaxTime(t, clk.Now())
+	}
+	return t
+}
+
 // TPSPoint measures aggregate transactions per second with nClients
 // closed-loop clients on distinct nodes doing 100% Gets of the given
 // value size — the paper's multi-client experiment (§VI-D).
 func TPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, cfg RunConfig) (tps float64, err error) {
+	return mixTPSPoint(p, t, nClients, size, MixGet, cfg)
+}
+
+// mixTPSPoint is TPSPoint for any instruction mix: nClients clients over
+// a shared keyspace that the first one populates, each starting at its
+// own offset into it, cfg.OpsPerPoint operations each; aggregate TPS
+// from the makespan.
+func mixTPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, mix Mix, cfg RunConfig) (tps float64, err error) {
 	cfg = cfg.withDefaults()
 	d := cluster.New(p, cfg.Deploy)
 	defer d.Close()
 
 	clients := make([]*cluster.Client, nClients)
+	clocks := make([]*simnet.VClock, nClients)
+	workloads := make([]*Workload, nClients)
 	for i := range clients {
 		c, cerr := d.NewClient(t, mcclient.DefaultBehaviors())
 		if cerr != nil {
 			return 0, cerr
 		}
 		defer c.Close()
-		clients[i] = c
+		clients[i], clocks[i] = c, c.Clock
+		workloads[i] = NewWorkload(cfg.Seed, cfg.KeySpace, size)
+		workloads[i].nextKey = i
 	}
-	// One client populates the shared keyspace.
-	w0 := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-	for _, k := range w0.Keys() {
-		if err := clients[0].MC.Set(k, w0.Value(), 0, 0); err != nil {
-			return 0, err
-		}
+	if err := workloads[0].Populate(clients[0].MC); err != nil {
+		return 0, err
 	}
-	// Align clocks at a common virtual start.
-	var start simnet.Time
-	for _, c := range clients {
-		if c.Clock.Now() > start {
-			start = c.Clock.Now()
-		}
+	makespan, err := ClosedLoop(clocks, cfg.OpsPerPoint, nil, func(i, lap int) error {
+		return workloads[i].Op(clients[i].MC, mix.IsSet(lap))
+	})
+	if err != nil {
+		return 0, err
 	}
-	for _, c := range clients {
-		c.Clock.AdvanceTo(start)
-	}
-
-	type result struct {
-		end simnet.Time
-		err error
-	}
-	results := make(chan result, nClients)
-	opsPerClient := cfg.OpsPerPoint
-	for i, c := range clients {
-		go func(i int, c *cluster.Client) {
-			// Same keyspace as the populator, staggered start offsets.
-			w := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-			w.nextKey = i
-			for n := 0; n < opsPerClient; n++ {
-				if _, _, _, err := c.MC.Get(w.Key()); err != nil {
-					results <- result{err: err}
-					return
-				}
-			}
-			results <- result{end: c.Clock.Now()}
-		}(i, c)
-	}
-	var makespan simnet.Duration
-	for range clients {
-		r := <-results
-		if r.err != nil {
-			return 0, r.err
-		}
-		if d := r.end - start; d > makespan {
-			makespan = d
-		}
-	}
-	totalOps := float64(nClients * opsPerClient)
-	return totalOps / makespan.Seconds(), nil
+	return float64(nClients*cfg.OpsPerPoint) / makespan.Seconds(), nil
 }
 
 // TPSSweep runs TPSPoint across client counts for every transport,

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/mcclient"
 	"repro/internal/simnet"
 )
 
@@ -32,11 +31,11 @@ const scalingValueSize = 64
 
 // ScalingPoint is one cell of the workers × stripes × mix grid.
 type ScalingPoint struct {
-	Workers int     `json:"workers"`
-	Stripes int     `json:"stripes"`
-	Clients int     `json:"clients"`
-	Mix     string  `json:"mix"`
-	KTPS    float64 `json:"ktps"`
+	Workers int
+	Stripes int
+	Clients int
+	Mix     string
+	KTPS    float64
 }
 
 // ScalingSweep measures aggregate TPS for every (workers, stripes, mix)
@@ -68,74 +67,6 @@ func ScalingSweep(p *cluster.Profile, t cluster.Transport, workerCounts, stripeC
 		}
 	}
 	return out, nil
-}
-
-// mixTPSPoint is TPSPoint generalized to an instruction mix: nClients
-// closed-loop clients over a shared pre-populated keyspace, makespan-
-// based aggregate TPS.
-func mixTPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, mix Mix, cfg RunConfig) (tps float64, err error) {
-	cfg = cfg.withDefaults()
-	d := cluster.New(p, cfg.Deploy)
-	defer d.Close()
-
-	clients := make([]*cluster.Client, nClients)
-	for i := range clients {
-		c, cerr := d.NewClient(t, mcclient.DefaultBehaviors())
-		if cerr != nil {
-			return 0, cerr
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	w0 := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-	for _, k := range w0.Keys() {
-		if err := clients[0].MC.Set(k, w0.Value(), 0, 0); err != nil {
-			return 0, err
-		}
-	}
-	var start simnet.Time
-	for _, c := range clients {
-		if c.Clock.Now() > start {
-			start = c.Clock.Now()
-		}
-	}
-	for _, c := range clients {
-		c.Clock.AdvanceTo(start)
-	}
-
-	// One goroutine drives every client round-robin (as connScaleTPS
-	// does): shard-lock queueing resolves in arrival order, so clients on
-	// goroutines of their own would let the Go scheduler pick the
-	// virtual-time service order and the sweep would differ run to run.
-	cycle := mix.ops()
-	opsPerClient := cfg.OpsPerPoint
-	workloads := make([]*Workload, nClients)
-	for i := range workloads {
-		workloads[i] = NewWorkload(cfg.Seed, cfg.KeySpace, size)
-		workloads[i].nextKey = i
-	}
-	for n := 0; n < opsPerClient; n++ {
-		for i, c := range clients {
-			w := workloads[i]
-			key := w.Key()
-			if cycle[n%len(cycle)] {
-				err = c.MC.Set(key, w.Value(), 0, 0)
-			} else {
-				_, _, _, err = c.MC.Get(key)
-			}
-			if err != nil {
-				return 0, fmt.Errorf("client %d op %d: %w", i, n, err)
-			}
-		}
-	}
-	var makespan simnet.Duration
-	for _, c := range clients {
-		if d := c.Clock.Now() - start; d > makespan {
-			makespan = d
-		}
-	}
-	totalOps := float64(nClients * opsPerClient)
-	return totalOps / makespan.Seconds(), nil
 }
 
 // ScalingTable renders the sweep as one pivot table per mix: rows are

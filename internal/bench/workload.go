@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/mcclient"
 	"repro/internal/simnet"
 )
 
@@ -36,22 +37,28 @@ func (m Mix) String() string {
 	}
 }
 
-// ops expands the mix into a cycle of operations (true = set).
-func (m Mix) ops() []bool {
+// IsSet reports whether operation n of the mix's stream is a set.
+func (m Mix) IsSet(n int) bool {
 	switch m {
 	case MixSet:
-		return []bool{true}
+		return true
 	case MixGet:
-		return []bool{false}
+		return false
 	case MixNonInterleaved:
-		cycle := make([]bool, 100)
-		for i := 0; i < 10; i++ {
-			cycle[i] = true
-		}
-		return cycle
+		return n%100 < 10
 	default:
-		return []bool{true, false}
+		return n%2 == 0
 	}
+}
+
+// ParseMix finds the mix whose String is name.
+func ParseMix(name string) (Mix, bool) {
+	for m := MixSet; m <= MixInterleaved; m++ {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return 0, false
 }
 
 // Workload generates keys and values, memslap-style: fixed-length keys
@@ -91,31 +98,36 @@ func (w *Workload) Keys() []string { return w.keys }
 // Value returns the payload.
 func (w *Workload) Value() []byte { return w.value }
 
-// runClient executes n operations of the mix on one client, recording
-// per-op latency. The keyspace is pre-populated so gets always hit.
-func runClient(c *cluster.Client, w *Workload, mix Mix, n int, rec *LatencyRecorder) error {
-	// Populate, so gets hit and sets overwrite (steady-state behaviour).
-	for _, k := range w.Keys() {
-		if err := c.MC.Set(k, w.Value(), 0, 0); err != nil {
+// Populate stores the payload under every key, so gets hit and sets
+// overwrite (steady-state behaviour).
+func (w *Workload) Populate(mc *mcclient.Client) error {
+	for _, k := range w.keys {
+		if err := mc.Set(k, w.value, 0, 0); err != nil {
 			return err
 		}
 	}
-	cycle := mix.ops()
-	for i := 0; i < n; i++ {
-		key := w.Key()
-		start := c.Clock.Now()
-		if cycle[i%len(cycle)] {
-			if err := c.MC.Set(key, w.Value(), 0, 0); err != nil {
-				return err
-			}
-		} else {
-			if _, _, _, err := c.MC.Get(key); err != nil {
-				return err
-			}
-		}
-		if rec != nil {
-			rec.Record(c.Clock.Now() - start)
-		}
-	}
 	return nil
+}
+
+// Op issues one operation on the next key: a set of the payload, or a
+// get.
+func (w *Workload) Op(mc *mcclient.Client, set bool) error {
+	key := w.Key()
+	if set {
+		return mc.Set(key, w.value, 0, 0)
+	}
+	_, _, _, err := mc.Get(key)
+	return err
+}
+
+// runClient populates the keyspace and executes n operations of the mix
+// on one client, recording per-op latency.
+func runClient(c *cluster.Client, w *Workload, mix Mix, n int, rec *LatencyRecorder) error {
+	if err := w.Populate(c.MC); err != nil {
+		return err
+	}
+	_, err := ClosedLoop([]*simnet.VClock{c.Clock}, n, rec, func(_, lap int) error {
+		return w.Op(c.MC, mix.IsSet(lap))
+	})
+	return err
 }

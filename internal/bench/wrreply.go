@@ -7,8 +7,8 @@ import (
 	"repro/internal/memcached"
 )
 
-// The write-reply study (BENCH_9): the same pipelined closed-loop GET
-// sweep as BENCH_4/BENCH_8, run twice per cell — once on the plain AM
+// The write-reply study: the same pipelined closed-loop GET sweep as
+// the pipeline study, run twice per cell — once on the plain AM
 // reply path and once with the write-based reply path armed — so the
 // table locates the eager/rendezvous crossover empirically. Below the
 // server's 1 KB crossover the two columns coincide (the armed client
@@ -17,21 +17,15 @@ import (
 // served by RDMA writes sourced straight from the slab chunk; past the
 // slot both columns fall back to the rendezvous read.
 
-// WriteReplyTransport labels the armed column in tables, reports and
-// mcgate baselines (the plain column keeps the UCR-IB label, so its
-// cells gate against the BENCH_4/BENCH_8 trajectory too).
+// WriteReplyTransport labels the armed column (the plain column keeps
+// the UCR-IB label: its cells are the pipeline study's).
 const WriteReplyTransport = "UCR-IB+WR"
 
 // WriteReplySizes is the value-size axis: one point below the server
-// crossover, the 4 KB regression cell from BENCH_8, the largest
+// crossover, the 4 KB cell the half-window flush regressed, the largest
 // slot-resident value, and one far past the slot (rendezvous fallback;
 // 512 KB is the largest value the default slab classes can store).
-func WriteReplySizes(quick bool) []int {
-	if quick {
-		return []int{64, 4096}
-	}
-	return []int{64, 1024, 4096, 64 << 10, 512 << 10}
-}
+var WriteReplySizes = []int{64, 1024, 4096, 64 << 10, 512 << 10}
 
 // WriteReplySweep measures every (depth, size) cell in both modes on
 // UCR-IB, each on a fresh single-server deployment. Cells whose reply

@@ -1,25 +1,24 @@
-package core_test
+package cluster_test
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
+	"repro/internal/mcclient"
 )
 
 // The smallest end-to-end flow: boot the QDR cluster, connect the
 // paper's RDMA-capable client, cache and retrieve an item.
-func ExampleNewSystem() {
-	sys, err := core.NewSystem(core.Config{Cluster: "B"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sys.Close()
+func ExampleNew() {
+	d := cluster.New(cluster.ClusterB(), cluster.Options{})
+	defer d.Close()
 
-	client, err := sys.AddClient("UCR-IB")
+	client, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer client.Close()
 	if err := client.MC.Set("user:42", []byte("profile-blob"), 0, 0); err != nil {
 		log.Fatal(err)
 	}
@@ -28,22 +27,27 @@ func ExampleNewSystem() {
 		log.Fatal(err)
 	}
 	fmt.Printf("user:42 -> %s\n", value)
-	fmt.Printf("server items: %d\n", sys.ServerStats()["curr_items"])
+	fmt.Printf("server items: %d\n", d.Server.Store().Stats().CurrItems)
 	// Output:
 	// user:42 -> profile-blob
 	// server items: 1
 }
 
 // Sockets clients and UCR clients share one cache (§V-A compatibility).
-func ExampleSystem_AddClient() {
-	sys, err := core.NewSystem(core.Config{Cluster: "A"})
+func ExampleDeployment_NewClient() {
+	d := cluster.New(cluster.ClusterA(), cluster.Options{})
+	defer d.Close()
+
+	rdma, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Close()
-
-	rdma, _ := sys.AddClient("UCR-IB")
-	sockets, _ := sys.AddClient("10GigE-TOE")
+	defer rdma.Close()
+	sockets, err := d.NewClient(cluster.TOE10G, mcclient.DefaultBehaviors())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sockets.Close()
 
 	if err := rdma.MC.Set("shared", []byte("one-cache"), 0, 0); err != nil {
 		log.Fatal(err)

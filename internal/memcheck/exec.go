@@ -115,8 +115,11 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	}
 
 	// Arm the recorder only now: connection setup is not part of the
-	// checked history. The callback runs on server worker goroutines, so
-	// the sink is mutex-guarded; Seq restores the total order afterwards.
+	// checked history. The callback runs inside a server worker's step,
+	// which the executor runs on the goroutine of whichever caller is
+	// waiting on that server: here always this one, but the store makes
+	// no such promise, so the sink keeps its mutex. Seq restores the
+	// total order afterwards.
 	x.store.SetRecorder(func(r *memcached.OpRecord) {
 		x.recMu.Lock()
 		x.records = append(x.records, r)

@@ -8,18 +8,19 @@ import "sync"
 // a request that finds the resource busy is queued behind the in-flight
 // work, which is how contention turns into measured latency.
 //
-// Actors book work in *physical* call order, which with many concurrent
-// virtual clocks is not virtual-time order: a request carrying an early
-// virtual timestamp may be offered after the frontier has been pushed
-// far past it by an actor the OS scheduler happened to run first. The
-// resource therefore remembers a bounded list of idle gaps below its
-// frontier and backfills such requests into capacity that was genuinely
-// free at their time — otherwise the simulated contention would depend
-// on goroutine scheduling instead of modeled load (one actor racing
-// ahead would teleport the frontier and serialize everyone else behind
-// its wall-clock, a pure artifact). An actor whose offered times are
-// nondecreasing and at or past the frontier never hits the gap path, so
-// single-flow runs are bit-for-bit what the plain frontier model gives.
+// Actors book work in *physical* call order, which with many virtual
+// clocks is not virtual-time order: a round-robin driver steps client 1
+// through a whole operation — pushing the frontier of everything on its
+// path to that operation's end — before client 2 offers work stamped
+// with the lap's start, and callers on goroutines of their own arrive in
+// whatever order the scheduler ran them. The resource therefore
+// remembers a bounded list of idle gaps below its frontier and backfills
+// such requests into capacity that was genuinely free at their time —
+// otherwise whoever books first would teleport the frontier and
+// serialize everyone else behind its call order, a pure artifact. An
+// actor whose offered times are nondecreasing and at or past the
+// frontier never hits the gap path, so single-flow runs are bit-for-bit
+// what the plain frontier model gives.
 //
 // Resource is safe for concurrent use by many actors.
 type Resource struct {
@@ -40,12 +41,18 @@ type gap struct{ from, to Time }
 // Forgetting is visible: an actor lagging further behind the frontier
 // than the list reaches queues at the frontier instead of running in the
 // capacity that was free at its time. The value is measured, not
-// derived (CHANGES.md PR 12 has the runs): the 16-goroutine
-// ClientScaling bench teleports late-scheduled clients and fails 28/40
-// runs at 64, 20/40 at 128, 8/40 at 256 and 0/40 from 512 up, while
-// every resource with idle time between bookings fills its list, so 4096
-// costs the benchmark's single-client workloads +22 % live heap and
-// +15 % bytes/op where 512 costs +2 % and +0.3 %.
+// derived. What still needs depth is the round-robin drivers: a
+// request's reach — how many remembered gaps lie between its time and
+// the frontier — peaks at 105 over everything mcbench runs (the
+// 1000-server fleet cell; 0–1 for the 16- and 100-client Fig 6 points on
+// every transport but jittered SDP, 49) and none arrives below the list,
+// while benchmark/'s clients, which draw their own set/get schedules
+// and so drift apart in virtual time over a long round-robin run, reach
+// 411 and 510 on the fan-in and fleet workloads and do fall off the end
+// (EXPERIMENTS.md "One driver, one golden (PR 19)"). From above, every resource with idle time between
+// bookings fills its list, so 4096 costs the benchmark's single-client
+// workloads +22 % live heap and +15 % bytes/op where 512 costs +2 % and
+// +0.3 % (CHANGES.md PR 12 has the runs).
 const maxGaps = 512
 
 // NewResource returns an idle resource with the given diagnostic name.

@@ -77,6 +77,13 @@ type Provider struct {
 
 	retransmits atomic.Uint64
 
+	// endpointSeeds numbers this provider's endpoints; the number seeds
+	// the endpoint's jitter stream. Clones share their template's
+	// sequence, so the deployments cut from one profile draw one
+	// continuing stream, and what they draw depends on nothing outside
+	// that profile.
+	endpointSeeds *atomic.Uint64
+
 	mu        sync.Mutex
 	listeners map[string]*simnet.Mailbox[*dialReq]
 }
@@ -115,8 +122,8 @@ func (p *Provider) Retransmits() uint64 { return p.retransmits.Load() }
 func (p *Provider) String() string { return fmt.Sprintf("Provider(%s)", p.Name) }
 
 // Clone returns a fresh provider with the same cost model, seated on
-// fab, with its own (empty) listener table. Profiles are shared
-// templates; deployments clone them.
+// fab, with its own (empty) listener table and p's endpoint-seed
+// sequence. Profiles are shared templates; deployments clone them.
 func (p *Provider) Clone(fab *simnet.Fabric) *Provider {
 	return &Provider{
 		Name:            p.Name,
@@ -136,6 +143,7 @@ func (p *Provider) Clone(fab *simnet.Fabric) *Provider {
 		Jitter:          p.Jitter,
 		RTOMin:          p.RTOMin,
 		RTORetries:      p.RTORetries,
+		endpointSeeds:   p.seeds(),
 	}
 }
 
@@ -330,16 +338,19 @@ func (ep *endpoint) putSeg(b []byte) {
 	}
 }
 
-var endpointSeed struct {
-	sync.Mutex
-	n uint64
+// seeds returns the provider's endpoint-seed sequence, starting one on
+// first use (a template is never dialled, only cloned).
+func (p *Provider) seeds() *atomic.Uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.endpointSeeds == nil {
+		p.endpointSeeds = new(atomic.Uint64)
+	}
+	return p.endpointSeeds
 }
 
 func newEndpoint(p *Provider, node *simnet.Node) *endpoint {
-	endpointSeed.Lock()
-	endpointSeed.n++
-	seed := endpointSeed.n
-	endpointSeed.Unlock()
+	seed := p.seeds().Add(1)
 	return &endpoint{p: p, node: node, in: simnet.NewMailboxOn[segment](p.Fabric.Executor()), rng: simnet.NewRand(seed)}
 }
 

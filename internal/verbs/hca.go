@@ -70,26 +70,14 @@ func (h *HCA) Fabric() *simnet.Fabric { return h.fabric }
 // Config reports the adapter's cost model.
 func (h *HCA) Config() Config { return h.cfg }
 
-// AllocPD creates a protection domain. QPs and MRs from different PDs
-// cannot be mixed, mirroring the IB access-control model.
+// PD is a protection domain. QPs and MRs from different PDs cannot be
+// mixed, mirroring the IB access-control model.
 type PD struct {
 	hca *HCA
-	id  int
-}
-
-var pdCounter struct {
-	sync.Mutex
-	n int
 }
 
 // AllocPD creates a protection domain on this adapter.
-func (h *HCA) AllocPD() *PD {
-	pdCounter.Lock()
-	pdCounter.n++
-	id := pdCounter.n
-	pdCounter.Unlock()
-	return &PD{hca: h, id: id}
-}
+func (h *HCA) AllocPD() *PD { return &PD{hca: h} }
 
 // HCA reports the adapter owning this PD.
 func (p *PD) HCA() *HCA { return p.hca }
