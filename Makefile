@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath determinism golden test mutations list-mutations check-ci-modes fuzz-smoke
+.PHONY: tier1 tier2 race-datapath determinism golden test mutations list-mutations check-ci-modes check-no-wallclock fuzz-smoke
 
 tier1:
 	go build ./...
@@ -24,16 +24,21 @@ race-datapath:
 # across same-seed runs); the two single-client determinism tests twenty
 # times under the race detector, where a caller on another goroutine
 # could still be racing a server step; the mcbench golden five times in
-# one process in shuffled order; and every study at GOMAXPROCS=1 against
-# the default, byte for byte. -selfcheck also compares host time between
-# its runs: a failure that names only a wall_ns_per_op cell is a busy
-# host (rerun it); "NOT REPRODUCIBLE" is a bug.
+# one process in shuffled order; every study at GOMAXPROCS=1 against
+# the default, byte for byte; and a lossy memcheck sweep twice over,
+# byte for byte (a dropped reply ends its wait in virtual time, so the
+# per-seed record counts and the summed counters are functions of the
+# seed). -selfcheck also compares host time between its runs: a failure
+# that names only a wall_ns_per_op cell is a busy host (rerun it); "NOT
+# REPRODUCIBLE" is a bug.
 determinism:
 	bash benchmark/run.sh -selfcheck
 	go test -race -count=20 -run 'TestHistoryDeterminism|TestSingleClientDeterminism' ./internal/memcheck ./internal/cluster
 	go test -count=5 -shuffle=on ./cmd/mcbench
 	GOMAXPROCS=1 go run ./cmd/mcbench -study all -quick | cmp - cmd/mcbench/testdata/studies.golden
 	go run ./cmd/mcbench -study all -quick | cmp - cmd/mcbench/testdata/studies.golden
+	first="$$(mktemp)" && go run ./cmd/mccheck -mode ud -faults -seeds 10 -v > "$$first" && \
+		go run ./cmd/mccheck -mode ud -faults -seeds 10 -v | cmp - "$$first"; rc=$$?; rm -f "$$first"; exit $$rc
 
 # The regression gate is a byte comparison: cmd/mcbench's test runs every
 # row of the study table (`mcbench -list`) and compares its text with the
@@ -55,6 +60,14 @@ MEMCHECK_SEEDS ?= 50
 
 memcheck-%:
 	go run ./cmd/mccheck -mode $(*:-lossy=) $(if $(filter %-lossy,$*),-faults) -seeds $(MEMCHECK_SEEDS)
+
+# No wait under internal/ may end on the host's clock: only simnet (the
+# executor's one capped receive) and the three dial functions that hand
+# it a cap for goroutine acceptors may import "time".
+check-no-wallclock:
+	@bad="$$(grep -rlE --include='*.go' --exclude='*_test.go' '^(import )?[[:space:]]*([A-Za-z_.]+ )?"time"$$' internal \
+		| grep -v -e '^internal/simnet/' -e '^internal/verbs/cm.go$$' -e '^internal/ucr/context.go$$' -e '^internal/sockstream/provider.go$$')"; \
+	if [ -n "$$bad" ]; then echo "wall clock under internal/:"; echo "$$bad"; exit 1; fi
 
 # The CI memcheck matrix must list exactly the table's rows.
 check-ci-modes:

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mcclient"
@@ -180,7 +179,7 @@ func AblationCounterAcks(ops int) (nullUs, complUs float64, acksNull, acksCompl 
 
 	cliCtx := cliRT.NewContext()
 	cliClk := simnet.NewVClock(0)
-	ep, derr := cliRT.Dial(cliCtx, srvNode, "ablate", ucr.Reliable, cliClk, 5*time.Second)
+	ep, derr := cliRT.Dial(cliCtx, srvNode, "ablate", ucr.Reliable, cliClk, 0)
 	if derr != nil {
 		return 0, 0, 0, 0, derr
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/mcclient"
 	"repro/internal/memcached"
@@ -37,15 +36,9 @@ type Options struct {
 	// fleet-scale deployments (1000 servers × lazy client fan-out) dial
 	// this down to keep tens of thousands of endpoints affordable.
 	UCRCredits int
-	// DispatchCost / OpCost override the server cost model (defaults
-	// below when zero).
-	DispatchCost simnet.Duration
-	OpCost       simnet.Duration
-	// CoalescedOpCost overrides the reduced per-op software cost the
-	// server pays for 2nd..Nth requests served inside one batched CQ
-	// drain (defaults amortize only the fixed dispatch slice; see
-	// memcached.ServerConfig.CoalescedOpCost).
-	CoalescedOpCost simnet.Duration
+	// OpCost overrides the server's per-command processing cost
+	// (default below when zero).
+	OpCost simnet.Duration
 	// UCREvents switches the server's UCR completion detection from
 	// polling to interrupt-style events (ablation).
 	UCREvents bool
@@ -98,6 +91,11 @@ type Options struct {
 	Faults *simnet.FaultConfig
 }
 
+// dispatchCost is the server's libevent notification + thread wakeup per
+// sockets-path request event (memcached.ServerConfig.DispatchCost), the
+// same on both clusters.
+const dispatchCost = 3 * us
+
 func (o Options) withDefaults(p *Profile) Options {
 	if o.Servers <= 0 {
 		o.Servers = 1
@@ -110,9 +108,6 @@ func (o Options) withDefaults(p *Profile) Options {
 	}
 	if o.MemoryLimit <= 0 {
 		o.MemoryLimit = 512 << 20
-	}
-	if o.DispatchCost <= 0 {
-		o.DispatchCost = 3 * us
 	}
 	if o.OpCost <= 0 {
 		if p.Name == "B" {
@@ -274,9 +269,8 @@ func (d *Deployment) AddServer(name string) int {
 			MemoryLimit: d.Opts.MemoryLimit,
 			Stripes:     d.Opts.Stripes,
 		},
-		DispatchCost:    d.Opts.DispatchCost,
+		DispatchCost:    dispatchCost,
 		OpCost:          d.Opts.OpCost,
-		CoalescedOpCost: d.Opts.CoalescedOpCost,
 		WriteReplyEager: d.Opts.WriteReplyEager,
 		// Lock-held copies run at the cluster's memory pack rate.
 		CopyBytesPerSec: d.Profile.UCR.PackBytesPerSec,
@@ -369,7 +363,7 @@ func (d *Deployment) newClient(t Transport, behaviors mcclient.Behaviors, unreli
 					return nil, err
 				}
 				if d.Opts.UDGets {
-					udep, err := c.rt.Dial(c.ctx, srvNode, ucrServiceFor(i), ucr.Unreliable, clk, 5*time.Second)
+					udep, err := c.rt.Dial(c.ctx, srvNode, ucrServiceFor(i), ucr.Unreliable, clk, 0)
 					if err != nil {
 						return nil, err
 					}

@@ -44,9 +44,6 @@ type FleetOptions struct {
 	Servers int
 	// Replicas is the ownership factor R (default 2).
 	Replicas int
-	// VNodes is the ring's per-server digest count (default 40, the
-	// libmemcached layout).
-	VNodes int
 	// Behaviors apply to every fleet client's transports.
 	Behaviors mcclient.Behaviors
 	// Seed seeds the drop-free fault injectors installed when Opts.Faults
@@ -110,7 +107,7 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 		transport:  opts.Transport,
 		behaviors:  opts.Behaviors,
 		replicas:   opts.Replicas,
-		ring:       ring.New(opts.VNodes),
+		ring:       ring.New(0), // the libmemcached layout, as mcclient and memcheck build it
 		members:    make(map[string]*fleetMember),
 		nextServer: opts.Servers,
 	}
@@ -358,26 +355,6 @@ func (c *FleetClient) dropConn(name string) {
 	}
 }
 
-// retry mirrors mcclient's opWithRetry: ErrServerDown is retried
-// Behaviors.Retries times with exponential virtual-time backoff (lossy
-// fleets heal transient drops inside the window).
-func (c *FleetClient) retry(op func() error) error {
-	err := op()
-	if err != mcclient.ErrServerDown || c.behaviors.Retries <= 0 {
-		return err
-	}
-	backoff := c.behaviors.RetryBackoff
-	if backoff <= 0 {
-		backoff = 100 * simnet.Microsecond
-	}
-	for r := 0; r < c.behaviors.Retries && err == mcclient.ErrServerDown; r++ {
-		c.Clock.Advance(backoff)
-		backoff *= 2
-		err = op()
-	}
-	return err
-}
-
 // Set writes through to all R owners, primary first. The first error is
 // surfaced after every owner has been attempted, so a replica outage
 // never blocks the primary write (and vice versa).
@@ -409,7 +386,7 @@ func (c *FleetClient) storeTo(owner string, op uint8, key string, flags uint32, 
 		c.Stats.Downs++
 		return err
 	}
-	err = c.retry(func() error {
+	err = c.behaviors.Retry(c.Clock, func() error {
 		var e error
 		if op == 0 {
 			_, e = tr.Set(c.Clock, key, flags, exptime, value)
@@ -486,7 +463,7 @@ func (c *FleetClient) getFrom(owner, key string) (value []byte, flags uint32, hi
 		c.Stats.Downs++
 		return nil, 0, false, cerr
 	}
-	err = c.retry(func() error {
+	err = c.behaviors.Retry(c.Clock, func() error {
 		var e error
 		value, flags, _, hit, e = tr.Get(c.Clock, key)
 		return e
@@ -517,7 +494,7 @@ func (c *FleetClient) Delete(key string) (bool, error) {
 			continue
 		}
 		var ok bool
-		err = c.retry(func() error {
+		err = c.behaviors.Retry(c.Clock, func() error {
 			var e error
 			ok, e = tr.Delete(c.Clock, key)
 			return e
@@ -670,7 +647,7 @@ func (c *FleetClient) DirectGet(server, key string) (value []byte, hit bool, err
 	if cerr != nil {
 		return nil, false, cerr
 	}
-	err = c.retry(func() error {
+	err = c.behaviors.Retry(c.Clock, func() error {
 		var e error
 		value, _, _, hit, e = tr.Get(c.Clock, key)
 		return e

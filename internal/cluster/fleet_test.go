@@ -170,6 +170,12 @@ func TestFleetCrashMidBurst(t *testing.T) {
 		}
 	}
 	fc.dropConn(victim)
+	// The client set no OpTimeout, so the dead waits had no deadline to
+	// run to: the failure is learned where the clock stood, not 2^50 ns
+	// (13 virtual days) later, and later makespans and TTLs stay sane.
+	if now := fc.Clock.Now(); now >= simnet.Second {
+		t.Fatalf("client clock at %v after the failed burst: an untimed wait threw it forward", now)
+	}
 
 	// Rebalance happened atomically with the crash: every key's new
 	// primary is the old replica and serves the value.

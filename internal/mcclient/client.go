@@ -242,8 +242,8 @@ func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
 			return out, ErrNoServers
 		}
 		var part map[string][]byte
-		err := c.opWithRetry(c.servers[idx], func(t Transport) error {
-			var err error
+		t := c.servers[idx]
+		err := c.behaviors.Retry(c.clk, func() (err error) {
 			part, err = t.GetMulti(c.clk, group)
 			return err
 		})

@@ -84,24 +84,24 @@ func (c *Client) liveServerFor(key string) int {
 	return c.liveIdx[int(keyHash(key)%uint64(len(c.liveIdx)))]
 }
 
-// opWithRetry runs op against t, retrying ErrServerDown failures up to
-// Behaviors.Retries times with exponential virtual-time backoff. A
-// transient fault (lossy fabric, momentary partition) heals inside the
-// backoff window and the server stays in the pool; only a persistently
-// dead server escapes to the eject path.
-func (c *Client) opWithRetry(t Transport, op func(Transport) error) error {
-	err := op(t)
-	if err != ErrServerDown || c.behaviors.Retries <= 0 {
+// Retry runs op, retrying ErrServerDown failures up to b.Retries times
+// with exponential virtual-time backoff charged to clk. A transient
+// fault (lossy fabric, momentary partition) heals inside the backoff
+// window and the server stays in the pool; only a persistently dead
+// server escapes to the caller's eject or failover path.
+func (b Behaviors) Retry(clk *simnet.VClock, op func() error) error {
+	err := op()
+	if err != ErrServerDown || b.Retries <= 0 {
 		return err
 	}
-	backoff := c.behaviors.RetryBackoff
+	backoff := b.RetryBackoff
 	if backoff <= 0 {
 		backoff = 100 * simnet.Microsecond
 	}
-	for r := 0; r < c.behaviors.Retries && err == ErrServerDown; r++ {
-		c.clk.Advance(backoff)
+	for r := 0; r < b.Retries && err == ErrServerDown; r++ {
+		clk.Advance(backoff)
 		backoff *= 2
-		err = op(t)
+		err = op()
 	}
 	return err
 }
@@ -116,7 +116,8 @@ func (c *Client) withTransport(key string, op func(Transport) error) error {
 		if idx < 0 {
 			return ErrNoServers
 		}
-		err := c.opWithRetry(c.servers[idx], op)
+		t := c.servers[idx]
+		err := c.behaviors.Retry(c.clk, func() error { return op(t) })
 		if err == ErrServerDown && c.behaviors.AutoEject {
 			c.eject(idx)
 			continue

@@ -95,7 +95,7 @@ func (m *SessionMux) doShared(clk *simnet.VClock, build func(t *UCRTransport) *a
 		if op.sendAM() != nil {
 			return m.failed(op, false)
 		}
-		deadline := simnet.Time(1) << 50
+		deadline := simnet.Never
 		if per > 0 {
 			deadline = clk.Now() + per
 		}
@@ -106,7 +106,7 @@ func (m *SessionMux) doShared(clk *simnet.VClock, build func(t *UCRTransport) *a
 			if op.ep.Failed() {
 				return m.failed(op, false)
 			}
-			ok, timedOut := t.ctx.ProgressDeadline(clk, deadline, t.rt.Config().RealSilenceCap)
+			ok, timedOut := t.ctx.ProgressDeadline(clk, deadline)
 			m.mu.Unlock()
 			m.mu.Lock()
 			if timedOut {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"repro/internal/memcached"
 	"repro/internal/simnet"
@@ -31,7 +30,7 @@ type SockTransport struct {
 
 // DialSock connects a socket transport. The handshake cost lands on clk.
 func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, behaviors Behaviors, clk *simnet.VClock) (*SockTransport, error) {
-	conn, err := p.Dial(from, to, service, clk, 5*time.Second)
+	conn, err := p.Dial(from, to, service, clk, 0)
 	if err != nil {
 		return nil, err
 	}

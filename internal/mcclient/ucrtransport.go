@@ -1,8 +1,6 @@
 package mcclient
 
 import (
-	"time"
-
 	"repro/internal/memcached"
 	"repro/internal/simnet"
 	"repro/internal/ucr"
@@ -148,7 +146,7 @@ func DialUCRUnreliable(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, servi
 
 func dialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string, behaviors Behaviors, clk *simnet.VClock, rel ucr.Reliability) (*UCRTransport, error) {
 	RegisterClientHandlers(rt)
-	ep, err := rt.Dial(ctx, to, service, rel, clk, 5*time.Second)
+	ep, err := rt.Dial(ctx, to, service, rel, clk, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -659,7 +657,7 @@ func (t *UCRTransport) mgetResult(op *amOp, out map[string][]byte) error {
 // §IV-C), which is when its buffer is reusable.
 func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
 	if t.noReply {
-		hdr := memcached.EncodeSetReq(memcached.SetReq{
+		hdr := memcached.AppendSetReq(nil, memcached.SetReq{
 			ReplyCtr: 0, Flags: flags, Exptime: exptime, Key: key,
 		})
 		origin := t.rt.NewCounter()

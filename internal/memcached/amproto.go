@@ -50,20 +50,8 @@ type SetReq struct {
 	Key      string
 }
 
-// EncodeSetReq packs the header.
-func EncodeSetReq(r SetReq) []byte {
-	b := make([]byte, 8+4+8+2+len(r.Key))
-	le := binary.LittleEndian
-	le.PutUint64(b, uint64(r.ReplyCtr))
-	le.PutUint32(b[8:], r.Flags)
-	le.PutUint64(b[12:], uint64(r.Exptime))
-	le.PutUint16(b[20:], uint16(len(r.Key)))
-	copy(b[22:], r.Key)
-	return b
-}
-
-// AppendSetReq packs the header onto dst (the alloc-free form: callers
-// bring a pooled buffer).
+// AppendSetReq packs the header onto dst (callers bring a pooled
+// buffer): replyCtr(8) flags(4) exptime(8) klen(2) key.
 func AppendSetReq(dst []byte, r SetReq) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint64(dst, uint64(r.ReplyCtr))
@@ -100,38 +88,10 @@ func DecodeSetReqView(b []byte) (SetReqView, error) {
 	}, nil
 }
 
-// DecodeSetReq unpacks the header.
-func DecodeSetReq(b []byte) (SetReq, error) {
-	if len(b) < 22 {
-		return SetReq{}, ErrShortAMHeader
-	}
-	le := binary.LittleEndian
-	kl := int(le.Uint16(b[20:]))
-	if len(b) < 22+kl {
-		return SetReq{}, ErrShortAMHeader
-	}
-	return SetReq{
-		ReplyCtr: ucr.CounterID(le.Uint64(b)),
-		Flags:    le.Uint32(b[8:]),
-		Exptime:  int64(le.Uint64(b[12:])),
-		Key:      string(b[22 : 22+kl]),
-	}, nil
-}
-
 // KeyReq is the AM 1 header for Get and Delete.
 type KeyReq struct {
 	ReplyCtr ucr.CounterID
 	Key      string
-}
-
-// EncodeKeyReq packs the header.
-func EncodeKeyReq(r KeyReq) []byte {
-	b := make([]byte, 8+2+len(r.Key))
-	le := binary.LittleEndian
-	le.PutUint64(b, uint64(r.ReplyCtr))
-	le.PutUint16(b[8:], uint16(len(r.Key)))
-	copy(b[10:], r.Key)
-	return b
 }
 
 // AppendKeyReq packs the header onto dst.
@@ -165,38 +125,11 @@ func DecodeKeyReqView(b []byte) (KeyReqView, error) {
 	}, nil
 }
 
-// DecodeKeyReq unpacks the header.
-func DecodeKeyReq(b []byte) (KeyReq, error) {
-	if len(b) < 10 {
-		return KeyReq{}, ErrShortAMHeader
-	}
-	le := binary.LittleEndian
-	kl := int(le.Uint16(b[8:]))
-	if len(b) < 10+kl {
-		return KeyReq{}, ErrShortAMHeader
-	}
-	return KeyReq{
-		ReplyCtr: ucr.CounterID(le.Uint64(b)),
-		Key:      string(b[10 : 10+kl]),
-	}, nil
-}
-
 // NumReq is the AM 1 header for Incr/Decr.
 type NumReq struct {
 	ReplyCtr ucr.CounterID
 	Delta    uint64
 	Key      string
-}
-
-// EncodeNumReq packs the header.
-func EncodeNumReq(r NumReq) []byte {
-	b := make([]byte, 8+8+2+len(r.Key))
-	le := binary.LittleEndian
-	le.PutUint64(b, uint64(r.ReplyCtr))
-	le.PutUint64(b[8:], r.Delta)
-	le.PutUint16(b[16:], uint16(len(r.Key)))
-	copy(b[18:], r.Key)
-	return b
 }
 
 // AppendNumReq packs the header onto dst.
@@ -231,11 +164,6 @@ type StatusReply struct {
 	Result StoreResult // meaningful for Set
 }
 
-// EncodeStatusReply packs the header.
-func EncodeStatusReply(r StatusReply) []byte {
-	return []byte{r.Status, byte(r.Result)}
-}
-
 // AppendStatusReply packs the header onto dst.
 func AppendStatusReply(dst []byte, r StatusReply) []byte {
 	return append(dst, r.Status, byte(r.Result))
@@ -260,16 +188,6 @@ type GetReply struct {
 	CAS    uint64
 }
 
-// EncodeGetReply packs the header.
-func EncodeGetReply(r GetReply) []byte {
-	b := make([]byte, 1+4+8)
-	b[0] = r.Status
-	le := binary.LittleEndian
-	le.PutUint32(b[1:], r.Flags)
-	le.PutUint64(b[5:], r.CAS)
-	return b
-}
-
 // AppendGetReply packs the header onto dst.
 func AppendGetReply(dst []byte, r GetReply) []byte {
 	le := binary.LittleEndian
@@ -291,14 +209,6 @@ func DecodeGetReply(b []byte) (GetReply, error) {
 type NumReply struct {
 	Status uint8
 	Value  uint64
-}
-
-// EncodeNumReply packs the header.
-func EncodeNumReply(r NumReply) []byte {
-	b := make([]byte, 9)
-	b[0] = r.Status
-	binary.LittleEndian.PutUint64(b[1:], r.Value)
-	return b
 }
 
 // AppendNumReply packs the header onto dst.

@@ -22,56 +22,6 @@ const (
 	AMMGetRetry uint8 = 0x26
 )
 
-// MGetReq is the AM 1 header for a multi-get.
-type MGetReq struct {
-	ReplyCtr ucr.CounterID
-	Keys     []string
-}
-
-// EncodeMGetReq packs the header: replyCtr(8) nkeys(2) {klen(2) key}*.
-func EncodeMGetReq(r MGetReq) []byte {
-	n := 8 + 2
-	for _, k := range r.Keys {
-		n += 2 + len(k)
-	}
-	b := make([]byte, n)
-	le := binary.LittleEndian
-	le.PutUint64(b, uint64(r.ReplyCtr))
-	le.PutUint16(b[8:], uint16(len(r.Keys)))
-	off := 10
-	for _, k := range r.Keys {
-		le.PutUint16(b[off:], uint16(len(k)))
-		off += 2
-		off += copy(b[off:], k)
-	}
-	return b
-}
-
-// DecodeMGetReq unpacks the header.
-func DecodeMGetReq(b []byte) (MGetReq, error) {
-	if len(b) < 10 {
-		return MGetReq{}, ErrShortAMHeader
-	}
-	le := binary.LittleEndian
-	r := MGetReq{ReplyCtr: ucr.CounterID(le.Uint64(b))}
-	nkeys := int(le.Uint16(b[8:]))
-	off := 10
-	r.Keys = make([]string, 0, nkeys)
-	for i := 0; i < nkeys; i++ {
-		if off+2 > len(b) {
-			return MGetReq{}, ErrShortAMHeader
-		}
-		kl := int(le.Uint16(b[off:]))
-		off += 2
-		if off+kl > len(b) {
-			return MGetReq{}, ErrShortAMHeader
-		}
-		r.Keys = append(r.Keys, string(b[off:off+kl]))
-		off += kl
-	}
-	return r, nil
-}
-
 // AppendMGetReq packs a multi-get onto dst and reports the AM id that
 // carries it: AMMGet is replyCtr(8) nkeys(2) {klen(2) key}*, and AMMGetW
 // inserts slot(2) after the counter. slot is index plus one, zero for
@@ -149,31 +99,10 @@ type MGetItem struct {
 }
 
 // MGetReply is the AM 2 header: the per-item metadata; the values are
-// the AM data, concatenated in item order.
+// the AM data, concatenated in item order. Wire layout: nitems(2)
+// {klen(2) flags(4) cas(8) vlen(4) key}*.
 type MGetReply struct {
 	Items []MGetItem
-}
-
-// EncodeMGetReply packs the header: nitems(2) {klen(2) flags(4) cas(8)
-// vlen(4) key}*.
-func EncodeMGetReply(r MGetReply) []byte {
-	n := 2
-	for _, it := range r.Items {
-		n += 2 + 4 + 8 + 4 + len(it.Key)
-	}
-	b := make([]byte, n)
-	le := binary.LittleEndian
-	le.PutUint16(b, uint16(len(r.Items)))
-	off := 2
-	for _, it := range r.Items {
-		le.PutUint16(b[off:], uint16(len(it.Key)))
-		le.PutUint32(b[off+2:], it.Flags)
-		le.PutUint64(b[off+6:], it.CAS)
-		le.PutUint32(b[off+14:], uint32(it.ValueLen))
-		off += 18
-		off += copy(b[off:], it.Key)
-	}
-	return b
 }
 
 // BeginMGetReply starts an append-encoded reply header in dst with a

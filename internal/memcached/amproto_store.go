@@ -40,20 +40,6 @@ type StoreReq struct {
 	Key      string
 }
 
-// EncodeStoreReq packs the header.
-func EncodeStoreReq(r StoreReq) []byte {
-	b := make([]byte, 8+1+4+8+8+2+len(r.Key))
-	le := binary.LittleEndian
-	le.PutUint64(b, uint64(r.ReplyCtr))
-	b[8] = r.Op
-	le.PutUint32(b[9:], r.Flags)
-	le.PutUint64(b[13:], uint64(r.Exptime))
-	le.PutUint64(b[21:], r.CAS)
-	le.PutUint16(b[29:], uint16(len(r.Key)))
-	copy(b[31:], r.Key)
-	return b
-}
-
 // AppendStoreReq packs the header onto dst.
 func AppendStoreReq(dst []byte, r StoreReq) []byte {
 	le := binary.LittleEndian
@@ -94,25 +80,5 @@ func DecodeStoreReqView(b []byte) (StoreReqView, error) {
 		Exptime:  int64(le.Uint64(b[13:])),
 		CAS:      le.Uint64(b[21:]),
 		Key:      b[31 : 31+kl],
-	}, nil
-}
-
-// DecodeStoreReq unpacks the header.
-func DecodeStoreReq(b []byte) (StoreReq, error) {
-	if len(b) < 31 {
-		return StoreReq{}, ErrShortAMHeader
-	}
-	le := binary.LittleEndian
-	kl := int(le.Uint16(b[29:]))
-	if len(b) < 31+kl {
-		return StoreReq{}, ErrShortAMHeader
-	}
-	return StoreReq{
-		ReplyCtr: ucr.CounterID(le.Uint64(b)),
-		Op:       b[8],
-		Flags:    le.Uint32(b[9:]),
-		Exptime:  int64(le.Uint64(b[13:])),
-		CAS:      le.Uint64(b[21:]),
-		Key:      string(b[31 : 31+kl]),
 	}, nil
 }

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
 	"repro/internal/simnet"
+	"repro/internal/ucr"
 )
 
 // fuzzStream is the protocol conn's transport for fuzzing: the fuzz
@@ -156,118 +159,171 @@ func FuzzTextCodec(f *testing.F) {
 	})
 }
 
-// FuzzAMCodecs round-trips every active-message header codec: any input
-// the decoder accepts must survive encode→decode unchanged, and no
-// input may panic a decoder. The first byte selects the codec so one
-// corpus covers them all. (The uint16 key-count truncation that
-// motivated mcclient's maxMGetKeys chunking was found by this target.)
+// FuzzAMCodecs feeds arbitrary bytes to every active-message header
+// decoder the datapath runs on bytes off the wire — the in-place views
+// and the multi-get key cursor the server uses, the reply decoders the
+// client uses — through the Append* encoders that put them there. No
+// input may panic a decoder, and any header a decoder accepts must
+// re-encode to exactly the bytes it was read from and decode to the
+// same fields again. The first byte selects the codec so one corpus
+// covers them all. (The uint16 key-count truncation that motivated
+// mcclient's maxMGetKeys chunking was found by this target.)
 func FuzzAMCodecs(f *testing.F) {
 	f.Add([]byte{0x00})
-	f.Add(append([]byte{0x00}, EncodeSetReq(SetReq{ReplyCtr: 7, Flags: 42, Exptime: 2592001, Key: "k01"})...))
-	f.Add(append([]byte{0x01}, EncodeKeyReq(KeyReq{ReplyCtr: 9, Key: "some-key"})...))
-	f.Add(append([]byte{0x02}, EncodeNumReq(NumReq{ReplyCtr: 3, Delta: 18446744073709551615, Key: "n0"})...))
-	f.Add(append([]byte{0x03}, EncodeStoreReq(StoreReq{ReplyCtr: 1, Op: StoreOpCas, Flags: 5, Exptime: -1, CAS: 77, Key: "ck"})...))
-	f.Add(append([]byte{0x04}, EncodeMGetReq(MGetReq{ReplyCtr: 2, Keys: []string{"a", "bb", ""}})...))
-	f.Add(append([]byte{0x05}, EncodeStatusReply(StatusReply{Status: AMOK, Result: Stored})...))
-	f.Add(append([]byte{0x06}, EncodeGetReply(GetReply{Status: AMMiss, Flags: 1, CAS: 2})...))
-	f.Add(append([]byte{0x07}, EncodeNumReply(NumReply{Status: AMBadValue, Value: 99})...))
-	f.Add(append([]byte{0x08}, EncodeMGetReply(MGetReply{Items: []MGetItem{
+	f.Add(AppendSetReq([]byte{0x00}, SetReq{ReplyCtr: 7, Flags: 42, Exptime: 2592001, Key: "k01"}))
+	f.Add(AppendKeyReq([]byte{0x01}, KeyReq{ReplyCtr: 9, Key: "some-key"}))
+	f.Add(AppendNumReq([]byte{0x02}, NumReq{ReplyCtr: 3, Delta: 18446744073709551615, Key: "n0"}))
+	f.Add(AppendStoreReq([]byte{0x03}, StoreReq{ReplyCtr: 1, Op: StoreOpCas, Flags: 5, Exptime: -1, CAS: 77, Key: "ck"}))
+	mget, _ := AppendMGetReq([]byte{0x04}, 2, 0, []string{"a", "bb", ""})
+	f.Add(mget)
+	f.Add(AppendStatusReply([]byte{0x05}, StatusReply{Status: AMOK, Result: Stored}))
+	f.Add(AppendGetReply([]byte{0x06}, GetReply{Status: AMMiss, Flags: 1, CAS: 2}))
+	f.Add(AppendNumReply([]byte{0x07}, NumReply{Status: AMBadValue, Value: 99}))
+	f.Add(appendMGetReply([]byte{0x08}, MGetReply{Items: []MGetItem{
 		{Key: "a", Flags: 1, CAS: 2, ValueLen: 3}, {Key: "", Flags: 0, CAS: 0, ValueLen: 0},
+	}}))
+	getW, _ := AppendGetReq([]byte{0x09}, 11, 3, "slotted-key")
+	f.Add(getW)
+	mgetW, _ := AppendMGetReq([]byte{0x0a}, 12, 65536, []string{"x", "yy"})
+	f.Add(mgetW)
+	f.Add(AppendArmReq([]byte{0x0b}, ArmReq{ReplyCtr: 5, Addr: 1 << 40, RKey: 9, SlotLen: 4096, Slots: 8}))
+	f.Add(append([]byte{0x0c}, EncodeArmReply(ArmReply{Status: AMOK, OS: OSDesc{
+		Enabled: true, Buckets: 1024, Slots: 4, Dir: ucr.WindowDesc{Addr: 4096, RKey: 3, Len: 1 << 16},
 	}})...))
+	f.Add(AppendGetWNotify([]byte{0x0d}, GetWNotify{Status: AMOK, Flags: 6, CAS: 7, ValueLen: 8}))
+	f.Add(AppendMGetWNotify([]byte{0x0e}, MGetWNotify{Status: AMOK, HdrLen: 20, DataLen: 300}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		sel, b := data[0], data[1:]
-		switch sel % 9 {
+		switch sel % 15 {
 		case 0:
-			if r, err := DecodeSetReq(b); err == nil {
-				r2, err2 := DecodeSetReq(EncodeSetReq(r))
-				if err2 != nil || r2 != r {
-					t.Fatalf("SetReq round trip: %+v -> %+v (%v)", r, r2, err2)
+			if v, err := DecodeSetReqView(b); err == nil {
+				enc := AppendSetReq(nil, SetReq{ReplyCtr: v.ReplyCtr, Flags: v.Flags, Exptime: v.Exptime, Key: string(v.Key)})
+				sameBytes(t, "SetReq", b, enc)
+				if v2, err := DecodeSetReqView(enc); err != nil || !reflect.DeepEqual(v, v2) {
+					t.Fatalf("SetReq round trip: %+v -> %+v (%v)", v, v2, err)
 				}
 			}
-		case 1:
-			if r, err := DecodeKeyReq(b); err == nil {
-				r2, err2 := DecodeKeyReq(EncodeKeyReq(r))
-				if err2 != nil || r2 != r {
-					t.Fatalf("KeyReq round trip: %+v -> %+v (%v)", r, r2, err2)
+		case 1, 9:
+			slotted := sel%15 == 9
+			if v, err := DecodeGetReqView(b, slotted); err == nil {
+				if slotted != (v.Slot != 0) {
+					t.Fatalf("GetReq slotted=%v decoded slot %d", slotted, v.Slot)
+				}
+				enc, msg := AppendGetReq(nil, v.ReplyCtr, v.Slot, string(v.Key))
+				sameBytes(t, "GetReq", b, enc)
+				if v2, err := DecodeGetReqView(enc, msg == AMGetW); err != nil || !reflect.DeepEqual(v, v2) {
+					t.Fatalf("GetReq round trip: %+v -> %+v (%v)", v, v2, err)
+				}
+				// Delete reads the unslotted layout through the KeyReq view.
+				if k, err := DecodeKeyReqView(b); !slotted && (err != nil || k.ReplyCtr != v.ReplyCtr || !bytes.Equal(k.Key, v.Key)) {
+					t.Fatalf("KeyReq view %+v (%v) disagrees with GetReq view %+v", k, err, v)
 				}
 			}
 		case 2:
-			if r, err := DecodeNumReq(b); err == nil {
-				r2, err2 := DecodeNumReq(EncodeNumReq(r))
-				if err2 != nil || r2 != r {
-					t.Fatalf("NumReq round trip: %+v -> %+v (%v)", r, r2, err2)
-				}
-			}
+			roundTrip(t, "NumReq", b, DecodeNumReq, AppendNumReq)
 		case 3:
-			if r, err := DecodeStoreReq(b); err == nil {
-				r2, err2 := DecodeStoreReq(EncodeStoreReq(r))
-				if err2 != nil || r2 != r {
-					t.Fatalf("StoreReq round trip: %+v -> %+v (%v)", r, r2, err2)
+			if v, err := DecodeStoreReqView(b); err == nil {
+				enc := AppendStoreReq(nil, StoreReq{ReplyCtr: v.ReplyCtr, Op: v.Op, Flags: v.Flags, Exptime: v.Exptime, CAS: v.CAS, Key: string(v.Key)})
+				sameBytes(t, "StoreReq", b, enc)
+				if v2, err := DecodeStoreReqView(enc); err != nil || !reflect.DeepEqual(v, v2) {
+					t.Fatalf("StoreReq round trip: %+v -> %+v (%v)", v, v2, err)
 				}
 			}
-		case 4:
-			if r, err := DecodeMGetReq(b); err == nil {
-				r2, err2 := DecodeMGetReq(EncodeMGetReq(r))
-				if err2 != nil || !mgetReqEqual(r, r2) {
-					t.Fatalf("MGetReq round trip: %+v -> %+v (%v)", r, r2, err2)
-				}
+		case 4, 10:
+			slotted := sel%15 == 10
+			ctr, slot, cur, err := NewMGetKeyCursor(b, slotted)
+			if err != nil {
+				return
+			}
+			if slotted != (slot != 0) {
+				t.Fatalf("MGetReq slotted=%v decoded slot %d", slotted, slot)
+			}
+			keys := cursorKeys(&cur)
+			if len(keys) != cur.Len() {
+				return // truncated batch: the cursor stopped early, as the server does
+			}
+			enc, msg := AppendMGetReq(nil, ctr, slot, keys)
+			sameBytes(t, "MGetReq", b, enc)
+			ctr2, slot2, cur2, err := NewMGetKeyCursor(enc, msg == AMMGetW)
+			if keys2 := cursorKeys(&cur2); err != nil || ctr2 != ctr || slot2 != slot || !slices.Equal(keys, keys2) {
+				t.Fatalf("MGetReq round trip: (%d, %d, %q) -> (%d, %d, %q) (%v)", ctr, slot, keys, ctr2, slot2, keys2, err)
 			}
 		case 5:
-			if r, err := DecodeStatusReply(b); err == nil {
-				r2, err2 := DecodeStatusReply(EncodeStatusReply(r))
-				if err2 != nil || r2 != r {
-					t.Fatalf("StatusReply round trip: %+v -> %+v (%v)", r, r2, err2)
-				}
-			}
+			roundTrip(t, "StatusReply", b, DecodeStatusReply, AppendStatusReply)
 		case 6:
-			if r, err := DecodeGetReply(b); err == nil {
-				r2, err2 := DecodeGetReply(EncodeGetReply(r))
-				if err2 != nil || r2 != r {
-					t.Fatalf("GetReply round trip: %+v -> %+v (%v)", r, r2, err2)
-				}
-			}
+			roundTrip(t, "GetReply", b, DecodeGetReply, AppendGetReply)
 		case 7:
-			if r, err := DecodeNumReply(b); err == nil {
-				r2, err2 := DecodeNumReply(EncodeNumReply(r))
-				if err2 != nil || r2 != r {
-					t.Fatalf("NumReply round trip: %+v -> %+v (%v)", r, r2, err2)
-				}
-			}
+			roundTrip(t, "NumReply", b, DecodeNumReply, AppendNumReply)
 		case 8:
 			if r, err := DecodeMGetReply(b); err == nil {
-				r2, err2 := DecodeMGetReply(EncodeMGetReply(r))
-				if err2 != nil || !mgetReplyEqual(r, r2) {
-					t.Fatalf("MGetReply round trip: %+v -> %+v (%v)", r, r2, err2)
+				enc := appendMGetReply(nil, r)
+				sameBytes(t, "MGetReply", b, enc)
+				if r2, err := DecodeMGetReply(enc); err != nil || !slices.Equal(r.Items, r2.Items) {
+					t.Fatalf("MGetReply round trip: %+v -> %+v (%v)", r, r2, err)
 				}
 			}
+		case 11:
+			roundTrip(t, "ArmReq", b, DecodeArmReq, AppendArmReq)
+		case 12:
+			// Not byte-canonical: a disabled directory's descriptor bytes
+			// are ignored, and the enabled flag is any non-zero byte.
+			if r, err := DecodeArmReply(b); err == nil {
+				if r2, err := DecodeArmReply(EncodeArmReply(r)); err != nil || r2 != r {
+					t.Fatalf("ArmReply round trip: %+v -> %+v (%v)", r, r2, err)
+				}
+			}
+		case 13:
+			roundTrip(t, "GetWNotify", b, DecodeGetWNotify, AppendGetWNotify)
+		case 14:
+			roundTrip(t, "MGetWNotify", b, DecodeMGetWNotify, AppendMGetWNotify)
 		}
 	})
 }
 
-func mgetReqEqual(a, b MGetReq) bool {
-	if a.ReplyCtr != b.ReplyCtr || len(a.Keys) != len(b.Keys) {
-		return false
+// sameBytes fails unless an accepted header re-encodes to the bytes it
+// was decoded from (trailing input is not part of the header).
+func sameBytes(t *testing.T, what string, b, enc []byte) {
+	t.Helper()
+	if len(enc) > len(b) || !bytes.Equal(enc, b[:len(enc)]) {
+		t.Fatalf("%s: accepted % x but re-encodes as % x", what, b, enc)
 	}
-	for i := range a.Keys {
-		if a.Keys[i] != b.Keys[i] {
-			return false
-		}
-	}
-	return true
 }
 
-func mgetReplyEqual(a, b MGetReply) bool {
-	if len(a.Items) != len(b.Items) {
-		return false
+// roundTrip checks a fixed-shape header codec: if dec accepts b, enc
+// must reproduce the bytes and dec must read the same fields back.
+func roundTrip[T comparable](t *testing.T, what string, b []byte, dec func([]byte) (T, error), enc func([]byte, T) []byte) {
+	t.Helper()
+	r, err := dec(b)
+	if err != nil {
+		return
 	}
-	for i := range a.Items {
-		if a.Items[i] != b.Items[i] {
-			return false
-		}
+	out := enc(nil, r)
+	sameBytes(t, what, b, out)
+	if r2, err := dec(out); err != nil || r2 != r {
+		t.Fatalf("%s round trip: %+v -> %+v (%v)", what, r, r2, err)
 	}
-	return true
+}
+
+// appendMGetReply packs a reply header the way the server builds one.
+func appendMGetReply(dst []byte, r MGetReply) []byte {
+	start := len(dst)
+	dst = BeginMGetReply(dst)
+	for _, it := range r.Items {
+		dst = AppendMGetReplyItem(dst, []byte(it.Key), it.Flags, it.CAS, it.ValueLen)
+	}
+	FinishMGetReply(dst, start, len(r.Items))
+	return dst
+}
+
+// cursorKeys drains a multi-get key cursor.
+func cursorKeys(c *MGetKeyCursor) []string {
+	var keys []string
+	for k, ok := c.Next(); ok; k, ok = c.Next() {
+		keys = append(keys, string(k))
+	}
+	return keys
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -281,20 +282,26 @@ func TestProtocolStatsUnknownSub(t *testing.T) {
 }
 
 func TestMGetProtoRoundtrip(t *testing.T) {
-	req := MGetReq{ReplyCtr: 77, Keys: []string{"alpha", "beta", "a-much-longer-key-name"}}
-	got, err := DecodeMGetReq(EncodeMGetReq(req))
-	if err != nil || got.ReplyCtr != 77 || len(got.Keys) != 3 || got.Keys[2] != req.Keys[2] {
-		t.Fatalf("req roundtrip = %+v, %v", got, err)
+	keys := []string{"alpha", "beta", "a-much-longer-key-name"}
+	for _, slot := range []int32{0, 5} {
+		enc, msg := AppendMGetReq(nil, 77, slot, keys)
+		if want := map[bool]uint8{false: AMMGet, true: AMMGetW}[slot != 0]; msg != want {
+			t.Fatalf("slot %d rides AM %#x, want %#x", slot, msg, want)
+		}
+		ctr, gotSlot, cur, err := NewMGetKeyCursor(enc, slot != 0)
+		if got := cursorKeys(&cur); err != nil || ctr != 77 || gotSlot != slot || cur.Len() != 3 || !slices.Equal(got, keys) {
+			t.Fatalf("req roundtrip (slot %d) = ctr %d slot %d keys %q, %v", slot, ctr, gotSlot, got, err)
+		}
 	}
 	rep := MGetReply{Items: []MGetItem{
 		{Key: "alpha", Flags: 1, CAS: 10, ValueLen: 100},
 		{Key: "beta", Flags: 2, CAS: 20, ValueLen: 0},
 	}}
-	got2, err := DecodeMGetReply(EncodeMGetReply(rep))
+	got2, err := DecodeMGetReply(appendMGetReply(nil, rep))
 	if err != nil || len(got2.Items) != 2 || got2.Items[0] != rep.Items[0] || got2.Items[1] != rep.Items[1] {
 		t.Fatalf("reply roundtrip = %+v, %v", got2, err)
 	}
-	if _, err := DecodeMGetReq([]byte{1}); err == nil {
+	if _, _, _, err := NewMGetKeyCursor([]byte{1}, false); err == nil {
 		t.Fatal("short mget req decoded")
 	}
 	if _, err := DecodeMGetReply([]byte{}); err == nil {

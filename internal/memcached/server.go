@@ -24,23 +24,6 @@ type ServerConfig struct {
 	// per operation on both paths. It is also the baseline shard-lock
 	// hold time in the engine's contention model.
 	OpCost simnet.Duration
-	// CoalescedOpCost is the command-processing cost charged for
-	// operations harvested by a batched CQ drain while the worker is
-	// hot — the 2nd..Nth completions of one sweep, and any op arriving
-	// within the drain's spin window. When a worker carries requests
-	// back to back, the *fixed* slice of the per-op cost amortizes: the
-	// parse/reply arenas and dispatch branches stay cache-hot, the
-	// striped-store buckets are touched in streaks, and the alloc-free
-	// steady-state paths never call into the allocator. The default
-	// therefore subtracts that fixed dispatch slice (825 ns, 11/12 of
-	// the baseline 900 ns OpCost) and keeps the remainder: genuine
-	// engine execution time — the part a 25 µs heavy-op configuration
-	// is modeling — does not shrink because the previous request was
-	// recent, so worker-count scaling economics survive batching. A
-	// lone completion (any depth-1 client) arrives a full round trip
-	// after the drain went cold and always pays full OpCost, which
-	// keeps the golden figure tables bit-identical.
-	CoalescedOpCost simnet.Duration
 	// CopyBytesPerSec is the memory-copy bandwidth used to extend a
 	// shard-lock hold by the bytes copied while the lock is held
 	// (default 5 GB/s). Only the sockets path copies values under the
@@ -57,35 +40,44 @@ type ServerConfig struct {
 	// nothing, the pack copy is already cheaper. Above it (and within
 	// the window) the server gather-writes the reply. Default 1 KB.
 	WriteReplyEager int
-	// UCRDrainBatch is how many completions a UCR worker may harvest per
-	// batched CQ drain (default 16): the first at the full poll cost,
-	// the rest — only those already visible — at the coalesced cost.
-	// With a single blocking client at most one completion is ever
-	// visible at a time, so the batch never engages and per-op timing is
-	// unchanged; it pays off under pipelined windows.
-	UCRDrainBatch int
+}
+
+// ucrDrainBatch is how many completions a UCR worker may harvest per
+// batched CQ drain: the first at the full poll cost, the rest — only
+// those already visible — at the coalesced cost. With a single blocking
+// client at most one completion is ever visible at a time, so the batch
+// never engages and per-op timing is unchanged; it pays off under
+// pipelined windows.
+const ucrDrainBatch = 16
+
+// coalescedOpCost is the command-processing cost charged for operations
+// harvested by a batched CQ drain while the worker is hot — the 2nd..Nth
+// completions of one sweep, and any op arriving within the drain's spin
+// window. When a worker carries requests back to back, the *fixed* slice
+// of the per-op cost amortizes: the parse/reply arenas and dispatch
+// branches stay cache-hot, the striped-store buckets are touched in
+// streaks, and the alloc-free steady-state paths never call into the
+// allocator. It therefore subtracts that fixed dispatch slice (825 ns,
+// 11/12 of the baseline 900 ns OpCost) and keeps the remainder: genuine
+// engine execution time — the part a 25 µs heavy-op configuration is
+// modeling — does not shrink because the previous request was recent, so
+// worker-count scaling economics survive batching. A lone completion
+// (any depth-1 client) arrives a full round trip after the drain went
+// cold and always pays full OpCost, which keeps the golden figure tables
+// bit-identical.
+func coalescedOpCost(opCost simnet.Duration) simnet.Duration {
+	return max(opCost-825, opCost/12)
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.UCRDrainBatch <= 0 {
-		c.UCRDrainBatch = 16
-	}
 	if c.CopyBytesPerSec <= 0 {
 		c.CopyBytesPerSec = 5e9
 	}
 	if c.WriteReplyEager <= 0 {
 		c.WriteReplyEager = 1 << 10
-	}
-	if c.CoalescedOpCost <= 0 {
-		// Amortize the fixed dispatch slice only (see the field doc):
-		// execution-heavy configurations keep nearly the full cost.
-		c.CoalescedOpCost = c.OpCost - 825
-		if c.CoalescedOpCost < c.OpCost/12 {
-			c.CoalescedOpCost = c.OpCost / 12
-		}
 	}
 	return c
 }
@@ -452,7 +444,7 @@ func (w *worker) drainUCR() {
 	}
 	for {
 		w.ctx.BeginPostBatch()
-		n := w.ctx.TryProgressN(w.clk, w.srv.cfg.UCRDrainBatch)
+		n := w.ctx.TryProgressN(w.clk, ucrDrainBatch)
 		_ = w.ctx.FlushPosts(w.clk)
 		if n == 0 {
 			break

@@ -81,7 +81,7 @@ func (w *worker) storeBuf(n int) []byte { return pooledBuf(&w.storeScratch, n) }
 // across the sweep. A lone completion always pays full OpCost.
 func (s *Server) opCharge(clk *simnet.VClock, ep *ucr.Endpoint) {
 	if ep.Context().InCoalescedDrain() {
-		clk.Advance(s.cfg.CoalescedOpCost)
+		clk.Advance(coalescedOpCost(s.cfg.OpCost))
 	} else {
 		clk.Advance(s.cfg.OpCost)
 	}

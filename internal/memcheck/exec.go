@@ -134,9 +134,9 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	x.epilogue(sc)
 
 	// Snapshot the client-side path counters before teardown, then
-	// close: lossy retries can leave duplicated requests still draining
-	// through the server; Close joins the workers, so afterwards the
-	// history is complete.
+	// close: a lossy retry can leave a duplicated request queued at the
+	// server. Close stops the worker actors (what is still queued is
+	// never served), so afterwards nothing appends to the history.
 	out := &runOutcome{Counters: Counters{Runs: 1}}
 	if cfg.Transport == cluster.UCRIB {
 		out.UCRRuns = 1
@@ -260,11 +260,10 @@ func (x *executor) stepCas(mc *mcclient.Client, op ScriptOp) error {
 }
 
 // stepFlush calls flush_all with a horizon strictly above every clock
-// in the system, then moves every client past it. This keeps the flush
-// outcome deterministic even when pipelined bursts have left the worker
-// clocks at scheduler-dependent values: everything stored so far is
-// below the horizon, everything after is above it — whatever the exact
-// timestamps were.
+// in the system, then moves every client past it, so the flush means
+// the same thing however far pipelined bursts have run the worker
+// clocks ahead of the clients': everything stored so far is below the
+// horizon, everything after is above it.
 func (x *executor) stepFlush() {
 	maxT := simnet.Time(0)
 	for _, cl := range x.clients {

@@ -72,22 +72,19 @@ func verdict(out *runOutcome, err error, cfg Config) *Violation {
 	return CrossCheck(out.Records, out.Obs, cfg.Faults)
 }
 
-// FormatHistory renders the recorded history one line per transition.
-// withTimes=false omits every virtual-time-derived field — the form two
-// runs of the same seed must agree on even when pipelined bursts make
-// the exact timestamps scheduler-dependent (the ORDER stays fixed:
-// requests are FIFO per connection and ops are sequenced under shard
-// locks; only the clock readings wobble).
-func FormatHistory(recs []*memcached.OpRecord, withTimes bool) string {
+// FormatHistory renders the recorded history one line per transition,
+// every virtual timestamp included: two runs of one Config must agree on
+// all of it, pipelined bursts and lossy fabrics included.
+func FormatHistory(recs []*memcached.OpRecord) string {
 	var b strings.Builder
 	for _, r := range recs {
-		b.WriteString(formatRecord(r, withTimes))
+		b.WriteString(formatRecord(r))
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-func formatRecord(r *memcached.OpRecord, withTimes bool) string {
+func formatRecord(r *memcached.OpRecord) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%5d %-8s %-5s", r.Seq, r.Kind, r.Key)
 	storeClass := false
@@ -132,17 +129,15 @@ func formatRecord(r *memcached.OpRecord, withTimes bool) string {
 	case memcached.RecIncr, memcached.RecDecr:
 		fmt.Fprintf(&b, " delta=%d num=%d bad=%v oom=%v", r.Delta, r.NewNum, r.Bad, r.OOM)
 	}
-	if withTimes {
-		fmt.Fprintf(&b, " now=%d", int64(r.Now))
-		if r.ExpireAt != 0 {
-			fmt.Fprintf(&b, " expireAt=%d", int64(r.ExpireAt))
-		}
-		if r.SetAt != 0 {
-			fmt.Fprintf(&b, " setAt=%d", int64(r.SetAt))
-		}
-		if r.Horizon != 0 {
-			fmt.Fprintf(&b, " horizon=%d", int64(r.Horizon))
-		}
+	fmt.Fprintf(&b, " now=%d", int64(r.Now))
+	if r.ExpireAt != 0 {
+		fmt.Fprintf(&b, " expireAt=%d", int64(r.ExpireAt))
+	}
+	if r.SetAt != 0 {
+		fmt.Fprintf(&b, " setAt=%d", int64(r.SetAt))
+	}
+	if r.Horizon != 0 {
+		fmt.Fprintf(&b, " horizon=%d", int64(r.Horizon))
 	}
 	return b.String()
 }
@@ -212,7 +207,7 @@ func formatReport(res *Result) string {
 		}
 		fmt.Fprintf(&b, "  history records %d..%d (of %d):\n", start, end-1, n)
 		for _, r := range res.History[start:end] {
-			b.WriteString("    " + formatRecord(r, true) + "\n")
+			b.WriteString("    " + formatRecord(r) + "\n")
 		}
 	}
 	return b.String()

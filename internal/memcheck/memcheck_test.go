@@ -1,6 +1,7 @@
 package memcheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -189,40 +190,50 @@ func TestPressureSeeds(t *testing.T) {
 	}
 }
 
+// sameHistoryTwice runs cfg twice and demands the same history byte for
+// byte, every virtual timestamp included.
+func sameHistoryTwice(t *testing.T, name string, cfg Config) {
+	t.Helper()
+	a := Run(cfg)
+	requirePass(t, a)
+	b := Run(cfg)
+	requirePass(t, b)
+	if ha, hb := FormatHistory(a.History), FormatHistory(b.History); ha != hb {
+		t.Errorf("%s: histories differ across identical runs\n%s", name, firstLineDiff(ha, hb))
+	}
+}
+
 // TestHistoryDeterminism: two executions of the same seed must produce
-// the same history. Blocking workloads agree byte-for-byte including
-// every virtual timestamp; pipelined bursts make timestamps scheduler-
-// dependent, so the default mix is compared with times stripped (the
-// ORDER of transitions is still fixed).
-//
-// Lossy runs are deliberately NOT here: a reply that arrives after the
-// client's op timeout leaves the retry's duplicate request draining
-// through the server concurrently with later script ops, so even the
-// record ORDER is scheduler-dependent. The model checks whatever
-// interleaving was recorded, so lossy runs stay sound — just not
-// byte-reproducible.
+// the same history — transitions, their order and every virtual
+// timestamp — for blocking workloads and for pipelined bursts alike.
 func TestHistoryDeterminism(t *testing.T) {
 	if memcached.ActiveMutations() != nil {
 		t.Skip("store mutations active")
 	}
 	for _, tr := range transports {
-		for _, mode := range []struct {
-			name      string
-			cfg       Config
-			withTimes bool
-		}{
-			{"blocking", Config{Transport: tr, Seed: 40, Ops: 150, NoBursts: true}, true},
-			{"bursts", Config{Transport: tr, Seed: 42, Ops: 150}, false},
-		} {
-			a := Run(mode.cfg)
-			requirePass(t, a)
-			b := Run(mode.cfg)
-			requirePass(t, b)
-			ha := FormatHistory(a.History, mode.withTimes)
-			hb := FormatHistory(b.History, mode.withTimes)
-			if ha != hb {
-				t.Errorf("%s %s: histories differ across identical runs\n%s", tr, mode.name, firstLineDiff(ha, hb))
-			}
+		sameHistoryTwice(t, fmt.Sprintf("%s blocking", tr), Config{Transport: tr, Seed: 40, Ops: 150, NoBursts: true})
+		sameHistoryTwice(t, fmt.Sprintf("%s bursts", tr), Config{Transport: tr, Seed: 42, Ops: 150})
+	}
+}
+
+// TestLossySameSeedSameHistory: a lossy run is a pure function of its
+// seed too. Drops are drawn from the seed, a wait that lost its reply
+// ends at its virtual deadline because the executor saw the simulation
+// go idle (not because a host timer fired), and the retry's duplicate
+// drains through the server in stamp order on the one calling goroutine.
+func TestLossySameSeedSameHistory(t *testing.T) {
+	if memcached.ActiveMutations() != nil {
+		t.Skip("store mutations active")
+	}
+	rows := []Config{{Transport: cluster.UCRIB}, {Transport: cluster.IPoIB}}
+	for _, mode := range []string{"ud", "srq", "onesided", "wrreply"} {
+		rows = append(rows, Config{Transport: cluster.UCRIB, Mode: mode})
+	}
+	for _, cfg := range rows {
+		cfg.Faults, cfg.Ops = true, 150
+		for seed := uint64(1); seed <= 5; seed++ {
+			cfg.Seed = seed
+			sameHistoryTwice(t, fmt.Sprintf("%s mode=%q seed=%d", cfg.Transport, cfg.Mode, seed), cfg)
 		}
 	}
 }
@@ -394,7 +405,7 @@ func TestReplayFromScriptText(t *testing.T) {
 	requirePass(t, a)
 	b := RunScript(back, cfg)
 	requirePass(t, b)
-	if FormatHistory(a.History, false) != FormatHistory(b.History, false) {
+	if FormatHistory(a.History) != FormatHistory(b.History) {
 		t.Error("replay from formatted script diverged from original")
 	}
 }

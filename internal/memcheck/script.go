@@ -97,16 +97,16 @@ type GenConfig struct {
 	Pressure bool
 	// NoBursts drops pipelined bursts AND enables the TTL mix (nonzero
 	// exptimes, multi-second advances). The two are coupled on purpose:
-	// burst timing is not virtual-time-deterministic (CQ drain batching
-	// depends on scheduler interleaving), so expiry boundaries may only
-	// appear in scripts whose timestamps are fully reproducible.
+	// a burst's ops are stamped by worker clocks that run ahead of the
+	// issuing client's, so expiry boundaries only appear in scripts
+	// whose every op is stamped in issue order.
 	NoBursts bool
 }
 
 // Key universes. Regular keys take the full op mix; counter keys take
 // incr/decr plus numeric (and occasionally junk) sets; burst keys are
 // only ever stored with exptime 0, keeping burst outcomes independent
-// of the racy burst timestamps.
+// of the burst's timestamps.
 var (
 	regularKeys = makeKeys("k", 20)
 	counterKeys = makeKeys("n", 4)

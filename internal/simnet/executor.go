@@ -23,13 +23,19 @@ import (
 // ready wakes a parked caller to take over, so a wake-up is never lost
 // and nobody polls. Bookkeeping allocates nothing per message and
 // charges no virtual time.
+//
+// Because every actor and every blocked caller is in view, the executor
+// also knows when a wait is dead: Mailbox.RecvIdle gives up once the
+// simulation is quiescent (see quiet) instead of sleeping to find out.
 type Executor struct {
-	mu     sync.Mutex
-	ready  readyHeap
-	held   bool        // a goroutine is in its stepping loop
-	parked []*receiver // callers blocked in await
-	nextID int
-	settle sync.Cond // Do and Stop wait here for a running step to end
+	mu      sync.Mutex
+	ready   readyHeap
+	held    bool        // a goroutine is in its stepping loop
+	running int         // actors in a step or claimed by Do/Stop
+	waiting int         // of those, steps blocked in a RecvIdle of their own
+	parked  []*receiver // callers blocked in await
+	nextID  int
+	settle  sync.Cond // Do and Stop wait here for a running step to end
 }
 
 func newExecutor() *Executor {
@@ -62,15 +68,13 @@ type Actor struct {
 	detached bool // the goroutine inside this step parked and gave the executor up
 }
 
-const maxTime = Time(1<<63 - 1)
-
 // NewActor registers an actor; ids, the ready list's tie-break, follow
 // registration order.
 func (ex *Executor) NewActor(step func()) *Actor {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	ex.nextID++
-	return &Actor{ex: ex, id: ex.nextID, step: step, stamp: maxTime, pos: -1}
+	return &Actor{ex: ex, id: ex.nextID, step: step, stamp: Never, pos: -1}
 }
 
 // TakeReady appends to buf the tags of the actor's tagged mailboxes that
@@ -110,6 +114,7 @@ func (a *Actor) Stop() {
 	ex.claim(a)
 	a.stopped = true
 	ex.release(a)
+	ex.handoff()
 	ex.mu.Unlock()
 }
 
@@ -124,17 +129,19 @@ func (ex *Executor) claim(a *Actor) {
 		a.dirty = true // release links it again
 	}
 	a.running = true
+	ex.running++
 }
 
 // release ends a step (or a claim): an actor with work left goes back on
 // the ready list. It reports whether the step gave the executor up.
 func (ex *Executor) release(a *Actor) (detached bool) {
 	a.running = false
+	ex.running--
 	detached, a.detached = a.detached, false
 	if !a.stopped && (a.kicked || a.dirty && a.pending.Load() > 0) {
 		heap.Push(&ex.ready, a)
 	} else {
-		a.stamp = maxTime
+		a.stamp = Never
 	}
 	ex.settle.Broadcast()
 	return detached
@@ -168,35 +175,83 @@ func (ex *Executor) link(r *receiver, at Time, kick bool) {
 
 // handoff keeps the no-lost-wake-up invariant: whenever an actor is
 // ready, a caller is parked and nobody holds the executor, one parked
-// caller has a wake token on its way.
+// caller has a wake token on its way — and so has a parked RecvIdle for
+// which the simulation has gone quiet. It runs wherever that can become
+// true: a link, a release, a caller parking or leaving.
 func (ex *Executor) handoff() {
-	if !ex.held && len(ex.ready) > 0 && len(ex.parked) > 0 {
+	if ex.held || len(ex.parked) == 0 {
+		return
+	}
+	if len(ex.ready) > 0 {
 		ex.parked[len(ex.parked)-1].signal()
+		return
+	}
+	for _, p := range ex.parked {
+		if p.idle && !ex.busy(p.owner) {
+			if !ex.mail() {
+				p.signal()
+			}
+			return
+		}
 	}
 }
 
+// quiet reports that nothing the executor can see will run until the
+// asking waiter — inside self's step, or an outside caller (nil) — gives
+// up: no actor is ready or running (a holder between steps has the lock,
+// so nobody is stepping either) and no parked caller has a message to
+// act on. Steps that are themselves stuck in a RecvIdle do not count
+// against each other, but do against outside callers: a mutual wait ends
+// innermost first, and a stuck step gives up before the callers waiting
+// on it. Not in view: a goroutine that is neither parked here nor inside
+// a step or Do (a peer between two receives).
+func (ex *Executor) quiet(self *Actor) bool { return !ex.busy(self) && !ex.mail() }
+
+func (ex *Executor) busy(self *Actor) bool {
+	n := ex.running
+	if self != nil {
+		n -= ex.waiting
+	}
+	return n > 0 || len(ex.ready) > 0
+}
+
+func (ex *Executor) mail() bool {
+	for _, p := range ex.parked {
+		if p.arrived() {
+			return true
+		}
+	}
+	return false
+}
+
 // await blocks until r has a message or is closed, stepping ready actors
-// on the calling goroutine meanwhile. d > 0 bounds the time spent parked
-// in real time; timedOut reports that bound firing with r still empty.
-func (ex *Executor) await(r *receiver, d time.Duration) (timedOut bool) {
+// on the calling goroutine meanwhile, and reports whether it gave up
+// with r still empty: with idle set, once the simulation is quiet; with
+// d > 0, after that much real time parked.
+func (ex *Executor) await(r *receiver, idle bool, d time.Duration) (gaveUp bool) {
 	// The one receiver of an owned mailbox is its actor, so a blocking
 	// receive on one is a wait nested inside that actor's step.
 	self := r.owner
-	var deadline <-chan time.Time
+	var timer *time.Timer
 	ex.mu.Lock()
 	if self != nil && !self.running {
 		ex.mu.Unlock()
 		panic("simnet: blocking receive on an owned mailbox outside its actor's step")
 	}
+	nested := idle && self != nil // self's step is stuck in a RecvIdle meanwhile
+	if nested {
+		ex.waiting++
+	}
 	held := self != nil && !self.detached
-	for !timedOut {
+	for !gaveUp {
 		if (held || !ex.held) && len(ex.ready) > 0 {
 			if r.arrived() {
 				break
 			}
 			ex.held, held = true, true
 			a := heap.Pop(&ex.ready).(*Actor)
-			a.running, a.kicked, a.dirty, a.stamp = true, false, false, maxTime
+			a.running, a.kicked, a.dirty, a.stamp = true, false, false, Never
+			ex.running++
 			ex.mu.Unlock()
 			a.step()
 			ex.mu.Lock()
@@ -208,22 +263,27 @@ func (ex *Executor) await(r *receiver, d time.Duration) (timedOut bool) {
 		if held {
 			ex.held, held = false, false
 		}
+		if idle && ex.quiet(self) {
+			gaveUp = !r.arrived()
+			break
+		}
 		if !r.arm() {
 			break
 		}
-		r.slot = len(ex.parked)
+		r.idle, r.slot = idle, len(ex.parked)
 		ex.parked = append(ex.parked, r)
+		ex.handoff()
 		ex.mu.Unlock()
-		if d > 0 && deadline == nil {
-			deadline = r.armTimer(d)
+		if d > 0 && timer == nil {
+			timer = time.NewTimer(d)
 		}
-		if deadline == nil {
+		if timer == nil {
 			<-r.wake // a plain receive parks cheaper than a select
 		} else {
 			select {
 			case <-r.wake:
-			case <-deadline:
-				timedOut = !r.arrived()
+			case <-timer.C:
+				gaveUp = !r.arrived()
 			}
 		}
 		ex.mu.Lock()
@@ -233,6 +293,9 @@ func (ex *Executor) await(r *receiver, d time.Duration) (timedOut bool) {
 		ex.parked[last] = nil
 		ex.parked = ex.parked[:last]
 	}
+	if nested {
+		ex.waiting--
+	}
 	if self != nil {
 		self.detached = !held
 	} else if held {
@@ -240,10 +303,10 @@ func (ex *Executor) await(r *receiver, d time.Duration) (timedOut bool) {
 	}
 	ex.handoff()
 	ex.mu.Unlock()
-	if deadline != nil {
-		r.disarmTimer()
+	if timer != nil {
+		timer.Stop()
 	}
-	return timedOut
+	return gaveUp
 }
 
 // readyHeap orders linked actors by (stamp, id).

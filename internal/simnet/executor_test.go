@@ -182,7 +182,9 @@ func TestExecutorNestedWait(t *testing.T) {
 }
 
 // Sixteen goroutines share four echo actors: every round trip completes
-// although only one goroutine steps at a time and holders come and go.
+// although only one goroutine steps at a time and holders come and go —
+// no wake-up is lost, and no caller is told the simulation is idle while
+// its reply is still owed.
 func TestExecutorNoLostWakeup(t *testing.T) {
 	ex := NewNetwork().Executor()
 	var ins []*Mailbox[stamped]
@@ -203,8 +205,8 @@ func TestExecutorNoLostWakeup(t *testing.T) {
 					// this caller is not waiting for them.
 					ins[(g+1)%len(ins)].Put(stamped{at: Time(i), reply: NewMailbox[int]()})
 					ins[(g+i)%len(ins)].Put(stamped{at: Time(i), reply: reply, v: i})
-					if v, ok, timedOut := reply.RecvTimeout(5 * time.Second); !ok || timedOut || v != i+1 {
-						t.Errorf("caller %d trip %d = (%d, %v, timedOut=%v)", g, i, v, ok, timedOut)
+					if v, ok, idle := reply.RecvIdle(); !ok || idle || v != i+1 {
+						t.Errorf("caller %d trip %d = (%d, %v, idle=%v)", g, i, v, ok, idle)
 						return
 					}
 				}
@@ -241,8 +243,10 @@ func TestMailboxWithoutOwner(t *testing.T) {
 					t.Fatalf("echo %d = (%d, %v)", i, v, ok)
 				}
 			}
-			if _, ok, timedOut := pong.RecvTimeout(5 * time.Millisecond); ok || !timedOut {
-				t.Error("empty mailbox: expected the real-time cap to fire")
+			// The peer, parked in Recv with nothing to act on, keeps no
+			// one waiting.
+			if _, ok, idle := pong.RecvIdle(); ok || !idle {
+				t.Error("empty mailbox beside a parked peer: expected idle")
 			}
 			ping.PutFront(9)
 			ping.Close()
@@ -306,8 +310,8 @@ func TestExecutorStopWakesWaiters(t *testing.T) {
 	}
 	before := steps
 	in.Put(stamped{reply: NewMailboxOn[int](ex)})
-	if _, _, timedOut := NewMailboxOn[int](ex).RecvTimeout(5 * time.Millisecond); !timedOut {
-		t.Error("expected a timeout")
+	if _, _, idle := NewMailboxOn[int](ex).RecvIdle(); !idle {
+		t.Error("a request to a stopped actor must leave the simulation idle")
 	}
 	if steps != before {
 		t.Error("a stopped actor was stepped")
@@ -368,8 +372,8 @@ func TestBlockingReceiveOutsideStepPanics(t *testing.T) {
 }
 
 // An actor that leaves messages unconsumed is stepped once per arrival,
-// not forever: a caller waiting for something that never comes still
-// parks and times out.
+// not forever: a caller waiting for something that never comes is told
+// the simulation is idle.
 func TestExecutorIdleActorIsNotRestepped(t *testing.T) {
 	ex := NewNetwork().Executor()
 	in := NewMailboxOn[stamped](ex)
@@ -378,9 +382,9 @@ func TestExecutorIdleActorIsNotRestepped(t *testing.T) {
 	in.SetOwner(a, nil, stampOf)
 	in.Put(stamped{})
 	in.Put(stamped{})
-	waitOrFail(t, "timed wait beside a stuck actor", func() {
-		if _, ok, timedOut := NewMailboxOn[int](ex).RecvTimeout(5 * time.Millisecond); ok || !timedOut {
-			t.Error("expected the real-time cap to fire")
+	waitOrFail(t, "wait beside a stuck actor", func() {
+		if _, ok, idle := NewMailboxOn[int](ex).RecvIdle(); ok || !idle {
+			t.Error("expected idle")
 		}
 	})
 	if steps != 1 {
@@ -389,8 +393,234 @@ func TestExecutorIdleActorIsNotRestepped(t *testing.T) {
 	// Do keeps a linked actor linked.
 	in.Put(stamped{})
 	a.Do(func() {})
-	NewMailboxOn[int](ex).RecvTimeout(time.Millisecond)
+	NewMailboxOn[int](ex).RecvIdle()
 	if steps != 2 {
 		t.Errorf("steps after Do = %d, want 2: Do dropped a ready actor", steps)
 	}
+}
+
+// waitParked returns once n callers are parked on ex.
+func waitParked(t *testing.T, ex *Executor, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		ex.mu.Lock()
+		parked := len(ex.parked)
+		ex.mu.Unlock()
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers parked, want %d", parked, n)
+		}
+	}
+}
+
+// idleWaiter starts a goroutine in RecvIdle on a fresh mailbox of ex and
+// returns the channel its verdict arrives on.
+func idleWaiter(ex *Executor) (idle chan bool) {
+	box, idle := NewMailboxOn[int](ex), make(chan bool, 1)
+	go func() {
+		_, _, gaveUp := box.RecvIdle()
+		idle <- gaveUp
+	}()
+	return idle
+}
+
+// stillWaiting fails the test if the idle-waiter has already returned.
+func stillWaiting(t *testing.T, idle chan bool, why string) {
+	t.Helper()
+	select {
+	case gaveUp := <-idle:
+		t.Fatalf("RecvIdle returned (idle=%v) %s", gaveUp, why)
+	case <-time.After(2 * time.Millisecond):
+	}
+}
+
+// With nobody else in sight a dead wait is known at once: no park, no
+// timer, no allocation.
+func TestRecvIdleLoneCaller(t *testing.T) {
+	ex := NewNetwork().Executor()
+	in, _, steps := echoActor(ex)
+	box := NewMailboxOn[int](ex)
+	if _, ok, idle := box.RecvIdle(); ok || !idle {
+		t.Fatalf("empty mailbox, idle actor: (ok=%v, idle=%v), want idle", ok, idle)
+	}
+	if n := testing.AllocsPerRun(100, func() { box.RecvIdle() }); n != 0 {
+		t.Errorf("an idle verdict allocates %.1f times", n)
+	}
+	// A message that is owed is delivered, not given up on.
+	in.Put(stamped{reply: box, v: 1})
+	if v, ok, idle := box.RecvIdle(); !ok || idle || v != 2 {
+		t.Fatalf("owed reply = (%d, ok=%v, idle=%v), want (2, true, false)", v, ok, idle)
+	}
+	if *steps != 1 {
+		t.Errorf("steps = %d, want 1: idle verdicts must not step an idle actor", *steps)
+	}
+	box.Close()
+	if _, ok, idle := box.RecvIdle(); ok || idle {
+		t.Errorf("closed mailbox = (ok=%v, idle=%v), want closed, not idle", ok, idle)
+	}
+}
+
+// An actor claimed by Do is running, though nobody holds the executor:
+// the idle verdict waits for Do to end.
+func TestRecvIdleWaitsForDo(t *testing.T) {
+	ex := NewNetwork().Executor()
+	_, a, _ := echoActor(ex)
+	inDo, endDo := make(chan struct{}), make(chan struct{})
+	go a.Do(func() { close(inDo); <-endDo })
+	<-inDo
+	idle := idleWaiter(ex)
+	waitParked(t, ex, 1)
+	stillWaiting(t, idle, "while Do had the actor claimed")
+	close(endDo)
+	waitOrFail(t, "Do's release", func() {
+		if !<-idle {
+			t.Error("want idle once Do ended")
+		}
+	})
+}
+
+// A caller that parked behind a holder is re-woken when the holder
+// leaves with nothing left to step.
+func TestRecvIdleHolderLeaves(t *testing.T) {
+	ex := NewNetwork().Executor()
+	in := NewMailboxOn[stamped](ex)
+	inStep, endStep := make(chan struct{}), make(chan struct{})
+	a := ex.NewActor(func() {
+		m, _, _ := in.TryRecv()
+		close(inStep)
+		<-endStep
+		m.reply.Put(1)
+	})
+	in.SetOwner(a, nil, stampOf)
+	reply := NewMailboxOn[int](ex)
+	in.Put(stamped{reply: reply})
+	held := make(chan bool, 1)
+	go func() {
+		_, ok := reply.Recv() // the holder: steps a on this goroutine
+		held <- ok
+	}()
+	<-inStep
+	idle := idleWaiter(ex)
+	waitParked(t, ex, 1)
+	stillWaiting(t, idle, "while a step was running")
+	close(endStep)
+	waitOrFail(t, "the holder leaving", func() {
+		if !<-held {
+			t.Error("holder lost its reply")
+		}
+		if !<-idle {
+			t.Error("want idle once the holder left")
+		}
+	})
+}
+
+// A parked caller with a message waiting is about to act on it: the
+// simulation is not quiet until it has left.
+func TestRecvIdleParkedPeerWithMessage(t *testing.T) {
+	ex := NewNetwork().Executor()
+	peer := NewMailboxOn[int](ex)
+	got := make(chan int, 1)
+	go func() {
+		v, _ := peer.Recv()
+		got <- v
+	}()
+	waitParked(t, ex, 1)
+	// With the executor locked the peer cannot leave the parked list, so
+	// what quiet sees is exactly "parked, message waiting".
+	ex.mu.Lock()
+	before := ex.quiet(nil)
+	peer.Put(7)
+	after := ex.quiet(nil)
+	ex.mu.Unlock()
+	if !before || after {
+		t.Errorf("quiet = %v before the Put, %v after; want true, false", before, after)
+	}
+	if v := <-got; v != 7 {
+		t.Errorf("peer received %d", v)
+	}
+	if _, _, idle := NewMailboxOn[int](ex).RecvIdle(); !idle {
+		t.Error("want idle once the peer has left")
+	}
+}
+
+// A step stuck in a RecvIdle of its own gives up before the callers that
+// wait on it, and steps stuck at the same time do not keep each other
+// waiting: a mutual wait ends innermost first, with no clock involved.
+func TestRecvIdleNestedGivesUpFirst(t *testing.T) {
+	ex := NewNetwork().Executor()
+	var order []string
+	// stuck registers an actor whose step waits for a message that never
+	// comes and answers its requests only after giving up.
+	stuck := func(name string, gate chan struct{}) *Mailbox[stamped] {
+		in, never := NewMailboxOn[stamped](ex), NewMailboxOn[stamped](ex)
+		a := ex.NewActor(func() {
+			if gate != nil {
+				<-gate
+			}
+			if _, ok, idle := never.RecvIdle(); ok || !idle {
+				t.Errorf("%s: nested wait = (ok=%v, idle=%v), want idle", name, ok, idle)
+			}
+			order = append(order, name)
+			for {
+				m, ok, _ := in.TryRecv()
+				if !ok {
+					return
+				}
+				m.reply.Put(m.v)
+			}
+		})
+		in.SetOwner(a, nil, stampOf)
+		never.SetOwner(a, nil, stampOf)
+		return in
+	}
+
+	// One goroutine: a's nested wait steps b, whose nested wait is stuck
+	// too; b gives up, then a, and the caller still gets both replies.
+	a, b := stuck("a", nil), stuck("b", nil)
+	reply := NewMailboxOn[int](ex)
+	a.Put(stamped{at: 1, reply: reply, v: 1})
+	b.Put(stamped{at: 2, reply: reply, v: 2})
+	waitOrFail(t, "two stuck steps on one goroutine", func() {
+		for want := 2; want >= 1; want-- {
+			if v, ok, idle := reply.RecvIdle(); !ok || idle || v != want {
+				t.Errorf("reply = (%d, ok=%v, idle=%v), want %d", v, ok, idle, want)
+			}
+		}
+	})
+	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
+		t.Errorf("gave up in order %v, want [b a]", order)
+	}
+
+	// Two goroutines: a caller parked in RecvIdle while the step is stuck
+	// is not told "idle" — the step gives up first and replies.
+	gate := make(chan struct{})
+	c := stuck("c", gate)
+	other := NewMailboxOn[int](ex)
+	c.Put(stamped{reply: reply, v: 3})
+	c.Put(stamped{reply: other, v: 4})
+	verdict := make(chan [2]bool, 2)
+	go func() {
+		_, ok, idle := reply.RecvIdle() // steps c on this goroutine
+		verdict <- [2]bool{ok, idle}
+	}()
+	for stepping := false; !stepping; time.Sleep(100 * time.Microsecond) {
+		ex.mu.Lock()
+		stepping = ex.running > 0
+		ex.mu.Unlock()
+	}
+	go func() {
+		_, ok, idle := other.RecvIdle() // parks beside the running step
+		verdict <- [2]bool{ok, idle}
+	}()
+	waitParked(t, ex, 1)
+	close(gate)
+	waitOrFail(t, "a stuck step beside a parked caller", func() {
+		for i := 0; i < 2; i++ {
+			if v := <-verdict; !v[0] || v[1] {
+				t.Errorf("caller = (ok=%v, idle=%v), want its reply", v[0], v[1])
+			}
+		}
+	})
 }

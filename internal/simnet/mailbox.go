@@ -23,7 +23,9 @@ import (
 // A mailbox has exactly one receiver. Its blocking receive is the one
 // place the simulation waits: the wait steps the ready actors of the
 // mailbox's executor on the calling goroutine, and a mailbox given to an
-// actor with SetOwner makes that actor ready on every Put.
+// actor with SetOwner makes that actor ready on every Put. Recv waits for
+// as long as it takes; RecvIdle gives up when the executor can tell that
+// nothing will come.
 type Mailbox[T any] struct {
 	receiver
 	buf   []T // ring storage; len(buf) is the capacity
@@ -39,13 +41,13 @@ type receiver struct {
 	closed  bool
 	waiting bool          // the receiver is parked: the next change sends a wake token
 	wake    chan struct{} // capacity 1
-	timer   *time.Timer   // pooled deadline timer (receiver-owned)
 
 	ex     *Executor
 	owner  *Actor // nil: received by an ordinary goroutine
 	tag    any    // what Actor.TakeReady reports for this mailbox
 	listed bool   // in owner.news (guarded by ex.mu)
 	slot   int    // index in ex.parked while parked (guarded by ex.mu)
+	idle   bool   // parked in RecvIdle (guarded by ex.mu)
 }
 
 // NewMailbox returns an empty open mailbox on an executor of its own:
@@ -97,28 +99,6 @@ func (r *receiver) arm() bool {
 	defer r.mu.Unlock()
 	r.waiting = r.n == 0 && !r.closed
 	return r.waiting
-}
-
-// armTimer readies the pooled receiver-side timer and returns its
-// channel, so steady-state timed waits do not allocate.
-func (r *receiver) armTimer(d time.Duration) <-chan time.Time {
-	if r.timer == nil {
-		r.timer = time.NewTimer(d)
-	} else {
-		r.timer.Reset(d)
-	}
-	return r.timer.C
-}
-
-// disarmTimer stops the pooled timer and drains a stale expiry so the
-// next arm starts clean.
-func (r *receiver) disarmTimer() {
-	if !r.timer.Stop() {
-		select {
-		case <-r.timer.C:
-		default:
-		}
-	}
 }
 
 // changed runs after a Put or Close, outside the mailbox lock: the owner
@@ -217,26 +197,46 @@ func (m *Mailbox[T]) TryRecv() (msg T, ok, closed bool) {
 }
 
 // Recv blocks until a message is available or the mailbox is closed and
-// drained. ok=false means closed-and-empty.
+// drained. ok=false means closed-and-empty. It is the receive to use when
+// the sender may be a goroutine that has simply not sent yet.
 func (m *Mailbox[T]) Recv() (msg T, ok bool) {
-	msg, ok, _ = m.RecvTimeout(0)
+	msg, ok, _ = m.recv(false, 0)
 	return msg, ok
 }
 
+// RecvIdle is Recv for a wait that has a failure path: it steps actors
+// the same way but, where Recv would park for good, returns idle=true
+// once the simulation is quiescent — no actor of the executor is ready
+// or running and no parked caller has a message to act on, so nothing
+// in view can ever send. A dead peer is thus found without consulting
+// any clock; the caller decides what the silence costs in virtual time.
+func (m *Mailbox[T]) RecvIdle() (msg T, ok, idle bool) { return m.recv(true, 0) }
+
 // RecvTimeout is Recv with a real-time cap on the time spent parked
-// (d <= 0: none), used only on failure paths: if the peer is dead
-// nothing will ever arrive, and virtual time cannot advance by itself.
-// ok=false with timedOut=true reports the cap fired.
+// (d <= 0: none). It exists for the one wait the idle rule cannot
+// decide: a dial whose acceptor is a goroutine that may not have
+// started. ok=false with timedOut=true reports the cap fired.
 func (m *Mailbox[T]) RecvTimeout(d time.Duration) (msg T, ok, timedOut bool) {
+	return m.recv(false, d)
+}
+
+func (m *Mailbox[T]) recv(idle bool, d time.Duration) (msg T, ok, gaveUp bool) {
 	msg, ok, closed := m.TryRecv()
 	if ok || closed {
 		return msg, ok, false
 	}
-	if m.ex.await(&m.receiver, d) {
+	if m.ex.await(&m.receiver, idle, d) {
 		return msg, false, true
 	}
 	msg, ok, _ = m.TryRecv()
 	return msg, ok, false
+}
+
+// Owned reports whether an actor receives from the mailbox (SetOwner).
+func (m *Mailbox[T]) Owned() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.owner != nil
 }
 
 // Len reports the number of queued messages.

@@ -41,6 +41,9 @@ const (
 	Second      Duration = 1000 * Millisecond
 )
 
+// Never is the deadline of a wait that has none: no clock reaches it.
+const Never = Time(1<<63 - 1)
+
 // Micros reports t as fractional microseconds. It is the unit the paper's
 // figures use.
 func (t Time) Micros() float64 { return float64(t) / 1e3 }

@@ -93,7 +93,6 @@ var (
 	ErrClosed      = errors.New("sockstream: connection closed")
 	ErrRefusedConn = errors.New("sockstream: connection refused")
 	ErrDialTimeout = errors.New("sockstream: dial timed out")
-	ErrReadTimeout = errors.New("sockstream: read timed out")
 	ErrUnreachable = errors.New("sockstream: peer unreachable")
 )
 
@@ -234,8 +233,11 @@ func (l *Listener) Close() {
 }
 
 // Dial connects from a node to a service on a remote node. The SYN/ACK
-// round trip plus ConnSetup is charged to clk. realCap bounds the wait
-// in real time (it fires only if the acceptor never comes).
+// round trip plus ConnSetup is charged to clk. An acceptor that never
+// comes ends the wait with ErrDialTimeout: a listener owned by an actor
+// is known dead when the simulation goes idle; only for an acceptor on a
+// goroutine of its own, which may not have started yet, does realCap
+// bound the wait in real time.
 func (p *Provider) Dial(from, to *simnet.Node, service string, clk *simnet.VClock, realCap time.Duration) (*Conn, error) {
 	p.init()
 	key := to.Name() + "/" + service
@@ -252,7 +254,13 @@ func (p *Provider) Dial(from, to *simnet.Node, service string, clk *simnet.VCloc
 	local := newEndpoint(p, from)
 	req := &dialReq{remote: local, arrive: arrive, reply: simnet.NewMailboxOn[dialReply](p.Fabric.Executor())}
 	q.Put(req)
-	rep, ok, timedOut := req.reply.RecvTimeout(realCap)
+	var rep dialReply
+	var ok, timedOut bool
+	if q.Owned() {
+		rep, ok, timedOut = req.reply.RecvIdle()
+	} else {
+		rep, ok, timedOut = req.reply.RecvTimeout(realCap)
+	}
 	if timedOut {
 		return nil, ErrDialTimeout
 	}
@@ -461,24 +469,10 @@ func (c *Conn) Read(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, nil
 	}
-	return c.ReadDeadline(b, simnet.Time(1)<<62, 0)
-}
-
-// ReadDeadline is Read bounded by a virtual deadline (with a real-time
-// cap for genuinely dead peers). On timeout the clock advances to the
-// deadline and ErrReadTimeout is returned.
-func (c *Conn) ReadDeadline(b []byte, deadline simnet.Time, realCap time.Duration) (int, error) {
 	if len(c.rbuf) > 0 {
 		return c.consume(b), nil
 	}
-	seg, ok, timedOut := c.ep.in.RecvTimeout(realCap)
-	if timedOut || (ok && seg.arrive > deadline) {
-		if ok {
-			c.ep.in.PutFront(seg) // not ours yet; requeue
-		}
-		c.clk.AdvanceTo(deadline)
-		return 0, ErrReadTimeout
-	}
+	seg, ok := c.ep.in.Recv()
 	if !ok {
 		return 0, io.EOF
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"testing"
-	"time"
 
 	"repro/internal/simnet"
 )
@@ -110,9 +109,10 @@ func TestSegmentRecyclingSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestReadDeadlineRequeueKeepsSegment: a segment that ReadDeadline puts
-// back (its arrival lies past the deadline) still owns its buffer — the
-// writer's next segments must not be handed the same memory.
+// TestReadDeadlineRequeueKeepsSegment: a segment that a read puts back
+// (its arrival lies past the reader's clock when the wakeup drains the
+// queue) still owns its buffer — the writer's next segments must not be
+// handed the same memory.
 func TestReadDeadlineRequeueKeepsSegment(t *testing.T) {
 	e := newEnv(t)
 	cli, srv := connPair(t, e)
@@ -124,10 +124,11 @@ func TestReadDeadlineRequeueKeepsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sentAt := cli.Clock().Now() // "first" cannot arrive before it is sent
+	cli.Write([]byte("now"))
+	cli.Clock().Advance(simnet.Millisecond) // "first" lands long after "now"
 	cli.Write([]byte("first"))
-	if _, err := srv.ReadDeadline(buf, sentAt, time.Second); err != ErrReadTimeout {
-		t.Fatalf("ReadDeadline before arrival = %v, want ErrReadTimeout", err)
+	if n, err := srv.Read(buf); err != nil || string(buf[:n]) != "now" {
+		t.Fatalf("Read = (%q, %v), want \"now\" alone: \"first\" has not arrived yet", buf[:n], err)
 	}
 	cli.Write([]byte("SECOND")) // must not overwrite the requeued "first"
 	var got []byte

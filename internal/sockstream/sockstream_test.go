@@ -320,29 +320,6 @@ func TestWriteToFailedPeer(t *testing.T) {
 	}
 }
 
-func TestReadDeadline(t *testing.T) {
-	e := newEnv(t)
-	cli, srv := connPair(t, e)
-	clk := srv.Clock()
-	buf := make([]byte, 16)
-	// Nothing coming: virtual deadline fires via real cap.
-	deadline := clk.Now() + 100*simnet.Microsecond
-	if _, err := srv.ReadDeadline(buf, deadline, 20*time.Millisecond); err != ErrReadTimeout {
-		t.Fatalf("err = %v, want ErrReadTimeout", err)
-	}
-	if clk.Now() != deadline {
-		t.Fatalf("clock = %v, want advanced to deadline %v", clk.Now(), deadline)
-	}
-	// Data already buffered: no timeout.
-	if _, err := cli.Write([]byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	n, err := srv.ReadDeadline(buf, clk.Now()+simnet.Second, time.Second)
-	if err != nil || string(buf[:n]) != "hi" {
-		t.Fatalf("ReadDeadline = (%q, %v)", buf[:n], err)
-	}
-}
-
 func TestSetClock(t *testing.T) {
 	e := newEnv(t)
 	cli, srv := connPair(t, e)

@@ -99,8 +99,8 @@ func (c *Context) FlushPosts(clk *simnet.VClock) error {
 
 // TryProgressN processes up to max completions in one batched drain.
 // The drain models a poller that, after doing work, busy-polls for the
-// runtime's PollSpin before parking: a completion arriving while the
-// poller is still in its loop — already visible, or within PollSpin of
+// runtime's pollSpin before parking: a completion arriving while the
+// poller is still in its loop — already visible, or within pollSpin of
 // the previous drain running dry — is harvested at the coalesced cost;
 // one arriving later finds the poller parked and pays the full
 // poll/interrupt wakeup. The spin decision is made in virtual time
@@ -110,16 +110,12 @@ func (c *Context) FlushPosts(clk *simnet.VClock) error {
 // previous drain and always pays the full cost, keeping the figure
 // tables bit-identical. Returns how many completions were processed.
 func (c *Context) TryProgressN(clk *simnet.VClock, max int) int {
-	spin := c.rt.cfg.PollSpin
-	if spin < 0 {
-		spin = 0
-	}
 	wc, ok := c.cq.TryPoll()
 	if !ok {
 		return 0
 	}
 	clk.AdvanceTo(wc.Time)
-	if wc.Time <= c.drainEnd+spin {
+	if wc.Time <= c.drainEnd+pollSpin {
 		clk.Advance(c.cq.CoalescedCost())
 		c.coalesced = true
 	} else {
@@ -130,7 +126,7 @@ func (c *Context) TryProgressN(clk *simnet.VClock, max int) int {
 	n := 1
 	for n < max {
 		wc, ok := c.cq.TryPollReady(clk)
-		if !ok && spin > 0 {
+		if !ok {
 			// Out of visible work and about to busy-poll: ring the
 			// doorbell on any replies queued so far first — the spinner
 			// has nothing else to do, and holding them through the spin
@@ -139,7 +135,7 @@ func (c *Context) TryProgressN(clk *simnet.VClock, max int) int {
 				_ = c.FlushPosts(clk) // failures ran their undos
 				c.BeginPostBatch()
 			}
-			wc, ok = c.cq.TryPollSpin(clk, spin)
+			wc, ok = c.cq.TryPollSpin(clk, pollSpin)
 		}
 		if !ok {
 			break
@@ -162,13 +158,12 @@ func (c *Context) TryProgressN(clk *simnet.VClock, max int) int {
 // wakeup for a burst of replies instead of one per reply. batch <= 1 is
 // WaitCounter exactly.
 func (c *Context) WaitCounterBatch(clk *simnet.VClock, ctr *Counter, target uint64, timeout simnet.Duration, batch int) error {
-	realCap := c.rt.cfg.RealSilenceCap
-	if timeout <= 0 {
-		timeout = simnet.Time(1) << 50
+	deadline := simnet.Never
+	if timeout > 0 {
+		deadline = clk.Now() + timeout
 	}
-	deadline := clk.Now() + timeout
 	for ctr.Value() < target {
-		ok, timedOut := c.ProgressDeadline(clk, deadline, realCap)
+		ok, timedOut := c.ProgressDeadline(clk, deadline)
 		if timedOut {
 			return ErrTimeout
 		}

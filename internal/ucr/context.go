@@ -35,7 +35,7 @@ type Context struct {
 	// TryProgressN and WaitCounterBatch around each coalesced dispatch).
 	coalesced bool
 	// drainEnd is the virtual time the last productive TryProgressN ran
-	// dry: the owner busy-polls for cfg.PollSpin past it, so a completion
+	// dry: the owner busy-polls for pollSpin past it, so a completion
 	// arriving inside that window is harvested at the coalesced cost
 	// whenever the owner is next stepped. Initialized far in the past so
 	// the very first harvest of a context always pays the full cost.
@@ -209,7 +209,8 @@ func (c *Context) wrID() uint64 {
 
 // Dial establishes an endpoint with a remote service (paper §IV-A: the
 // end-point model replacing MPI-style destination ranks). The handshake
-// round trip is charged to clk; realCap bounds the wait in real time.
+// round trip is charged to clk; realCap bounds the wait in real time
+// only when the acceptor is a goroutine (verbs.CM.Connect).
 func (rt *Runtime) Dial(ctx *Context, remote *simnet.Node, service string, rel Reliability, clk *simnet.VClock, realCap time.Duration) (*Endpoint, error) {
 	if rt.closed.Load() {
 		return nil, ErrClosed
@@ -250,11 +251,11 @@ func (c *Context) Accept(req *verbs.ConnRequest, clk *simnet.VClock) (*Endpoint,
 
 // ProgressDeadline blocks until one completion is processed — running
 // handlers and bumping counters as the protocol dictates — or the
-// virtual deadline passes; the real-time cap fires only when the peer is
-// genuinely silent. ok=false without timedOut means the context was
-// destroyed.
-func (c *Context) ProgressDeadline(clk *simnet.VClock, deadline simnet.Time, realCap time.Duration) (ok, timedOut bool) {
-	wc, ok, timedOut := c.cq.WaitDeadline(clk, deadline, realCap)
+// virtual deadline passes, which a genuinely silent peer makes it do as
+// soon as the simulation goes idle (verbs.CQ.WaitDeadline). ok=false
+// without timedOut means the context was destroyed.
+func (c *Context) ProgressDeadline(clk *simnet.VClock, deadline simnet.Time) (ok, timedOut bool) {
+	wc, ok, timedOut := c.cq.WaitDeadline(clk, deadline)
 	if !ok {
 		return false, timedOut
 	}
@@ -275,7 +276,8 @@ func (c *Context) TryProgress(clk *simnet.VClock) bool {
 
 // WaitCounter drives progress until ctr reaches at least target, or the
 // virtual timeout expires (§IV-A: synchronization with timeouts so a
-// dead server is survivable). timeout <= 0 waits with a generous bound.
+// dead server is survivable). timeout <= 0 sets no deadline: the wait
+// still fails on a dead peer, without moving clk.
 func (c *Context) WaitCounter(clk *simnet.VClock, ctr *Counter, target uint64, timeout simnet.Duration) error {
 	return c.WaitCounterBatch(clk, ctr, target, timeout, 1)
 }

@@ -107,7 +107,7 @@ func (ep *Endpoint) waitCredit(clk *simnet.VClock) error {
 		if ep.failed {
 			return ErrEndpointDown
 		}
-		ok, timedOut := ep.ctx.ProgressDeadline(clk, deadline, ep.ctx.rt.cfg.RealSilenceCap)
+		ok, timedOut := ep.ctx.ProgressDeadline(clk, deadline)
 		if timedOut {
 			return ErrTimeout
 		}

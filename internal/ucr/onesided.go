@@ -180,7 +180,7 @@ func (ep *Endpoint) atomic(clk *simnet.VClock, wr verbs.AtomicWR, win WindowDesc
 			delete(ep.ctx.pendingOneSided, id)
 			return 0, ErrEndpointDown
 		}
-		ok, timedOut := ep.ctx.ProgressDeadline(clk, deadline, ep.ctx.rt.cfg.RealSilenceCap)
+		ok, timedOut := ep.ctx.ProgressDeadline(clk, deadline)
 		if timedOut {
 			delete(ep.ctx.pendingOneSided, id)
 			return 0, ErrTimeout

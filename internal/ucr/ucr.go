@@ -22,14 +22,16 @@
 //     origin when the target's completion handler finished. NULL
 //     (zero/nil) counters suppress the corresponding internal ack
 //     messages (§IV-C).
-//   - Synchronization with timeouts: waits carry deadlines so a dead
-//     peer is detected and survivable (§IV-A).
+//   - Synchronization with timeouts: waits carry virtual deadlines so a
+//     dead peer is detected and survivable (§IV-A). A wait learns that
+//     nothing will come from the executor (simnet.Mailbox.RecvIdle), not
+//     from a clock: it then fails at its deadline, or at once if it has
+//     none.
 package ucr
 
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/simnet"
 )
@@ -163,24 +165,6 @@ type Config struct {
 	// verbs layer's CoalescedPollOverhead. A lone message always pays
 	// the full cost, so depth-1 timing is unchanged.
 	CoalescedHandlerOverhead simnet.Duration
-	// PollSpin is the short busy-poll window a batched CQ drain keeps
-	// open after harvesting work: a completion landing within PollSpin
-	// of the drain's clock is harvested at the coalesced cost — the
-	// poller is still spinning in its loop, so there is no wakeup to
-	// pay — with the clock advanced to the completion's arrival (the
-	// time spent spinning). Only the 2nd..Nth steps of a drain that
-	// already harvested a completion spin; a lone completion (depth-1
-	// traffic, where the next arrival is a full round trip away) always
-	// pays the full poll cost, keeping the figure tables bit-identical.
-	// Default 2.5µs (well under any depth-1 inter-arrival gap, which is
-	// a full round trip of ≥ 3.8µs past the op just served); negative
-	// disables spinning entirely.
-	PollSpin simnet.Duration
-	// RealSilenceCap bounds, in *real* time, how long a wait may sit on
-	// a completely silent channel before concluding the peer is dead.
-	// Virtual time cannot advance by itself on silence, so this backstop
-	// is what turns a dead peer into ErrTimeout (§IV-A).
-	RealSilenceCap time.Duration
 	// UseSRQ makes every RC endpoint in a context draw receives from
 	// one shared receive queue instead of a per-endpoint window — the
 	// MVAPICH scalability design the paper cites ([11]) and the basis
@@ -205,6 +189,19 @@ type Config struct {
 	AMRetries int
 }
 
+// pollSpin is the short busy-poll window a batched CQ drain keeps open
+// after harvesting work: a completion landing within pollSpin of the
+// drain's clock is harvested at the coalesced cost — the poller is still
+// spinning in its loop, so there is no wakeup to pay — with the clock
+// advanced to the completion's arrival (the time spent spinning). Only
+// the 2nd..Nth steps of a drain that already harvested a completion
+// spin; a lone completion (depth-1 traffic, where the next arrival is a
+// full round trip away) always pays the full poll cost, keeping the
+// figure tables bit-identical: 2.5µs is well under any depth-1
+// inter-arrival gap, which is a full round trip of ≥ 3.8µs past the op
+// just served.
+const pollSpin = 2500 * simnet.Nanosecond
+
 func (c Config) withDefaults() Config {
 	if c.EagerThreshold <= 0 {
 		c.EagerThreshold = 8192
@@ -214,12 +211,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PackBytesPerSec <= 0 {
 		c.PackBytesPerSec = 5e9
-	}
-	if c.RealSilenceCap <= 0 {
-		c.RealSilenceCap = 500 * time.Millisecond
-	}
-	if c.PollSpin == 0 {
-		c.PollSpin = 2500
 	}
 	if c.CoalescedHandlerOverhead <= 0 {
 		c.CoalescedHandlerOverhead = c.HandlerOverhead / 4

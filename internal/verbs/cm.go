@@ -139,11 +139,16 @@ func (l *Listener) Close() {
 }
 
 // Connect dials a service on a remote node: it sends a management
-// request, waits (bounded in real time by realCap) for the acceptor,
-// and pairs qp with the accepted peer, which is returned (RC pairs are
-// wired; for UD the caller builds an address handle from the peer).
-// qp must be a fresh queue pair, already INIT or later with receives
-// posted, owned by the caller.
+// request, waits for the acceptor, and pairs qp with the accepted peer,
+// which is returned (RC pairs are wired; for UD the caller builds an
+// address handle from the peer). qp must be a fresh queue pair, already
+// INIT or later with receives posted, owned by the caller.
+//
+// An acceptor that never answers ends the wait with ErrConnectTimeout.
+// When the listener belongs to an actor the executor can tell (the
+// simulation goes idle) and realCap is unused; an acceptor on a goroutine
+// of its own may simply not have started, so only then does realCap
+// bound the wait in real time.
 func (cm *CM) Connect(qp *QP, remote *simnet.Node, service string, clk *simnet.VClock, realCap time.Duration) (*QP, error) {
 	l, ok := cm.listeners.get(service)
 	if !ok {
@@ -167,7 +172,13 @@ func (cm *CM) Connect(qp *QP, remote *simnet.Node, service string, clk *simnet.V
 	}
 	l.queue.Put(req)
 
-	rep, ok, timedOut := req.reply.RecvTimeout(realCap)
+	var rep connReply
+	var timedOut bool
+	if l.queue.Owned() {
+		rep, ok, timedOut = req.reply.RecvIdle()
+	} else {
+		rep, ok, timedOut = req.reply.RecvTimeout(realCap)
+	}
 	if timedOut {
 		return nil, ErrConnectTimeout
 	}

@@ -1,10 +1,6 @@
 package verbs
 
-import (
-	"time"
-
-	"repro/internal/simnet"
-)
+import "repro/internal/simnet"
 
 // CQ is a completion queue. The owner detects completions either by
 // polling (the paper's low-latency choice) or, if armed with UseEvents,
@@ -84,11 +80,8 @@ func (c *CQ) TryPollReady(clk *simnet.VClock) (WC, bool) { return c.TryPollSpin(
 // completion (the time spent spinning) and still charging only the
 // coalesced cost — a poller that stays in its loop pays no wakeup. A
 // completion further out is left in place for a full-cost harvest, so
-// callers that never spin (spin <= 0) get TryPollReady exactly.
+// spin 0 is TryPollReady exactly.
 func (c *CQ) TryPollSpin(clk *simnet.VClock, spin simnet.Duration) (WC, bool) {
-	if spin < 0 {
-		spin = 0
-	}
 	wc, ok, _ := c.box.TryRecv()
 	if !ok {
 		return wc, false
@@ -103,37 +96,43 @@ func (c *CQ) TryPollSpin(clk *simnet.VClock, spin simnet.Duration) (WC, bool) {
 }
 
 // Wait blocks until a completion is available, then synchronizes clk
-// with the completion time and charges the harvest cost.
-// ok=false means the CQ was destroyed.
+// with the completion time and charges the harvest cost. It waits for as
+// long as it takes — the poster may be a goroutine that has not posted
+// yet. ok=false means the CQ was destroyed.
 func (c *CQ) Wait(clk *simnet.VClock) (WC, bool) {
-	wc, ok, _ := c.WaitDeadline(clk, simnet.Time(1)<<62, 0)
+	wc, ok := c.box.Recv()
+	if ok {
+		clk.AdvanceTo(wc.Time)
+		clk.Advance(c.Cost())
+	}
 	return wc, ok
 }
 
-// WaitDeadline is Wait with a virtual deadline and a real-time cap.
-// If nothing arrives, ok=false and timedOut=true; clk is advanced to the
-// virtual deadline (the caller "spent" that time waiting). The real cap
-// exists because virtual time cannot advance on a silent channel — it
-// fires only on genuine loss (peer death), which is what the paper's
-// timeout-based fault detection (§IV-A) is for.
-func (c *CQ) WaitDeadline(clk *simnet.VClock, deadline simnet.Time, realCap time.Duration) (wc WC, ok, timedOut bool) {
-	wc, ok, timedOut = c.box.RecvTimeout(realCap)
-	if !ok {
-		if timedOut {
-			clk.AdvanceTo(deadline)
-		}
-		return wc, false, timedOut
+// WaitDeadline is Wait with a virtual deadline, the paper's timeout-
+// based fault detection (§IV-A). It gives up, with ok=false and
+// timedOut=true, when the next completion lands after the deadline or
+// the simulation has gone idle with none pending (a dead peer: nothing
+// will ever arrive). The waiter then "spent" the time up to the
+// deadline; with deadline simnet.Never it learns of the silence at once
+// and clk stays where it is.
+func (c *CQ) WaitDeadline(clk *simnet.VClock, deadline simnet.Time) (wc WC, ok, timedOut bool) {
+	wc, ok, idle := c.box.RecvIdle()
+	if ok && wc.Time <= deadline {
+		clk.AdvanceTo(wc.Time)
+		clk.Advance(c.Cost())
+		return wc, true, false
 	}
-	if wc.Time > deadline {
+	if ok {
 		// Completion exists but lands after the virtual deadline: the
 		// waiter gave up first. Requeue for a later harvest.
 		c.box.PutFront(wc)
-		clk.AdvanceTo(deadline)
-		return WC{}, false, true
+	} else if !idle {
+		return WC{}, false, false
 	}
-	clk.AdvanceTo(wc.Time)
-	clk.Advance(c.Cost())
-	return wc, true, false
+	if deadline != simnet.Never {
+		clk.AdvanceTo(deadline)
+	}
+	return WC{}, false, true
 }
 
 // Len reports the number of pending completions.

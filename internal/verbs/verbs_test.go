@@ -766,27 +766,32 @@ func TestCMReject(t *testing.T) {
 func TestCQWaitDeadline(t *testing.T) {
 	p := newPair(t, 1, 64)
 	clk := simnet.NewVClock(0)
-	// Nothing pending: virtual deadline reached via real cap.
-	_, ok, timedOut := p.srvRecv.WaitDeadline(clk, 5000, 20*time.Millisecond)
+	// Nothing pending and nothing that could post: the idle simulation
+	// ends the wait at the virtual deadline.
+	_, ok, timedOut := p.srvRecv.WaitDeadline(clk, 5000)
 	if ok || !timedOut {
 		t.Fatalf("ok=%v timedOut=%v", ok, timedOut)
 	}
 	if clk.Now() != 5000 {
 		t.Fatalf("clock = %v, want advanced to deadline 5000", clk.Now())
 	}
+	// Without a deadline the silence is still reported, and costs nothing.
+	if _, ok, timedOut = p.srvRecv.WaitDeadline(clk, simnet.Never); ok || !timedOut || clk.Now() != 5000 {
+		t.Fatalf("no deadline: ok=%v timedOut=%v clock=%v, want a timeout at 5000", ok, timedOut, clk.Now())
+	}
 	// A completion after the deadline is requeued, not consumed.
 	if err := p.cliQP.PostSend(p.cliClock, SendWR{Op: OpSend, Local: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	early := simnet.NewVClock(0)
-	_, ok, timedOut = p.srvRecv.WaitDeadline(early, 1, time.Second)
+	_, ok, timedOut = p.srvRecv.WaitDeadline(early, 1)
 	if ok || !timedOut {
 		t.Fatalf("pre-arrival deadline: ok=%v timedOut=%v", ok, timedOut)
 	}
 	if p.srvRecv.Len() != 1 {
 		t.Fatal("completion was consumed despite missed deadline")
 	}
-	wc, ok, timedOut := p.srvRecv.WaitDeadline(early, 1<<40, time.Second)
+	wc, ok, timedOut := p.srvRecv.WaitDeadline(early, 1<<40)
 	if !ok || timedOut || wc.Status != StatusSuccess {
 		t.Fatalf("wc=%+v ok=%v timedOut=%v", wc, ok, timedOut)
 	}
