@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath determinism golden test mutations list-mutations check-ci-modes check-no-wallclock fuzz-smoke
+.PHONY: tier1 tier2 race-datapath determinism golden test memcheck mutations check-no-wallclock fuzz-smoke
 
 tier1:
 	go build ./...
@@ -51,15 +51,17 @@ golden:
 test: tier1 tier2
 
 # Model-checking sweeps (see EXPERIMENTS.md "Model checking the cache"):
-# `make memcheck-<mode>` sweeps one row of the mode table over a clean
-# fabric, `make memcheck-<mode>-lossy` over a lossy one. The table
+# every row of the mode table over a clean fabric, then over a lossy one
+# (seconds each since a dead wait ends in virtual time). The table
 # (internal/memcheck.Modes; `go run ./cmd/mccheck -list-modes`) says what
 # each row arms, which transports it sweeps, and which counters prove
-# the sweep drove what it armed — a vacuous sweep fails.
+# the sweep drove what it armed — a vacuous sweep fails. One row:
+# `go run ./cmd/mccheck -mode <row> [-faults] -seeds N`.
 MEMCHECK_SEEDS ?= 50
 
-memcheck-%:
-	go run ./cmd/mccheck -mode $(*:-lossy=) $(if $(filter %-lossy,$*),-faults) -seeds $(MEMCHECK_SEEDS)
+memcheck:
+	go run ./cmd/mccheck -mode all -seeds $(MEMCHECK_SEEDS)
+	go run ./cmd/mccheck -mode all -seeds $(MEMCHECK_SEEDS) -faults
 
 # No wait under internal/ may end on the host's clock: only simnet (the
 # executor's one capped receive) and the three dial functions that hand
@@ -68,14 +70,6 @@ check-no-wallclock:
 	@bad="$$(grep -rlE --include='*.go' --exclude='*_test.go' '^(import )?[[:space:]]*([A-Za-z_.]+ )?"time"$$' internal \
 		| grep -v -e '^internal/simnet/' -e '^internal/verbs/cm.go$$' -e '^internal/ucr/context.go$$' -e '^internal/sockstream/provider.go$$')"; \
 	if [ -n "$$bad" ]; then echo "wall clock under internal/:"; echo "$$bad"; exit 1; fi
-
-# The CI memcheck matrix must list exactly the table's rows.
-check-ci-modes:
-	@want="$$(go run ./cmd/mccheck -list-modes | tr '\n' ' ' | sed 's/ $$//')"; \
-	have="$$(sed -n 's/^ *mode: \[\(.*\)\]$$/\1/p' .github/workflows/ci.yml | tr -d ',')"; \
-	if [ "$$want" != "$$have" ]; then \
-		echo "ci.yml memcheck matrix [$$have] != mode table [$$want]"; exit 1; \
-	fi
 
 # Checker validation: every seeded store mutation must be caught.
 MUTATIONS = mut_append_nocas mut_get_skip_expiry mut_cas_ignore_id \
@@ -88,10 +82,6 @@ mutations:
 		echo "== $$m"; \
 		go run -tags $$m ./cmd/mccheck -seeds 10 -expect-violation || exit 1; \
 	done
-
-# The mutation list as a JSON array (the CI mutation matrix reads it).
-list-mutations:
-	@printf '["%s"]\n' "$$(echo $(MUTATIONS) | sed 's/ /","/g')"
 
 FUZZTIME ?= 30s
 

@@ -61,6 +61,7 @@ var studies = []study{
 	{"ablations", "design choices: eager threshold, workers, polling, acks, mget, SRQ, jitter", 50, runAblations},
 	{"faults", "drop% x transport over a seeded lossy fabric", 50, runFaults},
 	{"fleet", "N servers, 10N replicated clients, one join; -quick stops at N=100", 0, runFleet},
+	{"workloads", "memslap mixes x key order x server pool at 8 clients; Zipf replay on a cache that evicts", 200, runWorkloads},
 }
 
 // write runs the study under the banner that names the flags
@@ -261,6 +262,17 @@ func runFleet(w io.Writer, cfg bench.RunConfig, quick bool) error {
 		return err
 	}
 	_, err = io.WriteString(w, bench.FleetTable(pts))
+	return err
+}
+
+// runWorkloads is the load-generator study (what memslap and a trace
+// replayer measured): UCR-IB and IPoIB, cluster B.
+func runWorkloads(w io.Writer, cfg bench.RunConfig, _ bool) error {
+	rep, err := bench.WorkloadsSweep(cluster.ClusterB(), []cluster.Transport{cluster.UCRIB, cluster.IPoIB}, cfg)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, bench.WorkloadsTable(rep))
 	return err
 }
 

@@ -16,6 +16,7 @@
 //	go run ./cmd/mccheck -seeds 50                            # default mode, both transports
 //	go run ./cmd/mccheck -mode ud -seeds 50 -faults           # a datapath mode, lossy fabric
 //	go run ./cmd/mccheck -mode fleet -seeds 50                # fleet-mode sweep
+//	go run ./cmd/mccheck -mode all -seeds 50 [-faults]        # every row (make memcheck)
 //	go run ./cmd/mccheck -transport UCR-IB -seed 17 -faults   # replay one seed
 //	go run ./cmd/mccheck -transport IPoIB -script repro.txt   # replay a shrunk script
 //	go run -tags mut_delete_noop ./cmd/mccheck -seeds 10 -expect-violation
@@ -33,7 +34,7 @@ import (
 
 func main() {
 	var (
-		modeName  = flag.String("mode", "", "row of the mode table to run (see -list-modes; default: the row an active mutation needs, else default)")
+		modeName  = flag.String("mode", "", "row of the mode table to run, or all (see -list-modes; default: the row an active mutation needs, else default)")
 		listModes = flag.Bool("list-modes", false, "print the mode table's names, one per line, and exit")
 		transport = flag.String("transport", "both", "UCR-IB, IPoIB, or both (narrowed to the wires the mode sweeps)")
 		seeds     = flag.Int("seeds", 0, "sweep seeds 1..N (mutually exclusive with -seed)")
@@ -81,10 +82,19 @@ func main() {
 			fmt.Printf("mccheck: -mode %s -faults=%v implied by %v\n", mode.Name, *faults, muts)
 		}
 	}
-	if err == nil {
-		if trs = mode.Transports(trs); len(trs) == 0 {
-			err = fmt.Errorf("mode %s does not run over %s", mode.Name, *transport)
+	// The rows to sweep: the one named, or with -mode all every row that
+	// runs over a requested wire — each reported, one failure failing the
+	// walk.
+	modes := []*memcheck.Mode{mode}
+	if *modeName == "all" {
+		modes, err = nil, nil
+		for i := range memcheck.Modes {
+			if m := &memcheck.Modes[i]; len(m.Transports(trs)) > 0 {
+				modes = append(modes, m)
+			}
 		}
+	} else if err == nil && len(mode.Transports(trs)) == 0 {
+		err = fmt.Errorf("mode %s does not run over %s", mode.Name, *transport)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mccheck: %v\n", err)
@@ -114,38 +124,48 @@ func main() {
 		}
 	}
 
-	var sum memcheck.Counters
-	for _, tr := range trs {
-		for _, s := range seedList {
-			out := mode.Run(memcheck.Config{
-				Transport: tr, Seed: s, Faults: *faults, Pressure: *pressure, NoBursts: *nobursts,
-				Servers: *servers, Clients: *clients, Ops: *ops,
-			}, replay)
-			sum.Add(&out.Counters)
-			if out.Violation != nil {
-				fmt.Print(out.Report)
-				if *expect {
-					// One confirmed detection is enough for a mutation build.
-					fmt.Printf("mccheck: violation found as expected (mode=%s transport=%s seed=%d)\n", mode.Name, tr, s)
-					os.Exit(0)
+	failed := false
+sweep:
+	for _, mode := range modes {
+		var sum memcheck.Counters
+		for _, tr := range mode.Transports(trs) {
+			for _, s := range seedList {
+				out := mode.Run(memcheck.Config{
+					Transport: tr, Seed: s, Faults: *faults, Pressure: *pressure, NoBursts: *nobursts,
+					Servers: *servers, Clients: *clients, Ops: *ops,
+				}, replay)
+				sum.Add(&out.Counters)
+				if out.Violation != nil {
+					fmt.Print(out.Report)
+					if *expect {
+						// One confirmed detection is enough for a mutation build.
+						fmt.Printf("mccheck: violation found as expected (mode=%s transport=%s seed=%d)\n", mode.Name, tr, s)
+						os.Exit(0)
+					}
+					failed = true
+					continue sweep
 				}
-				os.Exit(1)
-			}
-			if *verbose {
-				fmt.Printf("mccheck: PASS mode=%s transport=%s seed=%d %s\n", mode.Name, tr, s, out.Detail)
+				if *verbose {
+					fmt.Printf("mccheck: PASS mode=%s transport=%s seed=%d %s\n", mode.Name, tr, s, out.Detail)
+				}
 			}
 		}
+		// Vacuity guards: a sweep that armed a datapath but never drove it
+		// validated nothing — fail loudly rather than report a hollow PASS.
+		what := mode.Vacuous(&sum, *faults, !*nobursts && replay == nil)
+		switch {
+		case *expect:
+			fmt.Printf("mccheck: FAIL: expected a violation, %d runs all passed\n", sum.Runs)
+		case what != "":
+			fmt.Printf("mccheck: FAIL: mode %s recorded no %s (vacuous sweep; %s)\n", mode.Name, what, &sum)
+		default:
+			fmt.Printf("mccheck: PASS %d runs (mode=%s, %s, seeds=%d, faults=%v, pressure=%v, nobursts=%v; %s)\n",
+				sum.Runs, mode.Name, *transport, len(seedList), *faults, *pressure, *nobursts, &sum)
+			continue
+		}
+		failed = true
 	}
-	if *expect {
-		fmt.Printf("mccheck: FAIL: expected a violation, %d runs all passed\n", sum.Runs)
+	if failed {
 		os.Exit(1)
 	}
-	// Vacuity guards: a sweep that armed a datapath but never drove it
-	// validated nothing — fail loudly rather than report a hollow PASS.
-	if what := mode.Vacuous(&sum, *faults, !*nobursts && replay == nil); what != "" {
-		fmt.Printf("mccheck: FAIL: mode %s recorded no %s (vacuous sweep; %s)\n", mode.Name, what, &sum)
-		os.Exit(1)
-	}
-	fmt.Printf("mccheck: PASS %d runs (mode=%s, %s, seeds=%d, faults=%v, pressure=%v, nobursts=%v; %s)\n",
-		sum.Runs, mode.Name, *transport, len(seedList), *faults, *pressure, *nobursts, &sum)
 }

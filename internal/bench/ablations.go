@@ -3,9 +3,9 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/mcclient"
 	"repro/internal/simnet"
 	"repro/internal/ucr"
 	"repro/internal/verbs"
@@ -23,10 +23,8 @@ func AblationEagerThreshold(valueSize int, thresholds []int, cfg RunConfig) (map
 	cfg = cfg.withDefaults()
 	out := make(map[int]float64, len(thresholds))
 	for _, th := range thresholds {
-		deploy := cfg.Deploy
-		deploy.EagerThreshold = th
-		rec, err := LatencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, valueSize,
-			RunConfig{OpsPerPoint: cfg.OpsPerPoint, KeySpace: cfg.KeySpace, Seed: cfg.Seed, Deploy: deploy})
+		cfg.Deploy.EagerThreshold = th
+		rec, err := LatencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, valueSize, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -41,10 +39,8 @@ func AblationWorkerCount(workerCounts []int, nClients int, cfg RunConfig) (map[i
 	cfg = cfg.withDefaults()
 	out := make(map[int]float64, len(workerCounts))
 	for _, wc := range workerCounts {
-		deploy := cfg.Deploy
-		deploy.ServerWorkers = wc
-		tps, err := TPSPoint(cluster.ClusterB(), cluster.UCRIB, nClients, 4,
-			RunConfig{OpsPerPoint: cfg.OpsPerPoint, KeySpace: cfg.KeySpace, Seed: cfg.Seed, Deploy: deploy})
+		cfg.Deploy.ServerWorkers = wc
+		tps, err := TPSPoint(cluster.ClusterB(), cluster.UCRIB, nClients, 4, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -56,58 +52,29 @@ func AblationWorkerCount(workerCounts []int, nClients int, cfg RunConfig) (map[i
 // AblationPollingVsEvents measures small-get latency with the server's
 // UCR completion detection in polling vs interrupt mode.
 func AblationPollingVsEvents(cfg RunConfig) (pollingUs, eventsUs float64, err error) {
-	cfg = cfg.withDefaults()
-	run := func(events bool) (float64, error) {
-		deploy := cfg.Deploy
-		deploy.UCREvents = events
-		rec, err := LatencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, 64,
-			RunConfig{OpsPerPoint: cfg.OpsPerPoint, KeySpace: cfg.KeySpace, Seed: cfg.Seed, Deploy: deploy})
-		if err != nil {
-			return 0, err
-		}
-		return rec.Mean(), nil
-	}
-	if pollingUs, err = run(false); err != nil {
-		return 0, 0, err
-	}
-	if eventsUs, err = run(true); err != nil {
-		return 0, 0, err
-	}
-	return pollingUs, eventsUs, nil
+	return offOn(cfg, func(o *cluster.Options, on bool) { o.UCREvents = on })
 }
 
-// AblationRCvsUD measures small-get latency over reliable (RC) vs
-// unreliable (UD) UCR endpoints.
+// AblationRCvsUD measures small-get latency with GETs on the reliable
+// (RC) endpoint vs on the UD side endpoint (Options.UDGets).
 func AblationRCvsUD(cfg RunConfig) (rcUs, udUs float64, err error) {
+	return offOn(cfg, func(o *cluster.Options, on bool) { o.UDGets = on })
+}
+
+// offOn measures mean 64 B get latency on UCR-IB, cluster B, with one
+// deployment option off and then on.
+func offOn(cfg RunConfig, set func(o *cluster.Options, on bool)) (offUs, onUs float64, err error) {
 	cfg = cfg.withDefaults()
-	run := func(ud bool) (float64, error) {
-		d := cluster.New(cluster.ClusterB(), cfg.Deploy)
-		defer d.Close()
-		var c *cluster.Client
-		var cerr error
-		if ud {
-			c, cerr = d.NewClientUD(mcclient.DefaultBehaviors())
-		} else {
-			c, cerr = d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
+	var us [2]float64
+	for i, on := range []bool{false, true} {
+		set(&cfg.Deploy, on)
+		rec, err := LatencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, 64, cfg)
+		if err != nil {
+			return 0, 0, err
 		}
-		if cerr != nil {
-			return 0, cerr
-		}
-		defer c.Close()
-		w := NewWorkload(cfg.Seed, cfg.KeySpace, 64)
-		rec := &LatencyRecorder{}
-		if err := runClient(c, w, MixGet, cfg.OpsPerPoint, rec); err != nil {
-			return 0, err
-		}
-		return rec.Mean(), nil
+		us[i] = rec.Mean()
 	}
-	if rcUs, err = run(false); err != nil {
-		return 0, 0, err
-	}
-	if udUs, err = run(true); err != nil {
-		return 0, 0, err
-	}
-	return rcUs, udUs, nil
+	return us[0], us[1], nil
 }
 
 // AblationCounterAcks measures, at the UCR level, the round-trip cost
@@ -233,13 +200,7 @@ func AblationResultString(title string, rows map[int]float64, unit string) strin
 	for k := range rows {
 		keys = append(keys, k)
 	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
+	sort.Ints(keys)
 	for _, k := range keys {
 		out += fmt.Sprintf("%-8d %.2f %s\n", k, rows[k], unit)
 	}

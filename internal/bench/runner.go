@@ -18,6 +18,10 @@ type RunConfig struct {
 	Seed uint64
 	// Deploy overrides deployment options (worker count etc.).
 	Deploy cluster.Options
+	// Zipf, when > 0, makes the clients of a multi-client point draw keys
+	// by Zipfian popularity with that exponent, each from its own stream
+	// (0: round-robin, each from its own offset).
+	Zipf float64
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -82,7 +86,7 @@ func JitterPoint(p *cluster.Profile, t cluster.Transport, size, samples int, cfg
 }
 
 // ClosedLoop is the one closed-loop driver: every multi-client
-// measurement in this package, and cmd/memslap, runs through it. It
+// measurement in this package runs through it. It
 // aligns the clients' clocks at the latest one, then runs laps on the
 // calling goroutine, each lap calling step(client, lap) once per client
 // in index order, and returns the virtual makespan from the common start
@@ -132,36 +136,60 @@ func TPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, cfg R
 
 // mixTPSPoint is TPSPoint for any instruction mix: nClients clients over
 // a shared keyspace that the first one populates, each starting at its
-// own offset into it, cfg.OpsPerPoint operations each; aggregate TPS
-// from the makespan.
+// own offset into it (or drawing from its own Zipf stream, cfg.Zipf),
+// cfg.OpsPerPoint operations each; aggregate TPS from the makespan.
 func mixTPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, mix Mix, cfg RunConfig) (tps float64, err error) {
 	cfg = cfg.withDefaults()
+	err = withClients(p, t, nClients, cfg, func(_ *cluster.Deployment, clients []*cluster.Client, clocks []*simnet.VClock) error {
+		workloads := make([]*Workload, nClients)
+		for i := range workloads {
+			if cfg.Zipf > 0 {
+				workloads[i] = NewZipfWorkload(cfg.Seed, uint64(i)+1, cfg.KeySpace, size, cfg.Zipf)
+			} else {
+				workloads[i] = NewWorkload(cfg.Seed, cfg.KeySpace, size)
+				workloads[i].nextKey = i
+			}
+		}
+		if err := workloads[0].Populate(clients[0].MC); err != nil {
+			return err
+		}
+		makespan, err := ClosedLoop(clocks, cfg.OpsPerPoint, nil, func(i, lap int) error {
+			return workloads[i].Op(clients[i].MC, mix.IsSet(lap))
+		})
+		if err != nil {
+			return err
+		}
+		tps = float64(nClients*cfg.OpsPerPoint) / makespan.Seconds()
+		return nil
+	})
+	return tps, err
+}
+
+// withClients is the one place a multi-client point is built: a fresh
+// deployment of cfg.Deploy, nClients clients of transport t on distinct
+// nodes, and body run over them (clocks[i] is clients[i].Clock, ready
+// for ClosedLoop); everything is torn down when body returns. Over a
+// pool (Deploy.Servers > 1) the clients place keys by consistent
+// hashing, libmemcached's ketama (§II-C).
+func withClients(p *cluster.Profile, t cluster.Transport, nClients int, cfg RunConfig,
+	body func(d *cluster.Deployment, clients []*cluster.Client, clocks []*simnet.VClock) error) error {
 	d := cluster.New(p, cfg.Deploy)
 	defer d.Close()
-
+	behaviors := mcclient.DefaultBehaviors()
+	if cfg.Deploy.Servers > 1 {
+		behaviors.Distribution = mcclient.DistKetama
+	}
 	clients := make([]*cluster.Client, nClients)
 	clocks := make([]*simnet.VClock, nClients)
-	workloads := make([]*Workload, nClients)
 	for i := range clients {
-		c, cerr := d.NewClient(t, mcclient.DefaultBehaviors())
-		if cerr != nil {
-			return 0, cerr
+		c, err := d.NewClient(t, behaviors)
+		if err != nil {
+			return err
 		}
 		defer c.Close()
 		clients[i], clocks[i] = c, c.Clock
-		workloads[i] = NewWorkload(cfg.Seed, cfg.KeySpace, size)
-		workloads[i].nextKey = i
 	}
-	if err := workloads[0].Populate(clients[0].MC); err != nil {
-		return 0, err
-	}
-	makespan, err := ClosedLoop(clocks, cfg.OpsPerPoint, nil, func(i, lap int) error {
-		return workloads[i].Op(clients[i].MC, mix.IsSet(lap))
-	})
-	if err != nil {
-		return 0, err
-	}
-	return float64(nClients*cfg.OpsPerPoint) / makespan.Seconds(), nil
+	return body(d, clients, clocks)
 }
 
 // TPSSweep runs TPSPoint across client counts for every transport,

@@ -51,24 +51,15 @@ func (m Mix) IsSet(n int) bool {
 	}
 }
 
-// ParseMix finds the mix whose String is name.
-func ParseMix(name string) (Mix, bool) {
-	for m := MixSet; m <= MixInterleaved; m++ {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
 // Workload generates keys and values, memslap-style: fixed-length keys
-// drawn from a seeded keyspace and incompressible values of the swept
-// size.
+// drawn from a seeded keyspace — round-robin, or by Zipfian popularity
+// (NewZipfWorkload) — and incompressible values of the swept size.
 type Workload struct {
 	rng     *simnet.Rand
 	keys    []string
 	value   []byte
 	nextKey int
+	zipf    *Zipf // nil: round-robin
 }
 
 // NewWorkload builds a workload over nKeys keys with size-byte values.
@@ -85,8 +76,11 @@ func NewWorkload(seed uint64, nKeys, size int) *Workload {
 	return w
 }
 
-// Key returns the next key round-robin.
+// Key returns the next key: round-robin, or a popularity draw.
 func (w *Workload) Key() string {
+	if w.zipf != nil {
+		return w.keys[w.zipf.Next()]
+	}
 	k := w.keys[w.nextKey%len(w.keys)]
 	w.nextKey++
 	return k

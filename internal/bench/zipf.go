@@ -64,25 +64,12 @@ func (z *Zipf) HotFraction(k int) float64 {
 	return z.cdf[k-1]
 }
 
-// ZipfWorkload couples the sampler with a Workload's keyspace: Key()
-// draws by popularity instead of round-robin.
-type ZipfWorkload struct {
-	*Workload
-	z *Zipf
-}
-
 // NewZipfWorkload builds a skewed workload over nKeys keys of the given
-// value size. keySeed fixes the keyspace (share it across clients so a
-// populated cache hits); samplerSeed varies each client's draw order.
-func NewZipfWorkload(keySeed, samplerSeed uint64, nKeys, size int, s float64) *ZipfWorkload {
+// value size: Key draws by popularity instead of round-robin. keySeed
+// fixes the keyspace (share it across clients so a populated cache
+// hits); samplerSeed varies each client's draw order.
+func NewZipfWorkload(keySeed, samplerSeed uint64, nKeys, size int, s float64) *Workload {
 	w := NewWorkload(keySeed, nKeys, size)
-	return &ZipfWorkload{
-		Workload: w,
-		z:        NewZipf(simnet.NewRand(samplerSeed^0x5eed), s, nKeys),
-	}
-}
-
-// Key draws a key with Zipfian popularity.
-func (w *ZipfWorkload) Key() string {
-	return w.Keys()[w.z.Next()]
+	w.zipf = NewZipf(simnet.NewRand(samplerSeed^0x5eed), s, nKeys)
+	return w
 }

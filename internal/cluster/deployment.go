@@ -49,7 +49,7 @@ type Options struct {
 	// worker (default 4× the credit window; only meaningful with
 	// UseSRQ). Small values force RNR backpressure under bursts.
 	SRQBuffers int
-	// UDGets arms the hybrid UD small-get mode on every reliable UCR
+	// UDGets arms the UD small-get mode (the one UD mode) on every UCR
 	// client: alongside the RC endpoint, the client dials an unreliable
 	// datagram endpoint and serves GET/MGET requests that fit one
 	// datagram over it, with client-side retransmission covering losses
@@ -64,13 +64,13 @@ type Options struct {
 	// (no one-sided, UD or write-reply fast paths).
 	SessionsPerQP int
 	// OneSidedGet arms the one-sided GET data path: every server
-	// publishes its remotely-readable directory and every reliable UCR
-	// client serves validated GET hits with RDMA reads, falling back to
-	// the AM path on miss/conflict. Strictly opt-in so the two-sided
+	// publishes its remotely-readable directory and every UCR client
+	// serves validated GET hits with RDMA reads, falling back to the AM
+	// path on miss/conflict. Strictly opt-in so the two-sided
 	// benchmarks keep their timing.
 	OneSidedGet bool
 	// WriteReplies arms the write-based zero-copy reply path: every
-	// reliable UCR client registers a reply-slot window arena and
+	// UCR client registers a reply-slot window arena and
 	// advertises a slot with each GET/MGET, and the server answers
 	// crossover-sized hits by gather-writing [header ‖ value] straight
 	// from the pinned slab chunk into the slot, completing the future
@@ -176,9 +176,7 @@ type Deployment struct {
 // (Options.SessionsPerQP): a node with a single RC endpoint per server,
 // shared by up to k logical sessions.
 type trunk struct {
-	node  *simnet.Node
-	rt    *ucr.Runtime
-	ctx   *ucr.Context
+	seat
 	muxes []*mcclient.SessionMux // one per server
 	used  int                    // sessions handed out
 }
@@ -316,74 +314,86 @@ type Client struct {
 	ctx *ucr.Context
 }
 
-// NewClient adds a client node (its own machine, like the paper's
-// client placement) and connects it to the server over transport t.
+// seat is a client machine's place in the deployment: its node on its
+// transport's fabric and, for UCR, its own HCA, runtime and progress
+// context. Every kind of client — NewClient's, a concentrator trunk, a
+// fleet client — is a seat (attach) plus connections (dial).
+type seat struct {
+	t    Transport
+	node *simnet.Node
+	rt   *ucr.Runtime
+	ctx  *ucr.Context
+}
+
+// attach adds a client node (its own machine, like the paper's client
+// placement) and seats it on transport t.
+func (d *Deployment) attach(name string, t Transport) seat {
+	s := seat{t: t, node: d.Network.AddNode(name)}
+	if t == UCRIB {
+		s.rt = ucr.New(verbs.NewHCA(s.node, d.IB, d.Profile.HCA), d.CM, d.clientUCRConfig())
+		s.ctx = s.rt.NewContext()
+	} else {
+		d.providers[t].Fabric.Attach(s.node)
+	}
+	return s
+}
+
+// dial connects a seat to server i (srv is its node). With arm set, a
+// UCR connection then gets what d.Opts asks for: one capability exchange
+// arms one-sided GETs and write replies (nothing is sent when neither is
+// on), and the UD small-get mode dials its datagram endpoint beside the
+// reliable one. Trunks dial unarmed: concentrated sessions use the plain
+// two-sided path.
+func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors, clk *simnet.VClock, arm bool) (mcclient.Transport, error) {
+	if s.t != UCRIB {
+		return mcclient.DialSock(d.providers[s.t], s.node, srv, serviceFor(s.t), b, clk)
+	}
+	ut, err := mcclient.DialUCR(s.rt, s.ctx, srv, ucrServiceFor(i), b, clk)
+	if err != nil {
+		return nil, err
+	}
+	if !arm {
+		return ut, nil
+	}
+	if err = ut.Arm(clk, d.Opts.OneSidedGet, d.Opts.WriteReplies); err == nil && d.Opts.UDGets {
+		var udep *ucr.Endpoint
+		if udep, err = s.rt.Dial(s.ctx, srv, ucrServiceFor(i), ucr.Unreliable, clk, 0); err == nil {
+			ut.EnableUD(udep)
+		}
+	}
+	if err != nil {
+		ut.Close()
+		return nil, err
+	}
+	return ut, nil
+}
+
+// NewClient adds a client and connects it to every server over transport
+// t. With Options.SessionsPerQP > 1 a UCR client is one concentrated
+// session instead: it rides a trunk's queue pairs as tagged sessions,
+// with its own virtual clock.
 func (d *Deployment) NewClient(t Transport, behaviors mcclient.Behaviors) (*Client, error) {
-	return d.newClient(t, behaviors, false)
-}
-
-// NewClientUD connects a UCR client over an unreliable (UD) endpoint —
-// the paper's §VII extension for scaling client counts (ablation bench).
-func (d *Deployment) NewClientUD(behaviors mcclient.Behaviors) (*Client, error) {
-	return d.newClient(UCRIB, behaviors, true)
-}
-
-func (d *Deployment) newClient(t Transport, behaviors mcclient.Behaviors, unreliable bool) (*Client, error) {
 	if !d.Profile.HasTransport(t) {
 		return nil, fmt.Errorf("cluster %s has no %s", d.Profile.Name, t)
 	}
-	if t == UCRIB && !unreliable && d.Opts.SessionsPerQP > 1 {
-		return d.newMuxClient(behaviors)
-	}
 	d.clients++
-	node := d.Network.AddNode(fmt.Sprintf("client%d", d.clients))
-	clk := simnet.NewVClock(0)
-	c := &Client{Node: node, Clock: clk, Transport: t}
-
+	c := &Client{Clock: simnet.NewVClock(0), Transport: t}
 	var trs []mcclient.Transport
-	if t == UCRIB {
-		hca := verbs.NewHCA(node, d.IB, d.Profile.HCA)
-		c.rt = ucr.New(hca, d.CM, d.clientUCRConfig())
-		c.ctx = c.rt.NewContext()
-		for i, srvNode := range d.ServerNodes {
-			dial := mcclient.DialUCR
-			if unreliable {
-				dial = mcclient.DialUCRUnreliable
-			}
-			ut, err := dial(c.rt, c.ctx, srvNode, ucrServiceFor(i), behaviors, clk)
-			if err != nil {
-				return nil, err
-			}
-			if !unreliable {
-				// The opt-in read paths live on the reliable connection: one
-				// capability exchange arms one-sided GETs and write replies
-				// (nothing is sent when neither is on), and the UD small-get
-				// mode dials its datagram endpoint beside it.
-				if err := ut.Arm(clk, d.Opts.OneSidedGet, d.Opts.WriteReplies); err != nil {
-					return nil, err
-				}
-				if d.Opts.UDGets {
-					udep, err := c.rt.Dial(c.ctx, srvNode, ucrServiceFor(i), ucr.Unreliable, clk, 0)
-					if err != nil {
-						return nil, err
-					}
-					ut.EnableUD(udep)
-				}
-			}
-			trs = append(trs, ut)
+	if t == UCRIB && d.Opts.SessionsPerQP > 1 {
+		tr, err := d.openTrunk(behaviors, c.Clock)
+		if err != nil {
+			return nil, err
 		}
+		c.Node = tr.node
+		for _, m := range tr.muxes {
+			trs = append(trs, m.Session(tr.used))
+		}
+		tr.used++
 	} else {
-		prov := d.providers[t]
-		switch t {
-		case IPoIB, SDP:
-			d.IB.Attach(node)
-		case TOE10G:
-			d.Eth10G.Attach(node)
-		case TCP1G:
-			d.Eth1G.Attach(node)
-		}
-		for _, srvNode := range d.ServerNodes {
-			tr, err := mcclient.DialSock(prov, node, srvNode, serviceFor(t), behaviors, clk)
+		s := d.attach(fmt.Sprintf("client%d", d.clients), t)
+		c.Node, c.rt, c.ctx = s.node, s.rt, s.ctx
+		for i, srv := range d.ServerNodes {
+			tr, err := d.dial(s, srv, i, behaviors, c.Clock, true)
 			if err != nil {
 				return nil, err
 			}
@@ -391,51 +401,32 @@ func (d *Deployment) newClient(t Transport, behaviors mcclient.Behaviors, unreli
 		}
 	}
 	var err error
-	c.MC, err = mcclient.New(clk, behaviors, trs)
+	c.MC, err = mcclient.New(c.Clock, behaviors, trs)
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// newMuxClient hands out one concentrated session (Options.SessionsPerQP):
-// the first client of each group dials the trunk — one node, one RC QP
-// per server — and the next k-1 clients ride the same QPs as tagged
-// sessions. Each session client still gets its own virtual clock.
-func (d *Deployment) newMuxClient(behaviors mcclient.Behaviors) (*Client, error) {
+// openTrunk returns the concentrator trunk with a free session, dialing a
+// new one — one node, one RC QP per server — when the last is full: the
+// first client of each group pays for the dial and the next k-1 ride the
+// same QPs.
+func (d *Deployment) openTrunk(behaviors mcclient.Behaviors, clk *simnet.VClock) (*trunk, error) {
 	k := d.Opts.SessionsPerQP
-	d.clients++
-	clk := simnet.NewVClock(0)
-	var tr *trunk
 	if n := len(d.trunks); n > 0 && d.trunks[n-1].used < k {
-		tr = d.trunks[n-1]
-	} else {
-		node := d.Network.AddNode(fmt.Sprintf("client%d", d.clients))
-		hca := verbs.NewHCA(node, d.IB, d.Profile.HCA)
-		rt := ucr.New(hca, d.CM, d.clientUCRConfig())
-		ctx := rt.NewContext()
-		tr = &trunk{node: node, rt: rt, ctx: ctx}
-		for i, srvNode := range d.ServerNodes {
-			ut, err := mcclient.DialUCR(rt, ctx, srvNode, ucrServiceFor(i), behaviors, clk)
-			if err != nil {
-				return nil, err
-			}
-			tr.muxes = append(tr.muxes, mcclient.NewSessionMux(ut, k))
+		return d.trunks[n-1], nil
+	}
+	tr := &trunk{seat: d.attach(fmt.Sprintf("client%d", d.clients), UCRIB)}
+	for i, srv := range d.ServerNodes {
+		ut, err := d.dial(tr.seat, srv, i, behaviors, clk, false)
+		if err != nil {
+			return nil, err
 		}
-		d.trunks = append(d.trunks, tr)
+		tr.muxes = append(tr.muxes, mcclient.NewSessionMux(ut.(*mcclient.UCRTransport), k))
 	}
-	c := &Client{Node: tr.node, Clock: clk, Transport: UCRIB}
-	trs := make([]mcclient.Transport, 0, len(tr.muxes))
-	for _, m := range tr.muxes {
-		trs = append(trs, m.Session(tr.used))
-	}
-	tr.used++
-	var err error
-	c.MC, err = mcclient.New(clk, behaviors, trs)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	d.trunks = append(d.trunks, tr)
+	return tr, nil
 }
 
 // clientUCRConfig is the UCR config client endpoints dial with: the

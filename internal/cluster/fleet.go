@@ -8,9 +8,6 @@ import (
 	"repro/internal/memcached"
 	"repro/internal/ring"
 	"repro/internal/simnet"
-	"repro/internal/verbs"
-
-	ucrpkg "repro/internal/ucr"
 )
 
 // Fleet layers churn-capable membership and R-way replication over a
@@ -74,11 +71,10 @@ type Fleet struct {
 }
 
 type fleetMember struct {
-	name    string
-	idx     int // Deployment server index (fixed; slots are never reused)
-	node    *simnet.Node
-	srv     *memcached.Server
-	service string // UCR CM service name for this slot
+	name string
+	idx  int // Deployment server index (fixed; slots are never reused)
+	node *simnet.Node
+	srv  *memcached.Server
 }
 
 // NewFleet builds a fleet of opts.Servers initial members.
@@ -98,8 +94,13 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 		opts.Opts.Faults = LossyFaults(0, opts.Seed)
 	}
 	opts.Opts.Servers = opts.Servers
-	if opts.Transport != UCRIB && !p.HasTransport(opts.Transport) {
+	if !p.HasTransport(opts.Transport) {
 		return nil, fmt.Errorf("cluster %s has no %s", p.Name, opts.Transport)
+	}
+	if opts.Opts.SessionsPerQP > 1 {
+		// A fleet client dials lazily, per owner; there is no group of
+		// eagerly dialed clients for a trunk to concentrate.
+		return nil, fmt.Errorf("fleet: SessionsPerQP is not supported (fleet clients dial per owner)")
 	}
 	d := New(p, opts.Opts)
 	f := &Fleet{
@@ -113,10 +114,7 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 	}
 	for i, node := range d.ServerNodes {
 		name := node.Name()
-		f.members[name] = &fleetMember{
-			name: name, idx: i, node: node, srv: d.Servers[i],
-			service: ucrServiceFor(i),
-		}
+		f.members[name] = &fleetMember{name: name, idx: i, node: node, srv: d.Servers[i]}
 		f.ring.AddServer(name)
 	}
 	return f, nil
@@ -179,10 +177,7 @@ func (f *Fleet) Join() string {
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.members[name] = &fleetMember{
-		name: name, idx: idx, node: f.D.ServerNodes[idx],
-		srv: f.D.Servers[idx], service: ucrServiceFor(idx),
-	}
+	f.members[name] = &fleetMember{name: name, idx: idx, node: f.D.ServerNodes[idx], srv: f.D.Servers[idx]}
 	f.ring.AddServer(name)
 	f.joins++
 	return name
@@ -256,16 +251,15 @@ type FleetClientStats struct {
 // per-owner connection cache. Unlike Deployment.NewClient it never
 // dials the whole fleet — at 1000 servers × 10k clients an eager mesh
 // would be 10M RC endpoints; a fleet client only connects to servers
-// that actually own one of its keys. Not safe for concurrent use
-// (one per goroutine, like mcclient.Client).
+// that actually own one of its keys, through the same Deployment.dial
+// (so the read paths Opts arms are armed here too). Not safe for
+// concurrent use (one per goroutine, like mcclient.Client).
 type FleetClient struct {
-	f         *Fleet
-	Node      *simnet.Node
-	Clock     *simnet.VClock
-	behaviors mcclient.Behaviors
+	f     *Fleet
+	Node  *simnet.Node
+	Clock *simnet.VClock
 
-	rt    *ucrpkg.Runtime
-	ctx   *ucrpkg.Context
+	seat  seat
 	conns map[string]mcclient.Transport
 
 	// staleRing is the construction-time snapshot MutRingStale routes
@@ -282,31 +276,13 @@ func (f *Fleet) NewClient() (*FleetClient, error) {
 	n := f.nextClient
 	f.mu.Unlock()
 
-	node := f.D.Network.AddNode(fmt.Sprintf("fclient%d", n))
-	clk := simnet.NewVClock(0)
-	c := &FleetClient{
-		f: f, Node: node, Clock: clk, behaviors: f.behaviors,
-		conns: make(map[string]mcclient.Transport),
-	}
-	if f.transport == UCRIB {
-		hca := verbs.NewHCA(node, f.D.IB, f.D.Profile.HCA)
-		c.rt = ucrpkg.New(hca, f.D.CM, f.D.clientUCRConfig())
-		c.ctx = c.rt.NewContext()
-	} else {
-		switch f.transport {
-		case IPoIB, SDP:
-			f.D.IB.Attach(node)
-		case TOE10G:
-			f.D.Eth10G.Attach(node)
-		case TCP1G:
-			f.D.Eth1G.Attach(node)
-		}
-	}
+	s := f.D.attach(fmt.Sprintf("fclient%d", n), f.transport)
+	c := &FleetClient{f: f, Node: s.node, Clock: simnet.NewVClock(0), seat: s, conns: make(map[string]mcclient.Transport)}
 	if ring.MutRingStale {
 		c.staleRing = f.RingSnapshot()
 	}
 	f.mu.Lock()
-	f.clientNodes = append(f.clientNodes, node)
+	f.clientNodes = append(f.clientNodes, s.node)
 	f.mu.Unlock()
 	return c, nil
 }
@@ -330,14 +306,7 @@ func (c *FleetClient) conn(name string) (mcclient.Transport, error) {
 	if m == nil {
 		return nil, mcclient.ErrServerDown
 	}
-	var tr mcclient.Transport
-	var err error
-	if c.f.transport == UCRIB {
-		tr, err = mcclient.DialUCR(c.rt, c.ctx, m.node, m.service, c.behaviors, c.Clock)
-	} else {
-		tr, err = mcclient.DialSock(c.f.D.providers[c.f.transport], c.Node, m.node,
-			serviceFor(c.f.transport), c.behaviors, c.Clock)
-	}
+	tr, err := c.f.D.dial(c.seat, m.node, m.idx, c.f.behaviors, c.Clock, true)
 	if err != nil {
 		// Dial raced a crash/partition; surface it like any dead server.
 		return nil, mcclient.ErrServerDown
@@ -355,6 +324,22 @@ func (c *FleetClient) dropConn(name string) {
 	}
 }
 
+// on runs op against one owner's connection under the client's retry
+// policy. A dead owner — no live member, a failed dial, or ErrServerDown
+// after the retries — is counted and its cached connection dropped, so a
+// later re-join of the same slot re-dials.
+func (c *FleetClient) on(owner string, op func(tr mcclient.Transport) error) error {
+	tr, err := c.conn(owner)
+	if err == nil {
+		err = c.f.behaviors.Retry(c.Clock, func() error { return op(tr) })
+	}
+	if err == mcclient.ErrServerDown {
+		c.Stats.Downs++
+		c.dropConn(owner)
+	}
+	return err
+}
+
 // Set writes through to all R owners, primary first. The first error is
 // surfaced after every owner has been attempted, so a replica outage
 // never blocks the primary write (and vice versa).
@@ -369,7 +354,10 @@ func (c *FleetClient) Set(key string, value []byte, flags uint32, exptime int64)
 	}
 	var firstErr error
 	for _, o := range owners {
-		err := c.storeTo(o, 0, key, flags, exptime, value, false)
+		err := c.on(o, func(tr mcclient.Transport) error {
+			_, e := tr.Set(c.Clock, key, flags, exptime, value)
+			return e
+		})
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -377,101 +365,29 @@ func (c *FleetClient) Set(key string, value []byte, flags uint32, exptime int64)
 	return firstErr
 }
 
-// storeTo runs one store op against one owner with retry; op 0 is a
-// plain Set, anything else a conditional memcached.StoreOp* (read
-// repair uses StoreOpAdd).
-func (c *FleetClient) storeTo(owner string, op uint8, key string, flags uint32, exptime int64, value []byte, ignoreResult bool) error {
-	tr, err := c.conn(owner)
-	if err != nil {
-		c.Stats.Downs++
-		return err
-	}
-	err = c.behaviors.Retry(c.Clock, func() error {
-		var e error
-		if op == 0 {
-			_, e = tr.Set(c.Clock, key, flags, exptime, value)
-		} else {
-			cs, ok := tr.(mcclient.CondStorer)
-			if !ok {
-				return fmt.Errorf("fleet: transport %s cannot %d", tr.Name(), op)
-			}
-			_, e = cs.StoreOp(c.Clock, op, key, flags, exptime, value, 0)
-		}
-		return e
-	})
-	if err == mcclient.ErrServerDown {
-		c.Stats.Downs++
-		c.dropConn(owner)
-	}
-	if ignoreResult {
-		return nil
-	}
-	return err
-}
-
 // Get reads the key: primary first; a miss (or dead primary) falls
-// through to the replica, and a replica hit triggers an asynchronous-
-// style read repair — a store-if-absent on the primary whose outcome is
-// ignored, so it can neither change the returned value nor clobber a
-// newer concurrent write.
+// through to the replica (fallthroughGet).
 func (c *FleetClient) Get(key string) (value []byte, flags uint32, err error) {
 	c.Stats.Ops++
 	owners := c.owners(key)
 	if len(owners) == 0 {
 		return nil, 0, mcclient.ErrNoServers
 	}
-	primary := owners[0]
-	v, fl, hit, perr := c.getFrom(primary, key)
+	v, fl, hit, perr := c.getFrom(owners[0], key)
 	if perr == nil && hit {
 		c.Stats.PrimaryHits++
 		return v, fl, nil
 	}
-	if len(owners) < 2 {
-		if perr != nil {
-			return nil, 0, perr
-		}
-		return nil, 0, mcclient.ErrCacheMiss
-	}
-	c.Stats.Fallthroughs++
-	rv, rfl, rhit, rerr := c.getFrom(owners[1], key)
-	if rerr != nil {
-		if perr != nil {
-			return nil, 0, perr
-		}
-		return nil, 0, rerr
-	}
-	if !rhit {
-		if perr != nil {
-			return nil, 0, perr
-		}
-		return nil, 0, mcclient.ErrCacheMiss
-	}
-	c.Stats.ReplicaHits++
-	if perr == nil {
-		// Primary is alive but missed: repair it. Add (store-if-absent)
-		// keeps a concurrent newer Set from being overwritten.
-		c.Stats.Repairs++
-		c.storeTo(primary, memcached.StoreOpAdd, key, rfl, 0, rv, true)
-	}
-	return rv, rfl, nil
+	return c.fallthroughGet(owners, key, perr)
 }
 
-// getFrom runs one get against one owner with retry.
+// getFrom runs one get against one owner.
 func (c *FleetClient) getFrom(owner, key string) (value []byte, flags uint32, hit bool, err error) {
-	tr, cerr := c.conn(owner)
-	if cerr != nil {
-		c.Stats.Downs++
-		return nil, 0, false, cerr
-	}
-	err = c.behaviors.Retry(c.Clock, func() error {
+	err = c.on(owner, func(tr mcclient.Transport) error {
 		var e error
 		value, flags, _, hit, e = tr.Get(c.Clock, key)
 		return e
 	})
-	if err == mcclient.ErrServerDown {
-		c.Stats.Downs++
-		c.dropConn(owner)
-	}
 	return value, flags, hit, err
 }
 
@@ -485,31 +401,14 @@ func (c *FleetClient) Delete(key string) (bool, error) {
 	var found bool
 	var firstErr error
 	for _, o := range owners {
-		tr, err := c.conn(o)
-		if err != nil {
-			c.Stats.Downs++
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		var ok bool
-		err = c.behaviors.Retry(c.Clock, func() error {
-			var e error
-			ok, e = tr.Delete(c.Clock, key)
+		err := c.on(o, func(tr mcclient.Transport) error {
+			ok, e := tr.Delete(c.Clock, key)
+			found = found || (e == nil && ok)
 			return e
 		})
-		if err != nil {
-			if err == mcclient.ErrServerDown {
-				c.Stats.Downs++
-				c.dropConn(o)
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		found = found || ok
 	}
 	return found, firstErr
 }
@@ -571,14 +470,16 @@ func (c *FleetClient) GetBurst(keys []string, window int) []FleetGetResult {
 			// (already-served replies keep their values; the rest fail
 			// with ErrServerDown).
 			_ = p.Wait(c.Clock)
+			down := false
 			for j, i := range idxs {
 				v, _, _, ok, e := futs[j].Wait(c.Clock)
 				out[i] = FleetGetResult{Value: v, Hit: ok, Err: e}
 				if e == mcclient.ErrServerDown {
 					c.Stats.Downs++
+					down = true
 				}
 			}
-			if anyDown(out, idxs) {
+			if down {
 				c.dropConn(primary)
 			}
 		}
@@ -589,7 +490,7 @@ func (c *FleetClient) GetBurst(keys []string, window int) []FleetGetResult {
 				c.Stats.PrimaryHits++
 				continue
 			}
-			v, _, e := c.fallthroughGet(keys[i], out[i].Err)
+			v, _, e := c.fallthroughGet(c.owners(keys[i]), keys[i], out[i].Err)
 			if e == nil {
 				out[i] = FleetGetResult{Value: v, Hit: true}
 			} else {
@@ -600,20 +501,13 @@ func (c *FleetClient) GetBurst(keys []string, window int) []FleetGetResult {
 	return out
 }
 
-func anyDown(out []FleetGetResult, idxs []int) bool {
-	for _, i := range idxs {
-		if out[i].Err == mcclient.ErrServerDown {
-			return true
-		}
-	}
-	return false
-}
-
 // fallthroughGet consults the replica after a primary miss/failure
-// (perr is the primary's error, nil for a plain miss) and repairs a
-// live primary on a replica hit.
-func (c *FleetClient) fallthroughGet(key string, perr error) (value []byte, flags uint32, err error) {
-	owners := c.owners(key)
+// (perr is the primary's error, nil for a plain miss). A replica hit on
+// a live primary triggers an asynchronous-style read repair — a
+// store-if-absent on the primary whose outcome is ignored, so it can
+// neither change the returned value nor clobber a newer concurrent
+// write.
+func (c *FleetClient) fallthroughGet(owners []string, key string, perr error) (value []byte, flags uint32, err error) {
 	if len(owners) < 2 {
 		if perr != nil {
 			return nil, 0, perr
@@ -634,7 +528,14 @@ func (c *FleetClient) fallthroughGet(key string, perr error) (value []byte, flag
 	c.Stats.ReplicaHits++
 	if perr == nil {
 		c.Stats.Repairs++
-		c.storeTo(owners[0], memcached.StoreOpAdd, key, rfl, 0, rv, true)
+		_ = c.on(owners[0], func(tr mcclient.Transport) error {
+			cs, ok := tr.(mcclient.CondStorer)
+			if !ok {
+				return fmt.Errorf("fleet: transport %s cannot add", tr.Name())
+			}
+			_, e := cs.StoreOp(c.Clock, memcached.StoreOpAdd, key, rfl, 0, rv, 0)
+			return e
+		})
 	}
 	return rv, rfl, nil
 }
@@ -643,15 +544,7 @@ func (c *FleetClient) fallthroughGet(key string, perr error) (value []byte, flag
 // the memcheck fleet epilogue probes every live server's actual
 // holdings this way to compare against the per-server reference model.
 func (c *FleetClient) DirectGet(server, key string) (value []byte, hit bool, err error) {
-	tr, cerr := c.conn(server)
-	if cerr != nil {
-		return nil, false, cerr
-	}
-	err = c.behaviors.Retry(c.Clock, func() error {
-		var e error
-		value, _, _, hit, e = tr.Get(c.Clock, key)
-		return e
-	})
+	value, _, hit, err = c.getFrom(server, key)
 	return value, hit, err
 }
 
@@ -661,8 +554,8 @@ func (c *FleetClient) Close() {
 		tr.Close()
 	}
 	c.conns = nil
-	if c.ctx != nil {
-		c.ctx.Destroy()
+	if c.seat.ctx != nil {
+		c.seat.ctx.Destroy()
 	}
 }
 

@@ -334,3 +334,77 @@ func TestFleetChurnRaceStress(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetClientArmsReadPaths: a fleet client's lazy per-owner dial is
+// Deployment.dial, so the read paths FleetOptions.Opts arms are armed on
+// every connection it opens — one-sided reads and write replies serve
+// 4 KB hits, UD datagrams serve small ones — and a refused option is
+// refused loudly. (The parent's fleet dial published the server
+// directory and then answered every GET over plain AM.)
+func TestFleetClientArmsReadPaths(t *testing.T) {
+	run := func(t *testing.T, opts Options, size int) mcclient.PathStats {
+		t.Helper()
+		opts.ServerWorkers, opts.Stripes, opts.MemoryLimit = 2, 4, 32<<20
+		f, err := NewFleet(ClusterB(), FleetOptions{Servers: 4, Seed: 11, Opts: opts})
+		if err != nil {
+			t.Fatalf("NewFleet: %v", err)
+		}
+		defer f.Close()
+		fc, err := f.NewClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fc.Close()
+		val := make([]byte, size)
+		for i := range val {
+			val[i] = byte(i)
+		}
+		const keys = 64
+		for pass := 0; pass < 4; pass++ {
+			for i := 0; i < keys; i++ {
+				k := fmt.Sprintf("arm-%d", i)
+				if pass == 0 {
+					if err := fc.Set(k, val, 0, 0); err != nil {
+						t.Fatalf("Set %s: %v", k, err)
+					}
+				}
+				got, _, err := fc.Get(k)
+				if err != nil || string(got) != string(val) {
+					t.Fatalf("Get %s: %d bytes, err=%v", k, len(got), err)
+				}
+			}
+		}
+		var sum mcclient.PathStats
+		for _, tr := range fc.conns {
+			sum.Add(tr.(*mcclient.UCRTransport).PathStats())
+		}
+		if fc.Stats.PrimaryHits != 4*keys {
+			t.Fatalf("primary hits = %d, want %d", fc.Stats.PrimaryHits, 4*keys)
+		}
+		return sum
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		size int
+		path mcclient.ReadPath
+	}{
+		{"onesided", Options{OneSidedGet: true}, 4096, mcclient.PathOneSided},
+		{"wrreply", Options{WriteReplies: true}, 4096, mcclient.PathWrite},
+		{"ud", Options{UDGets: true}, 64, mcclient.PathUD},
+		// Composed, as ISSUE 21 measured it: 256 of 256 over plain AM.
+		{"all", Options{OneSidedGet: true, WriteReplies: true, UDGets: true}, 4096, mcclient.PathOneSided},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := run(t, tc.opts, tc.size)
+			if s.By[tc.path].Hits == 0 || s.By[mcclient.PathAM].Hits >= 4*64 {
+				t.Fatalf("armed path never served a hit: %+v", s.By)
+			}
+		})
+	}
+	t.Run("sessions refused", func(t *testing.T) {
+		if _, err := NewFleet(ClusterB(), FleetOptions{Opts: Options{SessionsPerQP: 4}}); err == nil {
+			t.Fatal("NewFleet accepted SessionsPerQP, which a fleet client cannot honour")
+		}
+	})
+}

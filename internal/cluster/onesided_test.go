@@ -159,23 +159,3 @@ func TestOneSidedFallbackPaths(t *testing.T) {
 		t.Fatalf("get after flush: %v", err)
 	}
 }
-
-// TestOneSidedUDClientFallsBack proves a UD client against a one-sided
-// server keeps working over the AM path (one-sided needs reliable).
-func TestOneSidedUDClientFallsBack(t *testing.T) {
-	d := New(ClusterA(), Options{OneSidedGet: true})
-	defer d.Close()
-	c, err := d.NewClientUD(mcclient.DefaultBehaviors())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.MC.Set("ud-key", []byte("ud-val"), 3, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, _, _, err := c.MC.Get("ud-key")
-	if err != nil || string(got) != "ud-val" {
-		t.Fatalf("UD fallback get: %v %q", err, got)
-	}
-}

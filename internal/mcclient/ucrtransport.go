@@ -134,19 +134,8 @@ func (op *amOp) sendAM() error {
 // DialUCR establishes a reliable UCR endpoint to a memcached server and
 // installs the reply handlers on the client runtime (idempotent).
 func DialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string, behaviors Behaviors, clk *simnet.VClock) (*UCRTransport, error) {
-	return dialUCR(rt, ctx, to, service, behaviors, clk, ucr.Reliable)
-}
-
-// DialUCRUnreliable uses a UD-backed endpoint (§VII future work: the
-// datagram transport for scaling client counts). Values beyond one MTU
-// cannot be carried.
-func DialUCRUnreliable(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string, behaviors Behaviors, clk *simnet.VClock) (*UCRTransport, error) {
-	return dialUCR(rt, ctx, to, service, behaviors, clk, ucr.Unreliable)
-}
-
-func dialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string, behaviors Behaviors, clk *simnet.VClock, rel ucr.Reliability) (*UCRTransport, error) {
 	RegisterClientHandlers(rt)
-	ep, err := rt.Dial(ctx, to, service, rel, clk, 0)
+	ep, err := rt.Dial(ctx, to, service, ucr.Reliable, clk, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -428,40 +417,19 @@ func (t *UCRTransport) armExchange(clk *simnet.VClock, req memcached.ArmReq) (me
 }
 
 // do sends op and blocks on its counter (§V-B: "a blocking call with
-// client specified timeout"). With the runtime's AMRetries knob set, a
-// timed-out request is re-sent — the per-attempt wait is the op timeout
-// split across attempts, so the overall deadline holds — and only after
-// the budget is exhausted is the endpoint marked failed (§IV-A: the
-// client decides the server has gone down, isolating this endpoint
-// without touching the runtime). On error the op is retired; on success
-// the caller reads the slot and retires it.
+// client specified timeout"): one send, then waitDone one completion at
+// a time. On error the op is retired; on success the caller reads the
+// slot and retires it.
 func (t *UCRTransport) do(clk *simnet.VClock, op *amOp) error {
-	attempts := 1 + t.rt.Config().AMRetries
-	per := t.perAttempt(attempts)
-	for a := 0; a < attempts; a++ {
-		if a > 0 && op.ep == t.udEP {
-			// Client-side UD retransmission: datagram loss is silent, so
-			// the timed-out request is simply re-offered (the tag routes
-			// the reply; a late duplicate lands in scratch).
-			t.paths.By[PathUD].Retries++
-		}
-		if err := op.sendAM(); err != nil {
-			t.finishOp(op)
-			return ErrServerDown
-		}
-		err := t.ctx.WaitCounter(clk, op.ctr, 1, per)
-		if err == nil {
-			return nil
-		}
-		if err != ucr.ErrTimeout {
-			t.finishOp(op)
-			return ErrServerDown
-		}
+	if op.sendAM() != nil {
+		t.finishOp(op)
+		return ErrServerDown
 	}
-	ep := op.ep
-	t.finishOp(op)
-	ep.MarkFailed()
-	return ErrServerDown
+	err := t.waitDone(clk, op, 1)
+	if err != nil {
+		t.finishOp(op)
+	}
+	return err
 }
 
 // perAttempt splits the op timeout across the retry budget.
@@ -476,10 +444,17 @@ func (t *UCRTransport) perAttempt(attempts int) simnet.Duration {
 	return per
 }
 
-// waitDone is the pipelined-wait half of do: the op was already sent
-// when its window flushed, so this only drives progress — draining the
-// CQ in batches of at most batch — and re-sends after per-attempt
-// timeouts. The caller owns retiring the op.
+// waitDone is the one wait for a sent op — do's, and a pipelined
+// window's, whose ops went out when it flushed. It drives progress,
+// draining the CQ in batches of at most batch. With the runtime's
+// AMRetries knob set, a timed-out request is re-sent — the per-attempt
+// wait is the op timeout split across attempts, so the overall deadline
+// holds; on the UD endpoint, where datagram loss is silent, that is the
+// client-side retransmission (the tag routes the reply; a late duplicate
+// lands in scratch). Only after the budget is exhausted is the endpoint
+// marked failed (§IV-A: the client decides the server has gone down,
+// isolating this endpoint without touching the runtime). The caller owns
+// retiring the op.
 func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 	if op.ctr.Value() >= 1 {
 		return nil
@@ -497,8 +472,13 @@ func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 		if err != ucr.ErrTimeout {
 			return ErrServerDown
 		}
-		if a+1 < attempts && op.sendAM() != nil {
-			return ErrServerDown
+		if a+1 < attempts {
+			if op.ep == t.udEP {
+				t.paths.By[PathUD].Retries++
+			}
+			if op.sendAM() != nil {
+				return ErrServerDown
+			}
 		}
 	}
 	op.ep.MarkFailed()

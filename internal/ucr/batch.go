@@ -26,20 +26,19 @@ type postBatch struct {
 // completion, return the pool buffer, and fail the endpoint. A plain
 // struct instead of a closure keeps the hot send path alloc-free.
 type postUndo struct {
-	ep  *Endpoint
-	id  uint64
-	buf []byte
+	ep *Endpoint
+	id uint64
 }
 
 func (u postUndo) run() {
-	u.ep.ctx.pendingSends.take(u.id)
-	if st, ok := u.ep.ctx.pendingWrites[u.id]; ok {
-		// A write reply that never reached the wire still settles its
-		// counter: the caller's pin lifecycle keys off it.
-		delete(u.ep.ctx.pendingWrites, u.id)
-		st.originCtr.bumpIf(st.originCtrID)
+	if wr, ok := u.ep.ctx.posted.take(u.id); ok {
+		u.ep.releaseSendBuf(wr.buf)
+		if wr.kind == wrWriteReply {
+			// A write reply that never reached the wire still settles its
+			// counter: the caller's pin lifecycle keys off it.
+			wr.originCtr.bumpIf(wr.originCtrID)
+		}
 	}
-	u.ep.releaseSendBuf(u.buf)
 	u.ep.markFailed()
 }
 

@@ -16,19 +16,19 @@ type Context struct {
 	rt *Runtime
 	cq *verbs.CQ
 
-	eps             map[uint32]*Endpoint // local QPN → endpoint
-	srq             *verbs.SRQ           // shared receive pool (Config.UseSRQ)
-	srqBytes        int64                // receive-buffer bytes posted (footprint stat)
-	pendingSends    slots[pendingSend]
-	pendingRecvs    slots[[]byte] // posted receive buffers
-	pendingReads    map[uint64]pendingRead
-	pendingOneSided map[uint64]oneSidedState
-	pendingWrites   map[uint64]writeReplyState
-	rndzOrigin      map[uint64]rndzOriginState
-	nextWR          uint64
-	nextSeq         uint64
-	batch           *postBatch // open doorbell batch (BeginPostBatch)
-	batchStore      postBatch  // its reused backing storage (alloc-free reopen)
+	eps      map[uint32]*Endpoint // local QPN → endpoint
+	srq      *verbs.SRQ           // shared receive pool (Config.UseSRQ)
+	srqBytes int64                // receive-buffer bytes posted (footprint stat)
+	// posted files every work request this context has in flight — sends,
+	// receives, rendezvous pulls, one-sided ops, write replies — under
+	// the WR id its completion carries.
+	posted slots[postedWR]
+	// rndzOrigin is not a WR table: a rendezvous send waits for the
+	// target's ack, which names it by the wire sequence number.
+	rndzOrigin map[uint64]rndzOriginState
+	nextSeq    uint64
+	batch      *postBatch // open doorbell batch (BeginPostBatch)
+	batchStore postBatch  // its reused backing storage (alloc-free reopen)
 
 	// coalesced marks the 2nd..Nth dispatches of one batched CQ drain:
 	// AM dispatch then charges the coalesced handler cost (set/cleared by
@@ -55,15 +55,29 @@ type Context struct {
 // exists to catch.
 var MutSRQMisroute bool
 
-type pendingSend struct {
+// wrKind says what a posted work request is, and so what its completion
+// does.
+type wrKind uint8
+
+const (
+	wrSend       wrKind = iota // a packet: origin counter on success (eager fast path, §IV-C)
+	wrRecv                     // a posted receive buffer: a packet arrived in buf
+	wrPull                     // a rendezvous RDMA read: the receive in pull completes
+	wrOneSided                 // put/get/atomic: origin counter on success
+	wrWriteReply               // origin counter settles on success AND failure (writereply.go)
+)
+
+// postedWR is one in-flight work request.
+type postedWR struct {
+	kind        wrKind
 	ep          *Endpoint
-	buf         []byte    // pool buffer to release at local completion
-	originCtr   *Counter  // bumped at local completion (eager fast path, §IV-C)
-	originCtrID CounterID // issued id: guards the bump across struct reuse
+	buf         []byte       // send, write reply: pool buffer to release; recv: the posted buffer
+	originCtr   *Counter     // bumped at local completion
+	originCtrID CounterID    // issued id: guards the bump across struct reuse
+	pull        *pendingRead // wrPull only
 }
 
 type pendingRead struct {
-	ep          *Endpoint
 	hdr         []byte // copied out of the receive buffer
 	dst         []byte
 	msgID       uint8
@@ -85,14 +99,11 @@ type rndzOriginState struct {
 // NewContext creates a progress context for one actor.
 func (rt *Runtime) NewContext() *Context {
 	return &Context{
-		rt:              rt,
-		cq:              rt.hca.CreateCQ(),
-		drainEnd:        simnet.Time(-1) << 50,
-		eps:             make(map[uint32]*Endpoint),
-		pendingReads:    make(map[uint64]pendingRead),
-		pendingOneSided: make(map[uint64]oneSidedState),
-		pendingWrites:   make(map[uint64]writeReplyState),
-		rndzOrigin:      make(map[uint64]rndzOriginState),
+		rt:         rt,
+		cq:         rt.hca.CreateCQ(),
+		drainEnd:   simnet.Time(-1) << 50,
+		eps:        make(map[uint32]*Endpoint),
+		rndzOrigin: make(map[uint64]rndzOriginState),
 	}
 }
 
@@ -159,9 +170,9 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 			bufSize := c.bufSize(Reliable)
 			for i := 0; i < c.rt.cfg.SRQBuffers; i++ {
 				buf := make([]byte, bufSize)
-				id := c.pendingRecvs.put(buf)
+				id := c.posted.put(postedWR{kind: wrRecv, buf: buf})
 				if err := c.srq.Post(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-					c.pendingRecvs.take(id)
+					c.posted.take(id)
 					return nil, err
 				}
 				c.srqBytes += int64(bufSize)
@@ -185,9 +196,9 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 	if !useSRQ {
 		for i := 0; i < c.rt.cfg.Credits; i++ {
 			buf := make([]byte, ep.bufSize)
-			id := c.pendingRecvs.put(buf)
+			id := c.posted.put(postedWR{kind: wrRecv, buf: buf})
 			if err := qp.PostRecv(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-				c.pendingRecvs.take(id)
+				c.posted.take(id)
 				return nil, err
 			}
 			c.srqBytes += int64(ep.bufSize)
@@ -201,11 +212,6 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 // posted — the footprint §VII's SRQ/UD direction keeps flat as client
 // counts grow.
 func (c *Context) RecvBufferBytes() int64 { return c.srqBytes }
-
-func (c *Context) wrID() uint64 {
-	c.nextWR++
-	return c.nextWR
-}
 
 // Dial establishes an endpoint with a remote service (paper §IV-A: the
 // end-point model replacing MPI-style destination ranks). The handshake
@@ -282,44 +288,34 @@ func (c *Context) WaitCounter(clk *simnet.VClock, ctr *Counter, target uint64, t
 	return c.WaitCounterBatch(clk, ctr, target, timeout, 1)
 }
 
-// dispatch routes one work completion.
+// dispatch routes one work completion by what was posted under its id;
+// a stale or unknown id is dropped.
 func (c *Context) dispatch(clk *simnet.VClock, wc verbs.WC) {
-	switch wc.Op {
-	case verbs.OpSend:
-		c.onSendComplete(wc)
-	case verbs.OpRecv:
-		c.onPacket(clk, wc)
-	case verbs.OpRDMARead:
-		// A read is either a rendezvous pull or a one-sided Get.
-		if !c.onOneSidedComplete(wc) {
-			c.onReadComplete(clk, wc)
-		}
-	case verbs.OpRDMAWrite:
-		// A write is either a one-sided Put or a write-based reply.
-		if !c.onOneSidedComplete(wc) {
-			c.onWriteReplyComplete(wc)
-		}
-	case verbs.OpAtomicFetchAdd, verbs.OpAtomicCmpSwap:
-		c.onOneSidedComplete(wc)
-	}
-}
-
-// onSendComplete releases the send buffer and bumps the origin counter
-// for eager sends (local completion means the application buffer is
-// reusable — §IV-C "Origin counter").
-func (c *Context) onSendComplete(wc verbs.WC) {
-	st, ok := c.pendingSends.take(wc.ID)
+	wr, ok := c.posted.take(wc.ID)
 	if !ok {
 		return
 	}
-	if st.buf != nil {
-		st.ep.releaseSendBuf(st.buf)
+	switch wr.kind {
+	case wrRecv:
+		c.onPacket(clk, wc, wr.buf)
+	case wrPull:
+		c.onPullComplete(clk, wc, wr.ep, wr.pull)
+	default:
+		// Local completion of a send, one-sided op or write reply: the
+		// pool buffer is free again and — the transfer being done, or for
+		// a write reply either way, since its caller's pin lifecycle keys
+		// off the counter — the origin counter bumps (§IV-C).
+		if wr.buf != nil {
+			wr.ep.releaseSendBuf(wr.buf)
+		}
+		if wc.Status != verbs.StatusSuccess {
+			wr.ep.markFailed()
+			if wr.kind != wrWriteReply {
+				return
+			}
+		}
+		wr.originCtr.bumpIf(wr.originCtrID)
 	}
-	if wc.Status != verbs.StatusSuccess {
-		st.ep.markFailed()
-		return
-	}
-	st.originCtr.bumpIf(st.originCtrID)
 }
 
 // demuxEndpoint resolves an arrived packet to its endpoint. With
@@ -366,9 +362,8 @@ func (c *Context) neighborEndpoint(ep *Endpoint) *Endpoint {
 	return lowest
 }
 
-// onPacket handles an arrived UCR packet.
-func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC) {
-	buf, posted := c.pendingRecvs.take(wc.ID)
+// onPacket handles a UCR packet arrived in the posted buffer buf.
+func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC, buf []byte) {
 	ep := c.demuxEndpoint(wc)
 	if ep == nil {
 		return
@@ -377,9 +372,6 @@ func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC) {
 		if wc.Status != verbs.StatusFlushed {
 			ep.markFailed()
 		}
-		return
-	}
-	if !posted {
 		return
 	}
 	pkt, err := decodePacket(buf, wc.ByteLen)
@@ -468,18 +460,15 @@ func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt packet) {
 		ep.markFailed()
 		return
 	}
-	hdrCopy := append([]byte(nil), pkt.hdr...)
-	id := c.wrID()
-	c.pendingReads[id] = pendingRead{
-		ep:          ep,
-		hdr:         hdrCopy,
+	id := c.posted.put(postedWR{kind: wrPull, ep: ep, pull: &pendingRead{
+		hdr:         append([]byte(nil), pkt.hdr...),
 		dst:         dst[:pkt.dataLen],
 		msgID:       pkt.msgID,
 		targetCtrID: pkt.targetCtr,
 		originCtrID: pkt.originCtr,
 		complCtrID:  pkt.complCtr,
 		seq:         pkt.seq,
-	}
+	}})
 	c.rdmaReads++
 	err := ep.qp.PostSend(clk, verbs.SendWR{
 		ID:         id,
@@ -489,26 +478,21 @@ func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt packet) {
 		RKey:       pkt.rkey,
 	})
 	if err != nil {
-		delete(c.pendingReads, id)
+		c.posted.take(id)
 		ep.markFailed()
 	}
 }
 
-// onReadComplete finishes a rendezvous receive: completion handler,
+// onPullComplete finishes a rendezvous receive: completion handler,
 // target counter, and the internal ack releasing the origin buffer.
-func (c *Context) onReadComplete(clk *simnet.VClock, wc verbs.WC) {
-	rd, ok := c.pendingReads[wc.ID]
-	if !ok {
-		return
-	}
-	delete(c.pendingReads, wc.ID)
+func (c *Context) onPullComplete(clk *simnet.VClock, wc verbs.WC, ep *Endpoint, rd *pendingRead) {
 	if wc.Status != verbs.StatusSuccess {
-		rd.ep.markFailed()
+		ep.markFailed()
 		return
 	}
 	h := c.rt.handler(rd.msgID)
 	if h != nil && h.Completion != nil {
-		h.Completion(clk, rd.ep, rd.hdr, rd.dst, rd.targetCtrID)
+		h.Completion(clk, ep, rd.hdr, rd.dst, rd.targetCtrID)
 	}
 	c.rt.lookupCounter(rd.targetCtrID).bump()
 	// One internal message carries both the origin-counter update (the
@@ -516,7 +500,7 @@ func (c *Context) onReadComplete(clk *simnet.VClock, wc verbs.WC) {
 	// completion-counter update — they coincide here because the
 	// completion handler runs as soon as the read lands.
 	if rd.originCtrID != 0 || rd.complCtrID != 0 || rd.seq != 0 {
-		rd.ep.sendAck(clk, rd.originCtrID, rd.complCtrID, rd.seq)
+		ep.sendAck(clk, rd.originCtrID, rd.complCtrID, rd.seq)
 	}
 }
 

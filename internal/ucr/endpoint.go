@@ -77,9 +77,9 @@ func (ep *Endpoint) releaseSendBuf(buf []byte) {
 
 // repostRecv recycles a consumed receive buffer into the credit window.
 func (ep *Endpoint) repostRecv(buf []byte) {
-	id := ep.ctx.pendingRecvs.put(buf)
+	id := ep.ctx.posted.put(postedWR{kind: wrRecv, buf: buf})
 	if err := ep.qp.PostRecv(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-		ep.ctx.pendingRecvs.take(id)
+		ep.ctx.posted.take(id)
 		return
 	}
 	ep.returnCredits++
@@ -132,16 +132,16 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr *Count
 		clk.Advance(simnet.BytesDuration(packCost, ep.ctx.rt.cfg.PackBytesPerSec))
 	}
 	n := pkt.encode(buf)
-	id := ep.ctx.pendingSends.put(pendingSend{ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
+	id := ep.ctx.posted.put(postedWR{kind: wrSend, ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
 	wr := verbs.SendWR{ID: id, Op: verbs.OpSend, Local: buf[:n], Dest: ep.ah}
-	if ep.ctx.queuePost(ep.qp, wr, postUndo{ep: ep, id: id, buf: buf}) {
+	if ep.ctx.queuePost(ep.qp, wr, postUndo{ep: ep, id: id}) {
 		if !ep.noCredits {
 			ep.sendCredits--
 		}
 		return nil
 	}
 	if err := ep.qp.PostSend(clk, wr); err != nil {
-		ep.ctx.pendingSends.take(id)
+		ep.ctx.posted.take(id)
 		ep.releaseSendBuf(buf)
 		ep.markFailed()
 		return ErrEndpointDown

@@ -108,8 +108,7 @@ func (ep *Endpoint) oneSided(clk *simnet.VClock, op verbs.Opcode, local []byte, 
 	if offset < 0 || offset+len(local) > win.Len {
 		return ErrWindowBounds
 	}
-	id := ep.ctx.wrID()
-	ep.ctx.pendingOneSided[id] = oneSidedState{ep: ep, originCtr: originCtr, originCtrID: originCtr.ID()}
+	id := ep.ctx.posted.put(postedWR{kind: wrOneSided, ep: ep, originCtr: originCtr, originCtrID: originCtr.ID()})
 	err := ep.qp.PostSend(clk, verbs.SendWR{
 		ID:         id,
 		Op:         op,
@@ -118,7 +117,7 @@ func (ep *Endpoint) oneSided(clk *simnet.VClock, op verbs.Opcode, local []byte, 
 		RKey:       win.RKey,
 	})
 	if err != nil {
-		delete(ep.ctx.pendingOneSided, id)
+		ep.ctx.posted.take(id)
 		ep.markFailed()
 		return ErrEndpointDown
 	}
@@ -159,34 +158,33 @@ func (ep *Endpoint) atomic(clk *simnet.VClock, wr verbs.AtomicWR, win WindowDesc
 	}
 	var result uint64
 	done := &Counter{} // local-only progress counter; never leaves this host
-	id := ep.ctx.wrID()
-	ep.ctx.pendingOneSided[id] = oneSidedState{ep: ep, originCtr: done, originCtrID: done.ID()}
+	id := ep.ctx.posted.put(postedWR{kind: wrOneSided, ep: ep, originCtr: done, originCtrID: done.ID()})
 	wr.ID = id
 	wr.RemoteAddr = win.Addr + uint64(offset)
 	wr.RKey = win.RKey
 	wr.Result = &result
 	if err := ep.qp.PostAtomic(clk, wr); err != nil {
-		delete(ep.ctx.pendingOneSided, id)
+		ep.ctx.posted.take(id)
 		ep.markFailed()
 		return 0, ErrEndpointDown
 	}
 	// Wait by hand rather than via WaitCounter: an error-status WC marks
 	// the endpoint failed without bumping done, and on any exit without a
 	// completion the pending entry must be removed, or a late completion
-	// would bump a dead counter and the map would grow without bound.
+	// would bump a dead counter and the table would grow without bound.
 	deadline := clk.Now() + simnet.Second
 	for done.Value() < 1 {
 		if ep.failed {
-			delete(ep.ctx.pendingOneSided, id)
+			ep.ctx.posted.take(id)
 			return 0, ErrEndpointDown
 		}
 		ok, timedOut := ep.ctx.ProgressDeadline(clk, deadline)
 		if timedOut {
-			delete(ep.ctx.pendingOneSided, id)
+			ep.ctx.posted.take(id)
 			return 0, ErrTimeout
 		}
 		if !ok {
-			delete(ep.ctx.pendingOneSided, id)
+			ep.ctx.posted.take(id)
 			return 0, ErrClosed
 		}
 	}
@@ -194,29 +192,4 @@ func (ep *Endpoint) atomic(clk *simnet.VClock, wr verbs.AtomicWR, win WindowDesc
 		return 0, ErrEndpointDown
 	}
 	return result, nil
-}
-
-// oneSidedState tracks an in-flight one-sided operation. originCtrID
-// snapshots the counter's id at post time so a completion harvested
-// after the counter was freed (and the struct reissued from the pool)
-// cannot bump the new owner.
-type oneSidedState struct {
-	ep          *Endpoint
-	originCtr   *Counter
-	originCtrID CounterID
-}
-
-// onOneSidedComplete finishes a put/get.
-func (c *Context) onOneSidedComplete(wc verbs.WC) bool {
-	st, ok := c.pendingOneSided[wc.ID]
-	if !ok {
-		return false
-	}
-	delete(c.pendingOneSided, wc.ID)
-	if wc.Status != verbs.StatusSuccess {
-		st.ep.markFailed()
-		return true
-	}
-	st.originCtr.bumpIf(st.originCtrID)
-	return true
 }

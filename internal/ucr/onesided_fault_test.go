@@ -77,8 +77,8 @@ func TestOneSidedWindowClosedMidSequence(t *testing.T) {
 	if !ep.Failed() {
 		t.Fatal("endpoint should be marked failed")
 	}
-	if n := len(w.cliCtx.pendingOneSided); n != 0 {
-		t.Fatalf("leaked %d pendingOneSided entries", n)
+	if n := w.cliCtx.inFlight(wrOneSided); n != 0 {
+		t.Fatalf("leaked %d one-sided WR entries", n)
 	}
 }
 
@@ -111,8 +111,8 @@ func TestOneSidedFailureLeavesNoPending(t *testing.T) {
 	if _, err := ep.FetchAdd(w.cliClk, desc, 0, 1); err == nil {
 		t.Fatal("atomic against closed window should fail")
 	}
-	if n := len(w.cliCtx.pendingOneSided); n != 0 {
-		t.Fatalf("leaked %d pendingOneSided entries", n)
+	if n := w.cliCtx.inFlight(wrOneSided); n != 0 {
+		t.Fatalf("leaked %d one-sided WR entries", n)
 	}
 }
 
@@ -133,8 +133,8 @@ func TestAtomicOnFailedEndpointIsPrompt(t *testing.T) {
 	if _, err := ep.FetchAdd(w.cliClk, desc, 0, 1); err != ErrEndpointDown {
 		t.Fatalf("err = %v, want ErrEndpointDown", err)
 	}
-	if n := len(w.cliCtx.pendingOneSided); n != 0 {
-		t.Fatalf("leaked %d pendingOneSided entries", n)
+	if n := w.cliCtx.inFlight(wrOneSided); n != 0 {
+		t.Fatalf("leaked %d one-sided WR entries", n)
 	}
 	// Further atomics fail fast on the downed endpoint.
 	if _, err := ep.FetchAdd(w.cliClk, desc, 0, 1); err != ErrEndpointDown {

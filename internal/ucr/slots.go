@@ -1,10 +1,10 @@
 package ucr
 
-// slots is a table of in-flight work requests keyed by WR id, in place
-// of a map: an id comes back once, in its completion, so it can be the
-// entry's index plus a generation. slotBit keeps these ids apart from
-// the counter-issued ones (Context.wrID) that key the context's maps; an
-// unknown, foreign or already-taken id misses.
+// slots is the table of in-flight work requests, keyed by WR id, in
+// place of a map: an id comes back once, in its completion, so it can be
+// the entry's index plus a generation. A stale id (its entry since
+// reused), an already-taken one and one this table never issued all
+// miss.
 type slots[T any] struct {
 	ents []slotEnt[T]
 	free []uint32
@@ -15,11 +15,6 @@ type slotEnt[T any] struct {
 	live bool
 	v    T
 }
-
-const (
-	slotBit = 1 << 63
-	genMask = 1<<31 - 1
-)
 
 // put files v and returns its id.
 func (s *slots[T]) put(v T) uint64 {
@@ -32,19 +27,19 @@ func (s *slots[T]) put(v T) uint64 {
 		s.ents = append(s.ents, slotEnt[T]{})
 	}
 	e := &s.ents[i]
-	e.gen = (e.gen + 1) & genMask
+	e.gen++
 	e.live, e.v = true, v
-	return slotBit | uint64(e.gen)<<32 | uint64(i)
+	return uint64(e.gen)<<32 | uint64(i)
 }
 
 // take removes and returns the entry filed under id.
 func (s *slots[T]) take(id uint64) (v T, ok bool) {
 	i := uint32(id)
-	if id&slotBit == 0 || int(i) >= len(s.ents) {
+	if int(i) >= len(s.ents) {
 		return v, false
 	}
 	e := &s.ents[i]
-	if !e.live || uint64(e.gen) != id>>32&genMask {
+	if !e.live || e.gen != uint32(id>>32) {
 		return v, false
 	}
 	v = e.v

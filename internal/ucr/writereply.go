@@ -15,18 +15,6 @@ import (
 // the same QP, so RC ordering guarantees the data precedes it) completes
 // the client's future.
 
-// writeReplyState tracks one in-flight write reply. buf is the pooled
-// send buffer holding the header copy; originCtr settles at WC time —
-// success or failure alike, because the caller keys resource release
-// (item unpin, counter free) off the counter and a failed write must not
-// leak the pin.
-type writeReplyState struct {
-	ep          *Endpoint
-	buf         []byte
-	originCtr   *Counter
-	originCtrID CounterID
-}
-
 // WriteReplies reports how many write-based replies this context has
 // posted. Tests and memcheck use it as a vacuity guard: a "write
 // replies" run that never posted one proved nothing.
@@ -64,10 +52,9 @@ func (ep *Endpoint) WriteReply(clk *simnet.VClock, hdr, data []byte, dst WindowD
 	// pack (the value is not — that is the point).
 	clk.Advance(simnet.BytesDuration(len(hdr), ep.ctx.rt.cfg.PackBytesPerSec))
 	n := copy(buf, hdr)
-	id := ep.ctx.wrID()
-	ep.ctx.pendingWrites[id] = writeReplyState{
-		ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID(),
-	}
+	// buf holds the header copy until the write completes; originCtr
+	// settles at WC time, success or failure alike (Context.dispatch).
+	id := ep.ctx.posted.put(postedWR{kind: wrWriteReply, ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
 	wr := verbs.SendWR{
 		ID:         id,
 		Op:         verbs.OpRDMAWrite,
@@ -76,9 +63,9 @@ func (ep *Endpoint) WriteReply(clk *simnet.VClock, hdr, data []byte, dst WindowD
 		RemoteAddr: dst.Addr + uint64(offset),
 		RKey:       dst.RKey,
 	}
-	if !ep.ctx.queuePost(ep.qp, wr, postUndo{ep: ep, id: id, buf: buf}) {
+	if !ep.ctx.queuePost(ep.qp, wr, postUndo{ep: ep, id: id}) {
 		if err := ep.qp.PostSend(clk, wr); err != nil {
-			delete(ep.ctx.pendingWrites, id)
+			ep.ctx.posted.take(id)
 			ep.releaseSendBuf(buf)
 			ep.markFailed()
 			return ErrEndpointDown
@@ -86,21 +73,4 @@ func (ep *Endpoint) WriteReply(clk *simnet.VClock, hdr, data []byte, dst WindowD
 	}
 	ep.ctx.writeReplies++
 	return nil
-}
-
-// onWriteReplyComplete finishes a write reply: release the header
-// buffer, reflect failure onto the endpoint, and settle the counter
-// unconditionally so the caller's pin lifecycle always completes.
-func (c *Context) onWriteReplyComplete(wc verbs.WC) bool {
-	st, ok := c.pendingWrites[wc.ID]
-	if !ok {
-		return false
-	}
-	delete(c.pendingWrites, wc.ID)
-	st.ep.releaseSendBuf(st.buf)
-	if wc.Status != verbs.StatusSuccess {
-		st.ep.markFailed()
-	}
-	st.originCtr.bumpIf(st.originCtrID)
-	return true
 }
