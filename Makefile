@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath determinism golden test memcheck mutations check-no-wallclock fuzz-smoke
+.PHONY: tier1 tier2 race-datapath determinism golden test memcheck mutations check-no-wallclock check-store-keys fuzz-smoke
 
 tier1:
 	go build ./...
@@ -70,6 +70,16 @@ check-no-wallclock:
 	@bad="$$(grep -rlE --include='*.go' --exclude='*_test.go' '^(import )?[[:space:]]*([A-Za-z_.]+ )?"time"$$' internal \
 		| grep -v -e '^internal/simnet/' -e '^internal/verbs/cm.go$$' -e '^internal/ucr/context.go$$' -e '^internal/sockstream/provider.go$$')"; \
 	if [ -n "$$bad" ]; then echo "wall clock under internal/:"; echo "$$bad"; exit 1; fi
+
+# A key is bytes at the engine's boundary: no exported *Store method takes
+# `key string` except the Set/Get adapters kept for benchmark/probes.go,
+# and the string/bytes twins (one hash, one lock wait, one lock charge
+# per key type) do not come back.
+check-store-keys:
+	@bad="$$(grep -nE --include='*.go' --exclude='*_test.go' -r '^func \(s \*Store\) [A-Z][A-Za-z]*\(key string' internal/memcached \
+		| grep -vE 'func \(s \*Store\) (Set|Get)\(key string'; \
+		grep -nE --include='*.go' -r '^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes' internal/memcached)"; \
+	if [ -n "$$bad" ]; then echo "string-keyed engine entry, or a string/bytes twin, under internal/memcached:"; echo "$$bad"; exit 1; fi
 
 # Checker validation: every seeded store mutation must be caught.
 MUTATIONS = mut_append_nocas mut_get_skip_expiry mut_cas_ignore_id \

@@ -88,3 +88,40 @@ func TestServerSetZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state SET path: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestServerDeleteIncrZeroAlloc extends the gates above to the verbs
+// that carry only a key: a resident-key incr (the value is rewritten in
+// place) and a delete that misses (nothing is linked, so the server has
+// no use for the key as a string), each a full client–wire–server round
+// trip over UCR and over the text protocol.
+func TestServerDeleteIncrZeroAlloc(t *testing.T) {
+	ucrTr, ucrClk, _ := serverBenchStack(t)
+	sockTr, sockClk, _ := sockBenchStack(t)
+	for _, c := range []struct {
+		name string
+		tr   Transport
+		clk  *simnet.VClock
+	}{{"ucr", ucrTr, ucrClk}, {"sockets", sockTr, sockClk}} {
+		if _, err := c.tr.Set(c.clk, "counter", 0, 0, []byte("1000000")); err != nil {
+			t.Fatal(err)
+		}
+		incr := func() {
+			if _, found, bad, err := c.tr.IncrDecr(c.clk, "counter", 1, true); err != nil || !found || bad {
+				t.Fatalf("%s incr = (%v, %v, %v)", c.name, found, bad, err)
+			}
+		}
+		deleteMiss := func() {
+			if hit, err := c.tr.Delete(c.clk, "no-such-key"); err != nil || hit {
+				t.Fatalf("%s delete = (%v, %v)", c.name, hit, err)
+			}
+		}
+		incr() // warm the op slot and reply staging
+		deleteMiss()
+		if allocs := testing.AllocsPerRun(200, incr); allocs != 0 {
+			t.Errorf("%s resident-key incr: %v allocs/op, want 0", c.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, deleteMiss); allocs != 0 {
+			t.Errorf("%s delete miss: %v allocs/op, want 0", c.name, allocs)
+		}
+	}
+}

@@ -141,21 +141,19 @@ func AppendNumReq(dst []byte, r NumReq) []byte {
 	return append(dst, r.Key...)
 }
 
-// DecodeNumReq unpacks the header.
-func DecodeNumReq(b []byte) (NumReq, error) {
+// DecodeNumReqView unpacks an Incr/Decr header in place: key aliases
+// the wire buffer and is valid only until the receive buffer is
+// recycled.
+func DecodeNumReqView(b []byte) (replyCtr ucr.CounterID, delta uint64, key []byte, err error) {
 	if len(b) < 18 {
-		return NumReq{}, ErrShortAMHeader
+		return 0, 0, nil, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
 	kl := int(le.Uint16(b[16:]))
 	if len(b) < 18+kl {
-		return NumReq{}, ErrShortAMHeader
+		return 0, 0, nil, ErrShortAMHeader
 	}
-	return NumReq{
-		ReplyCtr: ucr.CounterID(le.Uint64(b)),
-		Delta:    le.Uint64(b[8:]),
-		Key:      string(b[18 : 18+kl]),
-	}, nil
+	return ucr.CounterID(le.Uint64(b)), le.Uint64(b[8:]), b[18 : 18+kl], nil
 }
 
 // StatusReply is the AM 2 header for Set/Delete replies.

@@ -17,7 +17,7 @@ import (
 const AMStore uint8 = 0x16
 
 // Store op codes: the storage verbs, as carried in StoreReq.Op and as
-// Store.StoreBytes dispatches them. StoreOpSet is last so the wire codes
+// Store.Store dispatches them. StoreOpSet is last so the wire codes
 // of the conditional stores stay put; the UCR client sends a plain set
 // as AMSet, never as AMStore.
 const (

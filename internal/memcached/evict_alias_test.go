@@ -54,7 +54,7 @@ func TestPrependEvictionAliasing(t *testing.T) {
 	}
 	// LRU within the top class is now head=bb, tail=aa: growing aa must
 	// not pick aa itself as the victim.
-	if res := s.Prepend("aa", []byte("XYZ"), 0); res != Stored {
+	if res := s.Store(StoreOpPrepend, []byte("aa"), 0, 0, []byte("XYZ"), 0, 0); res != Stored {
 		t.Fatalf("Prepend = %s", res)
 	}
 
@@ -97,7 +97,7 @@ func TestAppendEvictionAliasing(t *testing.T) {
 	if res := s.Set("bb", 0, 0, patternValue(vlen), 0); res != Stored {
 		t.Fatalf("Set bb = %s", res)
 	}
-	if res := s.Append("aa", []byte("XYZ"), 0); res != Stored {
+	if res := s.Store(StoreOpAppend, []byte("aa"), 0, 0, []byte("XYZ"), 0, 0); res != Stored {
 		t.Fatalf("Append = %s", res)
 	}
 	got, _, _, ok := s.Get("aa", 0)
@@ -124,7 +124,7 @@ func TestPrependSinglePageOOM(t *testing.T) {
 	if res := s.Set("aa", 0, 0, oldVal, 0); res != Stored {
 		t.Fatalf("Set aa = %s", res)
 	}
-	if res := s.Prepend("aa", []byte("XYZ"), 0); res != OOM {
+	if res := s.Store(StoreOpPrepend, []byte("aa"), 0, 0, []byte("XYZ"), 0, 0); res != OOM {
 		t.Fatalf("Prepend in full one-page arena = %s, want %s", res, OOM)
 	}
 	got, _, _, ok := s.Get("aa", 0)
@@ -164,7 +164,7 @@ func TestIncrGrowEvictsOtherItem(t *testing.T) {
 	fillSmallClass(t, s, len("nn")+len("10")+itemOverhead)
 
 	// LRU tail of the class is nn (oldest, never touched since).
-	val, found, bad, oom := s.IncrDecr("nn", 1, true, 0)
+	val, found, bad, oom := s.IncrDecr([]byte("nn"), 1, true, 0)
 	if val != 10 || !found || bad || oom {
 		t.Fatalf("IncrDecr = (%d, found=%v bad=%v oom=%v)", val, found, bad, oom)
 	}
@@ -193,7 +193,7 @@ func TestIncrGrowOOMIsServerError(t *testing.T) {
 	}
 	fillSmallClass(t, s, len("nn")+len("10")+itemOverhead)
 
-	val, found, bad, oom := s.IncrDecr("nn", 1, true, 0)
+	val, found, bad, oom := s.IncrDecr([]byte("nn"), 1, true, 0)
 	if !found || bad || !oom {
 		t.Fatalf("IncrDecr = (%d, found=%v bad=%v oom=%v), want oom", val, found, bad, oom)
 	}

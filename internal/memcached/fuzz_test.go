@@ -224,7 +224,13 @@ func FuzzAMCodecs(f *testing.F) {
 				}
 			}
 		case 2:
-			roundTrip(t, "NumReq", b, DecodeNumReq, AppendNumReq)
+			if ctr, delta, key, err := DecodeNumReqView(b); err == nil {
+				enc := AppendNumReq(nil, NumReq{ReplyCtr: ctr, Delta: delta, Key: string(key)})
+				sameBytes(t, "NumReq", b, enc)
+				if ctr2, delta2, key2, err := DecodeNumReqView(enc); err != nil || ctr2 != ctr || delta2 != delta || !bytes.Equal(key2, key) {
+					t.Fatalf("NumReq round trip: (%d, %d, %q) -> (%d, %d, %q) (%v)", ctr, delta, key, ctr2, delta2, key2, err)
+				}
+			}
 		case 3:
 			if v, err := DecodeStoreReqView(b); err == nil {
 				enc := AppendStoreReq(nil, StoreReq{ReplyCtr: v.ReplyCtr, Op: v.Op, Flags: v.Flags, Exptime: v.Exptime, CAS: v.CAS, Key: string(v.Key)})

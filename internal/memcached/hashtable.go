@@ -23,20 +23,14 @@ func newHashTable() *hashTable {
 	return &hashTable{primary: make([]*Item, 1<<hashInitialPower)}
 }
 
-// hashKey is FNV-1a, memcached-style string hashing.
-func hashKey(key string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime
-	}
-	return h
-}
+// wireKey is a key in either form the engine holds one in: the []byte a
+// frontend decoded in place off the wire, or the string a linked item
+// keeps.
+type wireKey interface{ ~string | ~[]byte }
 
-// hashKeyBytes is hashKey for a []byte key (same function, no
-// conversion), so wire-decoded keys can be looked up without building a
-// string.
-func hashKeyBytes(key []byte) uint64 {
+// hashKey is FNV-1a, memcached-style key hashing, over either form with
+// no conversion.
+func hashKey[K wireKey](key K) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -67,26 +61,13 @@ func (t *hashTable) bucketFor(h uint64) (tbl []*Item, idx int) {
 	return t.primary, int(h & uint64(len(t.primary)-1))
 }
 
-// Get finds the item for key, or nil.
-func (t *hashTable) Get(key string) *Item {
+// lookup finds the item for key, or nil — the table's one lookup, for
+// wire keys and item keys alike. The string conversion in the
+// comparison does not allocate (the compiler compares in place), so the
+// datapath looks keys up straight out of receive buffers.
+func lookup[K wireKey](t *hashTable, key K) *Item {
 	t.migrate()
-	h := hashKey(key)
-	tbl, idx := t.bucketFor(h)
-	for it := tbl[idx]; it != nil; it = it.hnext {
-		if it.key == key {
-			return it
-		}
-	}
-	return nil
-}
-
-// GetBytes is Get for a wire-decoded []byte key. The string conversion
-// in the comparison does not allocate (the compiler compares in place),
-// so the AM hot path can look keys up straight out of receive buffers.
-func (t *hashTable) GetBytes(key []byte) *Item {
-	t.migrate()
-	h := hashKeyBytes(key)
-	tbl, idx := t.bucketFor(h)
+	tbl, idx := t.bucketFor(hashKey(key))
 	for it := tbl[idx]; it != nil; it = it.hnext {
 		if it.key == string(key) {
 			return it

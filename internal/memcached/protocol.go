@@ -25,12 +25,6 @@ type ProtoConn struct {
 	w     io.Writer
 	store *Store
 
-	// opCost/copyRate describe the serving thread's critical section for
-	// the virtual-time lock model (SetCostModel). Zero opCost disables
-	// lock accounting — the default for raw uses of ProtoConn.
-	opCost   simnet.Duration
-	copyRate float64
-
 	// Per-connection staging buffers, reused across commands so a burst
 	// of pipelined requests re-grows nothing. Both the stream writer and
 	// the store copy out of them before the next command runs, so reuse
@@ -43,49 +37,13 @@ type ProtoConn struct {
 	// the parsed line aliases the reader's buffer, which that read reuses.
 	// crlf receives the block's terminator (a local would escape through
 	// io.ReadFull's interface argument).
-	keyBuf [250]byte
+	keyBuf [maxKeyLen]byte
 	crlf   [2]byte
 }
 
 // NewProtoConn wraps a stream.
 func NewProtoConn(rw io.ReadWriter, store *Store) *ProtoConn {
 	return &ProtoConn{r: bufio.NewReaderSize(rw, 16*1024), w: rw, store: store}
-}
-
-// SetCostModel arms per-command lock accounting: each command's shard
-// lock is held for opCost plus the value bytes it copies while locked
-// (at copyRate bytes/sec), and any queueing delay behind other serving
-// threads is added to the connection's clock.
-func (pc *ProtoConn) SetCostModel(opCost simnet.Duration, copyRate float64) {
-	pc.opCost = opCost
-	pc.copyRate = copyRate
-}
-
-// chargeLock queues the just-executed command behind key's shard lock.
-// Only the wait advances the clock: the hold itself is covered by the
-// OpCost and stream copy charges the server already pays per op.
-func (pc *ProtoConn) chargeLock(clk *simnet.VClock, key []byte, copied int) {
-	pc.chargeLockAt(clk, clk.Now(), key, copied)
-}
-
-// chargeLockAt is chargeLock for one key of a multi-key command: the
-// shard is acquired at cursor — where this command's previous hold
-// ended — so a burst of same-shard keys extends one backlog that other
-// workers queue behind, instead of queueing this worker behind its own
-// holds. Returns the cursor for the command's next key.
-func (pc *ProtoConn) chargeLockAt(clk *simnet.VClock, cursor simnet.Time, key []byte, copied int) simnet.Time {
-	if pc.opCost <= 0 {
-		return cursor
-	}
-	hold := pc.opCost
-	if pc.copyRate > 0 {
-		hold += simnet.BytesDuration(copied, pc.copyRate)
-	}
-	if wait := pc.store.LockWaitBytes(key, cursor, hold); wait > 0 {
-		clk.Advance(wait)
-		cursor += wait
-	}
-	return cursor + hold
 }
 
 // Buffered reports bytes already read off the stream but not yet
@@ -146,7 +104,7 @@ func (pc *ProtoConn) reply(line []byte) error {
 func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error {
 	n := 0
 	for key, rest := NextTextToken(keys); key != nil; key, rest = NextTextToken(rest) {
-		if len(key) > 250 {
+		if len(key) > maxKeyLen {
 			return pc.reply(textBadFormat)
 		}
 		n++
@@ -159,11 +117,11 @@ func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error
 	for key, rest := NextTextToken(keys); key != nil; key, rest = NextTextToken(rest) {
 		// The sockets engine copies the value out while holding the lock.
 		copied := 0
-		pc.store.ViewBytes(key, clk.Now(), func(it *Item) {
+		pc.store.View(key, clk.Now(), func(it *Item) {
 			sb = AppendTextValue(sb, it.key, it.flags, it.value, it.casID, withCAS)
 			copied = len(it.value)
 		})
-		cursor = pc.chargeLockAt(clk, cursor, key, copied)
+		cursor = chargeLock(pc.store, clk, cursor, key, copied)
 	}
 	sb = append(sb, textEnd...)
 	_, err := pc.w.Write(sb)
@@ -202,7 +160,7 @@ func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
 		// drained to keep the stream in sync, like memcached's
 		// swallow-then-error path.
 		pc.discard(int64(c.nbytes) + 2)
-		pc.chargeLock(clk, key, 0)
+		chargeLock(pc.store, clk, clk.Now(), key, 0)
 		if c.noreply {
 			return nil
 		}
@@ -224,11 +182,11 @@ func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
 	if mutProtoDropFlags {
 		c.flags = 0
 	}
-	res := pc.store.StoreBytes(op, key, c.flags, c.exptime, value, c.casID, clk.Now())
+	res := pc.store.Store(op, key, c.flags, c.exptime, value, c.casID, clk.Now())
 	// The sockets engine copies the inbound value into slab memory while
 	// holding the lock (unlike the UCR path, where RDMA lands the value
 	// before the commit takes it).
-	pc.chargeLock(clk, key, c.nbytes)
+	chargeLock(pc.store, clk, clk.Now(), key, c.nbytes)
 	if c.noreply {
 		return nil
 	}
@@ -248,8 +206,8 @@ func (pc *ProtoConn) cmdDelete(args []byte, clk *simnet.VClock) error {
 		return pc.reply(textError)
 	}
 	noreply := n == 2 && string(f[1]) == "noreply"
-	ok := pc.store.DeleteBytes(f[0], clk.Now())
-	pc.chargeLock(clk, f[0], 0)
+	ok := pc.store.Delete(f[0], clk.Now())
+	chargeLock(pc.store, clk, clk.Now(), f[0], 0)
 	if noreply {
 		return nil
 	}
@@ -270,8 +228,8 @@ func (pc *ProtoConn) cmdIncrDecr(args []byte, incr bool, clk *simnet.VClock) err
 	if err != nil {
 		return pc.reply(textBadDelta)
 	}
-	val, found, bad, oom := pc.store.IncrDecrBytes(f[0], delta, incr, clk.Now())
-	pc.chargeLock(clk, f[0], 0)
+	val, found, bad, oom := pc.store.IncrDecr(f[0], delta, incr, clk.Now())
+	chargeLock(pc.store, clk, clk.Now(), f[0], 0)
 	if noreply {
 		return nil
 	}
@@ -300,8 +258,8 @@ func (pc *ProtoConn) cmdTouch(args []byte, clk *simnet.VClock) error {
 		return pc.reply(textBadFormat)
 	}
 	now := clk.Now()
-	pc.chargeLock(clk, f[0], 0)
-	ok := pc.store.TouchBytes(f[0], exptime, now)
+	chargeLock(pc.store, clk, clk.Now(), f[0], 0)
+	ok := pc.store.Touch(f[0], exptime, now)
 	if noreply {
 		return nil
 	}

@@ -146,12 +146,12 @@ func cloneBytes(b []byte) []byte {
 }
 
 // recordGet emits a get record; it is nil on a miss.
-func (s *Store) recordGet(key string, it *Item, now simnet.Time) {
+func (s *Store) recordGet(key []byte, it *Item, now simnet.Time) {
 	rc := s.rec.Load()
 	if rc == nil {
 		return
 	}
-	r := &OpRecord{Kind: RecGet, Key: key, Now: now}
+	r := &OpRecord{Kind: RecGet, Key: string(key), Now: now}
 	if it != nil {
 		r.Hit = true
 		r.Value = cloneBytes(it.value)
@@ -165,13 +165,13 @@ func (s *Store) recordGet(key string, it *Item, now simnet.Time) {
 
 // recordStore emits a store-class record; it is nil when the op stored
 // nothing (conditional failure, OOM, too large).
-func (s *Store) recordStore(kind OpKind, key string, value []byte, flags uint32, exptime int64, casReq uint64, it *Item, res StoreResult, now simnet.Time) {
+func (s *Store) recordStore(kind OpKind, key, value []byte, flags uint32, exptime int64, casReq uint64, it *Item, res StoreResult, now simnet.Time) {
 	rc := s.rec.Load()
 	if rc == nil {
 		return
 	}
 	r := &OpRecord{
-		Kind: kind, Key: key, Now: now, Res: res,
+		Kind: kind, Key: string(key), Now: now, Res: res,
 		Flags: flags, Exptime: exptime, CasReq: casReq,
 		Value: cloneBytes(value),
 	}

@@ -204,6 +204,7 @@ func (q *setPendQ) pop() (setPending, bool) {
 func NewServer(ex *simnet.Executor, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, store: NewStore(cfg.Store)}
+	s.store.opCost, s.store.copyRate = cfg.OpCost, cfg.CopyBytesPerSec
 	s.disp = ex.NewActor(s.dispatch)
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
@@ -316,9 +317,7 @@ func (s *Server) dispatch() {
 			w := s.pickWorker()
 			conn.NoDelay = true
 			conn.SetClock(w.clk)
-			proto := NewProtoConn(conn, s.store)
-			proto.SetCostModel(s.cfg.OpCost, s.cfg.CopyBytesPerSec)
-			cs := &connState{conn: conn, proto: proto}
+			cs := &connState{conn: conn, proto: NewProtoConn(conn, s.store)}
 			s.conns = append(s.conns, cs)
 			// Owning the connection lists it as ready at once if bytes (or
 			// a close) beat the accept, and on every later arrival.

@@ -56,6 +56,9 @@ type Stats struct {
 // itemOverhead models memcached's per-item header in chunk sizing.
 const itemOverhead = 48
 
+// maxKeyLen is the protocol's key-length cap.
+const maxKeyLen = 250
+
 // evictionTries bounds the LRU tail walk, like memcached's tries=50.
 const evictionTries = 50
 
@@ -137,6 +140,12 @@ type Store struct {
 	evictions bool
 	limit     int64
 
+	// opCost and copyRate are the serving threads' critical-section
+	// model (chargeLock): the Server that owns the store sets them once,
+	// before serving. Zero — a bare NewStore — charges nothing.
+	opCost   simnet.Duration
+	copyRate float64
+
 	// nextCAS is global, not per-shard: memcached CAS IDs are one
 	// process-wide sequence, and keeping it that way also keeps the
 	// IDs — which travel in "gets" responses — independent of the
@@ -202,35 +211,43 @@ func (s *Store) NumStripes() int { return len(s.shards) }
 // and the low bits index buckets inside the shard's table, so the
 // selector multiplies every input bit into fresh high bits instead of
 // reusing either end directly.
-func (s *Store) shardFor(key string) *shard {
+func shardFor[K wireKey](s *Store, key K) *shard {
 	h := hashKey(key) * 0x9e3779b97f4a7c15
 	return s.shards[(h>>32)&s.shardMask]
 }
 
-// shardForBytes is shardFor over a wire-decoded []byte key.
-func (s *Store) shardForBytes(key []byte) *shard {
-	h := hashKeyBytes(key) * 0x9e3779b97f4a7c15
-	return s.shards[(h>>32)&s.shardMask]
-}
-
-// LockWait models taking the key's shard lock at now for hold: the
+// lockWait models taking the key's shard lock at now for hold: the
 // acquisition is queued on the shard's resource behind other workers'
 // in-flight holds, and the returned wait is the queueing delay the
-// caller must add to its clock. The hold itself is the caller's
-// existing per-op charges (OpCost, copy costs) — callers never charge
-// it twice. Uncontended acquisitions (single worker, single client, or
-// untouched stripes) return 0, leaving those runs bit-identical.
-func (s *Store) LockWait(key string, now simnet.Time, hold simnet.Duration) simnet.Duration {
-	sh := s.shardFor(key)
-	start := sh.res.Acquire(now, hold)
-	return simnet.Duration(start - now)
+// caller must add to its clock. Uncontended acquisitions (single
+// worker, single client, or untouched stripes) return 0, leaving those
+// runs bit-identical.
+func lockWait[K wireKey](s *Store, key K, now simnet.Time, hold simnet.Duration) simnet.Duration {
+	return shardFor(s, key).res.Acquire(now, hold) - now
 }
 
-// LockWaitBytes is LockWait for a wire-decoded []byte key.
-func (s *Store) LockWaitBytes(key []byte, now simnet.Time, hold simnet.Duration) simnet.Duration {
-	sh := s.shardForBytes(key)
-	start := sh.res.Acquire(now, hold)
-	return simnet.Duration(start - now)
+// chargeLock is the one definition of the shard-lock charge, shared by
+// both frontends: the command that just ran on key takes the key's
+// shard lock at cursor for the engine critical section — the store's
+// opCost plus the bytes copied while locked, at copyRate bytes/sec —
+// and only the queueing wait advances clk. The hold itself is covered
+// by the per-op charges the serving thread already pays (never charged
+// twice), and it stays at full opCost even in a coalesced drain:
+// batching amortizes the worker's fixed costs, not the engine's
+// critical section. The return value is where the hold ends: a
+// multi-key command acquires its next key there, so a burst of
+// same-shard keys extends one backlog that other workers queue behind
+// instead of queueing this worker behind its own holds; single-key
+// commands pass clk.Now(). A zero opCost charges nothing (a store no
+// Server owns).
+func chargeLock[K wireKey](s *Store, clk *simnet.VClock, cursor simnet.Time, key K, copied int) simnet.Time {
+	if s.opCost <= 0 {
+		return cursor
+	}
+	hold := s.opCost + simnet.BytesDuration(copied, s.copyRate)
+	wait := lockWait(s, key, cursor, hold)
+	clk.Advance(wait)
+	return cursor + wait + hold
 }
 
 // LockStats sums lock occupancy across shards (busy virtual time and
@@ -258,17 +275,8 @@ func expiryTime(exptime int64, now simnet.Time) simnet.Time {
 }
 
 // lookupLocked finds a live item, lazily reaping an expired one.
-func (s *Store) lookupLocked(sh *shard, key string, now simnet.Time) *Item {
-	return s.liveItem(sh, sh.table.Get(key), now)
-}
-
-// lookupLockedBytes is lookupLocked for a wire-decoded []byte key.
-func (s *Store) lookupLockedBytes(sh *shard, key []byte, now simnet.Time) *Item {
-	return s.liveItem(sh, sh.table.GetBytes(key), now)
-}
-
-// liveItem applies lazy expiry to a table hit.
-func (s *Store) liveItem(sh *shard, it *Item, now simnet.Time) *Item {
+func (s *Store) lookupLocked(sh *shard, key []byte, now simnet.Time) *Item {
+	it := lookup(sh.table, key)
 	if it == nil {
 		return nil
 	}
@@ -335,6 +343,19 @@ func (s *Store) allocLocked(sh *shard, n int, now simnet.Time) (chunk, StoreResu
 	}
 }
 
+// internKeyLocked resolves the string an item about to be linked keeps
+// for a wire-decoded key: when the key is already resident (even
+// expired — strings are immutable) its existing string is reused, so
+// steady-state overwrites of a live keyspace never allocate. A
+// first-seen key converts once. Nothing else in the engine builds a key
+// string outside a history record.
+func internKeyLocked(sh *shard, key []byte) string {
+	if it := lookup(sh.table, key); it != nil {
+		return it.key
+	}
+	return string(key)
+}
+
 // newItemLocked allocates and fills an unlinked item.
 func (s *Store) newItemLocked(sh *shard, key string, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
 	c, res := s.allocLocked(sh, len(key)+valueLen+itemOverhead, now)
@@ -356,7 +377,7 @@ func (s *Store) newItemLocked(sh *shard, key string, flags uint32, exptime int64
 
 // linkLocked commits an item, replacing any existing entry for the key.
 func (s *Store) linkLocked(sh *shard, it *Item, now simnet.Time) {
-	if old := sh.table.Get(it.key); old != nil {
+	if old := lookup(sh.table, it.key); old != nil {
 		s.unlinkLocked(sh, old)
 	}
 	sh.table.Put(it)
@@ -371,12 +392,13 @@ func (s *Store) linkLocked(sh *shard, it *Item, now simnet.Time) {
 
 // AllocateItem reserves an unlinked item whose value buffer the caller
 // fills before CommitItem — the UCR Set path lands the client's RDMA-
-// read value directly in this slab memory (§V-B).
-func (s *Store) AllocateItem(key string, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
-	sh := s.shardFor(key)
+// read value directly in this slab memory (§V-B). Alloc-free for keys
+// already resident.
+func (s *Store) AllocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it, res := s.newItemLocked(sh, key, flags, exptime, valueLen, now)
+	it, res := s.newItemLocked(sh, internKeyLocked(sh, key), flags, exptime, valueLen, now)
 	if res == Stored {
 		it.refcount++ // pinned until commit/abort
 	} else {
@@ -387,35 +409,9 @@ func (s *Store) AllocateItem(key string, flags uint32, exptime int64, valueLen i
 	return it, res
 }
 
-// internKeyLocked resolves the stable string for a wire-decoded key:
-// when the key is already resident (even expired — strings are
-// immutable) its existing string is reused, so steady-state overwrites
-// of a live keyspace never allocate. A first-seen key converts once.
-func internKeyLocked(sh *shard, key []byte) string {
-	if it := sh.table.GetBytes(key); it != nil {
-		return it.key
-	}
-	return string(key)
-}
-
-// AllocateItemBytes is AllocateItem for a wire-decoded []byte key — the
-// UCR hot path's entry, alloc-free for keys already resident.
-func (s *Store) AllocateItemBytes(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, res := s.newItemLocked(sh, internKeyLocked(sh, key), flags, exptime, valueLen, now)
-	if res == Stored {
-		it.refcount++ // pinned until commit/abort
-	} else if s.rec.Load() != nil {
-		s.recordStore(RecSet, string(key), nil, flags, exptime, 0, nil, res, now)
-	}
-	return it, res
-}
-
 // CommitItem links a previously allocated item.
 func (s *Store) CommitItem(it *Item, now simnet.Time) {
-	sh := s.shardFor(it.key)
+	sh := shardFor(s, it.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	it.refcount--
@@ -433,7 +429,7 @@ func (s *Store) CommitItem(it *Item, now simnet.Time) {
 
 // AbortItem releases an allocated-but-uncommitted item.
 func (s *Store) AbortItem(it *Item) {
-	sh := s.shardFor(it.key)
+	sh := shardFor(s, it.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	it.refcount--
@@ -443,30 +439,18 @@ func (s *Store) AbortItem(it *Item) {
 	}
 }
 
-// storeOp runs one storage verb (a StoreOp* code) for a string key.
-func (s *Store) storeOp(op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.storeLocked(sh, op, key, flags, exptime, value, casID, now)
-}
-
-// StoreBytes is the storage verbs' entry for a wire-decoded []byte key —
-// the text protocol's, and AMStore's. The key is interned under the
-// shard lock, so overwriting a resident key allocates nothing; op is a
-// StoreOp* code (an unknown one stores nothing).
-func (s *Store) StoreBytes(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.storeLocked(sh, op, internKeyLocked(sh, key), flags, exptime, value, casID, now)
-}
-
-// storeLocked executes one storage verb. Caller holds sh.mu.
-func (s *Store) storeLocked(sh *shard, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
+// Store runs one storage verb for a wire-decoded key — the text
+// protocol's entry, and AMStore's. op is a StoreOp* code (an unknown
+// one stores nothing). The key's string is built only if an item is
+// linked under a key not already resident, so overwriting a resident
+// key — and any conditional miss — allocates nothing.
+func (s *Store) Store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
 	if op < StoreOpAdd || op > StoreOpSet {
 		return NotStored
 	}
+	sh := shardFor(s, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	sh.stats.cmdSet.Add(1)
 	// set / add / replace differ only in the presence test that gates
 	// the unconditional store.
@@ -493,28 +477,15 @@ func (s *Store) storeLocked(sh *shard, op uint8, key string, flags uint32, expti
 	return res
 }
 
-// Set unconditionally stores key=value.
+// Set stores key=value unconditionally. It and Get are the engine's only
+// string-keyed entries, kept as adapters for the fenced
+// benchmark/probes.go; the key is copied to the stack, not the heap.
 func (s *Store) Set(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
-	return s.storeOp(StoreOpSet, key, flags, exptime, value, 0, now)
-}
-
-// Add stores only if the key is absent.
-func (s *Store) Add(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
-	return s.storeOp(StoreOpAdd, key, flags, exptime, value, 0, now)
-}
-
-// Replace stores only if the key is present.
-func (s *Store) Replace(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
-	return s.storeOp(StoreOpReplace, key, flags, exptime, value, 0, now)
-}
-
-// Cas stores only if the entry's CAS id still matches.
-func (s *Store) Cas(key string, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
-	return s.storeOp(StoreOpCas, key, flags, exptime, value, casID, now)
+	return s.Store(StoreOpSet, append(make([]byte, 0, maxKeyLen), key...), flags, exptime, value, 0, now)
 }
 
 // casLocked is the cas verb's body. Caller holds sh.mu.
-func (s *Store) casLocked(sh *shard, key string, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
+func (s *Store) casLocked(sh *shard, key []byte, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
 	it := s.lookupLocked(sh, key, now)
 	if it == nil {
 		sh.stats.casMisses.Add(1)
@@ -535,8 +506,8 @@ func (s *Store) casLocked(sh *shard, key string, flags uint32, exptime int64, va
 // setLocked is the shared unconditional-store tail. The stored item is
 // returned so callers can record the assigned CAS/expiry (nil on
 // failure).
-func (s *Store) setLocked(sh *shard, key string, flags uint32, exptime int64, value []byte, now simnet.Time) (*Item, StoreResult) {
-	it, res := s.newItemLocked(sh, key, flags, exptime, len(value), now)
+func (s *Store) setLocked(sh *shard, key []byte, flags uint32, exptime int64, value []byte, now simnet.Time) (*Item, StoreResult) {
+	it, res := s.newItemLocked(sh, internKeyLocked(sh, key), flags, exptime, len(value), now)
 	if res != Stored {
 		return nil, res
 	}
@@ -563,7 +534,7 @@ func (s *Store) releasePin(sh *shard, it *Item) {
 // old itself — freeing the chunk old.value aliases, so the copy below
 // would read (or, after the free list recycles the chunk into the new
 // item, overwrite) freed slab memory.
-func (s *Store) concatLocked(sh *shard, key string, add []byte, prepend bool, now simnet.Time) StoreResult {
+func (s *Store) concatLocked(sh *shard, key []byte, add []byte, prepend bool, now simnet.Time) StoreResult {
 	kind := RecAppend
 	if prepend {
 		kind = RecPrepend
@@ -571,22 +542,22 @@ func (s *Store) concatLocked(sh *shard, key string, add []byte, prepend bool, no
 	old := s.lookupLocked(sh, key, now)
 	if old == nil {
 		if rc := s.rec.Load(); rc != nil {
-			rc.emit(&OpRecord{Kind: kind, Key: key, Now: now, Res: NotStored, Arg: cloneBytes(add)})
+			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Res: NotStored, Arg: cloneBytes(add)})
 		}
 		return NotStored
 	}
 	old.refcount++
-	oldCAS := old.casID
+	skey, oldCAS := old.key, old.casID // outlive old: releasePin may recycle the header
 	var oldVal []byte
 	if s.rec.Load() != nil {
 		oldVal = cloneBytes(old.value)
 	}
-	it, res := s.newItemLocked(sh, key, old.flags, 0, len(old.value)+len(add), now)
+	it, res := s.newItemLocked(sh, skey, old.flags, 0, len(old.value)+len(add), now)
 	if res != Stored {
 		s.releasePin(sh, old)
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{
-				Kind: kind, Key: key, Now: now, Res: res,
+				Kind: kind, Key: skey, Now: now, Res: res,
 				Arg: cloneBytes(add), OldValue: oldVal, OldCAS: oldCAS,
 			})
 		}
@@ -609,7 +580,7 @@ func (s *Store) concatLocked(sh *shard, key string, add []byte, prepend bool, no
 	s.linkLocked(sh, it, now)
 	if rc := s.rec.Load(); rc != nil {
 		rc.emit(&OpRecord{
-			Kind: kind, Key: key, Now: now, Res: Stored,
+			Kind: kind, Key: skey, Now: now, Res: Stored,
 			Arg: cloneBytes(add), OldValue: oldVal, OldCAS: oldCAS,
 			Value: cloneBytes(it.value), Flags: it.flags, NewCAS: it.casID,
 			ExpireAt: it.expireAt, SetAt: it.setAt,
@@ -618,92 +589,47 @@ func (s *Store) concatLocked(sh *shard, key string, add []byte, prepend bool, no
 	return Stored
 }
 
-// Append adds bytes after an existing value.
-func (s *Store) Append(key string, value []byte, now simnet.Time) StoreResult {
-	return s.storeOp(StoreOpAppend, key, 0, 0, value, 0, now)
-}
-
-// Prepend adds bytes before an existing value.
-func (s *Store) Prepend(key string, value []byte, now simnet.Time) StoreResult {
-	return s.storeOp(StoreOpPrepend, key, 0, 0, value, 0, now)
-}
-
-// Get copies out the value for key. ok=false is a miss.
+// Get copies out the value for key (see Set). ok=false is a miss.
 func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, casID uint64, ok bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.cmdGet.Add(1)
-	it := s.lookupLocked(sh, key, now)
-	if it == nil {
-		sh.stats.getMisses.Add(1)
-		s.recordGet(key, nil, now)
-		return nil, 0, 0, false
-	}
-	sh.stats.getHits.Add(1)
-	sh.lru.touch(it)
-	s.recordGet(key, it, now)
-	out := make([]byte, len(it.value))
-	copy(out, it.value)
-	return out, it.flags, it.casID, true
-}
-
-// GetPinned returns the live item with its refcount raised, so its slab
-// memory stays valid while a reply transfer (possibly a client-issued
-// RDMA read) is in flight. The caller must Unpin.
-func (s *Store) GetPinned(key string, now simnet.Time) (*Item, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.cmdGet.Add(1)
-	it := s.lookupLocked(sh, key, now)
-	if it == nil {
-		sh.stats.getMisses.Add(1)
-		s.recordGet(key, nil, now)
-		return nil, false
-	}
-	sh.stats.getHits.Add(1)
-	sh.lru.touch(it)
-	s.recordGet(key, it, now)
-	it.refcount++
-	return it, true
+	ok = s.View(append(make([]byte, 0, maxKeyLen), key...), now, func(it *Item) {
+		value, flags, casID = append(make([]byte, 0, len(it.value)), it.value...), it.flags, it.casID
+	})
+	return value, flags, casID, ok
 }
 
 // Unpin releases a GetPinned reference, freeing the chunk if the item
 // was unlinked (replaced/evicted/deleted) while pinned.
 func (s *Store) Unpin(it *Item) {
-	sh := s.shardFor(it.key)
+	sh := shardFor(s, it.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.releasePin(sh, it)
 }
 
-// getLockedBytes is the GET lookup for a wire-decoded []byte key: hit and
-// miss counters, the LRU touch and the history record, alloc-free end
-// to end. Caller holds sh.mu; nil is a miss.
-func (s *Store) getLockedBytes(sh *shard, key []byte, now simnet.Time) *Item {
+// getLocked is the GET lookup: hit and miss counters, the LRU touch and
+// the history record, alloc-free end to end. Caller holds sh.mu; nil is
+// a miss.
+func (s *Store) getLocked(sh *shard, key []byte, now simnet.Time) *Item {
 	sh.stats.cmdGet.Add(1)
-	it := s.lookupLockedBytes(sh, key, now)
+	it := s.lookupLocked(sh, key, now)
 	if it == nil {
 		sh.stats.getMisses.Add(1)
-		if s.rec.Load() != nil {
-			s.recordGet(string(key), nil, now)
-		}
-		return nil
+	} else {
+		sh.stats.getHits.Add(1)
+		sh.lru.touch(it)
 	}
-	sh.stats.getHits.Add(1)
-	sh.lru.touch(it)
-	s.recordGet(it.key, it, now)
+	s.recordGet(key, it, now)
 	return it
 }
 
-// GetPinnedBytes is GetPinned for a wire-decoded []byte key — the UCR
-// hot path's entry.
-func (s *Store) GetPinnedBytes(key []byte, now simnet.Time) (*Item, bool) {
-	sh := s.shardForBytes(key)
+// GetPinned returns the live item with its refcount raised, so its slab
+// memory stays valid while a reply transfer (possibly a client-issued
+// RDMA read) is in flight. The caller must Unpin.
+func (s *Store) GetPinned(key []byte, now simnet.Time) (*Item, bool) {
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it := s.getLockedBytes(sh, key, now)
+	it := s.getLocked(sh, key, now)
 	if it == nil {
 		return nil, false
 	}
@@ -711,15 +637,15 @@ func (s *Store) GetPinnedBytes(key []byte, now simnet.Time) (*Item, bool) {
 	return it, true
 }
 
-// ViewBytes is the sockets engine's GET: instead of pinning the hit it
-// runs read on it while the shard lock is held, which is where that
-// engine copies the value out (and what its lock-hold charge models).
-// read must not call back into the Store or retain the item.
-func (s *Store) ViewBytes(key []byte, now simnet.Time, read func(*Item)) bool {
-	sh := s.shardForBytes(key)
+// View is the sockets engine's GET: instead of pinning the hit it runs
+// read on it while the shard lock is held, which is where that engine
+// copies the value out (and what its lock-hold charge models). read must
+// not call back into the Store or retain the item.
+func (s *Store) View(key []byte, now simnet.Time, read func(*Item)) bool {
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it := s.getLockedBytes(sh, key, now)
+	it := s.getLocked(sh, key, now)
 	if it == nil {
 		return false
 	}
@@ -728,33 +654,21 @@ func (s *Store) ViewBytes(key []byte, now simnet.Time, read func(*Item)) bool {
 }
 
 // Delete removes key. ok=false is a miss.
-func (s *Store) Delete(key string, now simnet.Time) bool {
-	sh := s.shardFor(key)
+func (s *Store) Delete(key []byte, now simnet.Time) bool {
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.deleteLocked(sh, key, now)
-}
-
-// DeleteBytes is Delete for a wire-decoded []byte key.
-func (s *Store) DeleteBytes(key []byte, now simnet.Time) bool {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.deleteLocked(sh, internKeyLocked(sh, key), now)
-}
-
-func (s *Store) deleteLocked(sh *shard, key string, now simnet.Time) bool {
 	it := s.lookupLocked(sh, key, now)
 	if it == nil {
 		sh.stats.deleteMisses.Add(1)
 		if rc := s.rec.Load(); rc != nil {
-			rc.emit(&OpRecord{Kind: RecDelete, Key: key, Now: now})
+			rc.emit(&OpRecord{Kind: RecDelete, Key: string(key), Now: now})
 		}
 		return false
 	}
 	sh.stats.deleteHits.Add(1)
 	if rc := s.rec.Load(); rc != nil {
-		rc.emit(&OpRecord{Kind: RecDelete, Key: key, Now: now, Hit: true, OldCAS: it.casID})
+		rc.emit(&OpRecord{Kind: RecDelete, Key: it.key, Now: now, Hit: true, OldCAS: it.casID})
 	}
 	if !mutDeleteNoop {
 		s.unlinkLocked(sh, it)
@@ -766,22 +680,10 @@ func (s *Store) deleteLocked(sh *shard, key string, now simnet.Time) bool {
 // is not an unsigned number (protocol CLIENT_ERROR); oom=true means the
 // grown value could not be allocated (protocol SERVER_ERROR) — a server
 // failure, distinct from the caller's mistake.
-func (s *Store) IncrDecr(key string, delta uint64, incr bool, now simnet.Time) (newVal uint64, found, badValue, oom bool) {
-	sh := s.shardFor(key)
+func (s *Store) IncrDecr(key []byte, delta uint64, incr bool, now simnet.Time) (newVal uint64, found, badValue, oom bool) {
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.incrDecrLocked(sh, key, delta, incr, now)
-}
-
-// IncrDecrBytes is IncrDecr for a wire-decoded []byte key.
-func (s *Store) IncrDecrBytes(key []byte, delta uint64, incr bool, now simnet.Time) (newVal uint64, found, badValue, oom bool) {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.incrDecrLocked(sh, internKeyLocked(sh, key), delta, incr, now)
-}
-
-func (s *Store) incrDecrLocked(sh *shard, key string, delta uint64, incr bool, now simnet.Time) (newVal uint64, found, badValue, oom bool) {
 	kind := RecIncr
 	if !incr {
 		kind = RecDecr
@@ -794,14 +696,15 @@ func (s *Store) incrDecrLocked(sh *shard, key string, delta uint64, incr bool, n
 			sh.stats.decrMisses.Add(1)
 		}
 		if rc := s.rec.Load(); rc != nil {
-			rc.emit(&OpRecord{Kind: kind, Key: key, Now: now, Delta: delta})
+			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Delta: delta})
 		}
 		return 0, false, false, false
 	}
+	skey := it.key // outlives it: the grow path may recycle the header
 	cur, err := strconv.ParseUint(string(it.value), 10, 64)
 	if err != nil {
 		if rc := s.rec.Load(); rc != nil {
-			rc.emit(&OpRecord{Kind: kind, Key: key, Now: now, Delta: delta, Hit: true, Bad: true, OldCAS: it.casID})
+			rc.emit(&OpRecord{Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true, Bad: true, OldCAS: it.casID})
 		}
 		return 0, true, true, false
 	}
@@ -817,7 +720,8 @@ func (s *Store) incrDecrLocked(sh *shard, key string, delta uint64, incr bool, n
 		}
 	}
 	oldCAS := it.casID
-	text := strconv.FormatUint(cur, 10)
+	var digits [20]byte // a uint64 in decimal
+	text := strconv.AppendUint(digits[:0], cur, 10)
 	if len(text) <= len(it.value) {
 		// Fits in place: memcached right-pads with spaces semantics are
 		// emulated by shrinking the value slice to the new length. The
@@ -830,7 +734,7 @@ func (s *Store) incrDecrLocked(sh *shard, key string, delta uint64, incr bool, n
 		})
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{
-				Kind: kind, Key: key, Now: now, Delta: delta, Hit: true,
+				Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true,
 				NewNum: cur, Value: cloneBytes(it.value), Flags: it.flags,
 				NewCAS: it.casID, OldCAS: oldCAS,
 				ExpireAt: it.expireAt, SetAt: it.setAt,
@@ -842,11 +746,11 @@ func (s *Store) incrDecrLocked(sh *shard, key string, delta uint64, incr bool, n
 		// expiry we carry over) alive until the swap completes.
 		flags, exp := it.flags, it.expireAt
 		it.refcount++
-		nit, res := s.newItemLocked(sh, key, flags, 0, len(text), now)
+		nit, res := s.newItemLocked(sh, skey, flags, 0, len(text), now)
 		s.releasePin(sh, it)
 		if res != Stored {
 			if rc := s.rec.Load(); rc != nil {
-				rc.emit(&OpRecord{Kind: kind, Key: key, Now: now, Delta: delta, Hit: true, OOM: true, OldCAS: oldCAS})
+				rc.emit(&OpRecord{Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true, OOM: true, OldCAS: oldCAS})
 			}
 			return 0, true, false, true
 		}
@@ -855,7 +759,7 @@ func (s *Store) incrDecrLocked(sh *shard, key string, delta uint64, incr bool, n
 		s.linkLocked(sh, nit, now)
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{
-				Kind: kind, Key: key, Now: now, Delta: delta, Hit: true,
+				Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true,
 				NewNum: cur, Value: cloneBytes(nit.value), Flags: nit.flags,
 				NewCAS: nit.casID, OldCAS: oldCAS,
 				ExpireAt: nit.expireAt, SetAt: nit.setAt,
@@ -866,27 +770,15 @@ func (s *Store) incrDecrLocked(sh *shard, key string, delta uint64, incr bool, n
 }
 
 // Touch updates an item's expiry.
-func (s *Store) Touch(key string, exptime int64, now simnet.Time) bool {
-	sh := s.shardFor(key)
+func (s *Store) Touch(key []byte, exptime int64, now simnet.Time) bool {
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.touchLocked(sh, key, exptime, now)
-}
-
-// TouchBytes is Touch for a wire-decoded []byte key.
-func (s *Store) TouchBytes(key []byte, exptime int64, now simnet.Time) bool {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.touchLocked(sh, internKeyLocked(sh, key), exptime, now)
-}
-
-func (s *Store) touchLocked(sh *shard, key string, exptime int64, now simnet.Time) bool {
 	it := s.lookupLocked(sh, key, now)
 	if it == nil {
 		sh.stats.touchMisses.Add(1)
 		if rc := s.rec.Load(); rc != nil {
-			rc.emit(&OpRecord{Kind: RecTouch, Key: key, Now: now, Exptime: exptime})
+			rc.emit(&OpRecord{Kind: RecTouch, Key: string(key), Now: now, Exptime: exptime})
 		}
 		return false
 	}
@@ -897,7 +789,7 @@ func (s *Store) touchLocked(sh *shard, key string, exptime int64, now simnet.Tim
 	}
 	if rc := s.rec.Load(); rc != nil {
 		rc.emit(&OpRecord{
-			Kind: RecTouch, Key: key, Now: now, Exptime: exptime, Hit: true,
+			Kind: RecTouch, Key: it.key, Now: now, Exptime: exptime, Hit: true,
 			ExpireAt: it.expireAt, OldCAS: it.casID,
 		})
 	}

@@ -157,7 +157,7 @@ func TestHashTableBasics(t *testing.T) {
 		t.Fatal("table never expanded")
 	}
 	for i, it := range items {
-		got := ht.Get(it.key)
+		got := lookup(ht, it.key)
 		if got != it {
 			t.Fatalf("Get(%q) = %v", it.key, got)
 		}
@@ -165,12 +165,12 @@ func TestHashTableBasics(t *testing.T) {
 			if del := ht.Delete(it.key); del != it {
 				t.Fatalf("Delete(%q) = %v", it.key, del)
 			}
-			if ht.Get(it.key) != nil {
+			if lookup(ht, it.key) != nil {
 				t.Fatal("deleted key still present")
 			}
 		}
 	}
-	if ht.Get("absent") != nil {
+	if lookup(ht, "absent") != nil {
 		t.Fatal("absent key returned an item")
 	}
 	if ht.Delete("absent") != nil {
@@ -190,13 +190,13 @@ func TestHashTableIncrementalExpansion(t *testing.T) {
 	}
 	// Every key remains reachable mid-expansion.
 	for i := 0; i < n; i++ {
-		if ht.Get(fmt.Sprintf("k%d", i)) == nil {
+		if lookup(ht, fmt.Sprintf("k%d", i)) == nil {
 			t.Fatalf("k%d lost mid-expansion", i)
 		}
 	}
 	// A few more operations finish the migration.
 	for i := 0; ht.Expanding() && i < 10000; i++ {
-		ht.Get("k0")
+		lookup(ht, "k0")
 	}
 	if ht.Expanding() {
 		t.Fatal("expansion never finished")
@@ -219,7 +219,7 @@ func TestHashTableModelProperty(t *testing.T) {
 					model[key] = it
 				}
 			case 1:
-				if ht.Get(key) != model[key] {
+				if lookup(ht, []byte(key)) != model[key] {
 					return false
 				}
 			case 2:
@@ -234,7 +234,7 @@ func TestHashTableModelProperty(t *testing.T) {
 			return false
 		}
 		for k, v := range model {
-			if ht.Get(k) != v {
+			if lookup(ht, k) != v {
 				return false
 			}
 		}
@@ -286,16 +286,16 @@ func TestStoreOverwriteUpdatesBytes(t *testing.T) {
 
 func TestStoreAddReplace(t *testing.T) {
 	s := newTestStore()
-	if res := s.Replace("x", 0, 0, []byte("v"), 0); res != NotStored {
+	if res := s.Store(StoreOpReplace, []byte("x"), 0, 0, []byte("v"), 0, 0); res != NotStored {
 		t.Fatalf("Replace absent = %v", res)
 	}
-	if res := s.Add("x", 0, 0, []byte("v1"), 0); res != Stored {
+	if res := s.Store(StoreOpAdd, []byte("x"), 0, 0, []byte("v1"), 0, 0); res != Stored {
 		t.Fatalf("Add = %v", res)
 	}
-	if res := s.Add("x", 0, 0, []byte("v2"), 0); res != NotStored {
+	if res := s.Store(StoreOpAdd, []byte("x"), 0, 0, []byte("v2"), 0, 0); res != NotStored {
 		t.Fatalf("Add present = %v", res)
 	}
-	if res := s.Replace("x", 0, 0, []byte("v3"), 0); res != Stored {
+	if res := s.Store(StoreOpReplace, []byte("x"), 0, 0, []byte("v3"), 0, 0); res != Stored {
 		t.Fatalf("Replace = %v", res)
 	}
 	v, _, _, _ := s.Get("x", 0)
@@ -306,14 +306,14 @@ func TestStoreAddReplace(t *testing.T) {
 
 func TestStoreAppendPrepend(t *testing.T) {
 	s := newTestStore()
-	if res := s.Append("x", []byte("!"), 0); res != NotStored {
+	if res := s.Store(StoreOpAppend, []byte("x"), 0, 0, []byte("!"), 0, 0); res != NotStored {
 		t.Fatalf("Append absent = %v", res)
 	}
 	s.Set("x", 3, 0, []byte("mid"), 0)
-	if res := s.Append("x", []byte("-end"), 0); res != Stored {
+	if res := s.Store(StoreOpAppend, []byte("x"), 0, 0, []byte("-end"), 0, 0); res != Stored {
 		t.Fatal("Append failed")
 	}
-	if res := s.Prepend("x", []byte("start-"), 0); res != Stored {
+	if res := s.Store(StoreOpPrepend, []byte("x"), 0, 0, []byte("start-"), 0, 0); res != Stored {
 		t.Fatal("Prepend failed")
 	}
 	v, flags, _, _ := s.Get("x", 0)
@@ -326,14 +326,14 @@ func TestStoreCAS(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 0, []byte("v1"), 0)
 	_, _, cas, _ := s.Get("x", 0)
-	if res := s.Cas("x", 0, 0, []byte("v2"), cas, 0); res != Stored {
+	if res := s.Store(StoreOpCas, []byte("x"), 0, 0, []byte("v2"), cas, 0); res != Stored {
 		t.Fatalf("Cas fresh = %v", res)
 	}
 	// The old CAS id is now stale.
-	if res := s.Cas("x", 0, 0, []byte("v3"), cas, 0); res != Exists {
+	if res := s.Store(StoreOpCas, []byte("x"), 0, 0, []byte("v3"), cas, 0); res != Exists {
 		t.Fatalf("Cas stale = %v", res)
 	}
-	if res := s.Cas("nope", 0, 0, []byte("v"), 1, 0); res != NotFound {
+	if res := s.Store(StoreOpCas, []byte("nope"), 0, 0, []byte("v"), 1, 0); res != NotFound {
 		t.Fatalf("Cas missing = %v", res)
 	}
 	st := s.Stats()
@@ -345,10 +345,10 @@ func TestStoreCAS(t *testing.T) {
 func TestStoreDelete(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 0, []byte("v"), 0)
-	if !s.Delete("x", 0) {
+	if !s.Delete([]byte("x"), 0) {
 		t.Fatal("Delete hit failed")
 	}
-	if s.Delete("x", 0) {
+	if s.Delete([]byte("x"), 0) {
 		t.Fatal("Delete after delete hit")
 	}
 	if _, _, _, ok := s.Get("x", 0); ok {
@@ -383,13 +383,13 @@ func TestStoreExpiry(t *testing.T) {
 func TestStoreTouch(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 10, []byte("v"), 0)
-	if !s.Touch("x", 1000, 5*simnet.Second) {
+	if !s.Touch([]byte("x"), 1000, 5*simnet.Second) {
 		t.Fatal("Touch failed")
 	}
 	if _, _, _, ok := s.Get("x", 500*simnet.Second); !ok {
 		t.Fatal("touched item expired on old schedule")
 	}
-	if s.Touch("nope", 10, 0) {
+	if s.Touch([]byte("nope"), 10, 0) {
 		t.Fatal("Touch on absent key succeeded")
 	}
 }
@@ -412,22 +412,22 @@ func TestStoreFlushAll(t *testing.T) {
 func TestStoreIncrDecr(t *testing.T) {
 	s := newTestStore()
 	s.Set("n", 0, 0, []byte("10"), 0)
-	if v, found, bad, _ := s.IncrDecr("n", 5, true, 0); v != 15 || !found || bad {
+	if v, found, bad, _ := s.IncrDecr([]byte("n"), 5, true, 0); v != 15 || !found || bad {
 		t.Fatalf("Incr = (%d,%v,%v)", v, found, bad)
 	}
-	if v, _, _, _ := s.IncrDecr("n", 20, false, 0); v != 0 {
+	if v, _, _, _ := s.IncrDecr([]byte("n"), 20, false, 0); v != 0 {
 		t.Fatalf("Decr floor = %d, want 0", v)
 	}
-	if _, found, _, _ := s.IncrDecr("missing", 1, true, 0); found {
+	if _, found, _, _ := s.IncrDecr([]byte("missing"), 1, true, 0); found {
 		t.Fatal("incr on missing key found")
 	}
 	s.Set("s", 0, 0, []byte("abc"), 0)
-	if _, found, bad, oom := s.IncrDecr("s", 1, true, 0); !found || !bad || oom {
+	if _, found, bad, oom := s.IncrDecr([]byte("s"), 1, true, 0); !found || !bad || oom {
 		t.Fatal("non-numeric incr should report badValue, not oom")
 	}
 	// Growth: 9 + 1 = 10 needs one more digit (realloc path).
 	s.Set("g", 0, 0, []byte("9"), 0)
-	if v, _, _, _ := s.IncrDecr("g", 1, true, 0); v != 10 {
+	if v, _, _, _ := s.IncrDecr([]byte("g"), 1, true, 0); v != 10 {
 		t.Fatalf("Incr growth = %d", v)
 	}
 	got, _, _, _ := s.Get("g", 0)
@@ -511,13 +511,13 @@ func TestStoreLRUOrder(t *testing.T) {
 func TestStorePinBlocksEvictionAndDefersFree(t *testing.T) {
 	s := NewStore(StoreConfig{MemoryLimit: 2 << 20})
 	s.Set("pinned", 0, 0, []byte("precious"), 0)
-	it, ok := s.GetPinned("pinned", 0)
+	it, ok := s.GetPinned([]byte("pinned"), 0)
 	if !ok {
 		t.Fatal("GetPinned miss")
 	}
 	// Deleting while pinned unlinks but must not recycle the chunk.
 	free0 := s.arena.FreeChunks(it.chunk.class)
-	if !s.Delete("pinned", 0) {
+	if !s.Delete([]byte("pinned"), 0) {
 		t.Fatal("delete failed")
 	}
 	if s.arena.FreeChunks(it.chunk.class) != free0 {
@@ -534,7 +534,7 @@ func TestStorePinBlocksEvictionAndDefersFree(t *testing.T) {
 
 func TestStoreAllocateCommitAbort(t *testing.T) {
 	s := newTestStore()
-	it, res := s.AllocateItem("k", 5, 0, 8, 0)
+	it, res := s.AllocateItem([]byte("k"), 5, 0, 8, 0)
 	if res != Stored {
 		t.Fatalf("AllocateItem = %v", res)
 	}
@@ -549,7 +549,7 @@ func TestStoreAllocateCommitAbort(t *testing.T) {
 		t.Fatalf("committed = (%q,%d,%v)", v, flags, ok)
 	}
 	// Abort path returns the chunk.
-	it2, _ := s.AllocateItem("tmp", 0, 0, 8, 0)
+	it2, _ := s.AllocateItem([]byte("tmp"), 0, 0, 8, 0)
 	free0 := s.arena.FreeChunks(it2.chunk.class)
 	s.AbortItem(it2)
 	if s.arena.FreeChunks(it2.chunk.class) != free0+1 {
@@ -561,6 +561,31 @@ func TestStoreTooLarge(t *testing.T) {
 	s := newTestStore()
 	if res := s.Set("big", 0, 0, make([]byte, 2<<20), 0); res != TooLarge {
 		t.Fatalf("Set huge = %v", res)
+	}
+}
+
+// TestStoreMissAllocatesNothing: a verb that misses links nothing and,
+// with no recorder armed, records nothing — so it must not build the
+// key's string. (An absent key longer than a stack temporary: a
+// converted one is a heap allocation the count cannot miss.)
+func TestStoreMissAllocatesNothing(t *testing.T) {
+	s := newTestStore()
+	key := []byte("an-absent-key-that-is-longer-than-thirty-two-bytes")
+	val := []byte("v")
+	for name, miss := range map[string]func(){
+		"delete":  func() { s.Delete(key, 0) },
+		"touch":   func() { s.Touch(key, 10, 0) },
+		"incr":    func() { s.IncrDecr(key, 1, true, 0) },
+		"replace": func() { s.Store(StoreOpReplace, key, 0, 0, val, 0, 0) },
+		"append":  func() { s.Store(StoreOpAppend, key, 0, 0, val, 0, 0) },
+		"cas":     func() { s.Store(StoreOpCas, key, 0, 0, val, 1, 0) },
+	} {
+		if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
+			t.Errorf("%s miss: %v allocs/op, want 0", name, allocs)
+		}
+	}
+	if s.CurrItems() != 0 {
+		t.Fatalf("a miss linked an item: CurrItems = %d", s.CurrItems())
 	}
 }
 
@@ -590,7 +615,7 @@ func TestStoreModelProperty(t *testing.T) {
 				}
 			case 2:
 				_, exists := model[key]
-				if s.Delete(key, 0) != exists {
+				if s.Delete([]byte(key), 0) != exists {
 					return false
 				}
 				delete(model, key)
@@ -622,7 +647,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 				case 0, 1:
 					s.Set(key, uint32(w), 0, val, simnet.Time(i))
 				case 2:
-					if it, ok := s.GetPinned(key, simnet.Time(i)); ok {
+					if it, ok := s.GetPinned([]byte(key), simnet.Time(i)); ok {
 						if len(it.Value()) != 600 {
 							t.Errorf("pinned value len %d", len(it.Value()))
 						}
@@ -631,7 +656,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 				case 3:
 					s.Get(key, simnet.Time(i))
 				case 4:
-					s.Delete(key, simnet.Time(i))
+					s.Delete([]byte(key), simnet.Time(i))
 				}
 			}
 		}(w)

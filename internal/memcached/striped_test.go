@@ -55,7 +55,7 @@ func TestStripedStatsAggregate(t *testing.T) {
 	// shard would mean the shard picker is broken (high-bit selection).
 	perShard := make(map[*shard]int)
 	for i := 0; i < n; i++ {
-		perShard[s.shardFor(fmt.Sprintf("key-%d", i))]++
+		perShard[shardFor(s, fmt.Sprintf("key-%d", i))]++
 	}
 	if len(perShard) != 8 {
 		t.Errorf("200 keys landed on %d of 8 shards", len(perShard))
@@ -67,27 +67,27 @@ func TestStripedStatsAggregate(t *testing.T) {
 func TestLockWaitQueueing(t *testing.T) {
 	s := NewStore(StoreConfig{Stripes: 8})
 	const hold = 100 * simnet.Microsecond
-	if w := s.LockWait("a", 0, hold); w != 0 {
+	if w := lockWait(s, []byte("a"), 0, hold); w != 0 {
 		t.Errorf("first acquire waited %v", w)
 	}
-	if w := s.LockWait("a", 0, hold); w != hold {
+	if w := lockWait(s, []byte("a"), 0, hold); w != hold {
 		t.Errorf("second acquire waited %v, want %v", w, hold)
 	}
 	// A key on a different shard sees an idle resource.
 	other := ""
-	shA := s.shardFor("a")
+	shA := shardFor(s, "a")
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("other-%d", i)
-		if s.shardFor(k) != shA {
+		if shardFor(s, k) != shA {
 			other = k
 			break
 		}
 	}
-	if w := s.LockWait(other, 0, hold); w != 0 {
+	if w := lockWait(s, []byte(other), 0, hold); w != 0 {
 		t.Errorf("different shard waited %v", w)
 	}
 	// Same shard, later arrival: waits only for the remaining backlog.
-	if w := s.LockWait("a", simnet.Time(hold), hold); w != hold {
+	if w := lockWait(s, []byte("a"), simnet.Time(hold), hold); w != hold {
 		t.Errorf("backlogged acquire waited %v, want %v", w, hold)
 	}
 	busy, uses := s.LockStats()
@@ -122,7 +122,7 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 					s.Set(key, uint32(g), 0, []byte("value"), now)
 					sets[g]++
 				case 1:
-					if it, ok := s.GetPinned(key, now); ok {
+					if it, ok := s.GetPinned([]byte(key), now); ok {
 						_ = it.Value()
 						s.Unpin(it)
 					}
@@ -130,21 +130,21 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 					_, _, _, _ = s.Get(key, now)
 				case 3:
 					if _, _, cas, ok := s.Get(key, now); ok {
-						s.Cas(key, 0, 0, []byte("casval"), cas, now)
+						s.Store(StoreOpCas, []byte(key), 0, 0, []byte("casval"), cas, now)
 						sets[g]++
 					}
 				case 4:
 					s.Set(key, 0, 0, []byte("7"), now)
-					s.IncrDecr(key, 3, true, now)
+					s.IncrDecr([]byte(key), 3, true, now)
 					sets[g]++
 				case 5:
-					s.Delete(key, now)
+					s.Delete([]byte(key), now)
 				case 6:
-					s.Append(key, []byte("+tail"), now)
+					s.Store(StoreOpAppend, []byte(key), 0, 0, []byte("+tail"), 0, now)
 					sets[g]++
 				case 7:
 					// Exercise the virtual-time lock from racing actors.
-					s.LockWait(key, now, simnet.Microsecond)
+					lockWait(s, []byte(key), now, simnet.Microsecond)
 					if i == 7 && g == 0 {
 						s.FlushAll(now)
 					}

@@ -234,7 +234,7 @@ func parseTextStore(op uint8, args []byte) (c textStoreCmd, verdict textParse) {
 		c.nbytes = -1
 		return c, textBadFields
 	}
-	if err1 != nil || err2 != nil || err4 != nil || len(c.key) > 250 {
+	if err1 != nil || err2 != nil || err4 != nil || len(c.key) > maxKeyLen {
 		return c, textBadFields
 	}
 	return c, textParsed

@@ -90,7 +90,7 @@ func TestTTLTouch(t *testing.T) {
 
 	// Shorten: the touch time, not the set time, anchors the new expiry.
 	touchAt := now + simnet.Second
-	if !s.Touch("k", 5, touchAt) {
+	if !s.Touch([]byte("k"), 5, touchAt) {
 		t.Fatal("touch missed")
 	}
 	newExpire := touchAt + 5*simnet.Second
@@ -98,7 +98,7 @@ func TestTTLTouch(t *testing.T) {
 	mustMiss(t, s, "k", newExpire)
 
 	// Touch on an expired item is a miss and does not resurrect it.
-	if s.Touch("k", 1000, newExpire) {
+	if s.Touch([]byte("k"), 1000, newExpire) {
 		t.Fatal("touch resurrected an expired item")
 	}
 	mustMiss(t, s, "k", newExpire)
@@ -107,7 +107,7 @@ func TestTTLTouch(t *testing.T) {
 	if res := s.Set("k2", 0, 100, []byte("v"), now); res != Stored {
 		t.Fatal(res)
 	}
-	if !s.Touch("k2", 0, now) {
+	if !s.Touch([]byte("k2"), 0, now) {
 		t.Fatal("touch missed")
 	}
 	mustHit(t, s, "k2", 365*daySeconds*simnet.Second)

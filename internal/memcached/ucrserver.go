@@ -87,28 +87,6 @@ func (s *Server) opCharge(clk *simnet.VClock, ep *ucr.Endpoint) {
 	}
 }
 
-// chargeLock queues an AM completion handler behind the key's shard
-// lock: the hold is the engine critical section (OpCost plus bytes
-// copied while locked), and only the queueing wait advances the worker
-// clock — the hold itself is covered by the per-op charges the worker
-// already pays. Uncontended acquisitions cost nothing. The hold stays
-// at full OpCost even in a coalesced drain: batching amortizes the
-// worker's fixed costs, not the engine's critical section.
-func (s *Server) chargeLock(clk *simnet.VClock, key string, copied int) {
-	hold := s.cfg.OpCost + simnet.BytesDuration(copied, s.cfg.CopyBytesPerSec)
-	if wait := s.store.LockWait(key, clk.Now(), hold); wait > 0 {
-		clk.Advance(wait)
-	}
-}
-
-// chargeLockBytes is chargeLock for wire-decoded keys.
-func (s *Server) chargeLockBytes(clk *simnet.VClock, key []byte, copied int) {
-	hold := s.cfg.OpCost + simnet.BytesDuration(copied, s.cfg.CopyBytesPerSec)
-	if wait := s.store.LockWaitBytes(key, clk.Now(), hold); wait > 0 {
-		clk.Advance(wait)
-	}
-}
-
 // nilHeader is the header handler for AMs whose data block is empty.
 func nilHeader(*simnet.VClock, *ucr.Endpoint, []byte, int, ucr.CounterID) []byte { return nil }
 
@@ -160,7 +138,7 @@ func (s *Server) amSetHeader(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, d
 		w.pendSet(ep, setPending{res: NotStored})
 		return w.scratchBuf(dataLen)
 	}
-	it, res := s.store.AllocateItemBytes(req.Key, req.Flags, req.Exptime, dataLen, clk.Now())
+	it, res := s.store.AllocateItem(req.Key, req.Flags, req.Exptime, dataLen, clk.Now())
 	if res != Stored {
 		w.pendSet(ep, setPending{res: res, replyCtr: req.ReplyCtr})
 		return w.scratchBuf(dataLen)
@@ -185,7 +163,7 @@ func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 	if p.item != nil {
 		// No copy extends the hold: the value already landed in slab
 		// memory via RDMA before the commit takes the lock (§V-B).
-		s.chargeLock(clk, p.item.Key(), 0)
+		chargeLock(s.store, clk, clk.Now(), p.item.key, 0)
 		s.store.CommitItem(p.item, clk.Now())
 	} else {
 		status = AMError
@@ -212,8 +190,8 @@ func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 		s.OpsServed.Add(1)
 		// The reply is served from the pinned item's slab memory, so no
 		// copy extends the hold (§V-C).
-		s.chargeLockBytes(clk, req.Key, 0)
-		it, ok := s.store.GetPinnedBytes(req.Key, clk.Now())
+		chargeLock(s.store, clk, clk.Now(), req.Key, 0)
+		it, ok := s.store.GetPinned(req.Key, clk.Now())
 		if !ok {
 			w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMMiss})
 			_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
@@ -251,8 +229,8 @@ func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 			}
 			s.opCharge(clk, ep)
 			s.OpsServed.Add(1)
-			s.chargeLockBytes(clk, key, 0)
-			it, hit := s.store.GetPinnedBytes(key, clk.Now())
+			chargeLock(s.store, clk, clk.Now(), key, 0)
+			it, hit := s.store.GetPinned(key, clk.Now())
 			if !hit {
 				continue
 			}
@@ -429,8 +407,8 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 	}
 	s.opCharge(clk, ep)
 	s.OpsServed.Add(1)
-	s.chargeLockBytes(clk, req.Key, len(data))
-	res := s.store.StoreBytes(req.Op, req.Key, req.Flags, req.Exptime, data, req.CAS, clk.Now())
+	chargeLock(s.store, clk, clk.Now(), req.Key, len(data))
+	res := s.store.Store(req.Op, req.Key, req.Flags, req.Exptime, data, req.CAS, clk.Now())
 	if req.ReplyCtr == 0 {
 		return
 	}
@@ -479,9 +457,9 @@ func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, dat
 	}
 	s.opCharge(clk, ep)
 	s.OpsServed.Add(1)
-	s.chargeLockBytes(clk, req.Key, 0)
+	chargeLock(s.store, clk, clk.Now(), req.Key, 0)
 	status := AMMiss
-	if s.store.DeleteBytes(req.Key, clk.Now()) {
+	if s.store.Delete(req.Key, clk.Now()) {
 		status = AMOK
 	}
 	w.reply = AppendStatusReply(w.reply[:0], StatusReply{Status: status})
@@ -492,14 +470,14 @@ func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, dat
 func (s *Server) amNumComplete(incr bool) ucr.CompletionHandler {
 	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
 		w := s.workerFor(ep)
-		req, err := DecodeNumReq(hdr)
+		replyCtr, delta, key, err := DecodeNumReqView(hdr)
 		if err != nil {
 			return
 		}
 		s.opCharge(clk, ep)
 		s.OpsServed.Add(1)
-		s.chargeLock(clk, req.Key, 0)
-		val, found, bad, oom := s.store.IncrDecr(req.Key, req.Delta, incr, clk.Now())
+		chargeLock(s.store, clk, clk.Now(), key, 0)
+		val, found, bad, oom := s.store.IncrDecr(key, delta, incr, clk.Now())
 		status := AMOK
 		switch {
 		case !found:
@@ -510,6 +488,6 @@ func (s *Server) amNumComplete(incr bool) ucr.CompletionHandler {
 			status = AMError
 		}
 		w.reply = AppendNumReply(w.reply[:0], NumReply{Status: status, Value: val})
-		_ = ep.Send(clk, AMNumReply, w.reply, nil, nil, req.ReplyCtr, nil)
+		_ = ep.Send(clk, AMNumReply, w.reply, nil, nil, replyCtr, nil)
 	}
 }
