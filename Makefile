@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath determinism golden test memcheck mutations check-no-wallclock check-store-keys fuzz-smoke
+.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-store-keys check-no-post-batch fuzz-smoke
 
 tier1:
 	go build ./...
@@ -48,6 +48,12 @@ determinism:
 golden:
 	go run ./cmd/mcbench -study all -quick > cmd/mcbench/testdata/studies.golden
 
+# The moved-cell list for EXPERIMENTS.md: what the tree prints against
+# the golden, as a diff (empty, exit 0, when nothing moved). Run it
+# before `make golden`.
+golden-diff:
+	go run ./cmd/mcbench -study all -quick | diff cmd/mcbench/testdata/studies.golden -
+
 test: tier1 tier2
 
 # Model-checking sweeps (see EXPERIMENTS.md "Model checking the cache"):
@@ -80,6 +86,13 @@ check-store-keys:
 		| grep -vE 'func \(s \*Store\) (Set|Get)\(key string'; \
 		grep -nE --include='*.go' -r '^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes' internal/memcached)"; \
 	if [ -n "$$bad" ]; then echo "string-keyed engine entry, or a string/bytes twin, under internal/memcached:"; echo "$$bad"; exit 1; fi
+
+# A message leaves when it is built: the UCR send-side post batch (PRs
+# 4-22 held a reply behind the next request's harvest and pack copy to
+# save one doorbell) does not come back under internal/.
+check-no-post-batch:
+	@bad="$$(grep -rnE --include='*.go' 'BeginPostBatch|FlushPosts|queuePost' internal)"; \
+	if [ -n "$$bad" ]; then echo "UCR post batch under internal/:"; echo "$$bad"; exit 1; fi
 
 # Checker validation: every seeded store mutation must be caught.
 MUTATIONS = mut_append_nocas mut_get_skip_expiry mut_cas_ignore_id \

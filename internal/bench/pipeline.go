@@ -13,7 +13,7 @@ import (
 // window of N requests in flight. Depth 1 is the blocking client the
 // figure benchmarks use; deeper windows overlap the per-op fixed costs
 // (doorbell, CQ wakeup, round trip) that serialize the blocking path,
-// and batch posts/polls at the coalesced rates.
+// and harvest completions at the coalesced poll rates.
 
 // PipelinePoint is one cell of the depth × transport × size sweep.
 // KTPS and NsPerOp are virtual-time measures (the modeled hardware).

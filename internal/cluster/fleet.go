@@ -147,10 +147,13 @@ func (f *Fleet) RingSnapshot() *ring.Ring {
 }
 
 // Owners reports the R current owners of key, primary first.
-func (f *Fleet) Owners(key string) []string {
+func (f *Fleet) Owners(key string) []string { return f.appendOwners(nil, key) }
+
+// appendOwners is Owners into the caller's buffer (ring.AppendOwners).
+func (f *Fleet) appendOwners(dst []string, key string) []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.ring.Owners(key, f.replicas)
+	return f.ring.AppendOwners(dst, key, f.replicas)
 }
 
 // ChurnCounts reports how many joins/leaves/crashes have run (vacuity
@@ -262,6 +265,10 @@ type FleetClient struct {
 	seat  seat
 	conns map[string]mcclient.Transport
 
+	// ownerBuf is where owners resolves a key's owners: one op's owner
+	// list at a time, overwritten by the next resolution.
+	ownerBuf []string
+
 	// staleRing is the construction-time snapshot MutRingStale routes
 	// by; nil in correct builds.
 	staleRing *ring.Ring
@@ -288,12 +295,15 @@ func (f *Fleet) NewClient() (*FleetClient, error) {
 }
 
 // owners resolves the key's R owners by the CURRENT ring (or, under the
-// seeded MutRingStale bug, the construction-time snapshot).
+// seeded MutRingStale bug, the construction-time snapshot) into the
+// client's scratch buffer: the result is valid until the next call.
 func (c *FleetClient) owners(key string) []string {
 	if c.staleRing != nil {
-		return c.staleRing.Owners(key, c.f.replicas)
+		c.ownerBuf = c.staleRing.AppendOwners(c.ownerBuf[:0], key, c.f.replicas)
+	} else {
+		c.ownerBuf = c.f.appendOwners(c.ownerBuf[:0], key)
 	}
-	return c.f.Owners(key)
+	return c.ownerBuf
 }
 
 // conn returns the (lazily dialed) transport for a member. Departed or

@@ -408,3 +408,48 @@ func TestFleetClientArmsReadPaths(t *testing.T) {
 		}
 	})
 }
+
+// A fleet client resolves a key's owners into a buffer it owns: a routed
+// Set allocates nothing and a routed Get only the value it returns.
+func TestFleetClientOwnersZeroAlloc(t *testing.T) {
+	f := newTestFleet(t, UCRIB, 4)
+	defer f.Close()
+	fc, err := f.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	keys := make([]string, 16)
+	value := make([]byte, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("alloc-key-%d", i)
+	}
+	// Dial the owners, then overwrite until the servers' item free lists
+	// and the simulator's booking lists have stopped growing.
+	for round := 0; round < 8; round++ {
+		for _, k := range keys {
+			if err := fc.Set(k, value, 0, 0); err != nil {
+				t.Fatalf("Set %s: %v", k, err)
+			}
+		}
+	}
+	i := 0
+	next := func() string { i++; return keys[i%len(keys)] }
+	if n := testing.AllocsPerRun(100, func() { fc.owners(next()) }); n != 0 {
+		t.Errorf("owners: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := fc.Set(next(), value, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Set: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := fc.Get(next()); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Get: %v allocs/op, want 1 (the returned value)", n)
+	}
+}

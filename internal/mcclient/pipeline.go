@@ -1,15 +1,17 @@
 package mcclient
 
 import (
+	"slices"
+
 	"repro/internal/memcached"
 	"repro/internal/simnet"
 )
 
 // Pipelined transports: issue and completion split apart so one
 // connection can keep a window of N requests in flight. The blocking
-// Transport methods pay every per-op fixed cost (doorbell, CQ wakeup,
-// full round trip) serially; a Pipeline overlaps them — requests in a
-// window are posted as one doorbell burst, and a wait for one reply
+// Transport methods pay every per-op fixed cost (CQ wakeup, full round
+// trip) serially; a Pipeline overlaps them — a request goes onto the
+// wire while earlier ones are still out, and a wait for one reply
 // drains whatever other replies are already visible at the coalesced
 // CQ cost. Tagged reply slots (see UCRTransport) route each reply to
 // its own request regardless of arrival order.
@@ -29,8 +31,10 @@ type Pipeliner interface {
 
 // Pipeline is the windowed asynchronous issue API. Start* calls return
 // immediately with a Future; once the window is full the oldest request
-// is completed to make room. Flush forces queued requests onto the
-// wire; Wait flushes and settles every outstanding future.
+// is completed to make room. The UCR pipeline posts a request when it
+// is admitted; the sockets pipeline queues a window of them for one
+// stream write, which Flush forces early. Wait flushes and settles
+// every outstanding future.
 type Pipeline interface {
 	StartGet(clk *simnet.VClock, key string) *GetFuture
 	// StartGetInto is StartGet with a caller-lent value buffer (see
@@ -40,7 +44,8 @@ type Pipeline interface {
 	// settles (large values are exposed for rendezvous reads in place).
 	StartSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture
 	StartDelete(clk *simnet.VClock, key string) *BoolFuture
-	// Flush pushes every queued request onto the wire in one batch.
+	// Flush writes out whatever the pipeline has queued (UCR queues
+	// nothing) and returns the pipeline's sticky error.
 	Flush(clk *simnet.VClock) error
 	// Wait flushes and settles all outstanding futures, returning the
 	// first transport-level error (per-op outcomes live on the futures).
@@ -59,7 +64,7 @@ type future struct {
 	kind futureKind
 
 	// Window entry.
-	sent    bool
+	sent    bool   // sockets: written to the stream (UCR posts at admission)
 	failed  bool   // the send never reached the wire: settles ErrServerDown
 	landing bool   // UCR: settled, but the value still sits in the op's write-reply slot
 	op      *amOp  // UCR: the tagged request
@@ -153,10 +158,9 @@ func (f *future) landUCR(t *UCRTransport) {
 	f.landing, f.done = false, true
 }
 
-// Pipeline implements Pipeliner: the returned pipeline issues AM
-// requests without waiting, posts each full window as one doorbell
-// burst (Context post batching → verbs.PostSendN), and waits with
-// half-window CQ drains (WaitCounterBatch).
+// Pipeline implements Pipeliner: the returned pipeline posts each AM
+// request as the window admits it and waits with half-window CQ drains
+// (WaitCounterBatch).
 func (t *UCRTransport) Pipeline(window int) Pipeline {
 	if window < 1 {
 		window = 1
@@ -168,7 +172,6 @@ type ucrPipeline struct {
 	t      *UCRTransport
 	window int
 	q      []*future // outstanding, issue order
-	pend   []*future // trailing entries whose sends are still queued
 	landq  []*future // settled entries with a deferred write-reply landing
 	err    error     // first transport-level error (sticky)
 }
@@ -176,69 +179,28 @@ type ucrPipeline struct {
 func (p *ucrPipeline) Window() int { return p.window }
 
 // push admits e into the window — completing the oldest request when
-// the window is full — and flushes every half window. Flushing only on
-// a full window would batch-synchronize the pipe (drain all, then
-// repost all, wire idle in between); half-window bursts keep at least
-// window/2 requests on the wire through the refill while still
-// coalescing doorbells — and arriving in bursts is what lets the
-// server's batched CQ drain engage its coalesced costs. A wait harvests
-// the same half window at most (halfWindow is waitFor's sweep bound):
-// harvest half, refill half. A full-window sweep re-synchronizes the
-// pipe whenever landing a reply takes as long as the gap to the next
-// arrival (4 KB: ≈ 1.0 vµs copy, 1.06 vµs gap) — every reply is then
-// "already visible", one wait takes all of them before the caller may
-// issue, and the wire idles for a window's worth of issue time. Queued
-// sends are additionally flushed before blocking for window room:
-// holding them through a wait would drain the wire exactly when it most
-// needs feeding and degrade serving to a per-window relay.
+// the window is full — and posts it. A wait harvests half a window at
+// most (halfWindow is waitFor's sweep bound): a full-window sweep
+// re-synchronizes the pipe whenever landing a reply takes as long as
+// the gap to the next arrival (4 KB: ≈ 1.0 vµs copy, 1.06 vµs gap) —
+// every reply is then "already visible", one wait takes all of them
+// before the caller may issue, and the wire idles for a window's worth
+// of issue time.
 func (p *ucrPipeline) push(clk *simnet.VClock, e *future) {
-	if len(p.q) >= p.window && len(p.pend) > 0 {
-		p.Flush(clk)
-	}
 	for len(p.q) >= p.window {
 		p.waitFor(clk, p.q[0])
 	}
 	p.q = append(p.q, e)
-	p.pend = append(p.pend, e)
-	if len(p.pend) >= p.halfWindow() {
-		p.Flush(clk)
+	if e.op.sendAM() != nil {
+		e.failed = true
+		p.fail(ErrServerDown)
 	}
 }
 
 func (p *ucrPipeline) halfWindow() int { return (p.window + 1) / 2 }
 
-// Flush sends every queued request in one post batch: packets are
-// encoded and charged as usual, their work requests posted with a
-// single doorbell (PostSendN).
-func (p *ucrPipeline) Flush(clk *simnet.VClock) error {
-	if len(p.pend) == 0 {
-		return nil
-	}
-	t := p.t
-	t.ctx.BeginPostBatch()
-	var sendErr error
-	for _, e := range p.pend {
-		if sendErr == nil {
-			sendErr = e.op.sendAM()
-		}
-		if sendErr != nil {
-			e.failed = true
-		}
-		e.sent = true
-	}
-	if err := t.ctx.FlushPosts(clk); err != nil && sendErr == nil {
-		sendErr = err
-		for _, e := range p.pend {
-			e.failed = true
-		}
-	}
-	p.pend = p.pend[:0]
-	if sendErr != nil {
-		p.fail(ErrServerDown)
-		return ErrServerDown
-	}
-	return nil
-}
+// Flush has nothing to push: every admitted request is already posted.
+func (p *ucrPipeline) Flush(*simnet.VClock) error { return p.err }
 
 func (p *ucrPipeline) fail(err error) {
 	if p.err == nil {
@@ -274,9 +236,6 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
 		p.landNow(e)
 		return
 	}
-	if !e.sent {
-		p.Flush(clk)
-	}
 	var err error
 	if e.failed {
 		err = ErrServerDown
@@ -299,17 +258,13 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
 }
 
 func (p *ucrPipeline) remove(e *future) {
-	for i, x := range p.q {
-		if x == e {
-			p.q = append(p.q[:i], p.q[i+1:]...)
-			return
-		}
+	if i := slices.Index(p.q, e); i >= 0 {
+		p.q = slices.Delete(p.q, i, i+1) // zeroes the vacated tail slot
 	}
 }
 
-// Wait flushes and settles everything outstanding.
+// Wait settles everything outstanding.
 func (p *ucrPipeline) Wait(clk *simnet.VClock) error {
-	p.Flush(clk)
 	for len(p.q) > 0 {
 		p.waitFor(clk, p.q[0])
 	}

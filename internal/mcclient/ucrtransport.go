@@ -445,7 +445,7 @@ func (t *UCRTransport) perAttempt(attempts int) simnet.Duration {
 }
 
 // waitDone is the one wait for a sent op — do's, and a pipelined
-// window's, whose ops went out when it flushed. It drives progress,
+// window's, whose ops went out as they were admitted. It drives progress,
 // draining the CQ in batches of at most batch. With the runtime's
 // AMRetries knob set, a timed-out request is re-sent — the per-attempt
 // wait is the op timeout split across attempts, so the overall deadline

@@ -43,11 +43,13 @@ type ServerConfig struct {
 }
 
 // ucrDrainBatch is how many completions a UCR worker may harvest per
-// batched CQ drain: the first at the full poll cost, the rest — only
-// those already visible — at the coalesced cost. With a single blocking
-// client at most one completion is ever visible at a time, so the batch
-// never engages and per-op timing is unchanged; it pays off under
-// pipelined windows.
+// batched CQ drain: the first at the full poll cost unless the worker
+// is still spinning from its last drain, the rest — already visible, or
+// arriving within the poll spin — at the coalesced cost. Replies are
+// not part of the batch: each is posted by its handler. With a single
+// blocking client a completion arrives a round trip after the drain
+// went cold, so the batch never engages and per-op timing is unchanged;
+// it pays off under pipelined windows.
 const ucrDrainBatch = 16
 
 // coalescedOpCost is the command-processing cost charged for operations
@@ -433,21 +435,14 @@ func (w *worker) handleUCRAccept(req *verbs.ConnRequest) {
 
 // drainUCR sweeps the context's pending completions in batched drains
 // (one full-cost poll per sweep, coalesced harvests for whatever else
-// is already visible). Reply sends queued by the AM handlers during one
-// sweep are flushed as a single doorbell-coalesced post burst; a sweep
-// that harvested one completion posts a burst of one, which charges
-// exactly what an inline post did — depth-1 timing is unchanged.
+// is already visible or arrives within the poll spin). Only the polling
+// side batches: a handler's reply is posted before the handler returns,
+// so it never waits behind the next request's harvest and pack copy.
 func (w *worker) drainUCR() {
 	if w.ctx == nil {
 		return
 	}
-	for {
-		w.ctx.BeginPostBatch()
-		n := w.ctx.TryProgressN(w.clk, ucrDrainBatch)
-		_ = w.ctx.FlushPosts(w.clk)
-		if n == 0 {
-			break
-		}
+	for w.ctx.TryProgressN(w.clk, ucrDrainBatch) > 0 {
 	}
 	if len(w.pendingPins) > 0 {
 		w.sweepPins()

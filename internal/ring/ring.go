@@ -24,6 +24,7 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -193,24 +194,31 @@ func (r *Ring) LookupPoint(h uint32) string {
 // key's point: Owners(key, 1)[0] is the primary, the rest are the
 // replica successors. Fewer than n members yields fewer owners.
 func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
+	n = min(n, len(r.members))
+	if n <= 0 {
 		return nil
 	}
-	if n > len(r.members) {
-		n = len(r.members)
+	return r.AppendOwners(make([]string, 0, n), key, n)
+}
+
+// AppendOwners is Owners into a buffer the caller owns: the owners are
+// appended to dst, so a per-op caller that passes buf[:0] allocates
+// nothing. n is a replication factor — a handful — so the distinctness
+// check is a scan of what was appended, not a set.
+func (r *Ring) AppendOwners(dst []string, key string, n int) []string {
+	n = min(n, len(r.members))
+	if n <= 0 {
+		return dst
 	}
-	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
+	base := len(dst)
 	start := r.search(KeyPoint(key))
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if _, dup := seen[p.owner]; dup {
-			continue
+	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
+		owner := r.points[(start+i)%len(r.points)].owner
+		if !slices.Contains(dst[base:], owner) {
+			dst = append(dst, owner)
 		}
-		seen[p.owner] = struct{}{}
-		out = append(out, p.owner)
 	}
-	return out
+	return dst
 }
 
 // Clone returns an independent snapshot (the fleet's stale-routing

@@ -27,8 +27,6 @@ type Context struct {
 	// target's ack, which names it by the wire sequence number.
 	rndzOrigin map[uint64]rndzOriginState
 	nextSeq    uint64
-	batch      *postBatch // open doorbell batch (BeginPostBatch)
-	batchStore postBatch  // its reused backing storage (alloc-free reopen)
 
 	// coalesced marks the 2nd..Nth dispatches of one batched CQ drain:
 	// AM dispatch then charges the coalesced handler cost (set/cleared by

@@ -134,12 +134,6 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr *Count
 	n := pkt.encode(buf)
 	id := ep.ctx.posted.put(postedWR{kind: wrSend, ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
 	wr := verbs.SendWR{ID: id, Op: verbs.OpSend, Local: buf[:n], Dest: ep.ah}
-	if ep.ctx.queuePost(ep.qp, wr, postUndo{ep: ep, id: id}) {
-		if !ep.noCredits {
-			ep.sendCredits--
-		}
-		return nil
-	}
 	if err := ep.qp.PostSend(clk, wr); err != nil {
 		ep.ctx.posted.take(id)
 		ep.releaseSendBuf(buf)

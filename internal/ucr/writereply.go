@@ -24,9 +24,8 @@ func (c *Context) WriteReplies() uint64 { return c.writeReplies }
 // offset — the zero-copy reply path. hdr is copied into a pooled
 // registered send buffer (it is tiny and the caller's header scratch
 // must be immediately reusable); data is referenced in place, so the
-// caller MUST keep it pinned until originCtr bumps. The post rides any
-// open doorbell batch (BeginPostBatch), falling back to an immediate
-// PostSend outside one.
+// caller MUST keep it pinned until originCtr bumps. The write is posted
+// before WriteReply returns.
 //
 // Unlike Put, originCtr settles when the write completion lands whether
 // or not it succeeded (the endpoint is additionally marked failed on
@@ -63,13 +62,11 @@ func (ep *Endpoint) WriteReply(clk *simnet.VClock, hdr, data []byte, dst WindowD
 		RemoteAddr: dst.Addr + uint64(offset),
 		RKey:       dst.RKey,
 	}
-	if !ep.ctx.queuePost(ep.qp, wr, postUndo{ep: ep, id: id}) {
-		if err := ep.qp.PostSend(clk, wr); err != nil {
-			ep.ctx.posted.take(id)
-			ep.releaseSendBuf(buf)
-			ep.markFailed()
-			return ErrEndpointDown
-		}
+	if err := ep.qp.PostSend(clk, wr); err != nil {
+		ep.ctx.posted.take(id)
+		ep.releaseSendBuf(buf)
+		ep.markFailed()
+		return ErrEndpointDown
 	}
 	ep.ctx.writeReplies++
 	return nil
