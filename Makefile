@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-store-keys check-no-post-batch fuzz-smoke
+.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-gone fuzz-smoke
 
 tier1:
 	go build ./...
@@ -77,22 +77,32 @@ check-no-wallclock:
 		| grep -v -e '^internal/simnet/' -e '^internal/verbs/cm.go$$' -e '^internal/ucr/context.go$$' -e '^internal/sockstream/provider.go$$')"; \
 	if [ -n "$$bad" ]; then echo "wall clock under internal/:"; echo "$$bad"; exit 1; fi
 
-# A key is bytes at the engine's boundary: no exported *Store method takes
-# `key string` except the Set/Get adapters kept for benchmark/probes.go,
-# and the string/bytes twins (one hash, one lock wait, one lock charge
-# per key type) do not come back.
-check-store-keys:
-	@bad="$$(grep -nE --include='*.go' --exclude='*_test.go' -r '^func \(s \*Store\) [A-Z][A-Za-z]*\(key string' internal/memcached \
-		| grep -vE 'func \(s \*Store\) (Set|Get)\(key string'; \
-		grep -nE --include='*.go' -r '^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes' internal/memcached)"; \
-	if [ -n "$$bad" ]; then echo "string-keyed engine entry, or a string/bytes twin, under internal/memcached:"; echo "$$bad"; exit 1; fi
+# What a PR deleted stays deleted. One row per guard, tab-separated: the
+# directories it must not come back under, the ERE that names it, an ERE
+# of matches that may stay (^$$: none), and what to say. Every .go file
+# in scope is searched, tests included.
+#  - PR 22: a key is bytes at the engine's boundary — no exported *Store
+#    method takes `key string` except the Set/Get adapters kept for
+#    benchmark/probes.go, and no string/bytes twin (one hash, one lock
+#    wait, one lock charge per key type).
+#  - PR 23: a message leaves when it is built — no UCR send-side post
+#    batch holding a reply behind the next request's harvest.
+#  - PR 24: no client is special — no second op driver for concentrated
+#    sessions, no optional conditional-store contract, no second
+#    Config/Result/report for the fleet checker.
+define GONE
+internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
+internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
+internal	BeginPostBatch|FlushPosts|queuePost	^$$	UCR post batch under internal/
+internal cmd	doShared|CondStorer|FleetConfig|FleetResult|FleetGenConfig|RunFleetScript|formatFleetReport	^$$	session op driver, CondStorer or second fleet harness under internal/ cmd/
+endef
+export GONE
 
-# A message leaves when it is built: the UCR send-side post batch (PRs
-# 4-22 held a reply behind the next request's harvest and pack copy to
-# save one doorbell) does not come back under internal/.
-check-no-post-batch:
-	@bad="$$(grep -rnE --include='*.go' 'BeginPostBatch|FlushPosts|queuePost' internal)"; \
-	if [ -n "$$bad" ]; then echo "UCR post batch under internal/:"; echo "$$bad"; exit 1; fi
+check-gone:
+	@printf '%s\n' "$$GONE" | { rc=0; while IFS='	' read -r scope pat keep msg; do \
+		bad="$$(grep -rnE --include='*.go' -- "$$pat" $$scope | grep -vE -- "$$keep")"; \
+		if [ -n "$$bad" ]; then echo "$$msg:"; echo "$$bad"; rc=1; fi; \
+	done; exit $$rc; }
 
 # Checker validation: every seeded store mutation must be caught.
 MUTATIONS = mut_append_nocas mut_get_skip_expiry mut_cas_ignore_id \

@@ -58,10 +58,10 @@ type Options struct {
 	UDGets bool
 	// SessionsPerQP concentrates that many client sessions onto one RC
 	// queue pair: UCR clients are grouped so each group shares a single
-	// trunk endpoint (one QP, one progress context) with per-session
-	// request tags demultiplexing the replies. Values ≤ 1 keep one QP
-	// per client. Concentrated sessions use the plain two-sided RC path
-	// (no one-sided, UD or write-reply fast paths).
+	// trunk endpoint (one QP, one progress context), a lock serializing
+	// their operations on it. Values ≤ 1 keep one QP per client. A trunk
+	// is dialed like any client, so its sessions are served by every read
+	// path the other options arm.
 	SessionsPerQP int
 	// OneSidedGet arms the one-sided GET data path: every server
 	// publishes its remotely-readable directory and every UCR client
@@ -77,8 +77,7 @@ type Options struct {
 	// with a payload-free notify AM. Small values, oversize-vs-window,
 	// UD endpoints, and exhausted arenas all fall back to the ordinary
 	// copy rungs of the reply ladder. Strictly opt-in so the depth-1 golden
-	// figure tables stay bit-identical. Concentrated (SessionsPerQP)
-	// clients skip it, like the other fast paths.
+	// figure tables stay bit-identical.
 	WriteReplies bool
 	// WriteReplyEager is the write-reply crossover in bytes (reply
 	// header included): totals at or below it keep the eager copy path
@@ -338,22 +337,18 @@ func (d *Deployment) attach(name string, t Transport) seat {
 	return s
 }
 
-// dial connects a seat to server i (srv is its node). With arm set, a
-// UCR connection then gets what d.Opts asks for: one capability exchange
-// arms one-sided GETs and write replies (nothing is sent when neither is
-// on), and the UD small-get mode dials its datagram endpoint beside the
-// reliable one. Trunks dial unarmed: concentrated sessions use the plain
-// two-sided path.
-func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors, clk *simnet.VClock, arm bool) (mcclient.Transport, error) {
+// dial connects a seat to server i (srv is its node). A UCR connection
+// then gets what d.Opts asks for, whoever the seat belongs to: one
+// capability exchange arms one-sided GETs and write replies (nothing is
+// sent when neither is on), and the UD small-get mode dials its datagram
+// endpoint beside the reliable one.
+func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors, clk *simnet.VClock) (mcclient.Transport, error) {
 	if s.t != UCRIB {
 		return mcclient.DialSock(d.providers[s.t], s.node, srv, serviceFor(s.t), b, clk)
 	}
 	ut, err := mcclient.DialUCR(s.rt, s.ctx, srv, ucrServiceFor(i), b, clk)
 	if err != nil {
 		return nil, err
-	}
-	if !arm {
-		return ut, nil
 	}
 	if err = ut.Arm(clk, d.Opts.OneSidedGet, d.Opts.WriteReplies); err == nil && d.Opts.UDGets {
 		var udep *ucr.Endpoint
@@ -393,7 +388,7 @@ func (d *Deployment) NewClient(t Transport, behaviors mcclient.Behaviors) (*Clie
 		s := d.attach(fmt.Sprintf("client%d", d.clients), t)
 		c.Node, c.rt, c.ctx = s.node, s.rt, s.ctx
 		for i, srv := range d.ServerNodes {
-			tr, err := d.dial(s, srv, i, behaviors, c.Clock, true)
+			tr, err := d.dial(s, srv, i, behaviors, c.Clock)
 			if err != nil {
 				return nil, err
 			}
@@ -419,11 +414,11 @@ func (d *Deployment) openTrunk(behaviors mcclient.Behaviors, clk *simnet.VClock)
 	}
 	tr := &trunk{seat: d.attach(fmt.Sprintf("client%d", d.clients), UCRIB)}
 	for i, srv := range d.ServerNodes {
-		ut, err := d.dial(tr.seat, srv, i, behaviors, clk, false)
+		ut, err := d.dial(tr.seat, srv, i, behaviors, clk)
 		if err != nil {
 			return nil, err
 		}
-		tr.muxes = append(tr.muxes, mcclient.NewSessionMux(ut.(*mcclient.UCRTransport), k))
+		tr.muxes = append(tr.muxes, mcclient.NewSessionMux(ut.(*mcclient.UCRTransport)))
 	}
 	d.trunks = append(d.trunks, tr)
 	return tr, nil

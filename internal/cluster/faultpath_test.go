@@ -199,12 +199,23 @@ func TestUDPartitionRetransmission(t *testing.T) {
 
 // TestConcentratorRaceStress drives every session of two shared RC
 // trunks from its own goroutine with a mixed workload (run it with
-// -race). Each session must observe its own writes in order — the
-// concentrator serializes the shared QP but may never cross-deliver a
-// sibling's reply.
+// -race), on a plain deployment and on one whose trunks armed the
+// one-sided and write-reply paths. Each session must observe its own
+// writes in order — the concentrator serializes the shared QP but may
+// never cross-deliver a sibling's reply.
 func TestConcentratorRaceStress(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { concentratorRaceStress(t, Options{}) })
+	t.Run("armed", func(t *testing.T) {
+		// The crossover is forced under the stress values' 11 bytes so
+		// their hits ride the write path when the one-sided read punts.
+		concentratorRaceStress(t, Options{OneSidedGet: true, WriteReplies: true, WriteReplyEager: 16})
+	})
+}
+
+func concentratorRaceStress(t *testing.T, opts Options) {
 	const k = 4
-	d := New(ClusterB(), Options{SessionsPerQP: k})
+	opts.SessionsPerQP = k
+	d := New(ClusterB(), opts)
 	defer d.Close()
 
 	var clients []*Client
@@ -277,6 +288,15 @@ func TestConcentratorRaceStress(t *testing.T) {
 		}(i, c)
 	}
 	wg.Wait()
+	if opts.OneSidedGet {
+		var stats mcclient.PathStats
+		for i := 0; i < d.Trunks(); i++ {
+			stats.Add(d.TrunkMuxes(i)[0].Transport().PathStats())
+		}
+		if stats.By[mcclient.PathOneSided].Hits+stats.By[mcclient.PathWrite].Hits == 0 {
+			t.Fatalf("armed trunks served no read by an armed path (vacuous): %+v", stats)
+		}
+	}
 	for _, c := range clients {
 		c.Close()
 	}

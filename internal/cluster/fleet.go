@@ -316,7 +316,7 @@ func (c *FleetClient) conn(name string) (mcclient.Transport, error) {
 	if m == nil {
 		return nil, mcclient.ErrServerDown
 	}
-	tr, err := c.f.D.dial(c.seat, m.node, m.idx, c.f.behaviors, c.Clock, true)
+	tr, err := c.f.D.dial(c.seat, m.node, m.idx, c.f.behaviors, c.Clock)
 	if err != nil {
 		// Dial raced a crash/partition; surface it like any dead server.
 		return nil, mcclient.ErrServerDown
@@ -539,11 +539,7 @@ func (c *FleetClient) fallthroughGet(owners []string, key string, perr error) (v
 	if perr == nil {
 		c.Stats.Repairs++
 		_ = c.on(owners[0], func(tr mcclient.Transport) error {
-			cs, ok := tr.(mcclient.CondStorer)
-			if !ok {
-				return fmt.Errorf("fleet: transport %s cannot add", tr.Name())
-			}
-			_, e := cs.StoreOp(c.Clock, memcached.StoreOpAdd, key, rfl, 0, rv, 0)
+			_, e := tr.StoreOp(c.Clock, memcached.StoreOpAdd, key, rfl, 0, rv, 0)
 			return e
 		})
 	}

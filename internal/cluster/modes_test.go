@@ -14,9 +14,9 @@ import (
 )
 
 // The composed read-path check: every datapath row of the memcheck mode
-// table, under every client driver it is legal with, must give the SAME
-// client-visible results as the default deployment driven blocking —
-// and must have served reads by the path it armed. The per-path tests
+// table, under every client driver, must give the SAME client-visible
+// results as the default deployment driven blocking — and must have
+// served reads by the path it armed. The per-path tests
 // (onesided_test.go, wrreply_test.go, connscale_test.go) probe each
 // path's own corners; this is where the paths meet one script.
 
@@ -209,30 +209,17 @@ func composedRun(t *testing.T, opts cluster.Options, driver string, script []sop
 
 func TestModesComposed(t *testing.T) {
 	script := composedScript(20110913, 200)
-	// Concentrated sessions carry no conditional stores (Session is not a
-	// CondStorer), so their cells play the script minus its cas ops.
-	var noCas []sop
-	for _, op := range script {
-		if op.kind != "cas" {
-			noCas = append(noCas, op)
-		}
-	}
 	want, _, _ := composedRun(t, cluster.Options{}, "blocking", script)
-	wantNoCas, _, _ := composedRun(t, cluster.Options{}, "blocking", noCas)
 
 	for i := range memcheck.Modes {
 		m := &memcheck.Modes[i]
 		if m.Fleet {
-			continue // the fleet checker arms no read path
+			continue // a fleet client is not a cluster.Client: the fleet row runs in memcheck
 		}
+		// Sessions are their trunk's transport behind a lock: they play the
+		// whole script, cas included, and are held to the row's vacuity
+		// guards like any other driver.
 		for _, driver := range []string{"blocking", "pipeline", "sessions"} {
-			script, want := script, want
-			if driver == "sessions" {
-				if m.Path != mcclient.PathAM {
-					continue // trunks stay on plain RC: no fast path to compose with
-				}
-				script, want = noCas, wantNoCas
-			}
 			t.Run(m.Name+"/"+driver, func(t *testing.T) {
 				var opts cluster.Options
 				if m.Options != nil {
@@ -258,6 +245,79 @@ func TestModesComposed(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSessionIsTrunkTransport pins "a lock, not a second driver": the
+// lone session of a trunk and a plain client play the same script on
+// fresh deployments, and every op takes the same virtual time to the
+// vns — with nothing armed and with every read path armed. Any charge a
+// session adds of its own, or any path it is not served by, shows here.
+func TestSessionIsTrunkTransport(t *testing.T) {
+	script := composedScript(20110913, 200)
+	play := func(opts cluster.Options) (lat []simnet.Duration, lines []string) {
+		d := cluster.New(cluster.ClusterB(), opts)
+		defer d.Close()
+		c, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for _, op := range script {
+			t0 := c.Clock.Now()
+			lines = append(lines, blocking(c.MC, op))
+			lat = append(lat, c.Clock.Now()-t0)
+		}
+		return lat, lines
+	}
+	for name, opts := range map[string]cluster.Options{
+		"default": {},
+		"armed":   {OneSidedGet: true, WriteReplies: true, UDGets: true},
+	} {
+		plain, plainLines := play(opts)
+		opts.SessionsPerQP = 2
+		sess, sessLines := play(opts)
+		for i := range script {
+			if sess[i] != plain[i] || sessLines[i] != plainLines[i] {
+				t.Fatalf("%s op %d (%+v): session took %d vns (%s), plain client %d vns (%s)",
+					name, i, script[i], sess[i], sessLines[i], plain[i], plainLines[i])
+			}
+		}
+	}
+}
+
+// TestSessionObserverTagsOwnPath: the observer's one-sided tag is the
+// path of the session's own call, not of the trunk's latest read. Eight
+// sessions on two armed trunks take turns through the script; the gets
+// their observers saw tagged OneSided must be exactly the reads the
+// trunks' one-sided path served.
+func TestSessionObserverTagsOwnPath(t *testing.T) {
+	d := cluster.New(cluster.ClusterB(), cluster.Options{OneSidedGet: true, SessionsPerQP: 4})
+	defer d.Close()
+	var tagged uint64
+	clients := make([]*cluster.Client, 8)
+	for i := range clients {
+		c, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.MC.SetObserver(func(o mcclient.ObservedOp) {
+			if o.OneSided {
+				tagged++
+			}
+		})
+		clients[i] = c
+	}
+	for i, op := range composedScript(20110913, 200) {
+		blocking(clients[i%len(clients)].MC, op)
+	}
+	var served uint64
+	for i := 0; i < d.Trunks(); i++ {
+		served += d.TrunkMuxes(i)[0].Transport().PathStats().By[mcclient.PathOneSided].Hits
+	}
+	if served == 0 || tagged != served {
+		t.Fatalf("observers tagged %d gets one-sided, the trunks served %d that way", tagged, served)
 	}
 }
 

@@ -99,6 +99,10 @@ type Transport interface {
 	Name() string
 	// Set stores key=value.
 	Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error)
+	// StoreOp carries the conditional storage commands (add, replace,
+	// append, prepend, cas): op is one of memcached.StoreOp*; casID is
+	// only meaningful for StoreOpCas.
+	StoreOp(clk *simnet.VClock, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64) (memcached.StoreResult, error)
 	// Get fetches key. ok=false is a miss.
 	Get(clk *simnet.VClock, key string) (value []byte, flags uint32, cas uint64, ok bool, err error)
 	// GetMulti fetches a key batch in one round trip (text-protocol
@@ -205,8 +209,8 @@ func (c *Client) Get(key string) (value []byte, flags uint32, cas uint64, err er
 	err = c.withTransport(key, func(t Transport) error {
 		var err error
 		value, flags, cas, ok, err = t.Get(c.clk, key)
-		if ps, can := t.(interface{ PathStats() *PathStats }); can {
-			oneSided = ps.PathStats().Last == PathOneSided
+		if lp, can := t.(interface{ LastReadPath() ReadPath }); can {
+			oneSided = lp.LastReadPath() == PathOneSided
 		}
 		return err
 	})

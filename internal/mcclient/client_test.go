@@ -62,6 +62,11 @@ func (f *fakeTransport) Set(clk *simnet.VClock, key string, flags uint32, exptim
 	return memcached.Stored, nil
 }
 
+// StoreOp: the client-logic tests issue no conditional stores.
+func (f *fakeTransport) StoreOp(*simnet.VClock, uint8, string, uint32, int64, []byte, uint64) (memcached.StoreResult, error) {
+	return memcached.NotStored, nil
+}
+
 func (f *fakeTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
 	f.calls++
 	if f.failing() {

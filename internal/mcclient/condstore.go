@@ -7,22 +7,7 @@ import (
 	"repro/internal/simnet"
 )
 
-// CondStorer is the optional transport extension carrying the
-// conditional storage commands (add, replace, append, prepend, cas).
-// Both built-in transports implement it: the sockets transport with the
-// matching text-protocol verbs, the UCR transport with the AMStore
-// active message. op is one of memcached.StoreOp*; casID is only
-// meaningful for StoreOpCas.
-type CondStorer interface {
-	StoreOp(clk *simnet.VClock, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64) (memcached.StoreResult, error)
-}
-
-var (
-	_ CondStorer = (*UCRTransport)(nil)
-	_ CondStorer = (*SockTransport)(nil)
-)
-
-// StoreOp implements CondStorer over one AMStore round trip.
+// StoreOp implements Transport over one AMStore round trip.
 func (t *UCRTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64) (memcached.StoreResult, error) {
 	o := t.newOp(clk)
 	o.msg, o.val = memcached.AMStore, value
@@ -36,7 +21,7 @@ func (t *UCRTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags u
 	return o.status.Result, nil
 }
 
-// StoreOp implements CondStorer with the matching text-protocol verb.
+// StoreOp implements Transport with the matching text-protocol verb.
 func (t *SockTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64) (memcached.StoreResult, error) {
 	if memcached.StoreVerb(op) == "" {
 		return 0, fmt.Errorf("mcclient: unknown store op %d", op)
@@ -55,12 +40,8 @@ func (c *Client) storeOp(op uint8, key string, value []byte, flags uint32, expti
 	}
 	var res memcached.StoreResult
 	err := c.withTransport(key, func(t Transport) error {
-		cs, ok := t.(CondStorer)
-		if !ok {
-			return fmt.Errorf("mcclient: transport %s: conditional stores unsupported", t.Name())
-		}
 		var err error
-		res, err = cs.StoreOp(c.clk, op, key, flags, exptime, value, casID)
+		res, err = t.StoreOp(c.clk, op, key, flags, exptime, value, casID)
 		return err
 	})
 	kind := memcached.RecAdd

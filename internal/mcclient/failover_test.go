@@ -178,6 +178,10 @@ func (r *raceTransport) Set(clk *simnet.VClock, key string, flags uint32, exptim
 	return memcached.Stored, nil
 }
 
+func (r *raceTransport) StoreOp(*simnet.VClock, uint8, string, uint32, int64, []byte, uint64) (memcached.StoreResult, error) {
+	return memcached.NotStored, nil
+}
+
 func (r *raceTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

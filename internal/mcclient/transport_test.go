@@ -212,7 +212,7 @@ func TestUCRGetMultiCallers(t *testing.T) {
 	tr, _ := st.ucrClient(t)
 	defer tr.Close()
 	trunk, _ := st.ucrClient(t)
-	mux := NewSessionMux(trunk, 2)
+	mux := NewSessionMux(trunk)
 	defer mux.Close()
 	clk := simnet.NewVClock(0)
 

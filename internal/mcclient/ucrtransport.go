@@ -23,10 +23,10 @@ import (
 //
 // One op lifecycle serves every caller: a builder (setOp, readOp,
 // deleteOp, numOp) opens the tagged op and encodes its request, a
-// driver sends it and waits for the reply (do for blocking calls,
-// ucrPipeline for windows, SessionMux.doShared for concentrated
-// sessions), a result reader decodes what landed, and finishOp retires
-// it.
+// driver sends it and waits for the reply (do for blocking calls — a
+// concentrated Session's included, which is this transport behind a
+// lock — and ucrPipeline for windows), a result reader decodes what
+// landed, and finishOp retires it.
 type UCRTransport struct {
 	name    string
 	rt      *ucr.Runtime
@@ -51,6 +51,7 @@ type UCRTransport struct {
 	os    osState // one-sided GET fast path (see onesided.go)
 	wr    wrState // write-based reply arena (see wrreply.go)
 	paths PathStats
+	last  ReadPath // path that served the most recent read
 }
 
 // ReadPath names one way a read (GET/MGET) can be served.
@@ -75,8 +76,7 @@ type PathCounters struct {
 // and the memcheck sweeps use the counters as vacuity guards: an armed
 // path with zero Hits validated nothing.
 type PathStats struct {
-	Last ReadPath // path that served the most recent read
-	By   [numReadPaths]PathCounters
+	By [numReadPaths]PathCounters
 }
 
 // Add folds o's counters into s (summing over transports).
@@ -90,6 +90,10 @@ func (s *PathStats) Add(o *PathStats) {
 
 // PathStats exposes the live counters (read them between operations).
 func (t *UCRTransport) PathStats() *PathStats { return &t.paths }
+
+// LastReadPath reports the path that served the most recent read; the
+// client's observer asks it right after a Get to tag one-sided hits.
+func (t *UCRTransport) LastReadPath() ReadPath { return t.last }
 
 // WriteReplyHits reports how many replies landed through the write-reply
 // arena.
@@ -583,7 +587,7 @@ func (op *amOp) number() (val uint64, found, bad bool, err error) {
 // every path.
 func (t *UCRTransport) served(op *amOp) {
 	t.wrMaterialize(op)
-	t.paths.Last = op.path
+	t.last = op.path
 	t.paths.By[op.path].Hits++
 	if op.wrSlot != 0 && op.path != PathWrite {
 		t.paths.By[PathWrite].Fallbacks++ // slot advertised, copy rung answered
@@ -686,9 +690,9 @@ func (t *UCRTransport) read(clk *simnet.VClock, key string, keys []string, lend 
 // read serves the hit without any server AM; everything else goes
 // through the two-sided protocol.
 func (t *UCRTransport) get(clk *simnet.VClock, key string, lend []byte, own bool) ([]byte, uint32, uint64, bool, error) {
-	t.paths.Last = PathAM
+	t.last = PathAM
 	if v, fl, cas, ok := t.oneSidedGet(clk, key, lend); ok {
-		t.paths.Last = PathOneSided
+		t.last = PathOneSided
 		return v, fl, cas, true, nil
 	}
 	op, err := t.read(clk, key, nil, lend)
@@ -732,32 +736,6 @@ func (t *UCRTransport) mgetBatch(keys []string) int {
 	return len(keys)
 }
 
-// mgetAll is the one multi-get path under every caller: the keys go out
-// as mget AMs of mgetBatch keys each, issued through issue and retired
-// through retire once their items are read. A lent buffer is consumed
-// front to back across the AMs.
-func (t *UCRTransport) mgetAll(keys []string, lend []byte,
-	issue func(keys []string, lend []byte) (*amOp, error), retire func(*amOp)) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	for len(keys) > 0 {
-		n := t.mgetBatch(keys)
-		op, err := issue(keys[:n], lend)
-		if err != nil {
-			return nil, err
-		}
-		err = t.mgetResult(op, out)
-		if !op.pooled {
-			lend = lend[len(op.data):cap(lend)]
-		}
-		retire(op)
-		if err != nil {
-			return nil, err
-		}
-		keys = keys[n:]
-	}
-	return out, nil
-}
-
 // GetMulti implements Transport with mget active messages: each reply
 // carries all metadata in its header and the values concatenated as the
 // AM data (one transaction if small, one RDMA read if large).
@@ -768,11 +746,27 @@ func (t *UCRTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string][
 // GetMultiInto is GetMulti with a caller-lent buffer for the
 // concatenated value block: when it fits in cap(buf), the returned map
 // values are subslices of buf — zero copies. The caller must consume
-// them before reusing buf.
+// them before reusing buf. The keys go out as mget AMs of mgetBatch keys
+// each; the lent buffer is consumed front to back across them.
 func (t *UCRTransport) GetMultiInto(clk *simnet.VClock, keys []string, buf []byte) (map[string][]byte, error) {
-	return t.mgetAll(keys, buf, func(keys []string, lend []byte) (*amOp, error) {
-		return t.read(clk, "", keys, lend)
-	}, t.finishOp)
+	out := make(map[string][]byte, len(keys))
+	for len(keys) > 0 {
+		n := t.mgetBatch(keys)
+		op, err := t.read(clk, "", keys[:n], buf)
+		if err != nil {
+			return nil, err
+		}
+		err = t.mgetResult(op, out)
+		if !op.pooled {
+			buf = buf[len(op.data):cap(buf)]
+		}
+		t.finishOp(op)
+		if err != nil {
+			return nil, err
+		}
+		keys = keys[n:]
+	}
+	return out, nil
 }
 
 // Delete implements Transport.

@@ -19,7 +19,8 @@ type Config struct {
 	// Seed drives both workload generation and (with Faults) the drop
 	// pattern. The same Config is bit-for-bit replayable.
 	Seed uint64
-	// Clients / Ops size the generated workload (defaults 3 / 400).
+	// Clients / Ops size the generated workload (defaults 3 / 400; the
+	// fleet grammar's 3 / 300).
 	Clients int
 	Ops     int
 	// Faults turns on a lossy fabric (1% drop) plus client retries.
@@ -42,30 +43,18 @@ type Observation struct {
 	Op     mcclient.ObservedOp
 }
 
-// runOutcome is everything one execution produced: the server's
-// transition history (sorted by Seq — the linearization order), the
-// clients' observations, and the datapath counters the mode's vacuity
-// guards check.
-type runOutcome struct {
-	Records []*memcached.OpRecord
-	Obs     []Observation
-	Counters
-}
-
-// execute runs a script against a fresh deployment and collects the
-// history. A returned error is a harness-level failure (an operation
-// failed in a way the configuration cannot explain), reported as a
-// violation by the caller.
-func execute(sc Script, cfg Config) (*runOutcome, error) {
+// execute runs a script against a fresh single-server deployment,
+// collects the server's transition history (sorted by Seq — the
+// linearization order) and the clients' observations, and checks them:
+// harness failure, model divergence, or cross-check mismatch, in that
+// order.
+func (m *Mode) execute(sc Script, cfg Config) *Result {
+	res := &Result{Config: cfg, Script: sc}
 	opts := cluster.Options{
 		Servers:       1,
 		ServerWorkers: 2,
 		Stripes:       4,
 		MemoryLimit:   64 << 20,
-	}
-	mode, err := ModeByName(cfg.Mode)
-	if err != nil {
-		return nil, err
 	}
 	if cfg.Pressure {
 		// Two slab pages: one ends up with the small classes, one with
@@ -73,38 +62,16 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 		// eviction starts within a couple dozen stores.
 		opts.MemoryLimit = 2 << 20
 	}
-	if cfg.Faults {
-		opts.Faults = cluster.LossyFaults(1.0, cfg.Seed^0x5eed)
-	}
-	if mode.Options != nil {
-		mode.Options(&opts)
-	}
+	opts, b := m.arm(cfg, opts)
 	d := cluster.New(cluster.ClusterB(), opts)
 	defer d.Close()
-
-	b := mcclient.DefaultBehaviors()
-	if cfg.Faults {
-		b.Retries = 3
-		b.RetryBackoff = 200 * simnet.Microsecond
-		if cfg.Transport == cluster.UCRIB {
-			// UCR is unreliable datagram-style at the AM layer: lost
-			// packets need a client-side timeout to trigger the retry.
-			// Socket transports model reliable streams and retransmit
-			// below the client. Clean runs leave the timeout unset even
-			// in UD mode — flow-control credits mean a lossless fabric
-			// drops no datagrams, and worker clocks running ahead of a
-			// client's would turn the virtual deadline into spurious
-			// failures. UD retransmission is therefore only exercised
-			// (and only vacuity-checked) under Faults.
-			b.OpTimeout = 4 * simnet.Millisecond
-		}
-	}
 
 	x := &executor{cfg: cfg, store: d.Server.Store(), deployment: d}
 	for i := 0; i < sc.Clients; i++ {
 		cl, err := d.NewClient(cfg.Transport, b)
 		if err != nil {
-			return nil, fmt.Errorf("memcheck: client %d: %w", i, err)
+			res.Violation = harnessFailure(fmt.Errorf("memcheck: client %d: %w", i, err))
+			return res
 		}
 		defer cl.Close()
 		idx := i
@@ -128,7 +95,8 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 
 	for i, op := range sc.Ops {
 		if err := x.step(op); err != nil {
-			return nil, fmt.Errorf("memcheck: op %d (%s): %w", i, formatOp(op, true), err)
+			res.Violation = harnessFailure(fmt.Errorf("memcheck: op %d (%s): %w", i, formatOp(op, true), err))
+			return res
 		}
 	}
 	x.epilogue(sc)
@@ -137,13 +105,13 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	// close: a lossy retry can leave a duplicated request queued at the
 	// server. Close stops the worker actors (what is still queued is
 	// never served), so afterwards nothing appends to the history.
-	out := &runOutcome{Counters: Counters{Runs: 1}}
+	res.Counters = Counters{Runs: 1}
 	if cfg.Transport == cluster.UCRIB {
-		out.UCRRuns = 1
+		res.UCRRuns = 1
 	}
 	for _, cl := range x.clients {
 		if ut, ok := cl.MC.Transport(0).(*mcclient.UCRTransport); ok {
-			out.Paths.Add(ut.PathStats())
+			res.Paths.Add(ut.PathStats())
 		}
 		cl.Close()
 	}
@@ -151,11 +119,16 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	d.Close()
 	x.store.SetRecorder(nil)
 
-	out.Records, out.Obs = x.records, x.obs
-	sortRecords(out.Records)
-	out.SRQDemux, out.BatchedDrains, out.WriteReplies =
+	res.History, res.Obs = x.records, x.obs
+	sortRecords(res.History)
+	res.SRQDemux, res.BatchedDrains, res.WriteReplies =
 		d.Server.UCRSRQDemux(), d.Server.UCRBatchedDrains(), d.Server.UCRWriteReplies()
-	return out, nil
+	res.Detail = fmt.Sprintf("records=%d", len(res.History))
+
+	if res.Violation = CheckModel(res.History); res.Violation == nil {
+		res.Violation = CrossCheck(res.History, res.Obs, cfg.Faults)
+	}
+	return res
 }
 
 type executor struct {

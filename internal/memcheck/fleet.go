@@ -3,12 +3,10 @@ package memcheck
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/mcclient"
 	"repro/internal/ring"
-	"repro/internal/simnet"
 )
 
 // Fleet mode checks the replicated, churn-capable tier: a cluster.Fleet
@@ -29,60 +27,6 @@ import (
 // candidate) and checks containment: a returned or probed value that
 // was never a candidate at any serving owner is a violation — that is
 // precisely the "stale pre-churn value" class.
-
-// FleetConfig selects what one fleet memcheck run exercises.
-type FleetConfig struct {
-	// Transport is the wire the fleet clients use.
-	Transport cluster.Transport
-	// Seed drives workload generation and (with Faults) the drop pattern.
-	Seed uint64
-	// Servers is the initial member count (default 4).
-	Servers int
-	// Clients / Ops size the generated workload (defaults 3 / 300).
-	Clients int
-	Ops     int
-	// Faults turns on a lossy fabric (1% drop) plus client retries.
-	Faults bool
-}
-
-// FleetResult is one fleet memcheck verdict.
-type FleetResult struct {
-	Config    FleetConfig
-	Script    Script
-	Violation *Violation
-	Shrunk    *Script
-	Report    string
-
-	// Vacuity-guard counters: a sweep where the replication machinery
-	// never ran validated nothing.
-	Stats   cluster.FleetClientStats // summed over all clients
-	Moved   float64                  // cumulative keyspace fraction moved by churn
-	Joins   int
-	Leaves  int
-	Crashes int
-}
-
-// RunFleet generates the fleet workload for cfg.Seed, executes it, and
-// checks it; on violation the script is shrunk and a report formatted.
-func RunFleet(cfg FleetConfig) *FleetResult {
-	sc := GenerateFleet(cfg.Seed, FleetGenConfig{Clients: cfg.Clients, Ops: cfg.Ops})
-	return RunFleetScript(sc, cfg)
-}
-
-// RunFleetScript executes a specific fleet script (replay path).
-func RunFleetScript(sc Script, cfg FleetConfig) *FleetResult {
-	res := executeFleet(sc, cfg)
-	if res.Violation == nil {
-		return res
-	}
-	fails := func(cand Script) bool {
-		return executeFleet(cand, cfg).Violation != nil
-	}
-	shrunk := Shrink(sc, fails, shrinkBudget)
-	res.Shrunk = &shrunk
-	res.Report = formatFleetReport(res)
-	return res
-}
 
 // fleetVal is one modeled cache entry (fleet values are small; string
 // keys make them usable as map keys for the candidate sets).
@@ -206,95 +150,76 @@ func (m *fleetModel) del(key string) bool {
 
 // executeFleet runs one fleet script against a fresh fleet and checks
 // it step by step; the first divergence is recorded as the violation.
-func executeFleet(sc Script, cfg FleetConfig) *FleetResult {
-	res := &FleetResult{Config: cfg, Script: sc}
-	if cfg.Servers <= 0 {
-		cfg.Servers = 4
+func (m *Mode) executeFleet(sc Script, cfg Config) *Result {
+	res := &Result{Config: cfg, Script: sc, Counters: Counters{Runs: 1}}
+	servers := cfg.Servers
+	if servers <= 0 {
+		servers = 4
 	}
-
-	b := mcclient.DefaultBehaviors()
-	opts := cluster.Options{
+	opts, b := m.arm(cfg, cluster.Options{
 		ServerWorkers: 2,
 		Stripes:       4,
 		MemoryLimit:   32 << 20,
-	}
-	if cfg.Faults {
-		opts.Faults = cluster.LossyFaults(1.0, cfg.Seed^0x5eed)
-		b.Retries = 3
-		b.RetryBackoff = 200 * simnet.Microsecond
-		if cfg.Transport == cluster.UCRIB {
-			// Same reasoning as the single-server checker: UCR needs a
-			// client-side timeout to turn a dropped packet into a retry;
-			// socket transports retransmit below the client.
-			b.OpTimeout = 4 * simnet.Millisecond
-		}
-	}
+	})
 	f, err := cluster.NewFleet(cluster.ClusterB(), cluster.FleetOptions{
 		Transport: cfg.Transport,
-		Servers:   cfg.Servers,
+		Servers:   servers,
 		Seed:      cfg.Seed,
 		Behaviors: b,
 		Opts:      opts,
 	})
 	if err != nil {
-		res.Violation = &Violation{Msg: "harness: " + err.Error()}
+		res.Violation = harnessFailure(err)
 		return res
 	}
 	defer f.Close()
 
-	model := newFleetModel(cfg.Faults, f.Replicas(), f.Members())
-
-	nclients := sc.Clients
-	if nclients <= 0 {
-		nclients = 1
-	}
-	clients := make([]*cluster.FleetClient, nclients)
-	for i := range clients {
+	x := &fleetExecutor{cfg: cfg, f: f, model: newFleetModel(cfg.Faults, f.Replicas(), f.Members())}
+	for i := 0; i < max(sc.Clients, 1); i++ {
 		c, err := f.NewClient()
 		if err != nil {
-			res.Violation = &Violation{Msg: fmt.Sprintf("harness: client %d: %v", i, err)}
+			res.Violation = harnessFailure(fmt.Errorf("client %d: %w", i, err))
 			return res
 		}
 		defer c.Close()
-		clients[i] = c
+		x.clients = append(x.clients, c)
 	}
 
-	x := &fleetExecutor{cfg: cfg, f: f, model: model, clients: clients}
-	for i, op := range sc.Ops {
-		if v := x.step(op); v != nil {
-			v.Msg = fmt.Sprintf("op %d (%s): %s", i, formatOp(op, true), v.Msg)
-			res.Violation = v
-			x.finish(res)
-			return res
-		}
+	res.Violation = x.play(sc)
+
+	// Fold the vacuity counters: a sweep where the replication machinery
+	// never ran validated nothing. The servers' are summed over every
+	// member the run ever had, departed ones included.
+	for _, c := range x.clients {
+		res.Repairs += c.Stats.Repairs
 	}
-	if v := x.epilogue(); v != nil {
-		res.Violation = v
+	joins, leaves, crashes := f.ChurnCounts()
+	res.Churn, res.Moved = joins+leaves+crashes, x.moved
+	for _, srv := range f.D.Servers {
+		res.WriteReplies += srv.UCRWriteReplies()
 	}
-	x.finish(res)
+	res.Detail = fmt.Sprintf("churn=%d repairs=%d moved=%.4f", res.Churn, res.Repairs, res.Moved)
 	return res
 }
 
 type fleetExecutor struct {
-	cfg     FleetConfig
+	cfg     Config
 	f       *cluster.Fleet
 	model   *fleetModel
 	clients []*cluster.FleetClient
 	moved   float64
 }
 
-// finish folds the vacuity counters into the result.
-func (x *fleetExecutor) finish(res *FleetResult) {
-	for _, c := range x.clients {
-		res.Stats.Ops += c.Stats.Ops
-		res.Stats.PrimaryHits += c.Stats.PrimaryHits
-		res.Stats.ReplicaHits += c.Stats.ReplicaHits
-		res.Stats.Fallthroughs += c.Stats.Fallthroughs
-		res.Stats.Repairs += c.Stats.Repairs
-		res.Stats.Downs += c.Stats.Downs
+// play steps the script and then the epilogue; the first divergence ends
+// it.
+func (x *fleetExecutor) play(sc Script) *Violation {
+	for i, op := range sc.Ops {
+		if v := x.step(op); v != nil {
+			v.Msg = fmt.Sprintf("op %d (%s): %s", i, formatOp(op, true), v.Msg)
+			return v
+		}
 	}
-	res.Moved = x.moved
-	res.Joins, res.Leaves, res.Crashes = x.f.ChurnCounts()
+	return x.epilogue()
 }
 
 // down reports whether err is a server-down class outcome (tolerable
@@ -472,36 +397,4 @@ func (x *fleetExecutor) anyCand(server, key string, val []byte) bool {
 		}
 	}
 	return false
-}
-
-func formatFleetReport(res *FleetResult) string {
-	cfg := res.Config
-	var b strings.Builder
-	b.WriteString("memcheck: FLEET VIOLATION\n")
-	fmt.Fprintf(&b, "  seed=%d transport=%s faults=%v servers=%d clients=%d ops=%d\n",
-		cfg.Seed, cfg.Transport, cfg.Faults, cfg.Servers, res.Script.Clients, len(res.Script.Ops))
-	fmt.Fprintf(&b, "  violation: %s\n", res.Violation.Error())
-	fmt.Fprintf(&b, "  churn: joins=%d leaves=%d crashes=%d moved=%.4f repairs=%d\n",
-		res.Joins, res.Leaves, res.Crashes, res.Moved, res.Stats.Repairs)
-	replay := fmt.Sprintf("go run ./cmd/mccheck -mode fleet -transport %s -seed %d", cfg.Transport, cfg.Seed)
-	if cfg.Faults {
-		replay += " -faults"
-	}
-	if cfg.Servers != 0 {
-		replay += fmt.Sprintf(" -servers %d", cfg.Servers)
-	}
-	if cfg.Clients != 0 {
-		replay += fmt.Sprintf(" -clients %d", cfg.Clients)
-	}
-	if cfg.Ops != 0 {
-		replay += fmt.Sprintf(" -ops %d", cfg.Ops)
-	}
-	fmt.Fprintf(&b, "  replay: %s\n", replay)
-	if res.Shrunk != nil {
-		fmt.Fprintf(&b, "  shrunk script (%d ops, from %d; save and replay with -script FILE):\n", len(res.Shrunk.Ops), len(res.Script.Ops))
-		for _, line := range strings.Split(strings.TrimRight(FormatScript(*res.Shrunk), "\n"), "\n") {
-			b.WriteString("    " + line + "\n")
-		}
-	}
-	return b.String()
 }

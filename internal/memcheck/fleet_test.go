@@ -14,25 +14,21 @@ import (
 // somewhere in the sweep).
 func TestFleetCheckClean(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5}
-	var repairs uint64
-	var moved float64
-	var churn int
+	var sum Counters
 	for _, seed := range seeds {
-		res := RunFleet(FleetConfig{Transport: cluster.UCRIB, Seed: seed})
+		res := Run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %s\n%s", seed, res.Violation.Error(), res.Report)
 		}
-		repairs += res.Stats.Repairs
-		moved += res.Moved
-		churn += res.Joins + res.Leaves + res.Crashes
+		sum.Add(&res.Counters)
 	}
-	if repairs == 0 {
+	if sum.Repairs == 0 {
 		t.Fatal("vacuity: no read repair ran in the whole sweep")
 	}
-	if moved <= 0 {
+	if sum.Moved <= 0 {
 		t.Fatal("vacuity: churn moved no keyspace")
 	}
-	if churn == 0 {
+	if sum.Churn == 0 {
 		t.Fatal("vacuity: no churn events ran")
 	}
 }
@@ -41,7 +37,7 @@ func TestFleetCheckClean(t *testing.T) {
 // hold (no stale or foreign value is ever served).
 func TestFleetCheckLossy(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		res := RunFleet(FleetConfig{Transport: cluster.UCRIB, Seed: seed, Faults: true})
+		res := Run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed, Faults: true})
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %s\n%s", seed, res.Violation.Error(), res.Report)
 		}
@@ -50,7 +46,7 @@ func TestFleetCheckLossy(t *testing.T) {
 
 // Socket transport sanity: the fleet checker is transport-generic.
 func TestFleetCheckIPoIB(t *testing.T) {
-	res := RunFleet(FleetConfig{Transport: cluster.IPoIB, Seed: 7})
+	res := Run(Config{Mode: "fleet", Transport: cluster.IPoIB, Seed: 7})
 	if res.Violation != nil {
 		t.Fatalf("%s\n%s", res.Violation.Error(), res.Report)
 	}
@@ -58,7 +54,7 @@ func TestFleetCheckIPoIB(t *testing.T) {
 
 // The fleet script grammar round-trips through format/parse.
 func TestFleetScriptRoundTrip(t *testing.T) {
-	sc := GenerateFleet(42, FleetGenConfig{})
+	sc := GenerateFleet(42, GenConfig{})
 	text := FormatScript(sc)
 	back, err := ParseScript(text)
 	if err != nil {
@@ -94,7 +90,7 @@ func TestFleetCatchesMutRingStale(t *testing.T) {
 	runMutated(t, &ring.MutRingStale, func() {
 		caught := false
 		for seed := uint64(1); seed <= 6 && !caught; seed++ {
-			res := RunFleet(FleetConfig{Transport: cluster.UCRIB, Seed: seed})
+			res := Run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 			if res.Violation == nil {
 				continue
 			}
@@ -110,7 +106,7 @@ func TestFleetCatchesMutRingStale(t *testing.T) {
 				t.Fatalf("report lacks fleet replay line:\n%s", res.Report)
 			}
 			// The shrunk script must still fail when replayed.
-			rep := RunFleetScript(*res.Shrunk, res.Config)
+			rep := RunScript(*res.Shrunk, res.Config)
 			if rep.Violation == nil {
 				t.Fatal("shrunk script no longer fails on replay")
 			}
@@ -128,7 +124,7 @@ func TestFleetCatchesMutReplicaSkip(t *testing.T) {
 	runMutated(t, &ring.MutReplicaSkip, func() {
 		caught := false
 		for seed := uint64(1); seed <= 6 && !caught; seed++ {
-			res := RunFleet(FleetConfig{Transport: cluster.UCRIB, Seed: seed})
+			res := Run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 			if res.Violation == nil {
 				continue
 			}
@@ -136,7 +132,7 @@ func TestFleetCatchesMutReplicaSkip(t *testing.T) {
 			if res.Shrunk == nil || len(res.Shrunk.Ops) == 0 {
 				t.Fatalf("violation not shrunk: %s", res.Violation.Error())
 			}
-			rep := RunFleetScript(*res.Shrunk, res.Config)
+			rep := RunScript(*res.Shrunk, res.Config)
 			if rep.Violation == nil {
 				t.Fatal("shrunk script no longer fails on replay")
 			}
@@ -145,4 +141,28 @@ func TestFleetCatchesMutReplicaSkip(t *testing.T) {
 			t.Fatal("mut_replica_skip survived 6 seeds")
 		}
 	})
+}
+
+// A Mode value's Options reach the fleet's deployment: a fleet row that
+// arms write replies (crossover forced under the generator's 4–31 B
+// values, as the wrreply row forces its own) must have its members post
+// replies as RDMA writes, and still pass, clean and lossy. The parent's
+// fleet harness built its own cluster.Options and dropped the row's.
+func TestFleetTakesModeOptions(t *testing.T) {
+	m := &Mode{
+		Name: "fleet+wrreply", Fleet: true,
+		Options: func(o *cluster.Options) { o.WriteReplies, o.WriteReplyEager = true, 16 },
+	}
+	for _, lossy := range []bool{false, true} {
+		for _, seed := range []uint64{1, 2, 3} {
+			res := m.Run(Config{Transport: cluster.UCRIB, Seed: seed, Faults: lossy}, nil)
+			if res.Violation != nil {
+				t.Fatalf("lossy=%v seed %d: %s\n%s", lossy, seed, res.Violation.Error(), res.Report)
+			}
+			if res.WriteReplies == 0 {
+				t.Fatalf("lossy=%v seed %d: no fleet member posted a write reply — the mode's Options never reached the deployment (%s)",
+					lossy, seed, &res.Counters)
+			}
+		}
+	}
 }

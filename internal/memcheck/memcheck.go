@@ -4,72 +4,121 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cluster"
+	"repro/internal/mcclient"
 	"repro/internal/memcached"
+	"repro/internal/simnet"
 )
 
-// Result is one memcheck verdict. Violation == nil means the run
-// passed; otherwise Shrunk holds a minimal failing script and Report a
-// ready-to-print diagnosis with the replay line.
+// Result is one memcheck verdict, whichever row of the mode table ran.
+// Violation == nil means the run passed; otherwise Shrunk holds a
+// minimal failing script and Report a ready-to-print diagnosis with the
+// replay line.
 type Result struct {
-	Config    Config
-	Script    Script
+	Config Config
+	Script Script // what ran
+	// History and Obs are the single-server check's evidence: the
+	// engine's recorded transitions and the clients' observations (the
+	// fleet check compares step by step and keeps neither).
 	History   []*memcached.OpRecord
 	Obs       []Observation
 	Violation *Violation
 	Shrunk    *Script
 	Report    string
+	Detail    string // one-line summary of a passing run
 
 	// Counters feed the mode's vacuity guards (see Mode.Guards).
 	Counters
 }
 
-// Run generates the workload for cfg.Seed, executes it, and checks the
-// history. On violation it shrinks the script (shrinkBudget re-runs)
-// and formats the report.
-func Run(cfg Config) *Result {
-	sc := Generate(cfg.Seed, GenConfig{
-		Clients: cfg.Clients, Ops: cfg.Ops,
-		Pressure: cfg.Pressure, NoBursts: cfg.NoBursts,
-	})
-	return RunScript(sc, cfg)
+// Run generates the workload for cfg.Seed in the grammar of the row
+// cfg.Mode names, executes it, and checks it. On violation it shrinks
+// the script (shrinkBudget re-runs) and formats the report.
+func Run(cfg Config) *Result { return runNamed(cfg, nil) }
+
+// RunScript executes a specific script (replay path) and checks it.
+func RunScript(sc Script, cfg Config) *Result { return runNamed(cfg, &sc) }
+
+func runNamed(cfg Config, script *Script) *Result {
+	m, err := ModeByName(cfg.Mode)
+	if err != nil {
+		return &Result{Config: cfg, Violation: harnessFailure(err)}
+	}
+	return m.Run(cfg, script)
 }
 
 const shrinkBudget = 80
 
-// RunScript executes a specific script (replay path) and checks it.
-func RunScript(sc Script, cfg Config) *Result {
-	res := &Result{Config: cfg, Script: sc}
-	out, err := execute(sc, cfg)
-	if out != nil {
-		res.History = out.Records
-		res.Obs = out.Obs
-		res.Counters = out.Counters
+// harness is the one place the two checks part: the fleet row draws the
+// churn grammar and is checked step by step against the per-server
+// ownership model (fleet.go); every other row draws the single-server
+// op mix and is checked from the engine's recorded history (exec.go).
+// Either executor returns one execution's verdict, unshrunk.
+func (m *Mode) harness() (generate func(uint64, GenConfig) Script, execute func(Script, Config) *Result) {
+	if m.Fleet {
+		return GenerateFleet, m.executeFleet
 	}
-	res.Violation = verdict(out, err, cfg)
+	return Generate, m.execute
+}
+
+// Run executes one run of the mode (overriding cfg.Mode) from cfg.Seed,
+// or replaying script when non-nil. m need not be a row of Modes: any
+// Mode value runs, with its Options applied to the deployment.
+func (m *Mode) Run(cfg Config, script *Script) *Result {
+	cfg.Mode = m.Name
+	generate, execute := m.harness()
+	var sc Script
+	if script != nil {
+		sc = *script
+	} else {
+		sc = generate(cfg.Seed, GenConfig{
+			Clients: cfg.Clients, Ops: cfg.Ops,
+			Pressure: cfg.Pressure, NoBursts: cfg.NoBursts,
+		})
+	}
+	res := execute(sc, cfg)
 	if res.Violation == nil {
 		return res
 	}
-
-	fails := func(cand Script) bool {
-		o, e := execute(cand, cfg)
-		return verdict(o, e, cfg) != nil
-	}
+	fails := func(cand Script) bool { return execute(cand, cfg).Violation != nil }
 	shrunk := Shrink(sc, fails, shrinkBudget)
 	res.Shrunk = &shrunk
 	res.Report = formatReport(res)
 	return res
 }
 
-// verdict classifies one execution: harness failure, model divergence,
-// or cross-check mismatch (in that order).
-func verdict(out *runOutcome, err error, cfg Config) *Violation {
-	if err != nil {
-		return &Violation{Msg: "harness: " + err.Error()}
+// arm finishes the deployment options an executor starts from and builds
+// its clients' behaviours: the row's datapath armed and, with cfg.Faults,
+// a 1 % lossy fabric plus the retries that ride it out.
+func (m *Mode) arm(cfg Config, opts cluster.Options) (cluster.Options, mcclient.Behaviors) {
+	b := mcclient.DefaultBehaviors()
+	if cfg.Faults {
+		opts.Faults = cluster.LossyFaults(1.0, cfg.Seed^0x5eed)
+		b.Retries = 3
+		b.RetryBackoff = 200 * simnet.Microsecond
+		if cfg.Transport == cluster.UCRIB {
+			// UCR is unreliable datagram-style at the AM layer: lost
+			// packets need a client-side timeout to trigger the retry.
+			// Socket transports model reliable streams and retransmit
+			// below the client. Clean runs leave the timeout unset even
+			// in UD mode — flow-control credits mean a lossless fabric
+			// drops no datagrams, and worker clocks running ahead of a
+			// client's would turn the virtual deadline into spurious
+			// failures. UD retransmission is therefore only exercised
+			// (and only vacuity-checked) under Faults.
+			b.OpTimeout = 4 * simnet.Millisecond
+		}
 	}
-	if v := CheckModel(out.Records); v != nil {
-		return v
+	if m.Options != nil {
+		m.Options(&opts)
 	}
-	return CrossCheck(out.Records, out.Obs, cfg.Faults)
+	return opts, b
+}
+
+// harnessFailure is the verdict for a run the harness could not carry
+// out (an operation failed in a way the configuration cannot explain).
+func harnessFailure(err error) *Violation {
+	return &Violation{Msg: "harness: " + err.Error()}
 }
 
 // FormatHistory renders the recorded history one line per transition,
@@ -163,6 +212,7 @@ func formatReport(res *Result) string {
 	fmt.Fprintf(&b, "  mode=%s seed=%d transport=%s faults=%v pressure=%v nobursts=%v clients=%d ops=%d\n",
 		mode, cfg.Seed, cfg.Transport, cfg.Faults, cfg.Pressure, cfg.NoBursts, res.Script.Clients, len(res.Script.Ops))
 	fmt.Fprintf(&b, "  violation: %s\n", res.Violation.Error())
+	fmt.Fprintf(&b, "  counters: %s\n", &res.Counters)
 	replay := fmt.Sprintf("go run ./cmd/mccheck -mode %s -transport %s -seed %d", mode, cfg.Transport, cfg.Seed)
 	if cfg.Faults {
 		replay += " -faults"
@@ -172,6 +222,9 @@ func formatReport(res *Result) string {
 	}
 	if cfg.NoBursts {
 		replay += " -nobursts"
+	}
+	if cfg.Servers != 0 {
+		replay += fmt.Sprintf(" -servers %d", cfg.Servers)
 	}
 	if cfg.Clients != 0 {
 		replay += fmt.Sprintf(" -clients %d", cfg.Clients)

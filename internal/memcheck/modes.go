@@ -218,46 +218,3 @@ func (m *Mode) Vacuous(c *Counters, lossy, bursts bool) string {
 	}
 	return ""
 }
-
-// Outcome is one run's mode-independent verdict.
-type Outcome struct {
-	Violation *Violation
-	Script    Script  // what ran
-	Shrunk    *Script // minimal failing script, on violation
-	Report    string  // ready-to-print diagnosis with the replay line
-	Detail    string  // one-line summary of a passing run
-	Counters
-}
-
-// Run executes one run of the mode (overriding cfg.Mode) from cfg.Seed,
-// or replaying script when non-nil.
-func (m *Mode) Run(cfg Config, script *Script) Outcome {
-	if m.Fleet {
-		fc := FleetConfig{Transport: cfg.Transport, Seed: cfg.Seed, Faults: cfg.Faults,
-			Servers: cfg.Servers, Clients: cfg.Clients, Ops: cfg.Ops}
-		var res *FleetResult
-		if script != nil {
-			res = RunFleetScript(*script, fc)
-		} else {
-			res = RunFleet(fc)
-		}
-		churn := res.Joins + res.Leaves + res.Crashes
-		return Outcome{
-			Violation: res.Violation, Script: res.Script, Shrunk: res.Shrunk, Report: res.Report,
-			Detail:   fmt.Sprintf("churn=%d repairs=%d moved=%.4f", churn, res.Stats.Repairs, res.Moved),
-			Counters: Counters{Runs: 1, Repairs: res.Stats.Repairs, Churn: churn, Moved: res.Moved},
-		}
-	}
-	cfg.Mode = m.Name
-	var res *Result
-	if script != nil {
-		res = RunScript(*script, cfg)
-	} else {
-		res = Run(cfg)
-	}
-	return Outcome{
-		Violation: res.Violation, Script: res.Script, Shrunk: res.Shrunk, Report: res.Report,
-		Detail:   fmt.Sprintf("records=%d", len(res.History)),
-		Counters: res.Counters,
-	}
-}

@@ -287,12 +287,6 @@ func (g *generator) next() ScriptOp {
 	}
 }
 
-// FleetGenConfig tunes GenerateFleet.
-type FleetGenConfig struct {
-	Clients int
-	Ops     int
-}
-
 // FleetKeys is the fleet-mode key universe: wide enough to spread over
 // many owners so churn actually moves keys, narrow enough that every
 // key sees repeated traffic (read repair needs a get after a move).
@@ -301,8 +295,9 @@ var FleetKeys = makeKeys("f", 32)
 // GenerateFleet builds a deterministic fleet workload from seed:
 // set/get/del over FleetKeys interleaved with join/leave/crash churn
 // and small clock advances. Only ops the fleet client supports appear;
-// everything stores with exptime 0 (ownership, not TTL, is under test).
-func GenerateFleet(seed uint64, cfg FleetGenConfig) Script {
+// everything stores with exptime 0 (ownership, not TTL, is under test),
+// so of cfg only Clients and Ops (default 300) apply.
+func GenerateFleet(seed uint64, cfg GenConfig) Script {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 3
 	}

@@ -396,11 +396,15 @@ func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC, buf []byte) {
 }
 
 // handlerCost is the AM-dispatch charge: the full HandlerOverhead for a
-// message harvested on its own, the coalesced cost for the 2nd..Nth
-// messages of one batched drain (cache-hot dispatch).
+// message harvested on its own, a quarter of it for messages a batched
+// CQ drain processes while hot — the 2nd..Nth of one sweep, and any
+// arriving within the drain's spin window: the dispatch tables and
+// handler code are hot in cache when messages are processed back to
+// back, mirroring verbs' CQ.CoalescedCost. A lone message always pays
+// the full cost, so depth-1 timing is unchanged.
 func (c *Context) handlerCost() simnet.Duration {
 	if c.coalesced {
-		return c.rt.cfg.CoalescedHandlerOverhead
+		return c.rt.cfg.HandlerOverhead / 4
 	}
 	return c.rt.cfg.HandlerOverhead
 }

@@ -157,14 +157,6 @@ type Config struct {
 	// HandlerOverhead is the fixed cost of dispatching one active
 	// message into its header handler.
 	HandlerOverhead simnet.Duration
-	// CoalescedHandlerOverhead is the AM-dispatch cost for messages a
-	// batched CQ drain processes while hot — the 2nd..Nth of one sweep,
-	// and any message arriving within the drain's spin window (default
-	// HandlerOverhead/4): the dispatch tables and handler code are hot
-	// in cache when messages are processed back to back, mirroring the
-	// verbs layer's CoalescedPollOverhead. A lone message always pays
-	// the full cost, so depth-1 timing is unchanged.
-	CoalescedHandlerOverhead simnet.Duration
 	// UseSRQ makes every RC endpoint in a context draw receives from
 	// one shared receive queue instead of a per-endpoint window — the
 	// MVAPICH scalability design the paper cites ([11]) and the basis
@@ -211,9 +203,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PackBytesPerSec <= 0 {
 		c.PackBytesPerSec = 5e9
-	}
-	if c.CoalescedHandlerOverhead <= 0 {
-		c.CoalescedHandlerOverhead = c.HandlerOverhead / 4
 	}
 	if c.RegCacheEntries <= 0 {
 		c.RegCacheEntries = 128

@@ -109,8 +109,8 @@ func TestTryPollReadyVisibility(t *testing.T) {
 	if !ok || wc.ID != 8 {
 		t.Fatalf("TryPollReady = (%+v, %v)", wc, ok)
 	}
-	if got := p.cliClock.Now() - before; got != cfg.CoalescedPollOverhead {
-		t.Fatalf("TryPollReady charged %v, want %v", got, cfg.CoalescedPollOverhead)
+	if got := p.cliClock.Now() - before; got != cfg.PollOverhead/2 {
+		t.Fatalf("TryPollReady charged %v, want %v", got, cfg.PollOverhead/2)
 	}
 	// Empty CQ: refusal is free.
 	before = p.cliClock.Now()

@@ -39,9 +39,12 @@ func (c *CQ) Cost() simnet.Duration {
 	return c.hca.cfg.PollOverhead
 }
 
-// CoalescedCost exposes the reduced harvest cost of the 2nd..Nth
-// completions of a batched drain (and of a spin-covered harvest).
-func (c *CQ) CoalescedCost() simnet.Duration { return c.hca.cfg.CoalescedPollOverhead }
+// CoalescedCost is the reduced harvest cost of the 2nd..Nth completions
+// of a batched drain (and of a spin-covered harvest): half of
+// PollOverhead — the poll loop is already hot, only the CQE read is
+// paid. It applies in both polling and event mode: after the wakeup,
+// draining extra CQEs is a poll either way.
+func (c *CQ) CoalescedCost() simnet.Duration { return c.hca.cfg.PollOverhead / 2 }
 
 // TryPoll returns a completion if one is immediately available. The
 // caller is responsible for advancing its clock to wc.Time plus the
@@ -91,7 +94,7 @@ func (c *CQ) TryPollSpin(clk *simnet.VClock, spin simnet.Duration) (WC, bool) {
 		return WC{}, false
 	}
 	clk.AdvanceTo(wc.Time)
-	clk.Advance(c.hca.cfg.CoalescedPollOverhead)
+	clk.Advance(c.CoalescedCost())
 	return wc, true
 }
 

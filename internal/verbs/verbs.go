@@ -166,12 +166,6 @@ type Config struct {
 	// ring, since a burst rings the doorbell once. Defaults to half of
 	// PostOverhead. A burst of one charges exactly PostOverhead.
 	CoalescedPostOverhead simnet.Duration
-	// CoalescedPollOverhead is the harvest cost of the 2nd..Nth
-	// completion taken in one batched CQ drain (the poll loop is already
-	// hot; only the CQE read is paid). Defaults to half of PollOverhead.
-	// It applies in both polling and event mode — after the wakeup,
-	// draining extra CQEs is a poll either way.
-	CoalescedPollOverhead simnet.Duration
 	// RegBase and RegPerByte model memory-registration (pinning) cost.
 	RegBase    simnet.Duration
 	RegPerByte float64 // ns per byte
@@ -220,9 +214,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CoalescedPostOverhead <= 0 {
 		c.CoalescedPostOverhead = c.PostOverhead / 2
-	}
-	if c.CoalescedPollOverhead <= 0 {
-		c.CoalescedPollOverhead = c.PollOverhead / 2
 	}
 	// RNRRetry deliberately defaults to 0: an RC SEND into a QP with no
 	// posted receive fails immediately, which is what the credit-based
