@@ -90,11 +90,14 @@ check-no-wallclock:
 #  - PR 24: no client is special — no second op driver for concentrated
 #    sessions, no optional conditional-store contract, no second
 #    Config/Result/report for the fleet checker.
+#  - PR 25: a value has one home — no Options override of a Profile cost,
+#    no client UCR config of its own, no knob no caller sets.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
 internal	BeginPostBatch|FlushPosts|queuePost	^$$	UCR post batch under internal/
 internal cmd	doShared|CondStorer|FleetConfig|FleetResult|FleetGenConfig|RunFleetScript|formatFleetReport	^$$	session op driver, CondStorer or second fleet harness under internal/ cmd/
+internal cmd examples	UCRCredits|clientUCRConfig|DisableRegCache|NoReply|Deploy\.(OpCost|EagerThreshold)|Opts\.(OpCost|EagerThreshold|SRQBuffers)	^$$	Options override of a Profile value or deleted knob under internal/ cmd/ examples/
 endef
 export GONE
 

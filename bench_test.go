@@ -224,18 +224,14 @@ func BenchmarkAblationRCvsUD(b *testing.B) {
 // memory with per-endpoint windows vs a shared receive queue at 32
 // clients (§VII; the pool is flat, the windows grow linearly).
 func BenchmarkAblationSRQFootprint(b *testing.B) {
-	for _, mode := range []string{"per-endpoint", "srq"} {
+	for _, mode := range []string{"rc", "srq"} {
 		b.Run(mode, func(b *testing.B) {
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				perEP, srq, err := bench.SRQFootprint(cluster.ClusterB(), 32, bench.RunConfig{OpsPerPoint: 1})
+				var err error
+				bytes, err = bench.ConnScaleFootprint(cluster.ClusterB(), mode, 32, bench.RunConfig{OpsPerPoint: 1})
 				if err != nil {
 					b.Fatal(err)
-				}
-				if mode == "per-endpoint" {
-					bytes = perEP
-				} else {
-					bytes = srq
 				}
 			}
 			b.ReportMetric(float64(bytes)/1024, "recvbuf-KB")

@@ -217,18 +217,25 @@ func runAblations(w io.Writer, cfg bench.RunConfig, _ bool) error {
 		fmt.Fprintf(w, "%-8s 16 singles %8.2f us   one mget %8.2f us   (%.1fx)\n", r.Transport, r.SinglesUs, r.BatchedUs, r.Improvement)
 	}
 
-	scale, err := bench.ClientScaling(p, cluster.UCRIB, []int{4, 8, 16, 32}, cfg)
+	counts := []int{4, 8, 16, 32}
+	tps, err := bench.TPSSweep(p, []cluster.Transport{cluster.UCRIB}, counts, 4, cfg)
 	if err != nil {
 		return err
+	}
+	scale := make(map[int]float64, len(counts))
+	for i, n := range counts {
+		scale[n] = tps[cluster.UCRIB][i]
 	}
 	fmt.Fprint(w, bench.AblationResultString("client scaling: UCR-IB 4B gets, cluster B (aggregate)", scale, "KTPS"))
 
-	perEP, srq, err := bench.SRQFootprint(p, 32, cfg)
-	if err != nil {
-		return err
+	var recv [2]int64
+	for i, mode := range []string{"rc", "srq"} {
+		if recv[i], err = bench.ConnScaleFootprint(p, mode, 32, cfg); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(w, "# receive-buffer footprint at 32 clients (server total, cluster B)\nper-endpoint windows  %8d KB\nshared receive queue  %8d KB\n",
-		perEP/1024, srq/1024)
+		recv[0]/1024, recv[1]/1024)
 
 	fmt.Fprintln(w, "# latency jitter: 64B gets, 500 samples, cluster B (us)")
 	for _, tr := range p.Transports {

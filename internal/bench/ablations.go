@@ -17,14 +17,16 @@ import (
 // (§IV-C), and RC vs UD endpoints (§VII).
 
 // AblationEagerThreshold measures mean get latency for one value size
-// under different eager cut-overs. Below the threshold a reply is one
-// packed transaction; above it the client RDMA-reads the value.
+// under different eager cut-overs, each on a cluster B profile with its
+// UCR.EagerThreshold set. Below the threshold a reply is one packed
+// transaction; above it the client RDMA-reads the value.
 func AblationEagerThreshold(valueSize int, thresholds []int, cfg RunConfig) (map[int]float64, error) {
 	cfg = cfg.withDefaults()
 	out := make(map[int]float64, len(thresholds))
 	for _, th := range thresholds {
-		cfg.Deploy.EagerThreshold = th
-		rec, err := LatencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, valueSize, cfg)
+		p := cluster.ClusterB()
+		p.UCR.EagerThreshold = th
+		rec, err := LatencyPoint(p, cluster.UCRIB, MixGet, valueSize, cfg)
 		if err != nil {
 			return nil, err
 		}

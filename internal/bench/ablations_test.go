@@ -102,14 +102,16 @@ func TestMGetSweepBatchingWins(t *testing.T) {
 	}
 }
 
+// TestClientScaling is the ablations study's client-scaling line: UCR-IB
+// 4 B gets, TPS growing with the client count.
 func TestClientScaling(t *testing.T) {
 	p := cluster.ClusterB()
-	res, err := ClientScaling(p, cluster.UCRIB, []int{4, 16}, RunConfig{OpsPerPoint: 30})
+	res, err := TPSSweep(p, []cluster.Transport{cluster.UCRIB}, []int{4, 16}, 4, RunConfig{OpsPerPoint: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[16] <= res[4] {
-		t.Fatalf("TPS did not grow with clients: %v", res)
+	if tps := res[cluster.UCRIB]; tps[1] <= tps[0] {
+		t.Fatalf("TPS did not grow with clients: %v", tps)
 	}
 }
 
@@ -117,14 +119,16 @@ func TestSRQFootprintAblation(t *testing.T) {
 	// Per-endpoint windows grow linearly with clients; the SRQ pool is
 	// fixed, so it wins past a crossover (§VII's scalability argument).
 	p := cluster.ClusterB()
-	perEPSmall, srqSmall, err := SRQFootprint(p, 4, RunConfig{OpsPerPoint: 1})
-	if err != nil {
-		t.Fatal(err)
+	footprint := func(mode string, n int) int64 {
+		t.Helper()
+		b, err := ConnScaleFootprint(p, mode, n, RunConfig{OpsPerPoint: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	perEPBig, srqBig, err := SRQFootprint(p, 32, RunConfig{OpsPerPoint: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	perEPSmall, srqSmall := footprint("rc", 4), footprint("srq", 4)
+	perEPBig, srqBig := footprint("rc", 32), footprint("srq", 32)
 	if perEPBig <= perEPSmall {
 		t.Fatalf("per-endpoint footprint should grow: %d then %d", perEPSmall, perEPBig)
 	}

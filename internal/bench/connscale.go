@@ -77,10 +77,10 @@ func connScaleDeploy(mode string, o cluster.Options) cluster.Options {
 	return o
 }
 
-// connScaleFootprint measures total server receive-buffer bytes after
-// nClients connect and trade one op each (the SRQFootprint protocol,
-// per mode).
-func connScaleFootprint(p *cluster.Profile, mode string, nClients int, cfg RunConfig) (int64, error) {
+// ConnScaleFootprint measures total server receive-buffer bytes on one
+// of connScaleModes' datapaths after nClients connect and trade one op
+// each.
+func ConnScaleFootprint(p *cluster.Profile, mode string, nClients int, cfg RunConfig) (int64, error) {
 	d := cluster.New(p, connScaleDeploy(mode, cfg.Deploy))
 	defer d.Close()
 	for i := 0; i < nClients; i++ {
@@ -122,7 +122,7 @@ func ConnScaleSweep(p *cluster.Profile, tpsClients int, cfg RunConfig) (*ConnSca
 	for _, mode := range connScaleModes {
 		var bytesAt []float64
 		for _, n := range connScaleFitCounts {
-			b, err := connScaleFootprint(p, mode, n, cfg)
+			b, err := ConnScaleFootprint(p, mode, n, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: connscale %s n=%d: %w", mode, n, err)
 			}

@@ -67,19 +67,21 @@ type FleetPoint struct {
 // fleetCell measures one server count.
 func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, error) {
 	pt := FleetPoint{Servers: servers, Clients: 10 * servers}
+	// Lean UCR endpoints: a 512 B eager buffer and two credits, because
+	// every credit pins a real eager buffer on both sides of every lazily
+	// dialed connection.
+	lean := *p
+	lean.UCR.EagerThreshold = 512
+	lean.UCR.Credits = 2
 	opts := cluster.Options{
 		// Lean per-server shape: the cell's subject is fleet behavior,
 		// not per-server parallelism, and 1000 fat servers would not fit.
-		ServerWorkers:  1,
-		Stripes:        1,
-		MemoryLimit:    1 << 20,
-		UseSRQ:         true,
-		EagerThreshold: 512,
-		// Two credits per endpoint: every credit pins a real eager
-		// buffer on both sides of every lazily dialed connection.
-		UCRCredits: 2,
+		ServerWorkers: 1,
+		Stripes:       1,
+		MemoryLimit:   1 << 20,
+		UseSRQ:        true,
 	}
-	f, err := cluster.NewFleet(p, cluster.FleetOptions{
+	f, err := cluster.NewFleet(&lean, cluster.FleetOptions{
 		Transport: cluster.UCRIB,
 		Servers:   servers,
 		Seed:      cfg.Seed,

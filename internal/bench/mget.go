@@ -88,52 +88,3 @@ func MGetSweep(p *cluster.Profile, transports []cluster.Transport, batchSize, va
 	}
 	return out, nil
 }
-
-// SRQFootprint compares the server's per-worker receive-buffer memory
-// with per-endpoint credit windows versus one shared receive queue
-// (§VII: the SRQ/UD direction keeps buffer memory flat as clients
-// grow). It returns total server receive-buffer bytes for both modes
-// after nClients connect and trade one op each.
-func SRQFootprint(p *cluster.Profile, nClients int, cfg RunConfig) (perEndpointBytes, srqBytes int64, err error) {
-	cfg = cfg.withDefaults()
-	run := func(useSRQ bool) (int64, error) {
-		deploy := cfg.Deploy
-		deploy.UseSRQ = useSRQ
-		d := cluster.New(p, deploy)
-		defer d.Close()
-		for i := 0; i < nClients; i++ {
-			c, cerr := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
-			if cerr != nil {
-				return 0, cerr
-			}
-			defer c.Close()
-			if err := c.MC.Set(fmt.Sprintf("warm-%d", i), []byte("x"), 0, 0); err != nil {
-				return 0, err
-			}
-		}
-		return d.Server.UCRRecvBufferBytes(), nil
-	}
-	if perEndpointBytes, err = run(false); err != nil {
-		return 0, 0, err
-	}
-	if srqBytes, err = run(true); err != nil {
-		return 0, 0, err
-	}
-	return perEndpointBytes, srqBytes, nil
-}
-
-// ClientScaling measures aggregate 4-byte-get TPS as the client count
-// grows — extending the paper's Fig 6 beyond 16 clients toward the
-// regime §VII's UD work targets.
-func ClientScaling(p *cluster.Profile, t cluster.Transport, counts []int, cfg RunConfig) (map[int]float64, error) {
-	cfg = cfg.withDefaults()
-	out := make(map[int]float64, len(counts))
-	for _, n := range counts {
-		tps, err := TPSPoint(p, t, n, 4, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[n] = tps / 1e3
-	}
-	return out, nil
-}

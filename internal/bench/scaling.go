@@ -13,8 +13,8 @@ import (
 // aggregate throughput over (server workers × lock stripes), contrasting
 // the global-cache-lock engine (Stripes=1) with the striped one.
 
-// ScalingOpCost is the per-op engine cost the sweep charges when the
-// caller doesn't override Deploy.OpCost: a CPU-bound command-processing
+// ScalingOpCost is the per-op engine cost the sweep's profile charges
+// in place of the testbed's Profile.OpCost: a CPU-bound command-processing
 // regime (hash + LRU + bookkeeping dominating the HCA poll path), which
 // is exactly where lock scaling is visible. With the stock sub-µs
 // OpCost the HCA pipeline, not the cache lock, is the bottleneck and
@@ -39,14 +39,13 @@ type ScalingPoint struct {
 }
 
 // ScalingSweep measures aggregate TPS for every (workers, stripes, mix)
-// combination with nClients closed-loop clients on transport t. Unless
-// cfg.Deploy.OpCost is set it charges ScalingOpCost per op, so the
-// engine — not the fabric — is the bottleneck under test.
+// combination with nClients closed-loop clients on transport t. It runs
+// on a copy of p that charges ScalingOpCost per op, so the engine — not
+// the fabric — is the bottleneck under test.
 func ScalingSweep(p *cluster.Profile, t cluster.Transport, workerCounts, stripeCounts []int, nClients int, mixes []Mix, cfg RunConfig) ([]ScalingPoint, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Deploy.OpCost == 0 {
-		cfg.Deploy.OpCost = ScalingOpCost
-	}
+	heavy := *p
+	heavy.OpCost = ScalingOpCost
 	cfg.KeySpace = scalingKeySpace
 	var out []ScalingPoint
 	for _, mix := range mixes {
@@ -55,7 +54,7 @@ func ScalingSweep(p *cluster.Profile, t cluster.Transport, workerCounts, stripeC
 				c := cfg
 				c.Deploy.ServerWorkers = w
 				c.Deploy.Stripes = st
-				tps, err := mixTPSPoint(p, t, nClients, scalingValueSize, mix, c)
+				tps, err := mixTPSPoint(&heavy, t, nClients, scalingValueSize, mix, c)
 				if err != nil {
 					return nil, fmt.Errorf("bench: scaling %s w=%d s=%d: %w", mix, w, st, err)
 				}

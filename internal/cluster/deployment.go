@@ -12,7 +12,10 @@ import (
 	"repro/internal/verbs"
 )
 
-// Options tunes a deployment beyond the cluster profile.
+// Options say what to deploy on a cluster profile: how many servers of
+// what shape, and which datapaths to arm. What the testbed costs —
+// UCR's eager buffer and credit window, the per-command OpCost — is the
+// profile's; a study that varies it edits its own profile copy.
 type Options struct {
 	// Servers is the number of memcached server processes, each on its
 	// own node (the paper's deployment sketch, Fig 1b, aggregates spare
@@ -27,28 +30,13 @@ type Options struct {
 	Stripes int
 	// MemoryLimit is the server cache size (default 512 MB).
 	MemoryLimit int64
-	// EagerThreshold overrides the UCR eager cut-over (default 8 KB,
-	// used by the ablation bench).
-	EagerThreshold int
-	// UCRCredits overrides the per-endpoint flow-control credit window
-	// on both sides (default from the profile, 64 on B). Each credit
-	// pins a real receive buffer of roughly EagerThreshold bytes, so
-	// fleet-scale deployments (1000 servers × lazy client fan-out) dial
-	// this down to keep tens of thousands of endpoints affordable.
-	UCRCredits int
-	// OpCost overrides the server's per-command processing cost
-	// (default below when zero).
-	OpCost simnet.Duration
 	// UCREvents switches the server's UCR completion detection from
 	// polling to interrupt-style events (ablation).
 	UCREvents bool
 	// UseSRQ makes server UCR endpoints draw receives from one shared
-	// pool per worker (§VII scalability; ablation).
+	// pool per worker (§VII scalability; ablation), Profile.UCR.SRQBuffers
+	// deep.
 	UseSRQ bool
-	// SRQBuffers overrides the shared receive pool depth per server
-	// worker (default 4× the credit window; only meaningful with
-	// UseSRQ). Small values force RNR backpressure under bursts.
-	SRQBuffers int
 	// UDGets arms the UD small-get mode (the one UD mode) on every UCR
 	// client: alongside the RC endpoint, the client dials an unreliable
 	// datagram endpoint and serves GET/MGET requests that fit one
@@ -90,12 +78,7 @@ type Options struct {
 	Faults *simnet.FaultConfig
 }
 
-// dispatchCost is the server's libevent notification + thread wakeup per
-// sockets-path request event (memcached.ServerConfig.DispatchCost), the
-// same on both clusters.
-const dispatchCost = 3 * us
-
-func (o Options) withDefaults(p *Profile) Options {
+func (o Options) withDefaults() Options {
 	if o.Servers <= 0 {
 		o.Servers = 1
 	}
@@ -107,13 +90,6 @@ func (o Options) withDefaults(p *Profile) Options {
 	}
 	if o.MemoryLimit <= 0 {
 		o.MemoryLimit = 512 << 20
-	}
-	if o.OpCost <= 0 {
-		if p.Name == "B" {
-			o.OpCost = 900
-		} else {
-			o.OpCost = 2200
-		}
 	}
 	return o
 }
@@ -167,8 +143,7 @@ type Deployment struct {
 	// membership changes (Fleet.Join adds servers mid-traffic while
 	// other goroutines drive load; the historical slice sizing assumed
 	// the fixed Options.Servers count set at New time).
-	mu     sync.Mutex
-	ucrCfg ucr.Config
+	mu sync.Mutex
 }
 
 // trunk is one connection-concentrator queue-pair group
@@ -182,7 +157,7 @@ type trunk struct {
 
 // New builds a deployment on the given profile.
 func New(p *Profile, opts Options) *Deployment {
-	opts = opts.withDefaults(p)
+	opts = opts.withDefaults()
 	d := &Deployment{
 		Profile:   p,
 		Opts:      opts,
@@ -221,17 +196,6 @@ func New(p *Profile, opts Options) *Deployment {
 	seat(TOE10G, p.TOE10GModel, d.Eth10G)
 	seat(TCP1G, p.TCP1GModel, d.Eth1G)
 
-	d.ucrCfg = p.UCR
-	if opts.EagerThreshold > 0 {
-		d.ucrCfg.EagerThreshold = opts.EagerThreshold
-	}
-	if opts.UCRCredits > 0 {
-		d.ucrCfg.Credits = opts.UCRCredits
-	}
-	d.ucrCfg.UseSRQ = opts.UseSRQ
-	if opts.SRQBuffers > 0 {
-		d.ucrCfg.SRQBuffers = opts.SRQBuffers
-	}
 	for i := 0; i < opts.Servers; i++ {
 		name := "server"
 		if opts.Servers > 1 {
@@ -266,8 +230,7 @@ func (d *Deployment) AddServer(name string) int {
 			MemoryLimit: d.Opts.MemoryLimit,
 			Stripes:     d.Opts.Stripes,
 		},
-		DispatchCost:    dispatchCost,
-		OpCost:          d.Opts.OpCost,
+		OpCost:          d.Profile.OpCost,
 		WriteReplyEager: d.Opts.WriteReplyEager,
 		// Lock-held copies run at the cluster's memory pack rate.
 		CopyBytesPerSec: d.Profile.UCR.PackBytesPerSec,
@@ -281,7 +244,9 @@ func (d *Deployment) AddServer(name string) int {
 		srv.ServeSockets(lis)
 	}
 	hca := verbs.NewHCA(node, d.IB, d.Profile.HCA)
-	rt := ucr.New(hca, d.CM, d.ucrCfg)
+	cfg := d.Profile.UCR
+	cfg.UseSRQ = d.Opts.UseSRQ
+	rt := ucr.New(hca, d.CM, cfg)
 	if err := srv.ServeUCR(rt, ucrServiceFor(i)); err != nil {
 		panic(fmt.Sprintf("cluster: serve ucr: %v", err))
 	}
@@ -329,7 +294,7 @@ type seat struct {
 func (d *Deployment) attach(name string, t Transport) seat {
 	s := seat{t: t, node: d.Network.AddNode(name)}
 	if t == UCRIB {
-		s.rt = ucr.New(verbs.NewHCA(s.node, d.IB, d.Profile.HCA), d.CM, d.clientUCRConfig())
+		s.rt = ucr.New(verbs.NewHCA(s.node, d.IB, d.Profile.HCA), d.CM, d.Profile.UCR)
 		s.ctx = s.rt.NewContext()
 	} else {
 		d.providers[t].Fabric.Attach(s.node)
@@ -344,7 +309,7 @@ func (d *Deployment) attach(name string, t Transport) seat {
 // endpoint beside the reliable one.
 func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors, clk *simnet.VClock) (mcclient.Transport, error) {
 	if s.t != UCRIB {
-		return mcclient.DialSock(d.providers[s.t], s.node, srv, serviceFor(s.t), b, clk)
+		return mcclient.DialSock(d.providers[s.t], s.node, srv, serviceFor(s.t), clk)
 	}
 	ut, err := mcclient.DialUCR(s.rt, s.ctx, srv, ucrServiceFor(i), b, clk)
 	if err != nil {
@@ -422,20 +387,6 @@ func (d *Deployment) openTrunk(behaviors mcclient.Behaviors, clk *simnet.VClock)
 	}
 	d.trunks = append(d.trunks, tr)
 	return tr, nil
-}
-
-// clientUCRConfig is the UCR config client endpoints dial with: the
-// profile's, with the deployment's eager-threshold and credit overrides
-// but without the server-side SRQ knobs.
-func (d *Deployment) clientUCRConfig() ucr.Config {
-	cfg := d.Profile.UCR
-	if d.Opts.EagerThreshold > 0 {
-		cfg.EagerThreshold = d.Opts.EagerThreshold
-	}
-	if d.Opts.UCRCredits > 0 {
-		cfg.Credits = d.Opts.UCRCredits
-	}
-	return cfg
 }
 
 // Trunks reports the concentrator QP-group count (0 unless

@@ -22,7 +22,9 @@ import (
 // is backpressure plus clean per-op failure, never a hang or a wedged
 // server.
 func TestSRQCreditExhaustionBackpressure(t *testing.T) {
-	d := New(ClusterB(), Options{UseSRQ: true, SRQBuffers: 4})
+	p := ClusterB()
+	p.UCR.SRQBuffers = 4
+	d := New(p, Options{UseSRQ: true})
 	defer d.Close()
 
 	c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())

@@ -53,6 +53,9 @@ type Profile struct {
 	HCA verbs.Config
 	// UCR tunes the runtime on this cluster.
 	UCR ucr.Config
+	// OpCost is the server's per-command processing cost (parse, hash,
+	// LRU) on this cluster's CPUs, charged on every path.
+	OpCost simnet.Duration
 
 	// Eth10G / Eth1G are present when the cluster has those NICs.
 	Eth10G *simnet.FabricSpec
@@ -115,6 +118,7 @@ func ClusterA() *Profile {
 			HandlerOverhead: 400,
 			AMRetries:       3,
 		},
+		OpCost: 2200,
 	}
 	eth10 := simnet.FabricSpec{
 		Name:            "eth10g",
@@ -238,6 +242,7 @@ func ClusterB() *Profile {
 			HandlerOverhead: 300,
 			AMRetries:       3,
 		},
+		OpCost: 900,
 	}
 	p.IPoIBModel = &sockstream.Provider{
 		Name:            string(IPoIB),

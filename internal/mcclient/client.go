@@ -57,11 +57,10 @@ const (
 	DistKetama
 )
 
-// Behaviors mirrors memcached_behavior_set knobs used in the paper
-// (the evaluation sets TCP_NODELAY for predictable latency, §VI).
+// Behaviors mirrors memcached_behavior_set knobs used in the paper. The
+// evaluation's TCP_NODELAY (§VI) is not one: socket transports always
+// set it.
 type Behaviors struct {
-	// NoDelay sets TCP_NODELAY on socket transports.
-	NoDelay bool
 	// Distribution picks the key→server mapping.
 	Distribution Distribution
 	// OpTimeout bounds each operation in virtual time (0: none); on
@@ -72,11 +71,6 @@ type Behaviors struct {
 	// reports it unreachable, re-hashing the keyspace over the
 	// survivors (libmemcached's AUTO_EJECT_HOSTS).
 	AutoEject bool
-	// NoReply makes Set fire-and-forget (libmemcached's NOREPLY
-	// behaviour): the text protocol's "noreply" flag, or a UCR AM with
-	// no reply counter. Sets pipeline without waiting on the server;
-	// storage failures (OOM with -M, oversized items) are not reported.
-	NoReply bool
 	// Retries is how many times an operation that fails with
 	// ErrServerDown is retried against the same owner (with exponential
 	// backoff) before failover/auto-eject kicks in. Zero disables
@@ -90,7 +84,7 @@ type Behaviors struct {
 
 // DefaultBehaviors returns the paper's client configuration.
 func DefaultBehaviors() Behaviors {
-	return Behaviors{NoDelay: true, Distribution: DistModula}
+	return Behaviors{Distribution: DistModula}
 }
 
 // Transport is one server connection, in either protocol.
@@ -230,18 +224,25 @@ func (c *Client) Get(key string) (value []byte, flags uint32, cas uint64, err er
 // GetMulti fetches several keys (libmemcached's mget): keys are grouped
 // by owning server and each group travels as one batched request — a
 // single multi-key get line over sockets, a single mget active message
-// over UCR.
+// over UCR. Groups go out in the order their first key appears in keys,
+// so what a failure leaves in out — and the clock — is a function of
+// the call.
 func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
+	var order []int
 	groups := make(map[int][]string)
 	for _, key := range keys {
 		if err := checkKey(key); err != nil {
 			return nil, err
 		}
 		idx := c.ServerFor(key)
+		if _, seen := groups[idx]; !seen {
+			order = append(order, idx)
+		}
 		groups[idx] = append(groups[idx], key)
 	}
 	out := make(map[string][]byte, len(keys))
-	for idx, group := range groups {
+	for _, idx := range order {
+		group := groups[idx]
 		if idx < 0 {
 			return out, ErrNoServers
 		}

@@ -19,27 +19,27 @@ import (
 // are parsed in place out of the reader's buffer. GetInto is the
 // zero-allocation read; Get allocates exactly the value it returns.
 type SockTransport struct {
-	name    string
-	conn    *sockstream.Conn
-	r       *bufio.Reader
-	noReply bool
+	name string
+	conn *sockstream.Conn
+	r    *bufio.Reader
 
 	req   []byte // request scratch, reused across blocking calls
 	spill []byte // a reply line longer than the reader's buffer
 }
 
-// DialSock connects a socket transport. The handshake cost lands on clk.
-func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, behaviors Behaviors, clk *simnet.VClock) (*SockTransport, error) {
+// DialSock connects a socket transport with TCP_NODELAY set, as the
+// paper's evaluation does (§VI) and the server does on its side. The
+// handshake cost lands on clk.
+func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, clk *simnet.VClock) (*SockTransport, error) {
 	conn, err := p.Dial(from, to, service, clk, 0)
 	if err != nil {
 		return nil, err
 	}
-	conn.NoDelay = behaviors.NoDelay
+	conn.NoDelay = true
 	return &SockTransport{
-		name:    to.Name() + "/" + service,
-		conn:    conn,
-		r:       bufio.NewReaderSize(conn, 16*1024),
-		noReply: behaviors.NoReply,
+		name: to.Name() + "/" + service,
+		conn: conn,
+		r:    bufio.NewReaderSize(conn, 16*1024),
 	}, nil
 }
 
@@ -74,15 +74,11 @@ func (t *SockTransport) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// Set implements Transport. With the NoReply behaviour the command is
-// pipelined with the protocol's "noreply" flag and assumed stored.
+// Set implements Transport.
 func (t *SockTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	req := memcached.AppendTextStore(t.req[:0], memcached.StoreOpSet, key, flags, exptime, value, 0, t.noReply)
+	req := memcached.AppendTextStore(t.req[:0], memcached.StoreOpSet, key, flags, exptime, value, 0, false)
 	if err := t.send(clk, req); err != nil {
 		return 0, err
-	}
-	if t.noReply {
-		return memcached.Stored, nil
 	}
 	return t.readSetReply()
 }

@@ -43,7 +43,7 @@ func TestWorkerPoolStressMidBurstClose(t *testing.T) {
 		if i%2 == 0 {
 			transports[i] = dialStressUCR(t, st, node, behav)
 		} else {
-			tr, err := DialSock(st.prov, node, st.srvNode, "mc", behav, simnet.NewVClock(0))
+			tr, err := DialSock(st.prov, node, st.srvNode, "mc", simnet.NewVClock(0))
 			if err != nil {
 				t.Fatal(err)
 			}

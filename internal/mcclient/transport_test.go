@@ -70,7 +70,7 @@ func (st *stack) dialSock(t testing.TB, service string) *SockTransport {
 	t.Helper()
 	node := st.nw.AddNode(fmt.Sprintf("sockcli%d", len(st.nw.Nodes())))
 	st.fab.Attach(node)
-	tr, err := DialSock(st.prov, node, st.srvNode, service, DefaultBehaviors(), simnet.NewVClock(0))
+	tr, err := DialSock(st.prov, node, st.srvNode, service, simnet.NewVClock(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +92,33 @@ func (st *stack) ucrClient(t testing.TB) (*UCRTransport, *ucr.Context) {
 	}
 	t.Cleanup(ctx.Destroy)
 	return tr, ctx
+}
+
+// TestUCRZeroReplyCounterSetIsQuiet: the client library always asks for
+// a reply, but the server still honours a set that names no reply
+// counter (the AM protocol's noreply): it stores the item and answers
+// nothing.
+func TestUCRZeroReplyCounterSetIsQuiet(t *testing.T) {
+	st := newStack(t)
+	tr, ctx := st.ucrClient(t)
+	defer tr.Close()
+	clk := simnet.NewVClock(0)
+	amsBefore, _, _, _, _ := ctx.Stats()
+	origin := tr.rt.NewCounter()
+	hdr := memcached.AppendSetReq(nil, memcached.SetReq{Key: "quiet"})
+	if err := tr.ep.Send(clk, memcached.AMSet, hdr, []byte("v"), origin, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.WaitCounter(clk, origin, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	v, _, _, ok, err := tr.Get(clk, "quiet")
+	if err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get after a quiet set = (%q, %v, %v)", v, ok, err)
+	}
+	if amsAfter, _, _, _, _ := ctx.Stats(); amsAfter-amsBefore != 1 {
+		t.Fatalf("%d AMs reached the client, want 1 (the get's reply only)", amsAfter-amsBefore)
+	}
 }
 
 func TestSockTransportFullOps(t *testing.T) {

@@ -33,7 +33,6 @@ type UCRTransport struct {
 	ctx     *ucr.Context
 	ep      *ucr.Endpoint
 	timeout simnet.Duration
-	noReply bool
 
 	// UD small-get mode (§VII): an optional unreliable endpoint to the
 	// same server; readOp says which reads ride it. A lost datagram is
@@ -149,7 +148,6 @@ func DialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string,
 		ctx:     ctx,
 		ep:      ep,
 		timeout: behaviors.OpTimeout,
-		noReply: behaviors.NoReply,
 		slots:   make(map[ucr.CounterID]*amOp),
 	}
 	ep.UserData = t
@@ -634,26 +632,8 @@ func (t *UCRTransport) mgetResult(op *amOp, out map[string][]byte) error {
 
 // ---- blocking calls (Transport) ---------------------------------------
 
-// Set implements Transport. With the NoReply behaviour the request
-// carries no reply counter — the server stores the item and answers
-// nothing (§V-B's reply is driven entirely by the client's counter C) —
-// and the client only waits for local completion (origin counter,
-// §IV-C), which is when its buffer is reusable.
+// Set implements Transport.
 func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	if t.noReply {
-		hdr := memcached.AppendSetReq(nil, memcached.SetReq{
-			ReplyCtr: 0, Flags: flags, Exptime: exptime, Key: key,
-		})
-		origin := t.rt.NewCounter()
-		defer t.rt.FreeCounter(origin)
-		if err := t.ep.Send(clk, memcached.AMSet, hdr, value, origin, 0, nil); err != nil {
-			return 0, ErrServerDown
-		}
-		if err := t.ctx.WaitCounter(clk, origin, 1, t.timeout); err != nil {
-			return 0, ErrServerDown
-		}
-		return memcached.Stored, nil
-	}
 	op := t.setOp(clk, key, flags, exptime, value)
 	if err := t.do(clk, op); err != nil {
 		return 0, err

@@ -15,11 +15,6 @@ type ServerConfig struct {
 	Workers int
 	// Store sizes the cache engine.
 	Store StoreConfig
-	// DispatchCost is the libevent notification + thread wakeup charged
-	// per sockets-path request event. The UCR path polls its CQ instead
-	// and pays only the (cheaper) poll/handler costs — one of the
-	// structural advantages the paper measures.
-	DispatchCost simnet.Duration
 	// OpCost is the command-processing cost (parse, hash, LRU) charged
 	// per operation on both paths. It is also the baseline shard-lock
 	// hold time in the engine's contention model.
@@ -41,6 +36,12 @@ type ServerConfig struct {
 	// the window) the server gather-writes the reply. Default 1 KB.
 	WriteReplyEager int
 }
+
+// dispatchCost is the libevent notification + thread wakeup charged per
+// sockets-path request event, the same on both clusters. The UCR path
+// polls its CQ instead and pays only the (cheaper) poll/handler costs —
+// one of the structural advantages the paper measures.
+const dispatchCost = 3 * simnet.Microsecond
 
 // ucrDrainBatch is how many completions a UCR worker may harvest per
 // batched CQ drain: the first at the full poll cost unless the worker
@@ -391,7 +392,7 @@ func (w *worker) drainSock() {
 }
 
 // serveConn serves every request already buffered on the connection
-// (one readiness edge can harvest a pipelined burst). DispatchCost is
+// (one readiness edge can harvest a pipelined burst). dispatchCost is
 // charged only when there is data to serve: a readiness edge whose
 // bytes were already consumed by an earlier burst is a no-op with no
 // virtual-time footprint.
@@ -406,7 +407,7 @@ func (w *worker) serveConn(cs *connState) {
 		}
 		return
 	}
-	w.clk.Advance(w.srv.cfg.DispatchCost)
+	w.clk.Advance(dispatchCost)
 	for {
 		quit, err := cs.proto.ServeOne(w.clk)
 		if err != nil || quit {

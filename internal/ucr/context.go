@@ -86,8 +86,7 @@ type pendingRead struct {
 }
 
 type rndzOriginState struct {
-	mr          *verbs.MR
-	cached      bool // owned by the registration cache: do not deregister
+	mr          *verbs.MR // owned by the registration cache: release, never deregister
 	originCtr   *Counter
 	complCtr    *Counter
 	originCtrID CounterID
@@ -511,7 +510,7 @@ func (c *Context) handleAck(pkt packet) {
 	if pkt.seq != 0 {
 		if st, ok := c.rndzOrigin[pkt.seq]; ok {
 			delete(c.rndzOrigin, pkt.seq)
-			c.rt.releaseRndzMR(st.mr, st.cached)
+			c.rt.releaseCached(st.mr)
 			st.originCtr.bumpIf(st.originCtrID)
 			st.complCtr.bumpIf(st.complCtrID)
 			return

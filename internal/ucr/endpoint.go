@@ -197,14 +197,14 @@ func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, orig
 	}
 	// Rendezvous: expose data for the target's RDMA Read (Fig 2a). The
 	// registration cache makes repeat sends of the same buffer free.
-	mr, cached, err := ep.ctx.rt.registerCached(data, clk)
+	mr, err := ep.ctx.rt.registerCached(data, clk)
 	if err != nil {
 		return err
 	}
 	ep.ctx.nextSeq++
 	seq := ep.ctx.nextSeq
 	ep.ctx.rndzOrigin[seq] = rndzOriginState{
-		mr: mr, cached: cached,
+		mr:        mr,
 		originCtr: originCtr, complCtr: complCtr,
 		originCtrID: originCtr.ID(), complCtrID: complCtr.ID(),
 	}
@@ -222,7 +222,7 @@ func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, orig
 	}
 	if err := ep.sendPacket(clk, pkt, nil, len(hdr)); err != nil {
 		delete(ep.ctx.rndzOrigin, seq)
-		ep.ctx.rt.releaseRndzMR(mr, cached)
+		ep.ctx.rt.releaseCached(mr)
 		return err
 	}
 	ep.ctx.amsOut++

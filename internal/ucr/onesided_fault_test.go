@@ -150,12 +150,12 @@ func TestRegCacheEvictionDefersDereg(t *testing.T) {
 	bufA := make([]byte, 4096)
 	bufB := make([]byte, 4096)
 
-	mrA, cachedA, err := w.cliRT.registerCached(bufA, w.cliClk)
-	if err != nil || !cachedA {
-		t.Fatalf("registerCached A = (%v, %v)", cachedA, err)
+	mrA, err := w.cliRT.registerCached(bufA, w.cliClk)
+	if err != nil {
+		t.Fatalf("registerCached A: %v", err)
 	}
 	// B evicts A from the FIFO while A still holds a reference.
-	if _, _, err := w.cliRT.registerCached(bufB, w.cliClk); err != nil {
+	if _, err := w.cliRT.registerCached(bufB, w.cliClk); err != nil {
 		t.Fatal(err)
 	}
 	rc := w.cliRT.regs

@@ -58,16 +58,12 @@ func keyOf(buf []byte) regKey {
 	return regKey{ptr: &buf[0], len: len(buf)}
 }
 
-// registerCached resolves an MR for buf: from the cache (free) or by
+// registerCached resolves an MR for buf (never empty: a rendezvous send
+// carries more than the eager threshold): from the cache (free) or by
 // registering (cost charged to clk) and caching, evicting FIFO-oldest
-// entries beyond capacity. cached=true means the caller must release
-// the reference with releaseCached when its operation completes,
-// instead of deregistering the MR itself.
-func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (mr *verbs.MR, cached bool, err error) {
-	if rt.cfg.DisableRegCache || len(buf) == 0 {
-		mr, err = rt.hca.RegisterMR(rt.pd, buf, clk)
-		return mr, false, err
-	}
+// entries beyond capacity. The caller releases its reference with
+// releaseCached when its operation completes.
+func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*verbs.MR, error) {
 	rc := rt.regs
 	k := keyOf(buf)
 	rc.mu.Lock()
@@ -75,14 +71,14 @@ func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (mr *verbs.MR,
 		rc.hits++
 		e.refs++
 		rc.mu.Unlock()
-		return e.mr, true, nil
+		return e.mr, nil
 	}
 	rc.misses++
 	rc.mu.Unlock()
 
-	mr, err = rt.hca.RegisterMR(rt.pd, buf, clk)
+	mr, err := rt.hca.RegisterMR(rt.pd, buf, clk)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	rc.mu.Lock()
 	e := &regEntry{mr: mr, refs: 1}
@@ -110,7 +106,7 @@ func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (mr *verbs.MR,
 	for _, v := range evicted {
 		rt.hca.DeregisterMR(v)
 	}
-	return mr, true, nil
+	return mr, nil
 }
 
 // releaseCached drops one in-flight reference on a cache-owned MR. If
@@ -135,17 +131,6 @@ func (rt *Runtime) releaseCached(mr *verbs.MR) {
 	if dereg {
 		rt.hca.DeregisterMR(mr)
 	}
-}
-
-// releaseRndzMR retires the MR behind one rendezvous send: cache-owned
-// registrations drop their reference, one-shot registrations are
-// deregistered outright.
-func (rt *Runtime) releaseRndzMR(mr *verbs.MR, cached bool) {
-	if cached {
-		rt.releaseCached(mr)
-		return
-	}
-	rt.hca.DeregisterMR(mr)
 }
 
 // RegCacheStats reports cache effectiveness.

@@ -166,10 +166,6 @@ type Config struct {
 	UseSRQ bool
 	// SRQBuffers sizes the shared pool (default 4 × Credits).
 	SRQBuffers int
-	// DisableRegCache turns off the registration cache for rendezvous
-	// sends, charging full pin/unpin cost on every large message (the
-	// MVAPICH-style cache is on by default; ablation knob).
-	DisableRegCache bool
 	// RegCacheEntries caps the registration cache (default 128).
 	RegCacheEntries int
 	// AMRetries is how many times a request-level helper (e.g. the
