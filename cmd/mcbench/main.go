@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mcbench [-figure fig3a] [-csv] [-speedups] [-stripes N]   the paper's panels
-//	mcbench -study <name|all> [-quick]                        one study, or every one
+//	mcbench -study <name|all>                                 one study, or every one
 //	mcbench -list                                             the studies and the panels
 //	        [-ops N]                                          with either form
 //
@@ -13,7 +13,7 @@
 // bytes, on any host, at any GOMAXPROCS, whatever ran before in the
 // process — so the regression gate is a byte comparison: the output of
 //
-//	mcbench -study all -quick
+//	mcbench -study all
 //
 // is checked in as testdata/studies.golden (`make golden` rewrites it)
 // and this package's test compares every study with its section of it.
@@ -38,9 +38,8 @@ type study struct {
 	// otherwise: the count EXPERIMENTS.md's tables for this study are at
 	// (0: the study has no such axis).
 	ops int
-	// run writes the study's tables. quick trims an axis too slow for a
-	// tier-1 test; only fleet has one.
-	run func(w io.Writer, cfg bench.RunConfig, quick bool) error
+	// run writes the study's tables.
+	run func(w io.Writer, cfg bench.RunConfig) error
 }
 
 // figureOps is the figures study's operations per point.
@@ -50,23 +49,23 @@ const figureOps = 40
 // golden test walks this table.
 var studies = []study{
 	{"figures", "the paper's 16 panels: Figs 3-5 latency, Fig 6 multi-client TPS", figureOps,
-		func(w io.Writer, cfg bench.RunConfig, _ bool) error {
+		func(w io.Writer, cfg bench.RunConfig) error {
 			return writeFigures(w, bench.Figures, cfg, false, false)
 		}},
 	{"scaling", "server workers x lock stripes, 16 UCR-IB clients, CPU-bound engine", 50, runScaling},
 	{"pipeline", "window depth x value size on one connection, UCR-IB and IPoIB", 300, runPipeline},
 	{"wrreply", "the pipeline sweep on UCR-IB with RDMA-write replies off and on", 300, runWriteReply},
-	{"connscale", "server receive memory per client and TPS at 100 clients: rc/srq/ud/mux", 20, runConnScale},
+	{"connscale", "server receive memory per client at 8 to 10^4 clients and TPS at 100: rc/srq/ud/mux", 20, runConnScale},
 	{"onesided", "one-sided RDMA-read GET vs AM GET: latency by size, TPS by clients", 40, runOneSided},
 	{"ablations", "design choices: eager threshold, workers, polling, acks, mget, SRQ, jitter", 50, runAblations},
 	{"faults", "drop% x transport over a seeded lossy fabric", 50, runFaults},
-	{"fleet", "N servers, 10N replicated clients, one join; -quick stops at N=100", 0, runFleet},
+	{"fleet", "N servers, 10N replicated clients, one join, N = 10, 100, 1000", 0, runFleet},
 	{"workloads", "memslap mixes x key order x server pool at 8 clients; Zipf replay on a cache that evicts", 200, runWorkloads},
 }
 
 // write runs the study under the banner that names the flags
 // reproducing it. ops is the -ops flag (0: the study's own count).
-func (s study) write(w io.Writer, ops int, quick bool) error {
+func (s study) write(w io.Writer, ops int) error {
 	if ops == 0 {
 		ops = s.ops
 	}
@@ -75,7 +74,7 @@ func (s study) write(w io.Writer, ops int, quick bool) error {
 		fmt.Fprintf(w, " -ops %d", ops)
 	}
 	fmt.Fprintln(w)
-	if err := s.run(w, bench.RunConfig{OpsPerPoint: ops}, quick); err != nil {
+	if err := s.run(w, bench.RunConfig{OpsPerPoint: ops}); err != nil {
 		return fmt.Errorf("%s: %w", s.name, err)
 	}
 	return nil
@@ -122,7 +121,7 @@ func writeFigures(w io.Writer, specs []bench.FigureSpec, cfg bench.RunConfig, cs
 // runScaling is the workers x stripes grid: small gets and the
 // interleaved mix, 16 closed-loop clients on UCR-IB, cluster B. The
 // sweep sets its own stripe axis.
-func runScaling(w io.Writer, cfg bench.RunConfig, _ bool) error {
+func runScaling(w io.Writer, cfg bench.RunConfig) error {
 	pts, err := bench.ScalingSweep(cluster.ClusterB(), cluster.UCRIB,
 		[]int{1, 2, 4, 8}, []int{1, 2, 4, 8}, 16,
 		[]bench.Mix{bench.MixGet, bench.MixInterleaved}, cfg)
@@ -135,7 +134,7 @@ func runScaling(w io.Writer, cfg bench.RunConfig, _ bool) error {
 
 // runPipeline is the window-depth sweep: single connection, closed loop,
 // cluster B.
-func runPipeline(w io.Writer, cfg bench.RunConfig, _ bool) error {
+func runPipeline(w io.Writer, cfg bench.RunConfig) error {
 	pts, err := bench.PipelineSweep(cluster.ClusterB(),
 		[]cluster.Transport{cluster.UCRIB, cluster.IPoIB},
 		bench.PipelineDepths, bench.PipelineSizes, cfg)
@@ -148,7 +147,7 @@ func runPipeline(w io.Writer, cfg bench.RunConfig, _ bool) error {
 
 // runWriteReply is the write-reply crossover sweep: the pipelined GET
 // matrix on UCR-IB, each cell with the write-based reply path off and on.
-func runWriteReply(w io.Writer, cfg bench.RunConfig, _ bool) error {
+func runWriteReply(w io.Writer, cfg bench.RunConfig) error {
 	pts, err := bench.WriteReplySweep(cluster.ClusterB(), bench.PipelineDepths, bench.WriteReplySizes, cfg)
 	if err != nil {
 		return err
@@ -157,8 +156,8 @@ func runWriteReply(w io.Writer, cfg bench.RunConfig, _ bool) error {
 	return err
 }
 
-func runConnScale(w io.Writer, cfg bench.RunConfig, _ bool) error {
-	rep, err := bench.ConnScaleSweep(cluster.ClusterB(), 100, cfg)
+func runConnScale(w io.Writer, cfg bench.RunConfig) error {
+	rep, err := bench.ConnScaleSweep(cluster.ClusterB(), cfg)
 	if err != nil {
 		return err
 	}
@@ -166,7 +165,7 @@ func runConnScale(w io.Writer, cfg bench.RunConfig, _ bool) error {
 	return err
 }
 
-func runOneSided(w io.Writer, cfg bench.RunConfig, _ bool) error {
+func runOneSided(w io.Writer, cfg bench.RunConfig) error {
 	rep, err := bench.OneSidedSweep(bench.OneSidedSizes(), cfg)
 	if err != nil {
 		return err
@@ -176,7 +175,7 @@ func runOneSided(w io.Writer, cfg bench.RunConfig, _ bool) error {
 }
 
 // runAblations prints the design-choice studies from DESIGN.md.
-func runAblations(w io.Writer, cfg bench.RunConfig, _ bool) error {
+func runAblations(w io.Writer, cfg bench.RunConfig) error {
 	eager, err := bench.AblationEagerThreshold(16*1024, []int{1024, 4096, 8192, 16384, 65536}, cfg)
 	if err != nil {
 		return err
@@ -252,7 +251,7 @@ func runAblations(w io.Writer, cfg bench.RunConfig, _ bool) error {
 // runFaults is the drop% x transport resilience table: every recovery
 // layer (RC retransmission, socket RTO, client retry+backoff) active
 // over a seeded lossy fabric.
-func runFaults(w io.Writer, cfg bench.RunConfig, _ bool) error {
+func runFaults(w io.Writer, cfg bench.RunConfig) error {
 	p := cluster.ClusterB()
 	cells, err := bench.FaultSweep(p, p.Transports, []float64{0, 1, 5, 10}, 64, cfg)
 	if err != nil {
@@ -263,8 +262,8 @@ func runFaults(w io.Writer, cfg bench.RunConfig, _ bool) error {
 	return err
 }
 
-func runFleet(w io.Writer, cfg bench.RunConfig, quick bool) error {
-	pts, err := bench.FleetSweep(cluster.ClusterB(), bench.FleetCounts(quick), cfg)
+func runFleet(w io.Writer, cfg bench.RunConfig) error {
+	pts, err := bench.FleetSweep(cluster.ClusterB(), bench.FleetCounts, cfg)
 	if err != nil {
 		return err
 	}
@@ -274,7 +273,7 @@ func runFleet(w io.Writer, cfg bench.RunConfig, quick bool) error {
 
 // runWorkloads is the load-generator study (what memslap and a trace
 // replayer measured): UCR-IB and IPoIB, cluster B.
-func runWorkloads(w io.Writer, cfg bench.RunConfig, _ bool) error {
+func runWorkloads(w io.Writer, cfg bench.RunConfig) error {
 	rep, err := bench.WorkloadsSweep(cluster.ClusterB(), []cluster.Transport{cluster.UCRIB, cluster.IPoIB}, cfg)
 	if err != nil {
 		return err
@@ -289,7 +288,6 @@ func main() {
 		csv       = flag.Bool("csv", false, "panels as CSV instead of aligned tables")
 		speedups  = flag.Bool("speedups", false, "append UCR-vs-baseline speedup factors to each panel")
 		studyName = flag.String("study", "", "study to run, or all (see -list); empty = the paper's panels")
-		quick     = flag.Bool("quick", false, "with -study fleet or all: stop at N=100 (N=1000 takes six seconds)")
 		ops       = flag.Int("ops", 0, "measured operations per point (0 = the study's own count, see -list)")
 		stripes   = flag.Int("stripes", 0, "cache-engine lock stripes for panel runs (0 = deployment default)")
 		list      = flag.Bool("list", false, "list the studies and the panels, and exit")
@@ -334,7 +332,7 @@ func main() {
 		err = fmt.Errorf("unknown study %q (try -list)", *studyName)
 		for _, s := range studies {
 			if *studyName == "all" || *studyName == s.name {
-				if err = s.write(os.Stdout, *ops, *quick); err != nil {
+				if err = s.write(os.Stdout, *ops); err != nil {
 					break
 				}
 			}

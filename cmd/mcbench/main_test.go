@@ -10,7 +10,7 @@ import (
 
 // TestStudiesMatchGolden runs every row of the study table and compares
 // its text, byte for byte, with its section of testdata/studies.golden —
-// the checked-in output of `mcbench -study all -quick`. A failing subtest
+// the checked-in output of `mcbench -study all`. A failing subtest
 // names the study whose numbers moved; if the move is intended, `make
 // golden` and list the changed cells in EXPERIMENTS.md.
 //
@@ -34,7 +34,7 @@ func TestStudiesMatchGolden(t *testing.T) {
 		s := studies[i]
 		t.Run(s.name, func(t *testing.T) {
 			var got bytes.Buffer
-			if err := s.write(&got, 0, true); err != nil {
+			if err := s.write(&got, 0); err != nil {
 				t.Fatal(err)
 			}
 			if got.String() != want[s.name] {

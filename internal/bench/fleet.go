@@ -30,15 +30,9 @@ const fleetRounds = 2
 // storm (the storm ends the first sweep with zero primary misses).
 const fleetStormCap = 5
 
-// FleetCounts are the sweep's server counts. quick stops short of the
-// 1000-server cell — six seconds and 10,000 live clients — and is the
-// axis the mcbench golden pins.
-func FleetCounts(quick bool) []int {
-	if quick {
-		return []int{10, 100}
-	}
-	return []int{10, 100, 1000}
-}
+// FleetCounts are the sweep's server counts, the axis the mcbench
+// golden pins.
+var FleetCounts = []int{10, 100, 1000}
 
 // FleetPoint is one fleet cell: N servers, 10·N clients.
 type FleetPoint struct {
@@ -67,12 +61,6 @@ type FleetPoint struct {
 // fleetCell measures one server count.
 func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, error) {
 	pt := FleetPoint{Servers: servers, Clients: 10 * servers}
-	// Lean UCR endpoints: a 512 B eager buffer and two credits, because
-	// every credit pins a real eager buffer on both sides of every lazily
-	// dialed connection.
-	lean := *p
-	lean.UCR.EagerThreshold = 512
-	lean.UCR.Credits = 2
 	opts := cluster.Options{
 		// Lean per-server shape: the cell's subject is fleet behavior,
 		// not per-server parallelism, and 1000 fat servers would not fit.
@@ -81,7 +69,7 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 		MemoryLimit:   1 << 20,
 		UseSRQ:        true,
 	}
-	f, err := cluster.NewFleet(&lean, cluster.FleetOptions{
+	f, err := cluster.NewFleet(p, cluster.FleetOptions{
 		Transport: cluster.UCRIB,
 		Servers:   servers,
 		Seed:      cfg.Seed,

@@ -31,34 +31,34 @@ func checkFleetPoint(t *testing.T, pt FleetPoint) {
 	}
 }
 
-// The cells the mcbench golden pins.
-func TestFleetSweepQuick(t *testing.T) {
-	pts, err := FleetSweep(cluster.ClusterB(), FleetCounts(true), RunConfig{})
+// checkFleetSweep runs the sweep over counts and checks every cell,
+// each with ten pipelined clients per server.
+func checkFleetSweep(t *testing.T, counts []int) {
+	t.Helper()
+	pts, err := FleetSweep(cluster.ClusterB(), counts, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pt := range pts {
 		checkFleetPoint(t, pt)
+		if pt.Clients != 10*pt.Servers {
+			t.Errorf("n=%d: ran %d clients, want %d", pt.Servers, pt.Clients, 10*pt.Servers)
+		}
 	}
 	t.Log("\n" + FleetTable(pts))
 }
 
-// The headline acceptance cell: 1000 servers, 10,000 pipelined clients,
-// live in virtual time — churn, replication, and read repair all real.
-// The measured key movement must sit within 2x the theoretical 1/N.
+// The golden's cells below the headline one. With TestFleetSweep1000
+// this covers every count in FleetCounts.
+func TestFleetSweepQuick(t *testing.T) {
+	checkFleetSweep(t, FleetCounts[:len(FleetCounts)-1])
+}
+
+// The headline cell: 1000 servers, 10,000 pipelined clients, live in
+// virtual time — churn, replication and read repair all real.
 func TestFleetSweep1000(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1000-server cell takes ~25s; skipped under -short")
+	if FleetCounts[len(FleetCounts)-1] != 1000 {
+		t.Fatalf("FleetCounts %v does not end at the 1000-server cell", FleetCounts)
 	}
-	pts, err := FleetSweep(cluster.ClusterB(), []int{1000}, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range pts {
-		checkFleetPoint(t, pt)
-		if pt.Clients != 10000 {
-			t.Errorf("expected 10000 clients, ran %d", pt.Clients)
-		}
-	}
-	t.Log("\n" + FleetTable(pts))
+	checkFleetSweep(t, []int{1000})
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/mcclient"
@@ -624,5 +625,69 @@ func TestServerSRQOptionEndToEnd(t *testing.T) {
 	}
 	if d.Server.UCRRecvBufferBytes() == 0 {
 		t.Fatal("no SRQ buffers accounted")
+	}
+}
+
+// TestOneCreditWindow: a reply returns the credit of the request it
+// answers (the server reposts the request's receive before its handler
+// replies), so a one-credit window carries any number of blocking round
+// trips — on a plain RC client and a concentrated session alike.
+func TestOneCreditWindow(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("SessionsPerQP=%d", k), func(t *testing.T) {
+			p := ClusterB()
+			p.UCR.Credits = 1
+			d := New(p, Options{SessionsPerQP: k})
+			defer d.Close()
+			c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 50; i++ {
+				key := fmt.Sprintf("credit-%d", i)
+				if err := c.MC.Set(key, []byte(key), 0, 0); err != nil {
+					t.Fatalf("round trip %d: set: %v", 2*i+1, err)
+				}
+				if v, _, _, err := c.MC.Get(key); err != nil || string(v) != key {
+					t.Fatalf("round trip %d: get = (%q, %v)", 2*i+2, v, err)
+				}
+			}
+		})
+	}
+}
+
+// TestIdleClientHostBytes: a posted receive is a reservation, so 10³
+// idle RC clients on cluster B cost the host a few KiB each — seat,
+// endpoint, and the server's endpoint for it — while the model still
+// charges each server endpoint its whole credit window of eager buffers.
+func TestIdleClientHostBytes(t *testing.T) {
+	const n = 1000
+	d := New(ClusterB(), Options{})
+	defer d.Close()
+	clients := make([]*Client, 0, n)
+	defer func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n; per > 16<<10 {
+		t.Errorf("host heap per idle RC client = %d B, want <= 16 KiB", per)
+	}
+	const window = 64 * 8248 // cluster B: credits x (8 KB eager buffer + UCR packet header)
+	if got := d.Server.UCRRecvBufferBytes(); got != n*window {
+		t.Errorf("modeled server receive bytes = %d, want %d clients x %d", got, n, window)
 	}
 }

@@ -462,16 +462,8 @@ func (c *FleetClient) GetBurst(keys []string, window int) []FleetGetResult {
 				out[i] = FleetGetResult{Err: mcclient.ErrServerDown}
 			}
 		default:
-			pl, can := tr.(mcclient.Pipeliner)
-			if !can {
-				// Unpipelined transport: blocking primary reads.
-				for _, i := range idxs {
-					v, _, hit, e := c.getFrom(primary, keys[i])
-					out[i] = FleetGetResult{Value: v, Hit: hit, Err: e}
-				}
-				break
-			}
-			p := pl.Pipeline(window)
+			// Every transport dial returns is a Pipeliner.
+			p := tr.(mcclient.Pipeliner).Pipeline(window)
 			futs := make([]*mcclient.GetFuture, len(idxs))
 			for j, i := range idxs {
 				futs[j] = p.StartGet(c.Clock, keys[i])

@@ -18,10 +18,11 @@ type Context struct {
 
 	eps      map[uint32]*Endpoint // local QPN → endpoint
 	srq      *verbs.SRQ           // shared receive pool (Config.UseSRQ)
-	srqBytes int64                // receive-buffer bytes posted (footprint stat)
-	// posted files every work request this context has in flight — sends,
-	// receives, rendezvous pulls, one-sided ops, write replies — under
-	// the WR id its completion carries.
+	srqBytes int64                // receive bytes reserved (the modeled footprint)
+	// posted files every send-side work request this context has in
+	// flight — sends, rendezvous pulls, one-sided ops, write replies —
+	// under the WR id its completion carries. Receives are reservations
+	// and need no entry: a receive completion says which QP it is for.
 	posted slots[postedWR]
 	// rndzOrigin is not a WR table: a rendezvous send waits for the
 	// target's ack, which names it by the wire sequence number.
@@ -59,7 +60,6 @@ type wrKind uint8
 
 const (
 	wrSend       wrKind = iota // a packet: origin counter on success (eager fast path, §IV-C)
-	wrRecv                     // a posted receive buffer: a packet arrived in buf
 	wrPull                     // a rendezvous RDMA read: the receive in pull completes
 	wrOneSided                 // put/get/atomic: origin counter on success
 	wrWriteReply               // origin counter settles on success AND failure (writereply.go)
@@ -69,7 +69,7 @@ const (
 type postedWR struct {
 	kind        wrKind
 	ep          *Endpoint
-	buf         []byte       // send, write reply: pool buffer to release; recv: the posted buffer
+	buf         []byte       // send, write reply: the pool buffer to recycle
 	originCtr   *Counter     // bumped at local completion
 	originCtrID CounterID    // issued id: guards the bump across struct reuse
 	pull        *pendingRead // wrPull only
@@ -150,7 +150,9 @@ func (c *Context) bufSize(rel Reliability) int {
 // newEndpoint builds the local half of an endpoint. With per-endpoint
 // flow control each endpoint pre-posts its own credit window; in SRQ
 // mode all RC endpoints share one receive pool whose size is fixed
-// regardless of how many endpoints exist (§VII scalability).
+// regardless of how many endpoints exist (§VII scalability). Either way
+// a posted receive is a reservation of one eager buffer: the model
+// counts its bytes, the host holds none until a message lands.
 func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 	typ := verbs.RC
 	if rel == Unreliable {
@@ -162,14 +164,11 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 		if c.srq == nil {
 			// Ring capacity equals the pool size: the post/repost loop is
 			// a tight credit cycle, so a repost can never find the ring
-			// full unless a buffer was double-posted.
+			// full unless a receive was double-posted.
 			c.srq = c.rt.hca.CreateSRQSized(c.rt.cfg.SRQBuffers)
 			bufSize := c.bufSize(Reliable)
 			for i := 0; i < c.rt.cfg.SRQBuffers; i++ {
-				buf := make([]byte, bufSize)
-				id := c.posted.put(postedWR{kind: wrRecv, buf: buf})
-				if err := c.srq.Post(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-					c.posted.take(id)
+				if err := c.srq.Post(verbs.RecvWR{Len: bufSize}); err != nil {
 					return nil, err
 				}
 				c.srqBytes += int64(bufSize)
@@ -192,10 +191,7 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 	}
 	if !useSRQ {
 		for i := 0; i < c.rt.cfg.Credits; i++ {
-			buf := make([]byte, ep.bufSize)
-			id := c.posted.put(postedWR{kind: wrRecv, buf: buf})
-			if err := qp.PostRecv(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-				c.posted.take(id)
+			if err := qp.PostRecv(verbs.RecvWR{Len: ep.bufSize}); err != nil {
 				return nil, err
 			}
 			c.srqBytes += int64(ep.bufSize)
@@ -206,8 +202,9 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 }
 
 // RecvBufferBytes reports the receive-buffer memory this context has
-// posted — the footprint §VII's SRQ/UD direction keeps flat as client
-// counts grow.
+// posted in the model — the footprint §VII's SRQ/UD direction keeps
+// flat as client counts grow. The host holds only the messages in
+// flight (verbs.CQ's pool).
 func (c *Context) RecvBufferBytes() int64 { return c.srqBytes }
 
 // Dial establishes an endpoint with a remote service (paper §IV-A: the
@@ -285,16 +282,20 @@ func (c *Context) WaitCounter(clk *simnet.VClock, ctr *Counter, target uint64, t
 	return c.WaitCounterBatch(clk, ctr, target, timeout, 1)
 }
 
-// dispatch routes one work completion by what was posted under its id;
-// a stale or unknown id is dropped.
+// dispatch routes one work completion: a received packet to onPacket,
+// after which its buffer goes back to the pool, and anything else by
+// what was posted under its id — a stale or unknown id is dropped.
 func (c *Context) dispatch(clk *simnet.VClock, wc verbs.WC) {
+	if wc.Op == verbs.OpRecv {
+		c.onPacket(clk, wc)
+		c.cq.Recycle(wc.Buf)
+		return
+	}
 	wr, ok := c.posted.take(wc.ID)
 	if !ok {
 		return
 	}
 	switch wr.kind {
-	case wrRecv:
-		c.onPacket(clk, wc, wr.buf)
 	case wrPull:
 		c.onPullComplete(clk, wc, wr.ep, wr.pull)
 	default:
@@ -302,9 +303,7 @@ func (c *Context) dispatch(clk *simnet.VClock, wc verbs.WC) {
 		// pool buffer is free again and — the transfer being done, or for
 		// a write reply either way, since its caller's pin lifecycle keys
 		// off the counter — the origin counter bumps (§IV-C).
-		if wr.buf != nil {
-			wr.ep.releaseSendBuf(wr.buf)
-		}
+		c.cq.Recycle(wr.buf)
 		if wc.Status != verbs.StatusSuccess {
 			wr.ep.markFailed()
 			if wr.kind != wrWriteReply {
@@ -359,8 +358,8 @@ func (c *Context) neighborEndpoint(ep *Endpoint) *Endpoint {
 	return lowest
 }
 
-// onPacket handles a UCR packet arrived in the posted buffer buf.
-func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC, buf []byte) {
+// onPacket handles a UCR packet that landed in wc.Buf.
+func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC) {
 	ep := c.demuxEndpoint(wc)
 	if ep == nil {
 		return
@@ -371,12 +370,16 @@ func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC, buf []byte) {
 		}
 		return
 	}
-	pkt, err := decodePacket(buf, wc.ByteLen)
+	pkt, err := decodePacket(wc.Buf, wc.ByteLen)
 	if err != nil {
 		ep.markFailed()
 		return
 	}
 	ep.sendCredits += int(pkt.credits)
+	// The bytes stay in wc.Buf until dispatch recycles it, so the
+	// reservation goes back before the handler runs: the reply the
+	// handler sends returns the credit of the request it answers.
+	ep.repostRecv()
 
 	switch pkt.typ {
 	case ptEager:
@@ -389,9 +392,6 @@ func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC, buf []byte) {
 		c.acksIn++
 		c.handleAck(pkt)
 	}
-	// The packet content has been consumed (copied or acted upon):
-	// recycle the buffer into the credit window.
-	ep.repostRecv(buf)
 }
 
 // handlerCost is the AM-dispatch charge: the full HandlerOverhead for a

@@ -15,11 +15,10 @@ type Endpoint struct {
 
 	ah *verbs.AddressHandle // UD addressing
 
-	bufSize       int
+	bufSize       int // one eager buffer: what a posted receive reserves
 	sendCredits   int
 	returnCredits int
 	noCredits     bool // SRQ mode: no per-endpoint flow-control window
-	freeSendBufs  [][]byte
 	failed        bool
 
 	// UserData lets upper layers (the Memcached server) attach
@@ -61,25 +60,10 @@ func (ep *Endpoint) Credits() int { return ep.sendCredits }
 // transaction on this endpoint.
 func (ep *Endpoint) MaxEager() int { return ep.bufSize - packetHdrSize }
 
-// acquireSendBuf takes a pooled registered send buffer.
-func (ep *Endpoint) acquireSendBuf() []byte {
-	if n := len(ep.freeSendBufs); n > 0 {
-		buf := ep.freeSendBufs[n-1]
-		ep.freeSendBufs = ep.freeSendBufs[:n-1]
-		return buf
-	}
-	return make([]byte, ep.bufSize)
-}
-
-func (ep *Endpoint) releaseSendBuf(buf []byte) {
-	ep.freeSendBufs = append(ep.freeSendBufs, buf[:cap(buf)])
-}
-
-// repostRecv recycles a consumed receive buffer into the credit window.
-func (ep *Endpoint) repostRecv(buf []byte) {
-	id := ep.ctx.posted.put(postedWR{kind: wrRecv, buf: buf})
-	if err := ep.qp.PostRecv(verbs.RecvWR{ID: id, Buf: buf}); err != nil {
-		ep.ctx.posted.take(id)
+// repostRecv returns a consumed receive reservation to the credit
+// window.
+func (ep *Endpoint) repostRecv() {
+	if err := ep.qp.PostRecv(verbs.RecvWR{Len: ep.bufSize}); err != nil {
 		return
 	}
 	ep.returnCredits++
@@ -127,16 +111,18 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr *Count
 		return err
 	}
 	pkt.credits = ep.takeReturnCredits()
-	buf := ep.acquireSendBuf()
+	// The packet is staged in a registered buffer from the context's
+	// pool, the one its arrivals land in.
+	buf := ep.ctx.cq.Buf(pkt.encodedLen())
 	if packCost > 0 {
 		clk.Advance(simnet.BytesDuration(packCost, ep.ctx.rt.cfg.PackBytesPerSec))
 	}
-	n := pkt.encode(buf)
+	pkt.encode(buf)
 	id := ep.ctx.posted.put(postedWR{kind: wrSend, ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
-	wr := verbs.SendWR{ID: id, Op: verbs.OpSend, Local: buf[:n], Dest: ep.ah}
+	wr := verbs.SendWR{ID: id, Op: verbs.OpSend, Local: buf, Dest: ep.ah}
 	if err := ep.qp.PostSend(clk, wr); err != nil {
 		ep.ctx.posted.take(id)
-		ep.releaseSendBuf(buf)
+		ep.ctx.cq.Recycle(buf)
 		ep.markFailed()
 		return ErrEndpointDown
 	}

@@ -42,29 +42,28 @@ func (ep *Endpoint) WriteReply(clk *simnet.VClock, hdr, data []byte, dst WindowD
 	if offset < 0 || offset+total > dst.Len {
 		return ErrWindowBounds
 	}
-	buf := ep.acquireSendBuf()
-	if len(buf) < len(hdr) {
-		ep.releaseSendBuf(buf)
+	if len(hdr) > ep.bufSize {
 		return ErrTooLarge // reply header larger than an endpoint buffer: caller bug
 	}
 	// The header is staged through registered pool memory like an eager
 	// pack (the value is not — that is the point).
 	clk.Advance(simnet.BytesDuration(len(hdr), ep.ctx.rt.cfg.PackBytesPerSec))
-	n := copy(buf, hdr)
+	buf := ep.ctx.cq.Buf(len(hdr))
+	copy(buf, hdr)
 	// buf holds the header copy until the write completes; originCtr
 	// settles at WC time, success or failure alike (Context.dispatch).
 	id := ep.ctx.posted.put(postedWR{kind: wrWriteReply, ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
 	wr := verbs.SendWR{
 		ID:         id,
 		Op:         verbs.OpRDMAWrite,
-		Local:      buf[:n],
+		Local:      buf,
 		Local2:     data,
 		RemoteAddr: dst.Addr + uint64(offset),
 		RKey:       dst.RKey,
 	}
 	if err := ep.qp.PostSend(clk, wr); err != nil {
 		ep.ctx.posted.take(id)
-		ep.releaseSendBuf(buf)
+		ep.ctx.cq.Recycle(buf)
 		ep.markFailed()
 		return ErrEndpointDown
 	}

@@ -1,17 +1,74 @@
 package verbs
 
-import "repro/internal/simnet"
+import (
+	"math/bits"
+	"sync"
+
+	"repro/internal/simnet"
+)
 
 // CQ is a completion queue. The owner detects completions either by
 // polling (the paper's low-latency choice) or, if armed with UseEvents,
 // by interrupt-style events that charge a higher per-completion cost.
+//
+// A CQ also owns the host memory its messages land in: a pool of
+// recycled buffers in power-of-two size classes. The adapter takes one
+// per message arriving on a receive reservation and the consumer
+// returns it (Recycle) when done, so the pool grows to the messages
+// ever in flight at once, not to what the posted receives reserve.
+// Senders may stage their own messages through it too (Buf).
 type CQ struct {
 	hca *HCA
 	box *simnet.Mailbox[WC]
 
+	mu   sync.Mutex // the adapter lands bytes from the sender's goroutine
+	free [][][]byte // free buffers by size class, grown on demand
+
 	// UseEvents switches the completion cost model from PollOverhead
 	// to InterruptOverhead (ablation: polling vs events, §II-A1).
 	UseEvents bool
+}
+
+// minBufClass is the smallest pool size class: 64-byte buffers.
+const minBufClass = 6
+
+// bufClass is the size class holding n bytes.
+func bufClass(n int) int {
+	if n <= 1<<minBufClass {
+		return minBufClass
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// Buf takes an n-byte buffer from the queue's pool.
+func (c *CQ) Buf(n int) []byte {
+	k := bufClass(n)
+	c.mu.Lock()
+	if k < len(c.free) {
+		if m := len(c.free[k]); m > 0 {
+			b := c.free[k][m-1]
+			c.free[k] = c.free[k][:m-1]
+			c.mu.Unlock()
+			return b[:n]
+		}
+	}
+	c.mu.Unlock()
+	return make([]byte, n, 1<<k)
+}
+
+// Recycle returns a buffer from Buf, or a reservation's WC.Buf, to the
+// pool; the caller must not touch it afterwards. Nil is ignored.
+func (c *CQ) Recycle(b []byte) {
+	k := bufClass(cap(b))
+	if cap(b) != 1<<k {
+		return
+	}
+	c.mu.Lock()
+	for len(c.free) <= k {
+		c.free = append(c.free, nil)
+	}
+	c.free[k] = append(c.free[k], b)
+	c.mu.Unlock()
 }
 
 // CreateCQ allocates a completion queue on the adapter. Waiting on it

@@ -92,7 +92,7 @@ func TestRCRetransmitsThroughCorruption(t *testing.T) {
 		if !ok || wc.Status != StatusSuccess {
 			t.Fatalf("send %d: recv ok=%v wc=%+v", i, ok, wc)
 		}
-		if err := p.srvQP.PostRecv(RecvWR{ID: uint64(5000 + i), Buf: make([]byte, 256)}); err != nil {
+		if err := p.srvQP.PostRecv(RecvWR{ID: uint64(5000 + i), Len: 256}); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := p.cliSend.TryPollWith(p.cliClock); !ok {
@@ -168,7 +168,7 @@ func TestRNRRetryExhaustionIsNonFatal(t *testing.T) {
 	if st := p.cliQP.State(); st != StateRTS {
 		t.Fatalf("QP state after RNR exhaustion = %v, want RTS", st)
 	}
-	if err := p.srvQP.PostRecv(RecvWR{ID: 1, Buf: make([]byte, 16)}); err != nil {
+	if err := p.srvQP.PostRecv(RecvWR{ID: 1, Len: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 2, Op: OpSend, Local: []byte("y")}); err != nil {
@@ -205,7 +205,7 @@ func TestUDLossIsSilent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := qb.PostRecv(RecvWR{ID: 1, Buf: make([]byte, 64)}); err != nil {
+	if err := qb.PostRecv(RecvWR{ID: 1, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
 

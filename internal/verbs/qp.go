@@ -9,7 +9,7 @@ import (
 // QP is a queue pair: the verbs communication endpoint. An RC (reliable
 // connected) QP is wired 1:1 to a peer QP by the connection manager; a
 // UD (unreliable datagram) QP sends to any peer named by an address
-// handle, with silent loss when the receiver has no buffer posted.
+// handle, with silent loss when the receiver has no receive posted.
 type QP struct {
 	hca    *HCA
 	typ    QPType
@@ -20,7 +20,7 @@ type QP struct {
 
 	mu     sync.Mutex
 	state  QPState
-	recvq  []RecvWR
+	recvq  recvQueue
 	remote *QP // RC peer, set by the connection manager
 }
 
@@ -93,8 +93,8 @@ func (q *QP) Remote() *QP {
 	return q.remote
 }
 
-// PostRecv posts a receive buffer. The QP must be at least INIT. With an
-// SRQ attached, receives must be posted to the SRQ instead.
+// PostRecv posts a receive. The QP must be at least INIT. With an SRQ
+// attached, receives must be posted to the SRQ instead.
 func (q *QP) PostRecv(wr RecvWR) error {
 	if q.srq != nil {
 		return q.srq.Post(wr)
@@ -104,22 +104,48 @@ func (q *QP) PostRecv(wr RecvWR) error {
 	if q.state == StateReset || q.state == StateErr {
 		return ErrBadState
 	}
-	q.recvq = append(q.recvq, wr)
+	q.recvq.push(wr)
 	return nil
 }
 
-// popRecv takes the oldest posted receive buffer.
+// popRecv takes the oldest posted receive.
 func (q *QP) popRecv() (RecvWR, bool) {
 	if q.srq != nil {
 		return q.srq.pop()
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.recvq) == 0 {
+	return q.recvq.pop()
+}
+
+// recvQueue is a FIFO of posted receives in a ring that doubles when
+// full, so a steady consume/repost cycle never reallocates.
+type recvQueue struct {
+	buf  []RecvWR
+	head int
+	n    int
+}
+
+func (r *recvQueue) push(wr RecvWR) {
+	if r.n == len(r.buf) {
+		nb := make([]RecvWR, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			nb[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = nb, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = wr
+	r.n++
+}
+
+func (r *recvQueue) pop() (RecvWR, bool) {
+	if r.n == 0 {
 		return RecvWR{}, false
 	}
-	wr := q.recvq[0]
-	q.recvq = q.recvq[1:]
+	wr := r.buf[r.head]
+	r.buf[r.head] = RecvWR{}
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
 	return wr, true
 }
 
@@ -129,9 +155,9 @@ func (q *QP) Destroy() {
 	q.mu.Lock()
 	q.state = StateErr
 	pending := q.recvq
-	q.recvq = nil
+	q.recvq = recvQueue{}
 	q.mu.Unlock()
-	for _, wr := range pending {
+	for wr, ok := pending.pop(); ok; wr, ok = pending.pop() {
 		q.recvCQ.post(WC{ID: wr.ID, Op: OpRecv, Status: StatusFlushed, QPN: q.qpn})
 	}
 	q.hca.unregisterQP(q.qpn)
@@ -322,7 +348,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 	return nil
 }
 
-// receive consumes a posted receive buffer for an incoming SEND.
+// receive consumes a posted receive for an incoming SEND.
 func (q *QP) receive(payload []byte, imm uint32, srcQPN uint32, arrive simnet.Time) (Status, simnet.Time) {
 	cfg := q.hca.cfg
 	q.mu.Lock()
@@ -338,15 +364,23 @@ func (q *QP) receive(payload []byte, imm uint32, srcQPN uint32, arrive simnet.Ti
 		}
 		return StatusRNRRetryExceeded, arrive
 	}
-	if len(wr.Buf) < len(payload) {
+	room := wr.Len
+	if wr.Buf != nil {
+		room = len(wr.Buf)
+	}
+	if room < len(payload) {
 		q.recvCQ.post(WC{ID: wr.ID, Op: OpRecv, Status: StatusRemoteError, QPN: q.qpn, SrcQPN: srcQPN, Time: arrive})
 		return StatusRemoteError, arrive
 	}
-	copy(wr.Buf, payload)
+	buf := wr.Buf
+	if buf == nil {
+		buf = q.recvCQ.Buf(len(payload))
+	}
+	buf = buf[:copy(buf, payload)]
 	placed := q.hca.recvEngine.Acquire(arrive, cfg.RecvProc) + cfg.RecvProc
 	q.recvCQ.post(WC{
 		ID: wr.ID, Op: OpRecv, Status: StatusSuccess,
-		ByteLen: len(payload), Imm: imm, QPN: q.qpn, SrcQPN: srcQPN, Time: placed,
+		ByteLen: len(payload), Buf: buf, Imm: imm, QPN: q.qpn, SrcQPN: srcQPN, Time: placed,
 	})
 	return StatusSuccess, placed
 }
@@ -453,8 +487,8 @@ func (q *QP) postRDMAWrite(clk *simnet.VClock, wr SendWR, remote *QP) error {
 	return nil
 }
 
-// SRQ is a shared receive queue: one pool of posted buffers feeding many
-// QPs, reducing per-connection buffer consumption (the scalability
+// SRQ is a shared receive queue: one pool of posted receives feeding
+// many QPs, reducing per-connection buffer consumption (the scalability
 // design reused from MVAPICH that the paper cites). The ring has a fixed
 // capacity like a hardware SRQ: Post beyond it fails with ErrSRQFull,
 // and an empty ring makes RC senders take the RNR retry path (receiver
@@ -464,7 +498,7 @@ type SRQ struct {
 	hca *HCA
 	cap int
 	mu  sync.Mutex
-	q   []RecvWR
+	q   recvQueue
 }
 
 // DefaultSRQCap bounds an SRQ created without an explicit capacity.
@@ -474,7 +508,7 @@ const DefaultSRQCap = 4096
 func (h *HCA) CreateSRQ() *SRQ { return h.CreateSRQSized(DefaultSRQCap) }
 
 // CreateSRQSized allocates a shared receive queue holding at most cap
-// posted buffers (cap <= 0 selects the default).
+// posted receives (cap <= 0 selects the default).
 func (h *HCA) CreateSRQSized(cap int) *SRQ {
 	if cap <= 0 {
 		cap = DefaultSRQCap
@@ -485,32 +519,27 @@ func (h *HCA) CreateSRQSized(cap int) *SRQ {
 // Cap reports the ring capacity.
 func (s *SRQ) Cap() int { return s.cap }
 
-// Post adds a buffer to the shared pool; ErrSRQFull when the ring is at
-// capacity (the work request is not queued).
+// Post adds a receive to the shared pool; ErrSRQFull when the ring is
+// at capacity (the work request is not queued).
 func (s *SRQ) Post(wr RecvWR) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.q) >= s.cap {
+	if s.q.n >= s.cap {
 		return ErrSRQFull
 	}
-	s.q = append(s.q, wr)
+	s.q.push(wr)
 	return nil
 }
 
-// Len reports available buffers.
+// Len reports posted receives not yet consumed.
 func (s *SRQ) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.q)
+	return s.q.n
 }
 
 func (s *SRQ) pop() (RecvWR, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.q) == 0 {
-		return RecvWR{}, false
-	}
-	wr := s.q[0]
-	s.q = s.q[1:]
-	return wr, true
+	return s.q.pop()
 }

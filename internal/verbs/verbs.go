@@ -9,8 +9,9 @@
 // polling the CQ — polling yields the lowest latency, exactly as §II-A1
 // notes, and event (interrupt) mode is available for the ablation bench.
 //
-// Data movement is real: SENDs copy payload bytes into pre-posted
-// receive buffers, RDMA READ/WRITE copy directly between registered
+// Data movement is real: a SEND's payload bytes land in a buffer from
+// the receiver's completion-queue pool against a pre-posted receive
+// reservation, RDMA READ/WRITE copy directly between registered
 // regions with no remote software involvement. Time is virtual: each
 // operation charges the configured HCA processing costs and the fabric's
 // wire model (see internal/simnet).
@@ -249,9 +250,15 @@ type SendWR struct {
 	Imm uint32
 }
 
-// RecvWR is a pre-posted receive buffer.
+// RecvWR is a posted receive: a reservation for one message of up to
+// Len bytes. A reservation holds no host memory — the adapter lands the
+// message in a buffer from the receiving CQ's pool, sized to the
+// message (WC.Buf), and the consumer hands it back with CQ.Recycle.
+// Buf, when set, is a caller-owned landing buffer instead, and its
+// length is the reservation's.
 type RecvWR struct {
 	ID  uint64
+	Len int
 	Buf []byte
 }
 
@@ -261,7 +268,11 @@ type WC struct {
 	Op      Opcode
 	Status  Status
 	ByteLen int
-	Imm     uint32
+	// Buf holds a received message's bytes: a buffer from the CQ's pool
+	// for a reservation (return it with CQ.Recycle once consumed), the
+	// posted buffer otherwise. Nil for every other completion.
+	Buf []byte
+	Imm uint32
 	// SrcQPN identifies the sender's queue pair (meaningful for UD).
 	SrcQPN uint32
 	// QPN identifies the local queue pair the completion belongs to.

@@ -86,10 +86,10 @@ func newPair(t *testing.T, nRecv, bufSize int) *pair {
 		t.Fatal(err)
 	}
 	for i := 0; i < nRecv; i++ {
-		if err := p.cliQP.PostRecv(RecvWR{ID: uint64(1000 + i), Buf: make([]byte, bufSize)}); err != nil {
+		if err := p.cliQP.PostRecv(RecvWR{ID: uint64(1000 + i), Len: bufSize}); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.srvQP.PostRecv(RecvWR{ID: uint64(2000 + i), Buf: make([]byte, bufSize)}); err != nil {
+		if err := p.srvQP.PostRecv(RecvWR{ID: uint64(2000 + i), Len: bufSize}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestPostRecvRequiresInit(t *testing.T) {
 	h := NewHCA(n, f, testConfig())
 	cq := h.CreateCQ()
 	qp := h.NewQP(RC, cq, cq)
-	if err := qp.PostRecv(RecvWR{Buf: make([]byte, 8)}); err != ErrBadState {
+	if err := qp.PostRecv(RecvWR{Len: 8}); err != ErrBadState {
 		t.Fatalf("PostRecv in RESET = %v, want ErrBadState", err)
 	}
 }
@@ -289,19 +289,19 @@ func TestSendDataIntegrityProperty(t *testing.T) {
 			return false
 		}
 		wc, ok := p.srvRecv.Wait(p.srvClock)
-		if !ok || wc.Status != StatusSuccess || wc.ByteLen != len(data) {
+		if !ok || wc.Status != StatusSuccess || wc.ByteLen != len(data) || !bytes.Equal(wc.Buf, data) {
 			return false
 		}
-		// Refill the consumed buffer and check content via a fresh recv:
-		// we can't see the buffer from the WC alone, so instead resend
-		// below; content equality is validated in TestRecvBufferContent.
-		return p.srvQP.PostRecv(RecvWR{Buf: make([]byte, 4096)}) == nil
+		p.srvRecv.Recycle(wc.Buf)
+		return p.srvQP.PostRecv(RecvWR{Len: 4096}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRecvBufferContent: a receive posted with a caller-owned buffer
+// lands the message there.
 func TestRecvBufferContent(t *testing.T) {
 	p := newPair(t, 0, 0)
 	buf := make([]byte, 64)
@@ -316,8 +316,37 @@ func TestRecvBufferContent(t *testing.T) {
 	if !ok || wc.ID != 5 {
 		t.Fatalf("wc = %+v", wc)
 	}
-	if !bytes.Equal(buf[:wc.ByteLen], msg) {
-		t.Fatalf("buffer = %q, want %q", buf[:wc.ByteLen], msg)
+	if !bytes.Equal(buf[:wc.ByteLen], msg) || &wc.Buf[0] != &buf[0] {
+		t.Fatalf("buffer = %q, want %q in the posted buffer", buf[:wc.ByteLen], msg)
+	}
+}
+
+// TestRecvReservationLandsInPool: a reservation holds no memory; the
+// message lands in a buffer from the receiving CQ's pool sized to it,
+// and a recycled buffer carries the next message of its size class.
+func TestRecvReservationLandsInPool(t *testing.T) {
+	p := newPair(t, 0, 0)
+	recv := func(msg string) []byte {
+		t.Helper()
+		if err := p.srvQP.PostRecv(RecvWR{ID: 5, Len: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.cliQP.PostSend(p.cliClock, SendWR{Op: OpSend, Local: []byte(msg)}); err != nil {
+			t.Fatal(err)
+		}
+		wc, ok := p.srvRecv.Wait(p.srvClock)
+		if !ok || wc.ID != 5 || wc.Status != StatusSuccess || string(wc.Buf) != msg {
+			t.Fatalf("wc = %+v, want %q landed", wc, msg)
+		}
+		return wc.Buf
+	}
+	first := recv("payload-bytes-land-in-the-pool")
+	if cap(first) != 64 {
+		t.Fatalf("landing buffer cap = %d, want the 64-byte size class", cap(first))
+	}
+	p.srvRecv.Recycle(first)
+	if second := recv("and-again"); &second[0] != &first[0] {
+		t.Fatal("a recycled buffer was not reused for the next message")
 	}
 }
 
@@ -334,7 +363,7 @@ func TestRNRWhenNoRecvPosted(t *testing.T) {
 
 func TestRecvBufferTooSmall(t *testing.T) {
 	p := newPair(t, 0, 0)
-	if err := p.srvQP.PostRecv(RecvWR{ID: 9, Buf: make([]byte, 4)}); err != nil {
+	if err := p.srvQP.PostRecv(RecvWR{ID: 9, Len: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.cliQP.PostSend(p.cliClock, SendWR{Op: OpSend, Local: []byte("too big for four")}); err != nil {
@@ -509,8 +538,7 @@ func TestUDSendAndDrop(t *testing.T) {
 	}
 
 	// With a receive posted, data lands.
-	buf := make([]byte, 64)
-	if err := qb.PostRecv(RecvWR{ID: 3, Buf: buf}); err != nil {
+	if err := qb.PostRecv(RecvWR{ID: 3, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
 	if err := qa.PostSend(aclk, SendWR{Op: OpSend, Local: []byte("found"), Dest: ah}); err != nil {
@@ -520,8 +548,8 @@ func TestUDSendAndDrop(t *testing.T) {
 		t.Fatal("no send completion")
 	}
 	rwc, ok := bcqR.Wait(bclk)
-	if !ok || rwc.Status != StatusSuccess || string(buf[:rwc.ByteLen]) != "found" {
-		t.Fatalf("rwc = %+v buf=%q", rwc, buf[:rwc.ByteLen])
+	if !ok || rwc.Status != StatusSuccess || string(rwc.Buf) != "found" {
+		t.Fatalf("rwc = %+v", rwc)
 	}
 
 	// UD datagrams are limited to the MTU.
@@ -534,7 +562,7 @@ func TestUDSendAndDrop(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoAddress", err)
 	}
 	// UD cannot do RDMA.
-	if err := qa.PostSend(aclk, SendWR{Op: OpRDMARead, Local: buf, Dest: ah}); err != ErrBadState {
+	if err := qa.PostSend(aclk, SendWR{Op: OpRDMARead, Local: make([]byte, 64), Dest: ah}); err != ErrBadState {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}
 }
@@ -553,18 +581,17 @@ func TestSRQSharedAcrossQPs(t *testing.T) {
 			}
 		}
 	}
-	bufs := [][]byte{make([]byte, 64), make([]byte, 64)}
-	if err := srq.Post(RecvWR{ID: 1, Buf: bufs[0]}); err != nil {
+	if err := srq.Post(RecvWR{ID: 1, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srq.Post(RecvWR{ID: 2, Buf: bufs[1]}); err != nil {
+	if err := srq.Post(RecvWR{ID: 2, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
 	if srq.Len() != 2 {
 		t.Fatalf("SRQ len = %d", srq.Len())
 	}
 	// Posting to a QP with an SRQ attached routes to the shared ring.
-	if err := q1.PostRecv(RecvWR{ID: 3, Buf: make([]byte, 64)}); err != nil {
+	if err := q1.PostRecv(RecvWR{ID: 3, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
 	if srq.Len() != 3 {
@@ -611,11 +638,11 @@ func TestSRQRingFull(t *testing.T) {
 		t.Fatalf("Cap() = %d, want 2", srq.Cap())
 	}
 	for i := 0; i < 2; i++ {
-		if err := srq.Post(RecvWR{ID: uint64(i), Buf: make([]byte, 16)}); err != nil {
+		if err := srq.Post(RecvWR{ID: uint64(i), Len: 16}); err != nil {
 			t.Fatalf("post %d: %v", i, err)
 		}
 	}
-	if err := srq.Post(RecvWR{ID: 9, Buf: make([]byte, 16)}); err != ErrSRQFull {
+	if err := srq.Post(RecvWR{ID: 9, Len: 16}); err != ErrSRQFull {
 		t.Fatalf("post beyond cap: err = %v, want ErrSRQFull", err)
 	}
 	if srq.Len() != 2 {
@@ -627,13 +654,13 @@ func TestSRQRingFull(t *testing.T) {
 	if err := qp.Modify(StateInit); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.PostRecv(RecvWR{ID: 10, Buf: make([]byte, 16)}); err != ErrSRQFull {
+	if err := qp.PostRecv(RecvWR{ID: 10, Len: 16}); err != ErrSRQFull {
 		t.Fatalf("QP PostRecv on full SRQ: err = %v, want ErrSRQFull", err)
 	}
 	if _, ok := srq.pop(); !ok {
 		t.Fatal("pop failed")
 	}
-	if err := srq.Post(RecvWR{ID: 11, Buf: make([]byte, 16)}); err != nil {
+	if err := srq.Post(RecvWR{ID: 11, Len: 16}); err != nil {
 		t.Fatalf("post after pop: %v", err)
 	}
 	// Default-capacity constructor still works for existing callers.
@@ -669,8 +696,7 @@ func TestSRQZeroCredit(t *testing.T) {
 	}
 
 	// One credit reposted: the retry lands.
-	buf := make([]byte, 64)
-	if err := srq.Post(RecvWR{ID: 2, Buf: buf}); err != nil {
+	if err := srq.Post(RecvWR{ID: 2, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 3, Op: OpSend, Local: []byte("served")}); err != nil {
@@ -682,8 +708,8 @@ func TestSRQZeroCredit(t *testing.T) {
 	}
 	srvClk := simnet.NewVClock(0)
 	rwc, ok := scq.Wait(srvClk)
-	if !ok || rwc.Status != StatusSuccess || string(buf[:rwc.ByteLen]) != "served" {
-		t.Fatalf("recv wc = %+v buf=%q", rwc, buf[:rwc.ByteLen])
+	if !ok || rwc.Status != StatusSuccess || string(rwc.Buf) != "served" {
+		t.Fatalf("recv wc = %+v", rwc)
 	}
 	if srq.Len() != 0 {
 		t.Fatalf("SRQ len = %d after consume", srq.Len())
