@@ -95,6 +95,9 @@ check-no-wallclock:
 #  - a posted receive is a reservation, so connscale measures every row
 #    it prints and the golden runs the whole fleet axis: no fitted memory
 #    model, no extrapolated row, no quick fleet axis.
+#  - a tag is its own lookup — a counter id, a rendezvous seq and
+#    a server endpoint each name their state directly, with no side
+#    table keyed by them.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -102,6 +105,7 @@ internal	BeginPostBatch|FlushPosts|queuePost	^$$	UCR post batch under internal/
 internal cmd	doShared|CondStorer|FleetConfig|FleetResult|FleetGenConfig|RunFleetScript|formatFleetReport	^$$	session op driver, CondStorer or second fleet harness under internal/ cmd/
 internal cmd examples	UCRCredits|clientUCRConfig|DisableRegCache|NoReply|Deploy\.(OpCost|EagerThreshold)|Opts\.(OpCost|EagerThreshold|SRQBuffers)	^$$	Options override of a Profile value or deleted knob under internal/ cmd/ examples/
 internal cmd	connScaleFitCounts|ConnScaleModel|PerClientAt|FleetCounts\(	^$$	fitted connscale model or quick fleet axis under internal/ cmd/
+internal	rndzOrigin|nextSeq|bumpIf|freeCtrs|pendingSets|wrTabs|staleWins|map\[ucr\.CounterID\]|map\[\*ucr\.Endpoint\]	^$$	side table keyed by a counter id, a rendezvous seq or an endpoint under internal/
 endef
 export GONE
 

@@ -17,19 +17,18 @@ var docsWithCommands = []string{
 }
 
 // TestDocCommandsExist keeps the commands the documents tell a reader
-// to run from drifting off the code: every mcbench/mccheck flag and
+// to run from drifting off the code: every flag of a binary under cmd/ and
 // every make target docsWithCommands name — the Makefile's own comments
 // and recipes included — must exist. Flags are read from the flag
 // definitions in cmd/<name>/main.go, targets from the Makefile's rules.
 //
 // A command is looked for in code only — backtick spans and fenced or
 // indented blocks; every line of the Makefile. On one line, a span
-// holding nothing but flags (`-ops N`) continues the mcbench or mccheck
-// command before it.
+// holding nothing but flags (`-ops N`) continues the command before it.
 func TestDocCommandsExist(t *testing.T) {
-	flags := map[string]map[string]bool{
-		"mcbench": definedFlags(t, "cmd/mcbench/main.go"),
-		"mccheck": definedFlags(t, "cmd/mccheck/main.go"),
+	flags := map[string]map[string]bool{}
+	for _, bin := range []string{"mcbench", "mccheck", "mcserver", "mccli"} {
+		flags[bin] = definedFlags(t, "cmd/"+bin+"/main.go")
 	}
 	targets := makeTargets(t)
 
@@ -43,7 +42,7 @@ func TestDocCommandsExist(t *testing.T) {
 			bin := "" // the command the line's bare flag spans continue
 			for _, seg := range segs {
 				for _, cmd := range splitCommands(seg) {
-					name, args := commandOf(cmd)
+					name, args := commandOf(cmd, flags)
 					switch {
 					case name == "make":
 						for _, a := range args {
@@ -164,10 +163,10 @@ func splitCommands(seg string) [][]string {
 	return append(cmds, cur)
 }
 
-// commandOf names the command a token list runs — mcbench or mccheck
+// commandOf names the command a token list runs — one of the binaries
 // (as a path, or behind go run), make, another command, or "" for a
 // list of bare flags — and returns the tokens after the name.
-func commandOf(toks []string) (name string, args []string) {
+func commandOf(toks []string, bins map[string]map[string]bool) (name string, args []string) {
 	for i, tok := range toks {
 		tok = strings.Trim(tok, "()")
 		switch {
@@ -175,7 +174,7 @@ func commandOf(toks []string) (name string, args []string) {
 			return "", toks
 		case i == 0 && tok == "make":
 			return "make", toks[1:]
-		case path.Base(tok) == "mcbench" || path.Base(tok) == "mccheck":
+		case bins[path.Base(tok)] != nil:
 			if i > 0 && (toks[0] != "go" || toks[1] != "run") {
 				return "other", nil
 			}

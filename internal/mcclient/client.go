@@ -228,6 +228,21 @@ func (c *Client) Get(key string) (value []byte, flags uint32, cas uint64, err er
 // so what a failure leaves in out — and the clock — is a function of
 // the call.
 func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
+	out, err := c.getMulti(keys)
+	if err == nil && c.observer != nil {
+		// One observation per requested key, hit or miss, so the
+		// cross-check sees mget misses too.
+		for _, key := range keys {
+			v, hit := out[key]
+			c.observe(ObservedOp{Kind: memcached.RecGet, Key: key, Value: v, Hit: hit})
+		}
+	}
+	return out, err
+}
+
+// getMulti is GetMulti unobserved: an ejected owner's group is
+// refetched through it, so each requested key is observed once.
+func (c *Client) getMulti(keys []string) (map[string][]byte, error) {
 	var order []int
 	groups := make(map[int][]string)
 	for _, key := range keys {
@@ -255,21 +270,13 @@ func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
 		if err == ErrServerDown && c.behaviors.AutoEject {
 			// Eject and refetch this group via the new owners.
 			c.eject(idx)
-			part, err = c.GetMulti(group)
+			part, err = c.getMulti(group)
 		}
 		if err != nil {
 			return out, err
 		}
 		for k, v := range part {
 			out[k] = v
-		}
-	}
-	if c.observer != nil {
-		// One observation per requested key, hit or miss, so the
-		// cross-check sees mget misses too.
-		for _, key := range keys {
-			v, hit := out[key]
-			c.observe(ObservedOp{Kind: memcached.RecGet, Key: key, Value: v, Hit: hit})
 		}
 	}
 	return out, nil

@@ -147,6 +147,37 @@ func TestGetMultiWithEjection(t *testing.T) {
 	}
 }
 
+// TestGetMultiEjectionObservesOnce: the eject-and-refetch of a dead
+// owner's group goes through the same call, and the observer still sees
+// each requested key exactly once.
+func TestGetMultiEjectionObservesOnce(t *testing.T) {
+	c, fakes := newEjectClient(t, 3, DistModula)
+	keys := make([]string, 30)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("mk-%d", i)
+		if err := c.Set(keys[i], []byte("v"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fakes[0].broken = true
+	seen := map[string]int{}
+	c.SetObserver(func(o ObservedOp) { seen[o.Key]++ })
+	if _, err := c.GetMulti(keys); err != nil {
+		t.Fatalf("GetMulti with ejection = %v", err)
+	}
+	if len(c.Ejected()) != 1 {
+		t.Fatalf("Ejected = %v: the refetch was not exercised", c.Ejected())
+	}
+	for _, k := range keys {
+		if seen[k] != 1 {
+			t.Errorf("key %s observed %d times, want 1", k, seen[k])
+		}
+	}
+	if len(seen) != len(keys) {
+		t.Errorf("%d keys observed, %d requested", len(seen), len(keys))
+	}
+}
+
 // raceTransport is a fakeTransport that is safe for concurrent use, so
 // ejection can be exercised from several goroutines under -race: the
 // transport is guarded here, and the client's pool state (dead, liveIdx,

@@ -13,7 +13,7 @@ import (
 // trip) serially; a Pipeline overlaps them — a request goes onto the
 // wire while earlier ones are still out, and a wait for one reply
 // drains whatever other replies are already visible at the coalesced
-// CQ cost. Tagged reply slots (see UCRTransport) route each reply to
+// CQ cost. Tagged reply counters (see UCRTransport) route each reply to
 // its own request regardless of arrival order.
 //
 // A Pipeline borrows its transport's connection: while a window is
@@ -229,7 +229,7 @@ func (p *ucrPipeline) landNow(e *future) {
 	}
 }
 
-// waitFor settles one outstanding entry (in any order — tagged slots
+// waitFor settles one outstanding entry (in any order — tagged counters
 // let replies land while a different tag is being waited on).
 func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
 	if e.landing { // settled already; only the copy-out is outstanding

@@ -1,8 +1,10 @@
 package mcclient
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/memcached"
 	"repro/internal/simnet"
 )
 
@@ -86,6 +88,32 @@ func TestServerSetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SET path: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestServerStoreStagingRecycled: a conditional store's value lands in a
+// buffer from the worker context's pool, which the completion hands back
+// after the store — on the rendezvous path too, where the server's RDMA
+// read fills it after the header handler returned. A steady-state 32 KB
+// replace therefore allocates nothing near the value's size.
+func TestServerStoreStagingRecycled(t *testing.T) {
+	tr, clk, _ := serverBenchStack(t)
+	val := make([]byte, 32<<10) // past the eager threshold: rendezvous
+	replace := func() {
+		if res, err := tr.StoreOp(clk, memcached.StoreOpReplace, "bench", 0, 0, val, 0); err != nil || res != memcached.Stored {
+			t.Fatalf("replace = (%v, %v)", res, err)
+		}
+	}
+	replace() // warm the pool's size class
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		replace()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= uint64(len(val)) {
+		t.Fatalf("steady-state rendezvous replace: %d B/op allocated, want < %d (the value staged fresh)", per, len(val))
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 // length (§V-C).
 //
 // Every request gets a fresh counter, whose id doubles as the request
-// tag: the reply AM targets that counter, so the reply handlers route
-// by tag into a slot table. With one request in flight this changes
-// nothing; with a pipelined window it lets any number of replies land
-// out of order, and a late duplicate from a timed-out attempt (its tag
-// no longer in the table) is dropped instead of clobbering the slot of
-// whatever request happens to be waiting.
+// tag: the reply AM targets that counter, and the counter carries its
+// op, so a reply handler finds the request with the one lookup the
+// runtime makes for the counter anyway. With one request in flight
+// this changes nothing; with a pipelined window it lets any number of
+// replies land out of order, and a late duplicate from a timed-out
+// attempt (its counter since freed, its id retired) is dropped instead
+// of clobbering the op of whatever request happens to be waiting.
 //
 // One op lifecycle serves every caller: a builder (setOp, readOp,
 // deleteOp, numOp) opens the tagged op and encodes its request, a
@@ -40,12 +41,10 @@ type UCRTransport struct {
 	// uses for lossy fabrics. Mutating ops never use it.
 	udEP *ucr.Endpoint
 
-	// Tagged reply slots, written by the AM handlers while this
-	// transport's owner drives progress.
-	slots    map[ucr.CounterID]*amOp
-	scratch  []byte   // landing space for replies whose tag matches no slot
+	scratch  []byte   // landing space for replies whose tag names no op
 	freeBufs [][]byte // pooled landing buffers for get/mget values
 	freeOps  []*amOp
+	lastOp   *amOp // the op opened last: a blocking call's one op in flight
 
 	os    osState // one-sided GET fast path (see onesided.go)
 	wr    wrState // write-based reply arena (see wrreply.go)
@@ -148,21 +147,25 @@ func DialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string,
 		ctx:     ctx,
 		ep:      ep,
 		timeout: behaviors.OpTimeout,
-		slots:   make(map[ucr.CounterID]*amOp),
 	}
 	ep.UserData = t
 	return t, nil
 }
 
-// opFor is the reply handlers' one tag→slot lookup: the transport that
-// owns ep and the in-flight op tag names — nil for a retired tag (a
-// late duplicate) or an endpoint that is not a transport's.
+// opFor is the reply handlers' one tag→op lookup: the transport that
+// owns ep, and the in-flight op whose counter tag names — nil for a
+// retired tag (a late duplicate) or an endpoint that is not a
+// transport's.
 func opFor(ep *ucr.Endpoint, tag ucr.CounterID) (*UCRTransport, *amOp) {
 	t, ok := ep.UserData.(*UCRTransport)
 	if !ok {
 		return nil, nil
 	}
-	return t, t.slots[tag]
+	var op *amOp
+	if c := t.rt.Counter(tag); c != nil {
+		op, _ = c.UserData.(*amOp)
+	}
+	return t, op
 }
 
 // RegisterClientHandlers installs the AM 2 reply handlers on a client
@@ -173,11 +176,11 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 	// header handler and picks the destination there.
 	noData := func(*simnet.VClock, *ucr.Endpoint, []byte, int, ucr.CounterID) []byte { return nil }
 	landing := func(_ *simnet.VClock, ep *ucr.Endpoint, _ []byte, dataLen int, tag ucr.CounterID) []byte {
-		t, ok := ep.UserData.(*UCRTransport)
-		if !ok {
+		t, op := opFor(ep, tag)
+		if t == nil {
 			return nil
 		}
-		return t.landingBuf(tag, dataLen)
+		return t.landingBuf(op, dataLen)
 	}
 	// on registers a reply AM whose completion runs fn on the tagged op;
 	// a reply whose tag was retired is suppressed.
@@ -187,7 +190,7 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 				t, op := opFor(ep, tag)
 				if op == nil && t != nil && id == memcached.AMGetReply {
 					// The mutation build accepts a late duplicate into a live
-					// slot instead — the bug class the tags exist to prevent.
+					// op instead — the bug class the tags exist to prevent.
 					// The whole completion event lands on the victim: payload
 					// AND counter fire, so the victim's waiter returns this
 					// stale reply as its own.
@@ -228,16 +231,15 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 
 // landingBuf picks where a reply value lands: the tagged request's lent
 // buffer when it fits, a pooled buffer otherwise — or the transport's
-// scratch space when the tag matches no slot (a late duplicate from a
+// scratch space when the tag names no op (nil: a late duplicate from a
 // timed-out attempt), which lands there and is dropped without touching
 // any live request.
-func (t *UCRTransport) landingBuf(tag ucr.CounterID, dataLen int) []byte {
+func (t *UCRTransport) landingBuf(op *amOp, dataLen int) []byte {
 	if dataLen == 0 {
 		return nil
 	}
-	op := t.slots[tag]
 	if op == nil {
-		if op = t.dupVictim(t.udEP); op == nil { // non-nil: mutation build, clobber a live slot
+		if op = t.dupVictim(t.udEP); op == nil { // non-nil: mutation build, clobber a live op
 			return t.scratchFor(dataLen)
 		}
 	}
@@ -259,22 +261,17 @@ func (t *UCRTransport) land(op *amOp, n int) {
 }
 
 // dupVictim is the mut_ud_dup_ack seeded bug: instead of suppressing a
-// reply whose tag matches no slot (a late duplicate from a retransmitted
-// UD request whose original answer also arrived), it "accepts it twice"
-// by routing it into whichever live slot has the lowest tag — exactly
-// the clobbering the tagged-counter scheme prevents. Always nil in a
-// normal build; only meaningful when a UD endpoint exists (ep non-nil).
+// reply whose tag names no op (a late duplicate from a retransmitted UD
+// request whose original answer also arrived), it "accepts it twice" by
+// routing it into the live op — exactly the clobbering the tagged
+// counters prevent. UD rides blocking calls only, so that op is the one
+// opened last, unless it has been retired. Always nil in a normal
+// build; only meaningful when a UD endpoint exists (ep non-nil).
 func (t *UCRTransport) dupVictim(ep *ucr.Endpoint) *amOp {
-	if !memcached.MutUDDupAck || ep == nil {
+	if !memcached.MutUDDupAck || ep == nil || t.lastOp == nil || t.lastOp.ctr == nil {
 		return nil
 	}
-	var victim *amOp
-	for tag, op := range t.slots {
-		if victim == nil || tag < victim.tag {
-			victim = op
-		}
-	}
-	return victim
+	return t.lastOp
 }
 
 // scratchCap bounds the retained stale-reply landing buffer.
@@ -308,9 +305,9 @@ func (t *UCRTransport) recycleBuf(b []byte) {
 	}
 }
 
-// newOp opens a tagged request slot around a fresh counter, bound to
-// the RC endpoint. Counter ids are never reused by the runtime, so a
-// tag uniquely names one request for the transport's lifetime.
+// newOp opens a tagged request around a fresh counter that carries it,
+// bound to the RC endpoint. The runtime never reissues a counter id, so
+// a tag uniquely names one request.
 func (t *UCRTransport) newOp(clk *simnet.VClock) *amOp {
 	var op *amOp
 	if k := len(t.freeOps); k > 0 {
@@ -320,21 +317,21 @@ func (t *UCRTransport) newOp(clk *simnet.VClock) *amOp {
 		op = &amOp{}
 	}
 	op.ctr = t.rt.NewCounter()
+	op.ctr.UserData = op
 	op.tag = op.ctr.ID()
 	op.ep = t.ep
 	op.clk = clk
-	t.slots[op.tag] = op
+	t.lastOp = op
 	return op
 }
 
-// finishOp retires a request: the tag leaves the slot table (late
-// duplicates now land in scratch), the counter is freed (their bumps
-// become no-ops), and the pooled landing buffer is recycled. A
-// write-reply slot is released unconditionally — RC FIFO on the
-// transport's one QP orders any late write to it before a later
-// request's write, so recycling can never expose stale data.
+// finishOp retires a request: the counter is freed, so its tag names no
+// op any more (late duplicates land in scratch) and bumps nothing, and
+// the pooled landing buffer is recycled. A write-reply slot is released
+// unconditionally — RC FIFO on the transport's one QP orders any late
+// write to it before a later request's write, so recycling can never
+// expose stale data.
 func (t *UCRTransport) finishOp(op *amOp) {
-	delete(t.slots, op.tag)
 	t.rt.FreeCounter(op.ctr)
 	if op.pooled {
 		t.recycleBuf(op.data)
@@ -771,10 +768,6 @@ func (t *UCRTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, in
 
 // Close implements Transport.
 func (t *UCRTransport) Close() {
-	for tag, op := range t.slots {
-		delete(t.slots, tag)
-		t.rt.FreeCounter(op.ctr)
-	}
 	if t.wr.win != nil {
 		t.wr.free = nil // no slot is advertised from here on
 		t.wr.win.Close()

@@ -28,8 +28,7 @@ type ProtoConn struct {
 	// Per-connection staging buffers, reused across commands so a burst
 	// of pipelined requests re-grows nothing. Both the stream writer and
 	// the store copy out of them before the next command runs, so reuse
-	// is safe; retention is capped at scratchMax (one oversized request
-	// must not pin a large buffer for the connection's lifetime).
+	// is safe; retention is capped at stagingMax.
 	replyBuf []byte // reply line / multi-get response staging
 	valBuf   []byte // inbound store-value staging
 	lineBuf  []byte // a command line longer than the reader's buffer
@@ -40,6 +39,11 @@ type ProtoConn struct {
 	keyBuf [maxKeyLen]byte
 	crlf   [2]byte
 }
+
+// stagingMax caps the staging a connection keeps between commands: one
+// oversized request must not pin a large buffer for the connection's
+// lifetime.
+const stagingMax = 64 << 10
 
 // NewProtoConn wraps a stream.
 func NewProtoConn(rw io.ReadWriter, store *Store) *ProtoConn {
@@ -130,10 +134,10 @@ func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error
 }
 
 // retainReply keeps sb as the connection's reply staging buffer for the
-// next command, unless a large response grew it past scratchMax — the
+// next command, unless a large response grew it past stagingMax — the
 // writer has copied the bytes out, so only the capacity matters.
 func (pc *ProtoConn) retainReply(sb []byte) {
-	if cap(sb) <= scratchMax {
+	if cap(sb) <= stagingMax {
 		pc.replyBuf = sb[:0]
 	} else {
 		pc.replyBuf = nil
@@ -169,7 +173,15 @@ func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
 	// Stage the inbound value in the connection's reusable buffer: the
 	// store copies it into slab memory before the next command runs. An
 	// oversized value gets a one-off buffer that is not retained.
-	value := pooledBuf(&pc.valBuf, c.nbytes)
+	var value []byte
+	if c.nbytes > stagingMax {
+		value = make([]byte, c.nbytes)
+	} else {
+		if cap(pc.valBuf) < c.nbytes {
+			pc.valBuf = make([]byte, c.nbytes, stagingMax)
+		}
+		value = pc.valBuf[:c.nbytes]
+	}
 	if _, err := io.ReadFull(pc.r, value); err != nil {
 		return err
 	}

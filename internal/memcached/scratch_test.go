@@ -9,15 +9,15 @@ import (
 	"repro/internal/simnet"
 )
 
-// Satellite: the per-connection and per-worker staging buffers are
-// reused across operations but must not be pinned at a large size by
-// one oversized request — retention is capped at scratchMax (64 KB).
+// The text protocol's per-connection staging buffers are reused across
+// commands but must not be pinned at a large size by one oversized
+// request — retention is capped at stagingMax (64 KB).
 
 // TestProtoConnValueBufferReuseAndCap: pipelined sets reuse one staging
 // buffer; an oversized set uses a one-off buffer and leaves the small
 // one in place.
 func TestProtoConnValueBufferReuseAndCap(t *testing.T) {
-	big := scratchMax + 4096 // over the cap, under MaxItemSize
+	big := stagingMax + 4096 // over the cap, under MaxItemSize
 	var in strings.Builder
 	for i := 0; i < 4; i++ {
 		v := strings.Repeat("x", 100+i)
@@ -36,16 +36,16 @@ func TestProtoConnValueBufferReuseAndCap(t *testing.T) {
 			t.Fatalf("set %d: %v", i, err)
 		}
 	}
-	if got := cap(pc.valBuf); got == 0 || got > scratchMax {
-		t.Fatalf("after small sets: cap(valBuf) = %d, want (0, %d]", got, scratchMax)
+	if got := cap(pc.valBuf); got == 0 || got > stagingMax {
+		t.Fatalf("after small sets: cap(valBuf) = %d, want (0, %d]", got, stagingMax)
 	}
 	small := cap(pc.valBuf)
 
 	if _, err := pc.ServeOne(clk); err != nil {
 		t.Fatalf("big set: %v", err)
 	}
-	if got := cap(pc.valBuf); got > scratchMax {
-		t.Fatalf("after oversized set: cap(valBuf) = %d, want <= %d (one-off not retained)", got, scratchMax)
+	if got := cap(pc.valBuf); got > stagingMax {
+		t.Fatalf("after oversized set: cap(valBuf) = %d, want <= %d (one-off not retained)", got, stagingMax)
 	}
 	if got := cap(pc.valBuf); got != small {
 		t.Fatalf("after oversized set: cap(valBuf) = %d, want untouched %d", got, small)
@@ -63,7 +63,7 @@ func TestProtoConnValueBufferReuseAndCap(t *testing.T) {
 }
 
 // TestProtoConnReplyBufferCap: a multi-get whose response exceeds
-// scratchMax is served from a one-off buffer; the retained reply
+// stagingMax is served from a one-off buffer; the retained reply
 // staging buffer never exceeds the cap.
 func TestProtoConnReplyBufferCap(t *testing.T) {
 	store := NewStore(StoreConfig{MemoryLimit: 4 << 20, Stripes: 2})
@@ -79,41 +79,19 @@ func TestProtoConnReplyBufferCap(t *testing.T) {
 	if _, err := pc.ServeOne(clk); err != nil { // 40 KB reply: retained
 		t.Fatal(err)
 	}
-	if got := cap(pc.replyBuf); got == 0 || got > scratchMax {
-		t.Fatalf("after small get: cap(replyBuf) = %d, want (0, %d]", got, scratchMax)
+	if got := cap(pc.replyBuf); got == 0 || got > stagingMax {
+		t.Fatalf("after small get: cap(replyBuf) = %d, want (0, %d]", got, stagingMax)
 	}
 	if _, err := pc.ServeOne(clk); err != nil { // 80 KB reply: one-off
 		t.Fatal(err)
 	}
-	if got := cap(pc.replyBuf); got > scratchMax {
-		t.Fatalf("after large multi-get: cap(replyBuf) = %d, want <= %d", got, scratchMax)
+	if got := cap(pc.replyBuf); got > stagingMax {
+		t.Fatalf("after large multi-get: cap(replyBuf) = %d, want <= %d", got, stagingMax)
 	}
 	if _, err := pc.ServeOne(clk); err != nil {
 		t.Fatal(err)
 	}
 	if got := bytes.Count(out.Bytes(), []byte("VALUE ")); got != 4 {
 		t.Fatalf("VALUE lines = %d, want 4", got)
-	}
-}
-
-// TestWorkerScratchCap: the UCR worker's landing/staging buffers follow
-// the same rule — pooled up to scratchMax, one-off beyond it.
-func TestWorkerScratchCap(t *testing.T) {
-	w := &worker{}
-	b := w.scratchBuf(1024)
-	if len(b) != 1024 || cap(w.scratch) > scratchMax {
-		t.Fatalf("small scratch: len=%d cap=%d", len(b), cap(w.scratch))
-	}
-	prev := cap(w.scratch)
-	big := w.scratchBuf(scratchMax + 1)
-	if len(big) != scratchMax+1 {
-		t.Fatalf("big scratch len = %d", len(big))
-	}
-	if got := cap(w.scratch); got != prev {
-		t.Fatalf("oversized request changed retained scratch: cap=%d, want %d", got, prev)
-	}
-	s := w.storeBuf(scratchMax)
-	if len(s) != scratchMax || cap(w.storeScratch) != scratchMax {
-		t.Fatalf("storeBuf at cap: len=%d cap=%d", len(s), cap(w.storeScratch))
 	}
 }

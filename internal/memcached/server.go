@@ -142,21 +142,11 @@ type worker struct {
 
 	sockRun []any // ready connections of one drainSock pass (reused)
 
-	// pendingSets maps an endpoint to its in-flight Set states
-	// (between the Set header handler and its completion handler).
-	pendingSets map[*ucr.Endpoint]*setPendQ
 	// pendingPins are pinned items whose reply transfer may still be in
 	// flight; swept once the origin counter fires. A nil item tracks a
 	// transfer with no pin to release (a staged mget write block) whose
 	// counter still needs freeing.
 	pendingPins []pendingPin
-	// staleWins is mut_wrreply_stale state: the previous request's reply
-	// window per endpoint. Nil in a normal build.
-	staleWins map[*ucr.Endpoint]ucr.WindowDesc
-	// wrTabs holds each armed connection's reply-arena geometry from its
-	// one-time AMArm capability exchange; slot-advertising requests
-	// resolve their write window here.
-	wrTabs map[*ucr.Endpoint]ArmReq
 
 	// Per-worker arenas, reused across operations so the steady-state
 	// AM hot path allocates nothing. Ownership rules are strict (see
@@ -166,11 +156,9 @@ type worker struct {
 	// multi-get value blocks (eager sends also copy synchronously);
 	// rendezvous payloads are NOT arena-backed — the peer reads them
 	// asynchronously, so those paths allocate fresh buffers.
-	reply        []byte
-	vals         []byte
-	mgetItems    []*Item
-	scratch      []byte // landing buffer for sets whose allocation failed
-	storeScratch []byte // eager conditional-store staging
+	reply     []byte
+	vals      []byte
+	mgetItems []*Item
 }
 
 type pendingPin struct {
@@ -211,10 +199,9 @@ func NewServer(ex *simnet.Executor, cfg ServerConfig) *Server {
 	s.disp = ex.NewActor(s.dispatch)
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
-			srv:         s,
-			clk:         simnet.NewVClock(0),
-			accepts:     simnet.NewMailboxOn[*verbs.ConnRequest](ex),
-			pendingSets: make(map[*ucr.Endpoint]*setPendQ),
+			srv:     s,
+			clk:     simnet.NewVClock(0),
+			accepts: simnet.NewMailboxOn[*verbs.ConnRequest](ex),
 		}
 		w.actor = ex.NewActor(w.step)
 		w.accepts.SetOwner(w.actor, nil, nil)
@@ -424,14 +411,14 @@ func (w *worker) serveConn(cs *connState) {
 }
 
 // handleUCRAccept completes an endpoint into this worker's context and
-// tags it with the worker for AM handler dispatch.
+// seats the connection's state on it for the AM handlers.
 func (w *worker) handleUCRAccept(req *verbs.ConnRequest) {
 	ep, err := w.ctx.Accept(req, w.clk)
 	if err != nil {
 		req.Reject(err)
 		return
 	}
-	ep.UserData = w
+	ep.UserData = &ucrConn{w: w}
 }
 
 // drainUCR sweeps the context's pending completions in batched drains

@@ -73,7 +73,7 @@ func storeOpOf(verb []byte) uint8 {
 // buffer and is valid only until the next read on r. A line longer than
 // that buffer — a multi-key get runs to tens of KB — is assembled in
 // *spill, which is reused across calls and released once a line has
-// grown it past scratchMax.
+// grown it past stagingMax.
 func ReadTextLine(r *bufio.Reader, spill *[]byte) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
@@ -82,7 +82,7 @@ func ReadTextLine(r *bufio.Reader, spill *[]byte) ([]byte, error) {
 			line, err = r.ReadSlice('\n')
 			long = append(long, line...)
 		}
-		if *spill = long[:0]; cap(long) > scratchMax {
+		if *spill = long[:0]; cap(long) > stagingMax {
 			*spill = nil
 		}
 		line = long

@@ -26,6 +26,23 @@ import (
 // from per-shard free lists, and replies are built in per-worker arenas
 // whose reuse rules are documented on the worker struct.
 
+// ucrConn is one UCR connection's server state, carried on its
+// endpoint (ucr.Endpoint.UserData) from accept to close.
+type ucrConn struct {
+	w    *worker  // the worker that accepted it
+	sets setPendQ // in-flight Sets, header handler to completion
+	// arena is the reply-arena geometry of the connection's one-time
+	// AMArm exchange (Slots == 0: unarmed); slot-advertising requests
+	// resolve their write window against it.
+	arena ArmReq
+	// prevWin is mut_wrreply_stale state: the previous write reply's
+	// window (zero until then, and in a normal build).
+	prevWin ucr.WindowDesc
+}
+
+// connOf resolves the connection state an endpoint carries.
+func connOf(ep *ucr.Endpoint) *ucrConn { return ep.UserData.(*ucrConn) }
+
 // setPending carries state between the Set header and completion
 // handlers on one endpoint (FIFO; UCR delivers in order per endpoint).
 type setPending struct {
@@ -33,47 +50,6 @@ type setPending struct {
 	res      StoreResult
 	replyCtr ucr.CounterID
 }
-
-// workerFor resolves the worker that accepted an endpoint.
-func (s *Server) workerFor(ep *ucr.Endpoint) *worker { return ep.UserData.(*worker) }
-
-// pendSet queues an in-flight Set state for ep on its worker.
-func (w *worker) pendSet(ep *ucr.Endpoint, p setPending) {
-	q := w.pendingSets[ep]
-	if q == nil {
-		q = &setPendQ{}
-		w.pendingSets[ep] = q
-	}
-	q.push(p)
-}
-
-// scratchMax caps the landing and staging buffers a worker keeps
-// between requests; one oversized request must not pin a max-item-size
-// buffer per worker for the server's lifetime.
-const scratchMax = 64 << 10
-
-// pooledBuf returns buf resized to n, growing it up to scratchMax;
-// requests beyond the cap get a one-off buffer that is not retained.
-func pooledBuf(buf *[]byte, n int) []byte {
-	if n > scratchMax {
-		return make([]byte, n)
-	}
-	if cap(*buf) < n {
-		*buf = make([]byte, n, scratchMax)
-	}
-	return (*buf)[:n]
-}
-
-// scratchBuf returns a throwaway landing buffer used when item
-// allocation failed but the transfer must still complete.
-func (w *worker) scratchBuf(n int) []byte { return pooledBuf(&w.scratch, n) }
-
-// storeBuf returns the eager conditional-store staging buffer. It is
-// only safe for eager transfers: handleEager copies the value in and
-// runs the completion handler synchronously, so the buffer is consumed
-// before the worker touches another request. Rendezvous stores land via
-// an asynchronous RDMA read and must use a fresh buffer.
-func (w *worker) storeBuf(n int) []byte { return pooledBuf(&w.storeScratch, n) }
 
 // opCharge charges the per-op command-processing cost. The 2nd..Nth
 // completions harvested by one batched CQ drain pay the coalesced cost:
@@ -130,31 +106,29 @@ func (s *Server) registerAMHandlers(rt *ucr.Runtime) {
 
 // amSetHeader identifies where the item will be stored — the paper's
 // "identifies where it wants to store the item. Then, it issues an RDMA
-// Read to that destination memory location" (§V-B).
+// Read to that destination memory location" (§V-B). A Set that cannot
+// allocate still completes its transfer, into a landing from the
+// context's pool that amSetComplete hands back.
 func (s *Server) amSetHeader(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, dataLen int, _ ucr.CounterID) []byte {
-	w := s.workerFor(ep)
+	c := connOf(ep)
 	req, err := DecodeSetReqView(hdr)
 	if err != nil {
-		w.pendSet(ep, setPending{res: NotStored})
-		return w.scratchBuf(dataLen)
+		c.sets.push(setPending{res: NotStored})
+		return ep.Context().Buf(dataLen)
 	}
 	it, res := s.store.AllocateItem(req.Key, req.Flags, req.Exptime, dataLen, clk.Now())
 	if res != Stored {
-		w.pendSet(ep, setPending{res: res, replyCtr: req.ReplyCtr})
-		return w.scratchBuf(dataLen)
+		c.sets.push(setPending{res: res, replyCtr: req.ReplyCtr})
+		return ep.Context().Buf(dataLen)
 	}
-	w.pendSet(ep, setPending{item: it, res: Stored, replyCtr: req.ReplyCtr})
+	c.sets.push(setPending{item: it, res: Stored, replyCtr: req.ReplyCtr})
 	return it.Value()
 }
 
 // amSetComplete commits the item and answers with AM 2 (§V-B).
 func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
-	q := w.pendingSets[ep]
-	if q == nil {
-		return
-	}
-	p, ok := q.pop()
+	c := connOf(ep)
+	p, ok := c.sets.pop()
 	if !ok {
 		return
 	}
@@ -166,14 +140,15 @@ func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 		chargeLock(s.store, clk, clk.Now(), p.item.key, 0)
 		s.store.CommitItem(p.item, clk.Now())
 	} else {
+		ep.Context().Recycle(data)
 		status = AMError
 	}
 	s.OpsServed.Add(1)
 	if p.replyCtr == 0 {
 		return
 	}
-	w.reply = AppendStatusReply(w.reply[:0], StatusReply{Status: status, Result: p.res})
-	_ = ep.Send(clk, AMSetReply, w.reply, nil, nil, p.replyCtr, nil)
+	c.w.reply = AppendStatusReply(c.w.reply[:0], StatusReply{Status: status, Result: p.res})
+	_ = ep.Send(clk, AMSetReply, c.w.reply, nil, nil, p.replyCtr, nil)
 }
 
 // amGetComplete looks the item up and answers with AM 2 carrying the
@@ -181,7 +156,8 @@ func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 // (replyBand). slotted selects the AMGetW header layout.
 func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-		w := s.workerFor(ep)
+		c := connOf(ep)
+		w := c.w
 		req, err := DecodeGetReqView(hdr, slotted)
 		if err != nil {
 			return
@@ -198,9 +174,9 @@ func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 			return
 		}
 		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMOK, Flags: it.Flags(), CAS: it.CAS()})
-		win := w.wrWin(ep, req.Slot)
+		win := c.wrWin(req.Slot)
 		band := s.replyBand(ep, win, len(w.reply)+len(it.Value()))
-		s.sendValue(clk, w, ep, band, valueReply{ctr: req.ReplyCtr, win: win, value: it.Value(), item: it})
+		s.sendValue(clk, c, ep, band, valueReply{ctr: req.ReplyCtr, win: win, value: it.Value(), item: it})
 	}
 }
 
@@ -214,7 +190,8 @@ func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 // sends a block that owns no pin.
 func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-		w := s.workerFor(ep)
+		c := connOf(ep)
+		w := c.w
 		replyCtr, slot, cur, err := NewMGetKeyCursor(hdr, slotted)
 		if err != nil {
 			return
@@ -240,7 +217,7 @@ func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 			found++
 		}
 		FinishMGetReply(w.reply, 0, found)
-		win := w.wrWin(ep, slot)
+		win := c.wrWin(slot)
 		band := s.replyBand(ep, win, len(w.reply)+total)
 		// Assemble the block in one pre-sized copy straight out of the
 		// pinned slab chunks; the pins also keep eviction from recycling a
@@ -269,7 +246,7 @@ func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 		}
 		w.mgetItems = items[:0]
 		clk.Advance(simnet.BytesDuration(len(values), s.ucrRT.Config().PackBytesPerSec))
-		s.sendValue(clk, w, ep, band, valueReply{mget: true, ctr: replyCtr, win: win, value: values})
+		s.sendValue(clk, c, ep, band, valueReply{mget: true, ctr: replyCtr, win: win, value: values})
 	}
 }
 
@@ -325,7 +302,8 @@ type valueReply struct {
 // unsupervised (§III) — and every other exit unpins at once. A refused
 // write post (a failing endpoint, or the stale-window mutation's bounds
 // rejection) re-enters the ladder without the window.
-func (s *Server) sendValue(clk *simnet.VClock, w *worker, ep *ucr.Endpoint, band replyBand, r valueReply) {
+func (s *Server) sendValue(clk *simnet.VClock, c *ucrConn, ep *ucr.Endpoint, band replyBand, r valueReply) {
+	w := c.w
 	msg := AMGetReply
 	if r.mget {
 		msg = AMMGetReply
@@ -335,7 +313,7 @@ func (s *Server) sendValue(clk *simnet.VClock, w *worker, ep *ucr.Endpoint, band
 		// guarantees the counter fires on success AND failure, so the pin
 		// sweep always releases it.
 		ctr := s.ucrRT.NewCounter()
-		if err := ep.WriteReply(clk, w.reply, r.value, w.writeReplyWin(ep, r.win), 0, ctr); err == nil {
+		if err := ep.WriteReply(clk, w.reply, r.value, c.writeReplyWin(r.win), 0, ctr); err == nil {
 			w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr, item: r.item})
 			if r.mget {
 				w.reply = AppendMGetWNotify(w.reply[:0], MGetWNotify{
@@ -383,24 +361,21 @@ func (s *Server) sendValue(clk *simnet.VClock, w *worker, ep *ucr.Endpoint, band
 	}
 }
 
-// amStoreHeader stages the incoming value for a conditional store. The
-// value lands in a plain buffer, not slab memory: whether a conditional
-// store allocates at all is decided under the shard lock in the
-// completion handler. Eager transfers reuse the worker's staging arena;
-// rendezvous transfers get a fresh buffer (the RDMA read that fills it
-// completes asynchronously).
-func (s *Server) amStoreHeader(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, dataLen int, _ ucr.CounterID) []byte {
-	if len(hdr)+dataLen <= ep.MaxEager() {
-		return s.workerFor(ep).storeBuf(dataLen)
-	}
-	return make([]byte, dataLen)
+// amStoreHeader stages the incoming value for a conditional store in a
+// landing from the context's pool, not slab memory: whether a
+// conditional store allocates at all is decided under the shard lock in
+// the completion handler, which hands the landing back — eager and
+// rendezvous transfers alike.
+func (s *Server) amStoreHeader(_ *simnet.VClock, ep *ucr.Endpoint, _ []byte, dataLen int, _ ucr.CounterID) []byte {
+	return ep.Context().Buf(dataLen)
 }
 
 // amStoreComplete serves the conditional storage commands. The value
 // copy into the slab happens under the lock (like the sockets path, and
 // unlike AMSet's RDMA-lands-first fast path), so it extends the hold.
 func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
+	defer ep.Context().Recycle(data)
+	w := connOf(ep).w
 	req, err := DecodeStoreReqView(hdr)
 	if err != nil {
 		return
@@ -425,7 +400,6 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 // with the one-sided directory descriptor, if the index is armed.
 // Reliable endpoints only — write replies never target a datagram peer.
 func (s *Server) amArmComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
 	req, err := DecodeArmReq(hdr)
 	if err != nil {
 		return
@@ -437,10 +411,7 @@ func (s *Server) amArmComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 	case req.SlotLen == 0 || ep.Reliability() != ucr.Reliable:
 		rep.Status = AMError
 	default:
-		if w.wrTabs == nil {
-			w.wrTabs = make(map[*ucr.Endpoint]ArmReq)
-		}
-		w.wrTabs[ep] = req
+		connOf(ep).arena = req
 	}
 	if x := s.store.OneSidedIndex(); x != nil {
 		rep.OS = OSDesc{Enabled: true, Buckets: x.Buckets(), Slots: x.Slots(), Dir: x.DirDesc()}
@@ -450,7 +421,7 @@ func (s *Server) amArmComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 
 // amDeleteComplete serves delete.
 func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	w := s.workerFor(ep)
+	w := connOf(ep).w
 	req, err := DecodeKeyReqView(hdr)
 	if err != nil {
 		return
@@ -469,7 +440,7 @@ func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, dat
 // amNumComplete serves incr/decr.
 func (s *Server) amNumComplete(incr bool) ucr.CompletionHandler {
 	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-		w := s.workerFor(ep)
+		w := connOf(ep).w
 		replyCtr, delta, key, err := DecodeNumReqView(hdr)
 		if err != nil {
 			return

@@ -19,15 +19,13 @@ type Context struct {
 	eps      map[uint32]*Endpoint // local QPN → endpoint
 	srq      *verbs.SRQ           // shared receive pool (Config.UseSRQ)
 	srqBytes int64                // receive bytes reserved (the modeled footprint)
-	// posted files every send-side work request this context has in
-	// flight — sends, rendezvous pulls, one-sided ops, write replies —
-	// under the WR id its completion carries. Receives are reservations
-	// and need no entry: a receive completion says which QP it is for.
+	// posted files everything this context has in flight — sends,
+	// rendezvous pulls, one-sided ops, write replies under the WR id
+	// their completion carries, and rendezvous origins under the id the
+	// target's ack carries back as the packet's seq. Receives are
+	// reservations and need no entry: a receive completion says which
+	// QP it is for.
 	posted slots[postedWR]
-	// rndzOrigin is not a WR table: a rendezvous send waits for the
-	// target's ack, which names it by the wire sequence number.
-	rndzOrigin map[uint64]rndzOriginState
-	nextSeq    uint64
 
 	// coalesced marks the 2nd..Nth dispatches of one batched CQ drain:
 	// AM dispatch then charges the coalesced handler cost (set/cleared by
@@ -63,44 +61,38 @@ const (
 	wrPull                     // a rendezvous RDMA read: the receive in pull completes
 	wrOneSided                 // put/get/atomic: origin counter on success
 	wrWriteReply               // origin counter settles on success AND failure (writereply.go)
+	wrRndz                     // a rendezvous origin: settles at the target's ack (handleAck)
 )
 
-// postedWR is one in-flight work request.
+// postedWR is one in-flight entry. Counters are held by id, so one
+// freed before its completion lands is not fired.
 type postedWR struct {
-	kind        wrKind
-	ep          *Endpoint
-	buf         []byte       // send, write reply: the pool buffer to recycle
-	originCtr   *Counter     // bumped at local completion
-	originCtrID CounterID    // issued id: guards the bump across struct reuse
-	pull        *pendingRead // wrPull only
+	kind      wrKind
+	ep        *Endpoint
+	buf       []byte       // send, write reply: the pool buffer to recycle
+	mr        *verbs.MR    // rendezvous origin: owned by the registration cache, released at the ack
+	originCtr CounterID    // bumped at local completion (rendezvous origin: at the ack)
+	complCtr  CounterID    // rendezvous origin: bumped at the ack
+	pull      *pendingRead // wrPull only
 }
 
 type pendingRead struct {
-	hdr         []byte // copied out of the receive buffer
-	dst         []byte
-	msgID       uint8
-	targetCtrID CounterID
-	originCtrID CounterID
-	complCtrID  CounterID
-	seq         uint64
-}
-
-type rndzOriginState struct {
-	mr          *verbs.MR // owned by the registration cache: release, never deregister
-	originCtr   *Counter
-	complCtr    *Counter
-	originCtrID CounterID
-	complCtrID  CounterID
+	hdr       []byte // copied out of the receive buffer
+	dst       []byte
+	msgID     uint8
+	targetCtr CounterID
+	originCtr CounterID
+	complCtr  CounterID
+	seq       uint64
 }
 
 // NewContext creates a progress context for one actor.
 func (rt *Runtime) NewContext() *Context {
 	return &Context{
-		rt:         rt,
-		cq:         rt.hca.CreateCQ(),
-		drainEnd:   simnet.Time(-1) << 50,
-		eps:        make(map[uint32]*Endpoint),
-		rndzOrigin: make(map[uint64]rndzOriginState),
+		rt:       rt,
+		cq:       rt.hca.CreateCQ(),
+		drainEnd: simnet.Time(-1) << 50,
+		eps:      make(map[uint32]*Endpoint),
 	}
 }
 
@@ -207,6 +199,19 @@ func (c *Context) newEndpoint(rel Reliability) (*Endpoint, error) {
 // flight (verbs.CQ's pool).
 func (c *Context) RecvBufferBytes() int64 { return c.srqBytes }
 
+// Buf takes n bytes from the pool the context's arrivals land in, for a
+// header handler's landing that its completion handler consumes and
+// hands back with Recycle. n == 0 takes nothing.
+func (c *Context) Buf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	return c.cq.Buf(n)
+}
+
+// Recycle returns a Buf landing to the pool; nil is ignored.
+func (c *Context) Recycle(b []byte) { c.cq.Recycle(b) }
+
 // Dial establishes an endpoint with a remote service (paper §IV-A: the
 // end-point model replacing MPI-style destination ranks). The handshake
 // round trip is charged to clk; realCap bounds the wait in real time
@@ -310,7 +315,7 @@ func (c *Context) dispatch(clk *simnet.VClock, wc verbs.WC) {
 				return
 			}
 		}
-		wr.originCtr.bumpIf(wr.originCtrID)
+		c.rt.bump(wr.originCtr)
 	}
 }
 
@@ -440,7 +445,7 @@ func (c *Context) handleEager(clk *simnet.VClock, ep *Endpoint, pkt packet) {
 	if h.Completion != nil {
 		h.Completion(clk, ep, pkt.hdr, data, pkt.targetCtr)
 	}
-	c.rt.lookupCounter(pkt.targetCtr).bump()
+	c.rt.bump(pkt.targetCtr)
 	if pkt.complCtr != 0 {
 		// §IV-C: the optional internal message telling the origin that
 		// the completion handler has run.
@@ -462,13 +467,13 @@ func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt packet) {
 		return
 	}
 	id := c.posted.put(postedWR{kind: wrPull, ep: ep, pull: &pendingRead{
-		hdr:         append([]byte(nil), pkt.hdr...),
-		dst:         dst[:pkt.dataLen],
-		msgID:       pkt.msgID,
-		targetCtrID: pkt.targetCtr,
-		originCtrID: pkt.originCtr,
-		complCtrID:  pkt.complCtr,
-		seq:         pkt.seq,
+		hdr:       append([]byte(nil), pkt.hdr...),
+		dst:       dst[:pkt.dataLen],
+		msgID:     pkt.msgID,
+		targetCtr: pkt.targetCtr,
+		originCtr: pkt.originCtr,
+		complCtr:  pkt.complCtr,
+		seq:       pkt.seq,
 	}})
 	c.rdmaReads++
 	err := ep.qp.PostSend(clk, verbs.SendWR{
@@ -493,31 +498,33 @@ func (c *Context) onPullComplete(clk *simnet.VClock, wc verbs.WC, ep *Endpoint, 
 	}
 	h := c.rt.handler(rd.msgID)
 	if h != nil && h.Completion != nil {
-		h.Completion(clk, ep, rd.hdr, rd.dst, rd.targetCtrID)
+		h.Completion(clk, ep, rd.hdr, rd.dst, rd.targetCtr)
 	}
-	c.rt.lookupCounter(rd.targetCtrID).bump()
+	c.rt.bump(rd.targetCtr)
 	// One internal message carries both the origin-counter update (the
 	// RDMA of the data is complete; §IV-C Fig 2a) and, if requested, the
 	// completion-counter update — they coincide here because the
 	// completion handler runs as soon as the read lands.
-	if rd.originCtrID != 0 || rd.complCtrID != 0 || rd.seq != 0 {
-		ep.sendAck(clk, rd.originCtrID, rd.complCtrID, rd.seq)
+	if rd.originCtr != 0 || rd.complCtr != 0 || rd.seq != 0 {
+		ep.sendAck(clk, rd.originCtr, rd.complCtr, rd.seq)
 	}
 }
 
-// handleAck applies counter updates from an internal message.
+// handleAck applies counter updates from an internal message. A
+// rendezvous ack names its origin entry by the seq the header carried:
+// the entry releases the registration and fires the counters, and a
+// retired seq (its entry taken, the slot since reissued) is dropped.
 func (c *Context) handleAck(pkt packet) {
 	if pkt.seq != 0 {
-		if st, ok := c.rndzOrigin[pkt.seq]; ok {
-			delete(c.rndzOrigin, pkt.seq)
-			c.rt.releaseCached(st.mr)
-			st.originCtr.bumpIf(st.originCtrID)
-			st.complCtr.bumpIf(st.complCtrID)
-			return
+		if wr, ok := c.posted.take(pkt.seq); ok {
+			c.rt.releaseCached(wr.mr)
+			c.rt.bump(wr.originCtr)
+			c.rt.bump(wr.complCtr)
 		}
+		return
 	}
-	c.rt.lookupCounter(pkt.originCtr).bump()
-	c.rt.lookupCounter(pkt.complCtr).bump()
+	c.rt.bump(pkt.originCtr)
+	c.rt.bump(pkt.complCtr)
 }
 
 // Destroy tears down every endpoint and the completion queue.

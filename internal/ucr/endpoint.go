@@ -103,7 +103,7 @@ func (ep *Endpoint) waitCredit(clk *simnet.VClock) error {
 }
 
 // sendPacket encodes and posts one packet, tracking its completion.
-func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr *Counter, packCost int) error {
+func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr CounterID, packCost int) error {
 	if ep.failed {
 		return ErrEndpointDown
 	}
@@ -118,7 +118,7 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr *Count
 		clk.Advance(simnet.BytesDuration(packCost, ep.ctx.rt.cfg.PackBytesPerSec))
 	}
 	pkt.encode(buf)
-	id := ep.ctx.posted.put(postedWR{kind: wrSend, ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
+	id := ep.ctx.posted.put(postedWR{kind: wrSend, ep: ep, buf: buf, originCtr: originCtr})
 	wr := verbs.SendWR{ID: id, Op: verbs.OpSend, Local: buf, Dest: ep.ah}
 	if err := ep.qp.PostSend(clk, wr); err != nil {
 		ep.ctx.posted.take(id)
@@ -135,7 +135,7 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr *Count
 // sendAck emits an internal counter/credit message (§IV-C).
 func (ep *Endpoint) sendAck(clk *simnet.VClock, originCtr, complCtr CounterID, seq uint64) {
 	pkt := &packet{typ: ptAck, originCtr: originCtr, complCtr: complCtr, seq: seq}
-	if err := ep.sendPacket(clk, pkt, nil, 0); err == nil {
+	if err := ep.sendPacket(clk, pkt, 0, 0); err == nil {
 		ep.ctx.acksOut++
 	}
 }
@@ -168,7 +168,7 @@ func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, orig
 			targetCtr: targetCtrID,
 			complCtr:  complCtr.ID(),
 		}
-		if err := ep.sendPacket(clk, pkt, originCtr, total); err != nil {
+		if err := ep.sendPacket(clk, pkt, originCtr.ID(), total); err != nil {
 			return err
 		}
 		ep.ctx.amsOut++
@@ -182,18 +182,13 @@ func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, orig
 		return ErrTooLarge
 	}
 	// Rendezvous: expose data for the target's RDMA Read (Fig 2a). The
-	// registration cache makes repeat sends of the same buffer free.
+	// registration cache makes repeat sends of the same buffer free. The
+	// origin waits in posted under the seq the target's ack echoes.
 	mr, err := ep.ctx.rt.registerCached(data, clk)
 	if err != nil {
 		return err
 	}
-	ep.ctx.nextSeq++
-	seq := ep.ctx.nextSeq
-	ep.ctx.rndzOrigin[seq] = rndzOriginState{
-		mr:        mr,
-		originCtr: originCtr, complCtr: complCtr,
-		originCtrID: originCtr.ID(), complCtrID: complCtr.ID(),
-	}
+	seq := ep.ctx.posted.put(postedWR{kind: wrRndz, mr: mr, originCtr: originCtr.ID(), complCtr: complCtr.ID()})
 	pkt := &packet{
 		typ:       ptRndzHdr,
 		msgID:     msgID,
@@ -206,8 +201,8 @@ func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, orig
 		rkey:      mr.RKey(),
 		seq:       seq,
 	}
-	if err := ep.sendPacket(clk, pkt, nil, len(hdr)); err != nil {
-		delete(ep.ctx.rndzOrigin, seq)
+	if err := ep.sendPacket(clk, pkt, 0, len(hdr)); err != nil {
+		ep.ctx.posted.take(seq)
 		ep.ctx.rt.releaseCached(mr)
 		return err
 	}

@@ -108,7 +108,7 @@ func (ep *Endpoint) oneSided(clk *simnet.VClock, op verbs.Opcode, local []byte, 
 	if offset < 0 || offset+len(local) > win.Len {
 		return ErrWindowBounds
 	}
-	id := ep.ctx.posted.put(postedWR{kind: wrOneSided, ep: ep, originCtr: originCtr, originCtrID: originCtr.ID()})
+	id := ep.ctx.posted.put(postedWR{kind: wrOneSided, ep: ep, originCtr: originCtr.ID()})
 	err := ep.qp.PostSend(clk, verbs.SendWR{
 		ID:         id,
 		Op:         op,
@@ -157,8 +157,9 @@ func (ep *Endpoint) atomic(clk *simnet.VClock, wr verbs.AtomicWR, win WindowDesc
 		return 0, ErrWindowBounds
 	}
 	var result uint64
-	done := &Counter{} // local-only progress counter; never leaves this host
-	id := ep.ctx.posted.put(postedWR{kind: wrOneSided, ep: ep, originCtr: done, originCtrID: done.ID()})
+	done := ep.ctx.rt.NewCounter() // local-only progress counter; never leaves this host
+	defer ep.ctx.rt.FreeCounter(done)
+	id := ep.ctx.posted.put(postedWR{kind: wrOneSided, ep: ep, originCtr: done.ID()})
 	wr.ID = id
 	wr.RemoteAddr = win.Addr + uint64(offset)
 	wr.RKey = win.RKey

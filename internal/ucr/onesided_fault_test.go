@@ -203,7 +203,7 @@ func TestRegCacheInFlightEviction(t *testing.T) {
 	if err := w.cliCtx.WaitCounter(w.cliClk, origin, 2, 0); err != nil {
 		t.Fatalf("in-flight-evicted rendezvous failed: %v", err)
 	}
-	if n := len(w.cliCtx.rndzOrigin); n != 0 {
-		t.Fatalf("leaked %d rndzOrigin entries", n)
+	if n := w.cliCtx.inFlight(wrRndz); n != 0 {
+		t.Fatalf("leaked %d rendezvous origin entries", n)
 	}
 }

@@ -20,10 +20,13 @@ type Runtime struct {
 
 	handlers [256]atomic.Pointer[Handler]
 
-	ctrMu    sync.Mutex
-	counters map[CounterID]*Counter
-	nextCtr  uint64
-	freeCtrs []*Counter // struct pool; ids are never reused, structs are
+	// The counter table, on the scheme slots uses: a CounterID is
+	// generation<<32 | index, and the struct at an index is kept across
+	// generations, so issuing allocates nothing once the table is warm
+	// and a freed or reissued id misses by construction.
+	ctrMu   sync.Mutex
+	ctrs    []*Counter
+	ctrFree []uint32
 
 	regs *regCache
 
@@ -35,12 +38,11 @@ type Runtime struct {
 func New(hca *verbs.HCA, cm *verbs.CM, cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	return &Runtime{
-		hca:      hca,
-		cm:       cm,
-		cfg:      cfg,
-		pd:       hca.AllocPD(),
-		counters: make(map[CounterID]*Counter),
-		regs:     newRegCache(cfg.RegCacheEntries),
+		hca:  hca,
+		cm:   cm,
+		cfg:  cfg,
+		pd:   hca.AllocPD(),
+		regs: newRegCache(cfg.RegCacheEntries),
 	}
 }
 
@@ -64,55 +66,67 @@ func (rt *Runtime) handler(msgID uint8) *Handler {
 	return rt.handlers[msgID].Load()
 }
 
-// maxCtrPool bounds the retained counter-struct pool.
-const maxCtrPool = 1024
-
-// NewCounter issues a counter with a fresh network-visible id. The
-// struct comes from the free pool when one is available, so steady-state
-// request loops do not allocate; the id is always new (ids are the
-// late-duplicate defense and are never reused).
+// NewCounter issues a counter at zero under a fresh network-visible id:
+// a free index's struct under its next generation, or a new index. The
+// id is the late-duplicate defense — no earlier id resolves to it.
 func (rt *Runtime) NewCounter() *Counter {
 	rt.ctrMu.Lock()
 	defer rt.ctrMu.Unlock()
-	rt.nextCtr++
-	var c *Counter
-	if k := len(rt.freeCtrs); k > 0 {
-		c = rt.freeCtrs[k-1]
-		rt.freeCtrs[k-1] = nil
-		rt.freeCtrs = rt.freeCtrs[:k-1]
-		c.val.Store(0)
+	var i uint32
+	if n := len(rt.ctrFree); n > 0 {
+		i = rt.ctrFree[n-1]
+		rt.ctrFree = rt.ctrFree[:n-1]
 	} else {
-		c = &Counter{}
+		i = uint32(len(rt.ctrs))
+		rt.ctrs = append(rt.ctrs, &Counter{})
 	}
-	c.id.Store(uint64(rt.nextCtr))
-	rt.counters[CounterID(rt.nextCtr)] = c
+	c := rt.ctrs[i]
+	c.gen++
+	c.val.Store(0)
+	c.id.Store(uint64(c.gen)<<32 | uint64(i))
 	return c
 }
 
-// lookupCounter resolves a counter id (0 → nil).
-func (rt *Runtime) lookupCounter(id CounterID) *Counter {
-	if id == 0 {
-		return nil
+// lookup resolves an issued id (under ctrMu): nil for 0, a freed or
+// reissued id, and one this runtime never issued.
+func (rt *Runtime) lookup(id CounterID) *Counter {
+	if i := uint32(id); id != 0 && int(i) < len(rt.ctrs) && rt.ctrs[i].ID() == id {
+		return rt.ctrs[i]
 	}
-	rt.ctrMu.Lock()
-	defer rt.ctrMu.Unlock()
-	return rt.counters[id]
+	return nil
 }
 
-// FreeCounter removes a counter from the registry and recycles the
-// struct. Freeing a counter that is not registered (double free) leaves
-// the pool untouched, so a struct can never be pooled twice.
+// Counter resolves the counter a message targets, or nil (see lookup).
+func (rt *Runtime) Counter(id CounterID) *Counter {
+	rt.ctrMu.Lock()
+	defer rt.ctrMu.Unlock()
+	return rt.lookup(id)
+}
+
+// bump fires the counter id names, if it is still issued.
+func (rt *Runtime) bump(id CounterID) {
+	if id == 0 {
+		return
+	}
+	rt.ctrMu.Lock()
+	if c := rt.lookup(id); c != nil {
+		c.val.Add(1)
+	}
+	rt.ctrMu.Unlock()
+}
+
+// FreeCounter retires a counter's id and frees its index for the next
+// generation. Freeing a counter that is not issued (double free) does
+// nothing, so an index can never be freed twice.
 func (rt *Runtime) FreeCounter(c *Counter) {
 	if c == nil {
 		return
 	}
 	rt.ctrMu.Lock()
-	id := CounterID(c.id.Load())
-	if rt.counters[id] == c {
-		delete(rt.counters, id)
-		if len(rt.freeCtrs) < maxCtrPool {
-			rt.freeCtrs = append(rt.freeCtrs, c)
-		}
+	if id := c.ID(); rt.lookup(id) == c {
+		c.id.Store(0)
+		c.UserData = nil
+		rt.ctrFree = append(rt.ctrFree, uint32(id))
 	}
 	rt.ctrMu.Unlock()
 }

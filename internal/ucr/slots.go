@@ -1,10 +1,10 @@
 package ucr
 
-// slots is the table of in-flight work requests, keyed by WR id, in
-// place of a map: an id comes back once, in its completion, so it can be
-// the entry's index plus a generation. A stale id (its entry since
-// reused), an already-taken one and one this table never issued all
-// miss.
+// slots is the table of in-flight entries, keyed by WR id or rendezvous
+// seq, in place of a map: an id comes back once, in its completion or
+// ack, so it can be the entry's index plus a generation. A stale id (its
+// entry since reused), an already-taken one and one this table never
+// issued all miss.
 type slots[T any] struct {
 	ents []slotEnt[T]
 	free []uint32

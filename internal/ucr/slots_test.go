@@ -65,4 +65,21 @@ func TestSlotsMisses(t *testing.T) {
 	if len(s.ents) != 2 {
 		t.Fatalf("table grew to %d entries for at most 2 live", len(s.ents))
 	}
+
+	// A rendezvous ack names its origin entry by id: one naming a
+	// retired entry is dropped — it neither takes the entry since filed
+	// at that index nor fires the counters the packet also names.
+	w := newWorld(t, Config{})
+	ctx, origin := w.cliCtx, w.cliRT.NewCounter()
+	seq := ctx.posted.put(postedWR{kind: wrRndz, originCtr: origin.ID()})
+	ctx.posted.take(seq) // retired: its send failed
+	live := ctx.posted.put(postedWR{kind: wrRndz, originCtr: origin.ID()})
+	ctx.handleAck(packet{typ: ptAck, seq: seq, originCtr: origin.ID()})
+	if origin.Value() != 0 || ctx.inFlight(wrRndz) != 1 {
+		t.Fatalf("retired seq: origin %d, %d entries in flight; want 0, 1", origin.Value(), ctx.inFlight(wrRndz))
+	}
+	ctx.handleAck(packet{typ: ptAck, seq: live, originCtr: origin.ID()})
+	if origin.Value() != 1 || ctx.inFlight(wrRndz) != 0 {
+		t.Fatalf("live seq: origin %d, %d entries in flight; want 1, 0", origin.Value(), ctx.inFlight(wrRndz))
+	}
 }

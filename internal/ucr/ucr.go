@@ -77,12 +77,18 @@ type CounterID uint64
 
 // Counter is a monotonically increasing progress object (§IV-C).
 // Reads are safe from any goroutine; increments happen during progress.
-// Counter structs are pooled by the runtime (ids are never reused, the
-// structs are), so progress paths that cached a *Counter across a
-// possible free must bump through bumpIf with the id they were issued.
+// The runtime keeps each struct at one index of its counter table and
+// reissues it under a new generation (Runtime.NewCounter), so anything
+// that may fire after a free holds the id, never the pointer: the id
+// resolves through the table, where a freed or reissued one misses.
 type Counter struct {
-	id  atomic.Uint64 // CounterID; rewritten when the struct is reissued
+	id  atomic.Uint64 // the issued CounterID; 0 while free
 	val atomic.Uint64
+	gen uint32 // generation of the last issue (under Runtime.ctrMu)
+
+	// UserData lets the issuer reach its per-request state from the id a
+	// message carries (Runtime.Counter), without a side table.
+	UserData any
 }
 
 // ID reports the network-visible identifier.
@@ -96,27 +102,12 @@ func (c *Counter) ID() CounterID {
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.val.Load() }
 
-func (c *Counter) bump() {
-	if c != nil {
-		c.val.Add(1)
-	}
-}
-
-// bumpIf bumps only if the struct still represents the counter the
-// caller was issued: a cached pointer whose counter was freed (and the
-// struct reissued under a new id) must not fire the new owner's counter.
-func (c *Counter) bumpIf(id CounterID) {
-	if c != nil && CounterID(c.id.Load()) == id {
-		c.val.Add(1)
-	}
-}
-
 // MutBump increments the counter from outside the delivery path. It
 // exists only for seeded-mutation builds — mut_ud_dup_ack routes a
-// duplicate reply's completion event into a live slot, which means
-// firing that slot's counter as if its own reply had arrived. Normal
+// duplicate reply's completion event into a live request, which means
+// firing that request's counter as if its own reply had arrived. Normal
 // code never calls it.
-func (c *Counter) MutBump() { c.bump() }
+func (c *Counter) MutBump() { c.val.Add(1) }
 
 // HeaderHandler runs at the target when a message header arrives. It may
 // perform limited logic and must return the destination buffer for the

@@ -258,8 +258,8 @@ func TestOriginCounterRendezvousAck(t *testing.T) {
 		t.Fatal("rendezvous origin counter should arrive via internal ack")
 	}
 	// The origin-side registration was released.
-	if len(w.cliCtx.rndzOrigin) != 0 {
-		t.Fatalf("%d rendezvous origin states leaked", len(w.cliCtx.rndzOrigin))
+	if n := w.cliCtx.inFlight(wrRndz); n != 0 {
+		t.Fatalf("%d rendezvous origin states leaked", n)
 	}
 }
 
@@ -462,25 +462,54 @@ func TestRuntimeClose(t *testing.T) {
 
 func TestCounterRegistry(t *testing.T) {
 	w := newWorld(t, Config{})
-	c := w.cliRT.NewCounter()
-	if c.ID() == 0 {
+	rt := w.cliRT
+	c := rt.NewCounter()
+	id := c.ID()
+	if id == 0 {
 		t.Fatal("counter id should be nonzero")
 	}
-	if got := w.cliRT.lookupCounter(c.ID()); got != c {
+	if got := rt.Counter(id); got != c {
 		t.Fatal("lookup failed")
 	}
-	if got := w.cliRT.lookupCounter(0); got != nil {
+	if got := rt.Counter(0); got != nil {
 		t.Fatal("id 0 must resolve to nil")
 	}
-	w.cliRT.FreeCounter(c)
-	if got := w.cliRT.lookupCounter(c.ID()); got != nil {
+	rt.FreeCounter(c)
+	if got := rt.Counter(id); got != nil {
 		t.Fatal("freed counter still resolvable")
+	}
+	rt.FreeCounter(c) // double free: the index must not be freed twice
+
+	// The freed index is reissued under its next generation: the same
+	// struct, a new id. The old id resolves to nil and bumps nothing.
+	c2, c3 := rt.NewCounter(), rt.NewCounter()
+	if c2 != c || c2.ID() == id || uint32(c2.ID()) != uint32(id) {
+		t.Fatalf("reissue: id %#x after %#x, want the same index under a new generation", c2.ID(), id)
+	}
+	if c3 == c2 {
+		t.Fatal("a double free handed one index out twice")
+	}
+	if got := rt.Counter(id); got != nil {
+		t.Fatal("a retired id resolves to its reissued counter")
+	}
+	rt.bump(id)
+	if c2.Value() != 0 {
+		t.Fatal("a retired id bumped the reissued counter")
+	}
+	rt.bump(c2.ID())
+	if c2.Value() != 1 {
+		t.Fatalf("live id bump: value %d, want 1", c2.Value())
+	}
+	for _, never := range []CounterID{c2.ID() + 1<<32, c3.ID() + 1, ^CounterID(0)} {
+		if got := rt.Counter(never); got != nil {
+			t.Errorf("id %#x, never issued, resolved", never)
+		}
 	}
 	var nilCtr *Counter
 	if nilCtr.ID() != 0 {
 		t.Fatal("nil counter id should be 0")
 	}
-	nilCtr.bump() // must not panic
+	rt.FreeCounter(nil) // must not panic
 }
 
 func TestPacketRoundtripProperty(t *testing.T) {

@@ -52,7 +52,7 @@ func (ep *Endpoint) WriteReply(clk *simnet.VClock, hdr, data []byte, dst WindowD
 	copy(buf, hdr)
 	// buf holds the header copy until the write completes; originCtr
 	// settles at WC time, success or failure alike (Context.dispatch).
-	id := ep.ctx.posted.put(postedWR{kind: wrWriteReply, ep: ep, buf: buf, originCtr: originCtr, originCtrID: originCtr.ID()})
+	id := ep.ctx.posted.put(postedWR{kind: wrWriteReply, ep: ep, buf: buf, originCtr: originCtr.ID()})
 	wr := verbs.SendWR{
 		ID:         id,
 		Op:         verbs.OpRDMAWrite,
