@@ -98,6 +98,10 @@ check-no-wallclock:
 #  - a tag is its own lookup — a counter id, a rendezvous seq and
 #    a server endpoint each name their state directly, with no side
 #    table keyed by them.
+#  - the checker observes what it calls — no observer hook or per-read
+#    path probe on the client, no second canonical form, no retry knob the
+#    runtime only records, no landing pool or MR index beside the
+#    structure that owns the job.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -106,6 +110,7 @@ internal cmd	doShared|CondStorer|FleetConfig|FleetResult|FleetGenConfig|RunFleet
 internal cmd examples	UCRCredits|clientUCRConfig|DisableRegCache|NoReply|Deploy\.(OpCost|EagerThreshold)|Opts\.(OpCost|EagerThreshold|SRQBuffers)	^$$	Options override of a Profile value or deleted knob under internal/ cmd/ examples/
 internal cmd	connScaleFitCounts|ConnScaleModel|PerClientAt|FleetCounts\(	^$$	fitted connscale model or quick fleet axis under internal/ cmd/
 internal	rndzOrigin|nextSeq|bumpIf|freeCtrs|pendingSets|wrTabs|staleWins|map\[ucr\.CounterID\]|map\[\*ucr\.Endpoint\]	^$$	side table keyed by a counter id, a rendezvous seq or an endpoint under internal/
+internal cmd examples	SetObserver|ObservedOp|LastReadPath|canonObserved|\bAMRetries\b|freeBufs|byMR	^$$	client observer, read-path probe, second canonical form, AMRetries knob or private store under internal/ cmd/ examples/
 endef
 export GONE
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mcclient"
+	"repro/internal/memcached"
 	"repro/internal/simnet"
 )
 
@@ -131,6 +132,43 @@ func TestUCRLargeValuesUseRDMA(t *testing.T) {
 	}
 	if !bytes.Equal(got, val) {
 		t.Fatal("512 KB value corrupted")
+	}
+}
+
+// TestPipelinedSetsCompleteOwnState: one window carries a rendezvous SET
+// of a, then an eager SET of b and a GET of b. The eager SET completes
+// while a's RDMA read is still in flight; it must commit its own item
+// and answer its own request, so the GET reads b's new value, and a
+// lands whole.
+func TestPipelinedSetsCompleteOwnState(t *testing.T) {
+	d := New(ClusterB(), Options{})
+	defer d.Close()
+	c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.MC.Set("b", []byte("old"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("a"), 16<<10) // past the 8 KB eager threshold
+	pl := c.MC.Transport(0).(mcclient.Pipeliner).Pipeline(4)
+	setA := pl.StartSet(c.Clock, "a", 1, 0, big)
+	setB := pl.StartSet(c.Clock, "b", 2, 0, []byte("new"))
+	getB := pl.StartGet(c.Clock, "b")
+	if err := pl.Wait(c.Clock); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*mcclient.SetFuture{"a": setA, "b": setB} {
+		if res, err := f.Wait(c.Clock); err != nil || res != memcached.Stored {
+			t.Fatalf("SET %s = (%v, %v)", name, res, err)
+		}
+	}
+	if v, flags, _, hit, err := getB.Wait(c.Clock); err != nil || !hit || string(v) != "new" || flags != 2 {
+		t.Fatalf("GET b after SET b in the same window = (%q, flags %d, %v, %v), want \"new\"", v, flags, hit, err)
+	}
+	if v, _, _, err := c.MC.Get("a"); err != nil || !bytes.Equal(v, big) {
+		t.Fatalf("GET a = %d bytes, %v", len(v), err)
 	}
 }
 

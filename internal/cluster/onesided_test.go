@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mcclient"
-	"repro/internal/memcached"
 )
 
 // newOneSidedClient deploys a cluster with the one-sided GET path armed
@@ -29,18 +28,7 @@ func newOneSidedClient(t *testing.T, opts Options) (*Deployment, *Client) {
 // are actually served by client-issued RDMA reads, not server AMs.
 func TestOneSidedGetServesHits(t *testing.T) {
 	_, c := newOneSidedClient(t, Options{})
-
-	var oneSided, twoSided int
-	c.MC.SetObserver(func(op mcclient.ObservedOp) {
-		if op.Kind != memcached.RecGet || !op.Hit {
-			return
-		}
-		if op.OneSided {
-			oneSided++
-		} else {
-			twoSided++
-		}
-	})
+	paths := c.MC.Transport(0).(*mcclient.UCRTransport).PathStats()
 
 	for _, size := range []int{1, 64, 1024, 4096, 65536} {
 		key := fmt.Sprintf("os-key-%d", size)
@@ -69,8 +57,9 @@ func TestOneSidedGetServesHits(t *testing.T) {
 			t.Fatalf("size %d: cached-entry reread wrong (err %v)", size, err)
 		}
 	}
+	oneSided, twoSided := paths.By[mcclient.PathOneSided].Hits, paths.By[mcclient.PathAM].Hits
 	if oneSided == 0 {
-		t.Fatalf("no GET took the one-sided path (two-sided hits: %d)", twoSided)
+		t.Fatalf("no GET took the one-sided path (two-sided reads: %d)", twoSided)
 	}
 	if twoSided != 0 {
 		t.Fatalf("%d hits fell back to the AM path unexpectedly", twoSided)

@@ -116,7 +116,6 @@ func ClusterA() *Profile {
 			Credits:         64,
 			PackBytesPerSec: 4e9,
 			HandlerOverhead: 400,
-			AMRetries:       3,
 		},
 		OpCost: 2200,
 	}
@@ -240,7 +239,6 @@ func ClusterB() *Profile {
 			Credits:         64,
 			PackBytesPerSec: 5e9,
 			HandlerOverhead: 300,
-			AMRetries:       3,
 		},
 		OpCost: 900,
 	}

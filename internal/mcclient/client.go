@@ -33,6 +33,55 @@ var (
 	ErrBadKey = errors.New("mcclient: invalid key")
 )
 
+// StoreError is a store the server could not make room for (TooLarge,
+// OOM). It wraps ErrServerError, so errors.Is classifies it and
+// errors.As recovers the result.
+type StoreError struct {
+	Op  uint8 // memcached.StoreOp*
+	Res memcached.StoreResult
+}
+
+func (e *StoreError) Error() string {
+	return fmt.Sprintf("%s: %s failed: %s", ErrServerError, memcached.StoreVerb(e.Op), e.Res)
+}
+
+func (e *StoreError) Unwrap() error { return ErrServerError }
+
+// StoreErr is every store verb's one result→error mapping; StoreResultOf
+// inverts it.
+func StoreErr(op uint8, res memcached.StoreResult) error {
+	switch res {
+	case memcached.Stored:
+		return nil
+	case memcached.Exists:
+		return ErrCASExists
+	case memcached.NotStored:
+		return ErrNotStored
+	case memcached.NotFound:
+		return ErrCacheMiss
+	}
+	return &StoreError{Op: op, Res: res}
+}
+
+// StoreResultOf recovers the result a store call's error carries; ok is
+// false for an error that carries none (a transport failure, a bad key).
+func StoreResultOf(err error) (res memcached.StoreResult, ok bool) {
+	var se *StoreError
+	switch {
+	case err == nil:
+		return memcached.Stored, true
+	case errors.Is(err, ErrCASExists):
+		return memcached.Exists, true
+	case errors.Is(err, ErrNotStored):
+		return memcached.NotStored, true
+	case errors.Is(err, ErrCacheMiss):
+		return memcached.NotFound, true
+	case errors.As(err, &se):
+		return se.Res, true
+	}
+	return 0, false
+}
+
 // checkKey enforces the protocol's key rules.
 func checkKey(key string) error {
 	if len(key) == 0 || len(key) > 250 {
@@ -118,7 +167,6 @@ type Client struct {
 	behaviors Behaviors
 	servers   []Transport
 	clk       *simnet.VClock
-	observer  func(ObservedOp) // see observer.go; nil when disarmed
 
 	// Failover state (see failover.go). A Client is single-actor for
 	// operations, but Ejected/LiveServers/ServerFor are read from other
@@ -172,26 +220,10 @@ func (c *Client) Set(key string, value []byte, flags uint32, exptime int64) erro
 		res, err = t.Set(c.clk, key, flags, exptime, value)
 		return err
 	})
-	c.observe(ObservedOp{
-		Kind: memcached.RecSet, Key: key, Value: value, Flags: flags,
-		Exptime: exptime, Res: res, Err: err,
-	})
 	if err != nil {
 		return err
 	}
-	switch res {
-	case memcached.Stored:
-		return nil
-	case memcached.Exists:
-		return ErrCASExists
-	case memcached.NotStored, memcached.NotFound:
-		return ErrNotStored
-	default:
-		// TooLarge / OOM: server-side storage failure, not a caller
-		// mistake — classify under ErrServerError so callers can branch
-		// on the error kind.
-		return fmt.Errorf("%w: set failed: %s", ErrServerError, res)
-	}
+	return StoreErr(memcached.StoreOpSet, res)
 }
 
 // Get fetches the value for key.
@@ -199,18 +231,11 @@ func (c *Client) Get(key string) (value []byte, flags uint32, cas uint64, err er
 	if err := checkKey(key); err != nil {
 		return nil, 0, 0, err
 	}
-	var ok, oneSided bool
+	var ok bool
 	err = c.withTransport(key, func(t Transport) error {
 		var err error
 		value, flags, cas, ok, err = t.Get(c.clk, key)
-		if lp, can := t.(interface{ LastReadPath() ReadPath }); can {
-			oneSided = lp.LastReadPath() == PathOneSided
-		}
 		return err
-	})
-	c.observe(ObservedOp{
-		Kind: memcached.RecGet, Key: key, Value: value, Flags: flags,
-		CAS: cas, Hit: ok, Err: err, OneSided: oneSided,
 	})
 	if err != nil {
 		return nil, 0, 0, err
@@ -228,21 +253,6 @@ func (c *Client) Get(key string) (value []byte, flags uint32, cas uint64, err er
 // so what a failure leaves in out — and the clock — is a function of
 // the call.
 func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
-	out, err := c.getMulti(keys)
-	if err == nil && c.observer != nil {
-		// One observation per requested key, hit or miss, so the
-		// cross-check sees mget misses too.
-		for _, key := range keys {
-			v, hit := out[key]
-			c.observe(ObservedOp{Kind: memcached.RecGet, Key: key, Value: v, Hit: hit})
-		}
-	}
-	return out, err
-}
-
-// getMulti is GetMulti unobserved: an ejected owner's group is
-// refetched through it, so each requested key is observed once.
-func (c *Client) getMulti(keys []string) (map[string][]byte, error) {
 	var order []int
 	groups := make(map[int][]string)
 	for _, key := range keys {
@@ -270,7 +280,7 @@ func (c *Client) getMulti(keys []string) (map[string][]byte, error) {
 		if err == ErrServerDown && c.behaviors.AutoEject {
 			// Eject and refetch this group via the new owners.
 			c.eject(idx)
-			part, err = c.getMulti(group)
+			part, err = c.GetMulti(group)
 		}
 		if err != nil {
 			return out, err
@@ -293,7 +303,6 @@ func (c *Client) Delete(key string) error {
 		ok, err = t.Delete(c.clk, key)
 		return err
 	})
-	c.observe(ObservedOp{Kind: memcached.RecDelete, Key: key, Hit: ok, Err: err})
 	if err != nil {
 		return err
 	}
@@ -324,11 +333,6 @@ func (c *Client) incrDecr(key string, delta uint64, incr bool) (uint64, error) {
 		val, found, bad, err = t.IncrDecr(c.clk, key, delta, incr)
 		return err
 	})
-	kind := memcached.RecIncr
-	if !incr {
-		kind = memcached.RecDecr
-	}
-	c.observe(ObservedOp{Kind: kind, Key: key, Delta: delta, Num: val, Hit: found, Bad: bad, Err: err})
 	if err != nil {
 		return 0, err
 	}

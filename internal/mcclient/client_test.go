@@ -1,6 +1,7 @@
 package mcclient
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"testing"
@@ -142,6 +143,55 @@ func newFakeClient(t *testing.T, n int, dist Distribution) (*Client, []*fakeTran
 		t.Fatal(err)
 	}
 	return c, fakes
+}
+
+// resultTransport answers every store with one result.
+type resultTransport struct {
+	*fakeTransport
+	res memcached.StoreResult
+}
+
+func (r resultTransport) Set(*simnet.VClock, string, uint32, int64, []byte) (memcached.StoreResult, error) {
+	return r.res, nil
+}
+
+func (r resultTransport) StoreOp(*simnet.VClock, uint8, string, uint32, int64, []byte, uint64) (memcached.StoreResult, error) {
+	return r.res, nil
+}
+
+// TestStoreResultFromError: Set and every conditional store verb report
+// the server's result through one error mapping, and StoreResultOf
+// recovers it exactly — TooLarge and OOM stay distinct, with no error
+// text parsed. A transport failure carries no result.
+func TestStoreResultFromError(t *testing.T) {
+	v := []byte("v")
+	for res := memcached.Stored; res <= memcached.OOM; res++ {
+		c, err := New(simnet.NewVClock(0), DefaultBehaviors(), []Transport{resultTransport{newFake("s"), res}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range []struct {
+			verb string
+			err  error
+		}{
+			{"set", c.Set("k", v, 0, 0)},
+			{"add", c.Add("k", v, 0, 0)},
+			{"replace", c.Replace("k", v, 0, 0)},
+			{"append", c.Append("k", v)},
+			{"prepend", c.Prepend("k", v)},
+			{"cas", c.Cas("k", v, 0, 0, 7)},
+		} {
+			if got, ok := StoreResultOf(call.err); !ok || got != res {
+				t.Errorf("%s answered %s: error %v recovers (%s, %v)", call.verb, res, call.err, got, ok)
+			}
+			if server := res == memcached.TooLarge || res == memcached.OOM; errors.Is(call.err, ErrServerError) != server {
+				t.Errorf("%s answered %s: errors.Is(%v, ErrServerError) = %v", call.verb, res, call.err, !server)
+			}
+		}
+	}
+	if _, ok := StoreResultOf(ErrServerDown); ok {
+		t.Error("ErrServerDown recovers a store result")
+	}
 }
 
 func TestClientNoServers(t *testing.T) {

@@ -44,38 +44,10 @@ func (c *Client) storeOp(op uint8, key string, value []byte, flags uint32, expti
 		res, err = t.StoreOp(c.clk, op, key, flags, exptime, value, casID)
 		return err
 	})
-	kind := memcached.RecAdd
-	switch op {
-	case memcached.StoreOpReplace:
-		kind = memcached.RecReplace
-	case memcached.StoreOpAppend:
-		kind = memcached.RecAppend
-	case memcached.StoreOpPrepend:
-		kind = memcached.RecPrepend
-	case memcached.StoreOpCas:
-		kind = memcached.RecCas
-	}
-	c.observe(ObservedOp{
-		Kind: kind, Key: key, Value: value, Flags: flags, Exptime: exptime,
-		CasReq: casID, Res: res, Err: err,
-	})
 	if err != nil {
 		return err
 	}
-	switch res {
-	case memcached.Stored:
-		return nil
-	case memcached.Exists:
-		return ErrCASExists
-	case memcached.NotFound:
-		return ErrCacheMiss
-	case memcached.NotStored:
-		return ErrNotStored
-	default:
-		// TooLarge / OOM: server-side failure, same classification as
-		// Client.Set's.
-		return fmt.Errorf("%w: %s failed: %s", ErrServerError, memcached.StoreVerb(op), res)
-	}
+	return StoreErr(op, res)
 }
 
 // Add stores key=value only if the key is absent.

@@ -26,7 +26,7 @@ func TestUCRDuplicateReplyIsolation(t *testing.T) {
 	hca := verbs.NewHCA(node, st.fab, verbs.Config{
 		PostOverhead: 50, SendProc: 300, RecvProc: 300, RDMAProc: 400, PollOverhead: 100,
 	})
-	rt := ucr.New(hca, st.cm, ucr.Config{AMRetries: 1})
+	rt := ucr.New(hca, st.cm, ucr.Config{})
 	ctx := rt.NewContext()
 	defer ctx.Destroy()
 	clk := simnet.NewVClock(0)
@@ -58,11 +58,10 @@ func TestUCRDuplicateReplyIsolation(t *testing.T) {
 		t.Fatalf("bad rtt %v", rtt)
 	}
 
-	// Victim transport: OpTimeout 1.5x RTT over 2 attempts gives a
-	// per-attempt budget of 0.75x RTT — attempt 1 always times out,
-	// attempt 2 always sees the original reply.
+	// Victim transport: a per-attempt budget of 0.75x RTT — attempt 1
+	// always times out, attempt 2 always sees the original reply.
 	b := DefaultBehaviors()
-	b.OpTimeout = 3 * rtt / 2
+	b.OpTimeout = (1 + amRetries) * 3 * rtt / 4
 	victim, err := DialUCR(rt, ctx, st.srvNode, "mc-ucr", b, clk)
 	if err != nil {
 		t.Fatal(err)
@@ -84,5 +83,30 @@ func TestUCRDuplicateReplyIsolation(t *testing.T) {
 	}
 	if string(vb) != "payload-B" {
 		t.Fatalf("Get b returned %q: a duplicate reply for \"a\" was delivered to \"b\"'s slot", vb)
+	}
+}
+
+// TestLandingOutlivesItsOp: an op that gives up while its reply is still
+// landing (a rendezvous read in flight) is not retired — its counter
+// keeps naming it, so the late completion finds the op instead of
+// handing a buffer the op still points at back to the pool. Once the
+// landing is in, the op retires as usual.
+func TestLandingOutlivesItsOp(t *testing.T) {
+	st := newStack(t)
+	tr, _ := st.ucrClient(t)
+	defer tr.Close()
+	op := tr.newOp(simnet.NewVClock(0))
+	tag := op.tag
+	if tr.landingBuf(op, 16<<10) == nil {
+		t.Fatal("no landing for a 16 KB reply")
+	}
+	tr.finishOp(op) // the wait gave up with the read in flight
+	if c := tr.rt.Counter(tag); c == nil || c.UserData != op {
+		t.Fatal("an op with a landing in flight was retired")
+	}
+	op.landing-- // the read's completion ran
+	tr.finishOp(op)
+	if tr.rt.Counter(tag) != nil {
+		t.Fatal("the op was not retired once its landing was in")
 	}
 }

@@ -110,12 +110,12 @@ func TestPipelineFaultDropsUCR(t *testing.T) {
 	hca := verbs.NewHCA(node, st.fab, verbs.Config{
 		PostOverhead: 50, SendProc: 300, RecvProc: 300, RDMAProc: 400, PollOverhead: 100,
 	})
-	rt := ucr.New(hca, st.cm, ucr.Config{AMRetries: 2})
+	rt := ucr.New(hca, st.cm, ucr.Config{})
 	ctx := rt.NewContext()
 	defer ctx.Destroy()
 	clk := simnet.NewVClock(0)
 	b := DefaultBehaviors()
-	b.OpTimeout = 200 * simnet.Millisecond
+	b.OpTimeout = (1 + amRetries) * 200 * simnet.Millisecond / 3 // ≈ 67 ms per attempt
 	tr, err := DialUCR(rt, ctx, st.srvNode, "mc-ucr", b, clk)
 	if err != nil {
 		t.Fatal(err)

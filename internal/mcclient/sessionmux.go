@@ -45,7 +45,6 @@ func (m *SessionMux) Close() { defer m.lock()(); m.t.Close() }
 type Session struct {
 	mux  *SessionMux
 	name string
-	last ReadPath // path that served this session's latest Get
 }
 
 func (s *Session) Name() string { return s.name }
@@ -63,16 +62,10 @@ func (s *Session) StoreOp(clk *simnet.VClock, op uint8, key string, flags uint32
 	return s.mux.t.StoreOp(clk, op, key, flags, exptime, value, casID)
 }
 
-// Get notes the path that served it while the lock is still held, so
-// LastReadPath (the observer's probe) is this call's, never a sibling's.
 func (s *Session) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
 	defer s.mux.lock()()
-	v, fl, cas, hit, err := s.mux.t.Get(clk, key)
-	s.last = s.mux.t.LastReadPath()
-	return v, fl, cas, hit, err
+	return s.mux.t.Get(clk, key)
 }
-
-func (s *Session) LastReadPath() ReadPath { return s.last }
 
 func (s *Session) GetMulti(clk *simnet.VClock, keys []string) (map[string][]byte, error) {
 	defer s.mux.lock()()

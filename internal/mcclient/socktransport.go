@@ -49,6 +49,9 @@ func (t *SockTransport) Name() string { return t.name }
 // Conn exposes the stream (tests).
 func (t *SockTransport) Conn() *sockstream.Conn { return t.conn }
 
+// scratchCap bounds the request scratch a transport keeps.
+const scratchCap = 64 << 10
+
 // send writes one encoded request — built on t.req[:0] — as a single
 // Write and keeps the buffer for the next one, unless one large set grew
 // it past scratchCap.

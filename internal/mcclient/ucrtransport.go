@@ -9,9 +9,9 @@ import (
 // UCRTransport speaks the paper's active-message protocol (§V): every
 // request is AM 1 carrying the client's counter C; the client then
 // blocks on C with a timeout while driving its progress context, and
-// the server's AM 2 reply targets C. Get replies land in a client-local
-// buffer pool, sized on demand when the header handler learns the item
-// length (§V-C).
+// the server's AM 2 reply targets C. Get replies land in a buffer from
+// the progress context's pool, sized when the header handler learns the
+// item length (§V-C).
 //
 // Every request gets a fresh counter, whose id doubles as the request
 // tag: the reply AM targets that counter, and the counter carries its
@@ -41,15 +41,12 @@ type UCRTransport struct {
 	// uses for lossy fabrics. Mutating ops never use it.
 	udEP *ucr.Endpoint
 
-	scratch  []byte   // landing space for replies whose tag names no op
-	freeBufs [][]byte // pooled landing buffers for get/mget values
-	freeOps  []*amOp
-	lastOp   *amOp // the op opened last: a blocking call's one op in flight
+	freeOps []*amOp
+	lastOp  *amOp // the op opened last: a blocking call's one op in flight
 
 	os    osState // one-sided GET fast path (see onesided.go)
 	wr    wrState // write-based reply arena (see wrreply.go)
 	paths PathStats
-	last  ReadPath // path that served the most recent read
 }
 
 // ReadPath names one way a read (GET/MGET) can be served.
@@ -89,10 +86,6 @@ func (s *PathStats) Add(o *PathStats) {
 // PathStats exposes the live counters (read them between operations).
 func (t *UCRTransport) PathStats() *PathStats { return &t.paths }
 
-// LastReadPath reports the path that served the most recent read; the
-// client's observer asks it right after a Get to tag one-sided hits.
-func (t *UCRTransport) LastReadPath() ReadPath { return t.last }
-
 // WriteReplyHits reports how many replies landed through the write-reply
 // arena.
 func (t *UCRTransport) WriteReplyHits() uint64 { return t.paths.By[PathWrite].Hits }
@@ -112,9 +105,12 @@ type amOp struct {
 	val []byte // Set value; nil for every other request
 
 	lend   []byte // caller-lent value buffer (GetInto); nil = pool
-	pooled bool   // data came from the transport pool: recycle on finish
+	pooled bool   // data came from the context's pool: recycle on finish
 	data   []byte // landed value bytes
-	wrSlot int32  // write-reply slot index + 1; 0 = none
+	// landing counts reply landings handed out whose completion has not
+	// run: a rendezvous read still writing into op.data.
+	landing int
+	wrSlot  int32 // write-reply slot index + 1; 0 = none
 	// Deferred write-reply landing: the notify recorded wrLen slot bytes
 	// at wrOff pending copy-out (see wrMaterialize). The slot stays busy
 	// until the landing materializes and the op is finished.
@@ -188,7 +184,9 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 		rt.RegisterHandler(id, ucr.Handler{Header: header,
 			Completion: func(_ *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
 				t, op := opFor(ep, tag)
-				if op == nil && t != nil && id == memcached.AMGetReply {
+				if op != nil && len(data) > 0 {
+					op.landing-- // the landing landingBuf handed it is in
+				} else if op == nil && t != nil && id == memcached.AMGetReply {
 					// The mutation build accepts a late duplicate into a live
 					// op instead — the bug class the tags exist to prevent.
 					// The whole completion event lands on the victim: payload
@@ -198,8 +196,11 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 						op.ctr.MutBump()
 					}
 				}
-				if op != nil {
+				switch {
+				case op != nil:
 					fn(t, op, hdr, data)
+				case t != nil && t.dupVictim(t.udEP) == nil:
+					t.ctx.Recycle(data) // a late duplicate's own landing (landingBuf)
 				}
 			}})
 	}
@@ -230,18 +231,20 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 }
 
 // landingBuf picks where a reply value lands: the tagged request's lent
-// buffer when it fits, a pooled buffer otherwise — or the transport's
-// scratch space when the tag names no op (nil: a late duplicate from a
-// timed-out attempt), which lands there and is dropped without touching
-// any live request.
+// buffer when it fits, a pooled buffer otherwise — or, when the tag
+// names no op (nil: a late duplicate from a timed-out attempt), a pooled
+// buffer of its own, which the reply's completion hands back without
+// touching any live request.
 func (t *UCRTransport) landingBuf(op *amOp, dataLen int) []byte {
-	if dataLen == 0 {
+	switch {
+	case dataLen == 0:
 		return nil
-	}
-	if op == nil {
-		if op = t.dupVictim(t.udEP); op == nil { // non-nil: mutation build, clobber a live op
-			return t.scratchFor(dataLen)
-		}
+	case op != nil:
+		op.landing++
+	case t.dupVictim(t.udEP) != nil: // mutation build: clobber a live op
+		op = t.lastOp
+	default:
+		return t.ctx.Buf(dataLen)
 	}
 	t.land(op, dataLen)
 	return op.data
@@ -256,7 +259,7 @@ func (t *UCRTransport) land(op *amOp, n int) {
 		op.data = op.lend[:n]
 	} else {
 		op.pooled = true
-		op.data = t.takeBuf(n)
+		op.data = t.ctx.Buf(n)
 	}
 }
 
@@ -272,37 +275,6 @@ func (t *UCRTransport) dupVictim(ep *ucr.Endpoint) *amOp {
 		return nil
 	}
 	return t.lastOp
-}
-
-// scratchCap bounds the retained stale-reply landing buffer.
-const scratchCap = 64 << 10
-
-func (t *UCRTransport) scratchFor(n int) []byte {
-	if n > scratchCap {
-		return make([]byte, n)
-	}
-	if cap(t.scratch) < n {
-		t.scratch = make([]byte, n, scratchCap)
-	}
-	return t.scratch[:n]
-}
-
-// takeBuf pops a pooled landing buffer (growing it if undersized).
-func (t *UCRTransport) takeBuf(n int) []byte {
-	if k := len(t.freeBufs); k > 0 {
-		b := t.freeBufs[k-1]
-		t.freeBufs = t.freeBufs[:k-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func (t *UCRTransport) recycleBuf(b []byte) {
-	if cap(b) > 0 && len(t.freeBufs) < 16 {
-		t.freeBufs = append(t.freeBufs, b[:cap(b)])
-	}
 }
 
 // newOp opens a tagged request around a fresh counter that carries it,
@@ -326,15 +298,22 @@ func (t *UCRTransport) newOp(clk *simnet.VClock) *amOp {
 }
 
 // finishOp retires a request: the counter is freed, so its tag names no
-// op any more (late duplicates land in scratch) and bumps nothing, and
-// the pooled landing buffer is recycled. A write-reply slot is released
+// op any more (late duplicates land in a pooled buffer of their own) and
+// bumps nothing, and the pooled landing buffer is recycled. A request
+// that gave up while a reply was still landing in its buffer (a
+// rendezvous read outliving the last attempt) is not retired: it stays
+// on its counter, where that completion finds it, and goes to the
+// collector with its landing. A write-reply slot is released
 // unconditionally — RC FIFO on the transport's one QP orders any late
 // write to it before a later request's write, so recycling can never
 // expose stale data.
 func (t *UCRTransport) finishOp(op *amOp) {
+	if op.landing > 0 {
+		return
+	}
 	t.rt.FreeCounter(op.ctr)
 	if op.pooled {
-		t.recycleBuf(op.data)
+		t.ctx.Recycle(op.data)
 	}
 	if op.wrSlot != 0 {
 		t.wrRelease(op.wrSlot - 1)
@@ -443,17 +422,21 @@ func (t *UCRTransport) perAttempt(attempts int) simnet.Duration {
 	return per
 }
 
+// amRetries is how many times waitDone re-sends a timed-out request
+// before it declares the endpoint dead (§IV-A corrective action).
+const amRetries = 3
+
 // waitDone is the one wait for a sent op — do's, and a pipelined
 // window's, whose ops went out as they were admitted. It drives progress,
-// draining the CQ in batches of at most batch. With the runtime's
-// AMRetries knob set, a timed-out request is re-sent — the per-attempt
-// wait is the op timeout split across attempts, so the overall deadline
-// holds; on the UD endpoint, where datagram loss is silent, that is the
-// client-side retransmission (the tag routes the reply; a late duplicate
-// lands in scratch). Only after the budget is exhausted is the endpoint
-// marked failed (§IV-A: the client decides the server has gone down,
-// isolating this endpoint without touching the runtime). The caller owns
-// retiring the op.
+// draining the CQ in batches of at most batch. A timed-out request is
+// re-sent up to amRetries times — the per-attempt wait is the op timeout
+// split across attempts, so the overall deadline holds; on the UD
+// endpoint, where datagram loss is silent, that is the client-side
+// retransmission (the tag routes the reply; a late duplicate lands
+// apart and is dropped). Only after the budget is exhausted is the
+// endpoint marked failed (§IV-A: the client decides the server has gone
+// down, isolating this endpoint without touching the runtime). The
+// caller owns retiring the op.
 func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 	if op.ctr.Value() >= 1 {
 		return nil
@@ -461,7 +444,7 @@ func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 	if op.ep.Failed() {
 		return ErrServerDown
 	}
-	attempts := 1 + t.rt.Config().AMRetries
+	attempts := 1 + amRetries
 	per := t.perAttempt(attempts)
 	for a := 0; a < attempts; a++ {
 		err := t.ctx.WaitCounterBatch(clk, op.ctr, 1, per, batch)
@@ -582,7 +565,6 @@ func (op *amOp) number() (val uint64, found, bad bool, err error) {
 // every path.
 func (t *UCRTransport) served(op *amOp) {
 	t.wrMaterialize(op)
-	t.last = op.path
 	t.paths.By[op.path].Hits++
 	if op.wrSlot != 0 && op.path != PathWrite {
 		t.paths.By[PathWrite].Fallbacks++ // slot advertised, copy rung answered
@@ -667,9 +649,7 @@ func (t *UCRTransport) read(clk *simnet.VClock, key string, keys []string, lend 
 // read serves the hit without any server AM; everything else goes
 // through the two-sided protocol.
 func (t *UCRTransport) get(clk *simnet.VClock, key string, lend []byte, own bool) ([]byte, uint32, uint64, bool, error) {
-	t.last = PathAM
 	if v, fl, cas, ok := t.oneSidedGet(clk, key, lend); ok {
-		t.last = PathOneSided
 		return v, fl, cas, true, nil
 	}
 	op, err := t.read(clk, key, nil, lend)

@@ -166,30 +166,6 @@ type pendingPin struct {
 	item *Item
 }
 
-// setPendQ is a per-endpoint FIFO of in-flight Set states with a
-// reusable backing array: pops advance a head index instead of
-// re-slicing, so steady-state traffic never re-allocates the queue.
-type setPendQ struct {
-	q    []setPending
-	head int
-}
-
-func (q *setPendQ) push(p setPending) { q.q = append(q.q, p) }
-
-func (q *setPendQ) pop() (setPending, bool) {
-	if q.head >= len(q.q) {
-		return setPending{}, false
-	}
-	p := q.q[q.head]
-	q.q[q.head] = setPending{} // drop the item reference
-	q.head++
-	if q.head == len(q.q) {
-		q.q = q.q[:0]
-		q.head = 0
-	}
-	return p, true
-}
-
 // NewServer builds a server with a fresh store whose dispatcher and
 // workers are actors on ex, the executor of the network it will serve.
 func NewServer(ex *simnet.Executor, cfg ServerConfig) *Server {

@@ -29,8 +29,8 @@ import (
 // ucrConn is one UCR connection's server state, carried on its
 // endpoint (ucr.Endpoint.UserData) from accept to close.
 type ucrConn struct {
-	w    *worker  // the worker that accepted it
-	sets setPendQ // in-flight Sets, header handler to completion
+	w    *worker      // the worker that accepted it
+	sets []setPending // in-flight Sets, header handler to completion
 	// arena is the reply-arena geometry of the connection's one-time
 	// AMArm exchange (Slots == 0: unarmed); slot-advertising requests
 	// resolve their write window against it.
@@ -43,12 +43,40 @@ type ucrConn struct {
 // connOf resolves the connection state an endpoint carries.
 func connOf(ep *ucr.Endpoint) *ucrConn { return ep.UserData.(*ucrConn) }
 
-// setPending carries state between the Set header and completion
-// handlers on one endpoint (FIFO; UCR delivers in order per endpoint).
+// setPending carries one Set from its header handler to its completion,
+// named by the landing the header handler returned. Completions do not
+// come in header order: an eager Set completes right after its header, a
+// rendezvous one when the server's RDMA read of its value lands, so an
+// eager Set can complete while an earlier rendezvous Set is still
+// reading.
 type setPending struct {
+	land     []byte
 	item     *Item
 	res      StoreResult
 	replyCtr ucr.CounterID
+}
+
+// pendSet files a Set at its header handler and returns its landing.
+func (c *ucrConn) pendSet(p setPending) []byte {
+	c.sets = append(c.sets, p)
+	return p.land
+}
+
+// takeSet removes the in-flight Set whose value landed in data. Landings
+// are distinct while in flight; an empty one (a zero-length value, always
+// eager) belongs to the Set whose header just ran, the only such Set
+// pending.
+func (c *ucrConn) takeSet(data []byte) (setPending, bool) {
+	for i, p := range c.sets {
+		if len(p.land) == len(data) && (len(data) == 0 || &p.land[0] == &data[0]) {
+			last := len(c.sets) - 1
+			c.sets[i] = c.sets[last]
+			c.sets[last] = setPending{} // drop the item reference
+			c.sets = c.sets[:last]
+			return p, true
+		}
+	}
+	return setPending{}, false
 }
 
 // opCharge charges the per-op command-processing cost. The 2nd..Nth
@@ -113,22 +141,19 @@ func (s *Server) amSetHeader(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, d
 	c := connOf(ep)
 	req, err := DecodeSetReqView(hdr)
 	if err != nil {
-		c.sets.push(setPending{res: NotStored})
-		return ep.Context().Buf(dataLen)
+		return c.pendSet(setPending{land: ep.Context().Buf(dataLen), res: NotStored})
 	}
 	it, res := s.store.AllocateItem(req.Key, req.Flags, req.Exptime, dataLen, clk.Now())
 	if res != Stored {
-		c.sets.push(setPending{res: res, replyCtr: req.ReplyCtr})
-		return ep.Context().Buf(dataLen)
+		return c.pendSet(setPending{land: ep.Context().Buf(dataLen), res: res, replyCtr: req.ReplyCtr})
 	}
-	c.sets.push(setPending{item: it, res: Stored, replyCtr: req.ReplyCtr})
-	return it.Value()
+	return c.pendSet(setPending{land: it.Value(), item: it, res: Stored, replyCtr: req.ReplyCtr})
 }
 
 // amSetComplete commits the item and answers with AM 2 (§V-B).
 func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
 	c := connOf(ep)
-	p, ok := c.sets.pop()
+	p, ok := c.takeSet(data)
 	if !ok {
 		return
 	}

@@ -1,11 +1,9 @@
 package memcheck
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
-	"repro/internal/mcclient"
 	"repro/internal/memcached"
 )
 
@@ -23,49 +21,12 @@ import (
 // containment: everything a client observed must appear in the server
 // history.
 
-// canonEl renders one operation as a canonical comparison element.
-// Fields that differ legitimately between the two sides (timestamps,
-// CAS ids on reads, item flags on reads — mget replies don't carry
-// them) are excluded; fields a frontend could corrupt (store flags,
-// exptime, values, results) are kept.
-func canonObserved(o mcclient.ObservedOp) (string, bool) {
-	oom := errors.Is(o.Err, mcclient.ErrServerError)
-	if o.Err != nil && !oom {
-		// Transport-level failure: the op may or may not have reached the
-		// server; nothing to compare.
-		return "", false
-	}
-	if o.OneSided {
-		// A one-sided hit never ran on the server, so it has no record to
-		// pair with; checkOneSided validates it against item history.
-		return "", false
-	}
-	switch o.Kind {
-	case memcached.RecGet:
-		if o.Hit {
-			return fmt.Sprintf("get|hit|%q", o.Value), true
-		}
-		return "get|miss", true
-	case memcached.RecSet, memcached.RecAdd, memcached.RecReplace, memcached.RecCas:
-		el := fmt.Sprintf("%s|%s|f%d|e%d", o.Kind, o.Res, o.Flags, o.Exptime)
-		if o.Kind == memcached.RecCas {
-			el += fmt.Sprintf("|c%d", o.CasReq)
-		}
-		if o.Res == memcached.Stored {
-			el += fmt.Sprintf("|%q", o.Value)
-		}
-		return el, true
-	case memcached.RecAppend, memcached.RecPrepend:
-		return fmt.Sprintf("%s|%s|%q", o.Kind, o.Res, o.Value), true
-	case memcached.RecDelete:
-		return fmt.Sprintf("del|hit=%v", o.Hit), true
-	case memcached.RecIncr, memcached.RecDecr:
-		return fmt.Sprintf("%s|d%d|hit=%v|bad=%v|oom=%v|%d", o.Kind, o.Delta, o.Hit, o.Bad, oom, o.Num), true
-	default:
-		return "", false
-	}
-}
-
+// canonRecord renders one operation — an engine record or a client
+// observation, which share its shape — as a canonical comparison
+// element. Fields that differ legitimately between the two sides
+// (timestamps, CAS ids on reads, item flags on reads — mget replies
+// don't carry them) are excluded; fields a frontend could corrupt (store
+// flags, exptime, values, results) are kept.
 func canonRecord(r *memcached.OpRecord) (string, bool) {
 	switch r.Kind {
 	case memcached.RecGet:
@@ -147,16 +108,17 @@ func recordStates(recs []*memcached.OpRecord) map[string]map[string]bool {
 func checkOneSided(recs []*memcached.OpRecord, obs []Observation) *Violation {
 	var states map[string]map[string]bool
 	for _, o := range obs {
-		if !o.Op.OneSided || !o.Op.Hit {
+		if !o.OneSided || !o.Rec.Hit {
 			continue
 		}
 		if states == nil {
 			states = recordStates(recs)
 		}
-		el := itemState(o.Op.Value, o.Op.CAS, o.Op.Flags)
-		if !states[o.Op.Key][el] {
+		r := &o.Rec
+		el := itemState(r.Value, r.OldCAS, r.Flags)
+		if !states[r.Key][el] {
 			return &Violation{Msg: fmt.Sprintf(
-				"onesided %q: client read %s, an item version the server never produced", o.Op.Key, el)}
+				"onesided %q: client read %s, an item version the server never produced", r.Key, el)}
 		}
 	}
 	return nil
@@ -175,8 +137,13 @@ func CrossCheck(recs []*memcached.OpRecord, obs []Observation, lossy bool) *Viol
 	}
 	client := make(map[string][]string)
 	for _, o := range obs {
-		if el, ok := canonObserved(o.Op); ok {
-			client[o.Op.Key] = append(client[o.Op.Key], el)
+		// A failed call may or may not have reached the server, and a
+		// one-sided hit never ran there (checkOneSided validates it).
+		if o.Err != nil || o.OneSided {
+			continue
+		}
+		if el, ok := canonRecord(&o.Rec); ok {
+			client[o.Rec.Key] = append(client[o.Rec.Key], el)
 		}
 	}
 

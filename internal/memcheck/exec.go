@@ -1,6 +1,7 @@
 package memcheck
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -37,10 +38,16 @@ type Config struct {
 	Servers int
 }
 
-// Observation is one client-side outcome, tagged with which client saw it.
+// Observation is one client call as the checker made it, in the
+// engine's record shape: Rec's inputs are the script op's, its outcome is
+// what the call returned. Err is set when the call left no outcome to
+// compare (a transport failure: the op may or may not have reached the
+// server). OneSided marks a get hit the client's RDMA reads served,
+// which has no engine record to pair with.
 type Observation struct {
-	Client int
-	Op     mcclient.ObservedOp
+	Rec      memcached.OpRecord
+	Err      error
+	OneSided bool
 }
 
 // execute runs a script against a fresh single-server deployment,
@@ -74,10 +81,6 @@ func (m *Mode) execute(sc Script, cfg Config) *Result {
 			return res
 		}
 		defer cl.Close()
-		idx := i
-		cl.MC.SetObserver(func(o mcclient.ObservedOp) {
-			x.obs = append(x.obs, Observation{Client: idx, Op: o})
-		})
 		x.clients = append(x.clients, cl)
 	}
 
@@ -147,54 +150,57 @@ func sortRecords(recs []*memcached.OpRecord) {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 }
 
-// tolerable reports whether err is an outcome the configuration can
+// tolerate passes err on unless it is an outcome the configuration can
 // produce on a healthy run.
-func (x *executor) tolerable(err error) bool {
-	if err == nil {
-		return true
-	}
+func (x *executor) tolerate(err error) error {
 	switch {
-	case errors.Is(err, mcclient.ErrCacheMiss),
+	case err == nil,
+		errors.Is(err, mcclient.ErrCacheMiss),
 		errors.Is(err, mcclient.ErrNotStored),
 		errors.Is(err, mcclient.ErrCASExists),
 		errors.Is(err, mcclient.ErrBadValue),
-		errors.Is(err, mcclient.ErrServerError):
-		return true
-	case errors.Is(err, mcclient.ErrServerDown):
+		errors.Is(err, mcclient.ErrServerError),
 		// Only a lossy fabric may lose operations.
-		return x.cfg.Faults
-	default:
-		return false
+		x.cfg.Faults && errors.Is(err, mcclient.ErrServerDown):
+		return nil
 	}
+	return err
 }
 
 func (x *executor) step(op ScriptOp) error {
 	cl := x.clients[op.Client%len(x.clients)]
 	mc := cl.MC
-	var err error
+	var c call
 	switch op.Code {
 	case OpSet:
-		err = mc.Set(op.Key, op.Value, op.Flags, op.Exptime)
+		c.err = mc.Set(op.Key, op.Value, op.Flags, op.Exptime)
 	case OpAdd:
-		err = mc.Add(op.Key, op.Value, op.Flags, op.Exptime)
+		c.err = mc.Add(op.Key, op.Value, op.Flags, op.Exptime)
 	case OpReplace:
-		err = mc.Replace(op.Key, op.Value, op.Flags, op.Exptime)
+		c.err = mc.Replace(op.Key, op.Value, op.Flags, op.Exptime)
 	case OpAppend:
-		err = mc.Append(op.Key, op.Value)
+		c.err = mc.Append(op.Key, op.Value)
 	case OpPrepend:
-		err = mc.Prepend(op.Key, op.Value)
+		c.err = mc.Prepend(op.Key, op.Value)
 	case OpCas:
-		err = x.stepCas(mc, op)
+		return x.stepCas(cl, op)
 	case OpGet:
-		_, _, _, err = mc.Get(op.Key)
+		c = get(cl, op.Key)
 	case OpMGet:
-		_, err = mc.GetMulti(op.Keys)
+		// One observation per requested key, hit or miss, so the
+		// cross-check sees mget misses too.
+		vals, err := mc.GetMulti(op.Keys)
+		for _, k := range op.Keys {
+			v, hit := vals[k]
+			x.observe(ScriptOp{Code: OpGet, Key: k}, call{value: v, err: missed(hit, err)})
+		}
+		return x.tolerate(err)
 	case OpDelete:
-		err = mc.Delete(op.Key)
+		c.err = mc.Delete(op.Key)
 	case OpIncr:
-		_, err = mc.Incr(op.Key, op.Delta)
+		c.num, c.err = mc.Incr(op.Key, op.Delta)
 	case OpDecr:
-		_, err = mc.Decr(op.Key, op.Delta)
+		c.num, c.err = mc.Decr(op.Key, op.Delta)
 	case OpAdvance:
 		cl.Clock.Advance(op.Advance)
 		return nil
@@ -206,30 +212,103 @@ func (x *executor) step(op ScriptOp) error {
 	default:
 		return fmt.Errorf("unknown op code %d", op.Code)
 	}
-	if !x.tolerable(err) {
-		return err
+	x.observe(op, c)
+	return x.tolerate(c.err)
+}
+
+// call is what one client call returned, in the blocking API's shape: a
+// miss, a store's result and a counter's bad or out-of-memory answer
+// come back as err.
+type call struct {
+	value    []byte // get hit
+	flags    uint32 // get hit
+	cas      uint64 // get hit: the item's id; cas: the id presented
+	num      uint64 // incr/decr
+	err      error
+	oneSided bool // a get the client's one-sided path served
+}
+
+// recKinds names the engine record each client call kind produces.
+var recKinds = map[OpCode]memcached.OpKind{
+	OpSet: memcached.RecSet, OpAdd: memcached.RecAdd, OpReplace: memcached.RecReplace,
+	OpAppend: memcached.RecAppend, OpPrepend: memcached.RecPrepend, OpCas: memcached.RecCas,
+	OpGet: memcached.RecGet, OpDelete: memcached.RecDelete,
+	OpIncr: memcached.RecIncr, OpDecr: memcached.RecDecr,
+}
+
+// observe records one call — a blocking step's or a burst future's — as
+// the engine would: the inputs from the script op that issued it, the
+// outcome from what the call returned.
+func (x *executor) observe(op ScriptOp, c call) {
+	r := memcached.OpRecord{Kind: recKinds[op.Code], Key: op.Key}
+	err := c.err
+	switch r.Kind {
+	case memcached.RecGet, memcached.RecDelete:
+		if r.Hit = err == nil; r.Hit && r.Kind == memcached.RecGet {
+			r.Value, r.Flags, r.OldCAS = bytes.Clone(c.value), c.flags, c.cas
+		}
+	case memcached.RecIncr, memcached.RecDecr:
+		r.Delta, r.NewNum = op.Delta, c.num
+		r.Hit = !errors.Is(err, mcclient.ErrCacheMiss)
+		r.Bad, r.OOM = errors.Is(err, mcclient.ErrBadValue), errors.Is(err, mcclient.ErrServerError)
+	default: // the six storage verbs
+		var ok bool
+		if r.Res, ok = mcclient.StoreResultOf(err); ok {
+			err = nil
+		}
+		r.Flags, r.Exptime, r.CasReq = op.Flags, op.Exptime, c.cas
+		if r.Kind == memcached.RecAppend || r.Kind == memcached.RecPrepend {
+			r.Arg = op.Value
+		} else {
+			r.Value = op.Value
+		}
 	}
-	return nil
+	if errors.Is(err, mcclient.ErrCacheMiss) || errors.Is(err, mcclient.ErrBadValue) || errors.Is(err, mcclient.ErrServerError) {
+		err = nil // an outcome, recorded above
+	}
+	x.obs = append(x.obs, Observation{Rec: r, Err: err, OneSided: c.oneSided})
+}
+
+// missed puts a future's miss in the blocking API's shape.
+func missed(hit bool, err error) error {
+	if err == nil && !hit {
+		return mcclient.ErrCacheMiss
+	}
+	return err
+}
+
+// get is a blocking Get, with whether the one-sided path served it: the
+// rise of the transport's one-sided hits across the call (a memcheck
+// client has exactly one transport).
+func get(cl *cluster.Client, key string) call {
+	hits := func() uint64 {
+		if ut, ok := cl.MC.Transport(0).(*mcclient.UCRTransport); ok {
+			return ut.PathStats().By[mcclient.PathOneSided].Hits
+		}
+		return 0
+	}
+	before := hits()
+	v, flags, cas, err := cl.MC.Get(key)
+	return call{value: v, flags: flags, cas: cas, err: err, oneSided: hits() > before}
 }
 
 // stepCas learns the key's current CAS id with a real get, then issues
 // the cas — with the fresh id, or a deliberately wrong one.
-func (x *executor) stepCas(mc *mcclient.Client, op ScriptOp) error {
-	_, _, cas, err := mc.Get(op.Key)
-	if err != nil && !x.tolerable(err) {
+func (x *executor) stepCas(cl *cluster.Client, op ScriptOp) error {
+	g := get(cl, op.Key)
+	x.observe(ScriptOp{Code: OpGet, Key: op.Key}, g)
+	if err := x.tolerate(g.err); err != nil {
 		return err
 	}
-	id := cas
-	if errors.Is(err, mcclient.ErrCacheMiss) || id == 0 {
+	id := g.cas
+	if id == 0 { // a miss
 		id = 99991 // any id: cas on an absent key is NOT_FOUND regardless
 	} else if op.Stale {
 		id += 7777
 	}
-	err = mc.Cas(op.Key, op.Value, op.Flags, op.Exptime, id)
-	if !x.tolerable(err) {
-		return err
-	}
-	return nil
+	err := cl.MC.Cas(op.Key, op.Value, op.Flags, op.Exptime, id)
+	x.observe(op, call{cas: id, err: err})
+	return x.tolerate(err)
 }
 
 // stepFlush calls flush_all with a horizon strictly above every clock
@@ -256,8 +335,7 @@ func (x *executor) stepFlush() {
 }
 
 // stepBurst drives one pipelined window through the client's transport
-// and synthesizes the observations from the settled futures (the
-// blocking-path observer does not see pipelined ops).
+// and observes each settled future as it would a blocking call.
 func (x *executor) stepBurst(cl *cluster.Client, op ScriptOp) error {
 	pr, ok := cl.MC.Transport(0).(mcclient.Pipeliner)
 	if !ok {
@@ -281,7 +359,7 @@ func (x *executor) stepBurst(cl *cluster.Client, op ScriptOp) error {
 		p := pending{sub: sub}
 		switch sub.Code {
 		case OpSet:
-			p.set = pl.StartSet(clk, sub.Key, sub.Flags, 0, sub.Value)
+			p.set = pl.StartSet(clk, sub.Key, sub.Flags, sub.Exptime, sub.Value)
 		case OpGet:
 			p.get = pl.StartGet(clk, sub.Key)
 		case OpDelete:
@@ -291,49 +369,30 @@ func (x *executor) stepBurst(cl *cluster.Client, op ScriptOp) error {
 		}
 		pend = append(pend, p)
 	}
-	if err := pl.Wait(clk); err != nil && !x.tolerable(err) {
+	if err := x.tolerate(pl.Wait(clk)); err != nil {
 		return err
 	}
 	for _, p := range pend {
+		var c call
 		switch {
 		case p.set != nil:
 			res, err := p.set.Wait(clk)
-			if !x.tolerable(err) {
-				return err
+			if c.err = err; err == nil {
+				c.err = mcclient.StoreErr(memcached.StoreOpSet, res)
 			}
-			x.obs = append(x.obs, Observation{Client: clientIndex(x, cl), Op: mcclient.ObservedOp{
-				Kind: memcached.RecSet, Key: p.sub.Key, Value: p.sub.Value,
-				Flags: p.sub.Flags, Res: res, Err: err,
-			}})
 		case p.get != nil:
 			v, flags, cas, hit, err := p.get.Wait(clk)
-			if !x.tolerable(err) {
-				return err
-			}
-			x.obs = append(x.obs, Observation{Client: clientIndex(x, cl), Op: mcclient.ObservedOp{
-				Kind: memcached.RecGet, Key: p.sub.Key, Value: append([]byte(nil), v...),
-				Flags: flags, CAS: cas, Hit: hit, Err: err,
-			}})
+			c = call{value: v, flags: flags, cas: cas, err: missed(hit, err)}
 		case p.del != nil:
 			hit, err := p.del.Wait(clk)
-			if !x.tolerable(err) {
-				return err
-			}
-			x.obs = append(x.obs, Observation{Client: clientIndex(x, cl), Op: mcclient.ObservedOp{
-				Kind: memcached.RecDelete, Key: p.sub.Key, Hit: hit, Err: err,
-			}})
+			c.err = missed(hit, err)
+		}
+		x.observe(p.sub, c)
+		if err := x.tolerate(c.err); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-func clientIndex(x *executor, cl *cluster.Client) int {
-	for i, c := range x.clients {
-		if c == cl {
-			return i
-		}
-	}
-	return 0
 }
 
 // epilogue reads back every key the script could have touched, from one
@@ -342,12 +401,11 @@ func clientIndex(x *executor, cl *cluster.Client) int {
 // in the history.
 func (x *executor) epilogue(sc Script) {
 	keys := scriptKeys(sc)
-	mc := x.clients[0].MC
 	for _, k := range keys {
-		_, _, _, _ = mc.Get(k)
+		_ = x.step(ScriptOp{Code: OpGet, Key: k})
 	}
 	if len(keys) > 0 {
-		_, _ = mc.GetMulti(keys)
+		_ = x.step(ScriptOp{Code: OpMGet, Keys: keys})
 	}
 }
 

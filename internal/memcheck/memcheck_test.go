@@ -72,20 +72,16 @@ func TestOneSidedSeeds(t *testing.T) {
 		t.Skip("store mutations active")
 	}
 	for _, faults := range []bool{false, true} {
-		oneSided := 0
+		var oneSided uint64
 		for seed := uint64(1); seed <= 4; seed++ {
 			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "onesided"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
-			for _, o := range res.Obs {
-				if o.Op.OneSided {
-					oneSided++
-				}
-			}
+			oneSided += res.Paths.By[mcclient.PathOneSided].Hits
 		}
 		if oneSided == 0 {
-			t.Errorf("faults=%v: no observation took the one-sided path", faults)
+			t.Errorf("faults=%v: no get took the one-sided path", faults)
 		}
 	}
 }

@@ -70,7 +70,7 @@ type postedWR struct {
 	kind      wrKind
 	ep        *Endpoint
 	buf       []byte       // send, write reply: the pool buffer to recycle
-	mr        *verbs.MR    // rendezvous origin: owned by the registration cache, released at the ack
+	reg       *regEntry    // rendezvous origin: its registration-cache entry, released at the ack
 	originCtr CounterID    // bumped at local completion (rendezvous origin: at the ack)
 	complCtr  CounterID    // rendezvous origin: bumped at the ack
 	pull      *pendingRead // wrPull only
@@ -517,7 +517,7 @@ func (c *Context) onPullComplete(clk *simnet.VClock, wc verbs.WC, ep *Endpoint, 
 func (c *Context) handleAck(pkt packet) {
 	if pkt.seq != 0 {
 		if wr, ok := c.posted.take(pkt.seq); ok {
-			c.rt.releaseCached(wr.mr)
+			c.rt.releaseCached(wr.reg)
 			c.rt.bump(wr.originCtr)
 			c.rt.bump(wr.complCtr)
 		}

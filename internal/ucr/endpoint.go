@@ -184,11 +184,11 @@ func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, orig
 	// Rendezvous: expose data for the target's RDMA Read (Fig 2a). The
 	// registration cache makes repeat sends of the same buffer free. The
 	// origin waits in posted under the seq the target's ack echoes.
-	mr, err := ep.ctx.rt.registerCached(data, clk)
+	reg, err := ep.ctx.rt.registerCached(data, clk)
 	if err != nil {
 		return err
 	}
-	seq := ep.ctx.posted.put(postedWR{kind: wrRndz, mr: mr, originCtr: originCtr.ID(), complCtr: complCtr.ID()})
+	seq := ep.ctx.posted.put(postedWR{kind: wrRndz, reg: reg, originCtr: originCtr.ID(), complCtr: complCtr.ID()})
 	pkt := &packet{
 		typ:       ptRndzHdr,
 		msgID:     msgID,
@@ -197,13 +197,13 @@ func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, orig
 		targetCtr: targetCtrID,
 		originCtr: originCtr.ID(),
 		complCtr:  complCtr.ID(),
-		rndzAddr:  mr.VA(),
-		rkey:      mr.RKey(),
+		rndzAddr:  reg.mr.VA(),
+		rkey:      reg.mr.RKey(),
 		seq:       seq,
 	}
 	if err := ep.sendPacket(clk, pkt, 0, len(hdr)); err != nil {
 		ep.ctx.posted.take(seq)
-		ep.ctx.rt.releaseCached(mr)
+		ep.ctx.rt.releaseCached(reg)
 		return err
 	}
 	ep.ctx.amsOut++

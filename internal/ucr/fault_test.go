@@ -2,12 +2,12 @@ package ucr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/simnet"
-	"repro/internal/verbs"
 )
 
 // On a lossy fabric, UCR's RC transport retransmits transparently: every
@@ -108,14 +108,34 @@ func TestRendezvousUnderLoss(t *testing.T) {
 	}
 }
 
-// The AMRetries knob is carried by the runtime config for upper layers.
+// TestAMRetriesConfig pins what an upper layer's AM retry loop relies
+// on: a wait that times out leaves the endpoint usable, and the request
+// re-sent under the same reply counter completes.
 func TestAMRetriesConfig(t *testing.T) {
-	w := newWorld(t, Config{AMRetries: 3})
-	if got := w.cliRT.Config().AMRetries; got != 3 {
-		t.Fatalf("Config().AMRetries = %d, want 3", got)
+	w := newWorld(t, Config{})
+	rc := w.installClientReply()
+	ep := w.dial(t, Reliable)
+	replyCtr := w.cliRT.NewCounter()
+	defer w.cliRT.FreeCounter(replyCtr)
+	hdr := binary.LittleEndian.AppendUint64(nil, uint64(replyCtr.ID()))
+	send := func() {
+		t.Helper()
+		if err := ep.Send(w.cliClk, midRequest, hdr, []byte("again"), nil, 0, nil); err != nil {
+			t.Fatalf("send: %v", err)
+		}
 	}
-	// Default stays zero (single attempt).
-	if got := New(verbs.NewHCA(w.nw.AddNode("x"), w.fab, hcaConfig()), w.cm, Config{}).Config().AMRetries; got != 0 {
-		t.Fatalf("default AMRetries = %d, want 0", got)
+	send()
+	if err := w.cliCtx.WaitCounter(w.cliClk, replyCtr, 1, 1); err != ErrTimeout {
+		t.Fatalf("wait shorter than a round trip = %v, want ErrTimeout", err)
+	}
+	if ep.Failed() {
+		t.Fatal("a timed-out wait isolated the endpoint")
+	}
+	send()
+	if err := w.cliCtx.WaitCounter(w.cliClk, replyCtr, 2, 0); err != nil {
+		t.Fatalf("re-sent request: %v", err)
+	}
+	if rc.runs != 2 || string(rc.data) != "again" {
+		t.Fatalf("replies = %d (last %q), want 2 echoing %q", rc.runs, rc.data, "again")
 	}
 }

@@ -144,38 +144,48 @@ func TestAtomicOnFailedEndpointIsPrompt(t *testing.T) {
 
 // TestRegCacheEvictionDefersDereg pins the refcounting behaviour: a
 // FIFO-evicted entry with an operation still in flight keeps its MR
-// registered until the last reference is released.
+// registered — a peer can still read it — until the last reference is
+// released. The server runtime's cache is probed so the client can read.
 func TestRegCacheEvictionDefersDereg(t *testing.T) {
 	w := newWorld(t, Config{EagerThreshold: 512, RegCacheEntries: 1})
+	w.installClientReply()
+	ep := w.dial(t, Reliable)
 	bufA := make([]byte, 4096)
 	bufB := make([]byte, 4096)
+	copy(bufA, "held")
 
-	mrA, err := w.cliRT.registerCached(bufA, w.cliClk)
+	eA, err := w.srvRT.registerCached(bufA, w.srvClk)
 	if err != nil {
 		t.Fatalf("registerCached A: %v", err)
 	}
 	// B evicts A from the FIFO while A still holds a reference.
-	if _, err := w.cliRT.registerCached(bufB, w.cliClk); err != nil {
+	if _, err := w.srvRT.registerCached(bufB, w.srvClk); err != nil {
 		t.Fatal(err)
 	}
-	rc := w.cliRT.regs
+	rc := w.srvRT.regs
 	rc.mu.Lock()
-	eA := rc.byMR[mrA]
-	deferred := rc.deferredDeregs
+	_, cached := rc.entries[keyOf(bufA)]
+	busy := eA.evicted && eA.refs == 1
 	rc.mu.Unlock()
-	if eA == nil || !eA.evicted || eA.refs != 1 {
-		t.Fatalf("evicted-but-busy entry = %+v", eA)
+	if cached || !busy {
+		t.Fatalf("evicted-but-busy entry = %+v (still cached: %v)", eA, cached)
 	}
-	if deferred != 1 {
-		t.Fatalf("deferredDeregs = %d, want 1", deferred)
+	desc := WindowDesc{Addr: eA.mr.VA(), RKey: eA.mr.RKey(), Len: len(bufA)}
+	local := make([]byte, 4)
+	ctr := w.cliRT.NewCounter()
+	if err := ep.Get(w.cliClk, local, desc, 0, ctr); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.cliCtx.WaitCounter(w.cliClk, ctr, 1, 0); err != nil || string(local) != "held" {
+		t.Fatalf("read of the evicted-but-busy MR = %q, %v", local, err)
 	}
 	// The last release performs the deferred deregistration.
-	w.cliRT.releaseCached(mrA)
-	rc.mu.Lock()
-	gone := rc.byMR[mrA] == nil
-	rc.mu.Unlock()
-	if !gone {
-		t.Fatal("released evicted entry should be deregistered and dropped")
+	w.srvRT.releaseCached(eA)
+	if err := ep.Get(w.cliClk, local, desc, 0, ctr); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.cliCtx.WaitCounter(w.cliClk, ctr, 2, 100*simnet.Microsecond); err == nil {
+		t.Fatal("read after the last release should not complete: the MR is still registered")
 	}
 }
 

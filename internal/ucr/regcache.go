@@ -27,12 +27,10 @@ import (
 type regCache struct {
 	mu      sync.Mutex
 	entries map[regKey]*regEntry
-	byMR    map[*verbs.MR]*regEntry
 	order   []regKey
 	cap     int
 
-	hits, misses   uint64
-	deferredDeregs uint64
+	hits, misses uint64
 }
 
 type regKey struct {
@@ -49,7 +47,6 @@ type regEntry struct {
 func newRegCache(capEntries int) *regCache {
 	return &regCache{
 		entries: make(map[regKey]*regEntry),
-		byMR:    make(map[*verbs.MR]*regEntry),
 		cap:     capEntries,
 	}
 }
@@ -58,12 +55,13 @@ func keyOf(buf []byte) regKey {
 	return regKey{ptr: &buf[0], len: len(buf)}
 }
 
-// registerCached resolves an MR for buf (never empty: a rendezvous send
-// carries more than the eager threshold): from the cache (free) or by
-// registering (cost charged to clk) and caching, evicting FIFO-oldest
-// entries beyond capacity. The caller releases its reference with
-// releaseCached when its operation completes.
-func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*verbs.MR, error) {
+// registerCached resolves a registration for buf (never empty: a
+// rendezvous send carries more than the eager threshold): from the cache
+// (free) or by registering (cost charged to clk) and caching, evicting
+// FIFO-oldest entries beyond capacity. The caller holds the returned
+// entry for its operation and hands it to releaseCached when the
+// operation completes.
+func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*regEntry, error) {
 	rc := rt.regs
 	k := keyOf(buf)
 	rc.mu.Lock()
@@ -71,7 +69,7 @@ func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*verbs.MR, er
 		rc.hits++
 		e.refs++
 		rc.mu.Unlock()
-		return e.mr, nil
+		return e, nil
 	}
 	rc.misses++
 	rc.mu.Unlock()
@@ -83,7 +81,6 @@ func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*verbs.MR, er
 	rc.mu.Lock()
 	e := &regEntry{mr: mr, refs: 1}
 	rc.entries[k] = e
-	rc.byMR[mr] = e
 	rc.order = append(rc.order, k)
 	var evicted []*verbs.MR
 	for len(rc.order) > rc.cap {
@@ -96,40 +93,29 @@ func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*verbs.MR, er
 		delete(rc.entries, old)
 		victim.evicted = true
 		if victim.refs == 0 {
-			delete(rc.byMR, victim.mr)
 			evicted = append(evicted, victim.mr)
-		} else {
-			rc.deferredDeregs++
 		}
 	}
 	rc.mu.Unlock()
 	for _, v := range evicted {
 		rt.hca.DeregisterMR(v)
 	}
-	return mr, nil
+	return e, nil
 }
 
-// releaseCached drops one in-flight reference on a cache-owned MR. If
-// the entry was FIFO-evicted while busy, the last release performs the
+// releaseCached drops one in-flight reference on a cache entry. If the
+// entry was FIFO-evicted while busy, the last release performs the
 // deferred deregistration.
-func (rt *Runtime) releaseCached(mr *verbs.MR) {
+func (rt *Runtime) releaseCached(e *regEntry) {
 	rc := rt.regs
 	rc.mu.Lock()
-	e := rc.byMR[mr]
-	if e == nil {
-		rc.mu.Unlock()
-		return
-	}
 	if e.refs > 0 {
 		e.refs--
 	}
 	dereg := e.evicted && e.refs == 0
-	if dereg {
-		delete(rc.byMR, mr)
-	}
 	rc.mu.Unlock()
 	if dereg {
-		rt.hca.DeregisterMR(mr)
+		rt.hca.DeregisterMR(e.mr)
 	}
 }
 

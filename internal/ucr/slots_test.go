@@ -71,9 +71,9 @@ func TestSlotsMisses(t *testing.T) {
 	// at that index nor fires the counters the packet also names.
 	w := newWorld(t, Config{})
 	ctx, origin := w.cliCtx, w.cliRT.NewCounter()
-	seq := ctx.posted.put(postedWR{kind: wrRndz, originCtr: origin.ID()})
+	seq := ctx.posted.put(postedWR{kind: wrRndz, reg: &regEntry{}, originCtr: origin.ID()})
 	ctx.posted.take(seq) // retired: its send failed
-	live := ctx.posted.put(postedWR{kind: wrRndz, originCtr: origin.ID()})
+	live := ctx.posted.put(postedWR{kind: wrRndz, reg: &regEntry{}, originCtr: origin.ID()})
 	ctx.handleAck(packet{typ: ptAck, seq: seq, originCtr: origin.ID()})
 	if origin.Value() != 0 || ctx.inFlight(wrRndz) != 1 {
 		t.Fatalf("retired seq: origin %d, %d entries in flight; want 0, 1", origin.Value(), ctx.inFlight(wrRndz))

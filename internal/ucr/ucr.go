@@ -159,13 +159,6 @@ type Config struct {
 	SRQBuffers int
 	// RegCacheEntries caps the registration cache (default 128).
 	RegCacheEntries int
-	// AMRetries is how many times a request-level helper (e.g. the
-	// Memcached client transport) may re-send an active message after a
-	// timeout before declaring the endpoint dead. Zero keeps the legacy
-	// single-attempt behaviour. The runtime only records the knob; the
-	// retry loop lives in the caller, which owns request framing and
-	// knows whether a duplicate is safe (§IV-A corrective action).
-	AMRetries int
 }
 
 // pollSpin is the short busy-poll window a batched CQ drain keeps open
