@@ -42,17 +42,22 @@ determinism:
 
 # The regression gate is a byte comparison: cmd/mcbench's test runs every
 # row of the study table (`mcbench -list`) and compares its text with the
-# golden — every number EXPERIMENTS.md prints, at tolerance 0. Rewrite it
-# only when a modeled number is meant to move, and list the moved cells
-# in EXPERIMENTS.md.
+# golden — every number EXPERIMENTS.md prints, at tolerance 0 — and each
+# example's test compares what it prints with its testdata/stdout.golden.
+# Rewrite them only when an output is meant to move, and list the moved
+# cells in EXPERIMENTS.md.
+EXAMPLES = quickstart dbcache multiclient faulttolerance sharding onesided
+
 golden:
 	go run ./cmd/mcbench -study all > cmd/mcbench/testdata/studies.golden
+	for e in $(EXAMPLES); do go run ./examples/$$e > examples/$$e/testdata/stdout.golden || exit 1; done
 
 # The moved-cell list for EXPERIMENTS.md: what the tree prints against
-# the golden, as a diff (empty, exit 0, when nothing moved). Run it
+# the goldens, as diffs (empty, exit 0, when nothing moved). Run it
 # before `make golden`.
 golden-diff:
-	go run ./cmd/mcbench -study all | diff cmd/mcbench/testdata/studies.golden -
+	@rc=0 ; go run ./cmd/mcbench -study all | diff cmd/mcbench/testdata/studies.golden - || rc=1 ; \
+	for e in $(EXAMPLES); do go run ./examples/$$e | diff examples/$$e/testdata/stdout.golden - || rc=1; done; exit $$rc
 
 test: tier1 tier2
 
@@ -102,6 +107,9 @@ check-no-wallclock:
 #    path probe on the client, no second canonical form, no retry knob the
 #    runtime only records, no landing pool or MR index beside the
 #    structure that owns the job.
+#  - PR 29: every claim the docs make runs — no API without a caller: no
+#    script key lister, no summed fault stats, no one-sided directory
+#    geometry a caller could pass.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -111,6 +119,7 @@ internal cmd examples	UCRCredits|clientUCRConfig|DisableRegCache|NoReply|Deploy\
 internal cmd	connScaleFitCounts|ConnScaleModel|PerClientAt|FleetCounts\(	^$$	fitted connscale model or quick fleet axis under internal/ cmd/
 internal	rndzOrigin|nextSeq|bumpIf|freeCtrs|pendingSets|wrTabs|staleWins|map\[ucr\.CounterID\]|map\[\*ucr\.Endpoint\]	^$$	side table keyed by a counter id, a rendezvous seq or an endpoint under internal/
 internal cmd examples	SetObserver|ObservedOp|LastReadPath|canonObserved|\bAMRetries\b|freeBufs|byMR	^$$	client observer, read-path probe, second canonical form, AMRetries knob or private store under internal/ cmd/ examples/
+internal cmd examples	AllKeys|FaultStats|EnableOneSided\([^)]*,	^$$	uncalled API or one-sided directory geometry under internal/ cmd/ examples/
 endef
 export GONE
 

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/mcclient"
@@ -34,20 +36,30 @@ func (db *database) query(clk *simnet.VClock, key string) []byte {
 }
 
 func main() {
-	for _, transport := range []cluster.Transport{cluster.UCRIB, cluster.IPoIB} {
-		mean, hits, misses, dbQueries := runWorkload(transport)
-		fmt.Printf("%-8s mean request %8.2f us  (cache hits %d, misses %d, db queries %d)\n",
-			transport, mean.Micros(), hits, misses, dbQueries)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }
 
+func run(out io.Writer) error {
+	for _, transport := range []cluster.Transport{cluster.UCRIB, cluster.IPoIB} {
+		mean, hits, misses, dbQueries, err := runWorkload(transport)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "%-8s mean request %8.2f us  (cache hits %d, misses %d, db queries %d)\n",
+			transport, mean.Micros(), hits, misses, dbQueries)
+	}
+	return nil
+}
+
 // runWorkload serves 2000 proxy requests over a Zipf-ish keyspace.
-func runWorkload(transport cluster.Transport) (mean simnet.Duration, hits, misses, dbQueries int) {
+func runWorkload(transport cluster.Transport) (mean simnet.Duration, hits, misses, dbQueries int, err error) {
 	d := cluster.New(cluster.ClusterA(), cluster.Options{})
 	defer d.Close()
 	proxy, err := d.NewClient(transport, mcclient.DefaultBehaviors())
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, 0, 0, err
 	}
 	defer proxy.Close()
 
@@ -70,14 +82,14 @@ func runWorkload(transport cluster.Transport) (mean simnet.Duration, hits, misse
 			hits++
 			continue
 		} else if err != mcclient.ErrCacheMiss {
-			log.Fatal(err)
+			return 0, 0, 0, 0, err
 		}
 		misses++
 		row := db.query(proxy.Clock, key)
 		if err := proxy.MC.Set(key, row, 0, 300); err != nil {
-			log.Fatal(err)
+			return 0, 0, 0, 0, err
 		}
 	}
 	elapsed := proxy.Clock.Now() - start
-	return elapsed / requests, hits, misses, db.queries
+	return elapsed / requests, hits, misses, db.queries, nil
 }

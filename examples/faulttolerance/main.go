@@ -11,8 +11,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/mcclient"
@@ -20,6 +23,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	behaviors := mcclient.DefaultBehaviors()
 	behaviors.OpTimeout = 200 * simnet.Microsecond // §IV-A: waits carry deadlines
 
@@ -28,45 +37,52 @@ func main() {
 
 	alice, err := d.NewClient(cluster.UCRIB, behaviors)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer alice.Close()
 	bob, err := d.NewClient(cluster.UCRIB, behaviors)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer bob.Close()
 
 	// Both clients converse with the shared server.
-	must(alice.MC.Set("owner:42", []byte("alice"), 0, 0))
-	must(bob.MC.Set("owner:43", []byte("bob"), 0, 0))
-	fmt.Println("phase 1: both clients serving traffic")
+	if err := alice.MC.Set("owner:42", []byte("alice"), 0, 0); err != nil {
+		return err
+	}
+	if err := bob.MC.Set("owner:43", []byte("bob"), 0, 0); err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "phase 1: both clients serving traffic")
 
 	// Bob's machine dies mid-flight.
 	bob.Node.Fail()
-	if err := bob.MC.Set("owner:44", []byte("bob"), 0, 0); err != nil {
-		fmt.Printf("phase 2: bob's node failed; bob's op returns: %v\n", err)
-	} else {
-		log.Fatal("phase 2: op from a dead node unexpectedly succeeded")
+	err = bob.MC.Set("owner:44", []byte("bob"), 0, 0)
+	if err == nil {
+		return errors.New("phase 2: op from a dead node unexpectedly succeeded")
 	}
+	fmt.Fprintf(out, "phase 2: bob's node failed; bob's op returns: %v\n", err)
 
 	// Alice is completely unaffected — the failure is isolated to
 	// bob's endpoint; the server and alice's endpoint keep working.
 	v, _, _, err := alice.MC.Get("owner:42")
-	must(err)
-	fmt.Printf("phase 3: alice still served after bob died: owner:42=%q\n", v)
-	must(alice.MC.Set("owner:45", []byte("alice"), 0, 0))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "phase 3: alice still served after bob died: owner:42=%q\n", v)
+	if err := alice.MC.Set("owner:45", []byte("alice"), 0, 0); err != nil {
+		return err
+	}
 
 	// Now the server itself goes down. Alice's next operation blocks on
 	// counter C, hits her configured timeout, and returns an error she
 	// can act on instead of hanging forever.
 	d.ServerNode.Fail()
-	if _, _, _, err := alice.MC.Get("owner:42"); err != nil {
-		fmt.Printf("phase 4: server died; alice's op timed out: %v\n", err)
-		fmt.Println("phase 5: corrective action: alice marks the server dead and would re-hash to a surviving pool")
-	} else {
-		log.Fatal("phase 4: op against a dead server unexpectedly succeeded")
+	if _, _, _, err = alice.MC.Get("owner:42"); err == nil {
+		return errors.New("phase 4: op against a dead server unexpectedly succeeded")
 	}
+	fmt.Fprintf(out, "phase 4: server died; alice's op timed out: %v\n", err)
+	fmt.Fprintln(out, "phase 5: corrective action: alice marks the server dead and would re-hash to a surviving pool")
 
 	// Phase 6: not a dead machine but a lossy fabric — 20% of messages
 	// dropped by a seeded injector. RC retransmission under UCR absorbs
@@ -81,14 +97,16 @@ func main() {
 
 	carol, err := lossy.NewClient(cluster.UCRIB, lossyBehaviors)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer carol.Close()
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("lossy:%d", i)
-		must(carol.MC.Set(key, []byte("v"), 0, 0))
+		if err := carol.MC.Set(key, []byte("v"), 0, 0); err != nil {
+			return err
+		}
 		if _, _, _, err := carol.MC.Get(key); err != nil {
-			log.Fatalf("phase 6: get %s over lossy fabric: %v", key, err)
+			return fmt.Errorf("phase 6: get %s over lossy fabric: %w", key, err)
 		}
 	}
 	delivered, dropped, _ := faults.Stats()
@@ -96,12 +114,7 @@ func main() {
 	for _, hca := range lossy.ServerHCAs {
 		retrans += hca.Retransmits()
 	}
-	fmt.Printf("phase 6: 40 ops over a 20%%-loss fabric all completed: %d delivered, %d dropped, %d RC retransmissions\n",
+	fmt.Fprintf(out, "phase 6: 40 ops over a 20%%-loss fabric all completed: %d delivered, %d dropped, %d RC retransmissions\n",
 		delivered, dropped, retrans)
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }

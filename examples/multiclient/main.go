@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
@@ -22,13 +24,26 @@ const (
 )
 
 func main() {
-	fmt.Printf("%d clients x %d four-byte Gets against one server (cluster B)\n\n", clients, opsPerClient)
-	ucr := run(cluster.UCRIB)
-	sdp := run(cluster.SDP)
-	fmt.Printf("\nUCR-IB delivers %.1fx the aggregate throughput of SDP (paper: ~6x on QDR)\n", ucr/sdp)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func run(transport cluster.Transport) (tps float64) {
+func run(out io.Writer) error {
+	fmt.Fprintf(out, "%d clients x %d four-byte Gets against one server (cluster B)\n\n", clients, opsPerClient)
+	ucr, err := measure(out, cluster.UCRIB)
+	if err != nil {
+		return err
+	}
+	sdp, err := measure(out, cluster.SDP)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nUCR-IB delivers %.1fx the aggregate throughput of SDP (paper: ~6x on QDR)\n", ucr/sdp)
+	return nil
+}
+
+func measure(out io.Writer, transport cluster.Transport) (tps float64, err error) {
 	d := cluster.New(cluster.ClusterB(), cluster.Options{})
 	defer d.Close()
 
@@ -38,7 +53,7 @@ func run(transport cluster.Transport) (tps float64) {
 	for i := range pool {
 		c, err := d.NewClient(transport, mcclient.DefaultBehaviors())
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		defer c.Close()
 		pool[i], clocks[i] = c, c.Clock
@@ -47,7 +62,7 @@ func run(transport cluster.Transport) (tps float64) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%03d", i)
 		if err := pool[0].MC.Set(keys[i], []byte("abcd"), 0, 0); err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 	}
 
@@ -60,12 +75,12 @@ func run(transport cluster.Transport) (tps float64) {
 		return err
 	})
 	if err != nil {
-		log.Fatal(err)
+		return 0, err
 	}
 	tps = float64(clients*opsPerClient) / makespan.Seconds()
-	fmt.Printf("%-8s %10.0f TPS aggregate (makespan %v)\n", transport, tps, makespan)
+	fmt.Fprintf(out, "%-8s %10.0f TPS aggregate (makespan %v)\n", transport, tps, makespan)
 
 	stats := d.Server.Store().Stats()
-	fmt.Printf("         server saw %d gets, %d hits\n", stats.CmdGet, stats.GetHits)
-	return tps
+	fmt.Fprintf(out, "         server saw %d gets, %d hits\n", stats.CmdGet, stats.GetHits)
+	return tps, nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/mcclient"
@@ -17,6 +19,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	behaviors := mcclient.DefaultBehaviors()
 	behaviors.Distribution = mcclient.DistKetama
 	behaviors.AutoEject = true
@@ -26,7 +34,7 @@ func main() {
 	defer d.Close()
 	client, err := d.NewClient(cluster.UCRIB, behaviors)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer client.Close()
 
@@ -35,13 +43,13 @@ func main() {
 	for i := 0; i < items; i++ {
 		key := fmt.Sprintf("object:%d", i)
 		if err := client.MC.Set(key, []byte(key), 0, 0); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Println("distribution across the pool (no central directory, §II-C):")
+	fmt.Fprintln(out, "distribution across the pool (no central directory, §II-C):")
 	for i, srv := range d.Servers {
 		st := srv.Store().Stats()
-		fmt.Printf("  server%d: %5d items, %7d bytes\n", i, st.CurrItems, st.Bytes)
+		fmt.Fprintf(out, "  server%d: %5d items, %7d bytes\n", i, st.CurrItems, st.Bytes)
 	}
 
 	// Record each key's owner, then kill one server.
@@ -50,7 +58,7 @@ func main() {
 		owners[i] = client.MC.ServerFor(fmt.Sprintf("object:%d", i))
 	}
 	dead := 2
-	fmt.Printf("\nserver%d dies...\n", dead)
+	fmt.Fprintf(out, "\nserver%d dies...\n", dead)
 	d.ServerNodes[dead].Fail()
 
 	// The next operation against the dead shard ejects it.
@@ -62,7 +70,7 @@ func main() {
 		// The op timed out against the dead server, which was ejected;
 		// the transparent retry landed on the key's new owner, where the
 		// item is (correctly) a miss until re-populated.
-		fmt.Printf("first access after death: %v (server auto-ejected, key remapped)\n", err)
+		fmt.Fprintf(out, "first access after death: %v (server auto-ejected, key remapped)\n", err)
 	}
 
 	// Count how many keys moved: with ketama, only the dead server's
@@ -78,18 +86,19 @@ func main() {
 			moved++
 		}
 	}
-	fmt.Printf("after ejection: %d live servers; %d keys owned by the dead server remapped;\n",
+	fmt.Fprintf(out, "after ejection: %d live servers; %d keys owned by the dead server remapped;\n",
 		client.MC.LiveServers(), deadShare)
-	fmt.Printf("only %d of %d other keys moved (consistent hashing, vs ~%d%% under modula)\n",
+	fmt.Fprintf(out, "only %d of %d other keys moved (consistent hashing, vs ~%d%% under modula)\n",
 		moved, items-deadShare, 100*3/4)
 
 	// The pool still serves reads and writes.
 	if err := client.MC.Set("post-failure", []byte("still-working"), 0, 0); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	v, _, _, err := client.MC.Get("post-failure")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("pool still serving after failure: %q\n", v)
+	fmt.Fprintf(out, "pool still serving after failure: %q\n", v)
+	return nil
 }

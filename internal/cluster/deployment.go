@@ -251,7 +251,7 @@ func (d *Deployment) AddServer(name string) int {
 		panic(fmt.Sprintf("cluster: serve ucr: %v", err))
 	}
 	if d.Opts.OneSidedGet {
-		if err := srv.EnableOneSided(0, 0); err != nil {
+		if err := srv.EnableOneSided(); err != nil {
 			panic(fmt.Sprintf("cluster: enable one-sided: %v", err))
 		}
 	}
@@ -396,17 +396,6 @@ func (d *Deployment) Trunks() int { return len(d.trunks) }
 
 // TrunkMuxes exposes the i'th trunk's per-server session muxes (tests).
 func (d *Deployment) TrunkMuxes(i int) []*mcclient.SessionMux { return d.trunks[i].muxes }
-
-// FaultStats sums delivery verdicts across every fabric's injector.
-func (d *Deployment) FaultStats() (delivered, dropped, corrupted uint64) {
-	for _, fi := range d.Injectors {
-		del, drop, corr := fi.Stats()
-		delivered += del
-		dropped += drop
-		corrupted += corr
-	}
-	return delivered, dropped, corrupted
-}
 
 // Provider exposes the seated socket provider for a transport (nil for
 // UCRIB or transports absent from the profile) — benches read its

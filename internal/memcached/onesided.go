@@ -37,12 +37,13 @@ const osEntrySize = 48
 // OSEntrySize exports the slot size for the client-side reader.
 const OSEntrySize = osEntrySize
 
-// Default directory geometry. 512×4 entries cover the working sets the
-// benchmarks use; a full bucket displaces its oldest slot (the displaced
-// key silently degrades to the AM path).
+// Directory geometry. 512×4 entries cover the working sets the
+// benchmarks use; a full bucket displaces a hash-chosen slot (the
+// displaced key silently degrades to the AM path). osBuckets is a power
+// of two for OSBucketOf.
 const (
-	osDefaultBuckets = 512
-	osDefaultSlots   = 4
+	osBuckets = 512
+	osSlots   = 4
 )
 
 // osMaxKeyLen and osMaxValLen bound what fits in the packed kvlen word
@@ -148,9 +149,8 @@ func DecodeOSDesc(b []byte) (OSDesc, error) {
 
 // osIndex is the server-side publisher.
 type osIndex struct {
-	rt             *ucr.Runtime
-	arena          *SlabArena
-	buckets, slots int
+	rt    *ucr.Runtime
+	arena *SlabArena
 
 	// guard orders every write to published memory against simulated
 	// DMA; it is installed as the server HCA's memory guard. Writers are
@@ -167,23 +167,11 @@ type osIndex struct {
 	published, displaced, unpublished uint64
 }
 
-func newOSIndex(rt *ucr.Runtime, arena *SlabArena, buckets, slots int) (*osIndex, error) {
-	if buckets <= 0 {
-		buckets = osDefaultBuckets
-	}
-	// Round buckets to a power of two for OSBucketOf.
-	for buckets&(buckets-1) != 0 {
-		buckets &= buckets - 1
-	}
-	if slots <= 0 {
-		slots = osDefaultSlots
-	}
+func newOSIndex(rt *ucr.Runtime, arena *SlabArena) (*osIndex, error) {
 	x := &osIndex{
-		rt:      rt,
-		arena:   arena,
-		buckets: buckets,
-		slots:   slots,
-		dir:     make([]byte, buckets*slots*osEntrySize),
+		rt:    rt,
+		arena: arena,
+		dir:   make([]byte, osBuckets*osSlots*osEntrySize),
 	}
 	win, err := rt.CreateWindow(x.dir, nil)
 	if err != nil {
@@ -217,7 +205,7 @@ func (x *osIndex) pageWindow(pi int) *ucr.Window {
 
 // slotBytes returns the encoded bytes of bucket b, slot s.
 func (x *osIndex) slotBytes(b, s int) []byte {
-	base := (b*x.slots + s) * osEntrySize
+	base := (b*osSlots + s) * osEntrySize
 	return x.dir[base : base+osEntrySize]
 }
 
@@ -239,9 +227,9 @@ func (x *osIndex) publishLocked(it *Item) {
 		return
 	}
 	h := OSKeyHash(it.key)
-	b := OSBucketOf(h, x.buckets)
+	b := OSBucketOf(h, osBuckets)
 	slot := -1
-	for s := 0; s < x.slots; s++ {
+	for s := 0; s < osSlots; s++ {
 		sb := x.slotBytes(b, s)
 		kh := binary.LittleEndian.Uint64(sb)
 		if kh == h {
@@ -256,7 +244,7 @@ func (x *osIndex) publishLocked(it *Item) {
 	if slot < 0 {
 		// Full bucket: displace a hash-chosen victim. The displaced key
 		// falls back to the AM path on its next one-sided attempt.
-		slot = int(h>>57) % x.slots
+		slot = int(h>>57) % osSlots
 		x.displaced++
 	}
 	seq := 2 * it.casID
@@ -283,9 +271,9 @@ func (x *osIndex) publishLocked(it *Item) {
 // re-validation instead of trusting a recycled chunk.
 func (x *osIndex) unpublish(it *Item) {
 	h := OSKeyHash(it.key)
-	b := OSBucketOf(h, x.buckets)
+	b := OSBucketOf(h, osBuckets)
 	x.guard.Lock()
-	for s := 0; s < x.slots; s++ {
+	for s := 0; s < osSlots; s++ {
 		sb := x.slotBytes(b, s)
 		le := binary.LittleEndian
 		if le.Uint64(sb) != h {
@@ -312,10 +300,10 @@ func (x *osIndex) wipe() {
 }
 
 // Buckets reports the directory's bucket count.
-func (x *osIndex) Buckets() int { return x.buckets }
+func (x *osIndex) Buckets() int { return osBuckets }
 
 // Slots reports slots per bucket.
-func (x *osIndex) Slots() int { return x.slots }
+func (x *osIndex) Slots() int { return osSlots }
 
 // DirDesc reports the directory window's descriptor.
 func (x *osIndex) DirDesc() ucr.WindowDesc { return x.dirWin.Desc() }
@@ -352,12 +340,12 @@ func (x *osIndex) close() {
 // the store starts publishing directory entries and the serving HCA
 // gets the index's memory guard, so simulated DMA and the engine's
 // writes to published memory are ordered. Call after ServeUCR, before
-// traffic. buckets/slots ≤ 0 get defaults.
-func (s *Server) EnableOneSided(buckets, slots int) error {
+// traffic.
+func (s *Server) EnableOneSided() error {
 	if s.ucrRT == nil {
 		return errNoUCR
 	}
-	x, err := s.store.EnableOneSided(s.ucrRT, buckets, slots)
+	x, err := s.store.EnableOneSided(s.ucrRT)
 	if err != nil {
 		return err
 	}
@@ -369,10 +357,9 @@ func (s *Server) EnableOneSided(buckets, slots int) error {
 
 // EnableOneSided arms the store's one-sided index: every commit path
 // publishes, every unlink path unpublishes, and the returned index's
-// guard must be installed as the serving HCA's memory guard. buckets
-// and slots ≤ 0 get defaults.
-func (s *Store) EnableOneSided(rt *ucr.Runtime, buckets, slots int) (*osIndex, error) {
-	x, err := newOSIndex(rt, s.arena, buckets, slots)
+// guard must be installed as the serving HCA's memory guard.
+func (s *Store) EnableOneSided(rt *ucr.Runtime) (*osIndex, error) {
+	x, err := newOSIndex(rt, s.arena)
 	if err != nil {
 		return nil, err
 	}

@@ -121,16 +121,6 @@ func makeKeys(prefix string, n int) []string {
 	return out
 }
 
-// AllKeys lists every key a generated script can touch (the epilogue
-// reads them all).
-func AllKeys() []string {
-	var out []string
-	out = append(out, regularKeys...)
-	out = append(out, counterKeys...)
-	out = append(out, burstKeys...)
-	return out
-}
-
 // Generate builds a deterministic random workload from seed.
 func Generate(seed uint64, cfg GenConfig) Script {
 	if cfg.Clients <= 0 {
