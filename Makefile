@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-gone fuzz-smoke
+.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-gone fuzz-smoke bench-pairs
 
 tier1:
 	go build ./...
@@ -60,6 +60,18 @@ golden-diff:
 	for e in $(EXAMPLES); do go run ./examples/$$e | diff examples/$$e/testdata/stdout.golden - || rc=1; done; exit $$rc
 
 test: tier1 tier2
+
+# The benchmark, parent against working tree in alternating pairs: both
+# sides' median and quartiles per metric, the change's pair wins and a
+# verdict against BENCHMARK.json's bound, then failed/attempted. PARENT
+# is required; WORKLOAD= (empty) runs every workload. Exit 1 when a
+# metric is worse than its bound. Reads benchmark/, writes nothing here.
+PAIRS ?= 10
+SECONDS ?= 15
+SEED ?= 42
+
+bench-pairs:
+	go run ./cmd/benchpairs -parent $(PARENT) -workload "$(WORKLOAD)" -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
 
 # Model-checking sweeps (see EXPERIMENTS.md "Model checking the cache"):
 # every row of the mode table over a clean fabric, then over a lossy one

@@ -37,7 +37,7 @@ const designCap = 34 << 10
 // holding nothing but flags (`-ops N`) continues the command before it.
 func TestDocCommandsExist(t *testing.T) {
 	flags := map[string]map[string]bool{}
-	for _, bin := range []string{"mcbench", "mccheck", "mcserver", "mccli"} {
+	for _, bin := range []string{"benchpairs", "mcbench", "mccheck", "mcserver", "mccli"} {
 		flags[bin] = definedFlags(t, "cmd/"+bin+"/main.go")
 	}
 	targets := makeTargets(t)

@@ -11,10 +11,10 @@ import (
 // connection can keep a window of N requests in flight. The blocking
 // Transport methods pay every per-op fixed cost (CQ wakeup, full round
 // trip) serially; a Pipeline overlaps them — a request goes onto the
-// wire while earlier ones are still out, and a wait for one reply
-// drains whatever other replies are already visible at the coalesced
-// CQ cost. Tagged reply counters (see UCRTransport) route each reply to
-// its own request regardless of arrival order.
+// wire while earlier ones are still out, and replies already visible are
+// drained at the coalesced CQ cost. Tagged reply counters (see
+// UCRTransport) route each reply to its own request regardless of
+// arrival order.
 //
 // A Pipeline borrows its transport's connection: while a window is
 // outstanding, do not interleave blocking Transport calls on the same
@@ -133,9 +133,9 @@ func (f *BoolFuture) Wait(clk *simnet.VClock) (bool, error) {
 
 // settleUCR records a settled UCR op's outcome in the future. A GET
 // whose value still sits in its write-reply slot is not read out yet:
-// deferred reports it, and the pipeline lands it just before its next
-// blocking CQ wait, so the copy overlaps the wire instead of delaying
-// the next request.
+// deferred reports it, and the pipeline lands it just after its next
+// post or before its next blocking CQ wait, so the copy overlaps the
+// wire instead of delaying the next request.
 func (f *future) settleUCR(t *UCRTransport, err error) (deferred bool) {
 	switch {
 	case err != nil:
@@ -159,8 +159,8 @@ func (f *future) landUCR(t *UCRTransport) {
 }
 
 // Pipeline implements Pipeliner: the returned pipeline posts each AM
-// request as the window admits it and waits with half-window CQ drains
-// (WaitCounterBatch).
+// request as the window admits it and drains the CQ by its completion
+// stamps (push).
 func (t *UCRTransport) Pipeline(window int) Pipeline {
 	if window < 1 {
 		window = 1
@@ -179,13 +179,14 @@ type ucrPipeline struct {
 func (p *ucrPipeline) Window() int { return p.window }
 
 // push admits e into the window — completing the oldest request when
-// the window is full — and posts it. A wait harvests half a window at
-// most (halfWindow is waitFor's sweep bound): a full-window sweep
-// re-synchronizes the pipe whenever landing a reply takes as long as
-// the gap to the next arrival (4 KB: ≈ 1.0 vµs copy, 1.06 vµs gap) —
-// every reply is then "already visible", one wait takes all of them
-// before the caller may issue, and the wire idles for a window's worth
-// of issue time.
+// the window is full — and posts it: post first, then progress. In a
+// window that sweeps at all (halfWindow > 1), every post is followed by
+// the deferred write-reply copy-outs and a harvest of at most one reply
+// already visible, at the coalesced cost — one in, one out — so the
+// copy of a landed reply overlaps the request just posted. A wait
+// sweeps only when its own harvest found the CQ ahead of it
+// (ucr.Context.WaitCounterBatch); a wait that parked for its reply
+// returns at once, since the wire, not the client, was the bottleneck.
 func (p *ucrPipeline) push(clk *simnet.VClock, e *future) {
 	for len(p.q) >= p.window {
 		p.waitFor(clk, p.q[0])
@@ -194,9 +195,20 @@ func (p *ucrPipeline) push(clk *simnet.VClock, e *future) {
 	if e.op.sendAM() != nil {
 		e.failed = true
 		p.fail(ErrServerDown)
+		return
+	}
+	if p.halfWindow() > 1 {
+		p.drainLandings()
+		p.t.ctx.Sweep(clk, 1)
 	}
 }
 
+// halfWindow is a wait's sweep bound when it finds its CQ ahead of it.
+// A full-window sweep re-synchronizes the pipe whenever landing a reply
+// takes as long as the gap to the next arrival (4 KB: ≈ 1.0 vµs copy,
+// 1.06 vµs gap) — every reply is then "already visible", one wait takes
+// all of them before the caller may issue, and the wire idles for a
+// window's worth of issue time.
 func (p *ucrPipeline) halfWindow() int { return (p.window + 1) / 2 }
 
 // Flush has nothing to push: every admitted request is already posted.
@@ -209,8 +221,8 @@ func (p *ucrPipeline) fail(err error) {
 }
 
 // drainLandings materializes every deferred write-reply copy-out. Run
-// just before a blocking CQ wait, the copies are charged while the
-// awaited reply is still on the wire; the forward-only sync to its
+// just after a post or before a blocking CQ wait, the copies are charged
+// while a reply is still on the wire; the forward-only sync to its
 // arrival then swallows them (see wrMaterialize).
 func (p *ucrPipeline) drainLandings() {
 	for i, e := range p.landq {
@@ -249,8 +261,8 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
 	p.remove(e)
 	if e.settleUCR(p.t, err) {
 		// Deferred write-reply landing: the op keeps its reply slot until
-		// the copy-out materializes at the next blocking wait (or on the
-		// future's own Wait, whichever comes first).
+		// the copy-out materializes at the next post or blocking wait (or
+		// on the future's own Wait, whichever comes first).
 		p.landq = append(p.landq, e)
 	} else {
 		p.t.finishOp(e.op)

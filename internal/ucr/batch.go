@@ -4,10 +4,10 @@ import "repro/internal/simnet"
 
 // This file is the batching face of the runtime, and all of it is on
 // the polling side: batched CQ draining for a serving loop
-// (TryProgressN) and for pipelined waiters (WaitCounterBatch). Sends are
-// never held — a packet is posted when it is built. A batch of one
-// charges exactly what the one-at-a-time wait (WaitCounter via
-// ProgressDeadline) does.
+// (TryProgressN) and for pipelined clients (WaitCounterBatch, and Sweep
+// after a post). Sends are never held — a packet is posted when it is
+// built. A batch of one charges exactly what the one-at-a-time harvest
+// (ProgressDeadline) does.
 
 // TryProgressN processes up to max completions in one batched drain.
 // The drain models a poller that, after doing work, busy-polls for the
@@ -56,41 +56,52 @@ func (c *Context) TryProgressN(clk *simnet.VClock, max int) int {
 	return n
 }
 
-// WaitCounterBatch is WaitCounter with batched CQ draining: after every
-// full-cost harvest it sweeps up to batch-1 further already-visible
-// completions at the coalesced cost, so a pipelined waiter pays one
-// wakeup for a burst of replies instead of one per reply. batch <= 1 is
-// WaitCounter exactly.
+// WaitCounterBatch is WaitCounter with batched CQ draining, for a
+// pipelined waiter. What follows a full-cost harvest depends on the
+// harvested completion's stamp. Had it landed by the time the waiter
+// polled (stamp ≤ the waiter's clock), the waiter is behind its CQ: it
+// sweeps up to batch-1 further visible completions at the coalesced
+// cost, one wakeup for a burst of replies. Had the waiter to wait for
+// it, the wire was the bottleneck and the caller has a request to post:
+// it sweeps nothing, and the replies behind it are left to Sweep after
+// that post. batch <= 1 is WaitCounter exactly.
 func (c *Context) WaitCounterBatch(clk *simnet.VClock, ctr *Counter, target uint64, timeout simnet.Duration, batch int) error {
 	deadline := simnet.Never
 	if timeout > 0 {
 		deadline = clk.Now() + timeout
 	}
 	for ctr.Value() < target {
-		ok, timedOut := c.ProgressDeadline(clk, deadline)
+		polled := clk.Now()
+		wc, ok, timedOut := c.cq.WaitDeadline(clk, deadline)
 		if timedOut {
 			return ErrTimeout
 		}
 		if !ok {
 			return ErrClosed
 		}
-		// Extras never spin: a client waiter that has met its target has
-		// new requests to issue, and idling here for future replies would
-		// serialize the pipe. Only already-visible replies sweep cheaply.
-		extras := 0
-		for extra := 1; extra < batch; extra++ {
-			wc, ok := c.cq.TryPollReady(clk)
-			if !ok {
-				break
-			}
-			c.coalesced = true
-			c.dispatch(clk, wc)
-			c.coalesced = false
-			extras++
-		}
-		if extras > 0 {
+		c.dispatch(clk, wc)
+		if wc.Time <= polled && c.Sweep(clk, batch-1) > 0 {
 			c.batchedDrains++
 		}
 	}
 	return nil
+}
+
+// Sweep harvests up to max completions already visible at clk's time,
+// at the coalesced cost, and reports how many. It never spins: a
+// client that sweeps has requests to issue, and idling for future
+// replies would serialize the pipe. A completion stamped after clk is
+// left for a full-cost harvest.
+func (c *Context) Sweep(clk *simnet.VClock, max int) int {
+	n := 0
+	for ; n < max; n++ {
+		wc, ok := c.cq.TryPollReady(clk)
+		if !ok {
+			break
+		}
+		c.coalesced = true
+		c.dispatch(clk, wc)
+		c.coalesced = false
+	}
+	return n
 }
