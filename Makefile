@@ -25,11 +25,13 @@ race-datapath:
 # times under the race detector, where a caller on another goroutine
 # could still be racing a server step; the mcbench golden five times in
 # one process in shuffled order; every study at GOMAXPROCS=1 against
-# the default, byte for byte; and a lossy memcheck sweep twice over,
-# byte for byte (a dropped reply ends its wait in virtual time, so the
-# per-seed record counts and the summed counters are functions of the
-# seed). -selfcheck also compares host time between its runs: a failure
-# that names only a wall_ns_per_op cell is a busy host (rerun it); "NOT
+# the default, byte for byte; and the lossy ud and fleet memcheck sweeps
+# twice over each, byte for byte (a dropped reply ends its wait in
+# virtual time, so the per-seed record counts and the summed counters
+# are functions of the seed; a fleet write settles its owners in ring
+# order, so a settle order left to the scheduler fails the cmp).
+# -selfcheck also compares host time between its runs: a failure that
+# names only a wall_ns_per_op cell is a busy host (rerun it); "NOT
 # REPRODUCIBLE" is a bug.
 determinism:
 	bash benchmark/run.sh -selfcheck
@@ -37,8 +39,11 @@ determinism:
 	go test -count=5 -shuffle=on ./cmd/mcbench
 	GOMAXPROCS=1 go run ./cmd/mcbench -study all | cmp - cmd/mcbench/testdata/studies.golden
 	go run ./cmd/mcbench -study all | cmp - cmd/mcbench/testdata/studies.golden
-	first="$$(mktemp)" && go run ./cmd/mccheck -mode ud -faults -seeds 10 -v > "$$first" && \
-		go run ./cmd/mccheck -mode ud -faults -seeds 10 -v | cmp - "$$first"; rc=$$?; rm -f "$$first"; exit $$rc
+	for m in ud fleet; do \
+		first="$$(mktemp)" && go run ./cmd/mccheck -mode $$m -faults -seeds 10 -v > "$$first" && \
+			go run ./cmd/mccheck -mode $$m -faults -seeds 10 -v | cmp - "$$first"; rc=$$?; rm -f "$$first"; \
+		[ $$rc -eq 0 ] || exit $$rc; \
+	done
 
 # The regression gate is a byte comparison: cmd/mcbench's test runs every
 # row of the study table (`mcbench -list`) and compares its text with the

@@ -15,9 +15,11 @@ import (
 // "millions of users" north star needs above PR 7's per-server fan-in
 // work. Placement is the shared ketama ring (internal/ring); every
 // fleet client routes each key to its R current owners (primary + ring
-// successors), writes through to all of them, and falls through to the
-// replica on a primary miss with an asynchronous-style read repair
-// (store-if-absent, result ignored) patching the primary back up.
+// successors), writes through to all of them in one round trip (every
+// owner's request is posted before any reply is awaited), and falls
+// through to the replica on a primary miss with an asynchronous-style
+// read repair (store-if-absent, result ignored) patching the primary
+// back up.
 //
 // Churn comes in three scripted flavors:
 //
@@ -266,8 +268,13 @@ type FleetClient struct {
 	conns map[string]mcclient.Transport
 
 	// ownerBuf is where owners resolves a key's owners: one op's owner
-	// list at a time, overwritten by the next resolution.
+	// list at a time, overwritten by the next resolution. A write's
+	// connections (connsFor) and per-owner outcomes sit beside it, R long.
 	ownerBuf []string
+	trBuf    []mcclient.Transport
+	resBuf   []memcached.StoreResult
+	foundBuf []bool
+	errBuf   []error
 
 	// staleRing is the construction-time snapshot MutRingStale routes
 	// by; nil in correct builds.
@@ -284,7 +291,13 @@ func (f *Fleet) NewClient() (*FleetClient, error) {
 	f.mu.Unlock()
 
 	s := f.D.attach(fmt.Sprintf("fclient%d", n), f.transport)
-	c := &FleetClient{f: f, Node: s.node, Clock: simnet.NewVClock(0), seat: s, conns: make(map[string]mcclient.Transport)}
+	c := &FleetClient{
+		f: f, Node: s.node, Clock: simnet.NewVClock(0), seat: s, conns: make(map[string]mcclient.Transport),
+		trBuf:    make([]mcclient.Transport, 0, f.replicas),
+		resBuf:   make([]memcached.StoreResult, f.replicas),
+		foundBuf: make([]bool, f.replicas),
+		errBuf:   make([]error, f.replicas),
+	}
 	if ring.MutRingStale {
 		c.staleRing = f.RingSnapshot()
 	}
@@ -335,13 +348,23 @@ func (c *FleetClient) dropConn(name string) {
 }
 
 // on runs op against one owner's connection under the client's retry
-// policy. A dead owner — no live member, a failed dial, or ErrServerDown
-// after the retries — is counted and its cached connection dropped, so a
-// later re-join of the same slot re-dials.
+// policy (the first attempt, then finish).
 func (c *FleetClient) on(owner string, op func(tr mcclient.Transport) error) error {
 	tr, err := c.conn(owner)
 	if err == nil {
-		err = c.f.behaviors.Retry(c.Clock, func() error { return op(tr) })
+		err = op(tr)
+	}
+	return c.finish(owner, tr, err, op)
+}
+
+// finish takes one owner's op past its first attempt, which returned
+// err: an owner that answered ErrServerDown gets the rest of the retry
+// budget. A dead owner — no live member (tr is nil), a failed dial, or
+// ErrServerDown after the retries — is counted and its cached connection
+// dropped, so a later re-join of the same slot re-dials.
+func (c *FleetClient) finish(owner string, tr mcclient.Transport, err error, op func(tr mcclient.Transport) error) error {
+	if tr != nil {
+		err = c.f.behaviors.RetryAfter(c.Clock, err, func() error { return op(tr) })
 	}
 	if err == mcclient.ErrServerDown {
 		c.Stats.Downs++
@@ -350,10 +373,29 @@ func (c *FleetClient) on(owner string, op func(tr mcclient.Transport) error) err
 	return err
 }
 
-// Set writes through to all R owners, primary first. The first error is
-// surfaced after every owner has been attempted, so a replica outage
-// never blocks the primary write (and vice versa).
+// connsFor resolves the owners' connections into the client's buffer, a
+// nil transport for an owner that cannot be reached; valid until the
+// next call.
+func (c *FleetClient) connsFor(owners []string) []mcclient.Transport {
+	c.trBuf = c.trBuf[:0]
+	for _, o := range owners {
+		tr, _ := c.conn(o)
+		c.trBuf = append(c.trBuf, tr)
+	}
+	return c.trBuf
+}
+
+// Set writes through to all R owners with one round trip: every owner's
+// request is posted before any reply is waited for (mcclient.SetAll),
+// then each owner that answered ErrServerDown runs the rest of its retry
+// budget, primary first. The error is the first owner's, in ring order,
+// that did not store — its transport error, or its StoreResult as
+// mcclient.Client.Set reports it — so a replica outage never blocks the
+// primary write (and vice versa).
 func (c *FleetClient) Set(key string, value []byte, flags uint32, exptime int64) error {
+	if err := mcclient.CheckKey(key); err != nil {
+		return err
+	}
 	c.Stats.Ops++
 	owners := c.owners(key)
 	if len(owners) == 0 {
@@ -362,12 +404,17 @@ func (c *FleetClient) Set(key string, value []byte, flags uint32, exptime int64)
 	if ring.MutReplicaSkip && len(owners) > 1 {
 		owners = owners[:1]
 	}
+	trs, res, errs := c.connsFor(owners), c.resBuf[:len(owners)], c.errBuf[:len(owners)]
+	mcclient.SetAll(c.Clock, trs, key, flags, exptime, value, res, errs)
 	var firstErr error
-	for _, o := range owners {
-		err := c.on(o, func(tr mcclient.Transport) error {
-			_, e := tr.Set(c.Clock, key, flags, exptime, value)
+	for i, o := range owners {
+		err := c.finish(o, trs[i], errs[i], func(tr mcclient.Transport) (e error) {
+			res[i], e = tr.Set(c.Clock, key, flags, exptime, value)
 			return e
 		})
+		if err == nil {
+			err = mcclient.StoreErr(memcached.StoreOpSet, res[i])
+		}
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -378,6 +425,9 @@ func (c *FleetClient) Set(key string, value []byte, flags uint32, exptime int64)
 // Get reads the key: primary first; a miss (or dead primary) falls
 // through to the replica (fallthroughGet).
 func (c *FleetClient) Get(key string) (value []byte, flags uint32, err error) {
+	if err := mcclient.CheckKey(key); err != nil {
+		return nil, 0, err
+	}
 	c.Stats.Ops++
 	owners := c.owners(key)
 	if len(owners) == 0 {
@@ -401,26 +451,32 @@ func (c *FleetClient) getFrom(owner, key string) (value []byte, flags uint32, hi
 	return value, flags, hit, err
 }
 
-// Delete removes the key from all R owners. Found if any owner had it.
+// Delete removes the key from all R owners with one round trip, retried
+// per owner as Set is. Found if any owner had it.
 func (c *FleetClient) Delete(key string) (bool, error) {
+	if err := mcclient.CheckKey(key); err != nil {
+		return false, err
+	}
 	c.Stats.Ops++
 	owners := c.owners(key)
 	if len(owners) == 0 {
 		return false, mcclient.ErrNoServers
 	}
-	var found bool
+	trs, found, errs := c.connsFor(owners), c.foundBuf[:len(owners)], c.errBuf[:len(owners)]
+	mcclient.DeleteAll(c.Clock, trs, key, found, errs)
+	var anyFound bool
 	var firstErr error
-	for _, o := range owners {
-		err := c.on(o, func(tr mcclient.Transport) error {
-			ok, e := tr.Delete(c.Clock, key)
-			found = found || (e == nil && ok)
+	for i, o := range owners {
+		err := c.finish(o, trs[i], errs[i], func(tr mcclient.Transport) (e error) {
+			found[i], e = tr.Delete(c.Clock, key)
 			return e
 		})
+		anyFound = anyFound || (err == nil && found[i])
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	return found, firstErr
+	return anyFound, firstErr
 }
 
 // FleetGetResult is one key's outcome from GetBurst.
@@ -433,12 +489,17 @@ type FleetGetResult struct {
 // GetBurst pipelines gets for a key batch: keys are grouped by primary
 // owner, each group travels through one pipelined window, and primary
 // misses/failures take the blocking replica fallthrough (with read
-// repair) afterwards. Results align with keys.
+// repair) afterwards. Results align with keys; a key mcclient.CheckKey
+// refuses gets its error and is never sent.
 func (c *FleetClient) GetBurst(keys []string, window int) []FleetGetResult {
 	out := make([]FleetGetResult, len(keys))
 	groups := make(map[string][]int)
 	var order []string
 	for i, k := range keys {
+		if err := mcclient.CheckKey(k); err != nil {
+			out[i] = FleetGetResult{Err: err}
+			continue
+		}
 		c.Stats.Ops++
 		owners := c.owners(k)
 		if len(owners) == 0 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -12,15 +13,18 @@ import (
 
 func newTestFleet(t *testing.T, tr Transport, servers int) *Fleet {
 	t.Helper()
+	return newReplicatedFleet(t, tr, servers, 2, mcclient.Behaviors{})
+}
+
+func newReplicatedFleet(t *testing.T, tr Transport, servers, replicas int, b mcclient.Behaviors) *Fleet {
+	t.Helper()
 	f, err := NewFleet(ClusterB(), FleetOptions{
 		Transport: tr,
 		Servers:   servers,
+		Replicas:  replicas,
+		Behaviors: b,
 		Seed:      11,
-		Opts: Options{
-			ServerWorkers: 2,
-			Stripes:       4,
-			MemoryLimit:   32 << 20,
-		},
+		Opts:      Options{ServerWorkers: 2, Stripes: 4, MemoryLimit: 32 << 20},
 	})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
@@ -409,40 +413,50 @@ func TestFleetClientArmsReadPaths(t *testing.T) {
 	})
 }
 
-// A fleet client resolves a key's owners into a buffer it owns: a routed
-// Set allocates nothing and a routed Get only the value it returns.
+// A fleet client resolves a key's owners, their connections and their
+// outcomes into buffers it owns: a routed Set or Delete allocates nothing,
+// at R=2 and at R=3, and a routed Get only the value it returns.
 func TestFleetClientOwnersZeroAlloc(t *testing.T) {
-	f := newTestFleet(t, UCRIB, 4)
-	defer f.Close()
-	fc, err := f.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
 	keys := make([]string, 16)
 	value := make([]byte, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("alloc-key-%d", i)
 	}
-	// Dial the owners, then overwrite until the servers' item free lists
-	// and the simulator's booking lists have stopped growing.
-	for round := 0; round < 8; round++ {
-		for _, k := range keys {
-			if err := fc.Set(k, value, 0, 0); err != nil {
-				t.Fatalf("Set %s: %v", k, err)
+	// warm dials the owners, then overwrites until the servers' item free
+	// lists and the simulator's booking lists have stopped growing.
+	warm := func(t *testing.T, replicas int) *FleetClient {
+		t.Helper()
+		f := newReplicatedFleet(t, UCRIB, 4, replicas, mcclient.Behaviors{})
+		t.Cleanup(f.Close)
+		fc, err := f.NewClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fc.Close)
+		for round := 0; round < 8; round++ {
+			for _, k := range keys {
+				if err := fc.Set(k, value, 0, 0); err != nil {
+					t.Fatalf("Set %s: %v", k, err)
+				}
 			}
 		}
+		return fc
 	}
 	i := 0
 	next := func() string { i++; return keys[i%len(keys)] }
+	set := func(fc *FleetClient) func() {
+		return func() {
+			if err := fc.Set(next(), value, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	fc := warm(t, 2)
 	if n := testing.AllocsPerRun(100, func() { fc.owners(next()) }); n != 0 {
 		t.Errorf("owners: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := fc.Set(next(), value, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
+	if n := testing.AllocsPerRun(100, set(fc)); n != 0 {
 		t.Errorf("Set: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
@@ -451,5 +465,188 @@ func TestFleetClientOwnersZeroAlloc(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("Get: %v allocs/op, want 1 (the returned value)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := fc.Delete(next()); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Delete: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, set(warm(t, 3))); n != 0 {
+		t.Errorf("Set at R=3: %v allocs/op, want 0", n)
+	}
+}
+
+// A replicated write posts to every owner before it waits on any, so it
+// costs one round trip, not R: a Set or Delete at R=2 and R=3 takes at
+// most 1.3× a primary-hit Get of the same value (the sequential
+// write-through took ≈ R×), on both transports, and every owner holds
+// the write afterwards. With the primary cut off, the replicas are
+// written while the primary's request is still waiting, and the call
+// returns ErrServerDown after exactly 1 + Retries attempts on it.
+func TestFleetWriteThroughOneRoundTrip(t *testing.T) {
+	const backoff = 10 * simnet.Second // ≫ one attempt on a dead server
+	val := make([]byte, 256)
+	for _, tr := range []Transport{UCRIB, IPoIB} {
+		for _, replicas := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/R=%d", tr, replicas), func(t *testing.T) {
+				f := newReplicatedFleet(t, tr, 4, replicas, mcclient.Behaviors{Retries: 2, RetryBackoff: backoff})
+				defer f.Close()
+				fc, err := f.NewClient()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fc.Close()
+				timed := func(op func() error) simnet.Duration {
+					t.Helper()
+					t0 := fc.Clock.Now()
+					if err := op(); err != nil {
+						t.Fatal(err)
+					}
+					return fc.Clock.Now() - t0
+				}
+				set := func(k string) func() error { return func() error { return fc.Set(k, val, 0, 0) } }
+				holds := func(k string, want bool) {
+					t.Helper()
+					for _, o := range f.Owners(k) {
+						if _, hit, err := fc.DirectGet(o, k); err != nil || hit != want {
+							t.Fatalf("owner %s of %s: hit=%v err=%v, want hit=%v", o, k, hit, err, want)
+						}
+					}
+				}
+
+				// Dial every owner of both keys and warm the paths.
+				for _, k := range []string{"wt-a", "wt-b", "wt-a", "wt-b"} {
+					timed(set(k))
+					timed(func() error { _, _, err := fc.Get(k); return err })
+				}
+				hits := fc.Stats.PrimaryHits
+				get := timed(func() error { _, _, err := fc.Get("wt-a"); return err })
+				if fc.Stats.PrimaryHits != hits+1 {
+					t.Fatal("reference Get was not a primary hit")
+				}
+				limit := get * 13 / 10
+				if d := timed(set("wt-a")); d > limit {
+					t.Errorf("Set at R=%d took %v, more than 1.3× a Get's %v", replicas, d, get)
+				}
+				holds("wt-a", true)
+				var found bool
+				if d := timed(func() (err error) { found, err = fc.Delete("wt-a"); return err }); d > limit {
+					t.Errorf("Delete at R=%d took %v, more than 1.3× a Get's %v", replicas, d, get)
+				}
+				if !found {
+					t.Error("Delete found nothing")
+				}
+				holds("wt-a", false)
+
+				// Cut the primary of wt-b off, leaving it on the ring: a
+				// crash the client has not learned about yet. Two retries
+				// back off b, then 2b, so the time a write spends past its
+				// first attempt names how many ran (one retry: b, three: 7b).
+				owners := f.Owners("wt-b")
+				for _, fi := range f.D.Injectors {
+					fi.Partition(fc.Node, f.member(owners[0]).node)
+				}
+				const budget = backoff + 2*backoff
+				for i, w := range []struct {
+					name string
+					op   func() error
+					want bool // the replicas hold wt-b afterwards
+				}{
+					{"Set", func() error { return fc.Set("wt-b", []byte("new"), 0, 0) }, true},
+					{"Delete", func() error { _, err := fc.Delete("wt-b"); return err }, false},
+				} {
+					t0 := fc.Clock.Now()
+					if err := w.op(); !errors.Is(err, mcclient.ErrServerDown) {
+						t.Fatalf("%s with a dead primary: %v, want ErrServerDown", w.name, err)
+					}
+					if d := fc.Clock.Now() - t0; d < budget || d >= budget+backoff {
+						t.Errorf("%s with a dead primary took %v: want 3 attempts on it, %v of backoff plus under %v", w.name, d, budget, backoff)
+					}
+					for _, o := range owners[1:] {
+						for _, at := range f.member(o).srv.WorkerClocks() {
+							if at >= t0+backoff {
+								t.Errorf("%s: replica %s served at %v: it waited for the dead primary (write issued at %v)", w.name, o, at, t0)
+							}
+						}
+						if v, hit, err := fc.DirectGet(o, "wt-b"); err != nil || hit != w.want || (hit && string(v) != "new") {
+							t.Errorf("%s: replica %s afterwards: %q hit=%v err=%v", w.name, o, v, hit, err)
+						}
+					}
+					if fc.Stats.Downs != uint64(i+1) {
+						t.Errorf("%s: Downs = %d, want %d", w.name, fc.Stats.Downs, i+1)
+					}
+				}
+			})
+		}
+	}
+}
+
+// A Set the servers refuse is an error, as mcclient.Client.Set reports
+// it: a 2 MB value is larger than any slab, every owner answers
+// TooLarge, and the fleet Set returns ErrServerError instead of nil.
+func TestFleetSetReportsRefusedStore(t *testing.T) {
+	for _, tr := range []Transport{UCRIB, IPoIB} {
+		t.Run(string(tr), func(t *testing.T) {
+			f := newTestFleet(t, tr, 4)
+			defer f.Close()
+			fc, err := f.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.Close()
+			err = fc.Set("huge", make([]byte, 2<<20), 0, 0)
+			if !errors.Is(err, mcclient.ErrServerError) {
+				t.Fatalf("Set of 2 MB: %v, want ErrServerError", err)
+			}
+			if _, _, err := fc.Get("huge"); !errors.Is(err, mcclient.ErrCacheMiss) {
+				t.Fatalf("Get after the refused Set: %v, want a miss", err)
+			}
+			if err := fc.Set("small", []byte("v"), 0, 0); err != nil {
+				t.Fatalf("Set after the refused one: %v", err)
+			}
+		})
+	}
+}
+
+// A key the protocol cannot carry is refused with ErrBadKey before any
+// owner is touched — no connection is even dialed — so the next op on
+// the same owners succeeds (over IPoIB the parent sent "a b" as is, the
+// server answered ERROR, and the stream desynced).
+func TestFleetRejectsBadKey(t *testing.T) {
+	const bad = "a b"
+	for _, tr := range []Transport{UCRIB, IPoIB} {
+		t.Run(string(tr), func(t *testing.T) {
+			f := newTestFleet(t, tr, 2) // R=2 over 2 servers: every key has the same owners
+			defer f.Close()
+			fc, err := f.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.Close()
+			if err := fc.Set(bad, []byte("v"), 0, 0); !errors.Is(err, mcclient.ErrBadKey) {
+				t.Errorf("Set: %v", err)
+			}
+			if _, _, err := fc.Get(bad); !errors.Is(err, mcclient.ErrBadKey) {
+				t.Errorf("Get: %v", err)
+			}
+			if _, err := fc.Delete(bad); !errors.Is(err, mcclient.ErrBadKey) {
+				t.Errorf("Delete: %v", err)
+			}
+			if r := fc.GetBurst([]string{bad}, 4); !errors.Is(r[0].Err, mcclient.ErrBadKey) {
+				t.Errorf("GetBurst: %+v", r[0])
+			}
+			if len(fc.conns) != 0 || fc.Stats.Ops != 0 {
+				t.Fatalf("a refused key reached the fleet: %d conns, %d ops", len(fc.conns), fc.Stats.Ops)
+			}
+			if err := fc.Set("ok-key", []byte("v"), 0, 0); err != nil {
+				t.Fatalf("Set after the bad key: %v", err)
+			}
+			r := fc.GetBurst([]string{"ok-key", bad}, 4)
+			if string(r[0].Value) != "v" || r[0].Err != nil || !errors.Is(r[1].Err, mcclient.ErrBadKey) {
+				t.Fatalf("GetBurst after the bad key: %+v", r)
+			}
+		})
 	}
 }

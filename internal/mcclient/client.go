@@ -82,8 +82,10 @@ func StoreResultOf(err error) (res memcached.StoreResult, ok bool) {
 	return 0, false
 }
 
-// checkKey enforces the protocol's key rules.
-func checkKey(key string) error {
+// CheckKey enforces the protocol's key rules: ErrBadKey for a key the
+// text protocol cannot carry. Every client that routes a key checks it
+// with this one rule before any server sees it.
+func CheckKey(key string) error {
 	if len(key) == 0 || len(key) > 250 {
 		return ErrBadKey
 	}
@@ -211,7 +213,7 @@ func (c *Client) ServerFor(key string) int {
 
 // Set stores key=value with the given flags and expiry (seconds).
 func (c *Client) Set(key string, value []byte, flags uint32, exptime int64) error {
-	if err := checkKey(key); err != nil {
+	if err := CheckKey(key); err != nil {
 		return err
 	}
 	var res memcached.StoreResult
@@ -228,7 +230,7 @@ func (c *Client) Set(key string, value []byte, flags uint32, exptime int64) erro
 
 // Get fetches the value for key.
 func (c *Client) Get(key string) (value []byte, flags uint32, cas uint64, err error) {
-	if err := checkKey(key); err != nil {
+	if err := CheckKey(key); err != nil {
 		return nil, 0, 0, err
 	}
 	var ok bool
@@ -256,7 +258,7 @@ func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
 	var order []int
 	groups := make(map[int][]string)
 	for _, key := range keys {
-		if err := checkKey(key); err != nil {
+		if err := CheckKey(key); err != nil {
 			return nil, err
 		}
 		idx := c.ServerFor(key)
@@ -294,7 +296,7 @@ func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
 
 // Delete removes key.
 func (c *Client) Delete(key string) error {
-	if err := checkKey(key); err != nil {
+	if err := CheckKey(key); err != nil {
 		return err
 	}
 	var ok bool
@@ -323,7 +325,7 @@ func (c *Client) Decr(key string, delta uint64) (uint64, error) {
 }
 
 func (c *Client) incrDecr(key string, delta uint64, incr bool) (uint64, error) {
-	if err := checkKey(key); err != nil {
+	if err := CheckKey(key); err != nil {
 		return 0, err
 	}
 	var val uint64

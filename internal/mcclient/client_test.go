@@ -290,7 +290,7 @@ func TestClientSetThenGetSameServer(t *testing.T) {
 	for _, dist := range []Distribution{DistModula, DistKetama} {
 		c, _ := newFakeClient(t, 7, dist)
 		f := func(key string, val []byte) bool {
-			if checkKey(key) != nil {
+			if CheckKey(key) != nil {
 				// Keys the text protocol cannot carry are rejected
 				// client-side before routing (ErrBadKey).
 				return true

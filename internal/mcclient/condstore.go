@@ -35,7 +35,7 @@ func (t *SockTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags 
 
 // storeOp routes a conditional store through the key's owner.
 func (c *Client) storeOp(op uint8, key string, value []byte, flags uint32, exptime int64, casID uint64) error {
-	if err := checkKey(key); err != nil {
+	if err := CheckKey(key); err != nil {
 		return err
 	}
 	var res memcached.StoreResult

@@ -90,7 +90,14 @@ func (c *Client) liveServerFor(key string) int {
 // window and the server stays in the pool; only a persistently dead
 // server escapes to the caller's eject or failover path.
 func (b Behaviors) Retry(clk *simnet.VClock, op func() error) error {
-	err := op()
+	return b.RetryAfter(clk, op(), op)
+}
+
+// RetryAfter is Retry for an op whose first attempt has already run and
+// returned err — a write SetAll or DeleteAll posted beside the others:
+// the op gets the rest of the budget, with the same backoff, so it still
+// runs at most 1 + b.Retries times in all.
+func (b Behaviors) RetryAfter(clk *simnet.VClock, err error, op func() error) error {
 	if err != ErrServerDown || b.Retries <= 0 {
 		return err
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestNonASCIISpaceKeyBothTransports: a key holding U+00A0 or U+0085
-// passes checkKey, and must then mean the same key on both transports.
+// passes CheckKey, and must then mean the same key on both transports.
 // Over sockets the server's tokenizer used to split it on the Unicode
 // space: the set answered ERROR, its data block was parsed as a command,
 // and every later reply on the connection was off by one.

@@ -77,13 +77,32 @@ func (t *SockTransport) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// Set implements Transport.
+// Set implements Transport: postSet, then settleSet.
 func (t *SockTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	req := memcached.AppendTextStore(t.req[:0], memcached.StoreOpSet, key, flags, exptime, value, 0, false)
-	if err := t.send(clk, req); err != nil {
+	if err := t.postSet(clk, key, flags, exptime, value); err != nil {
 		return 0, err
 	}
+	return t.settleSet(clk)
+}
+
+// postSet and postDelete are the splitWriter post halves: the command
+// goes out in one Write, and its reply is the next one on the stream.
+func (t *SockTransport) postSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) error {
+	return t.send(clk, memcached.AppendTextStore(t.req[:0], memcached.StoreOpSet, key, flags, exptime, value, 0, false))
+}
+
+func (t *SockTransport) postDelete(clk *simnet.VClock, key string) error {
+	return t.send(clk, memcached.AppendTextDelete(t.req[:0], key))
+}
+
+// settleSet and settleDelete are the splitWriter settle halves: they
+// read the posted command's reply off the stream.
+func (t *SockTransport) settleSet(*simnet.VClock) (memcached.StoreResult, error) {
 	return t.readSetReply()
+}
+
+func (t *SockTransport) settleDelete(*simnet.VClock) (bool, error) {
+	return t.readDeleteReply()
 }
 
 // readSetReply parses one storage-command answer off the stream.
@@ -217,12 +236,12 @@ func (t *SockTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string]
 	}
 }
 
-// Delete implements Transport.
+// Delete implements Transport: postDelete, then settleDelete.
 func (t *SockTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	if err := t.send(clk, memcached.AppendTextDelete(t.req[:0], key)); err != nil {
+	if err := t.postDelete(clk, key); err != nil {
 		return false, err
 	}
-	return t.readDeleteReply()
+	return t.settleDelete(clk)
 }
 
 // readDeleteReply parses one delete answer off the stream.

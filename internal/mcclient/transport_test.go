@@ -313,6 +313,41 @@ func TestMixedTransportsShareEngine(t *testing.T) {
 	}
 }
 
+// SetAll and DeleteAll settle every kind of slot: the two transports
+// that split (posted together, settled in order), one that does not (its
+// blocking call), one that fails, and no connection at all.
+func TestFanOutSettlesEverySlot(t *testing.T) {
+	st := newStack(t)
+	sock := st.sockClient(t)
+	defer sock.Close()
+	ucrTr, _ := st.ucrClient(t)
+	defer ucrTr.Close()
+	fake, broken := newFake("fake"), newFake("broken")
+	broken.broken = true
+	trs := []Transport{ucrTr, sock, fake, broken, nil}
+	want := []error{nil, nil, nil, ErrServerDown, ErrServerDown}
+	clk := simnet.NewVClock(0)
+
+	res, found, errs := make([]memcached.StoreResult, len(trs)), make([]bool, len(trs)), make([]error, len(trs))
+	SetAll(clk, trs, "fan", 0, 0, []byte("v"), res, errs)
+	for i := range trs {
+		if errs[i] != want[i] || (want[i] == nil && res[i] != memcached.Stored) {
+			t.Errorf("SetAll slot %d: res=%v err=%v, want err=%v", i, res[i], errs[i], want[i])
+		}
+	}
+	if v, _, _, ok, err := ucrTr.Get(clk, "fan"); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("after SetAll: (%q, %v, %v)", v, ok, err)
+	}
+	DeleteAll(clk, trs, "fan", found, errs)
+	for i := range trs {
+		// The UCR delete removed the one server's item before the
+		// sockets delete reached it.
+		if wantFound := i == 0 || i == 2; errs[i] != want[i] || found[i] != wantFound {
+			t.Errorf("DeleteAll slot %d: found=%v err=%v, want found=%v err=%v", i, found[i], errs[i], wantFound, want[i])
+		}
+	}
+}
+
 func TestUCRTransportTimeout(t *testing.T) {
 	st := newStack(t)
 	b := DefaultBehaviors()

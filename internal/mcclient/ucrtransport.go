@@ -24,10 +24,11 @@ import (
 //
 // One op lifecycle serves every caller: a builder (setOp, readOp,
 // deleteOp, numOp) opens the tagged op and encodes its request, a
-// driver sends it and waits for the reply (do for blocking calls — a
-// concentrated Session's included, which is this transport behind a
-// lock — and ucrPipeline for windows), a result reader decodes what
-// landed, and finishOp retires it.
+// driver sends it and waits for the reply (do — post, then settle — for
+// blocking calls, a concentrated Session's included, which is this
+// transport behind a lock; SetAll/DeleteAll, which post on every
+// transport before settling any; ucrPipeline for windows), a result
+// reader decodes what landed, and finishOp retires it.
 type UCRTransport struct {
 	name    string
 	rt      *ucr.Runtime
@@ -43,6 +44,7 @@ type UCRTransport struct {
 
 	freeOps []*amOp
 	lastOp  *amOp // the op opened last: a blocking call's one op in flight
+	posted  *amOp // a split write between its post and its settle
 
 	os    osState // one-sided GET fast path (see onesided.go)
 	wr    wrState // write-based reply arena (see wrreply.go)
@@ -395,14 +397,29 @@ func (t *UCRTransport) armExchange(clk *simnet.VClock, req memcached.ArmReq) (me
 }
 
 // do sends op and blocks on its counter (§V-B: "a blocking call with
-// client specified timeout"): one send, then waitDone one completion at
-// a time. On error the op is retired; on success the caller reads the
-// slot and retires it.
+// client specified timeout"): post, then settle. On error the op is
+// retired; on success the caller reads the slot and retires it.
 func (t *UCRTransport) do(clk *simnet.VClock, op *amOp) error {
+	if err := t.post(op); err != nil {
+		return err
+	}
+	return t.settle(clk, op)
+}
+
+// post is a call's non-blocking half (§V-B): it puts op's request on the
+// wire and returns. A send that fails retires the op.
+func (t *UCRTransport) post(op *amOp) error {
 	if op.sendAM() != nil {
 		t.finishOp(op)
 		return ErrServerDown
 	}
+	return nil
+}
+
+// settle is a call's blocking half: waitDone on a posted op, one
+// completion at a time. On error the op is retired; on success the
+// caller reads the slot and retires it.
+func (t *UCRTransport) settle(clk *simnet.VClock, op *amOp) error {
 	err := t.waitDone(clk, op, 1)
 	if err != nil {
 		t.finishOp(op)
@@ -611,14 +628,56 @@ func (t *UCRTransport) mgetResult(op *amOp, out map[string][]byte) error {
 
 // ---- blocking calls (Transport) ---------------------------------------
 
-// Set implements Transport.
+// Set implements Transport: postSet, then settleSet.
 func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	op := t.setOp(clk, key, flags, exptime, value)
-	if err := t.do(clk, op); err != nil {
+	if err := t.postSet(clk, key, flags, exptime, value); err != nil {
+		return 0, err
+	}
+	return t.settleSet(clk)
+}
+
+// postSet and postDelete are the splitWriter post halves: the request
+// goes out and the op waits in t.posted for its settle.
+func (t *UCRTransport) postSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) error {
+	return t.postWrite(t.setOp(clk, key, flags, exptime, value))
+}
+
+func (t *UCRTransport) postDelete(clk *simnet.VClock, key string) error {
+	return t.postWrite(t.deleteOp(clk, key))
+}
+
+func (t *UCRTransport) postWrite(op *amOp) error {
+	if err := t.post(op); err != nil {
+		return err
+	}
+	t.posted = op
+	return nil
+}
+
+// settleWrite takes the posted write and settles it; the caller reads
+// the slot and retires it.
+func (t *UCRTransport) settleWrite(clk *simnet.VClock) (*amOp, error) {
+	op := t.posted
+	t.posted = nil
+	return op, t.settle(clk, op)
+}
+
+func (t *UCRTransport) settleSet(clk *simnet.VClock) (memcached.StoreResult, error) {
+	op, err := t.settleWrite(clk)
+	if err != nil {
 		return 0, err
 	}
 	defer t.finishOp(op)
 	return op.stored(), nil
+}
+
+func (t *UCRTransport) settleDelete(clk *simnet.VClock) (bool, error) {
+	op, err := t.settleWrite(clk)
+	if err != nil {
+		return false, err
+	}
+	defer t.finishOp(op)
+	return op.deleted(), nil
 }
 
 // read issues one GET/MGET and blocks for its reply; the caller reads
@@ -726,14 +785,12 @@ func (t *UCRTransport) GetMultiInto(clk *simnet.VClock, keys []string, buf []byt
 	return out, nil
 }
 
-// Delete implements Transport.
+// Delete implements Transport: postDelete, then settleDelete.
 func (t *UCRTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	op := t.deleteOp(clk, key)
-	if err := t.do(clk, op); err != nil {
+	if err := t.postDelete(clk, key); err != nil {
 		return false, err
 	}
-	defer t.finishOp(op)
-	return op.deleted(), nil
+	return t.settleDelete(clk)
 }
 
 // IncrDecr implements Transport.

@@ -88,7 +88,7 @@ func FuzzTextCodec(f *testing.F) {
 			}
 		}
 
-		// The client's checkKey: 1..250 bytes, none <= ' ' or DEL.
+		// The client's CheckKey: 1..250 bytes, none <= ' ' or DEL.
 		if len(key) == 0 || len(key) > 250 || len(value) > 1<<12 {
 			return
 		}

@@ -155,7 +155,7 @@ func TestProtocolEdges(t *testing.T) {
 		{
 			// Only ASCII space separates tokens (memcached 1.4.5's
 			// tokenize_command): a key holding U+00A0 or U+0085 — which
-			// mcclient.checkKey admits and the AM path carries — is one key.
+			// mcclient.CheckKey admits and the AM path carries — is one key.
 			// strings.Fields split it in two: the set answered ERROR, its
 			// data block was parsed as a command, and the gets missed.
 			name: "non-ASCII space inside a key",

@@ -100,8 +100,8 @@ func ReadTextLine(r *bufio.Reader, spill *[]byte) ([]byte, error) {
 // NextTextToken splits the first token off line. Tokens are separated
 // by runs of ASCII space and by nothing else, as in memcached 1.4.5's
 // tokenize_command: a tab, a NUL or a multi-byte UTF-8 space (U+00A0,
-// U+0085) is part of a token — checkKey admits such keys, and the AM
-// path carries them. tok is nil when line holds no further token.
+// U+0085) is part of a token — mcclient.CheckKey admits such keys, and
+// the AM path carries them. tok is nil when line holds no further token.
 func NextTextToken(line []byte) (tok, rest []byte) {
 	for len(line) > 0 && line[0] == ' ' {
 		line = line[1:]
