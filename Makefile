@@ -127,6 +127,9 @@ check-no-wallclock:
 #  - PR 29: every claim the docs make runs — no API without a caller: no
 #    script key lister, no summed fault stats, no one-sided directory
 #    geometry a caller could pass.
+#  - no field without a reader, no knob with one value: no inline send,
+#    immediate data or Nagle delay, no cost knob every profile sets alike,
+#    no first-server HCA/runtime alias, no unread per-op figure.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -137,6 +140,8 @@ internal cmd	connScaleFitCounts|ConnScaleModel|PerClientAt|FleetCounts\(	^$$	fit
 internal	rndzOrigin|nextSeq|bumpIf|freeCtrs|pendingSets|wrTabs|staleWins|map\[ucr\.CounterID\]|map\[\*ucr\.Endpoint\]	^$$	side table keyed by a counter id, a rendezvous seq or an endpoint under internal/
 internal cmd examples	SetObserver|ObservedOp|LastReadPath|canonObserved|\bAMRetries\b|freeBufs|byMR	^$$	client observer, read-path probe, second canonical form, AMRetries knob or private store under internal/ cmd/ examples/
 internal cmd examples	AllKeys|FaultStats|EnableOneSided\([^)]*,	^$$	uncalled API or one-sided directory geometry under internal/ cmd/ examples/
+internal cmd examples	InlineMax|ErrInlineLimit|NagleDelay|RTORetries|CoalescedPostOverhead|SrcQPN|\bServer(HCA|RT)\b|NsPerOp	^$$	deleted verbs/socket knob, WC field or unread alias under internal/ cmd/ examples/
+internal cmd examples	\b(Inline|Imm)(:|[[:space:]]+(bool|u?int[0-9]*)\b)|\.(Inline|Imm)\b	^$$	inline or immediate-data work-request field under internal/ cmd/ examples/
 endef
 export GONE
 

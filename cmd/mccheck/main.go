@@ -35,7 +35,7 @@ import (
 func main() {
 	var (
 		modeName  = flag.String("mode", "", "row of the mode table to run, or all (see -list-modes; default: the row an active mutation needs, else default)")
-		listModes = flag.Bool("list-modes", false, "print the mode table's names, one per line, and exit")
+		listModes = flag.Bool("list-modes", false, "print the mode table, one row per line (its name, then what it arms), and exit")
 		transport = flag.String("transport", "both", "UCR-IB, IPoIB, or both (narrowed to the wires the mode sweeps)")
 		seeds     = flag.Int("seeds", 0, "sweep seeds 1..N (mutually exclusive with -seed)")
 		seed      = flag.Uint64("seed", 1, "single seed to run")
@@ -53,7 +53,7 @@ func main() {
 
 	if *listModes {
 		for _, m := range memcheck.Modes {
-			fmt.Println(m.Name)
+			fmt.Printf("%-9s %s\n", m.Name, m.Doc)
 		}
 		return
 	}

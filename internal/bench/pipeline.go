@@ -16,13 +16,12 @@ import (
 // and harvest completions at the coalesced poll rates.
 
 // PipelinePoint is one cell of the depth × transport × size sweep.
-// KTPS and NsPerOp are virtual-time measures (the modeled hardware).
+// KTPS is a virtual-time measure (the modeled hardware).
 type PipelinePoint struct {
 	Transport string
 	Depth     int
 	ValueSize int
 	KTPS      float64
-	NsPerOp   float64
 	// WriteReplies counts the replies that landed through the client's
 	// reply window over the whole connection (warmup included) — the
 	// write-reply sweep's vacuity evidence. Zero whenever the deployment
@@ -85,7 +84,6 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 	}
 	makespan := clk.Now() - start
 	pt.KTPS = float64(cfg.OpsPerPoint) / makespan.Seconds() / 1e3
-	pt.NsPerOp = float64(makespan) / float64(cfg.OpsPerPoint)
 	if ut, ok := c.MC.Transport(0).(*mcclient.UCRTransport); ok {
 		pt.WriteReplies = ut.WriteReplyHits()
 	}

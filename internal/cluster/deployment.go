@@ -119,12 +119,10 @@ type Deployment struct {
 	Eth1G   *simnet.Fabric
 	CM      *verbs.CM
 
-	// ServerNode/Server/ServerHCA/ServerRT are the first server (the
-	// common single-server case); ServerNodes et al. list all of them.
+	// ServerNode/Server are the first server (the common single-server
+	// case); ServerNodes et al. list all of them.
 	ServerNode *simnet.Node
 	Server     *memcached.Server
-	ServerHCA  *verbs.HCA
-	ServerRT   *ucr.Runtime
 
 	ServerNodes []*simnet.Node
 	Servers     []*memcached.Server
@@ -261,7 +259,6 @@ func (d *Deployment) AddServer(name string) int {
 	d.ServerRTs = append(d.ServerRTs, rt)
 	if i == 0 {
 		d.ServerNode, d.Server = node, srv
-		d.ServerHCA, d.ServerRT = hca, rt
 	}
 	return i
 }

@@ -104,11 +104,7 @@ func ClusterA() *Profile {
 			RegBase:           1500,
 			RegPerByte:        0.05,
 			HeaderBytes:       30,
-			MTU:               2048,
-			InlineMax:         128,
-			RetryCount:        7,
 			AckTimeout:        12 * us,
-			RNRRetry:          6,
 			RNRTimer:          20 * us,
 		},
 		UCR: ucr.Config{
@@ -149,7 +145,6 @@ func ClusterA() *Profile {
 		PerSegment:      3 * us,
 		WireHeader:      58,
 		ConnSetup:       30 * us,
-		NagleDelay:      40 * us,
 	}
 	p.SDPModel = &sockstream.Provider{
 		Name:            string(SDP),
@@ -165,7 +160,6 @@ func ClusterA() *Profile {
 		PerSegment:      4 * us,
 		WireHeader:      50,
 		ConnSetup:       50 * us,
-		NagleDelay:      40 * us,
 	}
 	p.TOE10GModel = &sockstream.Provider{
 		Name:            string(TOE10G),
@@ -181,7 +175,6 @@ func ClusterA() *Profile {
 		PerSegment:      4 * us,
 		WireHeader:      66,
 		ConnSetup:       40 * us,
-		NagleDelay:      40 * us,
 	}
 	p.TCP1GModel = &sockstream.Provider{
 		Name:            string(TCP1G),
@@ -197,7 +190,6 @@ func ClusterA() *Profile {
 		PerSegment:      1500,
 		WireHeader:      66,
 		ConnSetup:       60 * us,
-		NagleDelay:      40 * us,
 	}
 	return p
 }
@@ -227,11 +219,7 @@ func ClusterB() *Profile {
 			RegBase:           1200,
 			RegPerByte:        0.04,
 			HeaderBytes:       30,
-			MTU:               2048,
-			InlineMax:         128,
-			RetryCount:        7,
 			AckTimeout:        8 * us,
-			RNRRetry:          6,
 			RNRTimer:          16 * us,
 		},
 		UCR: ucr.Config{
@@ -256,7 +244,6 @@ func ClusterB() *Profile {
 		PerSegment:      3 * us,
 		WireHeader:      58,
 		ConnSetup:       30 * us,
-		NagleDelay:      40 * us,
 	}
 	p.SDPModel = &sockstream.Provider{
 		Name:            string(SDP),
@@ -272,7 +259,6 @@ func ClusterB() *Profile {
 		PerSegment:      4 * us,
 		WireHeader:      50,
 		ConnSetup:       50 * us,
-		NagleDelay:      40 * us,
 		// The QDR-SDP jitter the paper could not eliminate even with
 		// 10,000-sample runs (§VI-B): occasional multi-10µs stalls.
 		Jitter: func(r *simnet.Rand) simnet.Duration {

@@ -35,7 +35,6 @@ func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, clk
 	if err != nil {
 		return nil, err
 	}
-	conn.NoDelay = true
 	return &SockTransport{
 		name: to.Name() + "/" + service,
 		conn: conn,

@@ -281,7 +281,6 @@ func (s *Server) dispatch() {
 				break
 			}
 			w := s.pickWorker()
-			conn.NoDelay = true
 			conn.SetClock(w.clk)
 			cs := &connState{conn: conn, proto: NewProtoConn(conn, s.store)}
 			s.conns = append(s.conns, cs)

@@ -14,11 +14,13 @@ import (
 // exercised it, and the seeded bugs that need it. The workload shape
 // (Config.NoBursts, Config.Pressure) composes with any row.
 // The table is the only place a mode is spelled out: `mccheck -mode`,
-// the `make memcheck-<mode>[-lossy]` pattern rule, the CI matrix and
-// the mutation builds all read it.
+// `make memcheck` (through -mode all) and the mutation builds all read
+// it.
 type Mode struct {
 	Name string
-	Doc  string
+	// Doc says in one line what the row arms; `mccheck -list-modes`
+	// prints it after the name.
+	Doc string
 	// UCROnly: the mode arms a datapath only UCR-IB has, so it sweeps
 	// that transport alone; the others sweep IPoIB too.
 	UCROnly bool

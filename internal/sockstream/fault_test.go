@@ -53,7 +53,7 @@ func TestWriteRetransmitsAfterRTO(t *testing.T) {
 	}
 }
 
-// Persistent loss exhausts RTORetries and surfaces ErrUnreachable.
+// Persistent loss exhausts rtoRetries and surfaces ErrUnreachable.
 func TestWriteUnreachableAfterRetryExhaustion(t *testing.T) {
 	e := newEnv(t)
 	cli, _ := connPair(t, e)
@@ -62,8 +62,8 @@ func TestWriteUnreachableAfterRetryExhaustion(t *testing.T) {
 	if _, err := cli.Write([]byte("doomed")); err != ErrUnreachable {
 		t.Fatalf("Write under 100%% loss = %v, want ErrUnreachable", err)
 	}
-	if got := e.prov.Retransmits(); got != uint64(e.prov.RTORetries) {
-		t.Fatalf("Retransmits() = %d, want RTORetries = %d", got, e.prov.RTORetries)
+	if got := e.prov.Retransmits(); got != rtoRetries {
+		t.Fatalf("Retransmits() = %d, want rtoRetries = %d", got, rtoRetries)
 	}
 }
 
@@ -99,13 +99,11 @@ func TestLossPreservesByteOrder(t *testing.T) {
 	}
 }
 
-// Clone carries the retransmission knobs.
+// Clone carries the retransmission knob.
 func TestCloneCopiesRTOKnobs(t *testing.T) {
 	e := newEnv(t)
 	e.prov.RTOMin = 5 * simnet.Millisecond
-	e.prov.RTORetries = 3
-	c := e.prov.Clone(e.fab)
-	if c.RTOMin != e.prov.RTOMin || c.RTORetries != e.prov.RTORetries {
-		t.Fatalf("Clone RTO knobs = (%d,%d), want (%d,%d)", c.RTOMin, c.RTORetries, e.prov.RTOMin, e.prov.RTORetries)
+	if c := e.prov.Clone(e.fab); c.RTOMin != e.prov.RTOMin {
+		t.Fatalf("Clone RTOMin = %d, want %d", c.RTOMin, e.prov.RTOMin)
 	}
 }

@@ -61,9 +61,6 @@ type Provider struct {
 	WireHeader int
 	// ConnSetup is extra handshake cost charged to the dialer.
 	ConnSetup simnet.Duration
-	// NagleDelay delays small segments when TCP_NODELAY is off
-	// (the paper sets MEMCACHED_BEHAVIOR_TCP_NODELAY=1 to avoid it).
-	NagleDelay simnet.Duration
 	// Jitter, if set, returns an extra per-segment delay (SDP on QDR).
 	Jitter func(*simnet.Rand) simnet.Duration
 	// RTOMin is the stack's minimum retransmission timeout: how long a
@@ -71,9 +68,6 @@ type Provider struct {
 	// floors this at 200 ms, which is why loss devastates kernel-stack
 	// tail latency). Doubles per retry (exponential backoff).
 	RTOMin simnet.Duration
-	// RTORetries bounds retransmission attempts per segment before the
-	// connection is declared unreachable.
-	RTORetries int
 
 	retransmits atomic.Uint64
 
@@ -87,6 +81,10 @@ type Provider struct {
 	mu        sync.Mutex
 	listeners map[string]*simnet.Mailbox[*dialReq]
 }
+
+// rtoRetries bounds retransmission attempts per segment before the
+// connection is declared unreachable.
+const rtoRetries = 8
 
 // Stream errors.
 var (
@@ -105,9 +103,6 @@ func (p *Provider) init() {
 	}
 	if p.RTOMin <= 0 {
 		p.RTOMin = 200 * simnet.Millisecond // Linux TCP_RTO_MIN
-	}
-	if p.RTORetries <= 0 {
-		p.RTORetries = 8
 	}
 	if p.listeners == nil {
 		p.listeners = make(map[string]*simnet.Mailbox[*dialReq])
@@ -138,10 +133,8 @@ func (p *Provider) Clone(fab *simnet.Fabric) *Provider {
 		PerSegment:      p.PerSegment,
 		WireHeader:      p.WireHeader,
 		ConnSetup:       p.ConnSetup,
-		NagleDelay:      p.NagleDelay,
 		Jitter:          p.Jitter,
 		RTOMin:          p.RTOMin,
-		RTORetries:      p.RTORetries,
 		endpointSeeds:   p.seeds(),
 	}
 }
@@ -372,7 +365,9 @@ type Conn struct {
 
 	rbuf []byte // carry-over from a partially consumed segment
 
-	// NoDelay disables Nagle (the paper's client sets this behaviour).
+	// NoDelay is TCP_NODELAY. The model has no Nagle delay (the paper
+	// sets TCP_NODELAY on every connection), so it changes nothing; it
+	// stays for benchmark/probes.go, which assigns it.
 	NoDelay bool
 }
 
@@ -416,10 +411,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 		}
 		c.clk.Advance(p.PerSegment)
 		sendAt := c.clk.Now()
-		if !c.NoDelay && n < p.SegmentSize && p.NagleDelay > 0 {
-			// Nagle: a small trailing segment waits for the delayed ACK.
-			sendAt += p.NagleDelay
-		}
 		if p.Jitter != nil {
 			sendAt += p.Jitter(ep.rng)
 		}
@@ -437,7 +428,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 			rto := p.RTOMin
 			txAt := sendAt + p.SendDeferred
 			ok := false
-			for r := 0; r < p.RTORetries; r++ {
+			for r := 0; r < rtoRetries; r++ {
 				p.retransmits.Add(1)
 				txAt += rto
 				rto *= 2

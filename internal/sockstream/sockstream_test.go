@@ -44,7 +44,6 @@ func newEnv(t *testing.T) *env {
 		PerSegment:      100,
 		WireHeader:      66,
 		ConnSetup:       2000,
-		NagleDelay:      40 * simnet.Microsecond,
 	}
 	return e
 }
@@ -76,8 +75,6 @@ func connPair(t *testing.T, e *env) (cli, srv *Conn) {
 	if srv == nil {
 		t.Fatal("accept failed")
 	}
-	cli.NoDelay = true
-	srv.NoDelay = true
 	return cli, srv
 }
 
@@ -213,30 +210,6 @@ func TestStreamIntegrityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNagleDelaysSmallSegments(t *testing.T) {
-	e := newEnv(t)
-
-	lat := func(noDelay bool) simnet.Time {
-		cli, srv := connPair(t, e)
-		cli.NoDelay = noDelay
-		start := cli.Clock().Now()
-		if _, err := cli.Write([]byte("tiny")); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 16)
-		if _, err := srv.Read(buf); err != nil {
-			t.Fatal(err)
-		}
-		_ = start
-		return srv.Clock().Now() - start
-	}
-	withNagle := lat(false)
-	withoutNagle := lat(true)
-	if withNagle < withoutNagle+30*simnet.Microsecond {
-		t.Fatalf("Nagle did not delay: nagle=%v nodelay=%v", withNagle, withoutNagle)
 	}
 }
 
@@ -409,7 +382,6 @@ func TestAggregateBoundedByWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.NoDelay = true
 		conns = append(conns, c)
 	}
 	payload := make([]byte, perSender)

@@ -133,8 +133,8 @@ func (c *Context) UseEvents(on bool) { c.cq.UseEvents = on }
 // bufSize is the receive/send buffer size for an endpoint.
 func (c *Context) bufSize(rel Reliability) int {
 	n := packetHdrSize + c.rt.cfg.EagerThreshold
-	if rel == Unreliable && n > c.rt.hca.Config().MTU {
-		n = c.rt.hca.Config().MTU
+	if mtu := c.rt.hca.Fabric().Spec().MTU; rel == Unreliable && n > mtu {
+		n = mtu
 	}
 	return n
 }

@@ -20,7 +20,6 @@ func hcaConfig() verbs.Config {
 		PollOverhead: 50,
 		RegBase:      2000,
 		RegPerByte:   0.2,
-		MTU:          2048,
 	}
 }
 
@@ -62,6 +61,7 @@ func newWorld(t *testing.T, cfg Config) *world {
 		LinkBytesPerSec: 2e9,
 		Propagation:     300,
 		SwitchDelay:     100,
+		MTU:             2048,
 	})
 	w.cm = verbs.NewCM(w.fab)
 	cliHCA := verbs.NewHCA(w.cliNode, w.fab, hcaConfig())

@@ -42,7 +42,7 @@ func TestPostSendNChargeCoalesced(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := p.cliClock.Now() - before
-	want := cfg.PostOverhead + 2*cfg.CoalescedPostOverhead
+	want := cfg.PostOverhead + 2*(cfg.PostOverhead/2)
 	if elapsed != want {
 		t.Fatalf("PostSendN(3) advanced %v, want %v", elapsed, want)
 	}

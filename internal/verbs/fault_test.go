@@ -66,9 +66,8 @@ func TestRCRetryExhaustion(t *testing.T) {
 	if st := p.cliQP.State(); st != StateErr {
 		t.Fatalf("QP state after retry exhaustion = %v, want ERR", st)
 	}
-	want := uint64(p.cliHCA.Config().RetryCount)
-	if got := p.cliHCA.Retransmits(); got != want {
-		t.Fatalf("Retransmits() = %d, want RetryCount = %d", got, want)
+	if got := p.cliHCA.Retransmits(); got != retryCount {
+		t.Fatalf("Retransmits() = %d, want retryCount = %d", got, retryCount)
 	}
 	// The connection is dead: further sends are rejected at post time.
 	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 10, Op: OpSend, Local: []byte("x")}); err != ErrBadState {
@@ -146,12 +145,11 @@ func TestRDMAReadThroughLoss(t *testing.T) {
 	}
 }
 
-// RNR retry: with RNRRetry configured, a SEND into a QP with no posted
-// buffer burns the configured retries (counted as retransmissions) but
-// does NOT error the QP, so traffic flows again once a buffer appears.
+// RNR retry: a SEND into a QP with no posted buffer burns rnrRetry
+// retries (counted as retransmissions) but does NOT error the QP, so
+// traffic flows again once a buffer appears.
 func TestRNRRetryExhaustionIsNonFatal(t *testing.T) {
 	p := newPair(t, 0, 0) // no receive buffers posted
-	p.cliQP.hca.cfg.RNRRetry = 3
 
 	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 1, Op: OpSend, Local: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -160,8 +158,8 @@ func TestRNRRetryExhaustionIsNonFatal(t *testing.T) {
 	if !ok || wc.Status != StatusRNRRetryExceeded {
 		t.Fatalf("send with no receiver buffer: ok=%v status=%v, want rnr-retry-exceeded", ok, wc.Status)
 	}
-	if got := p.cliHCA.Retransmits(); got != 3 {
-		t.Fatalf("Retransmits() = %d, want RNRRetry = 3", got)
+	if got := p.cliHCA.Retransmits(); got != rnrRetry {
+		t.Fatalf("Retransmits() = %d, want rnrRetry = %d", got, rnrRetry)
 	}
 	// QP must NOT be errored by RNR exhaustion (only transport retry
 	// exhaustion kills it); a buffer arriving later lets traffic flow.

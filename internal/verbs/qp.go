@@ -209,7 +209,8 @@ func (q *QP) postCharge(clk *simnet.VClock, n int) (*QP, error) {
 	}
 	clk.Advance(q.hca.cfg.PostOverhead)
 	if n > 1 {
-		clk.Advance(simnet.Duration(n-1) * q.hca.cfg.CoalescedPostOverhead)
+		// The 2nd..nth WR build their WQEs without ringing the doorbell.
+		clk.Advance(simnet.Duration(n-1) * (q.hca.cfg.PostOverhead / 2))
 	}
 	return remote, nil
 }
@@ -253,7 +254,7 @@ func (q *QP) resolveDest(wr SendWR, remote *QP) (*QP, error) {
 // returns immediately with exactly the plain-Deliver arrival time, so
 // the retry machinery costs nothing when disabled. On loss, an RC
 // sender waits AckTimeout for the missing ACK and retransmits, up to
-// RetryCount times; exhaustion reports StatusRetryExceeded. UD loss is
+// retryCount times; exhaustion reports StatusRetryExceeded. UD loss is
 // silent: the datagram is gone and delivered=false with StatusSuccess,
 // like real fire-and-forget datagrams.
 func (q *QP) transmit(src, dst *HCA, at simnet.Time, bytes int) (arrive simnet.Time, delivered bool, st Status) {
@@ -272,7 +273,7 @@ func (q *QP) transmit(src, dst *HCA, at simnet.Time, bytes int) (arrive simnet.T
 		if q.typ == UD {
 			return arr, false, StatusSuccess
 		}
-		if attempt >= cfg.RetryCount {
+		if attempt >= retryCount {
 			return arr, false, StatusRetryExceeded
 		}
 		q.hca.noteRetransmit()
@@ -284,10 +285,7 @@ func (q *QP) transmit(src, dst *HCA, at simnet.Time, bytes int) (arrive simnet.T
 func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 	cfg := q.hca.cfg
 	n := len(wr.Local)
-	if wr.Inline && n > cfg.InlineMax {
-		return ErrInlineLimit
-	}
-	if q.typ == UD && n > cfg.MTU {
+	if q.typ == UD && n > q.hca.fabric.Spec().MTU {
 		return ErrTooLarge
 	}
 
@@ -304,7 +302,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 		return nil
 	}
 
-	arrive, delivered, st := q.transmit(q.hca, dst.hca, depart, wireBytes(n, cfg))
+	arrive, delivered, st := q.transmit(q.hca, dst.hca, depart, q.hca.wireBytes(n))
 	if !delivered {
 		if st == StatusRetryExceeded {
 			// IB semantics: retry exhaustion is fatal to the connection.
@@ -316,23 +314,23 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 
 	// The payload is copied now (sender goroutine acts as the DMA
 	// engine); the stamp says when it becomes visible.
-	rstatus, rtime := dst.receive(wr.Local, wr.Imm, q.qpn, arrive)
+	rstatus, rtime := dst.receive(wr.Local, arrive)
 
 	// RNR retry: a reliable sender re-offers the message after the
 	// receiver reported no posted buffer, waiting RNRTimer between
-	// attempts (IB rnr_retry). Disabled when RNRRetry is 0.
-	for rnr := 0; q.typ == RC && rstatus == StatusRNRRetryExceeded && rnr < cfg.RNRRetry; rnr++ {
+	// attempts (IB rnr_retry).
+	for rnr := 0; q.typ == RC && rstatus == StatusRNRRetryExceeded && rnr < rnrRetry; rnr++ {
 		q.hca.noteRetransmit()
-		a2, d2, s2 := q.transmit(q.hca, dst.hca, rtime+cfg.RNRTimer, wireBytes(n, cfg))
+		a2, d2, s2 := q.transmit(q.hca, dst.hca, rtime+cfg.RNRTimer, q.hca.wireBytes(n))
 		if !d2 {
 			rstatus, rtime = s2, rtime+cfg.RNRTimer
 			break
 		}
-		rstatus, rtime = dst.receive(wr.Local, wr.Imm, q.qpn, a2)
+		rstatus, rtime = dst.receive(wr.Local, a2)
 	}
 
-	// Local completion: for an inline or buffered send the origin buffer
-	// is reusable as soon as the HCA has consumed it.
+	// Local completion: the origin buffer is reusable as soon as the HCA
+	// has consumed it.
 	localStatus := StatusSuccess
 	localTime := depart
 	if q.typ == RC && rstatus != StatusSuccess {
@@ -349,7 +347,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 }
 
 // receive consumes a posted receive for an incoming SEND.
-func (q *QP) receive(payload []byte, imm uint32, srcQPN uint32, arrive simnet.Time) (Status, simnet.Time) {
+func (q *QP) receive(payload []byte, arrive simnet.Time) (Status, simnet.Time) {
 	cfg := q.hca.cfg
 	q.mu.Lock()
 	state := q.state
@@ -369,7 +367,7 @@ func (q *QP) receive(payload []byte, imm uint32, srcQPN uint32, arrive simnet.Ti
 		room = len(wr.Buf)
 	}
 	if room < len(payload) {
-		q.recvCQ.post(WC{ID: wr.ID, Op: OpRecv, Status: StatusRemoteError, QPN: q.qpn, SrcQPN: srcQPN, Time: arrive})
+		q.recvCQ.post(WC{ID: wr.ID, Op: OpRecv, Status: StatusRemoteError, QPN: q.qpn, Time: arrive})
 		return StatusRemoteError, arrive
 	}
 	buf := wr.Buf
@@ -380,7 +378,7 @@ func (q *QP) receive(payload []byte, imm uint32, srcQPN uint32, arrive simnet.Ti
 	placed := q.hca.recvEngine.Acquire(arrive, cfg.RecvProc) + cfg.RecvProc
 	q.recvCQ.post(WC{
 		ID: wr.ID, Op: OpRecv, Status: StatusSuccess,
-		ByteLen: len(payload), Buf: buf, Imm: imm, QPN: q.qpn, SrcQPN: srcQPN, Time: placed,
+		ByteLen: len(payload), Buf: buf, QPN: q.qpn, Time: placed,
 	})
 	return StatusSuccess, placed
 }
@@ -433,7 +431,7 @@ func (q *QP) postRDMARead(clk *simnet.VClock, wr SendWR, remote *QP) error {
 
 	respStart := dst.hca.sendEngine.Acquire(reqArrive, cfg.RDMAProc)
 	respDepart := respStart + cfg.RDMAProc
-	respArrive, delivered, st := q.transmit(dst.hca, q.hca, respDepart, wireBytes(n, cfg))
+	respArrive, delivered, st := q.transmit(dst.hca, q.hca, respDepart, q.hca.wireBytes(n))
 	if !delivered {
 		if st == StatusRetryExceeded {
 			q.Modify(StateErr)
@@ -460,7 +458,7 @@ func (q *QP) postRDMAWrite(clk *simnet.VClock, wr SendWR, remote *QP) error {
 
 	start := q.hca.sendEngine.Acquire(clk.Now(), cfg.SendProc)
 	depart := start + cfg.SendProc
-	arrive, delivered, st := q.transmit(q.hca, dst.hca, depart, wireBytes(n, cfg))
+	arrive, delivered, st := q.transmit(q.hca, dst.hca, depart, q.hca.wireBytes(n))
 	if !delivered {
 		if st == StatusRetryExceeded {
 			q.Modify(StateErr)

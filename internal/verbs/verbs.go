@@ -91,7 +91,6 @@ var (
 	ErrTooLarge     = errors.New("verbs: message exceeds transport limit")
 	ErrNoAddress    = errors.New("verbs: UD send requires an address handle")
 	ErrQPDestroyed  = errors.New("verbs: queue pair destroyed")
-	ErrInlineLimit  = errors.New("verbs: payload exceeds inline limit")
 	ErrNotConnected = errors.New("verbs: RC queue pair not connected")
 	ErrSRQFull      = errors.New("verbs: shared receive queue ring full")
 )
@@ -162,50 +161,33 @@ type Config struct {
 	// InterruptOverhead replaces PollOverhead when a CQ is armed for
 	// events (interrupt-driven completion, §II-A1's slower option).
 	InterruptOverhead simnet.Duration
-	// CoalescedPostOverhead is the per-WR cost of the 2nd..Nth work
-	// request in one PostSendN burst: the WQE build without a doorbell
-	// ring, since a burst rings the doorbell once. Defaults to half of
-	// PostOverhead. A burst of one charges exactly PostOverhead.
-	CoalescedPostOverhead simnet.Duration
 	// RegBase and RegPerByte model memory-registration (pinning) cost.
 	RegBase    simnet.Duration
 	RegPerByte float64 // ns per byte
 	// HeaderBytes is the per-packet transport header on the wire.
 	HeaderBytes int
-	// MTU is the path MTU for segmentation accounting and the hard
-	// limit for a single UD datagram.
-	MTU int
-	// InlineMax is the largest payload that can be sent inline (copied
-	// into the WQE, making the origin buffer immediately reusable).
-	InlineMax int
-	// RetryCount is how many times an RC QP retransmits a packet that
-	// the fabric lost before completing the WR with
-	// StatusRetryExceeded and moving the QP to ERR (IB retry_cnt).
-	RetryCount int
 	// AckTimeout is the wait before each RC retransmission (the
 	// local-ack-timeout the sender waits for a missing ACK).
 	AckTimeout simnet.Duration
-	// RNRRetry is how many times an RC sender re-offers a SEND after
-	// the receiver reported receiver-not-ready. Zero keeps the legacy
-	// behaviour of failing immediately with StatusRNRRetryExceeded.
-	RNRRetry int
 	// RNRTimer is the back-off before each RNR retransmission.
 	RNRTimer simnet.Duration
 }
 
+// The RC retry budgets are IB's, the same on every adapter generation:
+// retryCount is how many times a QP retransmits a packet the fabric lost
+// before completing the WR with StatusRetryExceeded and moving to ERR
+// (retry_cnt, whose verbs maximum is 7); rnrRetry is how many times a
+// sender re-offers a SEND the receiver had no posted buffer for
+// (rnr_retry).
+const (
+	retryCount = 7
+	rnrRetry   = 6
+)
+
 // withDefaults fills unset fields with sane values.
 func (c Config) withDefaults() Config {
-	if c.MTU <= 0 {
-		c.MTU = 2048
-	}
 	if c.HeaderBytes <= 0 {
 		c.HeaderBytes = 30
-	}
-	if c.InlineMax <= 0 {
-		c.InlineMax = 128
-	}
-	if c.RetryCount <= 0 {
-		c.RetryCount = 7 // the IB verbs maximum for retry_cnt
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 10 * simnet.Microsecond
@@ -213,12 +195,6 @@ func (c Config) withDefaults() Config {
 	if c.RNRTimer <= 0 {
 		c.RNRTimer = 20 * simnet.Microsecond
 	}
-	if c.CoalescedPostOverhead <= 0 {
-		c.CoalescedPostOverhead = c.PostOverhead / 2
-	}
-	// RNRRetry deliberately defaults to 0: an RC SEND into a QP with no
-	// posted receive fails immediately, which is what the credit-based
-	// upper layers rely on to signal misconfiguration loudly.
 	return c
 }
 
@@ -229,7 +205,7 @@ type SendWR struct {
 	// Op is OpSend, OpRDMARead or OpRDMAWrite.
 	Op Opcode
 	// Local is the local buffer: the payload for SEND/RDMA WRITE, the
-	// destination for RDMA READ. It must lie within LocalMR.
+	// destination for RDMA READ.
 	Local []byte
 	// Local2 is an optional second gather segment for RDMA WRITE: the
 	// wire carries Local followed by Local2 and the target stores them
@@ -237,17 +213,14 @@ type SendWR struct {
 	// payload gathered from separate registrations) without a scatter
 	// list type; other opcodes ignore it.
 	Local2 []byte
-	// LocalMR is the registration covering Local.
+	// LocalMR names the registration covering Local. Nothing checks or
+	// reads it.
 	LocalMR *MR
-	// Inline requests inline emission of a small SEND payload.
-	Inline bool
 	// RemoteAddr and RKey name the remote region for RDMA operations.
 	RemoteAddr uint64
 	RKey       uint32
 	// Dest addresses a UD send.
 	Dest *AddressHandle
-	// Imm carries 32 bits of immediate data with a SEND.
-	Imm uint32
 }
 
 // RecvWR is a posted receive: a reservation for one message of up to
@@ -272,9 +245,6 @@ type WC struct {
 	// for a reservation (return it with CQ.Recycle once consumed), the
 	// posted buffer otherwise. Nil for every other completion.
 	Buf []byte
-	Imm uint32
-	// SrcQPN identifies the sender's queue pair (meaningful for UD).
-	SrcQPN uint32
 	// QPN identifies the local queue pair the completion belongs to.
 	QPN uint32
 	// Time is the virtual time at which the completion became visible.
@@ -288,11 +258,13 @@ type AddressHandle struct {
 	QPN    uint32
 }
 
-// wireBytes computes on-the-wire size including per-MTU packet headers.
-func wireBytes(payload int, cfg Config) int {
+// wireBytes computes on-the-wire size including a transport header per
+// fabric MTU.
+func (h *HCA) wireBytes(payload int) int {
 	if payload <= 0 {
-		return cfg.HeaderBytes
+		return h.cfg.HeaderBytes
 	}
-	packets := (payload + cfg.MTU - 1) / cfg.MTU
-	return payload + packets*cfg.HeaderBytes
+	mtu := h.fabric.Spec().MTU
+	packets := (payload + mtu - 1) / mtu
+	return payload + packets*h.cfg.HeaderBytes
 }

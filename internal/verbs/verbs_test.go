@@ -22,8 +22,6 @@ func testConfig() Config {
 		RegBase:           1000,
 		RegPerByte:        0.5,
 		HeaderBytes:       30,
-		MTU:               2048,
-		InlineMax:         128,
 	}
 }
 
@@ -60,6 +58,7 @@ func newPair(t *testing.T, nRecv, bufSize int) *pair {
 		LinkBytesPerSec: 1e9,
 		Propagation:     200,
 		SwitchDelay:     100,
+		MTU:             2048,
 	})
 	cfg := testConfig()
 	p.cliHCA = NewHCA(p.cliNode, p.fab, cfg)
@@ -247,7 +246,7 @@ func TestSendRecvRoundtrip(t *testing.T) {
 	payload := []byte("hello, verbs")
 
 	post := p.cliClock.Now()
-	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 7, Op: OpSend, Local: payload, Imm: 99}); err != nil {
+	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 7, Op: OpSend, Local: payload}); err != nil {
 		t.Fatal(err)
 	}
 	if p.cliClock.Now() != post+10 {
@@ -260,12 +259,12 @@ func TestSendRecvRoundtrip(t *testing.T) {
 		t.Fatalf("send WC = %+v ok=%v", swc, ok)
 	}
 
-	// Remote receive completion carries the data and immediate.
+	// Remote receive completion carries the data.
 	rwc, ok := p.srvRecv.Wait(p.srvClock)
 	if !ok || rwc.Status != StatusSuccess || rwc.Op != OpRecv {
 		t.Fatalf("recv WC = %+v ok=%v", rwc, ok)
 	}
-	if rwc.ByteLen != len(payload) || rwc.Imm != 99 || rwc.SrcQPN != p.cliQP.QPN() {
+	if rwc.ByteLen != len(payload) || !bytes.Equal(rwc.Buf, payload) {
 		t.Fatalf("recv WC fields = %+v", rwc)
 	}
 	if rwc.Time <= post {
@@ -376,18 +375,6 @@ func TestRecvBufferTooSmall(t *testing.T) {
 	rwc, _ := p.srvRecv.Wait(p.srvClock)
 	if rwc.Status != StatusRemoteError || rwc.ID != 9 {
 		t.Fatalf("receiver wc = %+v", rwc)
-	}
-}
-
-func TestInlineLimit(t *testing.T) {
-	p := newPair(t, 1, 1024)
-	big := make([]byte, 256) // InlineMax is 128
-	if err := p.cliQP.PostSend(p.cliClock, SendWR{Op: OpSend, Local: big, Inline: true}); err != ErrInlineLimit {
-		t.Fatalf("err = %v, want ErrInlineLimit", err)
-	}
-	small := make([]byte, 64)
-	if err := p.cliQP.PostSend(p.cliClock, SendWR{Op: OpSend, Local: small, Inline: true}); err != nil {
-		t.Fatalf("inline small: %v", err)
 	}
 }
 
@@ -507,7 +494,7 @@ func TestUDSendAndDrop(t *testing.T) {
 	nw := simnet.NewNetwork()
 	a := nw.AddNode("a")
 	b := nw.AddNode("b")
-	f := nw.AddFabric(simnet.FabricSpec{Name: "ib", LinkBytesPerSec: 1e9, Propagation: 100})
+	f := nw.AddFabric(simnet.FabricSpec{Name: "ib", LinkBytesPerSec: 1e9, Propagation: 100, MTU: 2048})
 	ha := NewHCA(a, f, testConfig())
 	hb := NewHCA(b, f, testConfig())
 	aclk, bclk := simnet.NewVClock(0), simnet.NewVClock(0)
@@ -845,17 +832,17 @@ func TestCQEventModeCost(t *testing.T) {
 }
 
 func TestWireBytes(t *testing.T) {
-	cfg := testConfig() // MTU 2048, header 30
-	if got := wireBytes(0, cfg); got != 30 {
+	h := newPair(t, 0, 0).cliHCA // fabric MTU 2048, header 30
+	if got := h.wireBytes(0); got != 30 {
 		t.Fatalf("empty = %d", got)
 	}
-	if got := wireBytes(100, cfg); got != 130 {
+	if got := h.wireBytes(100); got != 130 {
 		t.Fatalf("one packet = %d, want 130", got)
 	}
-	if got := wireBytes(4096, cfg); got != 4096+2*30 {
+	if got := h.wireBytes(4096); got != 4096+2*30 {
 		t.Fatalf("two packets = %d, want %d", got, 4096+60)
 	}
-	if got := wireBytes(4097, cfg); got != 4097+3*30 {
+	if got := h.wireBytes(4097); got != 4097+3*30 {
 		t.Fatalf("three packets = %d, want %d", got, 4097+90)
 	}
 }
