@@ -50,14 +50,14 @@ determinism:
 # golden — every number EXPERIMENTS.md prints, at tolerance 0 — and each
 # example's test compares what it prints with its testdata/stdout.golden.
 # Rewrite them only when an output is meant to move, and list the moved
-# cells in EXPERIMENTS.md.
+# cells in the change's CHANGES.md line.
 EXAMPLES = quickstart dbcache multiclient faulttolerance sharding onesided
 
 golden:
 	go run ./cmd/mcbench -study all > cmd/mcbench/testdata/studies.golden
 	for e in $(EXAMPLES); do go run ./examples/$$e > examples/$$e/testdata/stdout.golden || exit 1; done
 
-# The moved-cell list for EXPERIMENTS.md: what the tree prints against
+# The moved-cell list for CHANGES.md: what the tree prints against
 # the goldens, as diffs (empty, exit 0, when nothing moved). Run it
 # before `make golden`.
 golden-diff:
@@ -130,6 +130,9 @@ check-no-wallclock:
 #  - no field without a reader, no knob with one value: no inline send,
 #    immediate data or Nagle delay, no cost knob every profile sets alike,
 #    no first-server HCA/runtime alias, no unread per-op figure.
+#  - every number has one home: no Go benchmark re-running a golden
+#    figure or ablation cell, no CSV figure writer, no touch counters
+#    nothing prints, no accessor without a caller.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -142,6 +145,7 @@ internal cmd examples	SetObserver|ObservedOp|LastReadPath|canonObserved|\bAMRetr
 internal cmd examples	AllKeys|FaultStats|EnableOneSided\([^)]*,	^$$	uncalled API or one-sided directory geometry under internal/ cmd/ examples/
 internal cmd examples	InlineMax|ErrInlineLimit|NagleDelay|RTORetries|CoalescedPostOverhead|SrcQPN|\bServer(HCA|RT)\b|NsPerOp	^$$	deleted verbs/socket knob, WC field or unread alias under internal/ cmd/ examples/
 internal cmd examples	\b(Inline|Imm)(:|[[:space:]]+(bool|u?int[0-9]*)\b)|\.(Inline|Imm)\b	^$$	inline or immediate-data work-request field under internal/ cmd/ examples/
+internal cmd examples *_test.go	func Benchmark(Fig|Ablation)|WriteCSV|TouchHits|TouchMisses|touchHits|touchMisses|^func \([a-z]+ \*(Ring\) Has|Server\) Workers|Store\) Recording|SockTransport\) Conn|QP\) Remote|Conn\) Provider|Fabric\) Faults|FaultInjector\) Config|Fleet\) Size|(Runtime|HCA)\) Node)\(	^$$	golden-cell benchmark, CSV writer, touch counter or uncalled accessor under internal/ cmd/ examples/ or the root tests
 endef
 export GONE
 

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mcbench [-figure fig3a] [-csv] [-speedups] [-stripes N]   the paper's panels
+//	mcbench [-figure fig3a] [-speedups] [-stripes N]          the paper's panels
 //	mcbench -study <name|all>                                 one study, or every one
 //	mcbench -list                                             the studies and the panels
 //	        [-ops N]                                          with either form
@@ -50,7 +50,7 @@ const figureOps = 40
 var studies = []study{
 	{"figures", "the paper's 16 panels: Figs 3-5 latency, Fig 6 multi-client TPS", figureOps,
 		func(w io.Writer, cfg bench.RunConfig) error {
-			return writeFigures(w, bench.Figures, cfg, false, false)
+			return writeFigures(w, bench.Figures, cfg, false)
 		}},
 	{"scaling", "server workers x lock stripes, 16 UCR-IB clients, CPU-bound engine", 50, runScaling},
 	{"pipeline", "window depth x value size on one connection, UCR-IB and IPoIB", 300, runPipeline},
@@ -80,21 +80,16 @@ func (s study) write(w io.Writer, ops int) error {
 	return nil
 }
 
-// writeFigures renders panels as aligned tables or CSV, each followed by
-// a blank line, optionally with the UCR-vs-baseline factors the paper
+// writeFigures renders panels as aligned tables, each followed by a
+// blank line, optionally with the UCR-vs-baseline factors the paper
 // quotes.
-func writeFigures(w io.Writer, specs []bench.FigureSpec, cfg bench.RunConfig, csv, speedups bool) error {
+func writeFigures(w io.Writer, specs []bench.FigureSpec, cfg bench.RunConfig, speedups bool) error {
 	for _, spec := range specs {
 		fig, err := spec.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.ID, err)
 		}
-		if csv {
-			err = bench.WriteCSV(w, fig)
-		} else {
-			err = bench.WriteTable(w, fig)
-		}
-		if err != nil {
+		if err := bench.WriteTable(w, fig); err != nil {
 			return err
 		}
 		if speedups {
@@ -285,7 +280,6 @@ func runWorkloads(w io.Writer, cfg bench.RunConfig) error {
 func main() {
 	var (
 		figID     = flag.String("figure", "", "panel id to run (e.g. fig3a); empty = all")
-		csv       = flag.Bool("csv", false, "panels as CSV instead of aligned tables")
 		speedups  = flag.Bool("speedups", false, "append UCR-vs-baseline speedup factors to each panel")
 		studyName = flag.String("study", "", "study to run, or all (see -list); empty = the paper's panels")
 		ops       = flag.Int("ops", 0, "measured operations per point (0 = the study's own count, see -list)")
@@ -311,7 +305,7 @@ func main() {
 		}
 	case *studyName == "":
 		// The paper's panels: the figures study, narrowed and reshaped by
-		// -figure, -csv and -speedups.
+		// -figure and -speedups.
 		specs := bench.Figures
 		if *figID != "" {
 			spec, ok := bench.FigureByID(*figID)
@@ -326,7 +320,7 @@ func main() {
 			cfg.OpsPerPoint = figureOps
 		}
 		cfg.Deploy.Stripes = *stripes
-		err = writeFigures(os.Stdout, specs, cfg, *csv, *speedups)
+		err = writeFigures(os.Stdout, specs, cfg, *speedups)
 	default:
 		// Unknown until a row matches; then the error of the last row run.
 		err = fmt.Errorf("unknown study %q (try -list)", *studyName)

@@ -22,6 +22,10 @@ var docsWithCommands = []string{
 // and history lives in the log and CHANGES.md.
 const designCap = 34 << 10
 
+// experimentsCap is EXPERIMENTS.md's size limit: it holds results, and
+// how each was reached lives in CHANGES.md.
+const experimentsCap = 35 << 10
+
 // TestDocCommandsExist keeps the commands the documents tell a reader
 // to run from drifting off the code: every flag of a binary under cmd/,
 // every make target and every `go test` command docsWithCommands name —
@@ -168,6 +172,17 @@ func TestDesignSectionsNameTests(t *testing.T) {
 	end()
 	if sections == 0 {
 		t.Fatal("DESIGN.md has no ## sections")
+	}
+}
+
+// TestExperimentsCap holds EXPERIMENTS.md to its cap.
+func TestExperimentsCap(t *testing.T) {
+	text, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(text) > experimentsCap {
+		t.Errorf("EXPERIMENTS.md is %d bytes, over its %d-byte cap", len(text), experimentsCap)
 	}
 }
 

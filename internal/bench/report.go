@@ -55,28 +55,6 @@ func WriteTable(w io.Writer, f *Figure) error {
 	return nil
 }
 
-// WriteCSV renders a figure as CSV.
-func WriteCSV(w io.Writer, f *Figure) error {
-	if _, err := fmt.Fprintf(w, "%s,%s\n", f.XLabel, strings.Join(f.SeriesOrder, ",")); err != nil {
-		return err
-	}
-	for r, tick := range f.XTicks {
-		cells := []string{tick}
-		for _, name := range f.SeriesOrder {
-			vals := f.Series[name]
-			if r < len(vals) {
-				cells = append(cells, fmt.Sprintf("%.3f", vals[r]))
-			} else {
-				cells = append(cells, "")
-			}
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SpeedupOver reports, per x-tick, how many times larger the named
 // baseline series is than the reference series (the paper quotes its
 // results as "factor of N" improvements of UCR over each sockets path).

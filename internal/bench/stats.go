@@ -6,6 +6,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/simnet"
@@ -62,7 +63,9 @@ func (r *LatencyRecorder) Max() float64 {
 	return s2us(max)
 }
 
-// Percentile reports the p-th percentile (0 < p <= 100) in microseconds.
+// Percentile reports the p-th percentile (0 < p <= 100) in microseconds,
+// by nearest rank: the smallest sample at least p% of the samples do not
+// exceed.
 func (r *LatencyRecorder) Percentile(p float64) float64 {
 	if len(r.samples) == 0 {
 		return 0
@@ -70,7 +73,7 @@ func (r *LatencyRecorder) Percentile(p float64) float64 {
 	sorted := make([]simnet.Duration, len(r.samples))
 	copy(sorted, r.samples)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p/100*float64(len(sorted))) - 1
+	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}

@@ -125,13 +125,6 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 // Replicas reports the ownership factor R.
 func (f *Fleet) Replicas() int { return f.replicas }
 
-// Size reports the live member count.
-func (f *Fleet) Size() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.members)
-}
-
 // Members lists live member names (sorted).
 func (f *Fleet) Members() []string {
 	f.mu.Lock()

@@ -45,9 +45,6 @@ func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, clk
 // Name identifies the server.
 func (t *SockTransport) Name() string { return t.name }
 
-// Conn exposes the stream (tests).
-func (t *SockTransport) Conn() *sockstream.Conn { return t.conn }
-
 // scratchCap bounds the request scratch a transport keeps.
 const scratchCap = 64 << 10
 

@@ -133,9 +133,6 @@ func (s *Store) SetRecorder(fn func(*OpRecord)) {
 	s.rec.Store(&recorder{fn: fn})
 }
 
-// Recording reports whether a recorder is armed.
-func (s *Store) Recording() bool { return s.rec.Load() != nil }
-
 func cloneBytes(b []byte) []byte {
 	if len(b) == 0 {
 		return nil

@@ -189,9 +189,6 @@ func NewServer(ex *simnet.Executor, cfg ServerConfig) *Server {
 // Store exposes the engine (stats, tests).
 func (s *Server) Store() *Store { return s.store }
 
-// Workers reports the worker count.
-func (s *Server) Workers() int { return len(s.workers) }
-
 // pickWorker assigns connections round-robin (§V-A).
 func (s *Server) pickWorker() *worker {
 	w := s.workers[s.nextW%len(s.workers)]

@@ -46,7 +46,6 @@ type Stats struct {
 	DeleteHits, DeleteMisses                   uint64
 	IncrHits, IncrMisses, DecrHits, DecrMisses uint64
 	CasHits, CasMisses, CasBadval              uint64
-	TouchHits, TouchMisses                     uint64
 	Evictions, Expired                         uint64
 	CurrItems, TotalItems                      uint64
 	Bytes                                      uint64
@@ -75,7 +74,6 @@ type shardCounters struct {
 	deleteHits, deleteMisses                   atomic.Uint64
 	incrHits, incrMisses, decrHits, decrMisses atomic.Uint64
 	casHits, casMisses, casBadval              atomic.Uint64
-	touchHits, touchMisses                     atomic.Uint64
 	evictions, expired                         atomic.Uint64
 	currItems, totalItems                      atomic.Uint64
 	bytes                                      atomic.Uint64
@@ -776,13 +774,11 @@ func (s *Store) Touch(key []byte, exptime int64, now simnet.Time) bool {
 	defer sh.mu.Unlock()
 	it := s.lookupLocked(sh, key, now)
 	if it == nil {
-		sh.stats.touchMisses.Add(1)
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{Kind: RecTouch, Key: string(key), Now: now, Exptime: exptime})
 		}
 		return false
 	}
-	sh.stats.touchHits.Add(1)
 	it.expireAt = expiryTime(exptime, now)
 	if x := s.pub.Load(); x != nil {
 		x.publish(it) // refresh the entry's expiry
@@ -841,8 +837,6 @@ func (s *Store) Stats() Stats {
 		st.CasHits += c.casHits.Load()
 		st.CasMisses += c.casMisses.Load()
 		st.CasBadval += c.casBadval.Load()
-		st.TouchHits += c.touchHits.Load()
-		st.TouchMisses += c.touchMisses.Load()
 		st.Evictions += c.evictions.Load()
 		st.Expired += c.expired.Load()
 		st.CurrItems += c.currItems.Load()

@@ -144,12 +144,6 @@ func (r *Ring) Size() int { return len(r.members) }
 // NumPoints reports the total ring point count (tests).
 func (r *Ring) NumPoints() int { return len(r.points) }
 
-// Has reports membership.
-func (r *Ring) Has(name string) bool {
-	_, ok := r.members[name]
-	return ok
-}
-
 // Members lists the servers in sorted order.
 func (r *Ring) Members() []string {
 	out := make([]string, 0, len(r.members))

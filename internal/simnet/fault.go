@@ -86,9 +86,6 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 	}
 }
 
-// Config reports the injector's parameters.
-func (fi *FaultInjector) Config() FaultConfig { return fi.cfg }
-
 // DropNext schedules a one-shot fault: the next n messages from→to are
 // dropped regardless of the probabilistic rates.
 func (fi *FaultInjector) DropNext(from, to *Node, n int) {

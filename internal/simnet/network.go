@@ -222,9 +222,6 @@ func (f *Fabric) Deliver(from, to *Node, sendAt Time, bytes int) (arrive Time, e
 // real deployments where connection setup is retried at a higher layer.
 func (f *Fabric) SetFaults(fi *FaultInjector) { f.faults.Store(fi) }
 
-// Faults returns the installed fault injector, or nil.
-func (f *Fabric) Faults() *FaultInjector { return f.faults.Load() }
-
 // DeliverFaulty is Deliver plus the fabric's fault model. With no
 // injector installed (or on loopback) it is exactly Deliver — same
 // arithmetic, same resource charges — so a lossless run is bit-identical

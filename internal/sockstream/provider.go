@@ -379,9 +379,6 @@ func (c *Conn) SetClock(clk *simnet.VClock) { c.clk = clk }
 // Clock reports the owning clock.
 func (c *Conn) Clock() *simnet.VClock { return c.clk }
 
-// Provider reports the socket stack.
-func (c *Conn) Provider() *Provider { return c.ep.p }
-
 // Write sends len(b) bytes, charging syscall, copy and per-segment
 // costs, and stamping each segment with its computed arrival time.
 // It never blocks for window space (closed-loop request/response

@@ -52,9 +52,6 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // HCA reports the underlying adapter.
 func (rt *Runtime) HCA() *verbs.HCA { return rt.hca }
 
-// Node reports the host node.
-func (rt *Runtime) Node() *simnet.Node { return rt.hca.Node() }
-
 // RegisterHandler installs the handler pair for a message id. Handlers
 // are normally registered once at start-up, before traffic flows.
 func (rt *Runtime) RegisterHandler(msgID uint8, h Handler) {

@@ -61,9 +61,6 @@ func NewHCA(node *simnet.Node, fabric *simnet.Fabric, cfg Config) *HCA {
 	}
 }
 
-// Node reports the host this adapter is installed in.
-func (h *HCA) Node() *simnet.Node { return h.node }
-
 // Fabric reports the fabric this adapter is cabled to.
 func (h *HCA) Fabric() *simnet.Fabric { return h.fabric }
 

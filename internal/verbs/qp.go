@@ -86,13 +86,6 @@ func (q *QP) setRemote(peer *QP) {
 	q.mu.Unlock()
 }
 
-// Remote reports the connected peer QP, or nil.
-func (q *QP) Remote() *QP {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.remote
-}
-
 // PostRecv posts a receive. The QP must be at least INIT. With an SRQ
 // attached, receives must be posted to the SRQ instead.
 func (q *QP) PostRecv(wr RecvWR) error {
