@@ -133,6 +133,8 @@ check-no-wallclock:
 #  - every number has one home: no Go benchmark re-running a golden
 #    figure or ablation cell, no CSV figure writer, no touch counters
 #    nothing prints, no accessor without a caller.
+#  - a pool is a ring: no second key→server rule (modula and its FNV
+#    hash) and no dead/live index lists beside the ring's membership.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -146,6 +148,7 @@ internal cmd examples	AllKeys|FaultStats|EnableOneSided\([^)]*,	^$$	uncalled API
 internal cmd examples	InlineMax|ErrInlineLimit|NagleDelay|RTORetries|CoalescedPostOverhead|SrcQPN|\bServer(HCA|RT)\b|NsPerOp	^$$	deleted verbs/socket knob, WC field or unread alias under internal/ cmd/ examples/
 internal cmd examples	\b(Inline|Imm)(:|[[:space:]]+(bool|u?int[0-9]*)\b)|\.(Inline|Imm)\b	^$$	inline or immediate-data work-request field under internal/ cmd/ examples/
 internal cmd examples *_test.go	func Benchmark(Fig|Ablation)|WriteCSV|TouchHits|TouchMisses|touchHits|touchMisses|^func \([a-z]+ \*(Ring\) Has|Server\) Workers|Store\) Recording|SockTransport\) Conn|QP\) Remote|Conn\) Provider|Fabric\) Faults|FaultInjector\) Config|Fleet\) Size|(Runtime|HCA)\) Node)\(	^$$	golden-cell benchmark, CSV writer, touch counter or uncalled accessor under internal/ cmd/ examples/ or the root tests
+internal cmd examples *_test.go	DistModula|DistKetama|\bDistribution\b|\bkeyHash\b|liveIdx	^$$	second key→server rule or live-index list under internal/ cmd/ examples/ or the root tests
 endef
 export GONE
 
@@ -173,3 +176,4 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTextProtocol$$' -fuzztime $(FUZZTIME) ./internal/memcached
 	go test -run '^$$' -fuzz '^FuzzTextCodec$$' -fuzztime $(FUZZTIME) ./internal/memcached
 	go test -run '^$$' -fuzz '^FuzzAMCodecs$$' -fuzztime $(FUZZTIME) ./internal/memcached
+	go test -run '^$$' -fuzz '^FuzzKetamaRing$$' -fuzztime $(FUZZTIME) ./internal/ring

@@ -26,7 +26,6 @@ func main() {
 
 func run(out io.Writer) error {
 	behaviors := mcclient.DefaultBehaviors()
-	behaviors.Distribution = mcclient.DistKetama
 	behaviors.AutoEject = true
 	behaviors.OpTimeout = 300 * simnet.Microsecond
 

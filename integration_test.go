@@ -100,7 +100,6 @@ func TestEndToEndCacheAsideWorkload(t *testing.T) {
 
 func TestEndToEndShardingWithFailover(t *testing.T) {
 	b := mcclient.DefaultBehaviors()
-	b.Distribution = mcclient.DistKetama
 	b.AutoEject = true
 	b.OpTimeout = 200 * simnet.Microsecond
 	d := cluster.New(cluster.ClusterB(), cluster.Options{Servers: 3})

@@ -72,7 +72,6 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 	f, err := cluster.NewFleet(p, cluster.FleetOptions{
 		Transport: cluster.UCRIB,
 		Servers:   servers,
-		Seed:      cfg.Seed,
 		Opts:      opts,
 	})
 	if err != nil {

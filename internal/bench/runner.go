@@ -169,16 +169,13 @@ func mixTPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, mi
 // deployment of cfg.Deploy, nClients clients of transport t on distinct
 // nodes, and body run over them (clocks[i] is clients[i].Clock, ready
 // for ClosedLoop); everything is torn down when body returns. Over a
-// pool (Deploy.Servers > 1) the clients place keys by consistent
-// hashing, libmemcached's ketama (§II-C).
+// pool (Deploy.Servers > 1) the clients place keys as every client does,
+// on libmemcached's ketama ring (§II-C).
 func withClients(p *cluster.Profile, t cluster.Transport, nClients int, cfg RunConfig,
 	body func(d *cluster.Deployment, clients []*cluster.Client, clocks []*simnet.VClock) error) error {
 	d := cluster.New(p, cfg.Deploy)
 	defer d.Close()
 	behaviors := mcclient.DefaultBehaviors()
-	if cfg.Deploy.Servers > 1 {
-		behaviors.Distribution = mcclient.DistKetama
-	}
 	clients := make([]*cluster.Client, nClients)
 	clocks := make([]*simnet.VClock, nClients)
 	for i := range clients {

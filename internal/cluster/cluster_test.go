@@ -433,7 +433,6 @@ func TestMultiServerSharding(t *testing.T) {
 		t.Fatalf("servers = %d", len(d.Servers))
 	}
 	b := mcclient.DefaultBehaviors()
-	b.Distribution = mcclient.DistKetama
 	c, err := d.NewClient(UCRIB, b)
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +468,6 @@ func TestMultiServerFailover(t *testing.T) {
 	d := New(ClusterB(), Options{Servers: 3})
 	defer d.Close()
 	b := mcclient.DefaultBehaviors()
-	b.Distribution = mcclient.DistKetama
 	b.AutoEject = true
 	b.OpTimeout = 200 * simnet.Microsecond
 	c, err := d.NewClient(UCRIB, b)

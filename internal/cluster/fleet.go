@@ -45,9 +45,9 @@ type FleetOptions struct {
 	Replicas int
 	// Behaviors apply to every fleet client's transports.
 	Behaviors mcclient.Behaviors
-	// Seed seeds the drop-free fault injectors installed when Opts.Faults
-	// is nil (Crash needs injectors for its partitions even in clean
-	// runs).
+	// Seed is unread: the injector NewFleet installs when Opts.Faults is
+	// nil drops nothing, so no verdict hashes a seed. It stays because
+	// benchmark/run.go and benchmark/probes.go set it.
 	Seed uint64
 	// Opts is the underlying deployment configuration. Opts.Servers is
 	// overridden by FleetOptions.Servers.
@@ -93,7 +93,7 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 	if opts.Opts.Faults == nil {
 		// Drop-free injector: Crash's partitions need one installed even
 		// when the run is otherwise lossless.
-		opts.Opts.Faults = LossyFaults(0, opts.Seed)
+		opts.Opts.Faults = LossyFaults(0, 0)
 	}
 	opts.Opts.Servers = opts.Servers
 	if !p.HasTransport(opts.Transport) {

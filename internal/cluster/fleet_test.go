@@ -23,7 +23,6 @@ func newReplicatedFleet(t *testing.T, tr Transport, servers, replicas int, b mcc
 		Servers:   servers,
 		Replicas:  replicas,
 		Behaviors: b,
-		Seed:      11,
 		Opts:      Options{ServerWorkers: 2, Stripes: 4, MemoryLimit: 32 << 20},
 	})
 	if err != nil {
@@ -242,7 +241,6 @@ func TestFleetChurnRaceStress(t *testing.T) {
 			f, err := NewFleet(ClusterB(), FleetOptions{
 				Transport: tr,
 				Servers:   5,
-				Seed:      23,
 				Behaviors: mcclient.Behaviors{
 					// Bounded ops even when a partition eats a request
 					// that the RC retry budget alone would not settle
@@ -349,7 +347,7 @@ func TestFleetClientArmsReadPaths(t *testing.T) {
 	run := func(t *testing.T, opts Options, size int) mcclient.PathStats {
 		t.Helper()
 		opts.ServerWorkers, opts.Stripes, opts.MemoryLimit = 2, 4, 32<<20
-		f, err := NewFleet(ClusterB(), FleetOptions{Servers: 4, Seed: 11, Opts: opts})
+		f, err := NewFleet(ClusterB(), FleetOptions{Servers: 4, Opts: opts})
 		if err != nil {
 			t.Fatalf("NewFleet: %v", err)
 		}

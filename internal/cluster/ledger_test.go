@@ -33,6 +33,7 @@ func TestOptionsLedger(t *testing.T) {
 			"memcached.ServerConfig": reflect.TypeOf(memcached.ServerConfig{}),
 			"ucr.Config":             reflect.TypeOf(ucr.Config{}),
 			"mcclient.Behaviors":     reflect.TypeOf(mcclient.Behaviors{}),
+			"cluster.FleetOptions":   reflect.TypeOf(FleetOptions{}),
 		}, map[string]reflect.Type{"cluster.Profile": reflect.TypeOf(Profile{})}},
 		{"CALIBRATION.md", "Cost ledger", map[string]reflect.Type{
 			"verbs.Config":          reflect.TypeOf(verbs.Config{}),

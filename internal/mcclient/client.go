@@ -97,29 +97,16 @@ func CheckKey(key string) error {
 	return nil
 }
 
-// Distribution selects the key→server mapping.
-type Distribution int
-
-// Distributions, mirroring libmemcached's MEMCACHED_DISTRIBUTION_*.
-const (
-	// DistModula hashes the key modulo the server count.
-	DistModula Distribution = iota
-	// DistKetama uses consistent hashing (stable under pool changes).
-	DistKetama
-)
-
 // Behaviors mirrors memcached_behavior_set knobs used in the paper. The
 // evaluation's TCP_NODELAY (§VI) is not one: socket transports always
 // set it.
 type Behaviors struct {
-	// Distribution picks the key→server mapping.
-	Distribution Distribution
 	// OpTimeout bounds each operation in virtual time (0: none); on
 	// expiry the operation returns ErrServerDown, letting the caller
 	// take corrective action (§IV-A).
 	OpTimeout simnet.Duration
 	// AutoEject removes a server from the pool when an operation
-	// reports it unreachable, re-hashing the keyspace over the
+	// reports it unreachable; only its arcs of the ring move, to the
 	// survivors (libmemcached's AUTO_EJECT_HOSTS).
 	AutoEject bool
 	// Retries is how many times an operation that fails with
@@ -135,7 +122,7 @@ type Behaviors struct {
 
 // DefaultBehaviors returns the paper's client configuration.
 func DefaultBehaviors() Behaviors {
-	return Behaviors{Distribution: DistModula}
+	return Behaviors{}
 }
 
 // Transport is one server connection, in either protocol.
@@ -173,26 +160,28 @@ type Client struct {
 	// Failover state (see failover.go). A Client is single-actor for
 	// operations, but Ejected/LiveServers/ServerFor are read from other
 	// goroutines in tests and monitoring, so the state is mutex-guarded.
-	failMu  sync.Mutex
-	ring    *ring.Ring     // non-nil for DistKetama; holds the LIVE pool
-	byName  map[string]int // server name → index, for ring owner lookups
-	dead    []bool
-	liveIdx []int
+	failMu sync.Mutex
+	ring   *ring.Ring     // the live pool: ejection removes a member
+	byName map[string]int // server name → index, for ring owner lookups
 }
 
-// New builds a client over the given server transports.
+// New builds a client over the given server transports, placing keys on
+// a ketama ring of their names. A name that appears twice is refused:
+// the ring would hold it once and one of the two servers would get no
+// keys.
 func New(clk *simnet.VClock, behaviors Behaviors, servers []Transport) (*Client, error) {
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
-	c := &Client{behaviors: behaviors, servers: servers, clk: clk}
-	if behaviors.Distribution == DistKetama {
-		c.ring = ring.New(0)
-		c.byName = make(map[string]int, len(servers))
-		for i, s := range servers {
-			c.ring.AddServer(s.Name())
-			c.byName[s.Name()] = i
+	c := &Client{behaviors: behaviors, servers: servers, clk: clk,
+		ring: ring.New(0), byName: make(map[string]int, len(servers))}
+	for i, s := range servers {
+		name := s.Name()
+		if _, dup := c.byName[name]; dup {
+			return nil, fmt.Errorf("mcclient: server %q appears twice in the pool", name)
 		}
+		c.ring.AddServer(name)
+		c.byName[name] = i
 	}
 	return c, nil
 }
@@ -206,7 +195,7 @@ func (c *Client) Transport(i int) Transport { return c.servers[i] }
 
 // ServerFor reports which live server index a key maps to (§II-C: the
 // destination is computed client-side with a hash on the key; ejected
-// servers are skipped). -1 means the pool is empty.
+// servers have left the ring). -1 means the pool is empty.
 func (c *Client) ServerFor(key string) int {
 	return c.liveServerFor(key)
 }

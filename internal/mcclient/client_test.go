@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -128,7 +129,7 @@ func (f *fakeTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, i
 
 func (f *fakeTransport) Close() { f.closed = true }
 
-func newFakeClient(t *testing.T, n int, dist Distribution) (*Client, []*fakeTransport) {
+func newFakeClient(t *testing.T, n int) (*Client, []*fakeTransport) {
 	t.Helper()
 	fakes := make([]*fakeTransport, n)
 	trs := make([]Transport, n)
@@ -136,9 +137,7 @@ func newFakeClient(t *testing.T, n int, dist Distribution) (*Client, []*fakeTran
 		fakes[i] = newFake(fmt.Sprintf("server%d", i))
 		trs[i] = fakes[i]
 	}
-	b := DefaultBehaviors()
-	b.Distribution = dist
-	c, err := New(simnet.NewVClock(0), b, trs)
+	c, err := New(simnet.NewVClock(0), DefaultBehaviors(), trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +199,19 @@ func TestClientNoServers(t *testing.T) {
 	}
 }
 
+// TestNewRefusesRepeatedServerName: the ring holds a name once, so a
+// pool that names one server twice would leave one of the two without
+// keys while LiveServers still counted both. New refuses it and names
+// the server.
+func TestNewRefusesRepeatedServerName(t *testing.T) {
+	_, err := New(simnet.NewVClock(0), DefaultBehaviors(), []Transport{newFake("srv"), newFake("srv")})
+	if err == nil || !strings.Contains(err.Error(), `"srv"`) {
+		t.Fatalf("New over two servers named srv = %v, want an error naming srv", err)
+	}
+}
+
 func TestClientBasicOps(t *testing.T) {
-	c, _ := newFakeClient(t, 1, DistModula)
+	c, _ := newFakeClient(t, 1)
 	if err := c.Set("k", []byte("v"), 3, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +245,7 @@ func TestClientBasicOps(t *testing.T) {
 }
 
 func TestClientGetMulti(t *testing.T) {
-	c, _ := newFakeClient(t, 3, DistModula)
+	c, _ := newFakeClient(t, 3)
 	keys := []string{"a", "b", "c", "d", "e"}
 	for _, k := range keys {
 		if err := c.Set(k, []byte("v-"+k), 0, 0); err != nil {
@@ -260,23 +270,21 @@ func TestClientDistributionSpread(t *testing.T) {
 	// With several servers, keys must spread across all of them — the
 	// paper's §II-C point: placement is a client-side hash, no central
 	// directory.
-	for _, dist := range []Distribution{DistModula, DistKetama} {
-		c, fakes := newFakeClient(t, 4, dist)
-		for i := 0; i < 400; i++ {
-			if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v"), 0, 0); err != nil {
-				t.Fatal(err)
-			}
+	c, fakes := newFakeClient(t, 4)
+	for i := 0; i < 400; i++ {
+		if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v"), 0, 0); err != nil {
+			t.Fatal(err)
 		}
-		for i, f := range fakes {
-			if f.calls == 0 {
-				t.Errorf("dist %v: server %d received nothing", dist, i)
-			}
+	}
+	for i, f := range fakes {
+		if f.calls == 0 {
+			t.Errorf("server %d received nothing", i)
 		}
 	}
 }
 
 func TestClientMappingStable(t *testing.T) {
-	c, _ := newFakeClient(t, 5, DistKetama)
+	c, _ := newFakeClient(t, 5)
 	f := func(key string) bool {
 		return c.ServerFor(key) == c.ServerFor(key)
 	}
@@ -287,26 +295,24 @@ func TestClientMappingStable(t *testing.T) {
 
 func TestClientSetThenGetSameServer(t *testing.T) {
 	// A value set must be retrievable: set and get route identically.
-	for _, dist := range []Distribution{DistModula, DistKetama} {
-		c, _ := newFakeClient(t, 7, dist)
-		f := func(key string, val []byte) bool {
-			if CheckKey(key) != nil {
-				// Keys the text protocol cannot carry are rejected
-				// client-side before routing (ErrBadKey).
-				return true
-			}
-			if err := c.Set(key, val, 0, 0); err != nil {
-				return false
-			}
-			v, _, _, err := c.Get(key)
-			if err != nil {
-				return false
-			}
-			return string(v) == string(val)
+	c, _ := newFakeClient(t, 7)
+	f := func(key string, val []byte) bool {
+		if CheckKey(key) != nil {
+			// Keys the text protocol cannot carry are rejected
+			// client-side before routing (ErrBadKey).
+			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatalf("dist %v: %v", dist, err)
+		if err := c.Set(key, val, 0, 0); err != nil {
+			return false
 		}
+		v, _, _, err := c.Get(key)
+		if err != nil {
+			return false
+		}
+		return string(v) == string(val)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -335,31 +341,16 @@ func TestKetamaMinimalRemapping(t *testing.T) {
 			moved++
 		}
 	}
-	// Modula would remap ~5/6 of keys; ketama should move only a small
-	// fraction of keys that did not belong to the removed server.
+	// Rehashing modulo the pool size would remap ~5/6 of keys; ketama
+	// should move only a small fraction of keys that did not belong to
+	// the removed server.
 	if float64(moved)/float64(total) > 0.05 {
 		t.Fatalf("ketama moved %d/%d keys not owned by the removed server", moved, total)
 	}
 }
 
-func TestModulaVsKetamaDiffer(t *testing.T) {
-	cModula, _ := newFakeClient(t, 8, DistModula)
-	cKetama, _ := newFakeClient(t, 8, DistKetama)
-	same := true
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key%d", i)
-		if cModula.ServerFor(k) != cKetama.ServerFor(k) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("modula and ketama produced identical mappings (suspicious)")
-	}
-}
-
 func TestClientErrorPropagation(t *testing.T) {
-	c, fakes := newFakeClient(t, 1, DistModula)
+	c, fakes := newFakeClient(t, 1)
 	fakes[0].broken = true
 	if err := c.Set("k", []byte("v"), 0, 0); err != ErrServerDown {
 		t.Fatalf("Set on broken = %v", err)
@@ -370,27 +361,12 @@ func TestClientErrorPropagation(t *testing.T) {
 }
 
 func TestClientClose(t *testing.T) {
-	c, fakes := newFakeClient(t, 3, DistModula)
+	c, fakes := newFakeClient(t, 3)
 	c.Close()
 	for i, f := range fakes {
 		if !f.closed {
 			t.Fatalf("server %d not closed", i)
 		}
-	}
-}
-
-func TestKeyHashMatchesEngine(t *testing.T) {
-	// The client's modula hash must be deterministic and well spread.
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		h := keyHash(fmt.Sprintf("key-%d", i))
-		seen[h] = true
-	}
-	if len(seen) < 999 {
-		t.Fatalf("hash collisions: %d distinct of 1000", len(seen))
-	}
-	if keyHash("abc") != keyHash("abc") {
-		t.Fatal("hash not deterministic")
 	}
 }
 

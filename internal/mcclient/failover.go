@@ -1,49 +1,37 @@
 package mcclient
 
-import "repro/internal/simnet"
+import (
+	"slices"
+
+	"repro/internal/simnet"
+)
 
 // Server failover: with Behaviors.AutoEject set (libmemcached's
-// AUTO_EJECT_HOSTS), a server whose transport reports ErrServerDown is
-// removed from the pool and the keyspace re-hashes over the survivors —
-// the "corrective action" the paper's §IV-A timeout design exists to
-// enable. With ketama distribution only the dead server's arc moves.
+// AUTO_EJECT_HOSTS), a server whose transport reports ErrServerDown
+// leaves the ring and only its arcs move to the survivors — the
+// "corrective action" the paper's §IV-A timeout design exists to enable.
 //
-// All pool state (dead, liveIdx, ring) is guarded by c.failMu: the
-// operating actor mutates it during ejection while monitoring
-// goroutines read it concurrently.
+// The ring is guarded by c.failMu: the operating actor mutates it during
+// ejection while monitoring goroutines read it concurrently.
 
-// eject marks server idx dead and rebuilds the live mapping. The ketama
-// ring is updated incrementally — RemoveServer filters the dead
-// server's points out in one pass instead of re-hashing and re-sorting
-// the whole ring, so ejection cost no longer scales with pool size.
+// eject removes server idx from the ring. RemoveServer filters the
+// server's points out in one pass, and removing a server already gone
+// does nothing.
 func (c *Client) eject(idx int) {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
-	if c.dead == nil {
-		c.dead = make([]bool, len(c.servers))
-	}
-	if c.dead[idx] {
-		return
-	}
-	c.dead[idx] = true
-	c.liveIdx = c.liveIdx[:0]
-	for i := range c.servers {
-		if !c.dead[i] {
-			c.liveIdx = append(c.liveIdx, i)
-		}
-	}
-	if c.ring != nil {
-		c.ring.RemoveServer(c.servers[idx].Name())
-	}
+	c.ring.RemoveServer(c.servers[idx].Name())
 }
 
-// Ejected reports which servers have been ejected.
+// Ejected reports which servers have been ejected: those whose names
+// have left the ring.
 func (c *Client) Ejected() []int {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
+	live := c.ring.Members()
 	var out []int
-	for i, d := range c.dead {
-		if d {
+	for i, s := range c.servers {
+		if !slices.Contains(live, s.Name()) {
 			out = append(out, i)
 		}
 	}
@@ -54,34 +42,20 @@ func (c *Client) Ejected() []int {
 func (c *Client) LiveServers() int {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
-	if c.liveIdx == nil {
-		return len(c.servers)
-	}
-	return len(c.liveIdx)
+	return c.ring.Size()
 }
 
 // liveServerFor maps a key to a live server index, or -1 if the pool is
-// empty. For ketama the ring already holds only live members (eject
-// removes them), so one lookup resolves the owner; modula hashes over
-// the live index list.
+// empty. The ring holds only live members, so one lookup resolves the
+// owner.
 func (c *Client) liveServerFor(key string) int {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
-	if c.ring != nil {
-		owner := c.ring.Lookup(key)
-		if owner == "" {
-			return -1
-		}
-		return c.byName[owner]
-	}
-	if c.liveIdx == nil {
-		// No ejections yet: the full pool is live.
-		return int(keyHash(key) % uint64(len(c.servers)))
-	}
-	if len(c.liveIdx) == 0 {
+	owner := c.ring.Lookup(key)
+	if owner == "" {
 		return -1
 	}
-	return c.liveIdx[int(keyHash(key)%uint64(len(c.liveIdx)))]
+	return c.byName[owner]
 }
 
 // Retry runs op, retrying ErrServerDown failures up to b.Retries times

@@ -9,7 +9,7 @@ import (
 	"repro/internal/simnet"
 )
 
-func newEjectClient(t *testing.T, n int, dist Distribution) (*Client, []*fakeTransport) {
+func newEjectClient(t *testing.T, n int) (*Client, []*fakeTransport) {
 	t.Helper()
 	fakes := make([]*fakeTransport, n)
 	trs := make([]Transport, n)
@@ -18,7 +18,6 @@ func newEjectClient(t *testing.T, n int, dist Distribution) (*Client, []*fakeTra
 		trs[i] = fakes[i]
 	}
 	b := DefaultBehaviors()
-	b.Distribution = dist
 	b.AutoEject = true
 	c, err := New(newTestClock(), b, trs)
 	if err != nil {
@@ -28,30 +27,32 @@ func newEjectClient(t *testing.T, n int, dist Distribution) (*Client, []*fakeTra
 }
 
 func TestAutoEjectRehashes(t *testing.T) {
-	for _, dist := range []Distribution{DistModula, DistKetama} {
-		t.Run(fmt.Sprint(dist), func(t *testing.T) {
-			c, fakes := newEjectClient(t, 4, dist)
-			// Find a key owned by server 2, then kill server 2.
+	// Whichever server of the pool dies, the op ejects it and lands on a
+	// survivor.
+	for victim := 0; victim < 4; victim++ {
+		t.Run(fmt.Sprint(victim), func(t *testing.T) {
+			c, fakes := newEjectClient(t, 4)
+			// Find a key owned by the victim, then kill it.
 			var key string
 			for i := 0; ; i++ {
 				key = fmt.Sprintf("probe-%d", i)
-				if c.ServerFor(key) == 2 {
+				if c.ServerFor(key) == victim {
 					break
 				}
 			}
-			fakes[2].broken = true
+			fakes[victim].broken = true
 			// The op transparently ejects and lands on a survivor.
 			if err := c.Set(key, []byte("v"), 0, 0); err != nil {
 				t.Fatalf("Set with auto-eject = %v", err)
 			}
-			if got := c.Ejected(); len(got) != 1 || got[0] != 2 {
+			if got := c.Ejected(); len(got) != 1 || got[0] != victim {
 				t.Fatalf("Ejected = %v", got)
 			}
 			if c.LiveServers() != 3 {
 				t.Fatalf("LiveServers = %d", c.LiveServers())
 			}
 			// The key now consistently maps to a live server and reads back.
-			if idx := c.ServerFor(key); idx == 2 || idx < 0 {
+			if idx := c.ServerFor(key); idx == victim || idx < 0 {
 				t.Fatalf("key still maps to dead server: %d", idx)
 			}
 			v, _, _, err := c.Get(key)
@@ -63,7 +64,7 @@ func TestAutoEjectRehashes(t *testing.T) {
 }
 
 func TestAutoEjectDisabledPropagatesError(t *testing.T) {
-	c, fakes := newFakeClient(t, 3, DistModula) // AutoEject off
+	c, fakes := newFakeClient(t, 3) // AutoEject off
 	for _, f := range fakes {
 		f.broken = true
 	}
@@ -76,7 +77,7 @@ func TestAutoEjectDisabledPropagatesError(t *testing.T) {
 }
 
 func TestAutoEjectAllDead(t *testing.T) {
-	c, fakes := newEjectClient(t, 3, DistModula)
+	c, fakes := newEjectClient(t, 3)
 	for _, f := range fakes {
 		f.broken = true
 	}
@@ -90,9 +91,9 @@ func TestAutoEjectAllDead(t *testing.T) {
 }
 
 func TestAutoEjectKetamaMinimalMovement(t *testing.T) {
-	// With ketama, ejecting one server must leave most other keys on
-	// their original owners.
-	c, fakes := newEjectClient(t, 5, DistKetama)
+	// Ejecting one server must leave most other keys on their original
+	// owners.
+	c, fakes := newEjectClient(t, 5)
 	before := map[string]int{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("key-%d", i)
@@ -124,7 +125,7 @@ func TestAutoEjectKetamaMinimalMovement(t *testing.T) {
 }
 
 func TestGetMultiWithEjection(t *testing.T) {
-	c, fakes := newEjectClient(t, 3, DistModula)
+	c, fakes := newEjectClient(t, 3)
 	keys := make([]string, 30)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("mk-%d", i)
@@ -152,7 +153,7 @@ func TestGetMultiWithEjection(t *testing.T) {
 // key exactly once, with its value — the dead owner's keys were stored
 // on the survivors too, so none is lost to the ejection.
 func TestGetMultiEjectionObservesOnce(t *testing.T) {
-	c, fakes := newEjectClient(t, 3, DistModula)
+	c, fakes := newEjectClient(t, 3)
 	keys := make([]string, 30)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("mk-%d", i)
@@ -180,8 +181,8 @@ func TestGetMultiEjectionObservesOnce(t *testing.T) {
 
 // raceTransport is a fakeTransport that is safe for concurrent use, so
 // ejection can be exercised from several goroutines under -race: the
-// transport is guarded here, and the client's pool state (dead, liveIdx,
-// ring) must be guarded by the client itself.
+// transport is guarded here, and the client's pool state (the ring) must
+// be guarded by the client itself.
 type raceTransport struct {
 	name string
 	mu   sync.Mutex
@@ -258,7 +259,7 @@ func (r *raceTransport) Close() {}
 // TestConcurrentEjection hammers Get from several goroutines while a
 // server dies mid-stream: every goroutine that hits the dead server
 // races to eject it and rebuild the ring. Run under -race this covers
-// the failMu guarding of dead/liveIdx/ring against concurrent readers
+// the failMu guarding of the ring against concurrent readers
 // (ServerFor, Ejected, LiveServers) and writers (eject).
 func TestConcurrentEjection(t *testing.T) {
 	const n = 4
@@ -269,7 +270,6 @@ func TestConcurrentEjection(t *testing.T) {
 		trs[i] = rts[i]
 	}
 	b := DefaultBehaviors()
-	b.Distribution = DistKetama
 	b.AutoEject = true
 	c, err := New(newTestClock(), b, trs)
 	if err != nil {
@@ -320,7 +320,7 @@ func TestConcurrentEjection(t *testing.T) {
 // retried with exponential virtual-time backoff before the eject path
 // fires; the key then re-hashes to a survivor.
 func TestRetryBackoffEjectsDeadServer(t *testing.T) {
-	c, fakes := newEjectClient(t, 3, DistModula)
+	c, fakes := newEjectClient(t, 3)
 	c.behaviors.Retries = 2
 	c.behaviors.RetryBackoff = 100 * simnet.Microsecond
 
@@ -355,7 +355,7 @@ func TestRetryBackoffEjectsDeadServer(t *testing.T) {
 // TestRetryHealsTransientFault: a fault that clears within the backoff
 // window must not eject the server.
 func TestRetryHealsTransientFault(t *testing.T) {
-	c, fakes := newEjectClient(t, 3, DistModula)
+	c, fakes := newEjectClient(t, 3)
 	c.behaviors.Retries = 3
 	var key string
 	for i := 0; ; i++ {

@@ -31,7 +31,7 @@ var errNoUCR = errors.New("memcached: one-sided GET requires a UCR runtime (call
 // three-read sequence (entry, value, entry again) safe end to end.
 
 // osEntrySize is the encoded size of one directory entry:
-// keyHash(8) seq(8) addr(8) expireAt(8) rkey(4) kvlen(4) flags(4) pad(4).
+// KeyHash(8) seq(8) addr(8) expireAt(8) rkey(4) kvlen(4) flags(4) pad(4).
 const osEntrySize = 48
 
 // OSEntrySize exports the slot size for the client-side reader.

@@ -164,7 +164,6 @@ func (m *Mode) executeFleet(sc Script, cfg Config) *Result {
 	f, err := cluster.NewFleet(cluster.ClusterB(), cluster.FleetOptions{
 		Transport: cfg.Transport,
 		Servers:   servers,
-		Seed:      cfg.Seed,
 		Behaviors: b,
 		Opts:      opts,
 	})

@@ -1,6 +1,6 @@
-// Package ring is the shared ketama consistent-hash ring: the key→server
-// mapping the client library uses for DistKetama and the fleet layer uses
-// for churn-stable placement and R-way replication. The layout matches
+// Package ring is the shared ketama consistent-hash ring: the client
+// library's one key→server rule, and the fleet layer's churn-stable
+// placement and R-way replication. The layout matches
 // libmemcached's ketama (40 md5 digests per server, 4 little-endian
 // uint32 points per digest), so promoting the ring out of mcclient did
 // not move a single key.
@@ -170,8 +170,13 @@ func (r *Ring) search(h uint32) int {
 	return i
 }
 
-// Lookup maps a key to its owning server ("" on an empty ring).
+// Lookup maps a key to its owning server ("" on an empty ring). A
+// one-member ring owns every arc with that member, so it answers without
+// hashing the key.
 func (r *Ring) Lookup(key string) string {
+	if len(r.members) == 1 {
+		return r.points[0].owner
+	}
 	return r.LookupPoint(KeyPoint(key))
 }
 

@@ -198,8 +198,9 @@ func TestVNodesConfigurable(t *testing.T) {
 }
 
 // FuzzKetamaRing drives arbitrary add/remove/lookup sequences: points
-// must stay sorted, membership bookkeeping must stay consistent, and
-// lookup must never panic — including on the empty and one-server ring.
+// must stay sorted, membership bookkeeping must stay consistent, lookup
+// must never panic — including on the empty and one-server ring — and
+// Lookup must name the primary Owners walks to.
 func FuzzKetamaRing(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0x80, 3}, "key")
 	f.Add([]byte{}, "")
@@ -223,6 +224,11 @@ func FuzzKetamaRing(f *testing.F) {
 			}
 			if len(live) > 0 && !live[owner] {
 				t.Fatalf("lookup returned non-member %q", owner)
+			}
+			// Lookup's one-member answer skips the hash: it must agree
+			// with the clockwise walk at every size.
+			if primary := r.Owners(key, 1); len(live) > 0 && owner != primary[0] {
+				t.Fatalf("Lookup(%q) = %q, Owners(%q, 1) = %v at %d members", key, owner, key, primary, len(live))
 			}
 			r.Owners(key, 2)
 		}
