@@ -378,11 +378,11 @@ func (c *FleetClient) connsFor(owners []string) []mcclient.Transport {
 	return c.trBuf
 }
 
-// Set writes through to all R owners with one round trip: every owner's
-// request is posted before any reply is waited for (mcclient.SetAll),
-// then each owner that answered ErrServerDown runs the rest of its retry
-// budget, primary first. The error is the first owner's, in ring order,
-// that did not store — its transport error, or its StoreResult as
+// Set writes through to all R owners with one round trip: a set is
+// started on every owner's transport window before any is waited on
+// (mcclient.SetAll), then each owner that answered ErrServerDown runs
+// the rest of its retry budget, primary first. The error is the first
+// owner's, in ring order, that did not store — its transport error, or its StoreResult as
 // mcclient.Client.Set reports it — so a replica outage never blocks the
 // primary write (and vice versa).
 func (c *FleetClient) Set(key string, value []byte, flags uint32, exptime int64) error {

@@ -286,6 +286,76 @@ func TestSessionIsTrunkTransport(t *testing.T) {
 	}
 }
 
+// TestBlockingIsWindowOne pins "a blocking call is Start on a window of
+// one, then Wait": twin deployments play Set → Get → Delete, one twin
+// through the blocking calls, the other through Start* + Wait on a
+// caller-opened Pipeline(1), each future waited on before the window.
+// Every op must return the same result and leave the client clock at
+// the same virtual time, to the vns — on both transports, with and
+// without write replies, at sizes on either side of the write-reply
+// crossover.
+func TestBlockingIsWindowOne(t *testing.T) {
+	for _, tc := range []struct {
+		tr   cluster.Transport
+		opts cluster.Options
+	}{
+		{cluster.UCRIB, cluster.Options{}},
+		{cluster.UCRIB, cluster.Options{WriteReplies: true}},
+		{cluster.IPoIB, cluster.Options{}},
+		{cluster.IPoIB, cluster.Options{WriteReplies: true}},
+	} {
+		t.Run(fmt.Sprintf("%s/wr=%v", tc.tr, tc.opts.WriteReplies), func(t *testing.T) {
+			twin := func() (*simnet.VClock, mcclient.Transport) {
+				d := cluster.New(cluster.ClusterB(), tc.opts)
+				t.Cleanup(d.Close)
+				c, err := d.NewClient(tc.tr, mcclient.DefaultBehaviors())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(c.Close)
+				return c.Clock, c.MC.Transport(0)
+			}
+			bclk, btr := twin()
+			pclk, ptr := twin()
+			pipe := ptr.(mcclient.Pipeliner).Pipeline(1)
+			step := func(op, blocking, windowed string) {
+				t.Helper()
+				if blocking != windowed || bclk.Now() != pclk.Now() {
+					t.Fatalf("%s: blocking %s at %d vns, window of one %s at %d vns",
+						op, blocking, bclk.Now(), windowed, pclk.Now())
+				}
+			}
+			show := func(v []byte, fl uint32, hit bool, err error) string {
+				return fmt.Sprintf("hit=%v flags=%d crc=%08x len=%d err=%v", hit, fl, crc32.ChecksumIEEE(v), len(v), err)
+			}
+			step("dial", "", "")
+			for _, size := range []int{64, 4096, 64 << 10} {
+				key, val := fmt.Sprintf("w1-%d", size), make([]byte, size)
+				for i := range val {
+					val[i] = byte(i*7 + size)
+				}
+				bres, berr := btr.Set(bclk, key, uint32(size), 0, val)
+				pres, perr := pipe.StartSet(pclk, key, uint32(size), 0, val).Wait(pclk)
+				step("set "+key, fmt.Sprint(bres, berr), fmt.Sprint(pres, perr))
+
+				bv, bfl, _, bhit, berr := btr.Get(bclk, key)
+				pv, pfl, _, phit, perr := pipe.StartGet(pclk, key).Wait(pclk)
+				if !bhit || crc32.ChecksumIEEE(bv) != crc32.ChecksumIEEE(val) {
+					t.Fatalf("get %s: blocking read back %s", key, show(bv, bfl, bhit, berr))
+				}
+				step("get "+key, show(bv, bfl, bhit, berr), show(pv, pfl, phit, perr))
+
+				bok, berr := btr.Delete(bclk, key)
+				pok, perr := pipe.StartDelete(pclk, key).Wait(pclk)
+				step("delete "+key, fmt.Sprint(bok, berr), fmt.Sprint(pok, perr))
+			}
+			if err := pipe.Wait(pclk); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestSessionObserverTagsOwnPath: sessions taking turns on armed trunks
 // read what a plain client reads. Eight sessions on two one-sided trunks
 // play the script; every op's result must match the default deployment

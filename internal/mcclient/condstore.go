@@ -26,7 +26,7 @@ func (t *SockTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags 
 	if memcached.StoreVerb(op) == "" {
 		return 0, fmt.Errorf("mcclient: unknown store op %d", op)
 	}
-	req := memcached.AppendTextStore(t.req[:0], op, key, flags, exptime, value, casID, false)
+	req := memcached.AppendTextStore(t.blk.wbuf[:0], op, key, flags, exptime, value, casID, false)
 	if err := t.send(clk, req); err != nil {
 		return 0, err
 	}

@@ -5,69 +5,63 @@ import (
 	"repro/internal/simnet"
 )
 
-// splitWriter is a transport whose blocking Set and Delete are two
-// halves run back to back: a post, which puts the request on the wire and
-// returns, and a settle, which waits for that request's reply (§V-B: a
-// non-blocking send, then a wait on its counter). One write at a time
-// sits between a transport's post and its settle.
-type splitWriter interface {
-	postSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) error
-	postDelete(clk *simnet.VClock, key string) error
-	settleSet(clk *simnet.VClock) (memcached.StoreResult, error)
-	settleDelete(clk *simnet.VClock) (bool, error)
+// windowed is a transport whose blocking calls run on a window of one
+// of its own (both transports): window returns it with the one future
+// every Start on it hands back, so a fan-out can start on every
+// transport before it waits on any.
+type windowed interface {
+	window() (Pipeline, *future)
 }
 
-// Both transports split: a signature that drifted would fall back to the
-// blocking calls without a word.
-var (
-	_ splitWriter = (*UCRTransport)(nil)
-	_ splitWriter = (*SockTransport)(nil)
-)
+func (t *UCRTransport) window() (Pipeline, *future)  { return &t.blk, &t.one }
+func (t *SockTransport) window() (Pipeline, *future) { return &t.blk, &t.one }
 
 // SetAll stores key=value on every transport in trs with every request on
-// the wire before any reply is waited for: it posts on each transport in
-// order, then settles each in order into res[i] and errs[i], so a write
-// to R servers costs one round trip, not R. res and errs are the
-// caller's, at least len(trs) long. A nil transport (no connection to
-// that server) settles as ErrServerDown; one that cannot split runs its
-// blocking Set when its turn to settle comes; one whose post failed
-// settles with that error. SetAll allocates nothing.
+// the wire before any reply is waited for: it starts a set on each
+// transport's window in order, then waits on each in order into res[i]
+// and errs[i], so a write to R servers costs one round trip, not R. res
+// and errs are the caller's, at least len(trs) long. A nil transport (no
+// connection to that server) settles as ErrServerDown; one without a
+// window of its own runs its blocking Set when its turn to wait comes.
+// SetAll allocates nothing.
 func SetAll(clk *simnet.VClock, trs []Transport, key string, flags uint32, exptime int64, value []byte, res []memcached.StoreResult, errs []error) {
-	for i, tr := range trs {
-		if w, ok := tr.(splitWriter); ok {
-			res[i], errs[i] = 0, w.postSet(clk, key, flags, exptime, value)
+	for _, tr := range trs {
+		if w, ok := tr.(windowed); ok {
+			p, _ := w.window()
+			p.StartSet(clk, key, flags, exptime, value)
 		}
 	}
 	for i, tr := range trs {
-		w, ok := tr.(splitWriter)
-		switch {
+		switch w, ok := tr.(windowed); {
+		case ok:
+			_, f := w.window()
+			res[i], errs[i] = (*SetFuture)(f).Wait(clk)
 		case tr == nil:
 			res[i], errs[i] = 0, ErrServerDown
-		case !ok:
+		default:
 			res[i], errs[i] = tr.Set(clk, key, flags, exptime, value)
-		case errs[i] == nil:
-			res[i], errs[i] = w.settleSet(clk)
 		}
 	}
 }
 
-// DeleteAll is SetAll for a delete: every transport's request is posted
-// before any is settled into found[i] and errs[i].
+// DeleteAll is SetAll for a delete: a delete is started on every
+// transport's window before any is waited on into found[i] and errs[i].
 func DeleteAll(clk *simnet.VClock, trs []Transport, key string, found []bool, errs []error) {
-	for i, tr := range trs {
-		if w, ok := tr.(splitWriter); ok {
-			found[i], errs[i] = false, w.postDelete(clk, key)
+	for _, tr := range trs {
+		if w, ok := tr.(windowed); ok {
+			p, _ := w.window()
+			p.StartDelete(clk, key)
 		}
 	}
 	for i, tr := range trs {
-		w, ok := tr.(splitWriter)
-		switch {
+		switch w, ok := tr.(windowed); {
+		case ok:
+			_, f := w.window()
+			found[i], errs[i] = (*BoolFuture)(f).Wait(clk)
 		case tr == nil:
 			found[i], errs[i] = false, ErrServerDown
-		case !ok:
+		default:
 			found[i], errs[i] = tr.Delete(clk, key)
-		case errs[i] == nil:
-			found[i], errs[i] = w.settleDelete(clk)
 		}
 	}
 }

@@ -16,10 +16,13 @@ import (
 // UCRTransport) route each reply to its own request regardless of
 // arrival order.
 //
-// A Pipeline borrows its transport's connection: while a window is
-// outstanding, do not interleave blocking Transport calls on the same
-// transport. Futures may be waited in any order (or dropped — Wait
-// settles everything).
+// A blocking Transport call is a window of one: Start* on a window-1
+// pipeline the transport owns, then Wait (§V-B: a non-blocking send,
+// then a wait on its counter), so push/waitFor here is the one place a
+// request is posted and waited for. A Pipeline borrows its transport's
+// connection: while a window is outstanding, do not interleave blocking
+// Transport calls on the same transport. Futures may be waited in any
+// order (or dropped — Wait settles everything).
 
 // Pipeliner is implemented by transports that support windowed
 // pipelining.
@@ -50,15 +53,15 @@ type Pipeline interface {
 	// Wait flushes and settles all outstanding futures, returning the
 	// first transport-level error (per-op outcomes live on the futures).
 	Wait(clk *simnet.VClock) error
-	// Window reports the configured depth.
-	Window() int
 }
 
 // future is the one allocation a pipelined request makes: the result
 // its caller waits on and the window entry its pipeline tracks, in one
 // struct. GetFuture, SetFuture and BoolFuture are views of it that
-// differ only in what Wait returns. Futures are not recycled, so Wait
-// may be called any number of times.
+// differ only in what Wait returns. A Pipeline() window never recycles
+// its futures, so Wait may be called any number of times; a transport's
+// own window (its blocking calls) reuses its one future from call to
+// call.
 type future struct {
 	pipe futureWaiter // the pipeline that issued it
 	kind futureKind
@@ -89,6 +92,7 @@ const (
 	futGet futureKind = iota
 	futSet
 	futDelete
+	futOp // UCR blocking call: settled, the op is left to the caller's result reader
 )
 
 // futureWaiter is the pipeline side of Wait: drive the connection until
@@ -97,10 +101,13 @@ type futureWaiter interface {
 	waitFor(clk *simnet.VClock, f *future)
 }
 
-func (f *future) wait(clk *simnet.VClock) {
-	if !f.done {
+// wait drives the pipeline until f is done: a GET settled with its
+// value still in a write-reply slot takes a second round, its landing.
+func (f *future) wait(clk *simnet.VClock) error {
+	for !f.done {
 		f.pipe.waitFor(clk, f)
 	}
+	return f.err
 }
 
 // GetFuture is the pending result of StartGet.
@@ -132,14 +139,16 @@ func (f *BoolFuture) Wait(clk *simnet.VClock) (bool, error) {
 }
 
 // settleUCR records a settled UCR op's outcome in the future. A GET
-// whose value still sits in its write-reply slot is not read out yet:
-// deferred reports it, and the pipeline lands it just after its next
-// post or before its next blocking CQ wait, so the copy overlaps the
-// wire instead of delaying the next request.
-func (f *future) settleUCR(t *UCRTransport, err error) (deferred bool) {
+// whose value still sits in its write-reply slot is not read out yet
+// (landing): the pipeline lands it just after its next post or before
+// its next blocking CQ wait, so the copy overlaps the wire instead of
+// delaying the next request.
+func (f *future) settleUCR(t *UCRTransport, err error) {
 	switch {
 	case err != nil:
 		f.err, f.done = err, true
+	case f.kind == futOp:
+		f.done = true
 	case f.kind == futSet:
 		f.res, f.done = f.op.stored(), true
 	case f.kind == futDelete:
@@ -149,7 +158,6 @@ func (f *future) settleUCR(t *UCRTransport, err error) (deferred bool) {
 	default:
 		f.landUCR(t)
 	}
-	return f.landing
 }
 
 // landUCR reads a settled GET out of its op.
@@ -171,12 +179,26 @@ func (t *UCRTransport) Pipeline(window int) Pipeline {
 type ucrPipeline struct {
 	t      *UCRTransport
 	window int
+	one    *future   // the transport's own window: the future every call reuses
 	q      []*future // outstanding, issue order
 	landq  []*future // settled entries with a deferred write-reply landing
 	err    error     // first transport-level error (sticky)
 }
 
-func (p *ucrPipeline) Window() int { return p.window }
+// start admits op under a future: a fresh one in a Pipeline() window;
+// in the transport's own, its one future, and a fresh window — a
+// blocking call inherits no sticky error from the call before.
+func (p *ucrPipeline) start(clk *simnet.VClock, kind futureKind, op *amOp) *future {
+	f := p.one
+	if f == nil {
+		f = new(future)
+	} else {
+		p.err = nil
+	}
+	*f = future{pipe: p, kind: kind, op: op}
+	p.push(clk, f)
+	return f
+}
 
 // push admits e into the window — completing the oldest request when
 // the window is full — and posts it: post first, then progress. In a
@@ -259,12 +281,14 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
 		p.fail(err)
 	}
 	p.remove(e)
-	if e.settleUCR(p.t, err) {
+	e.settleUCR(p.t, err)
+	switch {
+	case e.landing:
 		// Deferred write-reply landing: the op keeps its reply slot until
 		// the copy-out materializes at the next post or blocking wait (or
 		// on the future's own Wait, whichever comes first).
 		p.landq = append(p.landq, e)
-	} else {
+	case e.kind != futOp || err != nil:
 		p.t.finishOp(e.op)
 	}
 }
@@ -295,21 +319,15 @@ func (p *ucrPipeline) StartGetInto(clk *simnet.VClock, key string, buf []byte) *
 func (p *ucrPipeline) startGet(clk *simnet.VClock, key string, lend []byte) *GetFuture {
 	// No UD rung for a window: a punted reply would need a blocking
 	// re-issue in the middle of it.
-	f := &future{pipe: p, kind: futGet, op: p.t.readOp(clk, key, nil, lend, false)}
-	p.push(clk, f)
-	return (*GetFuture)(f)
+	return (*GetFuture)(p.start(clk, futGet, p.t.readOp(clk, key, nil, lend, false)))
 }
 
 func (p *ucrPipeline) StartSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
-	f := &future{pipe: p, kind: futSet, op: p.t.setOp(clk, key, flags, exptime, value)}
-	p.push(clk, f)
-	return (*SetFuture)(f)
+	return (*SetFuture)(p.start(clk, futSet, p.t.setOp(clk, key, flags, exptime, value)))
 }
 
 func (p *ucrPipeline) StartDelete(clk *simnet.VClock, key string) *BoolFuture {
-	f := &future{pipe: p, kind: futDelete, op: p.t.deleteOp(clk, key)}
-	p.push(clk, f)
-	return (*BoolFuture)(f)
+	return (*BoolFuture)(p.start(clk, futDelete, p.t.deleteOp(clk, key)))
 }
 
 // interface conformance

@@ -20,9 +20,6 @@ import (
 func pipelineScript(t *testing.T, pl Pipeliner, clk *simnet.VClock) {
 	t.Helper()
 	pipe := pl.Pipeline(4)
-	if pipe.Window() != 4 {
-		t.Fatalf("Window = %d", pipe.Window())
-	}
 	model := map[string][]byte{}
 	type getExp struct {
 		f    *GetFuture

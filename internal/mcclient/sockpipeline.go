@@ -22,13 +22,28 @@ func (t *SockTransport) Pipeline(window int) Pipeline {
 type sockPipeline struct {
 	t      *SockTransport
 	window int
+	one    *future   // the transport's own window: the future every call reuses
 	wbuf   []byte    // request bytes queued since the last Flush
 	q      []*future // outstanding, reply order == issue order
 	pend   []*future // trailing entries whose bytes sit in wbuf
 	err    error     // first transport-level error (sticky)
 }
 
-func (p *sockPipeline) Window() int { return p.window }
+// start admits a request whose bytes were just queued in wbuf, under a
+// future: a fresh one in a Pipeline() window; in the transport's own,
+// its one future, and a fresh window — a blocking call inherits no
+// sticky error (a wrong-key echo, say) from the call before.
+func (p *sockPipeline) start(clk *simnet.VClock, kind futureKind, key string, lend []byte) *future {
+	f := p.one
+	if f == nil {
+		f = new(future)
+	} else {
+		p.err = nil
+	}
+	*f = future{pipe: p, kind: kind, key: key, lend: lend}
+	p.push(clk, f)
+	return f
+}
 
 // push admits f, completing the oldest request when the window is full,
 // and flushes once a full window of unwritten requests has accumulated.
@@ -48,18 +63,29 @@ func (p *sockPipeline) Flush(clk *simnet.VClock) error {
 	if len(p.pend) == 0 {
 		return nil
 	}
-	p.t.conn.SetClock(clk)
-	_, werr := p.t.conn.Write(p.wbuf)
-	p.wbuf = p.wbuf[:0]
+	err := p.write(clk)
 	for _, f := range p.pend {
-		f.sent = true
-		if werr != nil {
-			f.failed = true
-		}
+		f.sent, f.failed = true, err != nil
 	}
 	p.pend = p.pend[:0]
-	if werr != nil {
-		p.fail(ErrServerDown)
+	if err != nil {
+		p.fail(err)
+	}
+	return err
+}
+
+// scratchCap bounds the write buffer a pipeline keeps.
+const scratchCap = 64 << 10
+
+// write puts wbuf on the stream as one Write and keeps the buffer for
+// the next request, unless one grew it past scratchCap.
+func (p *sockPipeline) write(clk *simnet.VClock) error {
+	p.t.conn.SetClock(clk)
+	_, err := p.t.conn.Write(p.wbuf)
+	if p.wbuf = p.wbuf[:0]; cap(p.wbuf) > scratchCap {
+		p.wbuf = nil
+	}
+	if err != nil {
 		return ErrServerDown
 	}
 	return nil
@@ -133,23 +159,17 @@ func (p *sockPipeline) StartGet(clk *simnet.VClock, key string) *GetFuture {
 
 func (p *sockPipeline) StartGetInto(clk *simnet.VClock, key string, buf []byte) *GetFuture {
 	p.wbuf = memcached.AppendTextGet(p.wbuf, true, key)
-	f := &future{pipe: p, kind: futGet, key: key, lend: buf}
-	p.push(clk, f)
-	return (*GetFuture)(f)
+	return (*GetFuture)(p.start(clk, futGet, key, buf))
 }
 
 func (p *sockPipeline) StartSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
 	p.wbuf = memcached.AppendTextStore(p.wbuf, memcached.StoreOpSet, key, flags, exptime, value, 0, false)
-	f := &future{pipe: p, kind: futSet}
-	p.push(clk, f)
-	return (*SetFuture)(f)
+	return (*SetFuture)(p.start(clk, futSet, "", nil))
 }
 
 func (p *sockPipeline) StartDelete(clk *simnet.VClock, key string) *BoolFuture {
 	p.wbuf = memcached.AppendTextDelete(p.wbuf, key)
-	f := &future{pipe: p, kind: futDelete}
-	p.push(clk, f)
-	return (*BoolFuture)(f)
+	return (*BoolFuture)(p.start(clk, futDelete, "", nil))
 }
 
 // interface conformance

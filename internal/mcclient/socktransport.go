@@ -14,17 +14,21 @@ import (
 
 // SockTransport speaks the memcached text protocol over a simulated
 // socket — the unmodified-client path the paper benchmarks on 1GigE,
-// 10GigE-TOE, IPoIB and SDP. Requests are built in one reused scratch
-// with the codec's Append* encoders and leave as a single Write; replies
-// are parsed in place out of the reader's buffer. GetInto is the
-// zero-allocation read; Get allocates exactly the value it returns.
+// 10GigE-TOE, IPoIB and SDP. Set, Delete and GetInto run on blk, a
+// window of one that reuses one future, as UCRTransport's blocking calls
+// do. Every request is built in blk's write buffer, the transport's one request
+// scratch, with the codec's Append* encoders and leaves as a single
+// Write; replies are parsed in place out of the reader's buffer.
+// GetInto is the zero-allocation read; Get allocates exactly the value
+// it returns.
 type SockTransport struct {
 	name string
 	conn *sockstream.Conn
 	r    *bufio.Reader
 
-	req   []byte // request scratch, reused across blocking calls
-	spill []byte // a reply line longer than the reader's buffer
+	blk   sockPipeline // the window of one every blocking call runs on
+	one   future       // blk's future, reused from call to call
+	spill []byte       // a reply line longer than the reader's buffer
 }
 
 // DialSock connects a socket transport with TCP_NODELAY set, as the
@@ -35,32 +39,23 @@ func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, clk
 	if err != nil {
 		return nil, err
 	}
-	return &SockTransport{
+	t := &SockTransport{
 		name: to.Name() + "/" + service,
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 16*1024),
-	}, nil
+	}
+	t.blk = sockPipeline{t: t, window: 1, one: &t.one}
+	return t, nil
 }
 
 // Name identifies the server.
 func (t *SockTransport) Name() string { return t.name }
 
-// scratchCap bounds the request scratch a transport keeps.
-const scratchCap = 64 << 10
-
-// send writes one encoded request — built on t.req[:0] — as a single
-// Write and keeps the buffer for the next one, unless one large set grew
-// it past scratchCap.
+// send writes one encoded request — built on t.blk.wbuf[:0] — as a
+// single Write.
 func (t *SockTransport) send(clk *simnet.VClock, req []byte) error {
-	t.conn.SetClock(clk)
-	_, err := t.conn.Write(req)
-	if t.req = req[:0]; cap(req) > scratchCap {
-		t.req = nil
-	}
-	if err != nil {
-		return ErrServerDown
-	}
-	return nil
+	t.blk.wbuf = req
+	return t.blk.write(clk)
 }
 
 // readLine returns the next reply line; it aliases the reader's buffer
@@ -73,32 +68,9 @@ func (t *SockTransport) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// Set implements Transport: postSet, then settleSet.
+// Set implements Transport: StartSet on the transport's window, then Wait.
 func (t *SockTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	if err := t.postSet(clk, key, flags, exptime, value); err != nil {
-		return 0, err
-	}
-	return t.settleSet(clk)
-}
-
-// postSet and postDelete are the splitWriter post halves: the command
-// goes out in one Write, and its reply is the next one on the stream.
-func (t *SockTransport) postSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) error {
-	return t.send(clk, memcached.AppendTextStore(t.req[:0], memcached.StoreOpSet, key, flags, exptime, value, 0, false))
-}
-
-func (t *SockTransport) postDelete(clk *simnet.VClock, key string) error {
-	return t.send(clk, memcached.AppendTextDelete(t.req[:0], key))
-}
-
-// settleSet and settleDelete are the splitWriter settle halves: they
-// read the posted command's reply off the stream.
-func (t *SockTransport) settleSet(*simnet.VClock) (memcached.StoreResult, error) {
-	return t.readSetReply()
-}
-
-func (t *SockTransport) settleDelete(*simnet.VClock) (bool, error) {
-	return t.readDeleteReply()
+	return t.blk.StartSet(clk, key, flags, exptime, value).Wait(clk)
 }
 
 // readSetReply parses one storage-command answer off the stream.
@@ -125,10 +97,7 @@ func (t *SockTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uin
 // the stream straight into buf and the returned slice aliases it — no
 // allocation. A value too large for buf is returned in a fresh one.
 func (t *SockTransport) GetInto(clk *simnet.VClock, key string, buf []byte) ([]byte, uint32, uint64, bool, error) {
-	if err := t.send(clk, memcached.AppendTextGet(t.req[:0], true, key)); err != nil {
-		return nil, 0, 0, false, err
-	}
-	return t.readGetReply(key, buf)
+	return t.blk.StartGetInto(clk, key, buf).Wait(clk)
 }
 
 // readValue reads the data block a VALUE line announced — n bytes and
@@ -190,7 +159,7 @@ func (t *SockTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string]
 	if len(keys) == 0 {
 		return map[string][]byte{}, nil
 	}
-	if err := t.send(clk, memcached.AppendTextGet(t.req[:0], false, keys...)); err != nil {
+	if err := t.send(clk, memcached.AppendTextGet(t.blk.wbuf[:0], false, keys...)); err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte, len(keys))
@@ -232,12 +201,10 @@ func (t *SockTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string]
 	}
 }
 
-// Delete implements Transport: postDelete, then settleDelete.
+// Delete implements Transport: StartDelete on the transport's window,
+// then Wait.
 func (t *SockTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	if err := t.postDelete(clk, key); err != nil {
-		return false, err
-	}
-	return t.settleDelete(clk)
+	return t.blk.StartDelete(clk, key).Wait(clk)
 }
 
 // readDeleteReply parses one delete answer off the stream.
@@ -251,7 +218,7 @@ func (t *SockTransport) readDeleteReply() (bool, error) {
 
 // IncrDecr implements Transport.
 func (t *SockTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, incr bool) (uint64, bool, bool, error) {
-	if err := t.send(clk, memcached.AppendTextIncrDecr(t.req[:0], incr, key, delta)); err != nil {
+	if err := t.send(clk, memcached.AppendTextIncrDecr(t.blk.wbuf[:0], incr, key, delta)); err != nil {
 		return 0, false, false, err
 	}
 	line, err := t.readLine()
@@ -276,7 +243,7 @@ func (t *SockTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, i
 
 // Stats fetches the server's stats block.
 func (t *SockTransport) Stats(clk *simnet.VClock) (map[string]uint64, error) {
-	if err := t.send(clk, append(t.req[:0], "stats\r\n"...)); err != nil {
+	if err := t.send(clk, append(t.blk.wbuf[:0], "stats\r\n"...)); err != nil {
 		return nil, err
 	}
 	out := make(map[string]uint64)

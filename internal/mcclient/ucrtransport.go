@@ -23,12 +23,13 @@ import (
 // of clobbering the op of whatever request happens to be waiting.
 //
 // One op lifecycle serves every caller: a builder (setOp, readOp,
-// deleteOp, numOp) opens the tagged op and encodes its request, a
-// driver sends it and waits for the reply (do — post, then settle — for
-// blocking calls, a concentrated Session's included, which is this
-// transport behind a lock; SetAll/DeleteAll, which post on every
-// transport before settling any; ucrPipeline for windows), a result
-// reader decodes what landed, and finishOp retires it.
+// deleteOp, numOp) opens the tagged op and encodes its request, the one
+// driver — ucrPipeline's push, then waitFor — sends it and waits for the
+// reply, a result reader decodes what landed, and finishOp retires it.
+// A blocking call, a concentrated Session's included (this transport
+// behind a lock), runs on blk, a window of one that reuses one future;
+// SetAll/DeleteAll start on every transport's blk before waiting on
+// any; Pipeline opens wider windows.
 type UCRTransport struct {
 	name    string
 	rt      *ucr.Runtime
@@ -43,8 +44,8 @@ type UCRTransport struct {
 	udEP *ucr.Endpoint
 
 	freeOps []*amOp
-	lastOp  *amOp // the op opened last: a blocking call's one op in flight
-	posted  *amOp // a split write between its post and its settle
+	blk     ucrPipeline // the window of one every blocking call runs on
+	one     future      // blk's future, reused from call to call
 
 	os    osState // one-sided GET fast path (see onesided.go)
 	wr    wrState // write-based reply arena (see wrreply.go)
@@ -146,6 +147,7 @@ func DialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string,
 		ep:      ep,
 		timeout: behaviors.OpTimeout,
 	}
+	t.blk = ucrPipeline{t: t, window: 1, one: &t.one}
 	ep.UserData = t
 	return t, nil
 }
@@ -244,7 +246,7 @@ func (t *UCRTransport) landingBuf(op *amOp, dataLen int) []byte {
 	case op != nil:
 		op.landing++
 	case t.dupVictim(t.udEP) != nil: // mutation build: clobber a live op
-		op = t.lastOp
+		op = t.one.op
 	default:
 		return t.ctx.Buf(dataLen)
 	}
@@ -269,14 +271,14 @@ func (t *UCRTransport) land(op *amOp, n int) {
 // reply whose tag names no op (a late duplicate from a retransmitted UD
 // request whose original answer also arrived), it "accepts it twice" by
 // routing it into the live op — exactly the clobbering the tagged
-// counters prevent. UD rides blocking calls only, so that op is the one
-// opened last, unless it has been retired. Always nil in a normal
+// counters prevent. UD rides blocking calls only, so that op is the
+// blocking window's, unless it has been retired. Always nil in a normal
 // build; only meaningful when a UD endpoint exists (ep non-nil).
 func (t *UCRTransport) dupVictim(ep *ucr.Endpoint) *amOp {
-	if !memcached.MutUDDupAck || ep == nil || t.lastOp == nil || t.lastOp.ctr == nil {
+	if !memcached.MutUDDupAck || ep == nil || t.one.op == nil || t.one.op.ctr == nil {
 		return nil
 	}
-	return t.lastOp
+	return t.one.op
 }
 
 // newOp opens a tagged request around a fresh counter that carries it,
@@ -295,7 +297,6 @@ func (t *UCRTransport) newOp(clk *simnet.VClock) *amOp {
 	op.tag = op.ctr.ID()
 	op.ep = t.ep
 	op.clk = clk
-	t.lastOp = op
 	return op
 }
 
@@ -397,34 +398,11 @@ func (t *UCRTransport) armExchange(clk *simnet.VClock, req memcached.ArmReq) (me
 }
 
 // do sends op and blocks on its counter (§V-B: "a blocking call with
-// client specified timeout"): post, then settle. On error the op is
-// retired; on success the caller reads the slot and retires it.
+// client specified timeout"): one start and one wait on the transport's
+// window of one. On error the op is retired; on success the caller
+// reads the slot and retires it.
 func (t *UCRTransport) do(clk *simnet.VClock, op *amOp) error {
-	if err := t.post(op); err != nil {
-		return err
-	}
-	return t.settle(clk, op)
-}
-
-// post is a call's non-blocking half (§V-B): it puts op's request on the
-// wire and returns. A send that fails retires the op.
-func (t *UCRTransport) post(op *amOp) error {
-	if op.sendAM() != nil {
-		t.finishOp(op)
-		return ErrServerDown
-	}
-	return nil
-}
-
-// settle is a call's blocking half: waitDone on a posted op, one
-// completion at a time. On error the op is retired; on success the
-// caller reads the slot and retires it.
-func (t *UCRTransport) settle(clk *simnet.VClock, op *amOp) error {
-	err := t.waitDone(clk, op, 1)
-	if err != nil {
-		t.finishOp(op)
-	}
-	return err
+	return t.blk.start(clk, futOp, op).wait(clk)
 }
 
 // perAttempt splits the op timeout across the retry budget.
@@ -443,17 +421,16 @@ func (t *UCRTransport) perAttempt(attempts int) simnet.Duration {
 // before it declares the endpoint dead (§IV-A corrective action).
 const amRetries = 3
 
-// waitDone is the one wait for a sent op — do's, and a pipelined
-// window's, whose ops went out as they were admitted. It drives progress,
-// draining the CQ in batches of at most batch. A timed-out request is
-// re-sent up to amRetries times — the per-attempt wait is the op timeout
-// split across attempts, so the overall deadline holds; on the UD
-// endpoint, where datagram loss is silent, that is the client-side
-// retransmission (the tag routes the reply; a late duplicate lands
-// apart and is dropped). Only after the budget is exhausted is the
-// endpoint marked failed (§IV-A: the client decides the server has gone
-// down, isolating this endpoint without touching the runtime). The
-// caller owns retiring the op.
+// waitDone is the one wait for a sent op, whose request went out when
+// its window admitted it. It drives progress, draining the CQ in batches
+// of at most batch. A timed-out request is re-sent up to amRetries
+// times — the per-attempt wait is the op timeout split across attempts,
+// so the overall deadline holds; on the UD endpoint, where datagram loss
+// is silent, that is the client-side retransmission (the tag routes the
+// reply; a late duplicate lands apart and is dropped). Only after the
+// budget is exhausted is the endpoint marked failed (§IV-A: the client
+// decides the server has gone down, isolating this endpoint without
+// touching the runtime). The caller owns retiring the op.
 func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 	if op.ctr.Value() >= 1 {
 		return nil
@@ -628,56 +605,9 @@ func (t *UCRTransport) mgetResult(op *amOp, out map[string][]byte) error {
 
 // ---- blocking calls (Transport) ---------------------------------------
 
-// Set implements Transport: postSet, then settleSet.
+// Set implements Transport: StartSet on the transport's window, then Wait.
 func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	if err := t.postSet(clk, key, flags, exptime, value); err != nil {
-		return 0, err
-	}
-	return t.settleSet(clk)
-}
-
-// postSet and postDelete are the splitWriter post halves: the request
-// goes out and the op waits in t.posted for its settle.
-func (t *UCRTransport) postSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) error {
-	return t.postWrite(t.setOp(clk, key, flags, exptime, value))
-}
-
-func (t *UCRTransport) postDelete(clk *simnet.VClock, key string) error {
-	return t.postWrite(t.deleteOp(clk, key))
-}
-
-func (t *UCRTransport) postWrite(op *amOp) error {
-	if err := t.post(op); err != nil {
-		return err
-	}
-	t.posted = op
-	return nil
-}
-
-// settleWrite takes the posted write and settles it; the caller reads
-// the slot and retires it.
-func (t *UCRTransport) settleWrite(clk *simnet.VClock) (*amOp, error) {
-	op := t.posted
-	t.posted = nil
-	return op, t.settle(clk, op)
-}
-
-func (t *UCRTransport) settleSet(clk *simnet.VClock) (memcached.StoreResult, error) {
-	op, err := t.settleWrite(clk)
-	if err != nil {
-		return 0, err
-	}
-	defer t.finishOp(op)
-	return op.stored(), nil
-}
-
-func (t *UCRTransport) settleDelete(clk *simnet.VClock) (bool, error) {
-	op, err := t.settleWrite(clk)
-	if err != nil {
-		return false, err
-	}
-	defer t.finishOp(op)
-	return op.deleted(), nil
+	return t.blk.StartSet(clk, key, flags, exptime, value).Wait(clk)
 }
 
 // read issues one GET/MGET and blocks for its reply; the caller reads
@@ -785,12 +715,10 @@ func (t *UCRTransport) GetMultiInto(clk *simnet.VClock, keys []string, buf []byt
 	return out, nil
 }
 
-// Delete implements Transport: postDelete, then settleDelete.
+// Delete implements Transport: StartDelete on the transport's window,
+// then Wait.
 func (t *UCRTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	if err := t.postDelete(clk, key); err != nil {
-		return false, err
-	}
-	return t.settleDelete(clk)
+	return t.blk.StartDelete(clk, key).Wait(clk)
 }
 
 // IncrDecr implements Transport.
