@@ -12,12 +12,13 @@ tier2:
 	go vet ./...
 	go test -race ./...
 
-# The quick subset of tier2 to run after touching the datapath: the race
-# detector over the layers every op crosses (20 s against two minutes).
-# CI runs tier2, which covers it.
+# The subset of tier2 to run after touching the datapath: the race
+# detector over the layers every op crosses, the cluster's goroutine
+# clients and the frozen benchmark's goroutine hand-offs (under two
+# minutes, most of it ./benchmark). CI runs tier2, which covers it.
 race-datapath:
 	go vet ./...
-	go test -race ./internal/simnet ./internal/sockstream ./internal/memcached ./internal/mcclient
+	go test -race ./internal/simnet ./internal/sockstream ./internal/verbs ./internal/ucr ./internal/memcached ./internal/mcclient ./internal/cluster ./benchmark
 
 # Same seed, same bytes: the benchmark's own reproducibility check (the
 # virtual metrics of its single-client workloads must be bit-identical
@@ -135,6 +136,9 @@ check-no-wallclock:
 #    nothing prints, no accessor without a caller.
 #  - a pool is a ring: no second key→server rule (modula and its FNV
 #    hash) and no dead/live index lists beside the ring's membership.
+#  - one owner per deployment: no mutex or atomic type in verbs, ucr or
+#    sockstream beyond the store's memory guard and the endpoint seeds
+#    clones share, and no mutex in simnet outside the executor.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -149,6 +153,7 @@ internal cmd examples	InlineMax|ErrInlineLimit|NagleDelay|RTORetries|CoalescedPo
 internal cmd examples	\b(Inline|Imm)(:|[[:space:]]+(bool|u?int[0-9]*)\b)|\.(Inline|Imm)\b	^$$	inline or immediate-data work-request field under internal/ cmd/ examples/
 internal cmd examples *_test.go	func Benchmark(Fig|Ablation)|WriteCSV|TouchHits|TouchMisses|touchHits|touchMisses|^func \([a-z]+ \*(Ring\) Has|Server\) Workers|Store\) Recording|SockTransport\) Conn|QP\) Remote|Conn\) Provider|Fabric\) Faults|FaultInjector\) Config|Fleet\) Size|(Runtime|HCA)\) Node)\(	^$$	golden-cell benchmark, CSV writer, touch counter or uncalled accessor under internal/ cmd/ examples/ or the root tests
 internal cmd examples *_test.go	DistModula|DistKetama|\bDistribution\b|\bkeyHash\b|liveIdx	^$$	second key→server rule or live-index list under internal/ cmd/ examples/ or the root tests
+internal/verbs internal/ucr internal/sockstream internal/simnet	sync\.(RW)?Mutex|atomic\.[A-Z]	_test\.go:|^internal/simnet/executor\.go:|^internal/simnet/[a-z]+\.go:[0-9]+:.*atomic\.|endpointSeeds|\) seeds\(\)|[gG]uard	lock or atomic beneath the deployment owner under internal/verbs, ucr, sockstream or simnet
 internal cmd examples *_test.go	splitWriter|postSet|postDelete|settleSet|settleDelete|settleWrite|postWrite|t\.posted\b|posted +\*amOp|lastOp|\bWindow\(\) int	^$$	second op driver (post/settle split, posted slot, last-op victim) or Pipeline.Window under internal/ cmd/ examples/ or the root tests
 endef
 export GONE

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mcclient"
 	"repro/internal/memcached"
@@ -136,12 +135,6 @@ type Deployment struct {
 	providers map[Transport]*sockstream.Provider
 	clients   int
 	trunks    []*trunk
-
-	// mu guards the server slices and client counter for runtime
-	// membership changes (Fleet.Join adds servers mid-traffic while
-	// other goroutines drive load; the historical slice sizing assumed
-	// the fixed Options.Servers count set at New time).
-	mu sync.Mutex
 }
 
 // trunk is one connection-concentrator queue-pair group
@@ -207,12 +200,10 @@ func New(p *Profile, opts Options) *Deployment {
 // AddServer brings up one more memcached server at runtime — node,
 // fabric attachments, socket listeners, UCR frontend — and returns its
 // index. The fleet layer calls this for churn joins while traffic is
-// running; Network.AddNode and Fabric.Attach are lock-guarded, so the
-// new server becomes reachable without quiescing anything. Panics on
-// listener setup failure, like New.
+// running, holding the deployment (owned), so the new server becomes
+// reachable without quiescing anything. Panics on listener setup
+// failure, like New.
 func (d *Deployment) AddServer(name string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	i := len(d.Servers)
 	node := d.Network.AddNode(name)
 	d.IB.Attach(node)
@@ -287,8 +278,12 @@ type seat struct {
 }
 
 // attach adds a client node (its own machine, like the paper's client
-// placement) and seats it on transport t.
+// placement) and seats it on transport t, holding the deployment: other
+// clients may already drive traffic.
 func (d *Deployment) attach(name string, t Transport) seat {
+	ex := d.Network.Executor()
+	ex.Enter()
+	defer ex.Exit()
 	s := seat{t: t, node: d.Network.AddNode(name)}
 	if t == UCRIB {
 		s.rt = ucr.New(verbs.NewHCA(s.node, d.IB, d.Profile.HCA), d.CM, d.Profile.UCR)
@@ -299,30 +294,49 @@ func (d *Deployment) attach(name string, t Transport) seat {
 	return s
 }
 
-// dial connects a seat to server i (srv is its node). A UCR connection
-// then gets what d.Opts asks for, whoever the seat belongs to: one
-// capability exchange arms one-sided GETs and write replies (nothing is
-// sent when neither is on), and the UD small-get mode dials its datagram
-// endpoint beside the reliable one.
+// owned runs fn holding the deployment (simnet.Executor.Enter): the
+// membership changes and dials a fleet makes while other goroutines
+// drive traffic. fn must not call an entry point that takes it again.
+func (d *Deployment) owned(fn func()) {
+	ex := d.Network.Executor()
+	ex.Enter()
+	defer ex.Exit()
+	fn()
+}
+
+// dial connects a seat to server i (srv is its node), holding the
+// deployment for the whole handshake. A UCR connection then gets what
+// d.Opts asks for, whoever the seat belongs to: one capability exchange
+// arms one-sided GETs and write replies (nothing is sent when neither
+// is on), and the UD small-get mode dials its datagram endpoint beside
+// the reliable one.
 func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors, clk *simnet.VClock) (mcclient.Transport, error) {
-	if s.t != UCRIB {
-		return mcclient.DialSock(d.providers[s.t], s.node, srv, serviceFor(s.t), clk)
-	}
-	ut, err := mcclient.DialUCR(s.rt, s.ctx, srv, ucrServiceFor(i), b, clk)
-	if err != nil {
-		return nil, err
-	}
-	if err = ut.Arm(clk, d.Opts.OneSidedGet, d.Opts.WriteReplies); err == nil && d.Opts.UDGets {
-		var udep *ucr.Endpoint
-		if udep, err = s.rt.Dial(s.ctx, srv, ucrServiceFor(i), ucr.Unreliable, clk, 0); err == nil {
-			ut.EnableUD(udep)
+	var tr mcclient.Transport
+	var ut *mcclient.UCRTransport
+	var err error
+	d.owned(func() {
+		if s.t != UCRIB {
+			tr, err = mcclient.DialSock(d.providers[s.t], s.node, srv, serviceFor(s.t), clk)
+			return
 		}
-	}
+		if ut, err = mcclient.DialUCR(s.rt, s.ctx, srv, ucrServiceFor(i), b, clk); err != nil {
+			return
+		}
+		tr = ut
+		if err = ut.Arm(clk, d.Opts.OneSidedGet, d.Opts.WriteReplies); err == nil && d.Opts.UDGets {
+			var udep *ucr.Endpoint
+			if udep, err = s.rt.Dial(s.ctx, srv, ucrServiceFor(i), ucr.Unreliable, clk, 0); err == nil {
+				ut.EnableUD(udep)
+			}
+		}
+	})
 	if err != nil {
-		ut.Close()
+		if ut != nil {
+			ut.Close()
+		}
 		return nil, err
 	}
-	return ut, nil
+	return tr, nil
 }
 
 // NewClient adds a client and connects it to every server over transport
@@ -407,8 +421,17 @@ func (c *Client) Runtime() *ucr.Runtime { return c.rt }
 func (c *Client) Close() {
 	c.MC.Close()
 	if c.ctx != nil {
-		c.ctx.Destroy()
+		destroy(c.ctx)
 	}
+}
+
+// destroy tears a client progress context down, holding its deployment:
+// its endpoints are their servers' peers.
+func destroy(ctx *ucr.Context) {
+	ex := ctx.Runtime().HCA().Fabric().Executor()
+	ex.Enter()
+	defer ex.Exit()
+	ctx.Destroy()
 }
 
 // Close stops every server and tears down any concentrator trunks
@@ -418,7 +441,7 @@ func (d *Deployment) Close() {
 		for _, m := range tr.muxes {
 			m.Close()
 		}
-		tr.ctx.Destroy()
+		destroy(tr.ctx)
 	}
 	d.trunks = nil
 	for _, srv := range d.Servers {

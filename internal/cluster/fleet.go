@@ -168,14 +168,18 @@ func (f *Fleet) Join() string {
 	f.nextServer++
 	f.mu.Unlock()
 
-	// Bring the server up outside f.mu: AddServer synchronizes on the
-	// deployment and the network, and holding f.mu across it would stall
-	// every concurrent routing decision.
-	idx := f.D.AddServer(name)
+	// Bring the server up outside f.mu: AddServer holds the deployment,
+	// and holding f.mu across it would stall every concurrent routing
+	// decision.
+	var m *fleetMember
+	f.D.owned(func() {
+		idx := f.D.AddServer(name)
+		m = &fleetMember{name: name, idx: idx, node: f.D.ServerNodes[idx], srv: f.D.Servers[idx]}
+	})
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.members[name] = &fleetMember{name: name, idx: idx, node: f.D.ServerNodes[idx], srv: f.D.Servers[idx]}
+	f.members[name] = m
 	f.ring.AddServer(name)
 	f.joins++
 	return name
@@ -219,11 +223,13 @@ func (f *Fleet) Crash(name string) bool {
 	clients := append([]*simnet.Node(nil), f.clientNodes...)
 	f.mu.Unlock()
 
-	for _, fi := range f.D.Injectors {
-		for _, cn := range clients {
-			fi.Partition(cn, m.node)
+	f.D.owned(func() {
+		for _, fi := range f.D.Injectors {
+			for _, cn := range clients {
+				fi.Partition(cn, m.node)
+			}
 		}
-	}
+	})
 	m.srv.Close()
 	return true
 }
@@ -607,7 +613,7 @@ func (c *FleetClient) Close() {
 	}
 	c.conns = nil
 	if c.seat.ctx != nil {
-		c.seat.ctx.Destroy()
+		destroy(c.seat.ctx)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 
 // StoreOp implements Transport over one AMStore round trip.
 func (t *UCRTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags uint32, exptime int64, value []byte, casID uint64) (memcached.StoreResult, error) {
+	t.ex.Enter()
+	defer t.ex.Exit()
 	o := t.newOp(clk)
 	o.msg, o.val = memcached.AMStore, value
 	o.hdr = memcached.AppendStoreReq(o.hdr, memcached.StoreReq{
@@ -26,6 +28,8 @@ func (t *SockTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags 
 	if memcached.StoreVerb(op) == "" {
 		return 0, fmt.Errorf("mcclient: unknown store op %d", op)
 	}
+	t.ex.Enter()
+	defer t.ex.Exit()
 	req := memcached.AppendTextStore(t.blk.wbuf[:0], op, key, flags, exptime, value, casID, false)
 	if err := t.send(clk, req); err != nil {
 		return 0, err

@@ -23,6 +23,10 @@ import (
 // connection: while a window is outstanding, do not interleave blocking
 // Transport calls on the same transport. Futures may be waited in any
 // order (or dropped — Wait settles everything).
+//
+// Every Start, Flush and Wait — a pipeline's or a future's — is an entry
+// point of the deployment: it takes the transport's executor once
+// (simnet.Executor.Enter) and holds it through the call's waits.
 
 // Pipeliner is implemented by transports that support windowed
 // pipelining.
@@ -96,9 +100,10 @@ const (
 )
 
 // futureWaiter is the pipeline side of Wait: drive the connection until
-// f is done.
+// f is done, holding the deployment owner() names.
 type futureWaiter interface {
 	waitFor(clk *simnet.VClock, f *future)
+	owner() *simnet.Executor
 }
 
 // wait drives the pipeline until f is done: a GET settled with its
@@ -116,6 +121,14 @@ type GetFuture future
 // Wait settles the future (driving the pipeline as needed) and returns
 // the get outcome, mirroring Transport.Get.
 func (f *GetFuture) Wait(clk *simnet.VClock) ([]byte, uint32, uint64, bool, error) {
+	ex := f.pipe.owner()
+	ex.Enter()
+	defer ex.Exit()
+	return f.result(clk)
+}
+
+// result is Wait for a caller that holds the deployment.
+func (f *GetFuture) result(clk *simnet.VClock) ([]byte, uint32, uint64, bool, error) {
 	(*future)(f).wait(clk)
 	return f.value, f.flags, f.cas, f.hit, f.err
 }
@@ -125,6 +138,14 @@ type SetFuture future
 
 // Wait settles the future and returns the store outcome.
 func (f *SetFuture) Wait(clk *simnet.VClock) (memcached.StoreResult, error) {
+	ex := f.pipe.owner()
+	ex.Enter()
+	defer ex.Exit()
+	return f.result(clk)
+}
+
+// result is Wait for a caller that holds the deployment.
+func (f *SetFuture) result(clk *simnet.VClock) (memcached.StoreResult, error) {
 	(*future)(f).wait(clk)
 	return f.res, f.err
 }
@@ -134,6 +155,14 @@ type BoolFuture future
 
 // Wait settles the future and returns the outcome.
 func (f *BoolFuture) Wait(clk *simnet.VClock) (bool, error) {
+	ex := f.pipe.owner()
+	ex.Enter()
+	defer ex.Exit()
+	return f.result(clk)
+}
+
+// result is Wait for a caller that holds the deployment.
+func (f *BoolFuture) result(clk *simnet.VClock) (bool, error) {
 	(*future)(f).wait(clk)
 	return f.ok, f.err
 }
@@ -233,8 +262,14 @@ func (p *ucrPipeline) push(clk *simnet.VClock, e *future) {
 // window's worth of issue time.
 func (p *ucrPipeline) halfWindow() int { return (p.window + 1) / 2 }
 
+func (p *ucrPipeline) owner() *simnet.Executor { return p.t.ex }
+
 // Flush has nothing to push: every admitted request is already posted.
-func (p *ucrPipeline) Flush(*simnet.VClock) error { return p.err }
+func (p *ucrPipeline) Flush(*simnet.VClock) error {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
+	return p.err
+}
 
 func (p *ucrPipeline) fail(err error) {
 	if p.err == nil {
@@ -301,6 +336,8 @@ func (p *ucrPipeline) remove(e *future) {
 
 // Wait settles everything outstanding.
 func (p *ucrPipeline) Wait(clk *simnet.VClock) error {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
 	for len(p.q) > 0 {
 		p.waitFor(clk, p.q[0])
 	}
@@ -309,10 +346,14 @@ func (p *ucrPipeline) Wait(clk *simnet.VClock) error {
 }
 
 func (p *ucrPipeline) StartGet(clk *simnet.VClock, key string) *GetFuture {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
 	return p.startGet(clk, key, nil)
 }
 
 func (p *ucrPipeline) StartGetInto(clk *simnet.VClock, key string, buf []byte) *GetFuture {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
 	return p.startGet(clk, key, buf)
 }
 
@@ -323,10 +364,22 @@ func (p *ucrPipeline) startGet(clk *simnet.VClock, key string, lend []byte) *Get
 }
 
 func (p *ucrPipeline) StartSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
+	return p.startSet(clk, key, flags, exptime, value)
+}
+
+func (p *ucrPipeline) startSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
 	return (*SetFuture)(p.start(clk, futSet, p.t.setOp(clk, key, flags, exptime, value)))
 }
 
 func (p *ucrPipeline) StartDelete(clk *simnet.VClock, key string) *BoolFuture {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
+	return p.startDelete(clk, key)
+}
+
+func (p *ucrPipeline) startDelete(clk *simnet.VClock, key string) *BoolFuture {
 	return (*BoolFuture)(p.start(clk, futDelete, p.t.deleteOp(clk, key)))
 }
 

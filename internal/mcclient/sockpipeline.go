@@ -54,12 +54,21 @@ func (p *sockPipeline) push(clk *simnet.VClock, f *future) {
 	p.q = append(p.q, f)
 	p.pend = append(p.pend, f)
 	if len(p.pend) >= p.window {
-		p.Flush(clk)
+		p.flush(clk)
 	}
 }
 
+func (p *sockPipeline) owner() *simnet.Executor { return p.t.ex }
+
 // Flush writes every queued request in one Write call.
 func (p *sockPipeline) Flush(clk *simnet.VClock) error {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
+	return p.flush(clk)
+}
+
+// flush is Flush for a caller that holds the deployment.
+func (p *sockPipeline) flush(clk *simnet.VClock) error {
 	if len(p.pend) == 0 {
 		return nil
 	}
@@ -107,7 +116,7 @@ func (p *sockPipeline) settleHead(clk *simnet.VClock) {
 	p.q[last] = nil
 	p.q = p.q[:last]
 	if !f.sent {
-		p.Flush(clk)
+		p.flush(clk)
 	}
 	if f.failed || p.err != nil {
 		f.err, f.done = ErrServerDown, true
@@ -146,7 +155,9 @@ func (p *sockPipeline) waitFor(clk *simnet.VClock, f *future) {
 
 // Wait flushes and settles everything outstanding.
 func (p *sockPipeline) Wait(clk *simnet.VClock) error {
-	p.Flush(clk)
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
+	p.flush(clk)
 	for len(p.q) > 0 {
 		p.settleHead(clk)
 	}
@@ -158,16 +169,34 @@ func (p *sockPipeline) StartGet(clk *simnet.VClock, key string) *GetFuture {
 }
 
 func (p *sockPipeline) StartGetInto(clk *simnet.VClock, key string, buf []byte) *GetFuture {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
+	return p.startGet(clk, key, buf)
+}
+
+func (p *sockPipeline) startGet(clk *simnet.VClock, key string, buf []byte) *GetFuture {
 	p.wbuf = memcached.AppendTextGet(p.wbuf, true, key)
 	return (*GetFuture)(p.start(clk, futGet, key, buf))
 }
 
 func (p *sockPipeline) StartSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
+	return p.startSet(clk, key, flags, exptime, value)
+}
+
+func (p *sockPipeline) startSet(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) *SetFuture {
 	p.wbuf = memcached.AppendTextStore(p.wbuf, memcached.StoreOpSet, key, flags, exptime, value, 0, false)
 	return (*SetFuture)(p.start(clk, futSet, "", nil))
 }
 
 func (p *sockPipeline) StartDelete(clk *simnet.VClock, key string) *BoolFuture {
+	p.t.ex.Enter()
+	defer p.t.ex.Exit()
+	return p.startDelete(clk, key)
+}
+
+func (p *sockPipeline) startDelete(clk *simnet.VClock, key string) *BoolFuture {
 	p.wbuf = memcached.AppendTextDelete(p.wbuf, key)
 	return (*BoolFuture)(p.start(clk, futDelete, "", nil))
 }

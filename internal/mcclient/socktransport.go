@@ -23,6 +23,7 @@ import (
 // it returns.
 type SockTransport struct {
 	name string
+	ex   *simnet.Executor // the deployment every exported call takes
 	conn *sockstream.Conn
 	r    *bufio.Reader
 
@@ -33,7 +34,8 @@ type SockTransport struct {
 
 // DialSock connects a socket transport with TCP_NODELAY set, as the
 // paper's evaluation does (§VI) and the server does on its side. The
-// handshake cost lands on clk.
+// handshake cost lands on clk. A dial is setup: its caller holds the
+// deployment, or no other goroutine drives it yet.
 func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, clk *simnet.VClock) (*SockTransport, error) {
 	conn, err := p.Dial(from, to, service, clk, 0)
 	if err != nil {
@@ -41,6 +43,7 @@ func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, clk
 	}
 	t := &SockTransport{
 		name: to.Name() + "/" + service,
+		ex:   p.Fabric.Executor(),
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 16*1024),
 	}
@@ -70,7 +73,9 @@ func (t *SockTransport) readLine() ([]byte, error) {
 
 // Set implements Transport: StartSet on the transport's window, then Wait.
 func (t *SockTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	return t.blk.StartSet(clk, key, flags, exptime, value).Wait(clk)
+	t.ex.Enter()
+	defer t.ex.Exit()
+	return t.blk.startSet(clk, key, flags, exptime, value).result(clk)
 }
 
 // readSetReply parses one storage-command answer off the stream.
@@ -97,7 +102,9 @@ func (t *SockTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uin
 // the stream straight into buf and the returned slice aliases it — no
 // allocation. A value too large for buf is returned in a fresh one.
 func (t *SockTransport) GetInto(clk *simnet.VClock, key string, buf []byte) ([]byte, uint32, uint64, bool, error) {
-	return t.blk.StartGetInto(clk, key, buf).Wait(clk)
+	t.ex.Enter()
+	defer t.ex.Exit()
+	return t.blk.startGet(clk, key, buf).result(clk)
 }
 
 // readValue reads the data block a VALUE line announced — n bytes and
@@ -159,6 +166,8 @@ func (t *SockTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string]
 	if len(keys) == 0 {
 		return map[string][]byte{}, nil
 	}
+	t.ex.Enter()
+	defer t.ex.Exit()
 	if err := t.send(clk, memcached.AppendTextGet(t.blk.wbuf[:0], false, keys...)); err != nil {
 		return nil, err
 	}
@@ -204,7 +213,9 @@ func (t *SockTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string]
 // Delete implements Transport: StartDelete on the transport's window,
 // then Wait.
 func (t *SockTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	return t.blk.StartDelete(clk, key).Wait(clk)
+	t.ex.Enter()
+	defer t.ex.Exit()
+	return t.blk.startDelete(clk, key).result(clk)
 }
 
 // readDeleteReply parses one delete answer off the stream.
@@ -218,6 +229,8 @@ func (t *SockTransport) readDeleteReply() (bool, error) {
 
 // IncrDecr implements Transport.
 func (t *SockTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, incr bool) (uint64, bool, bool, error) {
+	t.ex.Enter()
+	defer t.ex.Exit()
 	if err := t.send(clk, memcached.AppendTextIncrDecr(t.blk.wbuf[:0], incr, key, delta)); err != nil {
 		return 0, false, false, err
 	}
@@ -243,6 +256,8 @@ func (t *SockTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, i
 
 // Stats fetches the server's stats block.
 func (t *SockTransport) Stats(clk *simnet.VClock) (map[string]uint64, error) {
+	t.ex.Enter()
+	defer t.ex.Exit()
 	if err := t.send(clk, append(t.blk.wbuf[:0], "stats\r\n"...)); err != nil {
 		return nil, err
 	}
@@ -265,4 +280,8 @@ func (t *SockTransport) Stats(clk *simnet.VClock) (map[string]uint64, error) {
 }
 
 // Close implements Transport.
-func (t *SockTransport) Close() { t.conn.Close() }
+func (t *SockTransport) Close() {
+	t.ex.Enter()
+	defer t.ex.Exit()
+	t.conn.Close()
+}

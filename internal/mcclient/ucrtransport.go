@@ -26,12 +26,14 @@ import (
 // deleteOp, numOp) opens the tagged op and encodes its request, the one
 // driver — ucrPipeline's push, then waitFor — sends it and waits for the
 // reply, a result reader decodes what landed, and finishOp retires it.
-// A blocking call, a concentrated Session's included (this transport
-// behind a lock), runs on blk, a window of one that reuses one future;
-// SetAll/DeleteAll start on every transport's blk before waiting on
-// any; Pipeline opens wider windows.
+// A blocking call, a concentrated Session's included, runs on blk, a
+// window of one that reuses one future; SetAll/DeleteAll start on every
+// transport's blk before waiting on any; Pipeline opens wider windows.
+// Every exported call but the dial-time Arm and EnableUD takes the
+// deployment once (simnet.Executor.Enter) and holds it throughout.
 type UCRTransport struct {
 	name    string
+	ex      *simnet.Executor // the deployment every exported call takes
 	rt      *ucr.Runtime
 	ctx     *ucr.Context
 	ep      *ucr.Endpoint
@@ -133,7 +135,9 @@ func (op *amOp) sendAM() error {
 }
 
 // DialUCR establishes a reliable UCR endpoint to a memcached server and
-// installs the reply handlers on the client runtime (idempotent).
+// installs the reply handlers on the client runtime (idempotent). A dial
+// is setup: its caller holds the deployment, or no other goroutine
+// drives it yet; so are Arm and EnableUD, which complete one.
 func DialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string, behaviors Behaviors, clk *simnet.VClock) (*UCRTransport, error) {
 	RegisterClientHandlers(rt)
 	ep, err := rt.Dial(ctx, to, service, ucr.Reliable, clk, 0)
@@ -142,6 +146,7 @@ func DialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string,
 	}
 	t := &UCRTransport{
 		name:    to.Name() + "/" + service,
+		ex:      rt.HCA().Fabric().Executor(),
 		rt:      rt,
 		ctx:     ctx,
 		ep:      ep,
@@ -607,7 +612,9 @@ func (t *UCRTransport) mgetResult(op *amOp, out map[string][]byte) error {
 
 // Set implements Transport: StartSet on the transport's window, then Wait.
 func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	return t.blk.StartSet(clk, key, flags, exptime, value).Wait(clk)
+	t.ex.Enter()
+	defer t.ex.Exit()
+	return t.blk.startSet(clk, key, flags, exptime, value).result(clk)
 }
 
 // read issues one GET/MGET and blocks for its reply; the caller reads
@@ -652,6 +659,8 @@ func (t *UCRTransport) get(clk *simnet.VClock, key string, lend []byte, own bool
 
 // Get implements Transport.
 func (t *UCRTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
+	t.ex.Enter()
+	defer t.ex.Exit()
 	return t.get(clk, key, nil, true)
 }
 
@@ -660,6 +669,8 @@ func (t *UCRTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint
 // returned slice aliases buf — no allocation and no copy on the hot
 // path. A value too large for buf is returned in a fresh allocation.
 func (t *UCRTransport) GetInto(clk *simnet.VClock, key string, buf []byte) ([]byte, uint32, uint64, bool, error) {
+	t.ex.Enter()
+	defer t.ex.Exit()
 	return t.get(clk, key, buf, false)
 }
 
@@ -695,6 +706,8 @@ func (t *UCRTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string][
 // them before reusing buf. The keys go out as mget AMs of mgetBatch keys
 // each; the lent buffer is consumed front to back across them.
 func (t *UCRTransport) GetMultiInto(clk *simnet.VClock, keys []string, buf []byte) (map[string][]byte, error) {
+	t.ex.Enter()
+	defer t.ex.Exit()
 	out := make(map[string][]byte, len(keys))
 	for len(keys) > 0 {
 		n := t.mgetBatch(keys)
@@ -718,11 +731,15 @@ func (t *UCRTransport) GetMultiInto(clk *simnet.VClock, keys []string, buf []byt
 // Delete implements Transport: StartDelete on the transport's window,
 // then Wait.
 func (t *UCRTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	return t.blk.StartDelete(clk, key).Wait(clk)
+	t.ex.Enter()
+	defer t.ex.Exit()
+	return t.blk.startDelete(clk, key).result(clk)
 }
 
 // IncrDecr implements Transport.
 func (t *UCRTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, incr bool) (uint64, bool, bool, error) {
+	t.ex.Enter()
+	defer t.ex.Exit()
 	op := t.numOp(clk, key, delta, incr)
 	if err := t.do(clk, op); err != nil {
 		return 0, false, false, err
@@ -733,6 +750,8 @@ func (t *UCRTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, in
 
 // Close implements Transport.
 func (t *UCRTransport) Close() {
+	t.ex.Enter()
+	defer t.ex.Exit()
 	if t.wr.win != nil {
 		t.wr.free = nil // no slot is advertised from here on
 		t.wr.win.Close()

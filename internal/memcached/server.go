@@ -99,6 +99,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 type Server struct {
 	cfg   ServerConfig
 	store *Store
+	ex    *simnet.Executor // the deployment Close takes
 
 	workers []*worker
 	nextW   int
@@ -170,7 +171,7 @@ type pendingPin struct {
 // workers are actors on ex, the executor of the network it will serve.
 func NewServer(ex *simnet.Executor, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, store: NewStore(cfg.Store)}
+	s := &Server{cfg: cfg, store: NewStore(cfg.Store), ex: ex}
 	s.store.opCost, s.store.copyRate = cfg.OpCost, cfg.CopyBytesPerSec
 	s.disp = ex.NewActor(s.dispatch)
 	for i := 0; i < cfg.Workers; i++ {
@@ -298,11 +299,15 @@ func (s *Server) dispatch() {
 // Close shuts the server down synchronously: the dispatcher retires (so
 // no connection is seated afterwards), listeners close, every connection
 // closes — waking its peer's reads with EOF — and each worker retires and
-// destroys its UCR context. No step runs after it returns.
+// destroys its UCR context. No step runs after it returns. It holds the
+// deployment (simnet.Executor.Enter) throughout: closing a connection
+// reaches into its client's endpoint.
 func (s *Server) Close() {
 	if s.stopped.Swap(true) {
 		return
 	}
+	s.ex.Enter()
+	defer s.ex.Exit()
 	s.disp.Stop()
 	for _, sl := range s.sockLis {
 		sl.lis.Close()

@@ -219,9 +219,13 @@ func shardFor[K wireKey](s *Store, key K) *shard {
 // in-flight holds, and the returned wait is the queueing delay the
 // caller must add to its clock. Uncontended acquisitions (single
 // worker, single client, or untouched stripes) return 0, leaving those
-// runs bit-identical.
+// runs bit-identical. The resource is booked under the shard's own
+// lock: a store may be shared by goroutines that hold no deployment.
 func lockWait[K wireKey](s *Store, key K, now simnet.Time, hold simnet.Duration) simnet.Duration {
-	return shardFor(s, key).res.Acquire(now, hold) - now
+	sh := shardFor(s, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.res.Acquire(now, hold) - now
 }
 
 // chargeLock is the one definition of the shard-lock charge, shared by
@@ -253,7 +257,9 @@ func chargeLock[K wireKey](s *Store, clk *simnet.VClock, cursor simnet.Time, key
 // Stats.
 func (s *Store) LockStats() (busy simnet.Duration, uses int64) {
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		b, u := sh.res.Stats()
+		sh.mu.Unlock()
 		busy += b
 		uses += u
 	}

@@ -3,7 +3,6 @@ package simnet
 import (
 	"container/heap"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,8 +17,21 @@ import (
 // process never step each other, and it owns no goroutine: a run driven
 // from one goroutine is a pure function of the calls made.
 //
-// With several calling goroutines one at a time holds the executor and
-// steps; the rest park. A holder that leaves while actors are still
+// The executor is also the deployment's one owner: a product call that
+// touches anything beneath it — a transport method, a pipeline's Start
+// or Wait, a dial, a fleet membership change — takes it once with Enter
+// and holds it through the call's waits, so the layers below (links,
+// adapters, queue pairs, UCR runtimes, socket endpoints) are
+// single-owner code with no locks of their own. Holding it across a
+// wait cannot deadlock: every reply inside a deployment comes from an
+// actor the waiter steps itself, and RecvIdle gives up once nothing in
+// view can run. Enter does not nest.
+//
+// Mailboxes are the one hand-off that stays synchronised, under the
+// executor's bookkeeping lock, because goroutines that hold no owner
+// still meet there: acceptors started by tests, standalone mailbox
+// pairs. With several such goroutines one at a time holds the stepping
+// loop; the rest park. A holder that leaves while actors are still
 // ready wakes a parked caller to take over, so a wake-up is never lost
 // and nobody polls. Bookkeeping allocates nothing per message and
 // charges no virtual time.
@@ -28,7 +40,9 @@ import (
 // also knows when a wait is dead: Mailbox.RecvIdle gives up once the
 // simulation is quiescent (see quiet) instead of sleeping to find out.
 type Executor struct {
-	mu      sync.Mutex
+	owner sync.Mutex // the deployment: Enter/Exit, taken before mu
+
+	mu      sync.Mutex // the bookkeeping below and every mailbox of the executor
 	ready   readyHeap
 	held    bool        // a goroutine is in its stepping loop
 	running int         // actors in a step or claimed by Do/Stop
@@ -44,6 +58,14 @@ func newExecutor() *Executor {
 	return ex
 }
 
+// Enter takes the deployment for one API call; Exit gives it back. Only
+// the entry points DESIGN.md lists call them ("One owner per
+// deployment"), each exactly once per call: a nested Enter deadlocks.
+func (ex *Executor) Enter() { ex.owner.Lock() }
+
+// Exit ends the call Enter began.
+func (ex *Executor) Exit() { ex.owner.Unlock() }
+
 // Actor is a state machine stepped by its Executor once for every burst
 // of arrivals: step should consume everything pending in the mailboxes
 // the actor owns, since what it leaves waits for the next arrival. It
@@ -55,9 +77,8 @@ type Actor struct {
 	id   int
 	step func()
 
-	pending atomic.Int64 // messages queued in owned mailboxes
-
 	// Guarded by ex.mu.
+	pending  int         // messages queued in owned mailboxes
 	stamp    Time        // earliest stamp linked since the last step began
 	pos      int         // index in ex.ready; -1 when not linked
 	news     []*receiver // tagged owned mailboxes that changed since TakeReady
@@ -138,7 +159,7 @@ func (ex *Executor) release(a *Actor) (detached bool) {
 	a.running = false
 	ex.running--
 	detached, a.detached = a.detached, false
-	if !a.stopped && (a.kicked || a.dirty && a.pending.Load() > 0) {
+	if !a.stopped && (a.kicked || a.dirty && a.pending > 0) {
 		heap.Push(&ex.ready, a)
 	} else {
 		a.stamp = Never
@@ -148,11 +169,9 @@ func (ex *Executor) release(a *Actor) (detached bool) {
 }
 
 // link notes a message stamped at (or, with kick, a close) in r, an
-// owned mailbox, and makes its actor ready.
+// owned mailbox, and makes its actor ready. Called with ex.mu held.
 func (ex *Executor) link(r *receiver, at Time, kick bool) {
 	a := r.owner
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
 	if a.stopped {
 		return
 	}
@@ -227,15 +246,14 @@ func (ex *Executor) mail() bool {
 // await blocks until r has a message or is closed, stepping ready actors
 // on the calling goroutine meanwhile, and reports whether it gave up
 // with r still empty: with idle set, once the simulation is quiet; with
-// d > 0, after that much real time parked.
+// d > 0, after that much real time parked. It is entered and left with
+// ex.mu held.
 func (ex *Executor) await(r *receiver, idle bool, d time.Duration) (gaveUp bool) {
 	// The one receiver of an owned mailbox is its actor, so a blocking
 	// receive on one is a wait nested inside that actor's step.
 	self := r.owner
 	var timer *time.Timer
-	ex.mu.Lock()
 	if self != nil && !self.running {
-		ex.mu.Unlock()
 		panic("simnet: blocking receive on an owned mailbox outside its actor's step")
 	}
 	nested := idle && self != nil // self's step is stuck in a RecvIdle meanwhile
@@ -277,16 +295,18 @@ func (ex *Executor) await(r *receiver, idle bool, d time.Duration) (gaveUp bool)
 		if d > 0 && timer == nil {
 			timer = time.NewTimer(d)
 		}
+		timedOut := false
 		if timer == nil {
 			<-r.wake // a plain receive parks cheaper than a select
 		} else {
 			select {
 			case <-r.wake:
 			case <-timer.C:
-				gaveUp = !r.arrived()
+				timedOut = true
 			}
 		}
 		ex.mu.Lock()
+		gaveUp = timedOut && !r.arrived()
 		last := len(ex.parked) - 1
 		ex.parked[r.slot] = ex.parked[last]
 		ex.parked[r.slot].slot = r.slot
@@ -302,7 +322,6 @@ func (ex *Executor) await(r *receiver, idle bool, d time.Duration) (gaveUp bool)
 		ex.held = false
 	}
 	ex.handoff()
-	ex.mu.Unlock()
 	if timer != nil {
 		timer.Stop()
 	}

@@ -528,10 +528,11 @@ func TestRecvIdleParkedPeerWithMessage(t *testing.T) {
 	}()
 	waitParked(t, ex, 1)
 	// With the executor locked the peer cannot leave the parked list, so
-	// what quiet sees is exactly "parked, message waiting".
+	// what quiet sees is exactly "parked, message waiting". The mailbox's
+	// lock is the executor's, so the Put runs as put, under it.
 	ex.mu.Lock()
 	before := ex.quiet(nil)
-	peer.Put(7)
+	peer.put(7)
 	after := ex.quiet(nil)
 	ex.mu.Unlock()
 	if !before || after {

@@ -1,7 +1,5 @@
 package simnet
 
-import "sync"
-
 // Fault injection: a deterministic lossy-wire model that can be
 // installed on a Fabric. Every message crossing the wire draws a
 // verdict — delivered, dropped, or corrupted — from a seeded stream, so
@@ -64,11 +62,11 @@ type pairState struct {
 
 // FaultInjector draws deterministic delivery verdicts. Install one on a
 // Fabric with SetFaults; a nil injector (the default) keeps the fabric
-// lossless and adds zero cost.
+// lossless and adds zero cost. Like the fabric, it is used under the
+// deployment's owner (Executor.Enter).
 type FaultInjector struct {
 	cfg FaultConfig
 
-	mu          sync.Mutex
 	pairs       map[pairKey]*pairState
 	partitioned map[pairKey]bool
 
@@ -89,31 +87,23 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 // DropNext schedules a one-shot fault: the next n messages from→to are
 // dropped regardless of the probabilistic rates.
 func (fi *FaultInjector) DropNext(from, to *Node, n int) {
-	fi.mu.Lock()
 	fi.pair(pairKey{from.ID(), to.ID()}).dropNext += n
-	fi.mu.Unlock()
 }
 
 // Partition cuts both directions between a and b until Heal.
 func (fi *FaultInjector) Partition(a, b *Node) {
-	fi.mu.Lock()
 	fi.partitioned[pairKey{a.ID(), b.ID()}] = true
 	fi.partitioned[pairKey{b.ID(), a.ID()}] = true
-	fi.mu.Unlock()
 }
 
 // Heal removes a partition between a and b.
 func (fi *FaultInjector) Heal(a, b *Node) {
-	fi.mu.Lock()
 	delete(fi.partitioned, pairKey{a.ID(), b.ID()})
 	delete(fi.partitioned, pairKey{b.ID(), a.ID()})
-	fi.mu.Unlock()
 }
 
 // Stats reports verdict totals since construction.
 func (fi *FaultInjector) Stats() (delivered, dropped, corrupted uint64) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	return fi.delivered, fi.dropped, fi.corrupted
 }
 
@@ -136,8 +126,6 @@ func mix64(x uint64) uint64 {
 // judge draws the verdict for the next message from→to.
 func (fi *FaultInjector) judge(from, to *Node) DeliveryOutcome {
 	k := pairKey{from.ID(), to.ID()}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	ps := fi.pair(k)
 	ps.n++
 	if fi.partitioned[k] {

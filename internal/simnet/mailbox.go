@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Mailbox is an unbounded, closeable queue of timestamped messages. It is
 // the delivery mechanism shared by the transport layers: the sender
@@ -34,9 +31,10 @@ type Mailbox[T any] struct {
 }
 
 // receiver is the part of a mailbox that does not depend on the message
-// type: what the receiving side and the executor share.
+// type: what the receiving side and the executor share. Everything in a
+// mailbox is guarded by its executor's mu: a Put to an owned mailbox
+// queues the message and links the actor under one lock.
 type receiver struct {
-	mu      sync.Mutex
 	n       int // queued message count
 	closed  bool
 	waiting bool          // the receiver is parked: the next change sends a wake token
@@ -45,9 +43,9 @@ type receiver struct {
 	ex     *Executor
 	owner  *Actor // nil: received by an ordinary goroutine
 	tag    any    // what Actor.TakeReady reports for this mailbox
-	listed bool   // in owner.news (guarded by ex.mu)
-	slot   int    // index in ex.parked while parked (guarded by ex.mu)
-	idle   bool   // parked in RecvIdle (guarded by ex.mu)
+	listed bool   // in owner.news
+	slot   int    // index in ex.parked while parked
+	idle   bool   // parked in RecvIdle
 }
 
 // NewMailbox returns an empty open mailbox on an executor of its own:
@@ -69,14 +67,13 @@ func (m *Mailbox[T]) SetOwner(a *Actor, tag any, stamp func(T) Time) {
 	if m.ex != a.ex {
 		panic("simnet: mailbox and owner are on different executors")
 	}
-	m.mu.Lock()
+	m.ex.mu.Lock()
 	m.owner, m.tag, m.stamp = a, tag, stamp
-	a.pending.Add(int64(m.n))
-	news := m.n > 0 || m.closed
-	m.mu.Unlock()
-	if news {
+	a.pending += m.n
+	if m.n > 0 || m.closed {
 		m.ex.link(&m.receiver, 0, true)
 	}
+	m.ex.mu.Unlock()
 }
 
 func (r *receiver) signal() {
@@ -86,33 +83,29 @@ func (r *receiver) signal() {
 	}
 }
 
-// arrived reports whether a receive would not block.
-func (r *receiver) arrived() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n > 0 || r.closed
-}
+// arrived reports whether a receive would not block (ex.mu held).
+func (r *receiver) arrived() bool { return r.n > 0 || r.closed }
 
-// arm marks the receiver parked unless a receive would not block.
+// arm marks the receiver parked unless a receive would not block (ex.mu
+// held).
 func (r *receiver) arm() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.waiting = r.n == 0 && !r.closed
 	return r.waiting
 }
 
-// changed runs after a Put or Close, outside the mailbox lock: the owner
-// becomes ready and a parked receiver wakes.
-func (r *receiver) changed(owner *Actor, wake bool, at Time, closed bool) {
-	if owner != nil {
+// changed runs after a Put or Close, with ex.mu held: the owner becomes
+// ready and a parked receiver wakes.
+func (r *receiver) changed(at Time, closed bool) {
+	if r.owner != nil {
 		r.ex.link(r, at, closed)
 	}
-	if wake {
+	if r.waiting {
+		r.waiting = false
 		r.signal()
 	}
 }
 
-// grow doubles the ring (called with mu held, when full).
+// grow doubles the ring (called with ex.mu held, when full).
 func (m *Mailbox[T]) grow() {
 	newCap := len(m.buf) * 2
 	if newCap < 8 {
@@ -129,9 +122,14 @@ func (m *Mailbox[T]) grow() {
 // Put appends a message. Putting to a closed mailbox is a silent no-op
 // (the peer went away; the bytes fall on the floor, as on a real wire).
 func (m *Mailbox[T]) Put(msg T) {
-	m.mu.Lock()
+	m.ex.mu.Lock()
+	m.put(msg)
+	m.ex.mu.Unlock()
+}
+
+// put is Put with ex.mu held.
+func (m *Mailbox[T]) put(msg T) {
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	if m.n == len(m.buf) {
@@ -139,26 +137,23 @@ func (m *Mailbox[T]) Put(msg T) {
 	}
 	m.buf[(m.head+m.n)%len(m.buf)] = msg
 	m.n++
-	owner, wake := m.owner, m.waiting
-	m.waiting = false
 	var at Time
-	if owner != nil {
-		owner.pending.Add(1)
+	if m.owner != nil {
+		m.owner.pending++
 		if m.stamp != nil {
 			at = m.stamp(msg)
 		}
 	}
-	m.mu.Unlock()
-	m.changed(owner, wake, at, false)
+	m.changed(at, false)
 }
 
 // PutFront pushes a message back to the head of the queue. Receivers use
-// it to undo a TryRecv/Recv they were not yet entitled to (e.g. a segment
-// whose virtual arrival lies beyond the reader's deadline) without
-// scrambling FIFO order. Putting to a closed mailbox is a no-op.
+// it to undo a Recv they were not yet entitled to (e.g. a completion
+// stamped beyond the waiter's deadline) without scrambling FIFO order.
+// Putting to a closed mailbox is a no-op.
 func (m *Mailbox[T]) PutFront(msg T) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.ex.mu.Lock()
+	defer m.ex.mu.Unlock()
 	if m.closed {
 		return
 	}
@@ -172,15 +167,32 @@ func (m *Mailbox[T]) PutFront(msg T) {
 	m.buf[m.head] = msg
 	m.n++
 	if m.owner != nil {
-		m.owner.pending.Add(1)
+		m.owner.pending++
 	}
 }
 
 // TryRecv removes the head message if one is present.
 // ok=false means empty; closed reports whether the mailbox is closed.
 func (m *Mailbox[T]) TryRecv() (msg T, ok, closed bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.ex.mu.Lock()
+	defer m.ex.mu.Unlock()
+	return m.take()
+}
+
+// TryRecvBy is TryRecv for a receiver not yet entitled to a message
+// stamped after t: such a head stays queued, in one lock hold.
+func (m *Mailbox[T]) TryRecvBy(t Time, stamp func(T) Time) (msg T, ok bool) {
+	m.ex.mu.Lock()
+	defer m.ex.mu.Unlock()
+	if m.n == 0 || stamp(m.buf[m.head]) > t {
+		return msg, false
+	}
+	msg, ok, _ = m.take()
+	return msg, ok
+}
+
+// take is TryRecv with ex.mu held.
+func (m *Mailbox[T]) take() (msg T, ok, closed bool) {
 	if m.n > 0 {
 		msg = m.buf[m.head]
 		// Avoid retaining the element.
@@ -189,7 +201,7 @@ func (m *Mailbox[T]) TryRecv() (msg T, ok, closed bool) {
 		m.head = (m.head + 1) % len(m.buf)
 		m.n--
 		if m.owner != nil {
-			m.owner.pending.Add(-1)
+			m.owner.pending--
 		}
 		return msg, true, m.closed
 	}
@@ -220,50 +232,47 @@ func (m *Mailbox[T]) RecvTimeout(d time.Duration) (msg T, ok, timedOut bool) {
 	return m.recv(false, d)
 }
 
+// recv is the one blocking receive: one hold of ex.mu covers the check,
+// the wait and the take.
 func (m *Mailbox[T]) recv(idle bool, d time.Duration) (msg T, ok, gaveUp bool) {
-	msg, ok, closed := m.TryRecv()
-	if ok || closed {
-		return msg, ok, false
-	}
-	if m.ex.await(&m.receiver, idle, d) {
+	m.ex.mu.Lock()
+	defer m.ex.mu.Unlock()
+	if !m.arrived() && m.ex.await(&m.receiver, idle, d) {
 		return msg, false, true
 	}
-	msg, ok, _ = m.TryRecv()
+	msg, ok, _ = m.take()
 	return msg, ok, false
 }
 
 // Owned reports whether an actor receives from the mailbox (SetOwner).
 func (m *Mailbox[T]) Owned() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.ex.mu.Lock()
+	defer m.ex.mu.Unlock()
 	return m.owner != nil
 }
 
 // Len reports the number of queued messages.
 func (m *Mailbox[T]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.ex.mu.Lock()
+	defer m.ex.mu.Unlock()
 	return m.n
 }
 
 // Close marks the mailbox closed and wakes its receiver. Queued messages
 // remain receivable.
 func (m *Mailbox[T]) Close() {
-	m.mu.Lock()
+	m.ex.mu.Lock()
+	defer m.ex.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	m.closed = true
-	owner, wake := m.owner, m.waiting
-	m.waiting = false
-	m.mu.Unlock()
-	m.changed(owner, wake, 0, true)
+	m.changed(0, true)
 }
 
 // Closed reports whether Close has been called.
 func (m *Mailbox[T]) Closed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.ex.mu.Lock()
+	defer m.ex.mu.Unlock()
 	return m.closed
 }

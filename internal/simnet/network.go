@@ -1,10 +1,6 @@
 package simnet
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Node is one host in the simulated cluster. A node can be attached to
 // several fabrics (e.g. cluster A nodes carry both a ConnectX DDR HCA and
@@ -14,7 +10,7 @@ type Node struct {
 	net  *Network
 	id   int
 
-	failed atomic.Bool
+	failed bool
 }
 
 // Name reports the node's name.
@@ -26,18 +22,19 @@ func (n *Node) ID() int { return n.id }
 // Fail marks the node dead: fabrics stop delivering to or from it.
 // Used by the fault-tolerance tests and example (paper §IV-A: one failing
 // process must not take the others down).
-func (n *Node) Fail() { n.failed.Store(true) }
+func (n *Node) Fail() { n.failed = true }
 
 // Recover clears the failed state.
-func (n *Node) Recover() { n.failed.Store(false) }
+func (n *Node) Recover() { n.failed = false }
 
 // Failed reports whether the node is marked dead.
-func (n *Node) Failed() bool { return n.failed.Load() }
+func (n *Node) Failed() bool { return n.failed }
 
 // Network is the cluster: a set of nodes, the fabrics joining them and
-// the executor that steps the actors living on them.
+// the executor that steps the actors living on them. The executor is
+// the network's owner: nodes and fabrics added while other goroutines
+// drive traffic are added under Executor.Enter.
 type Network struct {
-	mu      sync.Mutex
 	nodes   []*Node
 	fabrics map[string]*Fabric
 	exec    *Executor
@@ -53,8 +50,6 @@ func (nw *Network) Executor() *Executor { return nw.exec }
 
 // AddNode creates a node with the given name.
 func (nw *Network) AddNode(name string) *Node {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	n := &Node{name: name, net: nw, id: len(nw.nodes)}
 	nw.nodes = append(nw.nodes, n)
 	return n
@@ -62,8 +57,6 @@ func (nw *Network) AddNode(name string) *Node {
 
 // Nodes returns the nodes in creation order.
 func (nw *Network) Nodes() []*Node {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	out := make([]*Node, len(nw.nodes))
 	copy(out, nw.nodes)
 	return out
@@ -71,8 +64,6 @@ func (nw *Network) Nodes() []*Node {
 
 // Fabric looks up a fabric by name, or nil.
 func (nw *Network) Fabric(name string) *Fabric {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	return nw.fabrics[name]
 }
 
@@ -103,19 +94,16 @@ type Fabric struct {
 	spec FabricSpec
 	net  *Network
 
-	mu   sync.Mutex
 	up   map[*Node]*Resource // node → switch
 	down map[*Node]*Resource // switch → node
 
 	// faults, when non-nil, makes DeliverFaulty lossy. Plain Deliver
 	// (used by connection setup paths) is never affected.
-	faults atomic.Pointer[FaultInjector]
+	faults *FaultInjector
 }
 
 // AddFabric creates a fabric in the network. The name must be unique.
 func (nw *Network) AddFabric(spec FabricSpec) *Fabric {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if _, dup := nw.fabrics[spec.Name]; dup {
 		panic(fmt.Sprintf("simnet: duplicate fabric %q", spec.Name))
 	}
@@ -141,8 +129,6 @@ func (f *Fabric) Executor() *Executor { return f.net.exec }
 
 // Attach connects a node to the fabric (plugs in a NIC/HCA).
 func (f *Fabric) Attach(n *Node) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if _, ok := f.up[n]; ok {
 		return
 	}
@@ -152,16 +138,12 @@ func (f *Fabric) Attach(n *Node) {
 
 // Attached reports whether the node has a port on this fabric.
 func (f *Fabric) Attached(n *Node) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	_, ok := f.up[n]
 	return ok
 }
 
 // links returns the two resources for a node, or nil if unattached.
 func (f *Fabric) links(n *Node) (up, down *Resource) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.up[n], f.down[n]
 }
 
@@ -220,7 +202,7 @@ func (f *Fabric) Deliver(from, to *Node, sendAt Time, bytes int) (arrive Time, e
 // fabric. Only DeliverFaulty consults it; control-plane paths that use
 // plain Deliver (CM handshakes, socket dials) stay lossless, matching
 // real deployments where connection setup is retried at a higher layer.
-func (f *Fabric) SetFaults(fi *FaultInjector) { f.faults.Store(fi) }
+func (f *Fabric) SetFaults(fi *FaultInjector) { f.faults = fi }
 
 // DeliverFaulty is Deliver plus the fabric's fault model. With no
 // injector installed (or on loopback) it is exactly Deliver — same
@@ -235,7 +217,7 @@ func (f *Fabric) SetFaults(fi *FaultInjector) { f.faults.Store(fi) }
 // wire worked, the payload just didn't survive. Callers decide whether
 // to retransmit.
 func (f *Fabric) DeliverFaulty(from, to *Node, sendAt Time, bytes int) (arrive Time, outcome DeliveryOutcome, err error) {
-	fi := f.faults.Load()
+	fi := f.faults
 	if fi == nil || from == to {
 		arrive, err = f.Deliver(from, to, sendAt, bytes)
 		return arrive, Delivered, err
@@ -268,8 +250,6 @@ func (f *Fabric) DeliverFaulty(from, to *Node, sendAt Time, bytes int) (arrive T
 
 // Utilization reports busy time per link resource, keyed by resource name.
 func (f *Fabric) Utilization() map[string]Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make(map[string]Duration, len(f.up)*2)
 	for _, r := range f.up {
 		busy, _ := r.Stats()

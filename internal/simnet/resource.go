@@ -1,7 +1,5 @@
 package simnet
 
-import "sync"
-
 // Resource is a shared serialization point in the simulated system: one
 // direction of a link, a NIC DMA engine, a TOE processing pipeline, a
 // lock stripe. Work offered to a Resource is serialized in virtual time —
@@ -22,11 +20,12 @@ import "sync"
 // frontier never hits the gap path, so single-flow runs are bit-for-bit
 // what the plain frontier model gives.
 //
-// Resource is safe for concurrent use by many actors.
+// A Resource has no lock of its own: its users serialise on the lock
+// that owns it — the deployment's owner (Executor.Enter) for links and
+// adapter engines, the shard lock for a store stripe.
 type Resource struct {
 	name string
 
-	mu       sync.Mutex
 	nextFree Time
 	gaps     []gap    // idle intervals below nextFree, sorted, bounded
 	busy     Duration // total occupied time, for utilization stats
@@ -69,8 +68,6 @@ func (r *Resource) Acquire(at Time, dur Duration) (start Time) {
 	if dur < 0 {
 		dur = 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.busy += dur
 	r.uses++
 	// Backfill: a request whose virtual time lands below the frontier
@@ -135,22 +132,16 @@ func (r *Resource) insertGap(i int, g gap) {
 
 // NextFree reports the earliest time new work could start.
 func (r *Resource) NextFree() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.nextFree
 }
 
 // Stats reports total busy time and number of acquisitions.
 func (r *Resource) Stats() (busy Duration, uses int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.busy, r.uses
 }
 
 // Reset returns the resource to the idle state at time zero.
 func (r *Resource) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.nextFree = 0
 	r.gaps = r.gaps[:0]
 	r.busy = 0

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -126,26 +125,43 @@ func TestResourceSerialization(t *testing.T) {
 }
 
 func TestResourceConcurrentNoOverlap(t *testing.T) {
-	// Property: concurrent acquisitions never overlap in virtual time.
-	r := NewResource("x")
-	const n = 200
+	// Property: acquisitions never overlap in virtual time, whatever the
+	// order callers book in. A Resource belongs to its deployment's one
+	// owner, so the callers are virtual: eight clocks of their own,
+	// booked in seeded interleavings from one goroutine. Each caller's
+	// offers run ahead of or behind the others', so the interleavings
+	// cross the frontier and the backfilled gaps alike.
+	const callers, perCaller = 8, 25
 	type span struct{ s, e Time }
-	spans := make([]span, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := r.Acquire(Time(i), 10)
-			spans[i] = span{start, start + 10}
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a, b := spans[i], spans[j]
-			if a.s < b.e && b.s < a.e {
-				t.Fatalf("overlap: [%v,%v) and [%v,%v)", a.s, a.e, b.s, b.e)
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := NewResource("x")
+		rng := NewRand(seed)
+		var clocks [callers]Time
+		var left [callers]int
+		for c := range left {
+			left[c] = perCaller
+		}
+		spans := make([]span, 0, callers*perCaller)
+		for len(spans) < cap(spans) {
+			c := rng.Intn(callers)
+			for left[c] == 0 {
+				c = (c + 1) % callers
+			}
+			left[c]--
+			dur := Duration(1 + rng.Intn(20))
+			start := r.Acquire(clocks[c], dur)
+			if start < clocks[c] {
+				t.Fatalf("seed %d: caller %d offered %v, started at %v", seed, c, clocks[c], start)
+			}
+			spans = append(spans, span{start, start + dur})
+			clocks[c] = start + dur + Duration(rng.Intn(40))
+		}
+		for i := range spans {
+			for j := i + 1; j < len(spans); j++ {
+				a, b := spans[i], spans[j]
+				if a.s < b.e && b.s < a.e {
+					t.Fatalf("seed %d: overlap: [%v,%v) and [%v,%v)", seed, a.s, a.e, b.s, b.e)
+				}
 			}
 		}
 	}

@@ -14,17 +14,16 @@
 //   - VClock: a single-owner virtual clock (one per client goroutine,
 //     server worker, ...).
 //   - Resource: a shared serialization point (a link direction, a NIC DMA
-//     engine) with a mutex-protected "next free" horizon. Contention on a
-//     Resource is how queueing shows up in measured latency.
+//     engine) with a "next free" horizon. Contention on a Resource is how
+//     queueing shows up in measured latency.
 //   - Fabric: a switched network (one switch, a full-duplex link per node)
 //     with a bandwidth/propagation cost model.
 //   - Network / Node: the cluster topology.
+//   - Executor / Mailbox: the deployment's one owner, the actors it steps
+//     and the queues that hand messages between them.
 package simnet
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since the start of the
 // simulation. Virtual time has no relation to the wall clock.
@@ -85,44 +84,36 @@ func BytesDuration(n int, bytesPerSec float64) Duration {
 // VClock is a virtual clock owned by exactly one actor: a benchmark
 // client's goroutine, a memcached worker's step, and so on. Only the
 // owner may advance it; cross-actor ordering happens through message
-// timestamps and Resource serialization, never by sharing a VClock.
-// Reads (Now) are safe from any goroutine, so a harness can observe
-// worker clocks while they run.
+// timestamps and Resource serialization, never by sharing a VClock. It
+// is a plain field: a harness reads a worker's clock between the
+// worker's steps (Actor.Do), like the rest of the worker's state.
 type VClock struct {
-	now atomic.Int64
+	now Time
 }
 
 // NewVClock returns a clock set to the given start time.
-func NewVClock(start Time) *VClock {
-	c := &VClock{}
-	c.now.Store(int64(start))
-	return c
-}
+func NewVClock(start Time) *VClock { return &VClock{now: start} }
 
 // Now reports the current virtual time.
-func (c *VClock) Now() Time { return Time(c.now.Load()) }
+func (c *VClock) Now() Time { return c.now }
 
 // Advance moves the clock forward by d. Negative d is ignored: virtual
 // time is monotone.
 func (c *VClock) Advance(d Duration) Time {
-	t := Time(c.now.Load())
 	if d > 0 {
-		t += d
-		c.now.Store(int64(t))
+		c.now += d
 	}
-	return t
+	return c.now
 }
 
 // AdvanceTo moves the clock to t if t is later than the current time.
 // This is how a receiver synchronizes with a message's arrival stamp.
 func (c *VClock) AdvanceTo(t Time) Time {
-	cur := Time(c.now.Load())
-	if t > cur {
-		c.now.Store(int64(t))
-		return t
+	if t > c.now {
+		c.now = t
 	}
-	return cur
+	return c.now
 }
 
 // Set forces the clock to t (used when re-seating a clock between runs).
-func (c *VClock) Set(t Time) { c.now.Store(int64(t)) }
+func (c *VClock) Set(t Time) { c.now = t }

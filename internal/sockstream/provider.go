@@ -9,13 +9,17 @@
 // memory copies (byte-stream vs memory semantics), per-segment protocol
 // processing, and — for SDP on QDR — the jitter the authors observed
 // and could not eliminate (§VI-B).
+//
+// A provider seated on a deployment's fabric (Clone), its listeners and
+// its connections are used under the deployment's owner
+// (simnet.Executor.Enter) and do not lock; the segment mailboxes are the
+// one synchronised hand-off.
 package sockstream
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,16 +73,16 @@ type Provider struct {
 	// tail latency). Doubles per retry (exponential backoff).
 	RTOMin simnet.Duration
 
-	retransmits atomic.Uint64
+	retransmits uint64
 
 	// endpointSeeds numbers this provider's endpoints; the number seeds
 	// the endpoint's jitter stream. Clones share their template's
 	// sequence, so the deployments cut from one profile draw one
 	// continuing stream, and what they draw depends on nothing outside
-	// that profile.
-	endpointSeeds *atomic.Uint64
+	// that profile. It is the one piece of a provider that deployments
+	// share, so it stays atomic where the rest is single-owner.
+	endpointSeeds atomic.Pointer[atomic.Uint64]
 
-	mu        sync.Mutex
 	listeners map[string]*simnet.Mailbox[*dialReq]
 }
 
@@ -111,7 +115,7 @@ func (p *Provider) init() {
 
 // Retransmits reports how many segments this provider's connections
 // have retransmitted (both directions share the provider's counter).
-func (p *Provider) Retransmits() uint64 { return p.retransmits.Load() }
+func (p *Provider) Retransmits() uint64 { return p.retransmits }
 
 func (p *Provider) String() string { return fmt.Sprintf("Provider(%s)", p.Name) }
 
@@ -119,7 +123,7 @@ func (p *Provider) String() string { return fmt.Sprintf("Provider(%s)", p.Name) 
 // fab, with its own (empty) listener table and p's endpoint-seed
 // sequence. Profiles are shared templates; deployments clone them.
 func (p *Provider) Clone(fab *simnet.Fabric) *Provider {
-	return &Provider{
+	c := &Provider{
 		Name:            p.Name,
 		Fabric:          fab,
 		SendSyscall:     p.SendSyscall,
@@ -135,8 +139,9 @@ func (p *Provider) Clone(fab *simnet.Fabric) *Provider {
 		ConnSetup:       p.ConnSetup,
 		Jitter:          p.Jitter,
 		RTOMin:          p.RTOMin,
-		endpointSeeds:   p.seeds(),
 	}
+	c.endpointSeeds.Store(p.seeds())
+	return c
 }
 
 // segment is one unit in flight. data is owned by whoever holds the
@@ -171,8 +176,6 @@ type Listener struct {
 func (p *Provider) Listen(node *simnet.Node, service string) (*Listener, error) {
 	p.init()
 	key := node.Name() + "/" + service
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, dup := p.listeners[key]; dup {
 		return nil, fmt.Errorf("sockstream: %s already bound on %s", service, node.Name())
 	}
@@ -218,10 +221,7 @@ func (l *Listener) complete(req *dialReq, clk *simnet.VClock) *Conn {
 
 // Close unbinds the service and wakes pending Accepts.
 func (l *Listener) Close() {
-	key := l.node.Name() + "/" + l.service
-	l.p.mu.Lock()
-	delete(l.p.listeners, key)
-	l.p.mu.Unlock()
+	delete(l.p.listeners, l.node.Name()+"/"+l.service)
 	l.queue.Close()
 }
 
@@ -233,10 +233,7 @@ func (l *Listener) Close() {
 // bound the wait in real time.
 func (p *Provider) Dial(from, to *simnet.Node, service string, clk *simnet.VClock, realCap time.Duration) (*Conn, error) {
 	p.init()
-	key := to.Name() + "/" + service
-	p.mu.Lock()
-	q := p.listeners[key]
-	p.mu.Unlock()
+	q := p.listeners[to.Name()+"/"+service]
 	if q == nil {
 		return nil, ErrRefusedConn
 	}
@@ -279,7 +276,6 @@ type endpoint struct {
 	in   *simnet.Mailbox[segment]
 	rng  *simnet.Rand
 
-	mu     sync.Mutex
 	peer   *endpoint
 	closed bool
 
@@ -288,8 +284,7 @@ type endpoint struct {
 	// steady-state request/response stream allocates none. Bounded in
 	// count (maxSpareSegs) and, since a buffer never outgrows the
 	// provider's SegmentSize, in bytes.
-	spareMu sync.Mutex
-	spare   [][]byte
+	spare [][]byte
 }
 
 // maxSpareSegs bounds an endpoint's spare list: a closed-loop stream has
@@ -303,18 +298,15 @@ const maxSpareSegs = 4
 // that the buffers of a stream whose message sizes vary converge on one
 // that fits them all.
 func (ep *endpoint) takeSeg(n int) []byte {
-	ep.spareMu.Lock()
 	for i := len(ep.spare) - 1; i >= 0; i-- {
 		if b := ep.spare[i]; cap(b) >= n {
 			last := len(ep.spare) - 1
 			ep.spare[i] = ep.spare[last]
 			ep.spare[last] = nil
 			ep.spare = ep.spare[:last]
-			ep.spareMu.Unlock()
 			return b[:n]
 		}
 	}
-	ep.spareMu.Unlock()
 	c := 64
 	for c < n {
 		c <<= 1
@@ -325,8 +317,6 @@ func (ep *endpoint) takeSeg(n int) []byte {
 // putSeg hands a consumed segment's buffer back. A full list keeps its
 // larger buffers.
 func (ep *endpoint) putSeg(b []byte) {
-	ep.spareMu.Lock()
-	defer ep.spareMu.Unlock()
 	if len(ep.spare) < maxSpareSegs {
 		ep.spare = append(ep.spare, b)
 		return
@@ -342,12 +332,11 @@ func (ep *endpoint) putSeg(b []byte) {
 // seeds returns the provider's endpoint-seed sequence, starting one on
 // first use (a template is never dialled, only cloned).
 func (p *Provider) seeds() *atomic.Uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.endpointSeeds == nil {
-		p.endpointSeeds = new(atomic.Uint64)
+	if s := p.endpointSeeds.Load(); s != nil {
+		return s
 	}
-	return p.endpointSeeds
+	p.endpointSeeds.CompareAndSwap(nil, new(atomic.Uint64))
+	return p.endpointSeeds.Load()
 }
 
 func newEndpoint(p *Provider, node *simnet.Node) *endpoint {
@@ -385,14 +374,8 @@ func (c *Conn) Clock() *simnet.VClock { return c.clk }
 // workloads keep streams shallow; see package docs).
 func (c *Conn) Write(b []byte) (int, error) {
 	ep := c.ep
-	ep.mu.Lock()
 	peer := ep.peer
-	closed := ep.closed
-	ep.mu.Unlock()
-	if closed {
-		return 0, ErrClosed
-	}
-	if peer == nil {
+	if ep.closed || peer == nil {
 		return 0, ErrClosed
 	}
 	p := ep.p
@@ -426,7 +409,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 			txAt := sendAt + p.SendDeferred
 			ok := false
 			for r := 0; r < rtoRetries; r++ {
-				p.retransmits.Add(1)
+				p.retransmits++
 				txAt += rto
 				rto *= 2
 				arrive, outcome, err = p.Fabric.DeliverFaulty(ep.node, peer.node, txAt, n+p.WireHeader)
@@ -477,12 +460,8 @@ func (c *Conn) arrived(seg segment) {
 	c.clk.Advance(p.RecvSyscall)
 	c.buffer(seg)
 	for {
-		more, ok, _ := c.ep.in.TryRecv()
+		more, ok := c.ep.in.TryRecvBy(c.clk.Now(), segArrive)
 		if !ok {
-			break
-		}
-		if more.arrive > c.clk.Now() {
-			c.ep.in.PutFront(more)
 			break
 		}
 		c.buffer(more)
@@ -516,9 +495,9 @@ func (c *Conn) Buffered() int { return len(c.rbuf) + c.ep.in.Len() }
 // SetOwner makes actor a the connection's reader: every arriving segment
 // (and the stream's close) makes a ready, ordered by arrival, and lists
 // tag in a.TakeReady.
-func (c *Conn) SetOwner(a *simnet.Actor, tag any) {
-	c.ep.in.SetOwner(a, tag, func(seg segment) simnet.Time { return seg.arrive })
-}
+func (c *Conn) SetOwner(a *simnet.Actor, tag any) { c.ep.in.SetOwner(a, tag, segArrive) }
+
+func segArrive(seg segment) simnet.Time { return seg.arrive }
 
 // StreamClosed reports whether the incoming stream has been shut; with
 // Buffered()==0 it means reads would return io.EOF.
@@ -528,19 +507,13 @@ func (c *Conn) StreamClosed() bool { return c.ep.in.Closed() }
 // after which its reads return io.EOF.
 func (c *Conn) Close() error {
 	ep := c.ep
-	ep.mu.Lock()
 	if ep.closed {
-		ep.mu.Unlock()
 		return nil
 	}
 	ep.closed = true
-	peer := ep.peer
-	ep.mu.Unlock()
 	ep.in.Close()
-	if peer != nil {
-		peer.mu.Lock()
+	if peer := ep.peer; peer != nil {
 		peer.closed = true
-		peer.mu.Unlock()
 		peer.in.Close()
 	}
 	return nil

@@ -11,9 +11,9 @@ import (
 // Segment buffers are recycled: Write draws them from the reading end's
 // spare list, and the reader hands each one back once its bytes are in
 // rbuf. These tests pin the ownership rules — a buffer is never reused
-// while a segment that has not been consumed still points at it — with
-// both ends running on their own goroutines (run them under -race), and
-// the bounds on what a connection keeps.
+// while a segment that has not been consumed still points at it — and
+// the bounds on what a connection keeps. Both ends are driven from one
+// goroutine, as their deployment's one owner drives them.
 
 // pattern fills b with bytes that depend on the stream offset, so a
 // buffer reused too early shows up as wrong content.
@@ -24,9 +24,8 @@ func pattern(b []byte, off int) {
 }
 
 // TestSegmentRecyclingEcho runs a closed-loop echo with varying message
-// sizes, each end on its own goroutine, and checks every byte. In the
-// second half one segment in eight is dropped, so retransmitted
-// segments travel through the same buffers.
+// sizes and checks every byte. In the second half one segment in eight
+// is dropped, so retransmitted segments travel through the same buffers.
 func TestSegmentRecyclingEcho(t *testing.T) {
 	e := newEnv(t)
 	e.prov.RTOMin = simnet.Millisecond
@@ -34,24 +33,7 @@ func TestSegmentRecyclingEcho(t *testing.T) {
 	sizes := []int{1, 40, 1070, 1460, 1461, 5000, 17, 2920}
 	const rounds = 400
 
-	srvDone := make(chan error, 1)
-	go func() {
-		buf := make([]byte, 8192)
-		for r := 0; r < rounds; r++ {
-			n := sizes[r%len(sizes)]
-			if _, err := io.ReadFull(srv, buf[:n]); err != nil {
-				srvDone <- err
-				return
-			}
-			if _, err := srv.Write(buf[:n]); err != nil {
-				srvDone <- err
-				return
-			}
-		}
-		srvDone <- nil
-	}()
-
-	msg, got := make([]byte, 8192), make([]byte, 8192)
+	msg, got, buf := make([]byte, 8192), make([]byte, 8192), make([]byte, 8192)
 	off := 0
 	for r := 0; r < rounds; r++ {
 		if r == rounds/2 {
@@ -63,15 +45,18 @@ func TestSegmentRecyclingEcho(t *testing.T) {
 		if _, err := cli.Write(msg[:n]); err != nil {
 			t.Fatalf("round %d write: %v", r, err)
 		}
+		if _, err := io.ReadFull(srv, buf[:n]); err != nil {
+			t.Fatalf("round %d server read: %v", r, err)
+		}
+		if _, err := srv.Write(buf[:n]); err != nil {
+			t.Fatalf("round %d server write: %v", r, err)
+		}
 		if _, err := io.ReadFull(cli, got[:n]); err != nil {
 			t.Fatalf("round %d read: %v", r, err)
 		}
 		if !bytes.Equal(got[:n], msg[:n]) {
 			t.Fatalf("round %d: echo of %d bytes corrupted (a segment buffer reused while in flight?)", r, n)
 		}
-	}
-	if err := <-srvDone; err != nil {
-		t.Fatal(err)
 	}
 	if e.prov.Retransmits() == 0 {
 		t.Fatal("no segment was retransmitted: the lossy half validated nothing")

@@ -217,7 +217,7 @@ func (c *Context) Recycle(b []byte) { c.cq.Recycle(b) }
 // round trip is charged to clk; realCap bounds the wait in real time
 // only when the acceptor is a goroutine (verbs.CM.Connect).
 func (rt *Runtime) Dial(ctx *Context, remote *simnet.Node, service string, rel Reliability, clk *simnet.VClock, realCap time.Duration) (*Endpoint, error) {
-	if rt.closed.Load() {
+	if rt.closed {
 		return nil, ErrClosed
 	}
 	ep, err := ctx.newEndpoint(rel)

@@ -162,11 +162,8 @@ func TestRegCacheEvictionDefersDereg(t *testing.T) {
 	if _, err := w.srvRT.registerCached(bufB, w.srvClk); err != nil {
 		t.Fatal(err)
 	}
-	rc := w.srvRT.regs
-	rc.mu.Lock()
-	_, cached := rc.entries[keyOf(bufA)]
+	_, cached := w.srvRT.regs.entries[keyOf(bufA)]
 	busy := eA.evicted && eA.refs == 1
-	rc.mu.Unlock()
 	if cached || !busy {
 		t.Fatalf("evicted-but-busy entry = %+v (still cached: %v)", eA, cached)
 	}

@@ -1,8 +1,6 @@
 package ucr
 
 import (
-	"sync"
-
 	"repro/internal/simnet"
 	"repro/internal/verbs"
 )
@@ -25,7 +23,6 @@ import (
 // implementations hook the allocator for invalidation; here the cache
 // key is the buffer's first-element address plus its length).
 type regCache struct {
-	mu      sync.Mutex
 	entries map[regKey]*regEntry
 	order   []regKey
 	cap     int
@@ -64,25 +61,20 @@ func keyOf(buf []byte) regKey {
 func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*regEntry, error) {
 	rc := rt.regs
 	k := keyOf(buf)
-	rc.mu.Lock()
 	if e, ok := rc.entries[k]; ok {
 		rc.hits++
 		e.refs++
-		rc.mu.Unlock()
 		return e, nil
 	}
 	rc.misses++
-	rc.mu.Unlock()
 
 	mr, err := rt.hca.RegisterMR(rt.pd, buf, clk)
 	if err != nil {
 		return nil, err
 	}
-	rc.mu.Lock()
 	e := &regEntry{mr: mr, refs: 1}
 	rc.entries[k] = e
 	rc.order = append(rc.order, k)
-	var evicted []*verbs.MR
 	for len(rc.order) > rc.cap {
 		old := rc.order[0]
 		rc.order = rc.order[1:]
@@ -93,12 +85,8 @@ func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*regEntry, er
 		delete(rc.entries, old)
 		victim.evicted = true
 		if victim.refs == 0 {
-			evicted = append(evicted, victim.mr)
+			rt.hca.DeregisterMR(victim.mr)
 		}
-	}
-	rc.mu.Unlock()
-	for _, v := range evicted {
-		rt.hca.DeregisterMR(v)
 	}
 	return e, nil
 }
@@ -107,21 +95,13 @@ func (rt *Runtime) registerCached(buf []byte, clk *simnet.VClock) (*regEntry, er
 // entry was FIFO-evicted while busy, the last release performs the
 // deferred deregistration.
 func (rt *Runtime) releaseCached(e *regEntry) {
-	rc := rt.regs
-	rc.mu.Lock()
 	if e.refs > 0 {
 		e.refs--
 	}
-	dereg := e.evicted && e.refs == 0
-	rc.mu.Unlock()
-	if dereg {
+	if e.evicted && e.refs == 0 {
 		rt.hca.DeregisterMR(e.mr)
 	}
 }
 
 // RegCacheStats reports cache effectiveness.
-func (rt *Runtime) RegCacheStats() (hits, misses uint64) {
-	rt.regs.mu.Lock()
-	defer rt.regs.mu.Unlock()
-	return rt.regs.hits, rt.regs.misses
-}
+func (rt *Runtime) RegCacheStats() (hits, misses uint64) { return rt.regs.hits, rt.regs.misses }

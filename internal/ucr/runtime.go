@@ -1,9 +1,6 @@
 package ucr
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/simnet"
 	"repro/internal/verbs"
 )
@@ -18,19 +15,18 @@ type Runtime struct {
 	cfg Config
 	pd  *verbs.PD
 
-	handlers [256]atomic.Pointer[Handler]
+	handlers [256]*Handler
 
 	// The counter table, on the scheme slots uses: a CounterID is
 	// generation<<32 | index, and the struct at an index is kept across
 	// generations, so issuing allocates nothing once the table is warm
 	// and a freed or reissued id misses by construction.
-	ctrMu   sync.Mutex
 	ctrs    []*Counter
 	ctrFree []uint32
 
 	regs *regCache
 
-	closed atomic.Bool
+	closed bool
 }
 
 // New creates a runtime on the given adapter, using cm for endpoint
@@ -54,21 +50,14 @@ func (rt *Runtime) HCA() *verbs.HCA { return rt.hca }
 
 // RegisterHandler installs the handler pair for a message id. Handlers
 // are normally registered once at start-up, before traffic flows.
-func (rt *Runtime) RegisterHandler(msgID uint8, h Handler) {
-	hh := h
-	rt.handlers[msgID].Store(&hh)
-}
+func (rt *Runtime) RegisterHandler(msgID uint8, h Handler) { rt.handlers[msgID] = &h }
 
-func (rt *Runtime) handler(msgID uint8) *Handler {
-	return rt.handlers[msgID].Load()
-}
+func (rt *Runtime) handler(msgID uint8) *Handler { return rt.handlers[msgID] }
 
 // NewCounter issues a counter at zero under a fresh network-visible id:
 // a free index's struct under its next generation, or a new index. The
 // id is the late-duplicate defense — no earlier id resolves to it.
 func (rt *Runtime) NewCounter() *Counter {
-	rt.ctrMu.Lock()
-	defer rt.ctrMu.Unlock()
 	var i uint32
 	if n := len(rt.ctrFree); n > 0 {
 		i = rt.ctrFree[n-1]
@@ -79,25 +68,18 @@ func (rt *Runtime) NewCounter() *Counter {
 	}
 	c := rt.ctrs[i]
 	c.gen++
-	c.val.Store(0)
-	c.id.Store(uint64(c.gen)<<32 | uint64(i))
+	c.val = 0
+	c.id = CounterID(c.gen)<<32 | CounterID(i)
 	return c
 }
 
-// lookup resolves an issued id (under ctrMu): nil for 0, a freed or
+// Counter resolves the counter a message targets: nil for 0, a freed or
 // reissued id, and one this runtime never issued.
-func (rt *Runtime) lookup(id CounterID) *Counter {
-	if i := uint32(id); id != 0 && int(i) < len(rt.ctrs) && rt.ctrs[i].ID() == id {
+func (rt *Runtime) Counter(id CounterID) *Counter {
+	if i := uint32(id); id != 0 && int(i) < len(rt.ctrs) && rt.ctrs[i].id == id {
 		return rt.ctrs[i]
 	}
 	return nil
-}
-
-// Counter resolves the counter a message targets, or nil (see lookup).
-func (rt *Runtime) Counter(id CounterID) *Counter {
-	rt.ctrMu.Lock()
-	defer rt.ctrMu.Unlock()
-	return rt.lookup(id)
 }
 
 // bump fires the counter id names, if it is still issued.
@@ -105,11 +87,9 @@ func (rt *Runtime) bump(id CounterID) {
 	if id == 0 {
 		return
 	}
-	rt.ctrMu.Lock()
-	if c := rt.lookup(id); c != nil {
-		c.val.Add(1)
+	if c := rt.Counter(id); c != nil {
+		c.val++
 	}
-	rt.ctrMu.Unlock()
 }
 
 // FreeCounter retires a counter's id and frees its index for the next
@@ -119,19 +99,17 @@ func (rt *Runtime) FreeCounter(c *Counter) {
 	if c == nil {
 		return
 	}
-	rt.ctrMu.Lock()
-	if id := c.ID(); rt.lookup(id) == c {
-		c.id.Store(0)
+	if id := c.id; rt.Counter(id) == c {
+		c.id = 0
 		c.UserData = nil
 		rt.ctrFree = append(rt.ctrFree, uint32(id))
 	}
-	rt.ctrMu.Unlock()
 }
 
 // Close marks the runtime closed. Contexts and endpoints created from it
 // keep working until individually closed; Close only blocks new Listen
 // and Dial calls.
-func (rt *Runtime) Close() { rt.closed.Store(true) }
+func (rt *Runtime) Close() { rt.closed = true }
 
 // Listener accepts UCR endpoint requests for a service.
 type Listener struct {
@@ -141,7 +119,7 @@ type Listener struct {
 
 // Listen binds a UCR service name on this runtime's node.
 func (rt *Runtime) Listen(service string) (*Listener, error) {
-	if rt.closed.Load() {
+	if rt.closed {
 		return nil, ErrClosed
 	}
 	vl, err := rt.cm.Listen(service)

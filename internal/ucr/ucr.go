@@ -27,11 +27,14 @@
 //     nothing will come from the executor (simnet.Mailbox.RecvIdle), not
 //     from a clock: it then fails at its deadline, or at once if it has
 //     none.
+//
+// A runtime, its contexts, endpoints, counters and registration cache
+// belong to one deployment and are used under its owner
+// (simnet.Executor.Enter); none of them locks.
 package ucr
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"repro/internal/simnet"
 )
@@ -75,16 +78,17 @@ func (r Reliability) String() string {
 // server's reply targets it; paper §V-B/V-C).
 type CounterID uint64
 
-// Counter is a monotonically increasing progress object (§IV-C).
-// Reads are safe from any goroutine; increments happen during progress.
+// Counter is a monotonically increasing progress object (§IV-C),
+// incremented during progress and read by its issuer, both under the
+// deployment's owner (simnet.Executor.Enter).
 // The runtime keeps each struct at one index of its counter table and
 // reissues it under a new generation (Runtime.NewCounter), so anything
 // that may fire after a free holds the id, never the pointer: the id
 // resolves through the table, where a freed or reissued one misses.
 type Counter struct {
-	id  atomic.Uint64 // the issued CounterID; 0 while free
-	val atomic.Uint64
-	gen uint32 // generation of the last issue (under Runtime.ctrMu)
+	id  CounterID // the issued CounterID; 0 while free
+	val uint64
+	gen uint32 // generation of the last issue
 
 	// UserData lets the issuer reach its per-request state from the id a
 	// message carries (Runtime.Counter), without a side table.
@@ -96,18 +100,18 @@ func (c *Counter) ID() CounterID {
 	if c == nil {
 		return 0
 	}
-	return CounterID(c.id.Load())
+	return c.id
 }
 
 // Value reports the current count.
-func (c *Counter) Value() uint64 { return c.val.Load() }
+func (c *Counter) Value() uint64 { return c.val }
 
 // MutBump increments the counter from outside the delivery path. It
 // exists only for seeded-mutation builds — mut_ud_dup_ack routes a
 // duplicate reply's completion event into a live request, which means
 // firing that request's counter as if its own reply had arrived. Normal
 // code never calls it.
-func (c *Counter) MutBump() { c.val.Add(1) }
+func (c *Counter) MutBump() { c.val++ }
 
 // HeaderHandler runs at the target when a message header arrives. It may
 // perform limited logic and must return the destination buffer for the

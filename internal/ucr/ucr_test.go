@@ -50,7 +50,7 @@ const (
 // endpoints and progresses its context; its handlers for
 // midRequest echo the data back via midReply, reading the reply counter
 // id from the first 8 bytes of the request header.
-func newWorld(t *testing.T, cfg Config) *world {
+func newWorld(t testing.TB, cfg Config) *world {
 	t.Helper()
 	w := &world{}
 	w.nw = simnet.NewNetwork()
@@ -106,7 +106,7 @@ func (w *world) srvBufBytes() int64 { return w.srvCtx.RecvBufferBytes() }
 // drains ctx's completions, stepped by whoever waits for its replies —
 // the dispatcher/worker shape the Memcached server uses, in one actor.
 // It returns a stop function.
-func serveLoop(t *testing.T, rt *Runtime, ctx *Context, clk *simnet.VClock, service string) (stop func()) {
+func serveLoop(t testing.TB, rt *Runtime, ctx *Context, clk *simnet.VClock, service string) (stop func()) {
 	t.Helper()
 	lis, err := rt.Listen(service)
 	if err != nil {
@@ -136,7 +136,7 @@ func serveLoop(t *testing.T, rt *Runtime, ctx *Context, clk *simnet.VClock, serv
 }
 
 // dial connects a reliable client endpoint with a fresh reply buffer.
-func (w *world) dial(t *testing.T, rel Reliability) *Endpoint {
+func (w *world) dial(t testing.TB, rel Reliability) *Endpoint {
 	t.Helper()
 	ep, err := w.cliRT.Dial(w.cliCtx, w.srvNode, "echo", rel, w.cliClk, 5*time.Second)
 	if err != nil {

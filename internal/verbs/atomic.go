@@ -51,18 +51,14 @@ const atomicWireBytes = 28
 // PostAtomic posts an atomic work request on a connected RC queue pair.
 // The outcome arrives on the send CQ with the request's ID.
 func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
-	q.mu.Lock()
-	state := q.state
-	remote := q.remote
-	q.mu.Unlock()
-	if state != StateRTS {
+	if q.state != StateRTS {
 		return ErrBadState
 	}
 	if wr.Op != OpAtomicFetchAdd && wr.Op != OpAtomicCmpSwap {
 		return ErrBadState
 	}
 	clk.Advance(q.hca.cfg.PostOverhead)
-	dst, err := q.rdmaPeer(remote)
+	dst, err := q.rdmaPeer(q.remote)
 	if err != nil {
 		return err
 	}
@@ -105,12 +101,10 @@ func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
 	return nil
 }
 
-// atomicApply performs the update under the HCA's atomic lock and
-// returns the prior value.
+// atomicApply performs the update inside the engine's reserved slot
+// and returns the prior value.
 func (h *HCA) atomicApply(cell []byte, wr AtomicWR) uint64 {
-	h.atomicMu.Lock()
-	defer h.atomicMu.Unlock()
-	if g := h.MemGuard(); g != nil {
+	if g := h.memGuard; g != nil {
 		g.Lock()
 		defer g.Unlock()
 	}

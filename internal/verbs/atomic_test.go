@@ -2,9 +2,10 @@ package verbs
 
 import (
 	"encoding/binary"
-	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/simnet"
 )
 
 func TestAtomicFetchAdd(t *testing.T) {
@@ -153,28 +154,27 @@ func TestAtomicConcurrentFetchAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Both QPs' atomics are in flight at once: each round posts on both
+	// before polling either. A deployment has one owner, so one
+	// goroutine drives the two clients; the target HCA serializes their
+	// updates all the same.
 	const perClient = 100
-	var wg sync.WaitGroup
-	run := func(qp *QP, cq *CQ) {
-		defer wg.Done()
-		clk := simnetClock()
-		for i := 0; i < perClient; i++ {
-			if err := qp.PostAtomic(clk, AtomicWR{
+	clks := [2]*simnet.VClock{simnetClock(), simnetClock()}
+	qps, cqs := [2]*QP{p.cliQP, p2.qp}, [2]*CQ{p.cliSend, p2.cq}
+	for i := 0; i < perClient; i++ {
+		for c, qp := range qps {
+			if err := qp.PostAtomic(clks[c], AtomicWR{
 				Op: OpAtomicFetchAdd, RemoteAddr: mr.VA(), RKey: mr.RKey(), Add: 1,
 			}); err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			if wc, ok := cq.Wait(clk); !ok || wc.Status != StatusSuccess {
-				t.Errorf("wc = %+v", wc)
-				return
+		}
+		for c, cq := range cqs {
+			if wc, ok := cq.Wait(clks[c]); !ok || wc.Status != StatusSuccess {
+				t.Fatalf("wc = %+v", wc)
 			}
 		}
 	}
-	wg.Add(2)
-	go run(p.cliQP, p.cliSend)
-	go run(p2.qp, p2.cq)
-	wg.Wait()
 	if got := binary.LittleEndian.Uint64(buf); got != 2*perClient {
 		t.Fatalf("counter = %d, want %d (lost updates)", got, 2*perClient)
 	}

@@ -16,7 +16,7 @@ import (
 // management datagrams, charged to both sides' clocks.
 type CM struct {
 	fabric    *simnet.Fabric
-	listeners *registry[string, *Listener]
+	listeners map[string]*Listener // by service name
 }
 
 // Connection-manager errors.
@@ -29,7 +29,7 @@ var (
 
 // NewCM creates a connection manager for the fabric.
 func NewCM(fabric *simnet.Fabric) *CM {
-	return &CM{fabric: fabric, listeners: newRegistry[string, *Listener]()}
+	return &CM{fabric: fabric, listeners: make(map[string]*Listener)}
 }
 
 // Fabric reports the fabric this CM serves.
@@ -99,10 +99,11 @@ type Listener struct {
 
 // Listen registers a service. Service names are fabric-wide unique.
 func (cm *CM) Listen(service string) (*Listener, error) {
-	l := &Listener{cm: cm, service: service, queue: simnet.NewMailboxOn[*ConnRequest](cm.fabric.Executor())}
-	if !cm.listeners.putIfAbsent(service, l) {
+	if _, dup := cm.listeners[service]; dup {
 		return nil, ErrDuplicateSvc
 	}
+	l := &Listener{cm: cm, service: service, queue: simnet.NewMailboxOn[*ConnRequest](cm.fabric.Executor())}
+	cm.listeners[service] = l
 	return l, nil
 }
 
@@ -134,7 +135,7 @@ func (l *Listener) SetOwner(a *simnet.Actor) { l.queue.SetOwner(a, nil, (*ConnRe
 
 // Close unregisters the service and wakes pending Accepts.
 func (l *Listener) Close() {
-	l.cm.listeners.delete(l.service)
+	delete(l.cm.listeners, l.service)
 	l.queue.Close()
 }
 
@@ -150,7 +151,7 @@ func (l *Listener) Close() {
 // of its own may simply not have started, so only then does realCap
 // bound the wait in real time.
 func (cm *CM) Connect(qp *QP, remote *simnet.Node, service string, clk *simnet.VClock, realCap time.Duration) (*QP, error) {
-	l, ok := cm.listeners.get(service)
+	l, ok := cm.listeners[service]
 	if !ok {
 		// Refused replies still cost a round trip.
 		if arrive, err := cm.fabric.Deliver(qp.hca.node, remote, clk.Now(), cmMsgBytes); err == nil {

@@ -2,7 +2,6 @@ package verbs
 
 import (
 	"math/bits"
-	"sync"
 
 	"repro/internal/simnet"
 )
@@ -21,7 +20,6 @@ type CQ struct {
 	hca *HCA
 	box *simnet.Mailbox[WC]
 
-	mu   sync.Mutex // the adapter lands bytes from the sender's goroutine
 	free [][][]byte // free buffers by size class, grown on demand
 
 	// UseEvents switches the completion cost model from PollOverhead
@@ -43,16 +41,13 @@ func bufClass(n int) int {
 // Buf takes an n-byte buffer from the queue's pool.
 func (c *CQ) Buf(n int) []byte {
 	k := bufClass(n)
-	c.mu.Lock()
 	if k < len(c.free) {
 		if m := len(c.free[k]); m > 0 {
 			b := c.free[k][m-1]
 			c.free[k] = c.free[k][:m-1]
-			c.mu.Unlock()
 			return b[:n]
 		}
 	}
-	c.mu.Unlock()
 	return make([]byte, n, 1<<k)
 }
 
@@ -63,12 +58,10 @@ func (c *CQ) Recycle(b []byte) {
 	if cap(b) != 1<<k {
 		return
 	}
-	c.mu.Lock()
 	for len(c.free) <= k {
 		c.free = append(c.free, nil)
 	}
 	c.free[k] = append(c.free[k], b)
-	c.mu.Unlock()
 }
 
 // CreateCQ allocates a completion queue on the adapter. Waiting on it
@@ -142,13 +135,9 @@ func (c *CQ) TryPollReady(clk *simnet.VClock) (WC, bool) { return c.TryPollSpin(
 // completion further out is left in place for a full-cost harvest, so
 // spin 0 is TryPollReady exactly.
 func (c *CQ) TryPollSpin(clk *simnet.VClock, spin simnet.Duration) (WC, bool) {
-	wc, ok, _ := c.box.TryRecv()
+	wc, ok := c.box.TryRecvBy(clk.Now()+spin, wcTime)
 	if !ok {
 		return wc, false
-	}
-	if wc.Time > clk.Now()+spin {
-		c.box.PutFront(wc)
-		return WC{}, false
 	}
 	clk.AdvanceTo(wc.Time)
 	clk.Advance(c.CoalescedCost())

@@ -3,7 +3,6 @@ package verbs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/simnet"
 )
@@ -19,11 +18,9 @@ type HCA struct {
 	sendEngine   *simnet.Resource
 	recvEngine   *simnet.Resource
 	atomicEngine *simnet.Resource
-	atomicMu     sync.Mutex // serializes atomicApply, like the HCA does
 
-	retransmits atomic.Uint64
+	retransmits uint64
 
-	mu      sync.Mutex
 	nextQPN uint32
 	nextKey uint32
 	nextVA  uint64
@@ -39,7 +36,7 @@ type HCA struct {
 	// around its own stores, making the simulated DMA race-free for Go
 	// while modeling real hardware's do-not-tear-under-DMA contract at
 	// zero cost to unguarded paths.
-	memGuard atomic.Pointer[sync.RWMutex]
+	memGuard *sync.RWMutex
 }
 
 // NewHCA installs an adapter for node on fabric with the given cost
@@ -89,7 +86,6 @@ type MR struct {
 	rkey uint32
 	va   uint64
 
-	mu        sync.Mutex
 	destroyed bool
 }
 
@@ -100,7 +96,6 @@ func (h *HCA) RegisterMR(pd *PD, buf []byte, clk *simnet.VClock) (*MR, error) {
 	if pd == nil || pd.hca != h {
 		return nil, ErrPDMismatch
 	}
-	h.mu.Lock()
 	lkey := h.nextKey
 	h.nextKey++
 	rkey := h.nextKey
@@ -109,7 +104,6 @@ func (h *HCA) RegisterMR(pd *PD, buf []byte, clk *simnet.VClock) (*MR, error) {
 	h.nextVA += uint64(len(buf)) + 4096 // guard gap
 	mr := &MR{pd: pd, buf: buf, lkey: lkey, rkey: rkey, va: va}
 	h.mrs[rkey] = mr
-	h.mu.Unlock()
 	if clk != nil {
 		clk.Advance(h.cfg.RegBase + simnet.Duration(float64(len(buf))*h.cfg.RegPerByte))
 	}
@@ -119,12 +113,8 @@ func (h *HCA) RegisterMR(pd *PD, buf []byte, clk *simnet.VClock) (*MR, error) {
 // DeregisterMR removes the registration; later remote RDMA against it
 // fails with ErrBadKey.
 func (h *HCA) DeregisterMR(mr *MR) {
-	mr.mu.Lock()
 	mr.destroyed = true
-	mr.mu.Unlock()
-	h.mu.Lock()
 	delete(h.mrs, mr.rkey)
-	h.mu.Unlock()
 }
 
 // LKey reports the local key.
@@ -171,16 +161,11 @@ func (m *MR) offsetOf(buf []byte) (int, error) {
 
 // lookupMR resolves an rkey to a live MR.
 func (h *HCA) lookupMR(rkey uint32) (*MR, bool) {
-	h.mu.Lock()
 	mr, ok := h.mrs[rkey]
-	h.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	mr.mu.Lock()
-	dead := mr.destroyed
-	mr.mu.Unlock()
-	return mr, !dead
+	return mr, !mr.destroyed
 }
 
 // rdmaRange returns the sub-slice of mr covering [addr, addr+n).
@@ -197,25 +182,17 @@ func (m *MR) rdmaRange(addr uint64, n int) ([]byte, error) {
 
 // registerQP assigns a QP number and indexes the QP for incoming traffic.
 func (h *HCA) registerQP(qp *QP) uint32 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	qpn := h.nextQPN
 	h.nextQPN++
 	h.qps[qpn] = qp
 	return qpn
 }
 
-func (h *HCA) unregisterQP(qpn uint32) {
-	h.mu.Lock()
-	delete(h.qps, qpn)
-	h.mu.Unlock()
-}
+func (h *HCA) unregisterQP(qpn uint32) { delete(h.qps, qpn) }
 
 // lookupQP resolves a QP number on this adapter.
 func (h *HCA) lookupQP(qpn uint32) (*QP, bool) {
-	h.mu.Lock()
 	qp, ok := h.qps[qpn]
-	h.mu.Unlock()
 	return qp, ok
 }
 
@@ -226,10 +203,10 @@ func (h *HCA) lookupQP(qpn uint32) (*QP, bool) {
 // index; RDMA between two guarded adapters in opposite directions
 // concurrently is not supported (lock order is read-side then write-
 // side).
-func (h *HCA) SetMemGuard(mu *sync.RWMutex) { h.memGuard.Store(mu) }
+func (h *HCA) SetMemGuard(mu *sync.RWMutex) { h.memGuard = mu }
 
 // MemGuard reports the installed guard, or nil.
-func (h *HCA) MemGuard() *sync.RWMutex { return h.memGuard.Load() }
+func (h *HCA) MemGuard() *sync.RWMutex { return h.memGuard }
 
 // guardedCopy copies src into dst, honoring the destination adapter's
 // guard (write-locked) and the source adapter's guard (read-locked).
@@ -247,11 +224,11 @@ func guardedCopy(dst, src []byte, wguard, rguard *sync.RWMutex) int {
 }
 
 // noteRetransmit counts one RC retransmission attempt on this adapter.
-func (h *HCA) noteRetransmit() { h.retransmits.Add(1) }
+func (h *HCA) noteRetransmit() { h.retransmits++ }
 
 // Retransmits reports how many RC retransmissions this adapter's QPs
 // have performed (loss and RNR retries combined).
-func (h *HCA) Retransmits() uint64 { return h.retransmits.Load() }
+func (h *HCA) Retransmits() uint64 { return h.retransmits }
 
 // Utilization reports the busy time of the send and receive pipelines.
 func (h *HCA) Utilization() (send, recv simnet.Duration) {

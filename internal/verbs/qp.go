@@ -1,10 +1,6 @@
 package verbs
 
-import (
-	"sync"
-
-	"repro/internal/simnet"
-)
+import "repro/internal/simnet"
 
 // QP is a queue pair: the verbs communication endpoint. An RC (reliable
 // connected) QP is wired 1:1 to a peer QP by the connection manager; a
@@ -18,7 +14,6 @@ type QP struct {
 	recvCQ *CQ
 	srq    *SRQ // optional shared receive queue
 
-	mu     sync.Mutex
 	state  QPState
 	recvq  recvQueue
 	remote *QP // RC peer, set by the connection manager
@@ -50,18 +45,12 @@ func (q *QP) Type() QPType { return q.typ }
 func (q *QP) HCA() *HCA { return q.hca }
 
 // State reports the current state.
-func (q *QP) State() QPState {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.state
-}
+func (q *QP) State() QPState { return q.state }
 
 // Modify transitions the state machine, enforcing the legal bring-up
 // order RESET→INIT→RTR→RTS (any state may move to ERR, and ERR→RESET
 // recycles the QP).
 func (q *QP) Modify(next QPState) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if next == StateErr {
 		q.state = StateErr
 		return nil
@@ -80,11 +69,7 @@ func (q *QP) Modify(next QPState) error {
 }
 
 // setRemote wires the RC peer (connection-manager internal).
-func (q *QP) setRemote(peer *QP) {
-	q.mu.Lock()
-	q.remote = peer
-	q.mu.Unlock()
-}
+func (q *QP) setRemote(peer *QP) { q.remote = peer }
 
 // PostRecv posts a receive. The QP must be at least INIT. With an SRQ
 // attached, receives must be posted to the SRQ instead.
@@ -92,8 +77,6 @@ func (q *QP) PostRecv(wr RecvWR) error {
 	if q.srq != nil {
 		return q.srq.Post(wr)
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.state == StateReset || q.state == StateErr {
 		return ErrBadState
 	}
@@ -106,8 +89,6 @@ func (q *QP) popRecv() (RecvWR, bool) {
 	if q.srq != nil {
 		return q.srq.pop()
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return q.recvq.pop()
 }
 
@@ -145,11 +126,9 @@ func (r *recvQueue) pop() (RecvWR, bool) {
 // Destroy errors the QP, flushes posted receives as StatusFlushed
 // completions, and releases the QP number.
 func (q *QP) Destroy() {
-	q.mu.Lock()
 	q.state = StateErr
 	pending := q.recvq
 	q.recvq = recvQueue{}
-	q.mu.Unlock()
 	for wr, ok := pending.pop(); ok; wr, ok = pending.pop() {
 		q.recvCQ.post(WC{ID: wr.ID, Op: OpRecv, Status: StatusFlushed, QPN: q.qpn})
 	}
@@ -193,11 +172,7 @@ func (q *QP) PostSendN(clk *simnet.VClock, wrs []SendWR) error {
 // postCharge validates QP state and charges the doorbell cost for a
 // burst of n WRs (one full PostOverhead plus n-1 coalesced builds).
 func (q *QP) postCharge(clk *simnet.VClock, n int) (*QP, error) {
-	q.mu.Lock()
-	state := q.state
-	remote := q.remote
-	q.mu.Unlock()
-	if state != StateRTS {
+	if q.state != StateRTS {
 		return nil, ErrBadState
 	}
 	clk.Advance(q.hca.cfg.PostOverhead)
@@ -205,7 +180,7 @@ func (q *QP) postCharge(clk *simnet.VClock, n int) (*QP, error) {
 		// The 2nd..nth WR build their WQEs without ringing the doorbell.
 		clk.Advance(simnet.Duration(n-1) * (q.hca.cfg.PostOverhead / 2))
 	}
-	return remote, nil
+	return q.remote, nil
 }
 
 // dispatchSend routes one already-charged WR into the transport.
@@ -305,7 +280,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 		return nil
 	}
 
-	// The payload is copied now (sender goroutine acts as the DMA
+	// The payload is copied now (the sender's call acts as the DMA
 	// engine); the stamp says when it becomes visible.
 	rstatus, rtime := dst.receive(wr.Local, arrive)
 
@@ -342,10 +317,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 // receive consumes a posted receive for an incoming SEND.
 func (q *QP) receive(payload []byte, arrive simnet.Time) (Status, simnet.Time) {
 	cfg := q.hca.cfg
-	q.mu.Lock()
-	state := q.state
-	q.mu.Unlock()
-	if state != StateRTR && state != StateRTS {
+	if q.state != StateRTR && q.state != StateRTS {
 		return StatusRemoteError, arrive
 	}
 	wr, ok := q.popRecv()
@@ -488,7 +460,6 @@ func (q *QP) postRDMAWrite(clk *simnet.VClock, wr SendWR, remote *QP) error {
 type SRQ struct {
 	hca *HCA
 	cap int
-	mu  sync.Mutex
 	q   recvQueue
 }
 
@@ -513,8 +484,6 @@ func (s *SRQ) Cap() int { return s.cap }
 // Post adds a receive to the shared pool; ErrSRQFull when the ring is
 // at capacity (the work request is not queued).
 func (s *SRQ) Post(wr RecvWR) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.q.n >= s.cap {
 		return ErrSRQFull
 	}
@@ -523,14 +492,6 @@ func (s *SRQ) Post(wr RecvWR) error {
 }
 
 // Len reports posted receives not yet consumed.
-func (s *SRQ) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.q.n
-}
+func (s *SRQ) Len() int { return s.q.n }
 
-func (s *SRQ) pop() (RecvWR, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.q.pop()
-}
+func (s *SRQ) pop() (RecvWR, bool) { return s.q.pop() }

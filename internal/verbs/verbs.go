@@ -15,6 +15,11 @@
 // regions with no remote software involvement. Time is virtual: each
 // operation charges the configured HCA processing costs and the fabric's
 // wire model (see internal/simnet).
+//
+// Nothing here locks. An adapter and everything made from it belong to
+// one deployment and are used under its owner (simnet.Executor.Enter);
+// only the completion queues' mailboxes synchronise, and the memory
+// guard a host installs (HCA.SetMemGuard).
 package verbs
 
 import (

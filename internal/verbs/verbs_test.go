@@ -47,7 +47,7 @@ type pair struct {
 
 // newPair builds two nodes with a connected RC queue pair, with nRecv
 // receive buffers of bufSize pre-posted on each side.
-func newPair(t *testing.T, nRecv, bufSize int) *pair {
+func newPair(t testing.TB, nRecv, bufSize int) *pair {
 	t.Helper()
 	p := &pair{}
 	p.nw = simnet.NewNetwork()
