@@ -139,6 +139,8 @@ check-no-wallclock:
 #  - one owner per deployment: no mutex or atomic type in verbs, ucr or
 #    sockstream beyond the store's memory guard and the endpoint seeds
 #    clones share, and no mutex in simnet outside the executor.
+#  - host bytes follow live state: a slab page's host memory is carved
+#    with its chunks, so no whole-page buffer and no page-sized window.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -155,6 +157,7 @@ internal cmd examples *_test.go	func Benchmark(Fig|Ablation)|WriteCSV|TouchHits|
 internal cmd examples *_test.go	DistModula|DistKetama|\bDistribution\b|\bkeyHash\b|liveIdx	^$$	second key→server rule or live-index list under internal/ cmd/ examples/ or the root tests
 internal/verbs internal/ucr internal/sockstream internal/simnet	sync\.(RW)?Mutex|atomic\.[A-Z]	_test\.go:|^internal/simnet/executor\.go:|^internal/simnet/[a-z]+\.go:[0-9]+:.*atomic\.|endpointSeeds|\) seeds\(\)|[gG]uard	lock or atomic beneath the deployment owner under internal/verbs, ucr, sockstream or simnet
 internal cmd examples *_test.go	splitWriter|postSet|postDelete|settleSet|settleDelete|settleWrite|postWrite|t\.posted\b|posted +\*amOp|lastOp|\bWindow\(\) int	^$$	second op driver (post/settle split, posted slot, last-op victim) or Pipeline.Window under internal/ cmd/ examples/ or the root tests
+internal/memcached	PageBytes|pageWindow|pageWins|make\(\[\]byte, slabPageSize\)	^$$	whole-page host backing or page window under internal/memcached
 endef
 export GONE
 

@@ -1,6 +1,11 @@
 package bench
 
 import (
+	"bufio"
+	"os"
+	"runtime/debug"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -55,10 +60,55 @@ func TestFleetSweepQuick(t *testing.T) {
 }
 
 // The headline cell: 1000 servers, 10,000 pipelined clients, live in
-// virtual time — churn, replication and read repair all real.
+// virtual time — churn, replication and read repair all real — in
+// under 600 MB of peak RSS: host bytes follow live state. The peak is
+// the process's VmHWM, reset first where /proc allows it so earlier
+// tests do not count; a race build only logs it.
 func TestFleetSweep1000(t *testing.T) {
 	if FleetCounts[len(FleetCounts)-1] != 1000 {
 		t.Fatalf("FleetCounts %v does not end at the 1000-server cell", FleetCounts)
 	}
+	debug.FreeOSMemory()
+	_ = os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) // 5: reset VmHWM
 	checkFleetSweep(t, []int{1000})
+	kb, ok := peakRSSKB()
+	if !ok {
+		t.Log("peak RSS: /proc/self/status unreadable")
+		return
+	}
+	t.Logf("peak RSS %d MB", kb>>10)
+	const limit = 600 << 10 // KiB
+	if kb >= limit && !raceBuild() {
+		t.Errorf("peak RSS %d MB, want < %d MB", kb>>10, limit>>10)
+	}
+}
+
+// peakRSSKB reads the process's peak resident set (VmHWM) in KiB.
+func peakRSSKB() (int64, bool) {
+	f, err := os.Open("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "VmHWM:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
+}
+
+// raceBuild reports a race-detector build, whose shadow memory no RSS
+// bound of the program's own covers.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

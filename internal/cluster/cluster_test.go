@@ -697,6 +697,9 @@ func TestOneCreditWindow(t *testing.T) {
 // idle RC clients on cluster B cost the host a few KiB each — seat,
 // endpoint, and the server's endpoint for it — while the model still
 // charges each server endpoint its whole credit window of eager buffers.
+// A credit window is one run in the receive ring and every client
+// runtime shares one handler table: 15 836 B per client before both,
+// 5 300 B after; the bound is that plus 1 KiB.
 func TestIdleClientHostBytes(t *testing.T) {
 	const n = 1000
 	d := New(ClusterB(), Options{})
@@ -719,8 +722,11 @@ func TestIdleClientHostBytes(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n; per > 16<<10 {
-		t.Errorf("host heap per idle RC client = %d B, want <= 16 KiB", per)
+	const bound = 5300 + 1<<10
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("host heap per idle RC client = %d B", per)
+	if per > bound {
+		t.Errorf("host heap per idle RC client = %d B, want <= %d B", per, bound)
 	}
 	const window = 64 * 8248 // cluster B: credits x (8 KB eager buffer + UCR packet header)
 	if got := d.Server.UCRRecvBufferBytes(); got != n*window {

@@ -110,15 +110,15 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 		transport:  opts.Transport,
 		behaviors:  opts.Behaviors,
 		replicas:   opts.Replicas,
-		ring:       ring.New(0), // the libmemcached layout, as mcclient and memcheck build it
 		members:    make(map[string]*fleetMember),
 		nextServer: opts.Servers,
 	}
+	names := make([]string, len(d.ServerNodes))
 	for i, node := range d.ServerNodes {
-		name := node.Name()
-		f.members[name] = &fleetMember{name: name, idx: i, node: node, srv: d.Servers[i]}
-		f.ring.AddServer(name)
+		names[i] = node.Name()
+		f.members[names[i]] = &fleetMember{name: names[i], idx: i, node: node, srv: d.Servers[i]}
 	}
+	f.ring = ring.Build(0, names) // the libmemcached layout, as mcclient and memcheck build it
 	return f, nil
 }
 

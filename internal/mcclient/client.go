@@ -174,15 +174,17 @@ func New(clk *simnet.VClock, behaviors Behaviors, servers []Transport) (*Client,
 		return nil, ErrNoServers
 	}
 	c := &Client{behaviors: behaviors, servers: servers, clk: clk,
-		ring: ring.New(0), byName: make(map[string]int, len(servers))}
+		byName: make(map[string]int, len(servers))}
+	names := make([]string, len(servers))
 	for i, s := range servers {
 		name := s.Name()
 		if _, dup := c.byName[name]; dup {
 			return nil, fmt.Errorf("mcclient: server %q appears twice in the pool", name)
 		}
-		c.ring.AddServer(name)
 		c.byName[name] = i
+		names[i] = name
 	}
+	c.ring = ring.Build(0, names)
 	return c, nil
 }
 

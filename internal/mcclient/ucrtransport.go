@@ -175,7 +175,15 @@ func opFor(ep *ucr.Endpoint, tag ucr.CounterID) (*UCRTransport, *amOp) {
 
 // RegisterClientHandlers installs the AM 2 reply handlers on a client
 // runtime. Safe to call repeatedly.
-func RegisterClientHandlers(rt *ucr.Runtime) {
+func RegisterClientHandlers(rt *ucr.Runtime) { rt.ShareHandlers(clientHandlers) }
+
+// clientHandlers is the one reply-handler table every client runtime
+// shares: a handler finds its transport through the endpoint and its op
+// through the tag, so it captures nothing per client.
+var clientHandlers = newClientHandlers()
+
+func newClientHandlers() *ucr.Handlers {
+	t := new(ucr.Handlers)
 	// A reply either carries no data block or lands its value where
 	// landingBuf says — §V-C: the client learns the item size in the
 	// header handler and picks the destination there.
@@ -190,7 +198,7 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 	// on registers a reply AM whose completion runs fn on the tagged op;
 	// a reply whose tag was retired is suppressed.
 	on := func(id uint8, header ucr.HeaderHandler, fn func(t *UCRTransport, op *amOp, hdr, data []byte)) {
-		rt.RegisterHandler(id, ucr.Handler{Header: header,
+		t.Register(id, ucr.Handler{Header: header,
 			Completion: func(_ *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, tag ucr.CounterID) {
 				t, op := opFor(ep, tag)
 				if op != nil && len(data) > 0 {
@@ -237,6 +245,7 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 	})
 	on(memcached.AMGetWNotify, noData, (*UCRTransport).onGetWNotify)
 	on(memcached.AMMGetWNotify, noData, (*UCRTransport).onMGetWNotify)
+	return t
 }
 
 // landingBuf picks where a reply value lands: the tagged request's lent

@@ -58,7 +58,7 @@ const (
 type OSEntry struct {
 	KeyHash  uint64
 	Seq      uint64 // 2×casID when stable; odd or 0 means invalid
-	Addr     uint64 // RDMA address of [key][value] in a slab-page window
+	Addr     uint64 // RDMA address of [key][value] in a slab-segment window
 	ExpireAt simnet.Time
 	RKey     uint32
 	KeyLen   int
@@ -161,10 +161,17 @@ type osIndex struct {
 	dir    []byte
 	dirWin *ucr.Window
 
-	mu       sync.Mutex // guards pageWins growth
-	pageWins []*ucr.Window
+	mu      sync.Mutex // guards segWins growth
+	segWins []segWin
 
 	published, displaced, unpublished uint64
+}
+
+// segWin is a registered slab segment: its window and the page offset
+// the window's first byte has.
+type segWin struct {
+	w   *ucr.Window
+	off int
 }
 
 func newOSIndex(rt *ucr.Runtime, arena *SlabArena) (*osIndex, error) {
@@ -181,26 +188,27 @@ func newOSIndex(rt *ucr.Runtime, arena *SlabArena) (*osIndex, error) {
 	return x, nil
 }
 
-// pageWindow lazily registers slab page pi as an RDMA window.
-// Registration happens off the virtual clock: pages register once, on
-// first publish, and the paper's design amortizes pinning outside the
-// data path. Returns nil if registration fails (the item then simply
-// stays AM-only).
-func (x *osIndex) pageWindow(pi int) *ucr.Window {
+// segWindow lazily registers slab segment si as an RDMA window.
+// Registration happens off the virtual clock: segments register once,
+// on first publish, and the paper's design amortizes pinning outside the
+// data path. Returns a nil window if registration fails (the item then
+// simply stays AM-only).
+func (x *osIndex) segWindow(si int) segWin {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	for len(x.pageWins) <= pi {
-		x.pageWins = append(x.pageWins, nil)
+	for len(x.segWins) <= si {
+		x.segWins = append(x.segWins, segWin{})
 	}
-	if w := x.pageWins[pi]; w != nil {
-		return w
+	if sw := x.segWins[si]; sw.w != nil {
+		return sw
 	}
-	w, err := x.rt.CreateWindow(x.arena.PageBytes(pi), nil)
+	seg := x.arena.segment(si)
+	w, err := x.rt.CreateWindow(seg.buf, nil)
 	if err != nil {
-		return nil
+		return segWin{}
 	}
-	x.pageWins[pi] = w
-	return w
+	x.segWins[si] = segWin{w, seg.off}
+	return x.segWins[si]
 }
 
 // slotBytes returns the encoded bytes of bucket b, slot s.
@@ -222,8 +230,8 @@ func (x *osIndex) publishLocked(it *Item) {
 	if len(it.key) > osMaxKeyLen || len(it.value) > osMaxValLen {
 		return
 	}
-	w := x.pageWindow(it.chunk.page)
-	if w == nil {
+	sw := x.segWindow(it.chunk.seg)
+	if sw.w == nil {
 		return
 	}
 	h := OSKeyHash(it.key)
@@ -257,9 +265,9 @@ func (x *osIndex) publishLocked(it *Item) {
 	le := binary.LittleEndian
 	le.PutUint64(sb, h)
 	le.PutUint64(sb[8:], seq)
-	le.PutUint64(sb[16:], w.Desc().Addr+uint64(it.chunk.off))
+	le.PutUint64(sb[16:], sw.w.Desc().Addr+uint64(it.chunk.off-sw.off))
 	le.PutUint64(sb[24:], uint64(it.expireAt))
-	le.PutUint32(sb[32:], uint32(w.Desc().RKey))
+	le.PutUint32(sb[32:], uint32(sw.w.Desc().RKey))
 	le.PutUint32(sb[36:], uint32(len(it.key))<<24|uint32(len(it.value)))
 	le.PutUint32(sb[40:], it.flags)
 	le.PutUint32(sb[44:], 0)
@@ -324,12 +332,12 @@ func (x *osIndex) close() {
 		x.dirWin.Close()
 	}
 	x.mu.Lock()
-	wins := x.pageWins
-	x.pageWins = nil
+	wins := x.segWins
+	x.segWins = nil
 	x.mu.Unlock()
-	for _, w := range wins {
-		if w != nil {
-			w.Close()
+	for _, sw := range wins {
+		if sw.w != nil {
+			sw.w.Close()
 		}
 	}
 }

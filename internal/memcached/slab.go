@@ -16,30 +16,51 @@ const (
 	growthFactor = 1.25
 	// chunkAlign keeps chunk sizes 8-byte aligned.
 	chunkAlign = 8
+	// slabSegSize caps a host segment: a page's chunks get host bytes in
+	// runs of at most this size, each made on its first carve. A server
+	// holding a few dozen small items (a fleet member) pays one segment.
+	slabSegSize = 16 << 10
 )
 
 // ErrNoMemory is returned when the arena is exhausted and eviction is
 // disabled or found nothing evictable.
 var ErrNoMemory = errors.New("memcached: out of memory storing object")
 
-// chunk names one allocation: a byte range within a slab page. page/off
-// locate it inside the arena's page list so the one-sided index can
-// compute its RDMA-visible address (the capped buf slice hides the page
-// offset from capacity arithmetic).
+// chunk names one allocation: a byte range within a slab page. off
+// locates it inside its page (the modeled address); seg names the host
+// segment holding its bytes, which the one-sided index registers as the
+// chunk's RDMA window (the capped buf slice hides the segment offset
+// from capacity arithmetic).
 type chunk struct {
 	class int
 	buf   []byte // full chunk capacity
-	page  int    // index into the arena's page list
-	off   int    // byte offset of buf within that page
+	seg   int    // index into the arena's segment list
+	off   int    // byte offset of buf within its page
 }
 
 func (c chunk) valid() bool { return c.buf != nil }
 
-// slabClass is one size class: its chunk size and free list.
+// slabSeg is one host segment: a run of a page's chunks and where the
+// run starts in that page.
+type slabSeg struct {
+	buf  []byte
+	page int
+	off  int
+}
+
+// slabClass is one size class: its chunk size, free list and its newest
+// page's carving state. Only the newest page can hold uncarved chunks: a
+// class grows only when its free list is empty and nothing is left to
+// carve.
 type slabClass struct {
 	size  int
 	free  []chunk
 	pages int
+
+	page  int // arena index of the newest page
+	carve int // chunks of that page still to carve, carved top down
+	seg   int // arena index of the newest segment
+	segLo int // chunk index within the page where that segment starts
 }
 
 // SlabArena is the memcached slab allocator: memory is grabbed in 1 MB
@@ -47,6 +68,14 @@ type slabClass struct {
 // chunks. Freed chunks return to their class's free list — classes never
 // shrink (the fragmentation behaviour the paper's related-work section
 // points out makes client-side address caching unsafe).
+//
+// The page is the modeled unit — the memory limit, usedBytes, per-class
+// page counts and `stats slabs` all count whole pages — but its host
+// bytes follow what is live: a new page only records how many chunks it
+// has left to carve, Alloc carves the highest one when the free list is
+// empty (the order a pre-carved list would pop in), and a chunk's bytes
+// come from a host segment of at most slabSegSize made on the segment's
+// first carve (a chunk that large is a segment of its own).
 //
 // The arena is shared by every store shard and guards its free lists
 // with its own short mutex; the class geometry (count and sizes) is
@@ -57,9 +86,9 @@ type SlabArena struct {
 	classes    []slabClass
 	limitBytes int64
 
-	mu        sync.Mutex // guards free lists, pages, usedBytes
+	mu        sync.Mutex // guards free lists, carving state, segs, usedBytes
 	usedBytes int64
-	pages     [][]byte // every page ever grabbed, indexed by chunk.page
+	segs      []slabSeg // every host segment made, indexed by chunk.seg
 }
 
 // NewSlabArena builds an arena with the given memory limit and the
@@ -116,8 +145,10 @@ func (a *SlabArena) UsedBytes() int64 {
 	return a.usedBytes
 }
 
-// Alloc takes a chunk that fits n bytes. It does not evict; the store
-// layer owns eviction policy. ErrNoMemory means "free a chunk first".
+// Alloc takes a chunk that fits n bytes: the most recently freed one of
+// its class, else the class's next uncarved chunk. It does not evict; the
+// store layer owns eviction policy. ErrNoMemory means "free a chunk
+// first".
 func (a *SlabArena) Alloc(n int) (chunk, error) {
 	ci, ok := a.ClassFor(n)
 	if !ok {
@@ -126,39 +157,57 @@ func (a *SlabArena) Alloc(n int) (chunk, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cl := &a.classes[ci]
-	if len(cl.free) == 0 {
+	if k := len(cl.free); k > 0 {
+		c := cl.free[k-1]
+		cl.free = cl.free[:k-1]
+		return c, nil
+	}
+	if cl.carve == 0 {
 		if err := a.growClassLocked(ci); err != nil {
 			return chunk{}, err
 		}
 	}
-	c := cl.free[len(cl.free)-1]
-	cl.free = cl.free[:len(cl.free)-1]
-	return c, nil
+	return a.carveLocked(ci), nil
 }
 
-// growClassLocked grabs a page for class ci and carves it.
+// growClassLocked grabs a page for class ci. No host bytes are made
+// here: the page only records that it has ⌊page/size⌋ chunks to carve.
 func (a *SlabArena) growClassLocked(ci int) error {
 	if a.usedBytes+slabPageSize > a.limitBytes {
 		return ErrNoMemory
 	}
-	a.usedBytes += slabPageSize
 	cl := &a.classes[ci]
 	cl.pages++
-	page := make([]byte, slabPageSize)
-	pi := len(a.pages)
-	a.pages = append(a.pages, page)
-	for off := 0; off+cl.size <= slabPageSize; off += cl.size {
-		cl.free = append(cl.free, chunk{class: ci, buf: page[off : off+cl.size : off+cl.size], page: pi, off: off})
-	}
+	cl.page = int(a.usedBytes / slabPageSize)
+	a.usedBytes += slabPageSize
+	cl.carve = slabPageSize / cl.size
+	cl.segLo = cl.carve // no segment of this page yet
 	return nil
 }
 
-// PageBytes exposes page i's full backing slice (the one-sided index
-// registers whole pages as RDMA windows).
-func (a *SlabArena) PageBytes(i int) []byte {
+// carveLocked carves the highest uncarved chunk of class ci's newest
+// page, making its segment's host bytes when it is the segment's first.
+func (a *SlabArena) carveLocked(ci int) chunk {
+	cl := &a.classes[ci]
+	cl.carve--
+	j := cl.carve
+	if j < cl.segLo {
+		perSeg := max(1, slabSegSize/cl.size)
+		lo := j / perSeg * perSeg
+		a.segs = append(a.segs, slabSeg{buf: make([]byte, (j+1-lo)*cl.size), page: cl.page, off: lo * cl.size})
+		cl.seg, cl.segLo = len(a.segs)-1, lo
+	}
+	at := (j - cl.segLo) * cl.size
+	seg := a.segs[cl.seg].buf
+	return chunk{class: ci, buf: seg[at : at+cl.size : at+cl.size], seg: cl.seg, off: j * cl.size}
+}
+
+// segment reports host segment i: its bytes and their offset in their
+// page (the one-sided index registers each segment as an RDMA window).
+func (a *SlabArena) segment(i int) slabSeg {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.pages[i]
+	return a.segs[i]
 }
 
 // Free returns a chunk to its class.
@@ -172,11 +221,12 @@ func (a *SlabArena) Free(c chunk) {
 	cl.free = append(cl.free, c)
 }
 
-// FreeChunks reports free chunks in class i (for tests/stats).
+// FreeChunks reports the chunks of class i not handed out — freed or
+// not yet carved (for tests/stats).
 func (a *SlabArena) FreeChunks(i int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.classes[i].free)
+	return len(a.classes[i].free) + a.classes[i].carve
 }
 
 // ClassPages reports pages assigned to class i.

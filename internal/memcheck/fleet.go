@@ -48,18 +48,23 @@ type fleetModel struct {
 
 func newFleetModel(lossy bool, replicas int, members []string) *fleetModel {
 	m := &fleetModel{
-		lossy: lossy, replicas: replicas, ring: ring.New(0),
+		lossy: lossy, replicas: replicas, ring: ring.Build(0, members),
 		exact: make(map[string]map[string]fleetVal),
 		cand:  make(map[string]map[string]map[fleetVal]bool),
 	}
 	for _, name := range members {
-		m.addServer(name)
+		m.addStore(name)
 	}
 	return m
 }
 
 func (m *fleetModel) addServer(name string) {
 	m.ring.AddServer(name)
+	m.addStore(name)
+}
+
+// addStore gives a new member empty model stores.
+func (m *fleetModel) addStore(name string) {
 	m.exact[name] = make(map[string]fleetVal)
 	m.cand[name] = make(map[string]map[fleetVal]bool)
 }

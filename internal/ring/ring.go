@@ -5,27 +5,30 @@
 // uint32 points per digest), so promoting the ring out of mcclient did
 // not move a single key.
 //
-// Unlike the original client-internal ring, membership changes here are
-// incremental: AddServer computes and sorts only the joining server's
-// points and merges them into the sorted point list in one O(n) pass;
-// RemoveServer is a single filter pass. Neither ever re-hashes or
+// A ring is built whole by Build — every member hashed, one sort — and
+// then changes incrementally: AddServer computes and sorts only the
+// joining server's points and merges them into the sorted point list in
+// one O(n) pass; RemoveServer is a single filter pass. Neither ever re-hashes or
 // re-sorts the surviving servers' points, which is what makes O(1000)
 // membership churn affordable — and what makes the movement guarantee
 // auditable: the only arcs that change owners are the ones the joining
 // or leaving server's own points delimit.
 //
-// Points are ordered by (hash, owner): the owner-name tiebreak matters at
+// Points are ordered by (hash, owner name): the name tiebreak matters at
 // fleet scale, where ~160k uint32 points make birthday collisions likely.
 // Without it, two servers hashing onto the same point would be ordered by
-// insertion history and AddServer/RemoveServer would not round-trip.
+// insertion history and AddServer/RemoveServer would not round-trip. A
+// point names its owner by member index, so it is 8 bytes, not a string
+// header beside a hash.
 package ring
 
 import (
+	"cmp"
 	"crypto/md5"
 	"encoding/binary"
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // DefaultVNodes is libmemcached's ketama replica count: 40 md5 digests
@@ -49,27 +52,19 @@ var (
 	MutReplicaSkip bool
 )
 
-// point is one ring position and the server owning the arc ending at it.
+// point is one ring position and the member owning the arc ending at it.
 type point struct {
 	h     uint32
-	owner string
-}
-
-// pointLess orders points by (hash, owner) — the owner tiebreak keeps
-// the ring history-independent when two servers collide on a hash.
-func pointLess(a, b point) bool {
-	if a.h != b.h {
-		return a.h < b.h
-	}
-	return a.owner < b.owner
+	owner uint32 // index into Ring.names
 }
 
 // Ring is a ketama ring over named servers. Not safe for concurrent use;
 // callers that share one (the fleet layer) guard it externally.
 type Ring struct {
 	vnodes  int
-	points  []point // sorted by (h, owner)
-	members map[string]struct{}
+	points  []point           // sorted by (h, owner name)
+	names   []string          // member index → name
+	members map[string]uint32 // name → member index
 }
 
 // New returns an empty ring with the given virtual-node count (md5
@@ -79,20 +74,54 @@ func New(vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	return &Ring{vnodes: vnodes, members: make(map[string]struct{})}
+	return &Ring{vnodes: vnodes, members: make(map[string]uint32)}
 }
 
-// pointsFor computes a server's sorted ring points.
-func pointsFor(name string, vnodes int) []point {
-	pts := make([]point, 0, vnodes*4)
-	for rep := 0; rep < vnodes; rep++ {
-		sum := md5.Sum([]byte(fmt.Sprintf("%s-%d", name, rep)))
-		for part := 0; part < 4; part++ {
-			pts = append(pts, point{binary.LittleEndian.Uint32(sum[part*4:]), name})
+// Build returns a ring over names: every member's points hashed, then
+// one sort — the ring AddServer would reach adding them one at a time,
+// in any order, without its O(n) merge per member. A repeated name is
+// one member.
+func Build(vnodes int, names []string) *Ring {
+	r := New(vnodes)
+	pts := make([]point, 0, len(names)*r.vnodes*4)
+	for _, name := range names {
+		if _, ok := r.members[name]; !ok {
+			pts = r.appendPoints(pts, r.addMember(name))
 		}
 	}
-	sort.Slice(pts, func(i, j int) bool { return pointLess(pts[i], pts[j]) })
-	return pts
+	slices.SortFunc(pts, r.compare)
+	r.points = pts
+	return r
+}
+
+// compare orders points by (hash, owner name) — the name tiebreak keeps
+// the ring history-independent when two servers collide on a hash.
+func (r *Ring) compare(a, b point) int {
+	if a.h != b.h {
+		return cmp.Compare(a.h, b.h)
+	}
+	return cmp.Compare(r.names[a.owner], r.names[b.owner])
+}
+
+// addMember records name under the next member index.
+func (r *Ring) addMember(name string) uint32 {
+	i := uint32(len(r.names))
+	r.names = append(r.names, name)
+	r.members[name] = i
+	return i
+}
+
+// appendPoints appends member i's ring points, unsorted.
+func (r *Ring) appendPoints(dst []point, i uint32) []point {
+	buf := make([]byte, 0, len(r.names[i])+8)
+	for rep := 0; rep < r.vnodes; rep++ {
+		buf = append(append(buf[:0], r.names[i]...), '-')
+		sum := md5.Sum(strconv.AppendInt(buf, int64(rep), 10))
+		for part := 0; part < 4; part++ {
+			dst = append(dst, point{binary.LittleEndian.Uint32(sum[part*4:]), i})
+		}
+	}
+	return dst
 }
 
 // AddServer inserts a server's points. Only the new points are hashed
@@ -102,12 +131,12 @@ func (r *Ring) AddServer(name string) {
 	if _, ok := r.members[name]; ok {
 		return
 	}
-	r.members[name] = struct{}{}
-	add := pointsFor(name, r.vnodes)
+	add := r.appendPoints(make([]point, 0, r.vnodes*4), r.addMember(name))
+	slices.SortFunc(add, r.compare)
 	merged := make([]point, 0, len(r.points)+len(add))
 	i, j := 0, 0
 	for i < len(r.points) && j < len(add) {
-		if pointLess(add[j], r.points[i]) {
+		if r.compare(add[j], r.points[i]) < 0 {
 			merged = append(merged, add[j])
 			j++
 		} else {
@@ -120,18 +149,30 @@ func (r *Ring) AddServer(name string) {
 	r.points = merged
 }
 
-// RemoveServer filters a server's points out in one pass. Removing an
-// absent member is a no-op.
+// RemoveServer filters a server's points out in one pass. The last
+// member takes the leaver's index, so its points are renamed in the same
+// pass. Removing an absent member is a no-op.
 func (r *Ring) RemoveServer(name string) {
-	if _, ok := r.members[name]; !ok {
+	gone, ok := r.members[name]
+	if !ok {
 		return
 	}
+	last := uint32(len(r.names) - 1)
 	delete(r.members, name)
+	if gone != last {
+		r.names[gone] = r.names[last]
+		r.members[r.names[gone]] = gone
+	}
+	r.names = r.names[:last]
 	// Filter into a fresh slice: Clone hands out rings sharing the
 	// backing array, so in-place compaction would corrupt snapshots.
 	out := make([]point, 0, len(r.points)-r.vnodes*4)
 	for _, p := range r.points {
-		if p.owner != name {
+		switch p.owner {
+		case gone:
+		case last:
+			out = append(out, point{p.h, gone})
+		default:
 			out = append(out, p)
 		}
 	}
@@ -146,10 +187,7 @@ func (r *Ring) NumPoints() int { return len(r.points) }
 
 // Members lists the servers in sorted order.
 func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
+	out := slices.Clone(r.names)
 	sort.Strings(out)
 	return out
 }
@@ -174,8 +212,8 @@ func (r *Ring) search(h uint32) int {
 // one-member ring owns every arc with that member, so it answers without
 // hashing the key.
 func (r *Ring) Lookup(key string) string {
-	if len(r.members) == 1 {
-		return r.points[0].owner
+	if len(r.names) == 1 {
+		return r.names[0]
 	}
 	return r.LookupPoint(KeyPoint(key))
 }
@@ -186,7 +224,7 @@ func (r *Ring) LookupPoint(h uint32) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	return r.points[r.search(h)].owner
+	return r.names[r.points[r.search(h)].owner]
 }
 
 // Owners returns the first n distinct servers walking clockwise from the
@@ -212,7 +250,7 @@ func (r *Ring) AppendOwners(dst []string, key string, n int) []string {
 	base := len(dst)
 	start := r.search(KeyPoint(key))
 	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
-		owner := r.points[(start+i)%len(r.points)].owner
+		owner := r.names[r.points[(start+i)%len(r.points)].owner]
 		if !slices.Contains(dst[base:], owner) {
 			dst = append(dst, owner)
 		}
@@ -225,23 +263,25 @@ func (r *Ring) AppendOwners(dst []string, key string, n int) []string {
 func (r *Ring) Clone() *Ring {
 	c := &Ring{
 		vnodes:  r.vnodes,
-		points:  append([]point(nil), r.points...),
-		members: make(map[string]struct{}, len(r.members)),
+		points:  slices.Clone(r.points),
+		names:   slices.Clone(r.names),
+		members: make(map[string]uint32, len(r.members)),
 	}
-	for m := range r.members {
-		c.members[m] = struct{}{}
+	for m, i := range r.members {
+		c.members[m] = i
 	}
 	return c
 }
 
 // Equal reports whether two rings have identical points and membership
-// (the AddServer/RemoveServer round-trip property).
+// (the AddServer/RemoveServer round-trip property). Member indexes are
+// bookkeeping: points compare by hash and owner name.
 func (r *Ring) Equal(o *Ring) bool {
-	if len(r.points) != len(o.points) || len(r.members) != len(o.members) {
+	if len(r.points) != len(o.points) || len(r.names) != len(o.names) {
 		return false
 	}
-	for i := range r.points {
-		if r.points[i] != o.points[i] {
+	for i, p := range r.points {
+		if q := o.points[i]; p.h != q.h || r.names[p.owner] != o.names[q.owner] {
 			return false
 		}
 	}

@@ -26,8 +26,8 @@ func build(vnodes int, members []string) *Ring {
 func checkSorted(t *testing.T, r *Ring) {
 	t.Helper()
 	for i := 1; i < len(r.points); i++ {
-		if !pointLess(r.points[i-1], r.points[i]) && r.points[i-1] != r.points[i] {
-			t.Fatalf("points out of order at %d: %+v !< %+v", i, r.points[i-1], r.points[i])
+		if r.compare(r.points[i-1], r.points[i]) > 0 {
+			t.Fatalf("points out of order at %d: %+v > %+v", i, r.points[i-1], r.points[i])
 		}
 	}
 }
@@ -69,6 +69,9 @@ func TestConstructionOrderIndependent(t *testing.T) {
 	b := build(0, shuffled)
 	if !a.Equal(b) {
 		t.Fatal("rings built in different orders differ")
+	}
+	if !Build(0, shuffled).Equal(a) {
+		t.Fatal("Build differs from incremental AddServer")
 	}
 }
 
@@ -199,8 +202,10 @@ func TestVNodesConfigurable(t *testing.T) {
 
 // FuzzKetamaRing drives arbitrary add/remove/lookup sequences: points
 // must stay sorted, membership bookkeeping must stay consistent, lookup
-// must never panic — including on the empty and one-server ring — and
-// Lookup must name the primary Owners walks to.
+// must never panic — including on the empty and one-server ring —,
+// Lookup must name the primary Owners walks to, and Build over the live
+// members, in the order the ops last named them and with repeats, must
+// equal the ring the ops built.
 func FuzzKetamaRing(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0x80, 3}, "key")
 	f.Add([]byte{}, "")
@@ -208,8 +213,10 @@ func FuzzKetamaRing(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, key string) {
 		r := New(4)
 		live := map[string]bool{}
+		var named []string
 		for _, b := range ops {
 			name := fmt.Sprintf("s%d", b&0x7f)
+			named = append(named, name)
 			if b&0x80 == 0 {
 				r.AddServer(name)
 				live[name] = true
@@ -239,9 +246,18 @@ func FuzzKetamaRing(f *testing.F) {
 			t.Fatalf("members inconsistent: %v vs %v", got, live)
 		}
 		for i := 1; i < r.NumPoints(); i++ {
-			if !pointLess(r.points[i-1], r.points[i]) && r.points[i-1] != r.points[i] {
+			if r.compare(r.points[i-1], r.points[i]) > 0 {
 				t.Fatalf("points unsorted at %d", i)
 			}
+		}
+		var members []string
+		for i := len(named) - 1; i >= 0; i-- {
+			if live[named[i]] {
+				members = append(members, named[i])
+			}
+		}
+		if b := Build(4, members); !b.Equal(r) || !r.Equal(b) {
+			t.Fatalf("Build(%v) differs from the ring %v built", members, ops)
 		}
 	})
 }

@@ -203,6 +203,7 @@ func (m *Mailbox[T]) take() (msg T, ok, closed bool) {
 		if m.owner != nil {
 			m.owner.pending--
 		}
+		m.release()
 		return msg, true, m.closed
 	}
 	return msg, false, m.closed
@@ -267,7 +268,16 @@ func (m *Mailbox[T]) Close() {
 		return
 	}
 	m.closed = true
+	m.release()
 	m.changed(0, true)
+}
+
+// release drops the ring of a closed, drained mailbox: nothing can be
+// put into it again.
+func (m *Mailbox[T]) release() {
+	if m.closed && m.n == 0 {
+		m.buf, m.head = nil, 0
+	}
 }
 
 // Closed reports whether Close has been called.

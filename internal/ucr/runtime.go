@@ -15,7 +15,8 @@ type Runtime struct {
 	cfg Config
 	pd  *verbs.PD
 
-	handlers [256]*Handler
+	handlers *Handlers // nil until a handler is registered or shared
+	shared   bool      // handlers is another's table: copy before writing
 
 	// The counter table, on the scheme slots uses: a CounterID is
 	// generation<<32 | index, and the struct at an index is kept across
@@ -50,9 +51,28 @@ func (rt *Runtime) HCA() *verbs.HCA { return rt.hca }
 
 // RegisterHandler installs the handler pair for a message id. Handlers
 // are normally registered once at start-up, before traffic flows.
-func (rt *Runtime) RegisterHandler(msgID uint8, h Handler) { rt.handlers[msgID] = &h }
+func (rt *Runtime) RegisterHandler(msgID uint8, h Handler) {
+	if rt.handlers == nil || rt.shared {
+		own := new(Handlers)
+		if rt.handlers != nil {
+			*own = *rt.handlers
+		}
+		rt.handlers, rt.shared = own, false
+	}
+	rt.handlers.Register(msgID, h)
+}
 
-func (rt *Runtime) handler(msgID uint8) *Handler { return rt.handlers[msgID] }
+// ShareHandlers installs t as the runtime's whole handler table, shared
+// with every other runtime of the same service: a client runtime then
+// holds no table of its own.
+func (rt *Runtime) ShareHandlers(t *Handlers) { rt.handlers, rt.shared = t, true }
+
+func (rt *Runtime) handler(msgID uint8) *Handler {
+	if rt.handlers == nil {
+		return nil
+	}
+	return rt.handlers[msgID]
+}
 
 // NewCounter issues a counter at zero under a fresh network-visible id:
 // a free index's struct under its next generation, or a new index. The

@@ -138,6 +138,14 @@ type Handler struct {
 	Completion CompletionHandler
 }
 
+// Handlers is an AM handler table indexed by message id. A table
+// runtimes share (Runtime.ShareHandlers) is filled before it is shared
+// and not written after.
+type Handlers [256]*Handler
+
+// Register installs the handler pair for a message id.
+func (t *Handlers) Register(msgID uint8, h Handler) { t[msgID] = &h }
+
 // Config tunes the runtime. Zero values get paper-faithful defaults.
 type Config struct {
 	// EagerThreshold is the largest header+data that travels packed in

@@ -595,3 +595,31 @@ func TestEagerThresholdBoundary(t *testing.T) {
 		t.Fatal("over-threshold send did not take the rendezvous path")
 	}
 }
+
+// TestShareHandlers: runtimes of one service share one handler table; a
+// runtime that registers a handler of its own first copies the table,
+// so the others keep theirs.
+func TestShareHandlers(t *testing.T) {
+	nw := simnet.NewNetwork()
+	fab := nw.AddFabric(simnet.FabricSpec{Name: "ib", LinkBytesPerSec: 1e9})
+	cm := verbs.NewCM(fab)
+	rt := func(name string) *Runtime { return New(verbs.NewHCA(nw.AddNode(name), fab, hcaConfig()), cm, Config{}) }
+	shared := new(Handlers)
+	shared.Register(midReply, Handler{})
+	a, b := rt("a"), rt("b")
+	a.ShareHandlers(shared)
+	b.ShareHandlers(shared)
+	if a.handler(midReply) != shared[midReply] || b.handler(midReply) != shared[midReply] {
+		t.Fatal("a shared table's handler is not the runtimes' handler")
+	}
+	b.RegisterHandler(midRequest, Handler{})
+	if shared[midRequest] != nil || a.handler(midRequest) != nil {
+		t.Fatal("registering on one runtime wrote the shared table")
+	}
+	if b.handler(midRequest) == nil || b.handler(midReply) != shared[midReply] {
+		t.Fatal("a runtime's own table lost a shared handler or the registered one")
+	}
+	if rt("c").handler(midReply) != nil {
+		t.Fatal("a fresh runtime has a handler")
+	}
+}

@@ -187,5 +187,10 @@ func (c *CQ) WaitDeadline(clk *simnet.VClock, deadline simnet.Time) (wc WC, ok, 
 // Len reports the number of pending completions.
 func (c *CQ) Len() int { return c.box.Len() }
 
-// Destroy closes the queue, waking any waiter.
-func (c *CQ) Destroy() { c.box.Close() }
+// Destroy closes the queue, waking any waiter, and drops the
+// completions still queued: nothing polls a destroyed CQ.
+func (c *CQ) Destroy() {
+	c.box.Close()
+	for _, ok, _ := c.box.TryRecv(); ok; _, ok, _ = c.box.TryRecv() {
+	}
+}

@@ -92,34 +92,62 @@ func (q *QP) popRecv() (RecvWR, bool) {
 	return q.recvq.pop()
 }
 
-// recvQueue is a FIFO of posted receives in a ring that doubles when
-// full, so a steady consume/repost cycle never reallocates.
+// recvQueue is a FIFO of posted receives. A run of identical
+// reservations — an endpoint's whole credit window — is one entry of the
+// ring, so the host holds a count, not a work request per credit. The
+// ring of runs doubles when full, so a steady consume/repost cycle never
+// reallocates.
 type recvQueue struct {
-	buf  []RecvWR
-	head int
-	n    int
+	runs  []recvRun
+	head  int // the oldest run
+	nruns int // runs queued
+	n     int // receives queued
+}
+
+// recvRun is n copies of one posted receive.
+type recvRun struct {
+	wr RecvWR
+	n  int
+}
+
+// sameReservation reports whether b joins a's run: two reservations of
+// one length and id. A caller-owned buffer is never a copy of another.
+func sameReservation(a, b RecvWR) bool {
+	return a.Buf == nil && b.Buf == nil && a.ID == b.ID && a.Len == b.Len
 }
 
 func (r *recvQueue) push(wr RecvWR) {
-	if r.n == len(r.buf) {
-		nb := make([]RecvWR, max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = nb, 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = wr
 	r.n++
+	if r.nruns > 0 {
+		if last := &r.runs[(r.head+r.nruns-1)%len(r.runs)]; sameReservation(last.wr, wr) {
+			last.n++
+			return
+		}
+	}
+	if r.nruns == len(r.runs) {
+		nb := make([]recvRun, max(1, 2*len(r.runs)))
+		for i := 0; i < r.nruns; i++ {
+			nb[i] = r.runs[(r.head+i)%len(r.runs)]
+		}
+		r.runs, r.head = nb, 0
+	}
+	r.runs[(r.head+r.nruns)%len(r.runs)] = recvRun{wr: wr, n: 1}
+	r.nruns++
 }
 
 func (r *recvQueue) pop() (RecvWR, bool) {
 	if r.n == 0 {
 		return RecvWR{}, false
 	}
-	wr := r.buf[r.head]
-	r.buf[r.head] = RecvWR{}
-	r.head = (r.head + 1) % len(r.buf)
 	r.n--
+	run := &r.runs[r.head]
+	wr := run.wr
+	run.n--
+	if run.n == 0 {
+		*run = recvRun{}
+		r.head = (r.head + 1) % len(r.runs)
+		r.nruns--
+	}
 	return wr, true
 }
 

@@ -718,6 +718,61 @@ func TestQPDestroyFlushes(t *testing.T) {
 	}
 }
 
+// TestRecvQueueRuns: a credit window of identical reservations is one
+// run of the ring, and receives still pop in the order they were posted
+// — reservations of another length or id, and caller-owned buffers,
+// each start a run of their own.
+func TestRecvQueueRuns(t *testing.T) {
+	var q recvQueue
+	for i := 0; i < 64; i++ {
+		q.push(RecvWR{Len: 8248})
+	}
+	if q.n != 64 || q.nruns != 1 || len(q.runs) != 1 {
+		t.Fatalf("64 reservations: n=%d runs=%d cap=%d, want 64 in one run", q.n, q.nruns, len(q.runs))
+	}
+	buf := make([]byte, 16)
+	more := []RecvWR{{Len: 64}, {Len: 64}, {ID: 7, Len: 64}, {Len: 16, Buf: buf}, {Len: 16, Buf: buf}, {Len: 8248}}
+	for _, wr := range more {
+		q.push(wr)
+	}
+	want := append(make([]RecvWR, 64), more...)
+	for i := range want[:64] {
+		want[i] = RecvWR{Len: 8248}
+	}
+	for i := 0; i < len(want); i++ {
+		w := want[i]
+		got, ok := q.pop()
+		if !ok || got.ID != w.ID || got.Len != w.Len || (got.Buf == nil) != (w.Buf == nil) {
+			t.Fatalf("pop %d = (%+v, %v), want %+v", i, got, ok, w)
+		}
+		if i == 63 {
+			q.push(RecvWR{Len: 8248}) // a repost joins the tail run
+			want = append(want, RecvWR{Len: 8248})
+		}
+	}
+	if _, ok := q.pop(); ok || q.nruns != 0 {
+		t.Fatalf("drained queue still holds %d runs", q.nruns)
+	}
+}
+
+// TestCQDestroyDropsCompletions: nothing polls a destroyed CQ, so it
+// keeps none of the completions queued on it — a flushed credit window
+// included.
+func TestCQDestroyDropsCompletions(t *testing.T) {
+	p := newPair(t, 3, 64)
+	p.cliQP.Destroy()
+	if p.cliRecv.Len() != 3 {
+		t.Fatalf("flushed completions = %d, want 3", p.cliRecv.Len())
+	}
+	p.cliRecv.Destroy()
+	if n := p.cliRecv.Len(); n != 0 {
+		t.Fatalf("destroyed CQ holds %d completions", n)
+	}
+	if _, ok := p.cliRecv.Wait(p.cliClock); ok {
+		t.Fatal("Wait on a destroyed CQ returned a completion")
+	}
+}
+
 func TestCMRefusedAndDuplicate(t *testing.T) {
 	p := newPair(t, 1, 64)
 	qp := p.cliHCA.NewQP(RC, p.cliSend, p.cliRecv)
