@@ -2,7 +2,7 @@
 # adds vet and the race detector (the mcclient ejection path is
 # exercised concurrently).
 
-.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-gone fuzz-smoke bench-pairs
+.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-gone fuzz-smoke bench-pairs bench-smoke
 
 tier1:
 	go build ./...
@@ -79,6 +79,12 @@ SEED ?= 42
 bench-pairs:
 	go run ./cmd/benchpairs -parent $(PARENT) -workload "$(WORKLOAD)" -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
 
+# Every package benchmark once: a layer benchmark that panics or fails
+# fails the run (seconds; CI's tier1 job runs it). Numbers from one
+# iteration mean nothing — run `go test -bench` for them.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./...
+
 # Model-checking sweeps (see EXPERIMENTS.md "Model checking the cache"):
 # every row of the mode table over a clean fabric, then over a lossy one
 # (seconds each since a dead wait ends in virtual time). The table
@@ -141,6 +147,11 @@ check-no-wallclock:
 #    clones share, and no mutex in simnet outside the executor.
 #  - host bytes follow live state: a slab page's host memory is carved
 #    with its chunks, so no whole-page buffer and no page-sized window.
+#  - each message handled once: a store op books its stripe lock in its
+#    own shard hold (no second hold), no per-op served counter, and the
+#    shard counters are plain fields under the shard lock — the only
+#    atomic counters left are the global CAS sequence and the history
+#    recorder's seq.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -158,6 +169,7 @@ internal cmd examples *_test.go	DistModula|DistKetama|\bDistribution\b|\bkeyHash
 internal/verbs internal/ucr internal/sockstream internal/simnet	sync\.(RW)?Mutex|atomic\.[A-Z]	_test\.go:|^internal/simnet/executor\.go:|^internal/simnet/[a-z]+\.go:[0-9]+:.*atomic\.|endpointSeeds|\) seeds\(\)|[gG]uard	lock or atomic beneath the deployment owner under internal/verbs, ucr, sockstream or simnet
 internal cmd examples *_test.go	splitWriter|postSet|postDelete|settleSet|settleDelete|settleWrite|postWrite|t\.posted\b|posted +\*amOp|lastOp|\bWindow\(\) int	^$$	second op driver (post/settle split, posted slot, last-op victim) or Pipeline.Window under internal/ cmd/ examples/ or the root tests
 internal/memcached	PageBytes|pageWindow|pageWins|make\(\[\]byte, slabPageSize\)	^$$	whole-page host backing or page window under internal/memcached
+internal/memcached	\blockWait\b|OpsServed|atomic\.Uint64	nextCAS +atomic\.Uint64|seq +atomic\.Uint64	second lock hold, served counter or atomic shard counter under internal/memcached
 endef
 export GONE
 

@@ -213,8 +213,8 @@ func TestMultipleClientsSharedServer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := d.Server.OpsServed.Load(); got != n*100 {
-		t.Fatalf("OpsServed = %d, want %d", got, n*100)
+	if st := d.Server.Store().Stats(); st.CmdGet+st.CmdSet != n*100 {
+		t.Fatalf("cmd_get+cmd_set = %d+%d, want %d", st.CmdGet, st.CmdSet, n*100)
 	}
 }
 

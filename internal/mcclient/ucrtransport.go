@@ -335,8 +335,22 @@ func (t *UCRTransport) finishOp(op *amOp) {
 	if op.wrSlot != 0 {
 		t.wrRelease(op.wrSlot - 1)
 	}
-	*op = amOp{hdr: op.hdr[:0]}
+	op.reset()
 	t.freeOps = append(t.freeOps, op)
+}
+
+// reset clears what a request set — its build, its landing and its
+// reply — field by field, keeping hdr's capacity: the arm reply, the
+// op's largest field, is written only by an AMArm exchange. newOp sets
+// tag, ep and clk afresh.
+func (op *amOp) reset() {
+	if op.msg == memcached.AMArm {
+		op.arm = memcached.ArmReply{}
+	}
+	op.ctr, op.msg, op.hdr, op.val = nil, 0, op.hdr[:0], nil
+	op.lend, op.pooled, op.data, op.landing = nil, false, nil, 0
+	op.wrSlot, op.wrPend, op.wrOff, op.wrLen, op.path = 0, false, 0, 0, PathAM
+	op.status, op.get, op.mget, op.num = memcached.StatusReply{}, memcached.GetReply{}, memcached.MGetReply{}, memcached.NumReply{}
 }
 
 // Name identifies the server.

@@ -61,13 +61,14 @@ func (t *hashTable) bucketFor(h uint64) (tbl []*Item, idx int) {
 	return t.primary, int(h & uint64(len(t.primary)-1))
 }
 
-// lookup finds the item for key, or nil — the table's one lookup, for
-// wire keys and item keys alike. The string conversion in the
-// comparison does not allocate (the compiler compares in place), so the
-// datapath looks keys up straight out of receive buffers.
-func lookup[K wireKey](t *hashTable, key K) *Item {
+// lookup finds the item for key, whose hashKey is h, or nil — the
+// table's one lookup, for wire keys and item keys alike. The string
+// conversion in the comparison does not allocate (the compiler compares
+// in place), so the datapath looks keys up straight out of receive
+// buffers. The caller hashed the key once, for its shard too.
+func lookup[K wireKey](t *hashTable, key K, h uint64) *Item {
 	t.migrate()
-	tbl, idx := t.bucketFor(hashKey(key))
+	tbl, idx := t.bucketFor(h)
 	for it := tbl[idx]; it != nil; it = it.hnext {
 		if it.key == string(key) {
 			return it
@@ -76,10 +77,10 @@ func lookup[K wireKey](t *hashTable, key K) *Item {
 	return nil
 }
 
-// Put links a new item; the caller guarantees the key is absent.
-func (t *hashTable) Put(it *Item) {
+// Put links a new item whose key hashes to h; the caller guarantees the
+// key is absent.
+func (t *hashTable) Put(it *Item, h uint64) {
 	t.migrate()
-	h := hashKey(it.key)
 	tbl, idx := t.bucketFor(h)
 	it.hnext = tbl[idx]
 	tbl[idx] = it
@@ -88,10 +89,10 @@ func (t *hashTable) Put(it *Item) {
 	t.maybeExpand()
 }
 
-// Delete unlinks the item for key, returning it (or nil).
-func (t *hashTable) Delete(key string) *Item {
+// Delete unlinks the item for key, whose hashKey is h, returning it (or
+// nil).
+func (t *hashTable) Delete(key string, h uint64) *Item {
 	t.migrate()
-	h := hashKey(key)
 	tbl, idx := t.bucketFor(h)
 	var prev *Item
 	for it := tbl[idx]; it != nil; it = it.hnext {

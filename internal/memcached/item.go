@@ -37,6 +37,10 @@ type Item struct {
 
 	refcount int32 // pins against eviction while a transfer is in flight
 	linked   bool
+	// shard is the index of the stripe that owns the item, so Unpin,
+	// CommitItem and AbortItem find its lock without hashing the key
+	// again; it sits in the padding after linked.
+	shard uint16
 
 	hnext *Item // hash chain
 

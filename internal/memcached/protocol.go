@@ -120,12 +120,9 @@ func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error
 	cursor := clk.Now()
 	for key, rest := NextTextToken(keys); key != nil; key, rest = NextTextToken(rest) {
 		// The sockets engine copies the value out while holding the lock.
-		copied := 0
-		pc.store.View(key, clk.Now(), func(it *Item) {
+		_, cursor = pc.store.View(key, chargeAfter(clk, cursor), func(it *Item) {
 			sb = AppendTextValue(sb, it.key, it.flags, it.value, it.casID, withCAS)
-			copied = len(it.value)
 		})
-		cursor = chargeLock(pc.store, clk, cursor, key, copied)
 	}
 	sb = append(sb, textEnd...)
 	_, err := pc.w.Write(sb)
@@ -164,7 +161,7 @@ func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
 		// drained to keep the stream in sync, like memcached's
 		// swallow-then-error path.
 		pc.discard(int64(c.nbytes) + 2)
-		chargeLock(pc.store, clk, clk.Now(), key, 0)
+		pc.store.chargeLock(key, chargeAfter(clk, clk.Now()))
 		if c.noreply {
 			return nil
 		}
@@ -194,11 +191,10 @@ func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
 	if mutProtoDropFlags {
 		c.flags = 0
 	}
-	res := pc.store.Store(op, key, c.flags, c.exptime, value, c.casID, clk.Now())
 	// The sockets engine copies the inbound value into slab memory while
 	// holding the lock (unlike the UCR path, where RDMA lands the value
 	// before the commit takes it).
-	chargeLock(pc.store, clk, clk.Now(), key, c.nbytes)
+	res := pc.store.Store(op, key, c.flags, c.exptime, value, c.casID, chargeAfter(clk, clk.Now()))
 	if c.noreply {
 		return nil
 	}
@@ -218,8 +214,7 @@ func (pc *ProtoConn) cmdDelete(args []byte, clk *simnet.VClock) error {
 		return pc.reply(textError)
 	}
 	noreply := n == 2 && string(f[1]) == "noreply"
-	ok := pc.store.Delete(f[0], clk.Now())
-	chargeLock(pc.store, clk, clk.Now(), f[0], 0)
+	ok := pc.store.Delete(f[0], chargeAfter(clk, clk.Now()))
 	if noreply {
 		return nil
 	}
@@ -240,8 +235,7 @@ func (pc *ProtoConn) cmdIncrDecr(args []byte, incr bool, clk *simnet.VClock) err
 	if err != nil {
 		return pc.reply(textBadDelta)
 	}
-	val, found, bad, oom := pc.store.IncrDecr(f[0], delta, incr, clk.Now())
-	chargeLock(pc.store, clk, clk.Now(), f[0], 0)
+	val, found, bad, oom := pc.store.IncrDecr(f[0], delta, incr, chargeAfter(clk, clk.Now()))
 	if noreply {
 		return nil
 	}
@@ -269,9 +263,7 @@ func (pc *ProtoConn) cmdTouch(args []byte, clk *simnet.VClock) error {
 	if err != nil {
 		return pc.reply(textBadFormat)
 	}
-	now := clk.Now()
-	chargeLock(pc.store, clk, clk.Now(), f[0], 0)
-	ok := pc.store.Touch(f[0], exptime, now)
+	ok := pc.store.Touch(f[0], exptime, chargeAfter(clk, clk.Now()))
 	if noreply {
 		return nil
 	}

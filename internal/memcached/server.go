@@ -113,9 +113,6 @@ type Server struct {
 	ucrRT   *ucr.Runtime
 	conns   []*connState
 	stopped atomic.Bool
-
-	// OpsServed counts completed requests across workers.
-	OpsServed atomic.Uint64
 }
 
 // sockListener is one sockets frontend with the dispatcher's clock for it.
@@ -379,7 +376,6 @@ func (w *worker) serveConn(cs *connState) {
 			cs.conn.Close()
 			return
 		}
-		w.srv.OpsServed.Add(1)
 		w.clk.Advance(w.srv.cfg.OpCost)
 		if cs.proto.Buffered() == 0 && cs.conn.Buffered() == 0 {
 			return
@@ -407,7 +403,10 @@ func (w *worker) drainUCR() {
 	if w.ctx == nil {
 		return
 	}
-	for w.ctx.TryProgressN(w.clk, ucrDrainBatch) > 0 {
+	for {
+		if _, more := w.ctx.TryProgressN(w.clk, ucrDrainBatch); !more {
+			break
+		}
 	}
 	if len(w.pendingPins) > 0 {
 		w.sweepPins()

@@ -85,8 +85,8 @@ func TestServerRawTextProtocol(t *testing.T) {
 	if line, _ := r.ReadString('\n'); line != "END\r\n" {
 		t.Fatalf("get trailer = %q", line)
 	}
-	if e.server.OpsServed.Load() != 2 {
-		t.Fatalf("OpsServed = %d", e.server.OpsServed.Load())
+	if st := e.server.Store().Stats(); st.CmdGet+st.CmdSet != 2 {
+		t.Fatalf("cmd_get+cmd_set = %d+%d, want 2", st.CmdGet, st.CmdSet)
 	}
 }
 

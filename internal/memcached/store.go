@@ -66,21 +66,18 @@ const evictionTries = 50
 // seconds since simulation start).
 const maxRelativeExpiry = 60 * 60 * 24 * 30
 
-// shardCounters are one shard's engine counters. Writers hold the shard
-// lock; Stats() reads them lock-free, so every field is atomic.
+// shardCounters are one shard's engine counters, written and read
+// under the shard lock.
 type shardCounters struct {
-	cmdGet, cmdSet                             atomic.Uint64
-	getHits, getMisses                         atomic.Uint64
-	deleteHits, deleteMisses                   atomic.Uint64
-	incrHits, incrMisses, decrHits, decrMisses atomic.Uint64
-	casHits, casMisses, casBadval              atomic.Uint64
-	evictions, expired                         atomic.Uint64
-	currItems, totalItems                      atomic.Uint64
-	bytes                                      atomic.Uint64
+	cmdGet, cmdSet                             uint64
+	getHits, getMisses                         uint64
+	deleteHits, deleteMisses                   uint64
+	incrHits, incrMisses, decrHits, decrMisses uint64
+	casHits, casMisses, casBadval              uint64
+	evictions, expired                         uint64
+	currItems, totalItems                      uint64
+	bytes                                      uint64
 }
-
-// sub decrements an unsigned counter (two's-complement add).
-func sub(c *atomic.Uint64, n uint64) { c.Add(^(n - 1)) }
 
 // shard is one lock stripe: a hash-table segment, its per-class LRU
 // chains, a CAS counter and stats, all under one mutex. res models that
@@ -88,6 +85,7 @@ func sub(c *atomic.Uint64, n uint64) { c.Add(^(n - 1)) }
 // contention shows up as measured latency (LockWait).
 type shard struct {
 	mu          sync.Mutex
+	id          uint16 // index in Store.shards, recorded on its items
 	res         *simnet.Resource
 	table       *hashTable
 	lru         *lruTable
@@ -129,8 +127,8 @@ func (sh *shard) putItem(it *Item) {
 // shards (N=1 reproduces the global cache lock of the memcached
 // generation the paper modified; N>1 is the §VII "exploiting
 // multi-core" direction). A key's shard is picked from the high bits of
-// the same FNV-1a hash the table buckets use, so striping never skews
-// bucket occupancy within a shard.
+// the same FNV-1a hash the table buckets use — one hash per op serves
+// both — so striping never skews bucket occupancy within a shard.
 type Store struct {
 	arena     *SlabArena
 	shards    []*shard
@@ -139,7 +137,7 @@ type Store struct {
 	limit     int64
 
 	// opCost and copyRate are the serving threads' critical-section
-	// model (chargeLock): the Server that owns the store sets them once,
+	// model (Charge): the Server that owns the store sets them once,
 	// before serving. Zero — a bare NewStore — charges nothing.
 	opCost   simnet.Duration
 	copyRate float64
@@ -166,8 +164,8 @@ type StoreConfig struct {
 	MemoryLimit int64
 	// MaxItemSize caps one item (memcached -I; default 1 MB).
 	MaxItemSize int
-	// Stripes is the lock-stripe count (rounded up to a power of two;
-	// default 1 — the global-lock engine).
+	// Stripes is the lock-stripe count (rounded up to a power of two, at
+	// most maxStripes; default 1 — the global-lock engine).
 	Stripes int
 	// DisableEvictions makes the store error instead of evicting
 	// (memcached -M).
@@ -181,7 +179,7 @@ func NewStore(cfg StoreConfig) *Store {
 		cfg.MemoryLimit = 64 << 20
 	}
 	n := 1
-	for n < cfg.Stripes {
+	for n < cfg.Stripes && n < maxStripes {
 		n <<= 1
 	}
 	s := &Store{
@@ -193,6 +191,7 @@ func NewStore(cfg StoreConfig) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
+			id:    uint16(i),
 			res:   simnet.NewResource(fmt.Sprintf("store-shard-%d", i)),
 			table: newHashTable(),
 			lru:   newLRUTable(s.arena.NumClasses()),
@@ -204,52 +203,91 @@ func NewStore(cfg StoreConfig) *Store {
 // NumStripes reports the shard count.
 func (s *Store) NumStripes() int { return len(s.shards) }
 
-// shardFor picks a key's stripe from a Fibonacci spread of the key
-// hash: FNV-1a's raw high bits cluster badly for short sequential keys,
-// and the low bits index buckets inside the shard's table, so the
-// selector multiplies every input bit into fresh high bits instead of
-// reusing either end directly.
-func shardFor[K wireKey](s *Store, key K) *shard {
-	h := hashKey(key) * 0x9e3779b97f4a7c15
-	return s.shards[(h>>32)&s.shardMask]
+// maxStripes bounds the shard count: an item records its shard's index
+// in 16 bits.
+const maxStripes = 1 << 16
+
+// shardOf picks the stripe of a key whose hashKey is h, from a Fibonacci
+// spread of the hash: FNV-1a's raw high bits cluster badly for short
+// sequential keys, and the low bits index buckets inside the shard's
+// table, so the selector multiplies every input bit into fresh high bits
+// instead of reusing either end directly.
+func (s *Store) shardOf(h uint64) *shard {
+	return s.shards[((h*0x9e3779b97f4a7c15)>>32)&s.shardMask]
 }
 
-// lockWait models taking the key's shard lock at now for hold: the
-// acquisition is queued on the shard's resource behind other workers'
-// in-flight holds, and the returned wait is the queueing delay the
-// caller must add to its clock. Uncontended acquisitions (single
-// worker, single client, or untouched stripes) return 0, leaving those
-// runs bit-identical. The resource is booked under the shard's own
-// lock: a store may be shared by goroutines that hold no deployment.
-func lockWait[K wireKey](s *Store, key K, now simnet.Time, hold simnet.Duration) simnet.Duration {
-	sh := shardFor(s, key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.res.Acquire(now, hold) - now
+// A Charge is how a costed op pays for its key's stripe lock in virtual
+// time, shared by both frontends: the engine critical section — the
+// store's opCost plus the bytes copied while locked, at copyRate
+// bytes/sec — queues on the stripe's resource behind other workers'
+// holds, and only the queueing wait advances the serving thread's
+// clock. The hold itself is covered by the per-op charges the thread
+// already pays (never charged twice), and it stays at full opCost even
+// in a coalesced drain: batching amortizes the worker's fixed costs, not
+// the engine's critical section. The op books it in its own shard hold,
+// under its one key hash. Uncontended acquisitions (single worker,
+// single client, or untouched stripes) wait 0, and a store no Server
+// owns (opCost 0) books nothing.
+type Charge struct {
+	clk   *simnet.VClock // advanced by the wait; nil: no charge
+	at    simnet.Time    // where the hold queues
+	now   simnet.Time    // when the op runs, unless first
+	first bool           // booked before the op, which runs when the wait ends
 }
 
-// chargeLock is the one definition of the shard-lock charge, shared by
-// both frontends: the command that just ran on key takes the key's
-// shard lock at cursor for the engine critical section — the store's
-// opCost plus the bytes copied while locked, at copyRate bytes/sec —
-// and only the queueing wait advances clk. The hold itself is covered
-// by the per-op charges the serving thread already pays (never charged
-// twice), and it stays at full opCost even in a coalesced drain:
-// batching amortizes the worker's fixed costs, not the engine's
-// critical section. The return value is where the hold ends: a
-// multi-key command acquires its next key there, so a burst of
-// same-shard keys extends one backlog that other workers queue behind
-// instead of queueing this worker behind its own holds; single-key
-// commands pass clk.Now(). A zero opCost charges nothing (a store no
-// Server owns).
-func chargeLock[K wireKey](s *Store, clk *simnet.VClock, cursor simnet.Time, key K, copied int) simnet.Time {
-	if s.opCost <= 0 {
-		return cursor
+// At runs an op at now with no lock charge: a bare store's caller.
+func At(now simnet.Time) Charge { return Charge{at: now, now: now} }
+
+// chargeFirst is the UCR frontend's charge: the lock is booked at clk's
+// time before the lookup, which runs when the wait ends. No copy
+// extends the hold — a reply is served from the pinned item's slab
+// memory, a Set's value has landed by RDMA before the commit (§V-B/C) —
+// except a conditional store's staged value.
+func chargeFirst(clk *simnet.VClock) Charge {
+	return Charge{clk: clk, at: clk.Now(), first: true}
+}
+
+// chargeAfter is the sockets frontend's charge: the op runs at clk's
+// time and the lock is booked after it, so the hold covers the bytes
+// the op copied. It queues from cursor: clk's time for a single-key
+// command; for a multi-key one, where its previous key's hold ended, so
+// a burst of same-shard keys extends one backlog that other workers
+// queue behind instead of queueing this worker behind its own holds.
+func chargeAfter(clk *simnet.VClock, cursor simnet.Time) Charge {
+	return Charge{clk: clk, at: cursor, now: clk.Now()}
+}
+
+// acquire queues c's hold, copied bytes included, on sh's resource and
+// advances c's clock by the wait (sh.mu held). It returns where the hold
+// ends.
+func (s *Store) acquire(sh *shard, c Charge, copied int) simnet.Time {
+	if s.opCost <= 0 || c.clk == nil {
+		return c.at
 	}
 	hold := s.opCost + simnet.BytesDuration(copied, s.copyRate)
-	wait := lockWait(s, key, cursor, hold)
-	clk.Advance(wait)
-	return cursor + wait + hold
+	wait := sh.res.Acquire(c.at, hold) - c.at
+	c.clk.Advance(wait)
+	return c.at + wait + hold
+}
+
+// book is acquire for an op whose copy is known before it runs (every
+// op but View): booked first or after, the hold is the same, and only
+// when the op runs differs. It returns that time.
+func (s *Store) book(sh *shard, c Charge, copied int) simnet.Time {
+	s.acquire(sh, c, copied)
+	if c.first {
+		return c.clk.Now()
+	}
+	return c.now
+}
+
+// chargeLock books c for a command that touches no item: the text
+// protocol's oversized store, refused before the engine runs.
+func (s *Store) chargeLock(key []byte, c Charge) {
+	sh := s.shardOf(hashKey(key))
+	sh.mu.Lock()
+	s.acquire(sh, c, 0)
+	sh.mu.Unlock()
 }
 
 // LockStats sums lock occupancy across shards (busy virtual time and
@@ -278,35 +316,37 @@ func expiryTime(exptime int64, now simnet.Time) simnet.Time {
 	}
 }
 
-// lookupLocked finds a live item, lazily reaping an expired one.
-func (s *Store) lookupLocked(sh *shard, key []byte, now simnet.Time) *Item {
-	it := lookup(sh.table, key)
+// lookupLocked finds a live item for key, whose hashKey is h, lazily
+// reaping an expired one.
+func (s *Store) lookupLocked(sh *shard, key []byte, h uint64, now simnet.Time) *Item {
+	it := lookup(sh.table, key, h)
 	if it == nil {
 		return nil
 	}
 	if it.expired(now, sh.flushBefore) && !mutGetSkipExpiry {
-		sh.stats.expired.Add(1)
+		sh.stats.expired++
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{Kind: RecExpire, Key: it.key, Now: now, OldCAS: it.casID})
 		}
-		s.unlinkLocked(sh, it)
+		s.unlinkLocked(sh, it, h)
 		return nil
 	}
 	return it
 }
 
-// unlinkLocked removes an item from table and LRU, freeing its chunk
-// unless a transfer still pins it (the chunk is then freed at Unpin).
-func (s *Store) unlinkLocked(sh *shard, it *Item) {
+// unlinkLocked removes an item, whose key hashes to h, from table and
+// LRU, freeing its chunk unless a transfer still pins it (the chunk is
+// then freed at Unpin).
+func (s *Store) unlinkLocked(sh *shard, it *Item, h uint64) {
 	if x := s.pub.Load(); x != nil {
 		x.unpublish(it)
 	}
 	if it.linked {
-		sh.table.Delete(it.key)
+		sh.table.Delete(it.key, h)
 	}
 	sh.lru.remove(it)
-	sub(&sh.stats.bytes, uint64(len(it.key)+len(it.value)))
-	sub(&sh.stats.currItems, 1)
+	sh.stats.bytes -= uint64(len(it.key) + len(it.value))
+	sh.stats.currItems--
 	if !it.pinned() {
 		s.arena.Free(it.chunk)
 		sh.putItem(it)
@@ -336,14 +376,14 @@ func (s *Store) allocLocked(sh *shard, n int, now simnet.Time) (chunk, StoreResu
 		if victim == nil {
 			return chunk{}, OOM
 		}
-		sh.stats.evictions.Add(1)
+		sh.stats.evictions++
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{
 				Kind: RecEvict, Key: victim.key, Now: now,
 				OldCAS: victim.casID, OldValue: cloneBytes(victim.value),
 			})
 		}
-		s.unlinkLocked(sh, victim)
+		s.unlinkLocked(sh, victim, hashKey(victim.key))
 	}
 }
 
@@ -353,8 +393,8 @@ func (s *Store) allocLocked(sh *shard, n int, now simnet.Time) (chunk, StoreResu
 // steady-state overwrites of a live keyspace never allocate. A
 // first-seen key converts once. Nothing else in the engine builds a key
 // string outside a history record.
-func internKeyLocked(sh *shard, key []byte) string {
-	if it := lookup(sh.table, key); it != nil {
+func internKeyLocked(sh *shard, key []byte, h uint64) string {
+	if it := lookup(sh.table, key, h); it != nil {
 		return it.key
 	}
 	return string(key)
@@ -368,6 +408,7 @@ func (s *Store) newItemLocked(sh *shard, key string, flags uint32, exptime int64
 	}
 	s.memWr(func() { copy(c.buf, key) })
 	it := sh.getItem()
+	it.shard = sh.id
 	it.key = key
 	it.value = c.buf[len(key) : len(key)+valueLen]
 	it.chunk = c
@@ -379,16 +420,17 @@ func (s *Store) newItemLocked(sh *shard, key string, flags uint32, exptime int64
 	return it, Stored
 }
 
-// linkLocked commits an item, replacing any existing entry for the key.
-func (s *Store) linkLocked(sh *shard, it *Item, now simnet.Time) {
-	if old := lookup(sh.table, it.key); old != nil {
-		s.unlinkLocked(sh, old)
+// linkLocked commits an item, whose key hashes to h, replacing any
+// existing entry for the key.
+func (s *Store) linkLocked(sh *shard, it *Item, h uint64) {
+	if old := lookup(sh.table, it.key, h); old != nil {
+		s.unlinkLocked(sh, old, h)
 	}
-	sh.table.Put(it)
+	sh.table.Put(it, h)
 	sh.lru.insert(it)
-	sh.stats.bytes.Add(uint64(len(it.key) + len(it.value)))
-	sh.stats.currItems.Add(1)
-	sh.stats.totalItems.Add(1)
+	sh.stats.bytes += uint64(len(it.key) + len(it.value))
+	sh.stats.currItems++
+	sh.stats.totalItems++
 	if x := s.pub.Load(); x != nil {
 		x.publish(it)
 	}
@@ -399,10 +441,11 @@ func (s *Store) linkLocked(sh *shard, it *Item, now simnet.Time) {
 // read value directly in this slab memory (§V-B). Alloc-free for keys
 // already resident.
 func (s *Store) AllocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
-	sh := shardFor(s, key)
+	h := hashKey(key)
+	sh := s.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it, res := s.newItemLocked(sh, internKeyLocked(sh, key), flags, exptime, valueLen, now)
+	it, res := s.newItemLocked(sh, internKeyLocked(sh, key, h), flags, exptime, valueLen, now)
 	if res == Stored {
 		it.refcount++ // pinned until commit/abort
 	} else {
@@ -413,14 +456,16 @@ func (s *Store) AllocateItem(key []byte, flags uint32, exptime int64, valueLen i
 	return it, res
 }
 
-// CommitItem links a previously allocated item.
-func (s *Store) CommitItem(it *Item, now simnet.Time) {
-	sh := shardFor(s, it.key)
+// CommitItem links a previously allocated item. Its stripe is the one
+// AllocateItem recorded; the key is hashed once, for the table.
+func (s *Store) CommitItem(it *Item, c Charge) {
+	sh := s.shards[it.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	now := s.book(sh, c, 0)
 	it.refcount--
-	sh.stats.cmdSet.Add(1)
-	s.linkLocked(sh, it, now)
+	sh.stats.cmdSet++
+	s.linkLocked(sh, it, hashKey(it.key))
 	if rc := s.rec.Load(); rc != nil {
 		rc.emit(&OpRecord{
 			Kind: RecSet, Key: it.key, Now: now, Res: Stored,
@@ -433,7 +478,7 @@ func (s *Store) CommitItem(it *Item, now simnet.Time) {
 
 // AbortItem releases an allocated-but-uncommitted item.
 func (s *Store) AbortItem(it *Item) {
-	sh := shardFor(s, it.key)
+	sh := s.shards[it.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	it.refcount--
@@ -445,35 +490,39 @@ func (s *Store) AbortItem(it *Item) {
 
 // Store runs one storage verb for a wire-decoded key — the text
 // protocol's entry, and AMStore's. op is a StoreOp* code (an unknown
-// one stores nothing). The key's string is built only if an item is
-// linked under a key not already resident, so overwriting a resident
-// key — and any conditional miss — allocates nothing.
-func (s *Store) Store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
+// one stores nothing, but is still charged). Both frontends copy the
+// value into slab memory under the lock, so it extends the hold. The
+// key's string is built only if an item is linked under a key not
+// already resident, so overwriting a resident key — and any conditional
+// miss — allocates nothing.
+func (s *Store) Store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, c Charge) StoreResult {
+	h := hashKey(key)
+	sh := s.shardOf(h)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	now := s.book(sh, c, len(value))
 	if op < StoreOpAdd || op > StoreOpSet {
 		return NotStored
 	}
-	sh := shardFor(s, key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.cmdSet.Add(1)
+	sh.stats.cmdSet++
 	// set / add / replace differ only in the presence test that gates
 	// the unconditional store.
 	kind, gate := RecSet, true
 	switch op {
 	case StoreOpAppend, StoreOpPrepend:
-		return s.concatLocked(sh, key, value, op == StoreOpPrepend, now)
+		return s.concatLocked(sh, key, h, value, op == StoreOpPrepend, now)
 	case StoreOpCas:
-		return s.casLocked(sh, key, flags, exptime, value, casID, now)
+		return s.casLocked(sh, key, h, flags, exptime, value, casID, now)
 	case StoreOpAdd:
-		kind, gate = RecAdd, mutAddClobbers || s.lookupLocked(sh, key, now) == nil
+		kind, gate = RecAdd, mutAddClobbers || s.lookupLocked(sh, key, h, now) == nil
 	case StoreOpReplace:
-		kind, gate = RecReplace, s.lookupLocked(sh, key, now) != nil
+		kind, gate = RecReplace, s.lookupLocked(sh, key, h, now) != nil
 	}
 	if !gate {
 		s.recordStore(kind, key, nil, flags, exptime, 0, nil, NotStored, now)
 		return NotStored
 	}
-	it, res := s.setLocked(sh, key, flags, exptime, value, now)
+	it, res := s.setLocked(sh, key, h, flags, exptime, value, now)
 	if res != Stored {
 		value = nil // a failed store records no value
 	}
@@ -485,24 +534,24 @@ func (s *Store) Store(op uint8, key []byte, flags uint32, exptime int64, value [
 // string-keyed entries, kept as adapters for the fenced
 // benchmark/probes.go; the key is copied to the stack, not the heap.
 func (s *Store) Set(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
-	return s.Store(StoreOpSet, append(make([]byte, 0, maxKeyLen), key...), flags, exptime, value, 0, now)
+	return s.Store(StoreOpSet, append(make([]byte, 0, maxKeyLen), key...), flags, exptime, value, 0, At(now))
 }
 
 // casLocked is the cas verb's body. Caller holds sh.mu.
-func (s *Store) casLocked(sh *shard, key []byte, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
-	it := s.lookupLocked(sh, key, now)
+func (s *Store) casLocked(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
+	it := s.lookupLocked(sh, key, h, now)
 	if it == nil {
-		sh.stats.casMisses.Add(1)
+		sh.stats.casMisses++
 		s.recordStore(RecCas, key, nil, flags, exptime, casID, nil, NotFound, now)
 		return NotFound
 	}
 	if it.casID != casID && !mutCasIgnoreID {
-		sh.stats.casBadval.Add(1)
+		sh.stats.casBadval++
 		s.recordStore(RecCas, key, nil, flags, exptime, casID, nil, Exists, now)
 		return Exists
 	}
-	sh.stats.casHits.Add(1)
-	nit, res := s.setLocked(sh, key, flags, exptime, value, now)
+	sh.stats.casHits++
+	nit, res := s.setLocked(sh, key, h, flags, exptime, value, now)
 	s.recordStore(RecCas, key, value, flags, exptime, casID, nit, res, now)
 	return res
 }
@@ -510,13 +559,13 @@ func (s *Store) casLocked(sh *shard, key []byte, flags uint32, exptime int64, va
 // setLocked is the shared unconditional-store tail. The stored item is
 // returned so callers can record the assigned CAS/expiry (nil on
 // failure).
-func (s *Store) setLocked(sh *shard, key []byte, flags uint32, exptime int64, value []byte, now simnet.Time) (*Item, StoreResult) {
-	it, res := s.newItemLocked(sh, internKeyLocked(sh, key), flags, exptime, len(value), now)
+func (s *Store) setLocked(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, now simnet.Time) (*Item, StoreResult) {
+	it, res := s.newItemLocked(sh, internKeyLocked(sh, key, h), flags, exptime, len(value), now)
 	if res != Stored {
 		return nil, res
 	}
 	s.memWr(func() { copy(it.value, value) })
-	s.linkLocked(sh, it, now)
+	s.linkLocked(sh, it, h)
 	return it, Stored
 }
 
@@ -538,12 +587,12 @@ func (s *Store) releasePin(sh *shard, it *Item) {
 // old itself — freeing the chunk old.value aliases, so the copy below
 // would read (or, after the free list recycles the chunk into the new
 // item, overwrite) freed slab memory.
-func (s *Store) concatLocked(sh *shard, key []byte, add []byte, prepend bool, now simnet.Time) StoreResult {
+func (s *Store) concatLocked(sh *shard, key []byte, h uint64, add []byte, prepend bool, now simnet.Time) StoreResult {
 	kind := RecAppend
 	if prepend {
 		kind = RecPrepend
 	}
-	old := s.lookupLocked(sh, key, now)
+	old := s.lookupLocked(sh, key, h, now)
 	if old == nil {
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Res: NotStored, Arg: cloneBytes(add)})
@@ -581,7 +630,7 @@ func (s *Store) concatLocked(sh *shard, key []byte, add []byte, prepend bool, no
 		}
 	})
 	s.releasePin(sh, old)
-	s.linkLocked(sh, it, now)
+	s.linkLocked(sh, it, h)
 	if rc := s.rec.Load(); rc != nil {
 		rc.emit(&OpRecord{
 			Kind: kind, Key: skey, Now: now, Res: Stored,
@@ -595,7 +644,7 @@ func (s *Store) concatLocked(sh *shard, key []byte, add []byte, prepend bool, no
 
 // Get copies out the value for key (see Set). ok=false is a miss.
 func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, casID uint64, ok bool) {
-	ok = s.View(append(make([]byte, 0, maxKeyLen), key...), now, func(it *Item) {
+	ok, _ = s.View(append(make([]byte, 0, maxKeyLen), key...), At(now), func(it *Item) {
 		value, flags, casID = append(make([]byte, 0, len(it.value)), it.value...), it.flags, it.casID
 	})
 	return value, flags, casID, ok
@@ -604,7 +653,7 @@ func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, ca
 // Unpin releases a GetPinned reference, freeing the chunk if the item
 // was unlinked (replaced/evicted/deleted) while pinned.
 func (s *Store) Unpin(it *Item) {
-	sh := shardFor(s, it.key)
+	sh := s.shards[it.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.releasePin(sh, it)
@@ -613,13 +662,13 @@ func (s *Store) Unpin(it *Item) {
 // getLocked is the GET lookup: hit and miss counters, the LRU touch and
 // the history record, alloc-free end to end. Caller holds sh.mu; nil is
 // a miss.
-func (s *Store) getLocked(sh *shard, key []byte, now simnet.Time) *Item {
-	sh.stats.cmdGet.Add(1)
-	it := s.lookupLocked(sh, key, now)
+func (s *Store) getLocked(sh *shard, key []byte, h uint64, now simnet.Time) *Item {
+	sh.stats.cmdGet++
+	it := s.lookupLocked(sh, key, h, now)
 	if it == nil {
-		sh.stats.getMisses.Add(1)
+		sh.stats.getMisses++
 	} else {
-		sh.stats.getHits.Add(1)
+		sh.stats.getHits++
 		sh.lru.touch(it)
 	}
 	s.recordGet(key, it, now)
@@ -629,11 +678,12 @@ func (s *Store) getLocked(sh *shard, key []byte, now simnet.Time) *Item {
 // GetPinned returns the live item with its refcount raised, so its slab
 // memory stays valid while a reply transfer (possibly a client-issued
 // RDMA read) is in flight. The caller must Unpin.
-func (s *Store) GetPinned(key []byte, now simnet.Time) (*Item, bool) {
-	sh := shardFor(s, key)
+func (s *Store) GetPinned(key []byte, c Charge) (*Item, bool) {
+	h := hashKey(key)
+	sh := s.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it := s.getLocked(sh, key, now)
+	it := s.getLocked(sh, key, h, s.book(sh, c, 0))
 	if it == nil {
 		return nil, false
 	}
@@ -643,39 +693,45 @@ func (s *Store) GetPinned(key []byte, now simnet.Time) (*Item, bool) {
 
 // View is the sockets engine's GET: instead of pinning the hit it runs
 // read on it while the shard lock is held, which is where that engine
-// copies the value out (and what its lock-hold charge models). read must
-// not call back into the Store or retain the item.
-func (s *Store) View(key []byte, now simnet.Time, read func(*Item)) bool {
-	sh := shardFor(s, key)
+// copies the value out. Its charge is booked after read, so the hold
+// covers the value's bytes (a miss copies none); the returned end is
+// where the hold ends, the next key's cursor in a multi-key get. read
+// must not call back into the Store or retain the item.
+func (s *Store) View(key []byte, c Charge, read func(*Item)) (hit bool, end simnet.Time) {
+	h := hashKey(key)
+	sh := s.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it := s.getLocked(sh, key, now)
-	if it == nil {
-		return false
+	it := s.getLocked(sh, key, h, c.now)
+	copied := 0
+	if it != nil {
+		read(it)
+		copied = len(it.value)
 	}
-	read(it)
-	return true
+	return it != nil, s.acquire(sh, c, copied)
 }
 
 // Delete removes key. ok=false is a miss.
-func (s *Store) Delete(key []byte, now simnet.Time) bool {
-	sh := shardFor(s, key)
+func (s *Store) Delete(key []byte, c Charge) bool {
+	h := hashKey(key)
+	sh := s.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it := s.lookupLocked(sh, key, now)
+	now := s.book(sh, c, 0)
+	it := s.lookupLocked(sh, key, h, now)
 	if it == nil {
-		sh.stats.deleteMisses.Add(1)
+		sh.stats.deleteMisses++
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{Kind: RecDelete, Key: string(key), Now: now})
 		}
 		return false
 	}
-	sh.stats.deleteHits.Add(1)
+	sh.stats.deleteHits++
 	if rc := s.rec.Load(); rc != nil {
 		rc.emit(&OpRecord{Kind: RecDelete, Key: it.key, Now: now, Hit: true, OldCAS: it.casID})
 	}
 	if !mutDeleteNoop {
-		s.unlinkLocked(sh, it)
+		s.unlinkLocked(sh, it, h)
 	}
 	return true
 }
@@ -684,20 +740,22 @@ func (s *Store) Delete(key []byte, now simnet.Time) bool {
 // is not an unsigned number (protocol CLIENT_ERROR); oom=true means the
 // grown value could not be allocated (protocol SERVER_ERROR) — a server
 // failure, distinct from the caller's mistake.
-func (s *Store) IncrDecr(key []byte, delta uint64, incr bool, now simnet.Time) (newVal uint64, found, badValue, oom bool) {
-	sh := shardFor(s, key)
+func (s *Store) IncrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal uint64, found, badValue, oom bool) {
+	h := hashKey(key)
+	sh := s.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	now := s.book(sh, c, 0)
 	kind := RecIncr
 	if !incr {
 		kind = RecDecr
 	}
-	it := s.lookupLocked(sh, key, now)
+	it := s.lookupLocked(sh, key, h, now)
 	if it == nil {
 		if incr {
-			sh.stats.incrMisses.Add(1)
+			sh.stats.incrMisses++
 		} else {
-			sh.stats.decrMisses.Add(1)
+			sh.stats.decrMisses++
 		}
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Delta: delta})
@@ -713,10 +771,10 @@ func (s *Store) IncrDecr(key []byte, delta uint64, incr bool, now simnet.Time) (
 		return 0, true, true, false
 	}
 	if incr {
-		sh.stats.incrHits.Add(1)
+		sh.stats.incrHits++
 		cur += delta
 	} else {
-		sh.stats.decrHits.Add(1)
+		sh.stats.decrHits++
 		if delta > cur {
 			cur = 0
 		} else {
@@ -760,7 +818,7 @@ func (s *Store) IncrDecr(key []byte, delta uint64, incr bool, now simnet.Time) (
 		}
 		nit.expireAt = exp
 		s.memWr(func() { copy(nit.value, text) })
-		s.linkLocked(sh, nit, now)
+		s.linkLocked(sh, nit, h)
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{
 				Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true,
@@ -774,11 +832,13 @@ func (s *Store) IncrDecr(key []byte, delta uint64, incr bool, now simnet.Time) (
 }
 
 // Touch updates an item's expiry.
-func (s *Store) Touch(key []byte, exptime int64, now simnet.Time) bool {
-	sh := shardFor(s, key)
+func (s *Store) Touch(key []byte, exptime int64, c Charge) bool {
+	h := hashKey(key)
+	sh := s.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it := s.lookupLocked(sh, key, now)
+	now := s.book(sh, c, 0)
+	it := s.lookupLocked(sh, key, h, now)
 	if it == nil {
 		if rc := s.rec.Load(); rc != nil {
 			rc.emit(&OpRecord{Kind: RecTouch, Key: string(key), Now: now, Exptime: exptime})
@@ -824,40 +884,44 @@ func (s *Store) FlushAll(now simnet.Time) {
 	}
 }
 
-// Stats snapshots the counters: a lock-free sum over per-shard atomics
-// — statistics never queue behind the data path.
+// Stats snapshots the counters, summing each shard's under its lock:
+// the data path writes them there, so it pays no atomics for them.
 func (s *Store) Stats() Stats {
 	var st Stats
 	for _, sh := range s.shards {
-		c := &sh.stats
-		st.CmdGet += c.cmdGet.Load()
-		st.CmdSet += c.cmdSet.Load()
-		st.GetHits += c.getHits.Load()
-		st.GetMisses += c.getMisses.Load()
-		st.DeleteHits += c.deleteHits.Load()
-		st.DeleteMisses += c.deleteMisses.Load()
-		st.IncrHits += c.incrHits.Load()
-		st.IncrMisses += c.incrMisses.Load()
-		st.DecrHits += c.decrHits.Load()
-		st.DecrMisses += c.decrMisses.Load()
-		st.CasHits += c.casHits.Load()
-		st.CasMisses += c.casMisses.Load()
-		st.CasBadval += c.casBadval.Load()
-		st.Evictions += c.evictions.Load()
-		st.Expired += c.expired.Load()
-		st.CurrItems += c.currItems.Load()
-		st.TotalItems += c.totalItems.Load()
-		st.Bytes += c.bytes.Load()
+		sh.mu.Lock()
+		c := sh.stats
+		sh.mu.Unlock()
+		st.CmdGet += c.cmdGet
+		st.CmdSet += c.cmdSet
+		st.GetHits += c.getHits
+		st.GetMisses += c.getMisses
+		st.DeleteHits += c.deleteHits
+		st.DeleteMisses += c.deleteMisses
+		st.IncrHits += c.incrHits
+		st.IncrMisses += c.incrMisses
+		st.DecrHits += c.decrHits
+		st.DecrMisses += c.decrMisses
+		st.CasHits += c.casHits
+		st.CasMisses += c.casMisses
+		st.CasBadval += c.casBadval
+		st.Evictions += c.evictions
+		st.Expired += c.expired
+		st.CurrItems += c.currItems
+		st.TotalItems += c.totalItems
+		st.Bytes += c.bytes
 	}
 	st.LimitMaxBytes = uint64(s.limit)
 	return st
 }
 
-// CurrItems reports the live item count (lock-free).
+// CurrItems reports the live item count.
 func (s *Store) CurrItems() uint64 {
 	var n uint64
 	for _, sh := range s.shards {
-		n += sh.stats.currItems.Load()
+		sh.mu.Lock()
+		n += sh.stats.currItems
+		sh.mu.Unlock()
 	}
 	return n
 }

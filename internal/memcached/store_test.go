@@ -147,7 +147,7 @@ func TestHashTableBasics(t *testing.T) {
 	items := make([]*Item, 0, 1000)
 	for i := 0; i < 1000; i++ {
 		it := &Item{key: fmt.Sprintf("key-%d", i)}
-		ht.Put(it)
+		ht.Put(it, hashKey(it.key))
 		items = append(items, it)
 	}
 	if ht.Len() != 1000 {
@@ -157,23 +157,23 @@ func TestHashTableBasics(t *testing.T) {
 		t.Fatal("table never expanded")
 	}
 	for i, it := range items {
-		got := lookup(ht, it.key)
+		got := lookup(ht, it.key, hashKey(it.key))
 		if got != it {
 			t.Fatalf("Get(%q) = %v", it.key, got)
 		}
 		if i%3 == 0 {
-			if del := ht.Delete(it.key); del != it {
+			if del := ht.Delete(it.key, hashKey(it.key)); del != it {
 				t.Fatalf("Delete(%q) = %v", it.key, del)
 			}
-			if lookup(ht, it.key) != nil {
+			if lookup(ht, it.key, hashKey(it.key)) != nil {
 				t.Fatal("deleted key still present")
 			}
 		}
 	}
-	if lookup(ht, "absent") != nil {
+	if lookup(ht, "absent", hashKey("absent")) != nil {
 		t.Fatal("absent key returned an item")
 	}
-	if ht.Delete("absent") != nil {
+	if ht.Delete("absent", hashKey("absent")) != nil {
 		t.Fatal("deleting absent key returned an item")
 	}
 }
@@ -183,20 +183,21 @@ func TestHashTableIncrementalExpansion(t *testing.T) {
 	// Fill past the load factor in one burst; expansion must start.
 	n := int(hashLoadFactor*float64(1<<hashInitialPower)) + 2
 	for i := 0; i < n; i++ {
-		ht.Put(&Item{key: fmt.Sprintf("k%d", i)})
+		k := fmt.Sprintf("k%d", i)
+		ht.Put(&Item{key: k}, hashKey(k))
 	}
 	if !ht.Expanding() {
 		t.Fatal("expansion did not start")
 	}
 	// Every key remains reachable mid-expansion.
 	for i := 0; i < n; i++ {
-		if lookup(ht, fmt.Sprintf("k%d", i)) == nil {
+		if k := fmt.Sprintf("k%d", i); lookup(ht, k, hashKey(k)) == nil {
 			t.Fatalf("k%d lost mid-expansion", i)
 		}
 	}
 	// A few more operations finish the migration.
 	for i := 0; ht.Expanding() && i < 10000; i++ {
-		lookup(ht, "k0")
+		lookup(ht, "k0", hashKey("k0"))
 	}
 	if ht.Expanding() {
 		t.Fatal("expansion never finished")
@@ -215,15 +216,15 @@ func TestHashTableModelProperty(t *testing.T) {
 			case 0:
 				if model[key] == nil {
 					it := &Item{key: key}
-					ht.Put(it)
+					ht.Put(it, hashKey(key))
 					model[key] = it
 				}
 			case 1:
-				if lookup(ht, []byte(key)) != model[key] {
+				if lookup(ht, []byte(key), hashKey(key)) != model[key] {
 					return false
 				}
 			case 2:
-				got := ht.Delete(key)
+				got := ht.Delete(key, hashKey(key))
 				if got != model[key] {
 					return false
 				}
@@ -234,7 +235,7 @@ func TestHashTableModelProperty(t *testing.T) {
 			return false
 		}
 		for k, v := range model {
-			if lookup(ht, k) != v {
+			if lookup(ht, k, hashKey(k)) != v {
 				return false
 			}
 		}
@@ -286,16 +287,16 @@ func TestStoreOverwriteUpdatesBytes(t *testing.T) {
 
 func TestStoreAddReplace(t *testing.T) {
 	s := newTestStore()
-	if res := s.Store(StoreOpReplace, []byte("x"), 0, 0, []byte("v"), 0, 0); res != NotStored {
+	if res := s.Store(StoreOpReplace, []byte("x"), 0, 0, []byte("v"), 0, At(0)); res != NotStored {
 		t.Fatalf("Replace absent = %v", res)
 	}
-	if res := s.Store(StoreOpAdd, []byte("x"), 0, 0, []byte("v1"), 0, 0); res != Stored {
+	if res := s.Store(StoreOpAdd, []byte("x"), 0, 0, []byte("v1"), 0, At(0)); res != Stored {
 		t.Fatalf("Add = %v", res)
 	}
-	if res := s.Store(StoreOpAdd, []byte("x"), 0, 0, []byte("v2"), 0, 0); res != NotStored {
+	if res := s.Store(StoreOpAdd, []byte("x"), 0, 0, []byte("v2"), 0, At(0)); res != NotStored {
 		t.Fatalf("Add present = %v", res)
 	}
-	if res := s.Store(StoreOpReplace, []byte("x"), 0, 0, []byte("v3"), 0, 0); res != Stored {
+	if res := s.Store(StoreOpReplace, []byte("x"), 0, 0, []byte("v3"), 0, At(0)); res != Stored {
 		t.Fatalf("Replace = %v", res)
 	}
 	v, _, _, _ := s.Get("x", 0)
@@ -306,14 +307,14 @@ func TestStoreAddReplace(t *testing.T) {
 
 func TestStoreAppendPrepend(t *testing.T) {
 	s := newTestStore()
-	if res := s.Store(StoreOpAppend, []byte("x"), 0, 0, []byte("!"), 0, 0); res != NotStored {
+	if res := s.Store(StoreOpAppend, []byte("x"), 0, 0, []byte("!"), 0, At(0)); res != NotStored {
 		t.Fatalf("Append absent = %v", res)
 	}
 	s.Set("x", 3, 0, []byte("mid"), 0)
-	if res := s.Store(StoreOpAppend, []byte("x"), 0, 0, []byte("-end"), 0, 0); res != Stored {
+	if res := s.Store(StoreOpAppend, []byte("x"), 0, 0, []byte("-end"), 0, At(0)); res != Stored {
 		t.Fatal("Append failed")
 	}
-	if res := s.Store(StoreOpPrepend, []byte("x"), 0, 0, []byte("start-"), 0, 0); res != Stored {
+	if res := s.Store(StoreOpPrepend, []byte("x"), 0, 0, []byte("start-"), 0, At(0)); res != Stored {
 		t.Fatal("Prepend failed")
 	}
 	v, flags, _, _ := s.Get("x", 0)
@@ -326,14 +327,14 @@ func TestStoreCAS(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 0, []byte("v1"), 0)
 	_, _, cas, _ := s.Get("x", 0)
-	if res := s.Store(StoreOpCas, []byte("x"), 0, 0, []byte("v2"), cas, 0); res != Stored {
+	if res := s.Store(StoreOpCas, []byte("x"), 0, 0, []byte("v2"), cas, At(0)); res != Stored {
 		t.Fatalf("Cas fresh = %v", res)
 	}
 	// The old CAS id is now stale.
-	if res := s.Store(StoreOpCas, []byte("x"), 0, 0, []byte("v3"), cas, 0); res != Exists {
+	if res := s.Store(StoreOpCas, []byte("x"), 0, 0, []byte("v3"), cas, At(0)); res != Exists {
 		t.Fatalf("Cas stale = %v", res)
 	}
-	if res := s.Store(StoreOpCas, []byte("nope"), 0, 0, []byte("v"), 1, 0); res != NotFound {
+	if res := s.Store(StoreOpCas, []byte("nope"), 0, 0, []byte("v"), 1, At(0)); res != NotFound {
 		t.Fatalf("Cas missing = %v", res)
 	}
 	st := s.Stats()
@@ -345,10 +346,10 @@ func TestStoreCAS(t *testing.T) {
 func TestStoreDelete(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 0, []byte("v"), 0)
-	if !s.Delete([]byte("x"), 0) {
+	if !s.Delete([]byte("x"), At(0)) {
 		t.Fatal("Delete hit failed")
 	}
-	if s.Delete([]byte("x"), 0) {
+	if s.Delete([]byte("x"), At(0)) {
 		t.Fatal("Delete after delete hit")
 	}
 	if _, _, _, ok := s.Get("x", 0); ok {
@@ -383,13 +384,13 @@ func TestStoreExpiry(t *testing.T) {
 func TestStoreTouch(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 10, []byte("v"), 0)
-	if !s.Touch([]byte("x"), 1000, 5*simnet.Second) {
+	if !s.Touch([]byte("x"), 1000, At(5*simnet.Second)) {
 		t.Fatal("Touch failed")
 	}
 	if _, _, _, ok := s.Get("x", 500*simnet.Second); !ok {
 		t.Fatal("touched item expired on old schedule")
 	}
-	if s.Touch([]byte("nope"), 10, 0) {
+	if s.Touch([]byte("nope"), 10, At(0)) {
 		t.Fatal("Touch on absent key succeeded")
 	}
 }
@@ -412,22 +413,22 @@ func TestStoreFlushAll(t *testing.T) {
 func TestStoreIncrDecr(t *testing.T) {
 	s := newTestStore()
 	s.Set("n", 0, 0, []byte("10"), 0)
-	if v, found, bad, _ := s.IncrDecr([]byte("n"), 5, true, 0); v != 15 || !found || bad {
+	if v, found, bad, _ := s.IncrDecr([]byte("n"), 5, true, At(0)); v != 15 || !found || bad {
 		t.Fatalf("Incr = (%d,%v,%v)", v, found, bad)
 	}
-	if v, _, _, _ := s.IncrDecr([]byte("n"), 20, false, 0); v != 0 {
+	if v, _, _, _ := s.IncrDecr([]byte("n"), 20, false, At(0)); v != 0 {
 		t.Fatalf("Decr floor = %d, want 0", v)
 	}
-	if _, found, _, _ := s.IncrDecr([]byte("missing"), 1, true, 0); found {
+	if _, found, _, _ := s.IncrDecr([]byte("missing"), 1, true, At(0)); found {
 		t.Fatal("incr on missing key found")
 	}
 	s.Set("s", 0, 0, []byte("abc"), 0)
-	if _, found, bad, oom := s.IncrDecr([]byte("s"), 1, true, 0); !found || !bad || oom {
+	if _, found, bad, oom := s.IncrDecr([]byte("s"), 1, true, At(0)); !found || !bad || oom {
 		t.Fatal("non-numeric incr should report badValue, not oom")
 	}
 	// Growth: 9 + 1 = 10 needs one more digit (realloc path).
 	s.Set("g", 0, 0, []byte("9"), 0)
-	if v, _, _, _ := s.IncrDecr([]byte("g"), 1, true, 0); v != 10 {
+	if v, _, _, _ := s.IncrDecr([]byte("g"), 1, true, At(0)); v != 10 {
 		t.Fatalf("Incr growth = %d", v)
 	}
 	got, _, _, _ := s.Get("g", 0)
@@ -511,13 +512,13 @@ func TestStoreLRUOrder(t *testing.T) {
 func TestStorePinBlocksEvictionAndDefersFree(t *testing.T) {
 	s := NewStore(StoreConfig{MemoryLimit: 2 << 20})
 	s.Set("pinned", 0, 0, []byte("precious"), 0)
-	it, ok := s.GetPinned([]byte("pinned"), 0)
+	it, ok := s.GetPinned([]byte("pinned"), At(0))
 	if !ok {
 		t.Fatal("GetPinned miss")
 	}
 	// Deleting while pinned unlinks but must not recycle the chunk.
 	free0 := s.arena.FreeChunks(it.chunk.class)
-	if !s.Delete([]byte("pinned"), 0) {
+	if !s.Delete([]byte("pinned"), At(0)) {
 		t.Fatal("delete failed")
 	}
 	if s.arena.FreeChunks(it.chunk.class) != free0 {
@@ -543,7 +544,7 @@ func TestStoreAllocateCommitAbort(t *testing.T) {
 		t.Fatal("uncommitted item visible")
 	}
 	copy(it.Value(), "rdmaland")
-	s.CommitItem(it, 0)
+	s.CommitItem(it, At(0))
 	v, flags, _, ok := s.Get("k", 0)
 	if !ok || string(v) != "rdmaland" || flags != 5 {
 		t.Fatalf("committed = (%q,%d,%v)", v, flags, ok)
@@ -573,12 +574,12 @@ func TestStoreMissAllocatesNothing(t *testing.T) {
 	key := []byte("an-absent-key-that-is-longer-than-thirty-two-bytes")
 	val := []byte("v")
 	for name, miss := range map[string]func(){
-		"delete":  func() { s.Delete(key, 0) },
-		"touch":   func() { s.Touch(key, 10, 0) },
-		"incr":    func() { s.IncrDecr(key, 1, true, 0) },
-		"replace": func() { s.Store(StoreOpReplace, key, 0, 0, val, 0, 0) },
-		"append":  func() { s.Store(StoreOpAppend, key, 0, 0, val, 0, 0) },
-		"cas":     func() { s.Store(StoreOpCas, key, 0, 0, val, 1, 0) },
+		"delete":  func() { s.Delete(key, At(0)) },
+		"touch":   func() { s.Touch(key, 10, At(0)) },
+		"incr":    func() { s.IncrDecr(key, 1, true, At(0)) },
+		"replace": func() { s.Store(StoreOpReplace, key, 0, 0, val, 0, At(0)) },
+		"append":  func() { s.Store(StoreOpAppend, key, 0, 0, val, 0, At(0)) },
+		"cas":     func() { s.Store(StoreOpCas, key, 0, 0, val, 1, At(0)) },
 	} {
 		if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
 			t.Errorf("%s miss: %v allocs/op, want 0", name, allocs)
@@ -615,7 +616,7 @@ func TestStoreModelProperty(t *testing.T) {
 				}
 			case 2:
 				_, exists := model[key]
-				if s.Delete([]byte(key), 0) != exists {
+				if s.Delete([]byte(key), At(0)) != exists {
 					return false
 				}
 				delete(model, key)
@@ -647,7 +648,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 				case 0, 1:
 					s.Set(key, uint32(w), 0, val, simnet.Time(i))
 				case 2:
-					if it, ok := s.GetPinned([]byte(key), simnet.Time(i)); ok {
+					if it, ok := s.GetPinned([]byte(key), At(simnet.Time(i))); ok {
 						if len(it.Value()) != 600 {
 							t.Errorf("pinned value len %d", len(it.Value()))
 						}
@@ -656,7 +657,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 				case 3:
 					s.Get(key, simnet.Time(i))
 				case 4:
-					s.Delete([]byte(key), simnet.Time(i))
+					s.Delete([]byte(key), At(simnet.Time(i)))
 				}
 			}
 		}(w)

@@ -55,7 +55,7 @@ func TestStripedStatsAggregate(t *testing.T) {
 	// shard would mean the shard picker is broken (high-bit selection).
 	perShard := make(map[*shard]int)
 	for i := 0; i < n; i++ {
-		perShard[shardFor(s, fmt.Sprintf("key-%d", i))]++
+		perShard[s.shardOf(hashKey(fmt.Sprintf("key-%d", i)))]++
 	}
 	if len(perShard) != 8 {
 		t.Errorf("200 keys landed on %d of 8 shards", len(perShard))
@@ -67,27 +67,35 @@ func TestStripedStatsAggregate(t *testing.T) {
 func TestLockWaitQueueing(t *testing.T) {
 	s := NewStore(StoreConfig{Stripes: 8})
 	const hold = 100 * simnet.Microsecond
-	if w := lockWait(s, []byte("a"), 0, hold); w != 0 {
+	s.opCost = hold
+	// waitFor is the queueing wait a charge taken at `at` adds to its
+	// clock.
+	waitFor := func(key string, at simnet.Time) simnet.Duration {
+		clk := simnet.NewVClock(at)
+		s.chargeLock([]byte(key), chargeAfter(clk, at))
+		return clk.Now() - at
+	}
+	if w := waitFor("a", 0); w != 0 {
 		t.Errorf("first acquire waited %v", w)
 	}
-	if w := lockWait(s, []byte("a"), 0, hold); w != hold {
+	if w := waitFor("a", 0); w != hold {
 		t.Errorf("second acquire waited %v, want %v", w, hold)
 	}
 	// A key on a different shard sees an idle resource.
 	other := ""
-	shA := shardFor(s, "a")
+	shA := s.shardOf(hashKey("a"))
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("other-%d", i)
-		if shardFor(s, k) != shA {
+		if s.shardOf(hashKey(k)) != shA {
 			other = k
 			break
 		}
 	}
-	if w := lockWait(s, []byte(other), 0, hold); w != 0 {
+	if w := waitFor(other, 0); w != 0 {
 		t.Errorf("different shard waited %v", w)
 	}
 	// Same shard, later arrival: waits only for the remaining backlog.
-	if w := lockWait(s, []byte("a"), simnet.Time(hold), hold); w != hold {
+	if w := waitFor("a", simnet.Time(hold)); w != hold {
 		t.Errorf("backlogged acquire waited %v, want %v", w, hold)
 	}
 	busy, uses := s.LockStats()
@@ -102,6 +110,7 @@ func TestLockWaitQueueing(t *testing.T) {
 // engine; the invariants checked at the end catch lost updates.
 func TestStripedStoreConcurrentStress(t *testing.T) {
 	s := NewStore(StoreConfig{Stripes: 8, MemoryLimit: 8 << 20})
+	s.opCost = simnet.Microsecond // books case 7's charges; At ops stay free
 	const (
 		goroutines = 12
 		opsEach    = 400
@@ -122,7 +131,7 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 					s.Set(key, uint32(g), 0, []byte("value"), now)
 					sets[g]++
 				case 1:
-					if it, ok := s.GetPinned([]byte(key), now); ok {
+					if it, ok := s.GetPinned([]byte(key), At(now)); ok {
 						_ = it.Value()
 						s.Unpin(it)
 					}
@@ -130,21 +139,21 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 					_, _, _, _ = s.Get(key, now)
 				case 3:
 					if _, _, cas, ok := s.Get(key, now); ok {
-						s.Store(StoreOpCas, []byte(key), 0, 0, []byte("casval"), cas, now)
+						s.Store(StoreOpCas, []byte(key), 0, 0, []byte("casval"), cas, At(now))
 						sets[g]++
 					}
 				case 4:
 					s.Set(key, 0, 0, []byte("7"), now)
-					s.IncrDecr([]byte(key), 3, true, now)
+					s.IncrDecr([]byte(key), 3, true, At(now))
 					sets[g]++
 				case 5:
-					s.Delete([]byte(key), now)
+					s.Delete([]byte(key), At(now))
 				case 6:
-					s.Store(StoreOpAppend, []byte(key), 0, 0, []byte("+tail"), 0, now)
+					s.Store(StoreOpAppend, []byte(key), 0, 0, []byte("+tail"), 0, At(now))
 					sets[g]++
 				case 7:
 					// Exercise the virtual-time lock from racing actors.
-					lockWait(s, []byte(key), now, simnet.Microsecond)
+					s.chargeLock([]byte(key), chargeAfter(simnet.NewVClock(now), now))
 					if i == 7 && g == 0 {
 						s.FlushAll(now)
 					}

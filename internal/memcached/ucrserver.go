@@ -162,13 +162,11 @@ func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 	if p.item != nil {
 		// No copy extends the hold: the value already landed in slab
 		// memory via RDMA before the commit takes the lock (§V-B).
-		chargeLock(s.store, clk, clk.Now(), p.item.key, 0)
-		s.store.CommitItem(p.item, clk.Now())
+		s.store.CommitItem(p.item, chargeFirst(clk))
 	} else {
 		ep.Context().Recycle(data)
 		status = AMError
 	}
-	s.OpsServed.Add(1)
 	if p.replyCtr == 0 {
 		return
 	}
@@ -188,11 +186,9 @@ func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 			return
 		}
 		s.opCharge(clk, ep)
-		s.OpsServed.Add(1)
 		// The reply is served from the pinned item's slab memory, so no
 		// copy extends the hold (§V-C).
-		chargeLock(s.store, clk, clk.Now(), req.Key, 0)
-		it, ok := s.store.GetPinned(req.Key, clk.Now())
+		it, ok := s.store.GetPinned(req.Key, chargeFirst(clk))
 		if !ok {
 			w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMMiss})
 			_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
@@ -230,9 +226,7 @@ func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 				break
 			}
 			s.opCharge(clk, ep)
-			s.OpsServed.Add(1)
-			chargeLock(s.store, clk, clk.Now(), key, 0)
-			it, hit := s.store.GetPinned(key, clk.Now())
+			it, hit := s.store.GetPinned(key, chargeFirst(clk))
 			if !hit {
 				continue
 			}
@@ -406,9 +400,7 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 		return
 	}
 	s.opCharge(clk, ep)
-	s.OpsServed.Add(1)
-	chargeLock(s.store, clk, clk.Now(), req.Key, len(data))
-	res := s.store.Store(req.Op, req.Key, req.Flags, req.Exptime, data, req.CAS, clk.Now())
+	res := s.store.Store(req.Op, req.Key, req.Flags, req.Exptime, data, req.CAS, chargeFirst(clk))
 	if req.ReplyCtr == 0 {
 		return
 	}
@@ -452,10 +444,8 @@ func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, dat
 		return
 	}
 	s.opCharge(clk, ep)
-	s.OpsServed.Add(1)
-	chargeLock(s.store, clk, clk.Now(), req.Key, 0)
 	status := AMMiss
-	if s.store.Delete(req.Key, clk.Now()) {
+	if s.store.Delete(req.Key, chargeFirst(clk)) {
 		status = AMOK
 	}
 	w.reply = AppendStatusReply(w.reply[:0], StatusReply{Status: status})
@@ -471,9 +461,7 @@ func (s *Server) amNumComplete(incr bool) ucr.CompletionHandler {
 			return
 		}
 		s.opCharge(clk, ep)
-		s.OpsServed.Add(1)
-		chargeLock(s.store, clk, clk.Now(), key, 0)
-		val, found, bad, oom := s.store.IncrDecr(key, delta, incr, clk.Now())
+		val, found, bad, oom := s.store.IncrDecr(key, delta, incr, chargeFirst(clk))
 		status := AMOK
 		switch {
 		case !found:

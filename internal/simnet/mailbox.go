@@ -180,15 +180,16 @@ func (m *Mailbox[T]) TryRecv() (msg T, ok, closed bool) {
 }
 
 // TryRecvBy is TryRecv for a receiver not yet entitled to a message
-// stamped after t: such a head stays queued, in one lock hold.
-func (m *Mailbox[T]) TryRecvBy(t Time, stamp func(T) Time) (msg T, ok bool) {
+// stamped after t: such a head stays queued, in one lock hold. It also
+// reports whether the queue is empty as it returns, so a drain that ran
+// it dry knows without probing again.
+func (m *Mailbox[T]) TryRecvBy(t Time, stamp func(T) Time) (msg T, ok, empty bool) {
 	m.ex.mu.Lock()
 	defer m.ex.mu.Unlock()
-	if m.n == 0 || stamp(m.buf[m.head]) > t {
-		return msg, false
+	if m.n > 0 && stamp(m.buf[m.head]) <= t {
+		msg, ok, _ = m.take()
 	}
-	msg, ok, _ = m.take()
-	return msg, ok
+	return msg, ok, m.n == 0
 }
 
 // take is TryRecv with ex.mu held.

@@ -379,6 +379,27 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
+// TestMailboxTryRecvBy: a head stamped after t stays queued, and every
+// call reports whether the queue is empty as it returns.
+func TestMailboxTryRecvBy(t *testing.T) {
+	m := NewMailbox[Time]()
+	stamp := func(v Time) Time { return v }
+	if _, ok, empty := m.TryRecvBy(100, stamp); ok || !empty {
+		t.Fatalf("empty mailbox: ok %v, empty %v", ok, empty)
+	}
+	m.Put(50)
+	m.Put(200)
+	if v, ok, empty := m.TryRecvBy(100, stamp); !ok || v != 50 || empty {
+		t.Fatalf("TryRecvBy(100) = (%v, %v, empty %v), want (50, true, false)", v, ok, empty)
+	}
+	if _, ok, empty := m.TryRecvBy(100, stamp); ok || empty {
+		t.Fatalf("future head: ok %v, empty %v; want it left queued", ok, empty)
+	}
+	if v, ok, empty := m.TryRecvBy(200, stamp); !ok || v != 200 || !empty {
+		t.Fatalf("TryRecvBy(200) = (%v, %v, empty %v), want (200, true, true)", v, ok, empty)
+	}
+}
+
 func TestMailboxBlockingRecv(t *testing.T) {
 	m := NewMailbox[string]()
 	done := make(chan string)

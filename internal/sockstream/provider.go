@@ -460,11 +460,13 @@ func (c *Conn) arrived(seg segment) {
 	c.clk.Advance(p.RecvSyscall)
 	c.buffer(seg)
 	for {
-		more, ok := c.ep.in.TryRecvBy(c.clk.Now(), segArrive)
-		if !ok {
-			break
+		more, ok, empty := c.ep.in.TryRecvBy(c.clk.Now(), segArrive)
+		if ok {
+			c.buffer(more)
 		}
-		c.buffer(more)
+		if !ok || empty {
+			return
+		}
 	}
 }
 

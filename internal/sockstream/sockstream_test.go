@@ -18,7 +18,7 @@ type env struct {
 	a, b *simnet.Node
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	e := &env{}
 	e.nw = simnet.NewNetwork()
@@ -49,7 +49,7 @@ func newEnv(t *testing.T) *env {
 }
 
 // connPair dials a→b and returns both conns with fresh clocks.
-func connPair(t *testing.T, e *env) (cli, srv *Conn) {
+func connPair(t testing.TB, e *env) (cli, srv *Conn) {
 	t.Helper()
 	lis, err := e.prov.Listen(e.b, "svc")
 	if err != nil {

@@ -20,11 +20,15 @@ import "repro/internal/simnet"
 // independent of when the completion was physically delivered. A lone
 // completion in depth-1 traffic arrives a full round trip after the
 // previous drain and always pays the full cost, keeping the figure
-// tables bit-identical. Returns how many completions were processed.
-func (c *Context) TryProgressN(clk *simnet.VClock, max int) int {
+// tables bit-identical. Each completion is probed for once, and a CQ
+// the sweep ran dry (verbs.CQ.Drained) is not probed again. It reports
+// how many completions it processed and whether any may be left queued:
+// false only for a CQ known to be empty, so its owner stops without
+// probing again.
+func (c *Context) TryProgressN(clk *simnet.VClock, max int) (n int, more bool) {
 	wc, ok := c.cq.TryPoll()
 	if !ok {
-		return 0
+		return 0, false
 	}
 	clk.AdvanceTo(wc.Time)
 	if wc.Time <= c.drainEnd+pollSpin {
@@ -33,27 +37,22 @@ func (c *Context) TryProgressN(clk *simnet.VClock, max int) int {
 	} else {
 		clk.Advance(c.cq.Cost())
 	}
-	c.dispatch(clk, wc)
+	c.dispatch(clk, &wc)
 	c.coalesced = false
-	n := 1
-	for n < max {
-		wc, ok := c.cq.TryPollReady(clk)
-		if !ok {
-			wc, ok = c.cq.TryPollSpin(clk, pollSpin)
-		}
+	for n = 1; n < max && !c.cq.Drained(); n++ {
+		wc, ok := c.cq.TryPollSpin(clk, pollSpin)
 		if !ok {
 			break
 		}
 		c.coalesced = true
-		c.dispatch(clk, wc)
+		c.dispatch(clk, &wc)
 		c.coalesced = false
-		n++
 	}
 	if n > 1 {
 		c.batchedDrains++
 	}
 	c.drainEnd = clk.Now()
-	return n
+	return n, !c.cq.Drained()
 }
 
 // WaitCounterBatch is WaitCounter with batched CQ draining, for a
@@ -79,7 +78,7 @@ func (c *Context) WaitCounterBatch(clk *simnet.VClock, ctr *Counter, target uint
 		if !ok {
 			return ErrClosed
 		}
-		c.dispatch(clk, wc)
+		c.dispatch(clk, &wc)
 		if wc.Time <= polled && c.Sweep(clk, batch-1) > 0 {
 			c.batchedDrains++
 		}
@@ -100,7 +99,7 @@ func (c *Context) Sweep(clk *simnet.VClock, max int) int {
 			break
 		}
 		c.coalesced = true
-		c.dispatch(clk, wc)
+		c.dispatch(clk, &wc)
 		c.coalesced = false
 	}
 	return n

@@ -2,6 +2,8 @@ package ucr
 
 import (
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/simnet"
@@ -132,4 +134,152 @@ func TestSweepReadsCompletionStamps(t *testing.T) {
 			t.Errorf("the wait charged %v, want %v", got, want)
 		}
 	})
+}
+
+// TestTryProgressNOneProbe: the drain that probes each completion once
+// harvests exactly what the two-probe rule it replaced did — after the
+// first harvest, TryPollReady and then TryPollSpin(pollSpin) for every
+// further one, and one more TryProgressN whenever a sweep harvested
+// anything — at the same clocks, in the same order and with the same
+// coalesced flags, over heads stamped at or before the drainer's clock,
+// inside the spin, past it, and an empty CQ, with and without a drain
+// just before. The echo handler's replies put send completions in the
+// drained CQ mid-sweep, and a second round of requests lands in a CQ a
+// sweep already ran dry, so a stale verbs.CQ.Drained shows.
+func TestTryProgressNOneProbe(t *testing.T) {
+	// twoProbe is TryProgressN as it was: the reference.
+	twoProbe := func(c *Context, clk *simnet.VClock, max int) int {
+		wc, ok := c.cq.TryPoll()
+		if !ok {
+			return 0
+		}
+		clk.AdvanceTo(wc.Time)
+		if wc.Time <= c.drainEnd+pollSpin {
+			clk.Advance(c.cq.CoalescedCost())
+			c.coalesced = true
+		} else {
+			clk.Advance(c.cq.Cost())
+		}
+		c.dispatch(clk, &wc)
+		c.coalesced = false
+		n := 1
+		for n < max {
+			wc, ok := c.cq.TryPollReady(clk)
+			if !ok {
+				wc, ok = c.cq.TryPollSpin(clk, pollSpin)
+			}
+			if !ok {
+				break
+			}
+			c.coalesced = true
+			c.dispatch(clk, &wc)
+			c.coalesced = false
+			n++
+		}
+		if n > 1 {
+			c.batchedDrains++
+		}
+		c.drainEnd = clk.Now()
+		return n
+	}
+	type dispatched struct {
+		tag       byte
+		at        simnet.Time
+		coalesced bool
+	}
+	type outcome struct {
+		log       []dispatched
+		sweeps    []int // completions per productive TryProgressN call
+		clk       simnet.Time
+		drainEnd  simnet.Time
+		batched   uint64
+		left      int
+		dispatchN int
+	}
+	// run sends one request per gap (0: back to back) and drains the
+	// server's CQ from lag after the first send, rounds times over: a
+	// later round's requests land in a CQ an earlier sweep ran dry.
+	run := func(gaps []simnet.Duration, lag simnet.Duration, rounds int, prior bool, max int, oneProbe bool) outcome {
+		w := newWorld(t, Config{HandlerOverhead: 400})
+		var out outcome
+		c := w.srvCtx
+		w.srvRT.RegisterHandler(midRequest, Handler{
+			Header: func(*simnet.VClock, *Endpoint, []byte, int, CounterID) []byte { return nil },
+			Completion: func(clk *simnet.VClock, ep *Endpoint, hdr, _ []byte, _ CounterID) {
+				out.log = append(out.log, dispatched{hdr[8], clk.Now(), c.InCoalescedDrain()})
+				if err := ep.Send(clk, midReply, hdr[8:], nil, nil, 0, nil); err != nil {
+					t.Error(err)
+				}
+			},
+		})
+		ep := w.dial(t, Reliable)
+		clk := simnet.NewVClock(0)
+		for r := 0; r < rounds; r++ {
+			w.cliClk.AdvanceTo(clk.Now())
+			first := w.cliClk.Now()
+			for i, gap := range gaps {
+				w.cliClk.Advance(gap)
+				if err := ep.Send(w.cliClk, midRequest, append(make([]byte, 8), byte(r*len(gaps)+i)), nil, nil, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if prior {
+				c.drainEnd = first
+			}
+			clk.AdvanceTo(first + lag)
+			for {
+				// The reference's last call is the probe that finds the
+				// CQ empty; the one-probe drain knows without it.
+				var n int
+				more := true
+				if oneProbe {
+					n, more = c.TryProgressN(clk, max)
+				} else {
+					n = twoProbe(c, clk, max)
+				}
+				if n > 0 {
+					out.sweeps = append(out.sweeps, n)
+				}
+				if n == 0 || !more {
+					break
+				}
+			}
+		}
+		out.clk, out.drainEnd, out.batched, out.left = clk.Now(), c.drainEnd, c.batchedDrains, c.cq.Len()
+		out.dispatchN = len(out.log)
+		return out
+	}
+	const us = simnet.Microsecond
+	cases := []struct {
+		name string
+		gaps []simnet.Duration
+		lag  simnet.Duration
+	}{
+		{"empty", nil, 0},
+		{"backlog at or before now", []simnet.Duration{0, 0, 0, 0}, simnet.Millisecond},
+		{"backlog, one landing at now", []simnet.Duration{0, 0}, 0},
+		{"inside the spin", []simnet.Duration{0, us, us, us}, 0},
+		{"past the spin", []simnet.Duration{0, 5 * us, 5 * us}, 0},
+		{"inside then past", []simnet.Duration{0, us, 6 * us, us, 9 * us}, 0},
+		{"future heads behind a visible one", []simnet.Duration{0, 2 * us, 2 * us}, us},
+	}
+	for _, tc := range cases {
+		for _, prior := range []bool{false, true} {
+			for _, max := range []int{1, 2, 16} {
+				for rounds := 1; rounds <= 2; rounds++ {
+					name := fmt.Sprintf("%s/prior=%v/max=%d/rounds=%d", tc.name, prior, max, rounds)
+					t.Run(name, func(t *testing.T) {
+						want := run(tc.gaps, tc.lag, rounds, prior, max, false)
+						got := run(tc.gaps, tc.lag, rounds, prior, max, true)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("one probe:\n%+v\ntwo probes:\n%+v", got, want)
+						}
+						if got.dispatchN != rounds*len(tc.gaps) || got.left != 0 {
+							t.Fatalf("dispatched %d of %d requests, %d completions left", got.dispatchN, rounds*len(tc.gaps), got.left)
+						}
+					})
+				}
+			}
+		}
+	}
 }

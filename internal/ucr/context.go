@@ -264,7 +264,7 @@ func (c *Context) ProgressDeadline(clk *simnet.VClock, deadline simnet.Time) (ok
 	if !ok {
 		return false, timedOut
 	}
-	c.dispatch(clk, wc)
+	c.dispatch(clk, &wc)
 	return true, false
 }
 
@@ -275,7 +275,7 @@ func (c *Context) TryProgress(clk *simnet.VClock) bool {
 	if !ok {
 		return false
 	}
-	c.dispatch(clk, wc)
+	c.dispatch(clk, &wc)
 	return true
 }
 
@@ -290,7 +290,7 @@ func (c *Context) WaitCounter(clk *simnet.VClock, ctr *Counter, target uint64, t
 // dispatch routes one work completion: a received packet to onPacket,
 // after which its buffer goes back to the pool, and anything else by
 // what was posted under its id — a stale or unknown id is dropped.
-func (c *Context) dispatch(clk *simnet.VClock, wc verbs.WC) {
+func (c *Context) dispatch(clk *simnet.VClock, wc *verbs.WC) {
 	if wc.Op == verbs.OpRecv {
 		c.onPacket(clk, wc)
 		c.cq.Recycle(wc.Buf)
@@ -325,7 +325,7 @@ func (c *Context) dispatch(clk *simnet.VClock, wc verbs.WC) {
 // one buffer pool onto one CQ and the completion envelope is the only
 // routing key — this is the demultiplex step the shared-serving
 // datapath depends on, counted so tests can prove the path actually ran.
-func (c *Context) demuxEndpoint(wc verbs.WC) *Endpoint {
+func (c *Context) demuxEndpoint(wc *verbs.WC) *Endpoint {
 	ep := c.eps[wc.QPN]
 	if ep == nil || !ep.noCredits {
 		return ep
@@ -363,8 +363,9 @@ func (c *Context) neighborEndpoint(ep *Endpoint) *Endpoint {
 	return lowest
 }
 
-// onPacket handles a UCR packet that landed in wc.Buf.
-func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC) {
+// onPacket handles a UCR packet that landed in wc.Buf, decoded once into
+// a packet of its own that every handler reads in place.
+func (c *Context) onPacket(clk *simnet.VClock, wc *verbs.WC) {
 	ep := c.demuxEndpoint(wc)
 	if ep == nil {
 		return
@@ -375,8 +376,8 @@ func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC) {
 		}
 		return
 	}
-	pkt, err := decodePacket(wc.Buf, wc.ByteLen)
-	if err != nil {
+	var pkt packet
+	if err := decodePacket(&pkt, wc.Buf, wc.ByteLen); err != nil {
 		ep.markFailed()
 		return
 	}
@@ -389,13 +390,13 @@ func (c *Context) onPacket(clk *simnet.VClock, wc verbs.WC) {
 	switch pkt.typ {
 	case ptEager:
 		c.amsIn++
-		c.handleEager(clk, ep, pkt)
+		c.handleEager(clk, ep, &pkt)
 	case ptRndzHdr:
 		c.amsIn++
-		c.handleRndzHdr(clk, ep, pkt)
+		c.handleRndzHdr(clk, ep, &pkt)
 	case ptAck:
 		c.acksIn++
-		c.handleAck(pkt)
+		c.handleAck(&pkt)
 	}
 }
 
@@ -415,7 +416,7 @@ func (c *Context) handlerCost() simnet.Duration {
 
 // handleEager runs the short-message path of Fig 2b: header handler,
 // memcpy into the chosen buffer, completion handler, target counter.
-func (c *Context) handleEager(clk *simnet.VClock, ep *Endpoint, pkt packet) {
+func (c *Context) handleEager(clk *simnet.VClock, ep *Endpoint, pkt *packet) {
 	h := c.rt.handler(pkt.msgID)
 	if h == nil || h.Header == nil {
 		return // no consumer: drop, as an unhandled AM would be
@@ -455,7 +456,7 @@ func (c *Context) handleEager(clk *simnet.VClock, ep *Endpoint, pkt packet) {
 
 // handleRndzHdr runs the large-message path of Fig 2a: header handler
 // chooses the buffer, then the target pulls the data with RDMA Read.
-func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt packet) {
+func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt *packet) {
 	h := c.rt.handler(pkt.msgID)
 	if h == nil || h.Header == nil {
 		return
@@ -491,7 +492,7 @@ func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt packet) {
 
 // onPullComplete finishes a rendezvous receive: completion handler,
 // target counter, and the internal ack releasing the origin buffer.
-func (c *Context) onPullComplete(clk *simnet.VClock, wc verbs.WC, ep *Endpoint, rd *pendingRead) {
+func (c *Context) onPullComplete(clk *simnet.VClock, wc *verbs.WC, ep *Endpoint, rd *pendingRead) {
 	if wc.Status != verbs.StatusSuccess {
 		ep.markFailed()
 		return
@@ -514,7 +515,7 @@ func (c *Context) onPullComplete(clk *simnet.VClock, wc verbs.WC, ep *Endpoint, 
 // rendezvous ack names its origin entry by the seq the header carried:
 // the entry releases the registration and fires the counters, and a
 // retired seq (its entry taken, the slot since reissued) is dropped.
-func (c *Context) handleAck(pkt packet) {
+func (c *Context) handleAck(pkt *packet) {
 	if pkt.seq != 0 {
 		if wr, ok := c.posted.take(pkt.seq); ok {
 			c.rt.releaseCached(wr.reg)

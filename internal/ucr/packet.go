@@ -65,37 +65,36 @@ func (p *packet) encode(dst []byte) int {
 	return off
 }
 
-// decodePacket parses a wire buffer of n valid bytes. The returned
-// packet's hdr and data alias buf.
-func decodePacket(buf []byte, n int) (packet, error) {
+// decodePacket parses a wire buffer of n valid bytes into p, whose hdr
+// and data then alias buf.
+func decodePacket(p *packet, buf []byte, n int) error {
 	if n < packetHdrSize || n > len(buf) {
-		return packet{}, fmt.Errorf("ucr: short packet (%d bytes)", n)
+		return fmt.Errorf("ucr: short packet (%d bytes)", n)
 	}
 	le := binary.LittleEndian
-	p := packet{
-		typ:       buf[0],
-		msgID:     buf[1],
-		credits:   le.Uint16(buf[2:]),
-		dataLen:   int(le.Uint32(buf[8:])),
-		originCtr: CounterID(le.Uint64(buf[12:])),
-		targetCtr: CounterID(le.Uint64(buf[20:])),
-		complCtr:  CounterID(le.Uint64(buf[28:])),
-		rndzAddr:  le.Uint64(buf[36:]),
-		rkey:      le.Uint32(buf[44:]),
-		seq:       le.Uint64(buf[48:]),
-	}
+	p.typ = buf[0]
+	p.msgID = buf[1]
+	p.credits = le.Uint16(buf[2:])
+	p.dataLen = int(le.Uint32(buf[8:]))
+	p.originCtr = CounterID(le.Uint64(buf[12:]))
+	p.targetCtr = CounterID(le.Uint64(buf[20:]))
+	p.complCtr = CounterID(le.Uint64(buf[28:]))
+	p.rndzAddr = le.Uint64(buf[36:])
+	p.rkey = le.Uint32(buf[44:])
+	p.seq = le.Uint64(buf[48:])
 	hdrLen := int(le.Uint32(buf[4:]))
 	off := packetHdrSize
 	if off+hdrLen > n {
-		return packet{}, fmt.Errorf("ucr: header overruns packet (%d+%d > %d)", off, hdrLen, n)
+		return fmt.Errorf("ucr: header overruns packet (%d+%d > %d)", off, hdrLen, n)
 	}
 	p.hdr = buf[off : off+hdrLen]
 	off += hdrLen
+	p.data = nil
 	if p.typ == ptEager {
 		if off+p.dataLen > n {
-			return packet{}, fmt.Errorf("ucr: data overruns packet (%d+%d > %d)", off, p.dataLen, n)
+			return fmt.Errorf("ucr: data overruns packet (%d+%d > %d)", off, p.dataLen, n)
 		}
 		p.data = buf[off : off+p.dataLen]
 	}
-	return p, nil
+	return nil
 }

@@ -74,11 +74,11 @@ func TestSlotsMisses(t *testing.T) {
 	seq := ctx.posted.put(postedWR{kind: wrRndz, reg: &regEntry{}, originCtr: origin.ID()})
 	ctx.posted.take(seq) // retired: its send failed
 	live := ctx.posted.put(postedWR{kind: wrRndz, reg: &regEntry{}, originCtr: origin.ID()})
-	ctx.handleAck(packet{typ: ptAck, seq: seq, originCtr: origin.ID()})
+	ctx.handleAck(&packet{typ: ptAck, seq: seq, originCtr: origin.ID()})
 	if origin.Value() != 0 || ctx.inFlight(wrRndz) != 1 {
 		t.Fatalf("retired seq: origin %d, %d entries in flight; want 0, 1", origin.Value(), ctx.inFlight(wrRndz))
 	}
-	ctx.handleAck(packet{typ: ptAck, seq: live, originCtr: origin.ID()})
+	ctx.handleAck(&packet{typ: ptAck, seq: live, originCtr: origin.ID()})
 	if origin.Value() != 1 || ctx.inFlight(wrRndz) != 0 {
 		t.Fatalf("live seq: origin %d, %d entries in flight; want 1, 0", origin.Value(), ctx.inFlight(wrRndz))
 	}

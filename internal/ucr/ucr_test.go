@@ -526,8 +526,8 @@ func TestPacketRoundtripProperty(t *testing.T) {
 		}
 		buf := make([]byte, p.encodedLen())
 		n := p.encode(buf)
-		got, err := decodePacket(buf, n)
-		if err != nil {
+		var got packet
+		if err := decodePacket(&got, buf, n); err != nil {
 			return false
 		}
 		if got.typ != p.typ || got.msgID != p.msgID || !bytes.Equal(got.hdr, hdr) {
@@ -550,21 +550,21 @@ func TestPacketRoundtripProperty(t *testing.T) {
 }
 
 func TestPacketDecodeErrors(t *testing.T) {
-	if _, err := decodePacket(make([]byte, 10), 10); err == nil {
+	if err := decodePacket(new(packet), make([]byte, 10), 10); err == nil {
 		t.Fatal("short packet should error")
 	}
 	// Header length overrunning the packet.
 	p := packet{typ: ptEager, hdr: make([]byte, 100)}
 	buf := make([]byte, p.encodedLen())
 	n := p.encode(buf)
-	if _, err := decodePacket(buf, n-50); err == nil {
+	if err := decodePacket(new(packet), buf, n-50); err == nil {
 		t.Fatal("truncated header should error")
 	}
 	// Data overrun.
 	p2 := packet{typ: ptEager, data: make([]byte, 100), dataLen: 100}
 	buf2 := make([]byte, p2.encodedLen())
 	n2 := p2.encode(buf2)
-	if _, err := decodePacket(buf2, n2-10); err == nil {
+	if err := decodePacket(new(packet), buf2, n2-10); err == nil {
 		t.Fatal("truncated data should error")
 	}
 }

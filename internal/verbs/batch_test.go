@@ -83,6 +83,8 @@ func TestPostSendNEmptyAndBadState(t *testing.T) {
 // TestTryPollReadyVisibility: TryPollReady harvests only completions
 // whose HCA-side timestamp has already passed, at the coalesced rate; a
 // future completion is put back untouched for a later (full-cost) poll.
+// Drained holds only while the last such poll left the queue empty and
+// nothing was posted since.
 func TestTryPollReadyVisibility(t *testing.T) {
 	p := newPair(t, 4, 256)
 	cfg := testConfig().withDefaults()
@@ -92,6 +94,9 @@ func TestTryPollReadyVisibility(t *testing.T) {
 	// The send completion's Time is in this clock's future: refuse.
 	if _, ok := p.cliSend.TryPollReady(p.cliClock); ok {
 		t.Fatal("TryPollReady harvested a completion from the future")
+	}
+	if p.cliSend.Drained() {
+		t.Fatal("Drained with a future completion queued")
 	}
 	// A full-cost blocking poll advances to it.
 	wc, ok := p.cliSend.Wait(p.cliClock)
@@ -106,8 +111,8 @@ func TestTryPollReadyVisibility(t *testing.T) {
 	p.cliClock.Advance(10 * simnet.Millisecond)
 	before := p.cliClock.Now()
 	wc, ok = p.cliSend.TryPollReady(p.cliClock)
-	if !ok || wc.ID != 8 {
-		t.Fatalf("TryPollReady = (%+v, %v)", wc, ok)
+	if !ok || wc.ID != 8 || !p.cliSend.Drained() {
+		t.Fatalf("TryPollReady = (%+v, %v), Drained %v: want the last completion taken", wc, ok, p.cliSend.Drained())
 	}
 	if got := p.cliClock.Now() - before; got != cfg.PollOverhead/2 {
 		t.Fatalf("TryPollReady charged %v, want %v", got, cfg.PollOverhead/2)
@@ -119,5 +124,11 @@ func TestTryPollReadyVisibility(t *testing.T) {
 	}
 	if p.cliClock.Now() != before {
 		t.Fatal("refusal advanced the clock")
+	}
+	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 9, Op: OpSend, Local: []byte("z")}); err != nil {
+		t.Fatal(err)
+	}
+	if p.cliSend.Drained() {
+		t.Fatal("Drained after a post")
 	}
 }

@@ -22,6 +22,10 @@ type CQ struct {
 
 	free [][][]byte // free buffers by size class, grown on demand
 
+	// drained: the last spin-poll left the queue empty and nothing has
+	// been queued since (see Drained).
+	drained bool
+
 	// UseEvents switches the completion cost model from PollOverhead
 	// to InterruptOverhead (ablation: polling vs events, §II-A1).
 	UseEvents bool
@@ -77,7 +81,16 @@ func (c *CQ) SetOwner(a *simnet.Actor) { c.box.SetOwner(a, nil, wcTime) }
 func wcTime(wc WC) simnet.Time { return wc.Time }
 
 // post enqueues a completion (transport-internal).
-func (c *CQ) post(wc WC) { c.box.Put(wc) }
+func (c *CQ) post(wc WC) {
+	c.drained = false
+	c.box.Put(wc)
+}
+
+// Drained reports that no completion is queued: the last TryPollSpin
+// (or TryPollReady) left the queue empty and nothing has been posted
+// since. It costs no probe, so a drain asks it before polling again; a
+// false answer only means a probe is needed to know.
+func (c *CQ) Drained() bool { return c.drained }
 
 // Cost is the full CPU time to harvest one completion (poll or
 // interrupt, per the CQ's mode); callers that drive TryPoll charge it
@@ -133,9 +146,11 @@ func (c *CQ) TryPollReady(clk *simnet.VClock) (WC, bool) { return c.TryPollSpin(
 // completion (the time spent spinning) and still charging only the
 // coalesced cost — a poller that stays in its loop pays no wakeup. A
 // completion further out is left in place for a full-cost harvest, so
-// spin 0 is TryPollReady exactly.
+// spin 0 is TryPollReady exactly. Whether the poll left the queue empty
+// is recorded for Drained.
 func (c *CQ) TryPollSpin(clk *simnet.VClock, spin simnet.Duration) (WC, bool) {
-	wc, ok := c.box.TryRecvBy(clk.Now()+spin, wcTime)
+	wc, ok, empty := c.box.TryRecvBy(clk.Now()+spin, wcTime)
+	c.drained = empty
 	if !ok {
 		return wc, false
 	}
@@ -174,6 +189,7 @@ func (c *CQ) WaitDeadline(clk *simnet.VClock, deadline simnet.Time) (wc WC, ok, 
 	if ok {
 		// Completion exists but lands after the virtual deadline: the
 		// waiter gave up first. Requeue for a later harvest.
+		c.drained = false
 		c.box.PutFront(wc)
 	} else if !idle {
 		return WC{}, false, false

@@ -172,7 +172,7 @@ func (q *QP) PostSend(clk *simnet.VClock, wr SendWR) error {
 	if err != nil {
 		return err
 	}
-	return q.dispatchSend(clk, wr, remote)
+	return q.dispatchSend(clk, &wr, remote)
 }
 
 // PostSendN posts a burst of work requests with a single doorbell ring:
@@ -190,7 +190,7 @@ func (q *QP) PostSendN(clk *simnet.VClock, wrs []SendWR) error {
 		return err
 	}
 	for i := range wrs {
-		if err := q.dispatchSend(clk, wrs[i], remote); err != nil {
+		if err := q.dispatchSend(clk, &wrs[i], remote); err != nil {
 			return err
 		}
 	}
@@ -212,7 +212,7 @@ func (q *QP) postCharge(clk *simnet.VClock, n int) (*QP, error) {
 }
 
 // dispatchSend routes one already-charged WR into the transport.
-func (q *QP) dispatchSend(clk *simnet.VClock, wr SendWR, remote *QP) error {
+func (q *QP) dispatchSend(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	switch wr.Op {
 	case OpSend:
 		return q.postSendMsg(clk, wr, remote)
@@ -226,7 +226,7 @@ func (q *QP) dispatchSend(clk *simnet.VClock, wr SendWR, remote *QP) error {
 }
 
 // resolveDest picks the destination QP for a send.
-func (q *QP) resolveDest(wr SendWR, remote *QP) (*QP, error) {
+func (q *QP) resolveDest(wr *SendWR, remote *QP) (*QP, error) {
 	if q.typ == UD {
 		if wr.Dest == nil || wr.Dest.Target == nil {
 			return nil, ErrNoAddress
@@ -278,7 +278,7 @@ func (q *QP) transmit(src, dst *HCA, at simnet.Time, bytes int) (arrive simnet.T
 }
 
 // postSendMsg implements the two-sided SEND.
-func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
+func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	cfg := q.hca.cfg
 	n := len(wr.Local)
 	if q.typ == UD && n > q.hca.fabric.Spec().MTU {
@@ -390,7 +390,7 @@ func (q *QP) rdmaPeer(remote *QP) (*QP, error) {
 // postRDMARead pulls remote memory into wr.Local with no remote software
 // involvement — the mechanism UCR uses to fetch large active-message
 // payloads (paper §IV-B).
-func (q *QP) postRDMARead(clk *simnet.VClock, wr SendWR, remote *QP) error {
+func (q *QP) postRDMARead(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	cfg := q.hca.cfg
 	dst, err := q.rdmaPeer(remote)
 	if err != nil {
@@ -441,7 +441,7 @@ func (q *QP) postRDMARead(clk *simnet.VClock, wr SendWR, remote *QP) error {
 // postRDMAWrite pushes wr.Local (followed by the optional wr.Local2
 // gather segment) into remote memory. The two segments travel as one
 // wire transaction and land contiguously at RemoteAddr — a two-SGE WQE.
-func (q *QP) postRDMAWrite(clk *simnet.VClock, wr SendWR, remote *QP) error {
+func (q *QP) postRDMAWrite(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	cfg := q.hca.cfg
 	dst, err := q.rdmaPeer(remote)
 	if err != nil {
