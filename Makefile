@@ -152,6 +152,9 @@ check-no-wallclock:
 #    shard counters are plain fields under the shard lock — the only
 #    atomic counters left are the global CAS sequence and the history
 #    recorder's seq.
+#  - the exported surface is the used surface: no RDMA compare-and-swap,
+#    no lent-buffer mget, no Zipf hot-fraction view and no sentinel
+#    error nothing returns (TestExportedSurfaceIsUsed keeps the rest).
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -170,6 +173,8 @@ internal/verbs internal/ucr internal/sockstream internal/simnet	sync\.(RW)?Mutex
 internal cmd examples *_test.go	splitWriter|postSet|postDelete|settleSet|settleDelete|settleWrite|postWrite|t\.posted\b|posted +\*amOp|lastOp|\bWindow\(\) int	^$$	second op driver (post/settle split, posted slot, last-op victim) or Pipeline.Window under internal/ cmd/ examples/ or the root tests
 internal/memcached	PageBytes|pageWindow|pageWins|make\(\[\]byte, slabPageSize\)	^$$	whole-page host backing or page window under internal/memcached
 internal/memcached	\blockWait\b|OpsServed|atomic\.Uint64	nextCAS +atomic\.Uint64|seq +atomic\.Uint64	second lock hold, served counter or atomic shard counter under internal/memcached
+internal cmd examples	CompareSwap|OpAtomicCmpSwap|GetMultiInto|HotFraction|ErrQPDestroyed|ErrNoHandler|ErrBadHandler	^$$	compare-and-swap, lent-buffer mget, Zipf hot fraction or unreturned sentinel error under internal/ cmd/ examples/
+internal/verbs	ErrBadKey	^$$	verbs.ErrBadKey under internal/verbs
 endef
 export GONE
 

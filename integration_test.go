@@ -116,7 +116,7 @@ func TestEndToEndShardingWithFailover(t *testing.T) {
 		}
 	}
 	for _, srv := range d.Servers {
-		if srv.Store().CurrItems() == 0 {
+		if srv.Store().Stats().CurrItems == 0 {
 			t.Fatal("a shard received no items")
 		}
 	}

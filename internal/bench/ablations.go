@@ -26,7 +26,7 @@ func AblationEagerThreshold(valueSize int, thresholds []int, cfg RunConfig) (map
 	for _, th := range thresholds {
 		p := cluster.ClusterB()
 		p.UCR.EagerThreshold = th
-		rec, err := LatencyPoint(p, cluster.UCRIB, MixGet, valueSize, cfg)
+		rec, err := latencyPoint(p, cluster.UCRIB, MixGet, valueSize, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -42,7 +42,7 @@ func AblationWorkerCount(workerCounts []int, nClients int, cfg RunConfig) (map[i
 	out := make(map[int]float64, len(workerCounts))
 	for _, wc := range workerCounts {
 		cfg.Deploy.ServerWorkers = wc
-		tps, err := TPSPoint(cluster.ClusterB(), cluster.UCRIB, nClients, 4, cfg)
+		tps, err := tpsPoint(cluster.ClusterB(), cluster.UCRIB, nClients, 4, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +70,7 @@ func offOn(cfg RunConfig, set func(o *cluster.Options, on bool)) (offUs, onUs fl
 	var us [2]float64
 	for i, on := range []bool{false, true} {
 		set(&cfg.Deploy, on)
-		rec, err := LatencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, 64, cfg)
+		rec, err := latencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, 64, cfg)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -179,7 +179,7 @@ func AblationCounterAcks(ops int) (nullUs, complUs float64, acksNull, acksCompl 
 				}
 				cliRT.FreeCounter(compl)
 			}
-			rec.Record(cliClk.Now() - start)
+			rec.record(cliClk.Now() - start)
 		}
 		return rec.Mean(), nil
 	}

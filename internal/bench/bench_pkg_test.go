@@ -13,10 +13,10 @@ import (
 func TestLatencyRecorder(t *testing.T) {
 	r := &LatencyRecorder{}
 	for _, v := range []simnet.Duration{1000, 2000, 3000, 4000, 5000} {
-		r.Record(v)
+		r.record(v)
 	}
-	if r.Count() != 5 {
-		t.Fatalf("Count = %d", r.Count())
+	if len(r.samples) != 5 {
+		t.Fatalf("Count = %d", len(r.samples))
 	}
 	if r.Mean() != 3.0 {
 		t.Fatalf("Mean = %v, want 3.0 us", r.Mean())
@@ -45,14 +45,14 @@ func TestLatencyRecorder(t *testing.T) {
 func TestPercentileNearestRank(t *testing.T) {
 	five := &LatencyRecorder{}
 	for v := simnet.Duration(1); v <= 5; v++ {
-		five.Record(v * 1000)
+		five.record(v * 1000)
 	}
 	if got := five.Percentile(50); got != 3 {
 		t.Errorf("p50 of {1..5} us = %v, want 3 (rank ceil(2.5) = 3)", got)
 	}
 	fifty := &LatencyRecorder{}
 	for v := simnet.Duration(1); v <= 50; v++ {
-		fifty.Record(v * 1000)
+		fifty.record(v * 1000)
 	}
 	if got := fifty.Percentile(99); got != 50 {
 		t.Errorf("p99 of {1..50} us = %v, want the max 50 (rank ceil(49.5) = 50)", got)
@@ -65,7 +65,7 @@ func TestPercentileNearestRank(t *testing.T) {
 func TestSizeLabel(t *testing.T) {
 	cases := map[int]string{1: "1", 512: "512", 1024: "1K", 8192: "8K", 524288: "512K", 1 << 20: "1M"}
 	for n, want := range cases {
-		if got := SizeLabel(n); got != want {
+		if got := sizeLabel(n); got != want {
 			t.Errorf("SizeLabel(%d) = %q, want %q", n, got, want)
 		}
 	}
@@ -74,7 +74,7 @@ func TestSizeLabel(t *testing.T) {
 func TestMixCycles(t *testing.T) {
 	sets := func(m Mix, n int) (count int) {
 		for i := 0; i < n; i++ {
-			if m.IsSet(i) {
+			if m.isSet(i) {
 				count++
 			}
 		}
@@ -92,38 +92,38 @@ func TestMixCycles(t *testing.T) {
 	// Non-interleaved means the sets come first, contiguously, and the
 	// cycle repeats every 100 operations.
 	for i := 0; i < 10; i++ {
-		if !MixNonInterleaved.IsSet(i) || !MixNonInterleaved.IsSet(100+i) {
+		if !MixNonInterleaved.isSet(i) || !MixNonInterleaved.isSet(100+i) {
 			t.Fatal("sets are not contiguous at the front")
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if MixInterleaved.IsSet(i) != (i%2 == 0) {
+		if MixInterleaved.isSet(i) != (i%2 == 0) {
 			t.Fatalf("interleaved op %d: want set, get, set, ...", i)
 		}
 	}
 }
 
 func TestWorkloadDeterminism(t *testing.T) {
-	a := NewWorkload(7, 10, 64)
-	b := NewWorkload(7, 10, 64)
-	if !bytes.Equal(a.Value(), b.Value()) {
+	a := newWorkload(7, 10, 64)
+	b := newWorkload(7, 10, 64)
+	if !bytes.Equal(a.value, b.value) {
 		t.Fatal("same seed, different values")
 	}
-	for i := range a.Keys() {
-		if a.Keys()[i] != b.Keys()[i] {
+	for i := range a.keys {
+		if a.keys[i] != b.keys[i] {
 			t.Fatal("same seed, different keys")
 		}
 	}
-	c := NewWorkload(8, 10, 64)
-	if a.Keys()[0] == c.Keys()[0] {
+	c := newWorkload(8, 10, 64)
+	if a.keys[0] == c.keys[0] {
 		t.Fatal("different seeds, same keys")
 	}
 	// Round-robin key cursor.
-	first := a.Key()
+	first := a.key()
 	for i := 1; i < 10; i++ {
-		a.Key()
+		a.key()
 	}
-	if a.Key() != first {
+	if a.key() != first {
 		t.Fatal("key cursor did not wrap")
 	}
 }
@@ -131,12 +131,12 @@ func TestWorkloadDeterminism(t *testing.T) {
 func TestLatencyPointProducesSaneNumbers(t *testing.T) {
 	p := cluster.ClusterB()
 	cfg := RunConfig{OpsPerPoint: 10, KeySpace: 4}
-	rec, err := LatencyPoint(p, cluster.UCRIB, MixGet, 64, cfg)
+	rec, err := latencyPoint(p, cluster.UCRIB, MixGet, 64, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Count() != 10 {
-		t.Fatalf("samples = %d", rec.Count())
+	if len(rec.samples) != 10 {
+		t.Fatalf("samples = %d", len(rec.samples))
 	}
 	mean := rec.Mean()
 	if mean < 1 || mean > 100 {
@@ -149,7 +149,7 @@ func TestLatencySweepOrdering(t *testing.T) {
 	p := cluster.ClusterB()
 	cfg := RunConfig{OpsPerPoint: 8, KeySpace: 4}
 	sizes := []int{64, 4096, 65536}
-	series, err := LatencySweep(p, []cluster.Transport{cluster.UCRIB, cluster.IPoIB}, MixGet, sizes, cfg)
+	series, err := latencySweep(p, []cluster.Transport{cluster.UCRIB, cluster.IPoIB}, MixGet, sizes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestLatencySweepOrdering(t *testing.T) {
 func TestTPSPointScalesWithClients(t *testing.T) {
 	p := cluster.ClusterB()
 	cfg := RunConfig{OpsPerPoint: 40, KeySpace: 8}
-	tps2, err := TPSPoint(p, cluster.UCRIB, 2, 4, cfg)
+	tps2, err := tpsPoint(p, cluster.UCRIB, 2, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tps8, err := TPSPoint(p, cluster.UCRIB, 8, 4, cfg)
+	tps8, err := tpsPoint(p, cluster.UCRIB, 8, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +261,11 @@ func TestFigureRunAndReport(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	rng := simnet.NewRand(99)
-	z := NewZipf(rng, 0.99, 1000)
+	z := newZipf(rng, 0.99, 1000)
 	counts := make([]int, 1000)
 	const draws = 50_000
 	for i := 0; i < draws; i++ {
-		counts[z.Next()]++
+		counts[z.next()]++
 	}
 	// Rank 0 must dominate and ranks must be roughly ordered.
 	if counts[0] < counts[10] || counts[10] < counts[500] {
@@ -280,24 +280,21 @@ func TestZipfSkew(t *testing.T) {
 	if frac := float64(top) / draws; frac < 0.5 {
 		t.Fatalf("top-10%% mass = %.2f, want > 0.5", frac)
 	}
-	// HotFraction agrees with the empirical mass within a few points.
-	if hf := z.HotFraction(100); math.Abs(hf-float64(top)/draws) > 0.05 {
-		t.Fatalf("HotFraction(100) = %.3f vs empirical %.3f", hf, float64(top)/draws)
+	// The CDF agrees with the empirical mass within a few points.
+	if hf := z.cdf[99]; math.Abs(hf-float64(top)/draws) > 0.05 {
+		t.Fatalf("cdf[99] = %.3f vs empirical %.3f", hf, float64(top)/draws)
 	}
 	// Degenerate cases.
-	if NewZipf(rng, 1, 0).Next() != 0 {
+	if newZipf(rng, 1, 0).next() != 0 {
 		t.Fatal("n=0 should clamp to a single rank")
-	}
-	if z.HotFraction(0) != 0 || z.HotFraction(5000) != 1 {
-		t.Fatal("HotFraction bounds")
 	}
 }
 
 func TestZipfWorkloadDraws(t *testing.T) {
-	w := NewZipfWorkload(42, 1, 64, 8, 0.99)
+	w := newZipfWorkload(42, 1, 64, 8, 0.99)
 	seen := map[string]int{}
 	for i := 0; i < 5000; i++ {
-		k := w.Key()
+		k := w.key()
 		seen[k]++
 	}
 	if len(seen) < 10 {
@@ -314,9 +311,9 @@ func TestZipfWorkloadDraws(t *testing.T) {
 		t.Fatalf("hottest key drawn %d times, want strong skew", max)
 	}
 	// Determinism.
-	w2 := NewZipfWorkload(42, 1, 64, 8, 0.99)
+	w2 := newZipfWorkload(42, 1, 64, 8, 0.99)
 	for i := 0; i < 100; i++ {
-		if w2.Key() == "" {
+		if w2.key() == "" {
 			t.Fatal("empty key")
 		}
 	}
@@ -328,7 +325,7 @@ func TestZipfWorkloadDraws(t *testing.T) {
 // a hit rate strictly between 0 and 1 — or the cell measures nothing.
 func TestReplayPointEvicts(t *testing.T) {
 	for _, tr := range []cluster.Transport{cluster.UCRIB, cluster.IPoIB} {
-		r, err := ReplayPoint(cluster.ClusterB(), tr, RunConfig{OpsPerPoint: 200})
+		r, err := replayPoint(cluster.ClusterB(), tr, RunConfig{OpsPerPoint: 200})
 		if err != nil {
 			t.Fatal(err)
 		}

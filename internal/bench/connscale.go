@@ -101,7 +101,7 @@ func ConnScaleSweep(p *cluster.Profile, cfg RunConfig) (*ConnScaleReport, error)
 		}
 		tpsCfg := cfg
 		tpsCfg.Deploy = connScaleDeploy(mode, cfg.Deploy)
-		tps, err := TPSPoint(p, cluster.UCRIB, connScaleTPSClients, scalingValueSize, tpsCfg)
+		tps, err := tpsPoint(p, cluster.UCRIB, connScaleTPSClients, scalingValueSize, tpsCfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: connscale %s tps: %w", mode, err)
 		}

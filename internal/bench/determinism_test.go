@@ -18,7 +18,7 @@ import (
 func TestClosedLoopPureFunction(t *testing.T) {
 	point := func(ops int) float64 {
 		t.Helper()
-		tps, err := TPSPoint(cluster.ClusterB(), cluster.UCRIB, 16, 4, RunConfig{OpsPerPoint: ops})
+		tps, err := tpsPoint(cluster.ClusterB(), cluster.UCRIB, 16, 4, RunConfig{OpsPerPoint: ops})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestBenchSpawnsNoGoroutines(t *testing.T) {
 			}
 		}
 	}()
-	_, err := TPSPoint(cluster.ClusterB(), cluster.UCRIB, 16, 4, RunConfig{OpsPerPoint: 200})
+	_, err := tpsPoint(cluster.ClusterB(), cluster.UCRIB, 16, 4, RunConfig{OpsPerPoint: 200})
 	close(stop)
 	if err != nil {
 		t.Fatal(err)

@@ -74,21 +74,21 @@ func faultPoint(p *cluster.Profile, t cluster.Transport, dropPct float64, size i
 	defer c.Close()
 
 	cell := FaultCell{Transport: t, DropPct: dropPct, Ops: cfg.OpsPerPoint}
-	w := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-	for _, k := range w.Keys() {
-		if err := c.MC.Set(k, w.Value(), 0, 0); err != nil {
+	w := newWorkload(cfg.Seed, cfg.KeySpace, size)
+	for _, k := range w.keys {
+		if err := c.MC.Set(k, w.value, 0, 0); err != nil {
 			cell.Failed++
 		}
 	}
 	rec := &LatencyRecorder{}
 	for n := 0; n < cfg.OpsPerPoint; n++ {
 		start := c.Clock.Now()
-		_, _, _, err := c.MC.Get(w.Key())
+		_, _, _, err := c.MC.Get(w.key())
 		if err != nil && err != mcclient.ErrCacheMiss {
 			cell.Failed++
 			continue
 		}
-		rec.Record(c.Clock.Now() - start)
+		rec.record(c.Clock.Now() - start)
 	}
 	cell.MeanUs = rec.Mean()
 	cell.P99Us = rec.Percentile(99)

@@ -36,7 +36,7 @@ func latencyFigure(id, title string, profileName string, mix Mix, sizes []int) F
 		ID: id, Title: title, Cluster: profileName,
 		Run: func(cfg RunConfig) (*Figure, error) {
 			p := cluster.ProfileByName(profileName)
-			series, err := LatencySweep(p, p.Transports, mix, sizes, cfg)
+			series, err := latencySweep(p, p.Transports, mix, sizes, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -67,7 +67,7 @@ func tpsFigure(id, title string, profileName string, size int, counts []int) Fig
 func sizeTicks(sizes []int) []string {
 	out := make([]string, len(sizes))
 	for i, s := range sizes {
-		out[i] = SizeLabel(s)
+		out[i] = sizeLabel(s)
 	}
 	return out
 }

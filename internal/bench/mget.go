@@ -30,10 +30,10 @@ func MGetSweep(p *cluster.Profile, transports []cluster.Transport, batchSize, va
 			return nil, err
 		}
 		keys := make([]string, batchSize)
-		w := NewWorkload(cfg.Seed, 1, valueSize)
+		w := newWorkload(cfg.Seed, 1, valueSize)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("mget-%04d", i)
-			if err := c.MC.Set(keys[i], w.Value(), 0, 0); err != nil {
+			if err := c.MC.Set(keys[i], w.value, 0, 0); err != nil {
 				c.Close()
 				d.Close()
 				return nil, err

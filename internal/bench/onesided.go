@@ -54,12 +54,12 @@ type OneSidedReport struct {
 // OneSidedSizes is the default value-size axis.
 func OneSidedSizes() []int { return []int{4, 64, 256, 1024, 4096, 16384, 65536} }
 
-// OneSidedLatencyPoint measures mean get latency at one size with the
+// oneSidedLatencyPoint measures mean get latency at one size with the
 // one-sided path on or off (cluster B, UCR-IB, single client).
-func OneSidedLatencyPoint(size int, oneSided bool, cfg RunConfig) (float64, error) {
+func oneSidedLatencyPoint(size int, oneSided bool, cfg RunConfig) (float64, error) {
 	deploy := cfg.Deploy
 	deploy.OneSidedGet = oneSided
-	rec, err := LatencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, size,
+	rec, err := latencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, size,
 		RunConfig{OpsPerPoint: cfg.OpsPerPoint, KeySpace: cfg.KeySpace, Seed: cfg.Seed, Deploy: deploy})
 	if err != nil {
 		return 0, err
@@ -76,11 +76,11 @@ func OneSidedSweep(sizes []int, cfg RunConfig) (*OneSidedReport, error) {
 	}
 	rep := &OneSidedReport{TPSValueSize: 64}
 	for _, size := range sizes {
-		osUs, err := OneSidedLatencyPoint(size, true, cfg)
+		osUs, err := oneSidedLatencyPoint(size, true, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: onesided size %d: %w", size, err)
 		}
-		amUs, err := OneSidedLatencyPoint(size, false, cfg)
+		amUs, err := oneSidedLatencyPoint(size, false, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: am size %d: %w", size, err)
 		}
@@ -97,7 +97,7 @@ func OneSidedSweep(sizes []int, cfg RunConfig) (*OneSidedReport, error) {
 	tps := func(oneSided bool, clients int) (float64, error) {
 		deploy := cfg.Deploy
 		deploy.OneSidedGet = oneSided
-		return TPSPoint(cluster.ClusterB(), cluster.UCRIB, clients, rep.TPSValueSize,
+		return tpsPoint(cluster.ClusterB(), cluster.UCRIB, clients, rep.TPSValueSize,
 			RunConfig{OpsPerPoint: cfg.OpsPerPoint, KeySpace: cfg.KeySpace, Seed: cfg.Seed, Deploy: deploy})
 	}
 	for _, n := range []int{1, 2, 4, 8} {

@@ -9,11 +9,11 @@ import "testing"
 func TestOneSidedBeatsAMSmallValues(t *testing.T) {
 	cfg := RunConfig{OpsPerPoint: 40, KeySpace: 8}
 	for _, size := range []int{4, 64, 1024} {
-		osUs, err := OneSidedLatencyPoint(size, true, cfg)
+		osUs, err := oneSidedLatencyPoint(size, true, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		amUs, err := OneSidedLatencyPoint(size, false, cfg)
+		amUs, err := oneSidedLatencyPoint(size, false, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,8 +42,8 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 		return pt, err
 	}
 	defer c.Close()
-	w := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-	if err := w.Populate(c.MC); err != nil {
+	w := newWorkload(cfg.Seed, cfg.KeySpace, size)
+	if err := w.populate(c.MC); err != nil {
 		return pt, err
 	}
 	pl, ok := c.MC.Transport(0).(mcclient.Pipeliner)
@@ -57,7 +57,7 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 	// so the measured loop sees only the per-op costs.
 	warm := make([]*mcclient.GetFuture, 0, 2*depth)
 	for n := 0; n < 2*depth; n++ {
-		warm = append(warm, pipe.StartGet(clk, w.Key()))
+		warm = append(warm, pipe.StartGet(clk, w.key()))
 	}
 	if err := pipe.Wait(clk); err != nil {
 		return pt, err
@@ -70,7 +70,7 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 	futures := make([]*mcclient.GetFuture, 0, cfg.OpsPerPoint)
 	start := clk.Now()
 	for n := 0; n < cfg.OpsPerPoint; n++ {
-		futures = append(futures, pipe.StartGet(clk, w.Key()))
+		futures = append(futures, pipe.StartGet(clk, w.key()))
 	}
 	if err := pipe.Wait(clk); err != nil {
 		return pt, err

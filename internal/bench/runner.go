@@ -37,10 +37,10 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
-// LatencyPoint measures the mean latency of one (transport, size, mix)
+// latencyPoint measures the mean latency of one (transport, size, mix)
 // combination on a fresh single-client deployment — the paper's
 // single-client experiment (§VI-B).
-func LatencyPoint(p *cluster.Profile, t cluster.Transport, mix Mix, size int, cfg RunConfig) (*LatencyRecorder, error) {
+func latencyPoint(p *cluster.Profile, t cluster.Transport, mix Mix, size int, cfg RunConfig) (*LatencyRecorder, error) {
 	cfg = cfg.withDefaults()
 	d := cluster.New(p, cfg.Deploy)
 	defer d.Close()
@@ -49,7 +49,7 @@ func LatencyPoint(p *cluster.Profile, t cluster.Transport, mix Mix, size int, cf
 		return nil, err
 	}
 	defer c.Close()
-	w := NewWorkload(cfg.Seed, cfg.KeySpace, size)
+	w := newWorkload(cfg.Seed, cfg.KeySpace, size)
 	rec := &LatencyRecorder{}
 	if err := runClient(c, w, mix, cfg.OpsPerPoint, rec); err != nil {
 		return nil, fmt.Errorf("bench: %s/%s size %d: %w", t, mix, size, err)
@@ -57,14 +57,14 @@ func LatencyPoint(p *cluster.Profile, t cluster.Transport, mix Mix, size int, cf
 	return rec, nil
 }
 
-// LatencySweep runs LatencyPoint over sizes for every transport,
+// latencySweep runs latencyPoint over sizes for every transport,
 // returning mean microseconds, indexed series[transport][sizeIdx].
-func LatencySweep(p *cluster.Profile, transports []cluster.Transport, mix Mix, sizes []int, cfg RunConfig) (map[cluster.Transport][]float64, error) {
+func latencySweep(p *cluster.Profile, transports []cluster.Transport, mix Mix, sizes []int, cfg RunConfig) (map[cluster.Transport][]float64, error) {
 	out := make(map[cluster.Transport][]float64, len(transports))
 	for _, t := range transports {
 		vals := make([]float64, 0, len(sizes))
 		for _, size := range sizes {
-			rec, err := LatencyPoint(p, t, mix, size, cfg)
+			rec, err := latencyPoint(p, t, mix, size, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +82,7 @@ func LatencySweep(p *cluster.Profile, transports []cluster.Transport, mix Mix, s
 func JitterPoint(p *cluster.Profile, t cluster.Transport, size, samples int, cfg RunConfig) (*LatencyRecorder, error) {
 	cfg = cfg.withDefaults()
 	cfg.OpsPerPoint = samples
-	return LatencyPoint(p, t, MixGet, size, cfg)
+	return latencyPoint(p, t, MixGet, size, cfg)
 }
 
 // ClosedLoop is the one closed-loop driver: every multi-client
@@ -111,7 +111,7 @@ func ClosedLoop(clocks []*simnet.VClock, laps int, rec *LatencyRecorder, step fu
 				return 0, fmt.Errorf("client %d lap %d: %w", i, lap, err)
 			}
 			if rec != nil {
-				rec.Record(clk.Now() - issued)
+				rec.record(clk.Now() - issued)
 			}
 		}
 	}
@@ -127,14 +127,14 @@ func latest(clocks []*simnet.VClock) simnet.Time {
 	return t
 }
 
-// TPSPoint measures aggregate transactions per second with nClients
+// tpsPoint measures aggregate transactions per second with nClients
 // closed-loop clients on distinct nodes doing 100% Gets of the given
 // value size — the paper's multi-client experiment (§VI-D).
-func TPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, cfg RunConfig) (tps float64, err error) {
+func tpsPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, cfg RunConfig) (tps float64, err error) {
 	return mixTPSPoint(p, t, nClients, size, MixGet, cfg)
 }
 
-// mixTPSPoint is TPSPoint for any instruction mix: nClients clients over
+// mixTPSPoint is tpsPoint for any instruction mix: nClients clients over
 // a shared keyspace that the first one populates, each starting at its
 // own offset into it (or drawing from its own Zipf stream, cfg.Zipf),
 // cfg.OpsPerPoint operations each; aggregate TPS from the makespan.
@@ -144,17 +144,17 @@ func mixTPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, mi
 		workloads := make([]*Workload, nClients)
 		for i := range workloads {
 			if cfg.Zipf > 0 {
-				workloads[i] = NewZipfWorkload(cfg.Seed, uint64(i)+1, cfg.KeySpace, size, cfg.Zipf)
+				workloads[i] = newZipfWorkload(cfg.Seed, uint64(i)+1, cfg.KeySpace, size, cfg.Zipf)
 			} else {
-				workloads[i] = NewWorkload(cfg.Seed, cfg.KeySpace, size)
+				workloads[i] = newWorkload(cfg.Seed, cfg.KeySpace, size)
 				workloads[i].nextKey = i
 			}
 		}
-		if err := workloads[0].Populate(clients[0].MC); err != nil {
+		if err := workloads[0].populate(clients[0].MC); err != nil {
 			return err
 		}
 		makespan, err := ClosedLoop(clocks, cfg.OpsPerPoint, nil, func(i, lap int) error {
-			return workloads[i].Op(clients[i].MC, mix.IsSet(lap))
+			return workloads[i].op(clients[i].MC, mix.isSet(lap))
 		})
 		if err != nil {
 			return err
@@ -189,7 +189,7 @@ func withClients(p *cluster.Profile, t cluster.Transport, nClients int, cfg RunC
 	return body(d, clients, clocks)
 }
 
-// TPSSweep runs TPSPoint across client counts for every transport,
+// TPSSweep runs tpsPoint across client counts for every transport,
 // returning thousands-of-TPS series, indexed series[transport][countIdx]
 // (the unit the paper's Fig 6 y-axis uses).
 func TPSSweep(p *cluster.Profile, transports []cluster.Transport, clientCounts []int, size int, cfg RunConfig) (map[cluster.Transport][]float64, error) {
@@ -197,7 +197,7 @@ func TPSSweep(p *cluster.Profile, transports []cluster.Transport, clientCounts [
 	for _, t := range transports {
 		vals := make([]float64, 0, len(clientCounts))
 		for _, n := range clientCounts {
-			tps, err := TPSPoint(p, t, n, size, cfg)
+			tps, err := tpsPoint(p, t, n, size, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -18,14 +18,11 @@ type LatencyRecorder struct {
 	sum     simnet.Duration
 }
 
-// Record adds one sample.
-func (r *LatencyRecorder) Record(d simnet.Duration) {
+// record adds one sample.
+func (r *LatencyRecorder) record(d simnet.Duration) {
 	r.samples = append(r.samples, d)
 	r.sum += d
 }
-
-// Count reports the number of samples.
-func (r *LatencyRecorder) Count() int { return len(r.samples) }
 
 // Mean reports the average sample in microseconds.
 func (r *LatencyRecorder) Mean() float64 {
@@ -89,8 +86,8 @@ func (r *LatencyRecorder) Jitter() float64 { return r.Max() - r.Min() }
 
 func s2us(d simnet.Duration) float64 { return float64(d) / 1e3 }
 
-// SizeLabel formats a message size the way the paper's axes do.
-func SizeLabel(n int) string {
+// sizeLabel formats a message size the way the paper's axes do.
+func sizeLabel(n int) string {
 	switch {
 	case n >= 1<<20 && n%(1<<20) == 0:
 		return fmt.Sprintf("%dM", n>>20)

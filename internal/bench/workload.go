@@ -37,8 +37,8 @@ func (m Mix) String() string {
 	}
 }
 
-// IsSet reports whether operation n of the mix's stream is a set.
-func (m Mix) IsSet(n int) bool {
+// isSet reports whether operation n of the mix's stream is a set.
+func (m Mix) isSet(n int) bool {
 	switch m {
 	case MixSet:
 		return true
@@ -53,7 +53,7 @@ func (m Mix) IsSet(n int) bool {
 
 // Workload generates keys and values, memslap-style: fixed-length keys
 // drawn from a seeded keyspace — round-robin, or by Zipfian popularity
-// (NewZipfWorkload) — and incompressible values of the swept size.
+// (newZipfWorkload) — and incompressible values of the swept size.
 type Workload struct {
 	rng     *simnet.Rand
 	keys    []string
@@ -62,8 +62,8 @@ type Workload struct {
 	zipf    *Zipf // nil: round-robin
 }
 
-// NewWorkload builds a workload over nKeys keys with size-byte values.
-func NewWorkload(seed uint64, nKeys, size int) *Workload {
+// newWorkload builds a workload over nKeys keys with size-byte values.
+func newWorkload(seed uint64, nKeys, size int) *Workload {
 	w := &Workload{rng: simnet.NewRand(seed)}
 	w.keys = make([]string, nKeys)
 	for i := range w.keys {
@@ -76,25 +76,19 @@ func NewWorkload(seed uint64, nKeys, size int) *Workload {
 	return w
 }
 
-// Key returns the next key: round-robin, or a popularity draw.
-func (w *Workload) Key() string {
+// key returns the next key: round-robin, or a popularity draw.
+func (w *Workload) key() string {
 	if w.zipf != nil {
-		return w.keys[w.zipf.Next()]
+		return w.keys[w.zipf.next()]
 	}
 	k := w.keys[w.nextKey%len(w.keys)]
 	w.nextKey++
 	return k
 }
 
-// Keys returns the whole keyspace.
-func (w *Workload) Keys() []string { return w.keys }
-
-// Value returns the payload.
-func (w *Workload) Value() []byte { return w.value }
-
-// Populate stores the payload under every key, so gets hit and sets
+// populate stores the payload under every key, so gets hit and sets
 // overwrite (steady-state behaviour).
-func (w *Workload) Populate(mc *mcclient.Client) error {
+func (w *Workload) populate(mc *mcclient.Client) error {
 	for _, k := range w.keys {
 		if err := mc.Set(k, w.value, 0, 0); err != nil {
 			return err
@@ -103,10 +97,10 @@ func (w *Workload) Populate(mc *mcclient.Client) error {
 	return nil
 }
 
-// Op issues one operation on the next key: a set of the payload, or a
+// op issues one operation on the next key: a set of the payload, or a
 // get.
-func (w *Workload) Op(mc *mcclient.Client, set bool) error {
-	key := w.Key()
+func (w *Workload) op(mc *mcclient.Client, set bool) error {
+	key := w.key()
 	if set {
 		return mc.Set(key, w.value, 0, 0)
 	}
@@ -117,11 +111,11 @@ func (w *Workload) Op(mc *mcclient.Client, set bool) error {
 // runClient populates the keyspace and executes n operations of the mix
 // on one client, recording per-op latency.
 func runClient(c *cluster.Client, w *Workload, mix Mix, n int, rec *LatencyRecorder) error {
-	if err := w.Populate(c.MC); err != nil {
+	if err := w.populate(c.MC); err != nil {
 		return err
 	}
 	_, err := ClosedLoop([]*simnet.VClock{c.Clock}, n, rec, func(_, lap int) error {
-		return w.Op(c.MC, mix.IsSet(lap))
+		return w.op(c.MC, mix.isSet(lap))
 	})
 	return err
 }

@@ -52,8 +52,8 @@ type ReplayResult struct {
 	MeanUs, P99Us float64
 }
 
-// HitRate is hits per get.
-func (r ReplayResult) HitRate() float64 { return float64(r.Hits) / float64(r.Gets) }
+// hitRate is hits per get.
+func (r ReplayResult) hitRate() float64 { return float64(r.Hits) / float64(r.Gets) }
 
 // WorkloadsSweep runs memslap's four mixes, round-robin and Zipfian, on
 // each transport against one server and against a ketama pool, then the
@@ -83,7 +83,7 @@ func WorkloadsSweep(p *cluster.Profile, transports []cluster.Transport, cfg RunC
 		}
 	}
 	for _, t := range transports {
-		r, err := ReplayPoint(p, t, cfg)
+		r, err := replayPoint(p, t, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s replay: %w", t, err)
 		}
@@ -92,11 +92,11 @@ func WorkloadsSweep(p *cluster.Profile, transports []cluster.Transport, cfg RunC
 	return rep, nil
 }
 
-// ReplayPoint drives a seeded get/set/delete stream with Zipfian key
+// replayPoint drives a seeded get/set/delete stream with Zipfian key
 // popularity — generated in memory, one stream per client — against a
 // cache too small for the keyspace, so the LRU evicts throughout: the
 // hit rate is what the cache holds of the popularity mass, not 1.
-func ReplayPoint(p *cluster.Profile, t cluster.Transport, cfg RunConfig) (ReplayResult, error) {
+func replayPoint(p *cluster.Profile, t cluster.Transport, cfg RunConfig) (ReplayResult, error) {
 	cfg = cfg.withDefaults()
 	// One page of cache under one LRU: with lock stripes each stripe
 	// evicts only from its own list, and a page holds too few items for
@@ -107,19 +107,19 @@ func ReplayPoint(p *cluster.Profile, t cluster.Transport, cfg RunConfig) (Replay
 		keys := make([]*Workload, len(clients))
 		ops := make([]*simnet.Rand, len(clients))
 		for i := range clients {
-			keys[i] = NewZipfWorkload(cfg.Seed, uint64(i)+1, replayKeys, replaySize, workloadZipf)
+			keys[i] = newZipfWorkload(cfg.Seed, uint64(i)+1, replayKeys, replaySize, workloadZipf)
 			ops[i] = simnet.NewRand(cfg.Seed ^ uint64(i+1)<<32)
 		}
 		rec := &LatencyRecorder{}
 		_, err := ClosedLoop(clocks, cfg.OpsPerPoint, rec, func(i, _ int) error {
-			mc, key := clients[i].MC, keys[i].Key()
+			mc, key := clients[i].MC, keys[i].key()
 			switch r := ops[i].Float64(); {
 			case r >= replayGets+(1-replayGets)*0.9:
 				if err := mc.Delete(key); err != mcclient.ErrCacheMiss {
 					return err
 				}
 			case r >= replayGets:
-				return mc.Set(key, keys[i].Value(), 0, 0)
+				return mc.Set(key, keys[i].value, 0, 0)
 			default:
 				res.Gets++
 				if _, _, _, err := mc.Get(key); err == nil {
@@ -156,7 +156,7 @@ func WorkloadsTable(rep *WorkloadsReport) string {
 		workloadClients, rep.Ops, workloadZipf, replayKeys, replayGets*100, (1-replayGets)*90, (1-replayGets)*10, replaySize, replayCache>>20)
 	fmt.Fprintf(&b, "%-8s %6s %6s %10s %10s %10s\n", "", "gets", "hit%", "evictions", "mean us", "p99 us")
 	for _, r := range rep.Replay {
-		fmt.Fprintf(&b, "%-8s %6d %6.1f %10d %10.2f %10.2f\n", r.Transport, r.Gets, r.HitRate()*100, r.Evictions, r.MeanUs, r.P99Us)
+		fmt.Fprintf(&b, "%-8s %6d %6.1f %10d %10.2f %10.2f\n", r.Transport, r.Gets, r.hitRate()*100, r.Evictions, r.MeanUs, r.P99Us)
 	}
 	return b.String()
 }

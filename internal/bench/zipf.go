@@ -20,8 +20,8 @@ type Zipf struct {
 	rng *simnet.Rand
 }
 
-// NewZipf builds a sampler over ranks [0, n) with exponent s.
-func NewZipf(rng *simnet.Rand, s float64, n int) *Zipf {
+// newZipf builds a sampler over ranks [0, n) with exponent s.
+func newZipf(rng *simnet.Rand, s float64, n int) *Zipf {
 	if n < 1 {
 		n = 1
 	}
@@ -37,8 +37,8 @@ func NewZipf(rng *simnet.Rand, s float64, n int) *Zipf {
 	return z
 }
 
-// Next draws a rank: 0 is the hottest key.
-func (z *Zipf) Next() int {
+// next draws a rank: 0 is the hottest key.
+func (z *Zipf) next() int {
 	u := z.rng.Float64()
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
@@ -52,24 +52,12 @@ func (z *Zipf) Next() int {
 	return lo
 }
 
-// HotFraction reports the probability mass of the top-k ranks (used by
-// tests and for reporting workload skew).
-func (z *Zipf) HotFraction(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k > len(z.cdf) {
-		k = len(z.cdf)
-	}
-	return z.cdf[k-1]
-}
-
-// NewZipfWorkload builds a skewed workload over nKeys keys of the given
+// newZipfWorkload builds a skewed workload over nKeys keys of the given
 // value size: Key draws by popularity instead of round-robin. keySeed
 // fixes the keyspace (share it across clients so a populated cache
 // hits); samplerSeed varies each client's draw order.
-func NewZipfWorkload(keySeed, samplerSeed uint64, nKeys, size int, s float64) *Workload {
-	w := NewWorkload(keySeed, nKeys, size)
-	w.zipf = NewZipf(simnet.NewRand(samplerSeed^0x5eed), s, nKeys)
+func newZipfWorkload(keySeed, samplerSeed uint64, nKeys, size int, s float64) *Workload {
+	w := newWorkload(keySeed, nKeys, size)
+	w.zipf = newZipf(simnet.NewRand(samplerSeed^0x5eed), s, nKeys)
 	return w
 }

@@ -307,7 +307,7 @@ func TestExpiryAcrossTransport(t *testing.T) {
 
 func TestProfileShape(t *testing.T) {
 	a, b := ClusterA(), ClusterB()
-	if !a.HasTransport(TOE10G) || b.HasTransport(TOE10G) {
+	if !a.hasTransport(TOE10G) || b.hasTransport(TOE10G) {
 		t.Fatal("10GigE present on wrong cluster (paper: no 10GigE on B)")
 	}
 	if b.IB.LinkBytesPerSec <= a.IB.LinkBytesPerSec {
@@ -450,7 +450,7 @@ func TestMultiServerSharding(t *testing.T) {
 	}
 	// Every server holds a share of the keyspace.
 	for i, srv := range d.Servers {
-		if srv.Store().CurrItems() == 0 {
+		if srv.Store().Stats().CurrItems == 0 {
 			t.Errorf("server %d received no items (hashing not spreading)", i)
 		}
 	}
@@ -636,8 +636,8 @@ func TestUCRSetTooLargeForCache(t *testing.T) {
 	if err != nil || string(v) != "fine" {
 		t.Fatalf("post-error get = (%q, %v)", v, err)
 	}
-	if d.Server.Store().CurrItems() != 1 {
-		t.Fatalf("CurrItems = %d", d.Server.Store().CurrItems())
+	if d.Server.Store().Stats().CurrItems != 1 {
+		t.Fatalf("CurrItems = %d", d.Server.Store().Stats().CurrItems)
 	}
 }
 

@@ -192,18 +192,18 @@ func New(p *Profile, opts Options) *Deployment {
 		if opts.Servers > 1 {
 			name = fmt.Sprintf("server%d", i)
 		}
-		d.AddServer(name)
+		d.addServer(name)
 	}
 	return d
 }
 
-// AddServer brings up one more memcached server at runtime — node,
+// addServer brings up one more memcached server at runtime — node,
 // fabric attachments, socket listeners, UCR frontend — and returns its
 // index. The fleet layer calls this for churn joins while traffic is
 // running, holding the deployment (owned), so the new server becomes
 // reachable without quiescing anything. Panics on listener setup
 // failure, like New.
-func (d *Deployment) AddServer(name string) int {
+func (d *Deployment) addServer(name string) int {
 	i := len(d.Servers)
 	node := d.Network.AddNode(name)
 	d.IB.Attach(node)
@@ -344,7 +344,7 @@ func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors,
 // session instead: it rides a trunk's queue pairs as tagged sessions,
 // with its own virtual clock.
 func (d *Deployment) NewClient(t Transport, behaviors mcclient.Behaviors) (*Client, error) {
-	if !d.Profile.HasTransport(t) {
+	if !d.Profile.hasTransport(t) {
 		return nil, fmt.Errorf("cluster %s has no %s", d.Profile.Name, t)
 	}
 	d.clients++
@@ -399,14 +399,6 @@ func (d *Deployment) openTrunk(behaviors mcclient.Behaviors, clk *simnet.VClock)
 	d.trunks = append(d.trunks, tr)
 	return tr, nil
 }
-
-// Trunks reports the concentrator QP-group count (0 unless
-// Options.SessionsPerQP > 1) — the number of RC QPs actually dialed for
-// however many session clients exist.
-func (d *Deployment) Trunks() int { return len(d.trunks) }
-
-// TrunkMuxes exposes the i'th trunk's per-server session muxes (tests).
-func (d *Deployment) TrunkMuxes(i int) []*mcclient.SessionMux { return d.trunks[i].muxes }
 
 // Provider exposes the seated socket provider for a transport (nil for
 // UCRIB or transports absent from the profile) — benches read its

@@ -228,8 +228,8 @@ func concentratorRaceStress(t *testing.T, opts Options) {
 		}
 		clients = append(clients, c)
 	}
-	if d.Trunks() != 2 {
-		t.Fatalf("Trunks() = %d, want 2", d.Trunks())
+	if trunks, _ := d.TrunkPaths(); trunks != 2 {
+		t.Fatalf("%d trunks, want 2", trunks)
 	}
 
 	var wg sync.WaitGroup
@@ -291,10 +291,7 @@ func concentratorRaceStress(t *testing.T, opts Options) {
 	}
 	wg.Wait()
 	if opts.OneSidedGet {
-		var stats mcclient.PathStats
-		for i := 0; i < d.Trunks(); i++ {
-			stats.Add(d.TrunkMuxes(i)[0].Transport().PathStats())
-		}
+		_, stats := d.TrunkPaths()
 		if stats.By[mcclient.PathOneSided].Hits+stats.By[mcclient.PathWrite].Hits == 0 {
 			t.Fatalf("armed trunks served no read by an armed path (vacuous): %+v", stats)
 		}

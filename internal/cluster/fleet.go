@@ -96,7 +96,7 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 		opts.Opts.Faults = LossyFaults(0, 0)
 	}
 	opts.Opts.Servers = opts.Servers
-	if !p.HasTransport(opts.Transport) {
+	if !p.hasTransport(opts.Transport) {
 		return nil, fmt.Errorf("cluster %s has no %s", p.Name, opts.Transport)
 	}
 	if opts.Opts.SessionsPerQP > 1 {
@@ -168,12 +168,12 @@ func (f *Fleet) Join() string {
 	f.nextServer++
 	f.mu.Unlock()
 
-	// Bring the server up outside f.mu: AddServer holds the deployment,
+	// Bring the server up outside f.mu: addServer holds the deployment,
 	// and holding f.mu across it would stall every concurrent routing
 	// decision.
 	var m *fleetMember
 	f.D.owned(func() {
-		idx := f.D.AddServer(name)
+		idx := f.D.addServer(name)
 		m = &fleetMember{name: name, idx: idx, node: f.D.ServerNodes[idx], srv: f.D.Servers[idx]}
 	})
 

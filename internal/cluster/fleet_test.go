@@ -232,7 +232,7 @@ func TestFleetGetBurst(t *testing.T) {
 // Race stress: concurrent churn (join, leave, crash) against live
 // traffic on both transports. Every op must settle with a value or a
 // tolerated error; run under -race this also proves the fleet's locking
-// story (ring swaps, Deployment.AddServer mid-traffic, lazy dials racing
+// story (ring swaps, Deployment.addServer mid-traffic, lazy dials racing
 // partitions).
 func TestFleetChurnRaceStress(t *testing.T) {
 	for _, tr := range []Transport{UCRIB, IPoIB} {

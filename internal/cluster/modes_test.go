@@ -191,11 +191,9 @@ func composedRun(t *testing.T, opts cluster.Options, driver string, script []sop
 
 	var stats mcclient.PathStats
 	if driver == "sessions" {
-		if d.Trunks() != 2 {
-			t.Fatalf("Trunks() = %d, want 2 (8 sessions / SessionsPerQP=4)", d.Trunks())
-		}
-		for i := 0; i < d.Trunks(); i++ {
-			stats.Add(d.TrunkMuxes(i)[0].Transport().PathStats())
+		var trunks int
+		if trunks, stats = d.TrunkPaths(); trunks != 2 {
+			t.Fatalf("%d trunks, want 2 (8 sessions / SessionsPerQP=4)", trunks)
 		}
 	} else {
 		stats.Add(clients[0].MC.Transport(0).(*mcclient.UCRTransport).PathStats())
@@ -379,11 +377,7 @@ func TestSessionObserverTagsOwnPath(t *testing.T) {
 			t.Fatalf("op %d (%+v):\n  got  %s\n  want %s", i, op, got, want[i])
 		}
 	}
-	var served uint64
-	for i := 0; i < d.Trunks(); i++ {
-		served += d.TrunkMuxes(i)[0].Transport().PathStats().By[mcclient.PathOneSided].Hits
-	}
-	if served == 0 {
+	if _, paths := d.TrunkPaths(); paths.By[mcclient.PathOneSided].Hits == 0 {
 		t.Fatal("the trunks served no get one-sided (vacuous)")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mcclient"
+	"repro/internal/memcached"
 )
 
 // newOneSidedClient deploys a cluster with the one-sided GET path armed
@@ -115,25 +116,37 @@ func TestOneSidedFallbackPaths(t *testing.T) {
 		t.Fatalf("miss: %v", err)
 	}
 
-	// Overflow the directory: more keys than it has slots guarantees
-	// displacement, and displaced keys must be served — correctly — by
-	// the AM fallback while the rest stay one-sided.
-	sx := d.Server.Store().OneSidedIndex()
-	n := sx.Buckets()*sx.Slots() + 64
+	// Overflow the directory: more keys than its 512 buckets × 4 slots
+	// guarantees displacement, and displaced keys must be served —
+	// correctly — by the AM fallback while the rest stay one-sided. A
+	// full bucket displaces an older key, so the last key set into each
+	// bucket is still one-sided.
+	paths := c.MC.Transport(0).(*mcclient.UCRTransport).PathStats()
+	n := 512*4 + 64
+	lastIn := make(map[int]int) // bucket → the last spill key set into it
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("os-spill-%d", i)
 		if err := c.MC.Set(key, []byte(key), uint32(i), 0); err != nil {
 			t.Fatalf("Set %s: %v", key, err)
 		}
+		lastIn[memcached.OSBucketOf(memcached.OSKeyHash(key), 512)] = i
 	}
+	viaAM := 0
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("os-spill-%d", i)
+		am, one := paths.By[mcclient.PathAM].Hits, paths.By[mcclient.PathOneSided].Hits
 		got, flags, _, err := c.MC.Get(key)
 		if err != nil || string(got) != key || flags != uint32(i) {
 			t.Fatalf("spill get %s: %v %q", key, err, got)
 		}
+		if paths.By[mcclient.PathAM].Hits > am {
+			viaAM++
+		}
+		if lastIn[memcached.OSBucketOf(memcached.OSKeyHash(key), 512)] == i && paths.By[mcclient.PathOneSided].Hits == one {
+			t.Fatalf("%s, the last key set into its bucket, was not served one-sided: it was not published over an older key", key)
+		}
 	}
-	if _, displaced, _ := sx.Stats(); displaced == 0 {
+	if viaAM == 0 {
 		t.Fatal("directory overflow displaced nothing; test is vacuous")
 	}
 

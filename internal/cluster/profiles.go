@@ -68,8 +68,8 @@ type Profile struct {
 	TCP1GModel  *sockstream.Provider
 }
 
-// HasTransport reports whether the profile supports t.
-func (p *Profile) HasTransport(t Transport) bool {
+// hasTransport reports whether the profile supports t.
+func (p *Profile) hasTransport(t Transport) bool {
 	for _, x := range p.Transports {
 		if x == t {
 			return true

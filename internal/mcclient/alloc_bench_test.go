@@ -65,17 +65,3 @@ func BenchmarkUCRGetMulti(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkUCRGetMultiInto(b *testing.B) {
-	tr, clk := benchStack(b)
-	keys := []string{"bench"}
-	block := make([]byte, 0, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := tr.GetMultiInto(clk, keys, block)
-		if err != nil || len(got) != 1 {
-			b.Fatalf("GetMultiInto = (%v, %v)", got, err)
-		}
-	}
-}

@@ -188,9 +188,6 @@ func New(clk *simnet.VClock, behaviors Behaviors, servers []Transport) (*Client,
 	return c, nil
 }
 
-// Clock reports the client's virtual clock.
-func (c *Client) Clock() *simnet.VClock { return c.clk }
-
 // Transport exposes server i's connection — for pipelined access
 // (assert to Pipeliner) and diagnostics. Panics on a bad index.
 func (c *Client) Transport(i int) Transport { return c.servers[i] }
@@ -266,7 +263,7 @@ func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
 		}
 		var part map[string][]byte
 		t := c.servers[idx]
-		err := c.behaviors.Retry(c.clk, func() (err error) {
+		err := c.behaviors.retry(c.clk, func() (err error) {
 			part, err = t.GetMulti(c.clk, group)
 			return err
 		})

@@ -58,12 +58,12 @@ func (c *Client) liveServerFor(key string) int {
 	return c.byName[owner]
 }
 
-// Retry runs op, retrying ErrServerDown failures up to b.Retries times
+// retry runs op, retrying ErrServerDown failures up to b.Retries times
 // with exponential virtual-time backoff charged to clk. A transient
 // fault (lossy fabric, momentary partition) heals inside the backoff
 // window and the server stays in the pool; only a persistently dead
 // server escapes to the caller's eject or failover path.
-func (b Behaviors) Retry(clk *simnet.VClock, op func() error) error {
+func (b Behaviors) retry(clk *simnet.VClock, op func() error) error {
 	return b.RetryAfter(clk, op(), op)
 }
 
@@ -98,7 +98,7 @@ func (c *Client) withTransport(key string, op func(Transport) error) error {
 			return ErrNoServers
 		}
 		t := c.servers[idx]
-		err := c.behaviors.Retry(c.clk, func() error { return op(t) })
+		err := c.behaviors.retry(c.clk, func() error { return op(t) })
 		if err == ErrServerDown && c.behaviors.AutoEject {
 			c.eject(idx)
 			continue

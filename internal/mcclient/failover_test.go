@@ -332,7 +332,7 @@ func TestRetryBackoffEjectsDeadServer(t *testing.T) {
 		}
 	}
 	fakes[1].broken = true
-	before := c.Clock().Now()
+	before := c.clk.Now()
 	if err := c.Set(key, []byte("v"), 0, 0); err != nil {
 		t.Fatalf("Set with retry+eject = %v", err)
 	}
@@ -341,7 +341,7 @@ func TestRetryBackoffEjectsDeadServer(t *testing.T) {
 		t.Fatalf("dead server saw %d calls, want 3", fakes[1].calls)
 	}
 	// Backoff doubles: 100 µs + 200 µs of virtual time.
-	if advanced := c.Clock().Now() - before; advanced < 300*simnet.Microsecond {
+	if advanced := c.clk.Now() - before; advanced < 300*simnet.Microsecond {
 		t.Fatalf("clock advanced %v, want >= 300 µs of backoff", advanced)
 	}
 	if got := c.Ejected(); len(got) != 1 || got[0] != 1 {

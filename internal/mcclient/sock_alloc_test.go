@@ -26,7 +26,7 @@ func sockBenchStack(b testing.TB) (*SockTransport, *simnet.VClock, []byte) {
 		if res, err := tr.Set(clk, "bench", 0, 0, val); err != nil || res != memcached.Stored {
 			b.Fatalf("warmup set = (%v, %v)", res, err)
 		}
-		if _, _, _, ok, err := tr.GetInto(clk, "bench", val[:0]); err != nil || !ok {
+		if _, _, _, ok, err := tr.getInto(clk, "bench", val[:0]); err != nil || !ok {
 			b.Fatalf("warmup get = (%v, %v)", ok, err)
 		}
 	}
@@ -38,7 +38,7 @@ func BenchmarkSockGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, _, _, ok, err := tr.GetInto(clk, "bench", val[:0])
+		v, _, _, ok, err := tr.getInto(clk, "bench", val[:0])
 		if err != nil || !ok || len(v) != benchValSize {
 			b.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkSockSet(b *testing.B) {
 func TestSocketsGetZeroAlloc(t *testing.T) {
 	tr, clk, val := sockBenchStack(t)
 	allocs := testing.AllocsPerRun(200, func() {
-		v, _, _, ok, err := tr.GetInto(clk, "bench", val[:0])
+		v, _, _, ok, err := tr.getInto(clk, "bench", val[:0])
 		if err != nil || !ok || len(v) != benchValSize {
 			t.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
 		}

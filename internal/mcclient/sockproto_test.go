@@ -95,7 +95,7 @@ func TestSockGetRejectsWrongKeyEcho(t *testing.T) {
 	if err == nil || hit || v != nil || !strings.Contains(err.Error(), `"other"`) {
 		t.Fatalf("Get answered for another key = (%q, %v, %v), want a protocol error naming it", v, hit, err)
 	}
-	v, flags, cas, hit, err := tr.GetInto(clk, "mine", make([]byte, 0, 8))
+	v, flags, cas, hit, err := tr.getInto(clk, "mine", make([]byte, 0, 8))
 	if err != nil || !hit || string(v) != "mine" || flags != 4 || cas != 7 {
 		t.Fatalf("Get after the bad reply = (%q, %d, %d, %v, %v): stream out of step", v, flags, cas, hit, err)
 	}

@@ -14,12 +14,12 @@ import (
 
 // SockTransport speaks the memcached text protocol over a simulated
 // socket — the unmodified-client path the paper benchmarks on 1GigE,
-// 10GigE-TOE, IPoIB and SDP. Set, Delete and GetInto run on blk, a
+// 10GigE-TOE, IPoIB and SDP. Set, Delete and getInto run on blk, a
 // window of one that reuses one future, as UCRTransport's blocking calls
 // do. Every request is built in blk's write buffer, the transport's one request
 // scratch, with the codec's Append* encoders and leaves as a single
 // Write; replies are parsed in place out of the reader's buffer.
-// GetInto is the zero-allocation read; Get allocates exactly the value
+// getInto is the zero-allocation read; Get allocates exactly the value
 // it returns.
 type SockTransport struct {
 	name string
@@ -92,16 +92,16 @@ func (t *SockTransport) readSetReply() (memcached.StoreResult, error) {
 }
 
 // Get implements Transport. The returned value is the call's one
-// allocation; GetInto avoids it.
+// allocation; getInto avoids it.
 func (t *SockTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
-	return t.GetInto(clk, key, nil)
+	return t.getInto(clk, key, nil)
 }
 
-// GetInto is Get with a caller-lent value buffer, the sockets twin of
+// getInto is Get with a caller-lent value buffer, the sockets twin of
 // UCRTransport.GetInto: when the value fits in cap(buf) it is read off
 // the stream straight into buf and the returned slice aliases it — no
 // allocation. A value too large for buf is returned in a fresh one.
-func (t *SockTransport) GetInto(clk *simnet.VClock, key string, buf []byte) ([]byte, uint32, uint64, bool, error) {
+func (t *SockTransport) getInto(clk *simnet.VClock, key string, buf []byte) ([]byte, uint32, uint64, bool, error) {
 	t.ex.Enter()
 	defer t.ex.Exit()
 	return t.blk.startGet(clk, key, buf).result(clk)
@@ -251,31 +251,6 @@ func (t *SockTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, i
 			return 0, false, false, fmt.Errorf("mcclient: incr/decr %q: %q", key, line)
 		}
 		return val, true, false, nil
-	}
-}
-
-// Stats fetches the server's stats block.
-func (t *SockTransport) Stats(clk *simnet.VClock) (map[string]uint64, error) {
-	t.ex.Enter()
-	defer t.ex.Exit()
-	if err := t.send(clk, append(t.blk.wbuf[:0], "stats\r\n"...)); err != nil {
-		return nil, err
-	}
-	out := make(map[string]uint64)
-	for {
-		line, err := t.readLine()
-		if err != nil {
-			return nil, err
-		}
-		if memcached.IsTextEnd(line) {
-			return out, nil
-		}
-		stat, rest := memcached.NextTextToken(line)
-		name, rest := memcached.NextTextToken(rest)
-		val, _ := memcached.NextTextToken(rest)
-		if n, err := strconv.ParseUint(string(val), 10, 64); err == nil && string(stat) == "STAT" {
-			out[string(name)] = n
-		}
 	}
 }
 

@@ -139,7 +139,7 @@ func (op *amOp) sendAM() error {
 // is setup: its caller holds the deployment, or no other goroutine
 // drives it yet; so are Arm and EnableUD, which complete one.
 func DialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string, behaviors Behaviors, clk *simnet.VClock) (*UCRTransport, error) {
-	RegisterClientHandlers(rt)
+	rt.ShareHandlers(clientHandlers) // the AM 2 reply handlers; repeat calls are no-ops
 	ep, err := rt.Dial(ctx, to, service, ucr.Reliable, clk, 0)
 	if err != nil {
 		return nil, err
@@ -172,10 +172,6 @@ func opFor(ep *ucr.Endpoint, tag ucr.CounterID) (*UCRTransport, *amOp) {
 	}
 	return t, op
 }
-
-// RegisterClientHandlers installs the AM 2 reply handlers on a client
-// runtime. Safe to call repeatedly.
-func RegisterClientHandlers(rt *ucr.Runtime) { rt.ShareHandlers(clientHandlers) }
 
 // clientHandlers is the one reply-handler table every client runtime
 // shares: a handler finds its transport through the endpoint and its op
@@ -718,30 +714,19 @@ func (t *UCRTransport) mgetBatch(keys []string) int {
 
 // GetMulti implements Transport with mget active messages: each reply
 // carries all metadata in its header and the values concatenated as the
-// AM data (one transaction if small, one RDMA read if large).
+// AM data (one transaction if small, one RDMA read if large). The keys
+// go out as mget AMs of mgetBatch keys each.
 func (t *UCRTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string][]byte, error) {
-	return t.GetMultiInto(clk, keys, nil)
-}
-
-// GetMultiInto is GetMulti with a caller-lent buffer for the
-// concatenated value block: when it fits in cap(buf), the returned map
-// values are subslices of buf — zero copies. The caller must consume
-// them before reusing buf. The keys go out as mget AMs of mgetBatch keys
-// each; the lent buffer is consumed front to back across them.
-func (t *UCRTransport) GetMultiInto(clk *simnet.VClock, keys []string, buf []byte) (map[string][]byte, error) {
 	t.ex.Enter()
 	defer t.ex.Exit()
 	out := make(map[string][]byte, len(keys))
 	for len(keys) > 0 {
 		n := t.mgetBatch(keys)
-		op, err := t.read(clk, "", keys[:n], buf)
+		op, err := t.read(clk, "", keys[:n], nil)
 		if err != nil {
 			return nil, err
 		}
 		err = t.mgetResult(op, out)
-		if !op.pooled {
-			buf = buf[len(op.data):cap(buf)]
-		}
 		t.finishOp(op)
 		if err != nil {
 			return nil, err

@@ -70,8 +70,8 @@ type SetReqView struct {
 	Key      []byte
 }
 
-// DecodeSetReqView unpacks the header without copying the key.
-func DecodeSetReqView(b []byte) (SetReqView, error) {
+// decodeSetReqView unpacks the header without copying the key.
+func decodeSetReqView(b []byte) (SetReqView, error) {
 	if len(b) < 22 {
 		return SetReqView{}, ErrShortAMHeader
 	}
@@ -141,10 +141,10 @@ func AppendNumReq(dst []byte, r NumReq) []byte {
 	return append(dst, r.Key...)
 }
 
-// DecodeNumReqView unpacks an Incr/Decr header in place: key aliases
+// decodeNumReqView unpacks an Incr/Decr header in place: key aliases
 // the wire buffer and is valid only until the receive buffer is
 // recycled.
-func DecodeNumReqView(b []byte) (replyCtr ucr.CounterID, delta uint64, key []byte, err error) {
+func decodeNumReqView(b []byte) (replyCtr ucr.CounterID, delta uint64, key []byte, err error) {
 	if len(b) < 18 {
 		return 0, 0, nil, ErrShortAMHeader
 	}
@@ -162,8 +162,8 @@ type StatusReply struct {
 	Result StoreResult // meaningful for Set
 }
 
-// AppendStatusReply packs the header onto dst.
-func AppendStatusReply(dst []byte, r StatusReply) []byte {
+// appendStatusReply packs the header onto dst.
+func appendStatusReply(dst []byte, r StatusReply) []byte {
 	return append(dst, r.Status, byte(r.Result))
 }
 
@@ -209,8 +209,8 @@ type NumReply struct {
 	Value  uint64
 }
 
-// AppendNumReply packs the header onto dst.
-func AppendNumReply(dst []byte, r NumReply) []byte {
+// appendNumReply packs the header onto dst.
+func appendNumReply(dst []byte, r NumReply) []byte {
 	dst = append(dst, r.Status)
 	return binary.LittleEndian.AppendUint64(dst, r.Value)
 }

@@ -42,39 +42,36 @@ func AppendMGetReq(dst []byte, ctr ucr.CounterID, slot int32, keys []string) ([]
 	return dst, msg
 }
 
-// MGetKeyCursor walks an encoded multi-get batch in place: each key it
+// mgetKeyCursor walks an encoded multi-get batch in place: each key it
 // yields aliases the wire buffer, so the server can look keys up
 // straight out of the receive buffer.
-type MGetKeyCursor struct {
+type mgetKeyCursor struct {
 	b    []byte
 	off  int
 	n, i int
 }
 
-// NewMGetKeyCursor opens an in-place key cursor over an encoded
+// newMGetKeyCursor opens an in-place key cursor over an encoded
 // multi-get request, returning the reply counter and the advertised
 // slot (index plus one; zero for a plain AMMGet).
-func NewMGetKeyCursor(b []byte, slotted bool) (ucr.CounterID, int32, MGetKeyCursor, error) {
+func newMGetKeyCursor(b []byte, slotted bool) (ucr.CounterID, int32, mgetKeyCursor, error) {
 	off, slot := 8, int32(0)
 	if slotted {
 		off = 10
 	}
 	if len(b) < off+2 {
-		return 0, 0, MGetKeyCursor{}, ErrShortAMHeader
+		return 0, 0, mgetKeyCursor{}, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
 	if slotted {
 		slot = int32(le.Uint16(b[8:])) + 1
 	}
-	cur := MGetKeyCursor{b: b, off: off + 2, n: int(le.Uint16(b[off:]))}
+	cur := mgetKeyCursor{b: b, off: off + 2, n: int(le.Uint16(b[off:]))}
 	return ucr.CounterID(le.Uint64(b)), slot, cur, nil
 }
 
-// Len reports the batch's key count.
-func (c *MGetKeyCursor) Len() int { return c.n }
-
-// Next yields the next key, or ok=false at the end (or on truncation).
-func (c *MGetKeyCursor) Next() (key []byte, ok bool) {
+// next yields the next key, or ok=false at the end (or on truncation).
+func (c *mgetKeyCursor) next() (key []byte, ok bool) {
 	if c.i >= c.n || c.off+2 > len(c.b) {
 		return nil, false
 	}
@@ -105,17 +102,17 @@ type MGetReply struct {
 	Items []MGetItem
 }
 
-// BeginMGetReply starts an append-encoded reply header in dst with a
-// zero item count; AppendMGetReplyItem adds items and FinishMGetReply
+// beginMGetReply starts an append-encoded reply header in dst with a
+// zero item count; appendMGetReplyItem adds items and finishMGetReply
 // patches the count, so a server can build the header in one pass
 // without knowing how many keys will hit.
-func BeginMGetReply(dst []byte) []byte {
+func beginMGetReply(dst []byte) []byte {
 	return append(dst, 0, 0)
 }
 
-// AppendMGetReplyItem packs one found item onto an open reply header.
+// appendMGetReplyItem packs one found item onto an open reply header.
 // key aliases wire or slab memory; it is copied into dst here.
-func AppendMGetReplyItem(dst []byte, key []byte, flags uint32, cas uint64, valueLen int) []byte {
+func appendMGetReplyItem(dst []byte, key []byte, flags uint32, cas uint64, valueLen int) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint16(dst, uint16(len(key)))
 	dst = le.AppendUint32(dst, flags)
@@ -124,9 +121,9 @@ func AppendMGetReplyItem(dst []byte, key []byte, flags uint32, cas uint64, value
 	return append(dst, key...)
 }
 
-// FinishMGetReply patches the item count into a header started at
-// start (the offset BeginMGetReply was called at).
-func FinishMGetReply(b []byte, start, nitems int) {
+// finishMGetReply patches the item count into a header started at
+// start (the offset beginMGetReply was called at).
+func finishMGetReply(b []byte, start, nitems int) {
 	binary.LittleEndian.PutUint16(b[start:], uint16(nitems))
 }
 

@@ -17,7 +17,7 @@ import (
 const AMStore uint8 = 0x16
 
 // Store op codes: the storage verbs, as carried in StoreReq.Op and as
-// Store.Store dispatches them. StoreOpSet is last so the wire codes
+// Store.store dispatches them. StoreOpSet is last so the wire codes
 // of the conditional stores stay put; the UCR client sends a plain set
 // as AMSet, never as AMStore.
 const (
@@ -63,8 +63,8 @@ type StoreReqView struct {
 	Key      []byte
 }
 
-// DecodeStoreReqView unpacks the header without copying the key.
-func DecodeStoreReqView(b []byte) (StoreReqView, error) {
+// decodeStoreReqView unpacks the header without copying the key.
+func decodeStoreReqView(b []byte) (StoreReqView, error) {
 	if len(b) < 31 {
 		return StoreReqView{}, ErrShortAMHeader
 	}

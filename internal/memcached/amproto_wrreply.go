@@ -70,9 +70,9 @@ func AppendArmReq(dst []byte, r ArmReq) []byte {
 	return le.AppendUint32(dst, r.Slots)
 }
 
-// DecodeArmReq unpacks the header. A geometry whose slots would exceed
+// decodeArmReq unpacks the header. A geometry whose slots would exceed
 // the one-sided window bound is rejected rather than truncated.
-func DecodeArmReq(b []byte) (ArmReq, error) {
+func decodeArmReq(b []byte) (ArmReq, error) {
 	if len(b) < armFixed {
 		return ArmReq{}, ErrShortAMHeader
 	}
@@ -99,9 +99,9 @@ type ArmReply struct {
 	OS     OSDesc
 }
 
-// EncodeArmReply packs the reply header.
-func EncodeArmReply(r ArmReply) []byte {
-	return append([]byte{r.Status}, EncodeOSDesc(r.OS)...)
+// encodeArmReply packs the reply header.
+func encodeArmReply(r ArmReply) []byte {
+	return append([]byte{r.Status}, encodeOSDesc(r.OS)...)
 }
 
 // DecodeArmReply unpacks the reply header.
@@ -109,7 +109,7 @@ func DecodeArmReply(b []byte) (ArmReply, error) {
 	if len(b) < 1 {
 		return ArmReply{}, ErrShortAMHeader
 	}
-	os, err := DecodeOSDesc(b[1:])
+	os, err := decodeOSDesc(b[1:])
 	return ArmReply{Status: b[0], OS: os}, err
 }
 
@@ -136,9 +136,9 @@ type GetReqView struct {
 	Key      []byte
 }
 
-// DecodeGetReqView unpacks a Get header without copying the key;
+// decodeGetReqView unpacks a Get header without copying the key;
 // slotted says which layout the AM id implies.
-func DecodeGetReqView(b []byte, slotted bool) (GetReqView, error) {
+func decodeGetReqView(b []byte, slotted bool) (GetReqView, error) {
 	if !slotted {
 		k, err := DecodeKeyReqView(b)
 		return GetReqView{ReplyCtr: k.ReplyCtr, Key: k.Key}, err
@@ -169,8 +169,8 @@ type GetWNotify struct {
 	ValueLen uint32
 }
 
-// AppendGetWNotify packs the header onto dst.
-func AppendGetWNotify(dst []byte, r GetWNotify) []byte {
+// appendGetWNotify packs the header onto dst.
+func appendGetWNotify(dst []byte, r GetWNotify) []byte {
 	le := binary.LittleEndian
 	dst = append(dst, r.Status)
 	dst = le.AppendUint32(dst, r.Flags)
@@ -202,8 +202,8 @@ type MGetWNotify struct {
 	DataLen uint32
 }
 
-// AppendMGetWNotify packs the header onto dst.
-func AppendMGetWNotify(dst []byte, r MGetWNotify) []byte {
+// appendMGetWNotify packs the header onto dst.
+func appendMGetWNotify(dst []byte, r MGetWNotify) []byte {
 	le := binary.LittleEndian
 	dst = append(dst, r.Status)
 	dst = le.AppendUint32(dst, r.HdrLen)

@@ -37,11 +37,11 @@ func BenchmarkChargedGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, ok := s.GetPinned(key, chargeFirst(clk))
+		it, ok := s.getPinned(key, chargeFirst(clk))
 		if !ok {
 			b.Fatal("miss")
 		}
-		s.Unpin(it)
+		s.unpin(it)
 		clk.Advance(benchOpCost)
 	}
 	b.ReportMetric(float64(clk.Now())/float64(b.N), "vns/op")
@@ -56,12 +56,12 @@ func BenchmarkChargedSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, res := s.AllocateItem(key, 0, 0, len(value), clk.Now())
+		it, res := s.allocateItem(key, 0, 0, len(value), clk.Now())
 		if res != Stored {
 			b.Fatal(res)
 		}
-		copy(it.Value(), value)
-		s.CommitItem(it, chargeFirst(clk))
+		copy(it.value, value)
+		s.commitItem(it, chargeFirst(clk))
 		clk.Advance(benchOpCost)
 	}
 	b.ReportMetric(float64(clk.Now())/float64(b.N), "vns/op")

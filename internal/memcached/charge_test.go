@@ -40,9 +40,9 @@ func TestChargeMatchesTwoHolds(t *testing.T) {
 	// workers straddle.
 	start := simnet.Second - 9*simnet.Microsecond
 	for _, st := range []*Store{s, ref} {
-		st.Store(StoreOpSet, []byte("ttl"), 0, 1, []byte("short-lived"), 0, At(0))
+		st.store(StoreOpSet, []byte("ttl"), 0, 1, []byte("short-lived"), 0, at(0))
 		for i := 0; i < 4; i++ {
-			st.Store(StoreOpSet, []byte(fmt.Sprintf("k%d", i)), 0, 0, bytes.Repeat([]byte{'a' + byte(i)}, 100*(i+1)), 0, At(0))
+			st.store(StoreOpSet, []byte(fmt.Sprintf("k%d", i)), 0, 0, bytes.Repeat([]byte{'a' + byte(i)}, 100*(i+1)), 0, at(0))
 		}
 	}
 	clks := []*simnet.VClock{simnet.NewVClock(start), simnet.NewVClock(start + 300)}
@@ -88,42 +88,42 @@ func TestChargeMatchesTwoHolds(t *testing.T) {
 		switch o.kind {
 		case "ucr get":
 			key := []byte(o.keys[0])
-			if it, ok := s.GetPinned(key, chargeFirst(clk)); ok {
-				got = string(it.Value())
-				s.Unpin(it)
+			if it, ok := s.getPinned(key, chargeFirst(clk)); ok {
+				got = string(it.value)
+				s.unpin(it)
 			}
 			w, _ := wait(now, 0)
 			now += w
-			if it, ok := ref.GetPinned(key, At(now)); ok {
-				want = string(it.Value())
-				ref.Unpin(it)
+			if it, ok := ref.getPinned(key, at(now)); ok {
+				want = string(it.value)
+				ref.unpin(it)
 			}
 		case "ucr set":
 			key, v := []byte(o.keys[0]), []byte(o.val)
-			it, r := s.AllocateItem(key, 0, 0, len(v), clk.Now())
-			copy(it.Value(), v)
-			s.CommitItem(it, chargeFirst(clk))
-			rit, rr := ref.AllocateItem(key, 0, 0, len(v), now)
-			copy(rit.Value(), v)
+			it, r := s.allocateItem(key, 0, 0, len(v), clk.Now())
+			copy(it.value, v)
+			s.commitItem(it, chargeFirst(clk))
+			rit, rr := ref.allocateItem(key, 0, 0, len(v), now)
+			copy(rit.value, v)
 			w, _ := wait(now, 0)
 			now += w
-			ref.CommitItem(rit, At(now))
+			ref.commitItem(rit, at(now))
 			got, want = r.String(), rr.String()
 		case "text set":
 			key, v := []byte(o.keys[0]), []byte(o.val)
-			got = s.Store(StoreOpSet, key, 0, 0, v, 0, chargeAfter(clk, clk.Now())).String()
-			want = ref.Store(StoreOpSet, key, 0, 0, v, 0, At(now)).String()
+			got = s.store(StoreOpSet, key, 0, 0, v, 0, chargeAfter(clk, clk.Now())).String()
+			want = ref.store(StoreOpSet, key, 0, 0, v, 0, at(now)).String()
 			w, _ := wait(now, len(v))
 			now += w
 		case "text get", "text mget":
 			cursor, refCursor := clk.Now(), now
 			for _, k := range o.keys {
 				var hit bool
-				hit, cursor = s.View([]byte(k), chargeAfter(clk, cursor), func(it *Item) { got += k + "=" + string(it.Value()) + ";" })
+				hit, cursor = s.view([]byte(k), chargeAfter(clk, cursor), func(it *Item) { got += k + "=" + string(it.value) + ";" })
 				copied := 0
-				ref.View([]byte(k), At(now), func(it *Item) {
-					want += k + "=" + string(it.Value()) + ";"
-					copied = len(it.Value())
+				ref.view([]byte(k), at(now), func(it *Item) {
+					want += k + "=" + string(it.value) + ";"
+					copied = len(it.value)
 				})
 				w, end := wait(refCursor, copied)
 				now, refCursor = now+w, end

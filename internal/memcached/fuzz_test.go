@@ -82,7 +82,7 @@ func FuzzTextCodec(f *testing.F) {
 		ParseTextValue(raw)
 		ParseTextStoreResult(raw)
 		parseTextStore(StoreOpCas, raw)
-		for tok, rest := NextTextToken(raw); tok != nil; tok, rest = NextTextToken(rest) {
+		for tok, rest := nextTextToken(raw); tok != nil; tok, rest = nextTextToken(rest) {
 			if len(tok) == 0 || bytes.IndexByte(tok, ' ') >= 0 {
 				t.Fatalf("token %q of %q is empty or holds a space", tok, raw)
 			}
@@ -104,7 +104,7 @@ func FuzzTextCodec(f *testing.F) {
 		wire = AppendTextGet(wire, noreply, key, key)
 		wire = AppendTextDelete(wire, key)
 		wire = AppendTextIncrDecr(wire, noreply, key, cas)
-		wire = AppendTextValue(wire, key, flags, value, cas, noreply)
+		wire = appendTextValue(wire, key, flags, value, cas, noreply)
 		r := bufio.NewReaderSize(bytes.NewReader(wire), 16) // every line outgrows the buffer
 		var spill []byte
 		line := func() []byte {
@@ -121,7 +121,7 @@ func FuzzTextCodec(f *testing.F) {
 			}
 		}
 
-		verb, args := NextTextToken(line())
+		verb, args := nextTextToken(line())
 		c, verdict := parseTextStore(storeOpOf(verb), args)
 		if storeOpOf(verb) != op || verdict != textParsed || string(c.key) != key || c.flags != flags ||
 			c.exptime != exptime || c.nbytes != len(value) || c.noreply != noreply || (op == StoreOpCas && c.casID != cas) {
@@ -176,9 +176,9 @@ func FuzzAMCodecs(f *testing.F) {
 	f.Add(AppendStoreReq([]byte{0x03}, StoreReq{ReplyCtr: 1, Op: StoreOpCas, Flags: 5, Exptime: -1, CAS: 77, Key: "ck"}))
 	mget, _ := AppendMGetReq([]byte{0x04}, 2, 0, []string{"a", "bb", ""})
 	f.Add(mget)
-	f.Add(AppendStatusReply([]byte{0x05}, StatusReply{Status: AMOK, Result: Stored}))
+	f.Add(appendStatusReply([]byte{0x05}, StatusReply{Status: AMOK, Result: Stored}))
 	f.Add(AppendGetReply([]byte{0x06}, GetReply{Status: AMMiss, Flags: 1, CAS: 2}))
-	f.Add(AppendNumReply([]byte{0x07}, NumReply{Status: AMBadValue, Value: 99}))
+	f.Add(appendNumReply([]byte{0x07}, NumReply{Status: AMBadValue, Value: 99}))
 	f.Add(appendMGetReply([]byte{0x08}, MGetReply{Items: []MGetItem{
 		{Key: "a", Flags: 1, CAS: 2, ValueLen: 3}, {Key: "", Flags: 0, CAS: 0, ValueLen: 0},
 	}}))
@@ -187,11 +187,11 @@ func FuzzAMCodecs(f *testing.F) {
 	mgetW, _ := AppendMGetReq([]byte{0x0a}, 12, 65536, []string{"x", "yy"})
 	f.Add(mgetW)
 	f.Add(AppendArmReq([]byte{0x0b}, ArmReq{ReplyCtr: 5, Addr: 1 << 40, RKey: 9, SlotLen: 4096, Slots: 8}))
-	f.Add(append([]byte{0x0c}, EncodeArmReply(ArmReply{Status: AMOK, OS: OSDesc{
+	f.Add(append([]byte{0x0c}, encodeArmReply(ArmReply{Status: AMOK, OS: OSDesc{
 		Enabled: true, Buckets: 1024, Slots: 4, Dir: ucr.WindowDesc{Addr: 4096, RKey: 3, Len: 1 << 16},
 	}})...))
-	f.Add(AppendGetWNotify([]byte{0x0d}, GetWNotify{Status: AMOK, Flags: 6, CAS: 7, ValueLen: 8}))
-	f.Add(AppendMGetWNotify([]byte{0x0e}, MGetWNotify{Status: AMOK, HdrLen: 20, DataLen: 300}))
+	f.Add(appendGetWNotify([]byte{0x0d}, GetWNotify{Status: AMOK, Flags: 6, CAS: 7, ValueLen: 8}))
+	f.Add(appendMGetWNotify([]byte{0x0e}, MGetWNotify{Status: AMOK, HdrLen: 20, DataLen: 300}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -200,22 +200,22 @@ func FuzzAMCodecs(f *testing.F) {
 		sel, b := data[0], data[1:]
 		switch sel % 15 {
 		case 0:
-			if v, err := DecodeSetReqView(b); err == nil {
+			if v, err := decodeSetReqView(b); err == nil {
 				enc := AppendSetReq(nil, SetReq{ReplyCtr: v.ReplyCtr, Flags: v.Flags, Exptime: v.Exptime, Key: string(v.Key)})
 				sameBytes(t, "SetReq", b, enc)
-				if v2, err := DecodeSetReqView(enc); err != nil || !reflect.DeepEqual(v, v2) {
+				if v2, err := decodeSetReqView(enc); err != nil || !reflect.DeepEqual(v, v2) {
 					t.Fatalf("SetReq round trip: %+v -> %+v (%v)", v, v2, err)
 				}
 			}
 		case 1, 9:
 			slotted := sel%15 == 9
-			if v, err := DecodeGetReqView(b, slotted); err == nil {
+			if v, err := decodeGetReqView(b, slotted); err == nil {
 				if slotted != (v.Slot != 0) {
 					t.Fatalf("GetReq slotted=%v decoded slot %d", slotted, v.Slot)
 				}
 				enc, msg := AppendGetReq(nil, v.ReplyCtr, v.Slot, string(v.Key))
 				sameBytes(t, "GetReq", b, enc)
-				if v2, err := DecodeGetReqView(enc, msg == AMGetW); err != nil || !reflect.DeepEqual(v, v2) {
+				if v2, err := decodeGetReqView(enc, msg == AMGetW); err != nil || !reflect.DeepEqual(v, v2) {
 					t.Fatalf("GetReq round trip: %+v -> %+v (%v)", v, v2, err)
 				}
 				// Delete reads the unslotted layout through the KeyReq view.
@@ -224,24 +224,24 @@ func FuzzAMCodecs(f *testing.F) {
 				}
 			}
 		case 2:
-			if ctr, delta, key, err := DecodeNumReqView(b); err == nil {
+			if ctr, delta, key, err := decodeNumReqView(b); err == nil {
 				enc := AppendNumReq(nil, NumReq{ReplyCtr: ctr, Delta: delta, Key: string(key)})
 				sameBytes(t, "NumReq", b, enc)
-				if ctr2, delta2, key2, err := DecodeNumReqView(enc); err != nil || ctr2 != ctr || delta2 != delta || !bytes.Equal(key2, key) {
+				if ctr2, delta2, key2, err := decodeNumReqView(enc); err != nil || ctr2 != ctr || delta2 != delta || !bytes.Equal(key2, key) {
 					t.Fatalf("NumReq round trip: (%d, %d, %q) -> (%d, %d, %q) (%v)", ctr, delta, key, ctr2, delta2, key2, err)
 				}
 			}
 		case 3:
-			if v, err := DecodeStoreReqView(b); err == nil {
+			if v, err := decodeStoreReqView(b); err == nil {
 				enc := AppendStoreReq(nil, StoreReq{ReplyCtr: v.ReplyCtr, Op: v.Op, Flags: v.Flags, Exptime: v.Exptime, CAS: v.CAS, Key: string(v.Key)})
 				sameBytes(t, "StoreReq", b, enc)
-				if v2, err := DecodeStoreReqView(enc); err != nil || !reflect.DeepEqual(v, v2) {
+				if v2, err := decodeStoreReqView(enc); err != nil || !reflect.DeepEqual(v, v2) {
 					t.Fatalf("StoreReq round trip: %+v -> %+v (%v)", v, v2, err)
 				}
 			}
 		case 4, 10:
 			slotted := sel%15 == 10
-			ctr, slot, cur, err := NewMGetKeyCursor(b, slotted)
+			ctr, slot, cur, err := newMGetKeyCursor(b, slotted)
 			if err != nil {
 				return
 			}
@@ -249,21 +249,21 @@ func FuzzAMCodecs(f *testing.F) {
 				t.Fatalf("MGetReq slotted=%v decoded slot %d", slotted, slot)
 			}
 			keys := cursorKeys(&cur)
-			if len(keys) != cur.Len() {
+			if len(keys) != cur.n {
 				return // truncated batch: the cursor stopped early, as the server does
 			}
 			enc, msg := AppendMGetReq(nil, ctr, slot, keys)
 			sameBytes(t, "MGetReq", b, enc)
-			ctr2, slot2, cur2, err := NewMGetKeyCursor(enc, msg == AMMGetW)
+			ctr2, slot2, cur2, err := newMGetKeyCursor(enc, msg == AMMGetW)
 			if keys2 := cursorKeys(&cur2); err != nil || ctr2 != ctr || slot2 != slot || !slices.Equal(keys, keys2) {
 				t.Fatalf("MGetReq round trip: (%d, %d, %q) -> (%d, %d, %q) (%v)", ctr, slot, keys, ctr2, slot2, keys2, err)
 			}
 		case 5:
-			roundTrip(t, "StatusReply", b, DecodeStatusReply, AppendStatusReply)
+			roundTrip(t, "StatusReply", b, DecodeStatusReply, appendStatusReply)
 		case 6:
 			roundTrip(t, "GetReply", b, DecodeGetReply, AppendGetReply)
 		case 7:
-			roundTrip(t, "NumReply", b, DecodeNumReply, AppendNumReply)
+			roundTrip(t, "NumReply", b, DecodeNumReply, appendNumReply)
 		case 8:
 			if r, err := DecodeMGetReply(b); err == nil {
 				enc := appendMGetReply(nil, r)
@@ -273,19 +273,19 @@ func FuzzAMCodecs(f *testing.F) {
 				}
 			}
 		case 11:
-			roundTrip(t, "ArmReq", b, DecodeArmReq, AppendArmReq)
+			roundTrip(t, "ArmReq", b, decodeArmReq, AppendArmReq)
 		case 12:
 			// Not byte-canonical: a disabled directory's descriptor bytes
 			// are ignored, and the enabled flag is any non-zero byte.
 			if r, err := DecodeArmReply(b); err == nil {
-				if r2, err := DecodeArmReply(EncodeArmReply(r)); err != nil || r2 != r {
+				if r2, err := DecodeArmReply(encodeArmReply(r)); err != nil || r2 != r {
 					t.Fatalf("ArmReply round trip: %+v -> %+v (%v)", r, r2, err)
 				}
 			}
 		case 13:
-			roundTrip(t, "GetWNotify", b, DecodeGetWNotify, AppendGetWNotify)
+			roundTrip(t, "GetWNotify", b, DecodeGetWNotify, appendGetWNotify)
 		case 14:
-			roundTrip(t, "MGetWNotify", b, DecodeMGetWNotify, AppendMGetWNotify)
+			roundTrip(t, "MGetWNotify", b, DecodeMGetWNotify, appendMGetWNotify)
 		}
 	})
 }
@@ -317,18 +317,18 @@ func roundTrip[T comparable](t *testing.T, what string, b []byte, dec func([]byt
 // appendMGetReply packs a reply header the way the server builds one.
 func appendMGetReply(dst []byte, r MGetReply) []byte {
 	start := len(dst)
-	dst = BeginMGetReply(dst)
+	dst = beginMGetReply(dst)
 	for _, it := range r.Items {
-		dst = AppendMGetReplyItem(dst, []byte(it.Key), it.Flags, it.CAS, it.ValueLen)
+		dst = appendMGetReplyItem(dst, []byte(it.Key), it.Flags, it.CAS, it.ValueLen)
 	}
-	FinishMGetReply(dst, start, len(r.Items))
+	finishMGetReply(dst, start, len(r.Items))
 	return dst
 }
 
 // cursorKeys drains a multi-get key cursor.
-func cursorKeys(c *MGetKeyCursor) []string {
+func cursorKeys(c *mgetKeyCursor) []string {
 	var keys []string
-	for k, ok := c.Next(); ok; k, ok = c.Next() {
+	for k, ok := c.next(); ok; k, ok = c.next() {
 		keys = append(keys, string(k))
 	}
 	return keys

@@ -39,15 +39,6 @@ func hashKey[K wireKey](key K) uint64 {
 	return h
 }
 
-// Len reports linked items.
-func (t *hashTable) Len() int { return t.count }
-
-// Buckets reports the primary table size (for tests/stats).
-func (t *hashTable) Buckets() int { return len(t.primary) }
-
-// Expanding reports whether incremental migration is in progress.
-func (t *hashTable) Expanding() bool { return t.old != nil }
-
 // bucketFor picks the chain a key lives in, considering an in-progress
 // expansion: buckets not yet migrated are still served from the old
 // table.
@@ -77,9 +68,9 @@ func lookup[K wireKey](t *hashTable, key K, h uint64) *Item {
 	return nil
 }
 
-// Put links a new item whose key hashes to h; the caller guarantees the
+// put links a new item whose key hashes to h; the caller guarantees the
 // key is absent.
-func (t *hashTable) Put(it *Item, h uint64) {
+func (t *hashTable) put(it *Item, h uint64) {
 	t.migrate()
 	tbl, idx := t.bucketFor(h)
 	it.hnext = tbl[idx]
@@ -89,9 +80,9 @@ func (t *hashTable) Put(it *Item, h uint64) {
 	t.maybeExpand()
 }
 
-// Delete unlinks the item for key, whose hashKey is h, returning it (or
+// delete unlinks the item for key, whose hashKey is h, returning it (or
 // nil).
-func (t *hashTable) Delete(key string, h uint64) *Item {
+func (t *hashTable) delete(key string, h uint64) *Item {
 	t.migrate()
 	tbl, idx := t.bucketFor(h)
 	var prev *Item

@@ -38,7 +38,7 @@ type Item struct {
 	refcount int32 // pins against eviction while a transfer is in flight
 	linked   bool
 	// shard is the index of the stripe that owns the item, so Unpin,
-	// CommitItem and AbortItem find its lock without hashing the key
+	// commitItem and abortItem find its lock without hashing the key
 	// again; it sits in the padding after linked.
 	shard uint16
 
@@ -46,19 +46,6 @@ type Item struct {
 
 	lprev, lnext *Item // LRU list (per slab class)
 }
-
-// Key reports the item's key.
-func (it *Item) Key() string { return it.key }
-
-// Value exposes the item's value bytes (slab memory; do not retain
-// across engine operations unless the item is pinned).
-func (it *Item) Value() []byte { return it.value }
-
-// Flags reports the client-opaque flags word.
-func (it *Item) Flags() uint32 { return it.flags }
-
-// CAS reports the item's unique CAS id.
-func (it *Item) CAS() uint64 { return it.casID }
 
 // expired reports whether the item is past its expiry, or was created
 // before the last flush_all horizon.

@@ -114,8 +114,8 @@ type OSDesc struct {
 	Dir            ucr.WindowDesc
 }
 
-// EncodeOSDesc packs the descriptor.
-func EncodeOSDesc(r OSDesc) []byte {
+// encodeOSDesc packs the descriptor.
+func encodeOSDesc(r OSDesc) []byte {
 	b := make([]byte, 9)
 	if r.Enabled {
 		b[0] = 1
@@ -126,8 +126,8 @@ func EncodeOSDesc(r OSDesc) []byte {
 	return append(b, r.Dir.Encode()...)
 }
 
-// DecodeOSDesc unpacks the descriptor.
-func DecodeOSDesc(b []byte) (OSDesc, error) {
+// decodeOSDesc unpacks the descriptor.
+func decodeOSDesc(b []byte) (OSDesc, error) {
 	if len(b) < 9 {
 		return OSDesc{}, ErrShortAMHeader
 	}
@@ -150,7 +150,7 @@ func DecodeOSDesc(b []byte) (OSDesc, error) {
 // osIndex is the server-side publisher.
 type osIndex struct {
 	rt    *ucr.Runtime
-	arena *SlabArena
+	arena *slabArena
 
 	// guard orders every write to published memory against simulated
 	// DMA; it is installed as the server HCA's memory guard. Writers are
@@ -163,8 +163,6 @@ type osIndex struct {
 
 	mu      sync.Mutex // guards segWins growth
 	segWins []segWin
-
-	published, displaced, unpublished uint64
 }
 
 // segWin is a registered slab segment: its window and the page offset
@@ -174,7 +172,7 @@ type segWin struct {
 	off int
 }
 
-func newOSIndex(rt *ucr.Runtime, arena *SlabArena) (*osIndex, error) {
+func newOSIndex(rt *ucr.Runtime, arena *slabArena) (*osIndex, error) {
 	x := &osIndex{
 		rt:    rt,
 		arena: arena,
@@ -253,7 +251,6 @@ func (x *osIndex) publishLocked(it *Item) {
 		// Full bucket: displace a hash-chosen victim. The displaced key
 		// falls back to the AM path on its next one-sided attempt.
 		slot = int(h>>57) % osSlots
-		x.displaced++
 	}
 	seq := 2 * it.casID
 	if mutOneSidedStale && reuse {
@@ -271,7 +268,6 @@ func (x *osIndex) publishLocked(it *Item) {
 	le.PutUint32(sb[36:], uint32(len(it.key))<<24|uint32(len(it.value)))
 	le.PutUint32(sb[40:], it.flags)
 	le.PutUint32(sb[44:], 0)
-	x.published++
 }
 
 // unpublish invalidates it's entry (if it still owns one): the seqlock
@@ -291,7 +287,6 @@ func (x *osIndex) unpublish(it *Item) {
 		le.PutUint64(sb, 0)
 		le.PutUint64(sb[16:], 0)
 		le.PutUint32(sb[36:], 0)
-		x.unpublished++
 		break
 	}
 	x.guard.Unlock()
@@ -305,25 +300,6 @@ func (x *osIndex) wipe() {
 		x.dir[i] = 0
 	}
 	x.guard.Unlock()
-}
-
-// Buckets reports the directory's bucket count.
-func (x *osIndex) Buckets() int { return osBuckets }
-
-// Slots reports slots per bucket.
-func (x *osIndex) Slots() int { return osSlots }
-
-// DirDesc reports the directory window's descriptor.
-func (x *osIndex) DirDesc() ucr.WindowDesc { return x.dirWin.Desc() }
-
-// Guard exposes the memory guard to install as the HCA's.
-func (x *osIndex) Guard() *sync.RWMutex { return &x.guard }
-
-// Stats reports publish/displace/invalidate counts (tests, reporting).
-func (x *osIndex) Stats() (published, displaced, unpublished uint64) {
-	x.guard.RLock()
-	defer x.guard.RUnlock()
-	return x.published, x.displaced, x.unpublished
 }
 
 // close revokes the windows (server shutdown).
@@ -353,20 +329,20 @@ func (s *Server) EnableOneSided() error {
 	if s.ucrRT == nil {
 		return errNoUCR
 	}
-	x, err := s.store.EnableOneSided(s.ucrRT)
+	x, err := s.store.enableOneSided(s.ucrRT)
 	if err != nil {
 		return err
 	}
-	s.ucrRT.HCA().SetMemGuard(x.Guard())
+	s.ucrRT.HCA().SetMemGuard(&x.guard)
 	return nil
 }
 
 // --- Store integration -------------------------------------------------
 
-// EnableOneSided arms the store's one-sided index: every commit path
+// enableOneSided arms the store's one-sided index: every commit path
 // publishes, every unlink path unpublishes, and the returned index's
 // guard must be installed as the serving HCA's memory guard.
-func (s *Store) EnableOneSided(rt *ucr.Runtime) (*osIndex, error) {
+func (s *Store) enableOneSided(rt *ucr.Runtime) (*osIndex, error) {
 	x, err := newOSIndex(rt, s.arena)
 	if err != nil {
 		return nil, err
@@ -374,9 +350,6 @@ func (s *Store) EnableOneSided(rt *ucr.Runtime) (*osIndex, error) {
 	s.pub.Store(x)
 	return x, nil
 }
-
-// OneSidedIndex reports the armed index, or nil.
-func (s *Store) OneSidedIndex() *osIndex { return s.pub.Load() }
 
 // memWr runs fn — a writer of slab chunk bytes — under the one-sided
 // memory guard when armed. Unarmed stores pay only a nil check.

@@ -50,11 +50,11 @@ func NewProtoConn(rw io.ReadWriter, store *Store) *ProtoConn {
 	return &ProtoConn{r: bufio.NewReaderSize(rw, 16*1024), w: rw, store: store}
 }
 
-// Buffered reports bytes already read off the stream but not yet
+// buffered reports bytes already read off the stream but not yet
 // consumed by the codec. A server's burst loop must drain these before
 // parking the connection: they will never raise another readability
 // event.
-func (pc *ProtoConn) Buffered() int { return pc.r.Buffered() }
+func (pc *ProtoConn) buffered() int { return pc.r.Buffered() }
 
 // ServeOne reads one command, executes it against the store at the
 // clock's current virtual time, and writes the reply. quit=true means
@@ -70,7 +70,7 @@ func (pc *ProtoConn) ServeOne(clk *simnet.VClock) (quit bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	verb, args := NextTextToken(line)
+	verb, args := nextTextToken(line)
 	switch string(verb) {
 	case "get", "gets":
 		return false, pc.cmdGet(args, len(verb) == 4, clk)
@@ -107,7 +107,7 @@ func (pc *ProtoConn) reply(line []byte) error {
 
 func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error {
 	n := 0
-	for key, rest := NextTextToken(keys); key != nil; key, rest = NextTextToken(rest) {
+	for key, rest := nextTextToken(keys); key != nil; key, rest = nextTextToken(rest) {
 		if len(key) > maxKeyLen {
 			return pc.reply(textBadFormat)
 		}
@@ -118,10 +118,10 @@ func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error
 	}
 	sb := pc.replyBuf[:0]
 	cursor := clk.Now()
-	for key, rest := NextTextToken(keys); key != nil; key, rest = NextTextToken(rest) {
+	for key, rest := nextTextToken(keys); key != nil; key, rest = nextTextToken(rest) {
 		// The sockets engine copies the value out while holding the lock.
-		_, cursor = pc.store.View(key, chargeAfter(clk, cursor), func(it *Item) {
-			sb = AppendTextValue(sb, it.key, it.flags, it.value, it.casID, withCAS)
+		_, cursor = pc.store.view(key, chargeAfter(clk, cursor), func(it *Item) {
+			sb = appendTextValue(sb, it.key, it.flags, it.value, it.casID, withCAS)
 		})
 	}
 	sb = append(sb, textEnd...)
@@ -155,7 +155,7 @@ func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
 		return pc.reply(textBadFormat)
 	}
 	key := pc.keyBuf[:copy(pc.keyBuf[:], c.key)]
-	if c.nbytes > pc.store.MaxItemSize() {
+	if c.nbytes > pc.store.maxItemSize() {
 		// Reject before allocating: a declared size in the gigabytes must
 		// not size a buffer (found by FuzzTextProtocol). The data block is
 		// drained to keep the stream in sync, like memcached's
@@ -194,7 +194,7 @@ func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
 	// The sockets engine copies the inbound value into slab memory while
 	// holding the lock (unlike the UCR path, where RDMA lands the value
 	// before the commit takes it).
-	res := pc.store.Store(op, key, c.flags, c.exptime, value, c.casID, chargeAfter(clk, clk.Now()))
+	res := pc.store.store(op, key, c.flags, c.exptime, value, c.casID, chargeAfter(clk, clk.Now()))
 	if c.noreply {
 		return nil
 	}
@@ -214,7 +214,7 @@ func (pc *ProtoConn) cmdDelete(args []byte, clk *simnet.VClock) error {
 		return pc.reply(textError)
 	}
 	noreply := n == 2 && string(f[1]) == "noreply"
-	ok := pc.store.Delete(f[0], chargeAfter(clk, clk.Now()))
+	ok := pc.store.delete(f[0], chargeAfter(clk, clk.Now()))
 	if noreply {
 		return nil
 	}
@@ -235,7 +235,7 @@ func (pc *ProtoConn) cmdIncrDecr(args []byte, incr bool, clk *simnet.VClock) err
 	if err != nil {
 		return pc.reply(textBadDelta)
 	}
-	val, found, bad, oom := pc.store.IncrDecr(f[0], delta, incr, chargeAfter(clk, clk.Now()))
+	val, found, bad, oom := pc.store.incrDecr(f[0], delta, incr, chargeAfter(clk, clk.Now()))
 	if noreply {
 		return nil
 	}
@@ -263,7 +263,7 @@ func (pc *ProtoConn) cmdTouch(args []byte, clk *simnet.VClock) error {
 	if err != nil {
 		return pc.reply(textBadFormat)
 	}
-	ok := pc.store.Touch(f[0], exptime, chargeAfter(clk, clk.Now()))
+	ok := pc.store.touch(f[0], exptime, chargeAfter(clk, clk.Now()))
 	if noreply {
 		return nil
 	}
@@ -274,7 +274,7 @@ func (pc *ProtoConn) cmdTouch(args []byte, clk *simnet.VClock) error {
 }
 
 func (pc *ProtoConn) cmdStats(args []byte) error {
-	if sub, _ := NextTextToken(args); sub != nil {
+	if sub, _ := nextTextToken(args); sub != nil {
 		switch string(sub) {
 		case "slabs":
 			return pc.cmdStatsSlabs()
@@ -322,19 +322,19 @@ func (pc *ProtoConn) cmdStats(args []byte) error {
 // cmdStatsSlabs reports per-class slab occupancy (memcached's
 // `stats slabs`: only classes with pages appear).
 func (pc *ProtoConn) cmdStatsSlabs() error {
-	a := pc.store.Arena()
+	a := pc.store.arena
 	var sb strings.Builder
 	totalPages := 0
-	for i := 0; i < a.NumClasses(); i++ {
-		pages := a.ClassPages(i)
+	for i := 0; i < a.numClasses(); i++ {
+		pages := a.classPages(i)
 		if pages == 0 {
 			continue
 		}
 		totalPages += pages
-		perPage := slabPageSize / a.ClassSize(i)
+		perPage := slabPageSize / a.classSize(i)
 		total := pages * perPage
-		free := a.FreeChunks(i)
-		fmt.Fprintf(&sb, "STAT %d:chunk_size %d\r\n", i+1, a.ClassSize(i))
+		free := a.freeChunks(i)
+		fmt.Fprintf(&sb, "STAT %d:chunk_size %d\r\n", i+1, a.classSize(i))
 		fmt.Fprintf(&sb, "STAT %d:chunks_per_page %d\r\n", i+1, perPage)
 		fmt.Fprintf(&sb, "STAT %d:total_pages %d\r\n", i+1, pages)
 		fmt.Fprintf(&sb, "STAT %d:total_chunks %d\r\n", i+1, total)
@@ -342,7 +342,7 @@ func (pc *ProtoConn) cmdStatsSlabs() error {
 		fmt.Fprintf(&sb, "STAT %d:free_chunks %d\r\n", i+1, free)
 	}
 	fmt.Fprintf(&sb, "STAT active_slabs %d\r\n", totalPages)
-	fmt.Fprintf(&sb, "STAT total_malloced %d\r\n", a.UsedBytes())
+	fmt.Fprintf(&sb, "STAT total_malloced %d\r\n", a.bytesUsed())
 	sb.WriteString("END\r\n")
 	return pc.replyString(sb.String())
 }
@@ -350,7 +350,7 @@ func (pc *ProtoConn) cmdStatsSlabs() error {
 // cmdStatsItems reports per-class item counts (`stats items`).
 func (pc *ProtoConn) cmdStatsItems() error {
 	var sb strings.Builder
-	for i, n := range pc.store.ItemsPerClass() {
+	for i, n := range pc.store.itemsPerClass() {
 		if n == 0 {
 			continue
 		}
@@ -365,7 +365,7 @@ func (pc *ProtoConn) cmdStatsSettings() error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "STAT maxbytes %d\r\n", pc.store.Stats().LimitMaxBytes)
 	fmt.Fprintf(&sb, "STAT evictions %s\r\n", onOff(pc.store.evictions))
-	fmt.Fprintf(&sb, "STAT item_size_max %d\r\n", pc.store.Arena().ClassSize(pc.store.Arena().NumClasses()-1))
+	fmt.Fprintf(&sb, "STAT item_size_max %d\r\n", pc.store.arena.classSize(pc.store.arena.numClasses()-1))
 	sb.WriteString("END\r\n")
 	return pc.replyString(sb.String())
 }

@@ -186,7 +186,7 @@ func TestProtocolQuit(t *testing.T) {
 	if err != nil || !quit {
 		t.Fatalf("quit = (%v, %v)", quit, err)
 	}
-	if s.CurrItems() != 0 {
+	if s.Stats().CurrItems != 0 {
 		t.Fatal("command after quit executed")
 	}
 }
@@ -288,8 +288,8 @@ func TestMGetProtoRoundtrip(t *testing.T) {
 		if want := map[bool]uint8{false: AMMGet, true: AMMGetW}[slot != 0]; msg != want {
 			t.Fatalf("slot %d rides AM %#x, want %#x", slot, msg, want)
 		}
-		ctr, gotSlot, cur, err := NewMGetKeyCursor(enc, slot != 0)
-		if got := cursorKeys(&cur); err != nil || ctr != 77 || gotSlot != slot || cur.Len() != 3 || !slices.Equal(got, keys) {
+		ctr, gotSlot, cur, err := newMGetKeyCursor(enc, slot != 0)
+		if got := cursorKeys(&cur); err != nil || ctr != 77 || gotSlot != slot || cur.n != 3 || !slices.Equal(got, keys) {
 			t.Fatalf("req roundtrip (slot %d) = ctr %d slot %d keys %q, %v", slot, ctr, gotSlot, got, err)
 		}
 	}
@@ -301,7 +301,7 @@ func TestMGetProtoRoundtrip(t *testing.T) {
 	if err != nil || len(got2.Items) != 2 || got2.Items[0] != rep.Items[0] || got2.Items[1] != rep.Items[1] {
 		t.Fatalf("reply roundtrip = %+v, %v", got2, err)
 	}
-	if _, _, _, err := NewMGetKeyCursor([]byte{1}, false); err == nil {
+	if _, _, _, err := newMGetKeyCursor([]byte{1}, false); err == nil {
 		t.Fatal("short mget req decoded")
 	}
 	if _, err := DecodeMGetReply([]byte{}); err == nil {

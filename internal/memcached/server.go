@@ -145,6 +145,9 @@ type worker struct {
 	// transfer with no pin to release (a staged mget write block) whose
 	// counter still needs freeing.
 	pendingPins []pendingPin
+	// setConns are the connections that filed a Set since the last
+	// sweep, swept for failed endpoints (sweepSets).
+	setConns []*ucrConn
 
 	// Per-worker arenas, reused across operations so the steady-state
 	// AM hot path allocates nothing. Ownership rules are strict (see
@@ -361,7 +364,7 @@ func (w *worker) serveConn(cs *connState) {
 	if cs.closed {
 		return
 	}
-	if cs.proto.Buffered() == 0 && cs.conn.Buffered() == 0 {
+	if cs.proto.buffered() == 0 && cs.conn.Buffered() == 0 {
 		if cs.conn.StreamClosed() {
 			cs.closed = true
 			cs.conn.Close()
@@ -377,7 +380,7 @@ func (w *worker) serveConn(cs *connState) {
 			return
 		}
 		w.clk.Advance(w.srv.cfg.OpCost)
-		if cs.proto.Buffered() == 0 && cs.conn.Buffered() == 0 {
+		if cs.proto.buffered() == 0 && cs.conn.Buffered() == 0 {
 			return
 		}
 	}
@@ -391,7 +394,7 @@ func (w *worker) handleUCRAccept(req *verbs.ConnRequest) {
 		req.Reject(err)
 		return
 	}
-	ep.UserData = &ucrConn{w: w}
+	ep.UserData = &ucrConn{w: w, ep: ep}
 }
 
 // drainUCR sweeps the context's pending completions in batched drains
@@ -411,6 +414,45 @@ func (w *worker) drainUCR() {
 	if len(w.pendingPins) > 0 {
 		w.sweepPins()
 	}
+	if len(w.setConns) > 0 {
+		w.sweepSets()
+	}
+}
+
+// sweepSets releases the in-flight Sets of every listed connection that
+// can no longer complete one. An eager Set completes in the call that
+// ran its header; a rendezvous one when the server's RDMA read of its
+// value lands. A read that fails runs no completion (the endpoint is
+// marked failed instead), so once a failed endpoint has no read in
+// flight its remaining Sets are dead: each allocated item is aborted and
+// the pooled landing of a Set that allocated nothing is recycled. A read
+// still in flight on a failed endpoint may yet land and commit its Set.
+// A connection leaves the list once no Set of it is in flight.
+func (w *worker) sweepSets() {
+	keep := w.setConns[:0]
+	for _, c := range w.setConns {
+		if c.ep.Failed() && c.ep.ReadsInFlight() == 0 {
+			for i, p := range c.sets {
+				if p.item != nil {
+					w.srv.store.abortItem(p.item)
+				} else {
+					w.ctx.Recycle(p.land)
+				}
+				c.sets[i] = setPending{}
+			}
+			c.sets = c.sets[:0]
+		}
+		if len(c.sets) > 0 {
+			keep = append(keep, c)
+		} else {
+			c.listed = false
+		}
+	}
+	tail := w.setConns[len(keep):]
+	for i := range tail {
+		tail[i] = nil
+	}
+	w.setConns = keep
 }
 
 // sweepPins unpins items whose reply transfer has completed.
@@ -419,7 +461,7 @@ func (w *worker) sweepPins() {
 	for _, p := range w.pendingPins {
 		if p.ctr.Value() > 0 {
 			if p.item != nil {
-				w.srv.store.Unpin(p.item)
+				w.srv.store.unpin(p.item)
 			}
 			w.srv.ucrRT.FreeCounter(p.ctr)
 		} else {

@@ -63,7 +63,7 @@ type slabClass struct {
 	segLo int // chunk index within the page where that segment starts
 }
 
-// SlabArena is the memcached slab allocator: memory is grabbed in 1 MB
+// slabArena is the memcached slab allocator: memory is grabbed in 1 MB
 // pages, each page is assigned to a size class and carved into equal
 // chunks. Freed chunks return to their class's free list — classes never
 // shrink (the fragmentation behaviour the paper's related-work section
@@ -82,7 +82,7 @@ type slabClass struct {
 // immutable after construction and read without it. LRU ordering lives
 // with the shards (lruTable), not here — eviction policy is the store
 // layer's.
-type SlabArena struct {
+type slabArena struct {
 	classes    []slabClass
 	limitBytes int64
 
@@ -91,14 +91,14 @@ type SlabArena struct {
 	segs      []slabSeg // every host segment made, indexed by chunk.seg
 }
 
-// NewSlabArena builds an arena with the given memory limit and the
+// newSlabArena builds an arena with the given memory limit and the
 // default class geometry. maxItemSize bounds the largest chunk class
 // (memcached's 1 MB item limit).
-func NewSlabArena(limitBytes int64, maxItemSize int) *SlabArena {
+func newSlabArena(limitBytes int64, maxItemSize int) *slabArena {
 	if maxItemSize <= 0 || maxItemSize > slabPageSize {
 		maxItemSize = slabPageSize
 	}
-	a := &SlabArena{limitBytes: limitBytes}
+	a := &slabArena{limitBytes: limitBytes}
 	size := minChunkSize
 	for size < maxItemSize {
 		a.classes = append(a.classes, slabClass{size: size})
@@ -113,15 +113,15 @@ func NewSlabArena(limitBytes int64, maxItemSize int) *SlabArena {
 	return a
 }
 
-// NumClasses reports the number of size classes.
-func (a *SlabArena) NumClasses() int { return len(a.classes) }
+// numClasses reports the number of size classes.
+func (a *slabArena) numClasses() int { return len(a.classes) }
 
-// ClassSize reports the chunk size of class i.
-func (a *SlabArena) ClassSize(i int) int { return a.classes[i].size }
+// classSize reports the chunk size of class i.
+func (a *slabArena) classSize(i int) int { return a.classes[i].size }
 
-// ClassFor picks the smallest class whose chunks fit n bytes.
+// classFor picks the smallest class whose chunks fit n bytes.
 // ok=false means n exceeds the largest class (item too large).
-func (a *SlabArena) ClassFor(n int) (int, bool) {
+func (a *slabArena) classFor(n int) (int, bool) {
 	// Classes grow geometrically; binary search.
 	lo, hi := 0, len(a.classes)-1
 	if n > a.classes[hi].size {
@@ -138,19 +138,19 @@ func (a *SlabArena) ClassFor(n int) (int, bool) {
 	return lo, true
 }
 
-// UsedBytes reports bytes of pages grabbed from the limit.
-func (a *SlabArena) UsedBytes() int64 {
+// bytesUsed reports bytes of pages grabbed from the limit.
+func (a *slabArena) bytesUsed() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.usedBytes
 }
 
-// Alloc takes a chunk that fits n bytes: the most recently freed one of
+// alloc takes a chunk that fits n bytes: the most recently freed one of
 // its class, else the class's next uncarved chunk. It does not evict; the
 // store layer owns eviction policy. ErrNoMemory means "free a chunk
 // first".
-func (a *SlabArena) Alloc(n int) (chunk, error) {
-	ci, ok := a.ClassFor(n)
+func (a *slabArena) alloc(n int) (chunk, error) {
+	ci, ok := a.classFor(n)
 	if !ok {
 		return chunk{}, fmt.Errorf("memcached: object too large for cache (%d bytes)", n)
 	}
@@ -172,7 +172,7 @@ func (a *SlabArena) Alloc(n int) (chunk, error) {
 
 // growClassLocked grabs a page for class ci. No host bytes are made
 // here: the page only records that it has ⌊page/size⌋ chunks to carve.
-func (a *SlabArena) growClassLocked(ci int) error {
+func (a *slabArena) growClassLocked(ci int) error {
 	if a.usedBytes+slabPageSize > a.limitBytes {
 		return ErrNoMemory
 	}
@@ -187,7 +187,7 @@ func (a *SlabArena) growClassLocked(ci int) error {
 
 // carveLocked carves the highest uncarved chunk of class ci's newest
 // page, making its segment's host bytes when it is the segment's first.
-func (a *SlabArena) carveLocked(ci int) chunk {
+func (a *slabArena) carveLocked(ci int) chunk {
 	cl := &a.classes[ci]
 	cl.carve--
 	j := cl.carve
@@ -204,14 +204,14 @@ func (a *SlabArena) carveLocked(ci int) chunk {
 
 // segment reports host segment i: its bytes and their offset in their
 // page (the one-sided index registers each segment as an RDMA window).
-func (a *SlabArena) segment(i int) slabSeg {
+func (a *slabArena) segment(i int) slabSeg {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.segs[i]
 }
 
-// Free returns a chunk to its class.
-func (a *SlabArena) Free(c chunk) {
+// free returns a chunk to its class.
+func (a *slabArena) free(c chunk) {
 	if !c.valid() {
 		return
 	}
@@ -221,16 +221,16 @@ func (a *SlabArena) Free(c chunk) {
 	cl.free = append(cl.free, c)
 }
 
-// FreeChunks reports the chunks of class i not handed out — freed or
+// freeChunks reports the chunks of class i not handed out — freed or
 // not yet carved (for tests/stats).
-func (a *SlabArena) FreeChunks(i int) int {
+func (a *slabArena) freeChunks(i int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.classes[i].free) + a.classes[i].carve
 }
 
-// ClassPages reports pages assigned to class i.
-func (a *SlabArena) ClassPages(i int) int {
+// classPages reports pages assigned to class i.
+func (a *slabArena) classPages(i int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.classes[i].pages

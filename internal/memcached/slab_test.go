@@ -44,8 +44,8 @@ func (r *precarve) alloc(ci, size int) (place, error) {
 // pages — up to and past the memory limit.
 func TestSlabCarveOrderUnchanged(t *testing.T) {
 	sizes := []int{100, 1000, 9000, 40_000, 70_000, 300_000, slabPageSize}
-	a := NewSlabArena(12<<20, 0)
-	ref := &precarve{limit: 12 << 20, free: make([][]place, a.NumClasses())}
+	a := newSlabArena(12<<20, 0)
+	ref := &precarve{limit: 12 << 20, free: make([][]place, a.numClasses())}
 	rng := rand.New(rand.NewSource(7))
 	var live []chunk
 	for step := 0; step < 30_000; step++ {
@@ -54,14 +54,14 @@ func TestSlabCarveOrderUnchanged(t *testing.T) {
 			c := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			a.Free(c)
+			a.free(c)
 			ref.free[c.class] = append(ref.free[c.class], place{a.segment(c.seg).page, c.off})
 			continue
 		}
 		n := sizes[rng.Intn(len(sizes))]
-		ci, _ := a.ClassFor(n)
-		c, err := a.Alloc(n)
-		want, wantErr := ref.alloc(ci, a.ClassSize(ci))
+		ci, _ := a.classFor(n)
+		c, err := a.alloc(n)
+		want, wantErr := ref.alloc(ci, a.classSize(ci))
 		if err != wantErr {
 			t.Fatalf("step %d: Alloc(%d) err = %v, pre-carved %v", step, n, err, wantErr)
 		}
@@ -72,18 +72,18 @@ func TestSlabCarveOrderUnchanged(t *testing.T) {
 		if got := (place{seg.page, c.off}); got != want {
 			t.Fatalf("step %d: Alloc(%d) at %+v, pre-carved at %+v", step, n, got, want)
 		}
-		if at := c.off - seg.off; at < 0 || at+a.ClassSize(ci) > len(seg.buf) || len(seg.buf) > max(slabSegSize, a.ClassSize(ci)) {
+		if at := c.off - seg.off; at < 0 || at+a.classSize(ci) > len(seg.buf) || len(seg.buf) > max(slabSegSize, a.classSize(ci)) {
 			t.Fatalf("step %d: chunk at page offset %d outside its segment [%d, +%d)", step, c.off, seg.off, len(seg.buf))
 		}
 		live = append(live, c)
 	}
 	for ci := range ref.free {
-		if got, want := a.FreeChunks(ci), len(ref.free[ci]); got != want {
+		if got, want := a.freeChunks(ci), len(ref.free[ci]); got != want {
 			t.Errorf("class %d: FreeChunks = %d, pre-carved free list %d", ci, got, want)
 		}
 	}
-	if a.UsedBytes() != ref.used {
-		t.Errorf("UsedBytes = %d, pre-carved %d", a.UsedBytes(), ref.used)
+	if a.bytesUsed() != ref.used {
+		t.Errorf("UsedBytes = %d, pre-carved %d", a.bytesUsed(), ref.used)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestSlabCarveOrderUnchanged(t *testing.T) {
 func TestSlabHostBytesFollowCarving(t *testing.T) {
 	s := newTestStore()
 	out := serveScript(t, s, "set k 0 0 64\r\n"+strings.Repeat("v", 64)+"\r\nstats slabs\r\n")
-	a := s.Arena()
+	a := s.arena
 	host := 0
 	for _, seg := range a.segs {
 		host += len(seg.buf)
@@ -100,11 +100,11 @@ func TestSlabHostBytesFollowCarving(t *testing.T) {
 	if host > slabSegSize {
 		t.Errorf("one 64 B item holds %d B of host segments, want <= %d", host, slabSegSize)
 	}
-	if a.UsedBytes() != slabPageSize {
-		t.Errorf("UsedBytes = %d, want one page", a.UsedBytes())
+	if a.bytesUsed() != slabPageSize {
+		t.Errorf("UsedBytes = %d, want one page", a.bytesUsed())
 	}
-	ci, _ := a.ClassFor(len("k") + 64 + itemOverhead)
-	perPage := slabPageSize / a.ClassSize(ci)
+	ci, _ := a.classFor(len("k") + 64 + itemOverhead)
+	perPage := slabPageSize / a.classSize(ci)
 	for _, stat := range []string{
 		fmt.Sprintf("STAT %d:total_pages 1\r\n", ci+1),
 		fmt.Sprintf("STAT %d:total_chunks %d\r\n", ci+1, perPage),

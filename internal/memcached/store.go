@@ -130,7 +130,7 @@ func (sh *shard) putItem(it *Item) {
 // the same FNV-1a hash the table buckets use — one hash per op serves
 // both — so striping never skews bucket occupancy within a shard.
 type Store struct {
-	arena     *SlabArena
+	arena     *slabArena
 	shards    []*shard
 	shardMask uint64
 	evictions bool
@@ -183,7 +183,7 @@ func NewStore(cfg StoreConfig) *Store {
 		n <<= 1
 	}
 	s := &Store{
-		arena:     NewSlabArena(cfg.MemoryLimit, cfg.MaxItemSize),
+		arena:     newSlabArena(cfg.MemoryLimit, cfg.MaxItemSize),
 		shards:    make([]*shard, n),
 		shardMask: uint64(n - 1),
 		evictions: !cfg.DisableEvictions,
@@ -194,14 +194,11 @@ func NewStore(cfg StoreConfig) *Store {
 			id:    uint16(i),
 			res:   simnet.NewResource(fmt.Sprintf("store-shard-%d", i)),
 			table: newHashTable(),
-			lru:   newLRUTable(s.arena.NumClasses()),
+			lru:   newLRUTable(s.arena.numClasses()),
 		}
 	}
 	return s
 }
-
-// NumStripes reports the shard count.
-func (s *Store) NumStripes() int { return len(s.shards) }
 
 // maxStripes bounds the shard count: an item records its shard's index
 // in 16 bits.
@@ -235,8 +232,8 @@ type Charge struct {
 	first bool           // booked before the op, which runs when the wait ends
 }
 
-// At runs an op at now with no lock charge: a bare store's caller.
-func At(now simnet.Time) Charge { return Charge{at: now, now: now} }
+// at runs an op at now with no lock charge: a bare store's caller.
+func at(now simnet.Time) Charge { return Charge{at: now, now: now} }
 
 // chargeFirst is the UCR frontend's charge: the lock is booked at clk's
 // time before the lookup, which runs when the wait ends. No copy
@@ -342,13 +339,13 @@ func (s *Store) unlinkLocked(sh *shard, it *Item, h uint64) {
 		x.unpublish(it)
 	}
 	if it.linked {
-		sh.table.Delete(it.key, h)
+		sh.table.delete(it.key, h)
 	}
 	sh.lru.remove(it)
 	sh.stats.bytes -= uint64(len(it.key) + len(it.value))
 	sh.stats.currItems--
 	if !it.pinned() {
-		s.arena.Free(it.chunk)
+		s.arena.free(it.chunk)
 		sh.putItem(it)
 	}
 }
@@ -358,7 +355,7 @@ func (s *Store) unlinkLocked(sh *shard, it *Item, h uint64) {
 // one held, so items other shards own are untouchable here.
 func (s *Store) allocLocked(sh *shard, n int, now simnet.Time) (chunk, StoreResult) {
 	for {
-		c, err := s.arena.Alloc(n)
+		c, err := s.arena.alloc(n)
 		if err == nil {
 			return c, Stored
 		}
@@ -368,7 +365,7 @@ func (s *Store) allocLocked(sh *shard, n int, now simnet.Time) (chunk, StoreResu
 		if !s.evictions {
 			return chunk{}, OOM
 		}
-		ci, ok := s.arena.ClassFor(n)
+		ci, ok := s.arena.classFor(n)
 		if !ok {
 			return chunk{}, TooLarge
 		}
@@ -426,7 +423,7 @@ func (s *Store) linkLocked(sh *shard, it *Item, h uint64) {
 	if old := lookup(sh.table, it.key, h); old != nil {
 		s.unlinkLocked(sh, old, h)
 	}
-	sh.table.Put(it, h)
+	sh.table.put(it, h)
 	sh.lru.insert(it)
 	sh.stats.bytes += uint64(len(it.key) + len(it.value))
 	sh.stats.currItems++
@@ -436,11 +433,11 @@ func (s *Store) linkLocked(sh *shard, it *Item, h uint64) {
 	}
 }
 
-// AllocateItem reserves an unlinked item whose value buffer the caller
-// fills before CommitItem — the UCR Set path lands the client's RDMA-
+// allocateItem reserves an unlinked item whose value buffer the caller
+// fills before commitItem — the UCR Set path lands the client's RDMA-
 // read value directly in this slab memory (§V-B). Alloc-free for keys
 // already resident.
-func (s *Store) AllocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
+func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	sh.mu.Lock()
@@ -456,9 +453,9 @@ func (s *Store) AllocateItem(key []byte, flags uint32, exptime int64, valueLen i
 	return it, res
 }
 
-// CommitItem links a previously allocated item. Its stripe is the one
-// AllocateItem recorded; the key is hashed once, for the table.
-func (s *Store) CommitItem(it *Item, c Charge) {
+// commitItem links a previously allocated item. Its stripe is the one
+// allocateItem recorded; the key is hashed once, for the table.
+func (s *Store) commitItem(it *Item, c Charge) {
 	sh := s.shards[it.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -476,26 +473,26 @@ func (s *Store) CommitItem(it *Item, c Charge) {
 	}
 }
 
-// AbortItem releases an allocated-but-uncommitted item.
-func (s *Store) AbortItem(it *Item) {
+// abortItem releases an allocated-but-uncommitted item.
+func (s *Store) abortItem(it *Item) {
 	sh := s.shards[it.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	it.refcount--
 	if !it.pinned() {
-		s.arena.Free(it.chunk)
+		s.arena.free(it.chunk)
 		sh.putItem(it)
 	}
 }
 
-// Store runs one storage verb for a wire-decoded key — the text
+// store runs one storage verb for a wire-decoded key — the text
 // protocol's entry, and AMStore's. op is a StoreOp* code (an unknown
 // one stores nothing, but is still charged). Both frontends copy the
 // value into slab memory under the lock, so it extends the hold. The
 // key's string is built only if an item is linked under a key not
 // already resident, so overwriting a resident key — and any conditional
 // miss — allocates nothing.
-func (s *Store) Store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, c Charge) StoreResult {
+func (s *Store) store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, c Charge) StoreResult {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	sh.mu.Lock()
@@ -534,7 +531,7 @@ func (s *Store) Store(op uint8, key []byte, flags uint32, exptime int64, value [
 // string-keyed entries, kept as adapters for the fenced
 // benchmark/probes.go; the key is copied to the stack, not the heap.
 func (s *Store) Set(key string, flags uint32, exptime int64, value []byte, now simnet.Time) StoreResult {
-	return s.Store(StoreOpSet, append(make([]byte, 0, maxKeyLen), key...), flags, exptime, value, 0, At(now))
+	return s.store(StoreOpSet, append(make([]byte, 0, maxKeyLen), key...), flags, exptime, value, 0, at(now))
 }
 
 // casLocked is the cas verb's body. Caller holds sh.mu.
@@ -575,7 +572,7 @@ func (s *Store) setLocked(sh *shard, key []byte, h uint64, flags uint32, exptime
 func (s *Store) releasePin(sh *shard, it *Item) {
 	it.refcount--
 	if !it.linked && !it.pinned() {
-		s.arena.Free(it.chunk)
+		s.arena.free(it.chunk)
 		sh.putItem(it)
 	}
 }
@@ -644,15 +641,15 @@ func (s *Store) concatLocked(sh *shard, key []byte, h uint64, add []byte, prepen
 
 // Get copies out the value for key (see Set). ok=false is a miss.
 func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, casID uint64, ok bool) {
-	ok, _ = s.View(append(make([]byte, 0, maxKeyLen), key...), At(now), func(it *Item) {
+	ok, _ = s.view(append(make([]byte, 0, maxKeyLen), key...), at(now), func(it *Item) {
 		value, flags, casID = append(make([]byte, 0, len(it.value)), it.value...), it.flags, it.casID
 	})
 	return value, flags, casID, ok
 }
 
-// Unpin releases a GetPinned reference, freeing the chunk if the item
+// unpin releases a getPinned reference, freeing the chunk if the item
 // was unlinked (replaced/evicted/deleted) while pinned.
-func (s *Store) Unpin(it *Item) {
+func (s *Store) unpin(it *Item) {
 	sh := s.shards[it.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -675,10 +672,10 @@ func (s *Store) getLocked(sh *shard, key []byte, h uint64, now simnet.Time) *Ite
 	return it
 }
 
-// GetPinned returns the live item with its refcount raised, so its slab
+// getPinned returns the live item with its refcount raised, so its slab
 // memory stays valid while a reply transfer (possibly a client-issued
 // RDMA read) is in flight. The caller must Unpin.
-func (s *Store) GetPinned(key []byte, c Charge) (*Item, bool) {
+func (s *Store) getPinned(key []byte, c Charge) (*Item, bool) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	sh.mu.Lock()
@@ -691,13 +688,13 @@ func (s *Store) GetPinned(key []byte, c Charge) (*Item, bool) {
 	return it, true
 }
 
-// View is the sockets engine's GET: instead of pinning the hit it runs
+// view is the sockets engine's GET: instead of pinning the hit it runs
 // read on it while the shard lock is held, which is where that engine
 // copies the value out. Its charge is booked after read, so the hold
 // covers the value's bytes (a miss copies none); the returned end is
 // where the hold ends, the next key's cursor in a multi-key get. read
 // must not call back into the Store or retain the item.
-func (s *Store) View(key []byte, c Charge, read func(*Item)) (hit bool, end simnet.Time) {
+func (s *Store) view(key []byte, c Charge, read func(*Item)) (hit bool, end simnet.Time) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	sh.mu.Lock()
@@ -711,8 +708,8 @@ func (s *Store) View(key []byte, c Charge, read func(*Item)) (hit bool, end simn
 	return it != nil, s.acquire(sh, c, copied)
 }
 
-// Delete removes key. ok=false is a miss.
-func (s *Store) Delete(key []byte, c Charge) bool {
+// delete removes key. ok=false is a miss.
+func (s *Store) delete(key []byte, c Charge) bool {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	sh.mu.Lock()
@@ -736,11 +733,11 @@ func (s *Store) Delete(key []byte, c Charge) bool {
 	return true
 }
 
-// IncrDecr adjusts a numeric value. badValue=true means the stored value
+// incrDecr adjusts a numeric value. badValue=true means the stored value
 // is not an unsigned number (protocol CLIENT_ERROR); oom=true means the
 // grown value could not be allocated (protocol SERVER_ERROR) — a server
 // failure, distinct from the caller's mistake.
-func (s *Store) IncrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal uint64, found, badValue, oom bool) {
+func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal uint64, found, badValue, oom bool) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	sh.mu.Lock()
@@ -831,8 +828,8 @@ func (s *Store) IncrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal 
 	return cur, true, false, false
 }
 
-// Touch updates an item's expiry.
-func (s *Store) Touch(key []byte, exptime int64, c Charge) bool {
+// touch updates an item's expiry.
+func (s *Store) touch(key []byte, exptime int64, c Charge) bool {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	sh.mu.Lock()
@@ -915,24 +912,10 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// CurrItems reports the live item count.
-func (s *Store) CurrItems() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.stats.currItems
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Arena exposes the slab arena (tests, stats reporting).
-func (s *Store) Arena() *SlabArena { return s.arena }
-
-// ItemsPerClass counts linked items per slab class, summed across
+// itemsPerClass counts linked items per slab class, summed across
 // shards (the data behind `stats items`).
-func (s *Store) ItemsPerClass() []int {
-	counts := make([]int, s.arena.NumClasses())
+func (s *Store) itemsPerClass() []int {
+	counts := make([]int, s.arena.numClasses())
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for i := range counts {
@@ -943,5 +926,5 @@ func (s *Store) ItemsPerClass() []int {
 	return counts
 }
 
-// MaxItemSize reports the largest storable object.
-func (s *Store) MaxItemSize() int { return s.arena.ClassSize(s.arena.NumClasses() - 1) }
+// maxItemSize reports the largest storable object.
+func (s *Store) maxItemSize() int { return s.arena.classSize(s.arena.numClasses() - 1) }

@@ -12,15 +12,15 @@ import (
 )
 
 func TestSlabClassGeometry(t *testing.T) {
-	a := NewSlabArena(8<<20, 0)
-	if a.NumClasses() < 10 {
-		t.Fatalf("classes = %d, want a real ladder", a.NumClasses())
+	a := newSlabArena(8<<20, 0)
+	if a.numClasses() < 10 {
+		t.Fatalf("classes = %d, want a real ladder", a.numClasses())
 	}
-	if a.ClassSize(0) != minChunkSize {
-		t.Fatalf("first class = %d", a.ClassSize(0))
+	if a.classSize(0) != minChunkSize {
+		t.Fatalf("first class = %d", a.classSize(0))
 	}
-	for i := 1; i < a.NumClasses(); i++ {
-		prev, cur := a.ClassSize(i-1), a.ClassSize(i)
+	for i := 1; i < a.numClasses(); i++ {
+		prev, cur := a.classSize(i-1), a.classSize(i)
 		if cur <= prev {
 			t.Fatalf("class sizes not increasing: %d then %d", prev, cur)
 		}
@@ -28,59 +28,59 @@ func TestSlabClassGeometry(t *testing.T) {
 			t.Fatalf("class %d size %d not aligned", i, cur)
 		}
 	}
-	if a.ClassSize(a.NumClasses()-1) != slabPageSize {
-		t.Fatalf("last class = %d, want %d", a.ClassSize(a.NumClasses()-1), slabPageSize)
+	if a.classSize(a.numClasses()-1) != slabPageSize {
+		t.Fatalf("last class = %d, want %d", a.classSize(a.numClasses()-1), slabPageSize)
 	}
 }
 
 func TestSlabClassFor(t *testing.T) {
-	a := NewSlabArena(8<<20, 0)
+	a := newSlabArena(8<<20, 0)
 	for _, n := range []int{1, 95, 96, 97, 1000, 100_000, slabPageSize} {
-		ci, ok := a.ClassFor(n)
+		ci, ok := a.classFor(n)
 		if !ok {
 			t.Fatalf("ClassFor(%d) not ok", n)
 		}
-		if a.ClassSize(ci) < n {
-			t.Fatalf("class %d (%d) cannot hold %d", ci, a.ClassSize(ci), n)
+		if a.classSize(ci) < n {
+			t.Fatalf("class %d (%d) cannot hold %d", ci, a.classSize(ci), n)
 		}
-		if ci > 0 && a.ClassSize(ci-1) >= n {
+		if ci > 0 && a.classSize(ci-1) >= n {
 			t.Fatalf("ClassFor(%d) = %d not minimal", n, ci)
 		}
 	}
-	if _, ok := a.ClassFor(slabPageSize + 1); ok {
+	if _, ok := a.classFor(slabPageSize + 1); ok {
 		t.Fatal("oversized request should not fit")
 	}
 }
 
 func TestSlabAllocFreeReuse(t *testing.T) {
-	a := NewSlabArena(2<<20, 0)
-	c1, err := a.Alloc(100)
+	a := newSlabArena(2<<20, 0)
+	c1, err := a.alloc(100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c1.buf) < 100 {
 		t.Fatalf("chunk len %d", len(c1.buf))
 	}
-	used := a.UsedBytes()
+	used := a.bytesUsed()
 	if used != slabPageSize {
 		t.Fatalf("used = %d, want one page", used)
 	}
-	a.Free(c1)
-	c2, err := a.Alloc(100)
+	a.free(c1)
+	c2, err := a.alloc(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.UsedBytes() != used {
+	if a.bytesUsed() != used {
 		t.Fatal("re-alloc grabbed another page despite free chunk")
 	}
 	_ = c2
 }
 
 func TestSlabExhaustion(t *testing.T) {
-	a := NewSlabArena(1<<20, 0) // exactly one page
+	a := newSlabArena(1<<20, 0) // exactly one page
 	var got int
 	for {
-		if _, err := a.Alloc(1000); err != nil {
+		if _, err := a.alloc(1000); err != nil {
 			if err != ErrNoMemory {
 				t.Fatalf("err = %v", err)
 			}
@@ -97,14 +97,14 @@ func TestSlabPropertyNoDoubleHandout(t *testing.T) {
 	// Property: the arena never hands out the same chunk twice while
 	// it is live, across random alloc/free sequences.
 	f := func(ops []uint16) bool {
-		a := NewSlabArena(4<<20, 0)
+		a := newSlabArena(4<<20, 0)
 		type ref struct{ c chunk }
 		live := map[*byte]*ref{}
 		var order []*byte
 		for _, op := range ops {
 			if op%3 != 0 && len(live) > 0 { // alloc twice as often as free
 				n := int(op%8000) + 1
-				c, err := a.Alloc(n)
+				c, err := a.alloc(n)
 				if err != nil {
 					continue
 				}
@@ -118,12 +118,12 @@ func TestSlabPropertyNoDoubleHandout(t *testing.T) {
 				k := order[len(order)-1]
 				order = order[:len(order)-1]
 				if r, ok := live[k]; ok {
-					a.Free(r.c)
+					a.free(r.c)
 					delete(live, k)
 				}
 			} else {
 				n := int(op%8000) + 1
-				c, err := a.Alloc(n)
+				c, err := a.alloc(n)
 				if err != nil {
 					continue
 				}
@@ -147,13 +147,13 @@ func TestHashTableBasics(t *testing.T) {
 	items := make([]*Item, 0, 1000)
 	for i := 0; i < 1000; i++ {
 		it := &Item{key: fmt.Sprintf("key-%d", i)}
-		ht.Put(it, hashKey(it.key))
+		ht.put(it, hashKey(it.key))
 		items = append(items, it)
 	}
-	if ht.Len() != 1000 {
-		t.Fatalf("Len = %d", ht.Len())
+	if ht.count != 1000 {
+		t.Fatalf("Len = %d", ht.count)
 	}
-	if ht.Buckets() <= 1<<hashInitialPower {
+	if len(ht.primary) <= 1<<hashInitialPower {
 		t.Fatal("table never expanded")
 	}
 	for i, it := range items {
@@ -162,7 +162,7 @@ func TestHashTableBasics(t *testing.T) {
 			t.Fatalf("Get(%q) = %v", it.key, got)
 		}
 		if i%3 == 0 {
-			if del := ht.Delete(it.key, hashKey(it.key)); del != it {
+			if del := ht.delete(it.key, hashKey(it.key)); del != it {
 				t.Fatalf("Delete(%q) = %v", it.key, del)
 			}
 			if lookup(ht, it.key, hashKey(it.key)) != nil {
@@ -173,7 +173,7 @@ func TestHashTableBasics(t *testing.T) {
 	if lookup(ht, "absent", hashKey("absent")) != nil {
 		t.Fatal("absent key returned an item")
 	}
-	if ht.Delete("absent", hashKey("absent")) != nil {
+	if ht.delete("absent", hashKey("absent")) != nil {
 		t.Fatal("deleting absent key returned an item")
 	}
 }
@@ -184,9 +184,9 @@ func TestHashTableIncrementalExpansion(t *testing.T) {
 	n := int(hashLoadFactor*float64(1<<hashInitialPower)) + 2
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("k%d", i)
-		ht.Put(&Item{key: k}, hashKey(k))
+		ht.put(&Item{key: k}, hashKey(k))
 	}
-	if !ht.Expanding() {
+	if ht.old == nil {
 		t.Fatal("expansion did not start")
 	}
 	// Every key remains reachable mid-expansion.
@@ -196,10 +196,10 @@ func TestHashTableIncrementalExpansion(t *testing.T) {
 		}
 	}
 	// A few more operations finish the migration.
-	for i := 0; ht.Expanding() && i < 10000; i++ {
+	for i := 0; ht.old != nil && i < 10000; i++ {
 		lookup(ht, "k0", hashKey("k0"))
 	}
-	if ht.Expanding() {
+	if ht.old != nil {
 		t.Fatal("expansion never finished")
 	}
 }
@@ -216,7 +216,7 @@ func TestHashTableModelProperty(t *testing.T) {
 			case 0:
 				if model[key] == nil {
 					it := &Item{key: key}
-					ht.Put(it, hashKey(key))
+					ht.put(it, hashKey(key))
 					model[key] = it
 				}
 			case 1:
@@ -224,14 +224,14 @@ func TestHashTableModelProperty(t *testing.T) {
 					return false
 				}
 			case 2:
-				got := ht.Delete(key, hashKey(key))
+				got := ht.delete(key, hashKey(key))
 				if got != model[key] {
 					return false
 				}
 				delete(model, key)
 			}
 		}
-		if ht.Len() != len(model) {
+		if ht.count != len(model) {
 			return false
 		}
 		for k, v := range model {
@@ -287,16 +287,16 @@ func TestStoreOverwriteUpdatesBytes(t *testing.T) {
 
 func TestStoreAddReplace(t *testing.T) {
 	s := newTestStore()
-	if res := s.Store(StoreOpReplace, []byte("x"), 0, 0, []byte("v"), 0, At(0)); res != NotStored {
+	if res := s.store(StoreOpReplace, []byte("x"), 0, 0, []byte("v"), 0, at(0)); res != NotStored {
 		t.Fatalf("Replace absent = %v", res)
 	}
-	if res := s.Store(StoreOpAdd, []byte("x"), 0, 0, []byte("v1"), 0, At(0)); res != Stored {
+	if res := s.store(StoreOpAdd, []byte("x"), 0, 0, []byte("v1"), 0, at(0)); res != Stored {
 		t.Fatalf("Add = %v", res)
 	}
-	if res := s.Store(StoreOpAdd, []byte("x"), 0, 0, []byte("v2"), 0, At(0)); res != NotStored {
+	if res := s.store(StoreOpAdd, []byte("x"), 0, 0, []byte("v2"), 0, at(0)); res != NotStored {
 		t.Fatalf("Add present = %v", res)
 	}
-	if res := s.Store(StoreOpReplace, []byte("x"), 0, 0, []byte("v3"), 0, At(0)); res != Stored {
+	if res := s.store(StoreOpReplace, []byte("x"), 0, 0, []byte("v3"), 0, at(0)); res != Stored {
 		t.Fatalf("Replace = %v", res)
 	}
 	v, _, _, _ := s.Get("x", 0)
@@ -307,14 +307,14 @@ func TestStoreAddReplace(t *testing.T) {
 
 func TestStoreAppendPrepend(t *testing.T) {
 	s := newTestStore()
-	if res := s.Store(StoreOpAppend, []byte("x"), 0, 0, []byte("!"), 0, At(0)); res != NotStored {
+	if res := s.store(StoreOpAppend, []byte("x"), 0, 0, []byte("!"), 0, at(0)); res != NotStored {
 		t.Fatalf("Append absent = %v", res)
 	}
 	s.Set("x", 3, 0, []byte("mid"), 0)
-	if res := s.Store(StoreOpAppend, []byte("x"), 0, 0, []byte("-end"), 0, At(0)); res != Stored {
+	if res := s.store(StoreOpAppend, []byte("x"), 0, 0, []byte("-end"), 0, at(0)); res != Stored {
 		t.Fatal("Append failed")
 	}
-	if res := s.Store(StoreOpPrepend, []byte("x"), 0, 0, []byte("start-"), 0, At(0)); res != Stored {
+	if res := s.store(StoreOpPrepend, []byte("x"), 0, 0, []byte("start-"), 0, at(0)); res != Stored {
 		t.Fatal("Prepend failed")
 	}
 	v, flags, _, _ := s.Get("x", 0)
@@ -327,14 +327,14 @@ func TestStoreCAS(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 0, []byte("v1"), 0)
 	_, _, cas, _ := s.Get("x", 0)
-	if res := s.Store(StoreOpCas, []byte("x"), 0, 0, []byte("v2"), cas, At(0)); res != Stored {
+	if res := s.store(StoreOpCas, []byte("x"), 0, 0, []byte("v2"), cas, at(0)); res != Stored {
 		t.Fatalf("Cas fresh = %v", res)
 	}
 	// The old CAS id is now stale.
-	if res := s.Store(StoreOpCas, []byte("x"), 0, 0, []byte("v3"), cas, At(0)); res != Exists {
+	if res := s.store(StoreOpCas, []byte("x"), 0, 0, []byte("v3"), cas, at(0)); res != Exists {
 		t.Fatalf("Cas stale = %v", res)
 	}
-	if res := s.Store(StoreOpCas, []byte("nope"), 0, 0, []byte("v"), 1, At(0)); res != NotFound {
+	if res := s.store(StoreOpCas, []byte("nope"), 0, 0, []byte("v"), 1, at(0)); res != NotFound {
 		t.Fatalf("Cas missing = %v", res)
 	}
 	st := s.Stats()
@@ -346,10 +346,10 @@ func TestStoreCAS(t *testing.T) {
 func TestStoreDelete(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 0, []byte("v"), 0)
-	if !s.Delete([]byte("x"), At(0)) {
+	if !s.delete([]byte("x"), at(0)) {
 		t.Fatal("Delete hit failed")
 	}
-	if s.Delete([]byte("x"), At(0)) {
+	if s.delete([]byte("x"), at(0)) {
 		t.Fatal("Delete after delete hit")
 	}
 	if _, _, _, ok := s.Get("x", 0); ok {
@@ -384,13 +384,13 @@ func TestStoreExpiry(t *testing.T) {
 func TestStoreTouch(t *testing.T) {
 	s := newTestStore()
 	s.Set("x", 0, 10, []byte("v"), 0)
-	if !s.Touch([]byte("x"), 1000, At(5*simnet.Second)) {
+	if !s.touch([]byte("x"), 1000, at(5*simnet.Second)) {
 		t.Fatal("Touch failed")
 	}
 	if _, _, _, ok := s.Get("x", 500*simnet.Second); !ok {
 		t.Fatal("touched item expired on old schedule")
 	}
-	if s.Touch([]byte("nope"), 10, At(0)) {
+	if s.touch([]byte("nope"), 10, at(0)) {
 		t.Fatal("Touch on absent key succeeded")
 	}
 }
@@ -413,22 +413,22 @@ func TestStoreFlushAll(t *testing.T) {
 func TestStoreIncrDecr(t *testing.T) {
 	s := newTestStore()
 	s.Set("n", 0, 0, []byte("10"), 0)
-	if v, found, bad, _ := s.IncrDecr([]byte("n"), 5, true, At(0)); v != 15 || !found || bad {
+	if v, found, bad, _ := s.incrDecr([]byte("n"), 5, true, at(0)); v != 15 || !found || bad {
 		t.Fatalf("Incr = (%d,%v,%v)", v, found, bad)
 	}
-	if v, _, _, _ := s.IncrDecr([]byte("n"), 20, false, At(0)); v != 0 {
+	if v, _, _, _ := s.incrDecr([]byte("n"), 20, false, at(0)); v != 0 {
 		t.Fatalf("Decr floor = %d, want 0", v)
 	}
-	if _, found, _, _ := s.IncrDecr([]byte("missing"), 1, true, At(0)); found {
+	if _, found, _, _ := s.incrDecr([]byte("missing"), 1, true, at(0)); found {
 		t.Fatal("incr on missing key found")
 	}
 	s.Set("s", 0, 0, []byte("abc"), 0)
-	if _, found, bad, oom := s.IncrDecr([]byte("s"), 1, true, At(0)); !found || !bad || oom {
+	if _, found, bad, oom := s.incrDecr([]byte("s"), 1, true, at(0)); !found || !bad || oom {
 		t.Fatal("non-numeric incr should report badValue, not oom")
 	}
 	// Growth: 9 + 1 = 10 needs one more digit (realloc path).
 	s.Set("g", 0, 0, []byte("9"), 0)
-	if v, _, _, _ := s.IncrDecr([]byte("g"), 1, true, At(0)); v != 10 {
+	if v, _, _, _ := s.incrDecr([]byte("g"), 1, true, at(0)); v != 10 {
 		t.Fatalf("Incr growth = %d", v)
 	}
 	got, _, _, _ := s.Get("g", 0)
@@ -512,30 +512,30 @@ func TestStoreLRUOrder(t *testing.T) {
 func TestStorePinBlocksEvictionAndDefersFree(t *testing.T) {
 	s := NewStore(StoreConfig{MemoryLimit: 2 << 20})
 	s.Set("pinned", 0, 0, []byte("precious"), 0)
-	it, ok := s.GetPinned([]byte("pinned"), At(0))
+	it, ok := s.getPinned([]byte("pinned"), at(0))
 	if !ok {
 		t.Fatal("GetPinned miss")
 	}
 	// Deleting while pinned unlinks but must not recycle the chunk.
-	free0 := s.arena.FreeChunks(it.chunk.class)
-	if !s.Delete([]byte("pinned"), At(0)) {
+	free0 := s.arena.freeChunks(it.chunk.class)
+	if !s.delete([]byte("pinned"), at(0)) {
 		t.Fatal("delete failed")
 	}
-	if s.arena.FreeChunks(it.chunk.class) != free0 {
+	if s.arena.freeChunks(it.chunk.class) != free0 {
 		t.Fatal("pinned chunk recycled at delete")
 	}
-	if string(it.Value()) != "precious" {
+	if string(it.value) != "precious" {
 		t.Fatal("pinned value corrupted")
 	}
-	s.Unpin(it)
-	if s.arena.FreeChunks(it.chunk.class) != free0+1 {
+	s.unpin(it)
+	if s.arena.freeChunks(it.chunk.class) != free0+1 {
 		t.Fatal("chunk not freed after unpin")
 	}
 }
 
 func TestStoreAllocateCommitAbort(t *testing.T) {
 	s := newTestStore()
-	it, res := s.AllocateItem([]byte("k"), 5, 0, 8, 0)
+	it, res := s.allocateItem([]byte("k"), 5, 0, 8, 0)
 	if res != Stored {
 		t.Fatalf("AllocateItem = %v", res)
 	}
@@ -543,17 +543,17 @@ func TestStoreAllocateCommitAbort(t *testing.T) {
 	if _, _, _, ok := s.Get("k", 0); ok {
 		t.Fatal("uncommitted item visible")
 	}
-	copy(it.Value(), "rdmaland")
-	s.CommitItem(it, At(0))
+	copy(it.value, "rdmaland")
+	s.commitItem(it, at(0))
 	v, flags, _, ok := s.Get("k", 0)
 	if !ok || string(v) != "rdmaland" || flags != 5 {
 		t.Fatalf("committed = (%q,%d,%v)", v, flags, ok)
 	}
 	// Abort path returns the chunk.
-	it2, _ := s.AllocateItem([]byte("tmp"), 0, 0, 8, 0)
-	free0 := s.arena.FreeChunks(it2.chunk.class)
-	s.AbortItem(it2)
-	if s.arena.FreeChunks(it2.chunk.class) != free0+1 {
+	it2, _ := s.allocateItem([]byte("tmp"), 0, 0, 8, 0)
+	free0 := s.arena.freeChunks(it2.chunk.class)
+	s.abortItem(it2)
+	if s.arena.freeChunks(it2.chunk.class) != free0+1 {
 		t.Fatal("aborted chunk not freed")
 	}
 }
@@ -574,19 +574,19 @@ func TestStoreMissAllocatesNothing(t *testing.T) {
 	key := []byte("an-absent-key-that-is-longer-than-thirty-two-bytes")
 	val := []byte("v")
 	for name, miss := range map[string]func(){
-		"delete":  func() { s.Delete(key, At(0)) },
-		"touch":   func() { s.Touch(key, 10, At(0)) },
-		"incr":    func() { s.IncrDecr(key, 1, true, At(0)) },
-		"replace": func() { s.Store(StoreOpReplace, key, 0, 0, val, 0, At(0)) },
-		"append":  func() { s.Store(StoreOpAppend, key, 0, 0, val, 0, At(0)) },
-		"cas":     func() { s.Store(StoreOpCas, key, 0, 0, val, 1, At(0)) },
+		"delete":  func() { s.delete(key, at(0)) },
+		"touch":   func() { s.touch(key, 10, at(0)) },
+		"incr":    func() { s.incrDecr(key, 1, true, at(0)) },
+		"replace": func() { s.store(StoreOpReplace, key, 0, 0, val, 0, at(0)) },
+		"append":  func() { s.store(StoreOpAppend, key, 0, 0, val, 0, at(0)) },
+		"cas":     func() { s.store(StoreOpCas, key, 0, 0, val, 1, at(0)) },
 	} {
 		if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
 			t.Errorf("%s miss: %v allocs/op, want 0", name, allocs)
 		}
 	}
-	if s.CurrItems() != 0 {
-		t.Fatalf("a miss linked an item: CurrItems = %d", s.CurrItems())
+	if s.Stats().CurrItems != 0 {
+		t.Fatalf("a miss linked an item: CurrItems = %d", s.Stats().CurrItems)
 	}
 }
 
@@ -616,13 +616,13 @@ func TestStoreModelProperty(t *testing.T) {
 				}
 			case 2:
 				_, exists := model[key]
-				if s.Delete([]byte(key), At(0)) != exists {
+				if s.delete([]byte(key), at(0)) != exists {
 					return false
 				}
 				delete(model, key)
 			}
 		}
-		return s.CurrItems() == uint64(len(model))
+		return s.Stats().CurrItems == uint64(len(model))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -648,16 +648,16 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 				case 0, 1:
 					s.Set(key, uint32(w), 0, val, simnet.Time(i))
 				case 2:
-					if it, ok := s.GetPinned([]byte(key), At(simnet.Time(i))); ok {
-						if len(it.Value()) != 600 {
-							t.Errorf("pinned value len %d", len(it.Value()))
+					if it, ok := s.getPinned([]byte(key), at(simnet.Time(i))); ok {
+						if len(it.value) != 600 {
+							t.Errorf("pinned value len %d", len(it.value))
 						}
-						s.Unpin(it)
+						s.unpin(it)
 					}
 				case 3:
 					s.Get(key, simnet.Time(i))
 				case 4:
-					s.Delete([]byte(key), At(simnet.Time(i)))
+					s.delete([]byte(key), at(simnet.Time(i)))
 				}
 			}
 		}(w)

@@ -15,14 +15,14 @@ func TestStripesRounding(t *testing.T) {
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
 		s := NewStore(StoreConfig{Stripes: tc.in})
-		if got := s.NumStripes(); got != tc.want {
+		if got := len(s.shards); got != tc.want {
 			t.Errorf("Stripes=%d: %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
 // TestStripedStatsAggregate: counters land on whichever shard served
-// the op, and Stats()/CurrItems() sum them all.
+// the op, and Stats() sums them all.
 func TestStripedStatsAggregate(t *testing.T) {
 	s := NewStore(StoreConfig{Stripes: 8})
 	const n = 200
@@ -42,8 +42,8 @@ func TestStripedStatsAggregate(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.CurrItems != n || s.CurrItems() != n {
-		t.Errorf("CurrItems = %d/%d, want %d", st.CurrItems, s.CurrItems(), n)
+	if st.CurrItems != n {
+		t.Errorf("CurrItems = %d, want %d", st.CurrItems, n)
 	}
 	if st.GetHits != uint64(hits) || st.GetMisses != uint64(misses) {
 		t.Errorf("hits/misses = %d/%d, want %d/%d", st.GetHits, st.GetMisses, hits, misses)
@@ -131,25 +131,25 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 					s.Set(key, uint32(g), 0, []byte("value"), now)
 					sets[g]++
 				case 1:
-					if it, ok := s.GetPinned([]byte(key), At(now)); ok {
-						_ = it.Value()
-						s.Unpin(it)
+					if it, ok := s.getPinned([]byte(key), at(now)); ok {
+						_ = it.value
+						s.unpin(it)
 					}
 				case 2:
 					_, _, _, _ = s.Get(key, now)
 				case 3:
 					if _, _, cas, ok := s.Get(key, now); ok {
-						s.Store(StoreOpCas, []byte(key), 0, 0, []byte("casval"), cas, At(now))
+						s.store(StoreOpCas, []byte(key), 0, 0, []byte("casval"), cas, at(now))
 						sets[g]++
 					}
 				case 4:
 					s.Set(key, 0, 0, []byte("7"), now)
-					s.IncrDecr([]byte(key), 3, true, At(now))
+					s.incrDecr([]byte(key), 3, true, at(now))
 					sets[g]++
 				case 5:
-					s.Delete([]byte(key), At(now))
+					s.delete([]byte(key), at(now))
 				case 6:
-					s.Store(StoreOpAppend, []byte(key), 0, 0, []byte("+tail"), 0, At(now))
+					s.store(StoreOpAppend, []byte(key), 0, 0, []byte("+tail"), 0, at(now))
 					sets[g]++
 				case 7:
 					// Exercise the virtual-time lock from racing actors.
@@ -171,9 +171,6 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 	if st.CmdSet != want {
 		t.Errorf("CmdSet = %d, want %d (dropped counter updates)", st.CmdSet, want)
 	}
-	if st.CurrItems != s.CurrItems() {
-		t.Errorf("Stats.CurrItems %d != CurrItems() %d", st.CurrItems, s.CurrItems())
-	}
 	// Every surviving item must still be readable and intact.
 	live := uint64(0)
 	for i := 0; i < keySpace; i++ {
@@ -184,8 +181,8 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 			}
 		}
 	}
-	if live != s.CurrItems() {
-		t.Errorf("readable items %d != CurrItems %d", live, s.CurrItems())
+	if n := s.Stats().CurrItems; live != n {
+		t.Errorf("readable items %d != CurrItems %d", live, n)
 	}
 	// Flush invalidation is lazy; touching every key afterwards must
 	// reclaim everything, proving no pin leaked from the stress run.
@@ -195,7 +192,7 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 			t.Errorf("k-%d survived flush_all", i)
 		}
 	}
-	if got := s.CurrItems(); got != 0 {
+	if got := s.Stats().CurrItems; got != 0 {
 		t.Errorf("CurrItems after flush = %d, want 0", got)
 	}
 	// Arena pages are retained, but no live item bytes may remain.

@@ -9,8 +9,8 @@ import (
 // The memcached text protocol's codec, shared by both ends the way the
 // active-message codecs in amproto*.go are: the server (ProtoConn) and
 // the sockets client (mcclient.SockTransport and its pipeline) read
-// lines with ReadTextLine, split them with NextTextToken, and build
-// what they send with the Append* encoders. Everything works on byte
+// lines with ReadTextLine and build what they send with the Append*
+// encoders; the server splits lines with nextTextToken. Everything works on byte
 // slices the caller owns — a line aliases the reader's buffer, a
 // request or reply is appended to a reused scratch — so a round trip
 // allocates nothing in the codec.
@@ -97,12 +97,12 @@ func ReadTextLine(r *bufio.Reader, spill *[]byte) ([]byte, error) {
 	return line[:n], nil
 }
 
-// NextTextToken splits the first token off line. Tokens are separated
+// nextTextToken splits the first token off line. Tokens are separated
 // by runs of ASCII space and by nothing else, as in memcached 1.4.5's
 // tokenize_command: a tab, a NUL or a multi-byte UTF-8 space (U+00A0,
 // U+0085) is part of a token — mcclient.CheckKey admits such keys, and
 // the AM path carries them. tok is nil when line holds no further token.
-func NextTextToken(line []byte) (tok, rest []byte) {
+func nextTextToken(line []byte) (tok, rest []byte) {
 	for len(line) > 0 && line[0] == ' ' {
 		line = line[1:]
 	}
@@ -119,7 +119,7 @@ func NextTextToken(line []byte) (tok, rest []byte) {
 // which may be more than len(f); the surplus is counted, not kept.
 func textTokens(line []byte, f [][]byte) int {
 	n := 0
-	for tok, rest := NextTextToken(line); tok != nil; tok, rest = NextTextToken(rest) {
+	for tok, rest := nextTextToken(line); tok != nil; tok, rest = nextTextToken(rest) {
 		if n < len(f) {
 			f[n] = tok
 		}
@@ -242,9 +242,9 @@ func parseTextStore(op uint8, args []byte) (c textStoreCmd, verdict textParse) {
 
 // ---- replies (server → client) -------------------------------------------
 
-// AppendTextValue appends one retrieval hit: the VALUE line (with the
+// appendTextValue appends one retrieval hit: the VALUE line (with the
 // CAS id for a "gets") and the data block.
-func AppendTextValue(dst []byte, key string, flags uint32, value []byte, casID uint64, withCAS bool) []byte {
+func appendTextValue(dst []byte, key string, flags uint32, value []byte, casID uint64, withCAS bool) []byte {
 	dst = append(dst, "VALUE "...)
 	dst = append(dst, key...)
 	dst = append(dst, ' ')

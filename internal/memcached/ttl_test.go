@@ -90,7 +90,7 @@ func TestTTLTouch(t *testing.T) {
 
 	// Shorten: the touch time, not the set time, anchors the new expiry.
 	touchAt := now + simnet.Second
-	if !s.Touch([]byte("k"), 5, At(touchAt)) {
+	if !s.touch([]byte("k"), 5, at(touchAt)) {
 		t.Fatal("touch missed")
 	}
 	newExpire := touchAt + 5*simnet.Second
@@ -98,7 +98,7 @@ func TestTTLTouch(t *testing.T) {
 	mustMiss(t, s, "k", newExpire)
 
 	// Touch on an expired item is a miss and does not resurrect it.
-	if s.Touch([]byte("k"), 1000, At(newExpire)) {
+	if s.touch([]byte("k"), 1000, at(newExpire)) {
 		t.Fatal("touch resurrected an expired item")
 	}
 	mustMiss(t, s, "k", newExpire)
@@ -107,7 +107,7 @@ func TestTTLTouch(t *testing.T) {
 	if res := s.Set("k2", 0, 100, []byte("v"), now); res != Stored {
 		t.Fatal(res)
 	}
-	if !s.Touch([]byte("k2"), 0, At(now)) {
+	if !s.touch([]byte("k2"), 0, at(now)) {
 		t.Fatal("touch missed")
 	}
 	mustHit(t, s, "k2", 365*daySeconds*simnet.Second)

@@ -29,8 +29,12 @@ import (
 // ucrConn is one UCR connection's server state, carried on its
 // endpoint (ucr.Endpoint.UserData) from accept to close.
 type ucrConn struct {
-	w    *worker      // the worker that accepted it
-	sets []setPending // in-flight Sets, header handler to completion
+	w    *worker       // the worker that accepted it
+	ep   *ucr.Endpoint // the endpoint carrying it
+	sets []setPending  // in-flight Sets, header handler to completion
+	// listed marks the connection on its worker's setConns list: it
+	// has filed a Set since the worker's last sweep.
+	listed bool
 	// arena is the reply-arena geometry of the connection's one-time
 	// AMArm exchange (Slots == 0: unarmed); slot-advertising requests
 	// resolve their write window against it.
@@ -56,9 +60,14 @@ type setPending struct {
 	replyCtr ucr.CounterID
 }
 
-// pendSet files a Set at its header handler and returns its landing.
+// pendSet files a Set at its header handler and returns its landing,
+// listing the connection for the worker's sweep (sweepSets).
 func (c *ucrConn) pendSet(p setPending) []byte {
 	c.sets = append(c.sets, p)
+	if !c.listed {
+		c.listed = true
+		c.w.setConns = append(c.w.setConns, c)
+	}
 	return p.land
 }
 
@@ -139,15 +148,15 @@ func (s *Server) registerAMHandlers(rt *ucr.Runtime) {
 // context's pool that amSetComplete hands back.
 func (s *Server) amSetHeader(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, dataLen int, _ ucr.CounterID) []byte {
 	c := connOf(ep)
-	req, err := DecodeSetReqView(hdr)
+	req, err := decodeSetReqView(hdr)
 	if err != nil {
 		return c.pendSet(setPending{land: ep.Context().Buf(dataLen), res: NotStored})
 	}
-	it, res := s.store.AllocateItem(req.Key, req.Flags, req.Exptime, dataLen, clk.Now())
+	it, res := s.store.allocateItem(req.Key, req.Flags, req.Exptime, dataLen, clk.Now())
 	if res != Stored {
 		return c.pendSet(setPending{land: ep.Context().Buf(dataLen), res: res, replyCtr: req.ReplyCtr})
 	}
-	return c.pendSet(setPending{land: it.Value(), item: it, res: Stored, replyCtr: req.ReplyCtr})
+	return c.pendSet(setPending{land: it.value, item: it, res: Stored, replyCtr: req.ReplyCtr})
 }
 
 // amSetComplete commits the item and answers with AM 2 (§V-B).
@@ -162,7 +171,7 @@ func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 	if p.item != nil {
 		// No copy extends the hold: the value already landed in slab
 		// memory via RDMA before the commit takes the lock (§V-B).
-		s.store.CommitItem(p.item, chargeFirst(clk))
+		s.store.commitItem(p.item, chargeFirst(clk))
 	} else {
 		ep.Context().Recycle(data)
 		status = AMError
@@ -170,7 +179,7 @@ func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 	if p.replyCtr == 0 {
 		return
 	}
-	c.w.reply = AppendStatusReply(c.w.reply[:0], StatusReply{Status: status, Result: p.res})
+	c.w.reply = appendStatusReply(c.w.reply[:0], StatusReply{Status: status, Result: p.res})
 	_ = ep.Send(clk, AMSetReply, c.w.reply, nil, nil, p.replyCtr, nil)
 }
 
@@ -181,23 +190,23 @@ func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
 		c := connOf(ep)
 		w := c.w
-		req, err := DecodeGetReqView(hdr, slotted)
+		req, err := decodeGetReqView(hdr, slotted)
 		if err != nil {
 			return
 		}
 		s.opCharge(clk, ep)
 		// The reply is served from the pinned item's slab memory, so no
 		// copy extends the hold (§V-C).
-		it, ok := s.store.GetPinned(req.Key, chargeFirst(clk))
+		it, ok := s.store.getPinned(req.Key, chargeFirst(clk))
 		if !ok {
 			w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMMiss})
 			_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
 			return
 		}
-		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMOK, Flags: it.Flags(), CAS: it.CAS()})
+		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMOK, Flags: it.flags, CAS: it.casID})
 		win := c.wrWin(req.Slot)
-		band := s.replyBand(ep, win, len(w.reply)+len(it.Value()))
-		s.sendValue(clk, c, ep, band, valueReply{ctr: req.ReplyCtr, win: win, value: it.Value(), item: it})
+		band := s.replyBand(ep, win, len(w.reply)+len(it.value))
+		s.sendValue(clk, c, ep, band, valueReply{ctr: req.ReplyCtr, win: win, value: it.value, item: it})
 	}
 }
 
@@ -213,29 +222,29 @@ func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
 		c := connOf(ep)
 		w := c.w
-		replyCtr, slot, cur, err := NewMGetKeyCursor(hdr, slotted)
+		replyCtr, slot, cur, err := newMGetKeyCursor(hdr, slotted)
 		if err != nil {
 			return
 		}
 		items := w.mgetItems[:0]
-		w.reply = BeginMGetReply(w.reply[:0])
+		w.reply = beginMGetReply(w.reply[:0])
 		total, found := 0, 0
 		for {
-			key, ok := cur.Next()
+			key, ok := cur.next()
 			if !ok {
 				break
 			}
 			s.opCharge(clk, ep)
-			it, hit := s.store.GetPinned(key, chargeFirst(clk))
+			it, hit := s.store.getPinned(key, chargeFirst(clk))
 			if !hit {
 				continue
 			}
-			w.reply = AppendMGetReplyItem(w.reply, key, it.Flags(), it.CAS(), len(it.Value()))
+			w.reply = appendMGetReplyItem(w.reply, key, it.flags, it.casID, len(it.value))
 			items = append(items, it)
-			total += len(it.Value())
+			total += len(it.value)
 			found++
 		}
-		FinishMGetReply(w.reply, 0, found)
+		finishMGetReply(w.reply, 0, found)
 		win := c.wrWin(slot)
 		band := s.replyBand(ep, win, len(w.reply)+total)
 		// Assemble the block in one pre-sized copy straight out of the
@@ -258,9 +267,9 @@ func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 		}
 		for i, it := range items {
 			if band != bandPunt {
-				values = append(values, it.Value()...)
+				values = append(values, it.value...)
 			}
-			s.store.Unpin(it)
+			s.store.unpin(it)
 			items[i] = nil
 		}
 		w.mgetItems = items[:0]
@@ -335,13 +344,13 @@ func (s *Server) sendValue(clk *simnet.VClock, c *ucrConn, ep *ucr.Endpoint, ban
 		if err := ep.WriteReply(clk, w.reply, r.value, c.writeReplyWin(r.win), 0, ctr); err == nil {
 			w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr, item: r.item})
 			if r.mget {
-				w.reply = AppendMGetWNotify(w.reply[:0], MGetWNotify{
+				w.reply = appendMGetWNotify(w.reply[:0], MGetWNotify{
 					Status: AMOK, HdrLen: uint32(len(w.reply)), DataLen: uint32(len(r.value)),
 				})
 				msg = AMMGetWNotify
 			} else {
-				w.reply = AppendGetWNotify(w.reply[:0], GetWNotify{
-					Status: AMOK, Flags: r.item.Flags(), CAS: r.item.CAS(), ValueLen: uint32(len(r.value)),
+				w.reply = appendGetWNotify(w.reply[:0], GetWNotify{
+					Status: AMOK, Flags: r.item.flags, CAS: r.item.casID, ValueLen: uint32(len(r.value)),
 				})
 				msg = AMGetWNotify
 			}
@@ -355,7 +364,7 @@ func (s *Server) sendValue(clk *simnet.VClock, c *ucrConn, ep *ucr.Endpoint, ban
 		// The client will RDMA-read straight from the item's chunk.
 		ctr := s.ucrRT.NewCounter()
 		if err := ep.Send(clk, msg, w.reply, r.value, ctr, r.ctr, nil); err != nil {
-			s.store.Unpin(r.item)
+			s.store.unpin(r.item)
 			s.ucrRT.FreeCounter(ctr)
 			return
 		}
@@ -376,7 +385,7 @@ func (s *Server) sendValue(clk *simnet.VClock, c *ucrConn, ep *ucr.Endpoint, ban
 	if r.item != nil {
 		// The eager send packed the value out of slab memory before
 		// returning, so the pin can go.
-		s.store.Unpin(r.item)
+		s.store.unpin(r.item)
 	}
 }
 
@@ -395,12 +404,12 @@ func (s *Server) amStoreHeader(_ *simnet.VClock, ep *ucr.Endpoint, _ []byte, dat
 func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
 	defer ep.Context().Recycle(data)
 	w := connOf(ep).w
-	req, err := DecodeStoreReqView(hdr)
+	req, err := decodeStoreReqView(hdr)
 	if err != nil {
 		return
 	}
 	s.opCharge(clk, ep)
-	res := s.store.Store(req.Op, req.Key, req.Flags, req.Exptime, data, req.CAS, chargeFirst(clk))
+	res := s.store.store(req.Op, req.Key, req.Flags, req.Exptime, data, req.CAS, chargeFirst(clk))
 	if req.ReplyCtr == 0 {
 		return
 	}
@@ -408,7 +417,7 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 	if res != Stored {
 		status = AMError
 	}
-	w.reply = AppendStatusReply(w.reply[:0], StatusReply{Status: status, Result: res})
+	w.reply = appendStatusReply(w.reply[:0], StatusReply{Status: status, Result: res})
 	_ = ep.Send(clk, AMSetReply, w.reply, nil, nil, req.ReplyCtr, nil)
 }
 
@@ -417,7 +426,7 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 // with the one-sided directory descriptor, if the index is armed.
 // Reliable endpoints only — write replies never target a datagram peer.
 func (s *Server) amArmComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
-	req, err := DecodeArmReq(hdr)
+	req, err := decodeArmReq(hdr)
 	if err != nil {
 		return
 	}
@@ -430,10 +439,10 @@ func (s *Server) amArmComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 	default:
 		connOf(ep).arena = req
 	}
-	if x := s.store.OneSidedIndex(); x != nil {
-		rep.OS = OSDesc{Enabled: true, Buckets: x.Buckets(), Slots: x.Slots(), Dir: x.DirDesc()}
+	if x := s.store.pub.Load(); x != nil {
+		rep.OS = OSDesc{Enabled: true, Buckets: osBuckets, Slots: osSlots, Dir: x.dirWin.Desc()}
 	}
-	_ = ep.Send(clk, AMArmReply, EncodeArmReply(rep), nil, nil, req.ReplyCtr, nil)
+	_ = ep.Send(clk, AMArmReply, encodeArmReply(rep), nil, nil, req.ReplyCtr, nil)
 }
 
 // amDeleteComplete serves delete.
@@ -445,10 +454,10 @@ func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, dat
 	}
 	s.opCharge(clk, ep)
 	status := AMMiss
-	if s.store.Delete(req.Key, chargeFirst(clk)) {
+	if s.store.delete(req.Key, chargeFirst(clk)) {
 		status = AMOK
 	}
-	w.reply = AppendStatusReply(w.reply[:0], StatusReply{Status: status})
+	w.reply = appendStatusReply(w.reply[:0], StatusReply{Status: status})
 	_ = ep.Send(clk, AMDeleteReply, w.reply, nil, nil, req.ReplyCtr, nil)
 }
 
@@ -456,12 +465,12 @@ func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, dat
 func (s *Server) amNumComplete(incr bool) ucr.CompletionHandler {
 	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
 		w := connOf(ep).w
-		replyCtr, delta, key, err := DecodeNumReqView(hdr)
+		replyCtr, delta, key, err := decodeNumReqView(hdr)
 		if err != nil {
 			return
 		}
 		s.opCharge(clk, ep)
-		val, found, bad, oom := s.store.IncrDecr(key, delta, incr, chargeFirst(clk))
+		val, found, bad, oom := s.store.incrDecr(key, delta, incr, chargeFirst(clk))
 		status := AMOK
 		switch {
 		case !found:
@@ -471,7 +480,7 @@ func (s *Server) amNumComplete(incr bool) ucr.CompletionHandler {
 		case oom:
 			status = AMError
 		}
-		w.reply = AppendNumReply(w.reply[:0], NumReply{Status: status, Value: val})
+		w.reply = appendNumReply(w.reply[:0], NumReply{Status: status, Value: val})
 		_ = ep.Send(clk, AMNumReply, w.reply, nil, nil, replyCtr, nil)
 	}
 }

@@ -124,8 +124,8 @@ func checkOneSided(recs []*memcached.OpRecord, obs []Observation) *Violation {
 	return nil
 }
 
-// CrossCheck compares observations against the recorded history.
-func CrossCheck(recs []*memcached.OpRecord, obs []Observation, lossy bool) *Violation {
+// crossCheck compares observations against the recorded history.
+func crossCheck(recs []*memcached.OpRecord, obs []Observation, lossy bool) *Violation {
 	if v := checkOneSided(recs, obs); v != nil {
 		return v
 	}

@@ -128,8 +128,8 @@ func (m *Mode) execute(sc Script, cfg Config) *Result {
 		d.Server.UCRSRQDemux(), d.Server.UCRBatchedDrains(), d.Server.UCRWriteReplies()
 	res.Detail = fmt.Sprintf("records=%d", len(res.History))
 
-	if res.Violation = CheckModel(res.History); res.Violation == nil {
-		res.Violation = CrossCheck(res.History, res.Obs, cfg.Faults)
+	if res.Violation = checkModel(res.History); res.Violation == nil {
+		res.Violation = crossCheck(res.History, res.Obs, cfg.Faults)
 	}
 	return res
 }

@@ -16,7 +16,7 @@ func TestFleetCheckClean(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5}
 	var sum Counters
 	for _, seed := range seeds {
-		res := Run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
+		res := run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %s\n%s", seed, res.Violation.Error(), res.Report)
 		}
@@ -37,7 +37,7 @@ func TestFleetCheckClean(t *testing.T) {
 // hold (no stale or foreign value is ever served).
 func TestFleetCheckLossy(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		res := Run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed, Faults: true})
+		res := run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed, Faults: true})
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %s\n%s", seed, res.Violation.Error(), res.Report)
 		}
@@ -46,7 +46,7 @@ func TestFleetCheckLossy(t *testing.T) {
 
 // Socket transport sanity: the fleet checker is transport-generic.
 func TestFleetCheckIPoIB(t *testing.T) {
-	res := Run(Config{Mode: "fleet", Transport: cluster.IPoIB, Seed: 7})
+	res := run(Config{Mode: "fleet", Transport: cluster.IPoIB, Seed: 7})
 	if res.Violation != nil {
 		t.Fatalf("%s\n%s", res.Violation.Error(), res.Report)
 	}
@@ -54,13 +54,13 @@ func TestFleetCheckIPoIB(t *testing.T) {
 
 // The fleet script grammar round-trips through format/parse.
 func TestFleetScriptRoundTrip(t *testing.T) {
-	sc := GenerateFleet(42, GenConfig{})
-	text := FormatScript(sc)
+	sc := generateFleet(42, GenConfig{})
+	text := formatScript(sc)
 	back, err := ParseScript(text)
 	if err != nil {
 		t.Fatalf("ParseScript: %v", err)
 	}
-	if FormatScript(back) != text {
+	if formatScript(back) != text {
 		t.Fatal("fleet script did not round-trip")
 	}
 	var churn int
@@ -90,7 +90,7 @@ func TestFleetCatchesMutRingStale(t *testing.T) {
 	runMutated(t, &ring.MutRingStale, func() {
 		caught := false
 		for seed := uint64(1); seed <= 6 && !caught; seed++ {
-			res := Run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
+			res := run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 			if res.Violation == nil {
 				continue
 			}
@@ -106,7 +106,7 @@ func TestFleetCatchesMutRingStale(t *testing.T) {
 				t.Fatalf("report lacks fleet replay line:\n%s", res.Report)
 			}
 			// The shrunk script must still fail when replayed.
-			rep := RunScript(*res.Shrunk, res.Config)
+			rep := runScript(*res.Shrunk, res.Config)
 			if rep.Violation == nil {
 				t.Fatal("shrunk script no longer fails on replay")
 			}
@@ -124,7 +124,7 @@ func TestFleetCatchesMutReplicaSkip(t *testing.T) {
 	runMutated(t, &ring.MutReplicaSkip, func() {
 		caught := false
 		for seed := uint64(1); seed <= 6 && !caught; seed++ {
-			res := Run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
+			res := run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 			if res.Violation == nil {
 				continue
 			}
@@ -132,7 +132,7 @@ func TestFleetCatchesMutReplicaSkip(t *testing.T) {
 			if res.Shrunk == nil || len(res.Shrunk.Ops) == 0 {
 				t.Fatalf("violation not shrunk: %s", res.Violation.Error())
 			}
-			rep := RunScript(*res.Shrunk, res.Config)
+			rep := runScript(*res.Shrunk, res.Config)
 			if rep.Violation == nil {
 				t.Fatal("shrunk script no longer fails on replay")
 			}

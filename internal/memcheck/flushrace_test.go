@@ -135,7 +135,7 @@ func TestFlushAllWithPipelinedSets(t *testing.T) {
 			history = append([]*memcached.OpRecord(nil), recs...)
 			mu.Unlock()
 			sortRecords(history)
-			if v := CheckModel(history); v != nil {
+			if v := checkModel(history); v != nil {
 				t.Errorf("history fails the model: %s", v.Error())
 			}
 		})

@@ -31,22 +31,6 @@ type Result struct {
 	Counters
 }
 
-// Run generates the workload for cfg.Seed in the grammar of the row
-// cfg.Mode names, executes it, and checks it. On violation it shrinks
-// the script (shrinkBudget re-runs) and formats the report.
-func Run(cfg Config) *Result { return runNamed(cfg, nil) }
-
-// RunScript executes a specific script (replay path) and checks it.
-func RunScript(sc Script, cfg Config) *Result { return runNamed(cfg, &sc) }
-
-func runNamed(cfg Config, script *Script) *Result {
-	m, err := ModeByName(cfg.Mode)
-	if err != nil {
-		return &Result{Config: cfg, Violation: harnessFailure(err)}
-	}
-	return m.Run(cfg, script)
-}
-
 const shrinkBudget = 80
 
 // harness is the one place the two checks part: the fleet row draws the
@@ -54,11 +38,11 @@ const shrinkBudget = 80
 // ownership model (fleet.go); every other row draws the single-server
 // op mix and is checked from the engine's recorded history (exec.go).
 // Either executor returns one execution's verdict, unshrunk.
-func (m *Mode) harness() (generate func(uint64, GenConfig) Script, execute func(Script, Config) *Result) {
+func (m *Mode) harness() (func(uint64, GenConfig) Script, func(Script, Config) *Result) {
 	if m.Fleet {
-		return GenerateFleet, m.executeFleet
+		return generateFleet, m.executeFleet
 	}
-	return Generate, m.execute
+	return generate, m.execute
 }
 
 // Run executes one run of the mode (overriding cfg.Mode) from cfg.Seed,
@@ -81,7 +65,7 @@ func (m *Mode) Run(cfg Config, script *Script) *Result {
 		return res
 	}
 	fails := func(cand Script) bool { return execute(cand, cfg).Violation != nil }
-	shrunk := Shrink(sc, fails, shrinkBudget)
+	shrunk := shrink(sc, fails, shrinkBudget)
 	res.Shrunk = &shrunk
 	res.Report = formatReport(res)
 	return res
@@ -119,18 +103,6 @@ func (m *Mode) arm(cfg Config, opts cluster.Options) (cluster.Options, mcclient.
 // out (an operation failed in a way the configuration cannot explain).
 func harnessFailure(err error) *Violation {
 	return &Violation{Msg: "harness: " + err.Error()}
-}
-
-// FormatHistory renders the recorded history one line per transition,
-// every virtual timestamp included: two runs of one Config must agree on
-// all of it, pipelined bursts and lossy fabrics included.
-func FormatHistory(recs []*memcached.OpRecord) string {
-	var b strings.Builder
-	for _, r := range recs {
-		b.WriteString(formatRecord(r))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 func formatRecord(r *memcached.OpRecord) string {
@@ -235,7 +207,7 @@ func formatReport(res *Result) string {
 	fmt.Fprintf(&b, "  replay: %s\n", replay)
 	if res.Shrunk != nil {
 		fmt.Fprintf(&b, "  shrunk script (%d ops, from %d; save and replay with -script FILE):\n", len(res.Shrunk.Ops), len(res.Script.Ops))
-		for _, line := range strings.Split(strings.TrimRight(FormatScript(*res.Shrunk), "\n"), "\n") {
+		for _, line := range strings.Split(strings.TrimRight(formatScript(*res.Shrunk), "\n"), "\n") {
 			b.WriteString("    " + line + "\n")
 		}
 	}

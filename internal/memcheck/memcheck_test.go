@@ -12,6 +12,31 @@ import (
 
 var transports = []cluster.Transport{cluster.UCRIB, cluster.IPoIB}
 
+// run checks cfg.Seed on the row cfg.Mode names (the default row when
+// empty); runScript replays sc on it.
+func run(cfg Config) *Result                  { return runOn(cfg, nil) }
+func runScript(sc Script, cfg Config) *Result { return runOn(cfg, &sc) }
+
+func runOn(cfg Config, sc *Script) *Result {
+	m, err := ModeByName(cfg.Mode)
+	if err != nil {
+		panic(err)
+	}
+	return m.Run(cfg, sc)
+}
+
+// formatHistory renders the recorded history one line per transition,
+// every virtual timestamp included: two runs of one Config must agree on
+// all of it, pipelined bursts and lossy fabrics included.
+func formatHistory(recs []*memcached.OpRecord) string {
+	var b strings.Builder
+	for _, r := range recs {
+		b.WriteString(formatRecord(r))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 func requirePass(t *testing.T, res *Result) {
 	t.Helper()
 	if res.Violation != nil {
@@ -28,13 +53,13 @@ func requirePass(t *testing.T, res *Result) {
 func TestScriptRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, nb := range []bool{false, true} {
-			sc := Generate(seed, GenConfig{Clients: 3, Ops: 200, NoBursts: nb})
-			text := FormatScript(sc)
+			sc := generate(seed, GenConfig{Clients: 3, Ops: 200, NoBursts: nb})
+			text := formatScript(sc)
 			back, err := ParseScript(text)
 			if err != nil {
 				t.Fatalf("seed %d: parse: %v", seed, err)
 			}
-			if got := FormatScript(back); got != text {
+			if got := formatScript(back); got != text {
 				t.Fatalf("seed %d: round trip diverged", seed)
 			}
 		}
@@ -48,7 +73,7 @@ func TestCleanSeeds(t *testing.T) {
 	for _, tr := range transports {
 		var batched uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := Run(Config{Transport: tr, Seed: seed, Ops: 150})
+			res := run(Config{Transport: tr, Seed: seed, Ops: 150})
 			if res.Violation != nil {
 				t.Errorf("%s seed %d:\n%s", tr, seed, res.Report)
 			}
@@ -74,7 +99,7 @@ func TestOneSidedSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		var oneSided uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "onesided"})
+			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "onesided"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
@@ -96,7 +121,7 @@ func TestSRQSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		var demux uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "srq"})
+			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "srq"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
@@ -119,7 +144,7 @@ func TestUDSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		var gets, retx uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "ud"})
+			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "ud"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
@@ -141,7 +166,7 @@ func TestBlockingTTLSeeds(t *testing.T) {
 	}
 	for _, tr := range transports {
 		for seed := uint64(10); seed <= 12; seed++ {
-			res := Run(Config{Transport: tr, Seed: seed, Ops: 150, NoBursts: true})
+			res := run(Config{Transport: tr, Seed: seed, Ops: 150, NoBursts: true})
 			if res.Violation != nil {
 				t.Errorf("%s seed %d:\n%s", tr, seed, res.Report)
 			}
@@ -155,7 +180,7 @@ func TestLossySeeds(t *testing.T) {
 	}
 	for _, tr := range transports {
 		for seed := uint64(20); seed <= 22; seed++ {
-			res := Run(Config{Transport: tr, Seed: seed, Ops: 150, Faults: true})
+			res := run(Config{Transport: tr, Seed: seed, Ops: 150, Faults: true})
 			if res.Violation != nil {
 				t.Errorf("%s seed %d:\n%s", tr, seed, res.Report)
 			}
@@ -169,7 +194,7 @@ func TestPressureSeeds(t *testing.T) {
 	}
 	for _, tr := range transports {
 		for seed := uint64(30); seed <= 31; seed++ {
-			res := Run(Config{Transport: tr, Seed: seed, Ops: 300, Pressure: true})
+			res := run(Config{Transport: tr, Seed: seed, Ops: 300, Pressure: true})
 			if res.Violation != nil {
 				t.Errorf("%s seed %d:\n%s", tr, seed, res.Report)
 			}
@@ -190,11 +215,11 @@ func TestPressureSeeds(t *testing.T) {
 // byte, every virtual timestamp included.
 func sameHistoryTwice(t *testing.T, name string, cfg Config) {
 	t.Helper()
-	a := Run(cfg)
+	a := run(cfg)
 	requirePass(t, a)
-	b := Run(cfg)
+	b := run(cfg)
 	requirePass(t, b)
-	if ha, hb := FormatHistory(a.History), FormatHistory(b.History); ha != hb {
+	if ha, hb := formatHistory(a.History), formatHistory(b.History); ha != hb {
 		t.Errorf("%s: histories differ across identical runs\n%s", name, firstLineDiff(ha, hb))
 	}
 }
@@ -287,7 +312,7 @@ func TestModelCatchesTamperedHistory(t *testing.T) {
 	if memcached.ActiveMutations() != nil {
 		t.Skip("store mutations active")
 	}
-	base := Run(Config{Transport: cluster.IPoIB, Seed: 7, Ops: 150})
+	base := run(Config{Transport: cluster.IPoIB, Seed: 7, Ops: 150})
 	requirePass(t, base)
 
 	tamper := func(name string, f func([]*memcached.OpRecord) bool) {
@@ -299,7 +324,7 @@ func TestModelCatchesTamperedHistory(t *testing.T) {
 		if !f(recs) {
 			t.Fatalf("%s: no applicable record found in history", name)
 		}
-		if CheckModel(recs) == nil {
+		if checkModel(recs) == nil {
 			t.Errorf("%s: tampered history passed the model", name)
 		}
 	}
@@ -353,7 +378,7 @@ func TestModelCatchesTamperedHistory(t *testing.T) {
 // "failure" needs a set of k03 followed (anywhere) by a delete of k03.
 // The shrunk script must be exactly those two ops.
 func TestShrink(t *testing.T) {
-	sc := Generate(99, GenConfig{Clients: 3, Ops: 120})
+	sc := generate(99, GenConfig{Clients: 3, Ops: 120})
 	hasPair := func(s Script) bool {
 		seenSet := false
 		for _, op := range s.Ops {
@@ -374,12 +399,12 @@ func TestShrink(t *testing.T) {
 		sc.Ops = append(sc.Ops, ScriptOp{Code: OpSet, Key: "k03", Value: []byte("x")},
 			ScriptOp{Client: 1, Code: OpDelete, Key: "k03"})
 	}
-	out := Shrink(sc, hasPair, 400)
+	out := shrink(sc, hasPair, 400)
 	if !hasPair(out) {
 		t.Fatal("shrunk script no longer fails")
 	}
 	if len(out.Ops) > 4 {
-		t.Errorf("shrunk to %d ops, want <= 4:\n%s", len(out.Ops), FormatScript(out))
+		t.Errorf("shrunk to %d ops, want <= 4:\n%s", len(out.Ops), formatScript(out))
 	}
 	if out.Clients != 1 {
 		t.Errorf("clients not collapsed: %d", out.Clients)
@@ -391,17 +416,17 @@ func TestReplayFromScriptText(t *testing.T) {
 		t.Skip("store mutations active")
 	}
 	cfg := Config{Transport: cluster.UCRIB, Seed: 55, Ops: 80}
-	sc := Generate(cfg.Seed, GenConfig{Clients: cfg.Clients, Ops: cfg.Ops})
-	text := FormatScript(sc)
+	sc := generate(cfg.Seed, GenConfig{Clients: cfg.Clients, Ops: cfg.Ops})
+	text := formatScript(sc)
 	back, err := ParseScript(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := RunScript(sc, cfg)
+	a := runScript(sc, cfg)
 	requirePass(t, a)
-	b := RunScript(back, cfg)
+	b := runScript(back, cfg)
 	requirePass(t, b)
-	if FormatHistory(a.History) != FormatHistory(b.History) {
+	if formatHistory(a.History) != formatHistory(b.History) {
 		t.Error("replay from formatted script diverged from original")
 	}
 }

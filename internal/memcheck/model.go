@@ -76,8 +76,8 @@ type model struct {
 	lastEvict map[string]*modelItem
 }
 
-// CheckModel replays recs and returns the first divergence, or nil.
-func CheckModel(recs []*memcached.OpRecord) *Violation {
+// checkModel replays recs and returns the first divergence, or nil.
+func checkModel(recs []*memcached.OpRecord) *Violation {
 	m := &model{
 		items:     make(map[string]*modelItem),
 		casSeen:   make(map[uint64]bool),

@@ -162,11 +162,11 @@ func ModeByName(name string) (*Mode, error) {
 			return &Modes[i], nil
 		}
 	}
-	return nil, fmt.Errorf("memcheck: unknown mode %q (have %s)", name, strings.Join(ModeNames(), ", "))
+	return nil, fmt.Errorf("memcheck: unknown mode %q (have %s)", name, strings.Join(modeNames(), ", "))
 }
 
-// ModeNames lists the table's rows in order.
-func ModeNames() []string {
+// modeNames lists the table's rows in order.
+func modeNames() []string {
 	names := make([]string, len(Modes))
 	for i := range Modes {
 		names[i] = Modes[i].Name

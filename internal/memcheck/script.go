@@ -37,7 +37,7 @@ const (
 	OpAdvance
 	OpFlush
 	OpBurst
-	// Fleet-mode churn ops (only GenerateFleet emits them; the
+	// Fleet-mode churn ops (only generateFleet emits them; the
 	// single-server executor rejects them). Join brings up a fresh
 	// server; leave/crash target the Delta'th live member modulo the
 	// CURRENT live count, so dropping earlier churn ops during ddmin
@@ -88,7 +88,7 @@ type Script struct {
 	Ops     []ScriptOp
 }
 
-// GenConfig tunes Generate.
+// GenConfig tunes generate.
 type GenConfig struct {
 	Clients int
 	Ops     int
@@ -121,8 +121,8 @@ func makeKeys(prefix string, n int) []string {
 	return out
 }
 
-// Generate builds a deterministic random workload from seed.
-func Generate(seed uint64, cfg GenConfig) Script {
+// generate builds a deterministic random workload from seed.
+func generate(seed uint64, cfg GenConfig) Script {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 3
 	}
@@ -282,12 +282,12 @@ func (g *generator) next() ScriptOp {
 // key sees repeated traffic (read repair needs a get after a move).
 var FleetKeys = makeKeys("f", 32)
 
-// GenerateFleet builds a deterministic fleet workload from seed:
+// generateFleet builds a deterministic fleet workload from seed:
 // set/get/del over FleetKeys interleaved with join/leave/crash churn
 // and small clock advances. Only ops the fleet client supports appear;
 // everything stores with exptime 0 (ownership, not TTL, is under test),
 // so of cfg only Clients and Ops (default 300) apply.
-func GenerateFleet(seed uint64, cfg GenConfig) Script {
+func generateFleet(seed uint64, cfg GenConfig) Script {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 3
 	}
@@ -343,9 +343,9 @@ func (g *generator) burst(c int) ScriptOp {
 	return ScriptOp{Client: c, Code: OpBurst, Window: window, Sub: sub}
 }
 
-// FormatScript renders a script in the replayable text form ParseScript
+// formatScript renders a script in the replayable text form ParseScript
 // reads back.
-func FormatScript(sc Script) string {
+func formatScript(sc Script) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# memcheck script seed=%d clients=%d ops=%d\n", sc.Seed, sc.Clients, len(sc.Ops))
 	for _, op := range sc.Ops {
@@ -397,7 +397,7 @@ func formatOp(op ScriptOp, withClient bool) string {
 	return b.String()
 }
 
-// ParseScript reads the FormatScript form back.
+// ParseScript reads the formatScript form back.
 func ParseScript(text string) (Script, error) {
 	sc := Script{Clients: 1}
 	for ln, line := range strings.Split(text, "\n") {

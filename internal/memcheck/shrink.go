@@ -7,10 +7,10 @@ package memcheck
 // (everything on client 0). Each candidate costs one full execution, so
 // the caller bounds the total with a run budget.
 
-// Shrink reduces sc while fails(candidate) stays true. fails must be
+// shrink reduces sc while fails(candidate) stays true. fails must be
 // the full check (execute + model + crosscheck); budget caps how many
 // times it may be called.
-func Shrink(sc Script, fails func(Script) bool, budget int) Script {
+func shrink(sc Script, fails func(Script) bool, budget int) Script {
 	cur := sc
 	spent := 0
 	try := func(cand Script) bool {

@@ -182,9 +182,6 @@ func (r *Ring) RemoveServer(name string) {
 // Size reports the member count.
 func (r *Ring) Size() int { return len(r.members) }
 
-// NumPoints reports the total ring point count (tests).
-func (r *Ring) NumPoints() int { return len(r.points) }
-
 // Members lists the servers in sorted order.
 func (r *Ring) Members() []string {
 	out := slices.Clone(r.names)
@@ -192,9 +189,9 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// KeyPoint is the ketama key hash: the first 4 bytes of md5(key),
+// keyPoint is the ketama key hash: the first 4 bytes of md5(key),
 // little-endian — identical to the original mcclient lookup.
-func KeyPoint(key string) uint32 {
+func keyPoint(key string) uint32 {
 	sum := md5.Sum([]byte(key))
 	return binary.LittleEndian.Uint32(sum[:])
 }
@@ -215,12 +212,12 @@ func (r *Ring) Lookup(key string) string {
 	if len(r.names) == 1 {
 		return r.names[0]
 	}
-	return r.LookupPoint(KeyPoint(key))
+	return r.lookupPoint(keyPoint(key))
 }
 
-// LookupPoint maps a raw hash point to its owning server ("" on an
+// lookupPoint maps a raw hash point to its owning server ("" on an
 // empty ring).
-func (r *Ring) LookupPoint(h uint32) string {
+func (r *Ring) lookupPoint(h uint32) string {
 	if len(r.points) == 0 {
 		return ""
 	}
@@ -248,7 +245,7 @@ func (r *Ring) AppendOwners(dst []string, key string, n int) []string {
 		return dst
 	}
 	base := len(dst)
-	start := r.search(KeyPoint(key))
+	start := r.search(keyPoint(key))
 	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
 		owner := r.names[r.points[(start+i)%len(r.points)].owner]
 		if !slices.Contains(dst[base:], owner) {
@@ -325,14 +322,14 @@ func (r *Ring) MovedFraction(prev *Ring) float64 {
 	moved := 0.0
 	// Interior segments (b[i-1], b[i]]: owner decided at b[i].
 	for i := 1; i < len(uniq); i++ {
-		if r.LookupPoint(uniq[i]) != prev.LookupPoint(uniq[i]) {
+		if r.lookupPoint(uniq[i]) != prev.lookupPoint(uniq[i]) {
 			moved += float64(uniq[i] - uniq[i-1])
 		}
 	}
 	// Wrap segment (b[last], 2^32) ∪ [0, b[0]]: every hash here maps to
 	// each ring's first point, which is also what b[0] maps to (b[0] is
 	// the global minimum boundary).
-	if r.LookupPoint(uniq[0]) != prev.LookupPoint(uniq[0]) {
+	if r.lookupPoint(uniq[0]) != prev.lookupPoint(uniq[0]) {
 		moved += space - float64(uniq[len(uniq)-1]) + float64(uniq[0])
 	}
 	return moved / space

@@ -80,7 +80,7 @@ func TestConstructionOrderIndependent(t *testing.T) {
 // keys. (Values computed from the original hash.go layout.)
 func TestLayoutStable(t *testing.T) {
 	r := build(0, []string{"server"})
-	if got := r.NumPoints(); got != 160 {
+	if got := len(r.points); got != 160 {
 		t.Fatalf("points for one server = %d, want 160", got)
 	}
 	// A ring with one server owns every key.
@@ -188,7 +188,7 @@ func TestEmptyAndSingleLookup(t *testing.T) {
 // Configurable vnode counts scale the point total and still balance.
 func TestVNodesConfigurable(t *testing.T) {
 	r := build(8, names(3))
-	if got := r.NumPoints(); got != 3*8*4 {
+	if got := len(r.points); got != 3*8*4 {
 		t.Fatalf("points = %d, want %d", got, 3*8*4)
 	}
 	counts := map[string]int{}
@@ -245,7 +245,7 @@ func FuzzKetamaRing(f *testing.F) {
 		if got := r.Members(); len(got) != len(live) || !sort.StringsAreSorted(got) {
 			t.Fatalf("members inconsistent: %v vs %v", got, live)
 		}
-		for i := 1; i < r.NumPoints(); i++ {
+		for i := 1; i < len(r.points); i++ {
 			if r.compare(r.points[i-1], r.points[i]) > 0 {
 				t.Fatalf("points unsorted at %d", i)
 			}

@@ -87,19 +87,19 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 // DropNext schedules a one-shot fault: the next n messages from→to are
 // dropped regardless of the probabilistic rates.
 func (fi *FaultInjector) DropNext(from, to *Node, n int) {
-	fi.pair(pairKey{from.ID(), to.ID()}).dropNext += n
+	fi.pair(pairKey{from.id, to.id}).dropNext += n
 }
 
 // Partition cuts both directions between a and b until Heal.
 func (fi *FaultInjector) Partition(a, b *Node) {
-	fi.partitioned[pairKey{a.ID(), b.ID()}] = true
-	fi.partitioned[pairKey{b.ID(), a.ID()}] = true
+	fi.partitioned[pairKey{a.id, b.id}] = true
+	fi.partitioned[pairKey{b.id, a.id}] = true
 }
 
 // Heal removes a partition between a and b.
 func (fi *FaultInjector) Heal(a, b *Node) {
-	delete(fi.partitioned, pairKey{a.ID(), b.ID()})
-	delete(fi.partitioned, pairKey{b.ID(), a.ID()})
+	delete(fi.partitioned, pairKey{a.id, b.id})
+	delete(fi.partitioned, pairKey{b.id, a.id})
 }
 
 // Stats reports verdict totals since construction.
@@ -125,7 +125,7 @@ func mix64(x uint64) uint64 {
 
 // judge draws the verdict for the next message from→to.
 func (fi *FaultInjector) judge(from, to *Node) DeliveryOutcome {
-	k := pairKey{from.ID(), to.ID()}
+	k := pairKey{from.id, to.id}
 	ps := fi.pair(k)
 	ps.n++
 	if fi.partitioned[k] {

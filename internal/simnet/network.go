@@ -16,19 +16,10 @@ type Node struct {
 // Name reports the node's name.
 func (n *Node) Name() string { return n.name }
 
-// ID reports the node's index within its Network.
-func (n *Node) ID() int { return n.id }
-
 // Fail marks the node dead: fabrics stop delivering to or from it.
 // Used by the fault-tolerance tests and example (paper §IV-A: one failing
 // process must not take the others down).
 func (n *Node) Fail() { n.failed = true }
-
-// Recover clears the failed state.
-func (n *Node) Recover() { n.failed = false }
-
-// Failed reports whether the node is marked dead.
-func (n *Node) Failed() bool { return n.failed }
 
 // Network is the cluster: a set of nodes, the fabrics joining them and
 // the executor that steps the actors living on them. The executor is
@@ -53,18 +44,6 @@ func (nw *Network) AddNode(name string) *Node {
 	n := &Node{name: name, net: nw, id: len(nw.nodes)}
 	nw.nodes = append(nw.nodes, n)
 	return n
-}
-
-// Nodes returns the nodes in creation order.
-func (nw *Network) Nodes() []*Node {
-	out := make([]*Node, len(nw.nodes))
-	copy(out, nw.nodes)
-	return out
-}
-
-// Fabric looks up a fabric by name, or nil.
-func (nw *Network) Fabric(name string) *Fabric {
-	return nw.fabrics[name]
 }
 
 // FabricSpec describes a switched fabric's physical characteristics.
@@ -136,12 +115,6 @@ func (f *Fabric) Attach(n *Node) {
 	f.down[n] = NewResource(f.spec.Name + "/" + n.name + "/down")
 }
 
-// Attached reports whether the node has a port on this fabric.
-func (f *Fabric) Attached(n *Node) bool {
-	_, ok := f.up[n]
-	return ok
-}
-
 // links returns the two resources for a node, or nil if unattached.
 func (f *Fabric) links(n *Node) (up, down *Resource) {
 	return f.up[n], f.down[n]
@@ -169,10 +142,10 @@ func (e *ErrUnreachable) Error() string {
 // Deliver models only the wire; per-message software/NIC costs belong to
 // the transport layers (verbs, sockstream) that call it.
 func (f *Fabric) Deliver(from, to *Node, sendAt Time, bytes int) (arrive Time, err error) {
-	if from.Failed() {
+	if from.failed {
 		return 0, &ErrUnreachable{f.spec.Name, from.name, to.name, "sender failed"}
 	}
-	if to.Failed() {
+	if to.failed {
 		return 0, &ErrUnreachable{f.spec.Name, from.name, to.name, "receiver failed"}
 	}
 	upRes, _ := f.links(from)
@@ -222,10 +195,10 @@ func (f *Fabric) DeliverFaulty(from, to *Node, sendAt Time, bytes int) (arrive T
 		arrive, err = f.Deliver(from, to, sendAt, bytes)
 		return arrive, Delivered, err
 	}
-	if from.Failed() {
+	if from.failed {
 		return 0, Delivered, &ErrUnreachable{f.spec.Name, from.name, to.name, "sender failed"}
 	}
-	if to.Failed() {
+	if to.failed {
 		return 0, Delivered, &ErrUnreachable{f.spec.Name, from.name, to.name, "receiver failed"}
 	}
 	upRes, _ := f.links(from)
@@ -253,11 +226,11 @@ func (f *Fabric) Utilization() map[string]Duration {
 	out := make(map[string]Duration, len(f.up)*2)
 	for _, r := range f.up {
 		busy, _ := r.Stats()
-		out[r.Name()] = busy
+		out[r.name] = busy
 	}
 	for _, r := range f.down {
 		busy, _ := r.Stats()
-		out[r.Name()] = busy
+		out[r.name] = busy
 	}
 	return out
 }

@@ -57,9 +57,6 @@ const maxGaps = 512
 // NewResource returns an idle resource with the given diagnostic name.
 func NewResource(name string) *Resource { return &Resource{name: name} }
 
-// Name reports the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
-
 // Acquire reserves the resource for dur starting no earlier than at.
 // It returns the actual start time: at if the resource was free (or had
 // a remembered idle gap fitting the work), or the end of the queued work
@@ -130,20 +127,7 @@ func (r *Resource) insertGap(i int, g gap) {
 	r.gaps[i] = g
 }
 
-// NextFree reports the earliest time new work could start.
-func (r *Resource) NextFree() Time {
-	return r.nextFree
-}
-
 // Stats reports total busy time and number of acquisitions.
 func (r *Resource) Stats() (busy Duration, uses int64) {
 	return r.busy, r.uses
-}
-
-// Reset returns the resource to the idle state at time zero.
-func (r *Resource) Reset() {
-	r.nextFree = 0
-	r.gaps = r.gaps[:0]
-	r.busy = 0
-	r.uses = 0
 }

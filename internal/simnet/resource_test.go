@@ -96,28 +96,8 @@ func TestResourceMonotoneCallerUnchanged(t *testing.T) {
 		}
 		frontier = want + dur
 	}
-	if got := r.NextFree(); got != frontier {
-		t.Fatalf("NextFree = %d, want %d", got, frontier)
-	}
-}
-
-// TestResourceReset clears frontier, gaps, and stats.
-func TestResourceReset(t *testing.T) {
-	r := NewResource("r")
-	r.Acquire(1000, 100)
-	r.Reset()
-	if got := r.NextFree(); got != 0 {
-		t.Fatalf("NextFree after reset = %d, want 0", got)
-	}
-	if got := r.Acquire(500, 10); got != 500 {
-		t.Fatalf("acquire after reset = %d, want 500", got)
-	}
-	// The pre-reset gap [0,1000) must be gone: an early offer queues at
-	// the live frontier, not into forgotten capacity... unless it is
-	// genuinely idle. [0,500) is a fresh post-reset gap; use a duration
-	// that cannot fit it.
-	if got := r.Acquire(0, 600); got != 510 {
-		t.Fatalf("post-reset acquire = %d, want 510", got)
+	if got := r.nextFree; got != frontier {
+		t.Fatalf("nextFree = %d, want %d", got, frontier)
 	}
 }
 

@@ -118,10 +118,6 @@ func TestResourceSerialization(t *testing.T) {
 	if busy != 90 || uses != 3 {
 		t.Fatalf("Stats = (%v, %v), want (90, 3)", busy, uses)
 	}
-	r.Reset()
-	if nf := r.NextFree(); nf != 0 {
-		t.Fatalf("after Reset NextFree = %v", nf)
-	}
 }
 
 func TestResourceConcurrentNoOverlap(t *testing.T) {
@@ -290,8 +286,8 @@ func TestFabricDownlinkContention(t *testing.T) {
 func TestFabricFailures(t *testing.T) {
 	_, f, a, b := newTestFabric(t)
 	b.Fail()
-	if !b.Failed() {
-		t.Fatal("Failed() should be true")
+	if !b.failed {
+		t.Fatal("Fail did not mark the node")
 	}
 	if _, err := f.Deliver(a, b, 0, 10); err == nil {
 		t.Fatal("Deliver to failed node should error")
@@ -299,9 +295,9 @@ func TestFabricFailures(t *testing.T) {
 	if _, err := f.Deliver(b, a, 0, 10); err == nil {
 		t.Fatal("Deliver from failed node should error")
 	}
-	b.Recover()
+	b.failed = false
 	if _, err := f.Deliver(a, b, 0, 10); err != nil {
-		t.Fatalf("after Recover: %v", err)
+		t.Fatalf("after recovery: %v", err)
 	}
 }
 
@@ -330,20 +326,16 @@ func asErr(err error, target **ErrUnreachable) bool {
 
 func TestNetworkTopology(t *testing.T) {
 	nw, f, a, b := newTestFabric(t)
-	if nw.Fabric("ib") != f {
-		t.Fatal("Fabric lookup failed")
+	if nw.fabrics["ib"] != f {
+		t.Fatal("fabric not registered under its name")
 	}
-	if nw.Fabric("nope") != nil {
-		t.Fatal("unknown fabric should be nil")
+	if nodes := nw.nodes; len(nodes) != 2 || nodes[0] != a || nodes[1] != b {
+		t.Fatalf("nodes = %v", nodes)
 	}
-	nodes := nw.Nodes()
-	if len(nodes) != 2 || nodes[0] != a || nodes[1] != b {
-		t.Fatalf("Nodes() = %v", nodes)
+	if a.id != 0 || b.id != 1 {
+		t.Fatalf("IDs = %d, %d", a.id, b.id)
 	}
-	if a.ID() != 0 || b.ID() != 1 {
-		t.Fatalf("IDs = %d, %d", a.ID(), b.ID())
-	}
-	if !f.Attached(a) {
+	if f.up[a] == nil {
 		t.Fatal("a should be attached")
 	}
 	util := f.Utilization()

@@ -22,19 +22,19 @@ func TestWriteRetransmitsAfterRTO(t *testing.T) {
 	if _, err := srv.Read(buf); err != nil {
 		t.Fatal(err)
 	}
-	cleanArrival := srv.Clock().Now()
+	cleanArrival := srv.clk.Now()
 
 	fi := simnet.NewFaultInjector(simnet.FaultConfig{Seed: 9})
 	e.fab.SetFaults(fi)
 	fi.DropNext(e.a, e.b, 1)
 
-	sendStart := cli.Clock().Now()
+	sendStart := cli.clk.Now()
 	if _, err := cli.Write([]byte("lost-once")); err != nil {
 		t.Fatal(err)
 	}
 	// The writer is NOT delayed by the retransmission (kernel does it
 	// asynchronously): only syscall/copy/segment costs hit the caller.
-	if writerDelay := cli.Clock().Now() - sendStart; writerDelay >= e.prov.RTOMin {
+	if writerDelay := cli.clk.Now() - sendStart; writerDelay >= e.prov.RTOMin {
 		t.Fatalf("writer blocked %d ns, kernel retransmit must not block the caller", writerDelay)
 	}
 	n, err := srv.Read(buf)
@@ -45,7 +45,7 @@ func TestWriteRetransmitsAfterRTO(t *testing.T) {
 		t.Fatalf("retransmitted payload = %q", buf[:n])
 	}
 	// The reader ate the RTO.
-	if delay := srv.Clock().Now() - cleanArrival; delay < e.prov.RTOMin {
+	if delay := srv.clk.Now() - cleanArrival; delay < e.prov.RTOMin {
 		t.Fatalf("reader delay %d ns under loss, want >= RTOMin %d ns", delay, e.prov.RTOMin)
 	}
 	if e.prov.Retransmits() != 1 {

@@ -365,9 +365,6 @@ var _ io.ReadWriteCloser = (*Conn)(nil)
 // SetClock re-seats the connection onto a different actor's clock.
 func (c *Conn) SetClock(clk *simnet.VClock) { c.clk = clk }
 
-// Clock reports the owning clock.
-func (c *Conn) Clock() *simnet.VClock { return c.clk }
-
 // Write sends len(b) bytes, charging syscall, copy and per-segment
 // costs, and stamping each segment with its computed arrival time.
 // It never blocks for window space (closed-loop request/response

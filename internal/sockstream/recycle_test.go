@@ -110,7 +110,7 @@ func TestReadDeadlineRequeueKeepsSegment(t *testing.T) {
 	}
 
 	cli.Write([]byte("now"))
-	cli.Clock().Advance(simnet.Millisecond) // "first" lands long after "now"
+	cli.clk.Advance(simnet.Millisecond) // "first" lands long after "now"
 	cli.Write([]byte("first"))
 	if n, err := srv.Read(buf); err != nil || string(buf[:n]) != "now" {
 		t.Fatalf("Read = (%q, %v), want \"now\" alone: \"first\" has not arrived yet", buf[:n], err)

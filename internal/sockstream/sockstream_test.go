@@ -151,8 +151,8 @@ func TestWriteReadRoundtrip(t *testing.T) {
 		t.Fatalf("read %q", buf[:n])
 	}
 	// The receiver's clock advanced past the arrival time.
-	if srv.Clock().Now() <= cli.Clock().Now()-2000 {
-		t.Fatalf("clocks implausible: cli=%v srv=%v", cli.Clock().Now(), srv.Clock().Now())
+	if srv.clk.Now() <= cli.clk.Now()-2000 {
+		t.Fatalf("clocks implausible: cli=%v srv=%v", cli.clk.Now(), srv.clk.Now())
 	}
 }
 
@@ -216,24 +216,24 @@ func TestStreamIntegrityProperty(t *testing.T) {
 func TestCopyAndSyscallCosts(t *testing.T) {
 	e := newEnv(t)
 	cli, srv := connPair(t, e)
-	base := cli.Clock().Now()
+	base := cli.clk.Now()
 	payload := make([]byte, 1000)
 	if _, err := cli.Write(payload); err != nil {
 		t.Fatal(err)
 	}
 	// Send side: syscall 1000 + copy 1000B@2GB/s=500 + PerSegment 100.
-	sendCost := cli.Clock().Now() - base
+	sendCost := cli.clk.Now() - base
 	if sendCost != 1600 {
 		t.Fatalf("send cost = %v, want 1600", sendCost)
 	}
-	srvBase := srv.Clock().Now()
+	srvBase := srv.clk.Now()
 	buf := make([]byte, 2000)
 	if _, err := srv.Read(buf); err != nil {
 		t.Fatal(err)
 	}
 	// Receive side: arrival sync (dominates) + recv syscall + copy.
-	if srv.Clock().Now()-srvBase < 1500+500 {
-		t.Fatalf("recv side charged too little: %v", srv.Clock().Now()-srvBase)
+	if srv.clk.Now()-srvBase < 1500+500 {
+		t.Fatalf("recv side charged too little: %v", srv.clk.Now()-srvBase)
 	}
 }
 
@@ -250,8 +250,8 @@ func TestJitterApplied(t *testing.T) {
 	if _, err := srv.Read(buf); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Clock().Now() < 10*simnet.Millisecond {
-		t.Fatalf("jitter missing: srv clock %v", srv.Clock().Now())
+	if srv.clk.Now() < 10*simnet.Millisecond {
+		t.Fatalf("jitter missing: srv clock %v", srv.clk.Now())
 	}
 }
 
@@ -298,7 +298,7 @@ func TestSetClock(t *testing.T) {
 	cli, srv := connPair(t, e)
 	worker := simnet.NewVClock(12345)
 	srv.SetClock(worker)
-	if srv.Clock() != worker {
+	if srv.clk != worker {
 		t.Fatal("SetClock did not take")
 	}
 	if _, err := cli.Write([]byte("x")); err != nil {

@@ -7,7 +7,7 @@ import "repro/internal/simnet"
 // (TryProgressN) and for pipelined clients (WaitCounterBatch, and Sweep
 // after a post). Sends are never held — a packet is posted when it is
 // built. A batch of one charges exactly what the one-at-a-time harvest
-// (ProgressDeadline) does.
+// (progressDeadline) does.
 
 // TryProgressN processes up to max completions in one batched drain.
 // The drain models a poller that, after doing work, busy-polls for the

@@ -127,7 +127,7 @@ func TestSweepReadsCompletionStamps(t *testing.T) {
 				w.coalesced, drains, w.cliCtx.BatchedDrains())
 		}
 		// Full poll + handler + copy, then half a poll + a quarter handler + copy.
-		cfg := w.cliRT.HCA().Config()
+		cfg := hcaConfig()
 		cp := simnet.BytesDuration(1024, w.cliRT.cfg.PackBytesPerSec)
 		want := cfg.PollOverhead + 400 + cp + cfg.PollOverhead/2 + 100 + cp
 		if got := w.cliClk.Now() - start; got != want {

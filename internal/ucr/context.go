@@ -217,9 +217,6 @@ func (c *Context) Recycle(b []byte) { c.cq.Recycle(b) }
 // round trip is charged to clk; realCap bounds the wait in real time
 // only when the acceptor is a goroutine (verbs.CM.Connect).
 func (rt *Runtime) Dial(ctx *Context, remote *simnet.Node, service string, rel Reliability, clk *simnet.VClock, realCap time.Duration) (*Endpoint, error) {
-	if rt.closed {
-		return nil, ErrClosed
-	}
 	ep, err := ctx.newEndpoint(rel)
 	if err != nil {
 		return nil, err
@@ -254,12 +251,12 @@ func (c *Context) Accept(req *verbs.ConnRequest, clk *simnet.VClock) (*Endpoint,
 	return ep, nil
 }
 
-// ProgressDeadline blocks until one completion is processed — running
+// progressDeadline blocks until one completion is processed — running
 // handlers and bumping counters as the protocol dictates — or the
 // virtual deadline passes, which a genuinely silent peer makes it do as
 // soon as the simulation goes idle (verbs.CQ.WaitDeadline). ok=false
 // without timedOut means the context was destroyed.
-func (c *Context) ProgressDeadline(clk *simnet.VClock, deadline simnet.Time) (ok, timedOut bool) {
+func (c *Context) progressDeadline(clk *simnet.VClock, deadline simnet.Time) (ok, timedOut bool) {
 	wc, ok, timedOut := c.cq.WaitDeadline(clk, deadline)
 	if !ok {
 		return false, timedOut
@@ -477,6 +474,7 @@ func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt *packet) {
 		seq:       pkt.seq,
 	}})
 	c.rdmaReads++
+	ep.reads++
 	err := ep.qp.PostSend(clk, verbs.SendWR{
 		ID:         id,
 		Op:         verbs.OpRDMARead,
@@ -486,6 +484,7 @@ func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt *packet) {
 	})
 	if err != nil {
 		c.posted.take(id)
+		ep.reads--
 		ep.markFailed()
 	}
 }
@@ -493,6 +492,7 @@ func (c *Context) handleRndzHdr(clk *simnet.VClock, ep *Endpoint, pkt *packet) {
 // onPullComplete finishes a rendezvous receive: completion handler,
 // target counter, and the internal ack releasing the origin buffer.
 func (c *Context) onPullComplete(clk *simnet.VClock, wc *verbs.WC, ep *Endpoint, rd *pendingRead) {
+	ep.reads--
 	if wc.Status != verbs.StatusSuccess {
 		ep.markFailed()
 		return

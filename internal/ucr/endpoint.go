@@ -20,6 +20,7 @@ type Endpoint struct {
 	returnCredits int
 	noCredits     bool // SRQ mode: no per-endpoint flow-control window
 	failed        bool
+	reads         int // rendezvous RDMA reads posted, completions not yet processed
 
 	// UserData lets upper layers (the Memcached server) attach
 	// per-endpoint state without a side table.
@@ -46,15 +47,18 @@ func (ep *Endpoint) Failed() bool { return ep.failed }
 
 func (ep *Endpoint) markFailed() { ep.failed = true }
 
+// ReadsInFlight reports the rendezvous RDMA reads this endpoint has
+// posted whose completions the context has not processed yet. Such a
+// read may still succeed and run its completion handler, even on a
+// failed endpoint; one that fails runs none.
+func (ep *Endpoint) ReadsInFlight() int { return ep.reads }
+
 // MarkFailed lets an upper layer that has independently concluded the
 // peer is dead (e.g. an AM-level retry loop exhausting its budget)
 // isolate this endpoint: sends are rejected from now on, while the
 // runtime and every other endpoint keep working (§IV-A: "a client may
 // decide that a server has gone down").
 func (ep *Endpoint) MarkFailed() { ep.markFailed() }
-
-// Credits reports the current send window.
-func (ep *Endpoint) Credits() int { return ep.sendCredits }
 
 // MaxEager reports the largest header+data that travels in one
 // transaction on this endpoint.
@@ -91,7 +95,7 @@ func (ep *Endpoint) waitCredit(clk *simnet.VClock) error {
 		if ep.failed {
 			return ErrEndpointDown
 		}
-		ok, timedOut := ep.ctx.ProgressDeadline(clk, deadline)
+		ok, timedOut := ep.ctx.progressDeadline(clk, deadline)
 		if timedOut {
 			return ErrTimeout
 		}

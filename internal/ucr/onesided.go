@@ -130,23 +130,6 @@ func (ep *Endpoint) oneSided(clk *simnet.VClock, op verbs.Opcode, local []byte, 
 // services, lock managers among them, are built on exactly this).
 // The call blocks, driving progress until the atomic completes.
 func (ep *Endpoint) FetchAdd(clk *simnet.VClock, win WindowDesc, offset int, delta uint64) (uint64, error) {
-	return ep.atomic(clk, verbs.AtomicWR{
-		Op:  verbs.OpAtomicFetchAdd,
-		Add: delta,
-	}, win, offset)
-}
-
-// CompareSwap atomically replaces the 8-byte word at offset with swap
-// if it equals compare, returning the prior value either way.
-func (ep *Endpoint) CompareSwap(clk *simnet.VClock, win WindowDesc, offset int, compare, swap uint64) (uint64, error) {
-	return ep.atomic(clk, verbs.AtomicWR{
-		Op:      verbs.OpAtomicCmpSwap,
-		Compare: compare,
-		Swap:    swap,
-	}, win, offset)
-}
-
-func (ep *Endpoint) atomic(clk *simnet.VClock, wr verbs.AtomicWR, win WindowDesc, offset int) (uint64, error) {
 	if ep.failed {
 		return 0, ErrEndpointDown
 	}
@@ -160,10 +143,7 @@ func (ep *Endpoint) atomic(clk *simnet.VClock, wr verbs.AtomicWR, win WindowDesc
 	done := ep.ctx.rt.NewCounter() // local-only progress counter; never leaves this host
 	defer ep.ctx.rt.FreeCounter(done)
 	id := ep.ctx.posted.put(postedWR{kind: wrOneSided, ep: ep, originCtr: done.ID()})
-	wr.ID = id
-	wr.RemoteAddr = win.Addr + uint64(offset)
-	wr.RKey = win.RKey
-	wr.Result = &result
+	wr := verbs.AtomicWR{ID: id, RemoteAddr: win.Addr + uint64(offset), RKey: win.RKey, Add: delta, Result: &result}
 	if err := ep.qp.PostAtomic(clk, wr); err != nil {
 		ep.ctx.posted.take(id)
 		ep.markFailed()
@@ -179,7 +159,7 @@ func (ep *Endpoint) atomic(clk *simnet.VClock, wr verbs.AtomicWR, win WindowDesc
 			ep.ctx.posted.take(id)
 			return 0, ErrEndpointDown
 		}
-		ok, timedOut := ep.ctx.ProgressDeadline(clk, deadline)
+		ok, timedOut := ep.ctx.progressDeadline(clk, deadline)
 		if timedOut {
 			ep.ctx.posted.take(id)
 			return 0, ErrTimeout

@@ -218,34 +218,8 @@ func TestAtomicFetchAddOverEndpoint(t *testing.T) {
 	if got := binary.LittleEndian.Uint64(buf[8:]); got != 50 {
 		t.Fatalf("cell = %d, want 50", got)
 	}
-}
-
-func TestAtomicCompareSwapOverEndpoint(t *testing.T) {
-	w := newWorld(t, Config{})
-	w.installClientReply()
-	ep := w.dial(t, Reliable)
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, 1)
-	win, err := w.srvRT.CreateWindow(buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer win.Close()
-	desc := win.Desc()
-
-	// Lock acquire: 1 -> 2 succeeds.
-	if prior, err := ep.CompareSwap(w.cliClk, desc, 0, 1, 2); err != nil || prior != 1 {
-		t.Fatalf("CAS = (%d, %v)", prior, err)
-	}
-	// Second acquire fails: prior shows the holder.
-	if prior, err := ep.CompareSwap(w.cliClk, desc, 0, 1, 3); err != nil || prior != 2 {
-		t.Fatalf("contended CAS = (%d, %v)", prior, err)
-	}
-	if got := binary.LittleEndian.Uint64(buf); got != 2 {
-		t.Fatalf("cell = %d", got)
-	}
 	// Bounds check.
-	if _, err := ep.FetchAdd(w.cliClk, desc, 4, 1); err != ErrWindowBounds {
+	if _, err := ep.FetchAdd(w.cliClk, desc, 12, 1); err != ErrWindowBounds {
 		t.Fatalf("overflow = %v", err)
 	}
 	// UD endpoints cannot issue atomics.

@@ -26,8 +26,6 @@ type Runtime struct {
 	ctrFree []uint32
 
 	regs *regCache
-
-	closed bool
 }
 
 // New creates a runtime on the given adapter, using cm for endpoint
@@ -126,11 +124,6 @@ func (rt *Runtime) FreeCounter(c *Counter) {
 	}
 }
 
-// Close marks the runtime closed. Contexts and endpoints created from it
-// keep working until individually closed; Close only blocks new Listen
-// and Dial calls.
-func (rt *Runtime) Close() { rt.closed = true }
-
 // Listener accepts UCR endpoint requests for a service.
 type Listener struct {
 	rt  *Runtime
@@ -139,9 +132,6 @@ type Listener struct {
 
 // Listen binds a UCR service name on this runtime's node.
 func (rt *Runtime) Listen(service string) (*Listener, error) {
-	if rt.closed {
-		return nil, ErrClosed
-	}
 	vl, err := rt.cm.Listen(service)
 	if err != nil {
 		return nil, err

@@ -49,9 +49,7 @@ var (
 	// Distinct from ErrTooLarge so callers can tell "switch to an RC
 	// endpoint" from "shrink the message".
 	ErrNeedReliable = errors.New("ucr: one-sided operation requires a reliable endpoint")
-	ErrNoHandler    = errors.New("ucr: no handler registered for message id")
-	ErrBadHandler   = errors.New("ucr: handler returned undersized buffer")
-	ErrClosed       = errors.New("ucr: runtime closed")
+	ErrClosed       = errors.New("ucr: context destroyed")
 	ErrWindowBounds = errors.New("ucr: one-sided access outside window")
 )
 

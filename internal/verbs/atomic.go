@@ -6,40 +6,31 @@ import (
 	"repro/internal/simnet"
 )
 
-// InfiniBand atomic operations: 64-bit fetch-and-add and compare-and-
-// swap executed by the target HCA on registered memory with no remote
-// software involvement. The paper's related work (§III, Vaidyanathan et
-// al.) builds data-center services — distributed lock management among
-// them — on exactly these verbs; they complete the substrate here.
+// InfiniBand atomic fetch-and-add: a 64-bit add executed by the target
+// HCA on registered memory with no remote software involvement. The
+// paper's related work (§III, Vaidyanathan et al.) builds data-center
+// services — distributed lock management among them — on exactly these
+// verbs; they complete the substrate here.
 //
 // Atomicity is per target HCA: the HCA serializes atomics against each
 // other (as the hardware does), and the verbs layer performs the memory
 // update under that serialization. Concurrent plain RDMA to the same
 // location is, like on real hardware, the caller's problem.
 
-// Atomic opcodes extend the work-request set.
-const (
-	OpAtomicFetchAdd Opcode = 0x10
-	OpAtomicCmpSwap  Opcode = 0x11
-)
+// OpAtomicFetchAdd is the opcode an atomic's completion carries.
+const OpAtomicFetchAdd Opcode = 0x10
 
-// AtomicWR is an atomic work request. The 8-byte result (the prior
-// value at the remote address) lands in Result after the completion is
-// harvested from the send CQ.
+// AtomicWR is a fetch-and-add work request. The 8-byte result (the
+// prior value at the remote address) lands in Result after the
+// completion is harvested from the send CQ.
 type AtomicWR struct {
 	// ID is echoed in the completion.
 	ID uint64
-	// Op is OpAtomicFetchAdd or OpAtomicCmpSwap.
-	Op Opcode
 	// RemoteAddr names an 8-byte-aligned location in a remote MR.
 	RemoteAddr uint64
 	RKey       uint32
-	// Add is the addend for fetch-and-add.
+	// Add is the addend.
 	Add uint64
-	// Compare and Swap drive compare-and-swap: if the remote value
-	// equals Compare it becomes Swap.
-	Compare uint64
-	Swap    uint64
 	// Result receives the prior remote value (written before the WC is
 	// posted; read it only after harvesting the completion).
 	Result *uint64
@@ -54,9 +45,6 @@ func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
 	if q.state != StateRTS {
 		return ErrBadState
 	}
-	if wr.Op != OpAtomicFetchAdd && wr.Op != OpAtomicCmpSwap {
-		return ErrBadState
-	}
 	clk.Advance(q.hca.cfg.PostOverhead)
 	dst, err := q.rdmaPeer(q.remote)
 	if err != nil {
@@ -68,18 +56,18 @@ func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
 	depart := start + cfg.SendProc
 	reqArrive, derr := q.hca.fabric.Deliver(q.hca.node, dst.hca.node, depart, atomicWireBytes)
 	if derr != nil {
-		q.sendCQ.post(WC{ID: wr.ID, Op: wr.Op, Status: StatusTransportError, QPN: q.qpn, Time: depart})
+		q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusTransportError, QPN: q.qpn, Time: depart})
 		return nil
 	}
 
 	mr, ok := dst.hca.lookupMR(wr.RKey)
 	if !ok {
-		q.sendCQ.post(WC{ID: wr.ID, Op: wr.Op, Status: StatusRemoteError, QPN: q.qpn, Time: reqArrive})
+		q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusRemoteError, QPN: q.qpn, Time: reqArrive})
 		return nil
 	}
 	cell, rerr := mr.rdmaRange(wr.RemoteAddr, 8)
 	if rerr != nil || wr.RemoteAddr%8 != 0 {
-		q.sendCQ.post(WC{ID: wr.ID, Op: wr.Op, Status: StatusRemoteError, QPN: q.qpn, Time: reqArrive})
+		q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusRemoteError, QPN: q.qpn, Time: reqArrive})
 		return nil
 	}
 
@@ -90,14 +78,14 @@ func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
 	respDepart := opStart + cfg.RDMAProc
 	respArrive, derr := dst.hca.fabric.Deliver(dst.hca.node, q.hca.node, respDepart, atomicWireBytes)
 	if derr != nil {
-		q.sendCQ.post(WC{ID: wr.ID, Op: wr.Op, Status: StatusTransportError, QPN: q.qpn, Time: respDepart})
+		q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusTransportError, QPN: q.qpn, Time: respDepart})
 		return nil
 	}
 	if wr.Result != nil {
 		*wr.Result = prior
 	}
 	done := q.hca.recvEngine.Acquire(respArrive, cfg.RecvProc) + cfg.RecvProc
-	q.sendCQ.post(WC{ID: wr.ID, Op: wr.Op, Status: StatusSuccess, ByteLen: 8, QPN: q.qpn, Time: done})
+	q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusSuccess, ByteLen: 8, QPN: q.qpn, Time: done})
 	return nil
 }
 
@@ -110,13 +98,6 @@ func (h *HCA) atomicApply(cell []byte, wr AtomicWR) uint64 {
 	}
 	le := binary.LittleEndian
 	prior := le.Uint64(cell)
-	switch wr.Op {
-	case OpAtomicFetchAdd:
-		le.PutUint64(cell, prior+wr.Add)
-	case OpAtomicCmpSwap:
-		if prior == wr.Compare {
-			le.PutUint64(cell, wr.Swap)
-		}
-	}
+	le.PutUint64(cell, prior+wr.Add)
 	return prior
 }

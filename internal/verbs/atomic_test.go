@@ -18,7 +18,7 @@ func TestAtomicFetchAdd(t *testing.T) {
 	}
 	var prior uint64
 	err = p.cliQP.PostAtomic(p.cliClock, AtomicWR{
-		ID: 1, Op: OpAtomicFetchAdd,
+		ID:         1,
 		RemoteAddr: mr.VA() + 8, RKey: mr.RKey(),
 		Add: 42, Result: &prior,
 	})
@@ -41,42 +41,6 @@ func TestAtomicFetchAdd(t *testing.T) {
 	}
 }
 
-func TestAtomicCmpSwap(t *testing.T) {
-	p := newPair(t, 1, 64)
-	buf := make([]byte, 16)
-	binary.LittleEndian.PutUint64(buf, 7)
-	mr, _ := p.srvHCA.RegisterMR(p.srvPD, buf, nil)
-
-	// Matching compare: swaps.
-	var prior uint64
-	if err := p.cliQP.PostAtomic(p.cliClock, AtomicWR{
-		Op: OpAtomicCmpSwap, RemoteAddr: mr.VA(), RKey: mr.RKey(),
-		Compare: 7, Swap: 99, Result: &prior,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != StatusSuccess {
-		t.Fatalf("wc = %+v", wc)
-	}
-	if prior != 7 || binary.LittleEndian.Uint64(buf) != 99 {
-		t.Fatalf("prior=%d cell=%d", prior, binary.LittleEndian.Uint64(buf))
-	}
-
-	// Mismatching compare: no swap, prior still returned.
-	if err := p.cliQP.PostAtomic(p.cliClock, AtomicWR{
-		Op: OpAtomicCmpSwap, RemoteAddr: mr.VA(), RKey: mr.RKey(),
-		Compare: 7, Swap: 1, Result: &prior,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != StatusSuccess {
-		t.Fatalf("wc = %+v", wc)
-	}
-	if prior != 99 || binary.LittleEndian.Uint64(buf) != 99 {
-		t.Fatalf("prior=%d cell=%d after failed CAS", prior, binary.LittleEndian.Uint64(buf))
-	}
-}
-
 func TestAtomicErrors(t *testing.T) {
 	p := newPair(t, 1, 64)
 	buf := make([]byte, 16)
@@ -84,7 +48,7 @@ func TestAtomicErrors(t *testing.T) {
 
 	// Unaligned address.
 	if err := p.cliQP.PostAtomic(p.cliClock, AtomicWR{
-		Op: OpAtomicFetchAdd, RemoteAddr: mr.VA() + 3, RKey: mr.RKey(), Add: 1,
+		RemoteAddr: mr.VA() + 3, RKey: mr.RKey(), Add: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +57,17 @@ func TestAtomicErrors(t *testing.T) {
 	}
 	// Bad rkey.
 	if err := p.cliQP.PostAtomic(p.cliClock, AtomicWR{
-		Op: OpAtomicFetchAdd, RemoteAddr: mr.VA(), RKey: 999999, Add: 1,
+		RemoteAddr: mr.VA(), RKey: 999999, Add: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != StatusRemoteError {
 		t.Fatalf("bad rkey: %+v", wc)
 	}
-	// Non-atomic opcode rejected at post time.
-	if err := p.cliQP.PostAtomic(p.cliClock, AtomicWR{Op: OpSend}); err != ErrBadState {
-		t.Fatalf("bad op err = %v", err)
-	}
 	// Dead peer.
 	p.srvNode.Fail()
 	if err := p.cliQP.PostAtomic(p.cliClock, AtomicWR{
-		Op: OpAtomicFetchAdd, RemoteAddr: mr.VA(), RKey: mr.RKey(), Add: 1,
+		RemoteAddr: mr.VA(), RKey: mr.RKey(), Add: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +124,7 @@ func TestAtomicConcurrentFetchAdd(t *testing.T) {
 	for i := 0; i < perClient; i++ {
 		for c, qp := range qps {
 			if err := qp.PostAtomic(clks[c], AtomicWR{
-				Op: OpAtomicFetchAdd, RemoteAddr: mr.VA(), RKey: mr.RKey(), Add: 1,
+				RemoteAddr: mr.VA(), RKey: mr.RKey(), Add: 1,
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -32,9 +32,6 @@ func NewCM(fabric *simnet.Fabric) *CM {
 	return &CM{fabric: fabric, listeners: make(map[string]*Listener)}
 }
 
-// Fabric reports the fabric this CM serves.
-func (cm *CM) Fabric() *simnet.Fabric { return cm.fabric }
-
 // cmMsgBytes is the on-the-wire size of one management datagram.
 const cmMsgBytes = 64
 
@@ -55,25 +52,25 @@ type connReply struct {
 // RemoteQP reports the dialer's queue pair.
 func (r *ConnRequest) RemoteQP() *QP { return r.fromQP }
 
-// ArriveAt reports the virtual time the request reached the listener.
-func (r *ConnRequest) ArriveAt() simnet.Time { return r.arriveAt }
+// arrival reports the virtual time the request reached the listener.
+func (r *ConnRequest) arrival() simnet.Time { return r.arriveAt }
 
 // Accept completes the handshake: qp (owned by the acceptor, already
 // INIT or later, with receives posted) is paired with the dialer's QP
 // and both ends are driven to RTS. RC queue pairs are wired 1:1; UD
 // queue pairs merely learn each other (the caller builds address handles
 // from the exchanged QPs). The acceptor's clock must already have been
-// synchronized with ArriveAt by Listener.Accept.
+// synchronized with the request's arrival by Listener.Accept.
 func (r *ConnRequest) Accept(qp *QP, clk *simnet.VClock) error {
 	if qp.Type() != r.fromQP.Type() {
 		return ErrBadState
 	}
 	// Drive the local QP to RTS from wherever bring-up left it.
 	for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
-		if qp.State() == StateRTS {
+		if qp.state == StateRTS {
 			break
 		}
-		if err := qp.Modify(st); err != nil && qp.State() != st {
+		if err := qp.Modify(st); err != nil && qp.state != st {
 			return err
 		}
 	}
@@ -131,7 +128,7 @@ func (l *Listener) TryAccept(clk *simnet.VClock) (*ConnRequest, bool) {
 
 // SetOwner makes actor a the listener's acceptor: every request makes a
 // ready, ordered by its arrival.
-func (l *Listener) SetOwner(a *simnet.Actor) { l.queue.SetOwner(a, nil, (*ConnRequest).ArriveAt) }
+func (l *Listener) SetOwner(a *simnet.Actor) { l.queue.SetOwner(a, nil, (*ConnRequest).arrival) }
 
 // Close unregisters the service and wakes pending Accepts.
 func (l *Listener) Close() {
@@ -196,10 +193,10 @@ func (cm *CM) Connect(qp *QP, remote *simnet.Node, service string, clk *simnet.V
 	clk.AdvanceTo(back)
 	// Drive the dialer side to RTS.
 	for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
-		if qp.State() == StateRTS {
+		if qp.state == StateRTS {
 			break
 		}
-		if err := qp.Modify(st); err != nil && qp.State() != st {
+		if err := qp.Modify(st); err != nil && qp.state != st {
 			return nil, err
 		}
 	}

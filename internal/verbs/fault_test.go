@@ -40,7 +40,7 @@ func TestRCRetransmitsThroughLoss(t *testing.T) {
 	if got := p.cliHCA.Retransmits(); got != 1 {
 		t.Fatalf("Retransmits() = %d, want 1", got)
 	}
-	ackTimeout := p.cliHCA.Config().AckTimeout
+	ackTimeout := p.cliHCA.cfg.AckTimeout
 	if rwc.Time < baseWC.Time+ackTimeout {
 		t.Fatalf("retransmitted arrival %d not inflated over baseline %d by AckTimeout %d",
 			rwc.Time, baseWC.Time, ackTimeout)
@@ -63,7 +63,7 @@ func TestRCRetryExhaustion(t *testing.T) {
 	if wc.Status != StatusRetryExceeded {
 		t.Fatalf("status = %v, want retry-exceeded", wc.Status)
 	}
-	if st := p.cliQP.State(); st != StateErr {
+	if st := p.cliQP.state; st != StateErr {
 		t.Fatalf("QP state after retry exhaustion = %v, want ERR", st)
 	}
 	if got := p.cliHCA.Retransmits(); got != retryCount {
@@ -163,7 +163,7 @@ func TestRNRRetryExhaustionIsNonFatal(t *testing.T) {
 	}
 	// QP must NOT be errored by RNR exhaustion (only transport retry
 	// exhaustion kills it); a buffer arriving later lets traffic flow.
-	if st := p.cliQP.State(); st != StateRTS {
+	if st := p.cliQP.state; st != StateRTS {
 		t.Fatalf("QP state after RNR exhaustion = %v, want RTS", st)
 	}
 	if err := p.srvQP.PostRecv(RecvWR{ID: 1, Len: 16}); err != nil {

@@ -84,8 +84,8 @@ func TestRDMAWriteGatherChargeDegenerateDepth1(t *testing.T) {
 
 // The remote window bounds are enforced on the COMBINED gather length:
 // a header that fits where header+value overflows must fail with
-// StatusRemoteError and leave remote memory untouched. A bad RKey fails
-// the same way.
+// StatusRemoteError and leave remote memory untouched. An unknown or a
+// deregistered RKey fails the same way.
 func TestRDMAWriteGatherWindowBounds(t *testing.T) {
 	p := newPair(t, 2, 256)
 	srvBuf := make([]byte, 16)
@@ -110,16 +110,35 @@ func TestRDMAWriteGatherWindowBounds(t *testing.T) {
 			t.Fatal("failed gather write modified remote memory")
 		}
 	}
-	err = p.cliQP.PostSend(p.cliClock, SendWR{
-		ID: 2, Op: OpRDMAWrite, Local: []byte("x"), Local2: []byte("y"),
-		RemoteAddr: srvMR.VA(), RKey: srvMR.RKey() + 0xbad,
-	})
+	goneBuf := make([]byte, 16)
+	gone, err := p.srvHCA.RegisterMR(p.srvPD, goneBuf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, ok = p.cliSend.TryPollWith(p.cliClock)
-	if !ok || wc.Status != StatusRemoteError {
-		t.Fatalf("bad-rkey gather write: ok=%v status=%v, want remote-error", ok, wc.Status)
+	p.srvHCA.DeregisterMR(gone)
+	for _, bad := range []struct {
+		name string
+		addr uint64
+		rkey uint32
+		mem  []byte
+	}{
+		{"unknown rkey", srvMR.VA(), srvMR.RKey() + 0xbad, srvBuf},
+		{"deregistered rkey", gone.VA(), gone.RKey(), goneBuf},
+	} {
+		err = p.cliQP.PostSend(p.cliClock, SendWR{
+			ID: 2, Op: OpRDMAWrite, Local: []byte("x"), Local2: []byte("y"),
+			RemoteAddr: bad.addr, RKey: bad.rkey,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc, ok = p.cliSend.TryPollWith(p.cliClock)
+		if !ok || wc.Status != StatusRemoteError {
+			t.Fatalf("%s gather write: ok=%v status=%v, want remote-error", bad.name, ok, wc.Status)
+		}
+		if bad.mem[0] != 0 {
+			t.Fatalf("%s gather write modified remote memory", bad.name)
+		}
 	}
 }
 
@@ -145,7 +164,7 @@ func TestRDMAWriteGatherRetryExceeded(t *testing.T) {
 	if !ok || wc.Status != StatusRetryExceeded {
 		t.Fatalf("gather write through total loss: ok=%v status=%v, want retry-exceeded", ok, wc.Status)
 	}
-	if st := p.cliQP.State(); st != StateErr {
+	if st := p.cliQP.state; st != StateErr {
 		t.Fatalf("QP state after retry exhaustion = %v, want ERR", st)
 	}
 	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 10, Op: OpRDMAWrite, Local: []byte("x"), RemoteAddr: srvMR.VA(), RKey: srvMR.RKey()}); err != ErrBadState {

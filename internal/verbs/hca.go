@@ -61,9 +61,6 @@ func NewHCA(node *simnet.Node, fabric *simnet.Fabric, cfg Config) *HCA {
 // Fabric reports the fabric this adapter is cabled to.
 func (h *HCA) Fabric() *simnet.Fabric { return h.fabric }
 
-// Config reports the adapter's cost model.
-func (h *HCA) Config() Config { return h.cfg }
-
 // PD is a protection domain. QPs and MRs from different PDs cannot be
 // mixed, mirroring the IB access-control model.
 type PD struct {
@@ -73,16 +70,12 @@ type PD struct {
 // AllocPD creates a protection domain on this adapter.
 func (h *HCA) AllocPD() *PD { return &PD{hca: h} }
 
-// HCA reports the adapter owning this PD.
-func (p *PD) HCA() *HCA { return p.hca }
-
 // MR is a registered (pinned) memory region. Registration assigns a
-// local key, a remote key, and a stable virtual base address usable in
-// RDMA work requests from peers.
+// remote key and a stable virtual base address usable in RDMA work
+// requests from peers.
 type MR struct {
 	pd   *PD
 	buf  []byte
-	lkey uint32
 	rkey uint32
 	va   uint64
 
@@ -96,13 +89,11 @@ func (h *HCA) RegisterMR(pd *PD, buf []byte, clk *simnet.VClock) (*MR, error) {
 	if pd == nil || pd.hca != h {
 		return nil, ErrPDMismatch
 	}
-	lkey := h.nextKey
-	h.nextKey++
-	rkey := h.nextKey
-	h.nextKey++
+	rkey := h.nextKey + 1 // keys come in pairs; the local key is not modeled
+	h.nextKey += 2
 	va := h.nextVA
 	h.nextVA += uint64(len(buf)) + 4096 // guard gap
-	mr := &MR{pd: pd, buf: buf, lkey: lkey, rkey: rkey, va: va}
+	mr := &MR{pd: pd, buf: buf, rkey: rkey, va: va}
 	h.mrs[rkey] = mr
 	if clk != nil {
 		clk.Advance(h.cfg.RegBase + simnet.Duration(float64(len(buf))*h.cfg.RegPerByte))
@@ -111,14 +102,11 @@ func (h *HCA) RegisterMR(pd *PD, buf []byte, clk *simnet.VClock) (*MR, error) {
 }
 
 // DeregisterMR removes the registration; later remote RDMA against it
-// fails with ErrBadKey.
+// completes with StatusRemoteError.
 func (h *HCA) DeregisterMR(mr *MR) {
 	mr.destroyed = true
 	delete(h.mrs, mr.rkey)
 }
-
-// LKey reports the local key.
-func (m *MR) LKey() uint32 { return m.lkey }
 
 // RKey reports the remote key peers use for RDMA.
 func (m *MR) RKey() uint32 { return m.rkey }
@@ -126,38 +114,8 @@ func (m *MR) RKey() uint32 { return m.rkey }
 // VA reports the region's virtual base address.
 func (m *MR) VA() uint64 { return m.va }
 
-// Len reports the region length.
-func (m *MR) Len() int { return len(m.buf) }
-
 // Bytes exposes the registered memory.
 func (m *MR) Bytes() []byte { return m.buf }
-
-// Addr computes the RDMA-visible address of buf, which must be a
-// sub-slice of the registered region.
-func (m *MR) Addr(buf []byte) (uint64, error) {
-	off, err := m.offsetOf(buf)
-	if err != nil {
-		return 0, err
-	}
-	return m.va + uint64(off), nil
-}
-
-// offsetOf locates buf inside the region in O(1): a sub-slice keeps the
-// backing array's tail capacity, so the offset is the capacity delta.
-// Pointer identity of the first element verifies the aliasing.
-func (m *MR) offsetOf(buf []byte) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	if len(m.buf) == 0 {
-		return 0, ErrOutOfBounds
-	}
-	off := cap(m.buf) - cap(buf)
-	if off < 0 || off+len(buf) > len(m.buf) || &m.buf[off] != &buf[0] {
-		return 0, ErrOutOfBounds
-	}
-	return off, nil
-}
 
 // lookupMR resolves an rkey to a live MR.
 func (h *HCA) lookupMR(rkey uint32) (*MR, bool) {

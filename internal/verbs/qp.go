@@ -44,9 +44,6 @@ func (q *QP) Type() QPType { return q.typ }
 // HCA reports the owning adapter.
 func (q *QP) HCA() *HCA { return q.hca }
 
-// State reports the current state.
-func (q *QP) State() QPState { return q.state }
-
 // Modify transitions the state machine, enforcing the legal bring-up
 // order RESET→INIT→RTR→RTS (any state may move to ERR, and ERR→RESET
 // recycles the QP).
@@ -494,9 +491,6 @@ type SRQ struct {
 // DefaultSRQCap bounds an SRQ created without an explicit capacity.
 const DefaultSRQCap = 4096
 
-// CreateSRQ allocates a shared receive queue with the default capacity.
-func (h *HCA) CreateSRQ() *SRQ { return h.CreateSRQSized(DefaultSRQCap) }
-
 // CreateSRQSized allocates a shared receive queue holding at most cap
 // posted receives (cap <= 0 selects the default).
 func (h *HCA) CreateSRQSized(cap int) *SRQ {
@@ -505,9 +499,6 @@ func (h *HCA) CreateSRQSized(cap int) *SRQ {
 	}
 	return &SRQ{hca: h, cap: cap}
 }
-
-// Cap reports the ring capacity.
-func (s *SRQ) Cap() int { return s.cap }
 
 // Post adds a receive to the shared pool; ErrSRQFull when the ring is
 // at capacity (the work request is not queued).
@@ -518,8 +509,5 @@ func (s *SRQ) Post(wr RecvWR) error {
 	s.q.push(wr)
 	return nil
 }
-
-// Len reports posted receives not yet consumed.
-func (s *SRQ) Len() int { return s.q.n }
 
 func (s *SRQ) pop() (RecvWR, bool) { return s.q.pop() }

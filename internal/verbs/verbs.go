@@ -91,11 +91,9 @@ func (s Status) String() string {
 var (
 	ErrBadState     = errors.New("verbs: queue pair in wrong state")
 	ErrPDMismatch   = errors.New("verbs: protection domain mismatch")
-	ErrBadKey       = errors.New("verbs: invalid memory key")
 	ErrOutOfBounds  = errors.New("verbs: access outside registered region")
 	ErrTooLarge     = errors.New("verbs: message exceeds transport limit")
 	ErrNoAddress    = errors.New("verbs: UD send requires an address handle")
-	ErrQPDestroyed  = errors.New("verbs: queue pair destroyed")
 	ErrNotConnected = errors.New("verbs: RC queue pair not connected")
 	ErrSRQFull      = errors.New("verbs: shared receive queue ring full")
 )

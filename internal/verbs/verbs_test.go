@@ -120,8 +120,8 @@ func TestQPStateMachine(t *testing.T) {
 	cq := h.CreateCQ()
 	qp := h.NewQP(RC, cq, cq)
 
-	if qp.State() != StateReset {
-		t.Fatalf("initial state = %v", qp.State())
+	if qp.state != StateReset {
+		t.Fatalf("initial state = %v", qp.state)
 	}
 	// Skipping INIT is illegal.
 	if err := qp.Modify(StateRTR); err != ErrBadState {
@@ -190,23 +190,10 @@ func TestMRRegistration(t *testing.T) {
 	if clk.Now() != 3048 {
 		t.Fatalf("registration cost = %v, want 3048", clk.Now())
 	}
-	if mr.Len() != 4096 || mr.LKey() == 0 || mr.RKey() == 0 || mr.VA() == 0 {
+	if len(mr.Bytes()) != 4096 || mr.RKey() == 0 || mr.VA() == 0 {
 		t.Fatalf("bad MR: %+v", mr)
 	}
 
-	// Addr of a sub-slice.
-	sub := buf[100:200]
-	addr, err := mr.Addr(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addr != mr.VA()+100 {
-		t.Fatalf("Addr = %v, want %v", addr, mr.VA()+100)
-	}
-	// Foreign buffer is rejected.
-	if _, err := mr.Addr(make([]byte, 10)); err != ErrOutOfBounds {
-		t.Fatalf("foreign Addr err = %v, want ErrOutOfBounds", err)
-	}
 	// Range checks.
 	if _, err := mr.rdmaRange(mr.VA(), 4096); err != nil {
 		t.Fatalf("full range: %v", err)
@@ -557,7 +544,7 @@ func TestUDSendAndDrop(t *testing.T) {
 func TestSRQSharedAcrossQPs(t *testing.T) {
 	p := newPair(t, 0, 0)
 	// New server-side QPs draw from one SRQ.
-	srq := p.srvHCA.CreateSRQ()
+	srq := p.srvHCA.CreateSRQSized(0)
 	scq := p.srvHCA.CreateCQ()
 	q1 := p.srvHCA.NewQPWithSRQ(RC, scq, scq, srq)
 	q2 := p.srvHCA.NewQPWithSRQ(RC, scq, scq, srq)
@@ -574,15 +561,15 @@ func TestSRQSharedAcrossQPs(t *testing.T) {
 	if err := srq.Post(RecvWR{ID: 2, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
-	if srq.Len() != 2 {
-		t.Fatalf("SRQ len = %d", srq.Len())
+	if srq.q.n != 2 {
+		t.Fatalf("SRQ len = %d", srq.q.n)
 	}
 	// Posting to a QP with an SRQ attached routes to the shared ring.
 	if err := q1.PostRecv(RecvWR{ID: 3, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
-	if srq.Len() != 3 {
-		t.Fatalf("SRQ len after QP-routed post = %d, want 3", srq.Len())
+	if srq.q.n != 3 {
+		t.Fatalf("SRQ len after QP-routed post = %d, want 3", srq.q.n)
 	}
 	if _, ok := srq.pop(); !ok {
 		t.Fatal("pop failed")
@@ -598,8 +585,8 @@ func TestSRQSharedAcrossQPs(t *testing.T) {
 	if err := p.cliQP.PostSend(p.cliClock, SendWR{Op: OpSend, Local: []byte("two")}); err != nil {
 		t.Fatal(err)
 	}
-	if srq.Len() != 0 {
-		t.Fatalf("SRQ len after sends = %d", srq.Len())
+	if srq.q.n != 0 {
+		t.Fatalf("SRQ len after sends = %d", srq.q.n)
 	}
 	seen := map[uint32]bool{}
 	srvClk := simnet.NewVClock(0)
@@ -621,8 +608,8 @@ func TestSRQSharedAcrossQPs(t *testing.T) {
 func TestSRQRingFull(t *testing.T) {
 	p := newPair(t, 0, 0)
 	srq := p.srvHCA.CreateSRQSized(2)
-	if srq.Cap() != 2 {
-		t.Fatalf("Cap() = %d, want 2", srq.Cap())
+	if srq.cap != 2 {
+		t.Fatalf("cap = %d, want 2", srq.cap)
 	}
 	for i := 0; i < 2; i++ {
 		if err := srq.Post(RecvWR{ID: uint64(i), Len: 16}); err != nil {
@@ -632,8 +619,8 @@ func TestSRQRingFull(t *testing.T) {
 	if err := srq.Post(RecvWR{ID: 9, Len: 16}); err != ErrSRQFull {
 		t.Fatalf("post beyond cap: err = %v, want ErrSRQFull", err)
 	}
-	if srq.Len() != 2 {
-		t.Fatalf("failed post changed ring: len = %d", srq.Len())
+	if srq.q.n != 2 {
+		t.Fatalf("failed post changed ring: len = %d", srq.q.n)
 	}
 	// The QP-routed path surfaces the same error.
 	scq := p.srvHCA.CreateCQ()
@@ -650,9 +637,9 @@ func TestSRQRingFull(t *testing.T) {
 	if err := srq.Post(RecvWR{ID: 11, Len: 16}); err != nil {
 		t.Fatalf("post after pop: %v", err)
 	}
-	// Default-capacity constructor still works for existing callers.
-	if c := p.srvHCA.CreateSRQ().Cap(); c != DefaultSRQCap {
-		t.Fatalf("CreateSRQ().Cap() = %d, want %d", c, DefaultSRQCap)
+	// A capacity <= 0 selects the default.
+	if c := p.srvHCA.CreateSRQSized(0).cap; c != DefaultSRQCap {
+		t.Fatalf("CreateSRQSized(0).cap = %d, want %d", c, DefaultSRQCap)
 	}
 }
 
@@ -698,8 +685,8 @@ func TestSRQZeroCredit(t *testing.T) {
 	if !ok || rwc.Status != StatusSuccess || string(rwc.Buf) != "served" {
 		t.Fatalf("recv wc = %+v", rwc)
 	}
-	if srq.Len() != 0 {
-		t.Fatalf("SRQ len = %d after consume", srq.Len())
+	if srq.q.n != 0 {
+		t.Fatalf("SRQ len = %d after consume", srq.q.n)
 	}
 }
 
