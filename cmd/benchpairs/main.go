@@ -19,8 +19,17 @@
 // It exits 1 when a metric is worse or the change fails a larger share
 // of its operations than the parent.
 //
+// With -gobench <pkg>:<regexp> it runs a package's Go benchmarks instead
+// (go test -bench <regexp> -benchtime <seconds>s in <pkg>), in the same
+// alternating pairs, and prints per benchmark each side's median and
+// quartiles of ns/op and vns/op and the pairs the change won. Both sides
+// run the working tree's test files of <pkg>, copied over the parent's,
+// so they differ only in product code and a benchmark added by the
+// change runs at the parent too.
+//
 //	go run ./cmd/benchpairs -parent HEAD~1 -workload ucr_get4k_w4 -pairs 10 -seconds 15 -seed 7
 //	go run ./cmd/benchpairs -parent main                       # every workload in BENCHMARK.json
+//	go run ./cmd/benchpairs -parent HEAD~1 -gobench ./internal/mcclient:'UCRGetInto$' -seconds 2
 package main
 
 import (
@@ -43,13 +52,20 @@ func main() {
 		pairs    = flag.Int("pairs", 10, "pairs of runs per workload")
 		seconds  = flag.Int("seconds", 15, "the benchmark's -seconds for every run")
 		seed     = flag.Uint64("seed", 42, "the benchmark's -seed for every run")
+		gobench  = flag.String("gobench", "", "<pkg>:<regexp>: run that package's Go benchmarks instead of the repo's benchmark")
 	)
 	flag.Parse()
 	if *parent == "" || *pairs < 1 {
 		fmt.Fprintln(os.Stderr, "benchpairs: -parent is required and -pairs must be at least 1")
 		os.Exit(2)
 	}
-	worse, err := run(os.Stdout, *parent, *workload, *pairs, *seconds, *seed)
+	var worse bool
+	var err error
+	if *gobench != "" {
+		err = runGoBench(os.Stdout, *parent, *gobench, *pairs, *seconds)
+	} else {
+		worse, err = run(os.Stdout, *parent, *workload, *pairs, *seconds, *seed)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpairs:", err)
 		os.Exit(2)
@@ -111,15 +127,10 @@ func run(w io.Writer, parent, workloads string, pairs, seconds int, seed uint64)
 		return false, err
 	}
 	defer os.RemoveAll(tmp)
-	old := side{name: "parent " + parent, dir: filepath.Join(tmp, "parent"), bin: filepath.Join(tmp, "parent.bin")}
-	if err := export(parent, old.dir); err != nil {
-		return false, err
-	}
-	wd, err := os.Getwd()
+	old, cur, err := checkouts(parent, tmp)
 	if err != nil {
 		return false, err
 	}
-	cur := side{name: "working tree", dir: wd, bin: filepath.Join(tmp, "change.bin")}
 	for _, s := range []side{old, cur} {
 		if err := build(s); err != nil {
 			return false, err
@@ -147,6 +158,18 @@ func run(w io.Writer, parent, workloads string, pairs, seconds int, seed uint64)
 		}
 	}
 	return worse, nil
+}
+
+// checkouts exports parent's committed files under tmp and names the
+// two sides, each with a binary path under tmp.
+func checkouts(parent, tmp string) (old, cur side, err error) {
+	old = side{name: "parent " + parent, dir: filepath.Join(tmp, "parent"), bin: filepath.Join(tmp, "parent.bin")}
+	if err := export(parent, old.dir); err != nil {
+		return old, cur, err
+	}
+	wd, err := os.Getwd()
+	cur = side{name: "working tree", dir: wd, bin: filepath.Join(tmp, "change.bin")}
+	return old, cur, err
 }
 
 // export writes rev's committed files into dir.

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestQuantileInterpolates(t *testing.T) {
 	s := []float64{1, 2, 3, 4}
@@ -33,5 +36,23 @@ func TestJudgeVerdicts(t *testing.T) {
 		if j.verdict != c.want || j.wins != c.wins {
 			t.Errorf("%s: verdict %s with %d wins, want %s with %d", c.name, j.verdict, j.wins, c.want, c.wins)
 		}
+	}
+}
+
+func TestParseGoBench(t *testing.T) {
+	out := []byte(`goos: linux
+BenchmarkUCRGetInto-2             	  992457	      1167 ns/op	       0 B/op	       0 allocs/op
+BenchmarkUCRPipelineGetInto4K-2   	  702812	      1687 ns/op	      2097 vns/op	     160 B/op	       1 allocs/op
+BenchmarkLookup   	  100	      12.5 ns/op
+PASS
+`)
+	got := parseGoBench(out)
+	want := []goBenchResult{
+		{"BenchmarkUCRGetInto", map[string]float64{"ns/op": 1167}},
+		{"BenchmarkUCRPipelineGetInto4K", map[string]float64{"ns/op": 1687, "vns/op": 2097}},
+		{"BenchmarkLookup", map[string]float64{"ns/op": 12.5}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseGoBench = %+v, want %+v", got, want)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // absorbs the wire-side landing), so the steady-state hit path stops
 // allocating per op. Compare allocs/op:
 //
-//	go test -bench 'UCRGet' -benchmem ./internal/mcclient/
+//	go test -bench 'UCRGet|UCRPipeline' -benchmem ./internal/mcclient/
 
 func benchStack(b testing.TB) (*UCRTransport, *simnet.VClock) {
 	st := newStack(b)
@@ -63,5 +63,54 @@ func BenchmarkUCRGetMulti(b *testing.B) {
 		if err != nil || len(got) != 1 {
 			b.Fatalf("GetMulti = (%v, %v)", got, err)
 		}
+	}
+}
+
+// BenchmarkUCRPipelineGetInto4K keeps a window of four 4 KB GETs in
+// flight on one connection, each landing in a lent buffer of its slot:
+// before each issue past the window it waits for the oldest reply, so
+// the window slides. The value is eager (under the 8 KB threshold), so
+// copies, link serialization and CQ batching do the work. vns/op is the
+// client's virtual time per GET.
+func BenchmarkUCRPipelineGetInto4K(b *testing.B) {
+	const window, size = 4, 4096
+	st := newStack(b)
+	tr, _ := st.ucrClient(b)
+	b.Cleanup(tr.Close)
+	clk := simnet.NewVClock(0)
+	if _, err := tr.Set(clk, "bench4k", 0, 0, make([]byte, size)); err != nil {
+		b.Fatal(err)
+	}
+	pipe := tr.Pipeline(window)
+	var bufs [window][]byte
+	var futs [window]*GetFuture
+	for i := range bufs {
+		bufs[i] = make([]byte, 0, size)
+	}
+	wait := func(slot int) {
+		if v, _, _, hit, err := futs[slot].Wait(clk); err != nil || !hit || len(v) != size {
+			b.Fatalf("Wait = (%d, %v, %v)", len(v), hit, err)
+		}
+	}
+	get := func(i int) {
+		slot := i % window
+		if i >= window {
+			wait(slot)
+		}
+		futs[slot] = pipe.StartGetInto(clk, "bench4k", bufs[slot])
+	}
+	for i := 0; i < 2*window; i++ { // warm the op and buffer pools
+		get(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	t0 := clk.Now()
+	for i := 2 * window; i < 2*window+b.N; i++ {
+		get(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(clk.Now()-t0)/float64(b.N), "vns/op")
+	for slot := range futs {
+		wait(slot)
 	}
 }

@@ -190,9 +190,12 @@ func (r *Ring) Members() []string {
 }
 
 // keyPoint is the ketama key hash: the first 4 bytes of md5(key),
-// little-endian — identical to the original mcclient lookup.
+// little-endian — identical to the original mcclient lookup. A key of
+// memcached's longest legal length (250 bytes) is hashed from the
+// stack, so a lookup allocates nothing.
 func keyPoint(key string) uint32 {
-	sum := md5.Sum([]byte(key))
+	var buf [250]byte
+	sum := md5.Sum(append(buf[:0], key...))
 	return binary.LittleEndian.Uint32(sum[:])
 }
 

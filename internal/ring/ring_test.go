@@ -1,9 +1,12 @@
 package ring
 
 import (
+	"crypto/md5"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -260,4 +263,26 @@ func FuzzKetamaRing(f *testing.F) {
 			t.Fatalf("Build(%v) differs from the ring %v built", members, ops)
 		}
 	})
+}
+
+// TestLookupZeroAlloc: keys up to memcached's 250-byte limit hash from
+// the stack — lengths past the compiler's 32-byte conversion buffer
+// included — so placing one allocates nothing, and the point is still
+// md5's.
+func TestLookupZeroAlloc(t *testing.T) {
+	r := Build(DefaultVNodes, names(4))
+	buf := make([]string, 0, 2)
+	for _, size := range []int{17, 33, 250} {
+		key := strings.Repeat("k", size)
+		if n := testing.AllocsPerRun(100, func() { r.Lookup(key) }); n != 0 {
+			t.Errorf("Lookup of a %d-byte key: %v allocs, want 0", size, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { buf = r.AppendOwners(buf[:0], key, 2) }); n != 0 {
+			t.Errorf("AppendOwners of a %d-byte key: %v allocs, want 0", size, n)
+		}
+		sum := md5.Sum([]byte(key))
+		if got, want := keyPoint(key), binary.LittleEndian.Uint32(sum[:]); got != want {
+			t.Errorf("%d-byte key hashes to %#x, want md5's %#x", size, got, want)
+		}
+	}
 }

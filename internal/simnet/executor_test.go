@@ -14,7 +14,7 @@ type stamped struct {
 	v     int
 }
 
-func stampOf(m stamped) Time { return m.at }
+func stampOf(m *stamped) Time { return m.at }
 
 // echoActor registers an actor that answers every request on in with
 // v+1 and counts its steps.

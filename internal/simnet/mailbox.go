@@ -27,7 +27,7 @@ type Mailbox[T any] struct {
 	receiver
 	buf   []T // ring storage; len(buf) is the capacity
 	head  int // index of the oldest queued message
-	stamp func(T) Time
+	stamp func(*T) Time
 }
 
 // receiver is the part of a mailbox that does not depend on the message
@@ -60,10 +60,10 @@ func NewMailboxOn[T any](ex *Executor) *Mailbox[T] {
 
 // SetOwner hands the mailbox to actor a, on whose executor it must have
 // been made: from now on a Put or Close makes a ready, ordered by
-// stamp(msg) (nil: stamp 0), and only a's step may receive from it. A
+// stamp(&msg) (nil: stamp 0), and only a's step may receive from it. A
 // non-nil tag lists the mailbox in a.TakeReady whenever it changes.
 // Messages already queued count.
-func (m *Mailbox[T]) SetOwner(a *Actor, tag any, stamp func(T) Time) {
+func (m *Mailbox[T]) SetOwner(a *Actor, tag any, stamp func(*T) Time) {
 	if m.ex != a.ex {
 		panic("simnet: mailbox and owner are on different executors")
 	}
@@ -135,13 +135,14 @@ func (m *Mailbox[T]) put(msg T) {
 	if m.n == len(m.buf) {
 		m.grow()
 	}
-	m.buf[(m.head+m.n)%len(m.buf)] = msg
+	slot := &m.buf[(m.head+m.n)%len(m.buf)]
+	*slot = msg
 	m.n++
 	var at Time
 	if m.owner != nil {
 		m.owner.pending++
 		if m.stamp != nil {
-			at = m.stamp(msg)
+			at = m.stamp(slot)
 		}
 	}
 	m.changed(at, false)
@@ -171,79 +172,90 @@ func (m *Mailbox[T]) PutFront(msg T) {
 	}
 }
 
-// TryRecv removes the head message if one is present.
+// Every receive moves the head message into a *T its caller supplies
+// (the ...Into forms and TryRecvBy), so a message is copied once, out of
+// the ring into the receiving frame. The forms returning a message are
+// one-line wrappers for callers that want it by value.
+
+// TryRecv is TryRecvInto returning the message.
+func (m *Mailbox[T]) TryRecv() (msg T, ok, closed bool) { ok, closed = m.TryRecvInto(&msg); return }
+
+// TryRecvInto moves the head message into *dst if one is present.
 // ok=false means empty; closed reports whether the mailbox is closed.
-func (m *Mailbox[T]) TryRecv() (msg T, ok, closed bool) {
+func (m *Mailbox[T]) TryRecvInto(dst *T) (ok, closed bool) {
 	m.ex.mu.Lock()
 	defer m.ex.mu.Unlock()
-	return m.take()
+	return m.take(dst)
 }
 
-// TryRecvBy is TryRecv for a receiver not yet entitled to a message
+// TryRecvBy is TryRecvInto for a receiver not yet entitled to a message
 // stamped after t: such a head stays queued, in one lock hold. It also
 // reports whether the queue is empty as it returns, so a drain that ran
 // it dry knows without probing again.
-func (m *Mailbox[T]) TryRecvBy(t Time, stamp func(T) Time) (msg T, ok, empty bool) {
+func (m *Mailbox[T]) TryRecvBy(t Time, stamp func(*T) Time, dst *T) (ok, empty bool) {
 	m.ex.mu.Lock()
 	defer m.ex.mu.Unlock()
-	if m.n > 0 && stamp(m.buf[m.head]) <= t {
-		msg, ok, _ = m.take()
+	if m.n > 0 && stamp(&m.buf[m.head]) <= t {
+		ok, _ = m.take(dst)
 	}
-	return msg, ok, m.n == 0
+	return ok, m.n == 0
 }
 
-// take is TryRecv with ex.mu held.
-func (m *Mailbox[T]) take() (msg T, ok, closed bool) {
-	if m.n > 0 {
-		msg = m.buf[m.head]
-		// Avoid retaining the element.
-		var zero T
-		m.buf[m.head] = zero
-		m.head = (m.head + 1) % len(m.buf)
-		m.n--
-		if m.owner != nil {
-			m.owner.pending--
-		}
-		m.release()
-		return msg, true, m.closed
+// take is TryRecvInto with ex.mu held: the one place a message leaves
+// the ring.
+func (m *Mailbox[T]) take(dst *T) (ok, closed bool) {
+	if m.n == 0 {
+		return false, m.closed
 	}
-	return msg, false, m.closed
+	*dst = m.buf[m.head]
+	// Avoid retaining the element.
+	var zero T
+	m.buf[m.head] = zero
+	m.head = (m.head + 1) % len(m.buf)
+	m.n--
+	if m.owner != nil {
+		m.owner.pending--
+	}
+	m.release()
+	return true, m.closed
 }
 
 // Recv blocks until a message is available or the mailbox is closed and
 // drained. ok=false means closed-and-empty. It is the receive to use when
 // the sender may be a goroutine that has simply not sent yet.
-func (m *Mailbox[T]) Recv() (msg T, ok bool) {
-	msg, ok, _ = m.recv(false, 0)
-	return msg, ok
-}
+func (m *Mailbox[T]) Recv() (msg T, ok bool) { ok, _ = m.recv(&msg, false, 0); return }
 
-// RecvIdle is Recv for a wait that has a failure path: it steps actors
-// the same way but, where Recv would park for good, returns idle=true
-// once the simulation is quiescent — no actor of the executor is ready
-// or running and no parked caller has a message to act on, so nothing
-// in view can ever send. A dead peer is thus found without consulting
-// any clock; the caller decides what the silence costs in virtual time.
-func (m *Mailbox[T]) RecvIdle() (msg T, ok, idle bool) { return m.recv(true, 0) }
+// RecvIdleInto is Recv into *dst for a wait that has a failure path: it
+// steps actors the same way but, where Recv would park for good,
+// returns idle=true once the simulation is quiescent — no actor of the
+// executor is ready or running and no parked caller has a message to
+// act on, so nothing in view can ever send. A dead peer is thus found
+// without consulting any clock; the caller decides what the silence
+// costs in virtual time.
+func (m *Mailbox[T]) RecvIdleInto(dst *T) (ok, idle bool) { return m.recv(dst, true, 0) }
+
+// RecvIdle is RecvIdleInto returning the message.
+func (m *Mailbox[T]) RecvIdle() (msg T, ok, idle bool) { ok, idle = m.recv(&msg, true, 0); return }
 
 // RecvTimeout is Recv with a real-time cap on the time spent parked
 // (d <= 0: none). It exists for the one wait the idle rule cannot
 // decide: a dial whose acceptor is a goroutine that may not have
 // started. ok=false with timedOut=true reports the cap fired.
 func (m *Mailbox[T]) RecvTimeout(d time.Duration) (msg T, ok, timedOut bool) {
-	return m.recv(false, d)
+	ok, timedOut = m.recv(&msg, false, d)
+	return
 }
 
 // recv is the one blocking receive: one hold of ex.mu covers the check,
 // the wait and the take.
-func (m *Mailbox[T]) recv(idle bool, d time.Duration) (msg T, ok, gaveUp bool) {
+func (m *Mailbox[T]) recv(dst *T, idle bool, d time.Duration) (ok, gaveUp bool) {
 	m.ex.mu.Lock()
 	defer m.ex.mu.Unlock()
 	if !m.arrived() && m.ex.await(&m.receiver, idle, d) {
-		return msg, false, true
+		return false, true
 	}
-	msg, ok, _ = m.take()
-	return msg, ok, false
+	ok, _ = m.take(dst)
+	return ok, false
 }
 
 // Owned reports whether an actor receives from the mailbox (SetOwner).

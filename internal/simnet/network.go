@@ -73,8 +73,10 @@ type Fabric struct {
 	spec FabricSpec
 	net  *Network
 
-	up   map[*Node]*Resource // node → switch
-	down map[*Node]*Resource // switch → node
+	// The links of each attached node, indexed by Node.id (nil:
+	// unattached): a delivery finds both ends without a map lookup.
+	up   []*Resource // node → switch
+	down []*Resource // switch → node
 
 	// faults, when non-nil, makes DeliverFaulty lossy. Plain Deliver
 	// (used by connection setup paths) is never affected.
@@ -89,12 +91,7 @@ func (nw *Network) AddFabric(spec FabricSpec) *Fabric {
 	if spec.MTU <= 0 {
 		spec.MTU = 1 << 30
 	}
-	f := &Fabric{
-		spec: spec,
-		net:  nw,
-		up:   make(map[*Node]*Resource),
-		down: make(map[*Node]*Resource),
-	}
+	f := &Fabric{spec: spec, net: nw}
 	nw.fabrics[spec.Name] = f
 	return f
 }
@@ -108,16 +105,22 @@ func (f *Fabric) Executor() *Executor { return f.net.exec }
 
 // Attach connects a node to the fabric (plugs in a NIC/HCA).
 func (f *Fabric) Attach(n *Node) {
-	if _, ok := f.up[n]; ok {
+	for len(f.up) <= n.id {
+		f.up, f.down = append(f.up, nil), append(f.down, nil)
+	}
+	if f.up[n.id] != nil {
 		return
 	}
-	f.up[n] = NewResource(f.spec.Name + "/" + n.name + "/up")
-	f.down[n] = NewResource(f.spec.Name + "/" + n.name + "/down")
+	f.up[n.id] = NewResource(f.spec.Name + "/" + n.name + "/up")
+	f.down[n.id] = NewResource(f.spec.Name + "/" + n.name + "/down")
 }
 
 // links returns the two resources for a node, or nil if unattached.
 func (f *Fabric) links(n *Node) (up, down *Resource) {
-	return f.up[n], f.down[n]
+	if n.id >= len(f.up) {
+		return nil, nil
+	}
+	return f.up[n.id], f.down[n.id]
 }
 
 // ErrUnreachable is returned by Deliver when either end is unattached or
@@ -224,13 +227,13 @@ func (f *Fabric) DeliverFaulty(from, to *Node, sendAt Time, bytes int) (arrive T
 // Utilization reports busy time per link resource, keyed by resource name.
 func (f *Fabric) Utilization() map[string]Duration {
 	out := make(map[string]Duration, len(f.up)*2)
-	for _, r := range f.up {
-		busy, _ := r.Stats()
-		out[r.name] = busy
-	}
-	for _, r := range f.down {
-		busy, _ := r.Stats()
-		out[r.name] = busy
+	for _, links := range [][]*Resource{f.up, f.down} {
+		for _, r := range links {
+			if r != nil { // nil: an unattached id
+				busy, _ := r.Stats()
+				out[r.name] = busy
+			}
+		}
 	}
 	return out
 }

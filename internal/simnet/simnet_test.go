@@ -335,12 +335,24 @@ func TestNetworkTopology(t *testing.T) {
 	if a.id != 0 || b.id != 1 {
 		t.Fatalf("IDs = %d, %d", a.id, b.id)
 	}
-	if f.up[a] == nil {
+	if f.up[a.id] == nil || f.down[b.id] == nil {
 		t.Fatal("a should be attached")
 	}
 	util := f.Utilization()
 	if len(util) != 4 {
 		t.Fatalf("Utilization entries = %d, want 4", len(util))
+	}
+	// An id past an unattached one: the gap is skipped, not reported.
+	loose, d := nw.AddNode("loose"), nw.AddNode("d")
+	f.Attach(d)
+	if up, down := f.links(loose); up != nil || down != nil {
+		t.Fatal("unattached node has links")
+	}
+	if _, err := f.Deliver(a, loose, 0, 1); err == nil {
+		t.Fatal("delivery to an unattached node succeeded")
+	}
+	if util := f.Utilization(); len(util) != 6 {
+		t.Fatalf("Utilization entries with an unattached id = %d, want 6", len(util))
 	}
 }
 
@@ -375,19 +387,20 @@ func TestMailboxFIFO(t *testing.T) {
 // call reports whether the queue is empty as it returns.
 func TestMailboxTryRecvBy(t *testing.T) {
 	m := NewMailbox[Time]()
-	stamp := func(v Time) Time { return v }
-	if _, ok, empty := m.TryRecvBy(100, stamp); ok || !empty {
+	stamp := func(v *Time) Time { return *v }
+	var v Time
+	if ok, empty := m.TryRecvBy(100, stamp, &v); ok || !empty {
 		t.Fatalf("empty mailbox: ok %v, empty %v", ok, empty)
 	}
 	m.Put(50)
 	m.Put(200)
-	if v, ok, empty := m.TryRecvBy(100, stamp); !ok || v != 50 || empty {
+	if ok, empty := m.TryRecvBy(100, stamp, &v); !ok || v != 50 || empty {
 		t.Fatalf("TryRecvBy(100) = (%v, %v, empty %v), want (50, true, false)", v, ok, empty)
 	}
-	if _, ok, empty := m.TryRecvBy(100, stamp); ok || empty {
-		t.Fatalf("future head: ok %v, empty %v; want it left queued", ok, empty)
+	if ok, empty := m.TryRecvBy(100, stamp, &v); ok || empty || v != 50 {
+		t.Fatalf("future head: ok %v, empty %v, dst %v; want it left queued and dst untouched", ok, empty, v)
 	}
-	if v, ok, empty := m.TryRecvBy(200, stamp); !ok || v != 200 || !empty {
+	if ok, empty := m.TryRecvBy(200, stamp, &v); !ok || v != 200 || !empty {
 		t.Fatalf("TryRecvBy(200) = (%v, %v, empty %v), want (200, true, true)", v, ok, empty)
 	}
 }

@@ -207,7 +207,7 @@ func (l *Listener) TryAccept(clk *simnet.VClock) (*Conn, bool) {
 // SetOwner makes actor a the listener's acceptor: every SYN makes a
 // ready, ordered by its arrival.
 func (l *Listener) SetOwner(a *simnet.Actor) {
-	l.queue.SetOwner(a, nil, func(req *dialReq) simnet.Time { return req.arrive })
+	l.queue.SetOwner(a, nil, func(req **dialReq) simnet.Time { return (*req).arrive })
 }
 
 func (l *Listener) complete(req *dialReq, clk *simnet.VClock) *Conn {
@@ -457,7 +457,8 @@ func (c *Conn) arrived(seg segment) {
 	c.clk.Advance(p.RecvSyscall)
 	c.buffer(seg)
 	for {
-		more, ok, empty := c.ep.in.TryRecvBy(c.clk.Now(), segArrive)
+		var more segment
+		ok, empty := c.ep.in.TryRecvBy(c.clk.Now(), segArrive, &more)
 		if ok {
 			c.buffer(more)
 		}
@@ -496,7 +497,7 @@ func (c *Conn) Buffered() int { return len(c.rbuf) + c.ep.in.Len() }
 // tag in a.TakeReady.
 func (c *Conn) SetOwner(a *simnet.Actor, tag any) { c.ep.in.SetOwner(a, tag, segArrive) }
 
-func segArrive(seg segment) simnet.Time { return seg.arrive }
+func segArrive(seg *segment) simnet.Time { return seg.arrive }
 
 // StreamClosed reports whether the incoming stream has been shut; with
 // Buffered()==0 it means reads would return io.EOF.

@@ -1,6 +1,9 @@
 package ucr
 
-import "repro/internal/simnet"
+import (
+	"repro/internal/simnet"
+	"repro/internal/verbs"
+)
 
 // This file is the batching face of the runtime, and all of it is on
 // the polling side: batched CQ draining for a serving loop
@@ -26,8 +29,8 @@ import "repro/internal/simnet"
 // false only for a CQ known to be empty, so its owner stops without
 // probing again.
 func (c *Context) TryProgressN(clk *simnet.VClock, max int) (n int, more bool) {
-	wc, ok := c.cq.TryPoll()
-	if !ok {
+	var wc verbs.WC
+	if !c.cq.Poll(&wc) {
 		return 0, false
 	}
 	clk.AdvanceTo(wc.Time)
@@ -40,8 +43,7 @@ func (c *Context) TryProgressN(clk *simnet.VClock, max int) (n int, more bool) {
 	c.dispatch(clk, &wc)
 	c.coalesced = false
 	for n = 1; n < max && !c.cq.Drained(); n++ {
-		wc, ok := c.cq.TryPollSpin(clk, pollSpin)
-		if !ok {
+		if !c.cq.PollSpin(clk, pollSpin, &wc) {
 			break
 		}
 		c.coalesced = true
@@ -69,9 +71,10 @@ func (c *Context) WaitCounterBatch(clk *simnet.VClock, ctr *Counter, target uint
 	if timeout > 0 {
 		deadline = clk.Now() + timeout
 	}
+	var wc verbs.WC
 	for ctr.Value() < target {
 		polled := clk.Now()
-		wc, ok, timedOut := c.cq.WaitDeadline(clk, deadline)
+		ok, timedOut := c.cq.WaitDeadline(clk, deadline, &wc)
 		if timedOut {
 			return ErrTimeout
 		}
@@ -93,11 +96,8 @@ func (c *Context) WaitCounterBatch(clk *simnet.VClock, ctr *Counter, target uint
 // left for a full-cost harvest.
 func (c *Context) Sweep(clk *simnet.VClock, max int) int {
 	n := 0
-	for ; n < max; n++ {
-		wc, ok := c.cq.TryPollReady(clk)
-		if !ok {
-			break
-		}
+	var wc verbs.WC
+	for ; n < max && c.cq.PollSpin(clk, 0, &wc); n++ {
 		c.coalesced = true
 		c.dispatch(clk, &wc)
 		c.coalesced = false

@@ -138,7 +138,7 @@ func TestSweepReadsCompletionStamps(t *testing.T) {
 
 // TestTryProgressNOneProbe: the drain that probes each completion once
 // harvests exactly what the two-probe rule it replaced did — after the
-// first harvest, TryPollReady and then TryPollSpin(pollSpin) for every
+// first harvest, PollSpin(0) and then PollSpin(pollSpin) for every
 // further one, and one more TryProgressN whenever a sweep harvested
 // anything — at the same clocks, in the same order and with the same
 // coalesced flags, over heads stamped at or before the drainer's clock,
@@ -164,9 +164,9 @@ func TestTryProgressNOneProbe(t *testing.T) {
 		c.coalesced = false
 		n := 1
 		for n < max {
-			wc, ok := c.cq.TryPollReady(clk)
+			ok := c.cq.PollSpin(clk, 0, &wc)
 			if !ok {
-				wc, ok = c.cq.TryPollSpin(clk, pollSpin)
+				ok = c.cq.PollSpin(clk, pollSpin, &wc)
 			}
 			if !ok {
 				break
@@ -281,5 +281,74 @@ func TestTryProgressNOneProbe(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCreditWaitReentersProgress: a server handler that runs out of send
+// credits (a receive depth of 2, six replies) waits for them inside its
+// own completion's dispatch, harvesting the client's acks meanwhile. Each
+// harvest lands in the frame that made it, so when the handler returns
+// the outer dispatch still bumps the request's counter and recycles the
+// request's own buffer — and no buffer reaches the pool twice.
+func TestCreditWaitReentersProgress(t *testing.T) {
+	const burst, midBurst = 6, 3
+	w := newWorld(t, Config{Credits: 2})
+	rc := w.installClientReply()
+	ep := w.dial(t, Reliable)
+
+	acked, served := w.srvRT.NewCounter(), w.srvRT.NewCounter()
+	var reqBuf *byte   // the request's landing, by its hdr
+	var ackedIn uint64 // acks the handler's own sends waited for
+	w.srvRT.RegisterHandler(midBurst, Handler{
+		Header: func(*simnet.VClock, *Endpoint, []byte, int, CounterID) []byte { return nil },
+		Completion: func(clk *simnet.VClock, ep *Endpoint, hdr, _ []byte, _ CounterID) {
+			reqBuf = &hdr[:1][0]
+			for i := 0; i < burst; i++ {
+				if err := ep.Send(clk, midReply, nil, []byte{byte(i)}, nil, 0, acked); err != nil {
+					t.Errorf("reply %d: %v", i, err)
+				}
+			}
+			ackedIn = acked.Value()
+		},
+	})
+
+	// The client is an actor too, so the server's nested credit wait
+	// steps it: it takes the replies and acks each one.
+	ex := w.nw.Executor()
+	done := simnet.NewMailboxOn[int](ex)
+	cli := ex.NewActor(func() {
+		for w.cliCtx.TryProgress(w.cliClk) {
+		}
+		if rc.runs == burst {
+			done.Put(1)
+		}
+	})
+	t.Cleanup(cli.Stop)
+	w.cliCtx.SetOwner(cli)
+	if err := ep.Send(w.cliClk, midBurst, []byte("burst"), nil, nil, served.ID(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := done.Recv(); !ok {
+		t.Fatal("done closed")
+	}
+	simnet.NewMailboxOn[int](ex).RecvIdle() // settle every send completion
+
+	if ackedIn < burst-2 {
+		t.Fatalf("handler returned with %d acks harvested, want ≥ %d: it never waited for a credit", ackedIn, burst-2)
+	}
+	if served.Value() != 1 {
+		t.Fatalf("request counter = %d, want 1: the outer dispatch lost its completion", served.Value())
+	}
+	seen, reqBack := map[*byte]bool{}, false
+	for i := 0; i < 64; i++ {
+		b := w.srvCtx.cq.Buf(packetHdrSize + 1)
+		if seen[&b[0]] {
+			t.Fatalf("buffer %p handed out twice: a harvest was recycled by another frame", &b[0])
+		}
+		seen[&b[0]] = true
+		reqBack = reqBack || &b[packetHdrSize] == reqBuf
+	}
+	if !reqBack {
+		t.Fatal("the request's buffer never went back to the pool")
 	}
 }

@@ -257,8 +257,8 @@ func (c *Context) Accept(req *verbs.ConnRequest, clk *simnet.VClock) (*Endpoint,
 // soon as the simulation goes idle (verbs.CQ.WaitDeadline). ok=false
 // without timedOut means the context was destroyed.
 func (c *Context) progressDeadline(clk *simnet.VClock, deadline simnet.Time) (ok, timedOut bool) {
-	wc, ok, timedOut := c.cq.WaitDeadline(clk, deadline)
-	if !ok {
+	var wc verbs.WC
+	if ok, timedOut = c.cq.WaitDeadline(clk, deadline, &wc); !ok {
 		return false, timedOut
 	}
 	c.dispatch(clk, &wc)
@@ -268,8 +268,8 @@ func (c *Context) progressDeadline(clk *simnet.VClock, deadline simnet.Time) (ok
 // TryProgress processes one completion if immediately available,
 // charging the harvest cost (poll or interrupt per the context's mode).
 func (c *Context) TryProgress(clk *simnet.VClock) bool {
-	wc, ok := c.cq.TryPollWith(clk)
-	if !ok {
+	var wc verbs.WC
+	if !c.cq.PollWith(clk, &wc) {
 		return false
 	}
 	c.dispatch(clk, &wc)

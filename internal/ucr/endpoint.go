@@ -115,15 +115,17 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr Counte
 		return err
 	}
 	pkt.credits = ep.takeReturnCredits()
-	// The packet is staged in a registered buffer from the context's
-	// pool, the one its arrivals land in.
-	buf := ep.ctx.cq.Buf(pkt.encodedLen())
+	// The wire header and hdr are staged in a registered buffer from the
+	// context's pool, the one its arrivals land in; an eager payload is
+	// the second gather segment, read in place by PostSend — the one
+	// copy the modelled pack charge stands for.
+	buf := ep.ctx.cq.Buf(packetHdrSize + len(pkt.hdr))
 	if packCost > 0 {
 		clk.Advance(simnet.BytesDuration(packCost, ep.ctx.rt.cfg.PackBytesPerSec))
 	}
 	pkt.encode(buf)
 	id := ep.ctx.posted.put(postedWR{kind: wrSend, ep: ep, buf: buf, originCtr: originCtr})
-	wr := verbs.SendWR{ID: id, Op: verbs.OpSend, Local: buf, Dest: ep.ah}
+	wr := verbs.SendWR{ID: id, Op: verbs.OpSend, Local: buf, Local2: pkt.data, Dest: ep.ah}
 	if err := ep.qp.PostSend(clk, wr); err != nil {
 		ep.ctx.posted.take(id)
 		ep.ctx.cq.Recycle(buf)

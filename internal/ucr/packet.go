@@ -34,17 +34,11 @@ type packet struct {
 	data      []byte // eager only
 }
 
-// encodedLen reports the wire size of the packet.
-func (p *packet) encodedLen() int {
-	n := packetHdrSize + len(p.hdr)
-	if p.typ == ptEager {
-		n += len(p.data)
-	}
-	return n
-}
-
-// encode packs the packet into dst, which must have room.
-func (p *packet) encode(dst []byte) int {
+// encode packs the wire header and hdr into dst, which must hold
+// packetHdrSize+len(p.hdr) bytes. An eager packet's data is not copied:
+// it travels as the send's second gather segment and lands right
+// behind them.
+func (p *packet) encode(dst []byte) {
 	le := binary.LittleEndian
 	dst[0] = p.typ
 	dst[1] = p.msgID
@@ -57,12 +51,7 @@ func (p *packet) encode(dst []byte) int {
 	le.PutUint64(dst[36:], p.rndzAddr)
 	le.PutUint32(dst[44:], p.rkey)
 	le.PutUint64(dst[48:], p.seq)
-	off := packetHdrSize
-	off += copy(dst[off:], p.hdr)
-	if p.typ == ptEager {
-		off += copy(dst[off:], p.data)
-	}
-	return off
+	copy(dst[packetHdrSize:], p.hdr)
 }
 
 // decodePacket parses a wire buffer of n valid bytes into p, whose hdr

@@ -513,10 +513,9 @@ func TestPacketRoundtripProperty(t *testing.T) {
 		if typ == ptEager {
 			p.data = data
 		}
-		buf := make([]byte, p.encodedLen())
-		n := p.encode(buf)
+		buf := onWire(&p)
 		var got packet
-		if err := decodePacket(&got, buf, n); err != nil {
+		if err := decodePacket(&got, buf, len(buf)); err != nil {
 			return false
 		}
 		if got.typ != p.typ || got.msgID != p.msgID || !bytes.Equal(got.hdr, hdr) {
@@ -544,18 +543,24 @@ func TestPacketDecodeErrors(t *testing.T) {
 	}
 	// Header length overrunning the packet.
 	p := packet{typ: ptEager, hdr: make([]byte, 100)}
-	buf := make([]byte, p.encodedLen())
-	n := p.encode(buf)
-	if err := decodePacket(new(packet), buf, n-50); err == nil {
+	buf := onWire(&p)
+	if err := decodePacket(new(packet), buf, len(buf)-50); err == nil {
 		t.Fatal("truncated header should error")
 	}
 	// Data overrun.
 	p2 := packet{typ: ptEager, data: make([]byte, 100), dataLen: 100}
-	buf2 := make([]byte, p2.encodedLen())
-	n2 := p2.encode(buf2)
-	if err := decodePacket(new(packet), buf2, n2-10); err == nil {
+	buf2 := onWire(&p2)
+	if err := decodePacket(new(packet), buf2, len(buf2)-10); err == nil {
 		t.Fatal("truncated data should error")
 	}
+}
+
+// onWire is what a packet's send lands at the receiver: the staged
+// header and hdr, then the data gathered behind them.
+func onWire(p *packet) []byte {
+	buf := make([]byte, packetHdrSize+len(p.hdr))
+	p.encode(buf)
+	return append(buf, p.data...)
 }
 
 func TestEagerThresholdBoundary(t *testing.T) {
@@ -610,5 +615,38 @@ func TestShareHandlers(t *testing.T) {
 	}
 	if rt("c").handler(midReply) != nil {
 		t.Fatal("a fresh runtime has a handler")
+	}
+}
+
+// TestEagerSendStagesHeaderOnly: an eager send stages the wire header
+// and hdr in the pool buffer its posted slot holds until the send
+// completes; the payload travels as the second gather segment, read in
+// place, and still arrives whole.
+func TestEagerSendStagesHeaderOnly(t *testing.T) {
+	w := newWorld(t, Config{EagerThreshold: 8192})
+	rc := w.installClientReply()
+	ep := w.dial(t, Reliable)
+	replyCtr := w.cliRT.NewCounter()
+	hdr := make([]byte, 8+len("tag"))
+	binary.LittleEndian.PutUint64(hdr, uint64(replyCtr.ID()))
+	copy(hdr[8:], "tag")
+	data := bytes.Repeat([]byte("v"), 4096)
+	if err := ep.Send(w.cliClk, midRequest, hdr, data, nil, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	var staged []int
+	for _, e := range w.cliCtx.posted.ents {
+		if e.live && e.v.kind == wrSend {
+			staged = append(staged, len(e.v.buf))
+		}
+	}
+	if len(staged) != 1 || staged[0] != packetHdrSize+len(hdr) {
+		t.Fatalf("posted send buffers %v, want one of %d bytes (header and hdr only)", staged, packetHdrSize+len(hdr))
+	}
+	if err := w.cliCtx.WaitCounter(w.cliClk, replyCtr, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if string(rc.hdr) != "tag" || !bytes.Equal(rc.data, data) {
+		t.Fatalf("echo = hdr %q, %d data bytes; want the 4096 sent", rc.hdr, len(rc.data))
 	}
 }

@@ -80,8 +80,9 @@ func TestPostSendNEmptyAndBadState(t *testing.T) {
 	}
 }
 
-// TestTryPollReadyVisibility: TryPollReady harvests only completions
-// whose HCA-side timestamp has already passed, at the coalesced rate; a
+// TestTryPollReadyVisibility: PollSpin with spin 0 harvests only
+// completions whose HCA-side timestamp has already passed, at the
+// coalesced rate; a
 // future completion is put back untouched for a later (full-cost) poll.
 // Drained holds only while the last such poll left the queue empty and
 // nothing was posted since.
@@ -92,8 +93,9 @@ func TestTryPollReadyVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The send completion's Time is in this clock's future: refuse.
-	if _, ok := p.cliSend.TryPollReady(p.cliClock); ok {
-		t.Fatal("TryPollReady harvested a completion from the future")
+	var wc WC
+	if p.cliSend.PollSpin(p.cliClock, 0, &wc) {
+		t.Fatal("PollSpin harvested a completion from the future")
 	}
 	if p.cliSend.Drained() {
 		t.Fatal("Drained with a future completion queued")
@@ -110,17 +112,17 @@ func TestTryPollReadyVisibility(t *testing.T) {
 	}
 	p.cliClock.Advance(10 * simnet.Millisecond)
 	before := p.cliClock.Now()
-	wc, ok = p.cliSend.TryPollReady(p.cliClock)
+	ok = p.cliSend.PollSpin(p.cliClock, 0, &wc)
 	if !ok || wc.ID != 8 || !p.cliSend.Drained() {
-		t.Fatalf("TryPollReady = (%+v, %v), Drained %v: want the last completion taken", wc, ok, p.cliSend.Drained())
+		t.Fatalf("PollSpin = (%+v, %v), Drained %v: want the last completion taken", wc, ok, p.cliSend.Drained())
 	}
 	if got := p.cliClock.Now() - before; got != cfg.PollOverhead/2 {
-		t.Fatalf("TryPollReady charged %v, want %v", got, cfg.PollOverhead/2)
+		t.Fatalf("PollSpin charged %v, want %v", got, cfg.PollOverhead/2)
 	}
 	// Empty CQ: refusal is free.
 	before = p.cliClock.Now()
-	if _, ok := p.cliSend.TryPollReady(p.cliClock); ok {
-		t.Fatal("TryPollReady on empty CQ succeeded")
+	if p.cliSend.PollSpin(p.cliClock, 0, &wc) {
+		t.Fatal("PollSpin on empty CQ succeeded")
 	}
 	if p.cliClock.Now() != before {
 		t.Fatal("refusal advanced the clock")

@@ -52,8 +52,9 @@ type connReply struct {
 // RemoteQP reports the dialer's queue pair.
 func (r *ConnRequest) RemoteQP() *QP { return r.fromQP }
 
-// arrival reports the virtual time the request reached the listener.
-func (r *ConnRequest) arrival() simnet.Time { return r.arriveAt }
+// reqArrival reports the virtual time a queued request reached the
+// listener.
+func reqArrival(r **ConnRequest) simnet.Time { return (*r).arriveAt }
 
 // Accept completes the handshake: qp (owned by the acceptor, already
 // INIT or later, with receives posted) is paired with the dialer's QP
@@ -128,7 +129,7 @@ func (l *Listener) TryAccept(clk *simnet.VClock) (*ConnRequest, bool) {
 
 // SetOwner makes actor a the listener's acceptor: every request makes a
 // ready, ordered by its arrival.
-func (l *Listener) SetOwner(a *simnet.Actor) { l.queue.SetOwner(a, nil, (*ConnRequest).arrival) }
+func (l *Listener) SetOwner(a *simnet.Actor) { l.queue.SetOwner(a, nil, reqArrival) }
 
 // Close unregisters the service and wakes pending Accepts.
 func (l *Listener) Close() {

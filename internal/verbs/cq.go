@@ -78,7 +78,7 @@ func (h *HCA) CreateCQ() *CQ {
 // makes a ready, ordered by the completion's time.
 func (c *CQ) SetOwner(a *simnet.Actor) { c.box.SetOwner(a, nil, wcTime) }
 
-func wcTime(wc WC) simnet.Time { return wc.Time }
+func wcTime(wc *WC) simnet.Time { return wc.Time }
 
 // post enqueues a completion (transport-internal).
 func (c *CQ) post(wc WC) {
@@ -86,14 +86,14 @@ func (c *CQ) post(wc WC) {
 	c.box.Put(wc)
 }
 
-// Drained reports that no completion is queued: the last TryPollSpin
-// (or TryPollReady) left the queue empty and nothing has been posted
-// since. It costs no probe, so a drain asks it before polling again; a
-// false answer only means a probe is needed to know.
+// Drained reports that no completion is queued: the last PollSpin left
+// the queue empty and nothing has been posted since. It costs no probe,
+// so a drain asks it before polling again; a false answer only means a
+// probe is needed to know.
 func (c *CQ) Drained() bool { return c.drained }
 
 // Cost is the full CPU time to harvest one completion (poll or
-// interrupt, per the CQ's mode); callers that drive TryPoll charge it
+// interrupt, per the CQ's mode); callers that drive Poll charge it
 // themselves.
 func (c *CQ) Cost() simnet.Duration {
 	if c.UseEvents {
@@ -109,54 +109,56 @@ func (c *CQ) Cost() simnet.Duration {
 // draining extra CQEs is a poll either way.
 func (c *CQ) CoalescedCost() simnet.Duration { return c.hca.cfg.PollOverhead / 2 }
 
-// TryPoll returns a completion if one is immediately available. The
-// caller is responsible for advancing its clock to wc.Time plus the
-// adapter's poll overhead (Wait and TryPollWith do this automatically).
-func (c *CQ) TryPoll() (WC, bool) {
-	wc, ok, _ := c.box.TryRecv()
-	return wc, ok
+// The polls and waits below harvest into a WC the caller owns: the
+// completion moves once, from the queue into the caller's frame. The
+// forms returning a WC are one-line wrappers over them.
+
+// Poll harvests a completion into wc if one is immediately available.
+// The caller is responsible for advancing its clock to wc.Time plus the
+// adapter's poll overhead (PollWith and WaitDeadline do this).
+func (c *CQ) Poll(wc *WC) bool {
+	ok, _ := c.box.TryRecvInto(wc)
+	return ok
 }
 
-// TryPollWith is TryPoll plus clock synchronization: on success clk
-// advances to the completion time and is charged the harvest cost
-// (poll or interrupt, per the CQ's mode).
-func (c *CQ) TryPollWith(clk *simnet.VClock) (WC, bool) {
-	wc, ok, _ := c.box.TryRecv()
-	if !ok {
-		return wc, false
+// TryPoll is Poll returning the completion.
+func (c *CQ) TryPoll() (wc WC, ok bool) { ok = c.Poll(&wc); return }
+
+// PollWith is Poll plus clock synchronization: on success clk advances
+// to the completion time and is charged the harvest cost (poll or
+// interrupt, per the CQ's mode).
+func (c *CQ) PollWith(clk *simnet.VClock, wc *WC) bool {
+	if !c.Poll(wc) {
+		return false
 	}
 	clk.AdvanceTo(wc.Time)
 	clk.Advance(c.Cost())
-	return wc, true
+	return true
 }
 
-// TryPollReady harvests a completion only if one is already visible at
-// clk's current time (wc.Time has passed), charging the coalesced
-// batched-drain cost instead of the full poll/interrupt cost. It is the
-// 2nd..Nth step of a batched CQ drain: the caller paid the full harvest
-// cost for the first completion and sweeps the rest of the backlog
-// cheaply. A completion that lands in the future is left in place for a
-// later full-cost harvest, so time never runs backwards and a lone
-// completion costs exactly what it always did.
-func (c *CQ) TryPollReady(clk *simnet.VClock) (WC, bool) { return c.TryPollSpin(clk, 0) }
+// TryPollWith is PollWith returning the completion.
+func (c *CQ) TryPollWith(clk *simnet.VClock) (wc WC, ok bool) { ok = c.PollWith(clk, &wc); return }
 
-// TryPollSpin is TryPollReady for a drain that busy-polls briefly
-// instead of parking: it additionally harvests a completion landing
-// within `spin` of clk's current time, advancing the clock to the
-// completion (the time spent spinning) and still charging only the
-// coalesced cost — a poller that stays in its loop pays no wakeup. A
-// completion further out is left in place for a full-cost harvest, so
-// spin 0 is TryPollReady exactly. Whether the poll left the queue empty
-// is recorded for Drained.
-func (c *CQ) TryPollSpin(clk *simnet.VClock, spin simnet.Duration) (WC, bool) {
-	wc, ok, empty := c.box.TryRecvBy(clk.Now()+spin, wcTime)
+// PollSpin is the 2nd..Nth step of a batched CQ drain, for a poller
+// that busy-polls briefly instead of parking: it harvests a completion
+// already visible at clk's current time or landing within spin of it,
+// advancing the clock to the completion (the time spent spinning) and
+// charging the coalesced batched-drain cost instead of the full
+// poll/interrupt cost — the caller paid the full cost for the first
+// completion, and a poller that stays in its loop pays no wakeup. A
+// completion further out is left in place for a later full-cost
+// harvest, so time never runs backwards and a lone completion costs
+// exactly what it always did. Whether the poll left the queue empty is
+// recorded for Drained.
+func (c *CQ) PollSpin(clk *simnet.VClock, spin simnet.Duration, wc *WC) bool {
+	ok, empty := c.box.TryRecvBy(clk.Now()+spin, wcTime, wc)
 	c.drained = empty
 	if !ok {
-		return wc, false
+		return false
 	}
 	clk.AdvanceTo(wc.Time)
 	clk.Advance(c.CoalescedCost())
-	return wc, true
+	return true
 }
 
 // Wait blocks until a completion is available, then synchronizes clk
@@ -172,32 +174,32 @@ func (c *CQ) Wait(clk *simnet.VClock) (WC, bool) {
 	return wc, ok
 }
 
-// WaitDeadline is Wait with a virtual deadline, the paper's timeout-
-// based fault detection (§IV-A). It gives up, with ok=false and
+// WaitDeadline is Wait into wc with a virtual deadline, the paper's
+// timeout-based fault detection (§IV-A). It gives up, with ok=false and
 // timedOut=true, when the next completion lands after the deadline or
 // the simulation has gone idle with none pending (a dead peer: nothing
 // will ever arrive). The waiter then "spent" the time up to the
 // deadline; with deadline simnet.Never it learns of the silence at once
-// and clk stays where it is.
-func (c *CQ) WaitDeadline(clk *simnet.VClock, deadline simnet.Time) (wc WC, ok, timedOut bool) {
-	wc, ok, idle := c.box.RecvIdle()
+// and clk stays where it is. wc is only meaningful when ok.
+func (c *CQ) WaitDeadline(clk *simnet.VClock, deadline simnet.Time, wc *WC) (ok, timedOut bool) {
+	ok, idle := c.box.RecvIdleInto(wc)
 	if ok && wc.Time <= deadline {
 		clk.AdvanceTo(wc.Time)
 		clk.Advance(c.Cost())
-		return wc, true, false
+		return true, false
 	}
 	if ok {
 		// Completion exists but lands after the virtual deadline: the
 		// waiter gave up first. Requeue for a later harvest.
 		c.drained = false
-		c.box.PutFront(wc)
+		c.box.PutFront(*wc)
 	} else if !idle {
-		return WC{}, false, false
+		return false, false
 	}
 	if deadline != simnet.Never {
 		clk.AdvanceTo(deadline)
 	}
-	return WC{}, false, true
+	return false, true
 }
 
 // Len reports the number of pending completions.
@@ -207,6 +209,7 @@ func (c *CQ) Len() int { return c.box.Len() }
 // completions still queued: nothing polls a destroyed CQ.
 func (c *CQ) Destroy() {
 	c.box.Close()
-	for _, ok, _ := c.box.TryRecv(); ok; _, ok, _ = c.box.TryRecv() {
+	var wc WC
+	for c.Poll(&wc) {
 	}
 }

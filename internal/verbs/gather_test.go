@@ -209,3 +209,92 @@ func TestRDMAWriteGatherNoRNR(t *testing.T) {
 		t.Fatalf("send with no posted receives: ok=%v status=%v, want rnr-retry-exceeded", ok, wc.Status)
 	}
 }
+
+// Two-SGE SEND: Local then Local2 land contiguously in one receive
+// buffer, both completions report the combined length, and the send
+// costs what a one-segment SEND of the concatenation costs — on the
+// sender's clock and in the arrival stamp.
+func TestSendGatherLandsContiguously(t *testing.T) {
+	gathered, flat := newPair(t, 1, 64), newPair(t, 1, 64)
+	if err := gathered.cliQP.PostSend(gathered.cliClock, SendWR{ID: 1, Op: OpSend, Local: []byte("HDR:"), Local2: []byte("value-bytes")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.cliQP.PostSend(flat.cliClock, SendWR{ID: 1, Op: OpSend, Local: []byte("HDR:value-bytes")}); err != nil {
+		t.Fatal(err)
+	}
+	swc, _ := gathered.cliSend.TryPoll()
+	rwc, ok := gathered.srvRecv.TryPoll()
+	if !ok || rwc.Status != StatusSuccess || string(rwc.Buf) != "HDR:value-bytes" {
+		t.Fatalf("gather send landed %q (ok=%v status=%v), want the segments contiguous", rwc.Buf, ok, rwc.Status)
+	}
+	if rwc.ByteLen != 15 || swc.ByteLen != 15 {
+		t.Fatalf("ByteLen: receive %d, send %d; want 15 (both segments)", rwc.ByteLen, swc.ByteLen)
+	}
+	fwc, _ := flat.srvRecv.TryPoll()
+	if rwc.Time != fwc.Time || gathered.cliClock.Now() != flat.cliClock.Now() {
+		t.Fatalf("gather send: arrival %v, sender at %v; one segment: %v, %v", rwc.Time, gathered.cliClock.Now(), fwc.Time, flat.cliClock.Now())
+	}
+	// A reservation holding either segment but not both refuses the
+	// message.
+	short := newPair(t, 1, 14)
+	if err := short.cliQP.PostSend(short.cliClock, SendWR{Op: OpSend, Local: []byte("HDR:"), Local2: []byte("value-bytes")}); err != nil {
+		t.Fatal(err)
+	}
+	if rwc, ok := short.srvRecv.TryPoll(); !ok || rwc.Status != StatusRemoteError {
+		t.Fatalf("15 bytes into a 14-byte reservation: ok=%v status=%v, want remote-error", ok, rwc.Status)
+	}
+}
+
+// A UD datagram's MTU bounds the gathered sum: two segments that each
+// fit but together do not are refused at post time.
+func TestUDSendGatherMTU(t *testing.T) {
+	nw := simnet.NewNetwork()
+	a, b := nw.AddNode("a"), nw.AddNode("b")
+	f := nw.AddFabric(simnet.FabricSpec{Name: "ib", LinkBytesPerSec: 1e9, MTU: 2048})
+	ha, hb := NewHCA(a, f, testConfig()), NewHCA(b, f, testConfig())
+	cq := ha.CreateCQ()
+	qa, qb := ha.NewQP(UD, cq, cq), hb.NewQP(UD, hb.CreateCQ(), hb.CreateCQ())
+	for _, qp := range []*QP{qa, qb} {
+		for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
+			if err := qp.Modify(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ah := &AddressHandle{Target: hb, QPN: qb.QPN()}
+	clk := simnet.NewVClock(0)
+	half := make([]byte, 1024)
+	if err := qa.PostSend(clk, SendWR{Op: OpSend, Local: half, Local2: half, Dest: ah}); err != nil {
+		t.Fatalf("gather of exactly the MTU: %v", err)
+	}
+	if err := qa.PostSend(clk, SendWR{Op: OpSend, Local: half, Local2: make([]byte, 1025), Dest: ah}); err != ErrTooLarge {
+		t.Fatalf("gather one byte past the MTU: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// An RC gather SEND that finds no receive posted goes through the RNR
+// retries as one message: its completion reports the summed length, and
+// the same WR posted again after a receive is posted lands both
+// segments.
+func TestSendGatherRNR(t *testing.T) {
+	p := newPair(t, 0, 0)
+	wr := SendWR{ID: 1, Op: OpSend, Local: []byte("rnr-"), Local2: []byte("gather")}
+	if err := p.cliQP.PostSend(p.cliClock, wr); err != nil {
+		t.Fatal(err)
+	}
+	if wc, ok := p.cliSend.TryPoll(); !ok || wc.Status != StatusRNRRetryExceeded || wc.ByteLen != 10 {
+		t.Fatalf("starved gather send: ok=%v status=%v ByteLen %d, want rnr-retry-exceeded with 10", ok, wc.Status, wc.ByteLen)
+	}
+	if p.cliHCA.Retransmits() != rnrRetry {
+		t.Fatalf("Retransmits() = %d, want rnrRetry = %d", p.cliHCA.Retransmits(), rnrRetry)
+	}
+	if err := p.srvQP.PostRecv(RecvWR{Len: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cliQP.PostSend(p.cliClock, wr); err != nil {
+		t.Fatal(err)
+	}
+	if rwc, ok := p.srvRecv.TryPoll(); !ok || string(rwc.Buf) != "rnr-gather" {
+		t.Fatalf("gather send after a repost landed %q (ok=%v)", rwc.Buf, ok)
+	}
+}

@@ -274,10 +274,11 @@ func (q *QP) transmit(src, dst *HCA, at simnet.Time, bytes int) (arrive simnet.T
 	}
 }
 
-// postSendMsg implements the two-sided SEND.
+// postSendMsg implements the two-sided SEND of wr.Local followed by
+// the optional wr.Local2 gather segment.
 func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	cfg := q.hca.cfg
-	n := len(wr.Local)
+	n := len(wr.Local) + len(wr.Local2)
 	if q.typ == UD && n > q.hca.fabric.Spec().MTU {
 		return ErrTooLarge
 	}
@@ -307,7 +308,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 
 	// The payload is copied now (the sender's call acts as the DMA
 	// engine); the stamp says when it becomes visible.
-	rstatus, rtime := dst.receive(wr.Local, arrive)
+	rstatus, rtime := dst.receive(wr, arrive)
 
 	// RNR retry: a reliable sender re-offers the message after the
 	// receiver reported no posted buffer, waiting RNRTimer between
@@ -319,7 +320,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 			rstatus, rtime = s2, rtime+cfg.RNRTimer
 			break
 		}
-		rstatus, rtime = dst.receive(wr.Local, a2)
+		rstatus, rtime = dst.receive(wr, a2)
 	}
 
 	// Local completion: the origin buffer is reusable as soon as the HCA
@@ -339,36 +340,39 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	return nil
 }
 
-// receive consumes a posted receive for an incoming SEND.
-func (q *QP) receive(payload []byte, arrive simnet.Time) (Status, simnet.Time) {
+// receive consumes a posted receive for an incoming SEND, landing its
+// two gather segments contiguously.
+func (q *QP) receive(wr *SendWR, arrive simnet.Time) (Status, simnet.Time) {
 	cfg := q.hca.cfg
 	if q.state != StateRTR && q.state != StateRTS {
 		return StatusRemoteError, arrive
 	}
-	wr, ok := q.popRecv()
+	rwr, ok := q.popRecv()
 	if !ok {
 		if q.typ == UD {
 			return StatusSuccess, arrive // dropped on the floor
 		}
 		return StatusRNRRetryExceeded, arrive
 	}
-	room := wr.Len
-	if wr.Buf != nil {
-		room = len(wr.Buf)
+	n := len(wr.Local) + len(wr.Local2)
+	room := rwr.Len
+	if rwr.Buf != nil {
+		room = len(rwr.Buf)
 	}
-	if room < len(payload) {
-		q.recvCQ.post(WC{ID: wr.ID, Op: OpRecv, Status: StatusRemoteError, QPN: q.qpn, Time: arrive})
+	if room < n {
+		q.recvCQ.post(WC{ID: rwr.ID, Op: OpRecv, Status: StatusRemoteError, QPN: q.qpn, Time: arrive})
 		return StatusRemoteError, arrive
 	}
-	buf := wr.Buf
+	buf := rwr.Buf
 	if buf == nil {
-		buf = q.recvCQ.Buf(len(payload))
+		buf = q.recvCQ.Buf(n)
 	}
-	buf = buf[:copy(buf, payload)]
+	buf = buf[:n]
+	copy(buf[copy(buf, wr.Local):], wr.Local2)
 	placed := q.hca.recvEngine.Acquire(arrive, cfg.RecvProc) + cfg.RecvProc
 	q.recvCQ.post(WC{
-		ID: wr.ID, Op: OpRecv, Status: StatusSuccess,
-		ByteLen: len(payload), Buf: buf, QPN: q.qpn, Time: placed,
+		ID: rwr.ID, Op: OpRecv, Status: StatusSuccess,
+		ByteLen: n, Buf: buf, QPN: q.qpn, Time: placed,
 	})
 	return StatusSuccess, placed
 }

@@ -210,11 +210,12 @@ type SendWR struct {
 	// Local is the local buffer: the payload for SEND/RDMA WRITE, the
 	// destination for RDMA READ.
 	Local []byte
-	// Local2 is an optional second gather segment for RDMA WRITE: the
-	// wire carries Local followed by Local2 and the target stores them
-	// contiguously at RemoteAddr. This models a two-SGE WQE (header +
-	// payload gathered from separate registrations) without a scatter
-	// list type; other opcodes ignore it.
+	// Local2 is an optional second gather segment for SEND and RDMA
+	// WRITE: the wire carries Local followed by Local2, and the target
+	// lands them contiguously (a SEND in one receive buffer, a WRITE at
+	// RemoteAddr). This models a two-SGE WQE (header + payload gathered
+	// from separate registrations) without a scatter list type; RDMA
+	// READ ignores it.
 	Local2 []byte
 	// LocalMR names the registration covering Local. Nothing checks or
 	// reads it.

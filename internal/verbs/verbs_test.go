@@ -821,9 +821,10 @@ func TestCMReject(t *testing.T) {
 func TestCQWaitDeadline(t *testing.T) {
 	p := newPair(t, 1, 64)
 	clk := simnet.NewVClock(0)
+	var wc WC
 	// Nothing pending and nothing that could post: the idle simulation
 	// ends the wait at the virtual deadline.
-	_, ok, timedOut := p.srvRecv.WaitDeadline(clk, 5000)
+	ok, timedOut := p.srvRecv.WaitDeadline(clk, 5000, &wc)
 	if ok || !timedOut {
 		t.Fatalf("ok=%v timedOut=%v", ok, timedOut)
 	}
@@ -831,7 +832,7 @@ func TestCQWaitDeadline(t *testing.T) {
 		t.Fatalf("clock = %v, want advanced to deadline 5000", clk.Now())
 	}
 	// Without a deadline the silence is still reported, and costs nothing.
-	if _, ok, timedOut = p.srvRecv.WaitDeadline(clk, simnet.Never); ok || !timedOut || clk.Now() != 5000 {
+	if ok, timedOut = p.srvRecv.WaitDeadline(clk, simnet.Never, &wc); ok || !timedOut || clk.Now() != 5000 {
 		t.Fatalf("no deadline: ok=%v timedOut=%v clock=%v, want a timeout at 5000", ok, timedOut, clk.Now())
 	}
 	// A completion after the deadline is requeued, not consumed.
@@ -839,16 +840,65 @@ func TestCQWaitDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	early := simnet.NewVClock(0)
-	_, ok, timedOut = p.srvRecv.WaitDeadline(early, 1)
+	ok, timedOut = p.srvRecv.WaitDeadline(early, 1, &wc)
 	if ok || !timedOut {
 		t.Fatalf("pre-arrival deadline: ok=%v timedOut=%v", ok, timedOut)
 	}
 	if p.srvRecv.Len() != 1 {
 		t.Fatal("completion was consumed despite missed deadline")
 	}
-	wc, ok, timedOut := p.srvRecv.WaitDeadline(early, 1<<40)
+	ok, timedOut = p.srvRecv.WaitDeadline(early, 1<<40, &wc)
 	if !ok || timedOut || wc.Status != StatusSuccess {
 		t.Fatalf("wc=%+v ok=%v timedOut=%v", wc, ok, timedOut)
+	}
+}
+
+// TestCQWaitDeadlineRequeueKeepsOrder: a completion harvested past the
+// deadline goes back to the head of the queue, so the ones behind it
+// still come out after it, in posting order.
+func TestCQWaitDeadlineRequeueKeepsOrder(t *testing.T) {
+	p := newPair(t, 4, 64)
+	for id := uint64(1); id <= 3; id++ {
+		if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: id, Op: OpSend, Local: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wc WC
+	if ok, timedOut := p.cliSend.WaitDeadline(simnet.NewVClock(0), 1, &wc); ok || !timedOut {
+		t.Fatalf("pre-completion deadline: ok=%v timedOut=%v", ok, timedOut)
+	}
+	if p.cliSend.Drained() {
+		t.Fatal("Drained after a requeue")
+	}
+	clk := simnet.NewVClock(0)
+	for id := uint64(1); id <= 3; id++ {
+		if ok, timedOut := p.cliSend.WaitDeadline(clk, simnet.Never, &wc); !ok || timedOut || wc.ID != id {
+			t.Fatalf("harvest %d: (ok=%v timedOut=%v) ID %d, want ID %d", id, ok, timedOut, wc.ID, id)
+		}
+	}
+}
+
+// TestPollSpinSetsDrained: the spin poll that takes the last queued
+// completion records the queue as drained; one that leaves a completion
+// behind, or finds one out of reach, does not.
+func TestPollSpinSetsDrained(t *testing.T) {
+	p := newPair(t, 4, 64)
+	for id := uint64(1); id <= 2; id++ {
+		if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: id, Op: OpSend, Local: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk := simnet.NewVClock(0)
+	var wc WC
+	if p.cliSend.PollSpin(clk, 0, &wc) || p.cliSend.Drained() {
+		t.Fatalf("out-of-reach poll: took one or set Drained (%v)", p.cliSend.Drained())
+	}
+	spin := simnet.Millisecond // covers both completions
+	if !p.cliSend.PollSpin(clk, spin, &wc) || wc.ID != 1 || p.cliSend.Drained() {
+		t.Fatalf("first spin poll: ID %d, Drained %v; want ID 1, not drained", wc.ID, p.cliSend.Drained())
+	}
+	if !p.cliSend.PollSpin(clk, spin, &wc) || wc.ID != 2 || !p.cliSend.Drained() {
+		t.Fatalf("emptying spin poll: ID %d, Drained %v; want ID 2, drained", wc.ID, p.cliSend.Drained())
 	}
 }
 
