@@ -14,11 +14,12 @@ tier2:
 
 # The subset of tier2 to run after touching the datapath: the race
 # detector over the layers every op crosses, the cluster's goroutine
-# clients and the frozen benchmark's goroutine hand-offs (under two
-# minutes, most of it ./benchmark). CI runs tier2, which covers it.
+# clients, mcserver's connection goroutines on the one process lock and
+# the frozen benchmark's goroutine hand-offs (under two minutes, most of
+# it ./benchmark). CI runs tier2, which covers it.
 race-datapath:
 	go vet ./...
-	go test -race ./internal/simnet ./internal/sockstream ./internal/verbs ./internal/ucr ./internal/memcached ./internal/mcclient ./internal/cluster ./benchmark
+	go test -race ./internal/simnet ./internal/sockstream ./internal/verbs ./internal/ucr ./internal/memcached ./internal/mcclient ./internal/cluster ./cmd/mcserver ./benchmark
 
 # Same seed, same bytes: the benchmark's own reproducibility check (the
 # virtual metrics of its single-client workloads must be bit-identical
@@ -143,18 +144,19 @@ check-no-wallclock:
 #  - a pool is a ring: no second key→server rule (modula and its FNV
 #    hash) and no dead/live index lists beside the ring's membership.
 #  - one owner per deployment: no mutex or atomic type in verbs, ucr or
-#    sockstream beyond the store's memory guard and the endpoint seeds
-#    clones share, and no mutex in simnet outside the executor.
+#    sockstream beyond the endpoint seeds clones share, and no mutex in
+#    simnet outside the executor.
 #  - host bytes follow live state: a slab page's host memory is carved
 #    with its chunks, so no whole-page buffer and no page-sized window.
 #  - each message handled once: a store op books its stripe lock in its
-#    own shard hold (no second hold), no per-op served counter, and the
-#    shard counters are plain fields under the shard lock — the only
-#    atomic counters left are the global CAS sequence and the history
-#    recorder's seq.
+#    own shard hold (no second hold) and no per-op served counter.
 #  - the exported surface is the used surface: no RDMA compare-and-swap,
 #    no lent-buffer mget, no Zipf hot-fraction view and no sentinel
 #    error nothing returns (TestExportedSurfaceIsUsed keeps the rest).
+#  - the store is owned, not locked: no mutex or atomic in non-test
+#    internal/memcached. A Store's calls are serialised by its owner — a
+#    deployment's executor, or mcserver's one process lock — and the
+#    stripe locks exist only in virtual time.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -169,10 +171,11 @@ internal cmd examples	InlineMax|ErrInlineLimit|NagleDelay|RTORetries|CoalescedPo
 internal cmd examples	\b(Inline|Imm)(:|[[:space:]]+(bool|u?int[0-9]*)\b)|\.(Inline|Imm)\b	^$$	inline or immediate-data work-request field under internal/ cmd/ examples/
 internal cmd examples *_test.go	func Benchmark(Fig|Ablation)|WriteCSV|TouchHits|TouchMisses|touchHits|touchMisses|^func \([a-z]+ \*(Ring\) Has|Server\) Workers|Store\) Recording|SockTransport\) Conn|QP\) Remote|Conn\) Provider|Fabric\) Faults|FaultInjector\) Config|Fleet\) Size|(Runtime|HCA)\) Node)\(	^$$	golden-cell benchmark, CSV writer, touch counter or uncalled accessor under internal/ cmd/ examples/ or the root tests
 internal cmd examples *_test.go	DistModula|DistKetama|\bDistribution\b|\bkeyHash\b|liveIdx	^$$	second key→server rule or live-index list under internal/ cmd/ examples/ or the root tests
-internal/verbs internal/ucr internal/sockstream internal/simnet	sync\.(RW)?Mutex|atomic\.[A-Z]	_test\.go:|^internal/simnet/executor\.go:|^internal/simnet/[a-z]+\.go:[0-9]+:.*atomic\.|endpointSeeds|\) seeds\(\)|[gG]uard	lock or atomic beneath the deployment owner under internal/verbs, ucr, sockstream or simnet
+internal/verbs internal/ucr internal/sockstream internal/simnet	sync\.(RW)?Mutex|atomic\.[A-Z]	_test\.go:|^internal/simnet/executor\.go:|^internal/simnet/[a-z]+\.go:[0-9]+:.*atomic\.|endpointSeeds|\) seeds\(\)	lock or atomic beneath the deployment owner under internal/verbs, ucr, sockstream or simnet
 internal cmd examples *_test.go	splitWriter|postSet|postDelete|settleSet|settleDelete|settleWrite|postWrite|t\.posted\b|posted +\*amOp|lastOp|\bWindow\(\) int	^$$	second op driver (post/settle split, posted slot, last-op victim) or Pipeline.Window under internal/ cmd/ examples/ or the root tests
 internal/memcached	PageBytes|pageWindow|pageWins|make\(\[\]byte, slabPageSize\)	^$$	whole-page host backing or page window under internal/memcached
-internal/memcached	\blockWait\b|OpsServed|atomic\.Uint64	nextCAS +atomic\.Uint64|seq +atomic\.Uint64	second lock hold, served counter or atomic shard counter under internal/memcached
+internal/memcached	\blockWait\b|OpsServed	^$$	second lock hold or served counter under internal/memcached
+internal/memcached	sync\.|atomic\.	_test\.go:	lock or atomic in the store under internal/memcached
 internal cmd examples	CompareSwap|OpAtomicCmpSwap|GetMultiInto|HotFraction|ErrQPDestroyed|ErrNoHandler|ErrBadHandler	^$$	compare-and-swap, lent-buffer mget, Zipf hot fraction or unreturned sentinel error under internal/ cmd/ examples/
 internal/verbs	ErrBadKey	^$$	verbs.ErrBadKey under internal/verbs
 endef

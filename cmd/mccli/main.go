@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 	r := bufio.NewReader(conn)
 
 	if args := flag.Args(); len(args) > 0 {
-		if err := runOne(conn, r, args); err != nil {
+		if err := runOne(os.Stdout, conn, r, args); err != nil {
 			log.Fatalf("mccli: %v", err)
 		}
 		return
@@ -48,7 +49,7 @@ func main() {
 		if len(fields) == 0 {
 			continue
 		}
-		if err := runOne(conn, r, fields); err != nil {
+		if err := runOne(os.Stdout, conn, r, fields); err != nil {
 			log.Fatalf("mccli: %v", err)
 		}
 		if fields[0] == "quit" {
@@ -57,26 +58,27 @@ func main() {
 	}
 }
 
-// runOne sends one command, with a convenience form for set/get.
-func runOne(conn net.Conn, r *bufio.Reader, fields []string) error {
+// runOne sends one command, with a convenience form for set/get, and
+// prints its reply to out.
+func runOne(out io.Writer, conn net.Conn, r *bufio.Reader, fields []string) error {
 	switch {
 	case fields[0] == "set" && len(fields) == 3:
 		// Convenience: set <key> <value>.
 		value := fields[2]
 		fmt.Fprintf(conn, "set %s 0 0 %d\r\n%s\r\n", fields[1], len(value), value)
-		return printUntil(r, oneLine)
+		return printUntil(out, r, oneLine)
 	case fields[0] == "get" || fields[0] == "gets":
 		fmt.Fprintf(conn, "%s\r\n", strings.Join(fields, " "))
-		return printUntil(r, untilEnd)
+		return printUntil(out, r, untilEnd)
 	case fields[0] == "stats":
 		fmt.Fprintf(conn, "stats\r\n")
-		return printUntil(r, untilEnd)
+		return printUntil(out, r, untilEnd)
 	case fields[0] == "quit":
 		fmt.Fprintf(conn, "quit\r\n")
 		return nil
 	default:
 		fmt.Fprintf(conn, "%s\r\n", strings.Join(fields, " "))
-		return printUntil(r, oneLine)
+		return printUntil(out, r, oneLine)
 	}
 }
 
@@ -86,14 +88,14 @@ func oneLine(string) bool { return true }
 
 func untilEnd(line string) bool { return line == "END" }
 
-func printUntil(r *bufio.Reader, done stopFn) error {
+func printUntil(out io.Writer, r *bufio.Reader, done stopFn) error {
 	for {
 		line, err := r.ReadString('\n')
 		if err != nil {
 			return err
 		}
 		line = strings.TrimRight(line, "\r\n")
-		fmt.Println(line)
+		fmt.Fprintln(out, line)
 		if done(line) {
 			return nil
 		}

@@ -11,8 +11,8 @@ import (
 // cover. One AM id with an op byte instead of five ids: the commands
 // share a wire shape (header + value data block + StatusReply answer),
 // and unlike AMSet the value cannot land in slab memory up front —
-// whether a conditional store allocates at all is only known under the
-// shard lock at execute time, so there is no per-op header handler to
+// whether a conditional store allocates at all is only known when the
+// store op executes, so there is no per-op header handler to
 // specialize.
 const AMStore uint8 = 0x16
 

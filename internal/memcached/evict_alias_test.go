@@ -7,7 +7,7 @@ import (
 )
 
 // These tests pin down the append/prepend and incr grow paths under
-// eviction pressure: newItemLocked may evict LRU victims while the old
+// eviction pressure: newItem may evict LRU victims while the old
 // item's value is still needed as the copy source. Without pinning the
 // old item across the allocation, the victim can be the old item itself
 // — its chunk is freed, immediately recycled as the new item's chunk,

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
-	"sync"
 
 	"repro/internal/simnet"
 	"repro/internal/ucr"
@@ -24,11 +23,11 @@ var errNoUCR = errors.New("memcached: one-sided GET requires a UCR runtime (call
 // read raced an overwrite/eviction and the client falls back to the
 // two-sided AM path.
 //
-// Every mutation of published memory — directory entries and slab chunk
-// bytes — happens under idx.guard's write lock, which is also installed
-// as the server HCA's memory guard so simulated DMA read-locks it. The
-// guard makes each individual RDMA read atomic; the seqlock makes the
-// three-read sequence (entry, value, entry again) safe end to end.
+// Published memory — directory entries and slab chunk bytes — is written
+// only by store ops and read only by simulated DMA, and both run under
+// the deployment's one owner, so each individual RDMA read sees a whole
+// entry or a whole value; the seqlock makes the three-read sequence
+// (entry, value, entry again) safe end to end.
 
 // osEntrySize is the encoded size of one directory entry:
 // KeyHash(8) seq(8) addr(8) expireAt(8) rkey(4) kvlen(4) flags(4) pad(4).
@@ -152,16 +151,9 @@ type osIndex struct {
 	rt    *ucr.Runtime
 	arena *slabArena
 
-	// guard orders every write to published memory against simulated
-	// DMA; it is installed as the server HCA's memory guard. Writers are
-	// already serialized per key by the shard locks (taken first; the
-	// guard is always innermost), so the write lock is short and final.
-	guard sync.RWMutex
-
 	dir    []byte
 	dirWin *ucr.Window
 
-	mu      sync.Mutex // guards segWins growth
 	segWins []segWin
 }
 
@@ -192,8 +184,6 @@ func newOSIndex(rt *ucr.Runtime, arena *slabArena) (*osIndex, error) {
 // data path. Returns a nil window if registration fails (the item then
 // simply stays AM-only).
 func (x *osIndex) segWindow(si int) segWin {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	for len(x.segWins) <= si {
 		x.segWins = append(x.segWins, segWin{})
 	}
@@ -215,16 +205,8 @@ func (x *osIndex) slotBytes(b, s int) []byte {
 	return x.dir[base : base+osEntrySize]
 }
 
-// publish writes (or rewrites) it's directory entry. Callers hold the
-// item's shard lock; the guard is taken inside.
+// publish writes (or rewrites) it's directory entry.
 func (x *osIndex) publish(it *Item) {
-	x.guard.Lock()
-	x.publishLocked(it)
-	x.guard.Unlock()
-}
-
-// publishLocked is publish for callers already holding the guard.
-func (x *osIndex) publishLocked(it *Item) {
 	if len(it.key) > osMaxKeyLen || len(it.value) > osMaxValLen {
 		return
 	}
@@ -276,7 +258,6 @@ func (x *osIndex) publishLocked(it *Item) {
 func (x *osIndex) unpublish(it *Item) {
 	h := OSKeyHash(it.key)
 	b := OSBucketOf(h, osBuckets)
-	x.guard.Lock()
 	for s := 0; s < osSlots; s++ {
 		sb := x.slotBytes(b, s)
 		le := binary.LittleEndian
@@ -289,91 +270,24 @@ func (x *osIndex) unpublish(it *Item) {
 		le.PutUint32(sb[36:], 0)
 		break
 	}
-	x.guard.Unlock()
 }
 
-// wipe empties the whole directory (flush_all). Callers hold every
-// shard lock, so no publisher can race the sweep.
-func (x *osIndex) wipe() {
-	x.guard.Lock()
-	for i := range x.dir {
-		x.dir[i] = 0
-	}
-	x.guard.Unlock()
-}
-
-// close revokes the windows (server shutdown).
-func (x *osIndex) close() {
-	if x.dirWin != nil {
-		x.dirWin.Close()
-	}
-	x.mu.Lock()
-	wins := x.segWins
-	x.segWins = nil
-	x.mu.Unlock()
-	for _, sw := range wins {
-		if sw.w != nil {
-			sw.w.Close()
-		}
-	}
-}
+// wipe empties the whole directory (flush_all).
+func (x *osIndex) wipe() { clear(x.dir) }
 
 // --- Server integration ------------------------------------------------
 
 // EnableOneSided arms the one-sided GET index on a UCR-serving server:
-// the store starts publishing directory entries and the serving HCA
-// gets the index's memory guard, so simulated DMA and the engine's
-// writes to published memory are ordered. Call after ServeUCR, before
-// traffic.
+// the store starts publishing directory entries. Call after ServeUCR,
+// before traffic.
 func (s *Server) EnableOneSided() error {
 	if s.ucrRT == nil {
 		return errNoUCR
 	}
-	x, err := s.store.enableOneSided(s.ucrRT)
+	x, err := newOSIndex(s.ucrRT, s.store.arena)
 	if err != nil {
 		return err
 	}
-	s.ucrRT.HCA().SetMemGuard(&x.guard)
+	s.store.pub = x
 	return nil
-}
-
-// --- Store integration -------------------------------------------------
-
-// enableOneSided arms the store's one-sided index: every commit path
-// publishes, every unlink path unpublishes, and the returned index's
-// guard must be installed as the serving HCA's memory guard.
-func (s *Store) enableOneSided(rt *ucr.Runtime) (*osIndex, error) {
-	x, err := newOSIndex(rt, s.arena)
-	if err != nil {
-		return nil, err
-	}
-	s.pub.Store(x)
-	return x, nil
-}
-
-// memWr runs fn — a writer of slab chunk bytes — under the one-sided
-// memory guard when armed. Unarmed stores pay only a nil check.
-func (s *Store) memWr(fn func()) {
-	if x := s.pub.Load(); x != nil {
-		x.guard.Lock()
-		fn()
-		x.guard.Unlock()
-		return
-	}
-	fn()
-}
-
-// mutateInPlace runs fn (an in-place rewrite of it.value/casID) and
-// republishes the item's entry in one guard critical section, so no
-// reader can pair the new bytes with the old seqlock or vice versa.
-func (s *Store) mutateInPlace(it *Item, fn func()) {
-	x := s.pub.Load()
-	if x == nil {
-		fn()
-		return
-	}
-	x.guard.Lock()
-	fn()
-	x.publishLocked(it)
-	x.guard.Unlock()
 }

@@ -1,22 +1,18 @@
 package memcached
 
-import (
-	"sync/atomic"
-
-	"repro/internal/simnet"
-)
+import "repro/internal/simnet"
 
 // Operation recording: when armed (SetRecorder), the store emits one
-// OpRecord per state transition, built and sequenced under the owning
-// shard's lock. Because every mutation happens under exactly one shard
-// lock and carries the worker's virtual timestamp, the emitted sequence
-// IS a total order of the engine's history — the memcheck harness
-// replays it against a reference model directly, with no interleaving
-// search. Internal transitions (lazy expiry reaps, LRU evictions) are
-// recorded too, so the model can mirror the engine exactly instead of
-// tolerating unexplained misses.
+// OpRecord per state transition, built and sequenced inside the op.
+// Because every op runs under the store's one owner and carries the
+// worker's virtual timestamp, the emitted sequence IS a total order of
+// the engine's history — the memcheck harness replays it against a
+// reference model directly, with no interleaving search. Internal
+// transitions (lazy expiry reaps, LRU evictions) are recorded too, so
+// the model can mirror the engine exactly instead of tolerating
+// unexplained misses.
 //
-// Recording is off by default (one atomic load per operation) and adds
+// Recording is off by default (one nil check per operation) and adds
 // no virtual-time charges either way: the golden figure tables are
 // unaffected.
 
@@ -113,24 +109,25 @@ type OpRecord struct {
 // recorder pairs the callback with the global record sequence.
 type recorder struct {
 	fn  func(*OpRecord)
-	seq atomic.Uint64
+	seq uint64
 }
 
 func (rc *recorder) emit(r *OpRecord) {
-	r.Seq = rc.seq.Add(1)
+	rc.seq++
+	r.Seq = rc.seq
 	rc.fn(r)
 }
 
 // SetRecorder arms (or, with nil, disarms) operation recording. fn is
-// called synchronously under the owning shard's lock — it must be fast
-// and must not call back into the Store. Each *OpRecord is freshly
-// allocated and safe to retain.
+// called synchronously inside the op, under the store's owner — it
+// must be fast and must not call back into the Store. Each *OpRecord is
+// freshly allocated and safe to retain.
 func (s *Store) SetRecorder(fn func(*OpRecord)) {
 	if fn == nil {
-		s.rec.Store(nil)
+		s.rec = nil
 		return
 	}
-	s.rec.Store(&recorder{fn: fn})
+	s.rec = &recorder{fn: fn}
 }
 
 func cloneBytes(b []byte) []byte {
@@ -144,7 +141,7 @@ func cloneBytes(b []byte) []byte {
 
 // recordGet emits a get record; it is nil on a miss.
 func (s *Store) recordGet(key []byte, it *Item, now simnet.Time) {
-	rc := s.rec.Load()
+	rc := s.rec
 	if rc == nil {
 		return
 	}
@@ -163,7 +160,7 @@ func (s *Store) recordGet(key []byte, it *Item, now simnet.Time) {
 // recordStore emits a store-class record; it is nil when the op stored
 // nothing (conditional failure, OOM, too large).
 func (s *Store) recordStore(kind OpKind, key, value []byte, flags uint32, exptime int64, casReq uint64, it *Item, res StoreResult, now simnet.Time) {
-	rc := s.rec.Load()
+	rc := s.rec
 	if rc == nil {
 		return
 	}

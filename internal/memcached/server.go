@@ -1,8 +1,6 @@
 package memcached
 
 import (
-	"sync/atomic"
-
 	"repro/internal/simnet"
 	"repro/internal/sockstream"
 	"repro/internal/ucr"
@@ -112,7 +110,7 @@ type Server struct {
 	ucrClk  *simnet.VClock
 	ucrRT   *ucr.Runtime
 	conns   []*connState
-	stopped atomic.Bool
+	stopped bool
 }
 
 // sockListener is one sockets frontend with the dispatcher's clock for it.
@@ -300,14 +298,15 @@ func (s *Server) dispatch() {
 // no connection is seated afterwards), listeners close, every connection
 // closes — waking its peer's reads with EOF — and each worker retires and
 // destroys its UCR context. No step runs after it returns. It holds the
-// deployment (simnet.Executor.Enter) throughout: closing a connection
-// reaches into its client's endpoint.
+// deployment (simnet.Executor.Enter) throughout, the stopped check
+// included: closing a connection reaches into its client's endpoint.
 func (s *Server) Close() {
-	if s.stopped.Swap(true) {
-		return
-	}
 	s.ex.Enter()
 	defer s.ex.Exit()
+	if s.stopped {
+		return
+	}
+	s.stopped = true
 	s.disp.Stop()
 	for _, sl := range s.sockLis {
 		sl.lis.Close()

@@ -3,7 +3,6 @@ package memcached
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Slab allocation constants, matching memcached 1.4-era defaults.
@@ -77,16 +76,13 @@ type slabClass struct {
 // come from a host segment of at most slabSegSize made on the segment's
 // first carve (a chunk that large is a segment of its own).
 //
-// The arena is shared by every store shard and guards its free lists
-// with its own short mutex; the class geometry (count and sizes) is
-// immutable after construction and read without it. LRU ordering lives
-// with the shards (lruTable), not here — eviction policy is the store
-// layer's.
+// The arena is shared by every store shard and, like them, used only
+// under the store's owner. LRU ordering lives with the shards
+// (lruTable), not here — eviction policy is the store layer's.
 type slabArena struct {
 	classes    []slabClass
 	limitBytes int64
 
-	mu        sync.Mutex // guards free lists, carving state, segs, usedBytes
 	usedBytes int64
 	segs      []slabSeg // every host segment made, indexed by chunk.seg
 }
@@ -140,8 +136,6 @@ func (a *slabArena) classFor(n int) (int, bool) {
 
 // bytesUsed reports bytes of pages grabbed from the limit.
 func (a *slabArena) bytesUsed() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.usedBytes
 }
 
@@ -154,8 +148,6 @@ func (a *slabArena) alloc(n int) (chunk, error) {
 	if !ok {
 		return chunk{}, fmt.Errorf("memcached: object too large for cache (%d bytes)", n)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	cl := &a.classes[ci]
 	if k := len(cl.free); k > 0 {
 		c := cl.free[k-1]
@@ -163,16 +155,16 @@ func (a *slabArena) alloc(n int) (chunk, error) {
 		return c, nil
 	}
 	if cl.carve == 0 {
-		if err := a.growClassLocked(ci); err != nil {
+		if err := a.growClass(ci); err != nil {
 			return chunk{}, err
 		}
 	}
-	return a.carveLocked(ci), nil
+	return a.carveChunk(ci), nil
 }
 
-// growClassLocked grabs a page for class ci. No host bytes are made
-// here: the page only records that it has ⌊page/size⌋ chunks to carve.
-func (a *slabArena) growClassLocked(ci int) error {
+// growClass grabs a page for class ci. No host bytes are made here:
+// the page only records that it has ⌊page/size⌋ chunks to carve.
+func (a *slabArena) growClass(ci int) error {
 	if a.usedBytes+slabPageSize > a.limitBytes {
 		return ErrNoMemory
 	}
@@ -185,9 +177,9 @@ func (a *slabArena) growClassLocked(ci int) error {
 	return nil
 }
 
-// carveLocked carves the highest uncarved chunk of class ci's newest
+// carveChunk carves the highest uncarved chunk of class ci's newest
 // page, making its segment's host bytes when it is the segment's first.
-func (a *slabArena) carveLocked(ci int) chunk {
+func (a *slabArena) carveChunk(ci int) chunk {
 	cl := &a.classes[ci]
 	cl.carve--
 	j := cl.carve
@@ -205,8 +197,6 @@ func (a *slabArena) carveLocked(ci int) chunk {
 // segment reports host segment i: its bytes and their offset in their
 // page (the one-sided index registers each segment as an RDMA window).
 func (a *slabArena) segment(i int) slabSeg {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.segs[i]
 }
 
@@ -215,8 +205,6 @@ func (a *slabArena) free(c chunk) {
 	if !c.valid() {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	cl := &a.classes[c.class]
 	cl.free = append(cl.free, c)
 }
@@ -224,14 +212,10 @@ func (a *slabArena) free(c chunk) {
 // freeChunks reports the chunks of class i not handed out — freed or
 // not yet carved (for tests/stats).
 func (a *slabArena) freeChunks(i int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return len(a.classes[i].free) + a.classes[i].carve
 }
 
 // classPages reports pages assigned to class i.
 func (a *slabArena) classPages(i int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.classes[i].pages
 }

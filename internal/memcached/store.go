@@ -3,8 +3,6 @@ package memcached
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/simnet"
 )
@@ -66,8 +64,7 @@ const evictionTries = 50
 // seconds since simulation start).
 const maxRelativeExpiry = 60 * 60 * 24 * 30
 
-// shardCounters are one shard's engine counters, written and read
-// under the shard lock.
+// shardCounters are one shard's engine counters.
 type shardCounters struct {
 	cmdGet, cmdSet                             uint64
 	getHits, getMisses                         uint64
@@ -80,11 +77,11 @@ type shardCounters struct {
 }
 
 // shard is one lock stripe: a hash-table segment, its per-class LRU
-// chains, a CAS counter and stats, all under one mutex. res models that
-// mutex in virtual time — workers queue their lock hold times on it, so
-// contention shows up as measured latency (LockWait).
+// chains and stats. The stripe's lock exists only in virtual time: res
+// models it — workers queue their lock hold times on it, so contention
+// shows up as measured latency (LockWait) — while the store's one owner
+// (see Store) keeps the host from ever running two ops at once.
 type shard struct {
-	mu          sync.Mutex
 	id          uint16 // index in Store.shards, recorded on its items
 	res         *simnet.Resource
 	table       *hashTable
@@ -92,17 +89,16 @@ type shard struct {
 	flushBefore simnet.Time
 	stats       shardCounters
 
-	// freeItems recycles Item structs (under mu), so steady-state
-	// set/delete churn does not allocate one header per store. Items are
-	// pooled only where their chunk is freed — never while linked or
-	// pinned.
+	// freeItems recycles Item structs, so steady-state set/delete churn
+	// does not allocate one header per store. Items are pooled only where
+	// their chunk is freed — never while linked or pinned.
 	freeItems []*Item
 }
 
 // maxItemPool bounds each shard's retained Item-struct pool.
 const maxItemPool = 256
 
-// getItem pops a recycled Item (or allocates one). Caller holds sh.mu.
+// getItem pops a recycled Item (or allocates one).
 func (sh *shard) getItem() *Item {
 	if n := len(sh.freeItems); n > 0 {
 		it := sh.freeItems[n-1]
@@ -114,7 +110,7 @@ func (sh *shard) getItem() *Item {
 }
 
 // putItem recycles an unlinked, unpinned Item whose chunk has been
-// freed. Caller holds sh.mu.
+// freed.
 func (sh *shard) putItem(it *Item) {
 	if len(sh.freeItems) >= maxItemPool {
 		return
@@ -129,6 +125,12 @@ func (sh *shard) putItem(it *Item) {
 // multi-core" direction). A key's shard is picked from the high bits of
 // the same FNV-1a hash the table buckets use — one hash per op serves
 // both — so striping never skews bucket occupancy within a shard.
+//
+// A Store takes no lock of its own: it has one owner, and every call is
+// made under it. Inside a deployment the owner is the executor (a
+// server's workers are its actors); a host process serving a Store from
+// goroutines of its own serialises the calls itself (cmd/mcserver holds
+// one mutex while a command runs).
 type Store struct {
 	arena     *slabArena
 	shards    []*shard
@@ -146,16 +148,16 @@ type Store struct {
 	// process-wide sequence, and keeping it that way also keeps the
 	// IDs — which travel in "gets" responses — independent of the
 	// stripe count.
-	nextCAS atomic.Uint64
+	nextCAS uint64
 
 	// rec, when armed, receives one OpRecord per state transition (see
 	// record.go). nil in normal operation.
-	rec atomic.Pointer[recorder]
+	rec *recorder
 
 	// pub, when armed, is the one-sided GET index (onesided.go): commit
-	// paths publish directory entries, unlink paths invalidate them, and
-	// chunk-byte writers take its memory guard. nil in normal operation.
-	pub atomic.Pointer[osIndex]
+	// paths publish directory entries and unlink paths invalidate them.
+	// nil in normal operation.
+	pub *osIndex
 }
 
 // StoreConfig sizes a Store.
@@ -255,8 +257,7 @@ func chargeAfter(clk *simnet.VClock, cursor simnet.Time) Charge {
 }
 
 // acquire queues c's hold, copied bytes included, on sh's resource and
-// advances c's clock by the wait (sh.mu held). It returns where the hold
-// ends.
+// advances c's clock by the wait. It returns where the hold ends.
 func (s *Store) acquire(sh *shard, c Charge, copied int) simnet.Time {
 	if s.opCost <= 0 || c.clk == nil {
 		return c.at
@@ -281,10 +282,7 @@ func (s *Store) book(sh *shard, c Charge, copied int) simnet.Time {
 // chargeLock books c for a command that touches no item: the text
 // protocol's oversized store, refused before the engine runs.
 func (s *Store) chargeLock(key []byte, c Charge) {
-	sh := s.shardOf(hashKey(key))
-	sh.mu.Lock()
-	s.acquire(sh, c, 0)
-	sh.mu.Unlock()
+	s.acquire(s.shardOf(hashKey(key)), c, 0)
 }
 
 // LockStats sums lock occupancy across shards (busy virtual time and
@@ -292,9 +290,7 @@ func (s *Store) chargeLock(key []byte, c Charge) {
 // Stats.
 func (s *Store) LockStats() (busy simnet.Duration, uses int64) {
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		b, u := sh.res.Stats()
-		sh.mu.Unlock()
 		busy += b
 		uses += u
 	}
@@ -313,29 +309,29 @@ func expiryTime(exptime int64, now simnet.Time) simnet.Time {
 	}
 }
 
-// lookupLocked finds a live item for key, whose hashKey is h, lazily
+// lookupLive finds a live item for key, whose hashKey is h, lazily
 // reaping an expired one.
-func (s *Store) lookupLocked(sh *shard, key []byte, h uint64, now simnet.Time) *Item {
+func (s *Store) lookupLive(sh *shard, key []byte, h uint64, now simnet.Time) *Item {
 	it := lookup(sh.table, key, h)
 	if it == nil {
 		return nil
 	}
 	if it.expired(now, sh.flushBefore) && !mutGetSkipExpiry {
 		sh.stats.expired++
-		if rc := s.rec.Load(); rc != nil {
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: RecExpire, Key: it.key, Now: now, OldCAS: it.casID})
 		}
-		s.unlinkLocked(sh, it, h)
+		s.unlink(sh, it, h)
 		return nil
 	}
 	return it
 }
 
-// unlinkLocked removes an item, whose key hashes to h, from table and
-// LRU, freeing its chunk unless a transfer still pins it (the chunk is
-// then freed at Unpin).
-func (s *Store) unlinkLocked(sh *shard, it *Item, h uint64) {
-	if x := s.pub.Load(); x != nil {
+// unlink removes an item, whose key hashes to h, from table and LRU,
+// freeing its chunk unless a transfer still pins it (the chunk is then
+// freed at Unpin).
+func (s *Store) unlink(sh *shard, it *Item, h uint64) {
+	if x := s.pub; x != nil {
 		x.unpublish(it)
 	}
 	if it.linked {
@@ -350,10 +346,10 @@ func (s *Store) unlinkLocked(sh *shard, it *Item, h uint64) {
 	}
 }
 
-// allocLocked grabs a chunk, evicting LRU victims as needed. Victims
-// come only from the calling shard's own chains — its lock is the only
-// one held, so items other shards own are untouchable here.
-func (s *Store) allocLocked(sh *shard, n int, now simnet.Time) (chunk, StoreResult) {
+// alloc grabs a chunk, evicting LRU victims as needed. Victims come
+// only from the calling shard's own chains: an op touches the one stripe
+// its key hashes to, and that stripe's modelled lock is all it booked.
+func (s *Store) alloc(sh *shard, n int, now simnet.Time) (chunk, StoreResult) {
 	for {
 		c, err := s.arena.alloc(n)
 		if err == nil {
@@ -374,36 +370,36 @@ func (s *Store) allocLocked(sh *shard, n int, now simnet.Time) (chunk, StoreResu
 			return chunk{}, OOM
 		}
 		sh.stats.evictions++
-		if rc := s.rec.Load(); rc != nil {
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
 				Kind: RecEvict, Key: victim.key, Now: now,
 				OldCAS: victim.casID, OldValue: cloneBytes(victim.value),
 			})
 		}
-		s.unlinkLocked(sh, victim, hashKey(victim.key))
+		s.unlink(sh, victim, hashKey(victim.key))
 	}
 }
 
-// internKeyLocked resolves the string an item about to be linked keeps
-// for a wire-decoded key: when the key is already resident (even
+// internKey resolves the string an item about to be linked keeps for
+// a wire-decoded key: when the key is already resident (even
 // expired — strings are immutable) its existing string is reused, so
 // steady-state overwrites of a live keyspace never allocate. A
 // first-seen key converts once. Nothing else in the engine builds a key
 // string outside a history record.
-func internKeyLocked(sh *shard, key []byte, h uint64) string {
+func internKey(sh *shard, key []byte, h uint64) string {
 	if it := lookup(sh.table, key, h); it != nil {
 		return it.key
 	}
 	return string(key)
 }
 
-// newItemLocked allocates and fills an unlinked item.
-func (s *Store) newItemLocked(sh *shard, key string, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
-	c, res := s.allocLocked(sh, len(key)+valueLen+itemOverhead, now)
+// newItem allocates and fills an unlinked item.
+func (s *Store) newItem(sh *shard, key string, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
+	c, res := s.alloc(sh, len(key)+valueLen+itemOverhead, now)
 	if res != Stored {
 		return nil, res
 	}
-	s.memWr(func() { copy(c.buf, key) })
+	copy(c.buf, key)
 	it := sh.getItem()
 	it.shard = sh.id
 	it.key = key
@@ -411,24 +407,25 @@ func (s *Store) newItemLocked(sh *shard, key string, flags uint32, exptime int64
 	it.chunk = c
 	it.flags = flags
 	it.expireAt = expiryTime(exptime, now)
-	it.casID = s.nextCAS.Add(1)
+	s.nextCAS++
+	it.casID = s.nextCAS
 	it.setAt = now
 	it.exptimeRaw = exptime
 	return it, Stored
 }
 
-// linkLocked commits an item, whose key hashes to h, replacing any
-// existing entry for the key.
-func (s *Store) linkLocked(sh *shard, it *Item, h uint64) {
+// link commits an item, whose key hashes to h, replacing any existing
+// entry for the key.
+func (s *Store) link(sh *shard, it *Item, h uint64) {
 	if old := lookup(sh.table, it.key, h); old != nil {
-		s.unlinkLocked(sh, old, h)
+		s.unlink(sh, old, h)
 	}
 	sh.table.put(it, h)
 	sh.lru.insert(it)
 	sh.stats.bytes += uint64(len(it.key) + len(it.value))
 	sh.stats.currItems++
 	sh.stats.totalItems++
-	if x := s.pub.Load(); x != nil {
+	if x := s.pub; x != nil {
 		x.publish(it)
 	}
 }
@@ -440,9 +437,7 @@ func (s *Store) linkLocked(sh *shard, it *Item, h uint64) {
 func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it, res := s.newItemLocked(sh, internKeyLocked(sh, key, h), flags, exptime, valueLen, now)
+	it, res := s.newItem(sh, internKey(sh, key, h), flags, exptime, valueLen, now)
 	if res == Stored {
 		it.refcount++ // pinned until commit/abort
 	} else {
@@ -457,13 +452,11 @@ func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen i
 // allocateItem recorded; the key is hashed once, for the table.
 func (s *Store) commitItem(it *Item, c Charge) {
 	sh := s.shards[it.shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	now := s.book(sh, c, 0)
 	it.refcount--
 	sh.stats.cmdSet++
-	s.linkLocked(sh, it, hashKey(it.key))
-	if rc := s.rec.Load(); rc != nil {
+	s.link(sh, it, hashKey(it.key))
+	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{
 			Kind: RecSet, Key: it.key, Now: now, Res: Stored,
 			Value: cloneBytes(it.value), Flags: it.flags,
@@ -476,8 +469,6 @@ func (s *Store) commitItem(it *Item, c Charge) {
 // abortItem releases an allocated-but-uncommitted item.
 func (s *Store) abortItem(it *Item) {
 	sh := s.shards[it.shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	it.refcount--
 	if !it.pinned() {
 		s.arena.free(it.chunk)
@@ -495,8 +486,6 @@ func (s *Store) abortItem(it *Item) {
 func (s *Store) store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, c Charge) StoreResult {
 	h := hashKey(key)
 	sh := s.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	now := s.book(sh, c, len(value))
 	if op < StoreOpAdd || op > StoreOpSet {
 		return NotStored
@@ -507,19 +496,19 @@ func (s *Store) store(op uint8, key []byte, flags uint32, exptime int64, value [
 	kind, gate := RecSet, true
 	switch op {
 	case StoreOpAppend, StoreOpPrepend:
-		return s.concatLocked(sh, key, h, value, op == StoreOpPrepend, now)
+		return s.concat(sh, key, h, value, op == StoreOpPrepend, now)
 	case StoreOpCas:
-		return s.casLocked(sh, key, h, flags, exptime, value, casID, now)
+		return s.cas(sh, key, h, flags, exptime, value, casID, now)
 	case StoreOpAdd:
-		kind, gate = RecAdd, mutAddClobbers || s.lookupLocked(sh, key, h, now) == nil
+		kind, gate = RecAdd, mutAddClobbers || s.lookupLive(sh, key, h, now) == nil
 	case StoreOpReplace:
-		kind, gate = RecReplace, s.lookupLocked(sh, key, h, now) != nil
+		kind, gate = RecReplace, s.lookupLive(sh, key, h, now) != nil
 	}
 	if !gate {
 		s.recordStore(kind, key, nil, flags, exptime, 0, nil, NotStored, now)
 		return NotStored
 	}
-	it, res := s.setLocked(sh, key, h, flags, exptime, value, now)
+	it, res := s.setItem(sh, key, h, flags, exptime, value, now)
 	if res != Stored {
 		value = nil // a failed store records no value
 	}
@@ -534,9 +523,9 @@ func (s *Store) Set(key string, flags uint32, exptime int64, value []byte, now s
 	return s.store(StoreOpSet, append(make([]byte, 0, maxKeyLen), key...), flags, exptime, value, 0, at(now))
 }
 
-// casLocked is the cas verb's body. Caller holds sh.mu.
-func (s *Store) casLocked(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
-	it := s.lookupLocked(sh, key, h, now)
+// cas is the cas verb's body.
+func (s *Store) cas(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
+	it := s.lookupLive(sh, key, h, now)
 	if it == nil {
 		sh.stats.casMisses++
 		s.recordStore(RecCas, key, nil, flags, exptime, casID, nil, NotFound, now)
@@ -548,27 +537,27 @@ func (s *Store) casLocked(sh *shard, key []byte, h uint64, flags uint32, exptime
 		return Exists
 	}
 	sh.stats.casHits++
-	nit, res := s.setLocked(sh, key, h, flags, exptime, value, now)
+	nit, res := s.setItem(sh, key, h, flags, exptime, value, now)
 	s.recordStore(RecCas, key, value, flags, exptime, casID, nit, res, now)
 	return res
 }
 
-// setLocked is the shared unconditional-store tail. The stored item is
+// setItem is the shared unconditional-store tail. The stored item is
 // returned so callers can record the assigned CAS/expiry (nil on
 // failure).
-func (s *Store) setLocked(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, now simnet.Time) (*Item, StoreResult) {
-	it, res := s.newItemLocked(sh, internKeyLocked(sh, key, h), flags, exptime, len(value), now)
+func (s *Store) setItem(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, now simnet.Time) (*Item, StoreResult) {
+	it, res := s.newItem(sh, internKey(sh, key, h), flags, exptime, len(value), now)
 	if res != Stored {
 		return nil, res
 	}
-	s.memWr(func() { copy(it.value, value) })
-	s.linkLocked(sh, it, h)
+	copy(it.value, value)
+	s.link(sh, it, h)
 	return it, Stored
 }
 
-// releasePin drops a refcount taken inside the lock, freeing the chunk
-// (and recycling the header) if the item was unlinked
-// (evicted/replaced) while pinned.
+// releasePin drops a refcount an op took, freeing the chunk (and
+// recycling the header) if the item was unlinked (evicted/replaced)
+// while pinned.
 func (s *Store) releasePin(sh *shard, it *Item) {
 	it.refcount--
 	if !it.linked && !it.pinned() {
@@ -577,21 +566,21 @@ func (s *Store) releasePin(sh *shard, it *Item) {
 	}
 }
 
-// concatLocked implements append/prepend.
+// concat implements append/prepend.
 //
-// The old item must be pinned across the allocation: newItemLocked may
-// evict LRU victims to make room, and without the pin the victim can be
+// The old item must be pinned across the allocation: newItem may evict
+// LRU victims to make room, and without the pin the victim can be
 // old itself — freeing the chunk old.value aliases, so the copy below
 // would read (or, after the free list recycles the chunk into the new
 // item, overwrite) freed slab memory.
-func (s *Store) concatLocked(sh *shard, key []byte, h uint64, add []byte, prepend bool, now simnet.Time) StoreResult {
+func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool, now simnet.Time) StoreResult {
 	kind := RecAppend
 	if prepend {
 		kind = RecPrepend
 	}
-	old := s.lookupLocked(sh, key, h, now)
+	old := s.lookupLive(sh, key, h, now)
 	if old == nil {
-		if rc := s.rec.Load(); rc != nil {
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Res: NotStored, Arg: cloneBytes(add)})
 		}
 		return NotStored
@@ -599,13 +588,13 @@ func (s *Store) concatLocked(sh *shard, key []byte, h uint64, add []byte, prepen
 	old.refcount++
 	skey, oldCAS := old.key, old.casID // outlive old: releasePin may recycle the header
 	var oldVal []byte
-	if s.rec.Load() != nil {
+	if s.rec != nil {
 		oldVal = cloneBytes(old.value)
 	}
-	it, res := s.newItemLocked(sh, skey, old.flags, 0, len(old.value)+len(add), now)
+	it, res := s.newItem(sh, skey, old.flags, 0, len(old.value)+len(add), now)
 	if res != Stored {
 		s.releasePin(sh, old)
-		if rc := s.rec.Load(); rc != nil {
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
 				Kind: kind, Key: skey, Now: now, Res: res,
 				Arg: cloneBytes(add), OldValue: oldVal, OldCAS: oldCAS,
@@ -617,18 +606,16 @@ func (s *Store) concatLocked(sh *shard, key []byte, h uint64, add []byte, prepen
 	if mutAppendNoCAS {
 		it.casID = oldCAS
 	}
-	s.memWr(func() {
-		if prepend {
-			copy(it.value, add)
-			copy(it.value[len(add):], old.value)
-		} else {
-			copy(it.value, old.value)
-			copy(it.value[len(old.value):], add)
-		}
-	})
+	if prepend {
+		copy(it.value, add)
+		copy(it.value[len(add):], old.value)
+	} else {
+		copy(it.value, old.value)
+		copy(it.value[len(old.value):], add)
+	}
 	s.releasePin(sh, old)
-	s.linkLocked(sh, it, h)
-	if rc := s.rec.Load(); rc != nil {
+	s.link(sh, it, h)
+	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{
 			Kind: kind, Key: skey, Now: now, Res: Stored,
 			Arg: cloneBytes(add), OldValue: oldVal, OldCAS: oldCAS,
@@ -649,19 +636,13 @@ func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, ca
 
 // unpin releases a getPinned reference, freeing the chunk if the item
 // was unlinked (replaced/evicted/deleted) while pinned.
-func (s *Store) unpin(it *Item) {
-	sh := s.shards[it.shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.releasePin(sh, it)
-}
+func (s *Store) unpin(it *Item) { s.releasePin(s.shards[it.shard], it) }
 
-// getLocked is the GET lookup: hit and miss counters, the LRU touch and
-// the history record, alloc-free end to end. Caller holds sh.mu; nil is
-// a miss.
-func (s *Store) getLocked(sh *shard, key []byte, h uint64, now simnet.Time) *Item {
+// countGet is the GET lookup: hit and miss counters, the LRU touch and
+// the history record, alloc-free end to end. nil is a miss.
+func (s *Store) countGet(sh *shard, key []byte, h uint64, now simnet.Time) *Item {
 	sh.stats.cmdGet++
-	it := s.lookupLocked(sh, key, h, now)
+	it := s.lookupLive(sh, key, h, now)
 	if it == nil {
 		sh.stats.getMisses++
 	} else {
@@ -678,9 +659,7 @@ func (s *Store) getLocked(sh *shard, key []byte, h uint64, now simnet.Time) *Ite
 func (s *Store) getPinned(key []byte, c Charge) (*Item, bool) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it := s.getLocked(sh, key, h, s.book(sh, c, 0))
+	it := s.countGet(sh, key, h, s.book(sh, c, 0))
 	if it == nil {
 		return nil, false
 	}
@@ -689,17 +668,15 @@ func (s *Store) getPinned(key []byte, c Charge) (*Item, bool) {
 }
 
 // view is the sockets engine's GET: instead of pinning the hit it runs
-// read on it while the shard lock is held, which is where that engine
-// copies the value out. Its charge is booked after read, so the hold
+// read on it inside the op, where that engine copies the value out
+// under its stripe's lock. Its charge is booked after read, so the hold
 // covers the value's bytes (a miss copies none); the returned end is
 // where the hold ends, the next key's cursor in a multi-key get. read
 // must not call back into the Store or retain the item.
 func (s *Store) view(key []byte, c Charge, read func(*Item)) (hit bool, end simnet.Time) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it := s.getLocked(sh, key, h, c.now)
+	it := s.countGet(sh, key, h, c.now)
 	copied := 0
 	if it != nil {
 		read(it)
@@ -712,23 +689,21 @@ func (s *Store) view(key []byte, c Charge, read func(*Item)) (hit bool, end simn
 func (s *Store) delete(key []byte, c Charge) bool {
 	h := hashKey(key)
 	sh := s.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	now := s.book(sh, c, 0)
-	it := s.lookupLocked(sh, key, h, now)
+	it := s.lookupLive(sh, key, h, now)
 	if it == nil {
 		sh.stats.deleteMisses++
-		if rc := s.rec.Load(); rc != nil {
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: RecDelete, Key: string(key), Now: now})
 		}
 		return false
 	}
 	sh.stats.deleteHits++
-	if rc := s.rec.Load(); rc != nil {
+	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{Kind: RecDelete, Key: it.key, Now: now, Hit: true, OldCAS: it.casID})
 	}
 	if !mutDeleteNoop {
-		s.unlinkLocked(sh, it, h)
+		s.unlink(sh, it, h)
 	}
 	return true
 }
@@ -740,21 +715,19 @@ func (s *Store) delete(key []byte, c Charge) bool {
 func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal uint64, found, badValue, oom bool) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	now := s.book(sh, c, 0)
 	kind := RecIncr
 	if !incr {
 		kind = RecDecr
 	}
-	it := s.lookupLocked(sh, key, h, now)
+	it := s.lookupLive(sh, key, h, now)
 	if it == nil {
 		if incr {
 			sh.stats.incrMisses++
 		} else {
 			sh.stats.decrMisses++
 		}
-		if rc := s.rec.Load(); rc != nil {
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Delta: delta})
 		}
 		return 0, false, false, false
@@ -762,7 +735,7 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal 
 	skey := it.key // outlives it: the grow path may recycle the header
 	cur, err := strconv.ParseUint(string(it.value), 10, 64)
 	if err != nil {
-		if rc := s.rec.Load(); rc != nil {
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true, Bad: true, OldCAS: it.casID})
 		}
 		return 0, true, true, false
@@ -784,14 +757,16 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal 
 	if len(text) <= len(it.value) {
 		// Fits in place: memcached right-pads with spaces semantics are
 		// emulated by shrinking the value slice to the new length. The
-		// rewrite and the directory republish share one guard section so
-		// a one-sided reader can never pair new bytes with the old seq.
-		s.mutateInPlace(it, func() {
-			copy(it.value, text)
-			it.value = it.value[:len(text)]
-			it.casID = s.nextCAS.Add(1)
-		})
-		if rc := s.rec.Load(); rc != nil {
+		// republish gives the entry the new CAS's seqlock, so a one-sided
+		// reader that fetched the old bytes fails its re-validation.
+		copy(it.value, text)
+		it.value = it.value[:len(text)]
+		s.nextCAS++
+		it.casID = s.nextCAS
+		if x := s.pub; x != nil {
+			x.publish(it)
+		}
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
 				Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true,
 				NewNum: cur, Value: cloneBytes(it.value), Flags: it.flags,
@@ -800,23 +775,23 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal 
 			})
 		}
 	} else {
-		// Pin the current item across the allocation: newItemLocked may
+		// Pin the current item across the allocation: newItem may
 		// evict it to make room, and the pin keeps its chunk (and the
 		// expiry we carry over) alive until the swap completes.
 		flags, exp := it.flags, it.expireAt
 		it.refcount++
-		nit, res := s.newItemLocked(sh, skey, flags, 0, len(text), now)
+		nit, res := s.newItem(sh, skey, flags, 0, len(text), now)
 		s.releasePin(sh, it)
 		if res != Stored {
-			if rc := s.rec.Load(); rc != nil {
+			if rc := s.rec; rc != nil {
 				rc.emit(&OpRecord{Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true, OOM: true, OldCAS: oldCAS})
 			}
 			return 0, true, false, true
 		}
 		nit.expireAt = exp
-		s.memWr(func() { copy(nit.value, text) })
-		s.linkLocked(sh, nit, h)
-		if rc := s.rec.Load(); rc != nil {
+		copy(nit.value, text)
+		s.link(sh, nit, h)
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
 				Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true,
 				NewNum: cur, Value: cloneBytes(nit.value), Flags: nit.flags,
@@ -832,21 +807,19 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal 
 func (s *Store) touch(key []byte, exptime int64, c Charge) bool {
 	h := hashKey(key)
 	sh := s.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	now := s.book(sh, c, 0)
-	it := s.lookupLocked(sh, key, h, now)
+	it := s.lookupLive(sh, key, h, now)
 	if it == nil {
-		if rc := s.rec.Load(); rc != nil {
+		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: RecTouch, Key: string(key), Now: now, Exptime: exptime})
 		}
 		return false
 	}
 	it.expireAt = expiryTime(exptime, now)
-	if x := s.pub.Load(); x != nil {
+	if x := s.pub; x != nil {
 		x.publish(it) // refresh the entry's expiry
 	}
-	if rc := s.rec.Load(); rc != nil {
+	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{
 			Kind: RecTouch, Key: it.key, Now: now, Exptime: exptime, Hit: true,
 			ExpireAt: it.expireAt, OldCAS: it.casID,
@@ -859,36 +832,22 @@ func (s *Store) touch(key []byte, exptime int64, c Charge) bool {
 // memcached: items vanish on next access).
 func (s *Store) FlushAll(now simnet.Time) {
 	horizon := now + 1
-	// All shard locks at once (in index order; every other path takes
-	// exactly one, so this cannot deadlock). Setting the horizons shard
-	// by shard would let a concurrent op observe the new horizon and
-	// emit an expiry record sequenced BEFORE the flush record — the
-	// recorded history must show the flush as a single transition.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
 	for _, sh := range s.shards {
 		sh.flushBefore = horizon
 	}
-	if rc := s.rec.Load(); rc != nil {
+	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{Kind: RecFlushAll, Now: now, Horizon: horizon})
 	}
-	if x := s.pub.Load(); x != nil {
+	if x := s.pub; x != nil {
 		x.wipe() // every published entry predates the horizon
-	}
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
 	}
 }
 
-// Stats snapshots the counters, summing each shard's under its lock:
-// the data path writes them there, so it pays no atomics for them.
+// Stats snapshots the counters, summing each shard's.
 func (s *Store) Stats() Stats {
 	var st Stats
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		c := sh.stats
-		sh.mu.Unlock()
 		st.CmdGet += c.cmdGet
 		st.CmdSet += c.cmdSet
 		st.GetHits += c.getHits
@@ -917,11 +876,9 @@ func (s *Store) Stats() Stats {
 func (s *Store) itemsPerClass() []int {
 	counts := make([]int, s.arena.numClasses())
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		for i := range counts {
 			counts[i] += sh.lru.classItems(i)
 		}
-		sh.mu.Unlock()
 	}
 	return counts
 }

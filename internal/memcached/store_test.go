@@ -3,8 +3,8 @@ package memcached
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strconv"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -629,51 +629,66 @@ func TestStoreModelProperty(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentWorkers interleaves eight workers' set/get/delete
+// mixes over 97 shared keys, each worker holding the item it pinned
+// across every other worker's next op: a pinned value stays intact
+// while its key is overwritten or deleted under it, and once every pin
+// is released the counters match what is readable.
 func TestStoreConcurrentWorkers(t *testing.T) {
-	// The engine sits under one lock shared by all server workers; this
-	// stress run (with -race) hunts for misuse around pinning, eviction
-	// and expiry under contention.
 	s := NewStore(StoreConfig{MemoryLimit: 4 << 20})
 	const workers = 8
 	const opsEach = 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			val := bytes.Repeat([]byte{byte(w)}, 600)
-			for i := 0; i < opsEach; i++ {
-				key := fmt.Sprintf("k%d", (w*31+i)%97)
-				switch i % 5 {
-				case 0, 1:
-					s.Set(key, uint32(w), 0, val, simnet.Time(i))
-				case 2:
-					if it, ok := s.getPinned([]byte(key), at(simnet.Time(i))); ok {
-						if len(it.value) != 600 {
-							t.Errorf("pinned value len %d", len(it.value))
-						}
-						s.unpin(it)
-					}
-				case 3:
-					s.Get(key, simnet.Time(i))
-				case 4:
-					s.delete([]byte(key), at(simnet.Time(i)))
-				}
+	// A pin is intact while its item keeps the CAS id it was pinned
+	// with (its header was not recycled) and the value its setter wrote:
+	// 600 copies of the setter's index, which is also its flags.
+	type pin struct {
+		it  *Item
+		cas uint64
+	}
+	pins := make([]pin, workers)
+	unpin := func(w int) {
+		if p := pins[w]; p.it != nil {
+			if p.it.casID != p.cas || !bytes.Equal(p.it.value, bytes.Repeat([]byte{byte(p.it.flags)}, 600)) {
+				t.Errorf("worker %d: pinned item changed under its pin", w)
 			}
-		}(w)
+			s.unpin(p.it)
+			pins[w] = pin{}
+		}
 	}
-	wg.Wait()
+	var sets uint64
+	keys := rand.New(rand.NewSource(3)) // any worker may hit any key
+	interleave(2, workers, opsEach, func(w, i int) {
+		key := fmt.Sprintf("k%d", keys.Intn(97))
+		now := simnet.Time(i)
+		switch (i + w) % 5 { // workers in different phases each round
+		case 0, 1:
+			s.Set(key, uint32(w), 0, bytes.Repeat([]byte{byte(w)}, 600), now)
+			sets++
+		case 2:
+			if it, ok := s.getPinned([]byte(key), at(now)); ok {
+				pins[w] = pin{it, it.casID}
+			}
+		case 3:
+			unpin(w)
+			s.Get(key, now)
+		case 4:
+			s.delete([]byte(key), at(now))
+		}
+	})
+	for w := range pins {
+		unpin(w)
+	}
 	st := s.Stats()
-	if st.CmdSet == 0 || st.CmdGet == 0 {
-		t.Fatalf("stats = %+v", st)
+	if st.CmdSet != sets || st.CmdGet == 0 {
+		t.Fatalf("CmdSet = %d, want %d (CmdGet %d)", st.CmdSet, sets, st.CmdGet)
 	}
-	// Invariant: accounted bytes are consistent with the live items.
-	var total uint64
-	for _, key := range []string{} {
-		_ = key
+	live := uint64(0)
+	for i := 0; i < 97; i++ {
+		if _, _, _, ok := s.Get(fmt.Sprintf("k%d", i), opsEach); ok {
+			live++
+		}
 	}
-	if st.CurrItems > 97 {
-		t.Fatalf("CurrItems = %d > keyspace", st.CurrItems)
+	if live != st.CurrItems {
+		t.Fatalf("readable items %d != CurrItems %d", live, st.CurrItems)
 	}
-	_ = total
 }

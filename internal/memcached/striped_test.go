@@ -2,7 +2,7 @@ package memcached
 
 import (
 	"fmt"
-	"sync"
+	"math/rand"
 	"testing"
 
 	"repro/internal/simnet"
@@ -104,64 +104,77 @@ func TestLockWaitQueueing(t *testing.T) {
 	}
 }
 
-// TestStripedStoreConcurrentStress hammers one striped store from many
-// goroutines mixing every mutating op across shard boundaries. Run
-// under -race (make tier2) it is the data-race guard for the striped
-// engine; the invariants checked at the end catch lost updates.
+// interleave runs streams of ops from one goroutine, as racing workers
+// would reach one owned store: every round each stream takes its next
+// op (op(g, i) is stream g's op i), in an order a seeded draw shuffles,
+// so the streams interleave and the run is still a function of seed.
+func interleave(seed int64, streams, opsEach int, op func(g, i int)) {
+	rng := rand.New(rand.NewSource(seed))
+	order := make([]int, streams)
+	for g := range order {
+		order[g] = g
+	}
+	for i := 0; i < opsEach; i++ {
+		rng.Shuffle(streams, func(a, b int) { order[a], order[b] = order[b], order[a] })
+		for _, g := range order {
+			op(g, i)
+		}
+	}
+}
+
+// TestStripedStoreConcurrentStress interleaves twelve workers' mixes of
+// every mutating op across shard boundaries on one striped store; the
+// invariants checked at the end catch lost updates and leaked pins.
 func TestStripedStoreConcurrentStress(t *testing.T) {
 	s := NewStore(StoreConfig{Stripes: 8, MemoryLimit: 8 << 20})
 	s.opCost = simnet.Microsecond // books case 7's charges; At ops stay free
 	const (
-		goroutines = 12
-		opsEach    = 400
-		keySpace   = 64
+		workers  = 12
+		opsEach  = 400
+		keySpace = 64
 	)
-	var wg sync.WaitGroup
-	sets := make([]uint64, goroutines) // per-goroutine cmd_set-bumping calls
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			now := simnet.Time(g)
-			for i := 0; i < opsEach; i++ {
-				key := fmt.Sprintf("k-%d", (g*opsEach+i)%keySpace)
-				now += simnet.Duration(1)
-				switch i % 8 {
-				case 0:
-					s.Set(key, uint32(g), 0, []byte("value"), now)
-					sets[g]++
-				case 1:
-					if it, ok := s.getPinned([]byte(key), at(now)); ok {
-						_ = it.value
-						s.unpin(it)
-					}
-				case 2:
-					_, _, _, _ = s.Get(key, now)
-				case 3:
-					if _, _, cas, ok := s.Get(key, now); ok {
-						s.store(StoreOpCas, []byte(key), 0, 0, []byte("casval"), cas, at(now))
-						sets[g]++
-					}
-				case 4:
-					s.Set(key, 0, 0, []byte("7"), now)
-					s.incrDecr([]byte(key), 3, true, at(now))
-					sets[g]++
-				case 5:
-					s.delete([]byte(key), at(now))
-				case 6:
-					s.store(StoreOpAppend, []byte(key), 0, 0, []byte("+tail"), 0, at(now))
-					sets[g]++
-				case 7:
-					// Exercise the virtual-time lock from racing actors.
-					s.chargeLock([]byte(key), chargeAfter(simnet.NewVClock(now), now))
-					if i == 7 && g == 0 {
-						s.FlushAll(now)
-					}
-				}
-			}
-		}(g)
+	sets := make([]uint64, workers) // per-worker cmd_set-bumping calls
+	now := make([]simnet.Time, workers)
+	for g := range now {
+		now[g] = simnet.Time(g)
 	}
-	wg.Wait()
+	interleave(1, workers, opsEach, func(g, i int) {
+		key := fmt.Sprintf("k-%d", (g*opsEach+i)%keySpace)
+		now[g]++
+		now := now[g]
+		switch (i + g) % 8 { // workers in different phases each round
+		case 0:
+			s.Set(key, uint32(g), 0, []byte("value"), now)
+			sets[g]++
+		case 1:
+			if it, ok := s.getPinned([]byte(key), at(now)); ok {
+				_ = it.value
+				s.unpin(it)
+			}
+		case 2:
+			_, _, _, _ = s.Get(key, now)
+		case 3:
+			if _, _, cas, ok := s.Get(key, now); ok {
+				s.store(StoreOpCas, []byte(key), 0, 0, []byte("casval"), cas, at(now))
+				sets[g]++
+			}
+		case 4:
+			s.Set(key, 0, 0, []byte("7"), now)
+			s.incrDecr([]byte(key), 3, true, at(now))
+			sets[g]++
+		case 5:
+			s.delete([]byte(key), at(now))
+		case 6:
+			s.store(StoreOpAppend, []byte(key), 0, 0, []byte("+tail"), 0, at(now))
+			sets[g]++
+		case 7:
+			// Book the virtual-time lock between other workers' ops.
+			s.chargeLock([]byte(key), chargeAfter(simnet.NewVClock(now), now))
+			if i == 7 && g == 0 {
+				s.FlushAll(now)
+			}
+		}
+	})
 
 	st := s.Stats()
 	want := uint64(0)

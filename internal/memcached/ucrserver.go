@@ -391,8 +391,8 @@ func (s *Server) sendValue(clk *simnet.VClock, c *ucrConn, ep *ucr.Endpoint, ban
 
 // amStoreHeader stages the incoming value for a conditional store in a
 // landing from the context's pool, not slab memory: whether a
-// conditional store allocates at all is decided under the shard lock in
-// the completion handler, which hands the landing back — eager and
+// conditional store allocates at all is decided by the store op in the
+// completion handler, which hands the landing back — eager and
 // rendezvous transfers alike.
 func (s *Server) amStoreHeader(_ *simnet.VClock, ep *ucr.Endpoint, _ []byte, dataLen int, _ ucr.CounterID) []byte {
 	return ep.Context().Buf(dataLen)
@@ -439,7 +439,7 @@ func (s *Server) amArmComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 	default:
 		connOf(ep).arena = req
 	}
-	if x := s.store.pub.Load(); x != nil {
+	if x := s.store.pub; x != nil {
 		rep.OS = OSDesc{Enabled: true, Buckets: osBuckets, Slots: osSlots, Dir: x.dirWin.Desc()}
 	}
 	_ = ep.Send(clk, AMArmReply, encodeArmReply(rep), nil, nil, req.ReplyCtr, nil)

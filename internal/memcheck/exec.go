@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/mcclient"
@@ -86,14 +85,10 @@ func (m *Mode) execute(sc Script, cfg Config) *Result {
 
 	// Arm the recorder only now: connection setup is not part of the
 	// checked history. The callback runs inside a server worker's step,
-	// which the executor runs on the goroutine of whichever caller is
-	// waiting on that server: here always this one, but the store makes
-	// no such promise, so the sink keeps its mutex. Seq restores the
-	// total order afterwards.
+	// under the deployment's owner like every store op, so the sink
+	// needs no lock of its own. Seq restores the total order afterwards.
 	x.store.SetRecorder(func(r *memcached.OpRecord) {
-		x.recMu.Lock()
 		x.records = append(x.records, r)
-		x.recMu.Unlock()
 	})
 
 	for i, op := range sc.Ops {
@@ -140,7 +135,6 @@ type executor struct {
 	store      *memcached.Store
 	clients    []*cluster.Client
 
-	recMu   sync.Mutex
 	records []*memcached.OpRecord
 	obs     []Observation
 }

@@ -1,7 +1,6 @@
 package memcheck
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -34,13 +33,10 @@ func TestFlushAllWithPipelinedSets(t *testing.T) {
 			}
 			defer cl.Close()
 
-			var mu sync.Mutex
 			var recs []*memcached.OpRecord
 			store := d.Server.Store()
 			store.SetRecorder(func(r *memcached.OpRecord) {
-				mu.Lock()
 				recs = append(recs, r)
-				mu.Unlock()
 			})
 			defer store.SetRecorder(nil)
 
@@ -83,9 +79,7 @@ func TestFlushAllWithPipelinedSets(t *testing.T) {
 
 			// Oracle: last committed set per key, and the flush horizon,
 			// straight from the recorder.
-			mu.Lock()
 			history := append([]*memcached.OpRecord(nil), recs...)
-			mu.Unlock()
 			sortRecords(history)
 			var horizon simnet.Time
 			lastSet := map[string]*memcached.OpRecord{}
@@ -131,9 +125,7 @@ func TestFlushAllWithPipelinedSets(t *testing.T) {
 			}
 
 			// The whole interleaving must also satisfy the reference model.
-			mu.Lock()
 			history = append([]*memcached.OpRecord(nil), recs...)
-			mu.Unlock()
 			sortRecords(history)
 			if v := checkModel(history); v != nil {
 				t.Errorf("history fails the model: %s", v.Error())

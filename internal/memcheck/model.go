@@ -59,8 +59,8 @@ func modelExpiry(exptime int64, setAt simnet.Time) simnet.Time {
 
 // model replays the engine's recorded history against plain-map
 // semantics. The input is the Seq-sorted record list — a total order,
-// because every transition is emitted under its shard lock — so the
-// whole check is one fold over the history.
+// because every transition is emitted inside its op, under the store's
+// one owner — so the whole check is one fold over the history.
 type model struct {
 	items   map[string]*modelItem
 	horizon simnet.Time

@@ -4,7 +4,7 @@
 // records the engine's totally-ordered transition history (see
 // memcached/record.go), and replays that history against a plain-map
 // reference model. Because every transition carries a global sequence
-// number taken under the owning shard lock, the recorded order IS a
+// number taken under the store's one owner, the recorded order IS a
 // linearization — checking is a single O(n log n) pass (sort by Seq,
 // then fold), with no Wing–Gong interleaving search.
 package memcheck

@@ -426,17 +426,7 @@ func (c *Context) handleEager(clk *simnet.VClock, ep *Endpoint, pkt *packet) {
 			ep.markFailed()
 			return
 		}
-		// The landing buffer may be remotely-readable registered memory
-		// (the Memcached one-sided index points into slab pages); honor
-		// the adapter's memory guard so the unpack never tears under a
-		// concurrent remote read.
-		if g := c.rt.hca.MemGuard(); g != nil {
-			g.Lock()
-			copy(dst, pkt.data)
-			g.Unlock()
-		} else {
-			copy(dst, pkt.data)
-		}
+		copy(dst, pkt.data)
 		clk.Advance(simnet.BytesDuration(pkt.dataLen, c.rt.cfg.PackBytesPerSec))
 		data = dst[:pkt.dataLen]
 	}

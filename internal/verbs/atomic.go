@@ -74,7 +74,8 @@ func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
 	// The target HCA serializes atomics: the update happens inside the
 	// engine's reserved slot.
 	opStart := dst.hca.atomicEngine.Acquire(reqArrive, cfg.RDMAProc)
-	prior := dst.hca.atomicApply(cell, wr)
+	prior := binary.LittleEndian.Uint64(cell)
+	binary.LittleEndian.PutUint64(cell, prior+wr.Add)
 	respDepart := opStart + cfg.RDMAProc
 	respArrive, derr := dst.hca.fabric.Deliver(dst.hca.node, q.hca.node, respDepart, atomicWireBytes)
 	if derr != nil {
@@ -87,17 +88,4 @@ func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
 	done := q.hca.recvEngine.Acquire(respArrive, cfg.RecvProc) + cfg.RecvProc
 	q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusSuccess, ByteLen: 8, QPN: q.qpn, Time: done})
 	return nil
-}
-
-// atomicApply performs the update inside the engine's reserved slot
-// and returns the prior value.
-func (h *HCA) atomicApply(cell []byte, wr AtomicWR) uint64 {
-	if g := h.memGuard; g != nil {
-		g.Lock()
-		defer g.Unlock()
-	}
-	le := binary.LittleEndian
-	prior := le.Uint64(cell)
-	le.PutUint64(cell, prior+wr.Add)
-	return prior
 }

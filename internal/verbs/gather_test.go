@@ -2,19 +2,15 @@ package verbs
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"repro/internal/simnet"
 )
 
 // Two-SGE RDMA WRITE: Local then Local2 land contiguously at RemoteAddr,
-// the completion reports the combined length, and the copy honors an
-// installed destination memory guard (the seqlock-protected published
-// windows take this path).
+// the completion reports the combined length.
 func TestRDMAWriteGatherLandsContiguously(t *testing.T) {
 	p := newPair(t, 2, 256)
-	p.srvHCA.SetMemGuard(&sync.RWMutex{})
 
 	srvBuf := make([]byte, 64)
 	srvMR, err := p.srvHCA.RegisterMR(p.srvPD, srvBuf, nil)

@@ -2,7 +2,6 @@ package verbs
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/simnet"
 )
@@ -27,16 +26,6 @@ type HCA struct {
 	qps     map[uint32]*QP
 	mrs     map[uint32]*MR // rkey → MR
 	closed  bool
-
-	// memGuard, when set, is taken around every RDMA byte copy that
-	// touches this adapter's registered memory: read-locked while remote
-	// peers read it, write-locked while bytes land in it. A host that
-	// mutates registered memory concurrently with remote access (the
-	// Memcached one-sided GET index) installs a guard and write-locks it
-	// around its own stores, making the simulated DMA race-free for Go
-	// while modeling real hardware's do-not-tear-under-DMA contract at
-	// zero cost to unguarded paths.
-	memGuard *sync.RWMutex
 }
 
 // NewHCA installs an adapter for node on fabric with the given cost
@@ -152,33 +141,6 @@ func (h *HCA) unregisterQP(qpn uint32) { delete(h.qps, qpn) }
 func (h *HCA) lookupQP(qpn uint32) (*QP, bool) {
 	qp, ok := h.qps[qpn]
 	return qp, ok
-}
-
-// SetMemGuard installs (or clears, with nil) the adapter's registered-
-// memory guard. See the memGuard field for semantics. Guards are only
-// expected on hosts whose registered memory is mutated while remotely
-// readable — in this repo, Memcached servers publishing a one-sided
-// index; RDMA between two guarded adapters in opposite directions
-// concurrently is not supported (lock order is read-side then write-
-// side).
-func (h *HCA) SetMemGuard(mu *sync.RWMutex) { h.memGuard = mu }
-
-// MemGuard reports the installed guard, or nil.
-func (h *HCA) MemGuard() *sync.RWMutex { return h.memGuard }
-
-// guardedCopy copies src into dst, honoring the destination adapter's
-// guard (write-locked) and the source adapter's guard (read-locked).
-// Nil guards cost nothing — the common unguarded path is a plain copy.
-func guardedCopy(dst, src []byte, wguard, rguard *sync.RWMutex) int {
-	if rguard != nil && rguard != wguard {
-		rguard.RLock()
-		defer rguard.RUnlock()
-	}
-	if wguard != nil {
-		wguard.Lock()
-		defer wguard.Unlock()
-	}
-	return copy(dst, src)
 }
 
 // noteRetransmit counts one RC retransmission attempt on this adapter.

@@ -433,7 +433,7 @@ func (q *QP) postRDMARead(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMARead, Status: st, QPN: q.qpn, Time: respDepart})
 		return nil
 	}
-	guardedCopy(wr.Local, data, q.hca.MemGuard(), dst.hca.MemGuard())
+	copy(wr.Local, data)
 	done := q.hca.recvEngine.Acquire(respArrive, cfg.RecvProc) + cfg.RecvProc
 	q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMARead, Status: StatusSuccess, ByteLen: n, QPN: q.qpn, Time: done})
 	return nil
@@ -470,10 +470,8 @@ func (q *QP) postRDMAWrite(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMAWrite, Status: StatusRemoteError, QPN: q.qpn, Time: arrive})
 		return nil
 	}
-	guardedCopy(room[:len(wr.Local)], wr.Local, dst.hca.MemGuard(), q.hca.MemGuard())
-	if len(wr.Local2) > 0 {
-		guardedCopy(room[len(wr.Local):], wr.Local2, dst.hca.MemGuard(), q.hca.MemGuard())
-	}
+	copy(room, wr.Local)
+	copy(room[len(wr.Local):], wr.Local2)
 	dst.hca.recvEngine.Acquire(arrive, cfg.RDMAProc)
 	q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMAWrite, Status: StatusSuccess, ByteLen: n, QPN: q.qpn, Time: depart})
 	return nil

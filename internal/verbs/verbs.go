@@ -18,8 +18,7 @@
 //
 // Nothing here locks. An adapter and everything made from it belong to
 // one deployment and are used under its owner (simnet.Executor.Enter);
-// only the completion queues' mailboxes synchronise, and the memory
-// guard a host installs (HCA.SetMemGuard).
+// only the completion queues' mailboxes synchronise.
 package verbs
 
 import (
