@@ -3,7 +3,7 @@ package repro
 // End-to-end integration tests across the whole stack, driving the same
 // flows the examples narrate: one deployment, mixed transports on one
 // cache, the motivating cache-aside workload, pool
-// sharding with failover, and a smoke re-run of one evaluation panel.
+// sharding with failover.
 
 import (
 	"bytes"
@@ -128,28 +128,6 @@ func TestEndToEndShardingWithFailover(t *testing.T) {
 	}
 	if c.MC.LiveServers() != 2 {
 		t.Fatalf("LiveServers = %d", c.MC.LiveServers())
-	}
-}
-
-func TestEndToEndFigureSmoke(t *testing.T) {
-	// One full evaluation panel end to end, asserting the paper's
-	// ordering on every point: UCR < every sockets path.
-	spec, ok := bench.FigureByID("fig4c")
-	if !ok {
-		t.Fatal("fig4c missing")
-	}
-	fig, err := spec.Run(bench.RunConfig{OpsPerPoint: 8, KeySpace: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ucr := fig.Series["UCR-IB"]
-	for _, base := range []string{"IPoIB", "SDP"} {
-		vals := fig.Series[base]
-		for i := range ucr {
-			if ucr[i] >= vals[i] {
-				t.Errorf("%s @%s: UCR %.2f >= %s %.2f", fig.ID, fig.XTicks[i], ucr[i], base, vals[i])
-			}
-		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAblationEagerThreshold(t *testing.T) {
-	cfg := RunConfig{OpsPerPoint: 8, KeySpace: 4}
+	cfg := RunConfig{OpsPerPoint: 8, keySpace: 4}
 	// 16 KB values: below an 8 KB threshold they rendezvous; with a
 	// 64 KB threshold they pack eagerly.
 	res, err := AblationEagerThreshold(16*1024, []int{1024, 8192, 65536}, cfg)
@@ -27,7 +27,7 @@ func TestAblationEagerThreshold(t *testing.T) {
 }
 
 func TestAblationWorkerCount(t *testing.T) {
-	cfg := RunConfig{OpsPerPoint: 30, KeySpace: 8}
+	cfg := RunConfig{OpsPerPoint: 30, keySpace: 8}
 	res, err := AblationWorkerCount([]int{1, 4}, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestAblationWorkerCount(t *testing.T) {
 }
 
 func TestAblationPollingVsEvents(t *testing.T) {
-	cfg := RunConfig{OpsPerPoint: 10, KeySpace: 4}
+	cfg := RunConfig{OpsPerPoint: 10, keySpace: 4}
 	poll, ev, err := AblationPollingVsEvents(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestAblationPollingVsEvents(t *testing.T) {
 }
 
 func TestAblationRCvsUD(t *testing.T) {
-	cfg := RunConfig{OpsPerPoint: 10, KeySpace: 4}
+	cfg := RunConfig{OpsPerPoint: 10, keySpace: 4}
 	rc, ud, err := AblationRCvsUD(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -80,19 +80,19 @@ func TestMixCycles(t *testing.T) {
 		}
 		return count
 	}
-	if sets(MixSet, 7) != 7 {
+	if sets(mixSet, 7) != 7 {
 		t.Fatal("MixSet cycle")
 	}
 	if sets(MixGet, 7) != 0 {
 		t.Fatal("MixGet cycle")
 	}
-	if got := sets(MixNonInterleaved, 100); got != 10 {
+	if got := sets(mixNonInterleaved, 100); got != 10 {
 		t.Fatalf("non-interleaved sets = %d, want 10 (paper: 10 sets then 90 gets)", got)
 	}
 	// Non-interleaved means the sets come first, contiguously, and the
 	// cycle repeats every 100 operations.
 	for i := 0; i < 10; i++ {
-		if !MixNonInterleaved.isSet(i) || !MixNonInterleaved.isSet(100+i) {
+		if !mixNonInterleaved.isSet(i) || !mixNonInterleaved.isSet(100+i) {
 			t.Fatal("sets are not contiguous at the front")
 		}
 	}
@@ -130,7 +130,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 
 func TestLatencyPointProducesSaneNumbers(t *testing.T) {
 	p := cluster.ClusterB()
-	cfg := RunConfig{OpsPerPoint: 10, KeySpace: 4}
+	cfg := RunConfig{OpsPerPoint: 10, keySpace: 4}
 	rec, err := latencyPoint(p, cluster.UCRIB, MixGet, 64, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestLatencyPointProducesSaneNumbers(t *testing.T) {
 func TestLatencySweepOrdering(t *testing.T) {
 	// Latency must be non-decreasing with size for every transport.
 	p := cluster.ClusterB()
-	cfg := RunConfig{OpsPerPoint: 8, KeySpace: 4}
+	cfg := RunConfig{OpsPerPoint: 8, keySpace: 4}
 	sizes := []int{64, 4096, 65536}
 	series, err := latencySweep(p, []cluster.Transport{cluster.UCRIB, cluster.IPoIB}, MixGet, sizes, cfg)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestLatencySweepOrdering(t *testing.T) {
 
 func TestTPSPointScalesWithClients(t *testing.T) {
 	p := cluster.ClusterB()
-	cfg := RunConfig{OpsPerPoint: 40, KeySpace: 8}
+	cfg := RunConfig{OpsPerPoint: 40, keySpace: 8}
 	tps2, err := tpsPoint(p, cluster.UCRIB, 2, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,19 +216,19 @@ func TestFigureRegistryComplete(t *testing.T) {
 
 func TestFigureRunAndReport(t *testing.T) {
 	spec, _ := FigureByID("fig5b") // mixed workload, cluster B
-	cfg := RunConfig{OpsPerPoint: 6, KeySpace: 4}
+	cfg := RunConfig{OpsPerPoint: 6, keySpace: 4}
 	// Shrink the sweep via a custom run to keep the test fast: use the
 	// spec as-is but with few ops; fig5b sweeps 8 sizes × 3 transports.
 	fig, err := spec.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.ID != "fig5b" || len(fig.SeriesOrder) != 3 {
+	if fig.id != "fig5b" || len(fig.SeriesOrder) != 3 {
 		t.Fatalf("fig = %+v", fig)
 	}
-	for name, vals := range fig.Series {
-		if len(vals) != len(fig.XTicks) {
-			t.Fatalf("%s: %d values for %d ticks", name, len(vals), len(fig.XTicks))
+	for name, vals := range fig.series {
+		if len(vals) != len(fig.xTicks) {
+			t.Fatalf("%s: %d values for %d ticks", name, len(vals), len(fig.xTicks))
 		}
 	}
 
@@ -241,12 +241,12 @@ func TestFigureRunAndReport(t *testing.T) {
 		t.Fatalf("table output:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2+len(fig.XTicks) {
+	if len(lines) != 2+len(fig.xTicks) {
 		t.Fatalf("table rows = %d", len(lines))
 	}
 
 	factors := fig.SpeedupOver("UCR-IB", "IPoIB")
-	if len(factors) != len(fig.XTicks) {
+	if len(factors) != len(fig.xTicks) {
 		t.Fatalf("speedup points = %d", len(factors))
 	}
 	for _, f := range factors {
@@ -329,11 +329,11 @@ func TestReplayPointEvicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Evictions == 0 || r.Hits == 0 || r.Hits >= r.Gets {
-			t.Fatalf("%s: %d evictions, %d hits of %d gets: the replay cache does not evict", tr, r.Evictions, r.Hits, r.Gets)
+		if r.evictions == 0 || r.hits == 0 || r.hits >= r.gets {
+			t.Fatalf("%s: %d evictions, %d hits of %d gets: the replay cache does not evict", tr, r.evictions, r.hits, r.gets)
 		}
-		if r.MeanUs <= 0 || r.P99Us < r.MeanUs {
-			t.Fatalf("%s: mean %.2f us, p99 %.2f us", tr, r.MeanUs, r.P99Us)
+		if r.meanUs <= 0 || r.p99Us < r.meanUs {
+			t.Fatalf("%s: mean %.2f us, p99 %.2f us", tr, r.meanUs, r.p99Us)
 		}
 	}
 }

@@ -37,8 +37,8 @@ const connScaleTPSClients = 100
 // receive-buffer bytes at each of connScaleCounts, and aggregate
 // small-get TPS at connScaleTPSClients live clients.
 type ConnScaleReport struct {
-	RecvBytes map[string][]int64
-	TPS       map[string]float64
+	recvBytes map[string][]int64
+	tps       map[string]float64
 }
 
 // connScaleDeploy maps a mode name onto deployment options.
@@ -88,8 +88,8 @@ func ConnScaleFootprint(p *cluster.Profile, mode string, nClients int, cfg RunCo
 func ConnScaleSweep(p *cluster.Profile, cfg RunConfig) (*ConnScaleReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &ConnScaleReport{
-		RecvBytes: make(map[string][]int64, len(connScaleModes)),
-		TPS:       make(map[string]float64, len(connScaleModes)),
+		recvBytes: make(map[string][]int64, len(connScaleModes)),
+		tps:       make(map[string]float64, len(connScaleModes)),
 	}
 	for _, mode := range connScaleModes {
 		for _, n := range connScaleCounts {
@@ -97,7 +97,7 @@ func ConnScaleSweep(p *cluster.Profile, cfg RunConfig) (*ConnScaleReport, error)
 			if err != nil {
 				return nil, fmt.Errorf("bench: connscale %s n=%d: %w", mode, n, err)
 			}
-			rep.RecvBytes[mode] = append(rep.RecvBytes[mode], b)
+			rep.recvBytes[mode] = append(rep.recvBytes[mode], b)
 		}
 		tpsCfg := cfg
 		tpsCfg.Deploy = connScaleDeploy(mode, cfg.Deploy)
@@ -105,7 +105,7 @@ func ConnScaleSweep(p *cluster.Profile, cfg RunConfig) (*ConnScaleReport, error)
 		if err != nil {
 			return nil, fmt.Errorf("bench: connscale %s tps: %w", mode, err)
 		}
-		rep.TPS[mode] = tps
+		rep.tps[mode] = tps
 	}
 	return rep, nil
 }
@@ -124,13 +124,13 @@ func ConnScaleTable(r *ConnScaleReport) string {
 	for i, n := range connScaleCounts {
 		fmt.Fprintf(&sb, "%-8d", n)
 		for _, m := range connScaleModes {
-			fmt.Fprintf(&sb, " %12.1f", float64(r.RecvBytes[m][i])/float64(n))
+			fmt.Fprintf(&sb, " %12.1f", float64(r.recvBytes[m][i])/float64(n))
 		}
 		sb.WriteString("\n")
 	}
 	fmt.Fprintf(&sb, "# TPS at %d clients:", connScaleTPSClients)
 	for _, m := range connScaleModes {
-		fmt.Fprintf(&sb, "  %s=%.0f", m, r.TPS[m])
+		fmt.Fprintf(&sb, "  %s=%.0f", m, r.tps[m])
 	}
 	sb.WriteString("\n")
 	return sb.String()

@@ -18,7 +18,7 @@ func TestConnScaleAcceptance(t *testing.T) {
 		t.Fatalf("ConnScaleSweep: %v", err)
 	}
 	for _, mode := range connScaleModes {
-		if got := len(rep.RecvBytes[mode]); got != len(connScaleCounts) {
+		if got := len(rep.recvBytes[mode]); got != len(connScaleCounts) {
 			t.Fatalf("%s: %d footprints, want one per count (%d)", mode, got, len(connScaleCounts))
 		}
 	}
@@ -26,7 +26,7 @@ func TestConnScaleAcceptance(t *testing.T) {
 	// Per-client bytes at the last count, 10⁴ clients.
 	last := len(connScaleCounts) - 1
 	perClient := func(mode string) float64 {
-		return float64(rep.RecvBytes[mode][last]) / float64(connScaleCounts[last])
+		return float64(rep.recvBytes[mode][last]) / float64(connScaleCounts[last])
 	}
 	rcPer, srqPer := perClient("rc"), perClient("srq")
 	if rcPer <= 0 || srqPer <= 0 {
@@ -37,7 +37,7 @@ func TestConnScaleAcceptance(t *testing.T) {
 			srqPer, rcPer)
 	}
 
-	rcTPS, srqTPS := rep.TPS["rc"], rep.TPS["srq"]
+	rcTPS, srqTPS := rep.tps["rc"], rep.tps["srq"]
 	if rcTPS <= 0 || srqTPS <= 0 {
 		t.Fatalf("degenerate TPS: rc=%.0f srq=%.0f", rcTPS, srqTPS)
 	}
@@ -47,8 +47,8 @@ func TestConnScaleAcceptance(t *testing.T) {
 
 	// The other modes at least function and help the memory picture.
 	for _, mode := range []string{"ud", "mux"} {
-		if rep.TPS[mode] <= 0 {
-			t.Errorf("%s mode TPS = %.0f", mode, rep.TPS[mode])
+		if rep.tps[mode] <= 0 {
+			t.Errorf("%s mode TPS = %.0f", mode, rep.tps[mode])
 		}
 		if per := perClient(mode); per >= rcPer {
 			t.Errorf("%s per-client bytes at 10^4 = %.1f, not below rc %.1f", mode, per, rcPer)

@@ -41,6 +41,29 @@ func TestClosedLoopPureFunction(t *testing.T) {
 	}
 }
 
+// TestEndToEndFigureSmoke runs one full evaluation panel end to end
+// and asserts the paper's ordering on every point: UCR < every
+// sockets path.
+func TestEndToEndFigureSmoke(t *testing.T) {
+	spec, ok := FigureByID("fig4c")
+	if !ok {
+		t.Fatal("fig4c missing")
+	}
+	fig, err := spec.Run(RunConfig{OpsPerPoint: 8, keySpace: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ucr := fig.series["UCR-IB"]
+	for _, base := range []string{"IPoIB", "SDP"} {
+		vals := fig.series[base]
+		for i := range ucr {
+			if ucr[i] >= vals[i] {
+				t.Errorf("%s @%s: UCR %.2f >= %s %.2f", fig.id, fig.xTicks[i], ucr[i], base, vals[i])
+			}
+		}
+	}
+}
+
 // TestFig6PaperOrderings asserts what the paper reads off Fig 6: UCR-IB
 // above every sockets transport on all four panels; on cluster A the
 // 10GigE TOE above IPoIB and SDP, and on cluster B SDP below IPoIB (the
@@ -48,10 +71,10 @@ func TestClosedLoopPureFunction(t *testing.T) {
 func TestFig6PaperOrderings(t *testing.T) {
 	above := func(fig *Figure, hi, lo string) {
 		t.Helper()
-		for i, tick := range fig.XTicks {
-			if fig.Series[hi][i] <= fig.Series[lo][i] {
+		for i, tick := range fig.xTicks {
+			if fig.series[hi][i] <= fig.series[lo][i] {
 				t.Errorf("%s at %s clients: %s %.2f not above %s %.2f KTPS",
-					fig.ID, tick, hi, fig.Series[hi][i], lo, fig.Series[lo][i])
+					fig.id, tick, hi, fig.series[hi][i], lo, fig.series[lo][i])
 			}
 		}
 	}
@@ -66,8 +89,9 @@ func TestFig6PaperOrderings(t *testing.T) {
 		}
 		switch id {
 		case "fig6a":
-			above(fig, string(cluster.TOE10G), string(cluster.IPoIB))
-			above(fig, string(cluster.TOE10G), string(cluster.SDP))
+			const toe = "10GigE-TOE" // cluster A's 10 GigE TOE series
+			above(fig, toe, string(cluster.IPoIB))
+			above(fig, toe, string(cluster.SDP))
 		case "fig6c":
 			above(fig, string(cluster.IPoIB), string(cluster.SDP))
 		}

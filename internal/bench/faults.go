@@ -14,18 +14,18 @@ import (
 // active — RC retransmission under UCR, RTO retransmission under the
 // socket transports, and client retry+backoff above both.
 type FaultCell struct {
-	Transport cluster.Transport
-	DropPct   float64
-	// Ops is the attempted operation count; Failed counts operations
+	transport cluster.Transport
+	dropPct   float64
+	// ops is the attempted operation count; failed counts operations
 	// that still errored after every retry layer gave up.
-	Ops    int
-	Failed int
-	// MeanUs/P99Us are latencies over the completed operations.
-	MeanUs float64
-	P99Us  float64
-	// Retransmits counts wire-level resends: HCA retransmissions for
+	ops    int
+	failed int
+	// meanUs/p99Us are latencies over the completed operations.
+	meanUs float64
+	p99Us  float64
+	// retransmits counts wire-level resends: HCA retransmissions for
 	// UCR, provider RTO retransmissions for socket transports.
-	Retransmits uint64
+	retransmits uint64
 }
 
 // faultBehaviors is the client configuration for lossy runs: bounded
@@ -63,7 +63,7 @@ func FaultSweep(p *cluster.Profile, transports []cluster.Transport, dropPcts []f
 func faultPoint(p *cluster.Profile, t cluster.Transport, dropPct float64, size int, cfg RunConfig) (FaultCell, error) {
 	deploy := cfg.Deploy
 	if dropPct > 0 {
-		deploy.Faults = cluster.LossyFaults(dropPct, cfg.Seed)
+		deploy.Faults = cluster.LossyFaults(dropPct, cfg.seed)
 	}
 	d := cluster.New(p, deploy)
 	defer d.Close()
@@ -73,11 +73,11 @@ func faultPoint(p *cluster.Profile, t cluster.Transport, dropPct float64, size i
 	}
 	defer c.Close()
 
-	cell := FaultCell{Transport: t, DropPct: dropPct, Ops: cfg.OpsPerPoint}
-	w := newWorkload(cfg.Seed, cfg.KeySpace, size)
+	cell := FaultCell{transport: t, dropPct: dropPct, ops: cfg.OpsPerPoint}
+	w := newWorkload(cfg.seed, cfg.keySpace, size)
 	for _, k := range w.keys {
 		if err := c.MC.Set(k, w.value, 0, 0); err != nil {
-			cell.Failed++
+			cell.failed++
 		}
 	}
 	rec := &LatencyRecorder{}
@@ -85,23 +85,23 @@ func faultPoint(p *cluster.Profile, t cluster.Transport, dropPct float64, size i
 		start := c.Clock.Now()
 		_, _, _, err := c.MC.Get(w.key())
 		if err != nil && err != mcclient.ErrCacheMiss {
-			cell.Failed++
+			cell.failed++
 			continue
 		}
 		rec.record(c.Clock.Now() - start)
 	}
-	cell.MeanUs = rec.Mean()
-	cell.P99Us = rec.Percentile(99)
+	cell.meanUs = rec.Mean()
+	cell.p99Us = rec.Percentile(99)
 
 	if t == cluster.UCRIB {
 		if rt := c.Runtime(); rt != nil {
-			cell.Retransmits += rt.HCA().Retransmits()
+			cell.retransmits += rt.HCA().Retransmits()
 		}
 		for _, hca := range d.ServerHCAs {
-			cell.Retransmits += hca.Retransmits()
+			cell.retransmits += hca.Retransmits()
 		}
 	} else if prov := d.Provider(t); prov != nil {
-		cell.Retransmits = prov.Retransmits()
+		cell.retransmits = prov.Retransmits()
 	}
 	return cell, nil
 }
@@ -113,7 +113,7 @@ func FaultSweepString(cells []FaultCell) string {
 		"transport", "drop%", "ops", "failed", "mean(us)", "p99(us)", "retransmits")
 	for _, c := range cells {
 		fmt.Fprintf(&b, "%-10s %6.1f %6d %7d %12.2f %12.2f %12d\n",
-			c.Transport, c.DropPct, c.Ops, c.Failed, c.MeanUs, c.P99Us, c.Retransmits)
+			c.transport, c.dropPct, c.ops, c.failed, c.meanUs, c.p99Us, c.retransmits)
 	}
 	return b.String()
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func faultSweepConfig() RunConfig {
-	return RunConfig{OpsPerPoint: 15, KeySpace: 8, Seed: 7}
+	return RunConfig{OpsPerPoint: 15, keySpace: 8, seed: 7}
 }
 
 // TestFaultSweepDeterministic: the whole sweep — seeded drop verdicts,
@@ -43,25 +43,25 @@ func TestFaultSweepRecovery(t *testing.T) {
 	}
 	byKey := map[string]FaultCell{}
 	for _, c := range cells {
-		byKey[string(c.Transport)+"@"+itoa(int(c.DropPct))] = c
+		byKey[string(c.transport)+"@"+itoa(int(c.dropPct))] = c
 	}
 	ucr0, ucr5 := byKey["UCR-IB@0"], byKey["UCR-IB@5"]
 	ip0, ip5 := byKey["IPoIB@0"], byKey["IPoIB@5"]
 
-	if ucr5.Failed != 0 {
-		t.Fatalf("UCR at 5%% drop failed %d ops", ucr5.Failed)
+	if ucr5.failed != 0 {
+		t.Fatalf("UCR at 5%% drop failed %d ops", ucr5.failed)
 	}
-	if ucr5.Retransmits == 0 {
+	if ucr5.retransmits == 0 {
 		t.Fatal("UCR at 5% drop shows no RC retransmissions")
 	}
-	if ucr0.Retransmits != 0 || ip0.Retransmits != 0 {
-		t.Fatalf("lossless runs retransmitted (ucr=%d ip=%d)", ucr0.Retransmits, ip0.Retransmits)
+	if ucr0.retransmits != 0 || ip0.retransmits != 0 {
+		t.Fatalf("lossless runs retransmitted (ucr=%d ip=%d)", ucr0.retransmits, ip0.retransmits)
 	}
-	if ip5.Retransmits == 0 {
+	if ip5.retransmits == 0 {
 		t.Fatal("IPoIB at 5% drop shows no RTO retransmissions")
 	}
-	if ip5.MeanUs <= ip0.MeanUs {
-		t.Fatalf("IPoIB latency not inflated by loss: %.2f vs %.2f us", ip5.MeanUs, ip0.MeanUs)
+	if ip5.meanUs <= ip0.meanUs {
+		t.Fatalf("IPoIB latency not inflated by loss: %.2f vs %.2f us", ip5.meanUs, ip0.meanUs)
 	}
 }
 

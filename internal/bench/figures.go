@@ -8,18 +8,18 @@ import (
 
 // Figure is one reproduced panel: named series over an x-axis.
 type Figure struct {
-	// ID is the paper's panel id, e.g. "fig3a".
-	ID string
-	// Title describes the panel.
-	Title string
-	// XLabel and XTicks define the x-axis.
-	XLabel string
-	XTicks []string
+	// id is the paper's panel id, e.g. "fig3a".
+	id string
+	// title describes the panel.
+	title string
+	// xLabel and xTicks define the x-axis.
+	xLabel string
+	xTicks []string
 	// Unit is the y-axis unit.
 	Unit string
 	// SeriesOrder fixes legend order; Series holds the values.
 	SeriesOrder []string
-	Series      map[string][]float64
+	series      map[string][]float64
 }
 
 // FigureSpec describes how to regenerate one panel.
@@ -74,13 +74,13 @@ func sizeTicks(sizes []int) []string {
 
 func assemble(id, title, xlabel, unit string, ticks []string, order []cluster.Transport, series map[cluster.Transport][]float64) *Figure {
 	f := &Figure{
-		ID: id, Title: title, XLabel: xlabel, Unit: unit, XTicks: ticks,
-		Series: make(map[string][]float64, len(series)),
+		id: id, title: title, xLabel: xlabel, Unit: unit, xTicks: ticks,
+		series: make(map[string][]float64, len(series)),
 	}
 	for _, t := range order {
 		if vals, ok := series[t]; ok {
 			f.SeriesOrder = append(f.SeriesOrder, string(t))
-			f.Series[string(t)] = vals
+			f.series[string(t)] = vals
 		}
 	}
 	return f
@@ -90,20 +90,20 @@ func assemble(id, title, xlabel, unit string, ticks []string, order []cluster.Tr
 // evaluation (Figs 3–6), regenerable by ID.
 var Figures = []FigureSpec{
 	// Fig 3: Set/Get latency, cluster A (DDR + 10GigE TOE + 1GigE).
-	latencyFigure("fig3a", "Set latency, small messages, Cluster A", "A", MixSet, SmallSizes),
-	latencyFigure("fig3b", "Set latency, large messages, Cluster A", "A", MixSet, LargeSizes),
-	latencyFigure("fig3c", "Get latency, small messages, Cluster A", "A", MixGet, SmallSizes),
-	latencyFigure("fig3d", "Get latency, large messages, Cluster A", "A", MixGet, LargeSizes),
+	latencyFigure("fig3a", "Set latency, small messages, Cluster A", "A", mixSet, smallSizes),
+	latencyFigure("fig3b", "Set latency, large messages, Cluster A", "A", mixSet, largeSizes),
+	latencyFigure("fig3c", "Get latency, small messages, Cluster A", "A", MixGet, smallSizes),
+	latencyFigure("fig3d", "Get latency, large messages, Cluster A", "A", MixGet, largeSizes),
 	// Fig 4: Set/Get latency, cluster B (QDR).
-	latencyFigure("fig4a", "Set latency, small messages, Cluster B", "B", MixSet, SmallSizes),
-	latencyFigure("fig4b", "Set latency, large messages, Cluster B", "B", MixSet, LargeSizes),
-	latencyFigure("fig4c", "Get latency, small messages, Cluster B", "B", MixGet, SmallSizes),
-	latencyFigure("fig4d", "Get latency, large messages, Cluster B", "B", MixGet, LargeSizes),
+	latencyFigure("fig4a", "Set latency, small messages, Cluster B", "B", mixSet, smallSizes),
+	latencyFigure("fig4b", "Set latency, large messages, Cluster B", "B", mixSet, largeSizes),
+	latencyFigure("fig4c", "Get latency, small messages, Cluster B", "B", MixGet, smallSizes),
+	latencyFigure("fig4d", "Get latency, large messages, Cluster B", "B", MixGet, largeSizes),
 	// Fig 5: mixed workloads, small messages.
-	latencyFigure("fig5a", "Non-interleaved mix (10% set / 90% get), Cluster A", "A", MixNonInterleaved, SmallSizes),
-	latencyFigure("fig5b", "Non-interleaved mix (10% set / 90% get), Cluster B", "B", MixNonInterleaved, SmallSizes),
-	latencyFigure("fig5c", "Interleaved mix (50% set / 50% get), Cluster A", "A", MixInterleaved, SmallSizes),
-	latencyFigure("fig5d", "Interleaved mix (50% set / 50% get), Cluster B", "B", MixInterleaved, SmallSizes),
+	latencyFigure("fig5a", "Non-interleaved mix (10% set / 90% get), Cluster A", "A", mixNonInterleaved, smallSizes),
+	latencyFigure("fig5b", "Non-interleaved mix (10% set / 90% get), Cluster B", "B", mixNonInterleaved, smallSizes),
+	latencyFigure("fig5c", "Interleaved mix (50% set / 50% get), Cluster A", "A", MixInterleaved, smallSizes),
+	latencyFigure("fig5d", "Interleaved mix (50% set / 50% get), Cluster B", "B", MixInterleaved, smallSizes),
 	// Fig 6: Get TPS vs client count.
 	tpsFigure("fig6a", "Get TPS, 4-byte messages, Cluster A", "A", 4, []int{8, 16}),
 	tpsFigure("fig6b", "Get TPS, 4KB messages, Cluster A", "A", 4096, []int{8, 16}),

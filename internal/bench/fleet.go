@@ -36,31 +36,31 @@ var FleetCounts = []int{10, 100, 1000}
 
 // FleetPoint is one fleet cell: N servers, 10·N clients.
 type FleetPoint struct {
-	Servers int
-	Clients int
-	// KTPS is aggregate fleet throughput over the measured rounds
+	servers int
+	clients int
+	// ktps is aggregate fleet throughput over the measured rounds
 	// (pipelined replicated gets, closed loop, virtual time).
-	KTPS float64
+	ktps float64
 	// Movement accounting for one join at size N: the exact ring-arc
 	// fraction, the fraction of live keys whose primary changed, and the
 	// theoretical share 1/(N+1).
-	MovedArc      float64
-	MovedMeasured float64
-	MovedTheory   float64
+	movedArc      float64
+	movedMeasured float64
+	movedTheory   float64
 	// Miss storm after the join: primary misses in the first sweep
 	// (depth), sweeps until a clean one (duration in sweeps), and the
 	// virtual time the storm occupied.
-	MissStormDepth  int
-	MissStormSweeps int
-	MissStormUs     float64
-	// Repairs is the total read-repair count the storm triggered
+	missStormDepth  int
+	missStormSweeps int
+	missStormUs     float64
+	// repairs is the total read-repair count the storm triggered
 	// (vacuity: a storm that repaired nothing measured nothing).
-	Repairs uint64
+	repairs uint64
 }
 
 // fleetCell measures one server count.
 func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, error) {
-	pt := FleetPoint{Servers: servers, Clients: 10 * servers}
+	pt := FleetPoint{servers: servers, clients: 10 * servers}
 	opts := cluster.Options{
 		// Lean per-server shape: the cell's subject is fleet behavior,
 		// not per-server parallelism, and 1000 fat servers would not fit.
@@ -79,9 +79,9 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 	}
 	defer f.Close()
 
-	clients := make([]*cluster.FleetClient, pt.Clients)
-	clocks := make([]*simnet.VClock, pt.Clients)
-	keys := make([][]string, pt.Clients)
+	clients := make([]*cluster.FleetClient, pt.clients)
+	clocks := make([]*simnet.VClock, pt.clients)
+	keys := make([][]string, pt.clients)
 	for i := range clients {
 		c, err := f.NewClient()
 		if err != nil {
@@ -121,16 +121,16 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 	if err != nil {
 		return pt, err
 	}
-	totalOps := float64(pt.Clients * fleetKeysPerClient * fleetRounds)
-	pt.KTPS = totalOps / makespan.Seconds() / 1e3
+	totalOps := float64(pt.clients * fleetKeysPerClient * fleetRounds)
+	pt.ktps = totalOps / makespan.Seconds() / 1e3
 
 	// One join at size N: movement accounting from ring snapshots plus a
 	// census over every live key.
 	pre := f.RingSnapshot()
 	f.Join()
 	post := f.RingSnapshot()
-	pt.MovedArc = post.MovedFraction(pre)
-	pt.MovedTheory = 1 / float64(servers+1)
+	pt.movedArc = post.MovedFraction(pre)
+	pt.movedTheory = 1 / float64(servers+1)
 	var moved, total int
 	for i := range clients {
 		for _, k := range keys[i] {
@@ -140,7 +140,7 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 			}
 		}
 	}
-	pt.MovedMeasured = float64(moved) / float64(total)
+	pt.movedMeasured = float64(moved) / float64(total)
 
 	// Miss storm: keys now owned by the joiner miss on it and fall
 	// through to the old primary (read repair heals them). Depth is the
@@ -173,16 +173,16 @@ func fleetCell(p *cluster.Profile, servers int, cfg RunConfig) (FleetPoint, erro
 			}
 		}
 		delta := fallthroughs() - before
-		pt.MissStormSweeps++
+		pt.missStormSweeps++
 		if s == 0 {
-			pt.MissStormDepth = int(delta)
+			pt.missStormDepth = int(delta)
 		}
 		if delta == 0 {
 			break
 		}
 	}
-	pt.MissStormUs = (latest(clocks) - stormStart).Seconds() * 1e6
-	pt.Repairs = repairs() - rp0
+	pt.missStormUs = (latest(clocks) - stormStart).Seconds() * 1e6
+	pt.repairs = repairs() - rp0
 	return pt, nil
 }
 
@@ -207,8 +207,8 @@ func FleetTable(pts []FleetPoint) string {
 	sb.WriteString("servers  clients     ktps   moved(arc)  moved(meas)  theory(1/N+1)  storm-depth  storm-sweeps  storm-us  repairs\n")
 	for _, pt := range pts {
 		fmt.Fprintf(&sb, "%-8d %-8d %8.1f   %.4f      %.4f       %.4f         %-12d %-13d %8.1f  %d\n",
-			pt.Servers, pt.Clients, pt.KTPS, pt.MovedArc, pt.MovedMeasured, pt.MovedTheory,
-			pt.MissStormDepth, pt.MissStormSweeps, pt.MissStormUs, pt.Repairs)
+			pt.servers, pt.clients, pt.ktps, pt.movedArc, pt.movedMeasured, pt.movedTheory,
+			pt.missStormDepth, pt.missStormSweeps, pt.missStormUs, pt.repairs)
 	}
 	return sb.String()
 }

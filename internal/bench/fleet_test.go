@@ -17,22 +17,22 @@ import (
 // and then quiesced.
 func checkFleetPoint(t *testing.T, pt FleetPoint) {
 	t.Helper()
-	if pt.KTPS <= 0 {
-		t.Errorf("n=%d: no throughput measured", pt.Servers)
+	if pt.ktps <= 0 {
+		t.Errorf("n=%d: no throughput measured", pt.servers)
 	}
-	for name, frac := range map[string]float64{"arc": pt.MovedArc, "census": pt.MovedMeasured} {
-		if frac <= 0 || frac > 2*pt.MovedTheory {
-			t.Errorf("n=%d: %s movement %.5f outside (0, 2x%.5f]", pt.Servers, name, frac, pt.MovedTheory)
+	for name, frac := range map[string]float64{"arc": pt.movedArc, "census": pt.movedMeasured} {
+		if frac <= 0 || frac > 2*pt.movedTheory {
+			t.Errorf("n=%d: %s movement %.5f outside (0, 2x%.5f]", pt.servers, name, frac, pt.movedTheory)
 		}
 	}
-	if pt.MissStormDepth <= 0 || pt.Repairs == 0 {
-		t.Errorf("n=%d: join caused no miss storm (depth=%d repairs=%d)", pt.Servers, pt.MissStormDepth, pt.Repairs)
+	if pt.missStormDepth <= 0 || pt.repairs == 0 {
+		t.Errorf("n=%d: join caused no miss storm (depth=%d repairs=%d)", pt.servers, pt.missStormDepth, pt.repairs)
 	}
-	if pt.MissStormSweeps >= fleetStormCap {
-		t.Errorf("n=%d: miss storm never quiesced (%d sweeps)", pt.Servers, pt.MissStormSweeps)
+	if pt.missStormSweeps >= fleetStormCap {
+		t.Errorf("n=%d: miss storm never quiesced (%d sweeps)", pt.servers, pt.missStormSweeps)
 	}
-	if pt.MissStormUs <= 0 {
-		t.Errorf("n=%d: storm has no measured duration", pt.Servers)
+	if pt.missStormUs <= 0 {
+		t.Errorf("n=%d: storm has no measured duration", pt.servers)
 	}
 }
 
@@ -46,8 +46,8 @@ func checkFleetSweep(t *testing.T, counts []int) {
 	}
 	for _, pt := range pts {
 		checkFleetPoint(t, pt)
-		if pt.Clients != 10*pt.Servers {
-			t.Errorf("n=%d: ran %d clients, want %d", pt.Servers, pt.Clients, 10*pt.Servers)
+		if pt.clients != 10*pt.servers {
+			t.Errorf("n=%d: ran %d clients, want %d", pt.servers, pt.clients, 10*pt.servers)
 		}
 	}
 	t.Log("\n" + FleetTable(pts))

@@ -16,39 +16,39 @@ import (
 // client still pays a [key||value] copy-out; wherever the curves cross
 // is the size above which clients should stop going one-sided.
 
-// OneSidedPoint is one value size measured both ways.
-type OneSidedPoint struct {
-	ValueSize  int
-	OneSidedUs float64
-	AMUs       float64
-	// Speedup is AM÷one-sided mean latency: >1 means one-sided wins.
-	Speedup float64
+// oneSidedPoint is one value size measured both ways.
+type oneSidedPoint struct {
+	valueSize  int
+	oneSidedUs float64
+	amUs       float64
+	// speedup is AM÷one-sided mean latency: >1 means one-sided wins.
+	speedup float64
 }
 
-// OneSidedTPSPoint compares aggregate closed-loop throughput at one
-// client count (TPSValueSize-byte gets).
-type OneSidedTPSPoint struct {
-	Clients     int
-	OneSidedTPS float64
-	AMTPS       float64
+// oneSidedTPSPoint compares aggregate closed-loop throughput at one
+// client count (tpsValueSize-byte gets).
+type oneSidedTPSPoint struct {
+	clients     int
+	oneSidedTPS float64
+	amtps       float64
 }
 
 // OneSidedReport is the latency sweep plus the aggregate-TPS
 // comparison.
 type OneSidedReport struct {
-	Points []OneSidedPoint
-	// CrossoverBytes is the smallest swept size where the AM path is at
+	points []oneSidedPoint
+	// crossoverBytes is the smallest swept size where the AM path is at
 	// least as fast (0: one-sided won at every swept size).
-	CrossoverBytes int
-	// TPS sweeps client counts at TPSValueSize-byte gets. One-sided wins
+	crossoverBytes int
+	// tps sweeps client counts at tpsValueSize-byte gets. One-sided wins
 	// alone (no server CPU in the path) but stops scaling early: each get
 	// is 2-3 RDMA reads through the responder HCA's engine, which
 	// saturates at about four clients' worth, while the AM path batches
 	// on that engine and spreads over the server's workers.
-	// CrossoverClients is the first count where AM wins (0: never).
-	TPSValueSize     int
-	TPS              []OneSidedTPSPoint
-	CrossoverClients int
+	// crossoverClients is the first count where AM wins (0: never).
+	tpsValueSize     int
+	tps              []oneSidedTPSPoint
+	crossoverClients int
 }
 
 // OneSidedSizes is the default value-size axis.
@@ -60,7 +60,7 @@ func oneSidedLatencyPoint(size int, oneSided bool, cfg RunConfig) (float64, erro
 	deploy := cfg.Deploy
 	deploy.OneSidedGet = oneSided
 	rec, err := latencyPoint(cluster.ClusterB(), cluster.UCRIB, MixGet, size,
-		RunConfig{OpsPerPoint: cfg.OpsPerPoint, KeySpace: cfg.KeySpace, Seed: cfg.Seed, Deploy: deploy})
+		RunConfig{OpsPerPoint: cfg.OpsPerPoint, keySpace: cfg.keySpace, seed: cfg.seed, Deploy: deploy})
 	if err != nil {
 		return 0, err
 	}
@@ -74,7 +74,7 @@ func OneSidedSweep(sizes []int, cfg RunConfig) (*OneSidedReport, error) {
 	if len(sizes) == 0 {
 		sizes = OneSidedSizes()
 	}
-	rep := &OneSidedReport{TPSValueSize: 64}
+	rep := &OneSidedReport{tpsValueSize: 64}
 	for _, size := range sizes {
 		osUs, err := oneSidedLatencyPoint(size, true, cfg)
 		if err != nil {
@@ -84,21 +84,21 @@ func OneSidedSweep(sizes []int, cfg RunConfig) (*OneSidedReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: am size %d: %w", size, err)
 		}
-		pt := OneSidedPoint{ValueSize: size, OneSidedUs: osUs, AMUs: amUs}
+		pt := oneSidedPoint{valueSize: size, oneSidedUs: osUs, amUs: amUs}
 		if osUs > 0 {
-			pt.Speedup = amUs / osUs
+			pt.speedup = amUs / osUs
 		}
-		rep.Points = append(rep.Points, pt)
-		if rep.CrossoverBytes == 0 && amUs <= osUs {
-			rep.CrossoverBytes = size
+		rep.points = append(rep.points, pt)
+		if rep.crossoverBytes == 0 && amUs <= osUs {
+			rep.crossoverBytes = size
 		}
 	}
 
 	tps := func(oneSided bool, clients int) (float64, error) {
 		deploy := cfg.Deploy
 		deploy.OneSidedGet = oneSided
-		return tpsPoint(cluster.ClusterB(), cluster.UCRIB, clients, rep.TPSValueSize,
-			RunConfig{OpsPerPoint: cfg.OpsPerPoint, KeySpace: cfg.KeySpace, Seed: cfg.Seed, Deploy: deploy})
+		return tpsPoint(cluster.ClusterB(), cluster.UCRIB, clients, rep.tpsValueSize,
+			RunConfig{OpsPerPoint: cfg.OpsPerPoint, keySpace: cfg.keySpace, seed: cfg.seed, Deploy: deploy})
 	}
 	for _, n := range []int{1, 2, 4, 8} {
 		osTPS, err := tps(true, n)
@@ -109,9 +109,9 @@ func OneSidedSweep(sizes []int, cfg RunConfig) (*OneSidedReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.TPS = append(rep.TPS, OneSidedTPSPoint{Clients: n, OneSidedTPS: osTPS, AMTPS: amTPS})
-		if rep.CrossoverClients == 0 && amTPS >= osTPS {
-			rep.CrossoverClients = n
+		rep.tps = append(rep.tps, oneSidedTPSPoint{clients: n, oneSidedTPS: osTPS, amtps: amTPS})
+		if rep.crossoverClients == 0 && amTPS >= osTPS {
+			rep.crossoverClients = n
 		}
 	}
 	return rep, nil
@@ -122,21 +122,21 @@ func OneSidedTable(rep *OneSidedReport) string {
 	var b strings.Builder
 	b.WriteString("# one-sided GET vs AM GET: 100% gets, cluster B, UCR-IB (mean latency)\n")
 	fmt.Fprintf(&b, "%-10s %12s %12s %9s\n", "value", "one-sided us", "AM us", "speedup")
-	for _, pt := range rep.Points {
-		fmt.Fprintf(&b, "%-10d %12.2f %12.2f %8.2fx\n", pt.ValueSize, pt.OneSidedUs, pt.AMUs, pt.Speedup)
+	for _, pt := range rep.points {
+		fmt.Fprintf(&b, "%-10d %12.2f %12.2f %8.2fx\n", pt.valueSize, pt.oneSidedUs, pt.amUs, pt.speedup)
 	}
-	if rep.CrossoverBytes > 0 {
-		fmt.Fprintf(&b, "latency crossover: AM wins from %d-byte values\n", rep.CrossoverBytes)
+	if rep.crossoverBytes > 0 {
+		fmt.Fprintf(&b, "latency crossover: AM wins from %d-byte values\n", rep.crossoverBytes)
 	} else {
 		b.WriteString("latency crossover: none in swept range (one-sided won every size)\n")
 	}
-	fmt.Fprintf(&b, "# aggregate TPS, %dB gets\n", rep.TPSValueSize)
+	fmt.Fprintf(&b, "# aggregate TPS, %dB gets\n", rep.tpsValueSize)
 	fmt.Fprintf(&b, "%-10s %12s %12s\n", "clients", "one-sided", "AM")
-	for _, pt := range rep.TPS {
-		fmt.Fprintf(&b, "%-10d %12.0f %12.0f\n", pt.Clients, pt.OneSidedTPS, pt.AMTPS)
+	for _, pt := range rep.tps {
+		fmt.Fprintf(&b, "%-10d %12.0f %12.0f\n", pt.clients, pt.oneSidedTPS, pt.amtps)
 	}
-	if rep.CrossoverClients > 0 {
-		fmt.Fprintf(&b, "TPS crossover: AM wins from %d clients\n", rep.CrossoverClients)
+	if rep.crossoverClients > 0 {
+		fmt.Fprintf(&b, "TPS crossover: AM wins from %d clients\n", rep.crossoverClients)
 	} else {
 		b.WriteString("TPS crossover: none in swept range (one-sided won every count)\n")
 	}

@@ -7,7 +7,7 @@ import "testing"
 // latency than the AM GET — the client trades the server's dispatch +
 // op cost plus the reply AM for reads its own HCA drives.
 func TestOneSidedBeatsAMSmallValues(t *testing.T) {
-	cfg := RunConfig{OpsPerPoint: 40, KeySpace: 8}
+	cfg := RunConfig{OpsPerPoint: 40, keySpace: 8}
 	for _, size := range []int{4, 64, 1024} {
 		osUs, err := oneSidedLatencyPoint(size, true, cfg)
 		if err != nil {
@@ -30,23 +30,23 @@ func TestOneSidedBeatsAMSmallValues(t *testing.T) {
 // TestOneSidedSweepShape runs a trimmed sweep end to end and checks the
 // report invariants the JSON consumers rely on.
 func TestOneSidedSweepShape(t *testing.T) {
-	rep, err := OneSidedSweep([]int{64, 65536}, RunConfig{OpsPerPoint: 10, KeySpace: 4})
+	rep, err := OneSidedSweep([]int{64, 65536}, RunConfig{OpsPerPoint: 10, keySpace: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %+v", rep.Points)
+	if len(rep.points) != 2 {
+		t.Fatalf("points = %+v", rep.points)
 	}
-	for _, pt := range rep.Points {
-		if pt.OneSidedUs <= 0 || pt.AMUs <= 0 || pt.Speedup <= 0 {
+	for _, pt := range rep.points {
+		if pt.oneSidedUs <= 0 || pt.amUs <= 0 || pt.speedup <= 0 {
 			t.Fatalf("degenerate point: %+v", pt)
 		}
 	}
-	if len(rep.TPS) == 0 {
+	if len(rep.tps) == 0 {
 		t.Fatal("no TPS points")
 	}
-	for _, pt := range rep.TPS {
-		if pt.OneSidedTPS <= 0 || pt.AMTPS <= 0 {
+	for _, pt := range rep.tps {
+		if pt.oneSidedTPS <= 0 || pt.amtps <= 0 {
 			t.Fatalf("degenerate TPS point: %+v", pt)
 		}
 	}

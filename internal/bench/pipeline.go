@@ -18,22 +18,22 @@ import (
 // PipelinePoint is one cell of the depth × transport × size sweep.
 // KTPS is a virtual-time measure (the modeled hardware).
 type PipelinePoint struct {
-	Transport string
-	Depth     int
-	ValueSize int
-	KTPS      float64
-	// WriteReplies counts the replies that landed through the client's
+	transport string
+	depth     int
+	valueSize int
+	ktps      float64
+	// writeReplies counts the replies that landed through the client's
 	// reply window over the whole connection (warmup included) — the
 	// write-reply sweep's vacuity evidence. Zero whenever the deployment
 	// doesn't arm the path.
-	WriteReplies uint64
+	writeReplies uint64
 }
 
 // pipelinePoint measures closed-loop Get throughput on one connection
 // at the given window depth: cfg.OpsPerPoint gets are issued through a
 // Pipeline over a pre-populated keyspace, KTPS from the makespan.
 func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg RunConfig) (PipelinePoint, error) {
-	pt := PipelinePoint{Transport: string(t), Depth: depth, ValueSize: size}
+	pt := PipelinePoint{transport: string(t), depth: depth, valueSize: size}
 	cfg = cfg.withDefaults()
 	d := cluster.New(p, cfg.Deploy)
 	defer d.Close()
@@ -42,7 +42,7 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 		return pt, err
 	}
 	defer c.Close()
-	w := newWorkload(cfg.Seed, cfg.KeySpace, size)
+	w := newWorkload(cfg.seed, cfg.keySpace, size)
 	if err := w.populate(c.MC); err != nil {
 		return pt, err
 	}
@@ -83,9 +83,9 @@ func pipelinePoint(p *cluster.Profile, t cluster.Transport, depth, size int, cfg
 		}
 	}
 	makespan := clk.Now() - start
-	pt.KTPS = float64(cfg.OpsPerPoint) / makespan.Seconds() / 1e3
+	pt.ktps = float64(cfg.OpsPerPoint) / makespan.Seconds() / 1e3
 	if ut, ok := c.MC.Transport(0).(*mcclient.UCRTransport); ok {
-		pt.WriteReplies = ut.WriteReplyHits()
+		pt.writeReplies = ut.WriteReplyHits()
 	}
 	return pt, nil
 }
@@ -114,10 +114,10 @@ func PipelineTable(points []PipelinePoint) string {
 	bySize := make(map[int][]PipelinePoint)
 	var sizeOrder []int
 	for _, pt := range points {
-		if _, seen := bySize[pt.ValueSize]; !seen {
-			sizeOrder = append(sizeOrder, pt.ValueSize)
+		if _, seen := bySize[pt.valueSize]; !seen {
+			sizeOrder = append(sizeOrder, pt.valueSize)
 		}
-		bySize[pt.ValueSize] = append(bySize[pt.ValueSize], pt)
+		bySize[pt.valueSize] = append(bySize[pt.valueSize], pt)
 	}
 	var sb strings.Builder
 	for _, size := range sizeOrder {
@@ -128,15 +128,15 @@ func PipelineTable(points []PipelinePoint) string {
 		seenT := make(map[string]bool)
 		cell := make(map[string]float64, len(pts))
 		for _, pt := range pts {
-			if !seenD[pt.Depth] {
-				seenD[pt.Depth] = true
-				depths = append(depths, pt.Depth)
+			if !seenD[pt.depth] {
+				seenD[pt.depth] = true
+				depths = append(depths, pt.depth)
 			}
-			if !seenT[pt.Transport] {
-				seenT[pt.Transport] = true
-				transports = append(transports, pt.Transport)
+			if !seenT[pt.transport] {
+				seenT[pt.transport] = true
+				transports = append(transports, pt.transport)
 			}
-			cell[fmt.Sprintf("%s/%d", pt.Transport, pt.Depth)] = pt.KTPS
+			cell[fmt.Sprintf("%s/%d", pt.transport, pt.depth)] = pt.ktps
 		}
 		sort.Ints(depths)
 		fmt.Fprintf(&sb, "# pipeline: %dB values, 1 connection (KTPS)\n", size)

@@ -11,7 +11,7 @@ import (
 // 3x in virtual time — the per-op doorbell, CQ-wakeup and round-trip
 // costs overlap instead of serializing.
 func TestPipelineSpeedup(t *testing.T) {
-	cfg := RunConfig{OpsPerPoint: 200, KeySpace: 16}
+	cfg := RunConfig{OpsPerPoint: 200, keySpace: 16}
 	pts, err := PipelineSweep(cluster.ClusterB(), []cluster.Transport{cluster.UCRIB},
 		[]int{1, 8}, []int{64}, cfg)
 	if err != nil {
@@ -19,7 +19,7 @@ func TestPipelineSpeedup(t *testing.T) {
 	}
 	byDepth := map[int]float64{}
 	for _, pt := range pts {
-		byDepth[pt.Depth] = pt.KTPS
+		byDepth[pt.depth] = pt.ktps
 	}
 	if byDepth[1] <= 0 || byDepth[8] <= 0 {
 		t.Fatalf("bad sweep: %+v", pts)
@@ -37,7 +37,7 @@ func TestPipelineSpeedup(t *testing.T) {
 // never hurts on either transport (single connection), for small values
 // and for 4 KB ones, where copies and the link do the work.
 func TestPipelineDepthMonotonic(t *testing.T) {
-	cfg := RunConfig{OpsPerPoint: 120, KeySpace: 16}
+	cfg := RunConfig{OpsPerPoint: 120, keySpace: 16}
 	pts, err := PipelineSweep(cluster.ClusterB(),
 		[]cluster.Transport{cluster.UCRIB, cluster.IPoIB},
 		[]int{1, 4, 16}, []int{64, 4096}, cfg)
@@ -46,9 +46,9 @@ func TestPipelineDepthMonotonic(t *testing.T) {
 	}
 	var prev PipelinePoint
 	for _, pt := range pts {
-		if pt.Transport == prev.Transport && pt.ValueSize == prev.ValueSize && pt.KTPS < prev.KTPS*0.95 {
+		if pt.transport == prev.transport && pt.valueSize == prev.valueSize && pt.ktps < prev.ktps*0.95 {
 			t.Errorf("%s %d B depth=%d: %.2f KTPS regressed below depth-%d's %.2f",
-				pt.Transport, pt.ValueSize, pt.Depth, pt.KTPS, prev.Depth, prev.KTPS)
+				pt.transport, pt.valueSize, pt.depth, pt.ktps, prev.depth, prev.ktps)
 		}
 		prev = pt
 	}
@@ -62,18 +62,18 @@ func TestPipelineDepthMonotonic(t *testing.T) {
 // waited out the next request's harvest and pack copy: 1.77x and 2.66x;
 // with a half-window sweep after every wait, depth 4 read 3.58x.
 func TestPipeline4KScalesWithDepth(t *testing.T) {
-	cfg := RunConfig{OpsPerPoint: 300, KeySpace: 16}
+	cfg := RunConfig{OpsPerPoint: 300, keySpace: 16}
 	pts, err := PipelineSweep(cluster.ClusterB(), []cluster.Transport{cluster.UCRIB},
 		[]int{1, 2, 4}, []int{4096}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := pts[0].KTPS
+	d1 := pts[0].ktps
 	for i, want := range []float64{1.95, 4.4} {
 		pt := pts[i+1]
-		if got := pt.KTPS / d1; got < want {
+		if got := pt.ktps / d1; got < want {
 			t.Errorf("UCR-IB 4 KB depth %d: %.2f KTPS = %.2fx depth 1 (%.2f), want >= %.2fx",
-				pt.Depth, pt.KTPS, got, d1, want)
+				pt.depth, pt.ktps, got, d1, want)
 		}
 	}
 }

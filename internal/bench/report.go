@@ -9,17 +9,17 @@ import (
 // WriteTable renders a figure as an aligned text table (the rows the
 // paper's plots are drawn from).
 func WriteTable(w io.Writer, f *Figure) error {
-	cols := append([]string{f.XLabel}, f.SeriesOrder...)
+	cols := append([]string{f.xLabel}, f.SeriesOrder...)
 	widths := make([]int, len(cols))
 	for i, c := range cols {
 		widths[i] = len(c)
 	}
-	rows := make([][]string, len(f.XTicks))
-	for r, tick := range f.XTicks {
+	rows := make([][]string, len(f.xTicks))
+	for r, tick := range f.xTicks {
 		row := make([]string, len(cols))
 		row[0] = tick
 		for c, name := range f.SeriesOrder {
-			vals := f.Series[name]
+			vals := f.series[name]
 			if r < len(vals) {
 				row[c+1] = fmt.Sprintf("%.2f", vals[r])
 			} else {
@@ -33,7 +33,7 @@ func WriteTable(w io.Writer, f *Figure) error {
 			}
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# %s: %s (%s)\n", f.ID, f.Title, f.Unit); err != nil {
+	if _, err := fmt.Fprintf(w, "# %s: %s (%s)\n", f.id, f.title, f.Unit); err != nil {
 		return err
 	}
 	writeRow := func(cells []string) error {
@@ -59,8 +59,8 @@ func WriteTable(w io.Writer, f *Figure) error {
 // baseline series is than the reference series (the paper quotes its
 // results as "factor of N" improvements of UCR over each sockets path).
 func (f *Figure) SpeedupOver(reference, baseline string) []float64 {
-	ref, ok1 := f.Series[reference]
-	base, ok2 := f.Series[baseline]
+	ref, ok1 := f.series[reference]
+	base, ok2 := f.series[baseline]
 	if !ok1 || !ok2 {
 		return nil
 	}

@@ -12,27 +12,27 @@ import (
 type RunConfig struct {
 	// OpsPerPoint is the measured operation count per (size, transport).
 	OpsPerPoint int
-	// KeySpace is the number of distinct keys.
-	KeySpace int
-	// Seed feeds workload generation.
-	Seed uint64
+	// keySpace is the number of distinct keys.
+	keySpace int
+	// seed feeds workload generation.
+	seed uint64
 	// Deploy overrides deployment options (worker count etc.).
 	Deploy cluster.Options
-	// Zipf, when > 0, makes the clients of a multi-client point draw keys
+	// zipf, when > 0, makes the clients of a multi-client point draw keys
 	// by Zipfian popularity with that exponent, each from its own stream
 	// (0: round-robin, each from its own offset).
-	Zipf float64
+	zipf float64
 }
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.OpsPerPoint <= 0 {
 		c.OpsPerPoint = 50
 	}
-	if c.KeySpace <= 0 {
-		c.KeySpace = 16
+	if c.keySpace <= 0 {
+		c.keySpace = 16
 	}
-	if c.Seed == 0 {
-		c.Seed = 42
+	if c.seed == 0 {
+		c.seed = 42
 	}
 	return c
 }
@@ -49,7 +49,7 @@ func latencyPoint(p *cluster.Profile, t cluster.Transport, mix Mix, size int, cf
 		return nil, err
 	}
 	defer c.Close()
-	w := newWorkload(cfg.Seed, cfg.KeySpace, size)
+	w := newWorkload(cfg.seed, cfg.keySpace, size)
 	rec := &LatencyRecorder{}
 	if err := runClient(c, w, mix, cfg.OpsPerPoint, rec); err != nil {
 		return nil, fmt.Errorf("bench: %s/%s size %d: %w", t, mix, size, err)
@@ -141,12 +141,12 @@ func tpsPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, cfg R
 func mixTPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, mix Mix, cfg RunConfig) (tps float64, err error) {
 	cfg = cfg.withDefaults()
 	err = withClients(p, t, nClients, cfg, func(_ *cluster.Deployment, clients []*cluster.Client, clocks []*simnet.VClock) error {
-		workloads := make([]*Workload, nClients)
+		workloads := make([]*workload, nClients)
 		for i := range workloads {
-			if cfg.Zipf > 0 {
-				workloads[i] = newZipfWorkload(cfg.Seed, uint64(i)+1, cfg.KeySpace, size, cfg.Zipf)
+			if cfg.zipf > 0 {
+				workloads[i] = newZipfWorkload(cfg.seed, uint64(i)+1, cfg.keySpace, size, cfg.zipf)
 			} else {
-				workloads[i] = newWorkload(cfg.Seed, cfg.KeySpace, size)
+				workloads[i] = newWorkload(cfg.seed, cfg.keySpace, size)
 				workloads[i].nextKey = i
 			}
 		}

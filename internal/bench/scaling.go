@@ -13,13 +13,13 @@ import (
 // aggregate throughput over (server workers × lock stripes), contrasting
 // the global-cache-lock engine (Stripes=1) with the striped one.
 
-// ScalingOpCost is the per-op engine cost the sweep's profile charges
+// scalingOpCost is the per-op engine cost the sweep's profile charges
 // in place of the testbed's Profile.OpCost: a CPU-bound command-processing
 // regime (hash + LRU + bookkeeping dominating the HCA poll path), which
 // is exactly where lock scaling is visible. With the stock sub-µs
 // OpCost the HCA pipeline, not the cache lock, is the bottleneck and
 // every engine looks the same.
-const ScalingOpCost = 25 * simnet.Microsecond
+const scalingOpCost = 25 * simnet.Microsecond
 
 // scalingKeySpace spreads keys across stripes evenly enough that one
 // hot shard doesn't mask worker scaling.
@@ -31,22 +31,22 @@ const scalingValueSize = 64
 
 // ScalingPoint is one cell of the workers × stripes × mix grid.
 type ScalingPoint struct {
-	Workers int
-	Stripes int
-	Clients int
-	Mix     string
-	KTPS    float64
+	workers int
+	stripes int
+	clients int
+	mix     string
+	ktps    float64
 }
 
 // ScalingSweep measures aggregate TPS for every (workers, stripes, mix)
 // combination with nClients closed-loop clients on transport t. It runs
-// on a copy of p that charges ScalingOpCost per op, so the engine — not
+// on a copy of p that charges scalingOpCost per op, so the engine — not
 // the fabric — is the bottleneck under test.
 func ScalingSweep(p *cluster.Profile, t cluster.Transport, workerCounts, stripeCounts []int, nClients int, mixes []Mix, cfg RunConfig) ([]ScalingPoint, error) {
 	cfg = cfg.withDefaults()
 	heavy := *p
-	heavy.OpCost = ScalingOpCost
-	cfg.KeySpace = scalingKeySpace
+	heavy.OpCost = scalingOpCost
+	cfg.keySpace = scalingKeySpace
 	var out []ScalingPoint
 	for _, mix := range mixes {
 		for _, st := range stripeCounts {
@@ -59,8 +59,8 @@ func ScalingSweep(p *cluster.Profile, t cluster.Transport, workerCounts, stripeC
 					return nil, fmt.Errorf("bench: scaling %s w=%d s=%d: %w", mix, w, st, err)
 				}
 				out = append(out, ScalingPoint{
-					Workers: w, Stripes: st, Clients: nClients,
-					Mix: mix.String(), KTPS: tps / 1e3,
+					workers: w, stripes: st, clients: nClients,
+					mix: mix.String(), ktps: tps / 1e3,
 				})
 			}
 		}
@@ -74,10 +74,10 @@ func ScalingTable(points []ScalingPoint) string {
 	byMix := make(map[string][]ScalingPoint)
 	var mixOrder []string
 	for _, pt := range points {
-		if _, seen := byMix[pt.Mix]; !seen {
-			mixOrder = append(mixOrder, pt.Mix)
+		if _, seen := byMix[pt.mix]; !seen {
+			mixOrder = append(mixOrder, pt.mix)
 		}
-		byMix[pt.Mix] = append(byMix[pt.Mix], pt)
+		byMix[pt.mix] = append(byMix[pt.mix], pt)
 	}
 	var sb strings.Builder
 	for _, mix := range mixOrder {
@@ -86,8 +86,8 @@ func ScalingTable(points []ScalingPoint) string {
 		cell := make(map[[2]int]float64, len(pts))
 		clients := 0
 		for _, pt := range pts {
-			cell[[2]int{pt.Workers, pt.Stripes}] = pt.KTPS
-			clients = pt.Clients
+			cell[[2]int{pt.workers, pt.stripes}] = pt.ktps
+			clients = pt.clients
 		}
 		fmt.Fprintf(&sb, "# scaling: %s, %d clients (KTPS)\n", mix, clients)
 		sb.WriteString("workers")
@@ -111,8 +111,8 @@ func axes(pts []ScalingPoint) (workers, stripes []int) {
 	ws := make(map[int]bool)
 	ss := make(map[int]bool)
 	for _, pt := range pts {
-		ws[pt.Workers] = true
-		ss[pt.Stripes] = true
+		ws[pt.workers] = true
+		ss[pt.stripes] = true
 	}
 	for w := range ws {
 		workers = append(workers, w)

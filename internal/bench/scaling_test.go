@@ -19,8 +19,8 @@ func TestScalingSweepPlateauAndStriping(t *testing.T) {
 	}
 	cell := make(map[[2]int]float64, len(pts))
 	for _, pt := range pts {
-		cell[[2]int{pt.Workers, pt.Stripes}] = pt.KTPS
-		t.Logf("workers=%d stripes=%d: %.1f KTPS", pt.Workers, pt.Stripes, pt.KTPS)
+		cell[[2]int{pt.workers, pt.stripes}] = pt.ktps
+		t.Logf("workers=%d stripes=%d: %.1f KTPS", pt.workers, pt.stripes, pt.ktps)
 	}
 
 	// Global lock: flat within ±10% across worker counts.

@@ -98,8 +98,8 @@ func sizeLabel(n int) string {
 	}
 }
 
-// SmallSizes are the paper's small-message sweep (Figs 3a/3c, 4a/4c, 5).
-var SmallSizes = []int{1, 4, 16, 64, 256, 1024, 2048, 4096}
+// smallSizes are the paper's small-message sweep (Figs 3a/3c, 4a/4c, 5).
+var smallSizes = []int{1, 4, 16, 64, 256, 1024, 2048, 4096}
 
-// LargeSizes are the paper's large-message sweep (Figs 3b/3d, 4b/4d).
-var LargeSizes = []int{8192, 16384, 32768, 65536, 131072, 262144, 524288}
+// largeSizes are the paper's large-message sweep (Figs 3b/3d, 4b/4d).
+var largeSizes = []int{8192, 16384, 32768, 65536, 131072, 262144, 524288}

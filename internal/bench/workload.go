@@ -13,24 +13,24 @@ type Mix int
 
 // The paper's four workloads.
 const (
-	// MixSet is 100% Set (Figs 3a/3b, 4a/4b).
-	MixSet Mix = iota
+	// mixSet is 100% Set (Figs 3a/3b, 4a/4b).
+	mixSet Mix = iota
 	// MixGet is 100% Get (Figs 3c/3d, 4c/4d, 6).
 	MixGet
-	// MixNonInterleaved is 10% Set / 90% Get as 10 sets then 90 gets
+	// mixNonInterleaved is 10% Set / 90% Get as 10 sets then 90 gets
 	// (Fig 5a/5b).
-	MixNonInterleaved
+	mixNonInterleaved
 	// MixInterleaved is 50% Set / 50% Get, alternating (Fig 5c/5d).
 	MixInterleaved
 )
 
 func (m Mix) String() string {
 	switch m {
-	case MixSet:
+	case mixSet:
 		return "set"
 	case MixGet:
 		return "get"
-	case MixNonInterleaved:
+	case mixNonInterleaved:
 		return "set10-get90"
 	default:
 		return "set50-get50"
@@ -40,31 +40,31 @@ func (m Mix) String() string {
 // isSet reports whether operation n of the mix's stream is a set.
 func (m Mix) isSet(n int) bool {
 	switch m {
-	case MixSet:
+	case mixSet:
 		return true
 	case MixGet:
 		return false
-	case MixNonInterleaved:
+	case mixNonInterleaved:
 		return n%100 < 10
 	default:
 		return n%2 == 0
 	}
 }
 
-// Workload generates keys and values, memslap-style: fixed-length keys
+// workload generates keys and values, memslap-style: fixed-length keys
 // drawn from a seeded keyspace — round-robin, or by Zipfian popularity
 // (newZipfWorkload) — and incompressible values of the swept size.
-type Workload struct {
+type workload struct {
 	rng     *simnet.Rand
 	keys    []string
 	value   []byte
 	nextKey int
-	zipf    *Zipf // nil: round-robin
+	zipf    *zipf // nil: round-robin
 }
 
 // newWorkload builds a workload over nKeys keys with size-byte values.
-func newWorkload(seed uint64, nKeys, size int) *Workload {
-	w := &Workload{rng: simnet.NewRand(seed)}
+func newWorkload(seed uint64, nKeys, size int) *workload {
+	w := &workload{rng: simnet.NewRand(seed)}
 	w.keys = make([]string, nKeys)
 	for i := range w.keys {
 		w.keys[i] = fmt.Sprintf("memslap-%016x-%04d", w.rng.Uint64(), i)
@@ -77,7 +77,7 @@ func newWorkload(seed uint64, nKeys, size int) *Workload {
 }
 
 // key returns the next key: round-robin, or a popularity draw.
-func (w *Workload) key() string {
+func (w *workload) key() string {
 	if w.zipf != nil {
 		return w.keys[w.zipf.next()]
 	}
@@ -88,7 +88,7 @@ func (w *Workload) key() string {
 
 // populate stores the payload under every key, so gets hit and sets
 // overwrite (steady-state behaviour).
-func (w *Workload) populate(mc *mcclient.Client) error {
+func (w *workload) populate(mc *mcclient.Client) error {
 	for _, k := range w.keys {
 		if err := mc.Set(k, w.value, 0, 0); err != nil {
 			return err
@@ -99,7 +99,7 @@ func (w *Workload) populate(mc *mcclient.Client) error {
 
 // op issues one operation on the next key: a set of the payload, or a
 // get.
-func (w *Workload) op(mc *mcclient.Client, set bool) error {
+func (w *workload) op(mc *mcclient.Client, set bool) error {
 	key := w.key()
 	if set {
 		return mc.Set(key, w.value, 0, 0)
@@ -110,7 +110,7 @@ func (w *Workload) op(mc *mcclient.Client, set bool) error {
 
 // runClient populates the keyspace and executes n operations of the mix
 // on one client, recording per-op latency.
-func runClient(c *cluster.Client, w *Workload, mix Mix, n int, rec *LatencyRecorder) error {
+func runClient(c *cluster.Client, w *workload, mix Mix, n int, rec *LatencyRecorder) error {
 	if err := w.populate(c.MC); err != nil {
 		return err
 	}

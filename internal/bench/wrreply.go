@@ -17,9 +17,9 @@ import (
 // served by RDMA writes sourced straight from the slab chunk; past the
 // slot both columns fall back to the rendezvous read.
 
-// WriteReplyTransport labels the armed column (the plain column keeps
+// writeReplyTransport labels the armed column (the plain column keeps
 // the UCR-IB label: its cells are the pipeline study's).
-const WriteReplyTransport = "UCR-IB+WR"
+const writeReplyTransport = "UCR-IB+WR"
 
 // WriteReplySizes is the value-size axis: one point below the server
 // crossover, the 4 KB cell the half-window flush regressed, the largest
@@ -44,8 +44,8 @@ func WriteReplySweep(p *cluster.Profile, depths, sizes []int, cfg RunConfig) ([]
 					return nil, fmt.Errorf("bench: wrreply armed=%v depth=%d size=%d: %w", armed, depth, size, err)
 				}
 				if armed {
-					pt.Transport = WriteReplyTransport
-					if inWriteBand(size) && pt.WriteReplies == 0 {
+					pt.transport = writeReplyTransport
+					if inWriteBand(size) && pt.writeReplies == 0 {
 						return nil, fmt.Errorf("bench: wrreply depth=%d size=%d: armed sweep never posted a write reply (vacuous cell)", depth, size)
 					}
 				}

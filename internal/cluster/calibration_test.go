@@ -23,8 +23,8 @@ func TestCalibrationQuotesProfiles(t *testing.T) {
 	}{
 		{`DDR ([0-9.]+) GB/s`, []float64{a.IB.LinkBytesPerSec / 1e9}},
 		{`QDR ([0-9.]+) GB/s`, []float64{b.IB.LinkBytesPerSec / 1e9}},
-		{`10GigE ([0-9.]+) GB/s`, []float64{a.Eth10G.LinkBytesPerSec / 1e9}},
-		{`\b1GigE ([0-9.]+) GB/s`, []float64{a.Eth1G.LinkBytesPerSec / 1e9}},
+		{`10GigE ([0-9.]+) GB/s`, []float64{a.eth10G.LinkBytesPerSec / 1e9}},
+		{`\b1GigE ([0-9.]+) GB/s`, []float64{a.eth1G.LinkBytesPerSec / 1e9}},
 		{"QDR's `RecvProc` of ([0-9.]+) ns", []float64{float64(b.HCA.RecvProc)}},
 		{"DDR's `RecvProc` of ([0-9.]+) µs", []float64{float64(a.HCA.RecvProc) / float64(simnet.Microsecond)}},
 		{`≈ ([0-9.]+) M msgs/s`, []float64{1e3 / float64(b.HCA.RecvProc)}},
@@ -55,7 +55,7 @@ func TestCalibrationQuotesSDPJitter(t *testing.T) {
 	bound, _ := strconv.Atoi(m[2])
 	up := simnet.Duration(bound) * simnet.Microsecond
 
-	jitter := ClusterB().SDPModel.Jitter
+	jitter := ClusterB().sdpModel.Jitter
 	r := simnet.NewRand(1)
 	const draws = 1 << 17
 	var tail int

@@ -228,7 +228,7 @@ func TestMixedTransportsOneServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ucrCli.Close()
-	sockCli, err := d.NewClient(TOE10G, mcclient.DefaultBehaviors())
+	sockCli, err := d.NewClient(toe10G, mcclient.DefaultBehaviors())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestUCRFasterThanSockets(t *testing.T) {
 	// The paper's headline: the UCR design beats every sockets path.
 	// Run the same closed loop per transport and compare mean latency.
 	lat := map[Transport]simnet.Time{}
-	for _, tr := range []Transport{UCRIB, IPoIB, SDP, TOE10G} {
+	for _, tr := range []Transport{UCRIB, IPoIB, SDP, toe10G} {
 		d := New(ClusterA(), Options{})
 		c, err := d.NewClient(tr, mcclient.DefaultBehaviors())
 		if err != nil {
@@ -275,13 +275,13 @@ func TestUCRFasterThanSockets(t *testing.T) {
 		c.Close()
 		d.Close()
 	}
-	for _, tr := range []Transport{IPoIB, SDP, TOE10G} {
+	for _, tr := range []Transport{IPoIB, SDP, toe10G} {
 		if lat[UCRIB] >= lat[tr] {
 			t.Errorf("UCR (%v) not faster than %s (%v)", lat[UCRIB], tr, lat[tr])
 		}
 	}
 	t.Logf("4KB get latency: UCR=%v IPoIB=%v SDP=%v TOE=%v",
-		lat[UCRIB], lat[IPoIB], lat[SDP], lat[TOE10G])
+		lat[UCRIB], lat[IPoIB], lat[SDP], lat[toe10G])
 }
 
 func TestExpiryAcrossTransport(t *testing.T) {
@@ -307,16 +307,16 @@ func TestExpiryAcrossTransport(t *testing.T) {
 
 func TestProfileShape(t *testing.T) {
 	a, b := ClusterA(), ClusterB()
-	if !a.hasTransport(TOE10G) || b.hasTransport(TOE10G) {
+	if !a.hasTransport(toe10G) || b.hasTransport(toe10G) {
 		t.Fatal("10GigE present on wrong cluster (paper: no 10GigE on B)")
 	}
 	if b.IB.LinkBytesPerSec <= a.IB.LinkBytesPerSec {
 		t.Fatal("QDR should be faster than DDR")
 	}
-	if b.SDPModel.Jitter == nil || (a.SDPModel.Jitter != nil) {
+	if b.sdpModel.Jitter == nil || (a.sdpModel.Jitter != nil) {
 		t.Fatal("SDP jitter belongs to cluster B only")
 	}
-	if ProfileByName("A").Name != "A" || ProfileByName("B").Name != "B" {
+	if ProfileByName("A").name != "A" || ProfileByName("B").name != "B" {
 		t.Fatal("ProfileByName")
 	}
 }
@@ -324,7 +324,7 @@ func TestProfileShape(t *testing.T) {
 func TestClientRejectsUnavailableTransport(t *testing.T) {
 	d := New(ClusterB(), Options{})
 	defer d.Close()
-	if _, err := d.NewClient(TOE10G, mcclient.DefaultBehaviors()); err == nil {
+	if _, err := d.NewClient(toe10G, mcclient.DefaultBehaviors()); err == nil {
 		t.Fatal("cluster B should not offer 10GigE")
 	}
 }
@@ -359,7 +359,7 @@ func TestWorkerRoundRobin(t *testing.T) {
 }
 
 func TestGetMultiBatchedOverUCRAndSockets(t *testing.T) {
-	for _, tr := range []Transport{UCRIB, TOE10G} {
+	for _, tr := range []Transport{UCRIB, toe10G} {
 		tr := tr
 		t.Run(string(tr), func(t *testing.T) {
 			d := New(ClusterA(), Options{})

@@ -45,10 +45,11 @@ type Options struct {
 	UDGets bool
 	// SessionsPerQP concentrates that many client sessions onto one RC
 	// queue pair: UCR clients are grouped so each group shares a single
-	// trunk endpoint (one QP, one progress context), a lock serializing
-	// their operations on it. Values ≤ 1 keep one QP per client. A trunk
-	// is dialed like any client, so its sessions are served by every read
-	// path the other options arm.
+	// trunk endpoint (one QP, one progress context), and their operations
+	// on it serialize on the deployment's owner like every client's.
+	// Values ≤ 1 keep one QP per client. A trunk is dialed like any
+	// client, so its sessions are served by every read path the other
+	// options arm.
 	SessionsPerQP int
 	// OneSidedGet arms the one-sided GET data path: every server
 	// publishes its remotely-readable directory and every UCR client
@@ -114,8 +115,8 @@ type Deployment struct {
 
 	Network *simnet.Network
 	IB      *simnet.Fabric
-	Eth10G  *simnet.Fabric
-	Eth1G   *simnet.Fabric
+	eth10G  *simnet.Fabric
+	eth1G   *simnet.Fabric
 	CM      *verbs.CM
 
 	// ServerNode/Server are the first server (the common single-server
@@ -128,9 +129,9 @@ type Deployment struct {
 	ServerHCAs  []*verbs.HCA
 	ServerRTs   []*ucr.Runtime
 
-	// Injectors are the per-fabric fault injectors (empty when
+	// injectors are the per-fabric fault injectors (empty when
 	// Opts.Faults is nil), in the order the fabrics were added.
-	Injectors []*simnet.FaultInjector
+	injectors []*simnet.FaultInjector
 
 	providers map[Transport]*sockstream.Provider
 	clients   int
@@ -156,22 +157,22 @@ func New(p *Profile, opts Options) *Deployment {
 		providers: make(map[Transport]*sockstream.Provider),
 	}
 	d.IB = d.Network.AddFabric(p.IB)
-	if p.Eth10G != nil {
-		d.Eth10G = d.Network.AddFabric(*p.Eth10G)
+	if p.eth10G != nil {
+		d.eth10G = d.Network.AddFabric(*p.eth10G)
 	}
-	if p.Eth1G != nil {
-		d.Eth1G = d.Network.AddFabric(*p.Eth1G)
+	if p.eth1G != nil {
+		d.eth1G = d.Network.AddFabric(*p.eth1G)
 	}
 	d.CM = verbs.NewCM(d.IB)
 
 	if opts.Faults != nil {
-		for _, fab := range []*simnet.Fabric{d.IB, d.Eth10G, d.Eth1G} {
+		for _, fab := range []*simnet.Fabric{d.IB, d.eth10G, d.eth1G} {
 			if fab == nil {
 				continue
 			}
 			fi := simnet.NewFaultInjector(*opts.Faults)
 			fab.SetFaults(fi)
-			d.Injectors = append(d.Injectors, fi)
+			d.injectors = append(d.injectors, fi)
 		}
 	}
 
@@ -183,9 +184,9 @@ func New(p *Profile, opts Options) *Deployment {
 		d.providers[t] = model.Clone(fab)
 	}
 	seat(IPoIB, p.IPoIBModel, d.IB)
-	seat(SDP, p.SDPModel, d.IB)
-	seat(TOE10G, p.TOE10GModel, d.Eth10G)
-	seat(TCP1G, p.TCP1GModel, d.Eth1G)
+	seat(SDP, p.sdpModel, d.IB)
+	seat(toe10G, p.toe10GModel, d.eth10G)
+	seat(tcp1G, p.tcp1GModel, d.eth1G)
 
 	for i := 0; i < opts.Servers; i++ {
 		name := "server"
@@ -207,11 +208,11 @@ func (d *Deployment) addServer(name string) int {
 	i := len(d.Servers)
 	node := d.Network.AddNode(name)
 	d.IB.Attach(node)
-	if d.Eth10G != nil {
-		d.Eth10G.Attach(node)
+	if d.eth10G != nil {
+		d.eth10G.Attach(node)
 	}
-	if d.Eth1G != nil {
-		d.Eth1G.Attach(node)
+	if d.eth1G != nil {
+		d.eth1G.Attach(node)
 	}
 	srv := memcached.NewServer(d.Network.Executor(), memcached.ServerConfig{
 		Workers: d.Opts.ServerWorkers,
@@ -345,7 +346,7 @@ func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors,
 // with its own virtual clock.
 func (d *Deployment) NewClient(t Transport, behaviors mcclient.Behaviors) (*Client, error) {
 	if !d.Profile.hasTransport(t) {
-		return nil, fmt.Errorf("cluster %s has no %s", d.Profile.Name, t)
+		return nil, fmt.Errorf("cluster %s has no %s", d.Profile.name, t)
 	}
 	d.clients++
 	c := &Client{Clock: simnet.NewVClock(0), Transport: t}

@@ -43,7 +43,7 @@ func ExampleDeployment_NewClient() {
 		log.Fatal(err)
 	}
 	defer rdma.Close()
-	sockets, err := d.NewClient(cluster.TOE10G, mcclient.DefaultBehaviors())
+	sockets, err := d.NewClient(cluster.IPoIB, mcclient.DefaultBehaviors())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -157,10 +157,10 @@ func TestUDPartitionRetransmission(t *testing.T) {
 		t.Fatalf("set: %v", err)
 	}
 
-	if len(d.Injectors) == 0 {
+	if len(d.injectors) == 0 {
 		t.Fatal("no fault injector installed")
 	}
-	fi := d.Injectors[0] // the IB fabric's injector
+	fi := d.injectors[0] // the IB fabric's injector
 
 	// One lost datagram: the get request vanishes, the per-attempt
 	// deadline fires, the retransmission succeeds.

@@ -73,7 +73,6 @@ type Fleet struct {
 }
 
 type fleetMember struct {
-	name string
 	idx  int // Deployment server index (fixed; slots are never reused)
 	node *simnet.Node
 	srv  *memcached.Server
@@ -97,7 +96,7 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 	}
 	opts.Opts.Servers = opts.Servers
 	if !p.hasTransport(opts.Transport) {
-		return nil, fmt.Errorf("cluster %s has no %s", p.Name, opts.Transport)
+		return nil, fmt.Errorf("cluster %s has no %s", p.name, opts.Transport)
 	}
 	if opts.Opts.SessionsPerQP > 1 {
 		// A fleet client dials lazily, per owner; there is no group of
@@ -116,7 +115,7 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 	names := make([]string, len(d.ServerNodes))
 	for i, node := range d.ServerNodes {
 		names[i] = node.Name()
-		f.members[names[i]] = &fleetMember{name: names[i], idx: i, node: node, srv: d.Servers[i]}
+		f.members[names[i]] = &fleetMember{idx: i, node: node, srv: d.Servers[i]}
 	}
 	f.ring = ring.Build(0, names) // the libmemcached layout, as mcclient and memcheck build it
 	return f, nil
@@ -174,7 +173,7 @@ func (f *Fleet) Join() string {
 	var m *fleetMember
 	f.D.owned(func() {
 		idx := f.D.addServer(name)
-		m = &fleetMember{name: name, idx: idx, node: f.D.ServerNodes[idx], srv: f.D.Servers[idx]}
+		m = &fleetMember{idx: idx, node: f.D.ServerNodes[idx], srv: f.D.Servers[idx]}
 	})
 
 	f.mu.Lock()
@@ -224,7 +223,7 @@ func (f *Fleet) Crash(name string) bool {
 	f.mu.Unlock()
 
 	f.D.owned(func() {
-		for _, fi := range f.D.Injectors {
+		for _, fi := range f.D.injectors {
 			for _, cn := range clients {
 				fi.Partition(cn, m.node)
 			}
@@ -260,7 +259,7 @@ type FleetClientStats struct {
 // concurrent use (one per goroutine, like mcclient.Client).
 type FleetClient struct {
 	f     *Fleet
-	Node  *simnet.Node
+	node  *simnet.Node
 	Clock *simnet.VClock
 
 	seat  seat
@@ -291,7 +290,7 @@ func (f *Fleet) NewClient() (*FleetClient, error) {
 
 	s := f.D.attach(fmt.Sprintf("fclient%d", n), f.transport)
 	c := &FleetClient{
-		f: f, Node: s.node, Clock: simnet.NewVClock(0), seat: s, conns: make(map[string]mcclient.Transport),
+		f: f, node: s.node, Clock: simnet.NewVClock(0), seat: s, conns: make(map[string]mcclient.Transport),
 		trBuf:    make([]mcclient.Transport, 0, f.replicas),
 		resBuf:   make([]memcached.StoreResult, f.replicas),
 		foundBuf: make([]bool, f.replicas),
@@ -480,7 +479,7 @@ func (c *FleetClient) Delete(key string) (bool, error) {
 
 // FleetGetResult is one key's outcome from GetBurst.
 type FleetGetResult struct {
-	Value []byte
+	value []byte
 	Hit   bool
 	Err   error
 }
@@ -535,7 +534,7 @@ func (c *FleetClient) GetBurst(keys []string, window int) []FleetGetResult {
 			down := false
 			for j, i := range idxs {
 				v, _, _, ok, e := futs[j].Wait(c.Clock)
-				out[i] = FleetGetResult{Value: v, Hit: ok, Err: e}
+				out[i] = FleetGetResult{value: v, Hit: ok, Err: e}
 				if e == mcclient.ErrServerDown {
 					c.Stats.Downs++
 					down = true
@@ -554,7 +553,7 @@ func (c *FleetClient) GetBurst(keys []string, window int) []FleetGetResult {
 			}
 			v, _, e := c.fallthroughGet(c.owners(keys[i]), keys[i], out[i].Err)
 			if e == nil {
-				out[i] = FleetGetResult{Value: v, Hit: true}
+				out[i] = FleetGetResult{value: v, Hit: true}
 			} else {
 				out[i] = FleetGetResult{Err: e}
 			}

@@ -214,7 +214,7 @@ func TestFleetGetBurst(t *testing.T) {
 	}
 	res := fc.GetBurst(keys, 8)
 	for i, r := range res {
-		if r.Err != nil || !r.Hit || string(r.Value) != "v-"+keys[i] {
+		if r.Err != nil || !r.Hit || string(r.value) != "v-"+keys[i] {
 			t.Fatalf("burst[%d]: %+v", i, r)
 		}
 	}
@@ -223,7 +223,7 @@ func TestFleetGetBurst(t *testing.T) {
 	f.Leave(f.Members()[0])
 	res = fc.GetBurst(keys, 8)
 	for i, r := range res {
-		if r.Err != nil || !r.Hit || string(r.Value) != "v-"+keys[i] {
+		if r.Err != nil || !r.Hit || string(r.value) != "v-"+keys[i] {
 			t.Fatalf("post-leave burst[%d]: %+v", i, r)
 		}
 	}
@@ -543,8 +543,8 @@ func TestFleetWriteThroughOneRoundTrip(t *testing.T) {
 				// back off b, then 2b, so the time a write spends past its
 				// first attempt names how many ran (one retry: b, three: 7b).
 				owners := f.Owners("wt-b")
-				for _, fi := range f.D.Injectors {
-					fi.Partition(fc.Node, f.member(owners[0]).node)
+				for _, fi := range f.D.injectors {
+					fi.Partition(fc.node, f.member(owners[0]).node)
 				}
 				const budget = backoff + 2*backoff
 				for i, w := range []struct {
@@ -642,7 +642,7 @@ func TestFleetRejectsBadKey(t *testing.T) {
 				t.Fatalf("Set after the bad key: %v", err)
 			}
 			r := fc.GetBurst([]string{"ok-key", bad}, 4)
-			if string(r[0].Value) != "v" || r[0].Err != nil || !errors.Is(r[1].Err, mcclient.ErrBadKey) {
+			if string(r[0].value) != "v" || r[0].Err != nil || !errors.Is(r[1].Err, mcclient.ErrBadKey) {
 				t.Fatalf("GetBurst after the bad key: %+v", r)
 			}
 		})

@@ -214,9 +214,9 @@ func TestModesComposed(t *testing.T) {
 		if m.Fleet {
 			continue // a fleet client is not a cluster.Client: the fleet row runs in memcheck
 		}
-		// Sessions are their trunk's transport behind a lock: they play the
-		// whole script, cas included, and are held to the row's vacuity
-		// guards like any other driver.
+		// Sessions are their trunk's transport, serialized on the
+		// deployment's owner: they play the whole script, cas included,
+		// and are held to the row's vacuity guards like any other driver.
 		for _, driver := range []string{"blocking", "pipeline", "sessions"} {
 			t.Run(m.Name+"/"+driver, func(t *testing.T) {
 				var opts cluster.Options

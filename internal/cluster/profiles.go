@@ -34,16 +34,16 @@ const (
 	// paper turns zero-copy off because it breaks non-blocking sockets
 	// (§VI).
 	SDP Transport = "SDP"
-	// TOE10G is 10 Gigabit Ethernet with hardware TCP offload.
-	TOE10G Transport = "10GigE-TOE"
-	// TCP1G is plain kernel TCP over 1 Gigabit Ethernet.
-	TCP1G Transport = "1GigE"
+	// toe10G is 10 Gigabit Ethernet with hardware TCP offload.
+	toe10G Transport = "10GigE-TOE"
+	// tcp1G is plain kernel TCP over 1 Gigabit Ethernet.
+	tcp1G Transport = "1GigE"
 )
 
 // Profile is one testbed's parameter set.
 type Profile struct {
-	// Name is "A" or "B".
-	Name string
+	// name is "A" or "B".
+	name string
 	// Transports lists the paths available on this cluster.
 	Transports []Transport
 
@@ -57,15 +57,15 @@ type Profile struct {
 	// LRU) on this cluster's CPUs, charged on every path.
 	OpCost simnet.Duration
 
-	// Eth10G / Eth1G are present when the cluster has those NICs.
-	Eth10G *simnet.FabricSpec
-	Eth1G  *simnet.FabricSpec
+	// eth10G / eth1G are present when the cluster has those NICs.
+	eth10G *simnet.FabricSpec
+	eth1G  *simnet.FabricSpec
 
 	// Socket provider cost models (nil when absent on the cluster).
 	IPoIBModel  *sockstream.Provider
-	SDPModel    *sockstream.Provider
-	TOE10GModel *sockstream.Provider
-	TCP1GModel  *sockstream.Provider
+	sdpModel    *sockstream.Provider
+	toe10GModel *sockstream.Provider
+	tcp1GModel  *sockstream.Provider
 }
 
 // hasTransport reports whether the profile supports t.
@@ -85,8 +85,8 @@ const us = simnet.Microsecond
 // 1GigE (§VI-A).
 func ClusterA() *Profile {
 	p := &Profile{
-		Name:       "A",
-		Transports: []Transport{UCRIB, IPoIB, SDP, TOE10G, TCP1G},
+		name:       "A",
+		Transports: []Transport{UCRIB, IPoIB, SDP, toe10G, tcp1G},
 		IB: simnet.FabricSpec{
 			Name:            "ib",
 			LinkBytesPerSec: 2.0e9, // DDR: 16 Gb/s data rate
@@ -129,7 +129,7 @@ func ClusterA() *Profile {
 		SwitchDelay:     5 * us,
 		MTU:             1500,
 	}
-	p.Eth10G, p.Eth1G = &eth10, &eth1
+	p.eth10G, p.eth1G = &eth10, &eth1
 
 	p.IPoIBModel = &sockstream.Provider{
 		Name:            string(IPoIB),
@@ -146,7 +146,7 @@ func ClusterA() *Profile {
 		WireHeader:      58,
 		ConnSetup:       30 * us,
 	}
-	p.SDPModel = &sockstream.Provider{
+	p.sdpModel = &sockstream.Provider{
 		Name:            string(SDP),
 		RTOMin:          2 * simnet.Millisecond,
 		SendSyscall:     8 * us,
@@ -161,8 +161,8 @@ func ClusterA() *Profile {
 		WireHeader:      50,
 		ConnSetup:       50 * us,
 	}
-	p.TOE10GModel = &sockstream.Provider{
-		Name:            string(TOE10G),
+	p.toe10GModel = &sockstream.Provider{
+		Name:            string(toe10G),
 		RTOMin:          50 * simnet.Millisecond,
 		SendSyscall:     7 * us,
 		SendDeferred:    2 * us,
@@ -176,8 +176,8 @@ func ClusterA() *Profile {
 		WireHeader:      66,
 		ConnSetup:       40 * us,
 	}
-	p.TCP1GModel = &sockstream.Provider{
-		Name:            string(TCP1G),
+	p.tcp1GModel = &sockstream.Provider{
+		Name:            string(tcp1G),
 		RTOMin:          200 * simnet.Millisecond,
 		SendSyscall:     9 * us,
 		SendDeferred:    4 * us,
@@ -200,7 +200,7 @@ func ClusterA() *Profile {
 // a matching deterministic jitter source.
 func ClusterB() *Profile {
 	p := &Profile{
-		Name:       "B",
+		name:       "B",
 		Transports: []Transport{UCRIB, IPoIB, SDP},
 		IB: simnet.FabricSpec{
 			Name:            "ib",
@@ -245,7 +245,7 @@ func ClusterB() *Profile {
 		WireHeader:      58,
 		ConnSetup:       30 * us,
 	}
-	p.SDPModel = &sockstream.Provider{
+	p.sdpModel = &sockstream.Provider{
 		Name:            string(SDP),
 		RTOMin:          2 * simnet.Millisecond,
 		SendSyscall:     3 * us,

@@ -33,19 +33,19 @@ var (
 	ErrBadKey = errors.New("mcclient: invalid key")
 )
 
-// StoreError is a store the server could not make room for (TooLarge,
+// storeError is a store the server could not make room for (TooLarge,
 // OOM). It wraps ErrServerError, so errors.Is classifies it and
 // errors.As recovers the result.
-type StoreError struct {
-	Op  uint8 // memcached.StoreOp*
-	Res memcached.StoreResult
+type storeError struct {
+	op  uint8 // memcached.StoreOp*
+	res memcached.StoreResult
 }
 
-func (e *StoreError) Error() string {
-	return fmt.Sprintf("%s: %s failed: %s", ErrServerError, memcached.StoreVerb(e.Op), e.Res)
+func (e *storeError) Error() string {
+	return fmt.Sprintf("%s: %s failed: %s", ErrServerError, memcached.StoreVerb(e.op), e.res)
 }
 
-func (e *StoreError) Unwrap() error { return ErrServerError }
+func (e *storeError) Unwrap() error { return ErrServerError }
 
 // StoreErr is every store verb's one result→error mapping; StoreResultOf
 // inverts it.
@@ -60,13 +60,13 @@ func StoreErr(op uint8, res memcached.StoreResult) error {
 	case memcached.NotFound:
 		return ErrCacheMiss
 	}
-	return &StoreError{Op: op, Res: res}
+	return &storeError{op: op, res: res}
 }
 
 // StoreResultOf recovers the result a store call's error carries; ok is
 // false for an error that carries none (a transport failure, a bad key).
 func StoreResultOf(err error) (res memcached.StoreResult, ok bool) {
-	var se *StoreError
+	var se *storeError
 	switch {
 	case err == nil:
 		return memcached.Stored, true
@@ -77,7 +77,7 @@ func StoreResultOf(err error) (res memcached.StoreResult, ok bool) {
 	case errors.Is(err, ErrCacheMiss):
 		return memcached.NotFound, true
 	case errors.As(err, &se):
-		return se.Res, true
+		return se.res, true
 	}
 	return 0, false
 }

@@ -28,7 +28,7 @@ const (
 // AM reply status codes.
 const (
 	AMOK       uint8 = 0
-	AMMiss     uint8 = 1
+	amMiss     uint8 = 1
 	AMError    uint8 = 2
 	AMBadValue uint8 = 3
 	// AMTooBig answers a GET that arrived on an unreliable (UD) endpoint
@@ -61,30 +61,30 @@ func AppendSetReq(dst []byte, r SetReq) []byte {
 	return append(dst, r.Key...)
 }
 
-// SetReqView is a Set header decoded in place: Key aliases the wire
+// setReqView is a Set header decoded in place: key aliases the wire
 // buffer and is valid only until the receive buffer is recycled.
-type SetReqView struct {
-	ReplyCtr ucr.CounterID
-	Flags    uint32
-	Exptime  int64
-	Key      []byte
+type setReqView struct {
+	replyCtr ucr.CounterID
+	flags    uint32
+	exptime  int64
+	key      []byte
 }
 
 // decodeSetReqView unpacks the header without copying the key.
-func decodeSetReqView(b []byte) (SetReqView, error) {
+func decodeSetReqView(b []byte) (setReqView, error) {
 	if len(b) < 22 {
-		return SetReqView{}, ErrShortAMHeader
+		return setReqView{}, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
 	kl := int(le.Uint16(b[20:]))
 	if len(b) < 22+kl {
-		return SetReqView{}, ErrShortAMHeader
+		return setReqView{}, ErrShortAMHeader
 	}
-	return SetReqView{
-		ReplyCtr: ucr.CounterID(le.Uint64(b)),
-		Flags:    le.Uint32(b[8:]),
-		Exptime:  int64(le.Uint64(b[12:])),
-		Key:      b[22 : 22+kl],
+	return setReqView{
+		replyCtr: ucr.CounterID(le.Uint64(b)),
+		flags:    le.Uint32(b[8:]),
+		exptime:  int64(le.Uint64(b[12:])),
+		key:      b[22 : 22+kl],
 	}, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // while a batch with large aggregate value size is pulled by the client
 // with a single RDMA read.
 const (
-	AMMGet      uint8 = 0x15
+	amMGet      uint8 = 0x15
 	AMMGetReply uint8 = 0x23
 	// AMMGetRetry answers a multi-get that arrived on an unreliable (UD)
 	// endpoint whose aggregate reply does not fit one datagram. The reply
@@ -23,15 +23,15 @@ const (
 )
 
 // AppendMGetReq packs a multi-get onto dst and reports the AM id that
-// carries it: AMMGet is replyCtr(8) nkeys(2) {klen(2) key}*, and AMMGetW
+// carries it: amMGet is replyCtr(8) nkeys(2) {klen(2) key}*, and amMGetW
 // inserts slot(2) after the counter. slot is index plus one, zero for
 // none.
 func AppendMGetReq(dst []byte, ctr ucr.CounterID, slot int32, keys []string) ([]byte, uint8) {
 	le := binary.LittleEndian
-	msg := AMMGet
+	msg := amMGet
 	dst = le.AppendUint64(dst, uint64(ctr))
 	if slot != 0 {
-		msg = AMMGetW
+		msg = amMGetW
 		dst = le.AppendUint16(dst, uint16(slot-1))
 	}
 	dst = le.AppendUint16(dst, uint16(len(keys)))
@@ -53,7 +53,7 @@ type mgetKeyCursor struct {
 
 // newMGetKeyCursor opens an in-place key cursor over an encoded
 // multi-get request, returning the reply counter and the advertised
-// slot (index plus one; zero for a plain AMMGet).
+// slot (index plus one; zero for a plain amMGet).
 func newMGetKeyCursor(b []byte, slotted bool) (ucr.CounterID, int32, mgetKeyCursor, error) {
 	off, slot := 8, int32(0)
 	if slotted {
@@ -90,8 +90,8 @@ func (c *mgetKeyCursor) next() (key []byte, ok bool) {
 // a slice of the reply's concatenated data block.
 type MGetItem struct {
 	Key      string
-	Flags    uint32
-	CAS      uint64
+	flags    uint32
+	cas      uint64
 	ValueLen int
 }
 
@@ -141,8 +141,8 @@ func DecodeMGetReply(b []byte) (MGetReply, error) {
 			return MGetReply{}, ErrShortAMHeader
 		}
 		it := MGetItem{
-			Flags:    le.Uint32(b[off+2:]),
-			CAS:      le.Uint64(b[off+6:]),
+			flags:    le.Uint32(b[off+2:]),
+			cas:      le.Uint64(b[off+6:]),
 			ValueLen: int(le.Uint32(b[off+14:])),
 		}
 		kl := int(le.Uint16(b[off:]))

@@ -52,33 +52,33 @@ func AppendStoreReq(dst []byte, r StoreReq) []byte {
 	return append(dst, r.Key...)
 }
 
-// StoreReqView is a conditional-store header decoded in place: Key
+// storeReqView is a conditional-store header decoded in place: key
 // aliases the wire buffer.
-type StoreReqView struct {
-	ReplyCtr ucr.CounterID
-	Op       uint8
-	Flags    uint32
-	Exptime  int64
-	CAS      uint64
-	Key      []byte
+type storeReqView struct {
+	replyCtr ucr.CounterID
+	op       uint8
+	flags    uint32
+	exptime  int64
+	cas      uint64
+	key      []byte
 }
 
 // decodeStoreReqView unpacks the header without copying the key.
-func decodeStoreReqView(b []byte) (StoreReqView, error) {
+func decodeStoreReqView(b []byte) (storeReqView, error) {
 	if len(b) < 31 {
-		return StoreReqView{}, ErrShortAMHeader
+		return storeReqView{}, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
 	kl := int(le.Uint16(b[29:]))
 	if len(b) < 31+kl {
-		return StoreReqView{}, ErrShortAMHeader
+		return storeReqView{}, ErrShortAMHeader
 	}
-	return StoreReqView{
-		ReplyCtr: ucr.CounterID(le.Uint64(b)),
-		Op:       b[8],
-		Flags:    le.Uint32(b[9:]),
-		Exptime:  int64(le.Uint64(b[13:])),
-		CAS:      le.Uint64(b[21:]),
-		Key:      b[31 : 31+kl],
+	return storeReqView{
+		replyCtr: ucr.CounterID(le.Uint64(b)),
+		op:       b[8],
+		flags:    le.Uint32(b[9:]),
+		exptime:  int64(le.Uint64(b[13:])),
+		cas:      le.Uint64(b[21:]),
+		key:      b[31 : 31+kl],
 	}, nil
 }

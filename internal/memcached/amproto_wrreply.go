@@ -12,7 +12,7 @@ import (
 // the server's one-sided directory, if the server publishes one. A
 // client with nothing armed never sends it, so default traffic is
 // untouched. Each GET/MGET that secured an arena slot then advertises
-// just the 2-byte slot index (AMGetW/AMMGetW); the server answers a
+// just the 2-byte slot index (amGetW/amMGetW); the server answers a
 // validated hit by gather-writing [reply header ‖ value(s)] straight
 // from the pinned slab chunk into that slot, completing the client's
 // future with a small payload-free notify AM. A slot-carrying request
@@ -20,10 +20,10 @@ import (
 // endpoint replays one) resolves to an empty window and takes the copy
 // rungs of the reply ladder.
 const (
-	// AMGetW is AMGet plus a reply-slot index.
-	AMGetW uint8 = 0x18
-	// AMMGetW is AMMGet plus a reply-slot index.
-	AMMGetW uint8 = 0x19
+	// amGetW is AMGet plus a reply-slot index.
+	amGetW uint8 = 0x18
+	// amMGetW is amMGet plus a reply-slot index.
+	amMGetW uint8 = 0x19
 	// AMArm is the capability exchange: the client's reply arena (base
 	// address, rkey, slot length, slot count; zero slots = none).
 	// Answered by AMArmReply, so arming rides the ordinary request/retry
@@ -32,12 +32,12 @@ const (
 	// AMArmReply acknowledges AMArm and carries the one-sided directory
 	// descriptor.
 	AMArmReply uint8 = 0x29
-	// AMGetWNotify answers an AMGetW whose value was RDMA-written into
+	// AMGetWNotify answers an amGetW whose value was RDMA-written into
 	// the advertised window: the metadata the client needs (status,
 	// flags, CAS, value length), no payload. Ordinary AMGetReply answers
-	// an AMGetW whenever the server fell back to the copy path.
+	// an amGetW whenever the server fell back to the copy path.
 	AMGetWNotify uint8 = 0x27
-	// AMMGetWNotify answers an AMMGetW served through the window: the
+	// AMMGetWNotify answers an amMGetW served through the window: the
 	// written [mget header ‖ value block] extents.
 	AMMGetWNotify uint8 = 0x28
 )
@@ -115,7 +115,7 @@ func DecodeArmReply(b []byte) (ArmReply, error) {
 
 // AppendGetReq packs a Get header onto dst and reports the AM id that
 // carries it: AMGet is the KeyReq layout, replyCtr(8) klen(2) key, and
-// AMGetW inserts the arena slot the reply may be written into,
+// amGetW inserts the arena slot the reply may be written into,
 // replyCtr(8) slot(2) klen(2) key. slot is index plus one, zero for none.
 func AppendGetReq(dst []byte, ctr ucr.CounterID, slot int32, key string) ([]byte, uint8) {
 	if slot == 0 {
@@ -125,37 +125,37 @@ func AppendGetReq(dst []byte, ctr ucr.CounterID, slot int32, key string) ([]byte
 	dst = le.AppendUint64(dst, uint64(ctr))
 	dst = le.AppendUint16(dst, uint16(slot-1))
 	dst = le.AppendUint16(dst, uint16(len(key)))
-	return append(dst, key...), AMGetW
+	return append(dst, key...), amGetW
 }
 
-// GetReqView is a Get header decoded in place: Key aliases the wire
-// buffer. Slot is index plus one, zero for a plain AMGet.
-type GetReqView struct {
-	ReplyCtr ucr.CounterID
-	Slot     int32
-	Key      []byte
+// getReqView is a Get header decoded in place: key aliases the wire
+// buffer. slot is index plus one, zero for a plain AMGet.
+type getReqView struct {
+	replyCtr ucr.CounterID
+	slot     int32
+	key      []byte
 }
 
 // decodeGetReqView unpacks a Get header without copying the key;
 // slotted says which layout the AM id implies.
-func decodeGetReqView(b []byte, slotted bool) (GetReqView, error) {
+func decodeGetReqView(b []byte, slotted bool) (getReqView, error) {
 	if !slotted {
 		k, err := DecodeKeyReqView(b)
-		return GetReqView{ReplyCtr: k.ReplyCtr, Key: k.Key}, err
+		return getReqView{replyCtr: k.ReplyCtr, key: k.Key}, err
 	}
 	const fixed = 8 + 2 + 2
 	if len(b) < fixed {
-		return GetReqView{}, ErrShortAMHeader
+		return getReqView{}, ErrShortAMHeader
 	}
 	le := binary.LittleEndian
 	kl := int(le.Uint16(b[10:]))
 	if len(b) < fixed+kl {
-		return GetReqView{}, ErrShortAMHeader
+		return getReqView{}, ErrShortAMHeader
 	}
-	return GetReqView{
-		ReplyCtr: ucr.CounterID(le.Uint64(b)),
-		Slot:     int32(le.Uint16(b[8:])) + 1,
-		Key:      b[fixed : fixed+kl],
+	return getReqView{
+		replyCtr: ucr.CounterID(le.Uint64(b)),
+		slot:     int32(le.Uint16(b[8:])) + 1,
+		key:      b[fixed : fixed+kl],
 	}, nil
 }
 

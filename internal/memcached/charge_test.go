@@ -12,7 +12,7 @@ import (
 // TestItemSize pins the item header: the shard index rides in the
 // padding after linked, so recording it costs no bytes.
 func TestItemSize(t *testing.T) {
-	if got := unsafe.Sizeof(Item{}); got != 160 {
+	if got := unsafe.Sizeof(item{}); got != 160 {
 		t.Fatalf("unsafe.Sizeof(Item{}) = %d, want 160", got)
 	}
 }
@@ -119,9 +119,9 @@ func TestChargeMatchesTwoHolds(t *testing.T) {
 			cursor, refCursor := clk.Now(), now
 			for _, k := range o.keys {
 				var hit bool
-				hit, cursor = s.view([]byte(k), chargeAfter(clk, cursor), func(it *Item) { got += k + "=" + string(it.value) + ";" })
+				hit, cursor = s.view([]byte(k), chargeAfter(clk, cursor), func(it *item) { got += k + "=" + string(it.value) + ";" })
 				copied := 0
-				ref.view([]byte(k), at(now), func(it *Item) {
+				ref.view([]byte(k), at(now), func(it *item) {
 					want += k + "=" + string(it.value) + ";"
 					copied = len(it.value)
 				})

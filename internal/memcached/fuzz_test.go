@@ -177,10 +177,10 @@ func FuzzAMCodecs(f *testing.F) {
 	mget, _ := AppendMGetReq([]byte{0x04}, 2, 0, []string{"a", "bb", ""})
 	f.Add(mget)
 	f.Add(appendStatusReply([]byte{0x05}, StatusReply{Status: AMOK, Result: Stored}))
-	f.Add(AppendGetReply([]byte{0x06}, GetReply{Status: AMMiss, Flags: 1, CAS: 2}))
+	f.Add(AppendGetReply([]byte{0x06}, GetReply{Status: amMiss, Flags: 1, CAS: 2}))
 	f.Add(appendNumReply([]byte{0x07}, NumReply{Status: AMBadValue, Value: 99}))
 	f.Add(appendMGetReply([]byte{0x08}, MGetReply{Items: []MGetItem{
-		{Key: "a", Flags: 1, CAS: 2, ValueLen: 3}, {Key: "", Flags: 0, CAS: 0, ValueLen: 0},
+		{Key: "a", flags: 1, cas: 2, ValueLen: 3}, {Key: "", flags: 0, cas: 0, ValueLen: 0},
 	}}))
 	getW, _ := AppendGetReq([]byte{0x09}, 11, 3, "slotted-key")
 	f.Add(getW)
@@ -201,7 +201,7 @@ func FuzzAMCodecs(f *testing.F) {
 		switch sel % 15 {
 		case 0:
 			if v, err := decodeSetReqView(b); err == nil {
-				enc := AppendSetReq(nil, SetReq{ReplyCtr: v.ReplyCtr, Flags: v.Flags, Exptime: v.Exptime, Key: string(v.Key)})
+				enc := AppendSetReq(nil, SetReq{ReplyCtr: v.replyCtr, Flags: v.flags, Exptime: v.exptime, Key: string(v.key)})
 				sameBytes(t, "SetReq", b, enc)
 				if v2, err := decodeSetReqView(enc); err != nil || !reflect.DeepEqual(v, v2) {
 					t.Fatalf("SetReq round trip: %+v -> %+v (%v)", v, v2, err)
@@ -210,16 +210,16 @@ func FuzzAMCodecs(f *testing.F) {
 		case 1, 9:
 			slotted := sel%15 == 9
 			if v, err := decodeGetReqView(b, slotted); err == nil {
-				if slotted != (v.Slot != 0) {
-					t.Fatalf("GetReq slotted=%v decoded slot %d", slotted, v.Slot)
+				if slotted != (v.slot != 0) {
+					t.Fatalf("GetReq slotted=%v decoded slot %d", slotted, v.slot)
 				}
-				enc, msg := AppendGetReq(nil, v.ReplyCtr, v.Slot, string(v.Key))
+				enc, msg := AppendGetReq(nil, v.replyCtr, v.slot, string(v.key))
 				sameBytes(t, "GetReq", b, enc)
-				if v2, err := decodeGetReqView(enc, msg == AMGetW); err != nil || !reflect.DeepEqual(v, v2) {
+				if v2, err := decodeGetReqView(enc, msg == amGetW); err != nil || !reflect.DeepEqual(v, v2) {
 					t.Fatalf("GetReq round trip: %+v -> %+v (%v)", v, v2, err)
 				}
 				// Delete reads the unslotted layout through the KeyReq view.
-				if k, err := DecodeKeyReqView(b); !slotted && (err != nil || k.ReplyCtr != v.ReplyCtr || !bytes.Equal(k.Key, v.Key)) {
+				if k, err := DecodeKeyReqView(b); !slotted && (err != nil || k.ReplyCtr != v.replyCtr || !bytes.Equal(k.Key, v.key)) {
 					t.Fatalf("KeyReq view %+v (%v) disagrees with GetReq view %+v", k, err, v)
 				}
 			}
@@ -233,7 +233,7 @@ func FuzzAMCodecs(f *testing.F) {
 			}
 		case 3:
 			if v, err := decodeStoreReqView(b); err == nil {
-				enc := AppendStoreReq(nil, StoreReq{ReplyCtr: v.ReplyCtr, Op: v.Op, Flags: v.Flags, Exptime: v.Exptime, CAS: v.CAS, Key: string(v.Key)})
+				enc := AppendStoreReq(nil, StoreReq{ReplyCtr: v.replyCtr, Op: v.op, Flags: v.flags, Exptime: v.exptime, CAS: v.cas, Key: string(v.key)})
 				sameBytes(t, "StoreReq", b, enc)
 				if v2, err := decodeStoreReqView(enc); err != nil || !reflect.DeepEqual(v, v2) {
 					t.Fatalf("StoreReq round trip: %+v -> %+v (%v)", v, v2, err)
@@ -254,7 +254,7 @@ func FuzzAMCodecs(f *testing.F) {
 			}
 			enc, msg := AppendMGetReq(nil, ctr, slot, keys)
 			sameBytes(t, "MGetReq", b, enc)
-			ctr2, slot2, cur2, err := newMGetKeyCursor(enc, msg == AMMGetW)
+			ctr2, slot2, cur2, err := newMGetKeyCursor(enc, msg == amMGetW)
 			if keys2 := cursorKeys(&cur2); err != nil || ctr2 != ctr || slot2 != slot || !slices.Equal(keys, keys2) {
 				t.Fatalf("MGetReq round trip: (%d, %d, %q) -> (%d, %d, %q) (%v)", ctr, slot, keys, ctr2, slot2, keys2, err)
 			}
@@ -319,7 +319,7 @@ func appendMGetReply(dst []byte, r MGetReply) []byte {
 	start := len(dst)
 	dst = beginMGetReply(dst)
 	for _, it := range r.Items {
-		dst = appendMGetReplyItem(dst, []byte(it.Key), it.Flags, it.CAS, it.ValueLen)
+		dst = appendMGetReplyItem(dst, []byte(it.Key), it.flags, it.cas, it.ValueLen)
 	}
 	finishMGetReply(dst, start, len(r.Items))
 	return dst

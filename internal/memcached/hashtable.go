@@ -5,8 +5,8 @@ package memcached
 // crosses the threshold the table doubles, but items migrate a few
 // buckets per operation so no single request pays the full rehash.
 type hashTable struct {
-	primary   []*Item
-	old       []*Item // non-nil while expanding
+	primary   []*item
+	old       []*item // non-nil while expanding
 	expandPos int     // next old bucket to migrate
 	count     int
 }
@@ -20,7 +20,7 @@ const (
 )
 
 func newHashTable() *hashTable {
-	return &hashTable{primary: make([]*Item, 1<<hashInitialPower)}
+	return &hashTable{primary: make([]*item, 1<<hashInitialPower)}
 }
 
 // wireKey is a key in either form the engine holds one in: the []byte a
@@ -42,7 +42,7 @@ func hashKey[K wireKey](key K) uint64 {
 // bucketFor picks the chain a key lives in, considering an in-progress
 // expansion: buckets not yet migrated are still served from the old
 // table.
-func (t *hashTable) bucketFor(h uint64) (tbl []*Item, idx int) {
+func (t *hashTable) bucketFor(h uint64) (tbl []*item, idx int) {
 	if t.old != nil {
 		oi := int(h & uint64(len(t.old)-1))
 		if oi >= t.expandPos {
@@ -57,7 +57,7 @@ func (t *hashTable) bucketFor(h uint64) (tbl []*Item, idx int) {
 // conversion in the comparison does not allocate (the compiler compares
 // in place), so the datapath looks keys up straight out of receive
 // buffers. The caller hashed the key once, for its shard too.
-func lookup[K wireKey](t *hashTable, key K, h uint64) *Item {
+func lookup[K wireKey](t *hashTable, key K, h uint64) *item {
 	t.migrate()
 	tbl, idx := t.bucketFor(h)
 	for it := tbl[idx]; it != nil; it = it.hnext {
@@ -70,7 +70,7 @@ func lookup[K wireKey](t *hashTable, key K, h uint64) *Item {
 
 // put links a new item whose key hashes to h; the caller guarantees the
 // key is absent.
-func (t *hashTable) put(it *Item, h uint64) {
+func (t *hashTable) put(it *item, h uint64) {
 	t.migrate()
 	tbl, idx := t.bucketFor(h)
 	it.hnext = tbl[idx]
@@ -82,10 +82,10 @@ func (t *hashTable) put(it *Item, h uint64) {
 
 // delete unlinks the item for key, whose hashKey is h, returning it (or
 // nil).
-func (t *hashTable) delete(key string, h uint64) *Item {
+func (t *hashTable) delete(key string, h uint64) *item {
 	t.migrate()
 	tbl, idx := t.bucketFor(h)
-	var prev *Item
+	var prev *item
 	for it := tbl[idx]; it != nil; it = it.hnext {
 		if it.key == key {
 			if prev == nil {
@@ -109,7 +109,7 @@ func (t *hashTable) maybeExpand() {
 		return
 	}
 	t.old = t.primary
-	t.primary = make([]*Item, len(t.old)*2)
+	t.primary = make([]*item, len(t.old)*2)
 	t.expandPos = 0
 }
 

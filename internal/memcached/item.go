@@ -18,10 +18,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// Item is one cache entry. Its value bytes live in slab-allocated chunk
+// item is one cache entry. Its value bytes live in slab-allocated chunk
 // memory; the struct itself carries the metadata plus the hash-chain and
 // LRU links (intrusive, like memcached's _stritem).
-type Item struct {
+type item struct {
 	key   string
 	value []byte // sub-slice of chunk
 	chunk chunk  // slab residency
@@ -42,14 +42,14 @@ type Item struct {
 	// again; it sits in the padding after linked.
 	shard uint16
 
-	hnext *Item // hash chain
+	hnext *item // hash chain
 
-	lprev, lnext *Item // LRU list (per slab class)
+	lprev, lnext *item // LRU list (per slab class)
 }
 
 // expired reports whether the item is past its expiry, or was created
 // before the last flush_all horizon.
-func (it *Item) expired(now, flushBefore simnet.Time) bool {
+func (it *item) expired(now, flushBefore simnet.Time) bool {
 	if it.expireAt != 0 && it.expireAt <= now {
 		return true
 	}
@@ -57,4 +57,4 @@ func (it *Item) expired(now, flushBefore simnet.Time) bool {
 }
 
 // pinned reports whether a transfer holds the item.
-func (it *Item) pinned() bool { return it.refcount > 0 }
+func (it *item) pinned() bool { return it.refcount > 0 }

@@ -13,7 +13,7 @@ type lruTable struct {
 
 // lruClass is one size class's list head and tail within a shard.
 type lruClass struct {
-	head, tail *Item
+	head, tail *item
 }
 
 func newLRUTable(numClasses int) *lruTable {
@@ -21,7 +21,7 @@ func newLRUTable(numClasses int) *lruTable {
 }
 
 // insert puts it at the head (most recent) of its class list.
-func (l *lruTable) insert(it *Item) {
+func (l *lruTable) insert(it *item) {
 	cl := &l.classes[it.chunk.class]
 	it.lprev = nil
 	it.lnext = cl.head
@@ -35,7 +35,7 @@ func (l *lruTable) insert(it *Item) {
 }
 
 // remove unlinks it from its class list.
-func (l *lruTable) remove(it *Item) {
+func (l *lruTable) remove(it *item) {
 	cl := &l.classes[it.chunk.class]
 	if it.lprev != nil {
 		it.lprev.lnext = it.lnext
@@ -51,14 +51,14 @@ func (l *lruTable) remove(it *Item) {
 }
 
 // touch moves it to the head of its class list.
-func (l *lruTable) touch(it *Item) {
+func (l *lruTable) touch(it *item) {
 	l.remove(it)
 	l.insert(it)
 }
 
 // victim walks up to maxTries items from the tail of class ci,
 // returning the first unpinned candidate.
-func (l *lruTable) victim(ci, maxTries int) *Item {
+func (l *lruTable) victim(ci, maxTries int) *item {
 	it := l.classes[ci].tail
 	for tries := 0; it != nil && tries < maxTries; tries++ {
 		if !it.pinned() {

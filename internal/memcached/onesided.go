@@ -29,12 +29,9 @@ var errNoUCR = errors.New("memcached: one-sided GET requires a UCR runtime (call
 // entry or a whole value; the seqlock makes the three-read sequence
 // (entry, value, entry again) safe end to end.
 
-// osEntrySize is the encoded size of one directory entry:
+// OSEntrySize is the encoded size of one directory entry:
 // KeyHash(8) seq(8) addr(8) expireAt(8) rkey(4) kvlen(4) flags(4) pad(4).
-const osEntrySize = 48
-
-// OSEntrySize exports the slot size for the client-side reader.
-const OSEntrySize = osEntrySize
+const OSEntrySize = 48
 
 // Directory geometry. 512×4 entries cover the working sets the
 // benchmarks use; a full bucket displaces a hash-chosen slot (the
@@ -168,7 +165,7 @@ func newOSIndex(rt *ucr.Runtime, arena *slabArena) (*osIndex, error) {
 	x := &osIndex{
 		rt:    rt,
 		arena: arena,
-		dir:   make([]byte, osBuckets*osSlots*osEntrySize),
+		dir:   make([]byte, osBuckets*osSlots*OSEntrySize),
 	}
 	win, err := rt.CreateWindow(x.dir, nil)
 	if err != nil {
@@ -190,7 +187,7 @@ func (x *osIndex) segWindow(si int) segWin {
 	if sw := x.segWins[si]; sw.w != nil {
 		return sw
 	}
-	seg := x.arena.segment(si)
+	seg := x.arena.segs[si]
 	w, err := x.rt.CreateWindow(seg.buf, nil)
 	if err != nil {
 		return segWin{}
@@ -201,12 +198,12 @@ func (x *osIndex) segWindow(si int) segWin {
 
 // slotBytes returns the encoded bytes of bucket b, slot s.
 func (x *osIndex) slotBytes(b, s int) []byte {
-	base := (b*osSlots + s) * osEntrySize
-	return x.dir[base : base+osEntrySize]
+	base := (b*osSlots + s) * OSEntrySize
+	return x.dir[base : base+OSEntrySize]
 }
 
-// publish writes (or rewrites) it's directory entry.
-func (x *osIndex) publish(it *Item) {
+// publish writes (or rewrites) its directory entry.
+func (x *osIndex) publish(it *item) {
 	if len(it.key) > osMaxKeyLen || len(it.value) > osMaxValLen {
 		return
 	}
@@ -252,10 +249,10 @@ func (x *osIndex) publish(it *Item) {
 	le.PutUint32(sb[44:], 0)
 }
 
-// unpublish invalidates it's entry (if it still owns one): the seqlock
+// unpublish invalidates its entry (if it still owns one): the seqlock
 // goes odd before the slot empties, so a client mid-read fails its
 // re-validation instead of trusting a recycled chunk.
-func (x *osIndex) unpublish(it *Item) {
+func (x *osIndex) unpublish(it *item) {
 	h := OSKeyHash(it.key)
 	b := OSBucketOf(h, osBuckets)
 	for s := 0; s < osSlots; s++ {
@@ -274,6 +271,17 @@ func (x *osIndex) unpublish(it *Item) {
 
 // wipe empties the whole directory (flush_all).
 func (x *osIndex) wipe() { clear(x.dir) }
+
+// close revokes remote access to the directory and every slab segment
+// published through it.
+func (x *osIndex) close() {
+	x.dirWin.Close()
+	for _, sw := range x.segWins {
+		if sw.w != nil {
+			sw.w.Close()
+		}
+	}
+}
 
 // --- Server integration ------------------------------------------------
 

@@ -120,7 +120,7 @@ func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error
 	cursor := clk.Now()
 	for key, rest := nextTextToken(keys); key != nil; key, rest = nextTextToken(rest) {
 		// The sockets engine copies the value out while holding the lock.
-		_, cursor = pc.store.view(key, chargeAfter(clk, cursor), func(it *Item) {
+		_, cursor = pc.store.view(key, chargeAfter(clk, cursor), func(it *item) {
 			sb = appendTextValue(sb, it.key, it.flags, it.value, it.casID, withCAS)
 		})
 	}
@@ -326,7 +326,7 @@ func (pc *ProtoConn) cmdStatsSlabs() error {
 	var sb strings.Builder
 	totalPages := 0
 	for i := 0; i < a.numClasses(); i++ {
-		pages := a.classPages(i)
+		pages := a.classes[i].pages
 		if pages == 0 {
 			continue
 		}
@@ -342,7 +342,7 @@ func (pc *ProtoConn) cmdStatsSlabs() error {
 		fmt.Fprintf(&sb, "STAT %d:free_chunks %d\r\n", i+1, free)
 	}
 	fmt.Fprintf(&sb, "STAT active_slabs %d\r\n", totalPages)
-	fmt.Fprintf(&sb, "STAT total_malloced %d\r\n", a.bytesUsed())
+	fmt.Fprintf(&sb, "STAT total_malloced %d\r\n", a.usedBytes)
 	sb.WriteString("END\r\n")
 	return pc.replyString(sb.String())
 }

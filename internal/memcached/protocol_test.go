@@ -285,7 +285,7 @@ func TestMGetProtoRoundtrip(t *testing.T) {
 	keys := []string{"alpha", "beta", "a-much-longer-key-name"}
 	for _, slot := range []int32{0, 5} {
 		enc, msg := AppendMGetReq(nil, 77, slot, keys)
-		if want := map[bool]uint8{false: AMMGet, true: AMMGetW}[slot != 0]; msg != want {
+		if want := map[bool]uint8{false: amMGet, true: amMGetW}[slot != 0]; msg != want {
 			t.Fatalf("slot %d rides AM %#x, want %#x", slot, msg, want)
 		}
 		ctr, gotSlot, cur, err := newMGetKeyCursor(enc, slot != 0)
@@ -294,8 +294,8 @@ func TestMGetProtoRoundtrip(t *testing.T) {
 		}
 	}
 	rep := MGetReply{Items: []MGetItem{
-		{Key: "alpha", Flags: 1, CAS: 10, ValueLen: 100},
-		{Key: "beta", Flags: 2, CAS: 20, ValueLen: 0},
+		{Key: "alpha", flags: 1, cas: 10, ValueLen: 100},
+		{Key: "beta", flags: 2, cas: 20, ValueLen: 0},
 	}}
 	got2, err := DecodeMGetReply(appendMGetReply(nil, rep))
 	if err != nil || len(got2.Items) != 2 || got2.Items[0] != rep.Items[0] || got2.Items[1] != rep.Items[1] {

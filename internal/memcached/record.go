@@ -140,7 +140,7 @@ func cloneBytes(b []byte) []byte {
 }
 
 // recordGet emits a get record; it is nil on a miss.
-func (s *Store) recordGet(key []byte, it *Item, now simnet.Time) {
+func (s *Store) recordGet(key []byte, it *item, now simnet.Time) {
 	rc := s.rec
 	if rc == nil {
 		return
@@ -159,7 +159,7 @@ func (s *Store) recordGet(key []byte, it *Item, now simnet.Time) {
 
 // recordStore emits a store-class record; it is nil when the op stored
 // nothing (conditional failure, OOM, too large).
-func (s *Store) recordStore(kind OpKind, key, value []byte, flags uint32, exptime int64, casReq uint64, it *Item, res StoreResult, now simnet.Time) {
+func (s *Store) recordStore(kind OpKind, key, value []byte, flags uint32, exptime int64, casReq uint64, it *item, res StoreResult, now simnet.Time) {
 	rc := s.rec
 	if rc == nil {
 		return

@@ -27,7 +27,7 @@ type ServerConfig struct {
 	// style events (ablation: §II-A1 — polling gives the lowest latency).
 	UCREvents bool
 	// WriteReplyEager is the write-based reply crossover (bytes, reply
-	// header included): an AMGetW/AMMGetW whose total reply is at or
+	// header included): an amGetW/amMGetW whose total reply is at or
 	// below it keeps the eager copy path even though a window was
 	// advertised — for small values the RDMA write's extra WQE beats
 	// nothing, the pack copy is already cheaper. Above it (and within
@@ -157,12 +157,12 @@ type worker struct {
 	// asynchronously, so those paths allocate fresh buffers.
 	reply     []byte
 	vals      []byte
-	mgetItems []*Item
+	mgetItems []*item
 }
 
 type pendingPin struct {
 	ctr  *ucr.Counter
-	item *Item
+	item *item
 }
 
 // NewServer builds a server with a fresh store whose dispatcher and
@@ -296,10 +296,11 @@ func (s *Server) dispatch() {
 
 // Close shuts the server down synchronously: the dispatcher retires (so
 // no connection is seated afterwards), listeners close, every connection
-// closes — waking its peer's reads with EOF — and each worker retires and
-// destroys its UCR context. No step runs after it returns. It holds the
-// deployment (simnet.Executor.Enter) throughout, the stopped check
-// included: closing a connection reaches into its client's endpoint.
+// closes — waking its peer's reads with EOF — each worker retires and
+// destroys its UCR context, and the one-sided index's windows are
+// revoked. No step runs after it returns. It holds the deployment
+// (simnet.Executor.Enter) throughout, the stopped check included:
+// closing a connection reaches into its client's endpoint.
 func (s *Server) Close() {
 	s.ex.Enter()
 	defer s.ex.Exit()
@@ -322,6 +323,10 @@ func (s *Server) Close() {
 		if w.ctx != nil {
 			w.ctx.Destroy()
 		}
+	}
+	if x := s.store.pub; x != nil {
+		x.close()
+		s.store.pub = nil
 	}
 }
 

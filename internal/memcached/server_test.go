@@ -25,6 +25,7 @@ type env struct {
 	cm      *verbs.CM
 	prov    *sockstream.Provider
 	srvNode *simnet.Node
+	srvHCA  *verbs.HCA
 	server  *memcached.Server
 	raws    int // raw connections opened, for unique node names
 }
@@ -48,8 +49,8 @@ func newEnv(t *testing.T, workers int) *env {
 		t.Fatal(err)
 	}
 	e.server.ServeSockets(lis)
-	rt := ucr.New(verbs.NewHCA(e.srvNode, e.fab, hcaCfg()), e.cm, ucr.Config{})
-	if err := e.server.ServeUCR(rt, "mc-ucr"); err != nil {
+	e.srvHCA = verbs.NewHCA(e.srvNode, e.fab, hcaCfg())
+	if err := e.server.ServeUCR(ucr.New(e.srvHCA, e.cm, ucr.Config{}), "mc-ucr"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.server.Close)

@@ -21,9 +21,9 @@ const (
 	slabSegSize = 16 << 10
 )
 
-// ErrNoMemory is returned when the arena is exhausted and eviction is
+// errNoMemory is returned when the arena is exhausted and eviction is
 // disabled or found nothing evictable.
-var ErrNoMemory = errors.New("memcached: out of memory storing object")
+var errNoMemory = errors.New("memcached: out of memory storing object")
 
 // chunk names one allocation: a byte range within a slab page. off
 // locates it inside its page (the modeled address); seg names the host
@@ -134,14 +134,9 @@ func (a *slabArena) classFor(n int) (int, bool) {
 	return lo, true
 }
 
-// bytesUsed reports bytes of pages grabbed from the limit.
-func (a *slabArena) bytesUsed() int64 {
-	return a.usedBytes
-}
-
 // alloc takes a chunk that fits n bytes: the most recently freed one of
 // its class, else the class's next uncarved chunk. It does not evict; the
-// store layer owns eviction policy. ErrNoMemory means "free a chunk
+// store layer owns eviction policy. errNoMemory means "free a chunk
 // first".
 func (a *slabArena) alloc(n int) (chunk, error) {
 	ci, ok := a.classFor(n)
@@ -166,7 +161,7 @@ func (a *slabArena) alloc(n int) (chunk, error) {
 // the page only records that it has ⌊page/size⌋ chunks to carve.
 func (a *slabArena) growClass(ci int) error {
 	if a.usedBytes+slabPageSize > a.limitBytes {
-		return ErrNoMemory
+		return errNoMemory
 	}
 	cl := &a.classes[ci]
 	cl.pages++
@@ -194,12 +189,6 @@ func (a *slabArena) carveChunk(ci int) chunk {
 	return chunk{class: ci, buf: seg[at : at+cl.size : at+cl.size], seg: cl.seg, off: j * cl.size}
 }
 
-// segment reports host segment i: its bytes and their offset in their
-// page (the one-sided index registers each segment as an RDMA window).
-func (a *slabArena) segment(i int) slabSeg {
-	return a.segs[i]
-}
-
 // free returns a chunk to its class.
 func (a *slabArena) free(c chunk) {
 	if !c.valid() {
@@ -213,9 +202,4 @@ func (a *slabArena) free(c chunk) {
 // not yet carved (for tests/stats).
 func (a *slabArena) freeChunks(i int) int {
 	return len(a.classes[i].free) + a.classes[i].carve
-}
-
-// classPages reports pages assigned to class i.
-func (a *slabArena) classPages(i int) int {
-	return a.classes[i].pages
 }

@@ -23,7 +23,7 @@ type precarve struct {
 func (r *precarve) alloc(ci, size int) (place, error) {
 	if len(r.free[ci]) == 0 {
 		if r.used+slabPageSize > r.limit {
-			return place{}, ErrNoMemory
+			return place{}, errNoMemory
 		}
 		r.used += slabPageSize
 		for off := 0; off+size <= slabPageSize; off += size {
@@ -55,7 +55,7 @@ func TestSlabCarveOrderUnchanged(t *testing.T) {
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 			a.free(c)
-			ref.free[c.class] = append(ref.free[c.class], place{a.segment(c.seg).page, c.off})
+			ref.free[c.class] = append(ref.free[c.class], place{a.segs[c.seg].page, c.off})
 			continue
 		}
 		n := sizes[rng.Intn(len(sizes))]
@@ -68,7 +68,7 @@ func TestSlabCarveOrderUnchanged(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		seg := a.segment(c.seg)
+		seg := a.segs[c.seg]
 		if got := (place{seg.page, c.off}); got != want {
 			t.Fatalf("step %d: Alloc(%d) at %+v, pre-carved at %+v", step, n, got, want)
 		}
@@ -82,8 +82,8 @@ func TestSlabCarveOrderUnchanged(t *testing.T) {
 			t.Errorf("class %d: FreeChunks = %d, pre-carved free list %d", ci, got, want)
 		}
 	}
-	if a.bytesUsed() != ref.used {
-		t.Errorf("UsedBytes = %d, pre-carved %d", a.bytesUsed(), ref.used)
+	if a.usedBytes != ref.used {
+		t.Errorf("UsedBytes = %d, pre-carved %d", a.usedBytes, ref.used)
 	}
 }
 
@@ -100,8 +100,8 @@ func TestSlabHostBytesFollowCarving(t *testing.T) {
 	if host > slabSegSize {
 		t.Errorf("one 64 B item holds %d B of host segments, want <= %d", host, slabSegSize)
 	}
-	if a.bytesUsed() != slabPageSize {
-		t.Errorf("UsedBytes = %d, want one page", a.bytesUsed())
+	if a.usedBytes != slabPageSize {
+		t.Errorf("UsedBytes = %d, want one page", a.usedBytes)
 	}
 	ci, _ := a.classFor(len("k") + 64 + itemOverhead)
 	perPage := slabPageSize / a.classSize(ci)

@@ -92,30 +92,30 @@ type shard struct {
 	// freeItems recycles Item structs, so steady-state set/delete churn
 	// does not allocate one header per store. Items are pooled only where
 	// their chunk is freed — never while linked or pinned.
-	freeItems []*Item
+	freeItems []*item
 }
 
 // maxItemPool bounds each shard's retained Item-struct pool.
 const maxItemPool = 256
 
 // getItem pops a recycled Item (or allocates one).
-func (sh *shard) getItem() *Item {
+func (sh *shard) getItem() *item {
 	if n := len(sh.freeItems); n > 0 {
 		it := sh.freeItems[n-1]
 		sh.freeItems[n-1] = nil
 		sh.freeItems = sh.freeItems[:n-1]
 		return it
 	}
-	return &Item{}
+	return &item{}
 }
 
 // putItem recycles an unlinked, unpinned Item whose chunk has been
 // freed.
-func (sh *shard) putItem(it *Item) {
+func (sh *shard) putItem(it *item) {
 	if len(sh.freeItems) >= maxItemPool {
 		return
 	}
-	*it = Item{}
+	*it = item{}
 	sh.freeItems = append(sh.freeItems, it)
 }
 
@@ -215,7 +215,7 @@ func (s *Store) shardOf(h uint64) *shard {
 	return s.shards[((h*0x9e3779b97f4a7c15)>>32)&s.shardMask]
 }
 
-// A Charge is how a costed op pays for its key's stripe lock in virtual
+// A charge is how a costed op pays for its key's stripe lock in virtual
 // time, shared by both frontends: the engine critical section — the
 // store's opCost plus the bytes copied while locked, at copyRate
 // bytes/sec — queues on the stripe's resource behind other workers'
@@ -227,7 +227,7 @@ func (s *Store) shardOf(h uint64) *shard {
 // under its one key hash. Uncontended acquisitions (single worker,
 // single client, or untouched stripes) wait 0, and a store no Server
 // owns (opCost 0) books nothing.
-type Charge struct {
+type charge struct {
 	clk   *simnet.VClock // advanced by the wait; nil: no charge
 	at    simnet.Time    // where the hold queues
 	now   simnet.Time    // when the op runs, unless first
@@ -235,15 +235,15 @@ type Charge struct {
 }
 
 // at runs an op at now with no lock charge: a bare store's caller.
-func at(now simnet.Time) Charge { return Charge{at: now, now: now} }
+func at(now simnet.Time) charge { return charge{at: now, now: now} }
 
 // chargeFirst is the UCR frontend's charge: the lock is booked at clk's
 // time before the lookup, which runs when the wait ends. No copy
 // extends the hold — a reply is served from the pinned item's slab
 // memory, a Set's value has landed by RDMA before the commit (§V-B/C) —
 // except a conditional store's staged value.
-func chargeFirst(clk *simnet.VClock) Charge {
-	return Charge{clk: clk, at: clk.Now(), first: true}
+func chargeFirst(clk *simnet.VClock) charge {
+	return charge{clk: clk, at: clk.Now(), first: true}
 }
 
 // chargeAfter is the sockets frontend's charge: the op runs at clk's
@@ -252,13 +252,13 @@ func chargeFirst(clk *simnet.VClock) Charge {
 // command; for a multi-key one, where its previous key's hold ended, so
 // a burst of same-shard keys extends one backlog that other workers
 // queue behind instead of queueing this worker behind its own holds.
-func chargeAfter(clk *simnet.VClock, cursor simnet.Time) Charge {
-	return Charge{clk: clk, at: cursor, now: clk.Now()}
+func chargeAfter(clk *simnet.VClock, cursor simnet.Time) charge {
+	return charge{clk: clk, at: cursor, now: clk.Now()}
 }
 
 // acquire queues c's hold, copied bytes included, on sh's resource and
 // advances c's clock by the wait. It returns where the hold ends.
-func (s *Store) acquire(sh *shard, c Charge, copied int) simnet.Time {
+func (s *Store) acquire(sh *shard, c charge, copied int) simnet.Time {
 	if s.opCost <= 0 || c.clk == nil {
 		return c.at
 	}
@@ -271,7 +271,7 @@ func (s *Store) acquire(sh *shard, c Charge, copied int) simnet.Time {
 // book is acquire for an op whose copy is known before it runs (every
 // op but View): booked first or after, the hold is the same, and only
 // when the op runs differs. It returns that time.
-func (s *Store) book(sh *shard, c Charge, copied int) simnet.Time {
+func (s *Store) book(sh *shard, c charge, copied int) simnet.Time {
 	s.acquire(sh, c, copied)
 	if c.first {
 		return c.clk.Now()
@@ -281,7 +281,7 @@ func (s *Store) book(sh *shard, c Charge, copied int) simnet.Time {
 
 // chargeLock books c for a command that touches no item: the text
 // protocol's oversized store, refused before the engine runs.
-func (s *Store) chargeLock(key []byte, c Charge) {
+func (s *Store) chargeLock(key []byte, c charge) {
 	s.acquire(s.shardOf(hashKey(key)), c, 0)
 }
 
@@ -311,7 +311,7 @@ func expiryTime(exptime int64, now simnet.Time) simnet.Time {
 
 // lookupLive finds a live item for key, whose hashKey is h, lazily
 // reaping an expired one.
-func (s *Store) lookupLive(sh *shard, key []byte, h uint64, now simnet.Time) *Item {
+func (s *Store) lookupLive(sh *shard, key []byte, h uint64, now simnet.Time) *item {
 	it := lookup(sh.table, key, h)
 	if it == nil {
 		return nil
@@ -330,7 +330,7 @@ func (s *Store) lookupLive(sh *shard, key []byte, h uint64, now simnet.Time) *It
 // unlink removes an item, whose key hashes to h, from table and LRU,
 // freeing its chunk unless a transfer still pins it (the chunk is then
 // freed at Unpin).
-func (s *Store) unlink(sh *shard, it *Item, h uint64) {
+func (s *Store) unlink(sh *shard, it *item, h uint64) {
 	if x := s.pub; x != nil {
 		x.unpublish(it)
 	}
@@ -355,7 +355,7 @@ func (s *Store) alloc(sh *shard, n int, now simnet.Time) (chunk, StoreResult) {
 		if err == nil {
 			return c, Stored
 		}
-		if err != ErrNoMemory {
+		if err != errNoMemory {
 			return chunk{}, TooLarge
 		}
 		if !s.evictions {
@@ -394,7 +394,7 @@ func internKey(sh *shard, key []byte, h uint64) string {
 }
 
 // newItem allocates and fills an unlinked item.
-func (s *Store) newItem(sh *shard, key string, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
+func (s *Store) newItem(sh *shard, key string, flags uint32, exptime int64, valueLen int, now simnet.Time) (*item, StoreResult) {
 	c, res := s.alloc(sh, len(key)+valueLen+itemOverhead, now)
 	if res != Stored {
 		return nil, res
@@ -416,7 +416,7 @@ func (s *Store) newItem(sh *shard, key string, flags uint32, exptime int64, valu
 
 // link commits an item, whose key hashes to h, replacing any existing
 // entry for the key.
-func (s *Store) link(sh *shard, it *Item, h uint64) {
+func (s *Store) link(sh *shard, it *item, h uint64) {
 	if old := lookup(sh.table, it.key, h); old != nil {
 		s.unlink(sh, old, h)
 	}
@@ -434,7 +434,7 @@ func (s *Store) link(sh *shard, it *Item, h uint64) {
 // fills before commitItem — the UCR Set path lands the client's RDMA-
 // read value directly in this slab memory (§V-B). Alloc-free for keys
 // already resident.
-func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*Item, StoreResult) {
+func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*item, StoreResult) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	it, res := s.newItem(sh, internKey(sh, key, h), flags, exptime, valueLen, now)
@@ -450,7 +450,7 @@ func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen i
 
 // commitItem links a previously allocated item. Its stripe is the one
 // allocateItem recorded; the key is hashed once, for the table.
-func (s *Store) commitItem(it *Item, c Charge) {
+func (s *Store) commitItem(it *item, c charge) {
 	sh := s.shards[it.shard]
 	now := s.book(sh, c, 0)
 	it.refcount--
@@ -467,7 +467,7 @@ func (s *Store) commitItem(it *Item, c Charge) {
 }
 
 // abortItem releases an allocated-but-uncommitted item.
-func (s *Store) abortItem(it *Item) {
+func (s *Store) abortItem(it *item) {
 	sh := s.shards[it.shard]
 	it.refcount--
 	if !it.pinned() {
@@ -483,7 +483,7 @@ func (s *Store) abortItem(it *Item) {
 // key's string is built only if an item is linked under a key not
 // already resident, so overwriting a resident key — and any conditional
 // miss — allocates nothing.
-func (s *Store) store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, c Charge) StoreResult {
+func (s *Store) store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, c charge) StoreResult {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	now := s.book(sh, c, len(value))
@@ -545,7 +545,7 @@ func (s *Store) cas(sh *shard, key []byte, h uint64, flags uint32, exptime int64
 // setItem is the shared unconditional-store tail. The stored item is
 // returned so callers can record the assigned CAS/expiry (nil on
 // failure).
-func (s *Store) setItem(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, now simnet.Time) (*Item, StoreResult) {
+func (s *Store) setItem(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, now simnet.Time) (*item, StoreResult) {
 	it, res := s.newItem(sh, internKey(sh, key, h), flags, exptime, len(value), now)
 	if res != Stored {
 		return nil, res
@@ -558,7 +558,7 @@ func (s *Store) setItem(sh *shard, key []byte, h uint64, flags uint32, exptime i
 // releasePin drops a refcount an op took, freeing the chunk (and
 // recycling the header) if the item was unlinked (evicted/replaced)
 // while pinned.
-func (s *Store) releasePin(sh *shard, it *Item) {
+func (s *Store) releasePin(sh *shard, it *item) {
 	it.refcount--
 	if !it.linked && !it.pinned() {
 		s.arena.free(it.chunk)
@@ -628,7 +628,7 @@ func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool
 
 // Get copies out the value for key (see Set). ok=false is a miss.
 func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, casID uint64, ok bool) {
-	ok, _ = s.view(append(make([]byte, 0, maxKeyLen), key...), at(now), func(it *Item) {
+	ok, _ = s.view(append(make([]byte, 0, maxKeyLen), key...), at(now), func(it *item) {
 		value, flags, casID = append(make([]byte, 0, len(it.value)), it.value...), it.flags, it.casID
 	})
 	return value, flags, casID, ok
@@ -636,11 +636,11 @@ func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, ca
 
 // unpin releases a getPinned reference, freeing the chunk if the item
 // was unlinked (replaced/evicted/deleted) while pinned.
-func (s *Store) unpin(it *Item) { s.releasePin(s.shards[it.shard], it) }
+func (s *Store) unpin(it *item) { s.releasePin(s.shards[it.shard], it) }
 
 // countGet is the GET lookup: hit and miss counters, the LRU touch and
 // the history record, alloc-free end to end. nil is a miss.
-func (s *Store) countGet(sh *shard, key []byte, h uint64, now simnet.Time) *Item {
+func (s *Store) countGet(sh *shard, key []byte, h uint64, now simnet.Time) *item {
 	sh.stats.cmdGet++
 	it := s.lookupLive(sh, key, h, now)
 	if it == nil {
@@ -656,7 +656,7 @@ func (s *Store) countGet(sh *shard, key []byte, h uint64, now simnet.Time) *Item
 // getPinned returns the live item with its refcount raised, so its slab
 // memory stays valid while a reply transfer (possibly a client-issued
 // RDMA read) is in flight. The caller must Unpin.
-func (s *Store) getPinned(key []byte, c Charge) (*Item, bool) {
+func (s *Store) getPinned(key []byte, c charge) (*item, bool) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	it := s.countGet(sh, key, h, s.book(sh, c, 0))
@@ -673,7 +673,7 @@ func (s *Store) getPinned(key []byte, c Charge) (*Item, bool) {
 // covers the value's bytes (a miss copies none); the returned end is
 // where the hold ends, the next key's cursor in a multi-key get. read
 // must not call back into the Store or retain the item.
-func (s *Store) view(key []byte, c Charge, read func(*Item)) (hit bool, end simnet.Time) {
+func (s *Store) view(key []byte, c charge, read func(*item)) (hit bool, end simnet.Time) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	it := s.countGet(sh, key, h, c.now)
@@ -686,7 +686,7 @@ func (s *Store) view(key []byte, c Charge, read func(*Item)) (hit bool, end simn
 }
 
 // delete removes key. ok=false is a miss.
-func (s *Store) delete(key []byte, c Charge) bool {
+func (s *Store) delete(key []byte, c charge) bool {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	now := s.book(sh, c, 0)
@@ -712,7 +712,7 @@ func (s *Store) delete(key []byte, c Charge) bool {
 // is not an unsigned number (protocol CLIENT_ERROR); oom=true means the
 // grown value could not be allocated (protocol SERVER_ERROR) — a server
 // failure, distinct from the caller's mistake.
-func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal uint64, found, badValue, oom bool) {
+func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal uint64, found, badValue, oom bool) {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	now := s.book(sh, c, 0)
@@ -804,7 +804,7 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c Charge) (newVal 
 }
 
 // touch updates an item's expiry.
-func (s *Store) touch(key []byte, exptime int64, c Charge) bool {
+func (s *Store) touch(key []byte, exptime int64, c charge) bool {
 	h := hashKey(key)
 	sh := s.shardOf(h)
 	now := s.book(sh, c, 0)

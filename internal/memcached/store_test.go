@@ -61,7 +61,7 @@ func TestSlabAllocFreeReuse(t *testing.T) {
 	if len(c1.buf) < 100 {
 		t.Fatalf("chunk len %d", len(c1.buf))
 	}
-	used := a.bytesUsed()
+	used := a.usedBytes
 	if used != slabPageSize {
 		t.Fatalf("used = %d, want one page", used)
 	}
@@ -70,7 +70,7 @@ func TestSlabAllocFreeReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.bytesUsed() != used {
+	if a.usedBytes != used {
 		t.Fatal("re-alloc grabbed another page despite free chunk")
 	}
 	_ = c2
@@ -81,7 +81,7 @@ func TestSlabExhaustion(t *testing.T) {
 	var got int
 	for {
 		if _, err := a.alloc(1000); err != nil {
-			if err != ErrNoMemory {
+			if err != errNoMemory {
 				t.Fatalf("err = %v", err)
 			}
 			break
@@ -144,9 +144,9 @@ func TestSlabPropertyNoDoubleHandout(t *testing.T) {
 
 func TestHashTableBasics(t *testing.T) {
 	ht := newHashTable()
-	items := make([]*Item, 0, 1000)
+	items := make([]*item, 0, 1000)
 	for i := 0; i < 1000; i++ {
-		it := &Item{key: fmt.Sprintf("key-%d", i)}
+		it := &item{key: fmt.Sprintf("key-%d", i)}
 		ht.put(it, hashKey(it.key))
 		items = append(items, it)
 	}
@@ -184,7 +184,7 @@ func TestHashTableIncrementalExpansion(t *testing.T) {
 	n := int(hashLoadFactor*float64(1<<hashInitialPower)) + 2
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("k%d", i)
-		ht.put(&Item{key: k}, hashKey(k))
+		ht.put(&item{key: k}, hashKey(k))
 	}
 	if ht.old == nil {
 		t.Fatal("expansion did not start")
@@ -209,13 +209,13 @@ func TestHashTableModelProperty(t *testing.T) {
 	// random put/get/delete sequences.
 	f := func(ops []uint16) bool {
 		ht := newHashTable()
-		model := map[string]*Item{}
+		model := map[string]*item{}
 		for _, op := range ops {
 			key := "k" + strconv.Itoa(int(op%200))
 			switch op % 3 {
 			case 0:
 				if model[key] == nil {
-					it := &Item{key: key}
+					it := &item{key: key}
 					ht.put(it, hashKey(key))
 					model[key] = it
 				}
@@ -642,7 +642,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 	// with (its header was not recycled) and the value its setter wrote:
 	// 600 copies of the setter's index, which is also its flags.
 	type pin struct {
-		it  *Item
+		it  *item
 		cas uint64
 	}
 	pins := make([]pin, workers)

@@ -55,7 +55,7 @@ func connOf(ep *ucr.Endpoint) *ucrConn { return ep.UserData.(*ucrConn) }
 // reading.
 type setPending struct {
 	land     []byte
-	item     *Item
+	item     *item
 	res      StoreResult
 	replyCtr ucr.CounterID
 }
@@ -109,12 +109,12 @@ func (s *Server) registerAMHandlers(rt *ucr.Runtime) {
 		Header:     s.amSetHeader,
 		Completion: s.amSetComplete,
 	})
-	// A plain AMGet/AMMGet is the slot-advertising form with no slot:
+	// A plain AMGet/amMGet is the slot-advertising form with no slot:
 	// one handler serves both ids, told only which header layout to parse.
 	for _, slotted := range []bool{false, true} {
-		get, mget := AMGet, AMMGet
+		get, mget := AMGet, amMGet
 		if slotted {
-			get, mget = AMGetW, AMMGetW
+			get, mget = amGetW, amMGetW
 		}
 		rt.RegisterHandler(get, ucr.Handler{Header: nilHeader, Completion: s.amGetComplete(slotted)})
 		rt.RegisterHandler(mget, ucr.Handler{Header: nilHeader, Completion: s.amMGetComplete(slotted)})
@@ -152,11 +152,11 @@ func (s *Server) amSetHeader(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, d
 	if err != nil {
 		return c.pendSet(setPending{land: ep.Context().Buf(dataLen), res: NotStored})
 	}
-	it, res := s.store.allocateItem(req.Key, req.Flags, req.Exptime, dataLen, clk.Now())
+	it, res := s.store.allocateItem(req.key, req.flags, req.exptime, dataLen, clk.Now())
 	if res != Stored {
-		return c.pendSet(setPending{land: ep.Context().Buf(dataLen), res: res, replyCtr: req.ReplyCtr})
+		return c.pendSet(setPending{land: ep.Context().Buf(dataLen), res: res, replyCtr: req.replyCtr})
 	}
-	return c.pendSet(setPending{land: it.value, item: it, res: Stored, replyCtr: req.ReplyCtr})
+	return c.pendSet(setPending{land: it.value, item: it, res: Stored, replyCtr: req.replyCtr})
 }
 
 // amSetComplete commits the item and answers with AM 2 (§V-B).
@@ -185,7 +185,7 @@ func (s *Server) amSetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 
 // amGetComplete looks the item up and answers with AM 2 carrying the
 // value (§V-C); how the value travels is the reply ladder's decision
-// (replyBand). slotted selects the AMGetW header layout.
+// (replyBand). slotted selects the amGetW header layout.
 func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 	return func(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data []byte, _ ucr.CounterID) {
 		c := connOf(ep)
@@ -197,16 +197,16 @@ func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 		s.opCharge(clk, ep)
 		// The reply is served from the pinned item's slab memory, so no
 		// copy extends the hold (§V-C).
-		it, ok := s.store.getPinned(req.Key, chargeFirst(clk))
+		it, ok := s.store.getPinned(req.key, chargeFirst(clk))
 		if !ok {
-			w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMMiss})
-			_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
+			w.reply = AppendGetReply(w.reply[:0], GetReply{Status: amMiss})
+			_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.replyCtr, nil)
 			return
 		}
 		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMOK, Flags: it.flags, CAS: it.casID})
-		win := c.wrWin(req.Slot)
+		win := c.wrWin(req.slot)
 		band := s.replyBand(ep, win, len(w.reply)+len(it.value))
-		s.sendValue(clk, c, ep, band, valueReply{ctr: req.ReplyCtr, win: win, value: it.value, item: it})
+		s.sendValue(clk, c, ep, band, valueReply{ctr: req.replyCtr, win: win, value: it.value, item: it})
 	}
 }
 
@@ -319,7 +319,7 @@ type valueReply struct {
 	ctr   ucr.CounterID
 	win   ucr.WindowDesc
 	value []byte
-	item  *Item
+	item  *item
 }
 
 // sendValue executes one rung of the reply ladder and owns the pin
@@ -409,8 +409,8 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 		return
 	}
 	s.opCharge(clk, ep)
-	res := s.store.store(req.Op, req.Key, req.Flags, req.Exptime, data, req.CAS, chargeFirst(clk))
-	if req.ReplyCtr == 0 {
+	res := s.store.store(req.op, req.key, req.flags, req.exptime, data, req.cas, chargeFirst(clk))
+	if req.replyCtr == 0 {
 		return
 	}
 	status := AMOK
@@ -418,7 +418,7 @@ func (s *Server) amStoreComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data
 		status = AMError
 	}
 	w.reply = appendStatusReply(w.reply[:0], StatusReply{Status: status, Result: res})
-	_ = ep.Send(clk, AMSetReply, w.reply, nil, nil, req.ReplyCtr, nil)
+	_ = ep.Send(clk, AMSetReply, w.reply, nil, nil, req.replyCtr, nil)
 }
 
 // amArmComplete is the capability exchange: it installs the
@@ -453,7 +453,7 @@ func (s *Server) amDeleteComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, dat
 		return
 	}
 	s.opCharge(clk, ep)
-	status := AMMiss
+	status := amMiss
 	if s.store.delete(req.Key, chargeFirst(clk)) {
 		status = AMOK
 	}
@@ -474,7 +474,7 @@ func (s *Server) amNumComplete(incr bool) ucr.CompletionHandler {
 		status := AMOK
 		switch {
 		case !found:
-			status = AMMiss
+			status = amMiss
 		case bad:
 			status = AMBadValue
 		case oom:

@@ -4,7 +4,7 @@ import "repro/internal/ucr"
 
 // Server state of the write-based reply path: the slot table a client
 // registered with its AMArm exchange (ucrConn.arena), against which
-// AMGetW/AMMGetW slot indexes resolve to write windows. The write rung
+// amGetW/amMGetW slot indexes resolve to write windows. The write rung
 // itself lives in the reply ladder (replyBand/sendValue in
 // ucrserver.go); RC FIFO guarantees the written data lands before the
 // notify AM that follows it on the same QP is delivered.

@@ -105,19 +105,19 @@ func recordStates(recs []*memcached.OpRecord) map[string]map[string]bool {
 // pairing was live at some instant. A stale-pairing bug (value from one
 // version, cas from another, as mut_onesided_stale plants) produces a
 // triple that never existed and fails here.
-func checkOneSided(recs []*memcached.OpRecord, obs []Observation) *Violation {
+func checkOneSided(recs []*memcached.OpRecord, obs []observation) *Violation {
 	var states map[string]map[string]bool
 	for _, o := range obs {
-		if !o.OneSided || !o.Rec.Hit {
+		if !o.oneSided || !o.rec.Hit {
 			continue
 		}
 		if states == nil {
 			states = recordStates(recs)
 		}
-		r := &o.Rec
+		r := &o.rec
 		el := itemState(r.Value, r.OldCAS, r.Flags)
 		if !states[r.Key][el] {
-			return &Violation{Msg: fmt.Sprintf(
+			return &Violation{msg: fmt.Sprintf(
 				"onesided %q: client read %s, an item version the server never produced", r.Key, el)}
 		}
 	}
@@ -125,7 +125,7 @@ func checkOneSided(recs []*memcached.OpRecord, obs []Observation) *Violation {
 }
 
 // crossCheck compares observations against the recorded history.
-func crossCheck(recs []*memcached.OpRecord, obs []Observation, lossy bool) *Violation {
+func crossCheck(recs []*memcached.OpRecord, obs []observation, lossy bool) *Violation {
 	if v := checkOneSided(recs, obs); v != nil {
 		return v
 	}
@@ -139,11 +139,11 @@ func crossCheck(recs []*memcached.OpRecord, obs []Observation, lossy bool) *Viol
 	for _, o := range obs {
 		// A failed call may or may not have reached the server, and a
 		// one-sided hit never ran there (checkOneSided validates it).
-		if o.Err != nil || o.OneSided {
+		if o.err != nil || o.oneSided {
 			continue
 		}
-		if el, ok := canonRecord(&o.Rec); ok {
-			client[o.Rec.Key] = append(client[o.Rec.Key], el)
+		if el, ok := canonRecord(&o.rec); ok {
+			client[o.rec.Key] = append(client[o.rec.Key], el)
 		}
 	}
 
@@ -157,7 +157,7 @@ func crossCheck(recs []*memcached.OpRecord, obs []Observation, lossy bool) *Viol
 			}
 			for _, el := range client[key] {
 				if have[el] == 0 {
-					return &Violation{Msg: fmt.Sprintf(
+					return &Violation{msg: fmt.Sprintf(
 						"crosscheck %q: client observed %s, server never recorded it", key, el)}
 				}
 			}
@@ -178,7 +178,7 @@ func crossCheck(recs []*memcached.OpRecord, obs []Observation, lossy bool) *Viol
 		sort.Strings(s)
 		sort.Strings(c)
 		if d := firstDiff(s, c); d != "" {
-			return &Violation{Msg: fmt.Sprintf("crosscheck %q: %s", key, d)}
+			return &Violation{msg: fmt.Sprintf("crosscheck %q: %s", key, d)}
 		}
 	}
 	return nil

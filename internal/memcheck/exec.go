@@ -27,26 +27,26 @@ type Config struct {
 	Faults bool
 	// Pressure shrinks the cache so LRU eviction runs constantly.
 	Pressure bool
-	// NoBursts generates a purely blocking workload with the TTL mix
-	// (see GenConfig.NoBursts).
+	// noBursts generates a purely blocking workload with the TTL mix
+	// (see genConfig.noBursts).
 	NoBursts bool
-	// Mode names the row of the mode table (Modes) whose datapath the
+	// mode names the row of the mode table (Modes) whose datapath the
 	// deployment arms; "" is the default row.
-	Mode string
+	mode string
 	// Servers is the fleet mode's initial member count (default 4).
 	Servers int
 }
 
-// Observation is one client call as the checker made it, in the
-// engine's record shape: Rec's inputs are the script op's, its outcome is
-// what the call returned. Err is set when the call left no outcome to
+// observation is one client call as the checker made it, in the
+// engine's record shape: rec's inputs are the script op's, its outcome is
+// what the call returned. err is set when the call left no outcome to
 // compare (a transport failure: the op may or may not have reached the
-// server). OneSided marks a get hit the client's RDMA reads served,
+// server). oneSided marks a get hit the client's RDMA reads served,
 // which has no engine record to pair with.
-type Observation struct {
-	Rec      memcached.OpRecord
-	Err      error
-	OneSided bool
+type observation struct {
+	rec      memcached.OpRecord
+	err      error
+	oneSided bool
 }
 
 // execute runs a script against a fresh single-server deployment,
@@ -55,7 +55,7 @@ type Observation struct {
 // harness failure, model divergence, or cross-check mismatch, in that
 // order.
 func (m *Mode) execute(sc Script, cfg Config) *Result {
-	res := &Result{Config: cfg, Script: sc}
+	res := &Result{config: cfg, script: sc}
 	opts := cluster.Options{
 		Servers:       1,
 		ServerWorkers: 2,
@@ -73,7 +73,7 @@ func (m *Mode) execute(sc Script, cfg Config) *Result {
 	defer d.Close()
 
 	x := &executor{cfg: cfg, store: d.Server.Store(), deployment: d}
-	for i := 0; i < sc.Clients; i++ {
+	for i := 0; i < sc.clients; i++ {
 		cl, err := d.NewClient(cfg.Transport, b)
 		if err != nil {
 			res.Violation = harnessFailure(fmt.Errorf("memcheck: client %d: %w", i, err))
@@ -91,7 +91,7 @@ func (m *Mode) execute(sc Script, cfg Config) *Result {
 		x.records = append(x.records, r)
 	})
 
-	for i, op := range sc.Ops {
+	for i, op := range sc.ops {
 		if err := x.step(op); err != nil {
 			res.Violation = harnessFailure(fmt.Errorf("memcheck: op %d (%s): %w", i, formatOp(op, true), err))
 			return res
@@ -105,11 +105,11 @@ func (m *Mode) execute(sc Script, cfg Config) *Result {
 	// never served), so afterwards nothing appends to the history.
 	res.Counters = Counters{Runs: 1}
 	if cfg.Transport == cluster.UCRIB {
-		res.UCRRuns = 1
+		res.ucrRuns = 1
 	}
 	for _, cl := range x.clients {
 		if ut, ok := cl.MC.Transport(0).(*mcclient.UCRTransport); ok {
-			res.Paths.Add(ut.PathStats())
+			res.paths.Add(ut.PathStats())
 		}
 		cl.Close()
 	}
@@ -117,14 +117,14 @@ func (m *Mode) execute(sc Script, cfg Config) *Result {
 	d.Close()
 	x.store.SetRecorder(nil)
 
-	res.History, res.Obs = x.records, x.obs
-	sortRecords(res.History)
-	res.SRQDemux, res.BatchedDrains, res.WriteReplies =
+	res.history, res.obs = x.records, x.obs
+	sortRecords(res.history)
+	res.srqDemux, res.batchedDrains, res.writeReplies =
 		d.Server.UCRSRQDemux(), d.Server.UCRBatchedDrains(), d.Server.UCRWriteReplies()
-	res.Detail = fmt.Sprintf("records=%d", len(res.History))
+	res.Detail = fmt.Sprintf("records=%d", len(res.history))
 
-	if res.Violation = checkModel(res.History); res.Violation == nil {
-		res.Violation = crossCheck(res.History, res.Obs, cfg.Faults)
+	if res.Violation = checkModel(res.history); res.Violation == nil {
+		res.Violation = crossCheck(res.history, res.obs, cfg.Faults)
 	}
 	return res
 }
@@ -136,7 +136,7 @@ type executor struct {
 	clients    []*cluster.Client
 
 	records []*memcached.OpRecord
-	obs     []Observation
+	obs     []observation
 }
 
 func sortRecords(recs []*memcached.OpRecord) {
@@ -161,50 +161,50 @@ func (x *executor) tolerate(err error) error {
 	return err
 }
 
-func (x *executor) step(op ScriptOp) error {
-	cl := x.clients[op.Client%len(x.clients)]
+func (x *executor) step(op scriptOp) error {
+	cl := x.clients[op.client%len(x.clients)]
 	mc := cl.MC
 	var c call
-	switch op.Code {
-	case OpSet:
-		c.err = mc.Set(op.Key, op.Value, op.Flags, op.Exptime)
-	case OpAdd:
-		c.err = mc.Add(op.Key, op.Value, op.Flags, op.Exptime)
-	case OpReplace:
-		c.err = mc.Replace(op.Key, op.Value, op.Flags, op.Exptime)
-	case OpAppend:
-		c.err = mc.Append(op.Key, op.Value)
-	case OpPrepend:
-		c.err = mc.Prepend(op.Key, op.Value)
-	case OpCas:
+	switch op.code {
+	case opSet:
+		c.err = mc.Set(op.key, op.value, op.flags, op.exptime)
+	case opAdd:
+		c.err = mc.Add(op.key, op.value, op.flags, op.exptime)
+	case opReplace:
+		c.err = mc.Replace(op.key, op.value, op.flags, op.exptime)
+	case opAppend:
+		c.err = mc.Append(op.key, op.value)
+	case opPrepend:
+		c.err = mc.Prepend(op.key, op.value)
+	case opCas:
 		return x.stepCas(cl, op)
-	case OpGet:
-		c = get(cl, op.Key)
-	case OpMGet:
+	case opGet:
+		c = get(cl, op.key)
+	case opMGet:
 		// One observation per requested key, hit or miss, so the
 		// cross-check sees mget misses too.
-		vals, err := mc.GetMulti(op.Keys)
-		for _, k := range op.Keys {
+		vals, err := mc.GetMulti(op.keys)
+		for _, k := range op.keys {
 			v, hit := vals[k]
-			x.observe(ScriptOp{Code: OpGet, Key: k}, call{value: v, err: missed(hit, err)})
+			x.observe(scriptOp{code: opGet, key: k}, call{value: v, err: missed(hit, err)})
 		}
 		return x.tolerate(err)
-	case OpDelete:
-		c.err = mc.Delete(op.Key)
-	case OpIncr:
-		c.num, c.err = mc.Incr(op.Key, op.Delta)
-	case OpDecr:
-		c.num, c.err = mc.Decr(op.Key, op.Delta)
-	case OpAdvance:
-		cl.Clock.Advance(op.Advance)
+	case opDelete:
+		c.err = mc.Delete(op.key)
+	case opIncr:
+		c.num, c.err = mc.Incr(op.key, op.delta)
+	case opDecr:
+		c.num, c.err = mc.Decr(op.key, op.delta)
+	case opAdvance:
+		cl.Clock.Advance(op.advance)
 		return nil
-	case OpFlush:
+	case opFlush:
 		x.stepFlush()
 		return nil
-	case OpBurst:
+	case opBurst:
 		return x.stepBurst(cl, op)
 	default:
-		return fmt.Errorf("unknown op code %d", op.Code)
+		return fmt.Errorf("unknown op code %d", op.code)
 	}
 	x.observe(op, c)
 	return x.tolerate(c.err)
@@ -223,18 +223,18 @@ type call struct {
 }
 
 // recKinds names the engine record each client call kind produces.
-var recKinds = map[OpCode]memcached.OpKind{
-	OpSet: memcached.RecSet, OpAdd: memcached.RecAdd, OpReplace: memcached.RecReplace,
-	OpAppend: memcached.RecAppend, OpPrepend: memcached.RecPrepend, OpCas: memcached.RecCas,
-	OpGet: memcached.RecGet, OpDelete: memcached.RecDelete,
-	OpIncr: memcached.RecIncr, OpDecr: memcached.RecDecr,
+var recKinds = map[opCode]memcached.OpKind{
+	opSet: memcached.RecSet, opAdd: memcached.RecAdd, opReplace: memcached.RecReplace,
+	opAppend: memcached.RecAppend, opPrepend: memcached.RecPrepend, opCas: memcached.RecCas,
+	opGet: memcached.RecGet, opDelete: memcached.RecDelete,
+	opIncr: memcached.RecIncr, opDecr: memcached.RecDecr,
 }
 
 // observe records one call — a blocking step's or a burst future's — as
 // the engine would: the inputs from the script op that issued it, the
 // outcome from what the call returned.
-func (x *executor) observe(op ScriptOp, c call) {
-	r := memcached.OpRecord{Kind: recKinds[op.Code], Key: op.Key}
+func (x *executor) observe(op scriptOp, c call) {
+	r := memcached.OpRecord{Kind: recKinds[op.code], Key: op.key}
 	err := c.err
 	switch r.Kind {
 	case memcached.RecGet, memcached.RecDelete:
@@ -242,7 +242,7 @@ func (x *executor) observe(op ScriptOp, c call) {
 			r.Value, r.Flags, r.OldCAS = bytes.Clone(c.value), c.flags, c.cas
 		}
 	case memcached.RecIncr, memcached.RecDecr:
-		r.Delta, r.NewNum = op.Delta, c.num
+		r.Delta, r.NewNum = op.delta, c.num
 		r.Hit = !errors.Is(err, mcclient.ErrCacheMiss)
 		r.Bad, r.OOM = errors.Is(err, mcclient.ErrBadValue), errors.Is(err, mcclient.ErrServerError)
 	default: // the six storage verbs
@@ -250,17 +250,17 @@ func (x *executor) observe(op ScriptOp, c call) {
 		if r.Res, ok = mcclient.StoreResultOf(err); ok {
 			err = nil
 		}
-		r.Flags, r.Exptime, r.CasReq = op.Flags, op.Exptime, c.cas
+		r.Flags, r.Exptime, r.CasReq = op.flags, op.exptime, c.cas
 		if r.Kind == memcached.RecAppend || r.Kind == memcached.RecPrepend {
-			r.Arg = op.Value
+			r.Arg = op.value
 		} else {
-			r.Value = op.Value
+			r.Value = op.value
 		}
 	}
 	if errors.Is(err, mcclient.ErrCacheMiss) || errors.Is(err, mcclient.ErrBadValue) || errors.Is(err, mcclient.ErrServerError) {
 		err = nil // an outcome, recorded above
 	}
-	x.obs = append(x.obs, Observation{Rec: r, Err: err, OneSided: c.oneSided})
+	x.obs = append(x.obs, observation{rec: r, err: err, oneSided: c.oneSided})
 }
 
 // missed puts a future's miss in the blocking API's shape.
@@ -288,19 +288,19 @@ func get(cl *cluster.Client, key string) call {
 
 // stepCas learns the key's current CAS id with a real get, then issues
 // the cas — with the fresh id, or a deliberately wrong one.
-func (x *executor) stepCas(cl *cluster.Client, op ScriptOp) error {
-	g := get(cl, op.Key)
-	x.observe(ScriptOp{Code: OpGet, Key: op.Key}, g)
+func (x *executor) stepCas(cl *cluster.Client, op scriptOp) error {
+	g := get(cl, op.key)
+	x.observe(scriptOp{code: opGet, key: op.key}, g)
 	if err := x.tolerate(g.err); err != nil {
 		return err
 	}
 	id := g.cas
 	if id == 0 { // a miss
 		id = 99991 // any id: cas on an absent key is NOT_FOUND regardless
-	} else if op.Stale {
+	} else if op.stale {
 		id += 7777
 	}
-	err := cl.MC.Cas(op.Key, op.Value, op.Flags, op.Exptime, id)
+	err := cl.MC.Cas(op.key, op.value, op.flags, op.exptime, id)
 	x.observe(op, call{cas: id, err: err})
 	return x.tolerate(err)
 }
@@ -330,12 +330,12 @@ func (x *executor) stepFlush() {
 
 // stepBurst drives one pipelined window through the client's transport
 // and observes each settled future as it would a blocking call.
-func (x *executor) stepBurst(cl *cluster.Client, op ScriptOp) error {
+func (x *executor) stepBurst(cl *cluster.Client, op scriptOp) error {
 	pr, ok := cl.MC.Transport(0).(mcclient.Pipeliner)
 	if !ok {
 		return fmt.Errorf("transport %s cannot pipeline", x.cfg.Transport)
 	}
-	w := op.Window
+	w := op.window
 	if w < 1 {
 		w = 1
 	}
@@ -343,23 +343,23 @@ func (x *executor) stepBurst(cl *cluster.Client, op ScriptOp) error {
 	clk := cl.Clock
 
 	type pending struct {
-		sub ScriptOp
+		sub scriptOp
 		get *mcclient.GetFuture
 		set *mcclient.SetFuture
 		del *mcclient.BoolFuture
 	}
-	pend := make([]pending, 0, len(op.Sub))
-	for _, sub := range op.Sub {
+	pend := make([]pending, 0, len(op.sub))
+	for _, sub := range op.sub {
 		p := pending{sub: sub}
-		switch sub.Code {
-		case OpSet:
-			p.set = pl.StartSet(clk, sub.Key, sub.Flags, sub.Exptime, sub.Value)
-		case OpGet:
-			p.get = pl.StartGet(clk, sub.Key)
-		case OpDelete:
-			p.del = pl.StartDelete(clk, sub.Key)
+		switch sub.code {
+		case opSet:
+			p.set = pl.StartSet(clk, sub.key, sub.flags, sub.exptime, sub.value)
+		case opGet:
+			p.get = pl.StartGet(clk, sub.key)
+		case opDelete:
+			p.del = pl.StartDelete(clk, sub.key)
 		default:
-			return fmt.Errorf("burst sub-op %s not supported", opNames[sub.Code])
+			return fmt.Errorf("burst sub-op %s not supported", opNames[sub.code])
 		}
 		pend = append(pend, p)
 	}
@@ -396,28 +396,28 @@ func (x *executor) stepBurst(cl *cluster.Client, op ScriptOp) error {
 func (x *executor) epilogue(sc Script) {
 	keys := scriptKeys(sc)
 	for _, k := range keys {
-		_ = x.step(ScriptOp{Code: OpGet, Key: k})
+		_ = x.step(scriptOp{code: opGet, key: k})
 	}
 	if len(keys) > 0 {
-		_ = x.step(ScriptOp{Code: OpMGet, Keys: keys})
+		_ = x.step(scriptOp{code: opMGet, keys: keys})
 	}
 }
 
 // scriptKeys is the sorted union of keys a script touches.
 func scriptKeys(sc Script) []string {
 	set := make(map[string]struct{})
-	var walk func(ops []ScriptOp)
-	walk = func(ops []ScriptOp) {
+	var walk func(ops []scriptOp)
+	walk = func(ops []scriptOp) {
 		for _, op := range ops {
-			if op.Key != "" {
-				set[op.Key] = struct{}{}
+			if op.key != "" {
+				set[op.key] = struct{}{}
 			}
-			for _, k := range op.Keys {
+			for _, k := range op.keys {
 				set[k] = struct{}{}
 			}
-			walk(op.Sub)
+			walk(op.sub)
 		}
 	}
-	walk(sc.Ops)
+	walk(sc.ops)
 	return sortKeys(set)
 }

@@ -156,7 +156,7 @@ func (m *fleetModel) del(key string) bool {
 // executeFleet runs one fleet script against a fresh fleet and checks
 // it step by step; the first divergence is recorded as the violation.
 func (m *Mode) executeFleet(sc Script, cfg Config) *Result {
-	res := &Result{Config: cfg, Script: sc, Counters: Counters{Runs: 1}}
+	res := &Result{config: cfg, script: sc, Counters: Counters{Runs: 1}}
 	servers := cfg.Servers
 	if servers <= 0 {
 		servers = 4
@@ -179,7 +179,7 @@ func (m *Mode) executeFleet(sc Script, cfg Config) *Result {
 	defer f.Close()
 
 	x := &fleetExecutor{cfg: cfg, f: f, model: newFleetModel(cfg.Faults, f.Replicas(), f.Members())}
-	for i := 0; i < max(sc.Clients, 1); i++ {
+	for i := 0; i < max(sc.clients, 1); i++ {
 		c, err := f.NewClient()
 		if err != nil {
 			res.Violation = harnessFailure(fmt.Errorf("client %d: %w", i, err))
@@ -195,14 +195,14 @@ func (m *Mode) executeFleet(sc Script, cfg Config) *Result {
 	// never ran validated nothing. The servers' are summed over every
 	// member the run ever had, departed ones included.
 	for _, c := range x.clients {
-		res.Repairs += c.Stats.Repairs
+		res.repairs += c.Stats.Repairs
 	}
 	joins, leaves, crashes := f.ChurnCounts()
-	res.Churn, res.Moved = joins+leaves+crashes, x.moved
+	res.churn, res.moved = joins+leaves+crashes, x.moved
 	for _, srv := range f.D.Servers {
-		res.WriteReplies += srv.UCRWriteReplies()
+		res.writeReplies += srv.UCRWriteReplies()
 	}
-	res.Detail = fmt.Sprintf("churn=%d repairs=%d moved=%.4f", res.Churn, res.Repairs, res.Moved)
+	res.Detail = fmt.Sprintf("churn=%d repairs=%d moved=%.4f", res.churn, res.repairs, res.moved)
 	return res
 }
 
@@ -217,9 +217,9 @@ type fleetExecutor struct {
 // play steps the script and then the epilogue; the first divergence ends
 // it.
 func (x *fleetExecutor) play(sc Script) *Violation {
-	for i, op := range sc.Ops {
+	for i, op := range sc.ops {
 		if v := x.step(op); v != nil {
-			v.Msg = fmt.Sprintf("op %d (%s): %s", i, formatOp(op, true), v.Msg)
+			v.msg = fmt.Sprintf("op %d (%s): %s", i, formatOp(op, true), v.msg)
 			return v
 		}
 	}
@@ -232,25 +232,25 @@ func fleetDown(err error) bool {
 	return errors.Is(err, mcclient.ErrServerDown) || errors.Is(err, mcclient.ErrNoServers)
 }
 
-func (x *fleetExecutor) step(op ScriptOp) *Violation {
-	c := x.clients[op.Client%len(x.clients)]
-	switch op.Code {
-	case OpSet:
-		v := fleetVal{val: string(op.Value), flags: op.Flags}
-		err := c.Set(op.Key, op.Value, op.Flags, 0)
+func (x *fleetExecutor) step(op scriptOp) *Violation {
+	c := x.clients[op.client%len(x.clients)]
+	switch op.code {
+	case opSet:
+		v := fleetVal{val: string(op.value), flags: op.flags}
+		err := c.Set(op.key, op.value, op.flags, 0)
 		// Model first in lossy mode regardless of outcome: a failed
 		// write-through may still have applied at any owner.
-		x.model.set(op.Key, v)
+		x.model.set(op.key, v)
 		if err != nil && !(x.cfg.Faults && fleetDown(err)) {
-			return &Violation{Msg: fmt.Sprintf("set returned %v", err)}
+			return &Violation{msg: fmt.Sprintf("set returned %v", err)}
 		}
 		return nil
-	case OpGet:
-		val, flags, err := c.Get(op.Key)
-		return x.checkGet(op.Key, val, flags, err)
-	case OpDelete:
-		found, err := c.Delete(op.Key)
-		wantFound := x.model.del(op.Key)
+	case opGet:
+		val, flags, err := c.Get(op.key)
+		return x.checkGet(op.key, val, flags, err)
+	case opDelete:
+		found, err := c.Delete(op.key)
+		wantFound := x.model.del(op.key)
 		if err != nil {
 			if x.cfg.Faults && fleetDown(err) {
 				return nil
@@ -258,22 +258,22 @@ func (x *fleetExecutor) step(op ScriptOp) *Violation {
 			if errors.Is(err, mcclient.ErrCacheMiss) {
 				return nil
 			}
-			return &Violation{Msg: fmt.Sprintf("delete returned %v", err)}
+			return &Violation{msg: fmt.Sprintf("delete returned %v", err)}
 		}
 		if !x.cfg.Faults && found != wantFound {
-			return &Violation{Msg: fmt.Sprintf("delete found=%v, model says %v", found, wantFound)}
+			return &Violation{msg: fmt.Sprintf("delete found=%v, model says %v", found, wantFound)}
 		}
 		return nil
-	case OpAdvance:
-		c.Clock.Advance(op.Advance)
+	case opAdvance:
+		c.Clock.Advance(op.advance)
 		return nil
-	case OpJoin:
+	case opJoin:
 		pre := x.model.ring.Clone()
 		name := x.f.Join()
 		x.model.addServer(name)
 		x.moved += x.model.ring.MovedFraction(pre)
 		return x.checkRing()
-	case OpLeave, OpCrash:
+	case opLeave, opCrash:
 		// Keep at least 2 members so R=2 stays meaningful and a clean
 		// run never routes into a dead fleet; the guard is evaluated on
 		// the live size, so dropping earlier churn ops during shrinking
@@ -282,9 +282,9 @@ func (x *fleetExecutor) step(op ScriptOp) *Violation {
 		if len(members) <= 2 {
 			return nil
 		}
-		name := members[int(op.Delta)%len(members)]
+		name := members[int(op.delta)%len(members)]
 		pre := x.model.ring.Clone()
-		if op.Code == OpLeave {
+		if op.code == opLeave {
 			x.f.Leave(name)
 		} else {
 			x.f.Crash(name)
@@ -293,7 +293,7 @@ func (x *fleetExecutor) step(op ScriptOp) *Violation {
 		x.moved += x.model.ring.MovedFraction(pre)
 		return x.checkRing()
 	default:
-		return &Violation{Msg: fmt.Sprintf("op %s not supported in fleet mode", opNames[op.Code])}
+		return &Violation{msg: fmt.Sprintf("op %s not supported in fleet mode", opNames[op.code])}
 	}
 }
 
@@ -301,7 +301,7 @@ func (x *fleetExecutor) step(op ScriptOp) *Violation {
 // — a divergence here is a ring bug, not a replication bug.
 func (x *fleetExecutor) checkRing() *Violation {
 	if !x.model.ring.Equal(x.f.RingSnapshot()) {
-		return &Violation{Msg: "model ring diverged from fleet ring after churn"}
+		return &Violation{msg: "model ring diverged from fleet ring after churn"}
 	}
 	return nil
 }
@@ -317,7 +317,7 @@ func (x *fleetExecutor) checkGet(key string, val []byte, flags uint32, err error
 			if fleetDown(err) || errors.Is(err, mcclient.ErrCacheMiss) {
 				return nil
 			}
-			return &Violation{Msg: fmt.Sprintf("get returned %v", err)}
+			return &Violation{msg: fmt.Sprintf("get returned %v", err)}
 		}
 		got := fleetVal{val: string(val), flags: flags}
 		owners := x.model.owners(key)
@@ -330,20 +330,20 @@ func (x *fleetExecutor) checkGet(key string, val []byte, flags uint32, err error
 				return nil
 			}
 		}
-		return &Violation{Msg: fmt.Sprintf("get %s returned %q flags=%d — not a candidate value at any current owner (stale?)", key, val, flags)}
+		return &Violation{msg: fmt.Sprintf("get %s returned %q flags=%d — not a candidate value at any current owner (stale?)", key, val, flags)}
 	}
 	want, hit := x.model.get(key)
 	if hit {
 		if err != nil {
-			return &Violation{Msg: fmt.Sprintf("get %s returned %v, model has %q", key, err, want.val)}
+			return &Violation{msg: fmt.Sprintf("get %s returned %v, model has %q", key, err, want.val)}
 		}
 		if string(val) != want.val || flags != want.flags {
-			return &Violation{Msg: fmt.Sprintf("get %s returned %q flags=%d, model has %q flags=%d", key, val, flags, want.val, want.flags)}
+			return &Violation{msg: fmt.Sprintf("get %s returned %q flags=%d, model has %q flags=%d", key, val, flags, want.val, want.flags)}
 		}
 		return nil
 	}
 	if !errors.Is(err, mcclient.ErrCacheMiss) {
-		return &Violation{Msg: fmt.Sprintf("get %s: model predicts miss, got val=%q err=%v", key, val, err)}
+		return &Violation{msg: fmt.Sprintf("get %s: model predicts miss, got val=%q err=%v", key, val, err)}
 	}
 	return nil
 }
@@ -356,36 +356,36 @@ func (x *fleetExecutor) checkGet(key string, val []byte, flags uint32, err error
 // the scripted traffic happened to dodge it.
 func (x *fleetExecutor) epilogue() *Violation {
 	c := x.clients[0]
-	for _, k := range FleetKeys {
+	for _, k := range fleetKeys {
 		val, flags, err := c.Get(k)
 		if v := x.checkGet(k, val, flags, err); v != nil {
-			v.Msg = "epilogue: " + v.Msg
+			v.msg = "epilogue: " + v.msg
 			return v
 		}
 	}
 	for _, server := range x.f.Members() {
-		for _, k := range FleetKeys {
+		for _, k := range fleetKeys {
 			val, hit, err := c.DirectGet(server, k)
 			if err != nil {
 				if x.cfg.Faults && fleetDown(err) {
 					continue
 				}
-				return &Violation{Msg: fmt.Sprintf("epilogue: probe %s@%s: %v", k, server, err)}
+				return &Violation{msg: fmt.Sprintf("epilogue: probe %s@%s: %v", k, server, err)}
 			}
 			if x.cfg.Faults {
 				if hit && !x.anyCand(server, k, val) {
-					return &Violation{Msg: fmt.Sprintf("epilogue: server %s holds %s=%q — never a candidate there (stale?)", server, k, val)}
+					return &Violation{msg: fmt.Sprintf("epilogue: server %s holds %s=%q — never a candidate there (stale?)", server, k, val)}
 				}
 				continue
 			}
 			want, ok := x.model.exact[server][k]
 			switch {
 			case hit && !ok:
-				return &Violation{Msg: fmt.Sprintf("epilogue: server %s serves %s=%q but is not an owner holding it in the model", server, k, val)}
+				return &Violation{msg: fmt.Sprintf("epilogue: server %s serves %s=%q but is not an owner holding it in the model", server, k, val)}
 			case !hit && ok:
-				return &Violation{Msg: fmt.Sprintf("epilogue: server %s is missing %s (model holds %q)", server, k, want.val)}
+				return &Violation{msg: fmt.Sprintf("epilogue: server %s is missing %s (model holds %q)", server, k, want.val)}
 			case hit && string(val) != want.val:
-				return &Violation{Msg: fmt.Sprintf("epilogue: server %s serves %s=%q, model holds %q", server, k, val, want.val)}
+				return &Violation{msg: fmt.Sprintf("epilogue: server %s serves %s=%q, model holds %q", server, k, val, want.val)}
 			}
 		}
 	}

@@ -16,19 +16,19 @@ func TestFleetCheckClean(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5}
 	var sum Counters
 	for _, seed := range seeds {
-		res := run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
+		res := run(Config{mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %s\n%s", seed, res.Violation.Error(), res.Report)
 		}
 		sum.Add(&res.Counters)
 	}
-	if sum.Repairs == 0 {
+	if sum.repairs == 0 {
 		t.Fatal("vacuity: no read repair ran in the whole sweep")
 	}
-	if sum.Moved <= 0 {
+	if sum.moved <= 0 {
 		t.Fatal("vacuity: churn moved no keyspace")
 	}
-	if sum.Churn == 0 {
+	if sum.churn == 0 {
 		t.Fatal("vacuity: no churn events ran")
 	}
 }
@@ -37,7 +37,7 @@ func TestFleetCheckClean(t *testing.T) {
 // hold (no stale or foreign value is ever served).
 func TestFleetCheckLossy(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		res := run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed, Faults: true})
+		res := run(Config{mode: "fleet", Transport: cluster.UCRIB, Seed: seed, Faults: true})
 		if res.Violation != nil {
 			t.Fatalf("seed %d: %s\n%s", seed, res.Violation.Error(), res.Report)
 		}
@@ -46,7 +46,7 @@ func TestFleetCheckLossy(t *testing.T) {
 
 // Socket transport sanity: the fleet checker is transport-generic.
 func TestFleetCheckIPoIB(t *testing.T) {
-	res := run(Config{Mode: "fleet", Transport: cluster.IPoIB, Seed: 7})
+	res := run(Config{mode: "fleet", Transport: cluster.IPoIB, Seed: 7})
 	if res.Violation != nil {
 		t.Fatalf("%s\n%s", res.Violation.Error(), res.Report)
 	}
@@ -54,7 +54,7 @@ func TestFleetCheckIPoIB(t *testing.T) {
 
 // The fleet script grammar round-trips through format/parse.
 func TestFleetScriptRoundTrip(t *testing.T) {
-	sc := generateFleet(42, GenConfig{})
+	sc := generateFleet(42, genConfig{})
 	text := formatScript(sc)
 	back, err := ParseScript(text)
 	if err != nil {
@@ -64,9 +64,9 @@ func TestFleetScriptRoundTrip(t *testing.T) {
 		t.Fatal("fleet script did not round-trip")
 	}
 	var churn int
-	for _, op := range sc.Ops {
-		switch op.Code {
-		case OpJoin, OpLeave, OpCrash:
+	for _, op := range sc.ops {
+		switch op.code {
+		case opJoin, opLeave, opCrash:
 			churn++
 		}
 	}
@@ -90,23 +90,23 @@ func TestFleetCatchesMutRingStale(t *testing.T) {
 	runMutated(t, &ring.MutRingStale, func() {
 		caught := false
 		for seed := uint64(1); seed <= 6 && !caught; seed++ {
-			res := run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
+			res := run(Config{mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 			if res.Violation == nil {
 				continue
 			}
 			caught = true
-			if res.Shrunk == nil || len(res.Shrunk.Ops) == 0 {
+			if res.shrunk == nil || len(res.shrunk.ops) == 0 {
 				t.Fatalf("violation not shrunk: %s", res.Violation.Error())
 			}
-			if len(res.Shrunk.Ops) >= len(res.Script.Ops) {
+			if len(res.shrunk.ops) >= len(res.script.ops) {
 				t.Fatalf("shrink made no progress: %d -> %d ops",
-					len(res.Script.Ops), len(res.Shrunk.Ops))
+					len(res.script.ops), len(res.shrunk.ops))
 			}
 			if !strings.Contains(res.Report, "-mode fleet") {
 				t.Fatalf("report lacks fleet replay line:\n%s", res.Report)
 			}
 			// The shrunk script must still fail when replayed.
-			rep := runScript(*res.Shrunk, res.Config)
+			rep := runScript(*res.shrunk, res.config)
 			if rep.Violation == nil {
 				t.Fatal("shrunk script no longer fails on replay")
 			}
@@ -124,15 +124,15 @@ func TestFleetCatchesMutReplicaSkip(t *testing.T) {
 	runMutated(t, &ring.MutReplicaSkip, func() {
 		caught := false
 		for seed := uint64(1); seed <= 6 && !caught; seed++ {
-			res := run(Config{Mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
+			res := run(Config{mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
 			if res.Violation == nil {
 				continue
 			}
 			caught = true
-			if res.Shrunk == nil || len(res.Shrunk.Ops) == 0 {
+			if res.shrunk == nil || len(res.shrunk.ops) == 0 {
 				t.Fatalf("violation not shrunk: %s", res.Violation.Error())
 			}
-			rep := runScript(*res.Shrunk, res.Config)
+			rep := runScript(*res.shrunk, res.config)
 			if rep.Violation == nil {
 				t.Fatal("shrunk script no longer fails on replay")
 			}
@@ -159,7 +159,7 @@ func TestFleetTakesModeOptions(t *testing.T) {
 			if res.Violation != nil {
 				t.Fatalf("lossy=%v seed %d: %s\n%s", lossy, seed, res.Violation.Error(), res.Report)
 			}
-			if res.WriteReplies == 0 {
+			if res.writeReplies == 0 {
 				t.Fatalf("lossy=%v seed %d: no fleet member posted a write reply — the mode's Options never reached the deployment (%s)",
 					lossy, seed, &res.Counters)
 			}

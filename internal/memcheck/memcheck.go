@@ -15,19 +15,19 @@ import (
 // minimal failing script and Report a ready-to-print diagnosis with the
 // replay line.
 type Result struct {
-	Config Config
-	Script Script // what ran
-	// History and Obs are the single-server check's evidence: the
+	config Config
+	script Script // what ran
+	// history and obs are the single-server check's evidence: the
 	// engine's recorded transitions and the clients' observations (the
 	// fleet check compares step by step and keeps neither).
-	History   []*memcached.OpRecord
-	Obs       []Observation
+	history   []*memcached.OpRecord
+	obs       []observation
 	Violation *Violation
-	Shrunk    *Script
+	shrunk    *Script
 	Report    string
 	Detail    string // one-line summary of a passing run
 
-	// Counters feed the mode's vacuity guards (see Mode.Guards).
+	// Counters feed the mode's vacuity guards (see Mode.guards).
 	Counters
 }
 
@@ -38,7 +38,7 @@ const shrinkBudget = 80
 // ownership model (fleet.go); every other row draws the single-server
 // op mix and is checked from the engine's recorded history (exec.go).
 // Either executor returns one execution's verdict, unshrunk.
-func (m *Mode) harness() (func(uint64, GenConfig) Script, func(Script, Config) *Result) {
+func (m *Mode) harness() (func(uint64, genConfig) Script, func(Script, Config) *Result) {
 	if m.Fleet {
 		return generateFleet, m.executeFleet
 	}
@@ -49,15 +49,15 @@ func (m *Mode) harness() (func(uint64, GenConfig) Script, func(Script, Config) *
 // or replaying script when non-nil. m need not be a row of Modes: any
 // Mode value runs, with its Options applied to the deployment.
 func (m *Mode) Run(cfg Config, script *Script) *Result {
-	cfg.Mode = m.Name
+	cfg.mode = m.Name
 	generate, execute := m.harness()
 	var sc Script
 	if script != nil {
 		sc = *script
 	} else {
-		sc = generate(cfg.Seed, GenConfig{
-			Clients: cfg.Clients, Ops: cfg.Ops,
-			Pressure: cfg.Pressure, NoBursts: cfg.NoBursts,
+		sc = generate(cfg.Seed, genConfig{
+			clients: cfg.Clients, ops: cfg.Ops,
+			pressure: cfg.Pressure, noBursts: cfg.NoBursts,
 		})
 	}
 	res := execute(sc, cfg)
@@ -66,7 +66,7 @@ func (m *Mode) Run(cfg Config, script *Script) *Result {
 	}
 	fails := func(cand Script) bool { return execute(cand, cfg).Violation != nil }
 	shrunk := shrink(sc, fails, shrinkBudget)
-	res.Shrunk = &shrunk
+	res.shrunk = &shrunk
 	res.Report = formatReport(res)
 	return res
 }
@@ -102,7 +102,7 @@ func (m *Mode) arm(cfg Config, opts cluster.Options) (cluster.Options, mcclient.
 // harnessFailure is the verdict for a run the harness could not carry
 // out (an operation failed in a way the configuration cannot explain).
 func harnessFailure(err error) *Violation {
-	return &Violation{Msg: "harness: " + err.Error()}
+	return &Violation{msg: "harness: " + err.Error()}
 }
 
 func formatRecord(r *memcached.OpRecord) string {
@@ -174,15 +174,15 @@ func quoteShort(v []byte) string {
 }
 
 func formatReport(res *Result) string {
-	cfg := res.Config
+	cfg := res.config
 	var b strings.Builder
 	b.WriteString("memcheck: VIOLATION\n")
-	mode := cfg.Mode
+	mode := cfg.mode
 	if mode == "" {
 		mode = Modes[0].Name
 	}
 	fmt.Fprintf(&b, "  mode=%s seed=%d transport=%s faults=%v pressure=%v nobursts=%v clients=%d ops=%d\n",
-		mode, cfg.Seed, cfg.Transport, cfg.Faults, cfg.Pressure, cfg.NoBursts, res.Script.Clients, len(res.Script.Ops))
+		mode, cfg.Seed, cfg.Transport, cfg.Faults, cfg.Pressure, cfg.NoBursts, res.script.clients, len(res.script.ops))
 	fmt.Fprintf(&b, "  violation: %s\n", res.Violation.Error())
 	fmt.Fprintf(&b, "  counters: %s\n", &res.Counters)
 	replay := fmt.Sprintf("go run ./cmd/mccheck -mode %s -transport %s -seed %d", mode, cfg.Transport, cfg.Seed)
@@ -205,19 +205,19 @@ func formatReport(res *Result) string {
 		replay += fmt.Sprintf(" -ops %d", cfg.Ops)
 	}
 	fmt.Fprintf(&b, "  replay: %s\n", replay)
-	if res.Shrunk != nil {
-		fmt.Fprintf(&b, "  shrunk script (%d ops, from %d; save and replay with -script FILE):\n", len(res.Shrunk.Ops), len(res.Script.Ops))
-		for _, line := range strings.Split(strings.TrimRight(formatScript(*res.Shrunk), "\n"), "\n") {
+	if res.shrunk != nil {
+		fmt.Fprintf(&b, "  shrunk script (%d ops, from %d; save and replay with -script FILE):\n", len(res.shrunk.ops), len(res.script.ops))
+		for _, line := range strings.Split(strings.TrimRight(formatScript(*res.shrunk), "\n"), "\n") {
 			b.WriteString("    " + line + "\n")
 		}
 	}
-	if n := len(res.History); n > 0 {
+	if n := len(res.history); n > 0 {
 		// Show the window ending just past the offending record (or the
 		// tail, for violations not tied to one record).
 		end := n
-		if res.Violation.Seq != 0 {
-			for i, r := range res.History {
-				if r.Seq == res.Violation.Seq {
+		if res.Violation.seq != 0 {
+			for i, r := range res.history {
+				if r.Seq == res.Violation.seq {
 					end = i + 4
 					break
 				}
@@ -231,7 +231,7 @@ func formatReport(res *Result) string {
 			start = 0
 		}
 		fmt.Fprintf(&b, "  history records %d..%d (of %d):\n", start, end-1, n)
-		for _, r := range res.History[start:end] {
+		for _, r := range res.history[start:end] {
 			b.WriteString("    " + formatRecord(r) + "\n")
 		}
 	}

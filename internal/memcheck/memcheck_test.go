@@ -18,7 +18,7 @@ func run(cfg Config) *Result                  { return runOn(cfg, nil) }
 func runScript(sc Script, cfg Config) *Result { return runOn(cfg, &sc) }
 
 func runOn(cfg Config, sc *Script) *Result {
-	m, err := ModeByName(cfg.Mode)
+	m, err := ModeByName(cfg.mode)
 	if err != nil {
 		panic(err)
 	}
@@ -45,7 +45,7 @@ func requirePass(t *testing.T, res *Result) {
 		}
 		t.Fatalf("unexpected violation: %s", res.Violation.Error())
 	}
-	if len(res.History) == 0 {
+	if len(res.history) == 0 {
 		t.Fatal("no history recorded")
 	}
 }
@@ -53,7 +53,7 @@ func requirePass(t *testing.T, res *Result) {
 func TestScriptRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, nb := range []bool{false, true} {
-			sc := generate(seed, GenConfig{Clients: 3, Ops: 200, NoBursts: nb})
+			sc := generate(seed, genConfig{clients: 3, ops: 200, noBursts: nb})
 			text := formatScript(sc)
 			back, err := ParseScript(text)
 			if err != nil {
@@ -77,7 +77,7 @@ func TestCleanSeeds(t *testing.T) {
 			if res.Violation != nil {
 				t.Errorf("%s seed %d:\n%s", tr, seed, res.Report)
 			}
-			batched += res.BatchedDrains
+			batched += res.batchedDrains
 		}
 		// Vacuity guard for the batch-scheduled serving loop: the default
 		// mix emits pipelined bursts, so UCR workers must have harvested
@@ -99,11 +99,11 @@ func TestOneSidedSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		var oneSided uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "onesided"})
+			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, mode: "onesided"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
-			oneSided += res.Paths.By[mcclient.PathOneSided].Hits
+			oneSided += res.paths.By[mcclient.PathOneSided].Hits
 		}
 		if oneSided == 0 {
 			t.Errorf("faults=%v: no get took the one-sided path", faults)
@@ -121,11 +121,11 @@ func TestSRQSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		var demux uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "srq"})
+			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, mode: "srq"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
-			demux += res.SRQDemux
+			demux += res.srqDemux
 		}
 		if demux == 0 {
 			t.Errorf("faults=%v: no completion was demuxed off the shared SRQ", faults)
@@ -144,12 +144,12 @@ func TestUDSeeds(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		var gets, retx uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, Mode: "ud"})
+			res := run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, mode: "ud"})
 			if res.Violation != nil {
 				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
 			}
-			gets += res.Paths.By[mcclient.PathUD].Hits
-			retx += res.Paths.By[mcclient.PathUD].Retries
+			gets += res.paths.By[mcclient.PathUD].Hits
+			retx += res.paths.By[mcclient.PathUD].Retries
 		}
 		if gets == 0 {
 			t.Errorf("faults=%v: no request rode the UD endpoint", faults)
@@ -199,7 +199,7 @@ func TestPressureSeeds(t *testing.T) {
 				t.Errorf("%s seed %d:\n%s", tr, seed, res.Report)
 			}
 			evicts := 0
-			for _, r := range res.History {
+			for _, r := range res.history {
 				if r.Kind == memcached.RecEvict {
 					evicts++
 				}
@@ -219,7 +219,7 @@ func sameHistoryTwice(t *testing.T, name string, cfg Config) {
 	requirePass(t, a)
 	b := run(cfg)
 	requirePass(t, b)
-	if ha, hb := formatHistory(a.History), formatHistory(b.History); ha != hb {
+	if ha, hb := formatHistory(a.history), formatHistory(b.history); ha != hb {
 		t.Errorf("%s: histories differ across identical runs\n%s", name, firstLineDiff(ha, hb))
 	}
 }
@@ -248,13 +248,13 @@ func TestLossySameSeedSameHistory(t *testing.T) {
 	}
 	rows := []Config{{Transport: cluster.UCRIB}, {Transport: cluster.IPoIB}}
 	for _, mode := range []string{"ud", "srq", "onesided", "wrreply"} {
-		rows = append(rows, Config{Transport: cluster.UCRIB, Mode: mode})
+		rows = append(rows, Config{Transport: cluster.UCRIB, mode: mode})
 	}
 	for _, cfg := range rows {
 		cfg.Faults, cfg.Ops = true, 150
 		for seed := uint64(1); seed <= 5; seed++ {
 			cfg.Seed = seed
-			sameHistoryTwice(t, fmt.Sprintf("%s mode=%q seed=%d", cfg.Transport, cfg.Mode, seed), cfg)
+			sameHistoryTwice(t, fmt.Sprintf("%s mode=%q seed=%d", cfg.Transport, cfg.mode, seed), cfg)
 		}
 	}
 }
@@ -294,10 +294,10 @@ func TestMutationsCaught(t *testing.T) {
 				if !strings.Contains(out.Report, "seed=") || !strings.Contains(out.Report, "replay:") {
 					t.Fatalf("report missing replay info:\n%s", out.Report)
 				}
-				if out.Shrunk == nil || len(out.Shrunk.Ops) == 0 || len(out.Shrunk.Ops) > len(out.Script.Ops) {
+				if out.shrunk == nil || len(out.shrunk.ops) == 0 || len(out.shrunk.ops) > len(out.script.ops) {
 					t.Fatalf("bad shrunk script")
 				}
-				t.Logf("mutation %v caught: mode=%s transport=%s seed=%d shrunk to %d ops", muts, mode.Name, tr, seed, len(out.Shrunk.Ops))
+				t.Logf("mutation %v caught: mode=%s transport=%s seed=%d shrunk to %d ops", muts, mode.Name, tr, seed, len(out.shrunk.ops))
 				return
 			}
 		}
@@ -316,8 +316,8 @@ func TestModelCatchesTamperedHistory(t *testing.T) {
 	requirePass(t, base)
 
 	tamper := func(name string, f func([]*memcached.OpRecord) bool) {
-		recs := make([]*memcached.OpRecord, len(base.History))
-		for i, r := range base.History {
+		recs := make([]*memcached.OpRecord, len(base.history))
+		for i, r := range base.history {
 			c := *r
 			recs[i] = &c
 		}
@@ -378,17 +378,17 @@ func TestModelCatchesTamperedHistory(t *testing.T) {
 // "failure" needs a set of k03 followed (anywhere) by a delete of k03.
 // The shrunk script must be exactly those two ops.
 func TestShrink(t *testing.T) {
-	sc := generate(99, GenConfig{Clients: 3, Ops: 120})
+	sc := generate(99, genConfig{clients: 3, ops: 120})
 	hasPair := func(s Script) bool {
 		seenSet := false
-		for _, op := range s.Ops {
-			if op.Key != "k03" {
+		for _, op := range s.ops {
+			if op.key != "k03" {
 				continue
 			}
-			if op.Code == OpSet {
+			if op.code == opSet {
 				seenSet = true
 			}
-			if op.Code == OpDelete && seenSet {
+			if op.code == opDelete && seenSet {
 				return true
 			}
 		}
@@ -396,18 +396,18 @@ func TestShrink(t *testing.T) {
 	}
 	if !hasPair(sc) {
 		// Make the predicate satisfiable regardless of the seed's luck.
-		sc.Ops = append(sc.Ops, ScriptOp{Code: OpSet, Key: "k03", Value: []byte("x")},
-			ScriptOp{Client: 1, Code: OpDelete, Key: "k03"})
+		sc.ops = append(sc.ops, scriptOp{code: opSet, key: "k03", value: []byte("x")},
+			scriptOp{client: 1, code: opDelete, key: "k03"})
 	}
 	out := shrink(sc, hasPair, 400)
 	if !hasPair(out) {
 		t.Fatal("shrunk script no longer fails")
 	}
-	if len(out.Ops) > 4 {
-		t.Errorf("shrunk to %d ops, want <= 4:\n%s", len(out.Ops), formatScript(out))
+	if len(out.ops) > 4 {
+		t.Errorf("shrunk to %d ops, want <= 4:\n%s", len(out.ops), formatScript(out))
 	}
-	if out.Clients != 1 {
-		t.Errorf("clients not collapsed: %d", out.Clients)
+	if out.clients != 1 {
+		t.Errorf("clients not collapsed: %d", out.clients)
 	}
 }
 
@@ -416,7 +416,7 @@ func TestReplayFromScriptText(t *testing.T) {
 		t.Skip("store mutations active")
 	}
 	cfg := Config{Transport: cluster.UCRIB, Seed: 55, Ops: 80}
-	sc := generate(cfg.Seed, GenConfig{Clients: cfg.Clients, Ops: cfg.Ops})
+	sc := generate(cfg.Seed, genConfig{clients: cfg.Clients, ops: cfg.Ops})
 	text := formatScript(sc)
 	back, err := ParseScript(text)
 	if err != nil {
@@ -426,7 +426,7 @@ func TestReplayFromScriptText(t *testing.T) {
 	requirePass(t, a)
 	b := runScript(back, cfg)
 	requirePass(t, b)
-	if formatHistory(a.History) != formatHistory(b.History) {
+	if formatHistory(a.history) != formatHistory(b.history) {
 		t.Error("replay from formatted script diverged from original")
 	}
 }

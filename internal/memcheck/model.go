@@ -12,15 +12,15 @@ import (
 // Violation is one reference-model disagreement (or cross-check
 // mismatch), anchored at the offending record's sequence number.
 type Violation struct {
-	Seq uint64 // 0 when not tied to one record (cross-check)
-	Msg string
+	seq uint64 // 0 when not tied to one record (cross-check)
+	msg string
 }
 
 func (v *Violation) Error() string {
-	if v.Seq != 0 {
-		return fmt.Sprintf("seq %d: %s", v.Seq, v.Msg)
+	if v.seq != 0 {
+		return fmt.Sprintf("seq %d: %s", v.seq, v.msg)
 	}
-	return v.Msg
+	return v.msg
 }
 
 // modelItem mirrors one live cache entry.
@@ -92,31 +92,31 @@ func checkModel(recs []*memcached.OpRecord) *Violation {
 }
 
 func fail(r *memcached.OpRecord, format string, args ...any) *Violation {
-	return &Violation{Seq: r.Seq, Msg: fmt.Sprintf("%s %q: ", r.Kind, r.Key) + fmt.Sprintf(format, args...)}
+	return &Violation{seq: r.Seq, msg: fmt.Sprintf("%s %q: ", r.Kind, r.Key) + fmt.Sprintf(format, args...)}
 }
 
 func (m *model) apply(r *memcached.OpRecord) *Violation {
 	var v *Violation
 	switch r.Kind {
-	case RecGet:
+	case recGet:
 		v = m.applyGet(r)
-	case RecSet:
+	case recSet:
 		v = m.applySet(r)
-	case RecAdd:
+	case recAdd:
 		v = m.applyAdd(r)
-	case RecReplace:
+	case recReplace:
 		v = m.applyReplace(r)
-	case RecCas:
+	case recCas:
 		v = m.applyCas(r)
-	case RecAppend, RecPrepend:
+	case recAppend, recPrepend:
 		v = m.applyConcat(r)
-	case RecDelete:
+	case recDelete:
 		v = m.applyDelete(r)
-	case RecIncr, RecDecr:
+	case recIncr, recDecr:
 		v = m.applyIncrDecr(r)
-	case RecTouch:
+	case recTouch:
 		v = m.applyTouch(r)
-	case RecFlushAll:
+	case recFlushAll:
 		if r.Horizon != r.Now+1 {
 			return fail(r, "horizon %d, want now+1 = %d", r.Horizon, r.Now+1)
 		}
@@ -124,9 +124,9 @@ func (m *model) apply(r *memcached.OpRecord) *Violation {
 			m.horizon = r.Horizon
 		}
 		return nil
-	case RecEvict:
+	case recEvict:
 		return m.applyEvict(r)
-	case RecExpire:
+	case recExpire:
 		v = m.applyExpire(r)
 	default:
 		return fail(r, "unknown record kind %d", r.Kind)
@@ -344,7 +344,7 @@ func (m *model) applyConcat(r *memcached.OpRecord) *Violation {
 		return fail(r, "old value %q, model %q", r.OldValue, old.value)
 	}
 	var want []byte
-	if r.Kind == RecPrepend {
+	if r.Kind == recPrepend {
 		want = append(append([]byte{}, r.Arg...), old.value...)
 	} else {
 		want = append(append([]byte{}, old.value...), r.Arg...)
@@ -425,7 +425,7 @@ func (m *model) applyIncrDecr(r *memcached.OpRecord) *Violation {
 		return nil
 	}
 	var want uint64
-	if r.Kind == RecIncr {
+	if r.Kind == recIncr {
 		want = cur + r.Delta // wraps at 2^64, like memcached
 	} else if r.Delta > cur {
 		want = 0
@@ -513,18 +513,18 @@ func (m *model) applyExpire(r *memcached.OpRecord) *Violation {
 
 // Kind aliases so the checker reads without the package qualifier.
 const (
-	RecGet      = memcached.RecGet
-	RecSet      = memcached.RecSet
-	RecAdd      = memcached.RecAdd
-	RecReplace  = memcached.RecReplace
-	RecAppend   = memcached.RecAppend
-	RecPrepend  = memcached.RecPrepend
-	RecCas      = memcached.RecCas
-	RecDelete   = memcached.RecDelete
-	RecIncr     = memcached.RecIncr
-	RecDecr     = memcached.RecDecr
-	RecTouch    = memcached.RecTouch
-	RecFlushAll = memcached.RecFlushAll
-	RecEvict    = memcached.RecEvict
-	RecExpire   = memcached.RecExpire
+	recGet      = memcached.RecGet
+	recSet      = memcached.RecSet
+	recAdd      = memcached.RecAdd
+	recReplace  = memcached.RecReplace
+	recAppend   = memcached.RecAppend
+	recPrepend  = memcached.RecPrepend
+	recCas      = memcached.RecCas
+	recDelete   = memcached.RecDelete
+	recIncr     = memcached.RecIncr
+	recDecr     = memcached.RecDecr
+	recTouch    = memcached.RecTouch
+	recFlushAll = memcached.RecFlushAll
+	recEvict    = memcached.RecEvict
+	recExpire   = memcached.RecExpire
 )

@@ -18,89 +18,89 @@ import (
 	"repro/internal/simnet"
 )
 
-// OpCode is one scripted client operation.
-type OpCode uint8
+// opCode is one scripted client operation.
+type opCode uint8
 
 // Script operation codes.
 const (
-	OpSet OpCode = iota + 1
-	OpAdd
-	OpReplace
-	OpAppend
-	OpPrepend
-	OpCas
-	OpGet
-	OpMGet
-	OpDelete
-	OpIncr
-	OpDecr
-	OpAdvance
-	OpFlush
-	OpBurst
+	opSet opCode = iota + 1
+	opAdd
+	opReplace
+	opAppend
+	opPrepend
+	opCas
+	opGet
+	opMGet
+	opDelete
+	opIncr
+	opDecr
+	opAdvance
+	opFlush
+	opBurst
 	// Fleet-mode churn ops (only generateFleet emits them; the
 	// single-server executor rejects them). Join brings up a fresh
-	// server; leave/crash target the Delta'th live member modulo the
+	// server; leave/crash target the delta'th live member modulo the
 	// CURRENT live count, so dropping earlier churn ops during ddmin
 	// still yields a runnable script.
-	OpJoin
-	OpLeave
-	OpCrash
+	opJoin
+	opLeave
+	opCrash
 )
 
-var opNames = map[OpCode]string{
-	OpSet: "set", OpAdd: "add", OpReplace: "replace", OpAppend: "append",
-	OpPrepend: "prepend", OpCas: "cas", OpGet: "get", OpMGet: "mget",
-	OpDelete: "del", OpIncr: "incr", OpDecr: "decr", OpAdvance: "adv",
-	OpFlush: "flush", OpBurst: "burst",
-	OpJoin: "join", OpLeave: "leave", OpCrash: "crash",
+var opNames = map[opCode]string{
+	opSet: "set", opAdd: "add", opReplace: "replace", opAppend: "append",
+	opPrepend: "prepend", opCas: "cas", opGet: "get", opMGet: "mget",
+	opDelete: "del", opIncr: "incr", opDecr: "decr", opAdvance: "adv",
+	opFlush: "flush", opBurst: "burst",
+	opJoin: "join", opLeave: "leave", opCrash: "crash",
 }
 
-var opByName = func() map[string]OpCode {
-	m := make(map[string]OpCode, len(opNames))
+var opByName = func() map[string]opCode {
+	m := make(map[string]opCode, len(opNames))
 	for k, v := range opNames {
 		m[v] = k
 	}
 	return m
 }()
 
-// ScriptOp is one operation in a workload script. Which fields matter
-// depends on Code; the zero values are valid everywhere else.
-type ScriptOp struct {
-	Client  int
-	Code    OpCode
-	Key     string
-	Keys    []string // mget
-	Value   []byte
-	Flags   uint32
-	Exptime int64
-	Delta   uint64          // incr/decr
-	Stale   bool            // cas: present a deliberately stale CAS id
-	Advance simnet.Duration // adv
-	Window  int             // burst
-	Sub     []ScriptOp      // burst sub-ops (set/get/del only)
+// scriptOp is one operation in a workload script. Which fields matter
+// depends on code; the zero values are valid everywhere else.
+type scriptOp struct {
+	client  int
+	code    opCode
+	key     string
+	keys    []string // mget
+	value   []byte
+	flags   uint32
+	exptime int64
+	delta   uint64          // incr/decr
+	stale   bool            // cas: present a deliberately stale CAS id
+	advance simnet.Duration // adv
+	window  int             // burst
+	sub     []scriptOp      // burst sub-ops (set/get/del only)
 }
 
 // Script is a replayable workload: the seed that generated it (0 for
 // hand-written scripts) plus the operation list.
 type Script struct {
-	Seed    uint64
-	Clients int
-	Ops     []ScriptOp
+	seed    uint64
+	clients int
+	ops     []scriptOp
 }
 
-// GenConfig tunes generate.
-type GenConfig struct {
-	Clients int
-	Ops     int
-	// Pressure shifts the value-size mix upward so a small-memory store
+// genConfig tunes generate.
+type genConfig struct {
+	clients int
+	ops     int
+	// pressure shifts the value-size mix upward so a small-memory store
 	// evicts constantly.
-	Pressure bool
-	// NoBursts drops pipelined bursts AND enables the TTL mix (nonzero
+	pressure bool
+	// noBursts drops pipelined bursts AND enables the TTL mix (nonzero
 	// exptimes, multi-second advances). The two are coupled on purpose:
 	// a burst's ops are stamped by worker clocks that run ahead of the
 	// issuing client's, so expiry boundaries only appear in scripts
 	// whose every op is stamped in issue order.
-	NoBursts bool
+	noBursts bool
 }
 
 // Key universes. Regular keys take the full op mix; counter keys take
@@ -122,25 +122,25 @@ func makeKeys(prefix string, n int) []string {
 }
 
 // generate builds a deterministic random workload from seed.
-func generate(seed uint64, cfg GenConfig) Script {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 3
+func generate(seed uint64, cfg genConfig) Script {
+	if cfg.clients <= 0 {
+		cfg.clients = 3
 	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 400
+	if cfg.ops <= 0 {
+		cfg.ops = 400
 	}
 	rng := simnet.NewRand(seed)
 	g := &generator{rng: rng, cfg: cfg}
-	sc := Script{Seed: seed, Clients: cfg.Clients}
-	for i := 0; i < cfg.Ops; i++ {
-		sc.Ops = append(sc.Ops, g.next())
+	sc := Script{seed: seed, clients: cfg.clients}
+	for i := 0; i < cfg.ops; i++ {
+		sc.ops = append(sc.ops, g.next())
 	}
 	return sc
 }
 
 type generator struct {
 	rng  *simnet.Rand
-	cfg  GenConfig
+	cfg  genConfig
 	vseq int // value uniqueness counter
 }
 
@@ -158,7 +158,7 @@ func (g *generator) value() []byte {
 // land in ONE large slab class (~101 KB chunks with the 1.25 growth
 // factor, 10 per page): eviction is per-shard AND per-class, so a size
 // spread across classes would starve the victim scan instead of
-// exercising it. Only OpSet carries these: over UCR a plain set is the
+// exercising it. Only opSet carries these: over UCR a plain set is the
 // one store with a rendezvous path past the eager threshold.
 func (g *generator) bigValue() []byte {
 	return g.sizedValue(100000 + g.rng.Intn(1000))
@@ -179,7 +179,7 @@ func (g *generator) sizedValue(n int) []byte {
 // the nonzero choices cover short relative TTLs (reachable via adv
 // ops), the 30-day relative/absolute cutover, and absolute times.
 func (g *generator) exptime() int64 {
-	if !g.cfg.NoBursts || g.rng.Intn(10) < 7 {
+	if !g.cfg.noBursts || g.rng.Intn(10) < 7 {
 		return 0
 	}
 	switch g.rng.Intn(5) {
@@ -196,30 +196,30 @@ func (g *generator) exptime() int64 {
 	}
 }
 
-func (g *generator) next() ScriptOp {
-	c := g.rng.Intn(g.cfg.Clients)
+func (g *generator) next() scriptOp {
+	c := g.rng.Intn(g.cfg.clients)
 	w := g.rng.Intn(100)
 	switch {
 	case w < 18:
 		v := g.value()
-		if g.cfg.Pressure {
+		if g.cfg.pressure {
 			v = g.bigValue()
 		}
-		return ScriptOp{Client: c, Code: OpSet, Key: g.key(), Value: v,
-			Flags: uint32(g.rng.Intn(1 << 16)), Exptime: g.exptime()}
+		return scriptOp{client: c, code: opSet, key: g.key(), value: v,
+			flags: uint32(g.rng.Intn(1 << 16)), exptime: g.exptime()}
 	case w < 24:
-		return ScriptOp{Client: c, Code: OpAdd, Key: g.key(), Value: g.value(),
-			Flags: uint32(g.rng.Intn(256)), Exptime: g.exptime()}
+		return scriptOp{client: c, code: opAdd, key: g.key(), value: g.value(),
+			flags: uint32(g.rng.Intn(256)), exptime: g.exptime()}
 	case w < 30:
-		return ScriptOp{Client: c, Code: OpReplace, Key: g.key(), Value: g.value(),
-			Flags: uint32(g.rng.Intn(256)), Exptime: g.exptime()}
+		return scriptOp{client: c, code: opReplace, key: g.key(), value: g.value(),
+			flags: uint32(g.rng.Intn(256)), exptime: g.exptime()}
 	case w < 35:
-		return ScriptOp{Client: c, Code: OpAppend, Key: g.key(), Value: g.value()}
+		return scriptOp{client: c, code: opAppend, key: g.key(), value: g.value()}
 	case w < 39:
-		return ScriptOp{Client: c, Code: OpPrepend, Key: g.key(), Value: g.value()}
+		return scriptOp{client: c, code: opPrepend, key: g.key(), value: g.value()}
 	case w < 47:
-		return ScriptOp{Client: c, Code: OpCas, Key: g.key(), Value: g.value(),
-			Flags: uint32(g.rng.Intn(256)), Exptime: g.exptime(), Stale: g.rng.Intn(2) == 0}
+		return scriptOp{client: c, code: opCas, key: g.key(), value: g.value(),
+			flags: uint32(g.rng.Intn(256)), exptime: g.exptime(), stale: g.rng.Intn(2) == 0}
 	case w < 65:
 		// Reads hit the whole keyspace, counters and burst keys included.
 		k := g.key()
@@ -228,20 +228,20 @@ func (g *generator) next() ScriptOp {
 		} else if r < 4 {
 			k = g.bkey()
 		}
-		return ScriptOp{Client: c, Code: OpGet, Key: k}
+		return scriptOp{client: c, code: opGet, key: k}
 	case w < 71:
 		n := 2 + g.rng.Intn(5)
 		keys := make([]string, 0, n)
 		for len(keys) < n {
 			keys = append(keys, g.key())
 		}
-		return ScriptOp{Client: c, Code: OpMGet, Keys: keys}
+		return scriptOp{client: c, code: opMGet, keys: keys}
 	case w < 77:
 		k := g.key()
 		if g.rng.Intn(5) == 0 {
 			k = g.counter()
 		}
-		return ScriptOp{Client: c, Code: OpDelete, Key: k}
+		return scriptOp{client: c, code: opDelete, key: k}
 	case w < 82:
 		// Counter setup: mostly numeric (sometimes huge, to reach the
 		// 2^64−1 wraparound), occasionally junk to exercise the
@@ -255,138 +255,138 @@ func (g *generator) next() ScriptOp {
 		default:
 			v = []byte(strconv.Itoa(g.rng.Intn(100000)))
 		}
-		return ScriptOp{Client: c, Code: OpSet, Key: g.counter(), Value: v}
+		return scriptOp{client: c, code: opSet, key: g.counter(), value: v}
 	case w < 87:
-		return ScriptOp{Client: c, Code: OpIncr, Key: g.counter(), Delta: uint64(1 + g.rng.Intn(1000))}
+		return scriptOp{client: c, code: opIncr, key: g.counter(), delta: uint64(1 + g.rng.Intn(1000))}
 	case w < 90:
-		return ScriptOp{Client: c, Code: OpDecr, Key: g.counter(), Delta: uint64(1 + g.rng.Intn(1000))}
+		return scriptOp{client: c, code: opDecr, key: g.counter(), delta: uint64(1 + g.rng.Intn(1000))}
 	case w < 97:
 		d := simnet.Duration(10+g.rng.Intn(5000)) * simnet.Microsecond
-		if g.cfg.NoBursts && g.rng.Intn(6) == 0 {
+		if g.cfg.noBursts && g.rng.Intn(6) == 0 {
 			// Big jumps make short TTLs actually expire mid-script.
 			d = simnet.Duration(1+g.rng.Intn(3)) * simnet.Second
 		}
-		return ScriptOp{Client: c, Code: OpAdvance, Advance: d}
+		return scriptOp{client: c, code: opAdvance, advance: d}
 	case w < 98:
-		return ScriptOp{Client: c, Code: OpFlush}
+		return scriptOp{client: c, code: opFlush}
 	default:
-		if g.cfg.NoBursts {
-			return ScriptOp{Client: c, Code: OpGet, Key: g.key()}
+		if g.cfg.noBursts {
+			return scriptOp{client: c, code: opGet, key: g.key()}
 		}
 		return g.burst(c)
 	}
 }
 
-// FleetKeys is the fleet-mode key universe: wide enough to spread over
+// fleetKeys is the fleet-mode key universe: wide enough to spread over
 // many owners so churn actually moves keys, narrow enough that every
 // key sees repeated traffic (read repair needs a get after a move).
-var FleetKeys = makeKeys("f", 32)
+var fleetKeys = makeKeys("f", 32)
 
 // generateFleet builds a deterministic fleet workload from seed:
-// set/get/del over FleetKeys interleaved with join/leave/crash churn
+// set/get/del over fleetKeys interleaved with join/leave/crash churn
 // and small clock advances. Only ops the fleet client supports appear;
 // everything stores with exptime 0 (ownership, not TTL, is under test),
 // so of cfg only Clients and Ops (default 300) apply.
-func generateFleet(seed uint64, cfg GenConfig) Script {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 3
+func generateFleet(seed uint64, cfg genConfig) Script {
+	if cfg.clients <= 0 {
+		cfg.clients = 3
 	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 300
+	if cfg.ops <= 0 {
+		cfg.ops = 300
 	}
 	rng := simnet.NewRand(seed)
-	g := &generator{rng: rng, cfg: GenConfig{Clients: cfg.Clients}}
-	sc := Script{Seed: seed, Clients: cfg.Clients}
-	for i := 0; i < cfg.Ops; i++ {
-		c := rng.Intn(cfg.Clients)
+	g := &generator{rng: rng, cfg: genConfig{clients: cfg.clients}}
+	sc := Script{seed: seed, clients: cfg.clients}
+	for i := 0; i < cfg.ops; i++ {
+		c := rng.Intn(cfg.clients)
 		w := rng.Intn(100)
-		var op ScriptOp
-		fkey := FleetKeys[rng.Intn(len(FleetKeys))]
+		var op scriptOp
+		fkey := fleetKeys[rng.Intn(len(fleetKeys))]
 		switch {
 		case w < 30:
-			op = ScriptOp{Client: c, Code: OpSet, Key: fkey, Value: g.value(),
-				Flags: uint32(rng.Intn(256))}
+			op = scriptOp{client: c, code: opSet, key: fkey, value: g.value(),
+				flags: uint32(rng.Intn(256))}
 		case w < 72:
-			op = ScriptOp{Client: c, Code: OpGet, Key: fkey}
+			op = scriptOp{client: c, code: opGet, key: fkey}
 		case w < 80:
-			op = ScriptOp{Client: c, Code: OpDelete, Key: fkey}
+			op = scriptOp{client: c, code: opDelete, key: fkey}
 		case w < 88:
-			op = ScriptOp{Client: c, Code: OpAdvance,
-				Advance: simnet.Duration(10+rng.Intn(2000)) * simnet.Microsecond}
+			op = scriptOp{client: c, code: opAdvance,
+				advance: simnet.Duration(10+rng.Intn(2000)) * simnet.Microsecond}
 		case w < 92:
-			op = ScriptOp{Client: c, Code: OpJoin}
+			op = scriptOp{client: c, code: opJoin}
 		case w < 96:
-			op = ScriptOp{Client: c, Code: OpLeave, Delta: uint64(rng.Intn(1 << 16))}
+			op = scriptOp{client: c, code: opLeave, delta: uint64(rng.Intn(1 << 16))}
 		default:
-			op = ScriptOp{Client: c, Code: OpCrash, Delta: uint64(rng.Intn(1 << 16))}
+			op = scriptOp{client: c, code: opCrash, delta: uint64(rng.Intn(1 << 16))}
 		}
-		sc.Ops = append(sc.Ops, op)
+		sc.ops = append(sc.ops, op)
 	}
 	return sc
 }
 
-func (g *generator) burst(c int) ScriptOp {
+func (g *generator) burst(c int) scriptOp {
 	window := 4 + g.rng.Intn(13)
 	n := window + g.rng.Intn(window+1)
-	sub := make([]ScriptOp, 0, n)
+	sub := make([]scriptOp, 0, n)
 	for i := 0; i < n; i++ {
 		switch g.rng.Intn(4) {
 		case 0, 1:
-			sub = append(sub, ScriptOp{Code: OpSet, Key: g.bkey(), Value: g.value(),
-				Flags: uint32(g.rng.Intn(256))})
+			sub = append(sub, scriptOp{code: opSet, key: g.bkey(), value: g.value(),
+				flags: uint32(g.rng.Intn(256))})
 		case 2:
-			sub = append(sub, ScriptOp{Code: OpGet, Key: g.bkey()})
+			sub = append(sub, scriptOp{code: opGet, key: g.bkey()})
 		default:
-			sub = append(sub, ScriptOp{Code: OpDelete, Key: g.bkey()})
+			sub = append(sub, scriptOp{code: opDelete, key: g.bkey()})
 		}
 	}
-	return ScriptOp{Client: c, Code: OpBurst, Window: window, Sub: sub}
+	return scriptOp{client: c, code: opBurst, window: window, sub: sub}
 }
 
 // formatScript renders a script in the replayable text form ParseScript
 // reads back.
 func formatScript(sc Script) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# memcheck script seed=%d clients=%d ops=%d\n", sc.Seed, sc.Clients, len(sc.Ops))
-	for _, op := range sc.Ops {
+	fmt.Fprintf(&b, "# memcheck script seed=%d clients=%d ops=%d\n", sc.seed, sc.clients, len(sc.ops))
+	for _, op := range sc.ops {
 		b.WriteString(formatOp(op, true))
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-func formatOp(op ScriptOp, withClient bool) string {
+func formatOp(op scriptOp, withClient bool) string {
 	var b strings.Builder
 	if withClient {
-		fmt.Fprintf(&b, "%d ", op.Client)
+		fmt.Fprintf(&b, "%d ", op.client)
 	}
-	b.WriteString(opNames[op.Code])
-	switch op.Code {
-	case OpSet, OpAdd, OpReplace, OpCas:
+	b.WriteString(opNames[op.code])
+	switch op.code {
+	case opSet, opAdd, opReplace, opCas:
 		mode := ""
-		if op.Code == OpCas {
+		if op.code == opCas {
 			mode = " fresh"
-			if op.Stale {
+			if op.stale {
 				mode = " stale"
 			}
 		}
-		fmt.Fprintf(&b, " %s %d %d%s %s", op.Key, op.Flags, op.Exptime, mode, strconv.Quote(string(op.Value)))
-	case OpAppend, OpPrepend:
-		fmt.Fprintf(&b, " %s %s", op.Key, strconv.Quote(string(op.Value)))
-	case OpGet, OpDelete:
-		fmt.Fprintf(&b, " %s", op.Key)
-	case OpMGet:
-		fmt.Fprintf(&b, " %s", strings.Join(op.Keys, ","))
-	case OpIncr, OpDecr:
-		fmt.Fprintf(&b, " %s %d", op.Key, op.Delta)
-	case OpAdvance:
-		fmt.Fprintf(&b, " %d", int64(op.Advance))
-	case OpFlush, OpJoin:
-	case OpLeave, OpCrash:
-		fmt.Fprintf(&b, " %d", op.Delta)
-	case OpBurst:
-		fmt.Fprintf(&b, " %d", op.Window)
-		for i, s := range op.Sub {
+		fmt.Fprintf(&b, " %s %d %d%s %s", op.key, op.flags, op.exptime, mode, strconv.Quote(string(op.value)))
+	case opAppend, opPrepend:
+		fmt.Fprintf(&b, " %s %s", op.key, strconv.Quote(string(op.value)))
+	case opGet, opDelete:
+		fmt.Fprintf(&b, " %s", op.key)
+	case opMGet:
+		fmt.Fprintf(&b, " %s", strings.Join(op.keys, ","))
+	case opIncr, opDecr:
+		fmt.Fprintf(&b, " %s %d", op.key, op.delta)
+	case opAdvance:
+		fmt.Fprintf(&b, " %d", int64(op.advance))
+	case opFlush, opJoin:
+	case opLeave, opCrash:
+		fmt.Fprintf(&b, " %d", op.delta)
+	case opBurst:
+		fmt.Fprintf(&b, " %d", op.window)
+		for i, s := range op.sub {
 			sep := " "
 			if i > 0 {
 				sep = " ; "
@@ -399,53 +399,53 @@ func formatOp(op ScriptOp, withClient bool) string {
 
 // ParseScript reads the formatScript form back.
 func ParseScript(text string) (Script, error) {
-	sc := Script{Clients: 1}
+	sc := Script{clients: 1}
 	for ln, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			fmt.Sscanf(line, "# memcheck script seed=%d clients=%d", &sc.Seed, &sc.Clients)
+			fmt.Sscanf(line, "# memcheck script seed=%d clients=%d", &sc.seed, &sc.clients)
 			continue
 		}
 		op, err := parseOpLine(line)
 		if err != nil {
 			return Script{}, fmt.Errorf("line %d: %w", ln+1, err)
 		}
-		if op.Client >= sc.Clients {
-			sc.Clients = op.Client + 1
+		if op.client >= sc.clients {
+			sc.clients = op.client + 1
 		}
-		sc.Ops = append(sc.Ops, op)
+		sc.ops = append(sc.ops, op)
 	}
 	return sc, nil
 }
 
-func parseOpLine(line string) (ScriptOp, error) {
+func parseOpLine(line string) (scriptOp, error) {
 	f := strings.Fields(line)
 	if len(f) < 2 {
-		return ScriptOp{}, fmt.Errorf("short line %q", line)
+		return scriptOp{}, fmt.Errorf("short line %q", line)
 	}
 	client, err := strconv.Atoi(f[0])
 	if err != nil {
-		return ScriptOp{}, fmt.Errorf("bad client %q", f[0])
+		return scriptOp{}, fmt.Errorf("bad client %q", f[0])
 	}
 	op, err := parseOp(f[1:])
 	if err != nil {
-		return ScriptOp{}, err
+		return scriptOp{}, err
 	}
-	op.Client = client
+	op.client = client
 	return op, nil
 }
 
-func parseOp(f []string) (ScriptOp, error) {
+func parseOp(f []string) (scriptOp, error) {
 	code, ok := opByName[f[0]]
 	if !ok {
-		return ScriptOp{}, fmt.Errorf("unknown op %q", f[0])
+		return scriptOp{}, fmt.Errorf("unknown op %q", f[0])
 	}
-	op := ScriptOp{Code: code}
-	bad := func() (ScriptOp, error) {
-		return ScriptOp{}, fmt.Errorf("malformed %s op: %q", f[0], strings.Join(f, " "))
+	op := scriptOp{code: code}
+	bad := func() (scriptOp, error) {
+		return scriptOp{}, fmt.Errorf("malformed %s op: %q", f[0], strings.Join(f, " "))
 	}
 	arg := func(i int) string {
 		if i < len(f) {
@@ -454,10 +454,10 @@ func parseOp(f []string) (ScriptOp, error) {
 		return ""
 	}
 	switch code {
-	case OpSet, OpAdd, OpReplace, OpCas:
+	case opSet, opAdd, opReplace, opCas:
 		vi := 4
-		if code == OpCas {
-			op.Stale = arg(4) == "stale"
+		if code == opCas {
+			op.stale = arg(4) == "stale"
 			vi = 5
 		}
 		if len(f) <= vi {
@@ -470,8 +470,8 @@ func parseOp(f []string) (ScriptOp, error) {
 		if e1 != nil || e2 != nil || e3 != nil {
 			return bad()
 		}
-		op.Key, op.Flags, op.Exptime, op.Value = arg(1), uint32(flags), expt, []byte(val)
-	case OpAppend, OpPrepend:
+		op.key, op.flags, op.exptime, op.value = arg(1), uint32(flags), expt, []byte(val)
+	case opAppend, opPrepend:
 		if len(f) <= 2 {
 			return bad()
 		}
@@ -479,48 +479,48 @@ func parseOp(f []string) (ScriptOp, error) {
 		if err != nil {
 			return bad()
 		}
-		op.Key, op.Value = arg(1), []byte(val)
-	case OpGet, OpDelete:
+		op.key, op.value = arg(1), []byte(val)
+	case opGet, opDelete:
 		if arg(1) == "" {
 			return bad()
 		}
-		op.Key = arg(1)
-	case OpMGet:
+		op.key = arg(1)
+	case opMGet:
 		if arg(1) == "" {
 			return bad()
 		}
-		op.Keys = strings.Split(arg(1), ",")
-	case OpIncr, OpDecr:
+		op.keys = strings.Split(arg(1), ",")
+	case opIncr, opDecr:
 		d, err := strconv.ParseUint(arg(2), 10, 64)
 		if err != nil {
 			return bad()
 		}
-		op.Key, op.Delta = arg(1), d
-	case OpAdvance:
+		op.key, op.delta = arg(1), d
+	case opAdvance:
 		d, err := strconv.ParseInt(arg(1), 10, 64)
 		if err != nil {
 			return bad()
 		}
-		op.Advance = simnet.Duration(d)
-	case OpFlush, OpJoin:
-	case OpLeave, OpCrash:
+		op.advance = simnet.Duration(d)
+	case opFlush, opJoin:
+	case opLeave, opCrash:
 		d, err := strconv.ParseUint(arg(1), 10, 64)
 		if err != nil {
 			return bad()
 		}
-		op.Delta = d
-	case OpBurst:
+		op.delta = d
+	case opBurst:
 		w, err := strconv.Atoi(arg(1))
 		if err != nil || len(f) < 3 {
 			return bad()
 		}
-		op.Window = w
+		op.window = w
 		for _, part := range strings.Split(strings.Join(f[2:], " "), " ; ") {
 			sub, err := parseOp(strings.Fields(part))
 			if err != nil {
-				return ScriptOp{}, err
+				return scriptOp{}, err
 			}
-			op.Sub = append(op.Sub, sub)
+			op.sub = append(op.sub, sub)
 		}
 	}
 	return op, nil

@@ -27,17 +27,17 @@ func shrink(sc Script, fails func(Script) bool, budget int) Script {
 
 	// ddmin over ops: remove progressively smaller chunks.
 	n := 2
-	for len(cur.Ops) > 1 && spent < budget {
-		chunk := (len(cur.Ops) + n - 1) / n
+	for len(cur.ops) > 1 && spent < budget {
+		chunk := (len(cur.ops) + n - 1) / n
 		reduced := false
-		for start := 0; start < len(cur.Ops) && spent < budget; start += chunk {
+		for start := 0; start < len(cur.ops) && spent < budget; start += chunk {
 			end := start + chunk
-			if end > len(cur.Ops) {
-				end = len(cur.Ops)
+			if end > len(cur.ops) {
+				end = len(cur.ops)
 			}
 			cand := cur
-			cand.Ops = append(append([]ScriptOp(nil), cur.Ops[:start]...), cur.Ops[end:]...)
-			if len(cand.Ops) == 0 {
+			cand.ops = append(append([]scriptOp(nil), cur.ops[:start]...), cur.ops[end:]...)
+			if len(cand.ops) == 0 {
 				continue
 			}
 			if try(cand) {
@@ -52,44 +52,44 @@ func shrink(sc Script, fails func(Script) bool, budget int) Script {
 			}
 		case chunk == 1:
 			// Already at single-op granularity and nothing was removable.
-			n = len(cur.Ops) + 1
+			n = len(cur.ops) + 1
 		default:
 			n *= 2
 		}
-		if n > len(cur.Ops) && chunk == 1 {
+		if n > len(cur.ops) && chunk == 1 {
 			break
 		}
-		if n > len(cur.Ops) {
-			n = len(cur.Ops)
+		if n > len(cur.ops) {
+			n = len(cur.ops)
 		}
 	}
 
 	// Burst flattening: a pipelined window that still fails as plain
 	// blocking ops makes a much more readable repro.
-	for i := 0; i < len(cur.Ops) && spent < budget; i++ {
-		op := cur.Ops[i]
-		if op.Code != OpBurst {
+	for i := 0; i < len(cur.ops) && spent < budget; i++ {
+		op := cur.ops[i]
+		if op.code != opBurst {
 			continue
 		}
 		cand := cur
-		flat := make([]ScriptOp, 0, len(cur.Ops)+len(op.Sub)-1)
-		flat = append(flat, cur.Ops[:i]...)
-		for _, sub := range op.Sub {
-			sub.Client = op.Client
+		flat := make([]scriptOp, 0, len(cur.ops)+len(op.sub)-1)
+		flat = append(flat, cur.ops[:i]...)
+		for _, sub := range op.sub {
+			sub.client = op.client
 			flat = append(flat, sub)
 		}
-		flat = append(flat, cur.Ops[i+1:]...)
-		cand.Ops = flat
+		flat = append(flat, cur.ops[i+1:]...)
+		cand.ops = flat
 		try(cand)
 	}
 
 	// Client collapsing: single-actor repros read best.
-	if cur.Clients > 1 && spent < budget {
+	if cur.clients > 1 && spent < budget {
 		cand := cur
-		cand.Clients = 1
-		cand.Ops = append([]ScriptOp(nil), cur.Ops...)
-		for i := range cand.Ops {
-			cand.Ops[i].Client = 0
+		cand.clients = 1
+		cand.ops = append([]scriptOp(nil), cur.ops...)
+		for i := range cand.ops {
+			cand.ops[i].client = 0
 		}
 		try(cand)
 	}

@@ -10,7 +10,7 @@ import (
 // no virtual time — so vns/op is 0, reported beside the other layers'.
 
 func benchRing() (*Ring, []string) {
-	r := Build(DefaultVNodes, []string{"s0", "s1", "s2", "s3"})
+	r := Build(defaultVNodes, []string{"s0", "s1", "s2", "s3"})
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key:%08d", i)

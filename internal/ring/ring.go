@@ -31,9 +31,9 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is libmemcached's ketama replica count: 40 md5 digests
+// defaultVNodes is libmemcached's ketama replica count: 40 md5 digests
 // per server, each contributing 4 ring points (160 points per server).
-const DefaultVNodes = 40
+const defaultVNodes = 40
 
 // Checker-validation mutation switches (see internal/memcached/mut_*.go
 // for the registry pattern). They live here because the fleet client
@@ -69,10 +69,10 @@ type Ring struct {
 
 // New returns an empty ring with the given virtual-node count (md5
 // digests per server; each digest yields 4 points). vnodes <= 0 takes
-// DefaultVNodes.
+// defaultVNodes.
 func New(vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+		vnodes = defaultVNodes
 	}
 	return &Ring{vnodes: vnodes, members: make(map[string]uint32)}
 }

@@ -270,7 +270,7 @@ func FuzzKetamaRing(f *testing.F) {
 // included — so placing one allocates nothing, and the point is still
 // md5's.
 func TestLookupZeroAlloc(t *testing.T) {
-	r := Build(DefaultVNodes, names(4))
+	r := Build(defaultVNodes, names(4))
 	buf := make([]string, 0, 2)
 	for _, size := range []int{17, 33, 250} {
 		key := strings.Repeat("k", size)

@@ -20,19 +20,19 @@ type DeliveryOutcome uint8
 const (
 	// Delivered means the message arrived intact.
 	Delivered DeliveryOutcome = iota
-	// Dropped means the message was lost in the fabric: it consumed the
+	// dropped means the message was lost in the fabric: it consumed the
 	// sender's uplink but never reached the receiver.
-	Dropped
-	// Corrupted means the message arrived but fails its checksum: it
+	dropped
+	// corrupted means the message arrived but fails its checksum: it
 	// consumed both links and is discarded at the receiver.
-	Corrupted
+	corrupted
 )
 
 func (o DeliveryOutcome) String() string {
 	switch o {
-	case Dropped:
+	case dropped:
 		return "dropped"
-	case Corrupted:
+	case corrupted:
 		return "corrupted"
 	default:
 		return "delivered"
@@ -130,12 +130,12 @@ func (fi *FaultInjector) judge(from, to *Node) DeliveryOutcome {
 	ps.n++
 	if fi.partitioned[k] {
 		fi.dropped++
-		return Dropped
+		return dropped
 	}
 	if ps.dropNext > 0 {
 		ps.dropNext--
 		fi.dropped++
-		return Dropped
+		return dropped
 	}
 	if fi.cfg.DropRate <= 0 && fi.cfg.CorruptRate <= 0 {
 		fi.delivered++
@@ -148,10 +148,10 @@ func (fi *FaultInjector) judge(from, to *Node) DeliveryOutcome {
 	switch {
 	case u < fi.cfg.DropRate:
 		fi.dropped++
-		return Dropped
+		return dropped
 	case u < fi.cfg.DropRate+fi.cfg.CorruptRate:
 		fi.corrupted++
-		return Corrupted
+		return corrupted
 	default:
 		fi.delivered++
 		return Delivered

@@ -81,9 +81,9 @@ func TestFaultDeterminism(t *testing.T) {
 	var drops, corrupts int
 	for _, o := range first {
 		switch o {
-		case Dropped:
+		case dropped:
 			drops++
-		case Corrupted:
+		case corrupted:
 			corrupts++
 		}
 	}
@@ -126,7 +126,7 @@ func TestFaultDropNextAndStats(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		_, outcome, err := f.DeliverFaulty(a, b, 0, 100)
-		if err != nil || outcome != Dropped {
+		if err != nil || outcome != dropped {
 			t.Fatalf("msg %d: outcome = %v err = %v, want Dropped", i, outcome, err)
 		}
 	}
@@ -151,10 +151,10 @@ func TestFaultPartitionHeal(t *testing.T) {
 	f.SetFaults(fi)
 
 	fi.Partition(a, b)
-	if _, outcome, _ := f.DeliverFaulty(a, b, 0, 10); outcome != Dropped {
+	if _, outcome, _ := f.DeliverFaulty(a, b, 0, 10); outcome != dropped {
 		t.Fatalf("partitioned a→b outcome = %v, want Dropped", outcome)
 	}
-	if _, outcome, _ := f.DeliverFaulty(b, a, 0, 10); outcome != Dropped {
+	if _, outcome, _ := f.DeliverFaulty(b, a, 0, 10); outcome != dropped {
 		t.Fatalf("partitioned b→a outcome = %v, want Dropped", outcome)
 	}
 	fi.Heal(a, b)
@@ -170,7 +170,7 @@ func TestFaultDropChargesUplinkOnly(t *testing.T) {
 	f.SetFaults(fi)
 	fi.DropNext(a, b, 1)
 
-	if _, outcome, _ := f.DeliverFaulty(a, b, 0, 1000); outcome != Dropped {
+	if _, outcome, _ := f.DeliverFaulty(a, b, 0, 1000); outcome != dropped {
 		t.Fatal("expected drop")
 	}
 	util := f.Utilization()

@@ -7,7 +7,6 @@ import "fmt"
 // a Chelsio 10GigE NIC, like the paper's Intel Clovertown machines).
 type Node struct {
 	name string
-	net  *Network
 	id   int
 
 	failed bool
@@ -41,7 +40,7 @@ func (nw *Network) Executor() *Executor { return nw.exec }
 
 // AddNode creates a node with the given name.
 func (nw *Network) AddNode(name string) *Node {
-	n := &Node{name: name, net: nw, id: len(nw.nodes)}
+	n := &Node{name: name, id: len(nw.nodes)}
 	nw.nodes = append(nw.nodes, n)
 	return n
 }
@@ -123,17 +122,17 @@ func (f *Fabric) links(n *Node) (up, down *Resource) {
 	return f.up[n.id], f.down[n.id]
 }
 
-// ErrUnreachable is returned by Deliver when either end is unattached or
+// errUnreachable is returned by Deliver when either end is unattached or
 // has failed.
-type ErrUnreachable struct {
-	Fabric string
-	From   string
-	To     string
-	Reason string
+type errUnreachable struct {
+	fabric string
+	from   string
+	to     string
+	reason string
 }
 
-func (e *ErrUnreachable) Error() string {
-	return fmt.Sprintf("simnet: %s: %s -> %s unreachable: %s", e.Fabric, e.From, e.To, e.Reason)
+func (e *errUnreachable) Error() string {
+	return fmt.Sprintf("simnet: %s: %s -> %s unreachable: %s", e.fabric, e.from, e.to, e.reason)
 }
 
 // Deliver computes the arrival time of a message of the given size sent
@@ -146,15 +145,15 @@ func (e *ErrUnreachable) Error() string {
 // the transport layers (verbs, sockstream) that call it.
 func (f *Fabric) Deliver(from, to *Node, sendAt Time, bytes int) (arrive Time, err error) {
 	if from.failed {
-		return 0, &ErrUnreachable{f.spec.Name, from.name, to.name, "sender failed"}
+		return 0, &errUnreachable{f.spec.Name, from.name, to.name, "sender failed"}
 	}
 	if to.failed {
-		return 0, &ErrUnreachable{f.spec.Name, from.name, to.name, "receiver failed"}
+		return 0, &errUnreachable{f.spec.Name, from.name, to.name, "receiver failed"}
 	}
 	upRes, _ := f.links(from)
 	_, downRes := f.links(to)
 	if upRes == nil || downRes == nil {
-		return 0, &ErrUnreachable{f.spec.Name, from.name, to.name, "not attached"}
+		return 0, &errUnreachable{f.spec.Name, from.name, to.name, "not attached"}
 	}
 	if bytes < 0 {
 		bytes = 0
@@ -199,15 +198,15 @@ func (f *Fabric) DeliverFaulty(from, to *Node, sendAt Time, bytes int) (arrive T
 		return arrive, Delivered, err
 	}
 	if from.failed {
-		return 0, Delivered, &ErrUnreachable{f.spec.Name, from.name, to.name, "sender failed"}
+		return 0, Delivered, &errUnreachable{f.spec.Name, from.name, to.name, "sender failed"}
 	}
 	if to.failed {
-		return 0, Delivered, &ErrUnreachable{f.spec.Name, from.name, to.name, "receiver failed"}
+		return 0, Delivered, &errUnreachable{f.spec.Name, from.name, to.name, "receiver failed"}
 	}
 	upRes, _ := f.links(from)
 	_, downRes := f.links(to)
 	if upRes == nil || downRes == nil {
-		return 0, Delivered, &ErrUnreachable{f.spec.Name, from.name, to.name, "not attached"}
+		return 0, Delivered, &errUnreachable{f.spec.Name, from.name, to.name, "not attached"}
 	}
 	if bytes < 0 {
 		bytes = 0
@@ -216,9 +215,9 @@ func (f *Fabric) DeliverFaulty(from, to *Node, sendAt Time, bytes int) (arrive T
 	tx := BytesDuration(bytes, f.spec.LinkBytesPerSec)
 	upStart := upRes.Acquire(sendAt, tx)
 	atSwitch := upStart + tx + f.spec.Propagation/2 + f.spec.SwitchDelay
-	if outcome == Dropped {
+	if outcome == dropped {
 		// Lost in the fabric: uplink was consumed, receiver never sees it.
-		return atSwitch, Dropped, nil
+		return atSwitch, dropped, nil
 	}
 	downStart := downRes.Acquire(atSwitch, tx)
 	return downStart + tx + f.spec.Propagation/2, outcome, nil

@@ -307,7 +307,7 @@ func TestFabricUnattached(t *testing.T) {
 	if _, err := f.Deliver(a, c, 0, 10); err == nil {
 		t.Fatal("Deliver to unattached node should error")
 	}
-	var ue *ErrUnreachable
+	var ue *errUnreachable
 	_, err := f.Deliver(a, c, 0, 10)
 	if !asErr(err, &ue) {
 		t.Fatalf("error type = %T, want *ErrUnreachable", err)
@@ -316,8 +316,8 @@ func TestFabricUnattached(t *testing.T) {
 
 // asErr is a tiny errors.As for the one type we need (keeps the test
 // independent of wrapping conventions).
-func asErr(err error, target **ErrUnreachable) bool {
-	if e, ok := err.(*ErrUnreachable); ok {
+func asErr(err error, target **errUnreachable) bool {
+	if e, ok := err.(*errUnreachable); ok {
 		*target = e
 		return true
 	}

@@ -53,13 +53,13 @@ func TestWriteRetransmitsAfterRTO(t *testing.T) {
 	}
 }
 
-// Persistent loss exhausts rtoRetries and surfaces ErrUnreachable.
+// Persistent loss exhausts rtoRetries and surfaces errUnreachable.
 func TestWriteUnreachableAfterRetryExhaustion(t *testing.T) {
 	e := newEnv(t)
 	cli, _ := connPair(t, e)
 	e.fab.SetFaults(simnet.NewFaultInjector(simnet.FaultConfig{Seed: 1, DropRate: 1.0}))
 
-	if _, err := cli.Write([]byte("doomed")); err != ErrUnreachable {
+	if _, err := cli.Write([]byte("doomed")); err != errUnreachable {
 		t.Fatalf("Write under 100%% loss = %v, want ErrUnreachable", err)
 	}
 	if got := e.prov.Retransmits(); got != rtoRetries {

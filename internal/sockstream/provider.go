@@ -92,10 +92,10 @@ const rtoRetries = 8
 
 // Stream errors.
 var (
-	ErrClosed      = errors.New("sockstream: connection closed")
-	ErrRefusedConn = errors.New("sockstream: connection refused")
-	ErrDialTimeout = errors.New("sockstream: dial timed out")
-	ErrUnreachable = errors.New("sockstream: peer unreachable")
+	errClosed      = errors.New("sockstream: connection closed")
+	errRefusedConn = errors.New("sockstream: connection refused")
+	errDialTimeout = errors.New("sockstream: dial timed out")
+	errUnreachable = errors.New("sockstream: peer unreachable")
 )
 
 func (p *Provider) init() {
@@ -159,7 +159,6 @@ type dialReq struct {
 }
 
 type dialReply struct {
-	remote *endpoint
 	sentAt simnet.Time
 	err    error
 }
@@ -215,7 +214,7 @@ func (l *Listener) complete(req *dialReq, clk *simnet.VClock) *Conn {
 	local := newEndpoint(l.p, l.node)
 	local.peer = req.remote
 	req.remote.peer = local
-	req.reply.Put(dialReply{remote: local, sentAt: clk.Now()})
+	req.reply.Put(dialReply{sentAt: clk.Now()})
 	return &Conn{ep: local, clk: clk}
 }
 
@@ -227,7 +226,7 @@ func (l *Listener) Close() {
 
 // Dial connects from a node to a service on a remote node. The SYN/ACK
 // round trip plus ConnSetup is charged to clk. An acceptor that never
-// comes ends the wait with ErrDialTimeout: a listener owned by an actor
+// comes ends the wait with errDialTimeout: a listener owned by an actor
 // is known dead when the simulation goes idle; only for an acceptor on a
 // goroutine of its own, which may not have started yet, does realCap
 // bound the wait in real time.
@@ -235,11 +234,11 @@ func (p *Provider) Dial(from, to *simnet.Node, service string, clk *simnet.VCloc
 	p.init()
 	q := p.listeners[to.Name()+"/"+service]
 	if q == nil {
-		return nil, ErrRefusedConn
+		return nil, errRefusedConn
 	}
 	arrive, err := p.Fabric.Deliver(from, to, clk.Now(), 64+p.WireHeader)
 	if err != nil {
-		return nil, ErrUnreachable
+		return nil, errUnreachable
 	}
 	local := newEndpoint(p, from)
 	req := &dialReq{remote: local, arrive: arrive, reply: simnet.NewMailboxOn[dialReply](p.Fabric.Executor())}
@@ -252,17 +251,17 @@ func (p *Provider) Dial(from, to *simnet.Node, service string, clk *simnet.VCloc
 		rep, ok, timedOut = req.reply.RecvTimeout(realCap)
 	}
 	if timedOut {
-		return nil, ErrDialTimeout
+		return nil, errDialTimeout
 	}
 	if !ok {
-		return nil, ErrRefusedConn
+		return nil, errRefusedConn
 	}
 	if rep.err != nil {
 		return nil, rep.err
 	}
 	back, err := p.Fabric.Deliver(to, from, rep.sentAt, 64+p.WireHeader)
 	if err != nil {
-		return nil, ErrUnreachable
+		return nil, errUnreachable
 	}
 	clk.AdvanceTo(back)
 	clk.Advance(p.ConnSetup)
@@ -373,7 +372,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	ep := c.ep
 	peer := ep.peer
 	if ep.closed || peer == nil {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	p := ep.p
 	c.clk.Advance(p.SendSyscall)
@@ -393,7 +392,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		}
 		arrive, outcome, err := p.Fabric.DeliverFaulty(ep.node, peer.node, sendAt+p.SendDeferred, n+p.WireHeader)
 		if err != nil {
-			return written, ErrUnreachable
+			return written, errUnreachable
 		}
 		if outcome != simnet.Delivered {
 			// Kernel TCP retransmission: the caller's thread is NOT
@@ -411,7 +410,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 				rto *= 2
 				arrive, outcome, err = p.Fabric.DeliverFaulty(ep.node, peer.node, txAt, n+p.WireHeader)
 				if err != nil {
-					return written, ErrUnreachable
+					return written, errUnreachable
 				}
 				if outcome == simnet.Delivered {
 					ok = true
@@ -419,7 +418,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 				}
 			}
 			if !ok {
-				return written, ErrUnreachable
+				return written, errUnreachable
 			}
 		}
 		chunk := peer.takeSeg(n)

@@ -81,7 +81,7 @@ func connPair(t testing.TB, e *env) (cli, srv *Conn) {
 func TestDialRefused(t *testing.T) {
 	e := newEnv(t)
 	clk := simnet.NewVClock(0)
-	if _, err := e.prov.Dial(e.a, e.b, "nobody", clk, time.Second); err != ErrRefusedConn {
+	if _, err := e.prov.Dial(e.a, e.b, "nobody", clk, time.Second); err != errRefusedConn {
 		t.Fatalf("err = %v, want ErrRefusedConn", err)
 	}
 }
@@ -94,7 +94,7 @@ func TestDialTimeout(t *testing.T) {
 	}
 	defer lis.Close()
 	clk := simnet.NewVClock(0)
-	if _, err := e.prov.Dial(e.a, e.b, "svc", clk, 20*time.Millisecond); err != ErrDialTimeout {
+	if _, err := e.prov.Dial(e.a, e.b, "svc", clk, 20*time.Millisecond); err != errDialTimeout {
 		t.Fatalf("err = %v, want ErrDialTimeout", err)
 	}
 }
@@ -275,10 +275,10 @@ func TestCloseEOF(t *testing.T) {
 		t.Fatalf("err = %v, want io.EOF", err)
 	}
 	// Writing on a closed conn errors.
-	if _, err := cli.Write([]byte("x")); err != ErrClosed {
+	if _, err := cli.Write([]byte("x")); err != errClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
-	if _, err := srv.Write([]byte("x")); err != ErrClosed {
+	if _, err := srv.Write([]byte("x")); err != errClosed {
 		t.Fatalf("peer write err = %v, want ErrClosed", err)
 	}
 	cli.Close() // idempotent
@@ -288,7 +288,7 @@ func TestWriteToFailedPeer(t *testing.T) {
 	e := newEnv(t)
 	cli, _ := connPair(t, e)
 	e.b.Fail()
-	if _, err := cli.Write([]byte("x")); err != ErrUnreachable {
+	if _, err := cli.Write([]byte("x")); err != errUnreachable {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
 }

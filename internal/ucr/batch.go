@@ -79,7 +79,7 @@ func (c *Context) WaitCounterBatch(clk *simnet.VClock, ctr *Counter, target uint
 			return ErrTimeout
 		}
 		if !ok {
-			return ErrClosed
+			return errClosed
 		}
 		c.dispatch(clk, &wc)
 		if wc.Time <= polled && c.Sweep(clk, batch-1) > 0 {

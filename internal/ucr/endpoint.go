@@ -93,14 +93,14 @@ func (ep *Endpoint) waitCredit(clk *simnet.VClock) error {
 	deadline := clk.Now() + simnet.Second
 	for ep.sendCredits <= 0 {
 		if ep.failed {
-			return ErrEndpointDown
+			return errEndpointDown
 		}
 		ok, timedOut := ep.ctx.progressDeadline(clk, deadline)
 		if timedOut {
 			return ErrTimeout
 		}
 		if !ok {
-			return ErrClosed
+			return errClosed
 		}
 	}
 	return nil
@@ -109,7 +109,7 @@ func (ep *Endpoint) waitCredit(clk *simnet.VClock) error {
 // sendPacket encodes and posts one packet, tracking its completion.
 func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr CounterID, packCost int) error {
 	if ep.failed {
-		return ErrEndpointDown
+		return errEndpointDown
 	}
 	if err := ep.waitCredit(clk); err != nil {
 		return err
@@ -130,7 +130,7 @@ func (ep *Endpoint) sendPacket(clk *simnet.VClock, pkt *packet, originCtr Counte
 		ep.ctx.posted.take(id)
 		ep.ctx.cq.Recycle(buf)
 		ep.markFailed()
-		return ErrEndpointDown
+		return errEndpointDown
 	}
 	if !ep.noCredits {
 		ep.sendCredits--
@@ -161,7 +161,7 @@ func (ep *Endpoint) sendAck(clk *simnet.VClock, originCtr, complCtr CounterID, s
 // by the target with RDMA Read.
 func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, originCtr *Counter, targetCtrID CounterID, complCtr *Counter) error {
 	if ep.failed {
-		return ErrEndpointDown
+		return errEndpointDown
 	}
 	total := len(hdr) + len(data)
 	if total <= ep.MaxEager() {
@@ -182,10 +182,10 @@ func (ep *Endpoint) Send(clk *simnet.VClock, msgID uint8, hdr, data []byte, orig
 	}
 	if ep.rel == Unreliable {
 		// Rendezvous needs reliable delivery of the header and ack.
-		return ErrTooLarge
+		return errTooLarge
 	}
 	if len(hdr) > ep.MaxEager() {
-		return ErrTooLarge
+		return errTooLarge
 	}
 	// Rendezvous: expose data for the target's RDMA Read (Fig 2a). The
 	// registration cache makes repeat sends of the same buffer free. The

@@ -51,7 +51,7 @@ func TestAMTimeoutIsolatesEndpointNotRuntime(t *testing.T) {
 	fi.Partition(w.cliNode, w.srvNode)
 
 	err := w.request(t, ep, "cut", []byte("c"), 50*simnet.Microsecond)
-	if err != ErrTimeout && err != ErrEndpointDown {
+	if err != ErrTimeout && err != errEndpointDown {
 		t.Fatalf("request across partition = %v, want timeout or endpoint-down", err)
 	}
 	// Retry exhaustion surfaced as a send-completion error, which the
@@ -59,7 +59,7 @@ func TestAMTimeoutIsolatesEndpointNotRuntime(t *testing.T) {
 	if !ep.Failed() {
 		t.Fatal("endpoint not isolated after partition")
 	}
-	if err := ep.Send(w.cliClk, midRequest, make([]byte, 16), []byte("x"), nil, 0, nil); err != ErrEndpointDown {
+	if err := ep.Send(w.cliClk, midRequest, make([]byte, 16), []byte("x"), nil, 0, nil); err != errEndpointDown {
 		t.Fatalf("send on isolated endpoint = %v, want ErrEndpointDown", err)
 	}
 
@@ -83,7 +83,7 @@ func TestMarkFailedIsolatesEndpoint(t *testing.T) {
 	if !ep.Failed() {
 		t.Fatal("MarkFailed did not stick")
 	}
-	if err := ep.Send(w.cliClk, midRequest, make([]byte, 16), nil, nil, 0, nil); err != ErrEndpointDown {
+	if err := ep.Send(w.cliClk, midRequest, make([]byte, 16), nil, nil, 0, nil); err != errEndpointDown {
 		t.Fatalf("send on marked endpoint = %v, want ErrEndpointDown", err)
 	}
 }

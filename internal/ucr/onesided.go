@@ -100,13 +100,13 @@ func (ep *Endpoint) Get(clk *simnet.VClock, local []byte, src WindowDesc, offset
 
 func (ep *Endpoint) oneSided(clk *simnet.VClock, op verbs.Opcode, local []byte, win WindowDesc, offset int, originCtr *Counter) error {
 	if ep.failed {
-		return ErrEndpointDown
+		return errEndpointDown
 	}
 	if ep.rel != Reliable {
-		return ErrNeedReliable
+		return errNeedReliable
 	}
 	if offset < 0 || offset+len(local) > win.Len {
-		return ErrWindowBounds
+		return errWindowBounds
 	}
 	id := ep.ctx.posted.put(postedWR{kind: wrOneSided, ep: ep, originCtr: originCtr.ID()})
 	err := ep.qp.PostSend(clk, verbs.SendWR{
@@ -119,7 +119,7 @@ func (ep *Endpoint) oneSided(clk *simnet.VClock, op verbs.Opcode, local []byte, 
 	if err != nil {
 		ep.ctx.posted.take(id)
 		ep.markFailed()
-		return ErrEndpointDown
+		return errEndpointDown
 	}
 	return nil
 }
@@ -131,13 +131,13 @@ func (ep *Endpoint) oneSided(clk *simnet.VClock, op verbs.Opcode, local []byte, 
 // The call blocks, driving progress until the atomic completes.
 func (ep *Endpoint) FetchAdd(clk *simnet.VClock, win WindowDesc, offset int, delta uint64) (uint64, error) {
 	if ep.failed {
-		return 0, ErrEndpointDown
+		return 0, errEndpointDown
 	}
 	if ep.rel != Reliable {
-		return 0, ErrNeedReliable
+		return 0, errNeedReliable
 	}
 	if offset < 0 || offset+8 > win.Len {
-		return 0, ErrWindowBounds
+		return 0, errWindowBounds
 	}
 	var result uint64
 	done := ep.ctx.rt.NewCounter() // local-only progress counter; never leaves this host
@@ -147,7 +147,7 @@ func (ep *Endpoint) FetchAdd(clk *simnet.VClock, win WindowDesc, offset int, del
 	if err := ep.qp.PostAtomic(clk, wr); err != nil {
 		ep.ctx.posted.take(id)
 		ep.markFailed()
-		return 0, ErrEndpointDown
+		return 0, errEndpointDown
 	}
 	// Wait by hand rather than via WaitCounter: an error-status WC marks
 	// the endpoint failed without bumping done, and on any exit without a
@@ -157,7 +157,7 @@ func (ep *Endpoint) FetchAdd(clk *simnet.VClock, win WindowDesc, offset int, del
 	for done.Value() < 1 {
 		if ep.failed {
 			ep.ctx.posted.take(id)
-			return 0, ErrEndpointDown
+			return 0, errEndpointDown
 		}
 		ok, timedOut := ep.ctx.progressDeadline(clk, deadline)
 		if timedOut {
@@ -166,11 +166,11 @@ func (ep *Endpoint) FetchAdd(clk *simnet.VClock, win WindowDesc, offset int, del
 		}
 		if !ok {
 			ep.ctx.posted.take(id)
-			return 0, ErrClosed
+			return 0, errClosed
 		}
 	}
 	if ep.failed {
-		return 0, ErrEndpointDown
+		return 0, errEndpointDown
 	}
 	return result, nil
 }

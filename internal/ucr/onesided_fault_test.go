@@ -34,7 +34,7 @@ func TestOneSidedZeroLengthAtEdge(t *testing.T) {
 		t.Fatalf("zero-length Put did not complete: %v", err)
 	}
 	// One byte past the edge is out of bounds.
-	if err := ep.Get(w.cliClk, make([]byte, 1), desc, 64, nil); err != ErrWindowBounds {
+	if err := ep.Get(w.cliClk, make([]byte, 1), desc, 64, nil); err != errWindowBounds {
 		t.Fatalf("one past edge err = %v, want ErrWindowBounds", err)
 	}
 }
@@ -130,14 +130,14 @@ func TestAtomicOnFailedEndpointIsPrompt(t *testing.T) {
 	desc := win.Desc()
 	win.Close()
 
-	if _, err := ep.FetchAdd(w.cliClk, desc, 0, 1); err != ErrEndpointDown {
+	if _, err := ep.FetchAdd(w.cliClk, desc, 0, 1); err != errEndpointDown {
 		t.Fatalf("err = %v, want ErrEndpointDown", err)
 	}
 	if n := w.cliCtx.inFlight(wrOneSided); n != 0 {
 		t.Fatalf("leaked %d one-sided WR entries", n)
 	}
 	// Further atomics fail fast on the downed endpoint.
-	if _, err := ep.FetchAdd(w.cliClk, desc, 0, 1); err != ErrEndpointDown {
+	if _, err := ep.FetchAdd(w.cliClk, desc, 0, 1); err != errEndpointDown {
 		t.Fatalf("second err = %v, want ErrEndpointDown", err)
 	}
 }
@@ -147,7 +147,7 @@ func TestAtomicOnFailedEndpointIsPrompt(t *testing.T) {
 // registered — a peer can still read it — until the last reference is
 // released. The server runtime's cache is probed so the client can read.
 func TestRegCacheEvictionDefersDereg(t *testing.T) {
-	w := newWorld(t, Config{EagerThreshold: 512, RegCacheEntries: 1})
+	w := newWorld(t, Config{EagerThreshold: 512, regCacheEntries: 1})
 	w.installClientReply()
 	ep := w.dial(t, Reliable)
 	bufA := make([]byte, 4096)
@@ -191,7 +191,7 @@ func TestRegCacheEvictionDefersDereg(t *testing.T) {
 // send evicts the first's MR while the target may still be reading it.
 // Both transfers must complete intact.
 func TestRegCacheInFlightEviction(t *testing.T) {
-	w := newWorld(t, Config{EagerThreshold: 512, RegCacheEntries: 1})
+	w := newWorld(t, Config{EagerThreshold: 512, regCacheEntries: 1})
 	w.installClientReply()
 	ep := w.dial(t, Reliable)
 	bufA := make([]byte, 8192)

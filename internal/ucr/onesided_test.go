@@ -86,10 +86,10 @@ func TestOneSidedBounds(t *testing.T) {
 	}
 	defer win.Close()
 	desc := win.Desc()
-	if err := ep.Put(w.cliClk, make([]byte, 32), desc, 40, nil); err != ErrWindowBounds {
+	if err := ep.Put(w.cliClk, make([]byte, 32), desc, 40, nil); err != errWindowBounds {
 		t.Fatalf("overflow err = %v", err)
 	}
-	if err := ep.Get(w.cliClk, make([]byte, 8), desc, -1, nil); err != ErrWindowBounds {
+	if err := ep.Get(w.cliClk, make([]byte, 8), desc, -1, nil); err != errWindowBounds {
 		t.Fatalf("negative offset err = %v", err)
 	}
 }
@@ -103,10 +103,10 @@ func TestOneSidedRequiresReliable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer win.Close()
-	if err := ep.Put(w.cliClk, make([]byte, 8), win.Desc(), 0, nil); err != ErrNeedReliable {
+	if err := ep.Put(w.cliClk, make([]byte, 8), win.Desc(), 0, nil); err != errNeedReliable {
 		t.Fatalf("UD Put err = %v, want ErrNeedReliable", err)
 	}
-	if err := ep.Get(w.cliClk, make([]byte, 8), win.Desc(), 0, nil); err != ErrNeedReliable {
+	if err := ep.Get(w.cliClk, make([]byte, 8), win.Desc(), 0, nil); err != errNeedReliable {
 		t.Fatalf("UD Get err = %v, want ErrNeedReliable", err)
 	}
 }
@@ -164,7 +164,7 @@ func TestRegCacheReuse(t *testing.T) {
 }
 
 func TestRegCacheEviction(t *testing.T) {
-	w := newWorld(t, Config{EagerThreshold: 512, RegCacheEntries: 2})
+	w := newWorld(t, Config{EagerThreshold: 512, regCacheEntries: 2})
 	w.installClientReply()
 	ep := w.dial(t, Reliable)
 	bufs := [][]byte{
@@ -219,12 +219,12 @@ func TestAtomicFetchAddOverEndpoint(t *testing.T) {
 		t.Fatalf("cell = %d, want 50", got)
 	}
 	// Bounds check.
-	if _, err := ep.FetchAdd(w.cliClk, desc, 12, 1); err != ErrWindowBounds {
+	if _, err := ep.FetchAdd(w.cliClk, desc, 12, 1); err != errWindowBounds {
 		t.Fatalf("overflow = %v", err)
 	}
 	// UD endpoints cannot issue atomics.
 	ud := w.dial(t, Unreliable)
-	if _, err := ud.FetchAdd(w.cliClk, desc, 0, 1); err != ErrNeedReliable {
+	if _, err := ud.FetchAdd(w.cliClk, desc, 0, 1); err != errNeedReliable {
 		t.Fatalf("UD atomic err = %v, want ErrNeedReliable", err)
 	}
 }

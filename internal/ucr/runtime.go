@@ -37,7 +37,7 @@ func New(hca *verbs.HCA, cm *verbs.CM, cfg Config) *Runtime {
 		cm:   cm,
 		cfg:  cfg,
 		pd:   hca.AllocPD(),
-		regs: newRegCache(cfg.RegCacheEntries),
+		regs: newRegCache(cfg.regCacheEntries),
 	}
 }
 
@@ -126,7 +126,6 @@ func (rt *Runtime) FreeCounter(c *Counter) {
 
 // Listener accepts UCR endpoint requests for a service.
 type Listener struct {
-	rt  *Runtime
 	lis *verbs.Listener
 }
 
@@ -136,7 +135,7 @@ func (rt *Runtime) Listen(service string) (*Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Listener{rt: rt, lis: vl}, nil
+	return &Listener{lis: vl}, nil
 }
 
 // Accept blocks for the next endpoint request and completes it within

@@ -42,15 +42,15 @@ import (
 // Errors returned by UCR operations.
 var (
 	ErrTimeout      = errors.New("ucr: wait timed out")
-	ErrEndpointDown = errors.New("ucr: endpoint down")
-	ErrTooLarge     = errors.New("ucr: message too large for endpoint type")
-	// ErrNeedReliable rejects one-sided and atomic operations on a UD
+	errEndpointDown = errors.New("ucr: endpoint down")
+	errTooLarge     = errors.New("ucr: message too large for endpoint type")
+	// errNeedReliable rejects one-sided and atomic operations on a UD
 	// endpoint: RDMA read/write/atomics exist only on the RC transport.
-	// Distinct from ErrTooLarge so callers can tell "switch to an RC
+	// Distinct from errTooLarge so callers can tell "switch to an RC
 	// endpoint" from "shrink the message".
-	ErrNeedReliable = errors.New("ucr: one-sided operation requires a reliable endpoint")
-	ErrClosed       = errors.New("ucr: context destroyed")
-	ErrWindowBounds = errors.New("ucr: one-sided access outside window")
+	errNeedReliable = errors.New("ucr: one-sided operation requires a reliable endpoint")
+	errClosed       = errors.New("ucr: context destroyed")
+	errWindowBounds = errors.New("ucr: one-sided access outside window")
 )
 
 // Reliability selects the endpoint type, mirroring the paper's choice of
@@ -167,8 +167,8 @@ type Config struct {
 	UseSRQ bool
 	// SRQBuffers sizes the shared pool (default 4 × Credits).
 	SRQBuffers int
-	// RegCacheEntries caps the registration cache (default 128).
-	RegCacheEntries int
+	// regCacheEntries caps the registration cache (default 128).
+	regCacheEntries int
 }
 
 // pollSpin is the short busy-poll window a batched CQ drain keeps open
@@ -194,8 +194,8 @@ func (c Config) withDefaults() Config {
 	if c.PackBytesPerSec <= 0 {
 		c.PackBytesPerSec = 5e9
 	}
-	if c.RegCacheEntries <= 0 {
-		c.RegCacheEntries = 128
+	if c.regCacheEntries <= 0 {
+		c.regCacheEntries = 128
 	}
 	if c.SRQBuffers <= 0 {
 		c.SRQBuffers = 4 * c.Credits

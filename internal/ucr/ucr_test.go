@@ -329,7 +329,7 @@ func TestWaitTimeoutOnDeadServer(t *testing.T) {
 	}
 	w.srvNode.Fail()
 	err := w.request(t, ep, "dead", []byte("d"), 50*simnet.Microsecond)
-	if err != ErrTimeout && err != ErrEndpointDown {
+	if err != ErrTimeout && err != errEndpointDown {
 		t.Fatalf("err = %v, want timeout or endpoint-down", err)
 	}
 }
@@ -412,7 +412,7 @@ func TestUnreliableEndpoint(t *testing.T) {
 	}
 	// Over-MTU payloads cannot use UD (no rendezvous on datagrams).
 	big := make([]byte, 64*1024)
-	if err := ep.Send(w.cliClk, midRequest, make([]byte, 16), big, nil, 0, nil); err != ErrTooLarge {
+	if err := ep.Send(w.cliClk, midRequest, make([]byte, 16), big, nil, 0, nil); err != errTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -423,7 +423,7 @@ func TestHugeHeaderRejected(t *testing.T) {
 	ep := w.dial(t, Reliable)
 	hdr := make([]byte, 1024) // exceeds eager capacity, header can't rendezvous
 	data := make([]byte, 64*1024)
-	if err := ep.Send(w.cliClk, midRequest, hdr, data, nil, 0, nil); err != ErrTooLarge {
+	if err := ep.Send(w.cliClk, midRequest, hdr, data, nil, 0, nil); err != errTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }

@@ -33,17 +33,17 @@ func (c *Context) WriteReplies() uint64 { return c.writeReplies }
 // counter, and a transport failure must not pin it forever.
 func (ep *Endpoint) WriteReply(clk *simnet.VClock, hdr, data []byte, dst WindowDesc, offset int, originCtr *Counter) error {
 	if ep.failed {
-		return ErrEndpointDown
+		return errEndpointDown
 	}
 	if ep.rel != Reliable {
-		return ErrNeedReliable
+		return errNeedReliable
 	}
 	total := len(hdr) + len(data)
 	if offset < 0 || offset+total > dst.Len {
-		return ErrWindowBounds
+		return errWindowBounds
 	}
 	if len(hdr) > ep.bufSize {
-		return ErrTooLarge // reply header larger than an endpoint buffer: caller bug
+		return errTooLarge // reply header larger than an endpoint buffer: caller bug
 	}
 	// The header is staged through registered pool memory like an eager
 	// pack (the value is not — that is the point).
@@ -65,7 +65,7 @@ func (ep *Endpoint) WriteReply(clk *simnet.VClock, hdr, data []byte, dst WindowD
 		ep.ctx.posted.take(id)
 		ep.ctx.cq.Recycle(buf)
 		ep.markFailed()
-		return ErrEndpointDown
+		return errEndpointDown
 	}
 	ep.ctx.writeReplies++
 	return nil

@@ -17,8 +17,8 @@ import (
 // update under that serialization. Concurrent plain RDMA to the same
 // location is, like on real hardware, the caller's problem.
 
-// OpAtomicFetchAdd is the opcode an atomic's completion carries.
-const OpAtomicFetchAdd Opcode = 0x10
+// opAtomicFetchAdd is the opcode an atomic's completion carries.
+const opAtomicFetchAdd Opcode = 0x10
 
 // AtomicWR is a fetch-and-add work request. The 8-byte result (the
 // prior value at the remote address) lands in Result after the
@@ -42,8 +42,8 @@ const atomicWireBytes = 28
 // PostAtomic posts an atomic work request on a connected RC queue pair.
 // The outcome arrives on the send CQ with the request's ID.
 func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
-	if q.state != StateRTS {
-		return ErrBadState
+	if q.state != stateRTS {
+		return errBadState
 	}
 	clk.Advance(q.hca.cfg.PostOverhead)
 	dst, err := q.rdmaPeer(q.remote)
@@ -56,18 +56,18 @@ func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
 	depart := start + cfg.SendProc
 	reqArrive, derr := q.hca.fabric.Deliver(q.hca.node, dst.hca.node, depart, atomicWireBytes)
 	if derr != nil {
-		q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusTransportError, QPN: q.qpn, Time: depart})
+		q.sendCQ.post(WC{ID: wr.ID, Op: opAtomicFetchAdd, Status: statusTransportError, QPN: q.qpn, Time: depart})
 		return nil
 	}
 
 	mr, ok := dst.hca.lookupMR(wr.RKey)
 	if !ok {
-		q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusRemoteError, QPN: q.qpn, Time: reqArrive})
+		q.sendCQ.post(WC{ID: wr.ID, Op: opAtomicFetchAdd, Status: statusRemoteError, QPN: q.qpn, Time: reqArrive})
 		return nil
 	}
 	cell, rerr := mr.rdmaRange(wr.RemoteAddr, 8)
 	if rerr != nil || wr.RemoteAddr%8 != 0 {
-		q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusRemoteError, QPN: q.qpn, Time: reqArrive})
+		q.sendCQ.post(WC{ID: wr.ID, Op: opAtomicFetchAdd, Status: statusRemoteError, QPN: q.qpn, Time: reqArrive})
 		return nil
 	}
 
@@ -79,13 +79,13 @@ func (q *QP) PostAtomic(clk *simnet.VClock, wr AtomicWR) error {
 	respDepart := opStart + cfg.RDMAProc
 	respArrive, derr := dst.hca.fabric.Deliver(dst.hca.node, q.hca.node, respDepart, atomicWireBytes)
 	if derr != nil {
-		q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusTransportError, QPN: q.qpn, Time: respDepart})
+		q.sendCQ.post(WC{ID: wr.ID, Op: opAtomicFetchAdd, Status: statusTransportError, QPN: q.qpn, Time: respDepart})
 		return nil
 	}
 	if wr.Result != nil {
 		*wr.Result = prior
 	}
 	done := q.hca.recvEngine.Acquire(respArrive, cfg.RecvProc) + cfg.RecvProc
-	q.sendCQ.post(WC{ID: wr.ID, Op: OpAtomicFetchAdd, Status: StatusSuccess, ByteLen: 8, QPN: q.qpn, Time: done})
+	q.sendCQ.post(WC{ID: wr.ID, Op: opAtomicFetchAdd, Status: StatusSuccess, ByteLen: 8, QPN: q.qpn, Time: done})
 	return nil
 }

@@ -26,7 +26,7 @@ func TestAtomicFetchAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, ok := p.cliSend.Wait(p.cliClock)
-	if !ok || wc.Status != StatusSuccess || wc.Op != OpAtomicFetchAdd {
+	if !ok || wc.Status != StatusSuccess || wc.Op != opAtomicFetchAdd {
 		t.Fatalf("wc = %+v", wc)
 	}
 	if prior != 100 {
@@ -52,7 +52,7 @@ func TestAtomicErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != StatusRemoteError {
+	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != statusRemoteError {
 		t.Fatalf("unaligned: %+v", wc)
 	}
 	// Bad rkey.
@@ -61,7 +61,7 @@ func TestAtomicErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != StatusRemoteError {
+	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != statusRemoteError {
 		t.Fatalf("bad rkey: %+v", wc)
 	}
 	// Dead peer.
@@ -71,7 +71,7 @@ func TestAtomicErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != StatusTransportError {
+	if wc, _ := p.cliSend.Wait(p.cliClock); wc.Status != statusTransportError {
 		t.Fatalf("dead peer: %+v", wc)
 	}
 }
@@ -185,7 +185,7 @@ func TestRDMANeverEscapesRegionProperty(t *testing.T) {
 			return true
 		}
 		// Out of bounds: remote error, destination untouched.
-		if wc.Status != StatusRemoteError {
+		if wc.Status != statusRemoteError {
 			return false
 		}
 		for _, b := range local {

@@ -75,7 +75,7 @@ func TestPostSendNEmptyAndBadState(t *testing.T) {
 	h := NewHCA(n, f, testConfig())
 	cq := h.CreateCQ()
 	qp := h.NewQP(RC, cq, cq)
-	if err := qp.PostSendN(simnet.NewVClock(0), []SendWR{{ID: 1, Op: OpSend, Local: []byte("x")}}); err != ErrBadState {
+	if err := qp.PostSendN(simnet.NewVClock(0), []SendWR{{ID: 1, Op: OpSend, Local: []byte("x")}}); err != errBadState {
 		t.Fatalf("PostSendN in RESET = %v, want ErrBadState", err)
 	}
 }

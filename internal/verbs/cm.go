@@ -22,9 +22,9 @@ type CM struct {
 // Connection-manager errors.
 var (
 	ErrRefused        = errors.New("verbs/cm: connection refused (no listener)")
-	ErrConnectTimeout = errors.New("verbs/cm: connect timed out")
+	errConnectTimeout = errors.New("verbs/cm: connect timed out")
 	ErrListenerClosed = errors.New("verbs/cm: listener closed")
-	ErrDuplicateSvc   = errors.New("verbs/cm: service already registered")
+	errDuplicateSvc   = errors.New("verbs/cm: service already registered")
 )
 
 // NewCM creates a connection manager for the fabric.
@@ -37,7 +37,6 @@ const cmMsgBytes = 64
 
 // ConnRequest is a pending connection attempt delivered to a listener.
 type ConnRequest struct {
-	cm       *CM
 	fromQP   *QP
 	arriveAt simnet.Time
 	reply    *simnet.Mailbox[connReply]
@@ -64,11 +63,11 @@ func reqArrival(r **ConnRequest) simnet.Time { return (*r).arriveAt }
 // synchronized with the request's arrival by Listener.Accept.
 func (r *ConnRequest) Accept(qp *QP, clk *simnet.VClock) error {
 	if qp.Type() != r.fromQP.Type() {
-		return ErrBadState
+		return errBadState
 	}
 	// Drive the local QP to RTS from wherever bring-up left it.
-	for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
-		if qp.state == StateRTS {
+	for _, st := range []QPState{StateInit, stateRTR, stateRTS} {
+		if qp.state == stateRTS {
 			break
 		}
 		if err := qp.Modify(st); err != nil && qp.state != st {
@@ -98,7 +97,7 @@ type Listener struct {
 // Listen registers a service. Service names are fabric-wide unique.
 func (cm *CM) Listen(service string) (*Listener, error) {
 	if _, dup := cm.listeners[service]; dup {
-		return nil, ErrDuplicateSvc
+		return nil, errDuplicateSvc
 	}
 	l := &Listener{cm: cm, service: service, queue: simnet.NewMailboxOn[*ConnRequest](cm.fabric.Executor())}
 	cm.listeners[service] = l
@@ -143,7 +142,7 @@ func (l *Listener) Close() {
 // address handle from the peer). qp must be a fresh queue pair, already
 // INIT or later with receives posted, owned by the caller.
 //
-// An acceptor that never answers ends the wait with ErrConnectTimeout.
+// An acceptor that never answers ends the wait with errConnectTimeout.
 // When the listener belongs to an actor the executor can tell (the
 // simulation goes idle) and realCap is unused; an acceptor on a goroutine
 // of its own may simply not have started, so only then does realCap
@@ -164,7 +163,6 @@ func (cm *CM) Connect(qp *QP, remote *simnet.Node, service string, clk *simnet.V
 		return nil, err
 	}
 	req := &ConnRequest{
-		cm:       cm,
 		fromQP:   qp,
 		arriveAt: arrive,
 		reply:    simnet.NewMailboxOn[connReply](cm.fabric.Executor()),
@@ -179,7 +177,7 @@ func (cm *CM) Connect(qp *QP, remote *simnet.Node, service string, clk *simnet.V
 		rep, ok, timedOut = req.reply.RecvTimeout(realCap)
 	}
 	if timedOut {
-		return nil, ErrConnectTimeout
+		return nil, errConnectTimeout
 	}
 	if !ok {
 		return nil, ErrListenerClosed
@@ -193,8 +191,8 @@ func (cm *CM) Connect(qp *QP, remote *simnet.Node, service string, clk *simnet.V
 	}
 	clk.AdvanceTo(back)
 	// Drive the dialer side to RTS.
-	for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
-		if qp.state == StateRTS {
+	for _, st := range []QPState{StateInit, stateRTR, stateRTS} {
+		if qp.state == stateRTS {
 			break
 		}
 		if err := qp.Modify(st); err != nil && qp.state != st {

@@ -48,7 +48,7 @@ func TestRCRetransmitsThroughLoss(t *testing.T) {
 }
 
 // With 100% loss the RC sender exhausts its retry budget: the WR
-// completes with StatusRetryExceeded and the QP transitions to ERR.
+// completes with statusRetryExceeded and the QP transitions to ERR.
 func TestRCRetryExhaustion(t *testing.T) {
 	p := newPair(t, 4, 256)
 	p.fab.SetFaults(simnet.NewFaultInjector(simnet.FaultConfig{Seed: 1, DropRate: 1.0}))
@@ -60,17 +60,17 @@ func TestRCRetryExhaustion(t *testing.T) {
 	if !ok {
 		t.Fatal("no completion after retry exhaustion")
 	}
-	if wc.Status != StatusRetryExceeded {
+	if wc.Status != statusRetryExceeded {
 		t.Fatalf("status = %v, want retry-exceeded", wc.Status)
 	}
-	if st := p.cliQP.state; st != StateErr {
+	if st := p.cliQP.state; st != stateErr {
 		t.Fatalf("QP state after retry exhaustion = %v, want ERR", st)
 	}
 	if got := p.cliHCA.Retransmits(); got != retryCount {
 		t.Fatalf("Retransmits() = %d, want retryCount = %d", got, retryCount)
 	}
 	// The connection is dead: further sends are rejected at post time.
-	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 10, Op: OpSend, Local: []byte("x")}); err != ErrBadState {
+	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 10, Op: OpSend, Local: []byte("x")}); err != errBadState {
 		t.Fatalf("PostSend on errored QP = %v, want ErrBadState", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestRNRRetryExhaustionIsNonFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, ok := p.cliSend.TryPollWith(p.cliClock)
-	if !ok || wc.Status != StatusRNRRetryExceeded {
+	if !ok || wc.Status != statusRNRRetryExceeded {
 		t.Fatalf("send with no receiver buffer: ok=%v status=%v, want rnr-retry-exceeded", ok, wc.Status)
 	}
 	if got := p.cliHCA.Retransmits(); got != rnrRetry {
@@ -163,7 +163,7 @@ func TestRNRRetryExhaustionIsNonFatal(t *testing.T) {
 	}
 	// QP must NOT be errored by RNR exhaustion (only transport retry
 	// exhaustion kills it); a buffer arriving later lets traffic flow.
-	if st := p.cliQP.state; st != StateRTS {
+	if st := p.cliQP.state; st != stateRTS {
 		t.Fatalf("QP state after RNR exhaustion = %v, want RTS", st)
 	}
 	if err := p.srvQP.PostRecv(RecvWR{ID: 1, Len: 16}); err != nil {
@@ -196,10 +196,10 @@ func TestUDLossIsSilent(t *testing.T) {
 		if err := q.Modify(StateInit); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.Modify(StateRTR); err != nil {
+		if err := q.Modify(stateRTR); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.Modify(StateRTS); err != nil {
+		if err := q.Modify(stateRTS); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -80,7 +80,7 @@ func TestRDMAWriteGatherChargeDegenerateDepth1(t *testing.T) {
 
 // The remote window bounds are enforced on the COMBINED gather length:
 // a header that fits where header+value overflows must fail with
-// StatusRemoteError and leave remote memory untouched. An unknown or a
+// statusRemoteError and leave remote memory untouched. An unknown or a
 // deregistered RKey fails the same way.
 func TestRDMAWriteGatherWindowBounds(t *testing.T) {
 	p := newPair(t, 2, 256)
@@ -98,7 +98,7 @@ func TestRDMAWriteGatherWindowBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, ok := p.cliSend.TryPollWith(p.cliClock)
-	if !ok || wc.Status != StatusRemoteError {
+	if !ok || wc.Status != statusRemoteError {
 		t.Fatalf("overflowing gather write: ok=%v status=%v, want remote-error", ok, wc.Status)
 	}
 	for _, b := range srvBuf {
@@ -129,7 +129,7 @@ func TestRDMAWriteGatherWindowBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		wc, ok = p.cliSend.TryPollWith(p.cliClock)
-		if !ok || wc.Status != StatusRemoteError {
+		if !ok || wc.Status != statusRemoteError {
 			t.Fatalf("%s gather write: ok=%v status=%v, want remote-error", bad.name, ok, wc.Status)
 		}
 		if bad.mem[0] != 0 {
@@ -139,7 +139,7 @@ func TestRDMAWriteGatherWindowBounds(t *testing.T) {
 }
 
 // A gather write on a 100% lossy fabric exhausts the RC retry budget:
-// StatusRetryExceeded on the WR and the QP moves to ERR, exactly like a
+// statusRetryExceeded on the WR and the QP moves to ERR, exactly like a
 // two-sided send.
 func TestRDMAWriteGatherRetryExceeded(t *testing.T) {
 	p := newPair(t, 2, 256)
@@ -157,13 +157,13 @@ func TestRDMAWriteGatherRetryExceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, ok := p.cliSend.TryPollWith(p.cliClock)
-	if !ok || wc.Status != StatusRetryExceeded {
+	if !ok || wc.Status != statusRetryExceeded {
 		t.Fatalf("gather write through total loss: ok=%v status=%v, want retry-exceeded", ok, wc.Status)
 	}
-	if st := p.cliQP.state; st != StateErr {
+	if st := p.cliQP.state; st != stateErr {
 		t.Fatalf("QP state after retry exhaustion = %v, want ERR", st)
 	}
-	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 10, Op: OpRDMAWrite, Local: []byte("x"), RemoteAddr: srvMR.VA(), RKey: srvMR.RKey()}); err != ErrBadState {
+	if err := p.cliQP.PostSend(p.cliClock, SendWR{ID: 10, Op: OpRDMAWrite, Local: []byte("x"), RemoteAddr: srvMR.VA(), RKey: srvMR.RKey()}); err != errBadState {
 		t.Fatalf("PostSend on errored QP = %v, want ErrBadState", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestRDMAWriteGatherNoRNR(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, ok = p.cliSend.TryPollWith(p.cliClock)
-	if !ok || wc.Status != StatusRNRRetryExceeded {
+	if !ok || wc.Status != statusRNRRetryExceeded {
 		t.Fatalf("send with no posted receives: ok=%v status=%v, want rnr-retry-exceeded", ok, wc.Status)
 	}
 }
@@ -236,7 +236,7 @@ func TestSendGatherLandsContiguously(t *testing.T) {
 	if err := short.cliQP.PostSend(short.cliClock, SendWR{Op: OpSend, Local: []byte("HDR:"), Local2: []byte("value-bytes")}); err != nil {
 		t.Fatal(err)
 	}
-	if rwc, ok := short.srvRecv.TryPoll(); !ok || rwc.Status != StatusRemoteError {
+	if rwc, ok := short.srvRecv.TryPoll(); !ok || rwc.Status != statusRemoteError {
 		t.Fatalf("15 bytes into a 14-byte reservation: ok=%v status=%v, want remote-error", ok, rwc.Status)
 	}
 }
@@ -251,7 +251,7 @@ func TestUDSendGatherMTU(t *testing.T) {
 	cq := ha.CreateCQ()
 	qa, qb := ha.NewQP(UD, cq, cq), hb.NewQP(UD, hb.CreateCQ(), hb.CreateCQ())
 	for _, qp := range []*QP{qa, qb} {
-		for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
+		for _, st := range []QPState{StateInit, stateRTR, stateRTS} {
 			if err := qp.Modify(st); err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func TestUDSendGatherMTU(t *testing.T) {
 	if err := qa.PostSend(clk, SendWR{Op: OpSend, Local: half, Local2: half, Dest: ah}); err != nil {
 		t.Fatalf("gather of exactly the MTU: %v", err)
 	}
-	if err := qa.PostSend(clk, SendWR{Op: OpSend, Local: half, Local2: make([]byte, 1025), Dest: ah}); err != ErrTooLarge {
+	if err := qa.PostSend(clk, SendWR{Op: OpSend, Local: half, Local2: make([]byte, 1025), Dest: ah}); err != errTooLarge {
 		t.Fatalf("gather one byte past the MTU: err = %v, want ErrTooLarge", err)
 	}
 }
@@ -278,7 +278,7 @@ func TestSendGatherRNR(t *testing.T) {
 	if err := p.cliQP.PostSend(p.cliClock, wr); err != nil {
 		t.Fatal(err)
 	}
-	if wc, ok := p.cliSend.TryPoll(); !ok || wc.Status != StatusRNRRetryExceeded || wc.ByteLen != 10 {
+	if wc, ok := p.cliSend.TryPoll(); !ok || wc.Status != statusRNRRetryExceeded || wc.ByteLen != 10 {
 		t.Fatalf("starved gather send: ok=%v status=%v ByteLen %d, want rnr-retry-exceeded with 10", ok, wc.Status, wc.ByteLen)
 	}
 	if p.cliHCA.Retransmits() != rnrRetry {

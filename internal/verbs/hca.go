@@ -25,7 +25,6 @@ type HCA struct {
 	nextVA  uint64
 	qps     map[uint32]*QP
 	mrs     map[uint32]*MR // rkey → MR
-	closed  bool
 }
 
 // NewHCA installs an adapter for node on fabric with the given cost
@@ -63,7 +62,6 @@ func (h *HCA) AllocPD() *PD { return &PD{hca: h} }
 // remote key and a stable virtual base address usable in RDMA work
 // requests from peers.
 type MR struct {
-	pd   *PD
 	buf  []byte
 	rkey uint32
 	va   uint64
@@ -76,13 +74,13 @@ type MR struct {
 // setup when registration time is off the critical path.
 func (h *HCA) RegisterMR(pd *PD, buf []byte, clk *simnet.VClock) (*MR, error) {
 	if pd == nil || pd.hca != h {
-		return nil, ErrPDMismatch
+		return nil, errPDMismatch
 	}
 	rkey := h.nextKey + 1 // keys come in pairs; the local key is not modeled
 	h.nextKey += 2
 	va := h.nextVA
 	h.nextVA += uint64(len(buf)) + 4096 // guard gap
-	mr := &MR{pd: pd, buf: buf, rkey: rkey, va: va}
+	mr := &MR{buf: buf, rkey: rkey, va: va}
 	h.mrs[rkey] = mr
 	if clk != nil {
 		clk.Advance(h.cfg.RegBase + simnet.Duration(float64(len(buf))*h.cfg.RegPerByte))
@@ -91,7 +89,7 @@ func (h *HCA) RegisterMR(pd *PD, buf []byte, clk *simnet.VClock) (*MR, error) {
 }
 
 // DeregisterMR removes the registration; later remote RDMA against it
-// completes with StatusRemoteError.
+// completes with statusRemoteError.
 func (h *HCA) DeregisterMR(mr *MR) {
 	mr.destroyed = true
 	delete(h.mrs, mr.rkey)
@@ -118,11 +116,11 @@ func (h *HCA) lookupMR(rkey uint32) (*MR, bool) {
 // rdmaRange returns the sub-slice of mr covering [addr, addr+n).
 func (m *MR) rdmaRange(addr uint64, n int) ([]byte, error) {
 	if addr < m.va {
-		return nil, ErrOutOfBounds
+		return nil, errOutOfBounds
 	}
 	off := addr - m.va
 	if off > uint64(len(m.buf)) || uint64(n) > uint64(len(m.buf))-off {
-		return nil, ErrOutOfBounds
+		return nil, errOutOfBounds
 	}
 	return m.buf[off : off+uint64(n)], nil
 }

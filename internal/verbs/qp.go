@@ -21,7 +21,7 @@ type QP struct {
 
 // NewQP creates a queue pair in the RESET state.
 func (h *HCA) NewQP(typ QPType, sendCQ, recvCQ *CQ) *QP {
-	qp := &QP{hca: h, typ: typ, sendCQ: sendCQ, recvCQ: recvCQ, state: StateReset}
+	qp := &QP{hca: h, typ: typ, sendCQ: sendCQ, recvCQ: recvCQ, state: stateReset}
 	qp.qpn = h.registerQP(qp)
 	return qp
 }
@@ -48,18 +48,18 @@ func (q *QP) HCA() *HCA { return q.hca }
 // order RESET→INIT→RTR→RTS (any state may move to ERR, and ERR→RESET
 // recycles the QP).
 func (q *QP) Modify(next QPState) error {
-	if next == StateErr {
-		q.state = StateErr
+	if next == stateErr {
+		q.state = stateErr
 		return nil
 	}
 	legal := map[QPState]QPState{
-		StateInit:  StateReset,
-		StateRTR:   StateInit,
-		StateRTS:   StateRTR,
-		StateReset: StateErr,
+		StateInit:  stateReset,
+		stateRTR:   StateInit,
+		stateRTS:   stateRTR,
+		stateReset: stateErr,
 	}
 	if want, ok := legal[next]; !ok || q.state != want {
-		return ErrBadState
+		return errBadState
 	}
 	q.state = next
 	return nil
@@ -74,8 +74,8 @@ func (q *QP) PostRecv(wr RecvWR) error {
 	if q.srq != nil {
 		return q.srq.Post(wr)
 	}
-	if q.state == StateReset || q.state == StateErr {
-		return ErrBadState
+	if q.state == stateReset || q.state == stateErr {
+		return errBadState
 	}
 	q.recvq.push(wr)
 	return nil
@@ -151,7 +151,7 @@ func (r *recvQueue) pop() (RecvWR, bool) {
 // Destroy errors the QP, flushes posted receives as StatusFlushed
 // completions, and releases the QP number.
 func (q *QP) Destroy() {
-	q.state = StateErr
+	q.state = stateErr
 	pending := q.recvq
 	q.recvq = recvQueue{}
 	for wr, ok := pending.pop(); ok; wr, ok = pending.pop() {
@@ -197,8 +197,8 @@ func (q *QP) PostSendN(clk *simnet.VClock, wrs []SendWR) error {
 // postCharge validates QP state and charges the doorbell cost for a
 // burst of n WRs (one full PostOverhead plus n-1 coalesced builds).
 func (q *QP) postCharge(clk *simnet.VClock, n int) (*QP, error) {
-	if q.state != StateRTS {
-		return nil, ErrBadState
+	if q.state != stateRTS {
+		return nil, errBadState
 	}
 	clk.Advance(q.hca.cfg.PostOverhead)
 	if n > 1 {
@@ -218,7 +218,7 @@ func (q *QP) dispatchSend(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	case OpRDMAWrite:
 		return q.postRDMAWrite(clk, wr, remote)
 	default:
-		return ErrBadState
+		return errBadState
 	}
 }
 
@@ -226,7 +226,7 @@ func (q *QP) dispatchSend(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 func (q *QP) resolveDest(wr *SendWR, remote *QP) (*QP, error) {
 	if q.typ == UD {
 		if wr.Dest == nil || wr.Dest.Target == nil {
-			return nil, ErrNoAddress
+			return nil, errNoAddress
 		}
 		dst, ok := wr.Dest.Target.lookupQP(wr.Dest.QPN)
 		if !ok {
@@ -235,7 +235,7 @@ func (q *QP) resolveDest(wr *SendWR, remote *QP) (*QP, error) {
 		return dst, nil
 	}
 	if remote == nil {
-		return nil, ErrNotConnected
+		return nil, errNotConnected
 	}
 	return remote, nil
 }
@@ -247,7 +247,7 @@ func (q *QP) resolveDest(wr *SendWR, remote *QP) (*QP, error) {
 // returns immediately with exactly the plain-Deliver arrival time, so
 // the retry machinery costs nothing when disabled. On loss, an RC
 // sender waits AckTimeout for the missing ACK and retransmits, up to
-// retryCount times; exhaustion reports StatusRetryExceeded. UD loss is
+// retryCount times; exhaustion reports statusRetryExceeded. UD loss is
 // silent: the datagram is gone and delivered=false with StatusSuccess,
 // like real fire-and-forget datagrams.
 func (q *QP) transmit(src, dst *HCA, at simnet.Time, bytes int) (arrive simnet.Time, delivered bool, st Status) {
@@ -258,7 +258,7 @@ func (q *QP) transmit(src, dst *HCA, at simnet.Time, bytes int) (arrive simnet.T
 			if q.typ == UD {
 				return at, false, StatusSuccess
 			}
-			return at, false, StatusTransportError
+			return at, false, statusTransportError
 		}
 		if outcome == simnet.Delivered {
 			return arr, true, StatusSuccess
@@ -267,7 +267,7 @@ func (q *QP) transmit(src, dst *HCA, at simnet.Time, bytes int) (arrive simnet.T
 			return arr, false, StatusSuccess
 		}
 		if attempt >= retryCount {
-			return arr, false, StatusRetryExceeded
+			return arr, false, statusRetryExceeded
 		}
 		q.hca.noteRetransmit()
 		at = arr + cfg.AckTimeout
@@ -280,7 +280,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	cfg := q.hca.cfg
 	n := len(wr.Local) + len(wr.Local2)
 	if q.typ == UD && n > q.hca.fabric.Spec().MTU {
-		return ErrTooLarge
+		return errTooLarge
 	}
 
 	dst, err := q.resolveDest(wr, remote)
@@ -298,9 +298,9 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 
 	arrive, delivered, st := q.transmit(q.hca, dst.hca, depart, q.hca.wireBytes(n))
 	if !delivered {
-		if st == StatusRetryExceeded {
+		if st == statusRetryExceeded {
 			// IB semantics: retry exhaustion is fatal to the connection.
-			q.Modify(StateErr)
+			q.Modify(stateErr)
 		}
 		q.sendCQ.post(WC{ID: wr.ID, Op: OpSend, Status: st, ByteLen: n, QPN: q.qpn, Time: depart})
 		return nil
@@ -313,7 +313,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	// RNR retry: a reliable sender re-offers the message after the
 	// receiver reported no posted buffer, waiting RNRTimer between
 	// attempts (IB rnr_retry).
-	for rnr := 0; q.typ == RC && rstatus == StatusRNRRetryExceeded && rnr < rnrRetry; rnr++ {
+	for rnr := 0; q.typ == RC && rstatus == statusRNRRetryExceeded && rnr < rnrRetry; rnr++ {
 		q.hca.noteRetransmit()
 		a2, d2, s2 := q.transmit(q.hca, dst.hca, rtime+cfg.RNRTimer, q.hca.wireBytes(n))
 		if !d2 {
@@ -332,8 +332,8 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 		// (RNR retries exhausted / remote length error).
 		localStatus = rstatus
 		localTime = rtime
-		if rstatus == StatusRetryExceeded {
-			q.Modify(StateErr)
+		if rstatus == statusRetryExceeded {
+			q.Modify(stateErr)
 		}
 	}
 	q.sendCQ.post(WC{ID: wr.ID, Op: OpSend, Status: localStatus, ByteLen: n, QPN: q.qpn, Time: localTime})
@@ -344,15 +344,15 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 // two gather segments contiguously.
 func (q *QP) receive(wr *SendWR, arrive simnet.Time) (Status, simnet.Time) {
 	cfg := q.hca.cfg
-	if q.state != StateRTR && q.state != StateRTS {
-		return StatusRemoteError, arrive
+	if q.state != stateRTR && q.state != stateRTS {
+		return statusRemoteError, arrive
 	}
 	rwr, ok := q.popRecv()
 	if !ok {
 		if q.typ == UD {
 			return StatusSuccess, arrive // dropped on the floor
 		}
-		return StatusRNRRetryExceeded, arrive
+		return statusRNRRetryExceeded, arrive
 	}
 	n := len(wr.Local) + len(wr.Local2)
 	room := rwr.Len
@@ -360,8 +360,8 @@ func (q *QP) receive(wr *SendWR, arrive simnet.Time) (Status, simnet.Time) {
 		room = len(rwr.Buf)
 	}
 	if room < n {
-		q.recvCQ.post(WC{ID: rwr.ID, Op: OpRecv, Status: StatusRemoteError, QPN: q.qpn, Time: arrive})
-		return StatusRemoteError, arrive
+		q.recvCQ.post(WC{ID: rwr.ID, Op: OpRecv, Status: statusRemoteError, QPN: q.qpn, Time: arrive})
+		return statusRemoteError, arrive
 	}
 	buf := rwr.Buf
 	if buf == nil {
@@ -380,10 +380,10 @@ func (q *QP) receive(wr *SendWR, arrive simnet.Time) (Status, simnet.Time) {
 // rdmaPeer validates the one-sided preconditions and returns the target.
 func (q *QP) rdmaPeer(remote *QP) (*QP, error) {
 	if q.typ != RC {
-		return nil, ErrBadState // one-sided ops require a connected QP
+		return nil, errBadState // one-sided ops require a connected QP
 	}
 	if remote == nil {
-		return nil, ErrNotConnected
+		return nil, errNotConnected
 	}
 	return remote, nil
 }
@@ -404,8 +404,8 @@ func (q *QP) postRDMARead(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	depart := start + cfg.SendProc
 	reqArrive, delivered, st := q.transmit(q.hca, dst.hca, depart, cfg.HeaderBytes)
 	if !delivered {
-		if st == StatusRetryExceeded {
-			q.Modify(StateErr)
+		if st == statusRetryExceeded {
+			q.Modify(stateErr)
 		}
 		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMARead, Status: st, QPN: q.qpn, Time: depart})
 		return nil
@@ -414,12 +414,12 @@ func (q *QP) postRDMARead(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	// Target HCA serves the read from registered memory.
 	src, ok := dst.hca.lookupMR(wr.RKey)
 	if !ok {
-		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMARead, Status: StatusRemoteError, QPN: q.qpn, Time: reqArrive})
+		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMARead, Status: statusRemoteError, QPN: q.qpn, Time: reqArrive})
 		return nil
 	}
 	data, rerr := src.rdmaRange(wr.RemoteAddr, n)
 	if rerr != nil {
-		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMARead, Status: StatusRemoteError, QPN: q.qpn, Time: reqArrive})
+		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMARead, Status: statusRemoteError, QPN: q.qpn, Time: reqArrive})
 		return nil
 	}
 
@@ -427,8 +427,8 @@ func (q *QP) postRDMARead(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	respDepart := respStart + cfg.RDMAProc
 	respArrive, delivered, st := q.transmit(dst.hca, q.hca, respDepart, q.hca.wireBytes(n))
 	if !delivered {
-		if st == StatusRetryExceeded {
-			q.Modify(StateErr)
+		if st == statusRetryExceeded {
+			q.Modify(stateErr)
 		}
 		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMARead, Status: st, QPN: q.qpn, Time: respDepart})
 		return nil
@@ -454,20 +454,20 @@ func (q *QP) postRDMAWrite(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 	depart := start + cfg.SendProc
 	arrive, delivered, st := q.transmit(q.hca, dst.hca, depart, q.hca.wireBytes(n))
 	if !delivered {
-		if st == StatusRetryExceeded {
-			q.Modify(StateErr)
+		if st == statusRetryExceeded {
+			q.Modify(stateErr)
 		}
 		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMAWrite, Status: st, QPN: q.qpn, Time: depart})
 		return nil
 	}
 	tgt, ok := dst.hca.lookupMR(wr.RKey)
 	if !ok {
-		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMAWrite, Status: StatusRemoteError, QPN: q.qpn, Time: arrive})
+		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMAWrite, Status: statusRemoteError, QPN: q.qpn, Time: arrive})
 		return nil
 	}
 	room, rerr := tgt.rdmaRange(wr.RemoteAddr, n)
 	if rerr != nil {
-		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMAWrite, Status: StatusRemoteError, QPN: q.qpn, Time: arrive})
+		q.sendCQ.post(WC{ID: wr.ID, Op: OpRDMAWrite, Status: statusRemoteError, QPN: q.qpn, Time: arrive})
 		return nil
 	}
 	copy(room, wr.Local)
@@ -480,33 +480,32 @@ func (q *QP) postRDMAWrite(clk *simnet.VClock, wr *SendWR, remote *QP) error {
 // SRQ is a shared receive queue: one pool of posted receives feeding
 // many QPs, reducing per-connection buffer consumption (the scalability
 // design reused from MVAPICH that the paper cites). The ring has a fixed
-// capacity like a hardware SRQ: Post beyond it fails with ErrSRQFull,
+// capacity like a hardware SRQ: Post beyond it fails with errSRQFull,
 // and an empty ring makes RC senders take the RNR retry path (receiver
 // not ready) rather than dropping — the backpressure loop the shared-
 // serving datapath leans on when a burst outruns the repost rate.
 type SRQ struct {
-	hca *HCA
 	cap int
 	q   recvQueue
 }
 
-// DefaultSRQCap bounds an SRQ created without an explicit capacity.
-const DefaultSRQCap = 4096
+// defaultSRQCap bounds an SRQ created without an explicit capacity.
+const defaultSRQCap = 4096
 
 // CreateSRQSized allocates a shared receive queue holding at most cap
 // posted receives (cap <= 0 selects the default).
 func (h *HCA) CreateSRQSized(cap int) *SRQ {
 	if cap <= 0 {
-		cap = DefaultSRQCap
+		cap = defaultSRQCap
 	}
-	return &SRQ{hca: h, cap: cap}
+	return &SRQ{cap: cap}
 }
 
-// Post adds a receive to the shared pool; ErrSRQFull when the ring is
+// Post adds a receive to the shared pool; errSRQFull when the ring is
 // at capacity (the work request is not queued).
 func (s *SRQ) Post(wr RecvWR) error {
 	if s.q.n >= s.cap {
-		return ErrSRQFull
+		return errSRQFull
 	}
 	s.q.push(wr)
 	return nil

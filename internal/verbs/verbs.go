@@ -60,26 +60,26 @@ type Status uint8
 // Work completion statuses.
 const (
 	StatusSuccess Status = iota
-	StatusRemoteError
-	StatusRNRRetryExceeded // receiver not ready: no posted receive buffer
+	statusRemoteError
+	statusRNRRetryExceeded // receiver not ready: no posted receive buffer
 	StatusFlushed          // QP destroyed/errored with work outstanding
-	StatusTransportError   // fabric unreachable / peer failed
-	StatusRetryExceeded    // RC retransmission budget exhausted on a lossy fabric
+	statusTransportError   // fabric unreachable / peer failed
+	statusRetryExceeded    // RC retransmission budget exhausted on a lossy fabric
 )
 
 func (s Status) String() string {
 	switch s {
 	case StatusSuccess:
 		return "success"
-	case StatusRemoteError:
+	case statusRemoteError:
 		return "remote-error"
-	case StatusRNRRetryExceeded:
+	case statusRNRRetryExceeded:
 		return "rnr-retry-exceeded"
 	case StatusFlushed:
 		return "flushed"
-	case StatusTransportError:
+	case statusTransportError:
 		return "transport-error"
-	case StatusRetryExceeded:
+	case statusRetryExceeded:
 		return "retry-exceeded"
 	default:
 		return fmt.Sprintf("Status(%d)", uint8(s))
@@ -88,13 +88,13 @@ func (s Status) String() string {
 
 // Errors returned by verbs operations.
 var (
-	ErrBadState     = errors.New("verbs: queue pair in wrong state")
-	ErrPDMismatch   = errors.New("verbs: protection domain mismatch")
-	ErrOutOfBounds  = errors.New("verbs: access outside registered region")
-	ErrTooLarge     = errors.New("verbs: message exceeds transport limit")
-	ErrNoAddress    = errors.New("verbs: UD send requires an address handle")
-	ErrNotConnected = errors.New("verbs: RC queue pair not connected")
-	ErrSRQFull      = errors.New("verbs: shared receive queue ring full")
+	errBadState     = errors.New("verbs: queue pair in wrong state")
+	errPDMismatch   = errors.New("verbs: protection domain mismatch")
+	errOutOfBounds  = errors.New("verbs: access outside registered region")
+	errTooLarge     = errors.New("verbs: message exceeds transport limit")
+	errNoAddress    = errors.New("verbs: UD send requires an address handle")
+	errNotConnected = errors.New("verbs: RC queue pair not connected")
+	errSRQFull      = errors.New("verbs: shared receive queue ring full")
 )
 
 // QPState is the queue pair state machine position (a subset of the IB
@@ -103,24 +103,24 @@ type QPState uint8
 
 // Queue pair states.
 const (
-	StateReset QPState = iota
+	stateReset QPState = iota
 	StateInit
-	StateRTR // ready to receive
-	StateRTS // ready to send
-	StateErr
+	stateRTR // ready to receive
+	stateRTS // ready to send
+	stateErr
 )
 
 func (s QPState) String() string {
 	switch s {
-	case StateReset:
+	case stateReset:
 		return "RESET"
 	case StateInit:
 		return "INIT"
-	case StateRTR:
+	case stateRTR:
 		return "RTR"
-	case StateRTS:
+	case stateRTS:
 		return "RTS"
-	case StateErr:
+	case stateErr:
 		return "ERR"
 	default:
 		return fmt.Sprintf("QPState(%d)", uint8(s))
@@ -177,7 +177,7 @@ type Config struct {
 
 // The RC retry budgets are IB's, the same on every adapter generation:
 // retryCount is how many times a QP retransmits a packet the fabric lost
-// before completing the WR with StatusRetryExceeded and moving to ERR
+// before completing the WR with statusRetryExceeded and moving to ERR
 // (retry_cnt, whose verbs maximum is 7); rnrRetry is how many times a
 // sender re-offers a SEND the receiver had no posted buffer for
 // (rnr_retry).

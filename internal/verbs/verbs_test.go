@@ -120,27 +120,27 @@ func TestQPStateMachine(t *testing.T) {
 	cq := h.CreateCQ()
 	qp := h.NewQP(RC, cq, cq)
 
-	if qp.state != StateReset {
+	if qp.state != stateReset {
 		t.Fatalf("initial state = %v", qp.state)
 	}
 	// Skipping INIT is illegal.
-	if err := qp.Modify(StateRTR); err != ErrBadState {
+	if err := qp.Modify(stateRTR); err != errBadState {
 		t.Fatalf("RESET->RTR = %v, want ErrBadState", err)
 	}
-	for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
+	for _, st := range []QPState{StateInit, stateRTR, stateRTS} {
 		if err := qp.Modify(st); err != nil {
 			t.Fatalf("to %v: %v", st, err)
 		}
 	}
 	// Going backwards is illegal.
-	if err := qp.Modify(StateInit); err != ErrBadState {
+	if err := qp.Modify(StateInit); err != errBadState {
 		t.Fatalf("RTS->INIT = %v, want ErrBadState", err)
 	}
 	// Any state can move to ERR, and ERR recycles through RESET.
-	if err := qp.Modify(StateErr); err != nil {
+	if err := qp.Modify(stateErr); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.Modify(StateReset); err != nil {
+	if err := qp.Modify(stateReset); err != nil {
 		t.Fatal(err)
 	}
 	if err := qp.Modify(StateInit); err != nil {
@@ -155,7 +155,7 @@ func TestPostRecvRequiresInit(t *testing.T) {
 	h := NewHCA(n, f, testConfig())
 	cq := h.CreateCQ()
 	qp := h.NewQP(RC, cq, cq)
-	if err := qp.PostRecv(RecvWR{Len: 8}); err != ErrBadState {
+	if err := qp.PostRecv(RecvWR{Len: 8}); err != errBadState {
 		t.Fatalf("PostRecv in RESET = %v, want ErrBadState", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestPostSendRequiresRTS(t *testing.T) {
 	cq := h.CreateCQ()
 	qp := h.NewQP(RC, cq, cq)
 	clk := simnet.NewVClock(0)
-	if err := qp.PostSend(clk, SendWR{Op: OpSend, Local: []byte("x")}); err != ErrBadState {
+	if err := qp.PostSend(clk, SendWR{Op: OpSend, Local: []byte("x")}); err != errBadState {
 		t.Fatalf("PostSend in RESET = %v, want ErrBadState", err)
 	}
 }
@@ -198,10 +198,10 @@ func TestMRRegistration(t *testing.T) {
 	if _, err := mr.rdmaRange(mr.VA(), 4096); err != nil {
 		t.Fatalf("full range: %v", err)
 	}
-	if _, err := mr.rdmaRange(mr.VA()+4000, 200); err != ErrOutOfBounds {
+	if _, err := mr.rdmaRange(mr.VA()+4000, 200); err != errOutOfBounds {
 		t.Fatalf("overflow range err = %v, want ErrOutOfBounds", err)
 	}
-	if _, err := mr.rdmaRange(mr.VA()-1, 1); err != ErrOutOfBounds {
+	if _, err := mr.rdmaRange(mr.VA()-1, 1); err != errOutOfBounds {
 		t.Fatalf("before-start err = %v, want ErrOutOfBounds", err)
 	}
 
@@ -220,10 +220,10 @@ func TestMRPDMismatch(t *testing.T) {
 	h1 := NewHCA(n, f, testConfig())
 	h2 := NewHCA(m, f, testConfig())
 	pd2 := h2.AllocPD()
-	if _, err := h1.RegisterMR(pd2, make([]byte, 8), nil); err != ErrPDMismatch {
+	if _, err := h1.RegisterMR(pd2, make([]byte, 8), nil); err != errPDMismatch {
 		t.Fatalf("cross-HCA PD err = %v, want ErrPDMismatch", err)
 	}
-	if _, err := h1.RegisterMR(nil, make([]byte, 8), nil); err != ErrPDMismatch {
+	if _, err := h1.RegisterMR(nil, make([]byte, 8), nil); err != errPDMismatch {
 		t.Fatalf("nil PD err = %v, want ErrPDMismatch", err)
 	}
 }
@@ -342,7 +342,7 @@ func TestRNRWhenNoRecvPosted(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, ok := p.cliSend.Wait(p.cliClock)
-	if !ok || wc.Status != StatusRNRRetryExceeded {
+	if !ok || wc.Status != statusRNRRetryExceeded {
 		t.Fatalf("wc = %+v, want RNR", wc)
 	}
 }
@@ -356,11 +356,11 @@ func TestRecvBufferTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	swc, _ := p.cliSend.Wait(p.cliClock)
-	if swc.Status != StatusRemoteError {
+	if swc.Status != statusRemoteError {
 		t.Fatalf("sender status = %v, want remote-error", swc.Status)
 	}
 	rwc, _ := p.srvRecv.Wait(p.srvClock)
-	if rwc.Status != StatusRemoteError || rwc.ID != 9 {
+	if rwc.Status != statusRemoteError || rwc.ID != 9 {
 		t.Fatalf("receiver wc = %+v", rwc)
 	}
 }
@@ -441,7 +441,7 @@ func TestRDMABadKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, _ := p.cliSend.Wait(p.cliClock)
-	if wc.Status != StatusRemoteError {
+	if wc.Status != statusRemoteError {
 		t.Fatalf("status = %v, want remote-error", wc.Status)
 	}
 }
@@ -460,7 +460,7 @@ func TestRDMAOutOfBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, _ := p.cliSend.Wait(p.cliClock)
-	if wc.Status != StatusRemoteError {
+	if wc.Status != statusRemoteError {
 		t.Fatalf("status = %v, want remote-error", wc.Status)
 	}
 }
@@ -472,7 +472,7 @@ func TestTransportErrorOnFailedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, _ := p.cliSend.Wait(p.cliClock)
-	if wc.Status != StatusTransportError {
+	if wc.Status != statusTransportError {
 		t.Fatalf("status = %v, want transport-error", wc.Status)
 	}
 }
@@ -491,7 +491,7 @@ func TestUDSendAndDrop(t *testing.T) {
 	qa := ha.NewQP(UD, acq, acq)
 	qb := hb.NewQP(UD, bcqS, bcqR)
 	for _, qp := range []*QP{qa, qb} {
-		for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
+		for _, st := range []QPState{StateInit, stateRTR, stateRTS} {
 			if err := qp.Modify(st); err != nil {
 				t.Fatal(err)
 			}
@@ -528,15 +528,15 @@ func TestUDSendAndDrop(t *testing.T) {
 
 	// UD datagrams are limited to the MTU.
 	big := make([]byte, 4096)
-	if err := qa.PostSend(aclk, SendWR{Op: OpSend, Local: big, Dest: ah}); err != ErrTooLarge {
+	if err := qa.PostSend(aclk, SendWR{Op: OpSend, Local: big, Dest: ah}); err != errTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	// UD sends require an address handle.
-	if err := qa.PostSend(aclk, SendWR{Op: OpSend, Local: []byte("x")}); err != ErrNoAddress {
+	if err := qa.PostSend(aclk, SendWR{Op: OpSend, Local: []byte("x")}); err != errNoAddress {
 		t.Fatalf("err = %v, want ErrNoAddress", err)
 	}
 	// UD cannot do RDMA.
-	if err := qa.PostSend(aclk, SendWR{Op: OpRDMARead, Local: make([]byte, 64), Dest: ah}); err != ErrBadState {
+	if err := qa.PostSend(aclk, SendWR{Op: OpRDMARead, Local: make([]byte, 64), Dest: ah}); err != errBadState {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}
 }
@@ -549,7 +549,7 @@ func TestSRQSharedAcrossQPs(t *testing.T) {
 	q1 := p.srvHCA.NewQPWithSRQ(RC, scq, scq, srq)
 	q2 := p.srvHCA.NewQPWithSRQ(RC, scq, scq, srq)
 	for _, qp := range []*QP{q1, q2} {
-		for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
+		for _, st := range []QPState{StateInit, stateRTR, stateRTS} {
 			if err := qp.Modify(st); err != nil {
 				t.Fatal(err)
 			}
@@ -603,7 +603,7 @@ func TestSRQSharedAcrossQPs(t *testing.T) {
 }
 
 // TestSRQRingFull pins the ring-full error path: an SRQ has a hard
-// capacity, Post beyond it must fail with ErrSRQFull and leave the ring
+// capacity, Post beyond it must fail with errSRQFull and leave the ring
 // unchanged, and popping a buffer must make room again.
 func TestSRQRingFull(t *testing.T) {
 	p := newPair(t, 0, 0)
@@ -616,7 +616,7 @@ func TestSRQRingFull(t *testing.T) {
 			t.Fatalf("post %d: %v", i, err)
 		}
 	}
-	if err := srq.Post(RecvWR{ID: 9, Len: 16}); err != ErrSRQFull {
+	if err := srq.Post(RecvWR{ID: 9, Len: 16}); err != errSRQFull {
 		t.Fatalf("post beyond cap: err = %v, want ErrSRQFull", err)
 	}
 	if srq.q.n != 2 {
@@ -628,7 +628,7 @@ func TestSRQRingFull(t *testing.T) {
 	if err := qp.Modify(StateInit); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.PostRecv(RecvWR{ID: 10, Len: 16}); err != ErrSRQFull {
+	if err := qp.PostRecv(RecvWR{ID: 10, Len: 16}); err != errSRQFull {
 		t.Fatalf("QP PostRecv on full SRQ: err = %v, want ErrSRQFull", err)
 	}
 	if _, ok := srq.pop(); !ok {
@@ -638,8 +638,8 @@ func TestSRQRingFull(t *testing.T) {
 		t.Fatalf("post after pop: %v", err)
 	}
 	// A capacity <= 0 selects the default.
-	if c := p.srvHCA.CreateSRQSized(0).cap; c != DefaultSRQCap {
-		t.Fatalf("CreateSRQSized(0).cap = %d, want %d", c, DefaultSRQCap)
+	if c := p.srvHCA.CreateSRQSized(0).cap; c != defaultSRQCap {
+		t.Fatalf("CreateSRQSized(0).cap = %d, want %d", c, defaultSRQCap)
 	}
 }
 
@@ -652,7 +652,7 @@ func TestSRQZeroCredit(t *testing.T) {
 	srq := p.srvHCA.CreateSRQSized(4)
 	scq := p.srvHCA.CreateCQ()
 	qp := p.srvHCA.NewQPWithSRQ(RC, scq, scq, srq)
-	for _, st := range []QPState{StateInit, StateRTR, StateRTS} {
+	for _, st := range []QPState{StateInit, stateRTR, stateRTS} {
 		if err := qp.Modify(st); err != nil {
 			t.Fatal(err)
 		}
@@ -665,7 +665,7 @@ func TestSRQZeroCredit(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc, ok := p.cliSend.Wait(p.cliClock)
-	if !ok || wc.Status != StatusRNRRetryExceeded {
+	if !ok || wc.Status != statusRNRRetryExceeded {
 		t.Fatalf("send into zero-credit SRQ: wc = %+v, want StatusRNRRetryExceeded", wc)
 	}
 
@@ -774,7 +774,7 @@ func TestCMRefusedAndDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l1.Close()
-	if _, err := p.cm.Listen("svc"); err != ErrDuplicateSvc {
+	if _, err := p.cm.Listen("svc"); err != errDuplicateSvc {
 		t.Fatalf("err = %v, want ErrDuplicateSvc", err)
 	}
 }
@@ -791,7 +791,7 @@ func TestCMConnectTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nobody accepts: the real-time cap fires.
-	if _, err := p.cm.Connect(qp, p.srvNode, "slow", p.cliClock, 20*time.Millisecond); err != ErrConnectTimeout {
+	if _, err := p.cm.Connect(qp, p.srvNode, "slow", p.cliClock, 20*time.Millisecond); err != errConnectTimeout {
 		t.Fatalf("err = %v, want ErrConnectTimeout", err)
 	}
 }
@@ -946,7 +946,7 @@ func TestStringers(t *testing.T) {
 	if StatusSuccess.String() != "success" || StatusFlushed.String() != "flushed" {
 		t.Fatal("status strings")
 	}
-	if StateRTS.String() != "RTS" || StateErr.String() != "ERR" {
+	if stateRTS.String() != "RTS" || stateErr.String() != "ERR" {
 		t.Fatal("state strings")
 	}
 	if RC.String() != "RC" || UD.String() != "UD" {
@@ -999,10 +999,10 @@ func TestCMTypeMismatchRejected(t *testing.T) {
 		if err := udQP.Modify(StateInit); err != nil {
 			return
 		}
-		if err := req.Accept(udQP, clk); err != ErrBadState {
+		if err := req.Accept(udQP, clk); err != errBadState {
 			t.Errorf("mismatched Accept err = %v, want ErrBadState", err)
 		}
-		req.Reject(ErrBadState)
+		req.Reject(errBadState)
 	}()
 	qp := p.cliHCA.NewQP(RC, p.cliSend, p.cliRecv)
 	if err := qp.Modify(StateInit); err != nil {

@@ -2,7 +2,11 @@
 // would.
 package main
 
-import "fixture/internal/lib"
+import (
+	"fmt"
+
+	"fixture/internal/lib"
+)
 
 func main() {
 	lib.Used()
@@ -10,4 +14,9 @@ func main() {
 	d.Do()
 	var b lib.Box[int]
 	_ = b.Get()
+	var err error = &lib.Err{}
+	_ = err
+	_ = lib.Make()
+	_ = lib.Cfg{Lit: 1}
+	fmt.Printf("%+v\n", lib.Print())
 }

@@ -39,3 +39,30 @@ func (e *Err) Unwrap() error { return e.err }
 type Box[T any] struct{ v T }
 
 func (b *Box[T]) Get() T { return b.v }
+
+// TestType, TestConst and TestVar are named only by a test in another
+// package: each flagged.
+type TestType struct{}
+
+const TestConst = 1
+
+var TestVar = 0
+
+// Reached is named nowhere outside the package, but Make returns it,
+// so a caller of Make needs it: not flagged.
+type Reached struct{}
+
+func Make() *Reached { return &Reached{} }
+
+// Cfg is set by a composite literal in another package: Lit, the key
+// it names, is not flagged; TestField, which only a test sets, is.
+type Cfg struct {
+	Lit       int
+	TestField int
+}
+
+// Printed is formatted by fmt in another package, which prints its
+// fields by name: Field is not flagged.
+type Printed struct{ Field int }
+
+func Print() Printed { return Printed{} }
