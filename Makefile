@@ -1,8 +1,9 @@
 # Test tiers. tier1 is the gate every change must keep green; tier2
-# adds vet and the race detector (the mcclient ejection path is
-# exercised concurrently).
+# adds vet and the race detector (the cluster's client goroutines take
+# turns at a deployment's owner, and mcserver's connection goroutines
+# at its process lock).
 
-.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-gone fuzz-smoke bench-pairs bench-smoke
+.PHONY: tier1 tier2 race-datapath determinism golden golden-diff test memcheck mutations check-no-wallclock check-gone check-no-park fuzz-smoke bench-pairs bench-smoke
 
 tier1:
 	go build ./...
@@ -107,6 +108,26 @@ check-no-wallclock:
 		| grep -v -e '^internal/simnet/' -e '^internal/verbs/cm.go$$' -e '^internal/ucr/context.go$$' -e '^internal/sockstream/provider.go$$')"; \
 	if [ -n "$$bad" ]; then echo "wall clock under internal/:"; echo "$$bad"; exit 1; fi
 
+# No test parks a caller: every goroutine that touches a deployment holds
+# its owner (simnet.Executor.Enter), so a wait steps ready actors until
+# its mailbox fills and never blocks in Executor.await on the wake
+# channel (<-r.wake). The tests of every package but simnet run with
+# simnet's coverage, and the target fails if a block holding a
+# `<-r.wake` line ran. A capped dial that times out (the dial tests'
+# real-time cap) never reaches that receive; simnet's own tests and the
+# goroutine acceptors in benchmark/probes.go, which still park, are not
+# in the list.
+check-no-park:
+	@prof="$$(mktemp)"; \
+	go test -count=1 -coverpkg=./internal/simnet -coverprofile="$$prof" ./internal/verbs ./internal/ucr ./internal/sockstream ./internal/memcached ./internal/mcclient ./internal/cluster ./internal/bench ./internal/memcheck ./cmd/... ./examples/... . || { rm -f "$$prof"; exit 1; }; \
+	lines="$$(grep -n '<-r\.wake' internal/simnet/executor.go | cut -d: -f1 | tr '\n' ' ')"; \
+	ran="$$(awk -v lines="$$lines" 'BEGIN { n = split(lines, l, " ") } \
+		$$1 ~ /internal\/simnet\/executor\.go:/ && $$3 > 0 { split($$1, a, ":"); split(a[2], r, ","); \
+			for (i = 1; i <= n; i++) if (l[i] >= int(r[1]) && l[i] <= int(r[2])) { print $$1; break } }' "$$prof" | sort -u)"; \
+	rm -f "$$prof"; \
+	if [ -z "$$lines" ]; then echo "check-no-park: no <-r.wake line in internal/simnet/executor.go"; exit 1; fi; \
+	if [ -n "$$ran" ]; then echo "a test outside simnet parked in Executor.await:"; echo "$$ran"; exit 1; fi
+
 # What a PR deleted stays deleted. One row per guard, tab-separated: the
 # directories it must not come back under, the ERE that names it, an ERE
 # of matches that may stay (^$$: none), and what to say. Every .go file
@@ -143,9 +164,13 @@ check-no-wallclock:
 #    nothing prints, no accessor without a caller.
 #  - a pool is a ring: no second key→server rule (modula and its FNV
 #    hash) and no dead/live index lists beside the ring's membership.
-#  - one owner per deployment: no mutex or atomic type in verbs, ucr or
-#    sockstream beyond the endpoint seeds clones share, and no mutex in
-#    simnet outside the executor.
+#  - one owner per deployment, and nothing beside it: no mutex or atomic
+#    type in verbs, ucr or sockstream beyond the endpoint seeds clones
+#    share, no mutex in simnet outside the executor, no lock or atomic in
+#    non-test internal/cluster or internal/mcclient (a fleet's membership
+#    and a client's pool are read holding the deployment, or by the one
+#    goroutine that owns the client), and no session forward or actor
+#    claim beside the owner (SessionMux, Session, Actor.Do).
 #  - host bytes follow live state: a slab page's host memory is carved
 #    with its chunks, so no whole-page buffer and no page-sized window.
 #  - each message handled once: a store op books its stripe lock in its
@@ -176,6 +201,8 @@ internal cmd examples *_test.go	splitWriter|postSet|postDelete|settleSet|settleD
 internal/memcached	PageBytes|pageWindow|pageWins|make\(\[\]byte, slabPageSize\)	^$$	whole-page host backing or page window under internal/memcached
 internal/memcached	\blockWait\b|OpsServed	^$$	second lock hold or served counter under internal/memcached
 internal/memcached	sync\.|atomic\.	_test\.go:	lock or atomic in the store under internal/memcached
+internal/cluster internal/mcclient	sync\.|atomic\.	_test\.go:	lock or atomic beside the deployment owner under internal/cluster or internal/mcclient
+internal cmd examples	SessionMux|type Session struct|func \(a \*Actor\) Do\(	^$$	session forward or actor claim beside the deployment owner under internal/ cmd/ examples/
 internal cmd examples	CompareSwap|OpAtomicCmpSwap|GetMultiInto|HotFraction|ErrQPDestroyed|ErrNoHandler|ErrBadHandler	^$$	compare-and-swap, lent-buffer mget, Zipf hot fraction or unreturned sentinel error under internal/ cmd/ examples/
 internal/verbs	ErrBadKey	^$$	verbs.ErrBadKey under internal/verbs
 endef

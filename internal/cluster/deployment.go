@@ -140,11 +140,14 @@ type Deployment struct {
 
 // trunk is one connection-concentrator queue-pair group
 // (Options.SessionsPerQP): a node with a single RC endpoint per server,
-// shared by up to k logical sessions.
+// shared by up to k logical sessions. A session's client holds the
+// trunk's transports themselves: their calls serialise on the
+// deployment's owner like every client's, so there is nothing to
+// forward and no second op driver.
 type trunk struct {
 	seat
-	muxes []*mcclient.SessionMux // one per server
-	used  int                    // sessions handed out
+	trs  []*mcclient.UCRTransport // one per server
+	used int                      // sessions handed out
 }
 
 // New builds a deployment on the given profile.
@@ -263,8 +266,9 @@ type Client struct {
 	MC        *mcclient.Client
 	Transport Transport
 
-	rt  *ucr.Runtime
-	ctx *ucr.Context
+	rt      *ucr.Runtime
+	ctx     *ucr.Context
+	session bool // MC's transports are a concentrator trunk's
 }
 
 // seat is a client machine's place in the deployment: its node on its
@@ -279,12 +283,9 @@ type seat struct {
 }
 
 // attach adds a client node (its own machine, like the paper's client
-// placement) and seats it on transport t, holding the deployment: other
-// clients may already drive traffic.
+// placement) and seats it on transport t. The caller holds the
+// deployment (owned): other clients may already drive traffic.
 func (d *Deployment) attach(name string, t Transport) seat {
-	ex := d.Network.Executor()
-	ex.Enter()
-	defer ex.Exit()
 	s := seat{t: t, node: d.Network.AddNode(name)}
 	if t == UCRIB {
 		s.rt = ucr.New(verbs.NewHCA(s.node, d.IB, d.Profile.HCA), d.CM, d.Profile.UCR)
@@ -295,9 +296,10 @@ func (d *Deployment) attach(name string, t Transport) seat {
 	return s
 }
 
-// owned runs fn holding the deployment (simnet.Executor.Enter): the
-// membership changes and dials a fleet makes while other goroutines
-// drive traffic. fn must not call an entry point that takes it again.
+// owned runs fn holding the deployment (simnet.Executor.Enter): seats,
+// dials and a fleet's membership and ring, which other goroutines'
+// clients may be reading. fn must not call an entry point that takes
+// it again.
 func (d *Deployment) owned(fn func()) {
 	ex := d.Network.Executor()
 	ex.Enter()
@@ -305,17 +307,18 @@ func (d *Deployment) owned(fn func()) {
 	fn()
 }
 
-// dial connects a seat to server i (srv is its node), holding the
-// deployment for the whole handshake. A UCR connection then gets what
+// dial connects a seat to server i, holding the deployment for the
+// whole handshake. A UCR connection then gets what
 // d.Opts asks for, whoever the seat belongs to: one capability exchange
 // arms one-sided GETs and write replies (nothing is sent when neither
 // is on), and the UD small-get mode dials its datagram endpoint beside
 // the reliable one.
-func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors, clk *simnet.VClock) (mcclient.Transport, error) {
+func (d *Deployment) dial(s seat, i int, b mcclient.Behaviors, clk *simnet.VClock) (mcclient.Transport, error) {
 	var tr mcclient.Transport
 	var ut *mcclient.UCRTransport
 	var err error
 	d.owned(func() {
+		srv := d.ServerNodes[i]
 		if s.t != UCRIB {
 			tr, err = mcclient.DialSock(d.providers[s.t], s.node, srv, serviceFor(s.t), clk)
 			return
@@ -342,30 +345,32 @@ func (d *Deployment) dial(s seat, srv *simnet.Node, i int, b mcclient.Behaviors,
 
 // NewClient adds a client and connects it to every server over transport
 // t. With Options.SessionsPerQP > 1 a UCR client is one concentrated
-// session instead: it rides a trunk's queue pairs as tagged sessions,
-// with its own virtual clock.
+// session instead: it rides a trunk's queue pairs, its transports the
+// trunk's own, with its own virtual clock.
 func (d *Deployment) NewClient(t Transport, behaviors mcclient.Behaviors) (*Client, error) {
 	if !d.Profile.hasTransport(t) {
 		return nil, fmt.Errorf("cluster %s has no %s", d.Profile.name, t)
 	}
 	d.clients++
+	name := fmt.Sprintf("client%d", d.clients)
 	c := &Client{Clock: simnet.NewVClock(0), Transport: t}
 	var trs []mcclient.Transport
 	if t == UCRIB && d.Opts.SessionsPerQP > 1 {
-		tr, err := d.openTrunk(behaviors, c.Clock)
+		tr, err := d.openTrunk(name, behaviors, c.Clock)
 		if err != nil {
 			return nil, err
 		}
-		c.Node = tr.node
-		for _, m := range tr.muxes {
-			trs = append(trs, m.Session(tr.used))
+		c.Node, c.session = tr.node, true
+		for _, ut := range tr.trs {
+			trs = append(trs, ut)
 		}
 		tr.used++
 	} else {
-		s := d.attach(fmt.Sprintf("client%d", d.clients), t)
+		var s seat
+		d.owned(func() { s = d.attach(name, t) })
 		c.Node, c.rt, c.ctx = s.node, s.rt, s.ctx
-		for i, srv := range d.ServerNodes {
-			tr, err := d.dial(s, srv, i, behaviors, c.Clock)
+		for i := range d.ServerNodes {
+			tr, err := d.dial(s, i, behaviors, c.Clock)
 			if err != nil {
 				return nil, err
 			}
@@ -381,21 +386,22 @@ func (d *Deployment) NewClient(t Transport, behaviors mcclient.Behaviors) (*Clie
 }
 
 // openTrunk returns the concentrator trunk with a free session, dialing a
-// new one — one node, one RC QP per server — when the last is full: the
-// first client of each group pays for the dial and the next k-1 ride the
-// same QPs.
-func (d *Deployment) openTrunk(behaviors mcclient.Behaviors, clk *simnet.VClock) (*trunk, error) {
+// new one — one node, named name, and one RC QP per server — when the
+// last is full: the first client of each group pays for the dial and the
+// next k-1 ride the same QPs.
+func (d *Deployment) openTrunk(name string, behaviors mcclient.Behaviors, clk *simnet.VClock) (*trunk, error) {
 	k := d.Opts.SessionsPerQP
 	if n := len(d.trunks); n > 0 && d.trunks[n-1].used < k {
 		return d.trunks[n-1], nil
 	}
-	tr := &trunk{seat: d.attach(fmt.Sprintf("client%d", d.clients), UCRIB)}
-	for i, srv := range d.ServerNodes {
-		ut, err := d.dial(tr.seat, srv, i, behaviors, clk)
+	tr := &trunk{}
+	d.owned(func() { tr.seat = d.attach(name, UCRIB) })
+	for i := range d.ServerNodes {
+		ut, err := d.dial(tr.seat, i, behaviors, clk)
 		if err != nil {
 			return nil, err
 		}
-		tr.muxes = append(tr.muxes, mcclient.NewSessionMux(ut.(*mcclient.UCRTransport)))
+		tr.trs = append(tr.trs, ut.(*mcclient.UCRTransport))
 	}
 	d.trunks = append(d.trunks, tr)
 	return tr, nil
@@ -410,8 +416,12 @@ func (d *Deployment) Provider(t Transport) *sockstream.Provider { return d.provi
 // benches read its HCA retransmission counter.
 func (c *Client) Runtime() *ucr.Runtime { return c.rt }
 
-// Close tears the client down.
+// Close tears the client down. A concentrated session's transports are
+// its trunk's: Deployment.Close tears them down.
 func (c *Client) Close() {
+	if c.session {
+		return
+	}
 	c.MC.Close()
 	if c.ctx != nil {
 		destroy(c.ctx)
@@ -431,8 +441,8 @@ func destroy(ctx *ucr.Context) {
 // (session clients must be quiescent by then).
 func (d *Deployment) Close() {
 	for _, tr := range d.trunks {
-		for _, m := range tr.muxes {
-			m.Close()
+		for _, ut := range tr.trs {
+			ut.Close()
 		}
 		destroy(tr.ctx)
 	}

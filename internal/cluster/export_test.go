@@ -7,8 +7,8 @@ import "repro/internal/mcclient"
 // every trunk and server.
 func (d *Deployment) TrunkPaths() (trunks int, paths mcclient.PathStats) {
 	for _, tr := range d.trunks {
-		for _, m := range tr.muxes {
-			paths.Add(m.Transport().PathStats())
+		for _, ut := range tr.trs {
+			paths.Add(ut.PathStats())
 		}
 	}
 	return len(d.trunks), paths

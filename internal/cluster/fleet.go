@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mcclient"
 	"repro/internal/memcached"
@@ -30,8 +29,10 @@ import (
 //	        either already made it or surface clean ErrServerDown after
 //	        the RC retransmission budget burns down in virtual time.
 //
-// The ring update is atomic under f.mu in all three cases, so a client
-// never routes to a member it can also observe as departed.
+// Membership, the ring and the churn counts are deployment state: each
+// change is one block holding the deployment (Deployment.owned), and a
+// client resolves its owners holding it too, so a client never routes to
+// a member it can also observe as departed.
 
 // FleetOptions configures NewFleet.
 type FleetOptions struct {
@@ -61,21 +62,15 @@ type Fleet struct {
 	behaviors mcclient.Behaviors
 	replicas  int
 
-	mu          sync.Mutex
+	// Read and written holding the deployment (D.owned).
 	ring        *ring.Ring
-	members     map[string]*fleetMember
+	members     map[string]int // live member → its index in D.ServerNodes and D.Servers
 	clientNodes []*simnet.Node
 	nextServer  int
 	nextClient  int
 	joins       int
 	leaves      int
 	crashes     int
-}
-
-type fleetMember struct {
-	idx  int // Deployment server index (fixed; slots are never reused)
-	node *simnet.Node
-	srv  *memcached.Server
 }
 
 // NewFleet builds a fleet of opts.Servers initial members.
@@ -109,13 +104,13 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 		transport:  opts.Transport,
 		behaviors:  opts.Behaviors,
 		replicas:   opts.Replicas,
-		members:    make(map[string]*fleetMember),
+		members:    make(map[string]int),
 		nextServer: opts.Servers,
 	}
 	names := make([]string, len(d.ServerNodes))
 	for i, node := range d.ServerNodes {
 		names[i] = node.Name()
-		f.members[names[i]] = &fleetMember{idx: i, node: node, srv: d.Servers[i]}
+		f.members[names[i]] = i
 	}
 	f.ring = ring.Build(0, names) // the libmemcached layout, as mcclient and memcheck build it
 	return f, nil
@@ -125,19 +120,17 @@ func NewFleet(p *Profile, opts FleetOptions) (*Fleet, error) {
 func (f *Fleet) Replicas() int { return f.replicas }
 
 // Members lists live member names (sorted).
-func (f *Fleet) Members() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ring.Members()
+func (f *Fleet) Members() (names []string) {
+	f.D.owned(func() { names = f.ring.Members() })
+	return names
 }
 
 // RingSnapshot returns an independent copy of the current ring — the
 // key-movement accounting input (compare snapshots across churn with
 // Ring.MovedFraction).
-func (f *Fleet) RingSnapshot() *ring.Ring {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ring.Clone()
+func (f *Fleet) RingSnapshot() (r *ring.Ring) {
+	f.D.owned(func() { r = f.ring.Clone() })
+	return r
 }
 
 // Owners reports the R current owners of key, primary first.
@@ -145,42 +138,28 @@ func (f *Fleet) Owners(key string) []string { return f.appendOwners(nil, key) }
 
 // appendOwners is Owners into the caller's buffer (ring.AppendOwners).
 func (f *Fleet) appendOwners(dst []string, key string) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ring.AppendOwners(dst, key, f.replicas)
+	f.D.owned(func() { dst = f.ring.AppendOwners(dst, key, f.replicas) })
+	return dst
 }
 
 // ChurnCounts reports how many joins/leaves/crashes have run (vacuity
 // guards).
 func (f *Fleet) ChurnCounts() (joins, leaves, crashes int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.joins, f.leaves, f.crashes
+	f.D.owned(func() { joins, leaves, crashes = f.joins, f.leaves, f.crashes })
+	return joins, leaves, crashes
 }
 
-// Join starts one fresh, empty server and publishes it on the ring. The
-// server is fully reachable before any client can route to it. Returns
-// the new member's name.
-func (f *Fleet) Join() string {
-	f.mu.Lock()
-	name := fmt.Sprintf("server%d", f.nextServer)
-	f.nextServer++
-	f.mu.Unlock()
-
-	// Bring the server up outside f.mu: addServer holds the deployment,
-	// and holding f.mu across it would stall every concurrent routing
-	// decision.
-	var m *fleetMember
+// Join starts one fresh, empty server and publishes it on the ring, in
+// one block holding the deployment: the server is fully reachable before
+// any client can route to it. Returns the new member's name.
+func (f *Fleet) Join() (name string) {
 	f.D.owned(func() {
-		idx := f.D.addServer(name)
-		m = &fleetMember{idx: idx, node: f.D.ServerNodes[idx], srv: f.D.Servers[idx]}
+		name = fmt.Sprintf("server%d", f.nextServer)
+		f.nextServer++
+		f.members[name] = f.D.addServer(name)
+		f.ring.AddServer(name)
+		f.joins++
 	})
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.members[name] = m
-	f.ring.AddServer(name)
-	f.joins++
 	return name
 }
 
@@ -188,18 +167,17 @@ func (f *Fleet) Join() string {
 // first (no new traffic routes to it), then shut down. No-op on an
 // unknown name. Returns whether the member existed.
 func (f *Fleet) Leave(name string) bool {
-	f.mu.Lock()
-	m, ok := f.members[name]
-	if !ok {
-		f.mu.Unlock()
+	var srv *memcached.Server
+	f.D.owned(func() {
+		if idx, ok := f.unpublish(name); ok {
+			f.leaves++
+			srv = f.D.Servers[idx]
+		}
+	})
+	if srv == nil {
 		return false
 	}
-	delete(f.members, name)
-	f.ring.RemoveServer(name)
-	f.leaves++
-	f.mu.Unlock()
-
-	m.srv.Close()
+	srv.Close() // takes the deployment itself
 	return true
 }
 
@@ -210,34 +188,41 @@ func (f *Fleet) Leave(name string) bool {
 // the closed endpoint failing the op locally). No-op on an unknown
 // name. Returns whether the member existed.
 func (f *Fleet) Crash(name string) bool {
-	f.mu.Lock()
-	m, ok := f.members[name]
-	if !ok {
-		f.mu.Unlock()
-		return false
-	}
-	delete(f.members, name)
-	f.ring.RemoveServer(name)
-	f.crashes++
-	clients := append([]*simnet.Node(nil), f.clientNodes...)
-	f.mu.Unlock()
-
+	var srv *memcached.Server
 	f.D.owned(func() {
+		idx, ok := f.unpublish(name)
+		if !ok {
+			return
+		}
+		f.crashes++
 		for _, fi := range f.D.injectors {
-			for _, cn := range clients {
-				fi.Partition(cn, m.node)
+			for _, cn := range f.clientNodes {
+				fi.Partition(cn, f.D.ServerNodes[idx])
 			}
 		}
+		srv = f.D.Servers[idx]
 	})
-	m.srv.Close()
+	if srv == nil {
+		return false
+	}
+	srv.Close()
 	return true
 }
 
-// member returns the live member named name, or nil.
-func (f *Fleet) member(name string) *fleetMember {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.members[name]
+// unpublish takes a live member off the ring and reports its server
+// index; the caller holds the deployment.
+func (f *Fleet) unpublish(name string) (idx int, ok bool) {
+	if idx, ok = f.members[name]; ok {
+		delete(f.members, name)
+		f.ring.RemoveServer(name)
+	}
+	return idx, ok
+}
+
+// member reports the server index of the live member named name.
+func (f *Fleet) member(name string) (idx int, ok bool) {
+	f.D.owned(func() { idx, ok = f.members[name] })
+	return idx, ok
 }
 
 // FleetClientStats counts one client's replication-path events.
@@ -259,7 +244,6 @@ type FleetClientStats struct {
 // concurrent use (one per goroutine, like mcclient.Client).
 type FleetClient struct {
 	f     *Fleet
-	node  *simnet.Node
 	Clock *simnet.VClock
 
 	seat  seat
@@ -281,27 +265,24 @@ type FleetClient struct {
 	Stats FleetClientStats
 }
 
-// NewClient adds one fleet client.
+// NewClient adds one fleet client, seated in one block holding the
+// deployment.
 func (f *Fleet) NewClient() (*FleetClient, error) {
-	f.mu.Lock()
-	f.nextClient++
-	n := f.nextClient
-	f.mu.Unlock()
-
-	s := f.D.attach(fmt.Sprintf("fclient%d", n), f.transport)
 	c := &FleetClient{
-		f: f, node: s.node, Clock: simnet.NewVClock(0), seat: s, conns: make(map[string]mcclient.Transport),
+		f: f, Clock: simnet.NewVClock(0), conns: make(map[string]mcclient.Transport),
 		trBuf:    make([]mcclient.Transport, 0, f.replicas),
 		resBuf:   make([]memcached.StoreResult, f.replicas),
 		foundBuf: make([]bool, f.replicas),
 		errBuf:   make([]error, f.replicas),
 	}
-	if ring.MutRingStale {
-		c.staleRing = f.RingSnapshot()
-	}
-	f.mu.Lock()
-	f.clientNodes = append(f.clientNodes, s.node)
-	f.mu.Unlock()
+	f.D.owned(func() {
+		f.nextClient++
+		c.seat = f.D.attach(fmt.Sprintf("fclient%d", f.nextClient), f.transport)
+		f.clientNodes = append(f.clientNodes, c.seat.node)
+		if ring.MutRingStale {
+			c.staleRing = f.ring.Clone()
+		}
+	})
 	return c, nil
 }
 
@@ -323,11 +304,11 @@ func (c *FleetClient) conn(name string) (mcclient.Transport, error) {
 	if tr, ok := c.conns[name]; ok {
 		return tr, nil
 	}
-	m := c.f.member(name)
-	if m == nil {
+	idx, ok := c.f.member(name)
+	if !ok {
 		return nil, mcclient.ErrServerDown
 	}
-	tr, err := c.f.D.dial(c.seat, m.node, m.idx, c.f.behaviors, c.Clock)
+	tr, err := c.f.D.dial(c.seat, idx, c.f.behaviors, c.Clock)
 	if err != nil {
 		// Dial raced a crash/partition; surface it like any dead server.
 		return nil, mcclient.ErrServerDown
@@ -618,14 +599,14 @@ func (c *FleetClient) Close() {
 
 // Close shuts every live member down.
 func (f *Fleet) Close() {
-	f.mu.Lock()
-	members := make([]*fleetMember, 0, len(f.members))
-	for _, m := range f.members {
-		members = append(members, m)
-	}
-	f.members = make(map[string]*fleetMember)
-	f.mu.Unlock()
-	for _, m := range members {
-		m.srv.Close()
+	var srvs []*memcached.Server
+	f.D.owned(func() {
+		for name, idx := range f.members {
+			srvs = append(srvs, f.D.Servers[idx])
+			delete(f.members, name)
+		}
+	})
+	for _, srv := range srvs {
+		srv.Close()
 	}
 }

@@ -544,7 +544,8 @@ func TestFleetWriteThroughOneRoundTrip(t *testing.T) {
 				// first attempt names how many ran (one retry: b, three: 7b).
 				owners := f.Owners("wt-b")
 				for _, fi := range f.D.injectors {
-					fi.Partition(fc.node, f.member(owners[0]).node)
+					idx, _ := f.member(owners[0])
+					fi.Partition(fc.seat.node, f.D.ServerNodes[idx])
 				}
 				const budget = backoff + 2*backoff
 				for i, w := range []struct {
@@ -563,7 +564,8 @@ func TestFleetWriteThroughOneRoundTrip(t *testing.T) {
 						t.Errorf("%s with a dead primary took %v: want 3 attempts on it, %v of backoff plus under %v", w.name, d, budget, backoff)
 					}
 					for _, o := range owners[1:] {
-						for _, at := range f.member(o).srv.WorkerClocks() {
+						idx, _ := f.member(o)
+						for _, at := range f.D.Servers[idx].WorkerClocks() {
 							if at >= t0+backoff {
 								t.Errorf("%s: replica %s served at %v: it waited for the dead primary (write issued at %v)", w.name, o, at, t0)
 							}

@@ -246,14 +246,17 @@ func TestModesComposed(t *testing.T) {
 	}
 }
 
-// TestSessionIsTrunkTransport pins "a lock, not a second driver": the
-// lone session of a trunk and a plain client play the same script on
-// fresh deployments, and every op takes the same virtual time to the
-// vns — with nothing armed and with every read path armed. Any charge a
-// session adds of its own, or any path it is not served by, shows here.
+// TestSessionIsTrunkTransport pins "no second driver": the lone session
+// of a trunk and a plain client play the same script on fresh
+// deployments, and every op takes the same virtual time to the vns —
+// with nothing armed and with every read path armed. A session's client
+// holds the trunk's transports themselves, so the path counters read
+// through its Client.MC.Transport(i) are the trunk's, and they match the
+// plain client's. Any charge a session adds of its own, or any path it
+// is not served by, shows here.
 func TestSessionIsTrunkTransport(t *testing.T) {
 	script := composedScript(20110913, 200)
-	play := func(opts cluster.Options) (lat []simnet.Duration, lines []string) {
+	play := func(opts cluster.Options) (lat []simnet.Duration, lines []string, paths mcclient.PathStats) {
 		d := cluster.New(cluster.ClusterB(), opts)
 		defer d.Close()
 		c, err := d.NewClient(cluster.UCRIB, mcclient.DefaultBehaviors())
@@ -266,20 +269,29 @@ func TestSessionIsTrunkTransport(t *testing.T) {
 			lines = append(lines, blocking(c.MC, op))
 			lat = append(lat, c.Clock.Now()-t0)
 		}
-		return lat, lines
+		for i := range d.Servers {
+			paths.Add(c.MC.Transport(i).(*mcclient.UCRTransport).PathStats())
+		}
+		if _, trunkPaths := d.TrunkPaths(); opts.SessionsPerQP > 1 && trunkPaths != paths {
+			t.Fatalf("session paths %+v, trunk paths %+v: the session does not hold the trunk's transports", paths, trunkPaths)
+		}
+		return lat, lines, paths
 	}
 	for name, opts := range map[string]cluster.Options{
 		"default": {},
 		"armed":   {OneSidedGet: true, WriteReplies: true, UDGets: true},
 	} {
-		plain, plainLines := play(opts)
+		plain, plainLines, plainPaths := play(opts)
 		opts.SessionsPerQP = 2
-		sess, sessLines := play(opts)
+		sess, sessLines, sessPaths := play(opts)
 		for i := range script {
 			if sess[i] != plain[i] || sessLines[i] != plainLines[i] {
 				t.Fatalf("%s op %d (%+v): session took %d vns (%s), plain client %d vns (%s)",
 					name, i, script[i], sess[i], sessLines[i], plain[i], plainLines[i])
 			}
+		}
+		if sessPaths != plainPaths {
+			t.Errorf("%s: session paths %+v, plain client %+v", name, sessPaths, plainPaths)
 		}
 	}
 }

@@ -8,7 +8,6 @@ package mcclient
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/memcached"
 	"repro/internal/ring"
@@ -150,17 +149,15 @@ type Transport interface {
 }
 
 // Client is a memcached client handle bound to one actor (one virtual
-// clock). It is not safe for concurrent use — create one per goroutine,
-// as with memcached_st in libmemcached.
+// clock). It is not safe for concurrent use, its pool readers (ServerFor,
+// Ejected, LiveServers) included — create one per goroutine, as with
+// memcached_st in libmemcached.
 type Client struct {
 	behaviors Behaviors
 	servers   []Transport
 	clk       *simnet.VClock
 
-	// Failover state (see failover.go). A Client is single-actor for
-	// operations, but Ejected/LiveServers/ServerFor are read from other
-	// goroutines in tests and monitoring, so the state is mutex-guarded.
-	failMu sync.Mutex
+	// Failover state (see failover.go).
 	ring   *ring.Ring     // the live pool: ejection removes a member
 	byName map[string]int // server name → index, for ring owner lookups
 }
@@ -194,9 +191,14 @@ func (c *Client) Transport(i int) Transport { return c.servers[i] }
 
 // ServerFor reports which live server index a key maps to (§II-C: the
 // destination is computed client-side with a hash on the key; ejected
-// servers have left the ring). -1 means the pool is empty.
+// servers have left the ring, so one lookup resolves the owner). -1
+// means the pool is empty.
 func (c *Client) ServerFor(key string) int {
-	return c.liveServerFor(key)
+	owner := c.ring.Lookup(key)
+	if owner == "" {
+		return -1
+	}
+	return c.byName[owner]
 }
 
 // Set stores key=value with the given flags and expiry (seconds).

@@ -10,24 +10,17 @@ import (
 // AUTO_EJECT_HOSTS), a server whose transport reports ErrServerDown
 // leaves the ring and only its arcs move to the survivors — the
 // "corrective action" the paper's §IV-A timeout design exists to enable.
-//
-// The ring is guarded by c.failMu: the operating actor mutates it during
-// ejection while monitoring goroutines read it concurrently.
 
 // eject removes server idx from the ring. RemoveServer filters the
 // server's points out in one pass, and removing a server already gone
 // does nothing.
 func (c *Client) eject(idx int) {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
 	c.ring.RemoveServer(c.servers[idx].Name())
 }
 
 // Ejected reports which servers have been ejected: those whose names
 // have left the ring.
 func (c *Client) Ejected() []int {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
 	live := c.ring.Members()
 	var out []int
 	for i, s := range c.servers {
@@ -40,22 +33,7 @@ func (c *Client) Ejected() []int {
 
 // LiveServers reports how many servers remain in the pool.
 func (c *Client) LiveServers() int {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
 	return c.ring.Size()
-}
-
-// liveServerFor maps a key to a live server index, or -1 if the pool is
-// empty. The ring holds only live members, so one lookup resolves the
-// owner.
-func (c *Client) liveServerFor(key string) int {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	owner := c.ring.Lookup(key)
-	if owner == "" {
-		return -1
-	}
-	return c.byName[owner]
 }
 
 // retry runs op, retrying ErrServerDown failures up to b.Retries times
@@ -93,7 +71,7 @@ func (b Behaviors) RetryAfter(clk *simnet.VClock, err error, op func() error) er
 // key's new owner; the loop is bounded by the pool size.
 func (c *Client) withTransport(key string, op func(Transport) error) error {
 	for attempt := 0; attempt <= len(c.servers); attempt++ {
-		idx := c.liveServerFor(key)
+		idx := c.ServerFor(key)
 		if idx < 0 {
 			return ErrNoServers
 		}

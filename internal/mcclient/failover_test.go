@@ -2,10 +2,8 @@ package mcclient
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
-	"repro/internal/memcached"
 	"repro/internal/simnet"
 )
 
@@ -179,137 +177,38 @@ func TestGetMultiEjectionObservesOnce(t *testing.T) {
 	}
 }
 
-// raceTransport is a fakeTransport that is safe for concurrent use, so
-// ejection can be exercised from several goroutines under -race: the
-// transport is guarded here, and the client's pool state (the ring) must
-// be guarded by the client itself.
-type raceTransport struct {
-	name string
-	mu   sync.Mutex
-	st   map[string][]byte
-	dead bool
-}
-
-func (r *raceTransport) setDead(v bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dead = v
-}
-
-func (r *raceTransport) Name() string { return r.name }
-
-func (r *raceTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dead {
-		return 0, ErrServerDown
-	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	r.st[key] = v
-	return memcached.Stored, nil
-}
-
-func (r *raceTransport) StoreOp(*simnet.VClock, uint8, string, uint32, int64, []byte, uint64) (memcached.StoreResult, error) {
-	return memcached.NotStored, nil
-}
-
-func (r *raceTransport) Get(clk *simnet.VClock, key string) ([]byte, uint32, uint64, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dead {
-		return nil, 0, 0, false, ErrServerDown
-	}
-	v, ok := r.st[key]
-	return v, 0, 0, ok, nil
-}
-
-func (r *raceTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string][]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dead {
-		return nil, ErrServerDown
-	}
-	out := map[string][]byte{}
-	for _, k := range keys {
-		if v, ok := r.st[k]; ok {
-			out[k] = v
-		}
-	}
-	return out, nil
-}
-
-func (r *raceTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dead {
-		return false, ErrServerDown
-	}
-	_, ok := r.st[key]
-	delete(r.st, key)
-	return ok, nil
-}
-
-func (r *raceTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, incr bool) (uint64, bool, bool, error) {
-	return 0, false, false, nil
-}
-
-func (r *raceTransport) Close() {}
-
-// TestConcurrentEjection hammers Get from several goroutines while a
-// server dies mid-stream: every goroutine that hits the dead server
-// races to eject it and rebuild the ring. Run under -race this covers
-// the failMu guarding of the ring against concurrent readers
-// (ServerFor, Ejected, LiveServers) and writers (eject).
+// TestConcurrentEjection interleaves 8 logical readers round-robin on
+// one goroutine while server 1 dies mid-run: a reader whose Get lands on
+// the dead server ejects it and re-hashes, and between ops every reader
+// reads the pool (ServerFor, Ejected, LiveServers). A Client is
+// single-goroutine, so the interleaving, not a lock, is what runs here:
+// the dead server leaves the pool and no healthy one does.
 func TestConcurrentEjection(t *testing.T) {
-	const n = 4
-	rts := make([]*raceTransport, n)
-	trs := make([]Transport, n)
-	for i := range rts {
-		rts[i] = &raceTransport{name: fmt.Sprintf("server%d", i), st: map[string][]byte{}}
-		trs[i] = rts[i]
-	}
-	b := DefaultBehaviors()
-	b.AutoEject = true
-	c, err := New(newTestClock(), b, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
+	const n, readers, rounds, keys = 4, 8, 200, 200
+	c, fakes := newEjectClient(t, n)
+	for i := 0; i < keys; i++ {
 		if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v"), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("key-%d", (g*37+i)%200)
-				_, _, _, err := c.Get(key)
-				if err != nil && err != ErrCacheMiss {
-					t.Errorf("Get(%s) = %v", key, err)
-					return
-				}
-				// Monitoring reads race the eject writers.
-				c.ServerFor(key)
-				c.Ejected()
-				c.LiveServers()
-			}
-		}(g)
-	}
-	close(start)
-	rts[1].setDead(true)
-	wg.Wait()
-
-	for _, idx := range c.Ejected() {
-		if idx != 1 {
-			t.Fatalf("ejected healthy server %d", idx)
+	for i := 0; i < rounds; i++ {
+		if i == rounds/2 {
+			fakes[1].broken = true
 		}
+		for g := 0; g < readers; g++ {
+			key := fmt.Sprintf("key-%d", (g*37+i)%keys)
+			if _, _, _, err := c.Get(key); err != nil && err != ErrCacheMiss {
+				t.Fatalf("reader %d: Get(%s) = %v", g, key, err)
+			}
+			c.ServerFor(key)
+			c.Ejected()
+			c.LiveServers()
+		}
+	}
+
+	ejected := c.Ejected()
+	if len(ejected) != 1 || ejected[0] != 1 {
+		t.Fatalf("ejected %v, want only the dead server 1", ejected)
 	}
 	if c.LiveServers() < n-1 {
 		t.Fatalf("LiveServers = %d", c.LiveServers())

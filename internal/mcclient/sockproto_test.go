@@ -1,13 +1,13 @@
 package mcclient
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/simnet"
+	"repro/internal/sockstream"
 )
 
 // TestNonASCIISpaceKeyBothTransports: a key holding U+00A0 or U+0085
@@ -46,7 +46,9 @@ func TestNonASCIISpaceKeyBothTransports(t *testing.T) {
 }
 
 // scriptedServer accepts one sockets connection and answers the i-th
-// request line with replies[i], whatever was asked.
+// request line with replies[i], whatever was asked. It is an actor on
+// the stack's executor, like a memcached server: the client's waits step
+// it, and it reads only what has arrived, so nobody blocks on it.
 func scriptedServer(t *testing.T, st *stack, service string, replies ...string) {
 	t.Helper()
 	lis, err := st.prov.Listen(st.srvNode, service)
@@ -54,23 +56,38 @@ func scriptedServer(t *testing.T, st *stack, service string, replies ...string) 
 		t.Fatal(err)
 	}
 	t.Cleanup(lis.Close)
-	go func() {
-		conn, ok := lis.Accept(simnet.NewVClock(0))
-		if !ok {
-			return
-		}
-		defer conn.Close()
-		r := bufio.NewReader(conn)
-		for _, reply := range replies {
-			if _, err := r.ReadString('\n'); err != nil {
+	clk := simnet.NewVClock(0)
+	var conn *sockstream.Conn
+	var pending []byte // request bytes not yet ended by a newline
+	buf := make([]byte, 4096)
+	var srv *simnet.Actor
+	srv = st.nw.Executor().NewActor(func() {
+		if conn == nil {
+			var ok bool
+			if conn, ok = lis.TryAccept(clk); !ok {
 				return
 			}
-			if _, err := conn.Write([]byte(reply)); err != nil {
+			conn.SetOwner(srv, nil)
+		}
+		for conn.Buffered() > 0 {
+			n, _ := conn.Read(buf)
+			pending = append(pending, buf[:n]...)
+		}
+		for ; len(replies) > 0; replies = replies[1:] {
+			i := bytes.IndexByte(pending, '\n')
+			if i < 0 {
+				break
+			}
+			pending = pending[i+1:]
+			if _, err := conn.Write([]byte(replies[0])); err != nil {
 				return
 			}
 		}
-		r.ReadString('\n') // hold the connection open until the client closes it
-	}()
+		if conn.StreamClosed() {
+			conn.Close() // the client closed: close our end too
+		}
+	})
+	lis.SetOwner(srv)
 }
 
 // TestSockGetRejectsWrongKeyEcho: the VALUE line echoes the key the

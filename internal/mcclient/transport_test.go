@@ -225,19 +225,14 @@ func TestUCRTransportFullOps(t *testing.T) {
 	}
 }
 
-// TestUCRGetMultiCallers drives the one mget path through its three
-// callers — blocking, lent-buffer, and a concentrated session — with a
-// small batch (one active message) and one past every per-AM bound:
-// 70 000 keys overflow the header's uint16 key count AND the eager
-// header limit, so the batch must go out as many AMs and come back
-// whole.
+// TestUCRGetMultiCallers drives the one mget path with a small batch
+// (one active message) and one past every per-AM bound: 70 000 keys
+// overflow the header's uint16 key count AND the eager header limit, so
+// the batch must go out as many AMs and come back whole.
 func TestUCRGetMultiCallers(t *testing.T) {
 	st := newStack(t)
 	tr, _ := st.ucrClient(t)
 	defer tr.Close()
-	trunk, _ := st.ucrClient(t)
-	mux := NewSessionMux(trunk)
-	defer mux.Close()
 	clk := simnet.NewVClock(0)
 
 	keys := make([]string, 70_000)
@@ -258,31 +253,22 @@ func TestUCRGetMultiCallers(t *testing.T) {
 		{"one AM", []string{keys[0], keys[997], "absent"}},
 		{"70000 keys", keys},
 	}
-	callers := []struct {
-		name string
-		call func(keys []string) (map[string][]byte, error)
-	}{
-		{"GetMulti", func(keys []string) (map[string][]byte, error) { return tr.GetMulti(clk, keys) }},
-		{"Session.GetMulti", func(keys []string) (map[string][]byte, error) { return mux.Session(1).GetMulti(clk, keys) }},
-	}
 	for _, in := range inputs {
-		for _, c := range callers {
-			got, err := c.call(in.keys)
-			if err != nil {
-				t.Fatalf("%s(%s): %v", c.name, in.name, err)
+		got, err := tr.GetMulti(clk, in.keys)
+		if err != nil {
+			t.Fatalf("GetMulti(%s): %v", in.name, err)
+		}
+		hits := 0
+		for _, k := range in.keys {
+			if string(got[k]) != want[k] {
+				t.Fatalf("GetMulti(%s): %s = %q, want %q", in.name, k, got[k], want[k])
 			}
-			hits := 0
-			for _, k := range in.keys {
-				if string(got[k]) != want[k] {
-					t.Fatalf("%s(%s): %s = %q, want %q", c.name, in.name, k, got[k], want[k])
-				}
-				if _, ok := want[k]; ok {
-					hits++
-				}
+			if _, ok := want[k]; ok {
+				hits++
 			}
-			if len(got) != hits {
-				t.Fatalf("%s(%s): %d entries, want %d", c.name, in.name, len(got), hits)
-			}
+		}
+		if len(got) != hits {
+			t.Fatalf("GetMulti(%s): %d entries, want %d", in.name, len(got), hits)
 		}
 	}
 	if empty, err := tr.GetMulti(clk, nil); err != nil || len(empty) != 0 {

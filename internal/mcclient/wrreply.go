@@ -10,7 +10,7 @@ import (
 // one window arena carved into fixed-size reply slots and teaches the
 // server its geometry once (the AMArm capability exchange, see
 // UCRTransport.Arm); a GET/MGET that secures a slot (readOp) then
-// advertises just its 2-byte index with the request (AMGetW/AMMGetW),
+// advertises just its 2-byte index with the request (amGetW/amMGetW),
 // keeping the armed request header within a couple of bytes of the
 // plain one. The server answers a crossover-sized hit by gather-writing
 // [reply header ‖ value] into the slot and completing the future with a

@@ -50,7 +50,7 @@ func TestServerGetZeroAllocWriteReplies(t *testing.T) {
 
 // TestServerGetZeroAllocWriteRepliesEagerFallback: with the arena armed
 // but the value below the crossover, the request still advertises a
-// window (AMGetW) and the server answers with the plain eager reply —
+// window (amGetW) and the server answers with the plain eager reply —
 // that fallback lane must stay zero-alloc too.
 func TestServerGetZeroAllocWriteRepliesEagerFallback(t *testing.T) {
 	tr, clk, val := wrAllocStack(t, benchValSize)

@@ -195,16 +195,17 @@ func (s *Server) pickWorker() *worker {
 	return w
 }
 
-// sumContexts totals fn over the workers' progress contexts, reading
-// each between that worker's steps: the counters belong to the worker,
-// and this is what makes them readable on a serving deployment.
+// sumContexts totals fn over the workers' progress contexts, holding
+// the deployment (simnet.Executor.Enter) so no worker steps meanwhile:
+// the counters belong to the workers, and this is what makes them
+// readable on a serving deployment.
 func (s *Server) sumContexts(fn func(*ucr.Context) uint64) (total uint64) {
+	s.ex.Enter()
+	defer s.ex.Exit()
 	for _, w := range s.workers {
-		w.actor.Do(func() {
-			if w.ctx != nil {
-				total += fn(w.ctx)
-			}
-		})
+		if w.ctx != nil {
+			total += fn(w.ctx)
+		}
 	}
 	return total
 }
@@ -228,21 +229,24 @@ func (s *Server) UCRSRQDemux() uint64 { return s.sumContexts((*ucr.Context).SRQD
 func (s *Server) UCRBatchedDrains() uint64 { return s.sumContexts((*ucr.Context).BatchedDrains) }
 
 // WorkerClocks reports each worker's virtual time between its steps
-// (benchmarks use the max as the server-side makespan).
+// (benchmarks use the max as the server-side makespan), holding the
+// deployment as sumContexts does.
 func (s *Server) WorkerClocks() []simnet.Time {
+	s.ex.Enter()
+	defer s.ex.Exit()
 	out := make([]simnet.Time, len(s.workers))
 	for i, w := range s.workers {
-		w.actor.Do(func() { out[i] = w.clk.Now() })
+		out[i] = w.clk.Now()
 	}
 	return out
 }
 
 // ServeSockets starts the sockets frontend on the given listener: the
-// dispatcher accepts its connections and hands each to a worker.
+// dispatcher accepts its connections and hands each to a worker. Like
+// ServeUCR it is setup, run by the deployment's holder or before anyone
+// drives the deployment, so it sets the dispatcher's state directly.
 func (s *Server) ServeSockets(lis *sockstream.Listener) {
-	s.disp.Do(func() {
-		s.sockLis = append(s.sockLis, sockListener{lis, simnet.NewVClock(0)})
-	})
+	s.sockLis = append(s.sockLis, sockListener{lis, simnet.NewVClock(0)})
 	lis.SetOwner(s.disp)
 }
 
@@ -260,9 +264,9 @@ func (s *Server) ServeUCR(rt *ucr.Runtime, service string) error {
 		ctx := rt.NewContext()
 		ctx.UseEvents(s.cfg.UCREvents)
 		ctx.SetOwner(w.actor)
-		w.actor.Do(func() { w.ctx = ctx })
+		w.ctx = ctx
 	}
-	s.disp.Do(func() { s.ucrLis, s.ucrClk = lis, simnet.NewVClock(0) })
+	s.ucrLis, s.ucrClk = lis, simnet.NewVClock(0)
 	lis.SetOwner(s.disp)
 	return nil
 }

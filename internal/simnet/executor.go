@@ -28,13 +28,16 @@ import (
 // view can run. Enter does not nest.
 //
 // Mailboxes are the one hand-off that stays synchronised, under the
-// executor's bookkeeping lock, because goroutines that hold no owner
-// still meet there: acceptors started by tests, standalone mailbox
-// pairs. With several such goroutines one at a time holds the stepping
-// loop; the rest park. A holder that leaves while actors are still
-// ready wakes a parked caller to take over, so a wake-up is never lost
-// and nobody polls. Bookkeeping allocates nothing per message and
-// charges no virtual time.
+// executor's bookkeeping lock, because two kinds of caller still meet
+// there without the owner: benchmark/probes.go's goroutine acceptors
+// and simnet's own tests (standalone mailbox pairs, goroutines racing
+// a stepping loop). Every other goroutine that touches a deployment
+// holds its owner, so its waits step actors until the mailbox fills
+// and never park. With several ownerless goroutines one at a time holds
+// the stepping loop; the rest park. A holder that leaves while actors
+// are still ready wakes a parked caller to take over, so a wake-up is
+// never lost and nobody polls. Bookkeeping allocates nothing per
+// message and charges no virtual time.
 //
 // Because every actor and every blocked caller is in view, the executor
 // also knows when a wait is dead: Mailbox.RecvIdle gives up once the
@@ -45,11 +48,11 @@ type Executor struct {
 	mu      sync.Mutex // the bookkeeping below and every mailbox of the executor
 	ready   readyHeap
 	held    bool        // a goroutine is in its stepping loop
-	running int         // actors in a step or claimed by Do/Stop
+	running int         // actors in a step
 	waiting int         // of those, steps blocked in a RecvIdle of their own
 	parked  []*receiver // callers blocked in await
 	nextID  int
-	settle  sync.Cond // Do and Stop wait here for a running step to end
+	settle  sync.Cond // Stop waits here for a running step to end
 }
 
 func newExecutor() *Executor {
@@ -112,49 +115,24 @@ func (a *Actor) TakeReady(buf []any) []any {
 	return buf
 }
 
-// Do runs fn while the actor is between steps, with the exclusion and
-// memory ordering of a step: state only the actor's step touches may be
-// read or written race-free. Not to be called from a step.
-func (a *Actor) Do(fn func()) {
-	ex := a.ex
-	ex.mu.Lock()
-	ex.claim(a)
-	ex.mu.Unlock()
-	fn()
-	ex.mu.Lock()
-	ex.release(a)
-	ex.handoff()
-	ex.mu.Unlock()
-}
-
 // Stop retires the actor: it returns once no step is running and none
 // will run again. Puts into its mailboxes still queue but wake nothing.
 func (a *Actor) Stop() {
 	ex := a.ex
 	ex.mu.Lock()
-	ex.claim(a)
-	a.stopped = true
-	ex.release(a)
-	ex.handoff()
-	ex.mu.Unlock()
-}
-
-// claim takes a out of circulation for its caller, waiting out a running
-// step.
-func (ex *Executor) claim(a *Actor) {
 	for a.running {
 		ex.settle.Wait()
 	}
 	if a.pos >= 0 {
 		heap.Remove(&ex.ready, a.pos)
-		a.dirty = true // release links it again
 	}
-	a.running = true
-	ex.running++
+	a.stopped, a.stamp = true, Never
+	ex.handoff()
+	ex.mu.Unlock()
 }
 
-// release ends a step (or a claim): an actor with work left goes back on
-// the ready list. It reports whether the step gave the executor up.
+// release ends a step: an actor with work left goes back on the ready
+// list. It reports whether the step gave the executor up.
 func (ex *Executor) release(a *Actor) (detached bool) {
 	a.running = false
 	ex.running--
@@ -223,7 +201,7 @@ func (ex *Executor) handoff() {
 // against each other, but do against outside callers: a mutual wait ends
 // innermost first, and a stuck step gives up before the callers waiting
 // on it. Not in view: a goroutine that is neither parked here nor inside
-// a step or Do (a peer between two receives).
+// a step (a peer between two receives).
 func (ex *Executor) quiet(self *Actor) bool { return !ex.busy(self) && !ex.mail() }
 
 func (ex *Executor) busy(self *Actor) bool {

@@ -264,7 +264,9 @@ func TestMailboxWithoutOwner(t *testing.T) {
 func TestExecutorStopWakesWaiters(t *testing.T) {
 	ex := NewNetwork().Executor()
 	in := NewMailboxOn[stamped](ex)
+	const callers = 8
 	var held []stamped
+	got := make(chan struct{}, callers)
 	steps := 0
 	srv := ex.NewActor(func() {
 		steps++
@@ -274,11 +276,11 @@ func TestExecutorStopWakesWaiters(t *testing.T) {
 				return
 			}
 			held = append(held, m) // never answered
+			got <- struct{}{}
 		}
 	})
 	in.SetOwner(srv, nil, stampOf)
 
-	const callers = 8
 	errs := make(chan bool, callers)
 	for g := 0; g < callers; g++ {
 		reply := NewMailboxOn[int](ex)
@@ -289,10 +291,8 @@ func TestExecutorStopWakesWaiters(t *testing.T) {
 		}()
 	}
 	// Wait until the server has every request, then close it.
-	var n int
-	for n < callers {
-		srv.Do(func() { n = len(held) })
-		time.Sleep(time.Millisecond)
+	for g := 0; g < callers; g++ {
+		<-got
 	}
 	srv.Stop()
 	for _, m := range held {
@@ -318,9 +318,11 @@ func TestExecutorStopWakesWaiters(t *testing.T) {
 	}
 }
 
-// Do reads actor-private state race-free while other goroutines drive
-// the actor's steps (meaningful under -race).
-func TestExecutorDoExcludesSteps(t *testing.T) {
+// The owner excludes steps: a reader holding it (Enter) sees
+// actor-private state race-free while other goroutines, each holding it
+// for a round trip, drive the actor's steps (meaningful under -race).
+// This is how a server's counters are read while clients run.
+func TestExecutorEnterExcludesSteps(t *testing.T) {
 	ex := NewNetwork().Executor()
 	in := NewMailboxOn[stamped](ex)
 	served := 0 // actor-private: no synchronization of its own
@@ -343,19 +345,21 @@ func TestExecutorDoExcludesSteps(t *testing.T) {
 			defer wg.Done()
 			reply := NewMailboxOn[int](ex)
 			for i := 0; i < trips; i++ {
+				ex.Enter()
 				in.Put(stamped{reply: reply})
 				reply.Recv()
+				ex.Exit()
 			}
 		}()
 	}
 	last := 0
 	for last < callers*trips {
-		a.Do(func() {
-			if served < last {
-				t.Errorf("served went backwards: %d after %d", served, last)
-			}
-			last = served
-		})
+		ex.Enter()
+		if served < last {
+			t.Errorf("served went backwards: %d after %d", served, last)
+		}
+		last = served
+		ex.Exit()
 	}
 	wg.Wait()
 }
@@ -389,13 +393,6 @@ func TestExecutorIdleActorIsNotRestepped(t *testing.T) {
 	})
 	if steps != 1 {
 		t.Errorf("steps = %d, want 1", steps)
-	}
-	// Do keeps a linked actor linked.
-	in.Put(stamped{})
-	a.Do(func() {})
-	NewMailboxOn[int](ex).RecvIdle()
-	if steps != 2 {
-		t.Errorf("steps after Do = %d, want 2: Do dropped a ready actor", steps)
 	}
 }
 
@@ -460,25 +457,6 @@ func TestRecvIdleLoneCaller(t *testing.T) {
 	if _, ok, idle := box.RecvIdle(); ok || idle {
 		t.Errorf("closed mailbox = (ok=%v, idle=%v), want closed, not idle", ok, idle)
 	}
-}
-
-// An actor claimed by Do is running, though nobody holds the executor:
-// the idle verdict waits for Do to end.
-func TestRecvIdleWaitsForDo(t *testing.T) {
-	ex := NewNetwork().Executor()
-	_, a, _ := echoActor(ex)
-	inDo, endDo := make(chan struct{}), make(chan struct{})
-	go a.Do(func() { close(inDo); <-endDo })
-	<-inDo
-	idle := idleWaiter(ex)
-	waitParked(t, ex, 1)
-	stillWaiting(t, idle, "while Do had the actor claimed")
-	close(endDo)
-	waitOrFail(t, "Do's release", func() {
-		if !<-idle {
-			t.Error("want idle once Do ended")
-		}
-	})
 }
 
 // A caller that parked behind a holder is re-woken when the holder

@@ -85,8 +85,8 @@ func BytesDuration(n int, bytesPerSec float64) Duration {
 // client's goroutine, a memcached worker's step, and so on. Only the
 // owner may advance it; cross-actor ordering happens through message
 // timestamps and Resource serialization, never by sharing a VClock. It
-// is a plain field: a harness reads a worker's clock between the
-// worker's steps (Actor.Do), like the rest of the worker's state.
+// is a plain field: a harness reads a worker's clock holding the
+// deployment (Executor.Enter), like the rest of the worker's state.
 type VClock struct {
 	now Time
 }

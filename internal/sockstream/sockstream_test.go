@@ -56,26 +56,33 @@ func connPair(t testing.TB, e *env) (cli, srv *Conn) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	srvClk := simnet.NewVClock(0)
-	done := make(chan *Conn, 1)
-	go func() {
-		c, ok := lis.Accept(srvClk)
-		if !ok {
-			done <- nil
-			return
-		}
-		done <- c
-	}()
-	cliClk := simnet.NewVClock(0)
-	cli, err = e.prov.Dial(e.a, e.b, "svc", cliClk, 5*time.Second)
+	acceptOn(e.prov, lis, simnet.NewVClock(0), func(c *Conn) { srv = c })
+	cli, err = e.prov.Dial(e.a, e.b, "svc", simnet.NewVClock(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = <-done
 	if srv == nil {
 		t.Fatal("accept failed")
 	}
 	return cli, srv
+}
+
+// acceptOn makes an actor on the provider's executor lis's acceptor:
+// each connection is handed to accept, with clk, inside the step of the
+// dialer that waits for it — the way a server's dispatcher accepts. A
+// dial to it passes a real-time cap of 0: the executor sees the
+// acceptor, so a SYN nobody answers ends when the simulation idles.
+func acceptOn(p *Provider, lis *Listener, clk *simnet.VClock, accept func(*Conn)) {
+	a := p.Fabric.Executor().NewActor(func() {
+		for {
+			c, ok := lis.TryAccept(clk)
+			if !ok {
+				return
+			}
+			accept(c)
+		}
+	})
+	lis.SetOwner(a)
 }
 
 func TestDialRefused(t *testing.T) {
@@ -103,12 +110,9 @@ func TestDialChargesHandshake(t *testing.T) {
 	e := newEnv(t)
 	lis, _ := e.prov.Listen(e.b, "svc")
 	defer lis.Close()
-	go func() {
-		clk := simnet.NewVClock(0)
-		lis.Accept(clk)
-	}()
+	acceptOn(e.prov, lis, simnet.NewVClock(0), func(*Conn) {})
 	clk := simnet.NewVClock(0)
-	if _, err := e.prov.Dial(e.a, e.b, "svc", clk, 5*time.Second); err != nil {
+	if _, err := e.prov.Dial(e.a, e.b, "svc", clk, 0); err != nil {
 		t.Fatal(err)
 	}
 	// At minimum: one RTT (2×(prop+switch) = 1400) + ConnSetup 2000.
@@ -362,23 +366,14 @@ func TestAggregateBoundedByWire(t *testing.T) {
 
 	const senders = 4
 	const perSender = 1 << 20 // 1 MB each
-	srvConns := make(chan *Conn, senders)
-	go func() {
-		clk := simnet.NewVClock(0)
-		for i := 0; i < senders; i++ {
-			c, ok := lis.Accept(clk)
-			if !ok {
-				return
-			}
-			srvConns <- c
-		}
-	}()
+	var srvConns []*Conn
+	acceptOn(prov, lis, simnet.NewVClock(0), func(c *Conn) { srvConns = append(srvConns, c) })
 
 	var conns []*Conn
 	for i := 0; i < senders; i++ {
 		node := nw.AddNode(fmt.Sprintf("sender%d", i))
 		fab.Attach(node)
-		c, err := prov.Dial(node, server, "svc", simnet.NewVClock(0), 5*time.Second)
+		c, err := prov.Dial(node, server, "svc", simnet.NewVClock(0), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,11 +385,13 @@ func TestAggregateBoundedByWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if len(srvConns) != senders {
+		t.Fatalf("%d connections accepted, want %d", len(srvConns), senders)
+	}
 	// Drain everything server-side; the last byte's arrival bounds the
 	// aggregate rate.
 	var maxArrive simnet.Time
-	for i := 0; i < senders; i++ {
-		sc := <-srvConns
+	for _, sc := range srvConns {
 		clk := simnet.NewVClock(0)
 		sc.SetClock(clk)
 		buf := make([]byte, 64*1024)

@@ -98,19 +98,14 @@ func TestAtomicConcurrentFetchAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	go func() {
-		clk := simnetClock()
-		req, ok := lis.Accept(clk)
-		if !ok {
-			return
-		}
+	srvClk := simnet.NewVClock(0)
+	acceptOn(p, lis, srvClk, func(req *ConnRequest) {
 		srvQP := p.srvHCA.NewQP(RC, p.srvSend, p.srvRecv)
-		if err := srvQP.Modify(StateInit); err != nil {
-			return
+		if err := req.Accept(srvQP, srvClk); err != nil {
+			t.Error(err)
 		}
-		_ = req.Accept(srvQP, clk)
-	}()
-	if _, err := p.cm.Connect(p2.qp, p.srvNode, "second", simnetClock(), testRealCap); err != nil {
+	})
+	if _, err := p.cm.Connect(p2.qp, p.srvNode, "second", simnet.NewVClock(0), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,7 +114,7 @@ func TestAtomicConcurrentFetchAdd(t *testing.T) {
 	// goroutine drives the two clients; the target HCA serializes their
 	// updates all the same.
 	const perClient = 100
-	clks := [2]*simnet.VClock{simnetClock(), simnetClock()}
+	clks := [2]*simnet.VClock{simnet.NewVClock(0), simnet.NewVClock(0)}
 	qps, cqs := [2]*QP{p.cliQP, p2.qp}, [2]*CQ{p.cliSend, p2.cq}
 	for i := 0; i < perClient; i++ {
 		for c, qp := range qps {

@@ -92,23 +92,34 @@ func newPair(t testing.TB, nRecv, bufSize int) *pair {
 			t.Fatal(err)
 		}
 	}
-	accepted := make(chan error, 1)
-	go func() {
-		req, ok := lis.Accept(p.srvClock)
-		if !ok {
-			accepted <- ErrListenerClosed
-			return
+	acceptOn(p, lis, p.srvClock, func(req *ConnRequest) {
+		if err := req.Accept(p.srvQP, p.srvClock); err != nil {
+			t.Error(err)
 		}
-		accepted <- req.Accept(p.srvQP, p.srvClock)
-	}()
-	if _, err := p.cm.Connect(p.cliQP, p.srvNode, "memcached", p.cliClock, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-accepted; err != nil {
+	})
+	if _, err := p.cm.Connect(p.cliQP, p.srvNode, "memcached", p.cliClock, 0); err != nil {
 		t.Fatal(err)
 	}
 	lis.Close()
 	return p
+}
+
+// acceptOn makes an actor on the pair's executor lis's acceptor: each
+// request is handed to accept, with clk, inside the step of the caller
+// that waits for the answer — the way a server's dispatcher accepts. A
+// dial to it passes a real-time cap of 0: the executor sees the
+// acceptor, so a request nobody answers ends when the simulation idles.
+func acceptOn(p *pair, lis *Listener, clk *simnet.VClock, accept func(*ConnRequest)) {
+	a := p.nw.Executor().NewActor(func() {
+		for {
+			req, ok := lis.TryAccept(clk)
+			if !ok {
+				return
+			}
+			accept(req)
+		}
+	})
+	lis.SetOwner(a)
 }
 
 func TestQPStateMachine(t *testing.T) {
@@ -803,17 +814,12 @@ func TestCMReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	go func() {
-		req, ok := lis.Accept(p.srvClock)
-		if ok {
-			req.Reject(ErrRefused)
-		}
-	}()
+	acceptOn(p, lis, p.srvClock, func(req *ConnRequest) { req.Reject(ErrRefused) })
 	qp := p.cliHCA.NewQP(RC, p.cliSend, p.cliRecv)
 	if err := qp.Modify(StateInit); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.cm.Connect(qp, p.srvNode, "reject-me", p.cliClock, time.Second); err != ErrRefused {
+	if _, err := p.cm.Connect(qp, p.srvNode, "reject-me", p.cliClock, 0); err != ErrRefused {
 		t.Fatalf("err = %v, want ErrRefused", err)
 	}
 }
@@ -974,12 +980,6 @@ func TestHCAUtilization(t *testing.T) {
 	}
 }
 
-// simnetClock and testRealCap are small helpers for auxiliary test
-// goroutines.
-func simnetClock() *simnet.VClock { return simnet.NewVClock(0) }
-
-const testRealCap = 5 * time.Second
-
 func TestCMTypeMismatchRejected(t *testing.T) {
 	// An RC dialer must not be paired with a UD acceptor.
 	p := newPair(t, 1, 64)
@@ -988,27 +988,23 @@ func TestCMTypeMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	go func() {
-		clk := simnetClock()
-		req, ok := lis.Accept(clk)
-		if !ok {
-			return
-		}
+	clk := simnet.NewVClock(0)
+	acceptOn(p, lis, clk, func(req *ConnRequest) {
 		cq := p.srvHCA.CreateCQ()
 		udQP := p.srvHCA.NewQP(UD, cq, cq)
 		if err := udQP.Modify(StateInit); err != nil {
-			return
+			t.Error(err)
 		}
 		if err := req.Accept(udQP, clk); err != errBadState {
 			t.Errorf("mismatched Accept err = %v, want ErrBadState", err)
 		}
 		req.Reject(errBadState)
-	}()
+	})
 	qp := p.cliHCA.NewQP(RC, p.cliSend, p.cliRecv)
 	if err := qp.Modify(StateInit); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.cm.Connect(qp, p.srvNode, "mismatch", p.cliClock, testRealCap); err == nil {
+	if _, err := p.cm.Connect(qp, p.srvNode, "mismatch", p.cliClock, 0); err == nil {
 		t.Fatal("mismatched transports should not connect")
 	}
 }

@@ -31,7 +31,6 @@ var surfaceAllowlist = []surfaceEntry{
 	{"mcclient.Client.Ejected", "cluster's failover test asserts which server the client ejected"},
 	{"mcclient.ErrBadKey", "cluster's TestFleetRejectsBadKey checks a fleet refuses a bad key before it reaches a server"},
 	{"mcclient.PathCounters.Fallbacks", "cluster's UD tests count the mgets punted from UD back to RC"},
-	{"mcclient.SessionMux.Transport", "cluster's tests read a concentrator trunk's path counters"},
 	{"memcheck.Mode.Fleet", "cluster's TestModesComposed skips the rows a cluster.Client cannot play"},
 	{"memcheck.Mode.Options", "cluster's TestModesComposed arms each row's options on its deployment"},
 	{"memcheck.Mode.Path", "cluster's TestModesComposed checks the row's path served reads"},
