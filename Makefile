@@ -182,6 +182,8 @@ check-no-park:
 #    internal/memcached. A Store's calls are serialised by its owner — a
 #    deployment's executor, or mcserver's one process lock — and the
 #    stripe locks exist only in virtual time.
+#  - a Wait spends its future: a pipelined window recycles its futures,
+#    so no test or comment may promise a second Wait.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -205,6 +207,7 @@ internal/cluster internal/mcclient	sync\.|atomic\.	_test\.go:	lock or atomic bes
 internal cmd examples	SessionMux|type Session struct|func \(a \*Actor\) Do\(	^$$	session forward or actor claim beside the deployment owner under internal/ cmd/ examples/
 internal cmd examples	CompareSwap|OpAtomicCmpSwap|GetMultiInto|HotFraction|ErrQPDestroyed|ErrNoHandler|ErrBadHandler	^$$	compare-and-swap, lent-buffer mget, Zipf hot fraction or unreturned sentinel error under internal/ cmd/ examples/
 internal/verbs	ErrBadKey	^$$	verbs.ErrBadKey under internal/verbs
+internal cmd examples *_test.go	Test(PipelineOneAllocPerOp)|never recycles|Wait may be called any number of times	^$$	future waitable twice (a Wait spends its future) under internal/ cmd/ examples/ or the root tests
 endef
 export GONE
 

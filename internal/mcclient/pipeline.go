@@ -22,7 +22,8 @@ import (
 // request is posted and waited for. A Pipeline borrows its transport's
 // connection: while a window is outstanding, do not interleave blocking
 // Transport calls on the same transport. Futures may be waited in any
-// order (or dropped — Wait settles everything).
+// order (or dropped — Wait settles everything), each at most once: a
+// future's Wait spends it (see future).
 //
 // Every Start, Flush and Wait — a pipeline's or a future's — is an entry
 // point of the deployment: it takes the transport's executor once
@@ -59,13 +60,16 @@ type Pipeline interface {
 	Wait(clk *simnet.VClock) error
 }
 
-// future is the one allocation a pipelined request makes: the result
-// its caller waits on and the window entry its pipeline tracks, in one
-// struct. GetFuture, SetFuture and BoolFuture are views of it that
-// differ only in what Wait returns. A Pipeline() window never recycles
-// its futures, so Wait may be called any number of times; a transport's
-// own window (its blocking calls) reuses its one future from call to
-// call.
+// future is the result a pipelined request's caller waits on and the
+// window entry its pipeline tracks, in one struct. GetFuture, SetFuture
+// and BoolFuture are views of it that differ only in what Wait returns.
+// Wait spends its future: it copies the result out, zeroes the future
+// and hands it to the window that issued it, which keeps up to `window`
+// spares for its next Start. Do not touch a future after its Wait. Two
+// futures are not recycled at Wait: a transport's own `one`, which its
+// blocking calls and SetAll/DeleteAll reuse, and a UCR future still on
+// landq (its deferred landing ran inside its own Wait), which
+// drainLandings recycles as it clears the list.
 type future struct {
 	pipe futureWaiter // the pipeline that issued it
 	kind futureKind
@@ -100,10 +104,11 @@ const (
 )
 
 // futureWaiter is the pipeline side of Wait: drive the connection until
-// f is done, holding the deployment owner() names.
+// f is done, holding the deployment owner() names, then take f back.
 type futureWaiter interface {
 	waitFor(clk *simnet.VClock, f *future)
 	owner() *simnet.Executor
+	spend(f *future)
 }
 
 // wait drives the pipeline until f is done: a GET settled with its
@@ -115,15 +120,38 @@ func (f *future) wait(clk *simnet.VClock) error {
 	return f.err
 }
 
+// spares holds a window's spent futures for its next starts.
+type spares []*future
+
+// take returns a spare future, or a new one when none is left.
+func (s *spares) take() *future {
+	n := len(*s)
+	if n == 0 {
+		return new(future)
+	}
+	f := (*s)[n-1]
+	*s = (*s)[:n-1]
+	return f
+}
+
+// keep holds f for a later take, unless limit spares are held already.
+func (s *spares) keep(f *future, limit int) {
+	if len(*s) < limit {
+		*s = append(*s, f)
+	}
+}
+
 // GetFuture is the pending result of StartGet.
 type GetFuture future
 
-// Wait settles the future (driving the pipeline as needed) and returns
-// the get outcome, mirroring Transport.Get.
+// Wait settles the future (driving the pipeline as needed), spends it
+// and returns the get outcome, mirroring Transport.Get.
 func (f *GetFuture) Wait(clk *simnet.VClock) ([]byte, uint32, uint64, bool, error) {
-	ex := f.pipe.owner()
+	p := f.pipe
+	ex := p.owner()
 	ex.Enter()
 	defer ex.Exit()
+	defer p.spend((*future)(f)) // after the result is copied out, before Exit
 	return f.result(clk)
 }
 
@@ -136,11 +164,13 @@ func (f *GetFuture) result(clk *simnet.VClock) ([]byte, uint32, uint64, bool, er
 // SetFuture is the pending result of StartSet.
 type SetFuture future
 
-// Wait settles the future and returns the store outcome.
+// Wait settles the future, spends it and returns the store outcome.
 func (f *SetFuture) Wait(clk *simnet.VClock) (memcached.StoreResult, error) {
-	ex := f.pipe.owner()
+	p := f.pipe
+	ex := p.owner()
 	ex.Enter()
 	defer ex.Exit()
+	defer p.spend((*future)(f))
 	return f.result(clk)
 }
 
@@ -153,11 +183,13 @@ func (f *SetFuture) result(clk *simnet.VClock) (memcached.StoreResult, error) {
 // BoolFuture is the pending result of StartDelete.
 type BoolFuture future
 
-// Wait settles the future and returns the outcome.
+// Wait settles the future, spends it and returns the outcome.
 func (f *BoolFuture) Wait(clk *simnet.VClock) (bool, error) {
-	ex := f.pipe.owner()
+	p := f.pipe
+	ex := p.owner()
 	ex.Enter()
 	defer ex.Exit()
+	defer p.spend((*future)(f))
 	return f.result(clk)
 }
 
@@ -211,16 +243,17 @@ type ucrPipeline struct {
 	one    *future   // the transport's own window: the future every call reuses
 	q      []*future // outstanding, issue order
 	landq  []*future // settled entries with a deferred write-reply landing
+	spare  spares    // spent futures, at most window
 	err    error     // first transport-level error (sticky)
 }
 
-// start admits op under a future: a fresh one in a Pipeline() window;
-// in the transport's own, its one future, and a fresh window — a
-// blocking call inherits no sticky error from the call before.
+// start admits op under a future: a spare or fresh one in a Pipeline()
+// window; in the transport's own, its one future, and a fresh window —
+// a blocking call inherits no sticky error from the call before.
 func (p *ucrPipeline) start(clk *simnet.VClock, kind futureKind, op *amOp) *future {
 	f := p.one
 	if f == nil {
-		f = new(future)
+		f = p.spare.take()
 	} else {
 		p.err = nil
 	}
@@ -277,13 +310,31 @@ func (p *ucrPipeline) fail(err error) {
 	}
 }
 
+// spend takes back a future whose Wait has copied its result out: zeroed,
+// and kept as a spare unless it is the transport's own or still listed
+// on landq, where drainLandings finds it spent.
+func (p *ucrPipeline) spend(f *future) {
+	if f == p.one {
+		return
+	}
+	*f = future{}
+	if !slices.Contains(p.landq, f) {
+		p.spare.keep(f, p.window)
+	}
+}
+
 // drainLandings materializes every deferred write-reply copy-out. Run
 // just after a post or before a blocking CQ wait, the copies are charged
 // while a reply is still on the wire; the forward-only sync to its
-// arrival then swallows them (see wrMaterialize).
+// arrival then swallows them (see wrMaterialize). An entry already spent
+// (its landing ran inside its own Wait) is recycled as it leaves the list.
 func (p *ucrPipeline) drainLandings() {
 	for i, e := range p.landq {
-		p.landNow(e)
+		if e.pipe == nil {
+			p.spare.keep(e, p.window)
+		} else {
+			p.landNow(e)
+		}
 		p.landq[i] = nil
 	}
 	p.landq = p.landq[:0]

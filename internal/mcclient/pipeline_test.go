@@ -3,6 +3,8 @@ package mcclient
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/memcached"
@@ -156,46 +158,183 @@ func TestPipelineWaitOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineOneAllocPerOp: a pipelined request allocates its future
-// and nothing else on either transport — the window entry is embedded
-// in the future, settle/wait/land are methods on it, and the sockets
-// queue lives in one backing array. Futures are not recycled, so a
-// settled one can be waited again.
-func TestPipelineOneAllocPerOp(t *testing.T) {
-	const window = 4
+// windowClient is one path a pipelined window can take.
+type windowClient struct {
+	name string
+	tr   Transport
+	wr   *UCRTransport // the transport when write replies are armed
+}
+
+func (c windowClient) writeHits() uint64 {
+	if c.wr == nil {
+		return 0
+	}
+	return c.wr.WriteReplyHits()
+}
+
+// windowClients dials sockets, UCR, and UCR with write replies armed,
+// whose GETs take the deferred landing (landq), on one server.
+func windowClients(t *testing.T) []windowClient {
 	st := newStack(t)
 	utr, _ := st.ucrClient(t)
-	for name, tr := range map[string]Transport{"sockets": st.sockClient(t), "ucr": utr} {
-		t.Run(name, func(t *testing.T) {
-			defer tr.Close()
+	wtr, _ := st.ucrClient(t)
+	if err := wtr.Arm(simnet.NewVClock(0), false, true); err != nil {
+		t.Fatal(err)
+	}
+	return []windowClient{{"sockets", st.sockClient(t), nil}, {"ucr", utr, nil}, {"ucr-wrreply", wtr, wtr}}
+}
+
+// TestPipelineZeroAllocPerOp: a steady-state pipelined GET allocates
+// nothing on either transport — each Wait hands its future back to the
+// window for the next Start, the window entry is embedded in the
+// future, and the sockets queue lives in one backing array. With write
+// replies armed, a GET's landing runs inside its own Wait and leaves the
+// future on landq, and the next drain recycles it.
+func TestPipelineZeroAllocPerOp(t *testing.T) {
+	const window = 4
+	for _, c := range windowClients(t) {
+		t.Run(c.name, func(t *testing.T) {
+			defer c.tr.Close()
 			clk := simnet.NewVClock(0)
-			if _, err := tr.Set(clk, "piped", 0, 0, make([]byte, 512)); err != nil {
+			size := 512
+			if c.wr != nil {
+				size = 4096 // past the write-reply crossover
+			}
+			if _, err := c.tr.Set(clk, "piped", 0, 0, make([]byte, size)); err != nil {
 				t.Fatal(err)
 			}
-			pipe := tr.(Pipeliner).Pipeline(window)
+			pipe := c.tr.(Pipeliner).Pipeline(window)
 			var bufs [window][]byte
 			var futs [window]*GetFuture
 			for i := range bufs {
-				bufs[i] = make([]byte, 0, 512)
+				bufs[i] = make([]byte, 0, size)
 			}
 			round := func() {
 				for i := range futs {
 					futs[i] = pipe.StartGetInto(clk, "piped", bufs[i])
 				}
 				for _, f := range futs {
-					if v, _, _, hit, err := f.Wait(clk); err != nil || !hit || len(v) != 512 {
+					if v, _, _, hit, err := f.Wait(clk); err != nil || !hit || len(v) != size {
 						t.Fatalf("Wait = (%d, %v, %v)", len(v), hit, err)
 					}
 				}
 			}
-			for i := 0; i < 8; i++ { // warm op pools, segment lists, queues
+			for i := 0; i < 8; i++ { // warm op pools, segment lists, queues, spares
 				round()
 			}
-			if allocs := testing.AllocsPerRun(100, round); allocs != window {
-				t.Fatalf("%v allocs per window of %d, want one future per op", allocs, window)
+			hits := c.writeHits()
+			if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+				t.Fatalf("%v allocs per window of %d, want 0", allocs, window)
 			}
-			if v, _, _, hit, err := futs[0].Wait(clk); err != nil || !hit || len(v) != 512 {
-				t.Fatalf("second Wait = (%d, %v, %v)", len(v), hit, err)
+			if c.wr != nil && c.writeHits() == hits {
+				t.Fatal("measured rounds never took the write-reply path (vacuous)")
+			}
+		})
+	}
+}
+
+// TestPipelineSpentFuturesNeverCross: a seeded interleaving of starts and
+// out-of-order Waits over distinct keys, so spent futures are reissued
+// while older ones are still outstanding. Every Wait must return its own
+// op's value, flags and outcome. A key has at most one unwaited op, so
+// each op's outcome is fixed when it is issued; a value names its key
+// and op, so a result read through a recycled future shows.
+func TestPipelineSpentFuturesNeverCross(t *testing.T) {
+	const window, nKeys, ops = 4, 12, 600
+	for _, c := range windowClients(t) {
+		t.Run(c.name, func(t *testing.T) {
+			defer c.tr.Close()
+			clk := simnet.NewVClock(0)
+			hits := c.writeHits()
+			rng := rand.New(rand.NewPCG(46, uint64(len(c.name))))
+			pipe := c.tr.(Pipeliner).Pipeline(window)
+			type entry struct {
+				val   []byte
+				flags uint32
+			}
+			model := map[string]entry{}
+			type pending struct {
+				op, key string
+				seq     int
+				get     *GetFuture
+				set     *SetFuture
+				del     *BoolFuture
+				want    entry
+				hit     bool
+			}
+			var outstanding []pending
+			waits := 0
+			busy := map[string]bool{}
+			futures := map[*future]bool{}
+			wait := func(i int) {
+				p := outstanding[i]
+				outstanding = slices.Delete(outstanding, i, i+1)
+				delete(busy, p.key)
+				switch p.op {
+				case "set":
+					if res, err := p.set.Wait(clk); err != nil || res != memcached.Stored {
+						t.Fatalf("op %d set %s = (%v, %v)", p.seq, p.key, res, err)
+					}
+				case "delete":
+					if ok, err := p.del.Wait(clk); err != nil || ok != p.hit {
+						t.Fatalf("op %d delete %s = (%v, %v), want %v", p.seq, p.key, ok, err, p.hit)
+					}
+				default:
+					v, flags, _, hit, err := p.get.Wait(clk)
+					if err != nil || hit != p.hit || hit && (!bytes.Equal(v, p.want.val) || flags != p.want.flags) {
+						t.Fatalf("op %d %s %s = (%.24q, flags %d, hit %v, %v), want (%.24q, flags %d, hit %v)",
+							p.seq, p.op, p.key, v, flags, hit, err, p.want.val, p.want.flags, p.hit)
+					}
+				}
+			}
+			for seq := 0; seq < ops; seq++ {
+				if len(outstanding) > 0 && (len(busy) == nKeys || rng.IntN(5) < 2) {
+					wait(rng.IntN(len(outstanding)))
+					waits++
+					continue
+				}
+				key := fmt.Sprintf("%s-%02d", c.name, rng.IntN(nKeys))
+				for busy[key] {
+					key = fmt.Sprintf("%s-%02d", c.name, rng.IntN(nKeys))
+				}
+				busy[key] = true
+				p := pending{key: key, seq: seq}
+				p.want, p.hit = model[key]
+				switch r := rng.IntN(8); {
+				case r < 3:
+					p.op = "set"
+					v := bytes.Repeat([]byte{byte('a' + seq%26)}, 1500+rng.IntN(1000))
+					copy(v, fmt.Sprintf("%s#%04d#", key, seq))
+					p.set = pipe.StartSet(clk, key, uint32(seq), 0, v)
+					futures[(*future)(p.set)] = true
+					model[key] = entry{val: v, flags: uint32(seq)}
+				case r < 4:
+					p.op = "delete"
+					p.del = pipe.StartDelete(clk, key)
+					futures[(*future)(p.del)] = true
+					delete(model, key)
+				case r < 6:
+					p.op = "get"
+					p.get = pipe.StartGet(clk, key)
+					futures[(*future)(p.get)] = true
+				default:
+					p.op = "getinto"
+					p.get = pipe.StartGetInto(clk, key, make([]byte, 0, 2600))
+					futures[(*future)(p.get)] = true
+				}
+				outstanding = append(outstanding, p)
+			}
+			for len(outstanding) > 0 {
+				wait(rng.IntN(len(outstanding)))
+			}
+			if err := pipe.Wait(clk); err != nil {
+				t.Fatalf("pipeline Wait: %v", err)
+			}
+			if starts := ops - waits; 2*len(futures) > starts {
+				t.Fatalf("%d distinct futures for %d starts, want spent ones reissued", len(futures), starts)
+			}
+			if c.wr != nil && c.writeHits() == hits {
+				t.Fatal("no GET took the write-reply path (vacuous)")
 			}
 		})
 	}

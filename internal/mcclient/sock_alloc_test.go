@@ -12,7 +12,7 @@ import (
 // text server's parse → store → reply all run inside the measured call,
 // and the count is process-wide.
 //
-//	go test -bench 'Sock(Get|Set)' -benchmem ./internal/mcclient/
+//	go test -bench 'Sock(Get|Set|PipelineGet)' -benchmem ./internal/mcclient/
 
 func sockBenchStack(b testing.TB) (*SockTransport, *simnet.VClock, []byte) {
 	st := newStack(b)
@@ -42,6 +42,47 @@ func BenchmarkSockGet(b *testing.B) {
 		if err != nil || !ok || len(v) != benchValSize {
 			b.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
 		}
+	}
+}
+
+// BenchmarkSockPipelineGet keeps a window of four GETs in flight on one
+// sockets connection, each landing in a lent buffer of its slot: past
+// the window it waits for the oldest reply before each issue, so spent
+// futures are reissued. vns/op is the client's virtual time per GET.
+func BenchmarkSockPipelineGet(b *testing.B) {
+	const window = 4
+	tr, clk, _ := sockBenchStack(b)
+	pipe := tr.Pipeline(window)
+	var bufs [window][]byte
+	var futs [window]*GetFuture
+	for i := range bufs {
+		bufs[i] = make([]byte, 0, benchValSize)
+	}
+	wait := func(slot int) {
+		if v, _, _, hit, err := futs[slot].Wait(clk); err != nil || !hit || len(v) != benchValSize {
+			b.Fatalf("Wait = (%d, %v, %v)", len(v), hit, err)
+		}
+	}
+	get := func(i int) {
+		slot := i % window
+		if i >= window {
+			wait(slot)
+		}
+		futs[slot] = pipe.StartGetInto(clk, "bench", bufs[slot])
+	}
+	for i := 0; i < 2*window; i++ { // warm the queues, the spares and the scratch
+		get(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	t0 := clk.Now()
+	for i := 2 * window; i < 2*window+b.N; i++ {
+		get(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(clk.Now()-t0)/float64(b.N), "vns/op")
+	for slot := range futs {
+		wait(slot)
 	}
 }
 

@@ -26,17 +26,18 @@ type sockPipeline struct {
 	wbuf   []byte    // request bytes queued since the last Flush
 	q      []*future // outstanding, reply order == issue order
 	pend   []*future // trailing entries whose bytes sit in wbuf
+	spare  spares    // spent futures, at most window
 	err    error     // first transport-level error (sticky)
 }
 
 // start admits a request whose bytes were just queued in wbuf, under a
-// future: a fresh one in a Pipeline() window; in the transport's own,
-// its one future, and a fresh window — a blocking call inherits no
-// sticky error (a wrong-key echo, say) from the call before.
+// future: a spare or fresh one in a Pipeline() window; in the
+// transport's own, its one future, and a fresh window — a blocking call
+// inherits no sticky error (a wrong-key echo, say) from the call before.
 func (p *sockPipeline) start(clk *simnet.VClock, kind futureKind, key string, lend []byte) *future {
 	f := p.one
 	if f == nil {
-		f = new(future)
+		f = p.spare.take()
 	} else {
 		p.err = nil
 	}
@@ -59,6 +60,17 @@ func (p *sockPipeline) push(clk *simnet.VClock, f *future) {
 }
 
 func (p *sockPipeline) owner() *simnet.Executor { return p.t.ex }
+
+// spend takes back a future whose Wait has copied its result out (a
+// settled future is off q and pend): zeroed, and kept as a spare, up to
+// window of them, unless it is the transport's own.
+func (p *sockPipeline) spend(f *future) {
+	if f == p.one {
+		return
+	}
+	*f = future{}
+	p.spare.keep(f, p.window)
+}
 
 // Flush writes every queued request in one Write call.
 func (p *sockPipeline) Flush(clk *simnet.VClock) error {

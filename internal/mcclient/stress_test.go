@@ -96,31 +96,33 @@ func TestWorkerPoolStressMidBurstClose(t *testing.T) {
 						<-closed
 					}
 				}
+				// The pipeline's Wait settles every future; each future's own
+				// Wait then spends it, so done is read before that.
 				pl.Wait(clk)
 				for _, f := range gets {
-					if _, _, _, _, err := f.Wait(clk); err != nil {
-						results[ci].failed++
-					}
 					if !f.done {
 						t.Errorf("client %d burst %d: get future did not settle", ci, b)
+					}
+					if _, _, _, _, err := f.Wait(clk); err != nil {
+						results[ci].failed++
 					}
 					results[ci].settled++
 				}
 				for _, f := range sets {
-					if _, err := f.Wait(clk); err != nil {
-						results[ci].failed++
-					}
 					if !f.done {
 						t.Errorf("client %d burst %d: set future did not settle", ci, b)
+					}
+					if _, err := f.Wait(clk); err != nil {
+						results[ci].failed++
 					}
 					results[ci].settled++
 				}
 				for _, f := range dels {
-					if _, err := f.Wait(clk); err != nil {
-						results[ci].failed++
-					}
 					if !f.done {
 						t.Errorf("client %d burst %d: delete future did not settle", ci, b)
+					}
+					if _, err := f.Wait(clk); err != nil {
+						results[ci].failed++
 					}
 					results[ci].settled++
 				}
