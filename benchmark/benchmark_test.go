@@ -20,34 +20,20 @@ func smoke(t *testing.T) config {
 	return config{seed: 42, scale: 1000, outDir: t.TempDir()}
 }
 
-// perOpCounts are the end-to-end metrics that count what an op leaves
-// behind on the host. A path that allocates nothing reads 0 on them
-// (ucr_get4k_w4's pipelined GETs into lent buffers), so one workload may
-// read 0, but every count must read above 0 on some workload, or its
-// counter is not wired.
-var perOpCounts = map[string]bool{"allocs_per_op": true, "bytes_per_op": true}
-
 func TestEveryWorkloadReportsEveryMetric(t *testing.T) {
 	cfg := smoke(t)
-	counted, ran := map[string]bool{}, 0
 	for i := range workloads {
 		w := &workloads[i]
 		t.Run(w.Name, func(t *testing.T) {
-			ran++
 			res, err := runEndToEnd(w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkValues(t, res, endToEnd)
 			for _, m := range endToEnd {
-				v := res.values[m.Name]
-				switch {
-				case perOpCounts[m.Name] && v < 0:
-					t.Errorf("end-to-end metric %s = %v, want ≥ 0", m.Name, v)
-				case !perOpCounts[m.Name] && v <= 0:
-					t.Errorf("end-to-end metric %s = %v, want > 0", m.Name, v)
+				if res.values[m.Name] <= 0 {
+					t.Errorf("end-to-end metric %s = %v, want > 0", m.Name, res.values[m.Name])
 				}
-				counted[m.Name] = counted[m.Name] || v > 0
 			}
 
 			tr, err := runTraced(w, cfg)
@@ -58,14 +44,6 @@ func TestEveryWorkloadReportsEveryMetric(t *testing.T) {
 			checkAttribution(t, w, tr)
 			checkSpanFile(t, tr.spanFile, tr.tracedOps)
 		})
-	}
-	if ran < len(workloads) {
-		return // -run picked some workloads; a count may be 0 on all of them
-	}
-	for name := range perOpCounts {
-		if !counted[name] {
-			t.Errorf("end-to-end metric %s reads 0 on every workload", name)
-		}
 	}
 }
 

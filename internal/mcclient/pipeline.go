@@ -65,11 +65,11 @@ type Pipeline interface {
 // and BoolFuture are views of it that differ only in what Wait returns.
 // Wait spends its future: it copies the result out, zeroes the future
 // and hands it to the window that issued it, which keeps up to `window`
-// spares for its next Start. Do not touch a future after its Wait. Two
-// futures are not recycled at Wait: a transport's own `one`, which its
-// blocking calls and SetAll/DeleteAll reuse, and a UCR future still on
-// landq (its deferred landing ran inside its own Wait), which
-// drainLandings recycles as it clears the list.
+// spares for its next Start — except a transport's own `one`, which its
+// blocking calls and SetAll/DeleteAll reuse. Do not touch a future after
+// its Wait: once a later Start reissues it, a second Wait reads that
+// op's result and spends a future still in flight, corrupting the
+// window.
 type future struct {
 	pipe futureWaiter // the pipeline that issued it
 	kind futureKind
@@ -310,43 +310,34 @@ func (p *ucrPipeline) fail(err error) {
 	}
 }
 
-// spend takes back a future whose Wait has copied its result out: zeroed,
-// and kept as a spare unless it is the transport's own or still listed
-// on landq, where drainLandings finds it spent.
+// spend takes back a future whose Wait has copied its result out (a
+// settled future is off q and landq): zeroed, and kept as a spare, up to
+// window of them, unless it is the transport's own.
 func (p *ucrPipeline) spend(f *future) {
 	if f == p.one {
 		return
 	}
 	*f = future{}
-	if !slices.Contains(p.landq, f) {
-		p.spare.keep(f, p.window)
-	}
+	p.spare.keep(f, p.window)
 }
 
 // drainLandings materializes every deferred write-reply copy-out. Run
 // just after a post or before a blocking CQ wait, the copies are charged
 // while a reply is still on the wire; the forward-only sync to its
-// arrival then swallows them (see wrMaterialize). An entry already spent
-// (its landing ran inside its own Wait) is recycled as it leaves the list.
+// arrival then swallows them (see wrMaterialize).
 func (p *ucrPipeline) drainLandings() {
 	for i, e := range p.landq {
-		if e.pipe == nil {
-			p.spare.keep(e, p.window)
-		} else {
-			p.landNow(e)
-		}
+		p.landNow(e)
 		p.landq[i] = nil
 	}
 	p.landq = p.landq[:0]
 }
 
-// landNow runs e's deferred landing, if still pending, and retires the
-// op (which frees its reply slot).
+// landNow runs e's deferred landing and retires the op (which frees its
+// reply slot).
 func (p *ucrPipeline) landNow(e *future) {
-	if e.landing {
-		e.landUCR(p.t)
-		p.t.finishOp(e.op)
-	}
+	e.landUCR(p.t)
+	p.t.finishOp(e.op)
 }
 
 // waitFor settles one outstanding entry (in any order — tagged counters
@@ -354,6 +345,7 @@ func (p *ucrPipeline) landNow(e *future) {
 func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
 	if e.landing { // settled already; only the copy-out is outstanding
 		p.landNow(e)
+		p.landq = unlist(p.landq, e)
 		return
 	}
 	var err error
@@ -366,7 +358,7 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
 	if err != nil {
 		p.fail(err)
 	}
-	p.remove(e)
+	p.q = unlist(p.q, e)
 	e.settleUCR(p.t, err)
 	switch {
 	case e.landing:
@@ -379,10 +371,12 @@ func (p *ucrPipeline) waitFor(clk *simnet.VClock, e *future) {
 	}
 }
 
-func (p *ucrPipeline) remove(e *future) {
-	if i := slices.Index(p.q, e); i >= 0 {
-		p.q = slices.Delete(p.q, i, i+1) // zeroes the vacated tail slot
+// unlist removes e from list, keeping the order of the rest.
+func unlist(list []*future, e *future) []*future {
+	if i := slices.Index(list, e); i >= 0 {
+		return slices.Delete(list, i, i+1) // zeroes the vacated tail slot
 	}
+	return list
 }
 
 // Wait settles everything outstanding.

@@ -188,8 +188,8 @@ func windowClients(t *testing.T) []windowClient {
 // nothing on either transport — each Wait hands its future back to the
 // window for the next Start, the window entry is embedded in the
 // future, and the sockets queue lives in one backing array. With write
-// replies armed, a GET's landing runs inside its own Wait and leaves the
-// future on landq, and the next drain recycles it.
+// replies armed, a GET's landing runs inside its own Wait, which takes
+// the future off landq before it is spent.
 func TestPipelineZeroAllocPerOp(t *testing.T) {
 	const window = 4
 	for _, c := range windowClients(t) {
