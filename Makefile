@@ -184,6 +184,9 @@ check-no-park:
 #    stripe locks exist only in virtual time.
 #  - a Wait spends its future: a pipelined window recycles its futures,
 #    so no test or comment may promise a second Wait.
+#  - the item is its chunk: a key and a value live only in slab memory,
+#    so no interned key string beside the chunk's copy and no item field
+#    slicing the value out of the chunk.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -208,6 +211,7 @@ internal cmd examples	SessionMux|type Session struct|func \(a \*Actor\) Do\(	^$$
 internal cmd examples	CompareSwap|OpAtomicCmpSwap|GetMultiInto|HotFraction|ErrQPDestroyed|ErrNoHandler|ErrBadHandler	^$$	compare-and-swap, lent-buffer mget, Zipf hot fraction or unreturned sentinel error under internal/ cmd/ examples/
 internal/verbs	ErrBadKey	^$$	verbs.ErrBadKey under internal/verbs
 internal cmd examples *_test.go	Test(PipelineOneAllocPerOp)|never recycles|Wait may be called any number of times	^$$	future waitable twice (a Wait spends its future) under internal/ cmd/ examples/ or the root tests
+internal/memcached	internKey|value[[:space:]]+\[\]byte[[:space:]]+// sub-slice of chunk	^$$	second key copy or value slice beside the chunk under internal/memcached
 endef
 export GONE
 

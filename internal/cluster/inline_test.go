@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mcclient"
 	"repro/internal/simnet"
@@ -226,46 +226,47 @@ func TestLiveServerCountersRaceFree(t *testing.T) {
 
 // Closing a server with operations in flight fails or completes every
 // one of them: no caller is left parked, on either kind of transport.
+// Two UCR and two IPoIB clients are logical clients on the test's
+// goroutine, so the run is the same on every host schedule. After
+// interleaved blocking Sets, each starts one more Set as a pipelined
+// future and does not wait for it, so all four are unsettled when the
+// deployment closes. Every future's Wait must then return
+// ErrServerDown, a blocking Set after the close must fail, and every
+// client's Close must return.
 func TestCloseWithOpsInFlight(t *testing.T) {
 	d := New(ClusterB(), Options{})
 	behav := mcclient.DefaultBehaviors()
 	behav.OpTimeout = simnet.Second
-	const clients = 4
-	started := make(chan struct{}, clients)
-	var wg sync.WaitGroup
-	failed := make([]int, clients)
-	for g := 0; g < clients; g++ {
-		tr := UCRIB
-		if g%2 == 1 {
-			tr = IPoIB
-		}
+	var clients []*Client
+	for _, tr := range []Transport{UCRIB, IPoIB, UCRIB, IPoIB} {
 		c, err := d.NewClient(tr, behav)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			defer c.Close()
-			for i := 0; failed[g] < 3; i++ {
-				if i == 50 {
-					started <- struct{}{}
-				}
-				if err := c.MC.Set(fmt.Sprintf("inflight-%d", g), []byte("v"), 0, 0); err != nil {
-					failed[g]++
-				}
-			}
-		}(g)
+		clients = append(clients, c)
 	}
-	for g := 0; g < clients; g++ {
-		<-started
+	for i := 0; i < 50; i++ {
+		for g, c := range clients {
+			if err := c.MC.Set(fmt.Sprintf("inflight-%d", g), []byte("v"), 0, 0); err != nil {
+				t.Fatalf("client %d (%s), Set %d before the close: %v", g, c.Transport, i, err)
+			}
+		}
+	}
+	futs := make([]*mcclient.SetFuture, len(clients))
+	for g, c := range clients {
+		pl := c.MC.Transport(0).(mcclient.Pipeliner).Pipeline(1)
+		futs[g] = pl.StartSet(c.Clock, fmt.Sprintf("inflight-%d", g), 0, 0, []byte("in flight"))
 	}
 	d.Close()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("a client is still waiting on a closed server")
+	for g, f := range futs {
+		if _, err := f.Wait(clients[g].Clock); !errors.Is(err, mcclient.ErrServerDown) {
+			t.Errorf("client %d (%s): in-flight Set settled with %v, want ErrServerDown", g, clients[g].Transport, err)
+		}
+	}
+	for g, c := range clients {
+		if err := c.MC.Set(fmt.Sprintf("inflight-%d", g), []byte("late"), 0, 0); err == nil {
+			t.Errorf("client %d (%s): Set after the close succeeded", g, c.Transport)
+		}
+		c.Close()
 	}
 }

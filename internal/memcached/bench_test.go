@@ -60,7 +60,7 @@ func BenchmarkChargedSet(b *testing.B) {
 		if res != Stored {
 			b.Fatal(res)
 		}
-		copy(it.value, value)
+		copy(it.value(), value)
 		s.commitItem(it, chargeFirst(clk))
 		clk.Advance(benchOpCost)
 	}

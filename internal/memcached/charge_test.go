@@ -9,11 +9,14 @@ import (
 	"repro/internal/simnet"
 )
 
-// TestItemSize pins the item header: the shard index rides in the
-// padding after linked, so recording it costs no bytes.
+// TestItemSize pins the item header at 112 B. The key and value live
+// only in the item's chunk, so the header holds their lengths, not a
+// string and a slice; the chunk packs its class and segment place into
+// one word beside its buffer; and the key length and shard index ride
+// in the padding after linked.
 func TestItemSize(t *testing.T) {
-	if got := unsafe.Sizeof(item{}); got != 160 {
-		t.Fatalf("unsafe.Sizeof(Item{}) = %d, want 160", got)
+	if got := unsafe.Sizeof(item{}); got != 112 {
+		t.Fatalf("unsafe.Sizeof(item{}) = %d, want 112", got)
 	}
 }
 
@@ -89,22 +92,22 @@ func TestChargeMatchesTwoHolds(t *testing.T) {
 		case "ucr get":
 			key := []byte(o.keys[0])
 			if it, ok := s.getPinned(key, chargeFirst(clk)); ok {
-				got = string(it.value)
+				got = string(it.value())
 				s.unpin(it)
 			}
 			w, _ := wait(now, 0)
 			now += w
 			if it, ok := ref.getPinned(key, at(now)); ok {
-				want = string(it.value)
+				want = string(it.value())
 				ref.unpin(it)
 			}
 		case "ucr set":
 			key, v := []byte(o.keys[0]), []byte(o.val)
 			it, r := s.allocateItem(key, 0, 0, len(v), clk.Now())
-			copy(it.value, v)
+			copy(it.value(), v)
 			s.commitItem(it, chargeFirst(clk))
 			rit, rr := ref.allocateItem(key, 0, 0, len(v), now)
-			copy(rit.value, v)
+			copy(rit.value(), v)
 			w, _ := wait(now, 0)
 			now += w
 			ref.commitItem(rit, at(now))
@@ -119,11 +122,11 @@ func TestChargeMatchesTwoHolds(t *testing.T) {
 			cursor, refCursor := clk.Now(), now
 			for _, k := range o.keys {
 				var hit bool
-				hit, cursor = s.view([]byte(k), chargeAfter(clk, cursor), func(it *item) { got += k + "=" + string(it.value) + ";" })
+				hit, cursor = s.view([]byte(k), chargeAfter(clk, cursor), func(it *item) { got += k + "=" + string(it.value()) + ";" })
 				copied := 0
 				ref.view([]byte(k), at(now), func(it *item) {
-					want += k + "=" + string(it.value) + ";"
-					copied = len(it.value)
+					want += k + "=" + string(it.value()) + ";"
+					copied = len(it.value())
 				})
 				w, end := wait(refCursor, copied)
 				now, refCursor = now+w, end

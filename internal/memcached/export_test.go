@@ -3,7 +3,7 @@ package memcached
 // ItemPlace reports the slab page and host segment holding key's item.
 func (s *Store) ItemPlace(key []byte) (page, seg int, ok bool) {
 	ok, _ = s.view(key, at(0), func(it *item) {
-		page, seg = s.arena.segs[it.chunk.seg].page, it.chunk.seg
+		page, seg = s.arena.segs[it.chunk.seg].page, int(it.chunk.seg)
 	})
 	return page, seg, ok
 }
@@ -12,7 +12,7 @@ func (s *Store) ItemPlace(key []byte) (page, seg int, ok bool) {
 // item (-1 when key is not stored).
 func (s *Store) ClassFree(key []byte) int {
 	class := -1
-	s.view(key, at(0), func(it *item) { class = it.chunk.class })
+	s.view(key, at(0), func(it *item) { class = int(it.chunk.class) })
 	if class < 0 {
 		return -1
 	}

@@ -104,7 +104,7 @@ func FuzzTextCodec(f *testing.F) {
 		wire = AppendTextGet(wire, noreply, key, key)
 		wire = AppendTextDelete(wire, key)
 		wire = AppendTextIncrDecr(wire, noreply, key, cas)
-		wire = appendTextValue(wire, key, flags, value, cas, noreply)
+		wire = appendTextValue(wire, []byte(key), flags, value, cas, noreply)
 		r := bufio.NewReaderSize(bytes.NewReader(wire), 16) // every line outgrows the buffer
 		var spill []byte
 		line := func() []byte {

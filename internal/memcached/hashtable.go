@@ -23,9 +23,9 @@ func newHashTable() *hashTable {
 	return &hashTable{primary: make([]*item, 1<<hashInitialPower)}
 }
 
-// wireKey is a key in either form the engine holds one in: the []byte a
-// frontend decoded in place off the wire, or the string a linked item
-// keeps.
+// wireKey is a key in either form it reaches the engine in: the []byte a
+// frontend decoded in place off the wire (or a linked item holds in its
+// chunk), or the string a one-sided client hashes.
 type wireKey interface{ ~string | ~[]byte }
 
 // hashKey is FNV-1a, memcached-style key hashing, over either form with
@@ -54,14 +54,15 @@ func (t *hashTable) bucketFor(h uint64) (tbl []*item, idx int) {
 
 // lookup finds the item for key, whose hashKey is h, or nil — the
 // table's one lookup, for wire keys and item keys alike. The string
-// conversion in the comparison does not allocate (the compiler compares
+// conversions in the comparison do not allocate (the compiler compares
 // in place), so the datapath looks keys up straight out of receive
-// buffers. The caller hashed the key once, for its shard too.
-func lookup[K wireKey](t *hashTable, key K, h uint64) *item {
+// buffers against keys in slab memory. The caller hashed the key once,
+// for its shard too.
+func (t *hashTable) lookup(key []byte, h uint64) *item {
 	t.migrate()
 	tbl, idx := t.bucketFor(h)
 	for it := tbl[idx]; it != nil; it = it.hnext {
-		if it.key == string(key) {
+		if string(it.key()) == string(key) {
 			return it
 		}
 	}
@@ -82,12 +83,12 @@ func (t *hashTable) put(it *item, h uint64) {
 
 // delete unlinks the item for key, whose hashKey is h, returning it (or
 // nil).
-func (t *hashTable) delete(key string, h uint64) *item {
+func (t *hashTable) delete(key []byte, h uint64) *item {
 	t.migrate()
 	tbl, idx := t.bucketFor(h)
 	var prev *item
 	for it := tbl[idx]; it != nil; it = it.hnext {
-		if it.key == key {
+		if string(it.key()) == string(key) {
 			if prev == nil {
 				tbl[idx] = it.hnext
 			} else {
@@ -121,7 +122,7 @@ func (t *hashTable) migrate() {
 	for n := 0; n < hashMigratePerOp && t.expandPos < len(t.old); n++ {
 		for it := t.old[t.expandPos]; it != nil; {
 			next := it.hnext
-			h := hashKey(it.key)
+			h := hashKey(it.key())
 			idx := int(h & uint64(len(t.primary)-1))
 			it.hnext = t.primary[idx]
 			t.primary[idx] = it

@@ -18,15 +18,15 @@ import (
 	"repro/internal/simnet"
 )
 
-// item is one cache entry. Its value bytes live in slab-allocated chunk
-// memory; the struct itself carries the metadata plus the hash-chain and
-// LRU links (intrusive, like memcached's _stritem).
+// item is one cache entry. Its key and value bytes live only in its
+// slab chunk, key first; the struct carries their lengths, the metadata
+// and the hash-chain and LRU links (intrusive, like memcached's
+// _stritem).
 type item struct {
-	key   string
-	value []byte // sub-slice of chunk
-	chunk chunk  // slab residency
+	chunk chunk // slab residency: [key][value] from chunk.buf[0]
 
 	flags    uint32
+	nbytes   uint32      // value length
 	expireAt simnet.Time // 0: never
 	casID    uint64
 	setAt    simnet.Time
@@ -37,15 +37,22 @@ type item struct {
 
 	refcount int32 // pins against eviction while a transfer is in flight
 	linked   bool
+	nkey     uint8 // key length (≤ maxKeyLen)
 	// shard is the index of the stripe that owns the item, so Unpin,
 	// commitItem and abortItem find its lock without hashing the key
-	// again; it sits in the padding after linked.
+	// again; it sits in the padding after nkey.
 	shard uint16
 
 	hnext *item // hash chain
 
 	lprev, lnext *item // LRU list (per slab class)
 }
+
+// key is the item's key, in its chunk.
+func (it *item) key() []byte { return it.chunk.buf[:it.nkey] }
+
+// value is the item's value, in its chunk after the key.
+func (it *item) value() []byte { return it.chunk.buf[it.nkey : int(it.nkey)+int(it.nbytes)] }
 
 // expired reports whether the item is past its expiry, or was created
 // before the last flush_all horizon.

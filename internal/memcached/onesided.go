@@ -42,13 +42,11 @@ const (
 	osSlots   = 4
 )
 
-// osMaxKeyLen and osMaxValLen bound what fits in the packed kvlen word
-// (keyLen<<24 | valLen). Memcached keys cap at 250 bytes and items at
-// one slab page, so nothing representable is excluded.
-const (
-	osMaxKeyLen = 1<<8 - 1
-	osMaxValLen = 1<<24 - 1
-)
+// osMaxValLen bounds the value length in the packed kvlen word
+// (keyLen<<24 | valLen); an item's key length is a byte already.
+// Memcached items cap at one slab page, so nothing representable is
+// excluded.
+const osMaxValLen = 1<<24 - 1
 
 // OSEntry is one decoded directory slot.
 type OSEntry struct {
@@ -85,7 +83,11 @@ func DecodeOSEntry(b []byte) OSEntry {
 }
 
 // OSKeyHash is the hash both sides use to place a key in the directory.
-func OSKeyHash(key string) uint64 {
+func OSKeyHash(key string) uint64 { return osKeyHash(key) }
+
+// osKeyHash is OSKeyHash over either key form, for the server's item
+// keys.
+func osKeyHash[K wireKey](key K) uint64 {
 	h := hashKey(key)
 	if h == 0 {
 		h = 1 // 0 marks an empty slot
@@ -151,14 +153,7 @@ type osIndex struct {
 	dir    []byte
 	dirWin *ucr.Window
 
-	segWins []segWin
-}
-
-// segWin is a registered slab segment: its window and the page offset
-// the window's first byte has.
-type segWin struct {
-	w   *ucr.Window
-	off int
+	segWins []*ucr.Window // by segment index; nil: not registered yet
 }
 
 func newOSIndex(rt *ucr.Runtime, arena *slabArena) (*osIndex, error) {
@@ -180,20 +175,19 @@ func newOSIndex(rt *ucr.Runtime, arena *slabArena) (*osIndex, error) {
 // on first publish, and the paper's design amortizes pinning outside the
 // data path. Returns a nil window if registration fails (the item then
 // simply stays AM-only).
-func (x *osIndex) segWindow(si int) segWin {
+func (x *osIndex) segWindow(si int) *ucr.Window {
 	for len(x.segWins) <= si {
-		x.segWins = append(x.segWins, segWin{})
+		x.segWins = append(x.segWins, nil)
 	}
-	if sw := x.segWins[si]; sw.w != nil {
-		return sw
+	if w := x.segWins[si]; w != nil {
+		return w
 	}
-	seg := x.arena.segs[si]
-	w, err := x.rt.CreateWindow(seg.buf, nil)
+	w, err := x.rt.CreateWindow(x.arena.segs[si].buf, nil)
 	if err != nil {
-		return segWin{}
+		return nil
 	}
-	x.segWins[si] = segWin{w, seg.off}
-	return x.segWins[si]
+	x.segWins[si] = w
+	return w
 }
 
 // slotBytes returns the encoded bytes of bucket b, slot s.
@@ -204,14 +198,14 @@ func (x *osIndex) slotBytes(b, s int) []byte {
 
 // publish writes (or rewrites) its directory entry.
 func (x *osIndex) publish(it *item) {
-	if len(it.key) > osMaxKeyLen || len(it.value) > osMaxValLen {
+	if it.nbytes > osMaxValLen {
 		return
 	}
-	sw := x.segWindow(it.chunk.seg)
-	if sw.w == nil {
+	w := x.segWindow(int(it.chunk.seg))
+	if w == nil {
 		return
 	}
-	h := OSKeyHash(it.key)
+	h := osKeyHash(it.key())
 	b := OSBucketOf(h, osBuckets)
 	slot := -1
 	for s := 0; s < osSlots; s++ {
@@ -241,10 +235,10 @@ func (x *osIndex) publish(it *item) {
 	le := binary.LittleEndian
 	le.PutUint64(sb, h)
 	le.PutUint64(sb[8:], seq)
-	le.PutUint64(sb[16:], sw.w.Desc().Addr+uint64(it.chunk.off-sw.off))
+	le.PutUint64(sb[16:], w.Desc().Addr+uint64(it.chunk.off))
 	le.PutUint64(sb[24:], uint64(it.expireAt))
-	le.PutUint32(sb[32:], uint32(sw.w.Desc().RKey))
-	le.PutUint32(sb[36:], uint32(len(it.key))<<24|uint32(len(it.value)))
+	le.PutUint32(sb[32:], uint32(w.Desc().RKey))
+	le.PutUint32(sb[36:], uint32(it.nkey)<<24|it.nbytes)
 	le.PutUint32(sb[40:], it.flags)
 	le.PutUint32(sb[44:], 0)
 }
@@ -253,7 +247,7 @@ func (x *osIndex) publish(it *item) {
 // goes odd before the slot empties, so a client mid-read fails its
 // re-validation instead of trusting a recycled chunk.
 func (x *osIndex) unpublish(it *item) {
-	h := OSKeyHash(it.key)
+	h := osKeyHash(it.key())
 	b := OSBucketOf(h, osBuckets)
 	for s := 0; s < osSlots; s++ {
 		sb := x.slotBytes(b, s)
@@ -276,9 +270,9 @@ func (x *osIndex) wipe() { clear(x.dir) }
 // published through it.
 func (x *osIndex) close() {
 	x.dirWin.Close()
-	for _, sw := range x.segWins {
-		if sw.w != nil {
-			sw.w.Close()
+	for _, w := range x.segWins {
+		if w != nil {
+			w.Close()
 		}
 	}
 }

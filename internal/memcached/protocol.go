@@ -121,7 +121,7 @@ func (pc *ProtoConn) cmdGet(keys []byte, withCAS bool, clk *simnet.VClock) error
 	for key, rest := nextTextToken(keys); key != nil; key, rest = nextTextToken(rest) {
 		// The sockets engine copies the value out while holding the lock.
 		_, cursor = pc.store.view(key, chargeAfter(clk, cursor), func(it *item) {
-			sb = appendTextValue(sb, it.key, it.flags, it.value, it.casID, withCAS)
+			sb = appendTextValue(sb, it.key(), it.flags, it.value(), it.casID, withCAS)
 		})
 	}
 	sb = append(sb, textEnd...)

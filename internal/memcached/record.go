@@ -148,7 +148,7 @@ func (s *Store) recordGet(key []byte, it *item, now simnet.Time) {
 	r := &OpRecord{Kind: RecGet, Key: string(key), Now: now}
 	if it != nil {
 		r.Hit = true
-		r.Value = cloneBytes(it.value)
+		r.Value = cloneBytes(it.value())
 		r.Flags = it.flags
 		r.OldCAS = it.casID
 		r.ExpireAt = it.expireAt

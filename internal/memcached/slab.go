@@ -25,22 +25,26 @@ const (
 // disabled or found nothing evictable.
 var errNoMemory = errors.New("memcached: out of memory storing object")
 
-// chunk names one allocation: a byte range within a slab page. off
-// locates it inside its page (the modeled address); seg names the host
-// segment holding its bytes, which the one-sided index registers as the
-// chunk's RDMA window (the capped buf slice hides the segment offset
-// from capacity arithmetic).
+// chunk names one allocation: a run of host bytes in a slab segment
+// holding an item's [key][value]. Its class fixes the modeled size; the
+// modeled itemOverhead header has no host bytes, so buf is the class
+// size less the header (the capped slice hides the rest of the segment
+// from capacity arithmetic). seg names the host segment, which the
+// one-sided index registers as the chunk's RDMA window, and off is
+// where buf starts within it: the window offset a remote reader
+// addresses.
 type chunk struct {
-	class int
-	buf   []byte // full chunk capacity
-	seg   int    // index into the arena's segment list
-	off   int    // byte offset of buf within its page
+	buf   []byte // host capacity: class size − itemOverhead
+	seg   int32  // index into the arena's segment list
+	off   int32  // byte offset of buf within its segment
+	class uint8
 }
 
 func (c chunk) valid() bool { return c.buf != nil }
 
 // slabSeg is one host segment: a run of a page's chunks and where the
-// run starts in that page.
+// run starts in that page (a modeled offset: the run's host bytes are
+// packed at the host stride, class size − itemOverhead).
 type slabSeg struct {
 	buf  []byte
 	page int
@@ -73,8 +77,11 @@ type slabClass struct {
 // bytes follow what is live: a new page only records how many chunks it
 // has left to carve, Alloc carves the highest one when the free list is
 // empty (the order a pre-carved list would pop in), and a chunk's bytes
-// come from a host segment of at most slabSegSize made on the segment's
-// first carve (a chunk that large is a segment of its own).
+// come from a host segment made on the segment's first carve. A segment
+// covers the chunks of at most slabSegSize of the page (a chunk that
+// large is a segment of its own), and holds only their key and value
+// bytes: the modeled per-item header is charged in the page, never
+// made on the host.
 //
 // The arena is shared by every store shard and, like them, used only
 // under the store's owner. LRU ordering lives with the shards
@@ -174,19 +181,22 @@ func (a *slabArena) growClass(ci int) error {
 
 // carveChunk carves the highest uncarved chunk of class ci's newest
 // page, making its segment's host bytes when it is the segment's first.
+// Segments group a page's chunks by their modeled size and lay them out
+// at the host stride, which leaves out the modeled header.
 func (a *slabArena) carveChunk(ci int) chunk {
 	cl := &a.classes[ci]
 	cl.carve--
 	j := cl.carve
+	stride := cl.size - itemOverhead
 	if j < cl.segLo {
 		perSeg := max(1, slabSegSize/cl.size)
 		lo := j / perSeg * perSeg
-		a.segs = append(a.segs, slabSeg{buf: make([]byte, (j+1-lo)*cl.size), page: cl.page, off: lo * cl.size})
+		a.segs = append(a.segs, slabSeg{buf: make([]byte, (j+1-lo)*stride), page: cl.page, off: lo * cl.size})
 		cl.seg, cl.segLo = len(a.segs)-1, lo
 	}
-	at := (j - cl.segLo) * cl.size
+	at := (j - cl.segLo) * stride
 	seg := a.segs[cl.seg].buf
-	return chunk{class: ci, buf: seg[at : at+cl.size : at+cl.size], seg: cl.seg, off: j * cl.size}
+	return chunk{buf: seg[at : at+stride : at+stride], seg: int32(cl.seg), off: int32(at), class: uint8(ci)}
 }
 
 // free returns a chunk to its class.

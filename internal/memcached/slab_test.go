@@ -10,6 +10,14 @@ import (
 // place is where a chunk sits in the modeled arena.
 type place struct{ page, off int }
 
+// placeOf maps a chunk's host offset in its segment back to its modeled
+// place: the segment packs its chunks at the host stride, from the page
+// offset it records.
+func placeOf(a *slabArena, c chunk) place {
+	seg, size := a.segs[c.seg], a.classSize(int(c.class))
+	return place{seg.page, seg.off + int(c.off)/(size-itemOverhead)*size}
+}
+
 // precarve is the arena as it was before pages were carved lazily, kept
 // as the reference for the order chunks are handed out in: a new page is
 // carved whole into its class's free list at growth, lowest offset
@@ -55,7 +63,7 @@ func TestSlabCarveOrderUnchanged(t *testing.T) {
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 			a.free(c)
-			ref.free[c.class] = append(ref.free[c.class], place{a.segs[c.seg].page, c.off})
+			ref.free[c.class] = append(ref.free[c.class], placeOf(a, c))
 			continue
 		}
 		n := sizes[rng.Intn(len(sizes))]
@@ -68,12 +76,13 @@ func TestSlabCarveOrderUnchanged(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		seg := a.segs[c.seg]
-		if got := (place{seg.page, c.off}); got != want {
+		if got := placeOf(a, c); got != want {
 			t.Fatalf("step %d: Alloc(%d) at %+v, pre-carved at %+v", step, n, got, want)
 		}
-		if at := c.off - seg.off; at < 0 || at+a.classSize(ci) > len(seg.buf) || len(seg.buf) > max(slabSegSize, a.classSize(ci)) {
-			t.Fatalf("step %d: chunk at page offset %d outside its segment [%d, +%d)", step, c.off, seg.off, len(seg.buf))
+		seg, stride := a.segs[c.seg], a.classSize(ci)-itemOverhead
+		if at := int(c.off); at < 0 || at%stride != 0 || len(c.buf) != stride || &c.buf[0] != &seg.buf[at] ||
+			len(seg.buf) > max(slabSegSize, a.classSize(ci)) {
+			t.Fatalf("step %d: chunk of %d B at host offset %d outside its segment of %d B", step, len(c.buf), at, len(seg.buf))
 		}
 		live = append(live, c)
 	}

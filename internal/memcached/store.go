@@ -312,14 +312,14 @@ func expiryTime(exptime int64, now simnet.Time) simnet.Time {
 // lookupLive finds a live item for key, whose hashKey is h, lazily
 // reaping an expired one.
 func (s *Store) lookupLive(sh *shard, key []byte, h uint64, now simnet.Time) *item {
-	it := lookup(sh.table, key, h)
+	it := sh.table.lookup(key, h)
 	if it == nil {
 		return nil
 	}
 	if it.expired(now, sh.flushBefore) && !mutGetSkipExpiry {
 		sh.stats.expired++
 		if rc := s.rec; rc != nil {
-			rc.emit(&OpRecord{Kind: RecExpire, Key: it.key, Now: now, OldCAS: it.casID})
+			rc.emit(&OpRecord{Kind: RecExpire, Key: string(key), Now: now, OldCAS: it.casID})
 		}
 		s.unlink(sh, it, h)
 		return nil
@@ -335,10 +335,10 @@ func (s *Store) unlink(sh *shard, it *item, h uint64) {
 		x.unpublish(it)
 	}
 	if it.linked {
-		sh.table.delete(it.key, h)
+		sh.table.delete(it.key(), h)
 	}
 	sh.lru.remove(it)
-	sh.stats.bytes -= uint64(len(it.key) + len(it.value))
+	sh.stats.bytes -= uint64(it.nkey) + uint64(it.nbytes)
 	sh.stats.currItems--
 	if !it.pinned() {
 		s.arena.free(it.chunk)
@@ -372,29 +372,23 @@ func (s *Store) alloc(sh *shard, n int, now simnet.Time) (chunk, StoreResult) {
 		sh.stats.evictions++
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
-				Kind: RecEvict, Key: victim.key, Now: now,
-				OldCAS: victim.casID, OldValue: cloneBytes(victim.value),
+				Kind: RecEvict, Key: string(victim.key()), Now: now,
+				OldCAS: victim.casID, OldValue: cloneBytes(victim.value()),
 			})
 		}
-		s.unlink(sh, victim, hashKey(victim.key))
+		s.unlink(sh, victim, hashKey(victim.key()))
 	}
 }
 
-// internKey resolves the string an item about to be linked keeps for
-// a wire-decoded key: when the key is already resident (even
-// expired — strings are immutable) its existing string is reused, so
-// steady-state overwrites of a live keyspace never allocate. A
-// first-seen key converts once. Nothing else in the engine builds a key
-// string outside a history record.
-func internKey(sh *shard, key []byte, h uint64) string {
-	if it := lookup(sh.table, key, h); it != nil {
-		return it.key
+// newItem allocates an unlinked item and copies key into its chunk,
+// where the item's key lives from then on; the value follows it,
+// valueLen bytes for the caller to fill. A key longer than the protocol
+// allows is refused as too large (the text frontend never passes one; a
+// hand-built AM header could).
+func (s *Store) newItem(sh *shard, key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*item, StoreResult) {
+	if len(key) > maxKeyLen {
+		return nil, TooLarge
 	}
-	return string(key)
-}
-
-// newItem allocates and fills an unlinked item.
-func (s *Store) newItem(sh *shard, key string, flags uint32, exptime int64, valueLen int, now simnet.Time) (*item, StoreResult) {
 	c, res := s.alloc(sh, len(key)+valueLen+itemOverhead, now)
 	if res != Stored {
 		return nil, res
@@ -402,9 +396,9 @@ func (s *Store) newItem(sh *shard, key string, flags uint32, exptime int64, valu
 	copy(c.buf, key)
 	it := sh.getItem()
 	it.shard = sh.id
-	it.key = key
-	it.value = c.buf[len(key) : len(key)+valueLen]
 	it.chunk = c
+	it.nkey = uint8(len(key))
+	it.nbytes = uint32(valueLen)
 	it.flags = flags
 	it.expireAt = expiryTime(exptime, now)
 	s.nextCAS++
@@ -417,12 +411,12 @@ func (s *Store) newItem(sh *shard, key string, flags uint32, exptime int64, valu
 // link commits an item, whose key hashes to h, replacing any existing
 // entry for the key.
 func (s *Store) link(sh *shard, it *item, h uint64) {
-	if old := lookup(sh.table, it.key, h); old != nil {
+	if old := sh.table.lookup(it.key(), h); old != nil {
 		s.unlink(sh, old, h)
 	}
 	sh.table.put(it, h)
 	sh.lru.insert(it)
-	sh.stats.bytes += uint64(len(it.key) + len(it.value))
+	sh.stats.bytes += uint64(it.nkey) + uint64(it.nbytes)
 	sh.stats.currItems++
 	sh.stats.totalItems++
 	if x := s.pub; x != nil {
@@ -432,12 +426,10 @@ func (s *Store) link(sh *shard, it *item, h uint64) {
 
 // allocateItem reserves an unlinked item whose value buffer the caller
 // fills before commitItem — the UCR Set path lands the client's RDMA-
-// read value directly in this slab memory (§V-B). Alloc-free for keys
-// already resident.
+// read value directly in this slab memory (§V-B).
 func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*item, StoreResult) {
-	h := hashKey(key)
-	sh := s.shardOf(h)
-	it, res := s.newItem(sh, internKey(sh, key, h), flags, exptime, valueLen, now)
+	sh := s.shardOf(hashKey(key))
+	it, res := s.newItem(sh, key, flags, exptime, valueLen, now)
 	if res == Stored {
 		it.refcount++ // pinned until commit/abort
 	} else {
@@ -455,11 +447,11 @@ func (s *Store) commitItem(it *item, c charge) {
 	now := s.book(sh, c, 0)
 	it.refcount--
 	sh.stats.cmdSet++
-	s.link(sh, it, hashKey(it.key))
+	s.link(sh, it, hashKey(it.key()))
 	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{
-			Kind: RecSet, Key: it.key, Now: now, Res: Stored,
-			Value: cloneBytes(it.value), Flags: it.flags,
+			Kind: RecSet, Key: string(it.key()), Now: now, Res: Stored,
+			Value: cloneBytes(it.value()), Flags: it.flags,
 			Exptime: it.exptimeRaw, NewCAS: it.casID,
 			ExpireAt: it.expireAt, SetAt: it.setAt,
 		})
@@ -480,9 +472,8 @@ func (s *Store) abortItem(it *item) {
 // protocol's entry, and AMStore's. op is a StoreOp* code (an unknown
 // one stores nothing, but is still charged). Both frontends copy the
 // value into slab memory under the lock, so it extends the hold. The
-// key's string is built only if an item is linked under a key not
-// already resident, so overwriting a resident key — and any conditional
-// miss — allocates nothing.
+// key is copied into the item's chunk beside the value, so no store
+// builds a key string.
 func (s *Store) store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, c charge) StoreResult {
 	h := hashKey(key)
 	sh := s.shardOf(h)
@@ -546,11 +537,11 @@ func (s *Store) cas(sh *shard, key []byte, h uint64, flags uint32, exptime int64
 // returned so callers can record the assigned CAS/expiry (nil on
 // failure).
 func (s *Store) setItem(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, now simnet.Time) (*item, StoreResult) {
-	it, res := s.newItem(sh, internKey(sh, key, h), flags, exptime, len(value), now)
+	it, res := s.newItem(sh, key, flags, exptime, len(value), now)
 	if res != Stored {
 		return nil, res
 	}
-	copy(it.value, value)
+	copy(it.value(), value)
 	s.link(sh, it, h)
 	return it, Stored
 }
@@ -570,9 +561,10 @@ func (s *Store) releasePin(sh *shard, it *item) {
 //
 // The old item must be pinned across the allocation: newItem may evict
 // LRU victims to make room, and without the pin the victim can be
-// old itself — freeing the chunk old.value aliases, so the copy below
-// would read (or, after the free list recycles the chunk into the new
-// item, overwrite) freed slab memory.
+// old itself — freeing the chunk old's value lives in, so the copy
+// below would read (or, after the free list recycles the chunk into the
+// new item, overwrite) freed slab memory. Records name the op's own
+// key: releasePin may recycle old and its chunk.
 func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool, now simnet.Time) StoreResult {
 	kind := RecAppend
 	if prepend {
@@ -586,17 +578,17 @@ func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool
 		return NotStored
 	}
 	old.refcount++
-	skey, oldCAS := old.key, old.casID // outlive old: releasePin may recycle the header
+	oldCAS := old.casID
 	var oldVal []byte
 	if s.rec != nil {
-		oldVal = cloneBytes(old.value)
+		oldVal = cloneBytes(old.value())
 	}
-	it, res := s.newItem(sh, skey, old.flags, 0, len(old.value)+len(add), now)
+	it, res := s.newItem(sh, key, old.flags, 0, int(old.nbytes)+len(add), now)
 	if res != Stored {
 		s.releasePin(sh, old)
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
-				Kind: kind, Key: skey, Now: now, Res: res,
+				Kind: kind, Key: string(key), Now: now, Res: res,
 				Arg: cloneBytes(add), OldValue: oldVal, OldCAS: oldCAS,
 			})
 		}
@@ -607,19 +599,19 @@ func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool
 		it.casID = oldCAS
 	}
 	if prepend {
-		copy(it.value, add)
-		copy(it.value[len(add):], old.value)
+		copy(it.value(), add)
+		copy(it.value()[len(add):], old.value())
 	} else {
-		copy(it.value, old.value)
-		copy(it.value[len(old.value):], add)
+		copy(it.value(), old.value())
+		copy(it.value()[old.nbytes:], add)
 	}
 	s.releasePin(sh, old)
 	s.link(sh, it, h)
 	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{
-			Kind: kind, Key: skey, Now: now, Res: Stored,
+			Kind: kind, Key: string(key), Now: now, Res: Stored,
 			Arg: cloneBytes(add), OldValue: oldVal, OldCAS: oldCAS,
-			Value: cloneBytes(it.value), Flags: it.flags, NewCAS: it.casID,
+			Value: cloneBytes(it.value()), Flags: it.flags, NewCAS: it.casID,
 			ExpireAt: it.expireAt, SetAt: it.setAt,
 		})
 	}
@@ -629,7 +621,7 @@ func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool
 // Get copies out the value for key (see Set). ok=false is a miss.
 func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, casID uint64, ok bool) {
 	ok, _ = s.view(append(make([]byte, 0, maxKeyLen), key...), at(now), func(it *item) {
-		value, flags, casID = append(make([]byte, 0, len(it.value)), it.value...), it.flags, it.casID
+		value, flags, casID = append(make([]byte, 0, it.nbytes), it.value()...), it.flags, it.casID
 	})
 	return value, flags, casID, ok
 }
@@ -680,7 +672,7 @@ func (s *Store) view(key []byte, c charge, read func(*item)) (hit bool, end simn
 	copied := 0
 	if it != nil {
 		read(it)
-		copied = len(it.value)
+		copied = int(it.nbytes)
 	}
 	return it != nil, s.acquire(sh, c, copied)
 }
@@ -700,7 +692,7 @@ func (s *Store) delete(key []byte, c charge) bool {
 	}
 	sh.stats.deleteHits++
 	if rc := s.rec; rc != nil {
-		rc.emit(&OpRecord{Kind: RecDelete, Key: it.key, Now: now, Hit: true, OldCAS: it.casID})
+		rc.emit(&OpRecord{Kind: RecDelete, Key: string(key), Now: now, Hit: true, OldCAS: it.casID})
 	}
 	if !mutDeleteNoop {
 		s.unlink(sh, it, h)
@@ -732,11 +724,10 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 		}
 		return 0, false, false, false
 	}
-	skey := it.key // outlives it: the grow path may recycle the header
-	cur, err := strconv.ParseUint(string(it.value), 10, 64)
+	cur, err := strconv.ParseUint(string(it.value()), 10, 64)
 	if err != nil {
 		if rc := s.rec; rc != nil {
-			rc.emit(&OpRecord{Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true, Bad: true, OldCAS: it.casID})
+			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Delta: delta, Hit: true, Bad: true, OldCAS: it.casID})
 		}
 		return 0, true, true, false
 	}
@@ -754,13 +745,13 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 	oldCAS := it.casID
 	var digits [20]byte // a uint64 in decimal
 	text := strconv.AppendUint(digits[:0], cur, 10)
-	if len(text) <= len(it.value) {
+	if len(text) <= int(it.nbytes) {
 		// Fits in place: memcached right-pads with spaces semantics are
-		// emulated by shrinking the value slice to the new length. The
+		// emulated by shrinking the value to the new length. The
 		// republish gives the entry the new CAS's seqlock, so a one-sided
 		// reader that fetched the old bytes fails its re-validation.
-		copy(it.value, text)
-		it.value = it.value[:len(text)]
+		copy(it.value(), text)
+		it.nbytes = uint32(len(text))
 		s.nextCAS++
 		it.casID = s.nextCAS
 		if x := s.pub; x != nil {
@@ -768,8 +759,8 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 		}
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
-				Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true,
-				NewNum: cur, Value: cloneBytes(it.value), Flags: it.flags,
+				Kind: kind, Key: string(key), Now: now, Delta: delta, Hit: true,
+				NewNum: cur, Value: cloneBytes(it.value()), Flags: it.flags,
 				NewCAS: it.casID, OldCAS: oldCAS,
 				ExpireAt: it.expireAt, SetAt: it.setAt,
 			})
@@ -780,21 +771,21 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 		// expiry we carry over) alive until the swap completes.
 		flags, exp := it.flags, it.expireAt
 		it.refcount++
-		nit, res := s.newItem(sh, skey, flags, 0, len(text), now)
+		nit, res := s.newItem(sh, key, flags, 0, len(text), now)
 		s.releasePin(sh, it)
 		if res != Stored {
 			if rc := s.rec; rc != nil {
-				rc.emit(&OpRecord{Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true, OOM: true, OldCAS: oldCAS})
+				rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Delta: delta, Hit: true, OOM: true, OldCAS: oldCAS})
 			}
 			return 0, true, false, true
 		}
 		nit.expireAt = exp
-		copy(nit.value, text)
+		copy(nit.value(), text)
 		s.link(sh, nit, h)
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
-				Kind: kind, Key: skey, Now: now, Delta: delta, Hit: true,
-				NewNum: cur, Value: cloneBytes(nit.value), Flags: nit.flags,
+				Kind: kind, Key: string(key), Now: now, Delta: delta, Hit: true,
+				NewNum: cur, Value: cloneBytes(nit.value()), Flags: nit.flags,
 				NewCAS: nit.casID, OldCAS: oldCAS,
 				ExpireAt: nit.expireAt, SetAt: nit.setAt,
 			})
@@ -821,7 +812,7 @@ func (s *Store) touch(key []byte, exptime int64, c charge) bool {
 	}
 	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{
-			Kind: RecTouch, Key: it.key, Now: now, Exptime: exptime, Hit: true,
+			Kind: RecTouch, Key: string(key), Now: now, Exptime: exptime, Hit: true,
 			ExpireAt: it.expireAt, OldCAS: it.casID,
 		})
 	}

@@ -58,8 +58,8 @@ func TestSlabAllocFreeReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c1.buf) < 100 {
-		t.Fatalf("chunk len %d", len(c1.buf))
+	if len(c1.buf) < 100-itemOverhead {
+		t.Fatalf("chunk len %d: the modeled header is not made on the host, the rest of 100 B must be", len(c1.buf))
 	}
 	used := a.usedBytes
 	if used != slabPageSize {
@@ -142,12 +142,18 @@ func TestSlabPropertyNoDoubleHandout(t *testing.T) {
 	}
 }
 
+// keyedItem is an unlinked item holding only key, in a chunk of its
+// own, for the hash-table tests.
+func keyedItem(key string) *item {
+	return &item{chunk: chunk{buf: []byte(key)}, nkey: uint8(len(key))}
+}
+
 func TestHashTableBasics(t *testing.T) {
 	ht := newHashTable()
 	items := make([]*item, 0, 1000)
 	for i := 0; i < 1000; i++ {
-		it := &item{key: fmt.Sprintf("key-%d", i)}
-		ht.put(it, hashKey(it.key))
+		it := keyedItem(fmt.Sprintf("key-%d", i))
+		ht.put(it, hashKey(it.key()))
 		items = append(items, it)
 	}
 	if ht.count != 1000 {
@@ -157,23 +163,23 @@ func TestHashTableBasics(t *testing.T) {
 		t.Fatal("table never expanded")
 	}
 	for i, it := range items {
-		got := lookup(ht, it.key, hashKey(it.key))
+		got := ht.lookup(it.key(), hashKey(it.key()))
 		if got != it {
-			t.Fatalf("Get(%q) = %v", it.key, got)
+			t.Fatalf("Get(%q) = %v", it.key(), got)
 		}
 		if i%3 == 0 {
-			if del := ht.delete(it.key, hashKey(it.key)); del != it {
-				t.Fatalf("Delete(%q) = %v", it.key, del)
+			if del := ht.delete(it.key(), hashKey(it.key())); del != it {
+				t.Fatalf("Delete(%q) = %v", it.key(), del)
 			}
-			if lookup(ht, it.key, hashKey(it.key)) != nil {
+			if ht.lookup(it.key(), hashKey(it.key())) != nil {
 				t.Fatal("deleted key still present")
 			}
 		}
 	}
-	if lookup(ht, "absent", hashKey("absent")) != nil {
+	if ht.lookup([]byte("absent"), hashKey("absent")) != nil {
 		t.Fatal("absent key returned an item")
 	}
-	if ht.delete("absent", hashKey("absent")) != nil {
+	if ht.delete([]byte("absent"), hashKey("absent")) != nil {
 		t.Fatal("deleting absent key returned an item")
 	}
 }
@@ -184,20 +190,20 @@ func TestHashTableIncrementalExpansion(t *testing.T) {
 	n := int(hashLoadFactor*float64(1<<hashInitialPower)) + 2
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("k%d", i)
-		ht.put(&item{key: k}, hashKey(k))
+		ht.put(keyedItem(k), hashKey(k))
 	}
 	if ht.old == nil {
 		t.Fatal("expansion did not start")
 	}
 	// Every key remains reachable mid-expansion.
 	for i := 0; i < n; i++ {
-		if k := fmt.Sprintf("k%d", i); lookup(ht, k, hashKey(k)) == nil {
+		if k := fmt.Sprintf("k%d", i); ht.lookup([]byte(k), hashKey(k)) == nil {
 			t.Fatalf("k%d lost mid-expansion", i)
 		}
 	}
 	// A few more operations finish the migration.
 	for i := 0; ht.old != nil && i < 10000; i++ {
-		lookup(ht, "k0", hashKey("k0"))
+		ht.lookup([]byte("k0"), hashKey("k0"))
 	}
 	if ht.old != nil {
 		t.Fatal("expansion never finished")
@@ -215,16 +221,16 @@ func TestHashTableModelProperty(t *testing.T) {
 			switch op % 3 {
 			case 0:
 				if model[key] == nil {
-					it := &item{key: key}
+					it := keyedItem(key)
 					ht.put(it, hashKey(key))
 					model[key] = it
 				}
 			case 1:
-				if lookup(ht, []byte(key), hashKey(key)) != model[key] {
+				if ht.lookup([]byte(key), hashKey(key)) != model[key] {
 					return false
 				}
 			case 2:
-				got := ht.delete(key, hashKey(key))
+				got := ht.delete([]byte(key), hashKey(key))
 				if got != model[key] {
 					return false
 				}
@@ -235,7 +241,7 @@ func TestHashTableModelProperty(t *testing.T) {
 			return false
 		}
 		for k, v := range model {
-			if lookup(ht, k, hashKey(k)) != v {
+			if ht.lookup([]byte(k), hashKey(k)) != v {
 				return false
 			}
 		}
@@ -517,18 +523,18 @@ func TestStorePinBlocksEvictionAndDefersFree(t *testing.T) {
 		t.Fatal("GetPinned miss")
 	}
 	// Deleting while pinned unlinks but must not recycle the chunk.
-	free0 := s.arena.freeChunks(it.chunk.class)
+	free0 := s.arena.freeChunks(int(it.chunk.class))
 	if !s.delete([]byte("pinned"), at(0)) {
 		t.Fatal("delete failed")
 	}
-	if s.arena.freeChunks(it.chunk.class) != free0 {
+	if s.arena.freeChunks(int(it.chunk.class)) != free0 {
 		t.Fatal("pinned chunk recycled at delete")
 	}
-	if string(it.value) != "precious" {
+	if string(it.value()) != "precious" {
 		t.Fatal("pinned value corrupted")
 	}
 	s.unpin(it)
-	if s.arena.freeChunks(it.chunk.class) != free0+1 {
+	if s.arena.freeChunks(int(it.chunk.class)) != free0+1 {
 		t.Fatal("chunk not freed after unpin")
 	}
 }
@@ -543,7 +549,7 @@ func TestStoreAllocateCommitAbort(t *testing.T) {
 	if _, _, _, ok := s.Get("k", 0); ok {
 		t.Fatal("uncommitted item visible")
 	}
-	copy(it.value, "rdmaland")
+	copy(it.value(), "rdmaland")
 	s.commitItem(it, at(0))
 	v, flags, _, ok := s.Get("k", 0)
 	if !ok || string(v) != "rdmaland" || flags != 5 {
@@ -551,9 +557,9 @@ func TestStoreAllocateCommitAbort(t *testing.T) {
 	}
 	// Abort path returns the chunk.
 	it2, _ := s.allocateItem([]byte("tmp"), 0, 0, 8, 0)
-	free0 := s.arena.freeChunks(it2.chunk.class)
+	free0 := s.arena.freeChunks(int(it2.chunk.class))
 	s.abortItem(it2)
-	if s.arena.freeChunks(it2.chunk.class) != free0+1 {
+	if s.arena.freeChunks(int(it2.chunk.class)) != free0+1 {
 		t.Fatal("aborted chunk not freed")
 	}
 }
@@ -562,6 +568,18 @@ func TestStoreTooLarge(t *testing.T) {
 	s := newTestStore()
 	if res := s.Set("big", 0, 0, make([]byte, 2<<20), 0); res != TooLarge {
 		t.Fatalf("Set huge = %v", res)
+	}
+	// An item's key length is a byte in its header; an AM header can
+	// carry a longer key than the protocol allows, and it is refused.
+	long := bytes.Repeat([]byte("k"), maxKeyLen+1)
+	if res := s.store(StoreOpSet, long, 0, 0, []byte("v"), 0, at(0)); res != TooLarge {
+		t.Fatalf("set of a %d B key = %v", len(long), res)
+	}
+	if _, res := s.allocateItem(long, 0, 0, 1, 0); res != TooLarge {
+		t.Fatalf("allocateItem of a %d B key = %v", len(long), res)
+	}
+	if n := s.Stats().CurrItems; n != 0 {
+		t.Fatalf("%d items stored", n)
 	}
 }
 
@@ -648,7 +666,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 	pins := make([]pin, workers)
 	unpin := func(w int) {
 		if p := pins[w]; p.it != nil {
-			if p.it.casID != p.cas || !bytes.Equal(p.it.value, bytes.Repeat([]byte{byte(p.it.flags)}, 600)) {
+			if p.it.casID != p.cas || !bytes.Equal(p.it.value(), bytes.Repeat([]byte{byte(p.it.flags)}, 600)) {
 				t.Errorf("worker %d: pinned item changed under its pin", w)
 			}
 			s.unpin(p.it)

@@ -148,7 +148,7 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 			sets[g]++
 		case 1:
 			if it, ok := s.getPinned([]byte(key), at(now)); ok {
-				_ = it.value
+				_ = it.value()
 				s.unpin(it)
 			}
 		case 2:

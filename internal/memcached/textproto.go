@@ -244,7 +244,7 @@ func parseTextStore(op uint8, args []byte) (c textStoreCmd, verdict textParse) {
 
 // appendTextValue appends one retrieval hit: the VALUE line (with the
 // CAS id for a "gets") and the data block.
-func appendTextValue(dst []byte, key string, flags uint32, value []byte, casID uint64, withCAS bool) []byte {
+func appendTextValue(dst []byte, key []byte, flags uint32, value []byte, casID uint64, withCAS bool) []byte {
 	dst = append(dst, "VALUE "...)
 	dst = append(dst, key...)
 	dst = append(dst, ' ')

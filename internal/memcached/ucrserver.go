@@ -156,7 +156,7 @@ func (s *Server) amSetHeader(clk *simnet.VClock, ep *ucr.Endpoint, hdr []byte, d
 	if res != Stored {
 		return c.pendSet(setPending{land: ep.Context().Buf(dataLen), res: res, replyCtr: req.replyCtr})
 	}
-	return c.pendSet(setPending{land: it.value, item: it, res: Stored, replyCtr: req.replyCtr})
+	return c.pendSet(setPending{land: it.value(), item: it, res: Stored, replyCtr: req.replyCtr})
 }
 
 // amSetComplete commits the item and answers with AM 2 (§V-B).
@@ -205,8 +205,8 @@ func (s *Server) amGetComplete(slotted bool) ucr.CompletionHandler {
 		}
 		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMOK, Flags: it.flags, CAS: it.casID})
 		win := c.wrWin(req.slot)
-		band := s.replyBand(ep, win, len(w.reply)+len(it.value))
-		s.sendValue(clk, c, ep, band, valueReply{ctr: req.replyCtr, win: win, value: it.value, item: it})
+		band := s.replyBand(ep, win, len(w.reply)+int(it.nbytes))
+		s.sendValue(clk, c, ep, band, valueReply{ctr: req.replyCtr, win: win, value: it.value(), item: it})
 	}
 }
 
@@ -239,9 +239,9 @@ func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 			if !hit {
 				continue
 			}
-			w.reply = appendMGetReplyItem(w.reply, key, it.flags, it.casID, len(it.value))
+			w.reply = appendMGetReplyItem(w.reply, key, it.flags, it.casID, int(it.nbytes))
 			items = append(items, it)
-			total += len(it.value)
+			total += int(it.nbytes)
 			found++
 		}
 		finishMGetReply(w.reply, 0, found)
@@ -267,7 +267,7 @@ func (s *Server) amMGetComplete(slotted bool) ucr.CompletionHandler {
 		}
 		for i, it := range items {
 			if band != bandPunt {
-				values = append(values, it.value...)
+				values = append(values, it.value()...)
 			}
 			s.store.unpin(it)
 			items[i] = nil
