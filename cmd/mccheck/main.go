@@ -7,9 +7,13 @@
 // (internal/memcheck.Modes; -list-modes prints it): the default
 // deployment, an opt-in datapath (onesided, srq, ud, wrreply) or the
 // replicated fleet. Each row brings its own vacuity guards — a run that
-// never drove what it armed fails — and a mutation build runs the row
-// its seeded bug needs unasked. -nobursts and -pressure shape the
+// never drove what it armed fails. -nobursts and -pressure shape the
 // generated workload and compose with any single-server row.
+//
+// The checker's own validation is the mutant table in mutants_test.go:
+// each row is a seeded bug written as exact source edits, which
+// `make mutations` overlays on a build of this command (go build
+// -overlay) before it sweeps the row's mode with -expect-violation.
 //
 // Typical uses:
 //
@@ -19,7 +23,7 @@
 //	go run ./cmd/mccheck -mode all -seeds 50 [-faults]        # every row (make memcheck)
 //	go run ./cmd/mccheck -transport UCR-IB -seed 17 -faults   # replay one seed
 //	go run ./cmd/mccheck -transport IPoIB -script repro.txt   # replay a shrunk script
-//	go run -tags mut_delete_noop ./cmd/mccheck -seeds 10 -expect-violation
+//	make mutations                                            # every mutant caught
 package main
 
 import (
@@ -28,13 +32,12 @@ import (
 	"os"
 
 	"repro/internal/cluster"
-	"repro/internal/memcached"
 	"repro/internal/memcheck"
 )
 
 func main() {
 	var (
-		modeName  = flag.String("mode", "", "row of the mode table to run, or all (see -list-modes; default: the row an active mutation needs, else default)")
+		modeName  = flag.String("mode", "", "row of the mode table to run, or all (see -list-modes; empty: the default row)")
 		listModes = flag.Bool("list-modes", false, "print the mode table, one row per line (its name, then what it arms), and exit")
 		transport = flag.String("transport", "both", "UCR-IB, IPoIB, or both (narrowed to the wires the mode sweeps)")
 		seeds     = flag.Int("seeds", 0, "sweep seeds 1..N (mutually exclusive with -seed)")
@@ -46,7 +49,7 @@ func main() {
 		clients   = flag.Int("clients", 0, "client count (default 3)")
 		ops       = flag.Int("ops", 0, "ops per script (default 400; fleet 300)")
 		script    = flag.String("script", "", "replay a script file instead of generating from the seed")
-		expect    = flag.Bool("expect-violation", false, "invert exit status: fail unless a violation is found (mutation builds)")
+		expect    = flag.Bool("expect-violation", false, "invert exit status: fail unless a violation is found (mutant builds)")
 		verbose   = flag.Bool("v", false, "print a line per run")
 	)
 	flag.Parse()
@@ -70,18 +73,6 @@ func main() {
 	}
 
 	mode, err := memcheck.ModeByName(*modeName)
-	if muts := memcached.ActiveMutations(); muts != nil {
-		fmt.Printf("mccheck: store mutations active: %v\n", muts)
-		if *modeName == "" {
-			// A seeded bug that only fires on an opt-in path needs that
-			// path armed for -expect-violation to catch it.
-			var lossy bool
-			if mode, lossy = memcheck.ModeFor(muts); lossy {
-				*faults = true
-			}
-			fmt.Printf("mccheck: -mode %s -faults=%v implied by %v\n", mode.Name, *faults, muts)
-		}
-	}
 	// The rows to sweep: the one named, or with -mode all every row that
 	// runs over a requested wire — each reported, one failure failing the
 	// walk.
@@ -138,7 +129,7 @@ sweep:
 				if out.Violation != nil {
 					fmt.Print(out.Report)
 					if *expect {
-						// One confirmed detection is enough for a mutation build.
+						// One confirmed detection is enough for a mutant build.
 						fmt.Printf("mccheck: violation found as expected (mode=%s transport=%s seed=%d)\n", mode.Name, tr, s)
 						os.Exit(0)
 					}

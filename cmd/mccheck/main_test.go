@@ -35,13 +35,19 @@ func mccheck(t *testing.T, args ...string) (string, int) {
 	if f := flag.Lookup("test.gocoverdir"); f != nil && f.Value.String() != "" {
 		cmd.Env = append(cmd.Env, "GOCOVERDIR="+f.Value.String())
 	}
+	return run(t, cmd)
+}
+
+// run runs cmd and returns its combined output and exit status.
+func run(t *testing.T, cmd *exec.Cmd) (string, int) {
+	t.Helper()
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
 	if errors.As(err, &exit) {
 		return string(out), exit.ExitCode()
 	}
 	if err != nil {
-		t.Fatalf("mccheck %v: %v", args, err)
+		t.Fatalf("%v: %v", cmd.Args, err)
 	}
 	return string(out), 0
 }

@@ -258,10 +258,6 @@ type FleetClient struct {
 	foundBuf []bool
 	errBuf   []error
 
-	// staleRing is the construction-time snapshot MutRingStale routes
-	// by; nil in correct builds.
-	staleRing *ring.Ring
-
 	Stats FleetClientStats
 }
 
@@ -279,22 +275,14 @@ func (f *Fleet) NewClient() (*FleetClient, error) {
 		f.nextClient++
 		c.seat = f.D.attach(fmt.Sprintf("fclient%d", f.nextClient), f.transport)
 		f.clientNodes = append(f.clientNodes, c.seat.node)
-		if ring.MutRingStale {
-			c.staleRing = f.ring.Clone()
-		}
 	})
 	return c, nil
 }
 
-// owners resolves the key's R owners by the CURRENT ring (or, under the
-// seeded MutRingStale bug, the construction-time snapshot) into the
+// owners resolves the key's R owners by the CURRENT ring into the
 // client's scratch buffer: the result is valid until the next call.
 func (c *FleetClient) owners(key string) []string {
-	if c.staleRing != nil {
-		c.ownerBuf = c.staleRing.AppendOwners(c.ownerBuf[:0], key, c.f.replicas)
-	} else {
-		c.ownerBuf = c.f.appendOwners(c.ownerBuf[:0], key)
-	}
+	c.ownerBuf = c.f.appendOwners(c.ownerBuf[:0], key)
 	return c.ownerBuf
 }
 
@@ -379,9 +367,6 @@ func (c *FleetClient) Set(key string, value []byte, flags uint32, exptime int64)
 	owners := c.owners(key)
 	if len(owners) == 0 {
 		return mcclient.ErrNoServers
-	}
-	if ring.MutReplicaSkip && len(owners) > 1 {
-		owners = owners[:1]
 	}
 	trs, res, errs := c.connsFor(owners), c.resBuf[:len(owners)], c.errBuf[:len(owners)]
 	mcclient.SetAll(c.Clock, trs, key, flags, exptime, value, res, errs)

@@ -199,20 +199,11 @@ func newClientHandlers() *ucr.Handlers {
 				t, op := opFor(ep, tag)
 				if op != nil && len(data) > 0 {
 					op.landing-- // the landing landingBuf handed it is in
-				} else if op == nil && t != nil && id == memcached.AMGetReply {
-					// The mutation build accepts a late duplicate into a live
-					// op instead — the bug class the tags exist to prevent.
-					// The whole completion event lands on the victim: payload
-					// AND counter fire, so the victim's waiter returns this
-					// stale reply as its own.
-					if op = t.dupVictim(ep); op != nil {
-						op.ctr.MutBump()
-					}
 				}
 				switch {
 				case op != nil:
 					fn(t, op, hdr, data)
-				case t != nil && t.dupVictim(t.udEP) == nil:
+				case t != nil:
 					t.ctx.Recycle(data) // a late duplicate's own landing (landingBuf)
 				}
 			}})
@@ -253,13 +244,10 @@ func (t *UCRTransport) landingBuf(op *amOp, dataLen int) []byte {
 	switch {
 	case dataLen == 0:
 		return nil
-	case op != nil:
-		op.landing++
-	case t.dupVictim(t.udEP) != nil: // mutation build: clobber a live op
-		op = t.one.op
-	default:
+	case op == nil:
 		return t.ctx.Buf(dataLen)
 	}
+	op.landing++
 	t.land(op, dataLen)
 	return op.data
 }
@@ -275,20 +263,6 @@ func (t *UCRTransport) land(op *amOp, n int) {
 		op.pooled = true
 		op.data = t.ctx.Buf(n)
 	}
-}
-
-// dupVictim is the mut_ud_dup_ack seeded bug: instead of suppressing a
-// reply whose tag names no op (a late duplicate from a retransmitted UD
-// request whose original answer also arrived), it "accepts it twice" by
-// routing it into the live op — exactly the clobbering the tagged
-// counters prevent. UD rides blocking calls only, so that op is the
-// blocking window's, unless it has been retired. Always nil in a normal
-// build; only meaningful when a UD endpoint exists (ep non-nil).
-func (t *UCRTransport) dupVictim(ep *ucr.Endpoint) *amOp {
-	if !memcached.MutUDDupAck || ep == nil || t.one.op == nil || t.one.op.ctr == nil {
-		return nil
-	}
-	return t.one.op
 }
 
 // newOp opens a tagged request around a fresh counter that carries it,

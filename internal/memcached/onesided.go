@@ -219,22 +219,15 @@ func (x *osIndex) publish(it *item) {
 			slot = s
 		}
 	}
-	reuse := slot >= 0 && binary.LittleEndian.Uint64(x.slotBytes(b, slot)) == h
 	if slot < 0 {
 		// Full bucket: displace a hash-chosen victim. The displaced key
 		// falls back to the AM path on its next one-sided attempt.
 		slot = int(h>>57) % osSlots
 	}
-	seq := 2 * it.casID
-	if mutOneSidedStale && reuse {
-		// Mutation: keep the old seqlock value on overwrite, so a client
-		// validating against the directory accepts a stale pair.
-		seq = binary.LittleEndian.Uint64(x.slotBytes(b, slot)[8:])
-	}
 	sb := x.slotBytes(b, slot)
 	le := binary.LittleEndian
 	le.PutUint64(sb, h)
-	le.PutUint64(sb[8:], seq)
+	le.PutUint64(sb[8:], 2*it.casID)
 	le.PutUint64(sb[16:], w.Desc().Addr+uint64(it.chunk.off))
 	le.PutUint64(sb[24:], uint64(it.expireAt))
 	le.PutUint32(sb[32:], uint32(w.Desc().RKey))

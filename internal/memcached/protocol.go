@@ -188,9 +188,6 @@ func (pc *ProtoConn) cmdStore(op uint8, args []byte, clk *simnet.VClock) error {
 	if pc.crlf != [2]byte{'\r', '\n'} {
 		return pc.reply(textBadChunk)
 	}
-	if mutProtoDropFlags {
-		c.flags = 0
-	}
 	// The sockets engine copies the inbound value into slab memory while
 	// holding the lock (unlike the UCR path, where RDMA lands the value
 	// before the commit takes it).

@@ -316,7 +316,7 @@ func (s *Store) lookupLive(sh *shard, key []byte, h uint64, now simnet.Time) *it
 	if it == nil {
 		return nil
 	}
-	if it.expired(now, sh.flushBefore) && !mutGetSkipExpiry {
+	if it.expired(now, sh.flushBefore) {
 		sh.stats.expired++
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: RecExpire, Key: string(key), Now: now, OldCAS: it.casID})
@@ -491,7 +491,7 @@ func (s *Store) store(op uint8, key []byte, flags uint32, exptime int64, value [
 	case StoreOpCas:
 		return s.cas(sh, key, h, flags, exptime, value, casID, now)
 	case StoreOpAdd:
-		kind, gate = RecAdd, mutAddClobbers || s.lookupLive(sh, key, h, now) == nil
+		kind, gate = RecAdd, s.lookupLive(sh, key, h, now) == nil
 	case StoreOpReplace:
 		kind, gate = RecReplace, s.lookupLive(sh, key, h, now) != nil
 	}
@@ -522,7 +522,7 @@ func (s *Store) cas(sh *shard, key []byte, h uint64, flags uint32, exptime int64
 		s.recordStore(RecCas, key, nil, flags, exptime, casID, nil, NotFound, now)
 		return NotFound
 	}
-	if it.casID != casID && !mutCasIgnoreID {
+	if it.casID != casID {
 		sh.stats.casBadval++
 		s.recordStore(RecCas, key, nil, flags, exptime, casID, nil, Exists, now)
 		return Exists
@@ -595,9 +595,6 @@ func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool
 		return res
 	}
 	it.expireAt = old.expireAt
-	if mutAppendNoCAS {
-		it.casID = oldCAS
-	}
 	if prepend {
 		copy(it.value(), add)
 		copy(it.value()[len(add):], old.value())
@@ -694,9 +691,7 @@ func (s *Store) delete(key []byte, c charge) bool {
 	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{Kind: RecDelete, Key: string(key), Now: now, Hit: true, OldCAS: it.casID})
 	}
-	if !mutDeleteNoop {
-		s.unlink(sh, it, h)
-	}
+	s.unlink(sh, it, h)
 	return true
 }
 
@@ -751,6 +746,7 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 		// republish gives the entry the new CAS's seqlock, so a one-sided
 		// reader that fetched the old bytes fails its re-validation.
 		copy(it.value(), text)
+		sh.stats.bytes -= uint64(it.nbytes) - uint64(len(text))
 		it.nbytes = uint32(len(text))
 		s.nextCAS++
 		it.casID = s.nextCAS

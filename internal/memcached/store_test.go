@@ -443,6 +443,36 @@ func TestStoreIncrDecr(t *testing.T) {
 	}
 }
 
+// TestStoreIncrDecrBytes: Stats().Bytes follows a value that incr/decr
+// shrinks in place or grows out of place, and reads 0 once the keys are
+// deleted.
+func TestStoreIncrDecrBytes(t *testing.T) {
+	s := newTestStore()
+	bytesNow := func(step string, want uint64) {
+		t.Helper()
+		if st := s.Stats(); st.Bytes != want {
+			t.Fatalf("after %s: Bytes = %d (CurrItems %d), want %d", step, st.Bytes, st.CurrItems, want)
+		}
+	}
+	s.Set("k", 0, 0, []byte("100"), 0)
+	bytesNow("set k 100", 1+3)
+	if v, _, _, _ := s.incrDecr([]byte("k"), 100, false, at(0)); v != 0 {
+		t.Fatalf("decr k 100 = %d, want 0", v)
+	}
+	bytesNow("decr k 100 (in place)", 1+1)
+	s.Set("g", 0, 0, []byte("9"), 0)
+	if v, _, _, _ := s.incrDecr([]byte("g"), 1, true, at(0)); v != 10 {
+		t.Fatalf("incr g 1 = %d, want 10", v)
+	}
+	bytesNow("incr g 1 (out of place)", 1+1+1+2)
+	s.delete([]byte("k"), at(0))
+	s.delete([]byte("g"), at(0))
+	if st := s.Stats(); st.CurrItems != 0 {
+		t.Fatalf("CurrItems = %d after deleting every key", st.CurrItems)
+	}
+	bytesNow("delete k, delete g", 0)
+}
+
 func TestStoreEviction(t *testing.T) {
 	s := NewStore(StoreConfig{MemoryLimit: 2 << 20}) // two pages
 	val := bytes.Repeat([]byte("x"), 8000)

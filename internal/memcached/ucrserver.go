@@ -39,9 +39,6 @@ type ucrConn struct {
 	// AMArm exchange (Slots == 0: unarmed); slot-advertising requests
 	// resolve their write window against it.
 	arena ArmReq
-	// prevWin is mut_wrreply_stale state: the previous write reply's
-	// window (zero until then, and in a normal build).
-	prevWin ucr.WindowDesc
 }
 
 // connOf resolves the connection state an endpoint carries.
@@ -328,8 +325,8 @@ type valueReply struct {
 // origin counter fires — directly addressing the corruption hazard the
 // paper raises for designs that let clients read server memory
 // unsupervised (§III) — and every other exit unpins at once. A refused
-// write post (a failing endpoint, or the stale-window mutation's bounds
-// rejection) re-enters the ladder without the window.
+// write post (a failing endpoint, or a window its bounds check rejects)
+// re-enters the ladder without the window.
 func (s *Server) sendValue(clk *simnet.VClock, c *ucrConn, ep *ucr.Endpoint, band replyBand, r valueReply) {
 	w := c.w
 	msg := AMGetReply
@@ -341,7 +338,7 @@ func (s *Server) sendValue(clk *simnet.VClock, c *ucrConn, ep *ucr.Endpoint, ban
 		// guarantees the counter fires on success AND failure, so the pin
 		// sweep always releases it.
 		ctr := s.ucrRT.NewCounter()
-		if err := ep.WriteReply(clk, w.reply, r.value, c.writeReplyWin(r.win), 0, ctr); err == nil {
+		if err := ep.WriteReply(clk, w.reply, r.value, r.win, 0, ctr); err == nil {
 			w.pendingPins = append(w.pendingPins, pendingPin{ctr: ctr, item: r.item})
 			if r.mget {
 				w.reply = appendMGetWNotify(w.reply[:0], MGetWNotify{

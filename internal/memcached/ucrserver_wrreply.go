@@ -26,22 +26,6 @@ func (c *ucrConn) wrWin(slot int32) ucr.WindowDesc {
 	}
 }
 
-// writeReplyWin resolves which window a write reply targets. The
-// mut_wrreply_stale mutation answers the CURRENT request into the
-// PREVIOUS write reply's window on the same connection — the stale-slot
-// bug class the per-request window advertisement exists to prevent.
-func (c *ucrConn) writeReplyWin(cur ucr.WindowDesc) ucr.WindowDesc {
-	if !mutWrReplyStale {
-		return cur
-	}
-	prev := c.prevWin
-	c.prevWin = cur
-	if prev.Len == 0 { // the connection's first write reply
-		return cur
-	}
-	return prev
-}
-
 // UCRWriteReplies totals the write-based replies posted across the
 // workers' progress contexts — the vacuity guard for the write-reply
 // datapath.

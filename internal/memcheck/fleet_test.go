@@ -1,11 +1,9 @@
 package memcheck
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/ring"
 )
 
 // Clean fleet sweep: several seeds of churn-heavy traffic must satisfy
@@ -73,74 +71,6 @@ func TestFleetScriptRoundTrip(t *testing.T) {
 	if churn == 0 {
 		t.Fatal("generated fleet script has no churn ops")
 	}
-}
-
-// runMutated flips one seeded-mutation switch for the duration of fn.
-func runMutated(t *testing.T, flag *bool, fn func()) {
-	t.Helper()
-	*flag = true
-	defer func() { *flag = false }()
-	fn()
-}
-
-// mut_ring_stale: clients route by a construction-time ring snapshot.
-// The checker must catch it on some seed and shrink the script to a
-// replayable repro.
-func TestFleetCatchesMutRingStale(t *testing.T) {
-	runMutated(t, &ring.MutRingStale, func() {
-		caught := false
-		for seed := uint64(1); seed <= 6 && !caught; seed++ {
-			res := run(Config{mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
-			if res.Violation == nil {
-				continue
-			}
-			caught = true
-			if res.shrunk == nil || len(res.shrunk.ops) == 0 {
-				t.Fatalf("violation not shrunk: %s", res.Violation.Error())
-			}
-			if len(res.shrunk.ops) >= len(res.script.ops) {
-				t.Fatalf("shrink made no progress: %d -> %d ops",
-					len(res.script.ops), len(res.shrunk.ops))
-			}
-			if !strings.Contains(res.Report, "-mode fleet") {
-				t.Fatalf("report lacks fleet replay line:\n%s", res.Report)
-			}
-			// The shrunk script must still fail when replayed.
-			rep := runScript(*res.shrunk, res.config)
-			if rep.Violation == nil {
-				t.Fatal("shrunk script no longer fails on replay")
-			}
-		}
-		if !caught {
-			t.Fatal("mut_ring_stale survived 6 seeds")
-		}
-	})
-}
-
-// mut_replica_skip: the write-through drops the replica copy. Caught by
-// the epilogue probes (the replica misses a key the model says it
-// holds) or by a get after the primary departs.
-func TestFleetCatchesMutReplicaSkip(t *testing.T) {
-	runMutated(t, &ring.MutReplicaSkip, func() {
-		caught := false
-		for seed := uint64(1); seed <= 6 && !caught; seed++ {
-			res := run(Config{mode: "fleet", Transport: cluster.UCRIB, Seed: seed})
-			if res.Violation == nil {
-				continue
-			}
-			caught = true
-			if res.shrunk == nil || len(res.shrunk.ops) == 0 {
-				t.Fatalf("violation not shrunk: %s", res.Violation.Error())
-			}
-			rep := runScript(*res.shrunk, res.config)
-			if rep.Violation == nil {
-				t.Fatal("shrunk script no longer fails on replay")
-			}
-		}
-		if !caught {
-			t.Fatal("mut_replica_skip survived 6 seeds")
-		}
-	})
 }
 
 // A Mode value's Options reach the fleet's deployment: a fleet row that

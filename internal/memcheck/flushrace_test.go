@@ -17,9 +17,6 @@ import (
 // horizon. The recorder is the oracle; the full history must also pass
 // the reference model.
 func TestFlushAllWithPipelinedSets(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	keys := []string{"fr0", "fr1", "fr2", "fr3", "fr4", "fr5", "fr6", "fr7"}
 	for _, tr := range transports {
 		t.Run(string(tr), func(t *testing.T) {

@@ -67,9 +67,6 @@ func TestScriptRoundTrip(t *testing.T) {
 }
 
 func TestCleanSeeds(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	for _, tr := range transports {
 		var batched uint64
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -93,9 +90,6 @@ func TestCleanSeeds(t *testing.T) {
 // demands the runs actually exercised it (a sweep where every get fell
 // back to the AM path would validate nothing).
 func TestOneSidedSeeds(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	for _, faults := range []bool{false, true} {
 		var oneSided uint64
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -115,9 +109,6 @@ func TestOneSidedSeeds(t *testing.T) {
 // vacuity guard on the server's demux counter: a sweep where no
 // completion was routed through the shared queue validated nothing.
 func TestSRQSeeds(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	for _, faults := range []bool{false, true} {
 		var demux uint64
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -138,9 +129,6 @@ func TestSRQSeeds(t *testing.T) {
 // client-side retransmissions (silent datagram loss is the whole point
 // of the UD reliability machinery).
 func TestUDSeeds(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	for _, faults := range []bool{false, true} {
 		var gets, retx uint64
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -161,9 +149,6 @@ func TestUDSeeds(t *testing.T) {
 }
 
 func TestBlockingTTLSeeds(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	for _, tr := range transports {
 		for seed := uint64(10); seed <= 12; seed++ {
 			res := run(Config{Transport: tr, Seed: seed, Ops: 150, NoBursts: true})
@@ -175,9 +160,6 @@ func TestBlockingTTLSeeds(t *testing.T) {
 }
 
 func TestLossySeeds(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	for _, tr := range transports {
 		for seed := uint64(20); seed <= 22; seed++ {
 			res := run(Config{Transport: tr, Seed: seed, Ops: 150, Faults: true})
@@ -189,9 +171,6 @@ func TestLossySeeds(t *testing.T) {
 }
 
 func TestPressureSeeds(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	for _, tr := range transports {
 		for seed := uint64(30); seed <= 31; seed++ {
 			res := run(Config{Transport: tr, Seed: seed, Ops: 300, Pressure: true})
@@ -228,9 +207,6 @@ func sameHistoryTwice(t *testing.T, name string, cfg Config) {
 // the same history — transitions, their order and every virtual
 // timestamp — for blocking workloads and for pipelined bursts alike.
 func TestHistoryDeterminism(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	for _, tr := range transports {
 		sameHistoryTwice(t, fmt.Sprintf("%s blocking", tr), Config{Transport: tr, Seed: 40, Ops: 150, NoBursts: true})
 		sameHistoryTwice(t, fmt.Sprintf("%s bursts", tr), Config{Transport: tr, Seed: 42, Ops: 150})
@@ -243,9 +219,6 @@ func TestHistoryDeterminism(t *testing.T) {
 // go idle (not because a host timer fired), and the retry's duplicate
 // drains through the server in stamp order on the one calling goroutine.
 func TestLossySameSeedSameHistory(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	rows := []Config{{Transport: cluster.UCRIB}, {Transport: cluster.IPoIB}}
 	for _, mode := range []string{"ud", "srq", "onesided", "wrreply"} {
 		rows = append(rows, Config{Transport: cluster.UCRIB, mode: mode})
@@ -269,49 +242,10 @@ func firstLineDiff(a, b string) string {
 	return "lengths differ"
 }
 
-// TestMutationsCaught is the checker's own validation: it only runs in
-// a `-tags mut_*` build (see mutations.go) and demands that the active
-// mutation is detected within a few seeds on at least one transport.
-func TestMutationsCaught(t *testing.T) {
-	muts := memcached.ActiveMutations()
-	if muts == nil {
-		t.Skip("no store mutations active; run with -tags mut_append_nocas (etc.)")
-	}
-	// Some mutations only fire on an opt-in datapath or the lossy
-	// fabric: the mode table says which (the UCR transport is the only
-	// one that has them).
-	mode, lossy := ModeFor(muts)
-	for seed := uint64(1); seed <= 10; seed++ {
-		for _, tr := range mode.Transports(transports) {
-			for _, nb := range []bool{false, true} {
-				if nb && mode.Fleet {
-					continue // the fleet workload has no blocking-only shape
-				}
-				out := mode.Run(Config{Transport: tr, Seed: seed, Ops: 200, NoBursts: nb, Faults: lossy}, nil)
-				if out.Violation == nil {
-					continue
-				}
-				if !strings.Contains(out.Report, "seed=") || !strings.Contains(out.Report, "replay:") {
-					t.Fatalf("report missing replay info:\n%s", out.Report)
-				}
-				if out.shrunk == nil || len(out.shrunk.ops) == 0 || len(out.shrunk.ops) > len(out.script.ops) {
-					t.Fatalf("bad shrunk script")
-				}
-				t.Logf("mutation %v caught: mode=%s transport=%s seed=%d shrunk to %d ops", muts, mode.Name, tr, seed, len(out.shrunk.ops))
-				return
-			}
-		}
-	}
-	t.Fatalf("mutation %v not detected in 10 seeds on any transport", muts)
-}
-
 // TestModelCatchesTamperedHistory forges divergences into a genuine
 // recorded history and demands the model flags each one — a cheap
 // self-test of the checker that needs no mutation build.
 func TestModelCatchesTamperedHistory(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	base := run(Config{Transport: cluster.IPoIB, Seed: 7, Ops: 150})
 	requirePass(t, base)
 
@@ -412,9 +346,6 @@ func TestShrink(t *testing.T) {
 }
 
 func TestReplayFromScriptText(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
 	cfg := Config{Transport: cluster.UCRIB, Seed: 55, Ops: 80}
 	sc := generate(cfg.Seed, genConfig{clients: cfg.Clients, ops: cfg.Ops})
 	text := formatScript(sc)

@@ -10,12 +10,11 @@ import (
 )
 
 // Mode is one row of the checker's mode table: a named deployment shape
-// (which opt-in datapath is armed), the proof that a sweep actually
-// exercised it, and the seeded bugs that need it. The workload shape
-// (Config.NoBursts, Config.Pressure) composes with any row.
-// The table is the only place a mode is spelled out: `mccheck -mode`,
-// `make memcheck` (through -mode all) and the mutation builds all read
-// it.
+// (which opt-in datapath is armed) and the proof that a sweep actually
+// exercised it. The workload shape (Config.NoBursts, Config.Pressure)
+// composes with any row. The table is the only place a mode is spelled
+// out: `mccheck -mode` reads it, `make memcheck` through -mode all, and
+// each seeded bug of `make mutations` names the row that catches it.
 type Mode struct {
 	Name string
 	// Doc says in one line what the row arms; `mccheck -list-modes`
@@ -35,11 +34,6 @@ type Mode struct {
 	// guards are the row's further vacuity checks: a sweep that armed a
 	// datapath but never drove it validated nothing, and fails.
 	guards []guard
-	// mutations are the mut_* build tags whose seeded bug only fires in
-	// this mode: a binary built with one runs the mode unasked.
-	// mutationsLossy says the bug additionally needs a lossy fabric.
-	mutations      []string
-	mutationsLossy bool
 }
 
 // guard is one vacuity check over a sweep's summed counters.
@@ -84,20 +78,17 @@ func (c *Counters) String() string {
 		p[mcclient.PathUD].Retries, c.writeReplies, p[mcclient.PathWrite].Hits, c.churn, c.moved, c.repairs)
 }
 
-// Modes is the mode table. "default" must stay first (ModeFor falls
+// Modes is the mode table. "default" must stay first (ModeByName falls
 // back to it).
 var Modes = []Mode{
 	{
 		Name: "default", Doc: "default deployment, pipelined bursts in the mix",
-		mutations: []string{"mut_append_nocas", "mut_get_skip_expiry", "mut_cas_ignore_id",
-			"mut_delete_noop", "mut_add_clobbers", "mut_proto_drop_flags"},
 	},
 	{
 		Name: "onesided", Doc: "GET hits served by validated client RDMA reads",
-		ucrOnly:   true,
-		Options:   func(o *cluster.Options) { o.OneSidedGet = true },
-		Path:      mcclient.PathOneSided,
-		mutations: []string{"mut_onesided_stale"},
+		ucrOnly: true,
+		Options: func(o *cluster.Options) { o.OneSidedGet = true },
+		Path:    mcclient.PathOneSided,
 	},
 	{
 		Name: "srq", Doc: "server receives drawn from one shared queue per worker",
@@ -107,7 +98,6 @@ var Modes = []Mode{
 			what: "SRQ demux decisions",
 			zero: func(c *Counters) bool { return c.srqDemux == 0 },
 		}},
-		mutations: []string{"mut_srq_misroute"},
 	},
 	{
 		Name: "ud", Doc: "datagram-sized GET/MGETs over an unreliable endpoint",
@@ -121,9 +111,6 @@ var Modes = []Mode{
 			zero:  func(c *Counters) bool { return c.paths.By[mcclient.PathUD].Retries == 0 },
 			lossy: true,
 		}},
-		// The dup-accept only fires when late duplicate replies exist,
-		// which takes UD traffic plus timeouts from a lossy fabric.
-		mutations: []string{"mut_ud_dup_ack"}, mutationsLossy: true,
 	},
 	{
 		Name: "wrreply", Doc: "hits RDMA-written into the client's reply slots",
@@ -139,7 +126,6 @@ var Modes = []Mode{
 			what: "replies posted as RDMA writes",
 			zero: func(c *Counters) bool { return c.writeReplies == 0 },
 		}},
-		mutations: []string{"mut_wrreply_stale"},
 	},
 	{
 		Name: "fleet", Doc: "replicated churn-capable cluster vs the ownership model",
@@ -148,7 +134,6 @@ var Modes = []Mode{
 			{what: "read repairs", zero: func(c *Counters) bool { return c.repairs == 0 }},
 			{what: "churn that moved keyspace", zero: func(c *Counters) bool { return c.churn == 0 || c.moved <= 0 }},
 		},
-		mutations: []string{"mut_ring_stale", "mut_replica_skip"},
 	},
 }
 
@@ -172,20 +157,6 @@ func modeNames() []string {
 		names[i] = Modes[i].Name
 	}
 	return names
-}
-
-// ModeFor picks the mode a mutation build must run for its seeded bug
-// to be reachable, and whether it also needs a lossy fabric: the row
-// listing one of the active tags, or the default row.
-func ModeFor(activeMutations []string) (m *Mode, lossy bool) {
-	for i := range Modes {
-		for _, tag := range activeMutations {
-			if slices.Contains(Modes[i].mutations, tag) {
-				return &Modes[i], Modes[i].mutationsLossy
-			}
-		}
-	}
-	return &Modes[0], false
 }
 
 // Transports narrows the requested wires to the ones the mode sweeps.

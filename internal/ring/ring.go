@@ -35,23 +35,6 @@ import (
 // per server, each contributing 4 ring points (160 points per server).
 const defaultVNodes = 40
 
-// Checker-validation mutation switches (see internal/memcached/mut_*.go
-// for the registry pattern). They live here because the fleet client
-// consults them and this package is imported by both mcclient/cluster
-// and memcached without forming a cycle. Both default to false; a tagged
-// build flips exactly one via an init() in internal/memcached.
-var (
-	// MutRingStale makes fleet clients route by the ring snapshot taken
-	// at client construction, ignoring every later membership change —
-	// the stale-routing bug class the fleet memcheck mode exists to
-	// catch (ops land on pre-churn owners, including closed servers).
-	MutRingStale bool
-	// MutReplicaSkip makes fleet clients silently drop the replica leg
-	// of a write-through store, so a primary departure loses the only
-	// copy — the replication bug class read-repair cannot mask forever.
-	MutReplicaSkip bool
-)
-
 // point is one ring position and the member owning the arc ending at it.
 type point struct {
 	h     uint32
@@ -258,8 +241,8 @@ func (r *Ring) AppendOwners(dst []string, key string, n int) []string {
 	return dst
 }
 
-// Clone returns an independent snapshot (the fleet's stale-routing
-// mutation and the movement accounting both compare against one).
+// Clone returns an independent snapshot (the movement accounting
+// compares against one).
 func (r *Ring) Clone() *Ring {
 	c := &Ring{
 		vnodes:  r.vnodes,

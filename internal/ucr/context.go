@@ -45,13 +45,6 @@ type Context struct {
 	writeReplies                              uint64
 }
 
-// MutSRQMisroute, when set (mutation builds only — see the memcached
-// package's mut_srq_misroute build tag), makes the shared-completion
-// demux deliver every third SRQ-fed arrival to a different endpoint in
-// the context: the wrong-connection bug class the memcheck srq mode
-// exists to catch.
-var MutSRQMisroute bool
-
 // wrKind says what a posted work request is, and so what its completion
 // does.
 type wrKind uint8
@@ -328,36 +321,7 @@ func (c *Context) demuxEndpoint(wc *verbs.WC) *Endpoint {
 		return ep
 	}
 	c.srqDemux++
-	if MutSRQMisroute && c.srqDemux%3 == 0 {
-		if wrong := c.neighborEndpoint(ep); wrong != nil {
-			return wrong
-		}
-	}
 	return ep
-}
-
-// neighborEndpoint deterministically picks a different endpoint from the
-// same context (the next-higher QPN, wrapping to the lowest), or nil if
-// ep is the only one. Mutation-build helper: map iteration order would
-// make the misroute non-replayable.
-func (c *Context) neighborEndpoint(ep *Endpoint) *Endpoint {
-	self := ep.qp.QPN()
-	var next, lowest *Endpoint
-	for qpn, cand := range c.eps {
-		if qpn == self {
-			continue
-		}
-		if lowest == nil || qpn < lowest.qp.QPN() {
-			lowest = cand
-		}
-		if qpn > self && (next == nil || qpn < next.qp.QPN()) {
-			next = cand
-		}
-	}
-	if next != nil {
-		return next
-	}
-	return lowest
 }
 
 // onPacket handles a UCR packet that landed in wc.Buf, decoded once into

@@ -104,13 +104,6 @@ func (c *Counter) ID() CounterID {
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.val }
 
-// MutBump increments the counter from outside the delivery path. It
-// exists only for seeded-mutation builds — mut_ud_dup_ack routes a
-// duplicate reply's completion event into a live request, which means
-// firing that request's counter as if its own reply had arrived. Normal
-// code never calls it.
-func (c *Counter) MutBump() { c.val++ }
-
 // HeaderHandler runs at the target when a message header arrives. It may
 // perform limited logic and must return the destination buffer for the
 // data — at least dataLen bytes (a zero dataLen may return nil). clk is

@@ -25,8 +25,7 @@ type surfaceEntry struct{ name, reason string }
 
 // surfaceAllowlist is every export under internal/ that no non-test
 // code in another package uses, with the reason it keeps its capital
-// letter: a test in another package drives it, or a file outside the
-// default build sets it.
+// letter: a test in another package drives it.
 var surfaceAllowlist = []surfaceEntry{
 	{"mcclient.Client.Ejected", "cluster's failover test asserts which server the client ejected"},
 	{"mcclient.ErrBadKey", "cluster's TestFleetRejectsBadKey checks a fleet refuses a bad key before it reaches a server"},
@@ -38,7 +37,6 @@ var surfaceAllowlist = []surfaceEntry{
 	{"simnet.FaultInjector.DropNext", "the fault tests of verbs, sockstream, cluster and memcached drop a scripted run of frames"},
 	{"simnet.FaultInjector.Heal", "the fault tests of ucr and cluster lift a partition mid-test"},
 	{"ucr.Config.SRQBuffers", "cluster's TestSRQCreditExhaustionBackpressure shrinks the shared receive pool to 4"},
-	{"ucr.MutSRQMisroute", "set only by internal/memcached/mut_srq_misroute.go, which builds under the mut_srq_misroute tag the default build context leaves out"},
 	{"verbs.CQ.Len", "ucr's sweep tests count the completions left on a context's CQ"},
 	{"verbs.ErrRefused", "ucr's TestDialUnknownService checks a dial to an unknown service is refused"},
 }
