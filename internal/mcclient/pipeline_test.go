@@ -339,3 +339,109 @@ func TestPipelineSpentFuturesNeverCross(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowFailurePaths drives a window's flush and failure paths on
+// both transports, one table of rows:
+//   - an exported Flush writes what the window queued (sockets: one
+//     Write, charged to the caller's clock; UCR posted at admission, so
+//     nothing is left to write) and returns nil on a healthy connection,
+//     and a second Flush has nothing left to do;
+//   - on a closed connection every send fails: a future's own Wait on a
+//     request that never reached the wire settles ErrServerDown, so does
+//     every other future of the window, and the sticky error is what
+//     Flush and Wait return from then on.
+func TestWindowFailurePaths(t *testing.T) {
+	st := newStack(t)
+	utr, _ := st.ucrClient(t)
+	for _, c := range []struct {
+		name       string
+		tr         Transport
+		flushMoves bool // Flush writes queued requests, charged to the caller's clock
+	}{
+		{"sockets", st.sockClient(t), true},
+		{"ucr", utr, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clk := simnet.NewVClock(0)
+			pipe := c.tr.(Pipeliner).Pipeline(4)
+			set := pipe.StartSet(clk, "fl-"+c.name, 3, 0, []byte("flushed"))
+			get := pipe.StartGet(clk, "fl-"+c.name)
+			before := clk.Now()
+			if err := pipe.Flush(clk); err != nil {
+				t.Fatalf("Flush on a healthy connection = %v", err)
+			}
+			if moved := clk.Now() != before; moved != c.flushMoves {
+				t.Fatalf("Flush moved the clock %d → %d, want a write: %v", before, clk.Now(), c.flushMoves)
+			}
+			after := clk.Now()
+			if err := pipe.Flush(clk); err != nil || clk.Now() != after {
+				t.Fatalf("second Flush = %v, clock %d → %d: want nothing left to write", err, after, clk.Now())
+			}
+			if res, err := set.Wait(clk); err != nil || res != memcached.Stored {
+				t.Fatalf("flushed set = (%v, %v)", res, err)
+			}
+			if v, flags, _, hit, err := get.Wait(clk); err != nil || !hit || flags != 3 || string(v) != "flushed" {
+				t.Fatalf("flushed get = (%q, %d, %v, %v)", v, flags, hit, err)
+			}
+			if err := pipe.Wait(clk); err != nil {
+				t.Fatalf("Wait on a healthy window = %v", err)
+			}
+
+			c.tr.Close()
+			pipe = c.tr.(Pipeliner).Pipeline(4)
+			set = pipe.StartSet(clk, "closed", 0, 0, []byte("never"))
+			get = pipe.StartGet(clk, "closed")
+			del := pipe.StartDelete(clk, "closed")
+			if v, _, _, hit, err := get.Wait(clk); err != ErrServerDown || hit || v != nil {
+				t.Fatalf("get on a closed connection = (%q, %v, %v), want ErrServerDown", v, hit, err)
+			}
+			if err := pipe.Flush(clk); err != ErrServerDown {
+				t.Fatalf("Flush after a failed send = %v, want the sticky ErrServerDown", err)
+			}
+			if res, err := set.Wait(clk); err != ErrServerDown {
+				t.Fatalf("set on a closed connection = (%v, %v), want ErrServerDown", res, err)
+			}
+			if ok, err := del.Wait(clk); err != ErrServerDown || ok {
+				t.Fatalf("delete on a closed connection = (%v, %v), want ErrServerDown", ok, err)
+			}
+			if err := pipe.Wait(clk); err != ErrServerDown {
+				t.Fatalf("Wait after a failed send = %v, want the sticky ErrServerDown", err)
+			}
+		})
+	}
+}
+
+// TestBlockingCallAfterFailedWindow: a failed op leaves its window's
+// sticky error set — the stream may be out of step — but a blocking call
+// starts a fresh window of one and inherits none of it, after a failed
+// pipelined op as after a failed blocking one.
+func TestBlockingCallAfterFailedWindow(t *testing.T) {
+	st := newStack(t)
+	scriptedServer(t, st, "sticky",
+		"VALUE other 0 5 9\r\nwrong\r\nEND\r\n", // pipelined get
+		"STORED\r\n",                            // blocking set
+		"VALUE other 0 5 9\r\nwrong\r\nEND\r\n", // blocking get
+		"DELETED\r\n",                           // blocking delete
+	)
+	tr := st.dialSock(t, "sticky")
+	defer tr.Close()
+	clk := simnet.NewVClock(0)
+
+	pipe := tr.Pipeline(2)
+	f := pipe.StartGet(clk, "mine")
+	if err := pipe.Wait(clk); err == nil {
+		t.Fatal("pipelined get answered for another key: Wait = nil, want the sticky error")
+	}
+	if _, _, _, _, err := f.Wait(clk); err == nil {
+		t.Fatal("pipelined get answered for another key: future settled without error")
+	}
+	if res, err := tr.Set(clk, "mine", 0, 0, []byte("v")); err != nil || res != memcached.Stored {
+		t.Fatalf("blocking Set after a failed pipelined get = (%v, %v), want Stored", res, err)
+	}
+	if _, _, _, _, err := tr.Get(clk, "mine"); err == nil {
+		t.Fatal("blocking get answered for another key: err = nil")
+	}
+	if ok, err := tr.Delete(clk, "mine"); err != nil || !ok {
+		t.Fatalf("blocking Delete after a failed blocking get = (%v, %v), want true", ok, err)
+	}
+}

@@ -72,11 +72,13 @@ func (p *sockPipeline) spend(f *future) {
 	p.spare.keep(f, p.window)
 }
 
-// Flush writes every queued request in one Write call.
+// Flush writes every queued request in one Write call and returns the
+// pipeline's sticky error.
 func (p *sockPipeline) Flush(clk *simnet.VClock) error {
 	p.t.ex.Enter()
 	defer p.t.ex.Exit()
-	return p.flush(clk)
+	p.flush(clk)
+	return p.err
 }
 
 // flush is Flush for a caller that holds the deployment.

@@ -2,7 +2,8 @@ package mcclient
 
 import (
 	"fmt"
-	"sync"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/simnet"
@@ -11,13 +12,31 @@ import (
 )
 
 // TestWorkerPoolStressMidBurstClose hammers the server's worker-pool
-// serving loop from concurrent pipelined clients on both transports,
-// then closes the server in the middle of the traffic. The contract
-// under test: every started future settles — success before the close,
-// an error after it, never a hang — and nothing races (run this under
-// -race; each client goroutine owns its transport and clock, the
-// worker pool is the shared side).
+// serving loop from pipelined clients on both transports, then closes
+// the server in the middle of the traffic. The clients are logical: each
+// step starts one op of one client's burst, or waits out a burst, and a
+// seeded draw interleaves the steps on the test goroutine; the close is
+// a step between two of client 0's starts. The contract under test:
+// every started future settles — success before the close, an error
+// after it, never a hang — and, with nothing left to the scheduler, two
+// runs settle and fail the same futures per client.
 func TestWorkerPoolStressMidBurstClose(t *testing.T) {
+	first, second := stressMidBurstClose(t, 53), stressMidBurstClose(t, 53)
+	if !slices.Equal(first, second) {
+		t.Fatalf("per-client outcomes differ between two runs of one seed:\n%v\n%v", first, second)
+	}
+}
+
+// stressOutcome is one client's futures: how many settled, how many of
+// them with an error.
+type stressOutcome struct {
+	settled, failed int
+}
+
+// stressMidBurstClose runs the scenario once on a fresh deployment and
+// returns each client's outcome.
+func stressMidBurstClose(t *testing.T, seed uint64) []stressOutcome {
+	t.Helper()
 	st := newStack(t)
 
 	const (
@@ -25,122 +44,129 @@ func TestWorkerPoolStressMidBurstClose(t *testing.T) {
 		bursts   = 6
 		burstOps = 24
 		window   = 8
-		closeAt  = 2 // worker 0 triggers the close after this many bursts
+		closeAt  = 2 // client 0 closes the server midway through this burst
 	)
 
 	behav := DefaultBehaviors()
 	behav.OpTimeout = simnet.Second
 
-	// Dial every transport up front: the stack's dial helpers and the
-	// shared fabric topology are not goroutine-safe, only serving is.
-	transports := make([]interface {
-		Pipeliner
-		Close()
-	}, clients)
-	for i := 0; i < clients; i++ {
+	type client struct {
+		tr interface {
+			Pipeliner
+			Close()
+		}
+		clk   *simnet.VClock
+		pl    Pipeline
+		burst int // bursts waited out
+		op    int // ops started in the current burst
+		gets  []*GetFuture
+		sets  []*SetFuture
+		dels  []*BoolFuture
+		out   stressOutcome
+	}
+	cls := make([]*client, clients)
+	for i := range cls {
 		node := st.nw.AddNode(fmt.Sprintf("stress%d", i))
 		st.fab.Attach(node)
+		c := &client{clk: simnet.NewVClock(0)}
 		if i%2 == 0 {
-			transports[i] = dialStressUCR(t, st, node, behav)
+			c.tr = dialStressUCR(t, st, node, behav)
 		} else {
 			tr, err := DialSock(st.prov, node, st.srvNode, "mc", simnet.NewVClock(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			transports[i] = tr
+			c.tr = tr
 		}
+		c.pl = c.tr.Pipeline(window)
+		cls[i] = c
 	}
 
-	// Client 0 waits for the close it triggers: with the server stepped
-	// inline the other bursts take microseconds of host time, and a close
-	// left to the scheduler could land after all of them.
-	closeNow, closed := make(chan struct{}), make(chan struct{})
-	var closeOnce sync.Once
-	var closerWG sync.WaitGroup
-	closerWG.Add(1)
-	go func() {
-		defer closerWG.Done()
-		<-closeNow
-		st.server.Close()
-		close(closed)
-	}()
-
-	type outcome struct {
-		settled, failed int
+	val := []byte("stress-value-0123456789")
+	// start issues the client's next op of its burst.
+	start := func(ci int, c *client) {
+		key := fmt.Sprintf("s%d-%d", ci, c.op%7)
+		switch c.op % 4 {
+		case 0, 1:
+			c.gets = append(c.gets, c.pl.StartGet(c.clk, key))
+		case 2:
+			c.sets = append(c.sets, c.pl.StartSet(c.clk, key, 0, 0, val))
+		default:
+			c.dels = append(c.dels, c.pl.StartDelete(c.clk, key))
+		}
+		c.op++
 	}
-	results := make([]outcome, clients)
-	var wg sync.WaitGroup
-	for ci := 0; ci < clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			clk := simnet.NewVClock(0)
-			pl := transports[ci].Pipeline(window)
-			val := []byte("stress-value-0123456789")
-			for b := 0; b < bursts; b++ {
-				var gets []*GetFuture
-				var sets []*SetFuture
-				var dels []*BoolFuture
-				for i := 0; i < burstOps; i++ {
-					key := fmt.Sprintf("s%d-%d", ci, i%7)
-					switch i % 4 {
-					case 0, 1:
-						gets = append(gets, pl.StartGet(clk, key))
-					case 2:
-						sets = append(sets, pl.StartSet(clk, key, 0, 0, val))
-					default:
-						dels = append(dels, pl.StartDelete(clk, key))
-					}
-					if ci == 0 && b == closeAt && i == burstOps/2 {
-						closeOnce.Do(func() { close(closeNow) })
-						<-closed
-					}
-				}
-				// The pipeline's Wait settles every future; each future's own
-				// Wait then spends it, so done is read before that.
-				pl.Wait(clk)
-				for _, f := range gets {
-					if !f.done {
-						t.Errorf("client %d burst %d: get future did not settle", ci, b)
-					}
-					if _, _, _, _, err := f.Wait(clk); err != nil {
-						results[ci].failed++
-					}
-					results[ci].settled++
-				}
-				for _, f := range sets {
-					if !f.done {
-						t.Errorf("client %d burst %d: set future did not settle", ci, b)
-					}
-					if _, err := f.Wait(clk); err != nil {
-						results[ci].failed++
-					}
-					results[ci].settled++
-				}
-				for _, f := range dels {
-					if !f.done {
-						t.Errorf("client %d burst %d: delete future did not settle", ci, b)
-					}
-					if _, err := f.Wait(clk); err != nil {
-						results[ci].failed++
-					}
-					results[ci].settled++
-				}
+	// finish waits out the client's burst. The pipeline's Wait settles
+	// every future; each future's own Wait then spends it, so done is
+	// read before that.
+	finish := func(ci int, c *client) {
+		c.pl.Wait(c.clk)
+		settled := func(f *future) {
+			if !f.done {
+				t.Errorf("client %d burst %d: future did not settle", ci, c.burst)
 			}
-			transports[ci].Close()
-		}(ci)
-	}
-	wg.Wait()
-	closeOnce.Do(func() { close(closeNow) }) // in case no worker reached closeAt
-	closerWG.Wait()
-
-	total, failed := 0, 0
-	for ci, r := range results {
-		if r.settled != bursts*burstOps {
-			t.Errorf("client %d: settled %d of %d futures", ci, r.settled, bursts*burstOps)
 		}
-		total += r.settled
-		failed += r.failed
+		for _, f := range c.gets {
+			settled((*future)(f))
+			if _, _, _, _, err := f.Wait(c.clk); err != nil {
+				c.out.failed++
+			}
+			c.out.settled++
+		}
+		for _, f := range c.sets {
+			settled((*future)(f))
+			if _, err := f.Wait(c.clk); err != nil {
+				c.out.failed++
+			}
+			c.out.settled++
+		}
+		for _, f := range c.dels {
+			settled((*future)(f))
+			if _, err := f.Wait(c.clk); err != nil {
+				c.out.failed++
+			}
+			c.out.settled++
+		}
+		c.gets, c.sets, c.dels = c.gets[:0], c.sets[:0], c.dels[:0]
+		c.op = 0
+		if c.burst++; c.burst == bursts {
+			c.tr.Close()
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(seed, 0))
+	closed := false
+	live := []int{0, 1, 2, 3}
+	for len(live) > 0 {
+		k := rng.IntN(len(live))
+		ci := live[k]
+		c := cls[ci]
+		if c.op < burstOps {
+			start(ci, c)
+			if ci == 0 && c.burst == closeAt && c.op == burstOps/2 {
+				st.server.Close()
+				closed = true
+			}
+			continue
+		}
+		finish(ci, c)
+		if c.burst == bursts {
+			live = slices.Delete(live, k, k+1)
+		}
+	}
+	if !closed {
+		t.Fatal("client 0 never reached the close step")
+	}
+
+	out := make([]stressOutcome, clients)
+	total, failed := 0, 0
+	for ci, c := range cls {
+		if c.out.settled != bursts*burstOps {
+			t.Errorf("client %d: settled %d of %d futures", ci, c.out.settled, bursts*burstOps)
+		}
+		out[ci] = c.out
+		total += c.out.settled
+		failed += c.out.failed
 	}
 	t.Logf("futures settled: %d (failed after close: %d)", total, failed)
 	// The close lands mid-traffic, so at least one op must have seen a
@@ -152,6 +178,7 @@ func TestWorkerPoolStressMidBurstClose(t *testing.T) {
 	if failed == total {
 		t.Errorf("no future succeeded before the close (server never served)")
 	}
+	return out
 }
 
 // dialStressUCR dials a UCR transport from a caller-provided node (the
