@@ -190,6 +190,10 @@ check-no-park:
 #  - mutants are source edits: a seeded bug is a row of cmd/mccheck's
 #    mutant table, so no mutation switch, mut_ build tag, mutation
 #    registry or mutation-only helper or state in non-test Go.
+#  - one window under both transports: no second pipeline engine
+#    (ucrPipeline, sockPipeline), no waiter interface between a future
+#    and its window, and no windowed accessor interface — SetAll reaches
+#    a transport's window of one through ownWindow.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -217,6 +221,7 @@ internal cmd examples *_test.go	Test(PipelineOneAllocPerOp)|never recycles|Wait 
 internal/memcached	internKey|value[[:space:]]+\[\]byte[[:space:]]+// sub-slice of chunk	^$$	second key copy or value slice beside the chunk under internal/memcached
 internal cmd	\b[mM]ut[A-Z]|^//go:build mut_	_test\.go:	mutation switch or mut_ build tag in non-test Go under internal/ cmd/
 internal cmd	ActiveMutations|ModeFor|neighborEndpoint|dupVictim|staleRing|prevWin|writeReplyWin	_test\.go:	mutation registry or mutation-only helper or state in non-test Go under internal/ cmd/
+internal cmd examples	ucrPipeline|sockPipeline|futureWaiter|\bwindowed\b	^$$	second pipeline engine, future waiter or windowed interface under internal/ cmd/ examples/
 endef
 export GONE
 

@@ -328,11 +328,11 @@ func TestBlockingIsWindowOne(t *testing.T) {
 			bclk, btr := twin()
 			pclk, ptr := twin()
 			pipe := ptr.(mcclient.Pipeliner).Pipeline(1)
-			step := func(op, blocking, windowed string) {
+			step := func(op, blocking, started string) {
 				t.Helper()
-				if blocking != windowed || bclk.Now() != pclk.Now() {
+				if blocking != started || bclk.Now() != pclk.Now() {
 					t.Fatalf("%s: blocking %s at %d vns, window of one %s at %d vns",
-						op, blocking, bclk.Now(), windowed, pclk.Now())
+						op, blocking, bclk.Now(), started, pclk.Now())
 				}
 			}
 			show := func(v []byte, fl uint32, hit bool, err error) string {

@@ -30,7 +30,7 @@ func (t *SockTransport) StoreOp(clk *simnet.VClock, op uint8, key string, flags 
 	}
 	t.ex.Enter()
 	defer t.ex.Exit()
-	req := memcached.AppendTextStore(t.blk.wbuf[:0], op, key, flags, exptime, value, casID, false)
+	req := memcached.AppendTextStore(t.wbuf[:0], op, key, flags, exptime, value, casID, false)
 	if err := t.send(clk, req); err != nil {
 		return 0, err
 	}

@@ -5,16 +5,17 @@ import (
 	"repro/internal/simnet"
 )
 
-// windowed is a transport whose blocking calls run on a window of one
-// of its own (both transports): window returns it with the one future
-// every Start on it hands back, so a fan-out can start on every
-// transport before it waits on any.
-type windowed interface {
-	window() (Pipeline, *future)
+// ownWindow is the window of one a transport's blocking calls run on,
+// or nil for a transport without one (a wrapper, a fake) and for none.
+func ownWindow(tr Transport) *window {
+	switch t := tr.(type) {
+	case *UCRTransport:
+		return &t.blk
+	case *SockTransport:
+		return &t.blk
+	}
+	return nil
 }
-
-func (t *UCRTransport) window() (Pipeline, *future)  { return &t.blk, &t.one }
-func (t *SockTransport) window() (Pipeline, *future) { return &t.blk, &t.one }
 
 // SetAll stores key=value on every transport in trs with every request on
 // the wire before any reply is waited for: it starts a set on each
@@ -26,16 +27,14 @@ func (t *SockTransport) window() (Pipeline, *future) { return &t.blk, &t.one }
 // SetAll allocates nothing.
 func SetAll(clk *simnet.VClock, trs []Transport, key string, flags uint32, exptime int64, value []byte, res []memcached.StoreResult, errs []error) {
 	for _, tr := range trs {
-		if w, ok := tr.(windowed); ok {
-			p, _ := w.window()
-			p.StartSet(clk, key, flags, exptime, value)
+		if w := ownWindow(tr); w != nil {
+			w.StartSet(clk, key, flags, exptime, value)
 		}
 	}
 	for i, tr := range trs {
-		switch w, ok := tr.(windowed); {
-		case ok:
-			_, f := w.window()
-			res[i], errs[i] = (*SetFuture)(f).Wait(clk)
+		switch w := ownWindow(tr); {
+		case w != nil:
+			res[i], errs[i] = (*SetFuture)(w.one).Wait(clk)
 		case tr == nil:
 			res[i], errs[i] = 0, ErrServerDown
 		default:
@@ -48,16 +47,14 @@ func SetAll(clk *simnet.VClock, trs []Transport, key string, flags uint32, expti
 // transport's window before any is waited on into found[i] and errs[i].
 func DeleteAll(clk *simnet.VClock, trs []Transport, key string, found []bool, errs []error) {
 	for _, tr := range trs {
-		if w, ok := tr.(windowed); ok {
-			p, _ := w.window()
-			p.StartDelete(clk, key)
+		if w := ownWindow(tr); w != nil {
+			w.StartDelete(clk, key)
 		}
 	}
 	for i, tr := range trs {
-		switch w, ok := tr.(windowed); {
-		case ok:
-			_, f := w.window()
-			found[i], errs[i] = (*BoolFuture)(f).Wait(clk)
+		switch w := ownWindow(tr); {
+		case w != nil:
+			found[i], errs[i] = (*BoolFuture)(w.one).Wait(clk)
 		case tr == nil:
 			found[i], errs[i] = false, ErrServerDown
 		default:

@@ -173,7 +173,7 @@ func (c windowClient) writeHits() uint64 {
 }
 
 // windowClients dials sockets, UCR, and UCR with write replies armed,
-// whose GETs take the deferred landing (landq), on one server.
+// whose GETs take the deferred landing (window.deferred), on one server.
 func windowClients(t *testing.T) []windowClient {
 	st := newStack(t)
 	utr, _ := st.ucrClient(t)
@@ -189,7 +189,7 @@ func windowClients(t *testing.T) []windowClient {
 // window for the next Start, the window entry is embedded in the
 // future, and the sockets queue lives in one backing array. With write
 // replies armed, a GET's landing runs inside its own Wait, which takes
-// the future off landq before it is spent.
+// the future off the window's deferred list before it is spent.
 func TestPipelineZeroAllocPerOp(t *testing.T) {
 	const window = 4
 	for _, c := range windowClients(t) {

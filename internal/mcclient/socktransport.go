@@ -14,22 +14,22 @@ import (
 
 // SockTransport speaks the memcached text protocol over a simulated
 // socket — the unmodified-client path the paper benchmarks on 1GigE,
-// 10GigE-TOE, IPoIB and SDP. Set, Delete and getInto run on blk, a
-// window of one that reuses one future, as UCRTransport's blocking calls
-// do. Every request is built in blk's write buffer, the transport's one request
-// scratch, with the codec's Append* encoders and leaves as a single
-// Write; replies are parsed in place out of the reader's buffer.
-// getInto is the zero-allocation read; Get allocates exactly the value
-// it returns.
+// 10GigE-TOE, IPoIB and SDP. Set, Delete and getInto run on blk, the
+// window of one every call reuses, as UCRTransport's blocking calls do;
+// the transport is the window's wire (post, settle, drain). Every
+// request is built in wbuf, the transport's one request scratch, with
+// the codec's Append* encoders and leaves as a single Write; replies are
+// parsed in place out of the reader's buffer. getInto is the
+// zero-allocation read; Get allocates exactly the value it returns.
 type SockTransport struct {
 	name string
 	ex   *simnet.Executor // the deployment every exported call takes
 	conn *sockstream.Conn
 	r    *bufio.Reader
 
-	blk   sockPipeline // the window of one every blocking call runs on
-	one   future       // blk's future, reused from call to call
-	spill []byte       // a reply line longer than the reader's buffer
+	blocking        // blk, the window of one every blocking call runs on, and its future
+	wbuf     []byte // request scratch: the bytes of one Write
+	spill    []byte // a reply line longer than the reader's buffer
 }
 
 // DialSock connects a socket transport with TCP_NODELAY set, as the
@@ -47,18 +47,107 @@ func DialSock(p *sockstream.Provider, from, to *simnet.Node, service string, clk
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 16*1024),
 	}
-	t.blk = sockPipeline{t: t, window: 1, one: &t.one}
+	t.blk = window{wire: t, ex: t.ex, bound: 1, one: &t.one}
 	return t, nil
 }
 
 // Name identifies the server.
 func (t *SockTransport) Name() string { return t.name }
 
-// send writes one encoded request — built on t.blk.wbuf[:0] — as a
-// single Write.
+// scratchCap bounds the request scratch a transport keeps.
+const scratchCap = 64 << 10
+
+// send puts req — encoded on t.wbuf[:0] — on the stream as one Write and
+// keeps its buffer for the next request, unless one grew it past
+// scratchCap.
 func (t *SockTransport) send(clk *simnet.VClock, req []byte) error {
-	t.blk.wbuf = req
-	return t.blk.write(clk)
+	t.conn.SetClock(clk)
+	_, err := t.conn.Write(req)
+	if t.wbuf = req[:0]; cap(t.wbuf) > scratchCap {
+		t.wbuf = nil
+	}
+	if err != nil {
+		return ErrServerDown
+	}
+	return nil
+}
+
+// post queues f's request and writes the queue once a full window of
+// unwritten requests has accumulated. A window's requests are encoded
+// together into one write buffer and hit the stream as a single Write
+// (the socket analog of a doorbell burst — one syscall/segment charge
+// instead of one per request), and replies are drained strictly FIFO off
+// the shared bufio.Reader with the blocking calls' own reply readers.
+// Pipelined sets never use "noreply": every request has exactly one
+// reply, keeping the stream in lockstep with the window's queue.
+func (t *SockTransport) post(clk *simnet.VClock, w *window, f *future) {
+	w.deferred = append(w.deferred, f)
+	if len(w.deferred) >= w.bound {
+		t.drain(clk, w)
+	}
+}
+
+// drain writes every queued request in one Write call; a failed write
+// fails the window, and so each of them.
+func (t *SockTransport) drain(clk *simnet.VClock, w *window) {
+	if len(w.deferred) == 0 {
+		return
+	}
+	req := t.wbuf[:0]
+	for _, f := range w.deferred {
+		switch f.kind {
+		case futGet:
+			req = memcached.AppendTextGet(req, true, f.key)
+		case futSet:
+			req = memcached.AppendTextStore(req, memcached.StoreOpSet, f.key, f.flags, f.exptime, f.value, 0, false)
+		default:
+			req = memcached.AppendTextDelete(req, f.key)
+		}
+	}
+	w.deferred = w.deferred[:0]
+	if err := t.send(clk, req); err != nil {
+		w.fail(err)
+	}
+}
+
+// settle completes FIFO heads until f is done: stream replies cannot be
+// reordered, so waiting on a later future settles the earlier ones. A
+// head's reply is the next one on the stream; the queue is shifted down
+// rather than re-sliced from the front, so it lives in one backing
+// array.
+func (t *SockTransport) settle(clk *simnet.VClock, w *window, f *future) {
+	for !f.done {
+		h := w.q[0]
+		last := len(w.q) - 1
+		copy(w.q, w.q[1:])
+		w.q[last] = nil
+		w.q = w.q[:last]
+		if len(w.deferred) > 0 && w.deferred[0] == h { // still queued
+			t.drain(clk, w)
+		}
+		if w.err != nil {
+			h.err, h.done = ErrServerDown, true
+			continue
+		}
+		t.conn.SetClock(clk)
+		if h.err = h.readSock(t); h.err != nil {
+			w.fail(h.err)
+		}
+		h.done = true
+	}
+}
+
+// readSock parses f's reply off the stream into its result fields.
+func (f *future) readSock(t *SockTransport) (err error) {
+	switch f.kind {
+	case futGet:
+		f.value, f.flags, f.cas, f.hit, err = t.readGetReply(f.key, f.lend)
+	case futSet:
+		f.res, err = t.readSetReply()
+	case futDelete:
+		f.ok, err = t.readDeleteReply()
+	}
+	return err
 }
 
 // readLine returns the next reply line; it aliases the reader's buffer
@@ -69,13 +158,6 @@ func (t *SockTransport) readLine() ([]byte, error) {
 		return nil, ErrServerDown
 	}
 	return line, nil
-}
-
-// Set implements Transport: StartSet on the transport's window, then Wait.
-func (t *SockTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	t.ex.Enter()
-	defer t.ex.Exit()
-	return t.blk.startSet(clk, key, flags, exptime, value).result(clk)
 }
 
 // readSetReply parses one storage-command answer off the stream.
@@ -168,7 +250,7 @@ func (t *SockTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string]
 	}
 	t.ex.Enter()
 	defer t.ex.Exit()
-	if err := t.send(clk, memcached.AppendTextGet(t.blk.wbuf[:0], false, keys...)); err != nil {
+	if err := t.send(clk, memcached.AppendTextGet(t.wbuf[:0], false, keys...)); err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte, len(keys))
@@ -210,14 +292,6 @@ func (t *SockTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string]
 	}
 }
 
-// Delete implements Transport: StartDelete on the transport's window,
-// then Wait.
-func (t *SockTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	t.ex.Enter()
-	defer t.ex.Exit()
-	return t.blk.startDelete(clk, key).result(clk)
-}
-
 // readDeleteReply parses one delete answer off the stream.
 func (t *SockTransport) readDeleteReply() (bool, error) {
 	line, err := t.readLine()
@@ -227,11 +301,22 @@ func (t *SockTransport) readDeleteReply() (bool, error) {
 	return memcached.IsTextDeleted(line), nil
 }
 
+// Set implements Transport: StartSet on the transport's window, then Wait.
+func (t *SockTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
+	return t.set(clk, key, flags, exptime, value)
+}
+
+// Delete implements Transport: StartDelete on the transport's window,
+// then Wait.
+func (t *SockTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
+	return t.delete(clk, key)
+}
+
 // IncrDecr implements Transport.
 func (t *SockTransport) IncrDecr(clk *simnet.VClock, key string, delta uint64, incr bool) (uint64, bool, bool, error) {
 	t.ex.Enter()
 	defer t.ex.Exit()
-	if err := t.send(clk, memcached.AppendTextIncrDecr(t.blk.wbuf[:0], incr, key, delta)); err != nil {
+	if err := t.send(clk, memcached.AppendTextIncrDecr(t.wbuf[:0], incr, key, delta)); err != nil {
 		return 0, false, false, err
 	}
 	line, err := t.readLine()

@@ -24,11 +24,12 @@ import (
 //
 // One op lifecycle serves every caller: a builder (setOp, readOp,
 // deleteOp, numOp) opens the tagged op and encodes its request, the one
-// driver — ucrPipeline's push, then waitFor — sends it and waits for the
-// reply, a result reader decodes what landed, and finishOp retires it.
-// A blocking call, a concentrated Session's included, runs on blk, a
-// window of one that reuses one future; SetAll/DeleteAll start on every
-// transport's blk before waiting on any; Pipeline opens wider windows.
+// driver — a window's push, then the transport's post and settle as its
+// wire — sends it and waits for the reply, a result reader decodes what
+// landed, and finishOp retires it. A blocking call, a concentrated
+// client's included, runs on blk, the window of one every call reuses;
+// SetAll/DeleteAll start on every transport's blk before waiting on any;
+// Pipeline opens wider windows.
 // Every exported call but the dial-time Arm and EnableUD takes the
 // deployment once (simnet.Executor.Enter) and holds it throughout.
 type UCRTransport struct {
@@ -45,9 +46,8 @@ type UCRTransport struct {
 	// uses for lossy fabrics. Mutating ops never use it.
 	udEP *ucr.Endpoint
 
-	freeOps []*amOp
-	blk     ucrPipeline // the window of one every blocking call runs on
-	one     future      // blk's future, reused from call to call
+	freeOps  []*amOp
+	blocking // blk, the window of one every blocking call runs on, and its future
 
 	os    osState // one-sided GET fast path (see onesided.go)
 	wr    wrState // write-based reply arena (see wrreply.go)
@@ -152,7 +152,7 @@ func DialUCR(rt *ucr.Runtime, ctx *ucr.Context, to *simnet.Node, service string,
 		ep:      ep,
 		timeout: behaviors.OpTimeout,
 	}
-	t.blk = ucrPipeline{t: t, window: 1, one: &t.one}
+	t.blk = window{wire: t, ex: t.ex, bound: 1, one: &t.one}
 	ep.UserData = t
 	return t, nil
 }
@@ -400,7 +400,100 @@ func (t *UCRTransport) armExchange(clk *simnet.VClock, req memcached.ArmReq) (me
 // window of one. On error the op is retired; on success the caller
 // reads the slot and retires it.
 func (t *UCRTransport) do(clk *simnet.VClock, op *amOp) error {
-	return t.blk.start(clk, futOp, op).wait(clk)
+	return t.blk.start(clk, future{kind: futOp, op: op}).wait(clk)
+}
+
+// post builds f's op — a blocking call brings its own — and sends it:
+// post first, then progress. In a window that sweeps at all
+// (halfWindow > 1), every post is followed by the deferred write-reply
+// copy-outs and a harvest of at most one reply already visible, at the
+// coalesced cost — one in, one out — so the copy of a landed reply
+// overlaps the request just posted. A wait sweeps only when its own
+// harvest found the CQ ahead of it (ucr.Context.WaitCounterBatch); a
+// wait that parked for its reply returns at once, since the wire, not
+// the client, was the bottleneck.
+func (t *UCRTransport) post(clk *simnet.VClock, w *window, f *future) {
+	switch f.kind {
+	case futGet:
+		// No UD rung for a window: a punted reply would need a blocking
+		// re-issue in the middle of it.
+		f.op = t.readOp(clk, f.key, nil, f.lend, false)
+	case futSet:
+		f.op = t.setOp(clk, f.key, f.flags, f.exptime, f.value)
+	case futDelete:
+		f.op = t.deleteOp(clk, f.key)
+	}
+	if f.op.sendAM() != nil {
+		f.failed = true
+		w.fail(ErrServerDown)
+		return
+	}
+	if w.halfWindow() > 1 {
+		t.drain(clk, w)
+		t.ctx.Sweep(clk, 1)
+	}
+}
+
+// settle waits for one outstanding entry (in any order — tagged
+// counters let replies land while a different tag is being waited on)
+// and retires its op, but a blocking call's, left to its result reader.
+func (t *UCRTransport) settle(clk *simnet.VClock, w *window, f *future) {
+	if f.landing { // settled already; only the copy-out is outstanding
+		t.landNow(f)
+		w.deferred = unlist(w.deferred, f)
+		return
+	}
+	err := ErrServerDown
+	if !f.failed {
+		t.drain(clk, w)
+		err = t.waitDone(clk, f.op, w.halfWindow())
+	}
+	w.q = unlist(w.q, f)
+	switch {
+	case err != nil:
+		w.fail(err)
+		f.err, f.done = err, true
+	case f.kind == futOp:
+		f.done = true
+		return
+	case f.kind == futSet:
+		f.res, f.done = f.op.stored(), true
+	case f.kind == futDelete:
+		f.ok, f.done = f.op.deleted(), true
+	case f.op.wrPend:
+		// A GET whose value still sits in its write-reply slot is not read
+		// out yet: the op keeps its slot until the copy-out materializes at
+		// the window's next post or blocking CQ wait (or on the future's
+		// own Wait, whichever comes first), so the copy overlaps the wire
+		// instead of delaying the next request.
+		f.landing = true
+		w.deferred = append(w.deferred, f)
+		return
+	default:
+		t.landNow(f)
+		return
+	}
+	t.finishOp(f.op)
+}
+
+// drain materializes every deferred write-reply copy-out. Run just after
+// a post or before a blocking CQ wait, the copies are charged while a
+// reply is still on the wire; the forward-only sync to its arrival then
+// swallows them (see wrMaterialize).
+func (t *UCRTransport) drain(_ *simnet.VClock, w *window) {
+	for i, f := range w.deferred {
+		t.landNow(f)
+		w.deferred[i] = nil
+	}
+	w.deferred = w.deferred[:0]
+}
+
+// landNow reads a settled GET out of its op and retires the op (which
+// frees its reply slot).
+func (t *UCRTransport) landNow(f *future) {
+	f.value, f.flags, f.cas, f.hit = t.getResult(f.op, false)
+	f.landing, f.done = false, true
+	t.finishOp(f.op)
 }
 
 // perAttempt splits the op timeout across the retry budget.
@@ -603,13 +696,6 @@ func (t *UCRTransport) mgetResult(op *amOp, out map[string][]byte) error {
 
 // ---- blocking calls (Transport) ---------------------------------------
 
-// Set implements Transport: StartSet on the transport's window, then Wait.
-func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	t.ex.Enter()
-	defer t.ex.Exit()
-	return t.blk.startSet(clk, key, flags, exptime, value).result(clk)
-}
-
 // read issues one GET/MGET and blocks for its reply; the caller reads
 // the op and retires it. A request that rode the UD endpoint and was
 // punted (AMTooBig / AMMGetRetry: the reply outgrew the datagram) is
@@ -710,12 +796,15 @@ func (t *UCRTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string][
 	return out, nil
 }
 
+// Set implements Transport: StartSet on the transport's window, then Wait.
+func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
+	return t.set(clk, key, flags, exptime, value)
+}
+
 // Delete implements Transport: StartDelete on the transport's window,
 // then Wait.
 func (t *UCRTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	t.ex.Enter()
-	defer t.ex.Exit()
-	return t.blk.startDelete(clk, key).result(clk)
+	return t.delete(clk, key)
 }
 
 // IncrDecr implements Transport.
