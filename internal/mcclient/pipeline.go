@@ -227,11 +227,6 @@ type window struct {
 	err      error  // first transport-level error (sticky)
 }
 
-// newWindow opens a window of at most bound (minimum 1) requests.
-func newWindow(w wire, ex *simnet.Executor, bound int) *window {
-	return &window{wire: w, ex: ex, bound: max(bound, 1)}
-}
-
 // start admits req under a future — a spare or fresh one in a
 // Pipeline() window; in the transport's own, its one future, and a fresh
 // window: a blocking call inherits no sticky error (a wrong-key echo,
@@ -351,8 +346,11 @@ type blocking struct {
 	one future
 }
 
-// Pipeline implements Pipeliner: a window over the transport's wire.
-func (b *blocking) Pipeline(bound int) Pipeline { return newWindow(b.blk.wire, b.blk.ex, bound) }
+// Pipeline implements Pipeliner: a window of at most bound (minimum 1)
+// requests over the transport's wire.
+func (b *blocking) Pipeline(bound int) Pipeline {
+	return &window{wire: b.blk.wire, ex: b.blk.ex, bound: max(bound, 1)}
+}
 
 func (b *blocking) set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
 	b.blk.ex.Enter()

@@ -160,6 +160,11 @@ func (t *SockTransport) readLine() ([]byte, error) {
 	return line, nil
 }
 
+// Set implements Transport: StartSet on the transport's window, then Wait.
+func (t *SockTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
+	return t.set(clk, key, flags, exptime, value)
+}
+
 // readSetReply parses one storage-command answer off the stream.
 func (t *SockTransport) readSetReply() (memcached.StoreResult, error) {
 	line, err := t.readLine()
@@ -292,6 +297,12 @@ func (t *SockTransport) GetMulti(clk *simnet.VClock, keys []string) (map[string]
 	}
 }
 
+// Delete implements Transport: StartDelete on the transport's window,
+// then Wait.
+func (t *SockTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
+	return t.delete(clk, key)
+}
+
 // readDeleteReply parses one delete answer off the stream.
 func (t *SockTransport) readDeleteReply() (bool, error) {
 	line, err := t.readLine()
@@ -299,17 +310,6 @@ func (t *SockTransport) readDeleteReply() (bool, error) {
 		return false, err
 	}
 	return memcached.IsTextDeleted(line), nil
-}
-
-// Set implements Transport: StartSet on the transport's window, then Wait.
-func (t *SockTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime int64, value []byte) (memcached.StoreResult, error) {
-	return t.set(clk, key, flags, exptime, value)
-}
-
-// Delete implements Transport: StartDelete on the transport's window,
-// then Wait.
-func (t *SockTransport) Delete(clk *simnet.VClock, key string) (bool, error) {
-	return t.delete(clk, key)
 }
 
 // IncrDecr implements Transport.
