@@ -194,6 +194,13 @@ check-no-park:
 #    (ucrPipeline, sockPipeline), no waiter interface between a future
 #    and its window, and no windowed accessor interface — SetAll reaches
 #    a transport's window of one through ownWindow.
+#  - one engine, modelled stripes: the store keeps one hash table, one
+#    LRU per slab class and one counter set, so no per-stripe engine
+#    (shard type, shard counters, an item's stripe index, the stripe
+#    bound it needed or a lookup by it).
+#  - alloc gates count exactly: AllocsPerRun averages in integer math,
+#    so a gate runs its ops in one run (AllocsPerRun(1, loop)) and
+#    reads the total — no run count but 1.
 define GONE
 internal/memcached	^func \(s \*Store\) [A-Z][A-Za-z]*\(key string	func \(s \*Store\) (Set|Get)\(key string	string-keyed engine entry under internal/memcached
 internal/memcached	^func (\([a-z]+ \*(Store|Server|ProtoConn)\) )?[A-Za-z]+Bytes\(key \[\]byte|hashKeyBytes|LockWaitBytes|chargeLockBytes	^$$	string/bytes twin under internal/memcached
@@ -222,6 +229,8 @@ internal/memcached	internKey|value[[:space:]]+\[\]byte[[:space:]]+// sub-slice o
 internal cmd	\b[mM]ut[A-Z]|^//go:build mut_	_test\.go:	mutation switch or mut_ build tag in non-test Go under internal/ cmd/
 internal cmd	ActiveMutations|ModeFor|neighborEndpoint|dupVictim|staleRing|prevWin|writeReplyWin	_test\.go:	mutation registry or mutation-only helper or state in non-test Go under internal/ cmd/
 internal cmd examples	ucrPipeline|sockPipeline|futureWaiter|\bwindowed\b	^$$	second pipeline engine, future waiter or windowed interface under internal/ cmd/ examples/
+internal/memcached	type shard struct|shardCounters|it\.shard\b|maxStripes|s\.shards\[	^$$	per-stripe engine state under internal/memcached
+internal cmd	AllocsPerRun\(([^1]|1[^,])	^$$	averaged AllocsPerRun (a run count other than 1) under internal/ cmd/
 endef
 export GONE
 

@@ -45,8 +45,8 @@ var mutants = []mutant{
 		// flushed items as live.
 		name: "mut_get_skip_expiry", mode: "default",
 		edits: []edit{{"internal/memcached/store.go",
-			"if it.expired(now, sh.flushBefore) {",
-			"if it.expired(now, sh.flushBefore) && false {"}},
+			"if it.expired(now, s.flushBefore) {",
+			"if it.expired(now, s.flushBefore) && false {"}},
 	},
 	{
 		// cas stores without comparing the presented id (a stale CAS
@@ -60,14 +60,14 @@ var mutants = []mutant{
 		// delete reports DELETED but leaves the item linked.
 		name: "mut_delete_noop", mode: "default",
 		edits: []edit{{"internal/memcached/store.go",
-			"\ts.unlink(sh, it, h)\n\treturn true\n",
+			"\ts.unlink(it, h)\n\treturn true\n",
 			"\treturn true\n"}},
 	},
 	{
 		// add overwrites a live entry like set.
 		name: "mut_add_clobbers", mode: "default",
 		edits: []edit{{"internal/memcached/store.go",
-			"kind, gate = RecAdd, s.lookupLive(sh, key, h, now) == nil",
+			"kind, gate = RecAdd, s.lookupLive(key, h, now) == nil",
 			"kind, gate = RecAdd, true"}},
 	},
 	{

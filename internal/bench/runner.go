@@ -94,7 +94,7 @@ func JitterPoint(p *cluster.Profile, t cluster.Transport, size, samples int, cfg
 // latency on its client's clock.
 //
 // One goroutine and a fixed order make the result a pure function of
-// the inputs. Contention for shared structures (HCA engines, shard
+// the inputs. Contention for shared structures (HCA engines, stripe
 // locks, SRQ pools, concentrator trunks) resolves in issue order, so
 // clients on goroutines of their own would hand that order to the Go
 // scheduler. The loop stays closed: a client's clock advances only by

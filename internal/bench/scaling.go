@@ -22,7 +22,7 @@ import (
 const scalingOpCost = 25 * simnet.Microsecond
 
 // scalingKeySpace spreads keys across stripes evenly enough that one
-// hot shard doesn't mask worker scaling.
+// hot stripe doesn't mask worker scaling.
 const scalingKeySpace = 128
 
 // scalingValueSize is the small-Get payload (§VI's "small message"

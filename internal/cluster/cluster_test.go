@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/mcclient"
@@ -172,49 +174,64 @@ func TestPipelinedSetsCompleteOwnState(t *testing.T) {
 	}
 }
 
+// TestMultipleClientsSharedServer: eight logical clients share one
+// server, interleaved by a seeded draw on the test goroutine. Every
+// value reads back, the server counts every command, and the run is a
+// function of the seed: two runs end on identical client clocks and
+// store counters.
 func TestMultipleClientsSharedServer(t *testing.T) {
-	d := New(ClusterB(), Options{})
-	defer d.Close()
-	const n = 8
-	clients := make([]*Client, n)
-	for i := range clients {
-		c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	// Concurrent closed-loop traffic from all clients.
-	done := make(chan error, n)
-	for i, c := range clients {
-		go func(i int, c *Client) {
-			for op := 0; op < 50; op++ {
-				key := fmt.Sprintf("c%d-k%d", i, op)
-				if err := c.MC.Set(key, []byte(key), 0, 0); err != nil {
-					done <- err
-					return
-				}
-				v, _, _, err := c.MC.Get(key)
-				if err != nil {
-					done <- err
-					return
-				}
-				if string(v) != key {
-					done <- fmt.Errorf("value mismatch for %s", key)
-					return
-				}
+	const n, steps = 8, 50 // each step is a Set then a Get of one key
+	run := func() ([]simnet.Time, memcached.Stats) {
+		d := New(ClusterB(), Options{})
+		defer d.Close()
+		clients := make([]*Client, n)
+		for i := range clients {
+			c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())
+			if err != nil {
+				t.Fatal(err)
 			}
-			done <- nil
-		}(i, c)
-	}
-	for range clients {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+			defer c.Close()
+			clients[i] = c
 		}
+		rng := rand.New(rand.NewSource(1))
+		done := make([]int, n) // steps each client has taken
+		live := make([]int, n) // clients with steps left
+		for i := range live {
+			live[i] = i
+		}
+		for len(live) > 0 {
+			j := rng.Intn(len(live))
+			i := live[j]
+			key := fmt.Sprintf("c%d-k%d", i, done[i])
+			if err := clients[i].MC.Set(key, []byte(key), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			v, _, _, err := clients[i].MC.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(v) != key {
+				t.Fatalf("value mismatch for %s: %q", key, v)
+			}
+			if done[i]++; done[i] == steps {
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+		}
+		clocks := make([]simnet.Time, n)
+		for i, c := range clients {
+			clocks[i] = c.Clock.Now()
+		}
+		st := d.Server.Store().Stats()
+		if st.CmdGet+st.CmdSet != n*2*steps {
+			t.Fatalf("cmd_get+cmd_set = %d+%d, want %d", st.CmdGet, st.CmdSet, n*2*steps)
+		}
+		return clocks, st
 	}
-	if st := d.Server.Store().Stats(); st.CmdGet+st.CmdSet != n*100 {
-		t.Fatalf("cmd_get+cmd_set = %d+%d, want %d", st.CmdGet, st.CmdSet, n*100)
+	clocks, st := run()
+	clocks2, st2 := run()
+	if !slices.Equal(clocks, clocks2) || st != st2 {
+		t.Fatalf("same seed, different runs: clocks %v vs %v, stats %+v vs %+v", clocks, clocks2, st, st2)
 	}
 }
 

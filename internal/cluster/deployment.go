@@ -22,10 +22,11 @@ type Options struct {
 	Servers int
 	// ServerWorkers is the memcached worker-thread count (default 4).
 	ServerWorkers int
-	// Stripes is the cache-engine lock-stripe count (power of two;
-	// default 8 — the multi-core engine). 1 restores the global cache
-	// lock of the memcached generation the paper modified, with the
-	// serialization it causes modeled in virtual time.
+	// Stripes is the modelled cache-lock stripe count (power of two;
+	// default 8 — the multi-core direction). 1 is the global cache lock
+	// of the memcached generation the paper modified. It shapes lock
+	// waits in virtual time only: the engine is one hash table and one
+	// LRU per slab class whatever the count.
 	Stripes int
 	// MemoryLimit is the server cache size (default 512 MB).
 	MemoryLimit int64

@@ -450,29 +450,42 @@ func TestFleetClientOwnersZeroAlloc(t *testing.T) {
 		}
 	}
 
+	// allocs counts op's allocations exactly: ops runs in one
+	// AllocsPerRun run, which returns a total, after a warm-up call of
+	// the same ops — long enough to fill the simulator's booking lists
+	// (2 000 is not, at R=2).
+	const ops = 4000
+	allocs := func(op func()) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < ops; i++ {
+				op()
+			}
+		})
+	}
+
 	fc := warm(t, 2)
-	if n := testing.AllocsPerRun(100, func() { fc.owners(next()) }); n != 0 {
-		t.Errorf("owners: %v allocs/op, want 0", n)
+	if n := allocs(func() { fc.owners(next()) }); n != 0 {
+		t.Errorf("owners: %v allocs in %d ops, want 0", n, ops)
 	}
-	if n := testing.AllocsPerRun(100, set(fc)); n != 0 {
-		t.Errorf("Set: %v allocs/op, want 0", n)
+	if n := allocs(set(fc)); n != 0 {
+		t.Errorf("Set: %v allocs in %d ops, want 0", n, ops)
 	}
-	if n := testing.AllocsPerRun(100, func() {
+	if n := allocs(func() {
 		if _, _, err := fc.Get(next()); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 1 {
-		t.Errorf("Get: %v allocs/op, want 1 (the returned value)", n)
+	}); n != ops {
+		t.Errorf("Get: %v allocs in %d ops, want %d (the returned values)", n, ops, ops)
 	}
-	if n := testing.AllocsPerRun(100, func() {
+	if n := allocs(func() {
 		if _, err := fc.Delete(next()); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("Delete: %v allocs/op, want 0", n)
+		t.Errorf("Delete: %v allocs in %d ops, want 0", n, ops)
 	}
-	if n := testing.AllocsPerRun(100, set(warm(t, 3))); n != 0 {
-		t.Errorf("Set at R=3: %v allocs/op, want 0", n)
+	if n := allocs(set(warm(t, 3))); n != 0 {
+		t.Errorf("Set at R=3: %v allocs in %d ops, want 0", n, ops)
 	}
 }
 

@@ -223,8 +223,12 @@ func TestPipelineZeroAllocPerOp(t *testing.T) {
 				round()
 			}
 			hits := c.writeHits()
-			if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-				t.Fatalf("%v allocs per window of %d, want 0", allocs, window)
+			if allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < allocOps/window; i++ {
+					round()
+				}
+			}); allocs != 0 {
+				t.Fatalf("%v allocs in %d windows of %d, want 0", allocs, allocOps/window, window)
 			}
 			if c.wr != nil && c.writeHits() == hits {
 				t.Fatal("measured rounds never took the write-reply path (vacuous)")

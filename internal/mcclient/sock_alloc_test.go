@@ -97,18 +97,20 @@ func BenchmarkSockSet(b *testing.B) {
 	}
 }
 
-// TestSocketsGetZeroAlloc: one steady-state GetInto round trip over the
-// text protocol allocates nothing on the client, the wire or the server.
+// TestSocketsGetZeroAlloc: steady-state GetInto round trips over the
+// text protocol allocate nothing on the client, the wire or the server.
 func TestSocketsGetZeroAlloc(t *testing.T) {
 	tr, clk, val := sockBenchStack(t)
-	allocs := testing.AllocsPerRun(200, func() {
-		v, _, _, ok, err := tr.getInto(clk, "bench", val[:0])
-		if err != nil || !ok || len(v) != benchValSize {
-			t.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < allocOps; i++ {
+			v, _, _, ok, err := tr.getInto(clk, "bench", val[:0])
+			if err != nil || !ok || len(v) != benchValSize {
+				t.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state sockets GET path: %v allocs/op, want 0", allocs)
+		t.Fatalf("steady-state sockets GET path: %v allocs in %d ops, want 0", allocs, allocOps)
 	}
 }
 
@@ -116,12 +118,14 @@ func TestSocketsGetZeroAlloc(t *testing.T) {
 // scratch, the segment buffers, the interned key and the item header.
 func TestSocketsSetZeroAlloc(t *testing.T) {
 	tr, clk, val := sockBenchStack(t)
-	allocs := testing.AllocsPerRun(200, func() {
-		if res, err := tr.Set(clk, "bench", 0, 0, val); err != nil || res != memcached.Stored {
-			t.Fatalf("Set = (%v, %v)", res, err)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < allocOps; i++ {
+			if res, err := tr.Set(clk, "bench", 0, 0, val); err != nil || res != memcached.Stored {
+				t.Fatalf("Set = (%v, %v)", res, err)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state sockets SET path: %v allocs/op, want 0", allocs)
+		t.Fatalf("steady-state sockets SET path: %v allocs in %d ops, want 0", allocs, allocOps)
 	}
 }

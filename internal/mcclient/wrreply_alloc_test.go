@@ -34,14 +34,16 @@ func wrAllocStack(t testing.TB, valSize int) (*UCRTransport, *simnet.VClock, []b
 func TestServerGetZeroAllocWriteReplies(t *testing.T) {
 	tr, clk, val := wrAllocStack(t, 4096)
 	base := tr.WriteReplyHits()
-	allocs := testing.AllocsPerRun(200, func() {
-		v, _, _, ok, err := tr.GetInto(clk, "bench", val[:0])
-		if err != nil || !ok || len(v) != 4096 {
-			t.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < allocOps; i++ {
+			v, _, _, ok, err := tr.GetInto(clk, "bench", val[:0])
+			if err != nil || !ok || len(v) != 4096 {
+				t.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state write-reply GET path: %v allocs/op, want 0", allocs)
+		t.Fatalf("steady-state write-reply GET path: %v allocs in %d ops, want 0", allocs, allocOps)
 	}
 	if tr.WriteReplyHits() == base {
 		t.Fatal("measured loop never took the write path (vacuous test)")
@@ -55,14 +57,16 @@ func TestServerGetZeroAllocWriteReplies(t *testing.T) {
 func TestServerGetZeroAllocWriteRepliesEagerFallback(t *testing.T) {
 	tr, clk, val := wrAllocStack(t, benchValSize)
 	base := tr.WriteReplyHits()
-	allocs := testing.AllocsPerRun(200, func() {
-		v, _, _, ok, err := tr.GetInto(clk, "bench", val[:0])
-		if err != nil || !ok || len(v) != benchValSize {
-			t.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < allocOps; i++ {
+			v, _, _, ok, err := tr.GetInto(clk, "bench", val[:0])
+			if err != nil || !ok || len(v) != benchValSize {
+				t.Fatalf("GetInto = (%d, %v, %v)", len(v), ok, err)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state eager fallback under armed arena: %v allocs/op, want 0", allocs)
+		t.Fatalf("steady-state eager fallback under armed arena: %v allocs in %d ops, want 0", allocs, allocOps)
 	}
 	if tr.WriteReplyHits() != base {
 		t.Fatal("sub-crossover value unexpectedly took the write path")

@@ -12,8 +12,8 @@ import (
 // TestItemSize pins the item header at 112 B. The key and value live
 // only in the item's chunk, so the header holds their lengths, not a
 // string and a slice; the chunk packs its class and segment place into
-// one word beside its buffer; and the key length and shard index ride
-// in the padding after linked.
+// one word beside its buffer; and the key length rides in the padding
+// after linked.
 func TestItemSize(t *testing.T) {
 	if got := unsafe.Sizeof(item{}); got != 112 {
 		t.Fatalf("unsafe.Sizeof(item{}) = %d, want 112", got)

@@ -57,7 +57,7 @@ func (t *hashTable) bucketFor(h uint64) (tbl []*item, idx int) {
 // conversions in the comparison do not allocate (the compiler compares
 // in place), so the datapath looks keys up straight out of receive
 // buffers against keys in slab memory. The caller hashed the key once,
-// for its shard too.
+// for its stripe too.
 func (t *hashTable) lookup(key []byte, h uint64) *item {
 	t.migrate()
 	tbl, idx := t.bucketFor(h)

@@ -38,10 +38,6 @@ type item struct {
 	refcount int32 // pins against eviction while a transfer is in flight
 	linked   bool
 	nkey     uint8 // key length (≤ maxKeyLen)
-	// shard is the index of the stripe that owns the item, so Unpin,
-	// commitItem and abortItem find its lock without hashing the key
-	// again; it sits in the padding after nkey.
-	shard uint16
 
 	hnext *item // hash chain
 

@@ -1,17 +1,16 @@
 package memcached
 
-// lruTable is one shard's per-class LRU state: an intrusive
+// lruTable is the store's per-class LRU state: an intrusive
 // doubly-linked list per slab class, ordered most- to least-recently
-// used. The memcached generation the paper modified kept these lists
-// global under the cache lock; the striped engine gives each shard its
-// own so a get never touches another shard's chain, and eviction only
-// considers items the evicting shard owns (its lock is the only one
-// held).
+// used, one per class for the whole store as in the memcached
+// generation the paper modified. Eviction walks a class's tail
+// whichever lock stripe the victim's key hashes to: the stripes model
+// lock waits, not ownership.
 type lruTable struct {
 	classes []lruClass
 }
 
-// lruClass is one size class's list head and tail within a shard.
+// lruClass is one size class's list head and tail.
 type lruClass struct {
 	head, tail *item
 }

@@ -97,7 +97,7 @@ func osKeyHash[K wireKey](key K) uint64 {
 
 // OSBucketOf maps a key hash to a bucket. buckets must be a power of
 // two; a Fibonacci spread keeps the directory independent of both the
-// shard selector (high bits) and the hash-table buckets (low bits).
+// stripe selector and the hash-table buckets (low bits).
 func OSBucketOf(h uint64, buckets int) int {
 	shift := 64 - bits.TrailingZeros64(uint64(buckets))
 	return int((h * 0x9e3779b97f4a7c15) >> shift)

@@ -14,11 +14,11 @@ type ServerConfig struct {
 	// Store sizes the cache engine.
 	Store StoreConfig
 	// OpCost is the command-processing cost (parse, hash, LRU) charged
-	// per operation on both paths. It is also the baseline shard-lock
+	// per operation on both paths. It is also the baseline stripe-lock
 	// hold time in the engine's contention model.
 	OpCost simnet.Duration
 	// CopyBytesPerSec is the memory-copy bandwidth used to extend a
-	// shard-lock hold by the bytes copied while the lock is held
+	// stripe-lock hold by the bytes copied while the lock is held
 	// (default 5 GB/s). Only the sockets path copies values under the
 	// lock; UCR transfers land in or leave pinned slab memory outside
 	// it (§V-B/§V-C).
@@ -432,8 +432,8 @@ func (w *worker) drainUCR() {
 // ran its header; a rendezvous one when the server's RDMA read of its
 // value lands. A read that fails runs no completion (the endpoint is
 // marked failed instead), so once a failed endpoint has no read in
-// flight its remaining Sets are dead: each allocated item is aborted and
-// the pooled landing of a Set that allocated nothing is recycled. A read
+// flight its remaining Sets are dead: each allocated item is unpinned
+// (never linked, its chunk is freed) and the pooled landing of a Set that allocated nothing is recycled. A read
 // still in flight on a failed endpoint may yet land and commit its Set.
 // A connection leaves the list once no Set of it is in flight.
 func (w *worker) sweepSets() {
@@ -442,7 +442,7 @@ func (w *worker) sweepSets() {
 		if c.ep.Failed() && c.ep.ReadsInFlight() == 0 {
 			for i, p := range c.sets {
 				if p.item != nil {
-					w.srv.store.abortItem(p.item)
+					w.srv.store.unpin(p.item)
 				} else {
 					w.ctx.Recycle(p.land)
 				}

@@ -83,9 +83,9 @@ type slabClass struct {
 // bytes: the modeled per-item header is charged in the page, never
 // made on the host.
 //
-// The arena is shared by every store shard and, like them, used only
-// under the store's owner. LRU ordering lives with the shards
-// (lruTable), not here — eviction policy is the store layer's.
+// The arena, like the rest of the store, is used only under the
+// store's owner. LRU ordering lives in the store's lruTable, not
+// here — eviction policy is the store layer's.
 type slabArena struct {
 	classes    []slabClass
 	limitBytes int64

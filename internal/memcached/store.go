@@ -2,6 +2,7 @@ package memcached
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/simnet"
@@ -64,46 +65,15 @@ const evictionTries = 50
 // seconds since simulation start).
 const maxRelativeExpiry = 60 * 60 * 24 * 30
 
-// shardCounters are one shard's engine counters.
-type shardCounters struct {
-	cmdGet, cmdSet                             uint64
-	getHits, getMisses                         uint64
-	deleteHits, deleteMisses                   uint64
-	incrHits, incrMisses, decrHits, decrMisses uint64
-	casHits, casMisses, casBadval              uint64
-	evictions, expired                         uint64
-	currItems, totalItems                      uint64
-	bytes                                      uint64
-}
-
-// shard is one lock stripe: a hash-table segment, its per-class LRU
-// chains and stats. The stripe's lock exists only in virtual time: res
-// models it — workers queue their lock hold times on it, so contention
-// shows up as measured latency (LockWait) — while the store's one owner
-// (see Store) keeps the host from ever running two ops at once.
-type shard struct {
-	id          uint16 // index in Store.shards, recorded on its items
-	res         *simnet.Resource
-	table       *hashTable
-	lru         *lruTable
-	flushBefore simnet.Time
-	stats       shardCounters
-
-	// freeItems recycles Item structs, so steady-state set/delete churn
-	// does not allocate one header per store. Items are pooled only where
-	// their chunk is freed — never while linked or pinned.
-	freeItems []*item
-}
-
-// maxItemPool bounds each shard's retained Item-struct pool.
+// maxItemPool bounds the store's retained Item-struct pool.
 const maxItemPool = 256
 
 // getItem pops a recycled Item (or allocates one).
-func (sh *shard) getItem() *item {
-	if n := len(sh.freeItems); n > 0 {
-		it := sh.freeItems[n-1]
-		sh.freeItems[n-1] = nil
-		sh.freeItems = sh.freeItems[:n-1]
+func (s *Store) getItem() *item {
+	if n := len(s.freeItems); n > 0 {
+		it := s.freeItems[n-1]
+		s.freeItems[n-1] = nil
+		s.freeItems = s.freeItems[:n-1]
 		return it
 	}
 	return &item{}
@@ -111,20 +81,23 @@ func (sh *shard) getItem() *item {
 
 // putItem recycles an unlinked, unpinned Item whose chunk has been
 // freed.
-func (sh *shard) putItem(it *item) {
-	if len(sh.freeItems) >= maxItemPool {
+func (s *Store) putItem(it *item) {
+	if len(s.freeItems) >= maxItemPool {
 		return
 	}
 	*it = item{}
-	sh.freeItems = append(sh.freeItems, it)
+	s.freeItems = append(s.freeItems, it)
 }
 
-// Store is the cache engine: a shared slab arena plus N lock-striped
-// shards (N=1 reproduces the global cache lock of the memcached
-// generation the paper modified; N>1 is the §VII "exploiting
-// multi-core" direction). A key's shard is picked from the high bits of
-// the same FNV-1a hash the table buckets use — one hash per op serves
-// both — so striping never skews bucket occupancy within a shard.
+// Store is the cache engine of the memcached generation the paper
+// modified: one hash table and one LRU chain per slab class over a
+// slab arena, one flush horizon, one counter set and one item pool.
+// Its cache lock is modelled as N stripes (N=1 is the paper's global
+// lock; N>1 the §VII "exploiting multi-core" direction): each is a
+// simnet.Resource a key's op books, picked from the same FNV-1a hash
+// the table buckets use. The stripes shape lock waits only; every op
+// reaches the one engine, and an eviction takes its class's LRU tail
+// whichever stripe the victim hashes to.
 //
 // A Store takes no lock of its own: it has one owner, and every call is
 // made under it. Inside a deployment the owner is the executor (a
@@ -132,11 +105,21 @@ func (sh *shard) putItem(it *item) {
 // goroutines of its own serialises the calls itself (cmd/mcserver holds
 // one mutex while a command runs).
 type Store struct {
-	arena     *slabArena
-	shards    []*shard
-	shardMask uint64
-	evictions bool
-	limit     int64
+	arena       *slabArena
+	table       *hashTable
+	lru         *lruTable
+	flushBefore simnet.Time
+	stats       Stats
+	evictions   bool
+
+	// freeItems recycles Item structs, so steady-state set/delete churn
+	// does not allocate one header per store. Items are pooled only where
+	// their chunk is freed — never while linked or pinned.
+	freeItems []*item
+
+	// stripes are the modelled cache-lock stripes (see Store).
+	stripes    []*simnet.Resource
+	stripeMask uint64
 
 	// opCost and copyRate are the serving threads' critical-section
 	// model (Charge): the Server that owns the store sets them once,
@@ -144,10 +127,7 @@ type Store struct {
 	opCost   simnet.Duration
 	copyRate float64
 
-	// nextCAS is global, not per-shard: memcached CAS IDs are one
-	// process-wide sequence, and keeping it that way also keeps the
-	// IDs — which travel in "gets" responses — independent of the
-	// stripe count.
+	// nextCAS is memcached's one process-wide CAS sequence.
 	nextCAS uint64
 
 	// rec, when armed, receives one OpRecord per state transition (see
@@ -166,8 +146,9 @@ type StoreConfig struct {
 	MemoryLimit int64
 	// MaxItemSize caps one item (memcached -I; default 1 MB).
 	MaxItemSize int
-	// Stripes is the lock-stripe count (rounded up to a power of two, at
-	// most maxStripes; default 1 — the global-lock engine).
+	// Stripes is the modelled lock-stripe count (rounded up to a power
+	// of two; default 1 — the global cache lock). It sets how ops
+	// contend in virtual time, never how the engine stores or evicts.
 	Stripes int
 	// DisableEvictions makes the store error instead of evicting
 	// (memcached -M).
@@ -180,39 +161,29 @@ func NewStore(cfg StoreConfig) *Store {
 	if cfg.MemoryLimit <= 0 {
 		cfg.MemoryLimit = 64 << 20
 	}
-	n := 1
-	for n < cfg.Stripes && n < maxStripes {
-		n <<= 1
-	}
+	n := 1 << bits.Len(uint(max(cfg.Stripes, 1)-1)) // the power of two ≥ Stripes
 	s := &Store{
-		arena:     newSlabArena(cfg.MemoryLimit, cfg.MaxItemSize),
-		shards:    make([]*shard, n),
-		shardMask: uint64(n - 1),
-		evictions: !cfg.DisableEvictions,
-		limit:     cfg.MemoryLimit,
+		arena:      newSlabArena(cfg.MemoryLimit, cfg.MaxItemSize),
+		table:      newHashTable(),
+		evictions:  !cfg.DisableEvictions,
+		stripes:    make([]*simnet.Resource, n),
+		stripeMask: uint64(n - 1),
 	}
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			id:    uint16(i),
-			res:   simnet.NewResource(fmt.Sprintf("store-shard-%d", i)),
-			table: newHashTable(),
-			lru:   newLRUTable(s.arena.numClasses()),
-		}
+	s.lru = newLRUTable(s.arena.numClasses())
+	s.stats.LimitMaxBytes = uint64(cfg.MemoryLimit)
+	for i := range s.stripes {
+		s.stripes[i] = simnet.NewResource(fmt.Sprintf("store-stripe-%d", i))
 	}
 	return s
 }
 
-// maxStripes bounds the shard count: an item records its shard's index
-// in 16 bits.
-const maxStripes = 1 << 16
-
-// shardOf picks the stripe of a key whose hashKey is h, from a Fibonacci
-// spread of the hash: FNV-1a's raw high bits cluster badly for short
-// sequential keys, and the low bits index buckets inside the shard's
-// table, so the selector multiplies every input bit into fresh high bits
-// instead of reusing either end directly.
-func (s *Store) shardOf(h uint64) *shard {
-	return s.shards[((h*0x9e3779b97f4a7c15)>>32)&s.shardMask]
+// stripeOf picks the stripe of a key whose hashKey is h, from a
+// Fibonacci spread of the hash: FNV-1a's raw high bits cluster badly for
+// short sequential keys, and the low bits index table buckets, so the
+// selector multiplies every input bit into fresh high bits instead of
+// reusing either end directly.
+func (s *Store) stripeOf(h uint64) *simnet.Resource {
+	return s.stripes[((h*0x9e3779b97f4a7c15)>>32)&s.stripeMask]
 }
 
 // A charge is how a costed op pays for its key's stripe lock in virtual
@@ -223,10 +194,10 @@ func (s *Store) shardOf(h uint64) *shard {
 // clock. The hold itself is covered by the per-op charges the thread
 // already pays (never charged twice), and it stays at full opCost even
 // in a coalesced drain: batching amortizes the worker's fixed costs, not
-// the engine's critical section. The op books it in its own shard hold,
-// under its one key hash. Uncontended acquisitions (single worker,
-// single client, or untouched stripes) wait 0, and a store no Server
-// owns (opCost 0) books nothing.
+// the engine's critical section. The op books it inside its own engine
+// call, on the stripe its one key hash picks. Uncontended acquisitions
+// (single worker, single client, or untouched stripes) wait 0, and a
+// store no Server owns (opCost 0) books nothing.
 type charge struct {
 	clk   *simnet.VClock // advanced by the wait; nil: no charge
 	at    simnet.Time    // where the hold queues
@@ -250,20 +221,20 @@ func chargeFirst(clk *simnet.VClock) charge {
 // time and the lock is booked after it, so the hold covers the bytes
 // the op copied. It queues from cursor: clk's time for a single-key
 // command; for a multi-key one, where its previous key's hold ended, so
-// a burst of same-shard keys extends one backlog that other workers
+// a burst of same-stripe keys extends one backlog that other workers
 // queue behind instead of queueing this worker behind its own holds.
 func chargeAfter(clk *simnet.VClock, cursor simnet.Time) charge {
 	return charge{clk: clk, at: cursor, now: clk.Now()}
 }
 
-// acquire queues c's hold, copied bytes included, on sh's resource and
+// acquire queues c's hold, copied bytes included, on stripe and
 // advances c's clock by the wait. It returns where the hold ends.
-func (s *Store) acquire(sh *shard, c charge, copied int) simnet.Time {
+func (s *Store) acquire(stripe *simnet.Resource, c charge, copied int) simnet.Time {
 	if s.opCost <= 0 || c.clk == nil {
 		return c.at
 	}
 	hold := s.opCost + simnet.BytesDuration(copied, s.copyRate)
-	wait := sh.res.Acquire(c.at, hold) - c.at
+	wait := stripe.Acquire(c.at, hold) - c.at
 	c.clk.Advance(wait)
 	return c.at + wait + hold
 }
@@ -271,8 +242,8 @@ func (s *Store) acquire(sh *shard, c charge, copied int) simnet.Time {
 // book is acquire for an op whose copy is known before it runs (every
 // op but View): booked first or after, the hold is the same, and only
 // when the op runs differs. It returns that time.
-func (s *Store) book(sh *shard, c charge, copied int) simnet.Time {
-	s.acquire(sh, c, copied)
+func (s *Store) book(stripe *simnet.Resource, c charge, copied int) simnet.Time {
+	s.acquire(stripe, c, copied)
 	if c.first {
 		return c.clk.Now()
 	}
@@ -282,15 +253,15 @@ func (s *Store) book(sh *shard, c charge, copied int) simnet.Time {
 // chargeLock books c for a command that touches no item: the text
 // protocol's oversized store, refused before the engine runs.
 func (s *Store) chargeLock(key []byte, c charge) {
-	s.acquire(s.shardOf(hashKey(key)), c, 0)
+	s.acquire(s.stripeOf(hashKey(key)), c, 0)
 }
 
-// LockStats sums lock occupancy across shards (busy virtual time and
+// LockStats sums lock occupancy across stripes (busy virtual time and
 // acquisition count) — the contention observability counterpart of
 // Stats.
 func (s *Store) LockStats() (busy simnet.Duration, uses int64) {
-	for _, sh := range s.shards {
-		b, u := sh.res.Stats()
+	for _, stripe := range s.stripes {
+		b, u := stripe.Stats()
 		busy += b
 		uses += u
 	}
@@ -311,17 +282,17 @@ func expiryTime(exptime int64, now simnet.Time) simnet.Time {
 
 // lookupLive finds a live item for key, whose hashKey is h, lazily
 // reaping an expired one.
-func (s *Store) lookupLive(sh *shard, key []byte, h uint64, now simnet.Time) *item {
-	it := sh.table.lookup(key, h)
+func (s *Store) lookupLive(key []byte, h uint64, now simnet.Time) *item {
+	it := s.table.lookup(key, h)
 	if it == nil {
 		return nil
 	}
-	if it.expired(now, sh.flushBefore) {
-		sh.stats.expired++
+	if it.expired(now, s.flushBefore) {
+		s.stats.Expired++
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: RecExpire, Key: string(key), Now: now, OldCAS: it.casID})
 		}
-		s.unlink(sh, it, h)
+		s.unlink(it, h)
 		return nil
 	}
 	return it
@@ -329,27 +300,27 @@ func (s *Store) lookupLive(sh *shard, key []byte, h uint64, now simnet.Time) *it
 
 // unlink removes an item, whose key hashes to h, from table and LRU,
 // freeing its chunk unless a transfer still pins it (the chunk is then
-// freed at Unpin).
-func (s *Store) unlink(sh *shard, it *item, h uint64) {
+// freed at unpin).
+func (s *Store) unlink(it *item, h uint64) {
 	if x := s.pub; x != nil {
 		x.unpublish(it)
 	}
 	if it.linked {
-		sh.table.delete(it.key(), h)
+		s.table.delete(it.key(), h)
 	}
-	sh.lru.remove(it)
-	sh.stats.bytes -= uint64(it.nkey) + uint64(it.nbytes)
-	sh.stats.currItems--
+	s.lru.remove(it)
+	s.stats.Bytes -= uint64(it.nkey) + uint64(it.nbytes)
+	s.stats.CurrItems--
 	if !it.pinned() {
 		s.arena.free(it.chunk)
-		sh.putItem(it)
+		s.putItem(it)
 	}
 }
 
-// alloc grabs a chunk, evicting LRU victims as needed. Victims come
-// only from the calling shard's own chains: an op touches the one stripe
-// its key hashes to, and that stripe's modelled lock is all it booked.
-func (s *Store) alloc(sh *shard, n int, now simnet.Time) (chunk, StoreResult) {
+// alloc grabs a chunk, evicting LRU victims as needed: like memcached's,
+// a victim is the first unpinned item within evictionTries of its
+// class's LRU tail, whichever stripe its key hashes to.
+func (s *Store) alloc(n int, now simnet.Time) (chunk, StoreResult) {
 	for {
 		c, err := s.arena.alloc(n)
 		if err == nil {
@@ -365,18 +336,18 @@ func (s *Store) alloc(sh *shard, n int, now simnet.Time) (chunk, StoreResult) {
 		if !ok {
 			return chunk{}, TooLarge
 		}
-		victim := sh.lru.victim(ci, evictionTries)
+		victim := s.lru.victim(ci, evictionTries)
 		if victim == nil {
 			return chunk{}, OOM
 		}
-		sh.stats.evictions++
+		s.stats.Evictions++
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
 				Kind: RecEvict, Key: string(victim.key()), Now: now,
 				OldCAS: victim.casID, OldValue: cloneBytes(victim.value()),
 			})
 		}
-		s.unlink(sh, victim, hashKey(victim.key()))
+		s.unlink(victim, hashKey(victim.key()))
 	}
 }
 
@@ -385,17 +356,16 @@ func (s *Store) alloc(sh *shard, n int, now simnet.Time) (chunk, StoreResult) {
 // valueLen bytes for the caller to fill. A key longer than the protocol
 // allows is refused as too large (the text frontend never passes one; a
 // hand-built AM header could).
-func (s *Store) newItem(sh *shard, key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*item, StoreResult) {
+func (s *Store) newItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*item, StoreResult) {
 	if len(key) > maxKeyLen {
 		return nil, TooLarge
 	}
-	c, res := s.alloc(sh, len(key)+valueLen+itemOverhead, now)
+	c, res := s.alloc(len(key)+valueLen+itemOverhead, now)
 	if res != Stored {
 		return nil, res
 	}
 	copy(c.buf, key)
-	it := sh.getItem()
-	it.shard = sh.id
+	it := s.getItem()
 	it.chunk = c
 	it.nkey = uint8(len(key))
 	it.nbytes = uint32(valueLen)
@@ -410,15 +380,15 @@ func (s *Store) newItem(sh *shard, key []byte, flags uint32, exptime int64, valu
 
 // link commits an item, whose key hashes to h, replacing any existing
 // entry for the key.
-func (s *Store) link(sh *shard, it *item, h uint64) {
-	if old := sh.table.lookup(it.key(), h); old != nil {
-		s.unlink(sh, old, h)
+func (s *Store) link(it *item, h uint64) {
+	if old := s.table.lookup(it.key(), h); old != nil {
+		s.unlink(old, h)
 	}
-	sh.table.put(it, h)
-	sh.lru.insert(it)
-	sh.stats.bytes += uint64(it.nkey) + uint64(it.nbytes)
-	sh.stats.currItems++
-	sh.stats.totalItems++
+	s.table.put(it, h)
+	s.lru.insert(it)
+	s.stats.Bytes += uint64(it.nkey) + uint64(it.nbytes)
+	s.stats.CurrItems++
+	s.stats.TotalItems++
 	if x := s.pub; x != nil {
 		x.publish(it)
 	}
@@ -428,10 +398,9 @@ func (s *Store) link(sh *shard, it *item, h uint64) {
 // fills before commitItem — the UCR Set path lands the client's RDMA-
 // read value directly in this slab memory (§V-B).
 func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen int, now simnet.Time) (*item, StoreResult) {
-	sh := s.shardOf(hashKey(key))
-	it, res := s.newItem(sh, key, flags, exptime, valueLen, now)
+	it, res := s.newItem(key, flags, exptime, valueLen, now)
 	if res == Stored {
-		it.refcount++ // pinned until commit/abort
+		it.refcount++ // pinned until commitItem or unpin
 	} else {
 		// Failed allocations are recorded here (the commit never runs),
 		// so the history still shows one store attempt per request.
@@ -440,14 +409,15 @@ func (s *Store) allocateItem(key []byte, flags uint32, exptime int64, valueLen i
 	return it, res
 }
 
-// commitItem links a previously allocated item. Its stripe is the one
-// allocateItem recorded; the key is hashed once, for the table.
+// commitItem links a previously allocated item, hashing its key once,
+// for its stripe and the table. An item that is never committed is
+// released with unpin.
 func (s *Store) commitItem(it *item, c charge) {
-	sh := s.shards[it.shard]
-	now := s.book(sh, c, 0)
+	h := hashKey(it.key())
+	now := s.book(s.stripeOf(h), c, 0)
 	it.refcount--
-	sh.stats.cmdSet++
-	s.link(sh, it, hashKey(it.key()))
+	s.stats.CmdSet++
+	s.link(it, h)
 	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{
 			Kind: RecSet, Key: string(it.key()), Now: now, Res: Stored,
@@ -455,16 +425,6 @@ func (s *Store) commitItem(it *item, c charge) {
 			Exptime: it.exptimeRaw, NewCAS: it.casID,
 			ExpireAt: it.expireAt, SetAt: it.setAt,
 		})
-	}
-}
-
-// abortItem releases an allocated-but-uncommitted item.
-func (s *Store) abortItem(it *item) {
-	sh := s.shards[it.shard]
-	it.refcount--
-	if !it.pinned() {
-		s.arena.free(it.chunk)
-		sh.putItem(it)
 	}
 }
 
@@ -476,30 +436,29 @@ func (s *Store) abortItem(it *item) {
 // builds a key string.
 func (s *Store) store(op uint8, key []byte, flags uint32, exptime int64, value []byte, casID uint64, c charge) StoreResult {
 	h := hashKey(key)
-	sh := s.shardOf(h)
-	now := s.book(sh, c, len(value))
+	now := s.book(s.stripeOf(h), c, len(value))
 	if op < StoreOpAdd || op > StoreOpSet {
 		return NotStored
 	}
-	sh.stats.cmdSet++
+	s.stats.CmdSet++
 	// set / add / replace differ only in the presence test that gates
 	// the unconditional store.
 	kind, gate := RecSet, true
 	switch op {
 	case StoreOpAppend, StoreOpPrepend:
-		return s.concat(sh, key, h, value, op == StoreOpPrepend, now)
+		return s.concat(key, h, value, op == StoreOpPrepend, now)
 	case StoreOpCas:
-		return s.cas(sh, key, h, flags, exptime, value, casID, now)
+		return s.cas(key, h, flags, exptime, value, casID, now)
 	case StoreOpAdd:
-		kind, gate = RecAdd, s.lookupLive(sh, key, h, now) == nil
+		kind, gate = RecAdd, s.lookupLive(key, h, now) == nil
 	case StoreOpReplace:
-		kind, gate = RecReplace, s.lookupLive(sh, key, h, now) != nil
+		kind, gate = RecReplace, s.lookupLive(key, h, now) != nil
 	}
 	if !gate {
 		s.recordStore(kind, key, nil, flags, exptime, 0, nil, NotStored, now)
 		return NotStored
 	}
-	it, res := s.setItem(sh, key, h, flags, exptime, value, now)
+	it, res := s.setItem(key, h, flags, exptime, value, now)
 	if res != Stored {
 		value = nil // a failed store records no value
 	}
@@ -515,20 +474,20 @@ func (s *Store) Set(key string, flags uint32, exptime int64, value []byte, now s
 }
 
 // cas is the cas verb's body.
-func (s *Store) cas(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
-	it := s.lookupLive(sh, key, h, now)
+func (s *Store) cas(key []byte, h uint64, flags uint32, exptime int64, value []byte, casID uint64, now simnet.Time) StoreResult {
+	it := s.lookupLive(key, h, now)
 	if it == nil {
-		sh.stats.casMisses++
+		s.stats.CasMisses++
 		s.recordStore(RecCas, key, nil, flags, exptime, casID, nil, NotFound, now)
 		return NotFound
 	}
 	if it.casID != casID {
-		sh.stats.casBadval++
+		s.stats.CasBadval++
 		s.recordStore(RecCas, key, nil, flags, exptime, casID, nil, Exists, now)
 		return Exists
 	}
-	sh.stats.casHits++
-	nit, res := s.setItem(sh, key, h, flags, exptime, value, now)
+	s.stats.CasHits++
+	nit, res := s.setItem(key, h, flags, exptime, value, now)
 	s.recordStore(RecCas, key, value, flags, exptime, casID, nit, res, now)
 	return res
 }
@@ -536,24 +495,24 @@ func (s *Store) cas(sh *shard, key []byte, h uint64, flags uint32, exptime int64
 // setItem is the shared unconditional-store tail. The stored item is
 // returned so callers can record the assigned CAS/expiry (nil on
 // failure).
-func (s *Store) setItem(sh *shard, key []byte, h uint64, flags uint32, exptime int64, value []byte, now simnet.Time) (*item, StoreResult) {
-	it, res := s.newItem(sh, key, flags, exptime, len(value), now)
+func (s *Store) setItem(key []byte, h uint64, flags uint32, exptime int64, value []byte, now simnet.Time) (*item, StoreResult) {
+	it, res := s.newItem(key, flags, exptime, len(value), now)
 	if res != Stored {
 		return nil, res
 	}
 	copy(it.value(), value)
-	s.link(sh, it, h)
+	s.link(it, h)
 	return it, Stored
 }
 
-// releasePin drops a refcount an op took, freeing the chunk (and
-// recycling the header) if the item was unlinked (evicted/replaced)
-// while pinned.
-func (s *Store) releasePin(sh *shard, it *item) {
+// unpin drops a refcount an op took (a getPinned reference, or
+// allocateItem's pin on an uncommitted item), freeing the chunk (and
+// recycling the header) if the item is unlinked and no longer pinned.
+func (s *Store) unpin(it *item) {
 	it.refcount--
 	if !it.linked && !it.pinned() {
 		s.arena.free(it.chunk)
-		sh.putItem(it)
+		s.putItem(it)
 	}
 }
 
@@ -564,13 +523,13 @@ func (s *Store) releasePin(sh *shard, it *item) {
 // old itself — freeing the chunk old's value lives in, so the copy
 // below would read (or, after the free list recycles the chunk into the
 // new item, overwrite) freed slab memory. Records name the op's own
-// key: releasePin may recycle old and its chunk.
-func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool, now simnet.Time) StoreResult {
+// key: unpin may recycle old and its chunk.
+func (s *Store) concat(key []byte, h uint64, add []byte, prepend bool, now simnet.Time) StoreResult {
 	kind := RecAppend
 	if prepend {
 		kind = RecPrepend
 	}
-	old := s.lookupLive(sh, key, h, now)
+	old := s.lookupLive(key, h, now)
 	if old == nil {
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Res: NotStored, Arg: cloneBytes(add)})
@@ -583,9 +542,9 @@ func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool
 	if s.rec != nil {
 		oldVal = cloneBytes(old.value())
 	}
-	it, res := s.newItem(sh, key, old.flags, 0, int(old.nbytes)+len(add), now)
+	it, res := s.newItem(key, old.flags, 0, int(old.nbytes)+len(add), now)
 	if res != Stored {
-		s.releasePin(sh, old)
+		s.unpin(old)
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
 				Kind: kind, Key: string(key), Now: now, Res: res,
@@ -602,8 +561,8 @@ func (s *Store) concat(sh *shard, key []byte, h uint64, add []byte, prepend bool
 		copy(it.value(), old.value())
 		copy(it.value()[old.nbytes:], add)
 	}
-	s.releasePin(sh, old)
-	s.link(sh, it, h)
+	s.unpin(old)
+	s.link(it, h)
 	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{
 			Kind: kind, Key: string(key), Now: now, Res: Stored,
@@ -623,20 +582,16 @@ func (s *Store) Get(key string, now simnet.Time) (value []byte, flags uint32, ca
 	return value, flags, casID, ok
 }
 
-// unpin releases a getPinned reference, freeing the chunk if the item
-// was unlinked (replaced/evicted/deleted) while pinned.
-func (s *Store) unpin(it *item) { s.releasePin(s.shards[it.shard], it) }
-
 // countGet is the GET lookup: hit and miss counters, the LRU touch and
 // the history record, alloc-free end to end. nil is a miss.
-func (s *Store) countGet(sh *shard, key []byte, h uint64, now simnet.Time) *item {
-	sh.stats.cmdGet++
-	it := s.lookupLive(sh, key, h, now)
+func (s *Store) countGet(key []byte, h uint64, now simnet.Time) *item {
+	s.stats.CmdGet++
+	it := s.lookupLive(key, h, now)
 	if it == nil {
-		sh.stats.getMisses++
+		s.stats.GetMisses++
 	} else {
-		sh.stats.getHits++
-		sh.lru.touch(it)
+		s.stats.GetHits++
+		s.lru.touch(it)
 	}
 	s.recordGet(key, it, now)
 	return it
@@ -647,8 +602,7 @@ func (s *Store) countGet(sh *shard, key []byte, h uint64, now simnet.Time) *item
 // RDMA read) is in flight. The caller must Unpin.
 func (s *Store) getPinned(key []byte, c charge) (*item, bool) {
 	h := hashKey(key)
-	sh := s.shardOf(h)
-	it := s.countGet(sh, key, h, s.book(sh, c, 0))
+	it := s.countGet(key, h, s.book(s.stripeOf(h), c, 0))
 	if it == nil {
 		return nil, false
 	}
@@ -664,34 +618,32 @@ func (s *Store) getPinned(key []byte, c charge) (*item, bool) {
 // must not call back into the Store or retain the item.
 func (s *Store) view(key []byte, c charge, read func(*item)) (hit bool, end simnet.Time) {
 	h := hashKey(key)
-	sh := s.shardOf(h)
-	it := s.countGet(sh, key, h, c.now)
+	it := s.countGet(key, h, c.now)
 	copied := 0
 	if it != nil {
 		read(it)
 		copied = int(it.nbytes)
 	}
-	return it != nil, s.acquire(sh, c, copied)
+	return it != nil, s.acquire(s.stripeOf(h), c, copied)
 }
 
 // delete removes key. ok=false is a miss.
 func (s *Store) delete(key []byte, c charge) bool {
 	h := hashKey(key)
-	sh := s.shardOf(h)
-	now := s.book(sh, c, 0)
-	it := s.lookupLive(sh, key, h, now)
+	now := s.book(s.stripeOf(h), c, 0)
+	it := s.lookupLive(key, h, now)
 	if it == nil {
-		sh.stats.deleteMisses++
+		s.stats.DeleteMisses++
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: RecDelete, Key: string(key), Now: now})
 		}
 		return false
 	}
-	sh.stats.deleteHits++
+	s.stats.DeleteHits++
 	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{Kind: RecDelete, Key: string(key), Now: now, Hit: true, OldCAS: it.casID})
 	}
-	s.unlink(sh, it, h)
+	s.unlink(it, h)
 	return true
 }
 
@@ -701,18 +653,17 @@ func (s *Store) delete(key []byte, c charge) bool {
 // failure, distinct from the caller's mistake.
 func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal uint64, found, badValue, oom bool) {
 	h := hashKey(key)
-	sh := s.shardOf(h)
-	now := s.book(sh, c, 0)
+	now := s.book(s.stripeOf(h), c, 0)
 	kind := RecIncr
 	if !incr {
 		kind = RecDecr
 	}
-	it := s.lookupLive(sh, key, h, now)
+	it := s.lookupLive(key, h, now)
 	if it == nil {
 		if incr {
-			sh.stats.incrMisses++
+			s.stats.IncrMisses++
 		} else {
-			sh.stats.decrMisses++
+			s.stats.DecrMisses++
 		}
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Delta: delta})
@@ -727,10 +678,10 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 		return 0, true, true, false
 	}
 	if incr {
-		sh.stats.incrHits++
+		s.stats.IncrHits++
 		cur += delta
 	} else {
-		sh.stats.decrHits++
+		s.stats.DecrHits++
 		if delta > cur {
 			cur = 0
 		} else {
@@ -746,7 +697,7 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 		// republish gives the entry the new CAS's seqlock, so a one-sided
 		// reader that fetched the old bytes fails its re-validation.
 		copy(it.value(), text)
-		sh.stats.bytes -= uint64(it.nbytes) - uint64(len(text))
+		s.stats.Bytes -= uint64(it.nbytes) - uint64(len(text))
 		it.nbytes = uint32(len(text))
 		s.nextCAS++
 		it.casID = s.nextCAS
@@ -767,8 +718,8 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 		// expiry we carry over) alive until the swap completes.
 		flags, exp := it.flags, it.expireAt
 		it.refcount++
-		nit, res := s.newItem(sh, key, flags, 0, len(text), now)
-		s.releasePin(sh, it)
+		nit, res := s.newItem(key, flags, 0, len(text), now)
+		s.unpin(it)
 		if res != Stored {
 			if rc := s.rec; rc != nil {
 				rc.emit(&OpRecord{Kind: kind, Key: string(key), Now: now, Delta: delta, Hit: true, OOM: true, OldCAS: oldCAS})
@@ -777,7 +728,7 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 		}
 		nit.expireAt = exp
 		copy(nit.value(), text)
-		s.link(sh, nit, h)
+		s.link(nit, h)
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{
 				Kind: kind, Key: string(key), Now: now, Delta: delta, Hit: true,
@@ -793,9 +744,8 @@ func (s *Store) incrDecr(key []byte, delta uint64, incr bool, c charge) (newVal 
 // touch updates an item's expiry.
 func (s *Store) touch(key []byte, exptime int64, c charge) bool {
 	h := hashKey(key)
-	sh := s.shardOf(h)
-	now := s.book(sh, c, 0)
-	it := s.lookupLive(sh, key, h, now)
+	now := s.book(s.stripeOf(h), c, 0)
+	it := s.lookupLive(key, h, now)
 	if it == nil {
 		if rc := s.rec; rc != nil {
 			rc.emit(&OpRecord{Kind: RecTouch, Key: string(key), Now: now, Exptime: exptime})
@@ -819,9 +769,7 @@ func (s *Store) touch(key []byte, exptime int64, c charge) bool {
 // memcached: items vanish on next access).
 func (s *Store) FlushAll(now simnet.Time) {
 	horizon := now + 1
-	for _, sh := range s.shards {
-		sh.flushBefore = horizon
-	}
+	s.flushBefore = horizon
 	if rc := s.rec; rc != nil {
 		rc.emit(&OpRecord{Kind: RecFlushAll, Now: now, Horizon: horizon})
 	}
@@ -830,42 +778,15 @@ func (s *Store) FlushAll(now simnet.Time) {
 	}
 }
 
-// Stats snapshots the counters, summing each shard's.
-func (s *Store) Stats() Stats {
-	var st Stats
-	for _, sh := range s.shards {
-		c := sh.stats
-		st.CmdGet += c.cmdGet
-		st.CmdSet += c.cmdSet
-		st.GetHits += c.getHits
-		st.GetMisses += c.getMisses
-		st.DeleteHits += c.deleteHits
-		st.DeleteMisses += c.deleteMisses
-		st.IncrHits += c.incrHits
-		st.IncrMisses += c.incrMisses
-		st.DecrHits += c.decrHits
-		st.DecrMisses += c.decrMisses
-		st.CasHits += c.casHits
-		st.CasMisses += c.casMisses
-		st.CasBadval += c.casBadval
-		st.Evictions += c.evictions
-		st.Expired += c.expired
-		st.CurrItems += c.currItems
-		st.TotalItems += c.totalItems
-		st.Bytes += c.bytes
-	}
-	st.LimitMaxBytes = uint64(s.limit)
-	return st
-}
+// Stats snapshots the counters.
+func (s *Store) Stats() Stats { return s.stats }
 
-// itemsPerClass counts linked items per slab class, summed across
-// shards (the data behind `stats items`).
+// itemsPerClass counts linked items per slab class (the data behind
+// `stats items`).
 func (s *Store) itemsPerClass() []int {
 	counts := make([]int, s.arena.numClasses())
-	for _, sh := range s.shards {
-		for i := range counts {
-			counts[i] += sh.lru.classItems(i)
-		}
+	for i := range counts {
+		counts[i] = s.lru.classItems(i)
 	}
 	return counts
 }

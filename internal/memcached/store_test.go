@@ -585,10 +585,11 @@ func TestStoreAllocateCommitAbort(t *testing.T) {
 	if !ok || string(v) != "rdmaland" || flags != 5 {
 		t.Fatalf("committed = (%q,%d,%v)", v, flags, ok)
 	}
-	// Abort path returns the chunk.
+	// An uncommitted item is released by unpinning it, which returns
+	// the chunk.
 	it2, _ := s.allocateItem([]byte("tmp"), 0, 0, 8, 0)
 	free0 := s.arena.freeChunks(int(it2.chunk.class))
-	s.abortItem(it2)
+	s.unpin(it2)
 	if s.arena.freeChunks(int(it2.chunk.class)) != free0+1 {
 		t.Fatal("aborted chunk not freed")
 	}
@@ -629,8 +630,12 @@ func TestStoreMissAllocatesNothing(t *testing.T) {
 		"append":  func() { s.store(StoreOpAppend, key, 0, 0, val, 0, at(0)) },
 		"cas":     func() { s.store(StoreOpCas, key, 0, 0, val, 1, at(0)) },
 	} {
-		if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
-			t.Errorf("%s miss: %v allocs/op, want 0", name, allocs)
+		if allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 2000; i++ {
+				miss()
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocs in 2000 misses, want 0", name, allocs)
 		}
 	}
 	if s.Stats().CurrItems != 0 {

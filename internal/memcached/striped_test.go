@@ -1,6 +1,7 @@
 package memcached
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,21 +9,23 @@ import (
 	"repro/internal/simnet"
 )
 
-// TestStripesRounding: the stripe count rounds up to a power of two,
-// and zero keeps the global-lock engine.
+// TestStripesRounding: the modelled stripe count rounds up to a power
+// of two, and zero keeps the global lock. The count sizes only the
+// contention model: the store holds one engine whatever it is.
 func TestStripesRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
 		s := NewStore(StoreConfig{Stripes: tc.in})
-		if got := len(s.shards); got != tc.want {
-			t.Errorf("Stripes=%d: %d shards, want %d", tc.in, got, tc.want)
+		if got := len(s.stripes); got != tc.want {
+			t.Errorf("Stripes=%d: %d stripes, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
-// TestStripedStatsAggregate: counters land on whichever shard served
-// the op, and Stats() sums them all.
+// TestStripedStatsAggregate: the store's one counter set counts every
+// op whichever stripe its key books, and the stripe picker spreads keys
+// over all eight stripes.
 func TestStripedStatsAggregate(t *testing.T) {
 	s := NewStore(StoreConfig{Stripes: 8})
 	const n = 200
@@ -51,19 +54,19 @@ func TestStripedStatsAggregate(t *testing.T) {
 	if st.CmdSet != n {
 		t.Errorf("CmdSet = %d, want %d", st.CmdSet, n)
 	}
-	// The keys must actually spread: with 200 keys on 8 shards an empty
-	// shard would mean the shard picker is broken (high-bit selection).
-	perShard := make(map[*shard]int)
+	// The keys must actually spread: with 200 keys on 8 stripes an
+	// idle stripe would mean the picker is broken (Fibonacci spread).
+	perStripe := make(map[*simnet.Resource]int)
 	for i := 0; i < n; i++ {
-		perShard[s.shardOf(hashKey(fmt.Sprintf("key-%d", i)))]++
+		perStripe[s.stripeOf(hashKey(fmt.Sprintf("key-%d", i)))]++
 	}
-	if len(perShard) != 8 {
-		t.Errorf("200 keys landed on %d of 8 shards", len(perShard))
+	if len(perStripe) != 8 {
+		t.Errorf("200 keys landed on %d of 8 stripes", len(perStripe))
 	}
 }
 
 // TestLockWaitQueueing: ops on one key queue behind each other in
-// virtual time; ops on keys of different shards do not interact.
+// virtual time; ops on keys of different stripes do not interact.
 func TestLockWaitQueueing(t *testing.T) {
 	s := NewStore(StoreConfig{Stripes: 8})
 	const hold = 100 * simnet.Microsecond
@@ -81,20 +84,20 @@ func TestLockWaitQueueing(t *testing.T) {
 	if w := waitFor("a", 0); w != hold {
 		t.Errorf("second acquire waited %v, want %v", w, hold)
 	}
-	// A key on a different shard sees an idle resource.
+	// A key on a different stripe sees an idle resource.
 	other := ""
-	shA := s.shardOf(hashKey("a"))
+	stripeA := s.stripeOf(hashKey("a"))
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("other-%d", i)
-		if s.shardOf(hashKey(k)) != shA {
+		if s.stripeOf(hashKey(k)) != stripeA {
 			other = k
 			break
 		}
 	}
 	if w := waitFor(other, 0); w != 0 {
-		t.Errorf("different shard waited %v", w)
+		t.Errorf("different stripe waited %v", w)
 	}
-	// Same shard, later arrival: waits only for the remaining backlog.
+	// Same stripe, later arrival: waits only for the remaining backlog.
 	if w := waitFor("a", simnet.Time(hold)); w != hold {
 		t.Errorf("backlogged acquire waited %v, want %v", w, hold)
 	}
@@ -123,8 +126,9 @@ func interleave(seed int64, streams, opsEach int, op func(g, i int)) {
 }
 
 // TestStripedStoreConcurrentStress interleaves twelve workers' mixes of
-// every mutating op across shard boundaries on one striped store; the
-// invariants checked at the end catch lost updates and leaked pins.
+// every mutating op, over keys of all eight stripes, on one store whose
+// stripe locks are booked between them; the invariants checked at the
+// end catch lost counter updates, unreadable items and leaked pins.
 func TestStripedStoreConcurrentStress(t *testing.T) {
 	s := NewStore(StoreConfig{Stripes: 8, MemoryLimit: 8 << 20})
 	s.opCost = simnet.Microsecond // books case 7's charges; At ops stay free
@@ -211,5 +215,45 @@ func TestStripedStoreConcurrentStress(t *testing.T) {
 	// Arena pages are retained, but no live item bytes may remain.
 	if b := s.Stats().Bytes; b != 0 {
 		t.Errorf("%d live item bytes after flush", b)
+	}
+}
+
+// TestEvictionFollowsClassLRUAcrossStripes: the stripes model lock
+// waits, not ownership, so a store under memory pressure evicts its
+// class's least-recently-used item even when that item's key books
+// another stripe than the key being stored.
+func TestEvictionFollowsClassLRUAcrossStripes(t *testing.T) {
+	s := NewStore(StoreConfig{Stripes: 8, MemoryLimit: 2 << 20}) // two pages
+	val := bytes.Repeat([]byte("x"), 8000)
+	if s.Set("oldest", 0, 0, val, 0) != Stored {
+		t.Fatal("set oldest failed")
+	}
+	// Fill the class with keys off oldest's stripe until the first
+	// eviction, so every store that can evict books another stripe.
+	own := s.stripeOf(hashKey("oldest"))
+	var fill []string
+	for i := 0; s.Stats().Evictions == 0; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if s.stripeOf(hashKey(key)) == own {
+			continue
+		}
+		if res := s.Set(key, 0, 0, val, 0); res != Stored {
+			t.Fatalf("set %s = %v", key, res)
+		}
+		fill = append(fill, key)
+		if i > 10000 {
+			t.Fatal("never evicted")
+		}
+	}
+	if n := s.Stats().Evictions; n != 1 {
+		t.Fatalf("%d evictions, want 1", n)
+	}
+	if _, _, _, ok := s.Get("oldest", 0); ok {
+		t.Error("the class's LRU item survived: eviction stayed on the storing key's stripe")
+	}
+	for _, key := range fill {
+		if _, _, _, ok := s.Get(key, 0); !ok {
+			t.Errorf("%s evicted before the class's LRU item", key)
+		}
 	}
 }

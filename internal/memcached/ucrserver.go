@@ -23,7 +23,7 @@ import (
 // The steady-state GET/SET/MGET paths allocate nothing: request headers
 // are decoded in place (the *View decoders), keys are hashed and
 // compared as []byte straight out of the receive buffer, items come
-// from per-shard free lists, and replies are built in per-worker arenas
+// from the store's free list, and replies are built in per-worker arenas
 // whose reuse rules are documented on the worker struct.
 
 // ucrConn is one UCR connection's server state, carried on its

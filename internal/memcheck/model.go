@@ -70,8 +70,8 @@ type model struct {
 	// allocation inside replace/cas/concat/incr can evict the very item
 	// the op just looked up (the engine's victim scan does not skip the
 	// key being operated on). The evict record immediately precedes the
-	// op's own record in the per-key subsequence (both happen under one
-	// shard-lock critical section), so the window closes at the next
+	// op's own record in the per-key subsequence (both happen in one
+	// engine call), so the window closes at the next
 	// record for that key.
 	lastEvict map[string]*modelItem
 }

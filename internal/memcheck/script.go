@@ -156,7 +156,7 @@ func (g *generator) value() []byte {
 
 // bigValue (pressure mode, plain sets only) makes every pressure set
 // land in ONE large slab class (~101 KB chunks with the 1.25 growth
-// factor, 10 per page): eviction is per-shard AND per-class, so a size
+// factor, 10 per page): eviction is per-class, so a size
 // spread across classes would starve the victim scan instead of
 // exercising it. Only opSet carries these: over UCR a plain set is the
 // one store with a rendezvous path past the eager threshold.

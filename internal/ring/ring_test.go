@@ -272,13 +272,24 @@ func FuzzKetamaRing(f *testing.F) {
 func TestLookupZeroAlloc(t *testing.T) {
 	r := Build(defaultVNodes, names(4))
 	buf := make([]string, 0, 2)
+	// One AllocsPerRun run of ops calls counts exactly: it returns a
+	// total, not an average rounded down.
+	const ops = 2000
 	for _, size := range []int{17, 33, 250} {
 		key := strings.Repeat("k", size)
-		if n := testing.AllocsPerRun(100, func() { r.Lookup(key) }); n != 0 {
-			t.Errorf("Lookup of a %d-byte key: %v allocs, want 0", size, n)
+		if n := testing.AllocsPerRun(1, func() {
+			for i := 0; i < ops; i++ {
+				r.Lookup(key)
+			}
+		}); n != 0 {
+			t.Errorf("Lookup of a %d-byte key: %v allocs in %d calls, want 0", size, n, ops)
 		}
-		if n := testing.AllocsPerRun(100, func() { buf = r.AppendOwners(buf[:0], key, 2) }); n != 0 {
-			t.Errorf("AppendOwners of a %d-byte key: %v allocs, want 0", size, n)
+		if n := testing.AllocsPerRun(1, func() {
+			for i := 0; i < ops; i++ {
+				buf = r.AppendOwners(buf[:0], key, 2)
+			}
+		}); n != 0 {
+			t.Errorf("AppendOwners of a %d-byte key: %v allocs in %d calls, want 0", size, n, ops)
 		}
 		sum := md5.Sum([]byte(key))
 		if got, want := keyPoint(key), binary.LittleEndian.Uint32(sum[:]); got != want {

@@ -80,9 +80,15 @@ func TestExecutorBookkeepingAllocatesNothing(t *testing.T) {
 		in.Put(stamped{reply: reply})
 		reply.Recv()
 	}
-	trip()
-	if n := testing.AllocsPerRun(200, trip); n != 0 {
-		t.Errorf("round trip through an actor allocates %.1f times", n)
+	// One AllocsPerRun run of trips counts exactly: it returns a total,
+	// not an average rounded down.
+	const trips = 2000
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < trips; i++ {
+			trip()
+		}
+	}); n != 0 {
+		t.Errorf("%d round trips through an actor allocate %v times, want 0", trips, n)
 	}
 }
 
@@ -442,8 +448,12 @@ func TestRecvIdleLoneCaller(t *testing.T) {
 	if _, ok, idle := box.RecvIdle(); ok || !idle {
 		t.Fatalf("empty mailbox, idle actor: (ok=%v, idle=%v), want idle", ok, idle)
 	}
-	if n := testing.AllocsPerRun(100, func() { box.RecvIdle() }); n != 0 {
-		t.Errorf("an idle verdict allocates %.1f times", n)
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2000; i++ {
+			box.RecvIdle()
+		}
+	}); n != 0 {
+		t.Errorf("2000 idle verdicts allocate %v times, want 0", n)
 	}
 	// A message that is owed is delivered, not given up on.
 	in.Put(stamped{reply: box, v: 1})

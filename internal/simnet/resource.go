@@ -22,7 +22,7 @@ package simnet
 //
 // A Resource has no lock of its own: its users serialise on the lock
 // that owns it — the deployment's owner (Executor.Enter) for links and
-// adapter engines, the shard lock for a store stripe.
+// adapter engines, the store's owner for a store's lock stripe.
 type Resource struct {
 	name string
 

@@ -86,11 +86,15 @@ func TestSegmentRecyclingSteadyStateAllocs(t *testing.T) {
 		srv.Write(req)
 		io.ReadFull(cli, buf[:len(req)])
 	}
-	for i := 0; i < 4; i++ {
-		rtt()
-	}
-	if allocs := testing.AllocsPerRun(100, rtt); allocs != 0 {
-		t.Fatalf("warm round trips allocate %v times, want 0", allocs)
+	// One AllocsPerRun run counts exactly (a total, not an average
+	// rounded down); its warm-up call is the same round trips.
+	const trips = 2000
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < trips; i++ {
+			rtt()
+		}
+	}); allocs != 0 {
+		t.Fatalf("%d warm round trips allocate %v times, want 0", trips, allocs)
 	}
 }
 
@@ -158,10 +162,16 @@ func TestSpareSegmentsBounded(t *testing.T) {
 		t.Fatalf("spare list retains %d bytes, want <= %d", kept, maxSpareSegs*e.prov.SegmentSize)
 	}
 	// The next write is served from the list.
-	if allocs := testing.AllocsPerRun(10, func() {
-		cli.Write(payload[:1000])
-		io.ReadFull(srv, got[:1000])
+	// One AllocsPerRun run counts exactly (a total, not an average
+	// rounded down); its warm-up call is the same writes, enough of them
+	// to fill the links' booking lists (2 000 are not).
+	const writes = 4000
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < writes; i++ {
+			cli.Write(payload[:1000])
+			io.ReadFull(srv, got[:1000])
+		}
 	}); allocs != 0 {
-		t.Fatalf("write after the burst allocates %v times, want 0", allocs)
+		t.Fatalf("%d writes after the burst allocate %v times, want 0", writes, allocs)
 	}
 }
